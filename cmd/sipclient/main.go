@@ -5,12 +5,14 @@
 //	sipclient -addr localhost:7408 -logu 16 -n 65536 -seed 7
 //	sipclient -addr localhost:7408 -dataset metrics -queries 5
 //
-// Without -dataset the client uses the v1 flow: a private per-connection
-// dataset that dies with the connection. With -dataset it opens (or
-// creates) the named dataset on the server — shared across every
-// connection that opens the same name — ingests into it, and repeats the
-// query battery -queries times to show the amortization: the stream is
-// ingested once, and every query (first and Nth alike) skips the replay.
+// The client opens (or creates) the -dataset named dataset on the server
+// — shared across every connection that opens the same name — ingests
+// into it, and repeats the query battery -queries times to show the
+// amortization: the stream is ingested once, and every query (first and
+// Nth alike) skips the replay. Without -dataset the name is drawn at
+// random (private-<32 hex digits> from crypto/rand) and printed: a
+// private dataset is just a named dataset nobody else can guess, and the
+// server treats it like any other.
 //
 // -concurrency N overlaps up to N query rounds on the one connection:
 // every conversation runs on its own multiplexed channel
@@ -22,7 +24,7 @@
 // -circuit-arg) runs on the same multiplexed connection against the
 // same maintained dataset — no extra upload, no server-side replay.
 //
-// -cached (requires -dataset) replaces the interactive conversations
+// -cached replaces the interactive conversations
 // with non-interactive replay: each query fetches the server's posted
 // Fiat–Shamir proof for the dataset's current version — generated once
 // and served from the proof cache to every verifier that asks — and
@@ -40,12 +42,14 @@
 // same dataset through a router and through a single engine and the
 // digests must match — the split-universe bit-identity check.
 //
-// Point it at a server started with -cheat-drop to watch every v1 query
+// Point it at a server started with -cheat-drop to watch every query
 // get rejected.
 package main
 
 import (
+	"crypto/rand"
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -71,16 +75,21 @@ func main() {
 	logu := flag.Int("logu", 16, "log2 of the universe size")
 	n := flag.Int("n", 1<<16, "stream length (unit increments)")
 	seed := flag.Uint64("seed", 7, "workload seed")
-	dataset := flag.String("dataset", "", "named shared dataset (empty = private v1 connection)")
-	queries := flag.Int("queries", 1, "how many times to run the query battery (with -dataset)")
+	dataset := flag.String("dataset", "", "named shared dataset (empty = a private one: a random unguessable name, printed)")
+	queries := flag.Int("queries", 1, "how many times to run the query battery")
 	concurrency := flag.Int("concurrency", 1, "query rounds overlapped on the one connection (multiplexed conversations)")
 	circuitName := flag.String("circuit", "", fmt.Sprintf("add a CIRCUIT (GKR) conversation per round; families: %v", circuit.Families()))
 	circuitArg := flag.Uint64("circuit-arg", 0, "circuit family argument (MATMUL: matrix dimension n, 0 = default)")
-	cached := flag.Bool("cached", false, "verify posted Fiat–Shamir proofs offline instead of running interactive conversations (requires -dataset)")
+	cached := flag.Bool("cached", false, "verify posted Fiat–Shamir proofs offline instead of running interactive conversations")
 	kinds := flag.String("kinds", "all", `query battery: "all" (F2, range query, heavy hitters) or "seam" (F2, F3 moment, range sum — what a split-universe dataset serves)`)
 	flag.Parse()
-	if *cached && *dataset == "" {
-		log.Fatal("-cached requires -dataset: only named datasets post proofs")
+	if *dataset == "" {
+		var b [16]byte
+		if _, err := rand.Read(b[:]); err != nil {
+			log.Fatalf("drawing a private dataset name: %v", err)
+		}
+		*dataset = "private-" + hex.EncodeToString(b[:])
+		fmt.Printf("private dataset %s\n", *dataset)
 	}
 	if *kinds != "all" && *kinds != "seam" {
 		log.Fatalf(`-kinds must be "all" or "seam", got %q`, *kinds)
@@ -114,28 +123,23 @@ func main() {
 	// already holds updates this client never observed can never verify,
 	// so fail fast. A separate short-lived connection keeps the server's
 	// idle-timeout clock out of the local observation pass.
-	if *dataset != "" {
-		probe, err := wire.Dial(*addr)
-		if err != nil {
-			log.Fatalf("dial: %v", err)
-		}
-		prior, err := probe.OpenDataset(*dataset, u)
-		check(err)
-		probe.Close()
-		if prior != 0 {
-			log.Fatalf("dataset %q already holds %d updates this client never observed; "+
-				"verification summaries must cover the whole stream — use a fresh name", *dataset, prior)
-		}
+	probe, err := wire.Dial(*addr)
+	if err != nil {
+		log.Fatalf("dial: %v", err)
+	}
+	prior, err := probe.OpenDataset(*dataset, u)
+	check(err)
+	probe.Close()
+	if prior != 0 {
+		log.Fatalf("dataset %q already holds %d updates this client never observed; "+
+			"verification summaries must cover the whole stream — use a fresh name", *dataset, prior)
 	}
 
 	// Verifiers are created before the upload: the single streaming pass.
 	// One set per battery round — each conversation consumes its verifier.
-	rounds := 1
-	if *dataset != "" {
-		rounds = *queries
-		if rounds < 1 {
-			rounds = 1
-		}
+	rounds := *queries
+	if rounds < 1 {
+		rounds = 1
 	}
 	rng := field.CryptoRNG{}
 	qlo, qhi := u/4, u/4+99
@@ -223,21 +227,14 @@ func main() {
 	}
 	defer client.Close()
 	client.FieldModulus = f.Modulus()
-	if *dataset != "" {
-		prior, err := client.OpenDataset(*dataset, u)
-		check(err)
-		if prior != 0 {
-			log.Fatalf("dataset %q gained %d updates from another uploader during the local pass; use a fresh name", *dataset, prior)
-		}
-		_, err = client.Ingest(ups)
-		check(err)
-		fmt.Printf("ingested %d updates into shared dataset %q over universe 2^%d\n", len(ups), *dataset, *logu)
-	} else {
-		check(client.Hello(u))
-		check(client.SendUpdates(ups))
-		check(client.EndStream())
-		fmt.Printf("uploaded %d updates over universe 2^%d; verifier state is O(log u)\n", len(ups), *logu)
+	prior, err = client.OpenDataset(*dataset, u)
+	check(err)
+	if prior != 0 {
+		log.Fatalf("dataset %q gained %d updates from another uploader during the local pass; use a fresh name", *dataset, prior)
 	}
+	_, err = client.Ingest(ups)
+	check(err)
+	fmt.Printf("ingested %d updates into dataset %q over universe 2^%d; verifier state is O(log u)\n", len(ups), *dataset, *logu)
 
 	// Each round's three conversations run on their own multiplexed
 	// channels; -concurrency bounds how many whole rounds are in flight

@@ -11,8 +11,8 @@
 //	                                           # item from its counts before
 //	                                           # proving
 //
-// Clients either keep a private per-connection dataset (the v1 flow) or
-// open named datasets shared across connections (sipclient -dataset):
+// Clients open named datasets shared across connections (sipclient
+// -dataset; without the flag sipclient draws a random, unguessable name):
 // many owners can ingest into and query one dataset concurrently, and
 // the Nth query costs no stream replay. That includes CIRCUIT queries
 // (sipclient -circuit): GKR provers over named circuit families build
@@ -27,14 +27,9 @@
 // outside the engine lock (per-dataset residency latch), so concurrent
 // evictions and rehydrations of different datasets overlap.
 //
-// The budget governs v1 private datasets too: every hello is charged
-// for its O(u) tables (refused with a budget error when the server is
-// full) and released when the connection ends. -max-private remains as
-// a count backstop for servers running without -mem-budget.
-//
 // The -cheat-drop flag exists to demonstrate, end to end over a real
-// socket, that a cheating cloud is caught: every v1 query against a
-// doctored store is rejected.
+// socket, that a cheating cloud is caught: every query against a
+// doctored store — interactive or a posted proof — is rejected.
 package main
 
 import (
@@ -52,12 +47,11 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":7408", "address to listen on")
-	cheatDrop := flag.Int("cheat-drop", 0, "misbehave: remove this many items from the maintained counts before proving (v1 connections)")
+	cheatDrop := flag.Int("cheat-drop", 0, "misbehave: remove this many items from the maintained counts before proving")
 	workers := flag.Int("workers", runtime.NumCPU(), "prover worker-pool size (1 = serial)")
 	idle := flag.Duration("idle-timeout", 5*time.Minute, "disconnect clients idle for this long (0 = never)")
 	maxLogu := flag.Int("max-logu", 26, "largest log2 universe a client may open")
 	maxDatasets := flag.Int("max-datasets", wire.DefaultMaxDatasets, "cap on named datasets")
-	maxPrivate := flag.Int("max-private", wire.DefaultMaxPrivateDatasets, "count backstop on concurrent v1 private datasets (-1 = no cap; the byte-level defense is -mem-budget)")
 	maxQueries := flag.Int("max-queries", wire.DefaultMaxConcurrentQueries, "multiplexed query conversations in flight per connection (-1 = no cap); excess channel opens are refused with a budget frame")
 	proofBudget := flag.Int64("proof-cache-budget", wire.DefaultProofCacheBudget, "bytes of posted Fiat–Shamir proofs kept for PROOF requests (one proof per dataset-version and query, served to every verifier; negative = disabled)")
 	dataDir := flag.String("data-dir", "", "checkpoint directory: enables eviction, durability, and restart recovery")
@@ -80,7 +74,6 @@ func main() {
 		Engine:               eng,
 		IdleTimeout:          *idle,
 		MaxUniverse:          uint64(1) << *maxLogu,
-		MaxPrivateDatasets:   *maxPrivate,
 		MaxConcurrentQueries: *maxQueries,
 		MemBudget:            *memBudget,
 		DataDir:              *dataDir,

@@ -46,9 +46,6 @@
 //     residency latch, so the checkpoint I/O of one dataset's
 //     transition never blocks another's — concurrent rehydrations
 //     overlap instead of serializing on the engine lock.
-//   - AdmitBytes / ReleaseBytes charge caller-managed state (the wire
-//     layer's v1 private datasets) against the same Σ budget, so every
-//     byte of prover state on the server answers to one governor.
 //   - Persist / StartCheckpointer write dirty datasets back on demand or
 //     on an interval, and Recover rebuilds the registry from the data
 //     dir after a restart, so a crash loses at most the last interval.
@@ -91,7 +88,7 @@ type Engine struct {
 	// latch (Dataset.res + resCond) that its users wait on, so k
 	// transitions of distinct datasets overlap.
 	budget      int64      // Σ-byte cap on resident head tables (0 = unlimited)
-	resident    int64      // bytes resident or reserved (incl. external v1 reservations)
+	resident    int64      // bytes resident or reserved (rehydrations reserve up front)
 	dataDir     string     // checkpoint directory ("" = memory-only engine)
 	clock       uint64     // LRU clock; bumped on every dataset touch
 	transitions int        // evictions/rehydrations currently in flight
@@ -378,9 +375,9 @@ type Dataset struct {
 }
 
 // NewDataset returns a standalone (unnamed) dataset over a universe of
-// size ≥ u — the per-connection store of the v1 wire protocol, and the
-// building block Engine.Open registers under a name. Standalone datasets
-// are always resident and never budgeted.
+// size ≥ u — what the public sip.Dataset wraps, and the building block
+// Engine.Open registers under a name. Standalone datasets are always
+// resident and never budgeted.
 func NewDataset(f field.Field, u uint64, workers int) (*Dataset, error) {
 	ds, err := newDatasetShell(f, u, workers)
 	if err != nil {

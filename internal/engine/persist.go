@@ -23,10 +23,9 @@
 // Accounting invariants (all under e.mu):
 //
 //   - e.resident = Σ tableBytes over datasets in {resident,
-//     rehydrating} + external reservations (AdmitBytes). An evicting
-//     dataset's bytes are released when its eviction *begins*; its
-//     tables are freed (or, on a save failure, re-charged) when it
-//     completes.
+//     rehydrating}. An evicting dataset's bytes are released when its
+//     eviction *begins*; its tables are freed (or, on a save failure,
+//     re-charged) when it completes.
 //   - A dataset's tables are freed only after its checkpoint is
 //     durably on disk (invariant 7 in DESIGN.md): finishEvict frees
 //     head only on a successful save and returns the dataset to
@@ -106,11 +105,10 @@ func nameFromFile(file string) (string, error) { return store.DatasetName(file) 
 // SetBudget caps the aggregate bytes of resident dataset tables (counts
 // plus field image: 16 bytes per padded universe entry per dataset).
 // Zero or negative removes the cap. The budget is enforced at admission
-// time — Open of a new dataset, rehydration of an evicted one, and
-// AdmitBytes reservations — by evicting least-recently-used datasets to
-// the data dir; without a data dir eviction is impossible and admission
-// simply fails at the cap. Already-resident datasets are not evicted by
-// SetBudget itself.
+// time — Open of a new dataset and rehydration of an evicted one — by
+// evicting least-recently-used datasets to the data dir; without a data
+// dir eviction is impossible and admission simply fails at the cap.
+// Already-resident datasets are not evicted by SetBudget itself.
 func (e *Engine) SetBudget(bytes int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -120,8 +118,8 @@ func (e *Engine) SetBudget(bytes int64) {
 
 // ResidentBytes reports the bytes of dataset tables currently resident
 // or reserved — the quantity SetBudget caps. It includes datasets mid-
-// rehydration (their reservation is made up front) and external
-// AdmitBytes reservations; a dataset mid-eviction is already excluded.
+// rehydration (their reservation is made up front); a dataset
+// mid-eviction is already excluded.
 func (e *Engine) ResidentBytes() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -129,43 +127,14 @@ func (e *Engine) ResidentBytes() int64 {
 }
 
 // TableCost returns the resident byte cost of a dataset over a universe
-// of size ≥ u: 16 bytes per entry of the padded (power-of-two) table.
-// The wire layer uses it to charge v1 private datasets against the
-// engine budget via AdmitBytes.
+// of size ≥ u: 16 bytes per entry of the padded (power-of-two) table —
+// what opening it charges against the engine budget.
 func TableCost(u uint64) (int64, error) {
 	params, err := lde.ParamsForUniverse(u, 2)
 	if err != nil {
 		return 0, err
 	}
 	return tableBytes(params.U), nil
-}
-
-// AdmitBytes reserves n bytes of the engine's memory budget for state
-// the caller manages itself (the wire layer's v1 private datasets, which
-// live outside the registry). The reservation is subject to the same
-// admission control as a dataset: LRU named datasets are evicted to make
-// room, and ErrBudget is returned when eviction cannot. The reservation
-// itself is never evictable — callers must pair every successful
-// AdmitBytes with a ReleaseBytes.
-func (e *Engine) AdmitBytes(n int64) error {
-	if n < 0 {
-		return fmt.Errorf("engine: cannot admit %d bytes", n)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.admitLocked(n, nil); err != nil {
-		return err
-	}
-	e.resident += n
-	return nil
-}
-
-// ReleaseBytes returns a reservation made with AdmitBytes.
-func (e *Engine) ReleaseBytes(n int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.resident -= n
-	e.admitCond.Broadcast()
 }
 
 // Resident reports whether the dataset's tables are usable from memory
@@ -694,7 +663,7 @@ func (e *Engine) Close() error {
 // SnapshotFromCounts builds a standalone frozen snapshot whose state is
 // exactly the given counts — no stream is replayed. It exists for the
 // wire layer's dishonest-cloud hook: the cheat rewrites a clone of the
-// maintained counts and proves from the result, so the v1 path needs no
+// maintained counts and proves from the result, so the server needs no
 // raw-stream retention. Σδ is taken as Σ counts (the two are equal for
 // any update stream producing these counts).
 func SnapshotFromCounts(f field.Field, u uint64, workers int, counts []int64) (*Snapshot, error) {

@@ -27,6 +27,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/proofcache"
 	"repro/internal/wire"
+	"repro/internal/wire/frames"
 )
 
 // Router proxies the wire protocol over a set of engine shards.
@@ -73,7 +74,6 @@ type Router struct {
 	lns        map[net.Listener]struct{}
 	conns      map[net.Conn]struct{}
 	closed     bool
-	rr         int // round-robin cursor for v1 (nameless) placements
 	handlers   sync.WaitGroup
 
 	cacheOnce  sync.Once
@@ -207,7 +207,7 @@ func (r *Router) Serve(ln net.Listener) error {
 			if err != nil && !errors.Is(err, io.EOF) {
 				// The server's teardown contract: one final typed error
 				// frame, then the close.
-				_ = p.writeClient(wire.FrameError, []byte(err.Error()))
+				_ = p.writeClient(frames.Error, []byte(err.Error()))
 			}
 		}()
 	}
@@ -343,16 +343,6 @@ func (r *Router) resolve(dataset string) (ShardInfo, *splitPlacement, error) {
 	return s, nil, err
 }
 
-// nextShard picks a shard round-robin — the placement for v1 private
-// datasets, which have no name to hash.
-func (r *Router) nextShard() ShardInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.table.Shards[r.rr%len(r.table.Shards)]
-	r.rr++
-	return s
-}
-
 // ---------------------------------------------------------------------
 // proxyConn: one client connection's proxy state.
 
@@ -411,7 +401,7 @@ func (p *proxyConn) readClient() (byte, []byte, error) {
 			return 0, nil, err
 		}
 	}
-	return wire.ReadFrame(p.client)
+	return frames.ReadFrame(p.client)
 }
 
 // writeClient sends one frame to the client, serialized against the
@@ -424,7 +414,7 @@ func (p *proxyConn) writeClient(typ byte, payload []byte) error {
 			return err
 		}
 	}
-	return wire.WriteFrame(p.client, typ, payload)
+	return frames.WriteFrame(p.client, typ, payload)
 }
 
 // writeBackend forwards one frame to a shard. Only the client read loop
@@ -435,7 +425,7 @@ func (p *proxyConn) writeBackend(b *backend, typ byte, payload []byte) error {
 			return err
 		}
 	}
-	if err := wire.WriteFrame(b.conn, typ, payload); err != nil {
+	if err := frames.WriteFrame(b.conn, typ, payload); err != nil {
 		return fmt.Errorf("shard: forwarding to shard %q: %w", b.shard.Name, err)
 	}
 	return nil
@@ -510,22 +500,22 @@ func dialBackoff(addr string, dialTimeout, budget time.Duration) (net.Conn, erro
 func (p *proxyConn) pump(b *backend) {
 	defer p.pumps.Done()
 	for {
-		typ, payload, err := wire.ReadFrame(b.conn)
+		typ, payload, err := frames.ReadFrame(b.conn)
 		if err != nil {
 			select {
 			case <-p.closing: // orderly teardown closed the backend under us
 			default:
-				_ = p.writeClient(wire.FrameError, fmt.Appendf(nil,
+				_ = p.writeClient(frames.Error, fmt.Appendf(nil,
 					"shard: connection to shard %q lost: %v", b.shard.Name, err))
 				_ = p.client.Close() // unblocks the client read loop
 			}
 			return
 		}
-		if typ == wire.FrameErrorCh || typ == wire.FrameBudgetCh {
+		if typ == frames.ErrorCh || typ == frames.BudgetCh {
 			// The shard failed this channel; drop the pin so the one
 			// client frame lock-step allows is absorbed, exactly as the
 			// server's own bookkeeping would.
-			if id, err := wire.ChannelID(payload); err == nil {
+			if id, _, err := frames.DecodeChannel(payload); err == nil {
 				p.pins.Retire(id, b, true)
 			}
 		}
@@ -543,36 +533,12 @@ func (p *proxyConn) loop() error {
 		if err != nil {
 			return err
 		}
-		// Serial conversation frames never reach the server's top-level
-		// loop (its converse() consumes them), so FlowState has no rule
-		// for them; the proxy sees every frame at top level and forwards
-		// mid-conversation traffic to the attachment's shard.
-		if typ == wire.FrameChallenge || typ == wire.FrameFinish {
-			if p.cur == nil || !p.flow.Attached() {
-				return fmt.Errorf("%w: unexpected frame 0x%02x", wire.ErrProtocol, typ)
-			}
-			if err := p.writeBackend(p.cur, typ, payload); err != nil {
-				return err
-			}
-			continue
-		}
 		if err := p.flow.Advance(typ); err != nil {
 			return err
 		}
 		switch typ {
-		case wire.FrameHello:
-			// A v1 private dataset has no name to place by; spread
-			// connections round-robin.
-			b, err := p.backendFor(p.r.nextShard())
-			if err != nil {
-				return err
-			}
-			p.cur, p.split = b, nil
-			if err := p.writeBackend(b, typ, payload); err != nil {
-				return err
-			}
-		case wire.FrameOpen:
-			name, u, err := wire.DecodeOpen(payload)
+		case frames.Open:
+			name, u, err := frames.DecodeOpen(payload)
 			if err != nil {
 				return err
 			}
@@ -594,11 +560,11 @@ func (p *proxyConn) loop() error {
 			if err := p.writeBackend(b, typ, payload); err != nil {
 				return err
 			}
-		case wire.FrameOpenSlice:
+		case frames.OpenSlice:
 			// Slices are the router's private leg to the owners; a client
 			// attaches to the whole split dataset through a plain OPEN.
 			return fmt.Errorf("%w: open-slice is a shard-facing frame; open the dataset by name and let the router split it", wire.ErrProtocol)
-		case wire.FrameUpdates:
+		case frames.Updates:
 			if p.split != nil {
 				if err := p.splitIngest(payload); err != nil {
 					return err
@@ -608,18 +574,8 @@ func (p *proxyConn) loop() error {
 			if err := p.writeBackend(p.cur, typ, payload); err != nil {
 				return err
 			}
-		case wire.FrameEndStream, wire.FrameQuery:
-			// FlowState guarantees an attachment exists. EndStream is v1-
-			// only so it never has a split attachment; a serial Query on a
-			// split dataset has no single transcript stream to forward.
-			if p.split != nil {
-				return fmt.Errorf("%w: a split dataset serves queries on mux channels only", wire.ErrProtocol)
-			}
-			if err := p.writeBackend(p.cur, typ, payload); err != nil {
-				return err
-			}
-		case wire.FrameQueryCh:
-			id, err := wire.ChannelID(payload)
+		case frames.QueryCh:
+			id, _, err := frames.DecodeChannel(payload)
 			if err != nil {
 				return err
 			}
@@ -642,11 +598,11 @@ func (p *proxyConn) loop() error {
 			if err := p.writeBackend(p.cur, typ, payload); err != nil {
 				return err
 			}
-		case wire.FramePartialQueryCh:
+		case frames.PartialQueryCh:
 			// Router chaining: a downstream aggregator treats this router
 			// as one slice owner. Pin and forward like QueryCh — unless the
 			// attachment is split here too, which would nest aggregation.
-			id, err := wire.ChannelID(payload)
+			id, _, err := frames.DecodeChannel(payload)
 			if err != nil {
 				return err
 			}
@@ -665,12 +621,12 @@ func (p *proxyConn) loop() error {
 			if err := p.writeBackend(p.cur, typ, payload); err != nil {
 				return err
 			}
-		case wire.FrameChallengeCh, wire.FrameFinishCh:
-			id, err := wire.ChannelID(payload)
+		case frames.ChallengeCh, frames.FinishCh:
+			id, _, err := frames.DecodeChannel(payload)
 			if err != nil {
 				return err
 			}
-			finish := typ == wire.FrameFinishCh
+			finish := typ == frames.FinishCh
 			owner, ok := p.pins.Route(id, finish)
 			if !ok {
 				return fmt.Errorf("%w: frame 0x%02x for unknown channel %d", wire.ErrProtocol, typ, id)
@@ -685,11 +641,11 @@ func (p *proxyConn) loop() error {
 					sc.finish()
 					continue
 				}
-				_, body, err := wire.DecodeChannel(payload)
+				_, body, err := frames.DecodeChannel(payload)
 				if err != nil {
 					return err
 				}
-				m, err := wire.DecodeMsg(body)
+				m, err := frames.DecodeMsg(body)
 				if err != nil {
 					return err
 				}
@@ -711,7 +667,7 @@ func (p *proxyConn) loop() error {
 				// reply; fully retire the pin.
 				p.pins.Retire(id, b, false)
 			}
-		case wire.FrameProofReqCh:
+		case frames.ProofReqCh:
 			if p.split != nil {
 				if err := p.splitProofReq(payload); err != nil {
 					return err
@@ -723,13 +679,13 @@ func (p *proxyConn) loop() error {
 			if err := p.writeBackend(p.cur, typ, payload); err != nil {
 				return err
 			}
-		case wire.FrameHandoff, wire.FrameAdopt:
+		case frames.Handoff, frames.Adopt:
 			// Admin frames place by the named dataset: a handoff reaches
 			// the shard that currently serves it, an adopt the shard its
 			// (already-flipped) route names. The rebalancer drives shards
 			// directly (see rebalance.go); this path exists for operator
 			// tooling pointed at the router.
-			name, err := wire.DecodeName(payload)
+			name, err := frames.DecodeName(payload)
 			if err != nil {
 				return err
 			}
@@ -747,7 +703,7 @@ func (p *proxyConn) loop() error {
 			if err := p.writeBackend(b, typ, payload); err != nil {
 				return err
 			}
-		case wire.FrameStatsReq:
+		case frames.StatsReq:
 			if p.r.AggregateStats {
 				if err := p.aggregatedStatsReply(); err != nil {
 					return err

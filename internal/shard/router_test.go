@@ -11,10 +11,13 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/field"
+	"repro/internal/fs"
 	"repro/internal/gkr"
 	"repro/internal/stream"
 	"repro/internal/wire"
+	"repro/internal/wire/frames"
 )
 
 var f61 = field.Mersenne()
@@ -494,34 +497,103 @@ func (s *stallVerifier) Begin(m core.Msg) (core.Msg, bool, error) {
 
 func (s *stallVerifier) Step(m core.Msg) (core.Msg, bool, error) { return s.inner.Step(m) }
 
-// TestRouterV1FlowRoundRobin: the v1 private-dataset flow works through
-// the router (hello → updates → endstream → serial query), with
-// connections spread across shards.
-func TestRouterV1FlowRoundRobin(t *testing.T) {
-	const u = 128
-	routerAddr, _, _ := twoShards(t, 0, nil)
-	ups := stream.UniformDeltas(u, 15, field.NewSplitMix64(81))
-	for i := 0; i < 3; i++ {
-		c := dialT(t, routerAddr)
-		if err := c.Hello(u); err != nil {
+// TestRouterDishonestBackendRejected: the router is no shield for a
+// lying shard. A backend whose Corrupt hook flips one count serves a
+// named dataset through the router, and the client's own verifier
+// rejects it both interactively and when the posted proof — fetched
+// through the router, its binding honest — is verified offline.
+func TestRouterDishonestBackendRejected(t *testing.T) {
+	const u = 256
+	liar, stopLiar := startShard(t, &wire.Server{F: f61, Corrupt: func(c []int64) []int64 { c[7]++; return c }})
+	t.Cleanup(stopLiar)
+	routerAddr, _, stop := startRouter(t, &Table{Shards: []ShardInfo{{Name: "liar", Addr: liar}}})
+	t.Cleanup(stop)
+
+	ups := stream.UniformDeltas(u, 25, field.NewSplitMix64(81))
+	c := dialT(t, routerAddr)
+	c.FieldModulus = f61.Modulus()
+	if _, err := c.OpenDataset("doctored", u); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest(ups); err != nil {
+		t.Fatal(err)
+	}
+	v, obs := newVerifier(t, u, wire.QuerySelfJoinSize, wire.QueryParams{}, 90)
+	for _, up := range ups {
+		if err := obs(up); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SendUpdates(ups); err != nil {
-			t.Fatal(err)
+	}
+	if _, err := c.Query(wire.QuerySelfJoinSize, wire.QueryParams{}, v); !errors.Is(err, core.ErrRejected) {
+		t.Fatalf("interactive query against a lying shard: %v, want ErrRejected", err)
+	}
+	_, _, err := c.QueryCached(wire.QuerySelfJoinSize, wire.QueryParams{}, 0, func(b fs.Binding) (core.VerifierSession, error) {
+		sv, err := engine.NewStreamVerifier(f61, u, wire.QuerySelfJoinSize, wire.QueryParams{}, b.RNG())
+		if err != nil {
+			return nil, err
 		}
-		if err := c.EndStream(); err != nil {
-			t.Fatal(err)
-		}
-		v, obs := newVerifier(t, u, wire.QuerySelfJoinSize, wire.QueryParams{}, uint64(90+i))
 		for _, up := range ups {
-			if err := obs(up); err != nil {
-				t.Fatal(err)
+			if err := sv.Observe(up); err != nil {
+				return nil, err
 			}
 		}
-		if _, err := c.Query(wire.QuerySelfJoinSize, wire.QueryParams{}, v); err != nil {
-			t.Fatalf("v1 query %d through router: %v", i, err)
+		return sv, nil
+	})
+	if !errors.Is(err, core.ErrRejected) {
+		t.Fatalf("posted proof from a lying shard verified offline: %v, want ErrRejected", err)
+	}
+}
+
+// TestRouterRetiredFramesRefused: the router's edge runs the server's
+// FlowState, so a hand-written frame of a retired protocol generation —
+// the anonymous hello (0x01), the serial query (0x04) — is refused
+// there, typed (an error frame carrying ErrProtocol's text) and with a
+// closed connection: never forwarded to a shard, never a hang.
+func TestRouterRetiredFramesRefused(t *testing.T) {
+	// IdleTimeout is left at zero (no deadline): the refusal must come
+	// from the frame itself, not from a timer; the test's own 5 s socket
+	// deadline is the bound.
+	routerAddr, _, _ := twoShards(t, 0, nil)
+	for _, attached := range []bool{false, true} {
+		for _, fr := range []struct {
+			typ     byte
+			payload []byte
+		}{
+			{0x01, frames.EncodeCount(64)},
+			{0x04, frames.EncodeQuery(wire.QuerySelfJoinSize, wire.QueryParams{})},
+			{0x06, frames.EncodeMsg(core.Msg{})},
+			{0x07, nil},
+		} {
+			t.Run(fmt.Sprintf("0x%02x/attached=%v", fr.typ, attached), func(t *testing.T) {
+				conn, err := net.Dial("tcp", routerAddr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+				if attached {
+					if err := frames.WriteFrame(conn, frames.Open, frames.EncodeOpen("retired", 64)); err != nil {
+						t.Fatal(err)
+					}
+					if typ, _, err := frames.ReadFrame(conn); err != nil || typ != frames.OK {
+						t.Fatalf("open through the router: frame 0x%02x, err %v", typ, err)
+					}
+				}
+				if err := frames.WriteFrame(conn, fr.typ, fr.payload); err != nil {
+					t.Fatal(err)
+				}
+				typ, msg, err := frames.ReadFrame(conn)
+				if err != nil || typ != frames.Error {
+					t.Fatalf("retired frame: got frame 0x%02x, err %v; want an error frame", typ, err)
+				}
+				if !strings.Contains(string(msg), wire.ErrProtocol.Error()) {
+					t.Fatalf("refusal %q does not carry %q", msg, wire.ErrProtocol)
+				}
+				if _, _, err := frames.ReadFrame(conn); err == nil {
+					t.Fatal("router kept the connection after refusing a retired frame")
+				}
+			})
 		}
-		c.Close()
 	}
 }
 
@@ -598,7 +670,13 @@ func TestRouterLiveRebalance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Query(wire.QuerySelfJoinSize, wire.QueryParams{}, v); err != nil {
+	// On a fresh attachment: when every batch was acked before the source
+	// released the dataset, c is still pinned to the old home.
+	cq := dialT(t, routerAddr)
+	if _, err := cq.OpenDataset("hot", u); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cq.Query(wire.QuerySelfJoinSize, wire.QueryParams{}, v); err != nil {
 		t.Fatalf("query after rebalance rejected: %v", err)
 	}
 }

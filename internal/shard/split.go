@@ -36,6 +36,7 @@ import (
 	"repro/internal/stream"
 	"repro/internal/sumcheck"
 	"repro/internal/wire"
+	"repro/internal/wire/frames"
 )
 
 // splitCombiner maps a query kind to the combiner the aggregator folds
@@ -222,7 +223,7 @@ func (p *proxyConn) openSplit(name string, u uint64, pl *splitPlacement) error {
 	}
 	a.count = total
 	p.split, p.cur = a, nil
-	return p.writeClient(wire.FrameOK, wire.EncodeCount(total))
+	return p.writeClient(frames.OK, frames.EncodeCount(total))
 }
 
 // splitIngest scatters one global updates batch across the owners. A
@@ -232,12 +233,12 @@ func (p *proxyConn) openSplit(name string, u uint64, pl *splitPlacement) error {
 // whole-dataset batches.
 func (p *proxyConn) splitIngest(payload []byte) error {
 	a := p.split
-	idx, deltas, err := wire.DecodeUpdateColumns(payload)
+	idx, deltas, err := frames.DecodeUpdateColumns(payload)
 	if err != nil {
 		return err
 	}
 	if len(idx) == 0 {
-		return p.writeClient(wire.FrameOK, wire.EncodeCount(a.total()))
+		return p.writeClient(frames.OK, frames.EncodeCount(a.total()))
 	}
 	subs := make([][]stream.Update, a.slices)
 	for i, ix := range idx {
@@ -258,7 +259,7 @@ func (p *proxyConn) splitIngest(payload []byte) error {
 		total += n
 	}
 	a.setCount(total)
-	return p.writeClient(wire.FrameOK, wire.EncodeCount(total))
+	return p.writeClient(frames.OK, frames.EncodeCount(total))
 }
 
 // deliverSlice hands slice k its sub-batch, surviving a concurrent
@@ -313,12 +314,12 @@ func (p *proxyConn) reattachSlice(a *splitAttach, k int) error {
 // server would use, tombstoning the id so the one in-flight client
 // frame lock-step permits is absorbed rather than fatal.
 func (p *proxyConn) refuseChannel(id uint32, err error) error {
-	typ := byte(wire.FrameErrorCh)
+	typ := byte(frames.ErrorCh)
 	if errors.Is(err, wire.ErrBudget) {
-		typ = wire.FrameBudgetCh
+		typ = frames.BudgetCh
 	}
 	p.pins.Retire(id, nil, true)
-	return p.writeClient(typ, wire.EncodeChannel(id, []byte(err.Error())))
+	return p.writeClient(typ, frames.EncodeChannel(id, []byte(err.Error())))
 }
 
 // splitQuery starts one interactive split conversation: the owner
@@ -326,11 +327,11 @@ func (p *proxyConn) refuseChannel(id uint32, err error) error {
 // order pins the snapshot set), then a goroutine drives the fold.
 func (p *proxyConn) splitQuery(id uint32, payload []byte) error {
 	a := p.split
-	_, body, err := wire.DecodeChannel(payload)
+	_, body, err := frames.DecodeChannel(payload)
 	if err != nil {
 		return err
 	}
-	kind, params, err := wire.DecodeQuery(body)
+	kind, params, err := frames.DecodeQuery(body)
 	if err != nil {
 		return err
 	}
@@ -438,20 +439,20 @@ func (p *proxyConn) runSplitConv(id uint32, sc *splitConv, a *splitAttach, comb 
 	defer p.pumps.Done()
 	fail := func(err error) {
 		finishConvs(convs)
-		typ := byte(wire.FrameErrorCh)
+		typ := byte(frames.ErrorCh)
 		if errors.Is(err, wire.ErrBudget) {
-			typ = wire.FrameBudgetCh
+			typ = frames.BudgetCh
 		}
 		p.pins.Retire(id, sc, true)
 		sc.finish()
-		_ = p.writeClient(typ, wire.EncodeChannel(id, []byte(err.Error())))
+		_ = p.writeClient(typ, frames.EncodeChannel(id, []byte(err.Error())))
 	}
 	agg, opening, convs, err := p.foldOpenings(a, comb, kind, params, convs)
 	if err != nil {
 		fail(err)
 		return
 	}
-	if err := p.writeClient(wire.FrameProverCh, wire.EncodeChannel(id, wire.EncodeMsg(opening))); err != nil {
+	if err := p.writeClient(frames.ProverCh, frames.EncodeChannel(id, frames.EncodeMsg(opening))); err != nil {
 		finishConvs(convs)
 		p.pins.Retire(id, sc, true)
 		return
@@ -467,7 +468,7 @@ func (p *proxyConn) runSplitConv(id uint32, sc *splitConv, a *splitAttach, comb 
 		}
 	}
 	emit := func(m core.Msg) error {
-		return p.writeClient(wire.FrameProverCh, wire.EncodeChannel(id, wire.EncodeMsg(m)))
+		return p.writeClient(frames.ProverCh, frames.EncodeChannel(id, frames.EncodeMsg(m)))
 	}
 	if err := runSplitRounds(agg, convs, challenge, emit); err != nil {
 		if errors.Is(err, errSplitFinished) || errors.Is(err, errSplitClosed) {
@@ -498,11 +499,11 @@ func (p *proxyConn) runSplitConv(id uint32, sc *splitConv, a *splitAttach, comb 
 // exact bytes a single engine's fs.Prove would cache.
 func (p *proxyConn) splitProofReq(payload []byte) error {
 	a := p.split
-	id, body, err := wire.DecodeChannel(payload)
+	id, body, err := frames.DecodeChannel(payload)
 	if err != nil {
 		return err
 	}
-	reqVersion, kind, params, err := wire.DecodeProofReq(body)
+	reqVersion, kind, params, err := frames.DecodeProofReq(body)
 	if err != nil {
 		return err
 	}
@@ -526,11 +527,11 @@ func (p *proxyConn) runSplitProof(id uint32, a *splitAttach, comb sumcheck.Combi
 	defer p.pumps.Done()
 	fail := func(err error) {
 		finishConvs(convs)
-		typ := byte(wire.FrameErrorCh)
+		typ := byte(frames.ErrorCh)
 		if errors.Is(err, wire.ErrBudget) {
-			typ = wire.FrameBudgetCh
+			typ = frames.BudgetCh
 		}
-		_ = p.writeClient(typ, wire.EncodeChannel(id, []byte(err.Error())))
+		_ = p.writeClient(typ, frames.EncodeChannel(id, []byte(err.Error())))
 	}
 	agg, opening, convs, err := p.foldOpenings(a, comb, kind, params, convs)
 	if err != nil {
@@ -540,7 +541,7 @@ func (p *proxyConn) runSplitProof(id uint32, a *splitAttach, comb sumcheck.Combi
 	if reqVersion != 0 && reqVersion != agg.Version() {
 		// The server's version-pin refusal, verbatim.
 		finishConvs(convs)
-		_ = p.writeClient(wire.FrameErrorCh, wire.EncodeChannel(id, fmt.Appendf(nil,
+		_ = p.writeClient(frames.ErrorCh, frames.EncodeChannel(id, fmt.Appendf(nil,
 			"proof version %d is not current (dataset %q is at version %d)", reqVersion, a.name, agg.Version())))
 		return
 	}
@@ -580,7 +581,7 @@ func (p *proxyConn) runSplitProof(id uint32, a *splitAttach, comb sumcheck.Combi
 		fail(err)
 		return
 	}
-	_ = p.writeClient(wire.FrameProofCh, wire.EncodeChannel(id, val))
+	_ = p.writeClient(frames.ProofCh, frames.EncodeChannel(id, val))
 }
 
 // ---------------------------------------------------------------------
@@ -640,5 +641,5 @@ func (p *proxyConn) aggregatedStatsReply() error {
 	if err != nil {
 		return err
 	}
-	return p.writeClient(wire.FrameStatsResp, b)
+	return p.writeClient(frames.StatsResp, b)
 }

@@ -15,26 +15,21 @@
 //	modulus  uint64   field modulus the counts were ingested under
 //	total    int64    Σδ over the ingested stream
 //	updates  uint64   number of stream updates ingested
-//	version  uint64   dataset version (ingest batches applied) — format ≥ 2
-//	sliceLo  uint64   slice lower bound in the padded universe — format ≥ 3
-//	sliceHi  uint64   slice upper bound (0 = whole-universe dataset) — format ≥ 3
+//	version  uint64   dataset version (ingest batches applied)
+//	sliceLo  uint64   slice lower bound in the padded universe
+//	sliceHi  uint64   slice upper bound (0 = whole-universe dataset)
 //	nCounts  uint64   table length: ℓ^d ≥ universe, or sliceHi−sliceLo
 //	counts   nCounts × int64
 //	crc      uint32   CRC-32C over everything above
 //
-// A *slice* checkpoint (format ≥ 3, sliceHi > 0) is a dataset owning
-// only the index range [sliceLo, sliceHi) of a split universe: universe
-// still records the *global* universe size (the protocols are
-// parameterized by it), while counts holds only the slice's
-// sliceHi−sliceLo entries. For whole-universe checkpoints both slice
-// fields are zero and the layout is otherwise identical to format 2.
+// A *slice* checkpoint (sliceHi > 0) is a dataset owning only the index
+// range [sliceLo, sliceHi) of a split universe: universe still records
+// the *global* universe size (the protocols are parameterized by it),
+// while counts holds only the slice's sliceHi−sliceLo entries. For
+// whole-universe checkpoints both slice fields are zero.
 //
-// Format 1 files (no dataset-version field) still load; they report
-// Version = Updates, an upper bound on any version the dataset could
-// have reached (each ingest batch bumps the version by one and the
-// update count by at least one), so a recovered dataset can never hand
-// the proof cache a version key it already used for different data.
-// Format 2 files load with zero slice fields.
+// This is format 3, the only one this build reads or writes; the version
+// byte of any other format is refused with ErrVersion.
 //
 // Save is atomic: the bytes are written to a temporary file in the
 // destination directory, synced, and renamed over the target, so a crash
@@ -57,22 +52,12 @@ import (
 // version.
 var magic = [8]byte{'S', 'I', 'P', 'C', 'K', 'P', 'T', version}
 
-// version is the current checkpoint format version. versionLegacy is
-// the oldest format Decode still reads.
-const (
-	version       = 3
-	versionNoGaps = 2 // pre-slice format: no sliceLo/sliceHi fields
-	versionLegacy = 1
-)
+// version is the checkpoint format version.
+const version = 3
 
 // headerSize is the fixed prefix before the counts: magic + eight
-// uint64 fields. The format-2 prefix lacked the slice-bound fields; the
-// format-1 prefix additionally lacked the dataset-version field.
-const (
-	headerSize       = 8 + 8*8
-	headerSizeV2     = 8 + 6*8
-	headerSizeLegacy = 8 + 5*8
-)
+// uint64 fields.
+const headerSize = 8 + 8*8
 
 // crcSize is the trailing CRC-32C.
 const crcSize = 4
@@ -134,23 +119,16 @@ func Encode(c *Checkpoint) []byte {
 // input's own size, so it is safe on untrusted bytes.
 func Decode(b []byte, wantModulus uint64) (*Checkpoint, error) {
 	if len(b) < 8 {
-		return nil, fmt.Errorf("%w: %d bytes, want at least %d", ErrCorrupt, len(b), headerSizeLegacy+crcSize)
+		return nil, fmt.Errorf("%w: %d bytes, want at least %d", ErrCorrupt, len(b), headerSize+crcSize)
 	}
 	if [7]byte(b[:7]) != [7]byte(magic[:7]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	hdr := headerSize
-	switch b[7] {
-	case version:
-	case versionNoGaps:
-		hdr = headerSizeV2
-	case versionLegacy:
-		hdr = headerSizeLegacy
-	default:
-		return nil, fmt.Errorf("%w: version %d, this build reads %d–%d", ErrVersion, b[7], versionLegacy, version)
+	if b[7] != version {
+		return nil, fmt.Errorf("%w: version %d, this build reads %d", ErrVersion, b[7], version)
 	}
-	if len(b) < hdr+crcSize {
-		return nil, fmt.Errorf("%w: %d bytes, want at least %d", ErrCorrupt, len(b), hdr+crcSize)
+	if len(b) < headerSize+crcSize {
+		return nil, fmt.Errorf("%w: %d bytes, want at least %d", ErrCorrupt, len(b), headerSize+crcSize)
 	}
 	body, crc := b[:len(b)-crcSize], binary.LittleEndian.Uint32(b[len(b)-crcSize:])
 	if got := crc32.Checksum(body, castagnoli); got != crc {
@@ -161,22 +139,13 @@ func Decode(b []byte, wantModulus uint64) (*Checkpoint, error) {
 		Modulus:  binary.LittleEndian.Uint64(b[16:]),
 		Total:    int64(binary.LittleEndian.Uint64(b[24:])),
 		Updates:  binary.LittleEndian.Uint64(b[32:]),
+		Version:  binary.LittleEndian.Uint64(b[40:]),
+		SliceLo:  binary.LittleEndian.Uint64(b[48:]),
+		SliceHi:  binary.LittleEndian.Uint64(b[56:]),
 	}
-	countsAt := hdr - 8
-	if b[7] == versionLegacy {
-		// Format 1 stored no version; Updates is a safe monotone stand-in
-		// (see the package doc).
-		c.Version = c.Updates
-	} else {
-		c.Version = binary.LittleEndian.Uint64(b[40:])
-	}
-	if b[7] == version {
-		c.SliceLo = binary.LittleEndian.Uint64(b[48:])
-		c.SliceHi = binary.LittleEndian.Uint64(b[56:])
-	}
-	nCounts := binary.LittleEndian.Uint64(b[countsAt:])
-	if want := uint64(len(body) - hdr); nCounts*8 != want || nCounts > want {
-		return nil, fmt.Errorf("%w: %d counts in a %d-byte body", ErrCorrupt, nCounts, len(body)-hdr)
+	nCounts := binary.LittleEndian.Uint64(b[64:])
+	if want := uint64(len(body) - headerSize); nCounts*8 != want || nCounts > want {
+		return nil, fmt.Errorf("%w: %d counts in a %d-byte body", ErrCorrupt, nCounts, len(body)-headerSize)
 	}
 	if c.Slice() {
 		// A slice's counts cover [SliceLo, SliceHi) of the padded global
@@ -201,7 +170,7 @@ func Decode(b []byte, wantModulus uint64) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: file has p=%d, engine has p=%d", ErrModulus, c.Modulus, wantModulus)
 	}
 	c.Counts = make([]int64, nCounts)
-	off := hdr
+	off := headerSize
 	for i := range c.Counts {
 		c.Counts[i] = int64(binary.LittleEndian.Uint64(b[off:]))
 		off += 8

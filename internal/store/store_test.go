@@ -1,9 +1,7 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -92,6 +90,10 @@ func TestLoadRejections(t *testing.T) {
 		{"flipped-count-bit", func(b []byte) []byte { b[headerSize+5] ^= 1; return b }, ErrCorrupt},
 		{"flipped-header-bit", func(b []byte) []byte { b[9] ^= 1; return b }, ErrCorrupt},
 		{"version-bump", func(b []byte) []byte { b[7] = version + 1; return b }, ErrVersion},
+		// Formats 1 and 2 are retired: their version bytes are refused like
+		// any other unknown format, never parsed with a guessed layout.
+		{"retired-format-1", func(b []byte) []byte { b[7] = 1; return b }, ErrVersion},
+		{"retired-format-2", func(b []byte) []byte { b[7] = 2; return b }, ErrVersion},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,52 +146,6 @@ func TestDecodeCountsLengthMismatch(t *testing.T) {
 	if _, err := Decode(b[:headerSize+crcSize], 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("body/count mismatch accepted: %v", err)
 	}
-}
-
-// TestDecodeLegacyV1: a format-1 file (no dataset-version field) still
-// loads, reporting Version = Updates — the monotone-safe stand-in that
-// keeps recovered cache keys fresh.
-func TestDecodeLegacyV1(t *testing.T) {
-	want := sample()
-	v3 := Encode(want)
-	// Rebuild the same checkpoint in the v1 layout: drop the version and
-	// slice fields (bytes [40,64)), stamp format byte 1, re-checksum.
-	v1 := append([]byte(nil), v3[:40]...)
-	v1 = append(v1, v3[64:len(v3)-crcSize]...)
-	v1[7] = versionLegacy
-	crc := crc32.Checksum(v1, castagnoli)
-	v1 = binary.LittleEndian.AppendUint32(v1, crc)
-	got, err := Decode(v1, want.Modulus)
-	if err != nil {
-		t.Fatalf("Decode of a v1 file: %v", err)
-	}
-	if got.Version != want.Updates {
-		t.Fatalf("v1 Version = %d, want Updates = %d", got.Version, want.Updates)
-	}
-	want.Version = want.Updates
-	sameCheckpoint(t, got, want)
-}
-
-// TestDecodeV2: a format-2 file (no slice fields) still loads, with
-// zero slice bounds.
-func TestDecodeV2(t *testing.T) {
-	want := sample()
-	v3 := Encode(want)
-	// Rebuild in the v2 layout: drop the slice fields (bytes [48,64)),
-	// stamp format byte 2, re-checksum.
-	v2 := append([]byte(nil), v3[:48]...)
-	v2 = append(v2, v3[64:len(v3)-crcSize]...)
-	v2[7] = versionNoGaps
-	crc := crc32.Checksum(v2, castagnoli)
-	v2 = binary.LittleEndian.AppendUint32(v2, crc)
-	got, err := Decode(v2, want.Modulus)
-	if err != nil {
-		t.Fatalf("Decode of a v2 file: %v", err)
-	}
-	if got.Slice() || got.SliceLo != 0 || got.SliceHi != 0 {
-		t.Fatalf("v2 file decoded with slice bounds [%d,%d)", got.SliceLo, got.SliceHi)
-	}
-	sameCheckpoint(t, got, want)
 }
 
 // TestSliceRoundTrip: a slice checkpoint — counts covering only

@@ -4,7 +4,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,24 +15,24 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stream"
+	"repro/internal/wire/frames"
 )
 
 // Client is the data-owner side: it uploads the stream (keeping only its
-// local verifier summaries) and drives query conversations. The v1 flow
-// is Hello → SendUpdates → EndStream → Query; the v2 flow is
-// OpenDataset → Ingest/Query in any order.
+// local verifier summaries) and drives query conversations. The flow is
+// OpenDataset, then Ingest and Query in any order.
 //
 // A Client is safe for concurrent use: Query and QueryAsync multiplex
 // any number of conversations over the one connection (each on its own
 // channel id, demultiplexed by a reader goroutine), and the
-// control-plane calls (Hello, OpenDataset, Ingest, EndStream) serialize
+// control-plane calls (OpenDataset, Ingest, the admin calls) serialize
 // among themselves.
 type Client struct {
 	conn net.Conn
 	// Timeout bounds how long the client waits for each expected server
 	// frame (and for each frame write), mirroring Server.IdleTimeout on
 	// the other end: a stalled or half-open server surfaces as a typed
-	// ErrTimeout instead of hanging Hello/Ingest/Query forever. The
+	// ErrTimeout instead of hanging OpenDataset/Ingest/Query forever. The
 	// connection is closed on timeout — the conversation state is
 	// unrecoverable. Set it before the first call; zero means no bound.
 	Timeout time.Duration
@@ -49,9 +48,7 @@ type Client struct {
 	wmu sync.Mutex // serializes frame writes
 
 	cmu    sync.Mutex // serializes control-plane request/response pairs
-	mode   connMode   // guarded by cmu
-	v1Done bool       // v1 upload acked complete; guarded by cmu
-	dsName string     // dataset attached by OpenDataset; guarded by cmu
+	dsName string     // dataset attached by OpenDataset ("" before it); guarded by cmu
 	dsU    uint64     // its universe size (Open rejects a mismatch); guarded by cmu
 
 	mu      sync.Mutex // guards the demux state below
@@ -75,17 +72,6 @@ type ctrlFrame struct {
 // server; the connection has been closed. Distinguish it with
 // errors.Is(err, wire.ErrTimeout).
 var ErrTimeout = errors.New("wire: client timeout")
-
-// connMode mirrors the server's flow distinction on the client, so
-// mixing the flows fails fast locally instead of desynchronizing the
-// conversation (v2 update batches are acknowledged, v1 ones are not).
-type connMode int
-
-const (
-	modeUnset connMode = iota
-	modeV1
-	modeV2
-)
 
 // Dial connects to a prover server.
 func Dial(addr string) (*Client, error) {
@@ -120,14 +106,14 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	for {
-		typ, payload, err := readFrame(c.conn)
+		typ, payload, err := frames.ReadFrame(c.conn)
 		if err != nil {
 			c.failReader(err)
 			return
 		}
 		switch typ {
-		case frameProverCh, frameErrorCh, frameBudgetCh, frameProofCh:
-			id, rest, err := decodeChannel(payload)
+		case frames.ProverCh, frames.ErrorCh, frames.BudgetCh, frames.ProofCh:
+			id, rest, err := frames.DecodeChannel(payload)
 			if err != nil {
 				c.failReader(err)
 				return
@@ -142,8 +128,8 @@ func (c *Client) readLoop() {
 				c.failReader(fmt.Errorf("%w: channel %d flooded beyond the lock-step window", ErrProtocol, id))
 				return
 			}
-		case frameOK, frameBudget, frameError, frameStatsResp:
-			if typ == frameBudget || typ == frameError {
+		case frames.OK, frames.Budget, frames.Error, frames.StatsResp:
+			if typ == frames.Budget || typ == frames.Error {
 				// Remember the server's parting shot: if the connection
 				// dies before anyone reads this frame, later calls still
 				// surface the typed cause instead of a bare EOF.
@@ -194,7 +180,7 @@ func (c *Client) termErr() error {
 
 // ctrlErr types a server refusal frame.
 func ctrlErr(typ byte, payload []byte) error {
-	if typ == frameBudget {
+	if typ == frames.Budget {
 		return fmt.Errorf("%w: %s", ErrBudget, payload)
 	}
 	return fmt.Errorf("wire: server error: %s", payload)
@@ -212,7 +198,7 @@ func (c *Client) write(typ byte, payload []byte) error {
 				return err
 			}
 		}
-		return writeFrame(c.conn, typ, payload)
+		return frames.WriteFrame(c.conn, typ, payload)
 	}()
 	c.wmu.Unlock()
 	if err == nil {
@@ -265,33 +251,6 @@ func (c *Client) waitCtrl() (byte, []byte, error) {
 	}
 }
 
-// Hello announces the universe size and starts a v1 upload into a
-// private, per-connection dataset. It waits for the server's
-// acknowledgement: the dataset's O(u) tables are admitted against the
-// server's memory budget at hello time, and a refusal surfaces here as
-// ErrBudget (distinguish it with errors.Is) rather than failing some
-// later frame.
-func (c *Client) Hello(u uint64) error {
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	if c.mode == modeV2 {
-		return fmt.Errorf("wire: Hello on a connection attached to a named dataset")
-	}
-	if c.mode == modeV1 {
-		return fmt.Errorf("wire: Hello twice on one connection")
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], u)
-	if err := c.write(frameHello, b[:]); err != nil {
-		return err
-	}
-	if _, err := c.readOK(); err != nil {
-		return err
-	}
-	c.mode = modeV1
-	return nil
-}
-
 // OpenDataset attaches the connection to the named server-side dataset,
 // creating it over a universe of size ≥ u if it does not exist. It
 // returns the dataset's current update count — zero for a fresh dataset;
@@ -302,18 +261,14 @@ func (c *Client) Hello(u uint64) error {
 func (c *Client) OpenDataset(name string, u uint64) (uint64, error) {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
-	if c.mode == modeV1 {
-		return 0, fmt.Errorf("wire: OpenDataset on a v1 connection")
+	if name == "" || len(name) > frames.MaxDatasetName {
+		return 0, fmt.Errorf("wire: dataset name must be 1..%d bytes", frames.MaxDatasetName)
 	}
-	if name == "" || len(name) > maxDatasetName {
-		return 0, fmt.Errorf("wire: dataset name must be 1..%d bytes", maxDatasetName)
-	}
-	if err := c.write(frameOpen, encodeOpen(name, u)); err != nil {
+	if err := c.write(frames.Open, frames.EncodeOpen(name, u)); err != nil {
 		return 0, err
 	}
 	count, err := c.readOK()
 	if err == nil {
-		c.mode = modeV2
 		// The server's engine refuses an open whose universe differs from
 		// the existing dataset's, so a successful open pins both: proofs
 		// fetched on this connection must carry exactly this identity.
@@ -322,43 +277,32 @@ func (c *Client) OpenDataset(name string, u uint64) (uint64, error) {
 	return count, err
 }
 
-// SendUpdates uploads a batch of stream updates on a v1 connection. The
-// caller feeds the same updates to its local verifiers — that is the
-// single streaming pass. The server folds each batch into its maintained
-// state as it arrives; batches are unacknowledged (EndStream carries the
-// ack that covers them all).
-func (c *Client) SendUpdates(ups []stream.Update) error {
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	if c.mode != modeV1 {
-		return fmt.Errorf("wire: SendUpdates requires a v1 connection (after Hello); use Ingest on named datasets")
-	}
-	if c.v1Done {
-		return fmt.Errorf("wire: SendUpdates after EndStream")
-	}
-	const batch = 4096
-	for len(ups) > 0 {
-		n := len(ups)
-		if n > batch {
-			n = batch
-		}
-		if err := c.write(frameUpdates, encodeUpdates(ups[:n])); err != nil {
-			return err
-		}
-		ups = ups[n:]
-	}
-	return nil
+// errNotAttached is the fail-fast refusal of a call that needs the
+// attachment OpenDataset (or OpenDatasetSlice) makes.
+func errNotAttached(op string) error {
+	return fmt.Errorf("wire: %s requires an attached dataset (call OpenDataset first)", op)
 }
 
-// Ingest uploads updates into the attached v2 dataset, waiting for the
+// attachment returns the dataset identity pinned by the last successful
+// open; op names the calling method for the refusal when there is none.
+func (c *Client) attachment(op string) (name string, u uint64, err error) {
+	c.cmu.Lock()
+	defer c.cmu.Unlock()
+	if c.dsName == "" {
+		return "", 0, errNotAttached(op)
+	}
+	return c.dsName, c.dsU, nil
+}
+
+// Ingest uploads updates into the attached dataset, waiting for the
 // server's acknowledgement of every batch. It returns the dataset's
 // update count after the last batch (including other connections'
 // concurrent ingestion).
 func (c *Client) Ingest(ups []stream.Update) (uint64, error) {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
-	if c.mode != modeV2 {
-		return 0, fmt.Errorf("wire: Ingest requires an attached dataset (call OpenDataset first)")
+	if c.dsName == "" {
+		return 0, errNotAttached("Ingest")
 	}
 	const batch = 4096
 	var count uint64
@@ -367,7 +311,7 @@ func (c *Client) Ingest(ups []stream.Update) (uint64, error) {
 		if n > batch {
 			n = batch
 		}
-		if err := c.write(frameUpdates, encodeUpdates(ups[:n])); err != nil {
+		if err := c.write(frames.Updates, frames.EncodeUpdates(ups[:n])); err != nil {
 			return count, err
 		}
 		var err error
@@ -385,38 +329,15 @@ func (c *Client) readOK() (uint64, error) {
 		return 0, err
 	}
 	switch typ {
-	case frameOK:
-		return decodeCount(payload)
-	case frameBudget:
+	case frames.OK:
+		return frames.DecodeCount(payload)
+	case frames.Budget:
 		return 0, fmt.Errorf("%w: %s", ErrBudget, payload)
-	case frameError:
+	case frames.Error:
 		return 0, fmt.Errorf("wire: server error: %s", payload)
 	default:
 		return 0, fmt.Errorf("%w: unexpected frame 0x%02x", ErrProtocol, typ)
 	}
-}
-
-// EndStream marks a v1 upload complete and waits for the server's
-// acknowledgement. v1 update batches are streamed without per-batch
-// acks, so this is where a mid-upload ingest failure surfaces, typed,
-// instead of desynchronizing the first query.
-func (c *Client) EndStream() error {
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	if c.mode != modeV1 {
-		return fmt.Errorf("wire: EndStream requires a v1 connection")
-	}
-	if c.v1Done {
-		return fmt.Errorf("wire: EndStream twice")
-	}
-	if err := c.write(frameEndStream, nil); err != nil {
-		return err
-	}
-	if _, err := c.readOK(); err != nil {
-		return err
-	}
-	c.v1Done = true
-	return nil
 }
 
 // Query sends the query and drives the conversation between the remote
@@ -436,7 +357,7 @@ func (c *Client) Query(kind QueryKind, params QueryParams, v core.VerifierSessio
 // Admin plane: dataset handoff and operational stats. These are the
 // calls the shard router (and operator tooling) drives shards with;
 // they are control-plane request/response pairs and legal in any
-// connection state, so a fresh admin connection needs no Hello/Open.
+// connection state, so a fresh admin connection needs no open.
 
 // Handoff asks the server to release the named dataset for migration:
 // the engine persists it one final time, detaches it from the registry
@@ -444,7 +365,7 @@ func (c *Client) Query(kind QueryKind, params QueryParams, v core.VerifierSessio
 // diverging), and keeps the checkpoint file for the adopter to take.
 // It returns the update count the on-disk checkpoint covers.
 func (c *Client) Handoff(name string) (uint64, error) {
-	return c.adminCall(frameHandoff, name)
+	return c.adminCall(frames.Handoff, name)
 }
 
 // Adopt asks the server to register the named dataset from a checkpoint
@@ -452,16 +373,16 @@ func (c *Client) Handoff(name string) (uint64, error) {
 // handoff. It returns the adopted checkpoint's update count, which the
 // mover compares against Handoff's to assert a loss-free move.
 func (c *Client) Adopt(name string) (uint64, error) {
-	return c.adminCall(frameAdopt, name)
+	return c.adminCall(frames.Adopt, name)
 }
 
 func (c *Client) adminCall(typ byte, name string) (uint64, error) {
-	if name == "" || len(name) > maxDatasetName {
-		return 0, fmt.Errorf("wire: dataset name must be 1..%d bytes", maxDatasetName)
+	if name == "" || len(name) > frames.MaxDatasetName {
+		return 0, fmt.Errorf("wire: dataset name must be 1..%d bytes", frames.MaxDatasetName)
 	}
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
-	if err := c.write(typ, encodeName(name)); err != nil {
+	if err := c.write(typ, frames.EncodeName(name)); err != nil {
 		return 0, err
 	}
 	return c.readOK()
@@ -473,7 +394,7 @@ func (c *Client) adminCall(typ byte, name string) (uint64, error) {
 func (c *Client) ServerStats() (ServerStats, error) {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
-	if err := c.write(frameStatsReq, nil); err != nil {
+	if err := c.write(frames.StatsReq, nil); err != nil {
 		return ServerStats{}, err
 	}
 	typ, payload, err := c.waitCtrl()
@@ -481,13 +402,13 @@ func (c *Client) ServerStats() (ServerStats, error) {
 		return ServerStats{}, err
 	}
 	switch typ {
-	case frameStatsResp:
+	case frames.StatsResp:
 		var st ServerStats
 		if err := json.Unmarshal(payload, &st); err != nil {
 			return ServerStats{}, fmt.Errorf("%w: stats payload: %v", ErrProtocol, err)
 		}
 		return st, nil
-	case frameBudget, frameError:
+	case frames.Budget, frames.Error:
 		return ServerStats{}, ctrlErr(typ, payload)
 	default:
 		return ServerStats{}, fmt.Errorf("%w: unexpected frame 0x%02x", ErrProtocol, typ)

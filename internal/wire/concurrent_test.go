@@ -97,8 +97,8 @@ func TestConcurrentClientsParallelProver(t *testing.T) {
 				return
 			}
 			defer client.Close()
-			if err := client.Hello(u); err != nil {
-				errs <- fmt.Errorf("client %d: hello: %w", c, err)
+			if _, err := client.OpenDataset(fmt.Sprintf("client-%d", c), u); err != nil {
+				errs <- fmt.Errorf("client %d: open: %w", c, err)
 				return
 			}
 
@@ -124,12 +124,8 @@ func TestConcurrentClientsParallelProver(t *testing.T) {
 					return
 				}
 			}
-			if err := client.SendUpdates(ups); err != nil {
+			if _, err := client.Ingest(ups); err != nil {
 				errs <- fmt.Errorf("client %d: upload: %w", c, err)
-				return
-			}
-			if err := client.EndStream(); err != nil {
-				errs <- fmt.Errorf("client %d: end stream: %w", c, err)
 				return
 			}
 

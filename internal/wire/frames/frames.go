@@ -10,12 +10,11 @@
 // encoded as [uint32 nInts][uint32 nElems][ints…][elems…]. Channel
 // frames prefix the payload with a uint32 channel id.
 //
-// Import seam: only packages under internal/wire/... may import this
-// package directly. Everything else — including the shard router —
-// goes through the exported seam on package wire (wire.ReadFrame,
-// wire.WriteFrame, wire.Frame* constants, …), which is a thin
-// re-export; the root-level TestFrameCodecImportSeam test and a CI grep
-// enforce the boundary so codec changes have exactly two audiences.
+// Import seam: only packages under internal/wire/... and the shard
+// router (internal/shard/) may import this package — the protocol's
+// endpoints and its one intermediary. Everything else speaks through
+// wire.Client and wire.Server; TestFrameCodecImportSeam enforces the
+// boundary so codec changes have exactly two audiences.
 package frames
 
 import (
@@ -31,23 +30,23 @@ import (
 	"repro/internal/stream"
 )
 
-// Frame types. Frames 0x01–0x0b are connection-scoped (the implicit
-// control channel); frames 0x0c–0x13 are the mux revision's
-// channel-scoped conversation frames, whose payload begins with a
-// uint32 channel id. Frames 0x14–0x17 are the admin plane: dataset
-// handoff for shard rebalancing and operational stats.
+// Frame types. Frames 0x02–0x0b are connection-scoped (the implicit
+// control channel); frames 0x0c–0x13 are the channel-scoped
+// conversation frames, whose payload begins with a uint32 channel id.
+// Frames 0x14–0x17 are the admin plane: dataset handoff for shard
+// rebalancing and operational stats.
+//
+// Types 0x01 and 0x03–0x07 are retired and reserved: they were the
+// anonymous per-connection upload (hello, end-stream) and the serial
+// conversation (query, prover, challenge, finish) of earlier protocol
+// generations. The numbers are never reused; a peer that sends one is
+// refused with ErrProtocol like any other unknown type.
 const (
-	Hello     = 0x01 // client→server: universe size (v1, private dataset)
-	Updates   = 0x02 // client→server: batch of (index, delta)
-	EndStream = 0x03 // client→server: v1 upload finished (acked with OK)
-	Query     = 0x04 // client→server: query kind + parameters (serial conversation)
-	Prover    = 0x05 // server→client: prover message (serial conversation)
-	Challenge = 0x06 // client→server: verifier challenge (serial conversation)
-	Finish    = 0x07 // client→server: conversation over (serial conversation)
-	Error     = 0x08 // server→client: connection-fatal error text
-	Open      = 0x09 // client→server: attach to named dataset (v2)
-	OK        = 0x0a // server→client: ack with dataset update count
-	Budget    = 0x0b // server→client: admission refused, memory budget exhausted
+	Updates = 0x02 // client→server: batch of (index, delta), acked with OK
+	Error   = 0x08 // server→client: connection-fatal error text
+	Open    = 0x09 // client→server: attach to named dataset
+	OK      = 0x0a // server→client: ack with dataset update count
+	Budget  = 0x0b // server→client: admission refused, memory budget exhausted
 
 	QueryCh     = 0x0c // client→server: open conversation channel [ch][query]
 	ChallengeCh = 0x0d // client→server: verifier challenge [ch][msg]
@@ -345,10 +344,4 @@ func DecodeProofReq(b []byte) (version uint64, kind engine.QueryKind, p engine.Q
 	version = binary.LittleEndian.Uint64(b)
 	kind, p, err = DecodeQuery(b[8:])
 	return version, kind, p, err
-}
-
-// ChannelScoped reports whether typ is a channel-scoped frame (its
-// payload begins with a uint32 channel id).
-func ChannelScoped(typ byte) bool {
-	return (typ >= QueryCh && typ <= ProofCh) || typ == PartialQueryCh
 }

@@ -11,11 +11,12 @@ import (
 )
 
 // TestFrameCodecImportSeam enforces the layering the wire split
-// established: the raw frame codec is an implementation detail of the
-// wire protocol, and only packages under internal/wire/... may import
-// it. Everything else — the shard router included — goes through the
-// typed surface internal/wire exports (the seam), so the codec can
-// change without a flag day across the repo.
+// established: the raw frame codec has exactly two audiences — the
+// protocol endpoints under internal/wire/... and the protocol
+// intermediary in internal/shard/. Everything else (commands, the
+// public sip package, examples, benchmarks) speaks through wire.Client
+// and wire.Server, so the codec can change without a flag day across
+// the repo.
 func TestFrameCodecImportSeam(t *testing.T) {
 	root := filepath.Join("..", "..", "..")
 	const codec = "repro/internal/wire/frames"
@@ -37,8 +38,8 @@ func TestFrameCodecImportSeam(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if strings.HasPrefix(filepath.ToSlash(rel), "internal/wire/") {
-			return nil // inside the seam
+		if rel := filepath.ToSlash(rel); strings.HasPrefix(rel, "internal/wire/") || strings.HasPrefix(rel, "internal/shard/") {
+			return nil // the codec's two audiences
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
 		if err != nil {
@@ -50,7 +51,7 @@ func TestFrameCodecImportSeam(t *testing.T) {
 				continue
 			}
 			if p == codec || strings.HasPrefix(p, codec+"/") {
-				t.Errorf("%s imports %s: the frame codec is internal to internal/wire/... — use the wire package's exported seam", rel, p)
+				t.Errorf("%s imports %s: the frame codec is internal to internal/wire/... and internal/shard/ — use wire.Client / wire.Server", rel, p)
 			}
 		}
 		return nil

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/field"
+	"repro/internal/wire/frames"
 )
 
 // The codec invariants under test: decoders never panic on arbitrary
@@ -16,25 +17,25 @@ import (
 
 func FuzzDecodeMsg(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodeMsg(core.Msg{}))
-	f.Add(encodeMsg(core.Msg{Ints: []uint64{1, 2}, Elems: []field.Elem{3}}))
+	f.Add(frames.EncodeMsg(core.Msg{}))
+	f.Add(frames.EncodeMsg(core.Msg{Ints: []uint64{1, 2}, Elems: []field.Elem{3}}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	// Overflow corpus: headers whose 8 + 8*nInts + 8*nElems wraps a
 	// 32-bit int. On 32-bit platforms these used to slip past the length
 	// check into a giant allocation; they must be refused by the word
 	// bound before any size arithmetic.
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{0x01, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00}) // nInts just past maxFrame/8
+	f.Add([]byte{0x01, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00}) // nInts just past frames.MaxFrame/8
 	f.Add([]byte{0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x80, 0x00}) // both sections at the bound
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := decodeMsg(b)
+		m, err := frames.DecodeMsg(b)
 		if err != nil {
 			return
 		}
-		if len(m.Ints) > maxFrame/8 || len(m.Elems) > maxFrame/8 {
-			t.Fatalf("decodeMsg accepted %d+%d words, past the frame bound", len(m.Ints), len(m.Elems))
+		if len(m.Ints) > frames.MaxFrame/8 || len(m.Elems) > frames.MaxFrame/8 {
+			t.Fatalf("frames.DecodeMsg accepted %d+%d words, past the frame bound", len(m.Ints), len(m.Elems))
 		}
-		if got := encodeMsg(m); !bytes.Equal(got, b) {
+		if got := frames.EncodeMsg(m); !bytes.Equal(got, b) {
 			t.Fatalf("re-encode of a valid message differs: %x vs %x", got, b)
 		}
 	})
@@ -49,18 +50,18 @@ func TestDecodeMsgHeaderOverflow(t *testing.T) {
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, // 2^32-1 of each
 		{0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00}, // nInts = 2^32-1
 		{0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff}, // nElems = 2^32-1
-		{0x01, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00}, // nInts = maxFrame/8 + 1
+		{0x01, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00}, // nInts = frames.MaxFrame/8 + 1
 	}
 	for _, b := range cases {
-		if _, err := decodeMsg(b); err == nil {
-			t.Errorf("decodeMsg accepted a header claiming %x words", b)
+		if _, err := frames.DecodeMsg(b); err == nil {
+			t.Errorf("frames.DecodeMsg accepted a header claiming %x words", b)
 		}
 	}
 	// At the bound the header is structurally fine and only the length
 	// check applies — it must fail on length, not panic or allocate.
 	atBound := []byte{0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00}
-	if _, err := decodeMsg(atBound); err == nil {
-		t.Error("decodeMsg accepted a bound-sized header with no body")
+	if _, err := frames.DecodeMsg(atBound); err == nil {
+		t.Error("frames.DecodeMsg accepted a bound-sized header with no body")
 	}
 }
 
@@ -68,15 +69,15 @@ func TestDecodeMsgHeaderOverflow(t *testing.T) {
 // decoder never panics, and a successful decode re-encodes identically.
 func FuzzDecodeChannel(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodeChannel(0, nil))
-	f.Add(encodeChannel(1, encodeQuery(QuerySelfJoinSize, QueryParams{})))
-	f.Add(encodeChannel(^uint32(0), encodeMsg(core.Msg{Ints: []uint64{7}})))
+	f.Add(frames.EncodeChannel(0, nil))
+	f.Add(frames.EncodeChannel(1, frames.EncodeQuery(QuerySelfJoinSize, QueryParams{})))
+	f.Add(frames.EncodeChannel(^uint32(0), frames.EncodeMsg(core.Msg{Ints: []uint64{7}})))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		id, rest, err := decodeChannel(b)
+		id, rest, err := frames.DecodeChannel(b)
 		if err != nil {
 			return
 		}
-		if got := encodeChannel(id, rest); !bytes.Equal(got, b) {
+		if got := frames.EncodeChannel(id, rest); !bytes.Equal(got, b) {
 			t.Fatalf("re-encode of a valid channel frame differs: %x vs %x", got, b)
 		}
 	})
@@ -84,14 +85,14 @@ func FuzzDecodeChannel(f *testing.F) {
 
 func FuzzDecodeQuery(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodeQuery(QuerySelfJoinSize, QueryParams{}))
-	f.Add(encodeQuery(QueryHeavyHitters, QueryParams{A: 1, B: 2, K: -3, Phi: 0.5}))
+	f.Add(frames.EncodeQuery(QuerySelfJoinSize, QueryParams{}))
+	f.Add(frames.EncodeQuery(QueryHeavyHitters, QueryParams{A: 1, B: 2, K: -3, Phi: 0.5}))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		kind, params, err := decodeQuery(b)
+		kind, params, err := frames.DecodeQuery(b)
 		if err != nil {
 			return
 		}
-		if got := encodeQuery(kind, params); !bytes.Equal(got, b) {
+		if got := frames.EncodeQuery(kind, params); !bytes.Equal(got, b) {
 			t.Fatalf("re-encode of a valid query differs: %x vs %x", got, b)
 		}
 	})
@@ -99,27 +100,27 @@ func FuzzDecodeQuery(f *testing.F) {
 
 // FuzzDecodeCircuitQuery targets the only variable-length query frame:
 // CIRCUIT frames with a trailing family name. Decode must never panic,
-// must refuse names past maxCircuitName and trailing bytes on fixed
+// must refuse names past frames.MaxCircuitName and trailing bytes on fixed
 // kinds, and a successful decode must re-encode byte-identically.
 func FuzzDecodeCircuitQuery(f *testing.F) {
-	f.Add(encodeQuery(QueryCircuit, QueryParams{Circuit: "F2"}))
-	f.Add(encodeQuery(QueryCircuit, QueryParams{Circuit: "MATMUL", A: 16}))
-	f.Add(encodeQuery(QueryCircuit, QueryParams{Circuit: ""}))
-	f.Add(encodeQuery(QueryCircuit, QueryParams{Circuit: string(make([]byte, maxCircuitName))}))
-	f.Add(encodeQuery(QueryCircuit, QueryParams{Circuit: string(make([]byte, maxCircuitName+1))}))
-	f.Add(append(encodeQuery(QuerySelfJoinSize, QueryParams{}), 'X'))
+	f.Add(frames.EncodeQuery(QueryCircuit, QueryParams{Circuit: "F2"}))
+	f.Add(frames.EncodeQuery(QueryCircuit, QueryParams{Circuit: "MATMUL", A: 16}))
+	f.Add(frames.EncodeQuery(QueryCircuit, QueryParams{Circuit: ""}))
+	f.Add(frames.EncodeQuery(QueryCircuit, QueryParams{Circuit: string(make([]byte, frames.MaxCircuitName))}))
+	f.Add(frames.EncodeQuery(QueryCircuit, QueryParams{Circuit: string(make([]byte, frames.MaxCircuitName+1))}))
+	f.Add(append(frames.EncodeQuery(QuerySelfJoinSize, QueryParams{}), 'X'))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		kind, params, err := decodeQuery(b)
+		kind, params, err := frames.DecodeQuery(b)
 		if err != nil {
 			return
 		}
-		if kind == QueryCircuit && len(params.Circuit) > maxCircuitName {
-			t.Fatalf("decodeQuery accepted a %d-byte circuit name", len(params.Circuit))
+		if kind == QueryCircuit && len(params.Circuit) > frames.MaxCircuitName {
+			t.Fatalf("frames.DecodeQuery accepted a %d-byte circuit name", len(params.Circuit))
 		}
 		if kind != QueryCircuit && params.Circuit != "" {
-			t.Fatalf("decodeQuery produced a circuit name for kind %d", kind)
+			t.Fatalf("frames.DecodeQuery produced a circuit name for kind %d", kind)
 		}
-		if got := encodeQuery(kind, params); !bytes.Equal(got, b) {
+		if got := frames.EncodeQuery(kind, params); !bytes.Equal(got, b) {
 			t.Fatalf("re-encode of a valid query differs: %x vs %x", got, b)
 		}
 	})
@@ -127,17 +128,17 @@ func FuzzDecodeCircuitQuery(f *testing.F) {
 
 func FuzzDecodeOpen(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodeOpen("d", 64))
-	f.Add(encodeOpen("a-long-dataset-name", 1<<20))
+	f.Add(frames.EncodeOpen("d", 64))
+	f.Add(frames.EncodeOpen("a-long-dataset-name", 1<<20))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		name, u, err := decodeOpen(b)
+		name, u, err := frames.DecodeOpen(b)
 		if err != nil {
 			return
 		}
-		if len(name) == 0 || len(name) > maxDatasetName {
-			t.Fatalf("decodeOpen accepted a %d-byte name", len(name))
+		if len(name) == 0 || len(name) > frames.MaxDatasetName {
+			t.Fatalf("frames.DecodeOpen accepted a %d-byte name", len(name))
 		}
-		if got := encodeOpen(name, u); !bytes.Equal(got, b) {
+		if got := frames.EncodeOpen(name, u); !bytes.Equal(got, b) {
 			t.Fatalf("re-encode of a valid open frame differs: %x vs %x", got, b)
 		}
 	})
@@ -157,7 +158,7 @@ func TestMsgPropertyRoundTrip(t *testing.T) {
 		for i := 0; i < nElems; i++ {
 			m.Elems = append(m.Elems, field.Elem(rng.Uint64()))
 		}
-		got, err := decodeMsg(encodeMsg(m))
+		got, err := frames.DecodeMsg(frames.EncodeMsg(m))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -190,7 +191,7 @@ func TestQueryPropertyRoundTrip(t *testing.T) {
 	for _, kind := range kinds {
 		for _, phi := range phis {
 			p := QueryParams{A: rng.Uint64(), B: rng.Uint64(), K: -int64(rng.Uint64() % 100), Phi: phi}
-			gk, gp, err := decodeQuery(encodeQuery(kind, p))
+			gk, gp, err := frames.DecodeQuery(frames.EncodeQuery(kind, p))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,10 +201,10 @@ func TestQueryPropertyRoundTrip(t *testing.T) {
 		}
 	}
 	// CIRCUIT frames carry the only variable-length section.
-	names := []string{"", "F2", "COUNT", "MATMUL", strings.Repeat("y", maxCircuitName)}
+	names := []string{"", "F2", "COUNT", "MATMUL", strings.Repeat("y", frames.MaxCircuitName)}
 	for _, name := range names {
 		p := QueryParams{A: rng.Uint64(), Circuit: name}
-		gk, gp, err := decodeQuery(encodeQuery(QueryCircuit, p))
+		gk, gp, err := frames.DecodeQuery(frames.EncodeQuery(QueryCircuit, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,10 +212,10 @@ func TestQueryPropertyRoundTrip(t *testing.T) {
 			t.Fatalf("circuit roundtrip %+v = %v %+v", p, gk, gp)
 		}
 	}
-	if _, _, err := decodeQuery(encodeQuery(QueryCircuit, QueryParams{Circuit: strings.Repeat("y", maxCircuitName+1)})); err == nil {
+	if _, _, err := frames.DecodeQuery(frames.EncodeQuery(QueryCircuit, QueryParams{Circuit: strings.Repeat("y", frames.MaxCircuitName+1)})); err == nil {
 		t.Error("oversize circuit name decoded")
 	}
-	if _, _, err := decodeQuery(append(encodeQuery(QueryIndex, QueryParams{A: 4}), 'Z')); err == nil {
+	if _, _, err := frames.DecodeQuery(append(frames.EncodeQuery(QueryIndex, QueryParams{A: 4}), 'Z')); err == nil {
 		t.Error("trailing bytes on a fixed-kind query decoded")
 	}
 }
@@ -229,7 +230,7 @@ func TestOpenRoundTrip(t *testing.T) {
 		{"metrics", 1 << 20},
 		{"日本語-dataset", 1 << 61},
 	} {
-		name, u, err := decodeOpen(encodeOpen(tc.name, tc.u))
+		name, u, err := frames.DecodeOpen(frames.EncodeOpen(tc.name, tc.u))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,16 +238,16 @@ func TestOpenRoundTrip(t *testing.T) {
 			t.Fatalf("roundtrip (%q,%d) = (%q,%d)", tc.name, tc.u, name, u)
 		}
 	}
-	if _, _, err := decodeOpen(encodeCount(7)); err == nil {
+	if _, _, err := frames.DecodeOpen(frames.EncodeCount(7)); err == nil {
 		t.Error("open frame with no name accepted")
 	}
 	for _, n := range []uint64{0, 1, 1 << 40, ^uint64(0)} {
-		got, err := decodeCount(encodeCount(n))
+		got, err := frames.DecodeCount(frames.EncodeCount(n))
 		if err != nil || got != n {
 			t.Fatalf("count roundtrip %d = %d, %v", n, got, err)
 		}
 	}
-	if _, err := decodeCount([]byte{1, 2}); err == nil {
+	if _, err := frames.DecodeCount([]byte{1, 2}); err == nil {
 		t.Error("short count frame accepted")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/stream"
+	"repro/internal/wire/frames"
 )
 
 // circuitMuxKinds are the registry families driven over the mux wire.
@@ -116,15 +117,7 @@ func TestCircuitDishonestServerRejected(t *testing.T) {
 		}
 		v, obs := muxVerifier(t, u, c.kind, c.params, 1703)
 		observeAll(t, obs, ups)
-		if err := cl.Hello(u); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.SendUpdates(ups); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.EndStream(); err != nil {
-			t.Fatal(err)
-		}
+		openFresh(t, cl, u, ups)
 		if _, err := cl.Query(c.kind, c.params, v); !errors.Is(err, core.ErrRejected) {
 			t.Errorf("%s: dishonest cloud not rejected: %v", c.params.Circuit, err)
 		}
@@ -174,7 +167,7 @@ func TestMuxCircuitUnknownFamily(t *testing.T) {
 }
 
 // TestMuxCircuitOversizeName pins the codec bound: a name longer than
-// maxCircuitName is refused client-side before touching the wire.
+// frames.MaxCircuitName is refused client-side before touching the wire.
 func TestMuxCircuitOversizeName(t *testing.T) {
 	const u = 64
 	addr, stop := startServerOpts(t, &Server{F: f61})
@@ -190,7 +183,7 @@ func TestMuxCircuitOversizeName(t *testing.T) {
 	}
 	v, obs := muxVerifier(t, u, QueryCircuit, QueryParams{Circuit: circuit.FamilyF2}, 11)
 	observeAll(t, obs, nil)
-	long := strings.Repeat("X", maxCircuitName+1)
+	long := strings.Repeat("X", frames.MaxCircuitName+1)
 	if _, err := cl.Query(QueryCircuit, QueryParams{Circuit: long}, v); err == nil {
 		t.Fatal("oversize circuit name accepted")
 	}

@@ -3,12 +3,12 @@
 // number of concurrent query conversations, each on its own uint32
 // channel id:
 //
-//   - the client opens a channel with frameQueryCh [ch][kind+params] and
-//     drives it with frameChallengeCh/frameFinishCh frames;
+//   - the client opens a channel with frames.QueryCh [ch][kind+params] and
+//     drives it with frames.ChallengeCh/frames.FinishCh frames;
 //   - the server runs each channel's conversation in its own goroutine
 //     against its own immutable snapshot (taken, in arrival order, when
-//     the query frame is read), answering with frameProverCh frames;
-//   - channel failures travel as frameErrorCh/frameBudgetCh and kill
+//     the query frame is read), answering with frames.ProverCh frames;
+//   - channel failures travel as frames.ErrorCh/frames.BudgetCh and kill
 //     only that conversation — the connection, its other channels, and
 //     interleaved ingestion continue.
 //
@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/wire/frames"
 )
 
 // muxFrame is one channel-scoped frame with the id already stripped.
@@ -94,27 +95,27 @@ func (m *connMux) shutdown() {
 
 // dispatch handles one channel-scoped frame from the read loop. Frame
 // legality was already checked by the handler's FlowState.
-func (m *connMux) dispatch(typ byte, payload []byte, ds *engine.Dataset, st connState) error {
-	id, rest, err := decodeChannel(payload)
+func (m *connMux) dispatch(typ byte, payload []byte, ds *engine.Dataset) error {
+	id, rest, err := frames.DecodeChannel(payload)
 	if err != nil {
 		return err
 	}
 	if id == 0 {
 		return fmt.Errorf("%w: channel id 0 is reserved for the control plane", ErrProtocol)
 	}
-	if typ == frameQueryCh || typ == framePartialQueryCh {
-		return m.open(id, rest, ds, st, typ == framePartialQueryCh)
+	if typ == frames.QueryCh || typ == frames.PartialQueryCh {
+		return m.open(id, rest, ds, typ == frames.PartialQueryCh)
 	}
-	if typ == frameProofReqCh {
+	if typ == frames.ProofReqCh {
 		// Proof fetches are one-shot request/response: no channel state is
 		// registered, the reply (or a per-channel error) is the whole
 		// exchange. See proof.go.
-		return m.proofFetch(id, rest, ds, st)
+		return m.proofFetch(id, rest, ds)
 	}
 	// The finish frame releases the channel's concurrency slot the moment
 	// it arrives — not when the conversation goroutine consumes it — so a
 	// strictly serial client at the cap is never spuriously refused.
-	owner, ok := m.pins.Route(id, typ == frameFinishCh)
+	owner, ok := m.pins.Route(id, typ == frames.FinishCh)
 	if !ok {
 		return fmt.Errorf("%w: frame 0x%02x for unknown channel %d", ErrProtocol, typ, id)
 	}
@@ -141,8 +142,8 @@ func (m *connMux) dispatch(typ byte, payload []byte, ds *engine.Dataset, st conn
 // (Snapshot.NewPartialProver) instead of the whole-transcript prover —
 // the split-universe aggregator's side of the conversation; the drive
 // loop is byte-for-byte the same protocol.
-func (m *connMux) open(id uint32, body []byte, ds *engine.Dataset, st connState, partial bool) error {
-	kind, params, err := decodeQuery(body)
+func (m *connMux) open(id uint32, body []byte, ds *engine.Dataset, partial bool) error {
+	kind, params, err := frames.DecodeQuery(body)
 	if err != nil {
 		return err
 	}
@@ -159,7 +160,7 @@ func (m *connMux) open(id uint32, body []byte, ds *engine.Dataset, st connState,
 		// Same treatment as engine admission: a resource refusal on this
 		// channel only, not a protocol violation — the connection and its
 		// other conversations continue.
-		return m.write(frameBudgetCh, encodeChannel(id,
+		return m.write(frames.BudgetCh, frames.EncodeChannel(id,
 			fmt.Appendf(nil, "too many concurrent queries (limit %d)", limit)))
 	}
 
@@ -182,13 +183,13 @@ func (m *connMux) open(id uint32, body []byte, ds *engine.Dataset, st connState,
 	}
 	mkSession := func() (core.ProverSession, error) {
 		if partial {
-			// Partial sessions prove from the slice tables as they are — the
-			// Corrupt hook is a v1 whole-dataset experiment and does not
-			// apply here (the aggregator pins one version across slices, so
-			// doctoring one slice would only fail the fold).
 			return snap.NewPartialProver(kind, params)
 		}
-		return m.s.buildSession(snap, ds, st, kind, params)
+		from, err := m.s.proverSnapshot(ds, snap)
+		if err != nil {
+			return nil, err
+		}
+		return from.NewProver(kind, params)
 	}
 	m.wg.Add(1)
 	go func() {
@@ -204,11 +205,11 @@ func (m *connMux) finish(id uint32, mc *muxChan, err error) {
 	close(mc.done)
 	m.pins.Retire(id, mc, err != nil)
 	if err != nil {
-		typ := byte(frameErrorCh)
+		typ := byte(frames.ErrorCh)
 		if errors.Is(err, engine.ErrBudget) {
-			typ = frameBudgetCh
+			typ = frames.BudgetCh
 		}
-		_ = m.write(typ, encodeChannel(id, []byte(err.Error())))
+		_ = m.write(typ, frames.EncodeChannel(id, []byte(err.Error())))
 	}
 }
 
@@ -225,7 +226,7 @@ func (m *connMux) serve(id uint32, mc *muxChan, mkSession func() (core.ProverSes
 	if err != nil {
 		return err
 	}
-	if err := m.write(frameProverCh, encodeChannel(id, encodeMsg(opening))); err != nil {
+	if err := m.write(frames.ProverCh, frames.EncodeChannel(id, frames.EncodeMsg(opening))); err != nil {
 		return err
 	}
 	for {
@@ -236,10 +237,10 @@ func (m *connMux) serve(id uint32, mc *muxChan, mkSession func() (core.ProverSes
 			return nil // connection closing; the handler reports its own error
 		}
 		switch fr.typ {
-		case frameFinishCh:
+		case frames.FinishCh:
 			return nil
-		case frameChallengeCh:
-			ch, err := decodeMsg(fr.payload)
+		case frames.ChallengeCh:
+			ch, err := frames.DecodeMsg(fr.payload)
 			if err != nil {
 				return err
 			}
@@ -247,7 +248,7 @@ func (m *connMux) serve(id uint32, mc *muxChan, mkSession func() (core.ProverSes
 			if err != nil {
 				return err
 			}
-			if err := m.write(frameProverCh, encodeChannel(id, encodeMsg(resp))); err != nil {
+			if err := m.write(frames.ProverCh, frames.EncodeChannel(id, frames.EncodeMsg(resp))); err != nil {
 				return err
 			}
 		default:
@@ -279,25 +280,17 @@ type QueryHandle struct {
 // ingestion calls may interleave with them. The verifier session is
 // owned by the conversation goroutine until Wait returns.
 func (c *Client) QueryAsync(kind QueryKind, params QueryParams, v core.VerifierSession) (*QueryHandle, error) {
-	if kind == QueryCircuit && len(params.Circuit) > maxCircuitName {
-		return nil, fmt.Errorf("wire: circuit name of %d bytes exceeds %d", len(params.Circuit), maxCircuitName)
+	if kind == QueryCircuit && len(params.Circuit) > frames.MaxCircuitName {
+		return nil, fmt.Errorf("wire: circuit name of %d bytes exceeds %d", len(params.Circuit), frames.MaxCircuitName)
 	}
-	c.cmu.Lock()
-	switch {
-	case c.mode == modeUnset:
-		c.cmu.Unlock()
-		return nil, fmt.Errorf("wire: QueryAsync before Hello or OpenDataset")
-	case c.mode == modeV1 && !c.v1Done:
-		c.cmu.Unlock()
-		return nil, fmt.Errorf("wire: QueryAsync before EndStream on a v1 connection")
+	if _, _, err := c.attachment("QueryAsync"); err != nil {
+		return nil, err
 	}
-	c.cmu.Unlock()
-
 	h, err := c.newHandle(v)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.write(frameQueryCh, encodeChannel(h.id, encodeQuery(kind, params))); err != nil {
+	if err := c.write(frames.QueryCh, frames.EncodeChannel(h.id, frames.EncodeQuery(kind, params))); err != nil {
 		c.unregister(h.id)
 		return nil, err
 	}
@@ -368,11 +361,11 @@ func (h *QueryHandle) deliver(fr muxFrame) bool {
 func (h *QueryHandle) run() {
 	defer close(h.done)
 	defer h.c.unregister(h.id)
-	h.err = h.converse()
+	h.err = h.drive()
 }
 
-// converse drives the verifier side of one channel's conversation.
-func (h *QueryHandle) converse() error {
+// drive runs the verifier side of one channel's conversation.
+func (h *QueryHandle) drive() error {
 	msg, srvDead, err := h.msg()
 	if err != nil {
 		return err
@@ -386,7 +379,7 @@ func (h *QueryHandle) converse() error {
 			break
 		}
 		st.WordsToProver += challenge.Words()
-		if err = h.c.write(frameChallengeCh, encodeChannel(h.id, encodeMsg(challenge))); err != nil {
+		if err = h.c.write(frames.ChallengeCh, frames.EncodeChannel(h.id, frames.EncodeMsg(challenge))); err != nil {
 			return err
 		}
 		msg, srvDead, err = h.msg()
@@ -400,7 +393,7 @@ func (h *QueryHandle) converse() error {
 	// Close the channel server-side — unless the server already failed
 	// it (srvDead), in which case there is nothing left to finish.
 	if !srvDead {
-		if ferr := h.c.write(frameFinishCh, encodeChannel(h.id, nil)); ferr != nil && err == nil {
+		if ferr := h.c.write(frames.FinishCh, frames.EncodeChannel(h.id, nil)); ferr != nil && err == nil {
 			err = ferr
 		}
 	}
@@ -442,12 +435,12 @@ func (h *QueryHandle) msg() (m core.Msg, srvDead bool, err error) {
 		return core.Msg{}, false, err
 	}
 	switch fr.typ {
-	case frameProverCh:
-		m, err = decodeMsg(fr.payload)
+	case frames.ProverCh:
+		m, err = frames.DecodeMsg(fr.payload)
 		return m, false, err
-	case frameBudgetCh:
+	case frames.BudgetCh:
 		return core.Msg{}, true, fmt.Errorf("%w: %s", ErrBudget, fr.payload)
-	case frameErrorCh:
+	case frames.ErrorCh:
 		return core.Msg{}, true, fmt.Errorf("wire: server error: %s", fr.payload)
 	default:
 		return core.Msg{}, false, fmt.Errorf("%w: unexpected frame 0x%02x", ErrProtocol, fr.typ)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/gkr"
 	"repro/internal/stream"
+	"repro/internal/wire/frames"
 )
 
 // recordingVerifier wraps a verifier session and keeps a copy of every
@@ -311,9 +312,10 @@ func TestMuxIngestionFlowsBetweenConversations(t *testing.T) {
 	}
 }
 
-// TestMuxV1Concurrent: the v1 flow supports overlapped conversations
-// too, and a dishonest v1 server is rejected on every one of them.
-func TestMuxV1Concurrent(t *testing.T) {
+// TestMuxConcurrentDishonest: overlapped conversations on one
+// connection are each accepted from an honest server, and a dishonest
+// server is rejected on every one of them.
+func TestMuxConcurrentDishonest(t *testing.T) {
 	const u = 256
 	ups := stream.UniformDeltas(u, 50, field.NewSplitMix64(1500))
 	for _, tc := range []struct {
@@ -332,15 +334,7 @@ func TestMuxV1Concurrent(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cl.Close()
-			if err := cl.Hello(u); err != nil {
-				t.Fatal(err)
-			}
-			if err := cl.SendUpdates(ups); err != nil {
-				t.Fatal(err)
-			}
-			if err := cl.EndStream(); err != nil {
-				t.Fatal(err)
-			}
+			openFresh(t, cl, u, ups)
 			const k = 4
 			handles := make([]*QueryHandle, k)
 			for i := 0; i < k; i++ {
@@ -372,52 +366,51 @@ func TestMuxChannelBudget(t *testing.T) {
 	defer stop()
 
 	rc := dialRaw(t, addr)
-	rc.send(frameHello, helloPayload(64))
-	rc.send(frameUpdates, encodeUpdates([]stream.Update{{Index: 1, Delta: 1}}))
-	rc.send(frameEndStream, nil)
-	// Drain the hello and end-stream acks.
+	rc.send(frames.Open, frames.EncodeOpen("capped", 64))
+	rc.send(frames.Updates, frames.EncodeUpdates([]stream.Update{{Index: 1, Delta: 1}}))
+	// Drain the open and updates acks.
 	for acks := 0; acks < 2; {
-		typ, _, err := readFrame(rc.conn)
+		typ, _, err := frames.ReadFrame(rc.conn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if typ != frameOK {
+		if typ != frames.OK {
 			t.Fatalf("expected ack, got frame 0x%02x", typ)
 		}
 		acks++
 	}
 	// Channel 1 opens and parks mid-conversation (we never answer).
-	rc.send(frameQueryCh, encodeChannel(1, encodeQuery(QuerySelfJoinSize, QueryParams{})))
-	typ, payload, err := readFrame(rc.conn)
+	rc.send(frames.QueryCh, frames.EncodeChannel(1, frames.EncodeQuery(QuerySelfJoinSize, QueryParams{})))
+	typ, payload, err := frames.ReadFrame(rc.conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id, _, _ := decodeChannel(payload); typ != frameProverCh || id != 1 {
+	if id, _, _ := frames.DecodeChannel(payload); typ != frames.ProverCh || id != 1 {
 		t.Fatalf("expected the channel-1 opening, got frame 0x%02x ch=%d", typ, id)
 	}
 	// Channel 2 exceeds the cap: a budget frame for channel 2 only.
-	rc.send(frameQueryCh, encodeChannel(2, encodeQuery(QuerySelfJoinSize, QueryParams{})))
-	typ, payload, err = readFrame(rc.conn)
+	rc.send(frames.QueryCh, frames.EncodeChannel(2, frames.EncodeQuery(QuerySelfJoinSize, QueryParams{})))
+	typ, payload, err = frames.ReadFrame(rc.conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id, _, _ := decodeChannel(payload); typ != frameBudgetCh || id != 2 {
+	if id, _, _ := frames.DecodeChannel(payload); typ != frames.BudgetCh || id != 2 {
 		t.Fatalf("expected a channel-2 budget refusal, got frame 0x%02x ch=%d", typ, id)
 	}
 	// Finish channel 1: the read loop releases the slot the moment the
 	// finish frame is processed, so the very next open on the connection
 	// must be admitted — a serial client at the cap is never spuriously
 	// refused.
-	rc.send(frameFinishCh, encodeChannel(1, nil))
-	rc.send(frameQueryCh, encodeChannel(3, encodeQuery(QuerySelfJoinSize, QueryParams{})))
-	typ, payload, err = readFrame(rc.conn)
+	rc.send(frames.FinishCh, frames.EncodeChannel(1, nil))
+	rc.send(frames.QueryCh, frames.EncodeChannel(3, frames.EncodeQuery(QuerySelfJoinSize, QueryParams{})))
+	typ, payload, err = frames.ReadFrame(rc.conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id, _, _ := decodeChannel(payload); typ != frameProverCh || id != 3 {
+	if id, _, _ := frames.DecodeChannel(payload); typ != frames.ProverCh || id != 3 {
 		t.Fatalf("open straight after finish got frame 0x%02x ch=%d, want the channel-3 opening (slot released late?)", typ, id)
 	}
-	rc.send(frameFinishCh, encodeChannel(3, nil))
+	rc.send(frames.FinishCh, frames.EncodeChannel(3, nil))
 }
 
 // TestMuxCrossDatasetResidency crosses the mux channels with the memory
@@ -537,8 +530,8 @@ func TestCloseClosesAllListeners(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.Hello(64); err != nil {
-			t.Fatalf("hello via %s: %v", addr, err)
+		if _, err := cl.OpenDataset("probe", 64); err != nil {
+			t.Fatalf("open via %s: %v", addr, err)
 		}
 		cl.Close()
 	}
@@ -568,8 +561,8 @@ func TestCloseClosesAllListeners(t *testing.T) {
 // TestClientTimeout: a stalled or half-open server surfaces as a typed
 // ErrTimeout on every waiting entry point instead of hanging forever.
 func TestClientTimeout(t *testing.T) {
-	// A "server" that accepts, acks hello and end-stream, then goes
-	// silent forever — it never answers queries.
+	// A "server" that accepts, acks opens, then goes silent forever — it
+	// never answers queries.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -584,13 +577,13 @@ func TestClientTimeout(t *testing.T) {
 			go func(conn net.Conn) {
 				defer conn.Close()
 				for {
-					typ, _, err := readFrame(conn)
+					typ, _, err := frames.ReadFrame(conn)
 					if err != nil {
 						return
 					}
 					switch typ {
-					case frameHello, frameEndStream:
-						if err := writeFrame(conn, frameOK, encodeCount(0)); err != nil {
+					case frames.Open:
+						if err := frames.WriteFrame(conn, frames.OK, frames.EncodeCount(0)); err != nil {
 							return
 						}
 					default:
@@ -601,7 +594,7 @@ func TestClientTimeout(t *testing.T) {
 		}
 	}()
 
-	t.Run("silent before hello ack", func(t *testing.T) {
+	t.Run("silent before open ack", func(t *testing.T) {
 		// A raw listener that accepts and never speaks at all.
 		silent, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -626,11 +619,11 @@ func TestClientTimeout(t *testing.T) {
 		defer cl.Close()
 		cl.Timeout = 150 * time.Millisecond
 		start := time.Now()
-		if err := cl.Hello(64); !errors.Is(err, ErrTimeout) {
-			t.Fatalf("Hello against a silent server = %v, want wire.ErrTimeout", err)
+		if _, err := cl.OpenDataset("d", 64); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("OpenDataset against a silent server = %v, want wire.ErrTimeout", err)
 		}
 		if waited := time.Since(start); waited > 5*time.Second {
-			t.Fatalf("Hello hung for %v despite the timeout", waited)
+			t.Fatalf("OpenDataset hung for %v despite the timeout", waited)
 		}
 	})
 
@@ -641,10 +634,7 @@ func TestClientTimeout(t *testing.T) {
 		}
 		defer cl.Close()
 		cl.Timeout = 150 * time.Millisecond
-		if err := cl.Hello(64); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.EndStream(); err != nil {
+		if _, err := cl.OpenDataset("d", 64); err != nil {
 			t.Fatal(err)
 		}
 		v, _ := muxVerifier(t, 64, QuerySelfJoinSize, QueryParams{}, 1800)
@@ -658,13 +648,12 @@ func TestClientTimeout(t *testing.T) {
 	})
 }
 
-// TestEndStreamSurfacesIngestError: a server-side ingest failure during
-// a v1 upload surfaces as a typed error from EndStream (which is acked
-// in the mux protocol revision) instead of desynchronizing the first
-// query. The trigger is IngestColumns' bounds check: index 510 lands in
+// TestIngestSurfacesIngestError: a server-side ingest failure surfaces
+// from Ingest as the server's typed refusal, not a bare transport
+// error. The trigger is IngestColumns' bounds check: index 510 lands in
 // the padding of a 500-entry universe (padded to 512) and must be
-// refused.
-func TestEndStreamSurfacesIngestError(t *testing.T) {
+// refused; the refusal is connection-fatal.
+func TestIngestSurfacesIngestError(t *testing.T) {
 	addr, stop := startServerOpts(t, &Server{F: f61})
 	defer stop()
 
@@ -673,48 +662,18 @@ func TestEndStreamSurfacesIngestError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Hello(500); err != nil {
-		t.Fatal(err)
-	}
-	// The bad batch: the server refuses it and kills the connection, but
-	// v1 batches are unacknowledged so the send itself "succeeds".
-	_ = cl.SendUpdates([]stream.Update{{Index: 510, Delta: 1}})
-	// Keep streaming, as a client unaware of the failure would.
-	_ = cl.SendUpdates(stream.UnitIncrements(500, 100, field.NewSplitMix64(1900)))
-	err = cl.EndStream()
+	openFresh(t, cl, 500, nil)
+	_, err = cl.Ingest([]stream.Update{{Index: 510, Delta: 1}})
 	if err == nil {
-		t.Fatal("EndStream after a refused batch reported success")
+		t.Fatal("Ingest of an out-of-universe index reported success")
 	}
 	if !strings.Contains(err.Error(), "outside universe") {
-		t.Fatalf("EndStream error = %q, want the server's typed bounds-check failure", err)
+		t.Fatalf("Ingest error = %q, want the server's typed bounds-check failure", err)
 	}
-}
-
-// TestEndStreamAcked: the happy-path regression for the EndStream ack —
-// the ack carries the folded update count.
-func TestEndStreamAcked(t *testing.T) {
-	addr, stop := startServerOpts(t, &Server{F: f61})
-	defer stop()
-	rc := dialRaw(t, addr)
-	rc.send(frameHello, helloPayload(64))
-	rc.send(frameUpdates, encodeUpdates([]stream.Update{{Index: 1, Delta: 1}, {Index: 2, Delta: 5}}))
-	rc.send(frameEndStream, nil)
-	var counts []uint64
-	for i := 0; i < 2; i++ {
-		typ, payload, err := readFrame(rc.conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ != frameOK {
-			t.Fatalf("frame %d: got 0x%02x, want an ack", i, typ)
-		}
-		n, err := decodeCount(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts = append(counts, n)
-	}
-	if counts[0] != 0 || counts[1] != 2 {
-		t.Fatalf("acks carried counts %v, want [0 2]", counts)
+	// A client unaware of the failure keeps streaming; it sees the same
+	// typed cause, not a broken pipe.
+	_, err = cl.Ingest(stream.UnitIncrements(500, 100, field.NewSplitMix64(1900)))
+	if err == nil || !strings.Contains(err.Error(), "outside universe") {
+		t.Fatalf("Ingest after the refusal = %v, want the sticky server error", err)
 	}
 }

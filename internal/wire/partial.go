@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stream"
+	"repro/internal/wire/frames"
 )
 
 // OpenDatasetSlice attaches the connection to the named dataset opened
@@ -25,18 +26,14 @@ import (
 func (c *Client) OpenDatasetSlice(name string, globalU, lo, hi uint64) (uint64, error) {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
-	if c.mode == modeV1 {
-		return 0, fmt.Errorf("wire: OpenDatasetSlice on a v1 connection")
+	if name == "" || len(name) > frames.MaxDatasetName {
+		return 0, fmt.Errorf("wire: dataset name must be 1..%d bytes", frames.MaxDatasetName)
 	}
-	if name == "" || len(name) > maxDatasetName {
-		return 0, fmt.Errorf("wire: dataset name must be 1..%d bytes", maxDatasetName)
-	}
-	if err := c.write(frameOpenSlice, encodeOpenSlice(name, globalU, lo, hi)); err != nil {
+	if err := c.write(frames.OpenSlice, frames.EncodeOpenSlice(name, globalU, lo, hi)); err != nil {
 		return 0, err
 	}
 	count, err := c.readOK()
 	if err == nil {
-		c.mode = modeV2
 		// The slice's protocol identity is the global universe: every
 		// parameter and proof binding is derived from it, never from the
 		// slice width.
@@ -54,10 +51,10 @@ func (c *Client) OpenDatasetSlice(name string, globalU, lo, hi uint64) (uint64, 
 func (c *Client) IngestBatch(ups []stream.Update) (uint64, error) {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
-	if c.mode != modeV2 {
-		return 0, fmt.Errorf("wire: IngestBatch requires an attached dataset (call OpenDataset or OpenDatasetSlice first)")
+	if c.dsName == "" {
+		return 0, errNotAttached("IngestBatch")
 	}
-	if err := c.write(frameUpdates, encodeUpdates(ups)); err != nil {
+	if err := c.write(frames.Updates, frames.EncodeUpdates(ups)); err != nil {
 		return 0, err
 	}
 	return c.readOK()
@@ -83,21 +80,14 @@ type PartialConv struct {
 // the slice's leaves. The caller must Finish (or Close) the
 // conversation when done with it.
 func (c *Client) PartialQuery(kind QueryKind, params QueryParams) (*PartialConv, error) {
-	c.cmu.Lock()
-	switch {
-	case c.mode == modeUnset:
-		c.cmu.Unlock()
-		return nil, fmt.Errorf("wire: PartialQuery before Hello or OpenDataset")
-	case c.mode == modeV1 && !c.v1Done:
-		c.cmu.Unlock()
-		return nil, fmt.Errorf("wire: PartialQuery before EndStream on a v1 connection")
+	if _, _, err := c.attachment("PartialQuery"); err != nil {
+		return nil, err
 	}
-	c.cmu.Unlock()
 	h, err := c.newHandle(nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.write(framePartialQueryCh, encodeChannel(h.id, encodeQuery(kind, params))); err != nil {
+	if err := c.write(frames.PartialQueryCh, frames.EncodeChannel(h.id, frames.EncodeQuery(kind, params))); err != nil {
 		c.unregister(h.id)
 		return nil, err
 	}
@@ -133,7 +123,7 @@ func (p *PartialConv) Challenge(m core.Msg) error {
 	if p.closed {
 		return fmt.Errorf("wire: partial conversation is closed")
 	}
-	if err := p.h.c.write(frameChallengeCh, encodeChannel(p.h.id, encodeMsg(m))); err != nil {
+	if err := p.h.c.write(frames.ChallengeCh, frames.EncodeChannel(p.h.id, frames.EncodeMsg(m))); err != nil {
 		p.retire()
 		return err
 	}
@@ -149,7 +139,7 @@ func (p *PartialConv) Finish() error {
 	}
 	var err error
 	if !p.srvDead {
-		err = p.h.c.write(frameFinishCh, encodeChannel(p.h.id, nil))
+		err = p.h.c.write(frames.FinishCh, frames.EncodeChannel(p.h.id, nil))
 	}
 	p.retire()
 	return err

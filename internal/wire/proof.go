@@ -1,6 +1,6 @@
 // Non-interactive replay over the wire: the PROOF frame pair.
 //
-// A proof request (frameProofReqCh) names a query and a dataset version
+// A proof request (frames.ProofReqCh) names a query and a dataset version
 // (0 = current); the server answers with the posted Fiat–Shamir proof
 // for that (dataset, version, query) — generated once, cached in a
 // byte-budgeted LRU (internal/proofcache), and served to every verifier
@@ -11,9 +11,7 @@
 // The exchange is one-shot request/response on an ordinary mux channel
 // id: no channel state is registered on either side, errors travel as
 // the usual per-channel error/budget frames, and the connection's other
-// conversations and ingestion continue around it. Only the v2
-// named-dataset flow posts proofs — a v1 private dataset has no stable
-// identity to key the shared cache with.
+// conversations and ingestion continue around it.
 package wire
 
 import (
@@ -24,6 +22,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fs"
 	"repro/internal/proofcache"
+	"repro/internal/wire/frames"
 )
 
 // DefaultProofCacheBudget is the proof-cache byte cap applied when
@@ -90,21 +89,15 @@ func (s *Server) Stats() ServerStats {
 // the request. Cache lookup and (on a miss) proof generation then run
 // in their own goroutine, so a miss never stalls the connection's other
 // traffic.
-func (m *connMux) proofFetch(id uint32, body []byte, ds *engine.Dataset, st connState) error {
-	version, kind, params, err := decodeProofReq(body)
+func (m *connMux) proofFetch(id uint32, body []byte, ds *engine.Dataset) error {
+	version, kind, params, err := frames.DecodeProofReq(body)
 	if err != nil {
 		return err
-	}
-	if st != connV2 {
-		// A v1 private dataset is anonymous: distinct connections' data
-		// would collide under one cache key. Interactive queries remain
-		// available; refuse just this channel.
-		return m.write(frameErrorCh, encodeChannel(id, []byte("proof fetch requires a named dataset")))
 	}
 	snap, err := ds.SnapshotErr()
 	if err != nil {
 		if errors.Is(err, engine.ErrBudget) {
-			return m.write(frameBudgetCh, encodeChannel(id, []byte(err.Error())))
+			return m.write(frames.BudgetCh, frames.EncodeChannel(id, []byte(err.Error())))
 		}
 		return err
 	}
@@ -112,7 +105,7 @@ func (m *connMux) proofFetch(id uint32, body []byte, ds *engine.Dataset, st conn
 		// The server can only prove the present: earlier versions' counts
 		// are gone. A pinned-version request that no longer matches is the
 		// client's signal to re-fingerprint.
-		return m.write(frameErrorCh, encodeChannel(id, fmt.Appendf(nil,
+		return m.write(frames.ErrorCh, frames.EncodeChannel(id, fmt.Appendf(nil,
 			"proof version %d is not current (dataset %q is at version %d)", version, ds.Name(), snap.Version())))
 	}
 	m.wg.Add(1)
@@ -124,23 +117,49 @@ func (m *connMux) proofFetch(id uint32, body []byte, ds *engine.Dataset, st conn
 			Query:   string(engine.FSQuery(kind, params).Encode()),
 		}
 		val, err := m.s.proofCacheRef().Get(key, func() ([]byte, error) {
-			pf, err := snap.GenerateProof(kind, params)
+			pf, err := m.s.generateProof(ds, snap, kind, params)
 			if err != nil {
 				return nil, err
 			}
 			return pf.Encode(), nil
 		})
 		if err != nil {
-			typ := byte(frameErrorCh)
+			typ := byte(frames.ErrorCh)
 			if errors.Is(err, engine.ErrBudget) {
-				typ = frameBudgetCh
+				typ = frames.BudgetCh
 			}
-			_ = m.write(typ, encodeChannel(id, []byte(err.Error())))
+			_ = m.write(typ, frames.EncodeChannel(id, []byte(err.Error())))
 			return
 		}
-		_ = m.write(frameProofCh, encodeChannel(id, val))
+		_ = m.write(frames.ProofCh, frames.EncodeChannel(id, val))
 	}()
 	return nil
+}
+
+// generateProof produces the proof the server posts for one query over
+// snap. An honest server's is Snapshot.GenerateProof. With Corrupt set
+// the conversation is recorded over the doctored state instead, under
+// the honest binding — the lie is in the data, never in the header, so
+// a client's binding check passes and only its verifier's own
+// fingerprint can catch it.
+func (s *Server) generateProof(ds *engine.Dataset, snap *engine.Snapshot, kind QueryKind, params QueryParams) (*fs.Proof, error) {
+	from, err := s.proverSnapshot(ds, snap)
+	if err != nil {
+		return nil, err
+	}
+	if from == snap {
+		return snap.GenerateProof(kind, params)
+	}
+	b := snap.ProofBinding(kind, params)
+	v, err := from.NewVerifier(kind, params, b.RNG())
+	if err != nil {
+		return nil, err
+	}
+	p, err := from.NewProver(kind, params)
+	if err != nil {
+		return nil, err
+	}
+	return b.Prove(p, v)
 }
 
 // ---------------------------------------------------------------------
@@ -150,7 +169,7 @@ func (m *connMux) proofFetch(id uint32, body []byte, ds *engine.Dataset, st conn
 // query. version pins the dataset version the proof must cover (the
 // request fails if ingestion has moved past it); 0 accepts the current
 // version. The returned proof carries the version it was generated at
-// in its binding. Requires the v2 named-dataset flow.
+// in its binding.
 //
 // The proof's binding is validated against the request before it is
 // returned: dataset name and universe must match the attached dataset,
@@ -160,21 +179,19 @@ func (m *connMux) proofFetch(id uint32, body []byte, ds *engine.Dataset, st conn
 // binding are therefore fixed by values the CLIENT chose; a malicious
 // server gets no grinding bits from the proof header.
 func (c *Client) FetchProof(kind QueryKind, params QueryParams, version uint64) (*fs.Proof, error) {
-	if kind == QueryCircuit && len(params.Circuit) > maxCircuitName {
-		return nil, fmt.Errorf("wire: circuit name of %d bytes exceeds %d", len(params.Circuit), maxCircuitName)
+	if kind == QueryCircuit && len(params.Circuit) > frames.MaxCircuitName {
+		return nil, fmt.Errorf("wire: circuit name of %d bytes exceeds %d", len(params.Circuit), frames.MaxCircuitName)
 	}
-	c.cmu.Lock()
-	mode, dsName, dsU := c.mode, c.dsName, c.dsU
-	c.cmu.Unlock()
-	if mode != modeV2 {
-		return nil, fmt.Errorf("wire: FetchProof requires a named dataset (use OpenDataset)")
+	dsName, dsU, err := c.attachment("FetchProof")
+	if err != nil {
+		return nil, err
 	}
 	h, err := c.newHandle(nil)
 	if err != nil {
 		return nil, err
 	}
 	defer c.unregister(h.id)
-	if err := c.write(frameProofReqCh, encodeChannel(h.id, encodeProofReq(version, kind, params))); err != nil {
+	if err := c.write(frames.ProofReqCh, frames.EncodeChannel(h.id, frames.EncodeProofReq(version, kind, params))); err != nil {
 		return nil, err
 	}
 	fr, err := h.frame()
@@ -182,7 +199,7 @@ func (c *Client) FetchProof(kind QueryKind, params QueryParams, version uint64) 
 		return nil, err
 	}
 	switch fr.typ {
-	case frameProofCh:
+	case frames.ProofCh:
 		pf, err := fs.DecodeProof(fr.payload)
 		if err != nil {
 			return nil, err
@@ -191,9 +208,9 @@ func (c *Client) FetchProof(kind QueryKind, params QueryParams, version uint64) 
 			return nil, err
 		}
 		return pf, nil
-	case frameBudgetCh:
+	case frames.BudgetCh:
 		return nil, fmt.Errorf("%w: %s", ErrBudget, fr.payload)
-	case frameErrorCh:
+	case frames.ErrorCh:
 		return nil, fmt.Errorf("wire: server error: %s", fr.payload)
 	default:
 		return nil, fmt.Errorf("%w: unexpected frame 0x%02x", ErrProtocol, fr.typ)

@@ -342,9 +342,11 @@ func TestProofFieldModulusPinned(t *testing.T) {
 	}
 }
 
-// TestProofFetchV1Refused: the v1 private-dataset flow has no stable
-// cache identity; FetchProof is refused client-side before any frame.
-func TestProofFetchV1Refused(t *testing.T) {
+// TestClientRequiresAttachment: every call that needs a dataset is
+// refused client-side, before any frame, until OpenDataset has attached
+// one — and the refusal costs nothing: the same connection then opens
+// and serves normally.
+func TestClientRequiresAttachment(t *testing.T) {
 	addr, stop := startServerOpts(t, &Server{F: f61})
 	defer stop()
 	c, err := Dial(addr)
@@ -352,15 +354,22 @@ func TestProofFetchV1Refused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Hello(64); err != nil {
-		t.Fatal(err)
+	v, _ := muxVerifier(t, 64, QuerySelfJoinSize, QueryParams{}, 1)
+	calls := map[string]func() error{
+		"Ingest":       func() error { _, err := c.Ingest(nil); return err },
+		"IngestBatch":  func() error { _, err := c.IngestBatch(nil); return err },
+		"QueryAsync":   func() error { _, err := c.QueryAsync(QuerySelfJoinSize, QueryParams{}, v); return err },
+		"PartialQuery": func() error { _, err := c.PartialQuery(QuerySelfJoinSize, QueryParams{}); return err },
+		"FetchProof":   func() error { _, err := c.FetchProof(QuerySelfJoinSize, QueryParams{}, 0); return err },
 	}
-	if err := c.EndStream(); err != nil {
-		t.Fatal(err)
+	for name, call := range calls {
+		if err := call(); err == nil || !strings.Contains(err.Error(), "requires an attached dataset") {
+			t.Errorf("%s before OpenDataset: err = %v, want the attachment refusal", name, err)
+		}
 	}
-	if _, err := c.FetchProof(QuerySelfJoinSize, QueryParams{}, 0); err == nil ||
-		!strings.Contains(err.Error(), "named dataset") {
-		t.Fatalf("v1 FetchProof: err = %v, want named-dataset refusal", err)
+	openFresh(t, c, 64, nil)
+	if _, err := c.Query(QuerySelfJoinSize, QueryParams{}, v); err != nil {
+		t.Fatalf("query after the refused calls: %v", err)
 	}
 }
 

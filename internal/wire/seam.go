@@ -1,204 +1,57 @@
-// The public seam over the codec layer: everything a protocol
-// intermediary needs to speak the wire format without importing the
-// frames package. The shard router (internal/shard) is the intended
-// consumer — it embeds FlowState to enforce per-connection frame
+// The protocol seam: the two pieces of connection behaviour a protocol
+// intermediary must share with the server. The shard router
+// (internal/shard) embeds FlowState to enforce per-connection frame
 // legality exactly as the server would, and ChannelPins to route
-// channel-scoped frames, while the byte layouts stay reachable through
-// the re-exports below. Only internal/wire/... may import frames
-// directly; everything else goes through this file (enforced by a test
-// in frames and a CI grep).
+// channel-scoped frames. Byte layouts are not re-exported here: the
+// server, the client, and the router all call internal/wire/frames
+// directly (the import allow-list is enforced by a test in frames).
 package wire
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
-	"repro/internal/core"
-	"repro/internal/stream"
 	"repro/internal/wire/frames"
 )
-
-// Frame type constants, re-exported for protocol intermediaries.
-const (
-	FrameHello     = frames.Hello
-	FrameUpdates   = frames.Updates
-	FrameEndStream = frames.EndStream
-	FrameQuery     = frames.Query
-	FrameProver    = frames.Prover
-	FrameChallenge = frames.Challenge
-	FrameFinish    = frames.Finish
-	FrameError     = frames.Error
-	FrameOpen      = frames.Open
-	FrameOK        = frames.OK
-	FrameBudget    = frames.Budget
-
-	FrameQueryCh     = frames.QueryCh
-	FrameChallengeCh = frames.ChallengeCh
-	FrameProverCh    = frames.ProverCh
-	FrameFinishCh    = frames.FinishCh
-	FrameErrorCh     = frames.ErrorCh
-	FrameBudgetCh    = frames.BudgetCh
-
-	FrameProofReqCh = frames.ProofReqCh
-	FrameProofCh    = frames.ProofCh
-
-	FrameHandoff   = frames.Handoff
-	FrameAdopt     = frames.Adopt
-	FrameStatsReq  = frames.StatsReq
-	FrameStatsResp = frames.StatsResp
-
-	FrameOpenSlice      = frames.OpenSlice
-	FramePartialQueryCh = frames.PartialQueryCh
-)
-
-// WriteFrame sends one frame: [uint32 length][uint8 type][payload].
-func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	return frames.WriteFrame(w, typ, payload)
-}
-
-// ReadFrame receives one frame, bounding its size to the protocol
-// maximum (64 MiB).
-func ReadFrame(r io.Reader) (byte, []byte, error) {
-	return frames.ReadFrame(r)
-}
-
-// DecodeOpen parses an open frame into the dataset name and universe
-// size — what a router needs to place the dataset on a shard.
-func DecodeOpen(b []byte) (name string, u uint64, err error) {
-	return frames.DecodeOpen(b)
-}
-
-// EncodeOpenSlice lays out an open-slice frame: the global universe
-// size, the slice bounds over the padded global universe, and the
-// dataset name — what a router sends each shard that owns one slice of
-// a split dataset.
-func EncodeOpenSlice(name string, globalU, lo, hi uint64) []byte {
-	return frames.EncodeOpenSlice(name, globalU, lo, hi)
-}
-
-// DecodeOpenSlice parses an open-slice frame.
-func DecodeOpenSlice(b []byte) (name string, globalU, lo, hi uint64, err error) {
-	return frames.DecodeOpenSlice(b)
-}
-
-// EncodeMsg lays out a protocol message (prover message or verifier
-// challenge) — the payload of the conversation frames.
-func EncodeMsg(m core.Msg) []byte { return frames.EncodeMsg(m) }
-
-// DecodeMsg parses a protocol message.
-func DecodeMsg(b []byte) (core.Msg, error) { return frames.DecodeMsg(b) }
-
-// EncodeQuery lays out a query block (the body of a QueryCh or
-// PartialQueryCh frame after the channel id).
-func EncodeQuery(kind QueryKind, p QueryParams) []byte { return frames.EncodeQuery(kind, p) }
-
-// DecodeQuery parses a query block.
-func DecodeQuery(b []byte) (QueryKind, QueryParams, error) { return frames.DecodeQuery(b) }
-
-// EncodeUpdates lays out an updates batch as (index, delta) pairs.
-func EncodeUpdates(ups []stream.Update) []byte { return frames.EncodeUpdates(ups) }
-
-// DecodeUpdateColumns splits an updates payload into index/delta
-// columns — the shape a router scatters across slice owners.
-func DecodeUpdateColumns(b []byte) (idx []uint64, deltas []int64, err error) {
-	return frames.DecodeUpdateColumns(b)
-}
-
-// EncodeCount lays out an OK ack payload (a dataset update count).
-func EncodeCount(n uint64) []byte { return frames.EncodeCount(n) }
-
-// EncodeChannel prefixes a frame payload with its channel id.
-func EncodeChannel(id uint32, payload []byte) []byte { return frames.EncodeChannel(id, payload) }
-
-// DecodeChannel splits a channel-scoped payload into id and body.
-func DecodeChannel(b []byte) (uint32, []byte, error) { return frames.DecodeChannel(b) }
-
-// DecodeProofReq parses a proof request body: the pinned dataset
-// version (0 = current) and the query block.
-func DecodeProofReq(b []byte) (version uint64, kind QueryKind, p QueryParams, err error) {
-	return frames.DecodeProofReq(b)
-}
-
-// EncodeName lays out a handoff/adopt frame payload.
-func EncodeName(name string) []byte { return frames.EncodeName(name) }
-
-// DecodeName parses a handoff/adopt frame payload.
-func DecodeName(b []byte) (string, error) { return frames.DecodeName(b) }
-
-// DecodeCount parses an OK ack payload (a dataset update count).
-func DecodeCount(b []byte) (uint64, error) { return frames.DecodeCount(b) }
-
-// ChannelID extracts the channel id from a channel-scoped frame payload
-// (frames FrameQueryCh..FrameProofCh) without touching the body.
-func ChannelID(payload []byte) (uint32, error) {
-	id, _, err := frames.DecodeChannel(payload)
-	return id, err
-}
-
-// ChannelScoped reports whether typ is a channel-scoped frame (its
-// payload begins with a uint32 channel id).
-func ChannelScoped(typ byte) bool { return frames.ChannelScoped(typ) }
 
 // ---------------------------------------------------------------------
 // FlowState: the per-connection frame state machine.
 
-// connState is the frame state machine: which frames are legal next.
-type connState int
-
-const (
-	connStart  connState = iota // nothing received: expect hello or open
-	connV1Load                  // v1 upload in progress
-	connV1Done                  // v1 upload finished: queries only
-	connV2                      // attached to a named dataset
-)
-
 // FlowState tracks one connection's position in the protocol and
-// decides which frame types are legal next. It is the state machine the
-// server's read loop runs; the shard router embeds its own so a frame
-// the server would refuse is refused at the proxy, with the same error,
-// before it ever reaches a shard. The zero value is the start state.
+// decides which frame types are legal next. It has two states: start
+// (nothing attached) and attached (an open or open-slice named a
+// dataset); the only transition is start → attached. It is the state
+// machine the server's read loop runs; the shard router embeds its own
+// so a frame the server would refuse is refused at the proxy, with the
+// same error, before it ever reaches a shard. The zero value is the
+// start state.
 //
 // Advance both checks legality and applies the state transition the
 // frame implies. Callers treat an error as connection-fatal (exactly as
 // the server does), so a transition optimistically applied before the
 // frame's work completes can never be observed in a bad state.
 type FlowState struct {
-	st connState
+	attached bool
 }
 
 // Advance validates typ against the current state and moves the state
-// machine. The error strings are the server's canonical refusals.
+// machine. The error strings are the server's canonical refusals. Every
+// server→client frame, every unknown type, and every retired type
+// (0x01, 0x03–0x07: the anonymous-upload and serial-conversation
+// generations) takes the default arm.
 func (f *FlowState) Advance(typ byte) error {
 	switch typ {
-	case frameHello:
-		if f.st != connStart {
-			return fmt.Errorf("%w: hello after the stream started", ErrProtocol)
+	case frames.Open, frames.OpenSlice:
+		f.attached = true
+	case frames.Updates:
+		if !f.attached {
+			return fmt.Errorf("%w: updates before a dataset is open", ErrProtocol)
 		}
-		f.st = connV1Load
-	case frameOpen, frameOpenSlice:
-		if f.st != connStart && f.st != connV2 {
-			return fmt.Errorf("%w: open on a v1 connection", ErrProtocol)
+	case frames.QueryCh, frames.ChallengeCh, frames.FinishCh, frames.ProofReqCh, frames.PartialQueryCh:
+		if !f.attached {
+			return fmt.Errorf("%w: conversation frame before a dataset is open", ErrProtocol)
 		}
-		f.st = connV2
-	case frameUpdates:
-		if f.st != connV1Load && f.st != connV2 {
-			return fmt.Errorf("%w: updates outside an upload phase", ErrProtocol)
-		}
-	case frameEndStream:
-		if f.st != connV1Load {
-			return fmt.Errorf("%w: end-of-stream outside a v1 upload", ErrProtocol)
-		}
-		f.st = connV1Done
-	case frameQuery:
-		if f.st != connV1Done && f.st != connV2 {
-			return fmt.Errorf("%w: query before end of stream", ErrProtocol)
-		}
-	case frameQueryCh, frameChallengeCh, frameFinishCh, frameProofReqCh, framePartialQueryCh:
-		if f.st != connV1Done && f.st != connV2 {
-			return fmt.Errorf("%w: conversation frame before queries are allowed", ErrProtocol)
-		}
-	case frameHandoff, frameAdopt, frameStatsReq:
+	case frames.Handoff, frames.Adopt, frames.StatsReq:
 		// Admin frames are legal in any state and change none: a handoff
 		// names an engine dataset, not the connection's attachment.
 	default:
@@ -206,13 +59,6 @@ func (f *FlowState) Advance(typ byte) error {
 	}
 	return nil
 }
-
-// V1 reports whether the connection took the v1 private-dataset flow.
-func (f *FlowState) V1() bool { return f.st == connV1Load || f.st == connV1Done }
-
-// Attached reports whether the connection can carry conversation
-// frames: a v2 attach or a completed v1 upload.
-func (f *FlowState) Attached() bool { return f.st == connV1Done || f.st == connV2 }
 
 // ---------------------------------------------------------------------
 // ChannelPins: the channel-id routing table.

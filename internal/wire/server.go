@@ -1,12 +1,10 @@
-// The prover service: listener lifecycle, per-connection read loop, and
-// the serial (pre-mux) conversation path. Frame legality is delegated
-// to FlowState (seam.go) and byte layouts to the frames codec; this
-// file owns policy — admission, budgets, dataset lifecycle, and the
-// admin plane (handoff/adopt/stats).
+// The prover service: listener lifecycle and the per-connection read
+// loop. Frame legality is delegated to FlowState (seam.go) and byte
+// layouts to the frames codec; this file owns policy — admission,
+// budgets, dataset lifecycle, and the admin plane (handoff/adopt/stats).
 package wire
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,16 +13,16 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/proofcache"
+	"repro/internal/wire/frames"
 )
 
 // Server is the cloud-side prover service. Datasets are maintained
-// aggregate state: per-connection for the v1 flow, shared through Engine
-// for the v2 named-dataset flow. Provers are constructed from snapshots —
-// the stream is ingested once and never replayed.
+// aggregate state, named and shared through Engine. Provers are
+// constructed from snapshots — the stream is ingested once and never
+// replayed.
 type Server struct {
 	F field.Field
 	// Workers is handed to every prover the server builds: 0 proves each
@@ -32,7 +30,7 @@ type Server struct {
 	// goroutines, n < 0 uses runtime.NumCPU(). Transcripts are identical
 	// either way; only latency changes.
 	Workers int
-	// Engine holds the named datasets served to v2 connections. Leave nil
+	// Engine holds the named datasets the server serves. Leave nil
 	// to have the server create one on first use; share one Engine to
 	// serve the same datasets from several listeners.
 	Engine *engine.Engine
@@ -42,17 +40,10 @@ type Server struct {
 	// Zero means no deadline.
 	IdleTimeout time.Duration
 	// MaxUniverse caps the universe size a client may announce with
-	// hello or open — a dataset allocates 16 bytes per universe entry up
+	// open — a dataset allocates 16 bytes per universe entry up
 	// front, so without a cap one cheap frame could exhaust server
 	// memory. Zero selects DefaultMaxUniverse.
 	MaxUniverse uint64
-	// MaxPrivateDatasets caps how many v1 connections may hold a private
-	// dataset at once. Zero selects DefaultMaxPrivateDatasets; negative
-	// means no cap. It is a backstop: each v1 dataset's tables are also
-	// charged against the engine's Σ budget (MemBudget) at hello and
-	// released when the connection ends, so byte-level governance does
-	// not depend on this count.
-	MaxPrivateDatasets int
 	// MaxConcurrentQueries caps the multiplexed query conversations in
 	// flight per connection. An excess channel open is refused with a
 	// per-channel budget frame (the conversation fails typed as
@@ -82,8 +73,10 @@ type Server struct {
 	ProofCacheBudget int64
 	// Corrupt, when non-nil, rewrites a clone of the maintained counts
 	// before proving — a hook for the dishonest-cloud experiments and
-	// tests. It applies to v1 connections only and costs O(u), not
-	// O(stream): no raw stream is retained anywhere in the server.
+	// tests. It applies to every whole-dataset prover the server builds,
+	// interactive sessions and posted proofs alike (see proverSnapshot),
+	// and costs O(u) per prover, not O(stream): no raw stream is retained
+	// anywhere in the server.
 	Corrupt func(counts []int64) []int64
 
 	proofCache *proofcache.Cache // lazily built by proofCacheRef; guarded by mu
@@ -93,7 +86,6 @@ type Server struct {
 	inited     bool                  // engine configured (budget/data dir/recovery) by Serve
 	ownEngine  bool                  // engine was created by this server (Close may close it)
 	hooked     bool                  // proof-cache drop hook registered on the engine
-	v1Alive    int                   // v1 connections currently holding a private dataset
 	conns      map[net.Conn]struct{} // connections with a live handler
 	handlers   sync.WaitGroup        // one per handler goroutine; drained by Close
 
@@ -173,9 +165,9 @@ func (s *Server) Serve(ln net.Listener) error {
 				s.mu.Unlock()
 			}()
 			if err := s.handle(conn); err != nil && !errors.Is(err, io.EOF) {
-				typ := byte(frameError)
+				typ := byte(frames.Error)
 				if errors.Is(err, engine.ErrBudget) {
-					typ = frameBudget
+					typ = frames.Budget
 				}
 				_ = s.write(conn, typ, []byte(err.Error()))
 			}
@@ -278,8 +270,8 @@ func recoveryFailures(err error) []string {
 // Close then also closes the engine — the background checkpointer stops
 // and dirty datasets are persisted one final time. Because the drain
 // happens first, no handler can be mid-IngestColumns when that final
-// persist runs: every batch folded (and, on v2, acknowledged) before
-// shutdown is captured, making an orderly shutdown genuinely loss-free.
+// persist runs: every batch folded (and acknowledged) before shutdown
+// is captured, making an orderly shutdown genuinely loss-free.
 // A caller-supplied Engine is left running (it may be shared with other
 // listeners); its owner calls engine.Close — after this Close returns,
 // with no handler still folding.
@@ -343,30 +335,6 @@ func (s *Server) checkUniverse(u uint64) error {
 	return nil
 }
 
-// acquireV1 reserves a private-dataset slot for a v1 connection;
-// releaseV1 returns it when the connection ends. Exhaustion is a
-// resource refusal ("server full, retry later"), not a protocol
-// violation, so it is typed ErrBudget and travels as a budget frame.
-func (s *Server) acquireV1() error {
-	limit := s.MaxPrivateDatasets
-	if limit == 0 {
-		limit = DefaultMaxPrivateDatasets
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if limit > 0 && s.v1Alive >= limit {
-		return fmt.Errorf("%w: too many concurrent private datasets (limit %d)", ErrBudget, limit)
-	}
-	s.v1Alive++
-	return nil
-}
-
-func (s *Server) releaseV1() {
-	s.mu.Lock()
-	s.v1Alive--
-	s.mu.Unlock()
-}
-
 // read receives one frame, applying the idle deadline.
 func (s *Server) read(conn net.Conn) (byte, []byte, error) {
 	if s.IdleTimeout > 0 {
@@ -374,7 +342,7 @@ func (s *Server) read(conn net.Conn) (byte, []byte, error) {
 			return 0, nil, err
 		}
 	}
-	return readFrame(conn)
+	return frames.ReadFrame(conn)
 }
 
 // write sends one frame, applying the idle deadline.
@@ -384,7 +352,7 @@ func (s *Server) write(conn net.Conn, typ byte, payload []byte) error {
 			return err
 		}
 	}
-	return writeFrame(conn, typ, payload)
+	return frames.WriteFrame(conn, typ, payload)
 }
 
 // handle is one connection's read loop. Frame legality is FlowState's
@@ -392,34 +360,12 @@ func (s *Server) write(conn net.Conn, typ byte, payload []byte) error {
 // owns only the frame's work.
 func (s *Server) handle(conn net.Conn) error {
 	var flow FlowState
-	var ds *engine.Dataset // v1: private; v2: shared named dataset
-	v1Slot := false
-	var v1Bytes int64 // budget reservation held by this connection's private dataset
+	var ds *engine.Dataset // the attachment; FlowState admits no frame that uses it before an open
 	mux := newConnMux(s, conn)
-	defer func() {
-		// Unblock and drain this connection's conversation goroutines
-		// before the handler's caller writes any final error frame or
-		// closes the socket.
-		mux.shutdown()
-		if v1Bytes > 0 {
-			s.engineRef().ReleaseBytes(v1Bytes)
-		}
-		if v1Slot {
-			s.releaseV1()
-			// A v1 private dataset is anonymous and can never reach the
-			// proof cache (proofFetch refuses the flow before the cache is
-			// touched), but its release mirrors the named-dataset drop path
-			// defensively: if a private-dataset cache path ever appears,
-			// its entries die with the connection instead of leaking across
-			// connections under the empty name.
-			s.mu.Lock()
-			pc := s.proofCache
-			s.mu.Unlock()
-			if pc != nil {
-				pc.DropDataset("")
-			}
-		}
-	}()
+	// Unblock and drain this connection's conversation goroutines before
+	// the handler's caller writes any final error frame or closes the
+	// socket.
+	defer mux.shutdown()
 	for {
 		typ, payload, err := s.read(conn)
 		if err != nil {
@@ -429,40 +375,8 @@ func (s *Server) handle(conn net.Conn) error {
 			return err
 		}
 		switch typ {
-		case frameHello:
-			if len(payload) != 8 {
-				return fmt.Errorf("%w: hello frame", ErrProtocol)
-			}
-			u := binary.LittleEndian.Uint64(payload)
-			if err := s.checkUniverse(u); err != nil {
-				return err
-			}
-			if err := s.acquireV1(); err != nil {
-				return err
-			}
-			v1Slot = true
-			// The private dataset's tables are charged against the same Σ
-			// budget as the named datasets (LRU names may be evicted to
-			// admit it); the reservation is released when the connection
-			// ends. A refusal reaches the client as a budget frame.
-			cost, err := engine.TableCost(u)
-			if err != nil {
-				return err
-			}
-			if err := s.engineRef().AdmitBytes(cost); err != nil {
-				return err
-			}
-			v1Bytes = cost
-			// Honest or cheating, the connection maintains only the dense
-			// aggregate state: O(u) memory, independent of stream length.
-			if ds, err = engine.NewDataset(s.F, u, s.Workers); err != nil {
-				return err
-			}
-			if err := mux.write(frameOK, encodeCount(0)); err != nil {
-				return err
-			}
-		case frameOpen:
-			name, uu, err := decodeOpen(payload)
+		case frames.Open:
+			name, uu, err := frames.DecodeOpen(payload)
 			if err != nil {
 				return err
 			}
@@ -472,11 +386,11 @@ func (s *Server) handle(conn net.Conn) error {
 			if ds, err = s.engineRef().Open(name, uu); err != nil {
 				return err
 			}
-			if err := mux.write(frameOK, encodeCount(ds.Updates())); err != nil {
+			if err := mux.write(frames.OK, frames.EncodeCount(ds.Updates())); err != nil {
 				return err
 			}
-		case frameOpenSlice:
-			name, globalU, lo, hi, err := decodeOpenSlice(payload)
+		case frames.OpenSlice:
+			name, globalU, lo, hi, err := frames.DecodeOpenSlice(payload)
 			if err != nil {
 				return err
 			}
@@ -493,53 +407,26 @@ func (s *Server) handle(conn net.Conn) error {
 			if ds, err = s.engineRef().OpenSlice(name, globalU, lo, hi); err != nil {
 				return err
 			}
-			if err := mux.write(frameOK, encodeCount(ds.Updates())); err != nil {
+			if err := mux.write(frames.OK, frames.EncodeCount(ds.Updates())); err != nil {
 				return err
 			}
-		case frameUpdates:
-			idx, deltas, err := decodeUpdateColumns(payload)
+		case frames.Updates:
+			idx, deltas, err := frames.DecodeUpdateColumns(payload)
 			if err != nil {
 				return err
 			}
 			if err := ds.IngestColumns(idx, deltas); err != nil {
 				return err
 			}
-			if !flow.V1() {
-				if err := mux.write(frameOK, encodeCount(ds.Updates())); err != nil {
-					return err
-				}
-			}
-		case frameEndStream:
-			// The ack closes the v1 upload's only unacknowledged window:
-			// any ingest failure has already killed the connection by now,
-			// so a client that reads this OK knows every batch folded.
-			if err := mux.write(frameOK, encodeCount(ds.Updates())); err != nil {
+			if err := mux.write(frames.OK, frames.EncodeCount(ds.Updates())); err != nil {
 				return err
 			}
-		case frameQuery:
-			kind, params, err := decodeQuery(payload)
-			if err != nil {
+		case frames.QueryCh, frames.ChallengeCh, frames.FinishCh, frames.ProofReqCh, frames.PartialQueryCh:
+			if err := mux.dispatch(typ, payload, ds); err != nil {
 				return err
 			}
-			// Snapshots rehydrate evicted datasets transparently; the
-			// admission control inside can refuse with a budget error.
-			snap, err := ds.SnapshotErr()
-			if err != nil {
-				return err
-			}
-			session, err := s.buildSession(snap, ds, flow.st, kind, params)
-			if err != nil {
-				return err
-			}
-			if err := s.converse(conn, mux, session); err != nil {
-				return err
-			}
-		case frameQueryCh, frameChallengeCh, frameFinishCh, frameProofReqCh, framePartialQueryCh:
-			if err := mux.dispatch(typ, payload, ds, flow.st); err != nil {
-				return err
-			}
-		case frameHandoff:
-			name, err := decodeName(payload)
+		case frames.Handoff:
+			name, err := frames.DecodeName(payload)
 			if err != nil {
 				return err
 			}
@@ -547,11 +434,11 @@ func (s *Server) handle(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			if err := mux.write(frameOK, encodeCount(n)); err != nil {
+			if err := mux.write(frames.OK, frames.EncodeCount(n)); err != nil {
 				return err
 			}
-		case frameAdopt:
-			name, err := decodeName(payload)
+		case frames.Adopt:
+			name, err := frames.DecodeName(payload)
 			if err != nil {
 				return err
 			}
@@ -559,69 +446,33 @@ func (s *Server) handle(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			if err := mux.write(frameOK, encodeCount(n)); err != nil {
+			if err := mux.write(frames.OK, frames.EncodeCount(n)); err != nil {
 				return err
 			}
-		case frameStatsReq:
+		case frames.StatsReq:
 			b, err := json.Marshal(s.Stats())
 			if err != nil {
 				return err
 			}
-			if err := mux.write(frameStatsResp, b); err != nil {
+			if err := mux.write(frames.StatsResp, b); err != nil {
 				return err
 			}
 		}
 	}
 }
 
-// buildSession constructs the prover session for one query from an
-// already-taken snapshot — shared by the serial and multiplexed
-// conversation paths so they can never diverge. On the v1 path a
-// configured Corrupt hook rewrites a clone of the maintained counts
-// first — the dishonest cloud proves from doctored state.
-func (s *Server) buildSession(snap *engine.Snapshot, ds *engine.Dataset, st connState, kind QueryKind, params QueryParams) (core.ProverSession, error) {
-	if st == connV1Done && s.Corrupt != nil {
-		counts := s.Corrupt(append([]int64(nil), snap.Counts()...))
-		var err error
-		if snap, err = engine.SnapshotFromCounts(s.F, ds.UniverseSize(), s.Workers, counts); err != nil {
-			return nil, err
-		}
+// proverSnapshot returns the state a whole-dataset prover for ds is
+// built from: snap itself on an honest server; with Corrupt set, a
+// standalone snapshot over the hook's rewrite of a clone of snap's
+// counts — the dishonest cloud proves from doctored state. It is the
+// one place the hook is applied, shared by the interactive sessions
+// (mux.go) and the posted proofs (proof.go). Slices are left alone:
+// their provers are partials, and the aggregator pins one version
+// across slices, so doctoring one would only fail the fold.
+func (s *Server) proverSnapshot(ds *engine.Dataset, snap *engine.Snapshot) (*engine.Snapshot, error) {
+	if _, _, slice := ds.Slice(); s.Corrupt == nil || slice {
+		return snap, nil
 	}
-	return snap.NewProver(kind, params)
-}
-
-// converse drives one serial (pre-mux) query conversation from the
-// prover side: the read loop is parked here until the client finishes.
-func (s *Server) converse(conn net.Conn, mux *connMux, p core.ProverSession) error {
-	opening, err := p.Open()
-	if err != nil {
-		return err
-	}
-	if err := mux.write(frameProver, encodeMsg(opening)); err != nil {
-		return err
-	}
-	for {
-		typ, payload, err := s.read(conn)
-		if err != nil {
-			return err
-		}
-		switch typ {
-		case frameFinish:
-			return nil
-		case frameChallenge:
-			ch, err := decodeMsg(payload)
-			if err != nil {
-				return err
-			}
-			resp, err := p.Step(ch)
-			if err != nil {
-				return err
-			}
-			if err := mux.write(frameProver, encodeMsg(resp)); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("%w: unexpected frame 0x%02x mid-conversation", ErrProtocol, typ)
-		}
-	}
+	counts := s.Corrupt(append([]int64(nil), snap.Counts()...))
+	return engine.SnapshotFromCounts(s.F, ds.UniverseSize(), s.Workers, counts)
 }

@@ -126,56 +126,3 @@ func TestCloseDrainsHandlersBeforeFinalPersist(t *testing.T) {
 		t.Fatalf("recovered %d updates but %d were acknowledged — the final persist ran before the handler drained", got, last)
 	}
 }
-
-// TestV1HelloBudget: a v1 private dataset is charged against the
-// engine's Σ budget at hello — ResidentBytes reflects it, an over-budget
-// hello is refused with the typed wire.ErrBudget (not a protocol
-// error), and the reservation is released when the connection ends.
-func TestV1HelloBudget(t *testing.T) {
-	eng := engine.New(f61, 0)
-	addr, stop := startServerOpts(t, &Server{F: f61, Engine: eng, MemBudget: recOneDataset})
-	defer stop()
-
-	// Oversized: 1<<10 entries cost 2× the budget.
-	over, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer over.Close()
-	if err := over.Hello(1 << 10); !errors.Is(err, ErrBudget) {
-		t.Fatalf("over-budget Hello = %v, want wire.ErrBudget", err)
-	}
-
-	// Exactly at the budget: admitted and charged.
-	fits, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fits.Hello(recU); err != nil {
-		t.Fatalf("in-budget Hello refused: %v", err)
-	}
-	if got := eng.ResidentBytes(); got != recOneDataset {
-		t.Fatalf("ResidentBytes after v1 hello = %d, want %d", got, recOneDataset)
-	}
-	// The v1 reservation now holds the whole budget: a named dataset
-	// cannot be admitted either (no data dir, nothing evictable) — one
-	// governor over both flows.
-	v2c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2c.Close()
-	if _, err := v2c.OpenDataset("squeezed", recU); !errors.Is(err, ErrBudget) {
-		t.Fatalf("open against a v1-exhausted budget = %v, want wire.ErrBudget", err)
-	}
-
-	// Closing the v1 connection releases the reservation.
-	fits.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for eng.ResidentBytes() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("v1 reservation never released: %d bytes still charged", eng.ResidentBytes())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}

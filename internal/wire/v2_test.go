@@ -13,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/stream"
+	"repro/internal/wire/frames"
 )
 
 // startServerOpts runs a Server with the given extras on a loopback
@@ -314,109 +315,103 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 
 func (r *rawConn) send(typ byte, payload []byte) {
 	r.t.Helper()
-	if err := writeFrame(r.conn, typ, payload); err != nil {
+	if err := frames.WriteFrame(r.conn, typ, payload); err != nil {
 		r.t.Fatal(err)
 	}
 }
 
 // expect reads frames until one of type want arrives (acks are
-// skipped), then confirms the connection closes.
-func (r *rawConn) expect(want byte, context string) {
+// skipped), confirms the connection then closes, and returns the
+// frame's payload.
+func (r *rawConn) expect(want byte, context string) []byte {
 	r.t.Helper()
 	_ = r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var payload []byte
 	for {
-		typ, _, err := readFrame(r.conn)
+		typ, p, err := frames.ReadFrame(r.conn)
 		if err != nil {
 			r.t.Fatalf("%s: connection died before frame 0x%02x: %v", context, want, err)
 		}
 		if typ == want {
+			payload = p
 			break
 		}
-		if typ != frameOK {
+		if typ != frames.OK {
 			r.t.Fatalf("%s: unexpected frame 0x%02x", context, typ)
 		}
 	}
-	if _, _, err := readFrame(r.conn); err == nil {
+	if _, _, err := frames.ReadFrame(r.conn); err == nil {
 		r.t.Fatalf("%s: server kept the connection after frame 0x%02x", context, want)
 	}
+	return payload
 }
 
-// expectError expects a protocol-error frame; expectBudget a
-// budget-exhausted frame.
-func (r *rawConn) expectError(context string)  { r.expect(frameError, context) }
-func (r *rawConn) expectBudget(context string) { r.expect(frameBudget, context) }
-
-func helloPayload(u uint64) []byte { return encodeCount(u) }
+// expectError expects a connection-fatal error frame.
+func (r *rawConn) expectError(context string) []byte { return r.expect(frames.Error, context) }
 
 // TestFrameStateMachine: out-of-order frames are rejected with an error
-// frame instead of being silently accepted.
+// frame instead of being silently accepted. (The full type × state
+// legality table is TestFlowStateTable; this is the same machine seen
+// through a socket.)
 func TestFrameStateMachine(t *testing.T) {
 	addr, stop := startServerOpts(t, &Server{F: f61})
 	defer stop()
 
-	oneUpdate := encodeUpdates([]stream.Update{{Index: 1, Delta: 1}})
-
-	t.Run("second hello", func(t *testing.T) {
+	t.Run("updates before open", func(t *testing.T) {
 		rc := dialRaw(t, addr)
-		rc.send(frameHello, helloPayload(64))
-		rc.send(frameHello, helloPayload(64))
-		rc.expectError("hello after hello")
+		rc.send(frames.Updates, frames.EncodeUpdates([]stream.Update{{Index: 1, Delta: 1}}))
+		rc.expectError("updates before open")
 	})
-	t.Run("hello after updates", func(t *testing.T) {
+	t.Run("query before open", func(t *testing.T) {
 		rc := dialRaw(t, addr)
-		rc.send(frameHello, helloPayload(64))
-		rc.send(frameUpdates, oneUpdate)
-		rc.send(frameHello, helloPayload(64))
-		rc.expectError("hello mid-stream")
-	})
-	t.Run("updates after end of stream", func(t *testing.T) {
-		rc := dialRaw(t, addr)
-		rc.send(frameHello, helloPayload(64))
-		rc.send(frameEndStream, nil)
-		rc.send(frameUpdates, oneUpdate)
-		rc.expectError("updates after end-stream")
-	})
-	t.Run("updates before hello", func(t *testing.T) {
-		rc := dialRaw(t, addr)
-		rc.send(frameUpdates, oneUpdate)
-		rc.expectError("updates before hello")
-	})
-	t.Run("query before end of stream", func(t *testing.T) {
-		rc := dialRaw(t, addr)
-		rc.send(frameHello, helloPayload(64))
-		rc.send(frameQuery, encodeQuery(QuerySelfJoinSize, QueryParams{}))
-		rc.expectError("query mid-stream")
-	})
-	t.Run("double end of stream", func(t *testing.T) {
-		rc := dialRaw(t, addr)
-		rc.send(frameHello, helloPayload(64))
-		rc.send(frameEndStream, nil)
-		rc.send(frameEndStream, nil)
-		rc.expectError("double end-stream")
-	})
-	t.Run("open after hello", func(t *testing.T) {
-		rc := dialRaw(t, addr)
-		rc.send(frameHello, helloPayload(64))
-		rc.send(frameOpen, encodeOpen("d", 64))
-		rc.expectError("open on a v1 connection")
-	})
-	t.Run("hello after open", func(t *testing.T) {
-		rc := dialRaw(t, addr)
-		rc.send(frameOpen, encodeOpen("d", 64))
-		rc.send(frameHello, helloPayload(64))
-		rc.expectError("hello on a v2 connection")
-	})
-	t.Run("end of stream after open", func(t *testing.T) {
-		rc := dialRaw(t, addr)
-		rc.send(frameOpen, encodeOpen("d", 64))
-		rc.send(frameEndStream, nil)
-		rc.expectError("end-stream on a v2 connection")
+		rc.send(frames.QueryCh, frames.EncodeChannel(1, frames.EncodeQuery(QuerySelfJoinSize, QueryParams{})))
+		rc.expectError("conversation frame before open")
 	})
 	t.Run("oversized dataset name", func(t *testing.T) {
 		rc := dialRaw(t, addr)
-		rc.send(frameOpen, encodeOpen(strings.Repeat("x", maxDatasetName+1), 64))
+		rc.send(frames.Open, frames.EncodeOpen(strings.Repeat("x", frames.MaxDatasetName+1), 64))
 		rc.expectError("oversized name")
 	})
+}
+
+// retiredFrames are the type bytes of the two deleted protocol
+// generations, with the payload each last carried: the anonymous upload
+// (hello, end-stream) and the serial conversation (query, prover,
+// challenge, finish).
+var retiredFrames = []struct {
+	typ     byte
+	payload []byte
+}{
+	{0x01, frames.EncodeCount(64)},
+	{0x03, nil},
+	{0x04, frames.EncodeQuery(QuerySelfJoinSize, QueryParams{})},
+	{0x05, frames.EncodeMsg(core.Msg{})},
+	{0x06, frames.EncodeMsg(core.Msg{})},
+	{0x07, nil},
+}
+
+// TestRetiredFramesRefused: a peer still speaking a retired generation
+// gets a typed refusal — an error frame carrying ErrProtocol's text —
+// and a closed connection, well inside IdleTimeout (not a hang until
+// it), whether or not the connection has attached.
+func TestRetiredFramesRefused(t *testing.T) {
+	addr, stop := startServerOpts(t, &Server{F: f61, IdleTimeout: 30 * time.Second})
+	defer stop()
+
+	for _, fr := range retiredFrames {
+		for _, attached := range []bool{false, true} {
+			t.Run(fmt.Sprintf("0x%02x/attached=%v", fr.typ, attached), func(t *testing.T) {
+				rc := dialRaw(t, addr)
+				if attached {
+					rc.send(frames.Open, frames.EncodeOpen("retired", 64))
+				}
+				rc.send(fr.typ, fr.payload)
+				if msg := rc.expectError("retired frame"); !strings.Contains(string(msg), ErrProtocol.Error()) {
+					t.Fatalf("refusal %q does not carry %q", msg, ErrProtocol)
+				}
+			})
+		}
+	}
 }
 
 // TestIdleTimeout: a client that connects and stalls is disconnected
@@ -431,8 +426,8 @@ func TestIdleTimeout(t *testing.T) {
 	}{
 		{"silent from the start", func(*rawConn) {}},
 		{"stalls mid-stream", func(rc *rawConn) {
-			rc.send(frameHello, helloPayload(64))
-			rc.send(frameUpdates, encodeUpdates([]stream.Update{{Index: 3, Delta: 2}}))
+			rc.send(frames.Open, frames.EncodeOpen("stalled", 64))
+			rc.send(frames.Updates, frames.EncodeUpdates([]stream.Update{{Index: 3, Delta: 2}}))
 		}},
 	}
 	for _, tc := range cases {
@@ -444,7 +439,7 @@ func TestIdleTimeout(t *testing.T) {
 			// The server abandons the connection; the client observes EOF
 			// (or a timeout error frame followed by close).
 			for {
-				if _, _, err := readFrame(rc.conn); err != nil {
+				if _, _, err := frames.ReadFrame(rc.conn); err != nil {
 					break
 				}
 			}
@@ -468,9 +463,6 @@ func TestIdleTimeoutDoesNotKillActiveClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if err := client.Hello(u); err != nil {
-		t.Fatal(err)
-	}
 	proto, err := core.NewSelfJoinSize(f61, u)
 	if err != nil {
 		t.Fatal(err)
@@ -481,37 +473,39 @@ func TestIdleTimeoutDoesNotKillActiveClients(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := client.SendUpdates(ups); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.EndStream(); err != nil {
-		t.Fatal(err)
-	}
+	openFresh(t, client, u, ups)
 	if _, err := client.Query(QuerySelfJoinSize, QueryParams{}, v); err != nil {
 		t.Fatalf("active client killed by idle timeout: %v", err)
 	}
 }
 
-// TestDishonestServerRejectedV2Unaffected: the Corrupt hook only touches
-// the v1 path; v2 datasets stay honest.
-func TestDishonestServerRejectedV2Unaffected(t *testing.T) {
+// TestDishonestServerRejectedSharedDataset: the Corrupt hook follows the
+// dataset, not the connection that uploaded it — a second connection
+// attaching to a shared name is lied to as well, on the hash-tree
+// prover path (built from counts) as much as the sum-check one, and its
+// verifier rejects.
+func TestDishonestServerRejectedSharedDataset(t *testing.T) {
 	addr, stop := startServerOpts(t, &Server{F: f61, Corrupt: dropOneItem})
 	defer stop()
 
 	const u = 256
-	ups := stream.UniformDeltas(u, 50, field.NewSplitMix64(97))
+	ups := stream.UnitIncrements(u, 400, field.NewSplitMix64(97))
+	uploader, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uploader.Close()
+	name := openFresh(t, uploader, u, ups)
+
 	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.OpenDataset("honest", u); err != nil {
-		t.Fatal(err)
+	if n, err := client.OpenDataset(name, u); err != nil || int(n) != len(ups) {
+		t.Fatalf("attach to the shared dataset: %d updates, err %v", n, err)
 	}
-	if _, err := client.Ingest(ups); err != nil {
-		t.Fatal(err)
-	}
-	proto, err := core.NewSelfJoinSize(f61, u)
+	proto, err := core.NewRangeQuery(f61, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,24 +515,23 @@ func TestDishonestServerRejectedV2Unaffected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := client.Query(QuerySelfJoinSize, QueryParams{}, v); err != nil {
-		t.Fatalf("v2 query on a Corrupt-configured server rejected: %v", err)
+	if err := v.SetQuery(0, u-1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Query(QueryRangeQuery, QueryParams{A: 0, B: u - 1}, v); !errors.Is(err, core.ErrRejected) {
+		t.Fatalf("range query over a doctored shared dataset not rejected: %v", err)
 	}
 }
 
-// TestUniverseCap: the server refuses hello/open universes past its cap
+// TestUniverseCap: the server refuses open universes past its cap
 // before allocating anything.
 func TestUniverseCap(t *testing.T) {
 	addr, stop := startServerOpts(t, &Server{F: f61, MaxUniverse: 1 << 12})
 	defer stop()
 
 	rc := dialRaw(t, addr)
-	rc.send(frameOpen, encodeOpen("big", 1<<13))
+	rc.send(frames.Open, frames.EncodeOpen("big", 1<<13))
 	rc.expectError("open past the universe cap")
-
-	rc = dialRaw(t, addr)
-	rc.send(frameHello, helloPayload(1<<13))
-	rc.expectError("hello past the universe cap")
 
 	// At the cap is fine.
 	c, err := Dial(addr)
@@ -548,129 +541,5 @@ func TestUniverseCap(t *testing.T) {
 	defer c.Close()
 	if _, err := c.OpenDataset("ok", 1<<12); err != nil {
 		t.Fatalf("open at the cap refused: %v", err)
-	}
-}
-
-// TestClientModeGuards: mixing the v1 and v2 flows on one connection
-// fails fast client-side instead of desynchronizing the framing.
-func TestClientModeGuards(t *testing.T) {
-	addr, stop := startServerOpts(t, &Server{F: f61})
-	defer stop()
-
-	v1, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	if err := v1.Hello(64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v1.Ingest([]stream.Update{{Index: 1, Delta: 1}}); err == nil {
-		t.Error("Ingest on a v1 connection did not fail fast")
-	}
-	if _, err := v1.OpenDataset("d", 64); err == nil {
-		t.Error("OpenDataset on a v1 connection did not fail fast")
-	}
-
-	v2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	if _, err := v2.OpenDataset("d", 64); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.SendUpdates([]stream.Update{{Index: 1, Delta: 1}}); err == nil {
-		t.Error("SendUpdates on a v2 connection did not fail fast")
-	}
-	if err := v2.EndStream(); err == nil {
-		t.Error("EndStream on a v2 connection did not fail fast")
-	}
-	if err := v2.Hello(64); err == nil {
-		t.Error("Hello on a v2 connection did not fail fast")
-	}
-	if err := v2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.SendUpdates(nil); err == nil {
-		t.Error("SendUpdates before Hello did not fail fast")
-	}
-}
-
-// TestPrivateDatasetSlotLimit: v1 private datasets are capped across
-// concurrent connections, and slots are returned when connections close.
-func TestPrivateDatasetSlotLimit(t *testing.T) {
-	addr, stop := startServerOpts(t, &Server{F: f61, MaxPrivateDatasets: 1})
-	defer stop()
-
-	first, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := first.Hello(64); err != nil {
-		t.Fatal(err)
-	}
-	// Confirm the hello was processed before racing the second one.
-	if err := first.SendUpdates([]stream.Update{{Index: 1, Delta: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := first.EndStream(); err != nil {
-		t.Fatal(err)
-	}
-	proto, err := core.NewSelfJoinSize(f61, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := proto.NewVerifier(field.NewSplitMix64(1))
-	if err := v.Observe(stream.Update{Index: 1, Delta: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := first.Query(QuerySelfJoinSize, QueryParams{}, v); err != nil {
-		t.Fatal(err)
-	}
-
-	// Exhaustion is "server full", not a protocol violation: the refusal
-	// travels as a budget frame and types as ErrBudget client-side.
-	rc := dialRaw(t, addr)
-	rc.send(frameHello, helloPayload(64))
-	rc.expectBudget("second private dataset past the cap")
-	over, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := over.Hello(64); !errors.Is(err, ErrBudget) {
-		t.Fatalf("over-cap Hello = %v, want wire.ErrBudget", err)
-	}
-	over.Close()
-
-	// Freeing the slot admits a new connection. The release runs as the
-	// handler unwinds after Close, so poll until a full v1 session
-	// succeeds again.
-	first.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = func() error {
-			defer c.Close()
-			if err := c.Hello(64); err != nil {
-				return err
-			}
-			if err := c.EndStream(); err != nil {
-				return err
-			}
-			v := proto.NewVerifier(field.NewSplitMix64(2))
-			_, err := c.Query(QuerySelfJoinSize, QueryParams{}, v)
-			return err
-		}()
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("slot never released: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

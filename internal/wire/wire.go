@@ -9,36 +9,31 @@
 // data to the cloud", after which each query costs the owner a
 // logarithmic-size conversation.
 //
-// Two client flows share one framing:
+// There is one client flow: open <name> attaches the connection to a
+// named dataset shared through the server's engine, after which update
+// batches and query conversations interleave freely. Any number of
+// connections ingest into and query the same dataset concurrently; each
+// query proves against an immutable snapshot taken when the query frame
+// arrives, and ingestion continues meanwhile. Updates are folded into
+// maintained state as each batch arrives — the server never stores the
+// raw stream and never replays it, however many queries follow — and
+// each batch is acknowledged with the dataset's new update count, so
+// cooperating uploaders can sequence their work. A dataset nobody else
+// should reach is simply one whose name the client draws unguessably at
+// random; the server has no separate notion of a private dataset, and
+// MaxDatasets + MemBudget govern every dataset alike.
 //
-//   - v1 (hello → ok → updates → end-stream → queries): a private,
-//     per-connection dataset, charged against the engine's Σ memory
-//     budget for the connection's lifetime (the hello is acknowledged
-//     once the tables are admitted, or refused with a budget frame).
-//     Updates are folded into maintained state as each batch arrives —
-//     the server never stores the raw stream and never replays it,
-//     however many queries follow.
-//   - v2 (open <name> → updates/queries freely interleaved): a named
-//     dataset shared through the server's engine. Any number of
-//     connections ingest into and query the same dataset concurrently;
-//     each query proves against an immutable snapshot taken when the
-//     query frame arrives, and ingestion continues meanwhile. Each v2
-//     update batch is acknowledged with the dataset's new update count,
-//     so cooperating uploaders can sequence their work.
-//
-// Both flows share the multiplexed conversation revision: after attach,
-// each query conversation runs on its own channel id in its own server
+// Every query conversation runs on its own channel id in its own server
 // goroutine against its own immutable snapshot, so one connection holds
 // any number of overlapped conversations while ingestion keeps flowing
 // between their frames (see mux.go and Client.QueryAsync).
 //
 // # Layering
 //
-// The package is split into layers, bottom up (see also seam.go):
+// The package is split into layers, bottom up:
 //
 //	frames (internal/wire/frames)  codec: framing + payload layouts
-//	codec.go                       unexported aliases onto frames
-//	seam.go                        FlowState + ChannelPins + re-exports
+//	seam.go                        FlowState + ChannelPins
 //	server.go, mux.go, proof.go    the prover service
 //	client.go, mux.go, proof.go    the verifier client
 //
@@ -47,15 +42,15 @@
 // routing table. The server, the client, and the shard router
 // (internal/shard) are all built from those three pieces, so a proxy
 // between a client and a server enforces exactly the rules the server
-// would. Only internal/wire/... imports frames directly — everything
-// else goes through the exported seam (enforced by a frames test and
-// CI).
+// would. Only internal/wire/... and internal/shard import frames
+// (enforced by a frames test).
 package wire
 
 import (
 	"errors"
 
 	"repro/internal/engine"
+	"repro/internal/wire/frames"
 )
 
 // QueryKind enumerates the queries the server answers; the values live in
@@ -92,13 +87,6 @@ const DefaultMaxUniverse = 1 << 26
 // to choose a different policy.
 const DefaultMaxDatasets = 1024
 
-// DefaultMaxPrivateDatasets caps how many v1 connections may hold a
-// private dataset simultaneously. The primary defense against v1 memory
-// exhaustion is the engine's Σ-byte budget (Server.MemBudget), which
-// every hello is charged against; the count cap remains as a blunt
-// connection-level backstop for servers running without a budget.
-const DefaultMaxPrivateDatasets = 32
-
 // DefaultMaxConcurrentQueries caps the multiplexed query conversations
 // in flight on one connection when Server.MaxConcurrentQueries is zero.
 // Each conversation pins one goroutine and one prover session (O(u)
@@ -111,6 +99,11 @@ const DefaultMaxConcurrentQueries = 64
 // "server full, retry later or elsewhere" from a protocol violation
 // with errors.Is(err, wire.ErrBudget).
 var ErrBudget = engine.ErrBudget
+
+// ErrProtocol reports a malformed or unexpected frame. It is the
+// canonical instance from the codec layer, so errors.Is matches on both
+// sides of a proxy.
+var ErrProtocol = frames.ErrProtocol
 
 // ErrServerClosed is returned by Server.Serve after Server.Close,
 // mirroring net/http.ErrServerClosed: an intentional shutdown is not a

@@ -2,12 +2,16 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/field"
+	"repro/internal/fs"
 	"repro/internal/stream"
+	"repro/internal/wire/frames"
 )
 
 var f61 = field.Mersenne()
@@ -42,6 +46,25 @@ func startServer(t *testing.T, corrupt func([]int64) []int64) (string, func()) {
 	return ln.Addr().String(), func() { _ = srv.Close() }
 }
 
+var freshSeq atomic.Uint64
+
+// openFresh is the "upload, then query" preamble: it attaches c to a
+// dataset no other test (or earlier call) has touched, ingests ups into
+// it, and returns the name.
+func openFresh(t testing.TB, c *Client, u uint64, ups []stream.Update) string {
+	t.Helper()
+	name := fmt.Sprintf("%s#%d", t.Name(), freshSeq.Add(1))
+	if n, err := c.OpenDataset(name, u); err != nil || n != 0 {
+		t.Fatalf("open of fresh dataset %q: %d updates, err %v", name, n, err)
+	}
+	if len(ups) > 0 {
+		if _, err := c.Ingest(ups); err != nil {
+			t.Fatalf("ingest into %q: %v", name, err)
+		}
+	}
+	return name
+}
+
 func TestMsgRoundTrip(t *testing.T) {
 	cases := []core.Msg{
 		{},
@@ -50,7 +73,7 @@ func TestMsgRoundTrip(t *testing.T) {
 		{Ints: []uint64{9}, Elems: []field.Elem{10, 11, 12}},
 	}
 	for _, m := range cases {
-		got, err := decodeMsg(encodeMsg(m))
+		got, err := frames.DecodeMsg(frames.EncodeMsg(m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,23 +91,23 @@ func TestMsgRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := decodeMsg([]byte{1, 2, 3}); err == nil {
+	if _, err := frames.DecodeMsg([]byte{1, 2, 3}); err == nil {
 		t.Error("short message accepted")
 	}
-	if _, err := decodeMsg(append(encodeMsg(core.Msg{Ints: []uint64{1}}), 0)); err == nil {
+	if _, err := frames.DecodeMsg(append(frames.EncodeMsg(core.Msg{Ints: []uint64{1}}), 0)); err == nil {
 		t.Error("oversized message accepted")
 	}
 }
 
 func TestQueryRoundTrip(t *testing.T) {
-	kind, params, err := decodeQuery(encodeQuery(QueryHeavyHitters, QueryParams{A: 5, B: 9, K: -2, Phi: 0.125}))
+	kind, params, err := frames.DecodeQuery(frames.EncodeQuery(QueryHeavyHitters, QueryParams{A: 5, B: 9, K: -2, Phi: 0.125}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kind != QueryHeavyHitters || params.A != 5 || params.B != 9 || params.K != -2 || params.Phi != 0.125 {
 		t.Fatalf("roundtrip = %v %+v", kind, params)
 	}
-	if _, _, err := decodeQuery([]byte{1}); err == nil {
+	if _, _, err := frames.DecodeQuery([]byte{1}); err == nil {
 		t.Error("short query accepted")
 	}
 }
@@ -104,9 +127,6 @@ func TestEndToEndQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if err := client.Hello(u); err != nil {
-		t.Fatal(err)
-	}
 
 	// Local verifiers are created before the upload (they must see the
 	// stream) — one per query we plan to ask.
@@ -137,12 +157,7 @@ func TestEndToEndQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := client.SendUpdates(ups); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.EndStream(); err != nil {
-		t.Fatal(err)
-	}
+	openFresh(t, client, u, ups)
 
 	// F2 over the wire.
 	if _, err := client.Query(QuerySelfJoinSize, QueryParams{}, f2v); err != nil {
@@ -206,7 +221,9 @@ func TestEndToEndQueries(t *testing.T) {
 
 // TestDishonestServerRejected: a cloud that silently loses an item from
 // its maintained counts is caught by the client's verifier over the
-// wire.
+// wire, on an ordinary named dataset — interactively, and when it posts
+// a Fiat–Shamir proof recorded over the doctored counts (the proof's
+// binding is honest, so the offline verifier is what rejects it).
 func TestDishonestServerRejected(t *testing.T) {
 	addr, stop := startServer(t, dropOneItem)
 	defer stop()
@@ -218,9 +235,7 @@ func TestDishonestServerRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if err := client.Hello(u); err != nil {
-		t.Fatal(err)
-	}
+	client.FieldModulus = f61.Modulus()
 	proto, err := core.NewSelfJoinSize(f61, u)
 	if err != nil {
 		t.Fatal(err)
@@ -231,14 +246,15 @@ func TestDishonestServerRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := client.SendUpdates(ups); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.EndStream(); err != nil {
-		t.Fatal(err)
-	}
+	openFresh(t, client, u, ups)
 	if _, err := client.Query(QuerySelfJoinSize, QueryParams{}, v); !errors.Is(err, core.ErrRejected) {
-		t.Fatalf("dishonest cloud not rejected: %v", err)
+		t.Fatalf("dishonest cloud not rejected interactively: %v", err)
+	}
+	_, _, err = client.QueryCached(QuerySelfJoinSize, QueryParams{}, 0, func(b fs.Binding) (core.VerifierSession, error) {
+		return streamedVerifier(t, b, QuerySelfJoinSize, QueryParams{}, ups), nil
+	})
+	if !errors.Is(err, core.ErrRejected) {
+		t.Fatalf("dishonest cloud's posted proof not rejected offline: %v", err)
 	}
 }
 

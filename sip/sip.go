@@ -104,10 +104,6 @@
 // of one dataset's eviction or rehydration never blocks operations on
 // any other — a fleet of datasets thrashing through a tight budget
 // overlaps its transitions instead of queueing them behind one lock.
-// The budget also governs state outside the registry:
-// Engine.AdmitBytes / Engine.ReleaseBytes reserve and return budget
-// bytes for caller-managed tables (the wire server charges every v1
-// private dataset this way for the connection's lifetime).
 //
 // For production the verifier's randomness must come from
 // sip.NewCryptoRNG(); deterministic seeds are for tests and experiments.
@@ -167,11 +163,9 @@ type TamperedProver = core.TamperedProver
 // ErrRejected is returned (wrapped) whenever a verifier refuses a proof.
 var ErrRejected = core.ErrRejected
 
-// ErrBudget is returned (wrapped) when admitting a dataset's tables —
-// or an AdmitBytes reservation, such as the wire server makes for each
-// v1 private dataset — would exceed the engine's memory budget
-// (Engine.SetBudget) and evicting least-recently-used datasets could
-// not make room.
+// ErrBudget is returned (wrapped) when admitting a dataset's tables
+// would exceed the engine's memory budget (Engine.SetBudget) and
+// evicting least-recently-used datasets could not make room.
 var ErrBudget = engine.ErrBudget
 
 // Mersenne returns the default field Z_p with p = 2^61 - 1, the modulus
