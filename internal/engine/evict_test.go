@@ -354,6 +354,17 @@ func TestCheckpointerAccumulatesFailures(t *testing.T) {
 		}
 	}
 	waitForFile(bFile)
+	// b's file can appear while that tick is still inside Persist, before
+	// it has tried "a" or recorded the failure. Dirty b once more and wait
+	// for its file again: the tick that writes it started after the first
+	// one returned, so a's failure is on record before "a" is unblocked.
+	if err := os.Remove(filepath.Join(dir, bFile)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Ingest(stream.UnitIncrements(evictU, 5, field.NewSplitMix64(74))); err != nil {
+		t.Fatal(err)
+	}
+	waitForFile(bFile)
 	// Phase 2: unblock "a", block "b"'s *next* save, dirty both. a's
 	// file appearing proves a later tick ran clean on "a" while failing
 	// on "b" — so with last-failure-only retention, a's earlier failure

@@ -28,7 +28,7 @@
 //
 // This package exists as the Theorem-3 baseline: §3's Remarks observe
 // that the specialized F2 protocol is a quadratic improvement
-// ((log u, log u) vs (log² u, log² u)); the gkrbench package measures
+// ((log u, log u) vs (log² u, log² u)); harness.CompareF2 measures
 // exactly that gap.
 package gkr
 

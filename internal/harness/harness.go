@@ -8,6 +8,8 @@
 //	Fig 3(b): SUB-VECTOR space and communication
 //	in-text : tamper-rejection suite, proof-check time, IPv6 extrapolation
 //	ablation: ℓ/d branching-factor trade-off (§3.1 footnote 1)
+//	ablation: native F2 vs GKR over the F2 circuit (§3 Remarks)
+//	§6.2    : frequency-based functions (F0)
 //
 // Timing methodology: the verifier's stream pass, the prover's proof
 // generation, and the verifier's checking are timed separately by
@@ -21,9 +23,11 @@ import (
 	"time"
 
 	"repro/internal/ccm"
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/field"
+	"repro/internal/gkr"
 	"repro/internal/lde"
 	"repro/internal/stream"
 )
@@ -258,189 +262,6 @@ func rate(n int, d time.Duration) float64 {
 		return 0
 	}
 	return float64(n) / d.Seconds()
-}
-
-// ---------------------------------------------------------------------
-// Amortization experiment (ingest once, prove many)
-//
-// The dataset engine's pitch is that the prover's stream pass is paid
-// once, not per query. This experiment measures it: the per-query setup
-// cost of the old stream-replay path versus constructing provers from a
-// maintained dataset snapshot, with the conversation cost (identical
-// transcripts either way) reported separately.
-
-// AmortizedRow is one data point of the ingest-once/prove-many
-// experiment.
-type AmortizedRow struct {
-	U       uint64
-	N       uint64
-	Queries int
-	// IngestOnce is the one-time cost of folding the stream into the
-	// dataset's maintained state (batched).
-	IngestOnce time.Duration
-	// ReplaySetup is the per-query prover construction cost of the old
-	// path: a fresh session fed the whole stream through Observe.
-	ReplaySetup time.Duration
-	// SnapshotSetup is the per-query construction cost from a dataset
-	// snapshot, averaged over all queries (no stream is replayed).
-	SnapshotSetup time.Duration
-	// ProveTime is the mean per-query conversation cost of the snapshot
-	// provers (the same work the replay provers do once constructed).
-	ProveTime time.Duration
-	Accepted  bool
-}
-
-// AmortizedF2 ingests a unit-increment stream of length n over [0, u)
-// into a dataset once, then runs the F2 query `queries` times from
-// snapshots, verifying each conversation. It also measures the replay
-// baseline a per-query rebuild would pay. workers is the prover fan-out.
-func AmortizedF2(f field.Field, u uint64, n, queries int, seed uint64, workers int) (AmortizedRow, error) {
-	row := AmortizedRow{U: u, N: uint64(n), Queries: queries}
-	if queries < 1 {
-		return row, fmt.Errorf("harness: need at least one query")
-	}
-	ups := stream.UnitIncrements(u, n, field.NewSplitMix64(seed))
-
-	proto, err := core.NewSelfJoinSize(f, u)
-	if err != nil {
-		return row, err
-	}
-	proto.Workers = workers
-
-	// Replay baseline: what every query used to cost before proving began.
-	t0 := time.Now()
-	replay := proto.NewProver()
-	for _, up := range ups {
-		if err := replay.Observe(up); err != nil {
-			return row, err
-		}
-	}
-	row.ReplaySetup = time.Since(t0)
-
-	// Ingest once into the dataset.
-	ds, err := engine.NewDataset(f, u, workers)
-	if err != nil {
-		return row, err
-	}
-	t0 = time.Now()
-	if err := ds.Ingest(ups); err != nil {
-		return row, err
-	}
-	row.IngestOnce = time.Since(t0)
-
-	// N queries, each a fresh snapshot prover (snapshots are O(1) between
-	// ingests; construction borrows the maintained table).
-	var setup, prove time.Duration
-	for q := 0; q < queries; q++ {
-		v := proto.NewVerifier(field.NewSplitMix64(seed + 1 + uint64(q)))
-		if err := v.ObserveBatch(ups, workers); err != nil {
-			return row, err
-		}
-		t0 = time.Now()
-		p, err := ds.Snapshot().NewProver(engine.QuerySelfJoinSize, engine.QueryParams{})
-		if err != nil {
-			return row, err
-		}
-		setup += time.Since(t0)
-		tp := &timedProver{inner: p}
-		if _, err := core.Run(tp, v); err != nil {
-			return row, err
-		}
-		prove += tp.elapsed
-	}
-	row.SnapshotSetup = setup / time.Duration(queries)
-	row.ProveTime = prove / time.Duration(queries)
-	row.Accepted = true
-	return row, nil
-}
-
-// ---------------------------------------------------------------------
-// Durability: what eviction costs a query. A dataset under a one-dataset
-// memory budget is forced to disk and back; the cold query pays the
-// checkpoint load + field-image rebuild, the warm query only the O(1)
-// snapshot + prover construction.
-
-// ColdWarmRow is one data point of the cold-vs-warm query experiment.
-type ColdWarmRow struct {
-	U          uint64
-	N          uint64
-	IngestOnce time.Duration // one-time batch ingestion
-	ColdSetup  time.Duration // rehydrate from checkpoint + prover construction
-	WarmSetup  time.Duration // resident snapshot + prover construction
-	ProveCold  time.Duration // conversation time against the rehydrated tables
-	ProveWarm  time.Duration // conversation time against resident tables
-	Accepted   bool          // both conversations verified
-}
-
-// ColdWarmF2 ingests a unit-increment stream of length n over [0, u)
-// into a budgeted, durable engine rooted at dir, evicts the dataset by
-// admitting a decoy, then times an F2 query cold (transparent
-// rehydration) and warm (already resident). Transcripts are identical
-// either way; only setup latency differs.
-func ColdWarmF2(f field.Field, u uint64, n int, seed uint64, workers int, dir string) (ColdWarmRow, error) {
-	row := ColdWarmRow{U: u, N: uint64(n)}
-	params, err := lde.ParamsForUniverse(u, 2)
-	if err != nil {
-		return row, err
-	}
-	eng := engine.New(f, workers)
-	if err := eng.SetDataDir(dir); err != nil {
-		return row, err
-	}
-	eng.SetBudget(int64(params.U) * 16) // exactly one resident dataset
-
-	ups := stream.UnitIncrements(u, n, field.NewSplitMix64(seed))
-	hot, err := eng.Open("hot", u)
-	if err != nil {
-		return row, err
-	}
-	t0 := time.Now()
-	if err := hot.Ingest(ups); err != nil {
-		return row, err
-	}
-	row.IngestOnce = time.Since(t0)
-	if _, err := eng.Open("decoy", u); err != nil { // evicts "hot"
-		return row, err
-	}
-	if hot.Resident() {
-		return row, fmt.Errorf("harness: decoy admission did not evict the dataset")
-	}
-
-	proto, err := core.NewSelfJoinSize(f, u)
-	if err != nil {
-		return row, err
-	}
-	proto.Workers = workers
-	query := func(vSeed uint64) (setup, prove time.Duration, err error) {
-		v := proto.NewVerifier(field.NewSplitMix64(vSeed))
-		if err := v.ObserveBatch(ups, workers); err != nil {
-			return 0, 0, err
-		}
-		t0 := time.Now()
-		snap, err := hot.SnapshotErr()
-		if err != nil {
-			return 0, 0, err
-		}
-		p, err := snap.NewProver(engine.QuerySelfJoinSize, engine.QueryParams{})
-		if err != nil {
-			return 0, 0, err
-		}
-		setup = time.Since(t0)
-		tp := &timedProver{inner: p}
-		if _, err := core.Run(tp, v); err != nil {
-			return 0, 0, err
-		}
-		return setup, tp.elapsed, nil
-	}
-	if row.ColdSetup, row.ProveCold, err = query(seed + 1); err != nil {
-		return row, err
-	}
-	// The dataset is resident now; the second query is warm.
-	if row.WarmSetup, row.ProveWarm, err = query(seed + 2); err != nil {
-		return row, err
-	}
-	row.Accepted = true
-	return row, nil
 }
 
 // ---------------------------------------------------------------------
@@ -772,6 +593,105 @@ func BranchingSweep(f field.Field, u uint64, ells []int, seed uint64) ([]Branchi
 		}
 	}
 	return out, nil
+}
+
+// ---------------------------------------------------------------------
+// GKR-vs-native ablation (§3 Remarks)
+
+// CompareRow is one protocol's cost on the ablation's shared workload.
+type CompareRow struct {
+	Protocol  string // "native" or "gkr"
+	CommWords int
+	Rounds    int
+	ProveTime time.Duration
+	CheckTime time.Duration
+	Accepted  bool
+}
+
+// CompareF2 runs the specialized (log u, log u) F2 protocol and the
+// general Theorem-3 construction (GKR over the F2 circuit, which costs
+// (log² u, log² u)) on the same uniform stream over a universe of size u
+// (a power of two) and returns both cost rows. Both must accept and agree
+// on the answer. The GKR prover is engine-backed: it borrows the
+// dataset's maintained element table exactly as a server answering a
+// CIRCUIT query would.
+func CompareF2(f field.Field, u uint64, seed uint64) (native, gkrRow CompareRow, err error) {
+	ups := stream.UniformDeltas(u, 100, field.NewSplitMix64(seed))
+
+	proto, err := core.NewSelfJoinSize(f, u)
+	if err != nil {
+		return native, gkrRow, err
+	}
+	v := proto.NewVerifier(field.NewSplitMix64(seed + 1))
+	p := proto.NewProver()
+	for _, up := range ups {
+		if err := v.Observe(up); err != nil {
+			return native, gkrRow, err
+		}
+		if err := p.Observe(up); err != nil {
+			return native, gkrRow, err
+		}
+	}
+	tp, tv := &timedProver{inner: p}, &timedVerifier{inner: v}
+	stats, err := core.Run(tp, tv)
+	if err != nil {
+		return native, gkrRow, err
+	}
+	nativeResult, err := v.Result()
+	if err != nil {
+		return native, gkrRow, err
+	}
+	native = CompareRow{
+		Protocol:  "native",
+		CommWords: stats.CommWords(),
+		Rounds:    stats.Rounds,
+		ProveTime: tp.elapsed,
+		CheckTime: tv.elapsed,
+		Accepted:  true,
+	}
+
+	spec := circuit.Spec{Name: circuit.FamilyF2}
+	ds, err := engine.NewDataset(f, u, 1)
+	if err != nil {
+		return native, gkrRow, err
+	}
+	if err := ds.Ingest(ups); err != nil {
+		return native, gkrRow, err
+	}
+	gv, err := gkr.NewVerifierFor(f, spec, u, field.NewSplitMix64(seed+2))
+	if err != nil {
+		return native, gkrRow, err
+	}
+	for _, up := range ups {
+		if err := gv.Observe(up); err != nil {
+			return native, gkrRow, err
+		}
+	}
+	gp, err := ds.Snapshot().NewProver(engine.QueryCircuit, engine.QueryParams{Circuit: spec.Name, A: spec.Arg})
+	if err != nil {
+		return native, gkrRow, err
+	}
+	tp, tv = &timedProver{inner: gp}, &timedVerifier{inner: gv}
+	if _, err := core.Run(tp, tv); err != nil {
+		return native, gkrRow, err
+	}
+	gkrResult, err := gv.Output()
+	if err != nil {
+		return native, gkrRow, err
+	}
+	if gkrResult != nativeResult {
+		return native, gkrRow, fmt.Errorf("harness: protocols disagree on F2: native %d, gkr %d", nativeResult, gkrResult)
+	}
+	gstats := gv.Stats()
+	gkrRow = CompareRow{
+		Protocol:  "gkr",
+		CommWords: gstats.CommWords,
+		Rounds:    gstats.Rounds,
+		ProveTime: tp.elapsed,
+		CheckTime: tv.elapsed,
+		Accepted:  true,
+	}
+	return native, gkrRow, nil
 }
 
 // ---------------------------------------------------------------------

@@ -173,37 +173,27 @@ func TestIPv6Extrapolate(t *testing.T) {
 	}
 }
 
-func TestAmortizedF2(t *testing.T) {
-	row, err := AmortizedF2(f61, 1<<10, 1<<12, 3, 55, 0)
-	if err != nil {
-		t.Fatalf("amortized run errored: %v", err)
+// TestCompareF2 checks that both protocols accept, agree, and exhibit the
+// §3-Remarks cost ordering: GKR strictly more communication and rounds.
+func TestCompareF2(t *testing.T) {
+	var prevRatio float64
+	for _, logu := range []int{3, 5, 7} {
+		native, gkrRow, err := CompareF2(f61, uint64(1)<<logu, 77)
+		if err != nil {
+			t.Fatalf("u=2^%d: %v", logu, err)
+		}
+		if !native.Accepted || !gkrRow.Accepted {
+			t.Fatalf("u=2^%d: a protocol did not accept", logu)
+		}
+		if gkrRow.CommWords <= native.CommWords || gkrRow.Rounds <= native.Rounds {
+			t.Fatalf("u=2^%d: GKR (%d words, %d rounds) not above native (%d, %d)",
+				logu, gkrRow.CommWords, gkrRow.Rounds, native.CommWords, native.Rounds)
+		}
+		// The quadratic gap: the ratio must grow with log u.
+		ratio := float64(gkrRow.CommWords) / float64(native.CommWords)
+		if ratio <= prevRatio {
+			t.Fatalf("u=2^%d: comm ratio %.2f did not grow (prev %.2f)", logu, ratio, prevRatio)
+		}
+		prevRatio = ratio
 	}
-	if !row.Accepted {
-		t.Fatal("honest run not accepted")
-	}
-	if row.Queries != 3 || row.N != 1<<12 {
-		t.Errorf("row = %+v", row)
-	}
-	if row.SnapshotSetup <= 0 || row.ReplaySetup <= 0 || row.IngestOnce <= 0 {
-		t.Errorf("missing timings: %+v", row)
-	}
-	if _, err := AmortizedF2(f61, 1<<10, 1<<12, 0, 55, 0); err == nil {
-		t.Error("zero queries accepted")
-	}
-}
-
-func TestColdWarmF2(t *testing.T) {
-	row, err := ColdWarmF2(f61, 1<<10, 1<<12, 56, 0, t.TempDir())
-	if err != nil {
-		t.Fatalf("cold/warm run errored: %v", err)
-	}
-	if !row.Accepted {
-		t.Fatal("honest run not accepted")
-	}
-	if row.ColdSetup <= 0 || row.WarmSetup <= 0 || row.IngestOnce <= 0 {
-		t.Errorf("missing timings: %+v", row)
-	}
-	// The cold query pays the checkpoint load; timing assertions beyond
-	// positivity would flake, but the transcripts' acceptance above is
-	// the correctness contract.
 }

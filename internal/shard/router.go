@@ -47,9 +47,9 @@ type Router struct {
 	DialRetryBudget time.Duration
 	// TablePath, when set, is where Rebalance persists the flipped route
 	// so it survives a router restart. A serving router also watches the
-	// file: place() reloads it when its mtime changes, so a route flipped
-	// by a separate process (`siprouter -rebalance`) takes effect without
-	// restarting the router.
+	// file: resolve reloads it (maybeReloadTable) when its mtime changes,
+	// so a route flipped by a separate process (`siprouter -rebalance`)
+	// takes effect without restarting the router.
 	TablePath string
 	// Field is the prime field the shards compute in. Only the
 	// split-universe fold needs it (the byte-forwarding paths are
@@ -274,31 +274,6 @@ func (r *Router) maybeReloadTable() {
 	r.tableMTime = fi.ModTime()
 }
 
-// place resolves a dataset's shard against the current table, waiting
-// out an in-flight migration of that dataset first — an OPEN that races
-// a rebalance attaches to the new home, never to the released source.
-func (r *Router) place(dataset string) (ShardInfo, error) {
-	r.maybeReloadTable()
-	for {
-		ch := r.migrationGate(dataset)
-		if ch == nil {
-			break
-		}
-		gateTimeout := r.IdleTimeout
-		if gateTimeout <= 0 {
-			gateTimeout = time.Minute
-		}
-		select {
-		case <-ch:
-		case <-time.After(gateTimeout):
-			return ShardInfo{}, fmt.Errorf("shard: dataset %q is mid-migration and did not settle within %v", dataset, gateTimeout)
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.table.Place(dataset)
-}
-
 // splitPlacement is a resolved split dataset: its slice count and the
 // owner shard of each slice, in slice order.
 type splitPlacement struct {
@@ -306,9 +281,11 @@ type splitPlacement struct {
 	owners []ShardInfo
 }
 
-// resolve is the split-aware placement: it waits out a migration of the
-// dataset like place, then reports either the single owning shard or
-// the dataset's split placement.
+// resolve places a dataset against the current table: it reloads a
+// changed table file, waits out an in-flight migration of the dataset —
+// an OPEN that races a rebalance attaches to the new home, never to the
+// released source — then reports either the single owning shard or the
+// dataset's split placement.
 func (r *Router) resolve(dataset string) (ShardInfo, *splitPlacement, error) {
 	r.maybeReloadTable()
 	for {

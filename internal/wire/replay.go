@@ -13,11 +13,12 @@ import (
 // BuildProver constructs the prover session for a query by replaying a
 // raw stream through the session's Observe path. The serving path never
 // does this — provers come from dataset snapshots, and even the
-// dishonest-cloud hook rewrites maintained counts — but the replay
-// construction remains as the baseline the amortization benchmarks and
-// the engine's transcript-equality tests compare against. workers is the
-// prover's parallel fan-out (0 serial, n < 0 runtime.NumCPU()); the
-// transcript is identical for every value.
+// dishonest-cloud hook rewrites maintained counts. It is the streaming
+// reference the engine's and this package's transcript-equality tests
+// compare snapshot-built provers against, and has no other caller (it
+// lives outside a _test.go file because engine's external test package
+// imports it). workers is the prover's parallel fan-out (0 serial,
+// n < 0 runtime.NumCPU()); the transcript is identical for every value.
 func BuildProver(f field.Field, u uint64, kind QueryKind, params QueryParams, ups []stream.Update, workers int) (core.ProverSession, error) {
 	observe := func(obs interface{ Observe(stream.Update) error }) error {
 		for _, up := range ups {
