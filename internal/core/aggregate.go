@@ -85,19 +85,11 @@ func (v *FkVerifier) Observe(up stream.Update) error {
 	return v.ev.Update(up.Index, up.Delta)
 }
 
-// ObserveBatch folds a batch of updates through a worker pool
-// (lde.Evaluator.BulkUpdate). The state afterwards is bit-identical to
-// observing the batch one update at a time; use it when the owner has
-// updates in hand (e.g. while uploading file chunks) rather than one by
-// one. workers follows the parallel.Workers convention.
-func (v *FkVerifier) ObserveBatch(ups []stream.Update, workers int) error {
-	idx := make([]uint64, len(ups))
-	deltas := make([]int64, len(ups))
-	for i, up := range ups {
-		idx[i], deltas[i] = up.Index, up.Delta
-	}
-	return v.ev.BulkUpdate(idx, deltas, workers)
-}
+// Challenges returns every message this verifier will send, in order:
+// the first d−1 coordinates of r (r_d never travels). They are fixed by
+// the randomness NewVerifier drew — no observed state, no prover input —
+// so a Fiat–Shamir prover can be driven with them directly.
+func (v *FkVerifier) Challenges() []Msg { return revealOneByOne(v.pt.R) }
 
 // Begin consumes the opening message [claim, g_1(0..deg)].
 func (v *FkVerifier) Begin(opening Msg) (Msg, bool, error) {
@@ -465,6 +457,10 @@ func (p *RangeSum) NewVerifier(rng field.RNG) *RangeSumVerifier {
 func (v *RangeSumVerifier) Observe(up stream.Update) error {
 	return v.ev.Update(up.Index, up.Delta)
 }
+
+// Challenges returns every message this verifier will send, in order;
+// see FkVerifier.Challenges.
+func (v *RangeSumVerifier) Challenges() []Msg { return revealOneByOne(v.pt.R) }
 
 // SetQuery fixes the range [qL, qR]; it must be called after the stream
 // and before Begin. (This is the point where a real deployment transmits

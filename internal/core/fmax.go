@@ -77,6 +77,13 @@ func (v *FmaxVerifier) Observe(up stream.Update) error {
 	return v.fb.Observe(up)
 }
 
+// Challenges returns every message this verifier will send, in order:
+// the witness sub-vector's schedule, the empty message that asks for the
+// heavy-hitter opening, then the frequency-based schedule.
+func (v *FmaxVerifier) Challenges() []Msg {
+	return append(append(v.sv.Challenges(), Msg{}), v.fb.Challenges()...)
+}
+
 // Begin consumes the opening: Ints[0] = witness index w, then the
 // embedded INDEX sub-vector opening over [w, w].
 func (v *FmaxVerifier) Begin(opening Msg) (Msg, bool, error) {

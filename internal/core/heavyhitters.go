@@ -131,6 +131,17 @@ func (v *HeavyHittersVerifier) Observe(up stream.Update) error {
 	return v.root.Update(up.Index, up.Delta)
 }
 
+// Challenges returns every message this verifier will send, in order:
+// the reveals (r_l, q_l) for levels 1..d−1. Fixed at NewVerifier,
+// independent of the stream, φ and the prover.
+func (v *HeavyHittersVerifier) Challenges() []Msg {
+	out := make([]Msg, 0, v.proto.Params.D)
+	for l := 0; l < v.proto.Params.D-1; l++ {
+		out = append(out, Msg{Elems: []field.Elem{v.h.R[l], v.h.Q[l]}})
+	}
+	return out
+}
+
 // SetQuery fixes the heaviness fraction φ ∈ (0, 1].
 func (v *HeavyHittersVerifier) SetQuery(phi float64) error {
 	if !(phi > 0 && phi <= 1) {

@@ -322,21 +322,3 @@ func (a *SplitAggregator) sum(parts []Msg, wantElems int) (Msg, error) {
 	}
 	return Msg{Elems: out}, nil
 }
-
-// ---------------------------------------------------------------------
-
-// SumcheckChallenges replicates the challenge schedule of the Fk and
-// RangeSum verifiers: both consume their RNG solely by sampling the
-// secret evaluation point, and the challenges they reveal are exactly
-// that point's coordinates in order. An aggregator generating a
-// Fiat–Shamir proof derives the schedule from the binding's RNG with
-// this function and drives the distributed conversation itself — the
-// recorded messages come out bit-identical to the single-prover proof.
-// (TestSumcheckChallengesMatchVerifier pins this equivalence.)
-func SumcheckChallenges(f field.Field, u uint64, rng field.RNG) ([]field.Elem, error) {
-	params, err := lde.ParamsForUniverse(u, 2)
-	if err != nil {
-		return nil, err
-	}
-	return lde.RandomPoint(f, params, rng).R, nil
-}

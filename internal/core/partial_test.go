@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/field"
-	"repro/internal/lde"
 	"repro/internal/stream"
 	"repro/internal/sumcheck"
 )
@@ -234,103 +233,6 @@ func TestSplitRangeSumBitIdentical(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestSumcheckChallengesMatchVerifier pins the equivalence the
-// router-side proof generator relies on: the challenge stream an
-// interactive Fk or RangeSum verifier emits equals the coordinates of
-// the point SumcheckChallenges samples from the same RNG state.
-func TestSumcheckChallengesMatchVerifier(t *testing.T) {
-	const u = 1 << 5
-	ups := stream.UniformDeltas(u, 100, field.NewSplitMix64(21))
-	table := buildElems(t, ups, u)
-	want, err := SumcheckChallenges(f61, u, field.NewSplitMix64(55))
-	if err != nil {
-		t.Fatal(err)
-	}
-	params, err := lde.ParamsForUniverse(u, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != params.D {
-		t.Fatalf("%d challenges, want %d", len(want), params.D)
-	}
-
-	collect := func(p ProverSession, v VerifierSession) []field.Elem {
-		t.Helper()
-		var got []field.Elem
-		opening, err := p.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch, done, err := v.Begin(opening)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for !done {
-			got = append(got, ch.Elems...)
-			resp, err := p.Step(ch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ch, done, err = v.Step(resp)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return got
-	}
-
-	fk, err := NewSelfJoinSize(f61, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fkP, err := fk.NewProverFromTable(table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ch := range collect(fkP, seededFkVerifier(t, fk, ups)) {
-		if ch != want[i] {
-			t.Fatalf("Fk challenge %d: %d ≠ %d", i, ch, want[i])
-		}
-	}
-
-	rs, err := NewRangeSum(f61, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsP, err := rs.NewProverFromTable(table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rsP.SetQuery(2, 30); err != nil {
-		t.Fatal(err)
-	}
-	rsV := rs.NewVerifier(field.NewSplitMix64(55))
-	for _, up := range ups {
-		if err := rsV.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rsV.SetQuery(2, 30); err != nil {
-		t.Fatal(err)
-	}
-	for i, ch := range collect(rsP, rsV) {
-		if ch != want[i] {
-			t.Fatalf("RangeSum challenge %d: %d ≠ %d", i, ch, want[i])
-		}
-	}
-}
-
-func seededFkVerifier(t *testing.T, fk *Fk, ups []stream.Update) *FkVerifier {
-	t.Helper()
-	v := fk.NewVerifier(field.NewSplitMix64(55))
-	for _, up := range ups {
-		if err := v.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return v
 }
 
 // TestSplitAggregatorVersionSkew checks the typed error on slice

@@ -213,6 +213,9 @@ func (p *Predecessor) NewVerifier(rng field.RNG) *PredecessorVerifier {
 // element's index; callers pass δ=1 updates).
 func (v *PredecessorVerifier) Observe(up stream.Update) error { return v.sv.Observe(up) }
 
+// Challenges is the embedded sub-vector conversation's schedule.
+func (v *PredecessorVerifier) Challenges() []Msg { return v.sv.Challenges() }
+
 // SetQuery fixes the query point q.
 func (v *PredecessorVerifier) SetQuery(q uint64) error {
 	if q >= v.sv.proto.Params.U {
@@ -341,6 +344,9 @@ func (p *Successor) NewVerifier(rng field.RNG) *SuccessorVerifier {
 
 // Observe folds one stream element.
 func (v *SuccessorVerifier) Observe(up stream.Update) error { return v.sv.Observe(up) }
+
+// Challenges is the embedded sub-vector conversation's schedule.
+func (v *SuccessorVerifier) Challenges() []Msg { return v.sv.Challenges() }
 
 // SetQuery fixes the query point q.
 func (v *SuccessorVerifier) SetQuery(q uint64) error {
@@ -490,6 +496,9 @@ func (p *KLargest) NewVerifier(rng field.RNG) *KLargestVerifier {
 
 // Observe folds one stream element.
 func (v *KLargestVerifier) Observe(up stream.Update) error { return v.sv.Observe(up) }
+
+// Challenges is the embedded sub-vector conversation's schedule.
+func (v *KLargestVerifier) Challenges() []Msg { return v.sv.Challenges() }
 
 // SetQuery fixes k ≥ 1.
 func (v *KLargestVerifier) SetQuery(k int) error {

@@ -73,6 +73,17 @@ type VerifierSession interface {
 	Step(response Msg) (challenge Msg, done bool, err error)
 }
 
+// revealOneByOne is the challenge schedule of a verifier that reveals
+// its pre-sampled coordinates one per round: one single-element message
+// for each of r's coordinates but the last, which never travels.
+func revealOneByOne(r []field.Elem) []Msg {
+	out := make([]Msg, 0, len(r))
+	for _, c := range r[:len(r)-1] {
+		out = append(out, Msg{Elems: []field.Elem{c}})
+	}
+	return out
+}
+
 // Stats aggregates the cost accounting of one protocol run, in the units
 // used throughout the paper's §5: words (field elements / integers) and
 // message rounds.

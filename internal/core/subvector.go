@@ -84,6 +84,12 @@ func (v *SubVectorVerifier) Observe(up stream.Update) error {
 	return v.root.Update(up.Index, up.Delta)
 }
 
+// Challenges returns every message this verifier will send, in order:
+// the level randomness r_1..r_{d-1} (r_d hashes the root and never
+// travels). Fixed at NewVerifier, independent of the stream, the query
+// and the prover.
+func (v *SubVectorVerifier) Challenges() []Msg { return revealOneByOne(v.h.R) }
+
 // SetQuery fixes the queried range [qL, qR]; it must be called after the
 // stream and before Begin.
 func (v *SubVectorVerifier) SetQuery(qL, qR uint64) error {

@@ -52,6 +52,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -122,6 +123,23 @@ func (e *Engine) SetMaxDatasets(n int) {
 	e.maxDatasets = n
 }
 
+// maxDatasetName bounds a dataset name: the posted-proof codec
+// (fs.Proof) and the wire's open frames carry its length in one byte.
+const maxDatasetName = 255
+
+// ErrDatasetName reports a dataset name the engine refuses: empty, or
+// longer than a posted proof's header can carry.
+var ErrDatasetName = errors.New("engine: dataset name must be 1..255 bytes")
+
+// checkName guards every place a name enters the engine (Open,
+// OpenSlice, Adopt).
+func checkName(name string) error {
+	if name == "" || len(name) > maxDatasetName {
+		return fmt.Errorf("%w, got %d", ErrDatasetName, len(name))
+	}
+	return nil
+}
+
 // Open returns the named dataset, creating it (over a universe of size
 // ≥ u) on first open. Re-opening attaches to the existing dataset; the
 // requested universe must match the one it was created with, since the
@@ -130,8 +148,8 @@ func (e *Engine) SetMaxDatasets(n int) {
 // memory past the budget, LRU datasets are evicted to disk first, and
 // Open fails with ErrBudget when eviction cannot make room.
 func (e *Engine) Open(name string, u uint64) (*Dataset, error) {
-	if name == "" {
-		return nil, fmt.Errorf("engine: empty dataset name")
+	if err := checkName(name); err != nil {
+		return nil, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/field"
+	"repro/internal/fs"
 	"repro/internal/gkr"
 	"repro/internal/stream"
 	"repro/internal/wire"
@@ -166,14 +168,16 @@ func newVerifier(f field.Field, u uint64, kind engine.QueryKind, p engine.QueryP
 	}
 }
 
-func allKinds() []struct {
+type kindCase struct {
 	kind   engine.QueryKind
 	params engine.QueryParams
-} {
-	return []struct {
-		kind   engine.QueryKind
-		params engine.QueryParams
-	}{
+}
+
+// circuitF2 is the GKR case the proof tests append to allKinds().
+var circuitF2 = kindCase{engine.QueryCircuit, engine.QueryParams{Circuit: "F2"}}
+
+func allKinds() []kindCase {
+	return []kindCase{
 		{engine.QuerySelfJoinSize, engine.QueryParams{}},
 		{engine.QueryFk, engine.QueryParams{K: 3}},
 		{engine.QueryRangeSum, engine.QueryParams{A: 3, B: 200}},
@@ -378,6 +382,45 @@ func TestEngineOpenAttach(t *testing.T) {
 	e.Drop("logs")
 	if _, ok := e.Get("logs"); ok {
 		t.Fatal("Drop left the dataset registered")
+	}
+}
+
+// TestDatasetNameBound: a name longer than a posted proof's one-byte
+// length field can carry is refused wherever a name enters the engine
+// (it used to be accepted and yield a proof DecodeProof rejects), and
+// the longest legal name still round-trips through the proof codec.
+func TestDatasetNameBound(t *testing.T) {
+	e := engine.New(f61, 1)
+	long := strings.Repeat("x", 256)
+	if _, err := e.Open(long, 256); !errors.Is(err, engine.ErrDatasetName) {
+		t.Fatalf("Open of a 256-byte name: %v, want ErrDatasetName", err)
+	}
+	if _, err := e.OpenSlice(long, 256, 0, 128); !errors.Is(err, engine.ErrDatasetName) {
+		t.Fatalf("OpenSlice of a 256-byte name: %v, want ErrDatasetName", err)
+	}
+	if _, err := e.Adopt(long); !errors.Is(err, engine.ErrDatasetName) {
+		t.Fatalf("Adopt of a 256-byte name: %v, want ErrDatasetName", err)
+	}
+	if _, err := e.Open("", 256); !errors.Is(err, engine.ErrDatasetName) {
+		t.Fatalf("Open of the empty name: %v, want ErrDatasetName", err)
+	}
+	ds, err := e.Open(long[:255], 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Ingest(stream.UnitIncrements(256, 50, field.NewSplitMix64(3))); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := ds.Snapshot().GenerateProof(engine.QuerySelfJoinSize, engine.QueryParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := fs.DecodeProof(pf.Encode())
+	if err != nil {
+		t.Fatalf("proof under a 255-byte name does not decode: %v", err)
+	}
+	if dec.Binding != pf.Binding {
+		t.Fatal("proof under a 255-byte name did not round-trip")
 	}
 }
 

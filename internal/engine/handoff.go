@@ -148,6 +148,9 @@ func (e *Engine) unreleaseDataset(name string, ds *Dataset, wasResident bool) {
 // registered is an error — the router flips a route only after the
 // source released, so a collision means two owners.
 func (e *Engine) Adopt(name string) (uint64, error) {
+	if err := checkName(name); err != nil {
+		return 0, err
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.dataDir == "" {

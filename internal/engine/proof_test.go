@@ -2,20 +2,24 @@ package engine_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/stream"
 )
 
 // TestGenerateProofAllKinds is the contract of the replay layer: for
-// every query kind, GenerateProof succeeds (generation self-verifies
-// against a verifier seeded from the maintained counts), and a
-// STREAMING verifier — one that observed the original stream update by
-// update, as a real client does — accepts the recorded proof under the
-// same binding. That crosschecks count-seeded and stream-fed verifier
-// fingerprints in one shot.
+// every query kind, a STREAMING verifier — one that observed the
+// original stream update by update, as a real client does — accepts the
+// proof GenerateProof recorded with no verifier in the loop, and
+// rejects, with core.ErrRejected, a proof recorded under the same
+// honest binding by a prover whose counts were doctored: a posted proof
+// meets a liar exactly as an interactive conversation does.
 func TestGenerateProofAllKinds(t *testing.T) {
 	const u = 500
 	f := field.Mersenne()
@@ -28,31 +32,132 @@ func TestGenerateProofAllKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := ds.Snapshot()
-	kinds := allKinds()
-	kinds = append(kinds, struct {
-		kind   engine.QueryKind
-		params engine.QueryParams
-	}{engine.QueryCircuit, engine.QueryParams{Circuit: "F2"}})
-	for _, tc := range kinds {
+	// The liar lost one occurrence of the most frequent item, so even
+	// Fmax's answer changes.
+	doctored := append([]int64(nil), snap.Counts()...)
+	top := 0
+	for i, c := range doctored {
+		if c > doctored[top] {
+			top = i
+		}
+	}
+	doctored[top]--
+	liar, err := engine.SnapshotFromCounts(f, u, 2, doctored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range append(allKinds(), circuitF2) {
+		b := snap.ProofBinding(tc.kind, tc.params)
+		streamed := func() core.VerifierSession {
+			v, obs, err := newVerifier(f, u, tc.kind, tc.params, b.RNG())
+			if err != nil {
+				t.Fatalf("kind %d: streaming verifier: %v", tc.kind, err)
+			}
+			for _, up := range ups {
+				if err := obs(up); err != nil {
+					t.Fatalf("kind %d: observe: %v", tc.kind, err)
+				}
+			}
+			return v
+		}
 		pf, err := snap.GenerateProof(tc.kind, tc.params)
 		if err != nil {
 			t.Fatalf("kind %d: GenerateProof: %v", tc.kind, err)
 		}
-		b := snap.ProofBinding(tc.kind, tc.params)
 		if pf.Binding != b || b.Version != 1 {
 			t.Fatalf("kind %d: proof binding %+v, want %+v at version 1", tc.kind, pf.Binding, b)
 		}
-		v, obs, err := newVerifier(f, u, tc.kind, tc.params, b.RNG())
+		if err := b.Verify(pf, streamed()); err != nil {
+			t.Fatalf("kind %d: streaming verifier rejected the posted proof: %v", tc.kind, err)
+		}
+
+		sched, err := engine.NewStreamVerifier(f, u, tc.kind, tc.params, b.RNG())
 		if err != nil {
-			t.Fatalf("kind %d: streaming verifier: %v", tc.kind, err)
+			t.Fatal(err)
+		}
+		p, err := liar.NewProver(tc.kind, tc.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lie, err := b.Record(p, sched.Challenges())
+		if err != nil {
+			t.Fatalf("kind %d: recording the liar: %v", tc.kind, err)
+		}
+		if err := b.Verify(lie, streamed()); !errors.Is(err, core.ErrRejected) {
+			t.Fatalf("kind %d: proof over doctored counts: got %v, want ErrRejected", tc.kind, err)
+		}
+	}
+}
+
+// TestChallengesMatchVerifier pins the schedule the proof generator
+// relies on: for every kind, what an unobserved verifier's Challenges()
+// announces equals, message for message, what a stream-fed verifier on
+// the same RNG says in a live conversation with the snapshot prover —
+// and Record driven by that schedule gets the prover messages of that
+// conversation.
+func TestChallengesMatchVerifier(t *testing.T) {
+	const u = 500
+	f := field.Mersenne()
+	ups := stream.UniformDeltas(u, 20, field.NewSplitMix64(42))
+	ds, err := engine.NewDataset(f, u, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Ingest(ups); err != nil {
+		t.Fatal(err)
+	}
+	snap := ds.Snapshot()
+	for _, tc := range append(allKinds(), circuitF2) {
+		unobserved, err := engine.NewStreamVerifier(f, u, tc.kind, tc.params, field.NewSplitMix64(77))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := unobserved.Challenges()
+
+		v, obs, err := newVerifier(f, u, tc.kind, tc.params, field.NewSplitMix64(77))
+		if err != nil {
+			t.Fatal(err)
 		}
 		for _, up := range ups {
 			if err := obs(up); err != nil {
-				t.Fatalf("kind %d: observe: %v", tc.kind, err)
+				t.Fatal(err)
 			}
 		}
-		if err := b.Verify(pf, v); err != nil {
-			t.Fatalf("kind %d: streaming verifier rejected the posted proof: %v", tc.kind, err)
+		p, err := snap.NewProver(tc.kind, tc.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := &recordingProver{inner: p}
+		var said []core.Msg
+		msg, err := live.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, done, err := v.Begin(msg)
+		for err == nil && !done {
+			said = append(said, ch)
+			if msg, err = live.Step(ch); err != nil {
+				break
+			}
+			ch, done, err = v.Step(msg)
+		}
+		if err != nil {
+			t.Fatalf("kind %d: live conversation: %v", tc.kind, err)
+		}
+		if err := sameMsgs(sched, said); err != nil {
+			t.Fatalf("kind %d: Challenges() vs live verifier: %v", tc.kind, err)
+		}
+
+		p2, err := snap.NewProver(tc.kind, tc.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := snap.ProofBinding(tc.kind, tc.params).Record(p2, sched)
+		if err != nil {
+			t.Fatalf("kind %d: Record: %v", tc.kind, err)
+		}
+		if err := sameMsgs(pf.Messages, live.msgs); err != nil {
+			t.Fatalf("kind %d: Record vs live prover: %v", tc.kind, err)
 		}
 	}
 }
@@ -214,5 +319,47 @@ func TestVersionSurvivesRecovery(t *testing.T) {
 	}
 	if got := ds2.Version(); got != 4 {
 		t.Fatalf("post-recovery ingest version %d, want 4", got)
+	}
+}
+
+// TestProofGolden pins the bytes of the posted proof for every query
+// kind on one fixed (stream seed, dataset name, universe): the digests
+// were generated before the count-replay generator was removed and
+// must never move without a deliberate transcript-version bump.
+func TestProofGolden(t *testing.T) {
+	const u = 500
+	golden := map[engine.QueryKind]string{
+		engine.QuerySelfJoinSize: "039e6e3cfd0db29f18abdf6053a064a8f21706ad135c2c7c60a0ccb61db08258",
+		engine.QueryFk:           "53d245e29fa6a271e2e9eb45a185a171f0e4bc056cab78be6003d0ccb6e9babd",
+		engine.QueryRangeSum:     "6cb79aaadf33554f722623fabf65b68e67b736266bf5d2ea1b17f478be8068cd",
+		engine.QueryRangeQuery:   "16de449c5607efc6a111d5461ab1ed080500bb0f6774263fa50a8805c498382a",
+		engine.QueryIndex:        "35f9ff46057fb79aafecb782b67e1990bc52ef17678cb9c6ea63087a22effaf4",
+		engine.QueryDictionary:   "45de301d1d0a4743ea81eeeba16bb7647d43578b8ec30e268a9da34e81cc8793",
+		engine.QueryPredecessor:  "cdc9746a3e05bfebce2c4d68f86963aef01adbebf32f39749d7f56aa8219fbcb",
+		engine.QuerySuccessor:    "8ab0ff3705203aae541dee6018560f9efc1297eb2f5cff022732f42f63cbbb53",
+		engine.QueryKLargest:     "f722bfa3a8eaedffbff5e7458fbf5c05069ee30b911aa3933021c0604f78b1aa",
+		engine.QueryHeavyHitters: "bf40d6ab23ef900edc8e116b1d0a3fcd202abce8d4d3f0d5f68defb594331d37",
+		engine.QueryF0:           "b9ce649c9bd3d73293133642935d5ad3ab55819fc168a04e291467fe8c095c59",
+		engine.QueryFmax:         "4702dfbf4c90fcb14534e19a55ed22eb90f3eca8f458e305c100a207c9c2be6e",
+		engine.QueryCircuit:      "eee83761a58146edfd37ad01cd4425afaee8f94ea6853dad67a250729239edcc",
+	}
+	e := engine.New(field.Mersenne(), 2)
+	ds, err := e.Open("golden", u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Ingest(stream.UniformDeltas(u, 20, field.NewSplitMix64(42))); err != nil {
+		t.Fatal(err)
+	}
+	snap := ds.Snapshot()
+	for _, tc := range append(allKinds(), circuitF2) {
+		pf, err := snap.GenerateProof(tc.kind, tc.params)
+		if err != nil {
+			t.Fatalf("kind %d: GenerateProof: %v", tc.kind, err)
+		}
+		got := fmt.Sprintf("%x", sha256.Sum256(pf.Encode()))
+		if got != golden[tc.kind] {
+			t.Errorf("kind %d: proof sha256 %s, want %s", tc.kind, got, golden[tc.kind])
+		}
 	}
 }

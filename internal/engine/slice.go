@@ -57,8 +57,8 @@ func newSliceShell(f field.Field, globalU, lo, hi uint64, workers int) (*Dataset
 // bounds) must match. Admission control applies as in Open, charging
 // only the slice's width.
 func (e *Engine) OpenSlice(name string, globalU, lo, hi uint64) (*Dataset, error) {
-	if name == "" {
-		return nil, fmt.Errorf("engine: empty dataset name")
+	if err := checkName(name); err != nil {
+		return nil, err
 	}
 	// Validate the geometry before taking the lock.
 	shell, err := newSliceShell(e.f, globalU, lo, hi, e.workers)

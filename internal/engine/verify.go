@@ -13,17 +13,13 @@ import (
 
 // This file is the verifier-construction side of the non-interactive
 // replay layer. NewStreamVerifier builds the verifier session for any
-// query kind — the object a client holds for offline proof
-// verification. Snapshot.NewVerifier seeds one from the snapshot's
-// maintained counts, so the engine can run a complete prover↔verifier
-// conversation locally and post the recorded transcript as a
-// Fiat–Shamir proof (fs.Proof).
-//
-// Every verifier's streamed state is linear in the update deltas (LDE
-// evaluations, hash-tree roots, Σδ totals), so observing one aggregated
-// update per nonzero count yields exactly the fingerprint of the
-// original stream — the package tests crosscheck this against verifiers
-// that observed the stream update by update.
+// query kind — the object a client holds, streams its updates into, and
+// drives interactively or against a posted proof (fs.Proof). The same
+// constructor, left unobserved, gives the proof generator the kind's
+// challenge schedule: every verifier draws all of its randomness at
+// construction, so what it will say is known before it has seen
+// anything, and GenerateProof records the prover against that schedule
+// with no verifier in the loop.
 
 // StreamVerifier is a verifier session that also observes stream
 // updates — what a client keeps while uploading, and later drives
@@ -31,6 +27,12 @@ import (
 type StreamVerifier interface {
 	core.VerifierSession
 	Observe(stream.Update) error
+	// Challenges returns every message the verifier will send, in order,
+	// empty phase-transition messages included: a conversation it accepts
+	// has exactly len(Challenges())+1 prover messages. The schedule is a
+	// function of the constructor's rng alone — not of observed updates,
+	// query parameters set later, or prover messages.
+	Challenges() []core.Msg
 }
 
 // NewStreamVerifier constructs the verifier session for one query kind
@@ -126,55 +128,6 @@ func NewStreamVerifier(f field.Field, u uint64, kind QueryKind, params QueryPara
 	}
 }
 
-// updatesFromCounts materializes one aggregated update per nonzero
-// count.
-func (s *Snapshot) updatesFromCounts() []stream.Update {
-	nnz := 0
-	for _, c := range s.st.counts {
-		if c != 0 {
-			nnz++
-		}
-	}
-	ups := make([]stream.Update, 0, nnz)
-	for i, c := range s.st.counts {
-		if c != 0 {
-			ups = append(ups, stream.Update{Index: uint64(i), Delta: c})
-		}
-	}
-	return ups
-}
-
-func (s *Snapshot) seed(v StreamVerifier) error {
-	for i, c := range s.st.counts {
-		if c != 0 {
-			if err := v.Observe(stream.Update{Index: uint64(i), Delta: c}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// NewVerifier constructs the verifier session for one query kind with
-// its randomness drawn from rng and its streamed fingerprint seeded
-// from the snapshot's maintained counts. Pass a transcript-derived rng
-// (fs.Binding.RNG) for Fiat–Shamir proof generation, or a secret one to
-// audit the server's own state interactively.
-func (s *Snapshot) NewVerifier(kind QueryKind, params QueryParams, rng field.RNG) (core.VerifierSession, error) {
-	v, err := NewStreamVerifier(s.ds.f, s.ds.origU, kind, params, rng)
-	if err != nil {
-		return nil, err
-	}
-	if b, ok := v.(interface {
-		ObserveBatch([]stream.Update, int) error
-	}); ok {
-		// The F2/Fk fingerprint is a plain LDE evaluation, so the whole
-		// count table folds in through the parallel batch path.
-		return v, b.ObserveBatch(s.updatesFromCounts(), s.ds.workers)
-	}
-	return v, s.seed(v)
-}
-
 // FSQuery returns the canonical fs.Query descriptor for a query.
 func FSQuery(kind QueryKind, params QueryParams) fs.Query {
 	return fs.Query{
@@ -197,18 +150,18 @@ func (s *Snapshot) ProofBinding(kind QueryKind, params QueryParams) fs.Binding {
 	}
 }
 
-// GenerateProof runs one complete Fiat–Shamir conversation over the
-// snapshot — prover from the maintained tables, verifier seeded from
-// the same tables with transcript-derived challenges — and returns the
-// recorded proof. Generation is deterministic (same snapshot version ⇒
-// bit-identical proof) and self-verifying: the internal verifier checks
-// every message before the proof exists.
+// GenerateProof records the Fiat–Shamir proof of one query over the
+// snapshot: the prover from the maintained tables, driven by the
+// challenge schedule of an unobserved verifier built on the binding's
+// RNG (O(log u) to construct; it also validates the query parameters).
+// Generation is deterministic — same snapshot version ⇒ bit-identical
+// proof — and checks nothing: the client's verifier, which saw the
+// stream, is the check, exactly as in an interactive conversation. A
+// universe slice is refused (NewProver): split proofs are assembled by
+// the aggregator.
 func (s *Snapshot) GenerateProof(kind QueryKind, params QueryParams) (*fs.Proof, error) {
-	if s.ds.sliceHi != 0 {
-		return nil, fmt.Errorf("engine: dataset %q is a universe slice; split proofs are assembled by the aggregator", s.ds.name)
-	}
 	b := s.ProofBinding(kind, params)
-	v, err := s.NewVerifier(kind, params, b.RNG())
+	v, err := NewStreamVerifier(s.ds.f, s.ds.origU, kind, params, b.RNG())
 	if err != nil {
 		return nil, err
 	}
@@ -216,5 +169,5 @@ func (s *Snapshot) GenerateProof(kind QueryKind, params QueryParams) (*fs.Proof,
 	if err != nil {
 		return nil, err
 	}
-	return b.Prove(p, v)
+	return b.Record(p, v.Challenges())
 }

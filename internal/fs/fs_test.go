@@ -31,18 +31,15 @@ func proveF2(t *testing.T, b fs.Binding, f field.Field, u uint64) (*fs.Proof, []
 	}
 	ups := stream.UnitIncrements(u, 200, field.NewSplitMix64(11))
 	p := proto.NewProver()
-	v := proto.NewVerifier(b.RNG())
 	for _, up := range ups {
 		if err := p.Observe(up); err != nil {
 			t.Fatal(err)
 		}
-		if err := v.Observe(up); err != nil {
-			t.Fatal(err)
-		}
 	}
-	pf, err := b.Prove(p, v)
+	// The schedule comes from a verifier that never sees the stream.
+	pf, err := b.Record(p, proto.NewVerifier(b.RNG()).Challenges())
 	if err != nil {
-		t.Fatalf("Prove: %v", err)
+		t.Fatalf("Record: %v", err)
 	}
 	return pf, ups
 }

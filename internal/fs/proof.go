@@ -115,30 +115,28 @@ type Proof struct {
 	Digest   [32]byte
 }
 
-// Prove runs a complete conversation between p and v, which MUST have
-// been built for this binding (v from b.RNG(), p over the dataset state
-// at b.Version), and returns the recorded proof. Because v checks every
-// message as it is recorded, generation self-verifies: a proof is never
-// produced from a conversation the verifier would reject.
-func (b Binding) Prove(p core.ProverSession, v core.VerifierSession) (*Proof, error) {
+// Record drives p through one conversation and returns the recorded
+// proof. challenges is the verifier's whole schedule — Challenges() of a
+// verifier built for this binding from b.RNG() — and p MUST prove over
+// the dataset state at b.Version. No verifier takes part: the schedule
+// is fixed by the binding alone, so nothing a verifier could observe
+// changes what the prover is asked. The proof is checked where it is
+// used, by Verify against a verifier that saw the stream.
+func (b Binding) Record(p core.ProverSession, challenges []core.Msg) (*Proof, error) {
 	t := b.Transcript()
 	msg, err := p.Open()
 	if err != nil {
 		return nil, err
 	}
 	t.AbsorbMsg("prover", msg)
-	msgs := []core.Msg{msg}
-	ch, done, err := v.Begin(msg)
-	for err == nil && !done {
+	msgs := make([]core.Msg, 1, len(challenges)+1)
+	msgs[0] = msg
+	for _, ch := range challenges {
 		if msg, err = p.Step(ch); err != nil {
-			break
+			return nil, err
 		}
 		t.AbsorbMsg("prover", msg)
 		msgs = append(msgs, msg)
-		ch, done, err = v.Step(msg)
-	}
-	if err != nil {
-		return nil, err
 	}
 	return &Proof{Binding: b, Messages: msgs, Digest: t.Digest()}, nil
 }
@@ -198,7 +196,6 @@ var proofMagic = [6]byte{'S', 'I', 'P', 'P', 'F', '1'}
 const (
 	maxProofMessages = 1 << 14
 	maxProofWords    = 1 << 22 // total ints+elems across all messages
-	maxDatasetName   = 255
 )
 
 // EncodedSize returns len(p.Encode()) without building it.

@@ -198,6 +198,27 @@ func (s *VerifierSession) Observe(up stream.Update) error {
 	return s.v.Observe(up.Index, up.Delta)
 }
 
+// Challenges returns every message this verifier will send, in order:
+// z₀, then per layer its 2k sum-check coins (x half, then y half) and —
+// except after the last layer, where the verifier stops — its t*. All
+// of it was sampled by NewVerifierSession; nothing depends on the
+// stream or on a prover message.
+func (s *VerifierSession) Challenges() []core.Msg {
+	v := s.v
+	out := []core.Msg{{Elems: append([]field.Elem(nil), v.zs[0]...)}}
+	for i := range v.ts {
+		for _, half := range [][]field.Elem{v.xs[i], v.ys[i]} {
+			for _, r := range half {
+				out = append(out, core.Msg{Elems: []field.Elem{r}})
+			}
+		}
+		if i < len(v.ts)-1 {
+			out = append(out, core.Msg{Elems: []field.Elem{v.ts[i]}})
+		}
+	}
+	return out
+}
+
 // Begin consumes the claimed outputs and reveals z₀.
 func (s *VerifierSession) Begin(opening core.Msg) (core.Msg, bool, error) {
 	if len(opening.Ints) != 0 {

@@ -267,39 +267,6 @@ func (e *Evaluator) Update(i uint64, delta int64) error {
 	return nil
 }
 
-// BulkUpdate folds a batch of stream elements into the running evaluation
-// using a worker pool: each worker accumulates δ·χ_v(i)(r) over a
-// contiguous block and the block sums are folded in block order. Because
-// field addition is exact, the result is bit-identical to feeding the same
-// batch through Update one element at a time, for any worker count
-// (workers ≤ 0 follows the parallel.Workers convention). Either the whole
-// batch is applied or, when any index is out of range, none of it.
-func (e *Evaluator) BulkUpdate(idx []uint64, deltas []int64, workers int) error {
-	if len(idx) != len(deltas) {
-		return fmt.Errorf("lde: bulk update has %d indices but %d deltas", len(idx), len(deltas))
-	}
-	u := e.pt.Params.U
-	for _, i := range idx {
-		if i >= u {
-			return fmt.Errorf("lde: index %d outside universe [0,%d)", i, u)
-		}
-	}
-	nw := parallel.Workers(workers)
-	partials := make([]field.Elem, parallel.Chunks(nw, len(idx)))
-	f := e.pt.F
-	parallel.For(nw, len(idx), func(chunk, lo, hi int) {
-		var acc field.Elem
-		for k := lo; k < hi; k++ {
-			d := f.FromInt64(deltas[k])
-			acc = f.Add(acc, f.Mul(d, e.pt.ChiOfIndex(idx[k])))
-		}
-		partials[chunk] = acc
-	})
-	e.acc = f.Add(e.acc, f.SumSlice(partials))
-	e.n += uint64(len(idx))
-	return nil
-}
-
 // Value returns the current f_a(r).
 func (e *Evaluator) Value() field.Elem { return e.acc }
 

@@ -63,54 +63,3 @@ func TestEvalDenseWorkersMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-// TestBulkUpdateMatchesStreaming: BulkUpdate must agree bit-for-bit with
-// element-wise Update, and must be all-or-nothing on bad input.
-func TestBulkUpdateMatchesStreaming(t *testing.T) {
-	f := field.Mersenne()
-	params, err := NewParams(2, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := field.NewSplitMix64(5)
-	pt := RandomPoint(f, params, rng)
-
-	const n = 10000
-	idx := make([]uint64, n)
-	deltas := make([]int64, n)
-	for i := range idx {
-		idx[i] = rng.Uint64() % params.U
-		deltas[i] = int64(rng.Uint64()%2001) - 1000
-	}
-
-	serial := NewEvaluator(pt)
-	for i := range idx {
-		if err := serial.Update(idx[i], deltas[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, workers := range []int{1, 3, 8, -1} {
-		bulk := NewEvaluator(pt)
-		if err := bulk.BulkUpdate(idx, deltas, workers); err != nil {
-			t.Fatal(err)
-		}
-		if bulk.Value() != serial.Value() {
-			t.Fatalf("workers=%d: BulkUpdate = %d, want %d", workers, bulk.Value(), serial.Value())
-		}
-		if bulk.Updates() != serial.Updates() {
-			t.Fatalf("workers=%d: BulkUpdate counted %d updates, want %d", workers, bulk.Updates(), serial.Updates())
-		}
-	}
-
-	// Out-of-range index: error, no partial application.
-	bad := NewEvaluator(pt)
-	if err := bad.BulkUpdate([]uint64{0, params.U}, []int64{1, 1}, 4); err == nil {
-		t.Fatal("out-of-range bulk update accepted")
-	}
-	if bad.Value() != 0 || bad.Updates() != 0 {
-		t.Fatal("failed bulk update partially applied")
-	}
-	if err := bad.BulkUpdate([]uint64{0}, []int64{1, 2}, 4); err == nil {
-		t.Fatal("mismatched bulk update lengths accepted")
-	}
-}

@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/field"
 	"repro/internal/fs"
 	"repro/internal/lde"
 	"repro/internal/proofcache"
@@ -147,11 +146,6 @@ type splitConv struct {
 }
 
 func (sc *splitConv) finish() { sc.once.Do(func() { close(sc.done) }) }
-
-var (
-	errSplitFinished = errors.New("shard: split conversation finished by the client")
-	errSplitClosed   = errors.New("shard: proxy connection closing")
-)
 
 // splitClient returns this connection's owner leg to (shard, dataset),
 // dialing on first use. One wire.Client per pair: a client carries a
@@ -310,16 +304,22 @@ func (p *proxyConn) reattachSlice(a *splitAttach, k int) error {
 	return nil
 }
 
-// refuseChannel fails one channel with the typed per-channel frame the
-// server would use, tombstoning the id so the one in-flight client
-// frame lock-step permits is absorbed rather than fatal.
-func (p *proxyConn) refuseChannel(id uint32, err error) error {
+// refuseTyped fails one channel with the typed per-channel frame the
+// server would use: a budget refusal stays a budget refusal.
+func (p *proxyConn) refuseTyped(id uint32, err error) error {
 	typ := byte(frames.ErrorCh)
 	if errors.Is(err, wire.ErrBudget) {
 		typ = frames.BudgetCh
 	}
-	p.pins.Retire(id, nil, true)
 	return p.writeClient(typ, frames.EncodeChannel(id, []byte(err.Error())))
+}
+
+// refuseChannel refuses a channel that was never opened, tombstoning
+// the id so the one in-flight client frame lock-step permits is
+// absorbed rather than fatal.
+func (p *proxyConn) refuseChannel(id uint32, err error) error {
+	p.pins.Retire(id, nil, true)
+	return p.refuseTyped(id, err)
 }
 
 // splitQuery starts one interactive split conversation: the owner
@@ -353,11 +353,23 @@ func (p *proxyConn) splitQuery(id uint32, payload []byte) error {
 	return nil
 }
 
+// splitProver presents a split dataset's aggregator and owner
+// conversations as the one core.ProverSession a single engine would be
+// — to the client's verifier in an interactive conversation, to
+// fs.Binding.Record for a posted proof. foldOpenings builds it with the
+// openings already folded, so Open only hands that message over.
+type splitProver struct {
+	agg     *core.SplitAggregator
+	opening core.Msg
+	convs   []*wire.PartialConv
+}
+
 // foldOpenings reads every owner's opening and folds them. A version
 // skew (another connection's batch landed between our opens) finishes
 // the stale conversations and reopens — bounded retries, because under
 // concurrent ingest "the" version is whatever one consistent cut says.
-func (p *proxyConn) foldOpenings(a *splitAttach, comb sumcheck.Combiner, kind wire.QueryKind, params wire.QueryParams, convs []*wire.PartialConv) (*core.SplitAggregator, core.Msg, []*wire.PartialConv, error) {
+// On error every owner conversation has been finished.
+func (p *proxyConn) foldOpenings(a *splitAttach, comb sumcheck.Combiner, kind wire.QueryKind, params wire.QueryParams, convs []*wire.PartialConv) (*splitProver, error) {
 	f := p.r.field()
 	for attempt := 0; ; attempt++ {
 		parts := make([]core.Msg, len(convs))
@@ -365,138 +377,123 @@ func (p *proxyConn) foldOpenings(a *splitAttach, comb sumcheck.Combiner, kind wi
 		for k, conv := range convs {
 			if parts[k], err = conv.Msg(); err != nil {
 				finishConvs(convs)
-				return nil, core.Msg{}, convs, err
+				return nil, err
 			}
 		}
 		agg, err := core.NewSplitAggregator(f, a.u, a.slices, comb, 0)
 		if err != nil {
 			finishConvs(convs)
-			return nil, core.Msg{}, convs, err
+			return nil, err
 		}
 		opening, err := agg.Open(parts)
 		if err == nil {
-			return agg, opening, convs, nil
+			return &splitProver{agg: agg, opening: opening, convs: convs}, nil
 		}
 		finishConvs(convs)
 		if !errors.Is(err, core.ErrSplitVersion) || attempt >= 3 {
-			return nil, core.Msg{}, convs, err
+			return nil, err
 		}
 		if convs, err = a.openConvs(kind, params); err != nil {
-			return nil, core.Msg{}, convs, err
+			return nil, err
 		}
 	}
 }
 
-// runSplitRounds drives the aggregator from after Open to Done: each
-// iteration consumes one verifier challenge and emits one folded prover
-// message. Broadcast rounds fan the challenge to every owner and
-// collect their partials; once the tail starts the owners are done and
-// the aggregator folds alone.
-func runSplitRounds(agg *core.SplitAggregator, convs []*wire.PartialConv, challenge func(j int) (core.Msg, error), emit func(core.Msg) error) error {
-	for j := 0; !agg.Done(); j++ {
-		m, err := challenge(j)
-		if err != nil {
-			return err
-		}
-		if len(m.Elems) != 1 {
-			return fmt.Errorf("%w: challenge carries %d field elements, want 1", wire.ErrProtocol, len(m.Elems))
-		}
-		var out core.Msg
-		if agg.Broadcast() {
-			for _, conv := range convs {
-				if err := conv.Challenge(m); err != nil {
-					return err
-				}
-			}
-			parts := make([]core.Msg, len(convs))
-			for k, conv := range convs {
-				if parts[k], err = conv.Msg(); err != nil {
-					return err
-				}
-			}
-			if out, err = agg.Collect(parts); err != nil {
-				return err
-			}
-			if agg.TailStarted() {
-				finishConvs(convs)
-			}
-		} else {
-			if out, err = agg.Next(m.Elems[0]); err != nil {
-				return err
-			}
-		}
-		if err := emit(out); err != nil {
-			return err
+func (sp *splitProver) Open() (core.Msg, error) { return sp.opening, nil }
+
+// Step consumes one verifier challenge and emits one folded prover
+// message. Broadcast rounds fan the challenge to every owner and collect
+// their partials; once the tail starts the owners are done and the
+// aggregator folds alone.
+func (sp *splitProver) Step(m core.Msg) (core.Msg, error) {
+	if len(m.Elems) != 1 {
+		return core.Msg{}, fmt.Errorf("%w: challenge carries %d field elements, want 1", wire.ErrProtocol, len(m.Elems))
+	}
+	if !sp.agg.Broadcast() {
+		return sp.agg.Next(m.Elems[0])
+	}
+	for _, conv := range sp.convs {
+		if err := conv.Challenge(m); err != nil {
+			return core.Msg{}, err
 		}
 	}
-	return nil
+	parts := make([]core.Msg, len(sp.convs))
+	for k, conv := range sp.convs {
+		var err error
+		if parts[k], err = conv.Msg(); err != nil {
+			return core.Msg{}, err
+		}
+	}
+	out, err := sp.agg.Collect(parts)
+	if err == nil && sp.agg.TailStarted() {
+		finishConvs(sp.convs)
+	}
+	return out, err
 }
+
+// errSplitFinished ends a split conversation the client walked away
+// from (or whose proxy connection is closing): quiet teardown, exactly
+// as the server treats an early finish.
+var errSplitFinished = errors.New("shard: split conversation finished by the client")
 
 // runSplitConv is the conversation goroutine for one interactive split
 // query: it plays the server's side of the mux conversation against the
 // client while folding the owners underneath.
 func (p *proxyConn) runSplitConv(id uint32, sc *splitConv, a *splitAttach, comb sumcheck.Combiner, kind wire.QueryKind, params wire.QueryParams, convs []*wire.PartialConv) {
 	defer p.pumps.Done()
-	fail := func(err error) {
-		finishConvs(convs)
-		typ := byte(frames.ErrorCh)
-		if errors.Is(err, wire.ErrBudget) {
-			typ = frames.BudgetCh
+	sp, err := p.foldOpenings(a, comb, kind, params, convs)
+	if err == nil {
+		err = p.converse(id, sc, sp)
+		finishConvs(sp.convs)
+	}
+	switch {
+	case err == nil:
+		// Conversation complete: wait for the client's finish frame (routed
+		// to sc by the read loop) before retiring the pin.
+		select {
+		case <-sc.done:
+		case <-p.closing:
 		}
+		p.pins.Retire(id, sc, false)
+	case errors.Is(err, errSplitFinished):
+		p.pins.Retire(id, sc, false)
+	default:
 		p.pins.Retire(id, sc, true)
 		sc.finish()
-		_ = p.writeClient(typ, frames.EncodeChannel(id, []byte(err.Error())))
+		_ = p.refuseTyped(id, err)
 	}
-	agg, opening, convs, err := p.foldOpenings(a, comb, kind, params, convs)
-	if err != nil {
-		fail(err)
-		return
-	}
-	if err := p.writeClient(frames.ProverCh, frames.EncodeChannel(id, frames.EncodeMsg(opening))); err != nil {
-		finishConvs(convs)
-		p.pins.Retire(id, sc, true)
-		return
-	}
-	challenge := func(int) (core.Msg, error) {
+}
+
+// converse sends sp's messages to the client, one per challenge the
+// read loop feeds into sc, until the aggregator has emitted them all.
+func (p *proxyConn) converse(id uint32, sc *splitConv, sp *splitProver) error {
+	m := sp.opening
+	for {
+		if err := p.writeClient(frames.ProverCh, frames.EncodeChannel(id, frames.EncodeMsg(m))); err != nil {
+			return err
+		}
+		if sp.agg.Done() {
+			return nil
+		}
 		select {
-		case m := <-sc.ch:
-			return m, nil
+		case m = <-sc.ch:
 		case <-sc.done:
-			return core.Msg{}, errSplitFinished
+			return errSplitFinished
 		case <-p.closing:
-			return core.Msg{}, errSplitClosed
+			return errSplitFinished
+		}
+		var err error
+		if m, err = sp.Step(m); err != nil {
+			return err
 		}
 	}
-	emit := func(m core.Msg) error {
-		return p.writeClient(frames.ProverCh, frames.EncodeChannel(id, frames.EncodeMsg(m)))
-	}
-	if err := runSplitRounds(agg, convs, challenge, emit); err != nil {
-		if errors.Is(err, errSplitFinished) || errors.Is(err, errSplitClosed) {
-			// The client walked away (or the proxy is closing): quiet
-			// teardown, exactly as the server treats an early finish.
-			finishConvs(convs)
-			p.pins.Retire(id, sc, false)
-			return
-		}
-		fail(err)
-		return
-	}
-	finishConvs(convs)
-	// Conversation complete: wait for the client's finish frame (routed
-	// to sc by the read loop) before retiring the pin.
-	select {
-	case <-sc.done:
-	case <-p.closing:
-	}
-	p.pins.Retire(id, sc, false)
 }
 
 // splitProofReq serves one PROOF request against a split dataset. The
-// router assembles the Fiat–Shamir proof itself: the challenge stream
-// is a pure function of the binding (core.SumcheckChallenges is pinned
-// equal to the verifier's), so driving the owners with it and absorbing
-// the folded messages into the binding's transcript reproduces the
-// exact bytes a single engine's fs.Prove would cache.
+// router records the Fiat–Shamir proof itself: the challenge schedule is
+// a function of the binding alone (StreamVerifier.Challenges), so
+// driving the owners with it through fs.Binding.Record reproduces the
+// exact bytes a single engine's GenerateProof would cache.
 func (p *proxyConn) splitProofReq(payload []byte) error {
 	a := p.split
 	id, body, err := frames.DecodeChannel(payload)
@@ -525,24 +522,19 @@ func (p *proxyConn) splitProofReq(payload []byte) error {
 // shared by every requesting connection.
 func (p *proxyConn) runSplitProof(id uint32, a *splitAttach, comb sumcheck.Combiner, kind wire.QueryKind, params wire.QueryParams, reqVersion uint64, convs []*wire.PartialConv) {
 	defer p.pumps.Done()
-	fail := func(err error) {
-		finishConvs(convs)
-		typ := byte(frames.ErrorCh)
-		if errors.Is(err, wire.ErrBudget) {
-			typ = frames.BudgetCh
-		}
-		_ = p.writeClient(typ, frames.EncodeChannel(id, []byte(err.Error())))
-	}
-	agg, opening, convs, err := p.foldOpenings(a, comb, kind, params, convs)
+	sp, err := p.foldOpenings(a, comb, kind, params, convs)
 	if err != nil {
-		fail(err)
+		_ = p.refuseTyped(id, err)
 		return
 	}
-	if reqVersion != 0 && reqVersion != agg.Version() {
+	// On a cache hit the owner conversations were opened and never
+	// driven past their openings; Finish is idempotent either way.
+	defer finishConvs(sp.convs)
+	version := sp.agg.Version()
+	if reqVersion != 0 && reqVersion != version {
 		// The server's version-pin refusal, verbatim.
-		finishConvs(convs)
 		_ = p.writeClient(frames.ErrorCh, frames.EncodeChannel(id, fmt.Appendf(nil,
-			"proof version %d is not current (dataset %q is at version %d)", reqVersion, a.name, agg.Version())))
+			"proof version %d is not current (dataset %q is at version %d)", reqVersion, a.name, version)))
 		return
 	}
 	f := p.r.field()
@@ -550,35 +542,23 @@ func (p *proxyConn) runSplitProof(id uint32, a *splitAttach, comb sumcheck.Combi
 		Modulus:  f.Modulus(),
 		Universe: a.u,
 		Dataset:  a.name,
-		Version:  agg.Version(),
+		Version:  version,
 		Query:    engine.FSQuery(kind, params),
 	}
-	key := proofcache.Key{Dataset: a.name, Version: agg.Version(), Query: string(binding.Query.Encode())}
+	key := proofcache.Key{Dataset: a.name, Version: version, Query: string(binding.Query.Encode())}
 	val, err := p.r.proofCacheRef().Get(key, func() ([]byte, error) {
-		challenges, err := core.SumcheckChallenges(f, a.u, binding.RNG())
+		v, err := engine.NewStreamVerifier(f, a.u, kind, params, binding.RNG())
 		if err != nil {
 			return nil, err
 		}
-		msgs := []core.Msg{opening}
-		chFn := func(j int) (core.Msg, error) {
-			return core.Msg{Elems: []field.Elem{challenges[j]}}, nil
-		}
-		emit := func(m core.Msg) error { msgs = append(msgs, m); return nil }
-		if err := runSplitRounds(agg, convs, chFn, emit); err != nil {
+		pf, err := binding.Record(sp, v.Challenges())
+		if err != nil {
 			return nil, err
 		}
-		t := binding.Transcript()
-		for _, m := range msgs {
-			t.AbsorbMsg("prover", m)
-		}
-		pf := &fs.Proof{Binding: binding, Messages: msgs, Digest: t.Digest()}
 		return pf.Encode(), nil
 	})
-	// On a cache hit the owner conversations were opened and never
-	// driven past their openings; Finish is idempotent either way.
-	finishConvs(convs)
 	if err != nil {
-		fail(err)
+		_ = p.refuseTyped(id, err)
 		return
 	}
 	_ = p.writeClient(frames.ProofCh, frames.EncodeChannel(id, val))

@@ -136,22 +136,19 @@ func (m *connMux) proofFetch(id uint32, body []byte, ds *engine.Dataset) error {
 	return nil
 }
 
-// generateProof produces the proof the server posts for one query over
-// snap. An honest server's is Snapshot.GenerateProof. With Corrupt set
-// the conversation is recorded over the doctored state instead, under
-// the honest binding — the lie is in the data, never in the header, so
-// a client's binding check passes and only its verifier's own
-// fingerprint can catch it.
+// generateProof records the proof the server posts for one query over
+// snap — what Snapshot.GenerateProof does, except that the prover comes
+// from proverSnapshot: the binding (and with it the challenge schedule)
+// is always the real dataset's, so with Corrupt set the lie is in the
+// data, never in the header; a client's binding check passes and only
+// its verifier's own fingerprint can catch it.
 func (s *Server) generateProof(ds *engine.Dataset, snap *engine.Snapshot, kind QueryKind, params QueryParams) (*fs.Proof, error) {
 	from, err := s.proverSnapshot(ds, snap)
 	if err != nil {
 		return nil, err
 	}
-	if from == snap {
-		return snap.GenerateProof(kind, params)
-	}
 	b := snap.ProofBinding(kind, params)
-	v, err := from.NewVerifier(kind, params, b.RNG())
+	v, err := engine.NewStreamVerifier(s.F, ds.UniverseSize(), kind, params, b.RNG())
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +156,7 @@ func (s *Server) generateProof(ds *engine.Dataset, snap *engine.Snapshot, kind Q
 	if err != nil {
 		return nil, err
 	}
-	return b.Prove(p, v)
+	return b.Record(p, v.Challenges())
 }
 
 // ---------------------------------------------------------------------

@@ -434,3 +434,47 @@ func TestProofCacheInvalidatedOnDrop(t *testing.T) {
 		t.Fatalf("recreated dataset's proof rejected offline: %v", err)
 	}
 }
+
+// TestProofRefusedParamsCacheNothing: with no verifier run at
+// generation, the unobserved verifier the schedule comes from is still
+// what validates the query — parameters its constructor or SetQuery
+// refuses fail the fetch on the channel, cache nothing, and leave the
+// connection serving.
+func TestProofRefusedParamsCacheNothing(t *testing.T) {
+	srv := &Server{F: f61}
+	addr, stop := startServerOpts(t, srv)
+	defer stop()
+	const u = 512
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.OpenDataset("refuse", u); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest(stream.UnitIncrements(u, 80, field.NewSplitMix64(960))); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		kind   QueryKind
+		params QueryParams
+	}{
+		{QueryRangeSum, QueryParams{A: 9, B: 3}},
+		{QueryRangeQuery, QueryParams{A: 9, B: 3}},
+		{QueryIndex, QueryParams{A: u}},
+		{QueryPredecessor, QueryParams{A: u}},
+		{QueryHeavyHitters, QueryParams{Phi: 2}},
+		{QueryCircuit, QueryParams{Circuit: "NOSUCH"}},
+	} {
+		if _, err := c.FetchProof(q.kind, q.params, 0); err == nil || !strings.Contains(err.Error(), "server error") {
+			t.Errorf("kind %d %+v: FetchProof = %v, want a server refusal", q.kind, q.params, err)
+		}
+	}
+	if st := srv.Stats().ProofCache; st.Entries != 0 {
+		t.Fatalf("refused proofs left %d cache entries", st.Entries)
+	}
+	if _, err := c.FetchProof(QuerySelfJoinSize, QueryParams{}, 0); err != nil {
+		t.Fatalf("fetch after refusals: %v", err)
+	}
+}

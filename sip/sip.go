@@ -272,7 +272,11 @@ type ProofBinding = fs.Binding
 type ProofQuery = fs.Query
 
 // StreamVerifier is a verifier session that also observes stream
-// updates — what a client keeps for offline proof verification.
+// updates — what a client keeps for offline proof verification. Its
+// Challenges method returns every message it will send, fixed by the
+// RNG it was built with: the schedule a proof generator (an engine, or
+// a router folding a split dataset) records the prover against, with no
+// verifier in the loop. The client's own StreamVerifier is the check.
 type StreamVerifier = engine.StreamVerifier
 
 // NewQueryVerifier returns the streaming verifier session for one query
