@@ -7,14 +7,11 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/fs"
-	"repro/internal/gkr"
 	"repro/internal/stream"
-	"repro/internal/wire"
 )
 
 var f61 = field.Mersenne()
@@ -75,97 +72,11 @@ func sameMsgs(a, b []core.Msg) error {
 // newVerifier builds the verifier session for one query kind, with its
 // query already set where the protocol wants it pre-conversation.
 func newVerifier(f field.Field, u uint64, kind engine.QueryKind, p engine.QueryParams, rng field.RNG) (core.VerifierSession, func(stream.Update) error, error) {
-	switch kind {
-	case engine.QuerySelfJoinSize, engine.QueryFk:
-		k := 2
-		if kind == engine.QueryFk {
-			k = int(p.K)
-		}
-		proto, err := core.NewFk(f, u, k)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.Observe, nil
-	case engine.QueryRangeSum:
-		proto, err := core.NewRangeSum(f, u)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.Observe, v.SetQuery(p.A, p.B)
-	case engine.QueryRangeQuery:
-		proto, err := core.NewRangeQuery(f, u)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.Observe, v.SetQuery(p.A, p.B)
-	case engine.QueryIndex:
-		proto, err := core.NewIndex(f, u)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.Observe, v.SetQuery(p.A)
-	case engine.QueryDictionary:
-		proto, err := core.NewDictionary(f, u)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.Observe, v.SetQuery(p.A)
-	case engine.QueryPredecessor:
-		proto, err := core.NewPredecessor(f, u)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.Observe, v.SetQuery(p.A)
-	case engine.QuerySuccessor:
-		proto, err := core.NewSuccessor(f, u)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.Observe, v.SetQuery(p.A)
-	case engine.QueryKLargest:
-		proto, err := core.NewKLargest(f, u)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.Observe, v.SetQuery(int(p.K))
-	case engine.QueryHeavyHitters:
-		proto, err := core.NewHeavyHitters(f, u)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.Observe, v.SetQuery(p.Phi)
-	case engine.QueryF0:
-		proto, err := core.NewF0(f, u, p.Phi)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.Observe, nil
-	case engine.QueryFmax:
-		proto, err := core.NewFmax(f, u, p.Phi)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.Observe, nil
-	case engine.QueryCircuit:
-		vs, err := gkr.NewVerifierFor(f, circuit.Spec{Name: p.Circuit, Arg: p.A}, u, rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		return vs, vs.Observe, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown kind %d", kind)
+	v, err := engine.NewStreamVerifier(f, u, kind, p, rng)
+	if err != nil {
+		return nil, nil, err
 	}
+	return v, v.Observe, nil
 }
 
 type kindCase struct {
@@ -196,7 +107,7 @@ func allKinds() []kindCase {
 // TestSnapshotTranscriptsMatchReplay is the contract of the whole
 // engine: for every query kind and worker count, a prover built from a
 // dataset snapshot holds a conversation bit-identical to one built by
-// replaying the stream (wire.BuildProver, the old serving path), and
+// replaying the stream (engine.NewReplayProver, the paper's prover), and
 // both are accepted.
 func TestSnapshotTranscriptsMatchReplay(t *testing.T) {
 	const u = 500 // deliberately not a power of two: exercises padding
@@ -245,7 +156,7 @@ func TestSnapshotTranscriptsMatchReplay(t *testing.T) {
 				return rec.msgs, nil
 			}
 
-			replay, err := wire.BuildProver(f61, u, c.kind, c.params, ups, workers)
+			replay, err := engine.NewReplayProver(f61, u, c.kind, c.params, ups, workers)
 			if err != nil {
 				t.Fatalf("%s: replay prover: %v", name, err)
 			}

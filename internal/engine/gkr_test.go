@@ -13,7 +13,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/stream"
-	"repro/internal/wire"
 )
 
 // circuitKinds are the registry families driven through QueryCircuit.
@@ -54,7 +53,7 @@ func TestGKRSnapshotTranscriptsMatchReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := runTranscript(t, u, c.kind, c.params, ups, seed, pSnap)
-			pReplay, err := wire.BuildProver(f61, u, c.kind, c.params, ups, workers)
+			pReplay, err := engine.NewReplayProver(f61, u, c.kind, c.params, ups, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -71,15 +71,7 @@ func TestGenerateProofAllKinds(t *testing.T) {
 			t.Fatalf("kind %d: streaming verifier rejected the posted proof: %v", tc.kind, err)
 		}
 
-		sched, err := engine.NewStreamVerifier(f, u, tc.kind, tc.params, b.RNG())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := liar.NewProver(tc.kind, tc.params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lie, err := b.Record(p, sched.Challenges())
+		lie, err := engine.RecordProof(f, b, func() (core.ProverSession, error) { return liar.NewProver(tc.kind, tc.params) })
 		if err != nil {
 			t.Fatalf("kind %d: recording the liar: %v", tc.kind, err)
 		}

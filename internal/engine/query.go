@@ -3,9 +3,7 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/gkr"
 )
 
 // QueryKind enumerates the queries a dataset answers. It is defined here
@@ -56,139 +54,9 @@ func (s *Snapshot) NewProver(kind QueryKind, params QueryParams) (core.ProverSes
 		return nil, fmt.Errorf("engine: dataset %q is the slice [%d,%d) of universe %d; whole-transcript provers need the full table",
 			s.ds.name, s.ds.sliceLo, s.ds.sliceHi, s.ds.origU)
 	}
-	f, u, workers := s.ds.f, s.ds.origU, s.ds.workers
-	switch kind {
-	case QuerySelfJoinSize, QueryFk:
-		k := 2
-		if kind == QueryFk {
-			k = int(params.K)
-		}
-		proto, err := core.NewFk(f, u, k)
-		if err != nil {
-			return nil, err
-		}
-		proto.Workers = workers
-		return proto.NewProverFromTable(s.st.elems)
-	case QueryRangeSum:
-		proto, err := core.NewRangeSum(f, u)
-		if err != nil {
-			return nil, err
-		}
-		proto.Workers = workers
-		p, err := proto.NewProverFromTable(s.st.elems)
-		if err != nil {
-			return nil, err
-		}
-		return p, p.SetQuery(params.A, params.B)
-	case QueryRangeQuery:
-		proto, err := core.NewRangeQuery(f, u)
-		if err != nil {
-			return nil, err
-		}
-		proto.Workers = workers
-		p, err := proto.NewProverFromCounts(s.st.counts)
-		if err != nil {
-			return nil, err
-		}
-		return p, p.SetQuery(params.A, params.B)
-	case QueryIndex:
-		proto, err := core.NewIndex(f, u)
-		if err != nil {
-			return nil, err
-		}
-		proto.SetWorkers(workers)
-		p, err := proto.NewProverFromCounts(s.st.counts)
-		if err != nil {
-			return nil, err
-		}
-		return p, p.SetQuery(params.A)
-	case QueryDictionary:
-		proto, err := core.NewDictionary(f, u)
-		if err != nil {
-			return nil, err
-		}
-		proto.SetWorkers(workers)
-		p, err := proto.NewProverFromCounts(s.st.counts)
-		if err != nil {
-			return nil, err
-		}
-		return p, p.SetQuery(params.A)
-	case QueryPredecessor:
-		proto, err := core.NewPredecessor(f, u)
-		if err != nil {
-			return nil, err
-		}
-		proto.SetWorkers(workers)
-		p, err := proto.NewProverFromCounts(s.st.counts)
-		if err != nil {
-			return nil, err
-		}
-		return p, p.SetQuery(params.A)
-	case QuerySuccessor:
-		proto, err := core.NewSuccessor(f, u)
-		if err != nil {
-			return nil, err
-		}
-		proto.SetWorkers(workers)
-		p, err := proto.NewProverFromCounts(s.st.counts)
-		if err != nil {
-			return nil, err
-		}
-		return p, p.SetQuery(params.A)
-	case QueryKLargest:
-		proto, err := core.NewKLargest(f, u)
-		if err != nil {
-			return nil, err
-		}
-		proto.SetWorkers(workers)
-		p, err := proto.NewProverFromCounts(s.st.counts)
-		if err != nil {
-			return nil, err
-		}
-		return p, p.SetQuery(int(params.K))
-	case QueryHeavyHitters:
-		proto, err := core.NewHeavyHitters(f, u)
-		if err != nil {
-			return nil, err
-		}
-		proto.Workers = workers
-		p, err := proto.NewProverFromCounts(s.st.counts, s.st.total)
-		if err != nil {
-			return nil, err
-		}
-		return p, p.SetQuery(params.Phi)
-	case QueryF0:
-		proto, err := core.NewF0(f, u, params.Phi)
-		if err != nil {
-			return nil, err
-		}
-		proto.Workers = workers
-		return proto.NewProverFromCounts(s.st.counts, s.st.total)
-	case QueryFmax:
-		proto, err := core.NewFmax(f, u, params.Phi)
-		if err != nil {
-			return nil, err
-		}
-		proto.SetWorkers(workers)
-		return proto.NewProverFromCounts(s.st.counts, s.st.total)
-	case QueryCircuit:
-		return s.NewGKRProver(circuit.Spec{Name: params.Circuit, Arg: params.A})
-	default:
-		return nil, fmt.Errorf("engine: unknown query kind %d", kind)
-	}
-}
-
-// NewGKRProver builds the GKR prover session for a named circuit family
-// directly from the snapshot's maintained element table — zero stream
-// replay, exactly like NewProver for the fixed query kinds. The circuit
-// reads the table's first InputSize entries (padded with zeros if the
-// family's input outgrows the padded universe), so the transcript is
-// bit-identical to a prover built by replaying the original stream, for
-// every worker count and across evict→rehydrate cycles.
-func (s *Snapshot) NewGKRProver(spec circuit.Spec) (core.ProverSession, error) {
-	proto, err := gkr.NewProtocolFor(s.ds.f, spec, s.ds.origU, s.ds.workers)
+	in, err := openKind(s.ds.f, s.ds.origU, kind, params, s.ds.workers)
 	if err != nil {
 		return nil, err
 	}
-	return proto.NewProverSession(proto.PadInput(s.st.elems))
+	return in.prover(s.st)
 }

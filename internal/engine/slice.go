@@ -129,26 +129,13 @@ func (s *Snapshot) NewPartialProver(kind QueryKind, params QueryParams) (core.Pr
 	if hi == 0 {
 		lo, hi = 0, d.params.U
 	}
-	switch kind {
-	case QuerySelfJoinSize, QueryFk:
-		k := 2
-		if kind == QueryFk {
-			k = int(params.K)
-		}
-		proto, err := core.NewFk(d.f, d.origU, k)
-		if err != nil {
-			return nil, err
-		}
-		proto.Workers = d.workers
-		return proto.NewPartialProverFromTable(s.st.elems, lo, hi, s.st.version)
-	case QueryRangeSum:
-		proto, err := core.NewRangeSum(d.f, d.origU)
-		if err != nil {
-			return nil, err
-		}
-		proto.Workers = d.workers
-		return proto.NewPartialProverFromTable(s.st.elems, lo, hi, s.st.version, params.A, params.B)
-	default:
-		return nil, fmt.Errorf("%w: kind %d", ErrNotSplittable, kind)
+	row, err := seamRow(kind)
+	if err != nil {
+		return nil, err
 	}
+	in, err := row.open(d.f, d.origU, params, d.workers)
+	if err != nil {
+		return nil, err
+	}
+	return in.partial(s.st, lo, hi)
 }

@@ -1,13 +1,9 @@
 package engine
 
 import (
-	"fmt"
-
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/fs"
-	"repro/internal/gkr"
 	"repro/internal/stream"
 )
 
@@ -18,7 +14,7 @@ import (
 // constructor, left unobserved, gives the proof generator the kind's
 // challenge schedule: every verifier draws all of its randomness at
 // construction, so what it will say is known before it has seen
-// anything, and GenerateProof records the prover against that schedule
+// anything, and RecordProof records the prover against that schedule
 // with no verifier in the loop.
 
 // StreamVerifier is a verifier session that also observes stream
@@ -42,90 +38,11 @@ type StreamVerifier interface {
 // verify a posted proof offline, or a secret one for an interactive
 // conversation.
 func NewStreamVerifier(f field.Field, u uint64, kind QueryKind, params QueryParams, rng field.RNG) (StreamVerifier, error) {
-	switch kind {
-	case QuerySelfJoinSize, QueryFk:
-		k := 2
-		if kind == QueryFk {
-			k = int(params.K)
-		}
-		proto, err := core.NewFk(f, u, k)
-		if err != nil {
-			return nil, err
-		}
-		return proto.NewVerifier(rng), nil
-	case QueryRangeSum:
-		proto, err := core.NewRangeSum(f, u)
-		if err != nil {
-			return nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.SetQuery(params.A, params.B)
-	case QueryRangeQuery:
-		proto, err := core.NewRangeQuery(f, u)
-		if err != nil {
-			return nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.SetQuery(params.A, params.B)
-	case QueryIndex:
-		proto, err := core.NewIndex(f, u)
-		if err != nil {
-			return nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.SetQuery(params.A)
-	case QueryDictionary:
-		proto, err := core.NewDictionary(f, u)
-		if err != nil {
-			return nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.SetQuery(params.A)
-	case QueryPredecessor:
-		proto, err := core.NewPredecessor(f, u)
-		if err != nil {
-			return nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.SetQuery(params.A)
-	case QuerySuccessor:
-		proto, err := core.NewSuccessor(f, u)
-		if err != nil {
-			return nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.SetQuery(params.A)
-	case QueryKLargest:
-		proto, err := core.NewKLargest(f, u)
-		if err != nil {
-			return nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.SetQuery(int(params.K))
-	case QueryHeavyHitters:
-		proto, err := core.NewHeavyHitters(f, u)
-		if err != nil {
-			return nil, err
-		}
-		v := proto.NewVerifier(rng)
-		return v, v.SetQuery(params.Phi)
-	case QueryF0:
-		proto, err := core.NewF0(f, u, params.Phi)
-		if err != nil {
-			return nil, err
-		}
-		return proto.NewVerifier(rng), nil
-	case QueryFmax:
-		proto, err := core.NewFmax(f, u, params.Phi)
-		if err != nil {
-			return nil, err
-		}
-		return proto.NewVerifier(rng), nil
-	case QueryCircuit:
-		return gkr.NewVerifierFor(f, circuit.Spec{Name: params.Circuit, Arg: params.A}, u, rng)
-	default:
-		return nil, fmt.Errorf("engine: unknown query kind %d", kind)
+	in, err := openKind(f, u, kind, params, 0)
+	if err != nil {
+		return nil, err
 	}
+	return in.verifier(rng)
 }
 
 // FSQuery returns the canonical fs.Query descriptor for a query.
@@ -150,24 +67,35 @@ func (s *Snapshot) ProofBinding(kind QueryKind, params QueryParams) fs.Binding {
 	}
 }
 
-// GenerateProof records the Fiat–Shamir proof of one query over the
-// snapshot: the prover from the maintained tables, driven by the
-// challenge schedule of an unobserved verifier built on the binding's
-// RNG (O(log u) to construct; it also validates the query parameters).
-// Generation is deterministic — same snapshot version ⇒ bit-identical
-// proof — and checks nothing: the client's verifier, which saw the
-// stream, is the check, exactly as in an interactive conversation. A
-// universe slice is refused (NewProver): split proofs are assembled by
-// the aggregator.
-func (s *Snapshot) GenerateProof(kind QueryKind, params QueryParams) (*fs.Proof, error) {
-	b := s.ProofBinding(kind, params)
-	v, err := NewStreamVerifier(s.ds.f, s.ds.origU, kind, params, b.RNG())
+// RecordProof records the Fiat–Shamir proof binding b commits to: the
+// prover, driven by the challenge schedule of an unobserved verifier
+// built on the binding's RNG (O(log u) to construct). The verifier comes
+// first because it validates the query — a refused query never pays for
+// a prover — and checks nothing else: the client's verifier, which saw
+// the stream, is the check, exactly as in an interactive conversation.
+// Every proof generator (a snapshot, a wire server, a router folding a
+// split dataset) is this function over its own prover.
+func RecordProof(f field.Field, b fs.Binding, prover func() (core.ProverSession, error)) (*fs.Proof, error) {
+	q := b.Query
+	v, err := NewStreamVerifier(f, b.Universe, QueryKind(q.Kind),
+		QueryParams{A: q.A, B: q.B, K: q.K, Phi: q.Phi, Circuit: q.Circuit}, b.RNG())
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.NewProver(kind, params)
+	p, err := prover()
 	if err != nil {
 		return nil, err
 	}
 	return b.Record(p, v.Challenges())
+}
+
+// GenerateProof records the Fiat–Shamir proof of one query over the
+// snapshot, with the prover from the maintained tables. Generation is
+// deterministic — same snapshot version ⇒ bit-identical proof. A
+// universe slice is refused (NewProver): split proofs are assembled by
+// the aggregator.
+func (s *Snapshot) GenerateProof(kind QueryKind, params QueryParams) (*fs.Proof, error) {
+	return RecordProof(s.ds.f, s.ProofBinding(kind, params), func() (core.ProverSession, error) {
+		return s.NewProver(kind, params)
+	})
 }

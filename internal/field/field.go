@@ -78,9 +78,10 @@ var mersenneField = newField(Mersenne61)
 // Mersenne returns the field Z_p for p = 2^61 - 1, the paper's default.
 func Mersenne() Field { return mersenneField }
 
-// ForUniverse returns a field whose modulus p satisfies u ≤ p ≤ 2u (the
-// requirement of §3, guaranteed to exist by Bertrand's postulate), but
-// never smaller than minModulus so that failure probabilities stay tiny.
+// ForUniverse returns the field whose modulus is the smallest prime
+// p ≥ max(u, 2), so u ≤ p ≤ 2u (the requirement of §3, guaranteed to
+// exist by Bertrand's postulate). There is no floor on p: a small
+// universe gives a small field and a failure probability to match.
 // Most callers should simply use Mersenne; ForUniverse exists to exercise
 // the paper's parameterization and for soundness experiments with small
 // fields.

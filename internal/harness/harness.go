@@ -20,6 +20,7 @@ package harness
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/ccm"
@@ -276,8 +277,8 @@ type TamperOutcome struct {
 }
 
 // TamperSuite runs every core query against a battery of dishonest
-// provers and reports whether each was rejected. A complete reproduction
-// has Rejected == true on every row.
+// provers and reports, in a fixed order, whether each was rejected. A
+// complete reproduction has Rejected == true on every row.
 func TamperSuite(f field.Field, u uint64, seed uint64) ([]TamperOutcome, error) {
 	gen := field.NewSplitMix64(seed)
 	ups := stream.UniformDeltas(u, 100, gen)
@@ -285,7 +286,6 @@ func TamperSuite(f field.Field, u uint64, seed uint64) ([]TamperOutcome, error) 
 	if err != nil {
 		return nil, err
 	}
-
 	flip := func(round int) core.Tamperer {
 		return func(r int, m core.Msg) core.Msg {
 			if r == round && len(m.Elems) > 0 {
@@ -294,185 +294,69 @@ func TamperSuite(f field.Field, u uint64, seed uint64) ([]TamperOutcome, error) 
 			return m
 		}
 	}
-	var out []TamperOutcome
-	record := func(query, mode string, err error) {
-		out = append(out, TamperOutcome{Query: query, Mode: mode, Rejected: err != nil})
+	dropEntry := func(r int, m core.Msg) core.Msg {
+		if r == 0 && len(m.Ints) > 0 {
+			m.Ints = m.Ints[1:]
+			m.Elems = m.Elems[1:]
+		}
+		return m
 	}
-
-	// F2: flipped opening, flipped mid-round, dropped stream element.
-	{
-		mk := func(drop bool) (core.ProverSession, core.VerifierSession, error) {
-			proto, err := core.NewSelfJoinSize(f, u)
-			if err != nil {
-				return nil, nil, err
-			}
-			v := proto.NewVerifier(field.NewSplitMix64(seed + 2))
-			p := proto.NewProver()
-			for _, up := range ups {
-				if err := v.Observe(up); err != nil {
-					return nil, nil, err
-				}
-			}
-			pups := ups
-			if drop {
-				pups = ups[:len(ups)-1]
-			}
-			for _, up := range pups {
-				if err := p.Observe(up); err != nil {
-					return nil, nil, err
-				}
-			}
-			return p, v, nil
+	inflate := func(r int, m core.Msg) core.Msg {
+		if r == 0 && len(m.Ints) >= 2 {
+			m.Ints[1] += 3
 		}
-		for _, mode := range []struct {
-			name  string
-			round int
-			drop  bool
-		}{{"flip opening", 0, false}, {"flip round 3", 3, false}, {"drop update", -1, true}} {
-			p, v, err := mk(mode.drop)
-			if err != nil {
-				return nil, err
-			}
-			var ps core.ProverSession = p
-			if mode.round >= 0 {
-				ps = &core.TamperedProver{P: p, T: flip(mode.round)}
-			}
-			_, err = core.Run(ps, v)
-			record("SELF-JOIN SIZE", mode.name, err)
-		}
+		return m
 	}
+	d := bits.Len64(u - 1) // rounds of F0's heavy-hitters phase
 
-	// SUB-VECTOR / RANGE QUERY: flipped answer, flipped sibling hash,
-	// dropped entry.
-	{
-		mk := func() (*core.SubVectorProver, *core.SubVectorVerifier, error) {
-			proto, err := core.NewSubVector(f, u)
-			if err != nil {
-				return nil, nil, err
-			}
-			v := proto.NewVerifier(field.NewSplitMix64(seed + 3))
-			p := proto.NewProver()
-			for _, up := range ups {
-				if err := v.Observe(up); err != nil {
-					return nil, nil, err
-				}
-				if err := p.Observe(up); err != nil {
-					return nil, nil, err
-				}
-			}
-			if err := v.SetQuery(10, 60); err != nil {
-				return nil, nil, err
-			}
-			if err := p.SetQuery(10, 60); err != nil {
-				return nil, nil, err
-			}
-			return p, v, nil
-		}
+	f2, sub := engine.QueryParams{}, engine.QueryParams{A: 10, B: 60}
+	attacks := []struct {
+		query  string
+		kind   engine.QueryKind
+		params engine.QueryParams
+		ups    []stream.Update
+		vseed  uint64 // the verifier draws from seed + vseed
+		mode   string
+		tamper core.Tamperer // nil: the prover misses the stream's last update instead
+	}{
+		{"SELF-JOIN SIZE", engine.QuerySelfJoinSize, f2, ups, 2, "flip opening", flip(0)},
+		{"SELF-JOIN SIZE", engine.QuerySelfJoinSize, f2, ups, 2, "flip round 3", flip(3)},
+		{"SELF-JOIN SIZE", engine.QuerySelfJoinSize, f2, ups, 2, "drop update", nil},
 		// Round 1 carries the level-1 sibling of ancestor 10>>1 = 5 (odd),
 		// so a flip there always fires for the query [10, 60].
-		modes := map[string]core.Tamperer{
-			"flip answer value": flip(0),
-			"flip sibling hash": flip(1),
-			"drop first entry": func(r int, m core.Msg) core.Msg {
-				if r == 0 && len(m.Ints) > 0 {
-					m.Ints = m.Ints[1:]
-					m.Elems = m.Elems[1:]
-				}
-				return m
-			},
-		}
-		for name, tam := range modes {
-			p, v, err := mk()
-			if err != nil {
-				return nil, err
-			}
-			_, err = core.Run(&core.TamperedProver{P: p, T: tam}, v)
-			record("SUB-VECTOR", name, err)
-		}
+		{"SUB-VECTOR", engine.QueryRangeQuery, sub, ups, 3, "flip answer value", flip(0)},
+		{"SUB-VECTOR", engine.QueryRangeQuery, sub, ups, 3, "flip sibling hash", flip(1)},
+		{"SUB-VECTOR", engine.QueryRangeQuery, sub, ups, 3, "drop first entry", dropEntry},
+		{"HEAVY HITTERS", engine.QueryHeavyHitters, engine.QueryParams{Phi: 0.05}, zipf, 4, "inflate count", inflate},
+		{"RANGE-SUM", engine.QueryRangeSum, engine.QueryParams{A: 0, B: u / 2}, ups, 5, "flip claim", flip(0)},
+		// The first sum-check message comes after the d-round HH phase.
+		{"F0", engine.QueryF0, engine.QueryParams{}, zipf, 6, "flip sum-check", flip(d + 1)},
 	}
-
-	// HEAVY HITTERS: inflated count.
-	{
-		proto, err := core.NewHeavyHitters(f, u)
+	out := make([]TamperOutcome, 0, len(attacks))
+	for _, a := range attacks {
+		v, err := engine.NewStreamVerifier(f, u, a.kind, a.params, field.NewSplitMix64(seed+a.vseed))
 		if err != nil {
 			return nil, err
 		}
-		v := proto.NewVerifier(field.NewSplitMix64(seed + 4))
-		p := proto.NewProver()
-		for _, up := range zipf {
+		for _, up := range a.ups {
 			if err := v.Observe(up); err != nil {
 				return nil, err
 			}
-			if err := p.Observe(up); err != nil {
-				return nil, err
-			}
 		}
-		if err := v.SetQuery(0.05); err != nil {
-			return nil, err
+		seen := a.ups
+		if a.tamper == nil {
+			seen = seen[:len(seen)-1]
 		}
-		if err := p.SetQuery(0.05); err != nil {
-			return nil, err
-		}
-		tam := func(r int, m core.Msg) core.Msg {
-			if r == 0 && len(m.Ints) >= 2 {
-				m.Ints[1] += 3
-			}
-			return m
-		}
-		_, err = core.Run(&core.TamperedProver{P: p, T: tam}, v)
-		record("HEAVY HITTERS", "inflate count", err)
-	}
-
-	// RANGE-SUM: flipped claim.
-	{
-		proto, err := core.NewRangeSum(f, u)
+		p, err := engine.NewReplayProver(f, u, a.kind, a.params, seen, 0)
 		if err != nil {
 			return nil, err
 		}
-		v := proto.NewVerifier(field.NewSplitMix64(seed + 5))
-		p := proto.NewProver()
-		for _, up := range ups {
-			if err := v.Observe(up); err != nil {
-				return nil, err
-			}
-			if err := p.Observe(up); err != nil {
-				return nil, err
-			}
+		if a.tamper != nil {
+			p = &core.TamperedProver{P: p, T: a.tamper}
 		}
-		if err := v.SetQuery(0, u/2); err != nil {
-			return nil, err
-		}
-		if err := p.SetQuery(0, u/2); err != nil {
-			return nil, err
-		}
-		_, err = core.Run(&core.TamperedProver{P: p, T: flip(0)}, v)
-		record("RANGE-SUM", "flip claim", err)
+		_, err = core.Run(p, v)
+		out = append(out, TamperOutcome{Query: a.query, Mode: a.mode, Rejected: err != nil})
 	}
-
-	// F0: flipped sum-check message (round after the HH phase).
-	{
-		proto, err := core.NewF0(f, u, 0)
-		if err != nil {
-			return nil, err
-		}
-		v := proto.NewVerifier(field.NewSplitMix64(seed + 6))
-		p := proto.NewProver()
-		for _, up := range zipf {
-			if err := v.Observe(up); err != nil {
-				return nil, err
-			}
-			if err := p.Observe(up); err != nil {
-				return nil, err
-			}
-		}
-		d := 0
-		for cap := uint64(1); cap < u; cap <<= 1 {
-			d++
-		}
-		_, err = core.Run(&core.TamperedProver{P: p, T: flip(d + 1)}, v)
-		record("F0", "flip sum-check", err)
-	}
-
 	return out, nil
 }
 

@@ -124,10 +124,18 @@ func TestTamperSuiteAllRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outcomes) < 8 {
-		t.Fatalf("only %d outcomes", len(outcomes))
+	want := []string{
+		"SELF-JOIN SIZE/flip opening", "SELF-JOIN SIZE/flip round 3", "SELF-JOIN SIZE/drop update",
+		"SUB-VECTOR/flip answer value", "SUB-VECTOR/flip sibling hash", "SUB-VECTOR/drop first entry",
+		"HEAVY HITTERS/inflate count", "RANGE-SUM/flip claim", "F0/flip sum-check",
 	}
-	for _, o := range outcomes {
+	if len(outcomes) != len(want) {
+		t.Fatalf("%d outcomes, want %d", len(outcomes), len(want))
+	}
+	for i, o := range outcomes {
+		if got := o.Query + "/" + o.Mode; got != want[i] {
+			t.Errorf("row %d is %s, want %s", i, got, want[i])
+		}
 		if !o.Rejected {
 			t.Errorf("%s / %s: dishonest prover was accepted", o.Query, o.Mode)
 		}

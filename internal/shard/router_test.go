@@ -14,7 +14,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/fs"
-	"repro/internal/gkr"
 	"repro/internal/stream"
 	"repro/internal/wire"
 	"repro/internal/wire/frames"
@@ -119,89 +118,11 @@ func sameTranscript(a, b []core.Msg) error {
 // query pre-set (the shard-side mirror of the wire test helper).
 func newVerifier(t *testing.T, u uint64, kind wire.QueryKind, p wire.QueryParams, seed uint64) (core.VerifierSession, func(stream.Update) error) {
 	t.Helper()
-	rng := field.NewSplitMix64(seed)
-	check := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
+	v, err := engine.NewStreamVerifier(f61, u, kind, p, field.NewSplitMix64(seed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	switch kind {
-	case wire.QuerySelfJoinSize, wire.QueryFk:
-		k := 2
-		if kind == wire.QueryFk {
-			k = int(p.K)
-		}
-		proto, err := core.NewFk(f61, u, k)
-		check(err)
-		v := proto.NewVerifier(rng)
-		return v, v.Observe
-	case wire.QueryRangeSum:
-		proto, err := core.NewRangeSum(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(p.A, p.B))
-		return v, v.Observe
-	case wire.QueryRangeQuery:
-		proto, err := core.NewRangeQuery(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(p.A, p.B))
-		return v, v.Observe
-	case wire.QueryIndex:
-		proto, err := core.NewIndex(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(p.A))
-		return v, v.Observe
-	case wire.QueryDictionary:
-		proto, err := core.NewDictionary(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(p.A))
-		return v, v.Observe
-	case wire.QueryPredecessor:
-		proto, err := core.NewPredecessor(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(p.A))
-		return v, v.Observe
-	case wire.QuerySuccessor:
-		proto, err := core.NewSuccessor(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(p.A))
-		return v, v.Observe
-	case wire.QueryKLargest:
-		proto, err := core.NewKLargest(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(int(p.K)))
-		return v, v.Observe
-	case wire.QueryHeavyHitters:
-		proto, err := core.NewHeavyHitters(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(p.Phi))
-		return v, v.Observe
-	case wire.QueryF0:
-		proto, err := core.NewF0(f61, u, p.Phi)
-		check(err)
-		v := proto.NewVerifier(rng)
-		return v, v.Observe
-	case wire.QueryFmax:
-		proto, err := core.NewFmax(f61, u, p.Phi)
-		check(err)
-		v := proto.NewVerifier(rng)
-		return v, v.Observe
-	case wire.QueryCircuit:
-		vs, err := gkr.NewVerifierFor(f61, circuit.Spec{Name: p.Circuit, Arg: p.A}, u, rng)
-		check(err)
-		return vs, vs.Observe
-	default:
-		t.Fatalf("unknown kind %d", kind)
-		return nil, nil
-	}
+	return v, v.Observe
 }
 
 // batteryKinds is the full query battery: the paper's 12 streaming

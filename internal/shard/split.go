@@ -38,22 +38,6 @@ import (
 	"repro/internal/wire/frames"
 )
 
-// splitCombiner maps a query kind to the combiner the aggregator folds
-// under — the router-side mirror of engine.NewPartialProver's seam
-// coverage. Kinds outside the seam fail with the engine's typed error.
-func splitCombiner(kind wire.QueryKind, params wire.QueryParams) (sumcheck.Combiner, error) {
-	switch kind {
-	case wire.QuerySelfJoinSize:
-		return sumcheck.Power{K: 2}, nil
-	case wire.QueryFk:
-		return sumcheck.Power{K: int(params.K)}, nil
-	case wire.QueryRangeSum:
-		return sumcheck.Product{}, nil
-	default:
-		return nil, fmt.Errorf("%w: kind %d", engine.ErrNotSplittable, kind)
-	}
-}
-
 // splitAttach is one client connection's attachment to a split dataset:
 // the geometry plus the per-slice owner legs. The owner slice is
 // mutable (a slice handoff swaps in a freshly attached client); the
@@ -305,13 +289,17 @@ func (p *proxyConn) reattachSlice(a *splitAttach, k int) error {
 }
 
 // refuseTyped fails one channel with the typed per-channel frame the
-// server would use: a budget refusal stays a budget refusal.
+// server would use: a budget refusal stays a budget refusal, and an
+// owner's own refusal is relayed in the owner's words — the client then
+// reads what a single engine would have told it.
 func (p *proxyConn) refuseTyped(id uint32, err error) error {
-	typ := byte(frames.ErrorCh)
+	typ, text := byte(frames.ErrorCh), err.Error()
 	if errors.Is(err, wire.ErrBudget) {
 		typ = frames.BudgetCh
+	} else if srv, ok := err.(*wire.ServerError); ok {
+		text = srv.Msg
 	}
-	return p.writeClient(typ, frames.EncodeChannel(id, []byte(err.Error())))
+	return p.writeClient(typ, frames.EncodeChannel(id, []byte(text)))
 }
 
 // refuseChannel refuses a channel that was never opened, tombstoning
@@ -335,7 +323,7 @@ func (p *proxyConn) splitQuery(id uint32, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	comb, err := splitCombiner(kind, params)
+	comb, err := engine.SplitCombiner(p.r.field(), a.u, kind, params)
 	if err != nil {
 		return p.refuseChannel(id, err)
 	}
@@ -504,7 +492,7 @@ func (p *proxyConn) splitProofReq(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	comb, err := splitCombiner(kind, params)
+	comb, err := engine.SplitCombiner(p.r.field(), a.u, kind, params)
 	if err != nil {
 		return p.refuseChannel(id, err)
 	}
@@ -547,11 +535,7 @@ func (p *proxyConn) runSplitProof(id uint32, a *splitAttach, comb sumcheck.Combi
 	}
 	key := proofcache.Key{Dataset: a.name, Version: version, Query: string(binding.Query.Encode())}
 	val, err := p.r.proofCacheRef().Get(key, func() ([]byte, error) {
-		v, err := engine.NewStreamVerifier(f, a.u, kind, params, binding.RNG())
-		if err != nil {
-			return nil, err
-		}
-		pf, err := binding.Record(sp, v.Challenges())
+		pf, err := engine.RecordProof(f, binding, func() (core.ProverSession, error) { return sp, nil })
 		if err != nil {
 			return nil, err
 		}

@@ -183,19 +183,24 @@ func TestSplitUniverseMatchesSingleEngine(t *testing.T) {
 // TestSplitRefusals pins the split path's error discipline: serial
 // queries and slice opens are connection-fatal protocol refusals,
 // non-seam kinds and nested partials fail per-channel (the connection
-// survives), version pins use the server's exact text, and admin moves
-// of a split dataset point at RebalanceSlice.
+// survives), version pins and protocol-refused queries use a single
+// server's exact text, and admin moves of a split dataset point at
+// RebalanceSlice.
 func TestSplitRefusals(t *testing.T) {
 	const u = 200
 	routerAddr, _, _ := splitShards(t, 0, 2, "big")
+	baseAddr, stopBase := startShard(t, &wire.Server{F: f61})
+	defer stopBase()
 
-	c := dialT(t, routerAddr)
-	if _, err := c.OpenDataset("big", u); err != nil {
-		t.Fatal(err)
-	}
+	c, base := dialT(t, routerAddr), dialT(t, baseAddr) // the split; one engine, same data
 	ups := stream.UniformDeltas(u, 30, field.NewSplitMix64(8300))
-	if _, err := c.Ingest(ups); err != nil {
-		t.Fatal(err)
+	for _, cl := range []*wire.Client{c, base} {
+		if _, err := cl.OpenDataset("big", u); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Ingest(ups); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Non-seam kind: per-channel refusal with the engine's typed text;
@@ -224,7 +229,29 @@ func TestSplitRefusals(t *testing.T) {
 		!strings.Contains(err.Error(), "split-universe seam") {
 		t.Fatalf("F0 proof = %v, want a seam refusal", err)
 	}
-	// The connection survived all four refusals: a seam query works.
+	// A query the protocol itself refuses — constructor (Fk order) or
+	// SetQuery (range) rejected parameters, an unknown kind — reads the
+	// same through the split as from the single engine, conversation and
+	// posted proof alike.
+	for _, q := range []struct {
+		kind   wire.QueryKind
+		params wire.QueryParams
+	}{
+		{wire.QueryFk, wire.QueryParams{K: 0}}, {wire.QueryFk, wire.QueryParams{K: -3}},
+		{wire.QueryRangeSum, wire.QueryParams{A: 9, B: 3}}, {wire.QueryRangeSum, wire.QueryParams{A: 0, B: 256}},
+		{99, wire.QueryParams{}}, {0, wire.QueryParams{}},
+	} {
+		_, wantQ := base.Query(q.kind, q.params, v0)
+		_, gotQ := c.Query(q.kind, q.params, v0)
+		_, wantP := base.FetchProof(q.kind, q.params, 0)
+		_, gotP := c.FetchProof(q.kind, q.params, 0)
+		for _, e := range [][2]error{{wantQ, gotQ}, {wantP, gotP}} {
+			if e[0] == nil || e[1] == nil || e[0].Error() != e[1].Error() {
+				t.Errorf("kind %d %+v: split router says %q, single engine %q", q.kind, q.params, e[1], e[0])
+			}
+		}
+	}
+	// The connection survived every refusal: a seam query works.
 	v, obs := newVerifier(t, u, wire.QuerySelfJoinSize, wire.QueryParams{}, 8302)
 	for _, up := range ups {
 		if err := obs(up); err != nil {

@@ -68,6 +68,14 @@ type ctrlFrame struct {
 	payload []byte
 }
 
+// ServerError is a refusal the server sent as an error frame, on the
+// control channel or on one conversation's channel. Msg is the server's
+// own text, so an intermediary relaying the refusal to its client
+// (shard.Router) forwards Msg rather than re-wrapping Error().
+type ServerError struct{ Msg string }
+
+func (e *ServerError) Error() string { return "wire: server error: " + e.Msg }
+
 // ErrTimeout reports that Client.Timeout elapsed while waiting on the
 // server; the connection has been closed. Distinguish it with
 // errors.Is(err, wire.ErrTimeout).
@@ -183,7 +191,7 @@ func ctrlErr(typ byte, payload []byte) error {
 	if typ == frames.Budget {
 		return fmt.Errorf("%w: %s", ErrBudget, payload)
 	}
-	return fmt.Errorf("wire: server error: %s", payload)
+	return &ServerError{Msg: string(payload)}
 }
 
 // write sends one frame, serialized against every other writer on the
@@ -331,10 +339,8 @@ func (c *Client) readOK() (uint64, error) {
 	switch typ {
 	case frames.OK:
 		return frames.DecodeCount(payload)
-	case frames.Budget:
-		return 0, fmt.Errorf("%w: %s", ErrBudget, payload)
-	case frames.Error:
-		return 0, fmt.Errorf("wire: server error: %s", payload)
+	case frames.Budget, frames.Error:
+		return 0, ctrlErr(typ, payload)
 	default:
 		return 0, fmt.Errorf("%w: unexpected frame 0x%02x", ErrProtocol, typ)
 	}

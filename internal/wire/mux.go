@@ -441,7 +441,7 @@ func (h *QueryHandle) msg() (m core.Msg, srvDead bool, err error) {
 	case frames.BudgetCh:
 		return core.Msg{}, true, fmt.Errorf("%w: %s", ErrBudget, fr.payload)
 	case frames.ErrorCh:
-		return core.Msg{}, true, fmt.Errorf("wire: server error: %s", fr.payload)
+		return core.Msg{}, true, &ServerError{Msg: string(fr.payload)}
 	default:
 		return core.Msg{}, false, fmt.Errorf("%w: unexpected frame 0x%02x", ErrProtocol, fr.typ)
 	}

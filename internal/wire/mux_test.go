@@ -8,11 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/field"
-	"repro/internal/gkr"
 	"repro/internal/stream"
 	"repro/internal/wire/frames"
 )
@@ -68,89 +66,11 @@ func sameTranscript(a, b []core.Msg) error {
 // query pre-set, mirroring the engine test helper.
 func muxVerifier(t *testing.T, u uint64, kind QueryKind, p QueryParams, seed uint64) (core.VerifierSession, func(stream.Update) error) {
 	t.Helper()
-	rng := field.NewSplitMix64(seed)
-	check := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
+	v, err := engine.NewStreamVerifier(f61, u, kind, p, field.NewSplitMix64(seed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	switch kind {
-	case QuerySelfJoinSize, QueryFk:
-		k := 2
-		if kind == QueryFk {
-			k = int(p.K)
-		}
-		proto, err := core.NewFk(f61, u, k)
-		check(err)
-		v := proto.NewVerifier(rng)
-		return v, v.Observe
-	case QueryRangeSum:
-		proto, err := core.NewRangeSum(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(p.A, p.B))
-		return v, v.Observe
-	case QueryRangeQuery:
-		proto, err := core.NewRangeQuery(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(p.A, p.B))
-		return v, v.Observe
-	case QueryIndex:
-		proto, err := core.NewIndex(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(p.A))
-		return v, v.Observe
-	case QueryDictionary:
-		proto, err := core.NewDictionary(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(p.A))
-		return v, v.Observe
-	case QueryPredecessor:
-		proto, err := core.NewPredecessor(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(p.A))
-		return v, v.Observe
-	case QuerySuccessor:
-		proto, err := core.NewSuccessor(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(p.A))
-		return v, v.Observe
-	case QueryKLargest:
-		proto, err := core.NewKLargest(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(int(p.K)))
-		return v, v.Observe
-	case QueryHeavyHitters:
-		proto, err := core.NewHeavyHitters(f61, u)
-		check(err)
-		v := proto.NewVerifier(rng)
-		check(v.SetQuery(p.Phi))
-		return v, v.Observe
-	case QueryF0:
-		proto, err := core.NewF0(f61, u, p.Phi)
-		check(err)
-		v := proto.NewVerifier(rng)
-		return v, v.Observe
-	case QueryFmax:
-		proto, err := core.NewFmax(f61, u, p.Phi)
-		check(err)
-		v := proto.NewVerifier(rng)
-		return v, v.Observe
-	case QueryCircuit:
-		vs, err := gkr.NewVerifierFor(f61, circuit.Spec{Name: p.Circuit, Arg: p.A}, u, rng)
-		check(err)
-		return vs, vs.Observe
-	default:
-		t.Fatalf("unknown kind %d", kind)
-		return nil, nil
-	}
+	return v, v.Observe
 }
 
 func muxKinds() []struct {

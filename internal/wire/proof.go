@@ -147,16 +147,9 @@ func (s *Server) generateProof(ds *engine.Dataset, snap *engine.Snapshot, kind Q
 	if err != nil {
 		return nil, err
 	}
-	b := snap.ProofBinding(kind, params)
-	v, err := engine.NewStreamVerifier(s.F, ds.UniverseSize(), kind, params, b.RNG())
-	if err != nil {
-		return nil, err
-	}
-	p, err := from.NewProver(kind, params)
-	if err != nil {
-		return nil, err
-	}
-	return b.Record(p, v.Challenges())
+	return engine.RecordProof(s.F, snap.ProofBinding(kind, params), func() (core.ProverSession, error) {
+		return from.NewProver(kind, params)
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -208,7 +201,7 @@ func (c *Client) FetchProof(kind QueryKind, params QueryParams, version uint64) 
 	case frames.BudgetCh:
 		return nil, fmt.Errorf("%w: %s", ErrBudget, fr.payload)
 	case frames.ErrorCh:
-		return nil, fmt.Errorf("wire: server error: %s", fr.payload)
+		return nil, &ServerError{Msg: string(fr.payload)}
 	default:
 		return nil, fmt.Errorf("%w: unexpected frame 0x%02x", ErrProtocol, fr.typ)
 	}

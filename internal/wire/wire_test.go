@@ -257,36 +257,3 @@ func TestDishonestServerRejected(t *testing.T) {
 		t.Fatalf("dishonest cloud's posted proof not rejected offline: %v", err)
 	}
 }
-
-// TestBuildProverKinds constructs every query kind.
-func TestBuildProverKinds(t *testing.T) {
-	const u = 128
-	ups := stream.UniformDeltas(u, 10, field.NewSplitMix64(906))
-	kinds := []struct {
-		kind   QueryKind
-		params QueryParams
-	}{
-		{QuerySelfJoinSize, QueryParams{}},
-		{QueryFk, QueryParams{K: 3}},
-		{QueryRangeSum, QueryParams{A: 1, B: 50}},
-		{QueryRangeQuery, QueryParams{A: 1, B: 50}},
-		{QueryIndex, QueryParams{A: 5}},
-		{QueryDictionary, QueryParams{A: 5}},
-		{QueryPredecessor, QueryParams{A: 5}},
-		{QuerySuccessor, QueryParams{A: 5}},
-		{QueryKLargest, QueryParams{K: 2}},
-		{QueryHeavyHitters, QueryParams{Phi: 0.1}},
-		{QueryF0, QueryParams{}},
-		{QueryFmax, QueryParams{}},
-	}
-	for _, c := range kinds {
-		for _, workers := range []int{0, -1} {
-			if _, err := BuildProver(f61, u, c.kind, c.params, ups, workers); err != nil {
-				t.Errorf("BuildProver(%d, workers=%d): %v", c.kind, workers, err)
-			}
-		}
-	}
-	if _, err := BuildProver(f61, u, QueryKind(99), QueryParams{}, ups, 0); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}

@@ -456,174 +456,88 @@ func NewMultiFk(f Field, u uint64, ks []int) (*MultiFk, error) { return core.New
 // the same process; for genuinely outsourced data use the session API
 // with the wire transport in cmd/sipserver and cmd/sipclient.
 
-// VerifySelfJoinSize streams updates into both parties and verifies F2.
-func VerifySelfJoinSize(f Field, u uint64, updates []Update, rng RNG) (Elem, Stats, error) {
-	proto, err := NewSelfJoinSize(f, u)
+// verifyLocal is the one local run loop: the kind's streaming verifier
+// observes the updates, the paper's prover observes them too, and the
+// two hold the conversation. The verifier's refusal of the query comes
+// first. Results are read from the returned verifier's concrete type.
+func verifyLocal(f Field, u uint64, updates []Update, kind QueryKind, params QueryParams, rng RNG) (StreamVerifier, Stats, error) {
+	v, err := engine.NewStreamVerifier(f, u, kind, params, rng)
 	if err != nil {
-		return 0, Stats{}, err
+		return nil, Stats{}, err
 	}
-	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
 	for _, up := range updates {
 		if err := v.Observe(up); err != nil {
-			return 0, Stats{}, err
-		}
-		if err := p.Observe(up); err != nil {
-			return 0, Stats{}, err
+			return nil, Stats{}, err
 		}
 	}
+	p, err := engine.NewReplayProver(f, u, kind, params, updates, 0)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	stats, err := Run(p, v)
+	return v, stats, err
+}
+
+// VerifySelfJoinSize streams updates into both parties and verifies F2.
+func VerifySelfJoinSize(f Field, u uint64, updates []Update, rng RNG) (Elem, Stats, error) {
+	v, stats, err := verifyLocal(f, u, updates, QuerySelfJoinSize, QueryParams{}, rng)
 	if err != nil {
 		return 0, stats, err
 	}
-	res, err := v.Result()
+	res, err := v.(*core.FkVerifier).Result()
 	return res, stats, err
 }
 
 // VerifyRangeSum streams key-value updates and verifies the sum over
 // [qL, qR], returned as a signed integer.
 func VerifyRangeSum(f Field, u uint64, updates []Update, qL, qR uint64, rng RNG) (int64, Stats, error) {
-	proto, err := NewRangeSum(f, u)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
-	for _, up := range updates {
-		if err := v.Observe(up); err != nil {
-			return 0, Stats{}, err
-		}
-		if err := p.Observe(up); err != nil {
-			return 0, Stats{}, err
-		}
-	}
-	if err := v.SetQuery(qL, qR); err != nil {
-		return 0, Stats{}, err
-	}
-	if err := p.SetQuery(qL, qR); err != nil {
-		return 0, Stats{}, err
-	}
-	stats, err := Run(p, v)
+	v, stats, err := verifyLocal(f, u, updates, QueryRangeSum, QueryParams{A: qL, B: qR}, rng)
 	if err != nil {
 		return 0, stats, err
 	}
-	res, err := v.SignedResult()
+	res, err := v.(*core.RangeSumVerifier).SignedResult()
 	return res, stats, err
 }
 
 // VerifyRangeQuery streams updates and verifies the nonzero entries in
 // [qL, qR].
 func VerifyRangeQuery(f Field, u uint64, updates []Update, qL, qR uint64, rng RNG) ([]Entry, Stats, error) {
-	proto, err := NewRangeQuery(f, u)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
-	for _, up := range updates {
-		if err := v.Observe(up); err != nil {
-			return nil, Stats{}, err
-		}
-		if err := p.Observe(up); err != nil {
-			return nil, Stats{}, err
-		}
-	}
-	if err := v.SetQuery(qL, qR); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := p.SetQuery(qL, qR); err != nil {
-		return nil, Stats{}, err
-	}
-	stats, err := Run(p, v)
+	v, stats, err := verifyLocal(f, u, updates, QueryRangeQuery, QueryParams{A: qL, B: qR}, rng)
 	if err != nil {
 		return nil, stats, err
 	}
-	entries, err := v.Result()
+	entries, err := v.(*core.SubVectorVerifier).Result()
 	return entries, stats, err
 }
 
 // VerifyHeavyHitters streams updates and verifies the φ-heavy hitters.
 func VerifyHeavyHitters(f Field, u uint64, updates []Update, phi float64, rng RNG) ([]HeavyHitter, Stats, error) {
-	proto, err := NewHeavyHitters(f, u)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
-	for _, up := range updates {
-		if err := v.Observe(up); err != nil {
-			return nil, Stats{}, err
-		}
-		if err := p.Observe(up); err != nil {
-			return nil, Stats{}, err
-		}
-	}
-	if err := v.SetQuery(phi); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := p.SetQuery(phi); err != nil {
-		return nil, Stats{}, err
-	}
-	stats, err := Run(p, v)
+	v, stats, err := verifyLocal(f, u, updates, QueryHeavyHitters, QueryParams{Phi: phi}, rng)
 	if err != nil {
 		return nil, stats, err
 	}
-	hh, _, err := v.Result()
+	hh, _, err := v.(*core.HeavyHittersVerifier).Result()
 	return hh, stats, err
 }
 
-// VerifyCircuit streams updates into a dataset and a circuit verifier,
-// then verifies the named circuit's full output vector over the final
-// frequency vector (e.g. CircuitMatMul: every entry of C = A·A).
+// VerifyCircuit streams updates into both parties and verifies the
+// named circuit's full output vector over the final frequency vector
+// (e.g. CircuitMatMul: every entry of C = A·A).
 func VerifyCircuit(f Field, u uint64, updates []Update, spec CircuitSpec, rng RNG) ([]Elem, Stats, error) {
-	v, err := NewCircuitVerifier(f, spec, u, rng)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	ds, err := NewDataset(f, u, 0)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	for _, up := range updates {
-		if err := v.Observe(up); err != nil {
-			return nil, Stats{}, err
-		}
-	}
-	if err := ds.Ingest(updates); err != nil {
-		return nil, Stats{}, err
-	}
-	p, err := ds.Snapshot().NewProver(QueryCircuit, QueryParams{Circuit: spec.Name, A: spec.Arg})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats, err := Run(p, v)
+	v, stats, err := verifyLocal(f, u, updates, QueryCircuit, QueryParams{Circuit: spec.Name, A: spec.Arg}, rng)
 	if err != nil {
 		return nil, stats, err
 	}
-	outs, err := v.Outputs()
+	outs, err := v.(*CircuitVerifier).Outputs()
 	return outs, stats, err
 }
 
 // VerifyF0 streams updates and verifies the number of distinct items.
 func VerifyF0(f Field, u uint64, updates []Update, rng RNG) (Elem, Stats, error) {
-	proto, err := NewF0(f, u, 0)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
-	for _, up := range updates {
-		if err := v.Observe(up); err != nil {
-			return 0, Stats{}, err
-		}
-		if err := p.Observe(up); err != nil {
-			return 0, Stats{}, err
-		}
-	}
-	stats, err := Run(p, v)
+	v, stats, err := verifyLocal(f, u, updates, QueryF0, QueryParams{}, rng)
 	if err != nil {
 		return 0, stats, err
 	}
-	res, err := v.Result()
+	res, err := v.(*core.FrequencyBasedVerifier).Result()
 	return res, stats, err
 }
