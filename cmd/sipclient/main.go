@@ -31,7 +31,10 @@
 // verifies it offline against a verifier built from the proof binding's
 // deterministic challenge stream and this client's own copy of the
 // updates. No prover work happens on the server after the first fetch
-// of each (version, query).
+// of each (version, query). A posted proof gives integrity against third
+// parties, not soundness against the server: its challenges are public,
+// so the server that generates it can prove a false answer this check
+// accepts. Against an untrusted server, run without -cached.
 //
 // -kinds picks the query battery. "all" (the default) runs self-join
 // size, range query, and heavy hitters. "seam" runs the split-universe
@@ -149,7 +152,7 @@ func run(args []string, out io.Writer) error {
 	concurrency := fl.Int("concurrency", 1, "query rounds overlapped on the one connection (multiplexed conversations)")
 	circuitName := fl.String("circuit", "", fmt.Sprintf("add a CIRCUIT (GKR) conversation per round; families: %v", circuit.Families()))
 	circuitArg := fl.Uint64("circuit-arg", 0, "circuit family argument (MATMUL: matrix dimension n, 0 = default)")
-	cached := fl.Bool("cached", false, "verify posted Fiat–Shamir proofs offline instead of running interactive conversations")
+	cached := fl.Bool("cached", false, "verify posted Fiat–Shamir proofs offline instead of running interactive conversations (integrity against third parties only: the server that generates a proof can forge it)")
 	kinds := fl.String("kinds", "all", `query battery: "all" (F2, range query, heavy hitters) or "seam" (F2, F3 moment, range sum — what a split-universe dataset serves)`)
 	if err := fl.Parse(args); err != nil {
 		return err

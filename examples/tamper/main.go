@@ -31,7 +31,6 @@ func main() {
 			log.Fatal(err)
 		}
 		v := proto.NewVerifier(sip.NewCryptoRNG())
-		p := proto.NewProver()
 		for _, up := range updates {
 			if err := v.Observe(up); err != nil {
 				log.Fatal(err)
@@ -41,16 +40,21 @@ func main() {
 		if dropData {
 			data = updates[:len(updates)-1] // "missed out some data"
 		}
-		for _, up := range data {
-			if err := p.Observe(up); err != nil {
-				log.Fatal(err)
-			}
+		ds, err := sip.NewDataset(f, u, 0)
+		if err != nil {
+			log.Fatal(err)
 		}
-		var session sip.ProverSession = p
+		if err := ds.Ingest(data); err != nil {
+			log.Fatal(err)
+		}
+		p, err := ds.Snapshot().NewProver(sip.QuerySelfJoinSize, sip.QueryParams{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		if tamper != nil {
-			session = &sip.TamperedProver{P: p, T: tamper}
+			p = &sip.TamperedProver{P: p, T: tamper}
 		}
-		_, err = sip.Run(session, v)
+		_, err = sip.Run(p, v)
 		switch {
 		case err == nil && tamper == nil && !dropData:
 			fmt.Printf("%-36s ACCEPTED (honest baseline)\n", name)

@@ -160,46 +160,25 @@ func (v *FkVerifier) SpaceWords() int {
 
 // ---------------------------------------------------------------------
 
-// FkProver is the honest prover: it stores the full frequency vector
+// FkProver is the honest prover: it holds the full frequency vector
 // (O(min(u,n)) space) and spends O(K·u) field operations across all
 // rounds (Appendix B.1).
 type FkProver struct {
-	proto  *Fk
-	table  []field.Elem
-	shared bool
-	sc     *sumcheck.Prover
+	proto *Fk
+	table []field.Elem
+	sc    *sumcheck.Prover
 }
 
-// NewProver returns a prover ready to observe updates.
-func (p *Fk) NewProver() *FkProver {
-	return &FkProver{proto: p, table: make([]field.Elem, p.Params.U)}
-}
-
-// NewProverFromTable returns a prover over a prebuilt dense frequency
-// table (the field image of the counts, length Params.U), borrowed
-// read-only — typically a dataset-engine snapshot. Construction is O(1):
-// no stream is replayed, and the sum-check copies the table at Open, so
-// many sessions can share one snapshot. The transcript is bit-identical
-// to a streaming prover that observed any stream aggregating to the same
+// NewProverFromTable returns a prover over the aggregated frequency table
+// (the field image of the counts, length Params.U), borrowed read-only —
+// typically a dataset-engine snapshot. Construction is O(1), and the
+// sum-check copies the table at Open, so many sessions can share one
 // table.
 func (p *Fk) NewProverFromTable(table []field.Elem) (*FkProver, error) {
 	if uint64(len(table)) != p.Params.U {
 		return nil, fmt.Errorf("core: table has %d entries, want %d", len(table), p.Params.U)
 	}
-	return &FkProver{proto: p, table: table, shared: true}, nil
-}
-
-// Observe folds one stream update into the frequency vector.
-func (pr *FkProver) Observe(up stream.Update) error {
-	if pr.shared {
-		return fmt.Errorf("core: prover built from a snapshot cannot observe updates")
-	}
-	if up.Index >= pr.proto.Params.U {
-		return fmt.Errorf("core: index %d outside universe [0,%d)", up.Index, pr.proto.Params.U)
-	}
-	f := pr.proto.F
-	pr.table[up.Index] = f.Add(pr.table[up.Index], f.FromInt64(up.Delta))
-	return nil
+	return &FkProver{proto: p, table: table}, nil
 }
 
 // Open computes the claimed moment and the unprompted round-1 polynomial.
@@ -343,34 +322,23 @@ func (v *InnerProductVerifier) Result() (field.Elem, error) {
 	return v.claim, nil
 }
 
-// InnerProductProver stores both frequency vectors.
+// InnerProductProver holds both frequency vectors.
 type InnerProductProver struct {
 	proto  *InnerProduct
 	tables [2][]field.Elem
 	sc     *sumcheck.Prover
 }
 
-// NewProver returns a prover ready to observe both streams.
-func (p *InnerProduct) NewProver() *InnerProductProver {
-	return &InnerProductProver{
-		proto:  p,
-		tables: [2][]field.Elem{make([]field.Elem, p.Params.U), make([]field.Elem, p.Params.U)},
+// NewProverFromTables returns a prover over the aggregated tables of
+// streams A and B (field images, length Params.U each), borrowed
+// read-only; see Fk.NewProverFromTable.
+func (p *InnerProduct) NewProverFromTables(a, b []field.Elem) (*InnerProductProver, error) {
+	for _, t := range [][]field.Elem{a, b} {
+		if uint64(len(t)) != p.Params.U {
+			return nil, fmt.Errorf("core: table has %d entries, want %d", len(t), p.Params.U)
+		}
 	}
-}
-
-// ObserveA folds an update of stream A.
-func (pr *InnerProductProver) ObserveA(up stream.Update) error { return pr.observe(0, up) }
-
-// ObserveB folds an update of stream B.
-func (pr *InnerProductProver) ObserveB(up stream.Update) error { return pr.observe(1, up) }
-
-func (pr *InnerProductProver) observe(t int, up stream.Update) error {
-	if up.Index >= pr.proto.Params.U {
-		return fmt.Errorf("core: index %d outside universe [0,%d)", up.Index, pr.proto.Params.U)
-	}
-	f := pr.proto.F
-	pr.tables[t][up.Index] = f.Add(pr.tables[t][up.Index], f.FromInt64(up.Delta))
-	return nil
+	return &InnerProductProver{proto: p, tables: [2][]field.Elem{a, b}}, nil
 }
 
 // Open computes the claimed inner product and round-1 polynomial.
@@ -545,42 +513,23 @@ func (v *RangeSumVerifier) SignedResult() (int64, error) {
 	return v.proto.F.Centered(e), nil
 }
 
-// RangeSumProver stores the key–value vector and materializes the
+// RangeSumProver holds the key–value vector and materializes the
 // indicator once the query arrives.
 type RangeSumProver struct {
 	proto    *RangeSum
 	table    []field.Elem
-	shared   bool
 	qL, qR   uint64
 	hasQuery bool
 	sc       *sumcheck.Prover
 }
 
-// NewProver returns a prover ready to observe the stream.
-func (p *RangeSum) NewProver() *RangeSumProver {
-	return &RangeSumProver{proto: p, table: make([]field.Elem, p.Params.U)}
-}
-
-// NewProverFromTable returns a prover over a prebuilt dense key–value
+// NewProverFromTable returns a prover over the aggregated key–value
 // table, borrowed read-only; see Fk.NewProverFromTable.
 func (p *RangeSum) NewProverFromTable(table []field.Elem) (*RangeSumProver, error) {
 	if uint64(len(table)) != p.Params.U {
 		return nil, fmt.Errorf("core: table has %d entries, want %d", len(table), p.Params.U)
 	}
-	return &RangeSumProver{proto: p, table: table, shared: true}, nil
-}
-
-// Observe folds one (key, value) pair.
-func (pr *RangeSumProver) Observe(up stream.Update) error {
-	if pr.shared {
-		return fmt.Errorf("core: prover built from a snapshot cannot observe updates")
-	}
-	if up.Index >= pr.proto.Params.U {
-		return fmt.Errorf("core: index %d outside universe [0,%d)", up.Index, pr.proto.Params.U)
-	}
-	f := pr.proto.F
-	pr.table[up.Index] = f.Add(pr.table[up.Index], f.FromInt64(up.Delta))
-	return nil
+	return &RangeSumProver{proto: p, table: table}, nil
 }
 
 // SetQuery fixes the queried range.

@@ -23,14 +23,38 @@ func observeAll(t *testing.T, obs observer, ups []stream.Update) {
 	}
 }
 
-func refFk(t *testing.T, ups []stream.Update, u uint64, k int) field.Elem {
+// countsOf is the one prover input of these tests: ups aggregated over
+// the protocol's padded universe n. Every prover borrows it read-only.
+func countsOf(t *testing.T, ups []stream.Update, n uint64) []int64 {
 	t.Helper()
-	a, err := stream.Apply(ups, u)
+	a, err := stream.Apply(ups, n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return a
+}
+
+// elemsOf is countsOf's field image, the sum-check provers' table.
+func elemsOf(t *testing.T, ups []stream.Update, n uint64) []field.Elem {
+	t.Helper()
+	out := make([]field.Elem, n)
+	f61.FromInt64Slice(out, countsOf(t, ups, n))
+	return out
+}
+
+// must unwraps a prover constructor. Every table here is built to the
+// constructor's length, so an error is a bug in the test.
+func must[P any](p P, err error) P {
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+func refFk(t *testing.T, ups []stream.Update, u uint64, k int) field.Elem {
+	t.Helper()
 	var total field.Elem
-	for _, v := range a {
+	for _, v := range countsOf(t, ups, u) {
 		total = f61.Add(total, f61.Pow(f61.FromInt64(v), uint64(k)))
 	}
 	return total
@@ -45,9 +69,8 @@ func TestSelfJoinSizeEndToEnd(t *testing.T) {
 	rng := field.NewSplitMix64(101)
 	ups := stream.UniformDeltas(u, 1000, rng)
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromTable(elemsOf(t, ups, proto.Params.U)))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups)
 	stats, err := Run(p, v)
 	if err != nil {
 		t.Fatalf("honest F2 run rejected: %v", err)
@@ -85,9 +108,8 @@ func TestFkEndToEndOrders(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := proto.NewVerifier(rng)
-		p := proto.NewProver()
+		p := must(proto.NewProverFromTable(elemsOf(t, ups, proto.Params.U)))
 		observeAll(t, v, ups)
-		observeAll(t, p, ups)
 		if _, err := Run(p, v); err != nil {
 			t.Fatalf("F%d rejected: %v", k, err)
 		}
@@ -110,9 +132,8 @@ func TestFkTinyUniverse(t *testing.T) {
 	rng := field.NewSplitMix64(103)
 	ups := []stream.Update{{Index: 0, Delta: 3}, {Index: 1, Delta: 4}, {Index: 0, Delta: 2}}
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromTable(elemsOf(t, ups, proto.Params.U)))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups)
 	if _, err := Run(p, v); err != nil {
 		t.Fatalf("d=1 F2 rejected: %v", err)
 	}
@@ -132,12 +153,8 @@ func TestInnerProductEndToEnd(t *testing.T) {
 	upsA := stream.UniformDeltas(u, 50, rng)
 	upsB := stream.UniformDeltas(u, 50, rng)
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
 	for _, up := range upsA {
 		if err := v.ObserveA(up); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.ObserveA(up); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,10 +162,8 @@ func TestInnerProductEndToEnd(t *testing.T) {
 		if err := v.ObserveB(up); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.ObserveB(up); err != nil {
-			t.Fatal(err)
-		}
 	}
+	p := must(proto.NewProverFromTables(elemsOf(t, upsA, proto.Params.U), elemsOf(t, upsB, proto.Params.U)))
 	if _, err := Run(p, v); err != nil {
 		t.Fatalf("inner product rejected: %v", err)
 	}
@@ -181,9 +196,8 @@ func TestRangeSumEndToEnd(t *testing.T) {
 	ups := stream.KVUpdates(pairs)
 	for _, q := range []struct{ lo, hi uint64 }{{0, u - 1}, {100, 200}, {0, 0}, {u - 1, u - 1}, {u / 2, u/2 + 999}} {
 		v := proto.NewVerifier(rng)
-		p := proto.NewProver()
+		p := must(proto.NewProverFromTable(elemsOf(t, ups, proto.Params.U)))
 		observeAll(t, v, ups)
-		observeAll(t, p, ups)
 		if err := v.SetQuery(q.lo, q.hi); err != nil {
 			t.Fatal(err)
 		}
@@ -218,9 +232,8 @@ func TestRangeSumNegativeValues(t *testing.T) {
 	rng := field.NewSplitMix64(106)
 	ups := []stream.Update{{Index: 3, Delta: -50}, {Index: 9, Delta: 20}, {Index: 40, Delta: 7}}
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromTable(elemsOf(t, ups, proto.Params.U)))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups)
 	if err := v.SetQuery(0, 20); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +265,7 @@ func TestRangeSumQueryValidation(t *testing.T) {
 	if _, _, err := v.Begin(Msg{}); err == nil {
 		t.Error("Begin without query accepted")
 	}
-	p := proto.NewProver()
+	p := must(proto.NewProverFromTable(elemsOf(t, nil, proto.Params.U)))
 	if _, err := p.Open(); err == nil {
 		t.Error("prover Open without query accepted")
 	}
@@ -272,9 +285,8 @@ func TestAggregateTamperMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := proto.NewVerifier(rng)
-		p := proto.NewProver()
+		p := must(proto.NewProverFromTable(elemsOf(t, ups, proto.Params.U)))
 		observeAll(t, v, ups)
-		observeAll(t, p, ups)
 		return p, v
 	}
 
@@ -312,14 +324,9 @@ func TestAggregateWrongStreamProver(t *testing.T) {
 	rng := field.NewSplitMix64(109)
 	ups := stream.UniformDeltas(u, 100, rng)
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
 	observeAll(t, v, ups)
 	// Prover never sees the last 3 updates.
-	for _, up := range ups[:len(ups)-3] {
-		if err := p.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-	}
+	p := must(proto.NewProverFromTable(elemsOf(t, ups[:len(ups)-3], proto.Params.U)))
 	if _, err := Run(p, v); !errors.Is(err, ErrRejected) {
 		t.Fatalf("prover with missing data not rejected: %v", err)
 	}
@@ -341,12 +348,9 @@ func TestVerifierSessionMisuse(t *testing.T) {
 	if _, _, err := v.Begin(Msg{Elems: make([]field.Elem, 2)}); err == nil {
 		t.Error("malformed opening accepted")
 	}
-	p := proto.NewProver()
+	p := must(proto.NewProverFromTable(elemsOf(t, nil, proto.Params.U)))
 	if _, err := p.Step(Msg{Elems: []field.Elem{1}}); err == nil {
 		t.Error("prover step before open accepted")
-	}
-	if err := p.Observe(stream.Update{Index: 99, Delta: 1}); err == nil {
-		t.Error("out-of-universe update accepted")
 	}
 }
 

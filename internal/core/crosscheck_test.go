@@ -27,9 +27,8 @@ func TestPolarizationIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := proto.NewVerifier(field.NewSplitMix64(seed))
-		p := proto.NewProver()
+		p := must(proto.NewProverFromTable(elemsOf(t, ups, proto.Params.U)))
 		observeAll(t, v, ups)
-		observeAll(t, p, ups)
 		if _, err := Run(p, v); err != nil {
 			t.Fatalf("F2 rejected: %v", err)
 		}
@@ -49,12 +48,8 @@ func TestPolarizationIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := ipProto.NewVerifier(field.NewSplitMix64(705))
-	p := ipProto.NewProver()
 	for _, up := range upsA {
 		if err := v.ObserveA(up); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.ObserveA(up); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,10 +57,8 @@ func TestPolarizationIdentity(t *testing.T) {
 		if err := v.ObserveB(up); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.ObserveB(up); err != nil {
-			t.Fatal(err)
-		}
 	}
+	p := must(ipProto.NewProverFromTables(elemsOf(t, upsA, u), elemsOf(t, upsB, u)))
 	if _, err := Run(p, v); err != nil {
 		t.Fatalf("inner product rejected: %v", err)
 	}
@@ -102,9 +95,8 @@ func TestRangeSumEqualsInnerProduct(t *testing.T) {
 		t.Fatal(err)
 	}
 	rsV := rsProto.NewVerifier(field.NewSplitMix64(707))
-	rsP := rsProto.NewProver()
+	rsP := must(rsProto.NewProverFromTable(elemsOf(t, ups, u)))
 	observeAll(t, rsV, ups)
-	observeAll(t, rsP, ups)
 	if err := rsV.SetQuery(qL, qR); err != nil {
 		t.Fatal(err)
 	}
@@ -125,24 +117,21 @@ func TestRangeSumEqualsInnerProduct(t *testing.T) {
 		t.Fatal(err)
 	}
 	ipV := ipProto.NewVerifier(field.NewSplitMix64(708))
-	ipP := ipProto.NewProver()
+	var indicator []stream.Update
+	for i := qL; i <= qR; i++ {
+		indicator = append(indicator, stream.Update{Index: i, Delta: 1})
+	}
 	for _, up := range ups {
 		if err := ipV.ObserveA(up); err != nil {
 			t.Fatal(err)
 		}
-		if err := ipP.ObserveA(up); err != nil {
-			t.Fatal(err)
-		}
 	}
-	for i := qL; i <= qR; i++ {
-		ind := stream.Update{Index: i, Delta: 1}
+	for _, ind := range indicator {
 		if err := ipV.ObserveB(ind); err != nil {
 			t.Fatal(err)
 		}
-		if err := ipP.ObserveB(ind); err != nil {
-			t.Fatal(err)
-		}
 	}
+	ipP := must(ipProto.NewProverFromTables(elemsOf(t, ups, u), elemsOf(t, indicator, u)))
 	if _, err := Run(ipP, ipV); err != nil {
 		t.Fatalf("inner product rejected: %v", err)
 	}
@@ -166,17 +155,15 @@ func TestFkViaMultiEqualsSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	mv := multi.NewVerifier(field.NewSplitMix64(710))
-	mp := multi.NewProver()
 	for _, up := range ups {
 		for slot := 0; slot < 3; slot++ {
 			if err := mv.Observe(slot, up); err != nil {
 				t.Fatal(err)
 			}
-			if err := mp.Observe(slot, up); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
+	table := elemsOf(t, ups, u)
+	mp := must(multi.NewProverFromTables(table, table, table))
 	if _, err := Run(mp, mv); err != nil {
 		t.Fatalf("batch rejected: %v", err)
 	}

@@ -32,9 +32,8 @@ func runHeavyHitters(t *testing.T, u uint64, ups []stream.Update, phi float64, s
 	}
 	rng := field.NewSplitMix64(seed)
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.Params.U), stream.SumDeltas(ups)))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups)
 	if err := v.SetQuery(phi); err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +151,8 @@ func TestHeavyHittersOmissionCaught(t *testing.T) {
 	}
 	rng := field.NewSplitMix64(308)
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.Params.U), stream.SumDeltas(ups)))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups)
 	if err := v.SetQuery(0.3); err != nil { // threshold = 282
 		t.Fatal(err)
 	}
@@ -189,9 +187,8 @@ func TestHeavyHittersInflationCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.Params.U), stream.SumDeltas(ups)))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups)
 	if err := v.SetQuery(0.05); err != nil {
 		t.Fatal(err)
 	}
@@ -235,9 +232,8 @@ func runF0(t *testing.T, u uint64, ups []stream.Update, phi float64, seed uint64
 	}
 	rng := field.NewSplitMix64(seed)
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.TreeParams.U), stream.SumDeltas(ups)))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups)
 	stats, err := Run(p, v)
 	if err != nil {
 		return 0, stats, err
@@ -313,9 +309,8 @@ func TestInverseDistributionEndToEnd(t *testing.T) {
 		}
 		rng2 := field.NewSplitMix64(315)
 		v := proto.NewVerifier(rng2)
-		p := proto.NewProver()
+		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.TreeParams.U), stream.SumDeltas(ups)))
 		observeAll(t, v, ups)
-		observeAll(t, p, ups)
 		if _, err := Run(p, v); err != nil {
 			t.Fatalf("inverse-dist k=%d rejected: %v", k, err)
 		}
@@ -354,9 +349,8 @@ func TestFrequencyBasedTamper(t *testing.T) {
 		}
 		rng2 := field.NewSplitMix64(317)
 		v := proto.NewVerifier(rng2)
-		p := proto.NewProver()
+		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.TreeParams.U), stream.SumDeltas(ups)))
 		observeAll(t, v, ups)
-		observeAll(t, p, ups)
 		hit := false
 		tp := &TamperedProver{P: p, T: func(r int, m Msg) Msg {
 			if r == round && len(m.Elems) > 0 {
@@ -389,9 +383,8 @@ func TestFrequencyBasedWrongStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromCounts(countsOf(t, ups[:len(ups)-1], proto.TreeParams.U), stream.SumDeltas(ups[:len(ups)-1])))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups[:len(ups)-1])
 	if _, err := Run(p, v); !errors.Is(err, ErrRejected) {
 		t.Fatalf("not rejected: %v", err)
 	}
@@ -412,9 +405,8 @@ func TestFmaxEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.Params.U), stream.SumDeltas(ups)))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups)
 	if _, err := Run(p, v); err != nil {
 		t.Fatalf("Fmax rejected: %v", err)
 	}
@@ -447,9 +439,8 @@ func TestFmaxFlatStream(t *testing.T) {
 	}
 	rng := field.NewSplitMix64(320)
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.Params.U), stream.SumDeltas(ups)))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups)
 	if _, err := Run(p, v); err != nil {
 		t.Fatalf("rejected: %v", err)
 	}
@@ -470,12 +461,11 @@ func TestFmaxUnderclaimCaught(t *testing.T) {
 	}
 	rng := field.NewSplitMix64(321)
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
 	observeAll(t, v, ups)
 	// The dishonest prover pretends the stream topped out at 5: it
-	// observes a doctored stream where item 7 has count 5.
+	// proves from a doctored stream where item 7 has count 5.
 	doctored := []stream.Update{{Index: 7, Delta: 5}, {Index: 12, Delta: 5}, {Index: 30, Delta: 1}}
-	observeAll(t, p, doctored)
+	p := must(proto.NewProverFromCounts(countsOf(t, doctored, proto.Params.U), stream.SumDeltas(doctored)))
 	if _, err := Run(p, v); !errors.Is(err, ErrRejected) {
 		t.Fatalf("underclaimed Fmax not rejected: %v", err)
 	}
@@ -486,7 +476,7 @@ func TestFmaxEmptyStreamProverErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := proto.NewProver()
+	p := must(proto.NewProverFromCounts(countsOf(t, nil, proto.Params.U), 0))
 	if _, err := p.Open(); err == nil {
 		t.Error("empty-stream Fmax accepted by prover")
 	}

@@ -189,14 +189,9 @@ type FmaxProver struct {
 	fbOpen  bool
 }
 
-// NewProver returns a prover ready to observe the stream.
-func (p *Fmax) NewProver() *FmaxProver {
-	return &FmaxProver{proto: p, sv: p.SV.NewProver(), fb: p.FB.NewProver()}
-}
-
-// NewProverFromCounts returns a prover over a shared dense count table
-// with the given stream total Σδ (dataset-engine state); both composed
-// sub-provers borrow the same table and no stream is replayed.
+// NewProverFromCounts returns a prover over a dense count table with the
+// given stream total Σδ (dataset-engine state); both composed sub-provers
+// borrow the same table read-only.
 func (p *Fmax) NewProverFromCounts(counts []int64, total int64) (*FmaxProver, error) {
 	sv, err := p.SV.NewProverFromCounts(counts)
 	if err != nil {
@@ -207,14 +202,6 @@ func (p *Fmax) NewProverFromCounts(counts []int64, total int64) (*FmaxProver, er
 		return nil, err
 	}
 	return &FmaxProver{proto: p, sv: sv, fb: fb}, nil
-}
-
-// Observe records one stream update for both sub-provers.
-func (pr *FmaxProver) Observe(up stream.Update) error {
-	if err := pr.sv.Observe(up); err != nil {
-		return err
-	}
-	return pr.fb.Observe(up)
 }
 
 // Open finds the maximum frequency and its witness, then opens the INDEX
@@ -262,7 +249,7 @@ func (pr *FmaxProver) Step(challenge Msg) (Msg, error) {
 }
 
 // SetWorkers sets the prover's parallel fan-out of both composed
-// sub-protocols; see Fk.Workers. Call before NewProver.
+// sub-protocols; see Fk.Workers. Call before NewProverFromCounts.
 func (p *Fmax) SetWorkers(n int) {
 	p.SV.Workers = n
 	p.FB.Workers = n

@@ -298,15 +298,8 @@ type FrequencyBasedProver struct {
 	sc    *sumcheck.Prover
 }
 
-// NewProver returns a prover ready to observe the stream.
-func (p *FrequencyBased) NewProver() *FrequencyBasedProver {
-	hhProto := &HeavyHitters{F: p.F, Params: p.TreeParams, Workers: p.Workers}
-	return &FrequencyBasedProver{proto: p, hh: hhProto.NewProver()}
-}
-
-// NewProverFromCounts returns a prover over a shared dense count table
-// with the given stream total Σδ (dataset-engine state); no stream is
-// replayed and the transcript matches the streaming prover's exactly.
+// NewProverFromCounts returns a prover over a dense count table, borrowed
+// read-only, with the given stream total Σδ (dataset-engine state).
 func (p *FrequencyBased) NewProverFromCounts(counts []int64, total int64) (*FrequencyBasedProver, error) {
 	hhProto := &HeavyHitters{F: p.F, Params: p.TreeParams, Workers: p.Workers}
 	hh, err := hhProto.NewProverFromCounts(counts, total)
@@ -320,9 +313,6 @@ func (p *FrequencyBased) NewProverFromCounts(counts []int64, total int64) (*Freq
 func (pr *FrequencyBasedProver) SetH(h func(int64) field.Elem) {
 	pr.proto = cloneFreqProto(pr.proto, h)
 }
-
-// Observe records one stream update.
-func (pr *FrequencyBasedProver) Observe(up stream.Update) error { return pr.hh.Observe(up) }
 
 // Open starts the heavy-hitter phase.
 func (pr *FrequencyBasedProver) Open() (Msg, error) {

@@ -4,53 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/field"
-	"repro/internal/stream"
 )
 
-// The FromTable / FromCounts constructors let a dataset engine build
-// prover sessions from maintained aggregate state instead of stream
-// replay. These tests pin the core-level contract: identical transcripts
-// to the streaming path, strict length validation, and immutability of
-// the borrowed state. (The full per-kind transcript matrix lives in
-// internal/engine.)
-
-func TestFkProverFromTableMatchesStreaming(t *testing.T) {
-	f := field.Mersenne()
-	const u = 300
-	ups := stream.UniformDeltas(u, 50, field.NewSplitMix64(31))
-
-	proto, err := NewFk(f, u, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := proto.NewProver()
-	table := make([]field.Elem, proto.Params.U)
-	for _, up := range ups {
-		if err := streamed.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-		table[up.Index] = f.Add(table[up.Index], f.FromInt64(up.Delta))
-	}
-	shared, err := proto.NewProverFromTable(table)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i, pr := range []*FkProver{streamed, shared} {
-		v := proto.NewVerifier(field.NewSplitMix64(32))
-		for _, up := range ups {
-			if err := v.Observe(up); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := Run(pr, v); err != nil {
-			t.Fatalf("prover %d rejected: %v", i, err)
-		}
-	}
-	if err := shared.Observe(stream.Update{Index: 0, Delta: 1}); err == nil {
-		t.Fatal("shared-table prover accepted an update")
-	}
-}
+// Every prover is built from aggregated state: a field table
+// (NewProverFromTable/NewProverFromTables) or a count table
+// (NewProverFromCounts), borrowed read-only. This pins strict length
+// validation; the per-kind transcript matrix and the immutability of the
+// borrowed tables are checked in internal/engine.
 
 func TestFromStateLengthValidation(t *testing.T) {
 	f := field.Mersenne()
@@ -100,37 +60,18 @@ func TestFromStateLengthValidation(t *testing.T) {
 	if _, err := fm.NewProverFromCounts(shortCounts, 0); err == nil {
 		t.Error("Fmax accepted a short count table")
 	}
-}
-
-func TestTreeProverFromCountsRefusesObserve(t *testing.T) {
-	f := field.Mersenne()
-	const u = 64
-	counts := make([]int64, u)
-	counts[3] = 2
-
-	sv, err := NewSubVector(f, u)
+	ip, err := NewInnerProduct(f, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := sv.NewProverFromCounts(counts)
+	if _, err := ip.NewProverFromTables(make([]field.Elem, u), short); err == nil {
+		t.Error("InnerProduct accepted a short table")
+	}
+	mf, err := NewMultiFk(f, u, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pr.Observe(stream.Update{Index: 1, Delta: 1}); err == nil {
-		t.Error("SubVector snapshot prover accepted an update")
-	}
-	hh, err := NewHeavyHitters(f, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hpr, err := hh.NewProverFromCounts(counts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hpr.Observe(stream.Update{Index: 1, Delta: 1}); err == nil {
-		t.Error("HeavyHitters snapshot prover accepted an update")
-	}
-	if counts[1] != 0 {
-		t.Error("borrowed counts mutated")
+	if _, err := mf.NewProverFromTables(short); err == nil {
+		t.Error("MultiFk accepted a short table")
 	}
 }

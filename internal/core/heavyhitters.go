@@ -282,17 +282,14 @@ func (v *HeavyHittersVerifier) SpaceWords() int {
 
 // ---------------------------------------------------------------------
 
-// HeavyHittersProver runs the prover side: it maintains the dense
-// frequency table and total Σδ over the stream (O(u) words, independent
-// of stream length), builds the count skeleton at Open, and hashes one
-// level per revealed (r, q).
+// HeavyHittersProver runs the prover side: it holds the dense frequency
+// table and total Σδ of the stream (O(u) words, independent of stream
+// length), builds the count skeleton at Open, and hashes one level per
+// revealed (r, q).
 type HeavyHittersProver struct {
-	proto *HeavyHitters
-	// counts is owned (mutated by Observe) for streaming provers; shared
-	// read-only for snapshot-built provers.
-	counts   []int64
+	proto    *HeavyHitters
+	counts   []int64 // borrowed read-only
 	total    int64
-	shared   bool
 	tree     *hashtree.IncrementalTree
 	phi      float64
 	hasQuery bool
@@ -300,34 +297,14 @@ type HeavyHittersProver struct {
 	threshold int64
 }
 
-// NewProver returns a prover ready to observe the stream.
-func (p *HeavyHitters) NewProver() *HeavyHittersProver {
-	return &HeavyHittersProver{proto: p, counts: make([]int64, p.Params.U)}
-}
-
-// NewProverFromCounts returns a prover over a shared dense count table
-// (length Params.U) with the given stream total Σδ — the maintained state
-// of a dataset engine. Construction replays nothing; the transcript is
-// bit-identical to a streaming prover whose stream aggregates to the same
-// table and total.
+// NewProverFromCounts returns a prover over a dense count table (length
+// Params.U), borrowed read-only, with the given stream total Σδ — the
+// maintained state of a dataset engine.
 func (p *HeavyHitters) NewProverFromCounts(counts []int64, total int64) (*HeavyHittersProver, error) {
 	if uint64(len(counts)) != p.Params.U {
 		return nil, fmt.Errorf("core: count table has %d entries, want %d", len(counts), p.Params.U)
 	}
-	return &HeavyHittersProver{proto: p, counts: counts, total: total, shared: true}, nil
-}
-
-// Observe folds one stream update into the frequency table.
-func (pr *HeavyHittersProver) Observe(up stream.Update) error {
-	if pr.shared {
-		return fmt.Errorf("core: prover built from a snapshot cannot observe updates")
-	}
-	if up.Index >= pr.proto.Params.U {
-		return fmt.Errorf("core: index %d outside universe [0,%d)", up.Index, pr.proto.Params.U)
-	}
-	pr.counts[up.Index] += up.Delta
-	pr.total += up.Delta
-	return nil
+	return &HeavyHittersProver{proto: p, counts: counts, total: total}, nil
 }
 
 // SetQuery fixes the heaviness fraction φ.

@@ -172,26 +172,19 @@ type MultiFkProver struct {
 	scs    []*sumcheck.Prover
 }
 
-// NewProver returns a prover with one table per slot.
-func (p *MultiFk) NewProver() *MultiFkProver {
-	tables := make([][]field.Elem, len(p.Ks))
-	for i := range tables {
-		tables[i] = make([]field.Elem, p.Params.U)
+// NewProverFromTables returns a prover over one aggregated table per slot
+// (field images, length Params.U each), borrowed read-only; slots over
+// the same stream may share a table. See Fk.NewProverFromTable.
+func (p *MultiFk) NewProverFromTables(tables ...[]field.Elem) (*MultiFkProver, error) {
+	if len(tables) != len(p.Ks) {
+		return nil, fmt.Errorf("core: %d tables for %d query slots", len(tables), len(p.Ks))
 	}
-	return &MultiFkProver{proto: p, tables: tables}
-}
-
-// Observe folds one update of the slot-th stream.
-func (pr *MultiFkProver) Observe(slot int, up stream.Update) error {
-	if slot < 0 || slot >= len(pr.tables) {
-		return fmt.Errorf("core: slot %d out of range", slot)
+	for _, t := range tables {
+		if uint64(len(t)) != p.Params.U {
+			return nil, fmt.Errorf("core: table has %d entries, want %d", len(t), p.Params.U)
+		}
 	}
-	if up.Index >= pr.proto.Params.U {
-		return fmt.Errorf("core: index %d outside universe [0,%d)", up.Index, pr.proto.Params.U)
-	}
-	f := pr.proto.F
-	pr.tables[slot][up.Index] = f.Add(pr.tables[slot][up.Index], f.FromInt64(up.Delta))
-	return nil
+	return &MultiFkProver{proto: p, tables: tables}, nil
 }
 
 // Open emits all claims followed by all slots' round-1 polynomials.

@@ -22,14 +22,10 @@ func TestMultiFkEndToEnd(t *testing.T) {
 	upsB := stream.UnitIncrements(u, 2000, rng)
 
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
 	// Slots 0 and 1 watch stream A; slot 2 watches stream B.
 	for _, up := range upsA {
 		for _, slot := range []int{0, 1} {
 			if err := v.Observe(slot, up); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Observe(slot, up); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -38,10 +34,9 @@ func TestMultiFkEndToEnd(t *testing.T) {
 		if err := v.Observe(2, up); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Observe(2, up); err != nil {
-			t.Fatal(err)
-		}
 	}
+	a, b := elemsOf(t, upsA, u), elemsOf(t, upsB, u)
+	p := must(proto.NewProverFromTables(a, a, b))
 	stats, err := Run(p, v)
 	if err != nil {
 		t.Fatalf("batch rejected: %v", err)
@@ -82,17 +77,15 @@ func TestMultiFkTamperOneSlot(t *testing.T) {
 	ups := stream.UniformDeltas(u, 20, rng)
 	for _, corruptPos := range []int{2, 5} { // slot 0's g, then slot 1's g
 		v := proto.NewVerifier(field.NewSplitMix64(603))
-		p := proto.NewProver()
 		for _, up := range ups {
 			for slot := 0; slot < 2; slot++ {
 				if err := v.Observe(slot, up); err != nil {
 					t.Fatal(err)
 				}
-				if err := p.Observe(slot, up); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
+		table := elemsOf(t, ups, u)
+		p := must(proto.NewProverFromTables(table, table))
 		pos := corruptPos
 		tp := &TamperedProver{P: p, T: func(r int, m Msg) Msg {
 			if r == 2 && pos < len(m.Elems) {
@@ -124,10 +117,11 @@ func TestMultiFkValidation(t *testing.T) {
 	if _, _, err := v.Begin(Msg{Elems: make([]field.Elem, 2)}); err == nil {
 		t.Error("short opening accepted")
 	}
-	p := proto.NewProver()
-	if err := p.Observe(0, stream.Update{Index: 64, Delta: 1}); err == nil {
-		t.Error("out-of-universe update accepted")
+	table := elemsOf(t, nil, 64)
+	if _, err := proto.NewProverFromTables(table, table); err == nil {
+		t.Error("two tables for one slot accepted")
 	}
+	p := must(proto.NewProverFromTables(table))
 	if _, err := p.Step(Msg{Elems: []field.Elem{1}}); err == nil {
 		t.Error("step before open accepted")
 	}

@@ -58,6 +58,8 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every run borrows the same tables read-only.
+	table, counts, zipfCounts := elemsOf(t, ups, u), countsOf(t, ups, u), countsOf(t, zipf, 1<<8)
 
 	type runResult struct {
 		msgs []Msg
@@ -87,16 +89,13 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 			}
 			proto.Workers = workers
 			v := proto.NewVerifier(field.NewSplitMix64(63))
-			p := proto.NewProver()
 			for _, up := range ups {
 				if err := v.Observe(up); err != nil {
 					return nil, nil, err
 				}
-				if err := p.Observe(up); err != nil {
-					return nil, nil, err
-				}
 			}
-			return p, v, nil
+			p, err := proto.NewProverFromTable(table)
+			return p, v, err
 		}},
 		{"RangeSum", func(workers int) (ProverSession, VerifierSession, error) {
 			proto, err := NewRangeSum(f, u)
@@ -105,16 +104,16 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 			}
 			proto.Workers = workers
 			v := proto.NewVerifier(field.NewSplitMix64(64))
-			p := proto.NewProver()
 			for _, up := range ups {
 				if err := v.Observe(up); err != nil {
 					return nil, nil, err
 				}
-				if err := p.Observe(up); err != nil {
-					return nil, nil, err
-				}
 			}
 			if err := v.SetQuery(10, u/2); err != nil {
+				return nil, nil, err
+			}
+			p, err := proto.NewProverFromTable(table)
+			if err != nil {
 				return nil, nil, err
 			}
 			return p, v, p.SetQuery(10, u/2)
@@ -126,16 +125,16 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 			}
 			proto.Workers = workers
 			v := proto.NewVerifier(field.NewSplitMix64(65))
-			p := proto.NewProver()
 			for _, up := range ups {
 				if err := v.Observe(up); err != nil {
 					return nil, nil, err
 				}
-				if err := p.Observe(up); err != nil {
-					return nil, nil, err
-				}
 			}
 			if err := v.SetQuery(100, 1100); err != nil {
+				return nil, nil, err
+			}
+			p, err := proto.NewProverFromCounts(counts)
+			if err != nil {
 				return nil, nil, err
 			}
 			return p, v, p.SetQuery(100, 1100)
@@ -147,16 +146,13 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 			}
 			proto.Workers = workers
 			v := proto.NewVerifier(field.NewSplitMix64(66))
-			p := proto.NewProver()
 			for _, up := range zipf {
 				if err := v.Observe(up); err != nil {
 					return nil, nil, err
 				}
-				if err := p.Observe(up); err != nil {
-					return nil, nil, err
-				}
 			}
-			return p, v, nil
+			p, err := proto.NewProverFromCounts(zipfCounts, stream.SumDeltas(zipf))
+			return p, v, err
 		}},
 		{"MultiFk", func(workers int) (ProverSession, VerifierSession, error) {
 			proto, err := NewMultiFk(f, u, []int{2, 3})
@@ -165,18 +161,15 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 			}
 			proto.Workers = workers
 			v := proto.NewVerifier(field.NewSplitMix64(67))
-			p := proto.NewProver()
 			for _, up := range ups {
 				for slot := 0; slot < 2; slot++ {
 					if err := v.Observe(slot, up); err != nil {
 						return nil, nil, err
 					}
-					if err := p.Observe(slot, up); err != nil {
-						return nil, nil, err
-					}
 				}
 			}
-			return p, v, nil
+			p, err := proto.NewProverFromTables(table, table)
+			return p, v, err
 		}},
 	}
 	for _, tc := range cases {

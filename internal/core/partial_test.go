@@ -9,20 +9,6 @@ import (
 	"repro/internal/sumcheck"
 )
 
-// buildElems converts replayed updates into the dense field table.
-func buildElems(t *testing.T, ups []stream.Update, u uint64) []field.Elem {
-	t.Helper()
-	a, err := stream.Apply(ups, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]field.Elem, u)
-	for i, v := range a {
-		out[i] = f61.FromInt64(v)
-	}
-	return out
-}
-
 // splitSession drives S slice-owner sessions through a SplitAggregator,
 // presenting the single-prover ProverSession interface to a verifier.
 type splitSession struct {
@@ -93,7 +79,7 @@ func TestSplitFkBitIdentical(t *testing.T) {
 	const u = 1 << 7
 	rng := field.NewSplitMix64(3)
 	ups := stream.UniformDeltas(u, 500, rng)
-	table := buildElems(t, ups, u)
+	table := elemsOf(t, ups, u)
 	for _, k := range []int{2, 3} {
 		for _, workers := range []int{0, 4} {
 			proto, err := NewFk(f61, u, k)
@@ -168,7 +154,7 @@ func TestSplitRangeSumBitIdentical(t *testing.T) {
 	const u = 1 << 6
 	rng := field.NewSplitMix64(5)
 	ups := stream.UniformDeltas(u, 300, rng)
-	table := buildElems(t, ups, u)
+	table := elemsOf(t, ups, u)
 	const qL, qR = 7, 51
 	proto, err := NewRangeSum(f61, u)
 	if err != nil {

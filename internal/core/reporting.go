@@ -78,11 +78,6 @@ func (v *IndexVerifier) Value() (int64, error) {
 // IndexProver wraps a sub-vector prover over [q, q].
 type IndexProver struct{ *SubVectorProver }
 
-// NewProver returns a prover ready to observe the stream.
-func (p *Index) NewProver() *IndexProver {
-	return &IndexProver{SubVectorProver: p.sv.NewProver()}
-}
-
 // SetQuery fixes the queried position.
 func (pr *IndexProver) SetQuery(q uint64) error {
 	return pr.SubVectorProver.SetQuery(q, q)
@@ -116,8 +111,8 @@ func NewDictionary(f field.Field, u uint64) (*Dictionary, error) {
 }
 
 // PutUpdate encodes an insertion of (key, value) as a stream update with
-// the +1 shift. Both parties must observe insertions through this
-// encoding. Keys must be distinct across the stream (the paper's
+// the +1 shift. The verifier observes, and the prover's table aggregates,
+// insertions through this encoding. Keys must be distinct across the stream (the paper's
 // DICTIONARY promise).
 func (p *Dictionary) PutUpdate(key, value uint64) (stream.Update, error) {
 	if key >= p.sv.Params.U {
@@ -163,11 +158,6 @@ func (v *DictionaryVerifier) Value() (uint64, bool, error) {
 
 // DictionaryProver wraps a sub-vector prover over [q, q].
 type DictionaryProver struct{ *SubVectorProver }
-
-// NewProver returns a prover ready to observe insertions.
-func (p *Dictionary) NewProver() *DictionaryProver {
-	return &DictionaryProver{SubVectorProver: p.sv.NewProver()}
-}
 
 // SetQuery fixes the looked-up key.
 func (pr *DictionaryProver) SetQuery(key uint64) error {
@@ -277,14 +267,6 @@ type PredecessorProver struct {
 	sv *SubVectorProver
 	q  uint64
 }
-
-// NewProver returns a prover ready to observe the stream.
-func (p *Predecessor) NewProver() *PredecessorProver {
-	return &PredecessorProver{sv: p.sv.NewProver()}
-}
-
-// Observe records one stream element.
-func (pr *PredecessorProver) Observe(up stream.Update) error { return pr.sv.Observe(up) }
 
 // SetQuery fixes the query point q.
 func (pr *PredecessorProver) SetQuery(q uint64) error {
@@ -407,14 +389,6 @@ type SuccessorProver struct {
 	sv *SubVectorProver
 	q  uint64
 }
-
-// NewProver returns a prover ready to observe the stream.
-func (p *Successor) NewProver() *SuccessorProver {
-	return &SuccessorProver{sv: p.sv.NewProver()}
-}
-
-// Observe records one stream element.
-func (pr *SuccessorProver) Observe(up stream.Update) error { return pr.sv.Observe(up) }
 
 // SetQuery fixes the query point q.
 func (pr *SuccessorProver) SetQuery(q uint64) error {
@@ -556,14 +530,6 @@ type KLargestProver struct {
 	k  int
 }
 
-// NewProver returns a prover ready to observe the stream.
-func (p *KLargest) NewProver() *KLargestProver {
-	return &KLargestProver{sv: p.sv.NewProver()}
-}
-
-// Observe records one stream element.
-func (pr *KLargestProver) Observe(up stream.Update) error { return pr.sv.Observe(up) }
-
 // SetQuery fixes k ≥ 1.
 func (pr *KLargestProver) SetQuery(k int) error {
 	if k < 1 {
@@ -605,13 +571,12 @@ func (pr *KLargestProver) Open() (Msg, error) {
 func (pr *KLargestProver) Step(challenge Msg) (Msg, error) { return pr.sv.Step(challenge) }
 
 // ---------------------------------------------------------------------
-// Snapshot-backed proving
+// Provers
 //
-// Each specialization can also construct its prover from a dense count
-// table maintained elsewhere (a dataset-engine snapshot) instead of
-// observing the stream; see SubVector.NewProverFromCounts.
+// Each specialization's prover borrows a dense count table (a
+// dataset-engine snapshot) read-only; see SubVector.NewProverFromCounts.
 
-// NewProverFromCounts returns an INDEX prover over a shared count table.
+// NewProverFromCounts returns an INDEX prover over a borrowed count table.
 func (p *Index) NewProverFromCounts(counts []int64) (*IndexProver, error) {
 	sv, err := p.sv.NewProverFromCounts(counts)
 	if err != nil {
@@ -620,7 +585,7 @@ func (p *Index) NewProverFromCounts(counts []int64) (*IndexProver, error) {
 	return &IndexProver{SubVectorProver: sv}, nil
 }
 
-// NewProverFromCounts returns a DICTIONARY prover over a shared count table.
+// NewProverFromCounts returns a DICTIONARY prover over a borrowed count table.
 func (p *Dictionary) NewProverFromCounts(counts []int64) (*DictionaryProver, error) {
 	sv, err := p.sv.NewProverFromCounts(counts)
 	if err != nil {
@@ -629,7 +594,7 @@ func (p *Dictionary) NewProverFromCounts(counts []int64) (*DictionaryProver, err
 	return &DictionaryProver{SubVectorProver: sv}, nil
 }
 
-// NewProverFromCounts returns a PREDECESSOR prover over a shared count table.
+// NewProverFromCounts returns a PREDECESSOR prover over a borrowed count table.
 func (p *Predecessor) NewProverFromCounts(counts []int64) (*PredecessorProver, error) {
 	sv, err := p.sv.NewProverFromCounts(counts)
 	if err != nil {
@@ -638,7 +603,7 @@ func (p *Predecessor) NewProverFromCounts(counts []int64) (*PredecessorProver, e
 	return &PredecessorProver{sv: sv}, nil
 }
 
-// NewProverFromCounts returns a SUCCESSOR prover over a shared count table.
+// NewProverFromCounts returns a SUCCESSOR prover over a borrowed count table.
 func (p *Successor) NewProverFromCounts(counts []int64) (*SuccessorProver, error) {
 	sv, err := p.sv.NewProverFromCounts(counts)
 	if err != nil {
@@ -647,7 +612,7 @@ func (p *Successor) NewProverFromCounts(counts []int64) (*SuccessorProver, error
 	return &SuccessorProver{sv: sv}, nil
 }
 
-// NewProverFromCounts returns a k-LARGEST prover over a shared count table.
+// NewProverFromCounts returns a k-LARGEST prover over a borrowed count table.
 func (p *KLargest) NewProverFromCounts(counts []int64) (*KLargestProver, error) {
 	sv, err := p.sv.NewProverFromCounts(counts)
 	if err != nil {

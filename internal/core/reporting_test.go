@@ -18,9 +18,8 @@ func runSubVector(t *testing.T, u uint64, ups []stream.Update, qL, qR uint64) ([
 	}
 	rng := field.NewSplitMix64(200 + qL + qR)
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.Params.U)))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups)
 	if err := v.SetQuery(qL, qR); err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +145,8 @@ func TestSubVectorTamperMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := proto.NewVerifier(rng)
-		p := proto.NewProver()
+		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.Params.U)))
 		observeAll(t, v, ups)
-		observeAll(t, p, ups)
 		if err := v.SetQuery(qL, qR); err != nil {
 			t.Fatal(err)
 		}
@@ -208,9 +206,8 @@ func TestSubVectorWrongStreamProver(t *testing.T) {
 	rng := field.NewSplitMix64(204)
 	ups := stream.UniformDeltas(u, 50, rng)
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromCounts(countsOf(t, ups[:len(ups)-1], proto.Params.U)))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups[:len(ups)-1]) // prover misses the last update
 	if err := v.SetQuery(0, 255); err != nil {
 		t.Fatal(err)
 	}
@@ -233,9 +230,8 @@ func TestIndexEndToEnd(t *testing.T) {
 	a, _ := stream.Apply(ups, u)
 	for _, q := range []uint64{0, 1, 100, 255} {
 		v := proto.NewVerifier(rng)
-		p := proto.NewProver()
+		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 		observeAll(t, v, ups)
-		observeAll(t, p, ups)
 		if err := v.SetQuery(q); err != nil {
 			t.Fatal(err)
 		}
@@ -288,9 +284,8 @@ func TestDictionaryEndToEnd(t *testing.T) {
 	}
 	for _, q := range queries {
 		v := proto.NewVerifier(rng)
-		p := proto.NewProver()
+		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 		observeAll(t, v, ups)
-		observeAll(t, p, ups)
 		if err := v.SetQuery(q); err != nil {
 			t.Fatal(err)
 		}
@@ -349,9 +344,8 @@ func TestPredecessorEndToEnd(t *testing.T) {
 	}
 	for _, c := range cases {
 		v := proto.NewVerifier(rng)
-		p := proto.NewProver()
+		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 		observeAll(t, v, ups)
-		observeAll(t, p, ups)
 		if err := v.SetQuery(c.q); err != nil {
 			t.Fatal(err)
 		}
@@ -380,9 +374,8 @@ func TestPredecessorNone(t *testing.T) {
 	rng := field.NewSplitMix64(208)
 	ups := []stream.Update{{Index: 200, Delta: 1}}
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups)
 	if err := v.SetQuery(100); err != nil {
 		t.Fatal(err)
 	}
@@ -410,9 +403,8 @@ func TestPredecessorLyingProver(t *testing.T) {
 	rng := field.NewSplitMix64(209)
 	ups := []stream.Update{{Index: 10, Delta: 1}, {Index: 50, Delta: 1}}
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups)
 	if err := v.SetQuery(60); err != nil {
 		t.Fatal(err)
 	}
@@ -456,9 +448,8 @@ func TestSuccessorEndToEnd(t *testing.T) {
 	}
 	for _, c := range cases {
 		v := proto.NewVerifier(rng)
-		p := proto.NewProver()
+		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 		observeAll(t, v, ups)
-		observeAll(t, p, ups)
 		if err := v.SetQuery(c.q); err != nil {
 			t.Fatal(err)
 		}
@@ -493,9 +484,8 @@ func TestKLargestEndToEnd(t *testing.T) {
 	}
 	for k := 1; k <= 5; k++ {
 		v := proto.NewVerifier(rng)
-		p := proto.NewProver()
+		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 		observeAll(t, v, ups)
-		observeAll(t, p, ups)
 		if err := v.SetQuery(k); err != nil {
 			t.Fatal(err)
 		}
@@ -514,8 +504,7 @@ func TestKLargestEndToEnd(t *testing.T) {
 		}
 	}
 	// k exceeding the number of distinct elements: honest prover errors.
-	p := proto.NewProver()
-	observeAll(t, p, ups)
+	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 	if err := p.SetQuery(6); err != nil {
 		t.Fatal(err)
 	}
@@ -535,9 +524,8 @@ func TestKLargestLyingProver(t *testing.T) {
 	rng := field.NewSplitMix64(212)
 	ups := []stream.Update{{Index: 10, Delta: 1}, {Index: 50, Delta: 1}, {Index: 90, Delta: 1}}
 	v := proto.NewVerifier(rng)
-	p := proto.NewProver()
+	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 	observeAll(t, v, ups)
-	observeAll(t, p, ups)
 	// Honest 2nd largest is 50. Tamper the claim to 90 (pretending 90 is
 	// the 2nd largest by inventing an entry above it is impossible, so the
 	// cheater reports k=2 entries starting at 90 — duplicating 90's pair).

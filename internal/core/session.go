@@ -10,10 +10,12 @@
 //   - extensions (§6): HEAVY HITTERS, k-LARGEST, and the frequency-based
 //     functions F0, Fmax and inverse-distribution point queries.
 //
-// Every protocol is a pair of session state machines. Both parties first
-// observe the same stream of (index, delta) updates; the verifier does so
-// in O(log u) space. After the stream (and after the query parameters are
-// fixed), the conversation proceeds in rounds:
+// Every protocol is a pair of session state machines. The verifier
+// observes the stream of (index, delta) updates in O(log u) space; the
+// prover holds the data, and every prover is built from the aggregated
+// frequency table (NewProverFromTable / NewProverFromCounts), borrowed
+// read-only. After the stream (and after the query parameters are fixed),
+// the conversation proceeds in rounds:
 //
 //	opening := prover.Open()
 //	challenge, done := verifier.Begin(opening)

@@ -269,50 +269,27 @@ func (v *SubVectorVerifier) SpaceWords() int {
 
 // ---------------------------------------------------------------------
 
-// SubVectorProver maintains the dense frequency table (O(u) words, like
-// the aggregation provers) and builds the hash tree one level per round as
-// the randomness is revealed. Maintaining aggregated counts instead of the
+// SubVectorProver holds the dense frequency table (O(u) words, like the
+// aggregation provers) and builds the hash tree one level per round as
+// the randomness is revealed. Holding aggregated counts instead of the
 // raw stream keeps prover memory independent of stream length and lets a
 // dataset engine hand the same table to many query sessions.
 type SubVectorProver struct {
-	proto *SubVector
-	// counts is the aggregated frequency vector. It is owned (and mutated
-	// by Observe) for streaming provers; provers built from a shared
-	// snapshot borrow it read-only and refuse Observe.
-	counts   []int64
-	shared   bool
+	proto    *SubVector
+	counts   []int64 // the aggregated frequency vector, borrowed read-only
 	tree     *hashtree.IncrementalTree
 	qL, qR   uint64
 	hasQuery bool
 }
 
-// NewProver returns a prover ready to observe the stream.
-func (p *SubVector) NewProver() *SubVectorProver {
-	return &SubVectorProver{proto: p, counts: make([]int64, p.Params.U)}
-}
-
 // NewProverFromCounts returns a prover whose frequency table is the given
 // dense count vector (length Params.U), borrowed read-only — typically a
-// dataset-engine snapshot. Construction is O(1): no stream is replayed.
-// The conversation transcript is bit-identical to a streaming prover that
-// observed any stream aggregating to the same counts.
+// dataset-engine snapshot. Construction is O(1).
 func (p *SubVector) NewProverFromCounts(counts []int64) (*SubVectorProver, error) {
 	if uint64(len(counts)) != p.Params.U {
 		return nil, fmt.Errorf("core: count table has %d entries, want %d", len(counts), p.Params.U)
 	}
-	return &SubVectorProver{proto: p, counts: counts, shared: true}, nil
-}
-
-// Observe folds one stream update into the frequency table.
-func (pr *SubVectorProver) Observe(up stream.Update) error {
-	if pr.shared {
-		return fmt.Errorf("core: prover built from a snapshot cannot observe updates")
-	}
-	if up.Index >= pr.proto.Params.U {
-		return fmt.Errorf("core: index %d outside universe [0,%d)", up.Index, pr.proto.Params.U)
-	}
-	pr.counts[up.Index] += up.Delta
-	return nil
+	return &SubVectorProver{proto: p, counts: counts}, nil
 }
 
 // SetQuery fixes the queried range.

@@ -504,6 +504,11 @@ func (d *Dataset) touch() {
 // worth its per-worker pass over the batch.
 const minShardBatch = 1 << 13
 
+// errOutsideUniverse is Ingest's refusal of an index outside [0, u).
+func errOutsideUniverse(i, u uint64) error {
+	return fmt.Errorf("engine: index %d outside universe [0,%d)", i, u)
+}
+
 // Ingest folds a batch of updates into the maintained state. Either the
 // whole batch is applied or, when any index is out of range, none of it.
 func (d *Dataset) Ingest(ups []stream.Update) error {
@@ -538,7 +543,7 @@ func (d *Dataset) IngestColumns(idx []uint64, deltas []int64) error {
 	}
 	for _, i := range idx {
 		if i >= d.origU {
-			return fmt.Errorf("engine: index %d outside universe [0,%d)", i, d.origU)
+			return errOutsideUniverse(i, d.origU)
 		}
 		if i < base || i >= bound {
 			return fmt.Errorf("engine: index %d outside slice [%d,%d)", i, d.sliceLo, d.sliceHi)

@@ -106,8 +106,8 @@ func allKinds() []kindCase {
 
 // TestSnapshotTranscriptsMatchReplay is the contract of the whole
 // engine: for every query kind and worker count, a prover built from a
-// dataset snapshot holds a conversation bit-identical to one built by
-// replaying the stream (engine.NewReplayProver, the paper's prover), and
+// dataset snapshot holds a conversation bit-identical to one built from
+// the aggregated stream (engine.NewReplayProver, the reference), and
 // both are accepted.
 func TestSnapshotTranscriptsMatchReplay(t *testing.T) {
 	const u = 500 // deliberately not a power of two: exercises padding
@@ -235,34 +235,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestSnapshotProverRefusesObserve: sessions built over shared state must
-// not be able to mutate it.
-func TestSnapshotProverRefusesObserve(t *testing.T) {
-	const u = 64
-	ds, err := engine.NewDataset(f61, u, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Ingest(stream.UnitIncrements(u, 50, field.NewSplitMix64(1))); err != nil {
-		t.Fatal(err)
-	}
-	snap := ds.Snapshot()
-	p, err := snap.NewProver(engine.QuerySelfJoinSize, engine.QueryParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs, ok := p.(interface{ Observe(stream.Update) error })
-	if !ok {
-		t.Fatal("Fk prover lost its Observe method")
-	}
-	if err := obs.Observe(stream.Update{Index: 1, Delta: 1}); err == nil {
-		t.Fatal("snapshot-built prover accepted an update")
-	}
-	if snap.Counts()[1] != ds.Snapshot().Counts()[1] {
-		t.Fatal("shared counts mutated")
-	}
-}
-
 // TestEngineOpenAttach: Open is create-or-attach, with the universe
 // pinned at creation.
 func TestEngineOpenAttach(t *testing.T) {
@@ -358,7 +330,8 @@ func TestIngestValidation(t *testing.T) {
 // *requested* universe, not the power of two it pads to. At u = 500
 // (padded to 512) an index in [500, 512) would land in padding that no
 // protocol parameterized by 500 accounts for — it must be rejected,
-// atomically, and the error must name the real universe.
+// atomically, and the error must name the real universe. The replay
+// reference refuses it in the same words.
 func TestIngestRejectsPaddedIndices(t *testing.T) {
 	const u = 500 // deliberately not a power of two
 	ds, err := engine.NewDataset(f61, u, 0)
@@ -369,12 +342,17 @@ func TestIngestRejectsPaddedIndices(t *testing.T) {
 		t.Fatalf("last in-range index rejected: %v", err)
 	}
 	for _, bad := range []uint64{u, 511} { // both inside the padded table
-		err := ds.Ingest([]stream.Update{{Index: 3, Delta: 2}, {Index: bad, Delta: 1}})
+		batch := []stream.Update{{Index: 3, Delta: 2}, {Index: bad, Delta: 1}}
+		err := ds.Ingest(batch)
 		if err == nil {
 			t.Fatalf("index %d in the padded range [%d, 512) accepted", bad, u)
 		}
 		if !strings.Contains(err.Error(), "[0,500)") {
 			t.Errorf("error should name the requested universe 500, got: %v", err)
+		}
+		_, rerr := engine.NewReplayProver(f61, u, engine.QuerySelfJoinSize, engine.QueryParams{}, batch, 0)
+		if rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("NewReplayProver on index %d: %v, want Ingest's %q", bad, rerr, err)
 		}
 	}
 	if ds.Updates() != 1 {

@@ -13,11 +13,11 @@ import (
 
 // This file is the kind table: everything the service knows about a
 // query kind is its row in kinds. Snapshot.NewProver,
-// Snapshot.NewPartialProver, NewStreamVerifier, NewReplayProver and
-// SplitCombiner are a bounds-checked lookup plus one call, made once per
-// conversation or proof — never per round or per update. Adding a kind
-// is one row; widening the split-universe seam is one row's combiner
-// and its instance's partial.
+// Snapshot.NewPartialProver, NewStreamVerifier and SplitCombiner are a
+// bounds-checked lookup plus one call, made once per conversation or
+// proof — never per round or per update. Adding a kind is one row;
+// widening the split-universe seam is one row's combiner and its
+// instance's partial.
 
 // kindRow is one query kind.
 type kindRow struct {
@@ -37,39 +37,22 @@ type instance struct {
 	// verifier draws its randomness from rng and has its query set, but
 	// has observed nothing.
 	verifier func(rng field.RNG) (StreamVerifier, error)
-	// prover borrows a snapshot's maintained tables; no stream is replayed.
+	// prover borrows a snapshot's maintained tables read-only.
 	prover func(st *tableState) (core.ProverSession, error)
-	// replay is the paper's prover: it observes ups one by one.
-	replay func(ups []stream.Update) (core.ProverSession, error)
 	// partial is the slice owner's session over [lo, hi); nil exactly
 	// when the row's combiner is.
 	partial func(st *tableState, lo, hi uint64) (core.ProverSession, error)
 }
 
-// streamProver is a prover session fed by Observe.
-type streamProver interface {
-	core.ProverSession
-	Observe(stream.Update) error
-}
-
 // sessions assembles an instance from one protocol's typed constructors.
 // setV and setP bind the query (nil when the protocol's constructor
 // already took it): to the verifier at construction, to a prover after
-// its state is in place — the point where the paper's verifier would
+// its table is in place — the point where the paper's verifier would
 // transmit the query.
-func sessions[V StreamVerifier, P streamProver](
-	newVerifier func(field.RNG) V, newProver func() P, fromState func(*tableState) (P, error),
+func sessions[V StreamVerifier, P core.ProverSession](
+	newVerifier func(field.RNG) V, fromState func(*tableState) (P, error),
 	setV func(V) error, setP func(P) error,
 ) *instance {
-	bind := func(p P, err error) (core.ProverSession, error) {
-		if err == nil && setP != nil {
-			err = setP(p)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
 	return &instance{
 		verifier: func(rng field.RNG) (StreamVerifier, error) {
 			v := newVerifier(rng)
@@ -80,15 +63,15 @@ func sessions[V StreamVerifier, P streamProver](
 			}
 			return v, nil
 		},
-		prover: func(st *tableState) (core.ProverSession, error) { return bind(fromState(st)) },
-		replay: func(ups []stream.Update) (core.ProverSession, error) {
-			p := newProver()
-			for _, up := range ups {
-				if err := p.Observe(up); err != nil {
-					return nil, err
-				}
+		prover: func(st *tableState) (core.ProverSession, error) {
+			p, err := fromState(st)
+			if err == nil && setP != nil {
+				err = setP(p)
 			}
-			return bind(p, nil)
+			if err != nil {
+				return nil, err
+			}
+			return p, nil
 		},
 	}
 }
@@ -107,7 +90,7 @@ var kinds = [...]kindRow{
 				return nil, err
 			}
 			proto.Workers = workers
-			in := sessions(proto.NewVerifier, proto.NewProver,
+			in := sessions(proto.NewVerifier,
 				func(st *tableState) (*core.RangeSumProver, error) { return proto.NewProverFromTable(st.elems) },
 				func(v *core.RangeSumVerifier) error { return v.SetQuery(p.A, p.B) },
 				func(pr *core.RangeSumProver) error { return pr.SetQuery(p.A, p.B) })
@@ -124,7 +107,7 @@ var kinds = [...]kindRow{
 			return nil, err
 		}
 		proto.Workers = workers
-		return sessions(proto.NewVerifier, proto.NewProver,
+		return sessions(proto.NewVerifier,
 			func(st *tableState) (*core.SubVectorProver, error) { return proto.NewProverFromCounts(st.counts) },
 			func(v *core.SubVectorVerifier) error { return v.SetQuery(p.A, p.B) },
 			func(pr *core.SubVectorProver) error { return pr.SetQuery(p.A, p.B) }), nil
@@ -140,7 +123,7 @@ var kinds = [...]kindRow{
 			return nil, err
 		}
 		proto.Workers = workers
-		return sessions(proto.NewVerifier, proto.NewProver,
+		return sessions(proto.NewVerifier,
 			func(st *tableState) (*core.HeavyHittersProver, error) {
 				return proto.NewProverFromCounts(st.counts, st.total)
 			},
@@ -153,7 +136,7 @@ var kinds = [...]kindRow{
 			return nil, err
 		}
 		proto.Workers = workers
-		return sessions(proto.NewVerifier, proto.NewProver,
+		return sessions(proto.NewVerifier,
 			func(st *tableState) (*core.FrequencyBasedProver, error) {
 				return proto.NewProverFromCounts(st.counts, st.total)
 			}, nil, nil), nil
@@ -164,7 +147,7 @@ var kinds = [...]kindRow{
 			return nil, err
 		}
 		proto.SetWorkers(workers)
-		return sessions(proto.NewVerifier, proto.NewProver,
+		return sessions(proto.NewVerifier,
 			func(st *tableState) (*core.FmaxProver, error) {
 				return proto.NewProverFromCounts(st.counts, st.total)
 			}, nil, nil), nil
@@ -182,22 +165,6 @@ var kinds = [...]kindRow{
 			prover: func(st *tableState) (core.ProverSession, error) {
 				return proto.NewProverSession(proto.PadInput(st.elems))
 			},
-			// The GKR prover takes a dense input vector, so "observing"
-			// means accumulating the stream into the circuit's input
-			// table; indices the circuit does not read are outside the
-			// statement (see gkr.VerifierSession.Observe).
-			replay: func(ups []stream.Update) (core.ProverSession, error) {
-				input := make([]field.Elem, proto.C.InputSize)
-				for _, up := range ups {
-					if up.Index >= u {
-						return nil, fmt.Errorf("engine: index %d outside universe [0,%d)", up.Index, u)
-					}
-					if up.Index < uint64(len(input)) {
-						input[up.Index] = f.Add(input[up.Index], f.FromInt64(up.Delta))
-					}
-				}
-				return proto.NewProverSession(input)
-			},
 		}, nil
 	}},
 }
@@ -211,7 +178,7 @@ func fkRow(k func(QueryParams) int) kindRow {
 				return nil, err
 			}
 			proto.Workers = workers
-			in := sessions(proto.NewVerifier, proto.NewProver,
+			in := sessions(proto.NewVerifier,
 				func(st *tableState) (*core.FkProver, error) { return proto.NewProverFromTable(st.elems) }, nil, nil)
 			in.partial = func(st *tableState, lo, hi uint64) (core.ProverSession, error) {
 				return proto.NewPartialProverFromTable(st.elems, lo, hi, st.version)
@@ -230,7 +197,6 @@ type scalarQuery[A any] interface{ SetQuery(A) error }
 type scalarProto[V, P any] interface {
 	SetWorkers(int)
 	NewVerifier(field.RNG) V
-	NewProver() P
 	NewProverFromCounts([]int64) (P, error)
 }
 
@@ -240,7 +206,7 @@ func scalarRow[A any, V interface {
 	StreamVerifier
 	scalarQuery[A]
 }, P interface {
-	streamProver
+	core.ProverSession
 	scalarQuery[A]
 }, S scalarProto[V, P]](newProto func(field.Field, uint64) (S, error), arg func(QueryParams) A) kindRow {
 	return kindRow{open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
@@ -250,7 +216,7 @@ func scalarRow[A any, V interface {
 		}
 		proto.SetWorkers(workers)
 		a := arg(p)
-		return sessions(proto.NewVerifier, proto.NewProver,
+		return sessions(proto.NewVerifier,
 			func(st *tableState) (P, error) { return proto.NewProverFromCounts(st.counts) },
 			func(v V) error { return v.SetQuery(a) },
 			func(pr P) error { return pr.SetQuery(a) }), nil
@@ -284,20 +250,28 @@ func seamRow(kind QueryKind) (kindRow, error) {
 	return row, err
 }
 
-// NewReplayProver constructs the prover session for a query the way the
-// paper's prover does: by observing the raw stream update by update. The
-// serving path never does this — provers come from dataset snapshots. It
-// is what a local run pairs with NewStreamVerifier (sip.Verify*), and
-// the streaming reference every transcript-equality suite compares
-// snapshot-built provers against. workers is the prover's parallel
-// fan-out (0 serial, n < 0 runtime.NumCPU()); the transcript is
-// identical for every value.
+// NewReplayProver constructs the prover session for a query over the raw
+// stream ups: it aggregates them into counts (stream.Apply's loop, with
+// an index outside [0, u) refused in Ingest's words) and proves from
+// SnapshotFromCounts. It is what a local run pairs with NewStreamVerifier
+// (sip.Verify*), and the reference every transcript-equality suite
+// compares engine-built provers against: it shares no ingest,
+// copy-on-write, eviction, handoff or slicing code with them. workers is
+// the prover's parallel fan-out (0 serial, n < 0 runtime.NumCPU()); the
+// transcript is identical for every value.
 func NewReplayProver(f field.Field, u uint64, kind QueryKind, params QueryParams, ups []stream.Update, workers int) (core.ProverSession, error) {
-	in, err := openKind(f, u, kind, params, workers)
+	counts := make([]int64, u)
+	for _, up := range ups {
+		if up.Index >= u {
+			return nil, errOutsideUniverse(up.Index, u)
+		}
+		counts[up.Index] += up.Delta
+	}
+	snap, err := SnapshotFromCounts(f, u, workers, counts)
 	if err != nil {
 		return nil, err
 	}
-	return in.replay(ups)
+	return snap.NewProver(kind, params)
 }
 
 // SplitCombiner returns the combiner a split-universe aggregator folds a

@@ -3,8 +3,10 @@ package engine_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/stream"
@@ -12,10 +14,12 @@ import (
 
 // TestKindTable is the kind table's completeness test: every QueryKind
 // constant has a row that yields a verifier, a snapshot prover and a
-// replay prover for every worker count; the seam — a partial prover and
-// a combiner, both or neither — is exactly {SELF-JOIN SIZE, Fk,
-// RANGE-SUM}; and an unknown kind is refused in the same words by all
-// five entry points.
+// replay prover for every worker count; the snapshot prover has no
+// Observe (its one input is the table it borrows) and a full
+// conversation leaves the snapshot's tables untouched; the seam — a
+// partial prover and a combiner, both or neither — is exactly {SELF-JOIN
+// SIZE, Fk, RANGE-SUM}; and an unknown kind is refused in the same words
+// by all five entry points.
 func TestKindTable(t *testing.T) {
 	const u = 500
 	ups := stream.UniformDeltas(u, 10, field.NewSplitMix64(906))
@@ -31,6 +35,8 @@ func TestKindTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := ds.Snapshot()
+		counts := append([]int64(nil), snap.Counts()...)
+		elems := append([]field.Elem(nil), snap.Elems()...)
 		for k, c := range cases {
 			// The known kinds come first, every constant once and in order
 			// (a short list would put kind 0 among them).
@@ -38,11 +44,27 @@ func TestKindTable(t *testing.T) {
 			if known && c.kind != engine.QueryKind(k+1) {
 				t.Fatalf("case %d is kind %d: allKinds() + CIRCUIT must name every constant, in order", k, c.kind)
 			}
-			_, v := engine.NewStreamVerifier(f61, u, c.kind, c.params, field.NewSplitMix64(1))
-			_, sp := snap.NewProver(c.kind, c.params)
+			verifier, v := engine.NewStreamVerifier(f61, u, c.kind, c.params, field.NewSplitMix64(1))
+			prover, sp := snap.NewProver(c.kind, c.params)
 			_, rp := engine.NewReplayProver(f61, u, c.kind, c.params, ups, workers)
 			_, pp := snap.NewPartialProver(c.kind, c.params)
 			_, comb := engine.SplitCombiner(f61, u, c.kind, c.params)
+			if known && v == nil && sp == nil {
+				if _, ok := prover.(interface{ Observe(stream.Update) error }); ok {
+					t.Errorf("kind=%d/workers=%d: the snapshot prover has an Observe method", c.kind, workers)
+				}
+				for _, up := range ups {
+					if err := verifier.Observe(up); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := core.Run(prover, verifier); err != nil {
+					t.Errorf("kind=%d/workers=%d: snapshot prover rejected: %v", c.kind, workers, err)
+				}
+				if !slices.Equal(snap.Counts(), counts) || !slices.Equal(snap.Elems(), elems) {
+					t.Fatalf("kind=%d/workers=%d: a conversation changed the snapshot's tables", c.kind, workers)
+				}
+			}
 			for i, err := range []error{v, sp, rp, pp, comb} {
 				name := fmt.Sprintf("kind=%d/workers=%d: entry point %d", c.kind, workers, i+1)
 				switch {

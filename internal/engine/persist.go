@@ -661,11 +661,12 @@ func (e *Engine) Close() error {
 }
 
 // SnapshotFromCounts builds a standalone frozen snapshot whose state is
-// exactly the given counts — no stream is replayed. It exists for the
-// wire layer's dishonest-cloud hook: the cheat rewrites a clone of the
-// maintained counts and proves from the result, so the server needs no
-// raw-stream retention. Σδ is taken as Σ counts (the two are equal for
-// any update stream producing these counts).
+// exactly the given counts — no stream is replayed. It is the replay
+// reference (NewReplayProver aggregates a stream and proves from here),
+// and the wire layer's dishonest-cloud hook: the cheat rewrites a clone
+// of the maintained counts and proves from the result, so the server
+// needs no raw-stream retention. Σδ is taken as Σ counts (the two are
+// equal for any update stream producing these counts).
 func SnapshotFromCounts(f field.Field, u uint64, workers int, counts []int64) (*Snapshot, error) {
 	ds, err := NewDataset(f, u, workers)
 	if err != nil {

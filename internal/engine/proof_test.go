@@ -355,3 +355,86 @@ func TestProofGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestPostedProofForgery pins a known gap: a posted proof has no
+// soundness against the server that generates it. The verifier's whole
+// randomness is the public binding's RNG, so the server reads r₁ off
+// NewStreamVerifier(…, b.RNG()).Challenges() before it writes g₁. It
+// adds c·(X − r₁) to the honest g₁ with c = Δ/(1 − 2r₁), which raises
+// g₁(0) + g₁(1) by Δ and leaves g₁(r₁) alone, claims C + Δ, and answers
+// every later round honestly. The client's streaming verifier accepts
+// the false claim; a verifier whose randomness the server did not know
+// rejects the same messages. When posted proofs become sound, the first
+// assertion flips.
+func TestPostedProofForgery(t *testing.T) {
+	const u = 1 << 10
+	const delta field.Elem = 1000
+	f := field.Mersenne()
+	ups := stream.UniformDeltas(u, 20, field.NewSplitMix64(42))
+	e := engine.New(f, 0)
+	ds, err := e.Open("forged", u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Ingest(ups); err != nil {
+		t.Fatal(err)
+	}
+	snap := ds.Snapshot()
+	streamed := func(tc kindCase, rng field.RNG) engine.StreamVerifier {
+		v, err := engine.NewStreamVerifier(f, u, tc.kind, tc.params, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, up := range ups {
+			if err := v.Observe(up); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return v
+	}
+	for _, tc := range []kindCase{
+		{engine.QuerySelfJoinSize, engine.QueryParams{}},
+		{engine.QueryFk, engine.QueryParams{K: 3}},
+		{engine.QueryRangeSum, engine.QueryParams{A: 3, B: 700}},
+	} {
+		b := snap.ProofBinding(tc.kind, tc.params)
+		r1 := streamed(tc, b.RNG()).Challenges()[0].Elems[0]
+		c := f.Mul(delta, f.Inv(f.Sub(1, f.Mul(2, r1))))
+		forge := func(round int, m core.Msg) core.Msg {
+			if round == 0 { // [claim, g₁(0), …, g₁(deg)]
+				m.Elems[0] = f.Add(m.Elems[0], delta)
+				for x := range m.Elems[1:] {
+					m.Elems[1+x] = f.Add(m.Elems[1+x], f.Mul(c, f.Sub(field.Elem(x), r1)))
+				}
+			}
+			return m
+		}
+		forged, err := engine.RecordProof(f, b, func() (core.ProverSession, error) {
+			p, err := snap.NewProver(tc.kind, tc.params)
+			return &core.TamperedProver{P: p, T: forge}, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		client := streamed(tc, b.RNG())
+		if err := b.Verify(forged, client); err != nil {
+			t.Fatalf("kind %d: the forgery was rejected (%v); if posted proofs are now sound, flip this pin", tc.kind, err)
+		}
+		got, err := client.(interface{ Result() (field.Elem, error) }).Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		honest, err := snap.GenerateProof(tc.kind, tc.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := f.Add(honest.Messages[0].Elems[0], delta); got != want {
+			t.Fatalf("kind %d: accepted answer %d, want the forged %d", tc.kind, got, want)
+		}
+
+		if err := b.Verify(forged, streamed(tc, field.NewSplitMix64(7))); !errors.Is(err, core.ErrRejected) {
+			t.Fatalf("kind %d: a verifier on an independent RNG: %v, want ErrRejected", tc.kind, err)
+		}
+	}
+}

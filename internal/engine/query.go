@@ -43,9 +43,9 @@ type QueryParams struct {
 // snapshot's maintained state. No stream is replayed: the sum-check
 // provers borrow the field table, the tree provers borrow the count
 // table, and the heavy-hitters threshold comes from the maintained Σδ.
-// The resulting conversation transcript is bit-identical to a prover
-// that observed the original stream update by update (crosschecked in
-// the package tests), for every worker count.
+// The resulting conversation transcript is bit-identical to
+// NewReplayProver's over the original stream (crosschecked in the
+// package tests), for every worker count.
 func (s *Snapshot) NewProver(kind QueryKind, params QueryParams) (core.ProverSession, error) {
 	if s.ds.sliceHi != 0 {
 		// A slice holds only [sliceLo, sliceHi) of the universe; its

@@ -21,14 +21,20 @@
 // immutable snapshot of the data and a cache key of
 // (dataset, version, query) can never serve a stale proof.
 //
-// The soundness caveat is stated honestly in DESIGN.md: because the
-// challenge point cannot depend on prover messages (the streaming
-// verifier must know it before the stream), a prover who fixes the
-// dataset AFTER seeing the derived point could cheat. The transform is
-// therefore sound in the model where the data is committed first (the
-// engine ingests, bumping the version, before any proof at that version
-// exists) and the prover messages are bound after the fact by the
-// running transcript digest carried in the proof.
+// What a proof certifies: integrity against third parties, no soundness
+// against the server that generates it. The challenge point cannot
+// depend on prover messages (the streaming verifier must know it before
+// the stream), and here it is a hash of public values, so the prover
+// knows every challenge before it writes a message. Committing the data
+// first does not help: knowing r₁, a prover adds c·(X − r₁) to its
+// honest first sum-check message, with c = Δ/(1 − 2r₁), claims C + Δ,
+// answers the later rounds honestly, and the client's verifier accepts
+// (engine.TestPostedProofForgery). The transcript digest binds the
+// messages only against later alteration — the server computes it over
+// its own messages. A proof is therefore evidence that a cache, mirror
+// or relay did not alter what the server recorded; soundness against the
+// server itself needs a secret verifier RNG and an interactive
+// conversation. See DESIGN.md, "Transcript-hash schedule".
 package fs
 
 import (

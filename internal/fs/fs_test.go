@@ -30,11 +30,15 @@ func proveF2(t *testing.T, b fs.Binding, f field.Field, u uint64) (*fs.Proof, []
 		t.Fatal(err)
 	}
 	ups := stream.UnitIncrements(u, 200, field.NewSplitMix64(11))
-	p := proto.NewProver()
-	for _, up := range ups {
-		if err := p.Observe(up); err != nil {
-			t.Fatal(err)
-		}
+	counts, err := stream.Apply(ups, proto.Params.U)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := make([]field.Elem, proto.Params.U)
+	f.FromInt64Slice(table, counts)
+	p, err := proto.NewProverFromTable(table)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The schedule comes from a verifier that never sees the stream.
 	pf, err := b.Record(p, proto.NewVerifier(b.RNG()).Challenges())

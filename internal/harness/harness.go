@@ -98,11 +98,9 @@ func F2MultiRound(f field.Field, u uint64, maxDelta int64, seed uint64, workers 
 	if err != nil {
 		return F2Row{}, err
 	}
-	proto.Workers = workers
 	gen := field.NewSplitMix64(seed)
 	ups := stream.UniformDeltas(proto.Params.U, maxDelta, gen)
 	v := proto.NewVerifier(field.NewSplitMix64(seed + 1))
-	p := proto.NewProver()
 
 	t0 := time.Now()
 	for _, up := range ups {
@@ -111,10 +109,9 @@ func F2MultiRound(f field.Field, u uint64, maxDelta int64, seed uint64, workers 
 		}
 	}
 	streamTime := time.Since(t0)
-	for _, up := range ups {
-		if err := p.Observe(up); err != nil {
-			return F2Row{}, err
-		}
+	p, err := engine.NewReplayProver(f, proto.Params.U, engine.QuerySelfJoinSize, engine.QueryParams{}, ups, workers)
+	if err != nil {
+		return F2Row{}, err
 	}
 
 	tp := &timedProver{inner: p}
@@ -146,7 +143,7 @@ func F2OneRound(f field.Field, u uint64, maxDelta int64, seed uint64, workers in
 	gen := field.NewSplitMix64(seed)
 	ups := stream.UniformDeltas(proto.U, maxDelta, gen)
 	v := proto.NewVerifier(field.NewSplitMix64(seed + 1))
-	p := proto.NewProver()
+	p := proto.NewProver() // ccm: the one-round baseline still observes the stream
 
 	t0 := time.Now()
 	for _, up := range ups {
@@ -204,14 +201,12 @@ func SubVectorRun(f field.Field, u uint64, span uint64, maxDelta int64, seed uin
 	if err != nil {
 		return SubVectorRow{}, err
 	}
-	proto.Workers = workers
 	if span > proto.Params.U {
 		span = proto.Params.U
 	}
 	gen := field.NewSplitMix64(seed)
 	ups := stream.UniformDeltas(proto.Params.U, maxDelta, gen)
 	v := proto.NewVerifier(field.NewSplitMix64(seed + 1))
-	p := proto.NewProver()
 
 	t0 := time.Now()
 	for _, up := range ups {
@@ -220,17 +215,13 @@ func SubVectorRun(f field.Field, u uint64, span uint64, maxDelta int64, seed uin
 		}
 	}
 	streamTime := time.Since(t0)
-	for _, up := range ups {
-		if err := p.Observe(up); err != nil {
-			return SubVectorRow{}, err
-		}
-	}
 	qL := (proto.Params.U - span) / 2
 	qR := qL + span - 1
 	if err := v.SetQuery(qL, qR); err != nil {
 		return SubVectorRow{}, err
 	}
-	if err := p.SetQuery(qL, qR); err != nil {
+	p, err := engine.NewReplayProver(f, proto.Params.U, engine.QueryRangeQuery, engine.QueryParams{A: qL, B: qR}, ups, workers)
+	if err != nil {
 		return SubVectorRow{}, err
 	}
 
@@ -381,21 +372,20 @@ func F0Run(f field.Field, u uint64, seed uint64, workers int) (F0Row, error) {
 	if err != nil {
 		return F0Row{}, err
 	}
-	proto.Workers = workers
 	gen := field.NewSplitMix64(seed)
 	ups, err := stream.Zipf(proto.TreeParams.U, int(4*proto.TreeParams.U), 1.2, gen)
 	if err != nil {
 		return F0Row{}, err
 	}
 	v := proto.NewVerifier(field.NewSplitMix64(seed + 1))
-	p := proto.NewProver()
 	for _, up := range ups {
 		if err := v.Observe(up); err != nil {
 			return F0Row{}, err
 		}
-		if err := p.Observe(up); err != nil {
-			return F0Row{}, err
-		}
+	}
+	p, err := engine.NewReplayProver(f, proto.TreeParams.U, engine.QueryF0, engine.QueryParams{}, ups, workers)
+	if err != nil {
+		return F0Row{}, err
 	}
 	tp := &timedProver{inner: p}
 	tv := &timedVerifier{inner: v}
@@ -448,7 +438,6 @@ func BranchingSweep(f field.Field, u uint64, ells []int, seed uint64) ([]Branchi
 		gen := field.NewSplitMix64(seed)
 		ups := stream.UniformDeltas(params.U, 100, gen)
 		v := proto.NewVerifier(field.NewSplitMix64(seed + 1))
-		p := proto.NewProver()
 		t0 := time.Now()
 		for _, up := range ups {
 			if err := v.Observe(up); err != nil {
@@ -456,10 +445,16 @@ func BranchingSweep(f field.Field, u uint64, ells []int, seed uint64) ([]Branchi
 			}
 		}
 		streamTime := time.Since(t0)
-		for _, up := range ups {
-			if err := p.Observe(up); err != nil {
-				return nil, err
-			}
+		// A custom ℓ has no kind-table row: aggregate the table by hand.
+		counts, err := stream.Apply(ups, params.U)
+		if err != nil {
+			return nil, err
+		}
+		table := make([]field.Elem, params.U)
+		f.FromInt64Slice(table, counts)
+		p, err := proto.NewProverFromTable(table)
+		if err != nil {
+			return nil, err
 		}
 		tp := &timedProver{inner: p}
 		stats, err := core.Run(tp, v)
@@ -507,14 +502,14 @@ func CompareF2(f field.Field, u uint64, seed uint64) (native, gkrRow CompareRow,
 		return native, gkrRow, err
 	}
 	v := proto.NewVerifier(field.NewSplitMix64(seed + 1))
-	p := proto.NewProver()
 	for _, up := range ups {
 		if err := v.Observe(up); err != nil {
 			return native, gkrRow, err
 		}
-		if err := p.Observe(up); err != nil {
-			return native, gkrRow, err
-		}
+	}
+	p, err := engine.NewReplayProver(f, u, engine.QuerySelfJoinSize, engine.QueryParams{}, ups, 0)
+	if err != nil {
+		return native, gkrRow, err
 	}
 	tp, tv := &timedProver{inner: p}, &timedVerifier{inner: v}
 	stats, err := core.Run(tp, tv)

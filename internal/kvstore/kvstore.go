@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/stream"
 )
@@ -160,26 +161,26 @@ func (c *Client) take() (*bundle, error) {
 	return b, nil
 }
 
+// prove runs one query's conversation against the cloud. The cloud
+// proves from the aggregate of ups; v already has its query set.
+func (c *Client) prove(v core.VerifierSession, ups []stream.Update, kind engine.QueryKind, params engine.QueryParams) (core.Stats, error) {
+	p, err := engine.NewReplayProver(c.f, c.u, kind, params, ups, 0)
+	if err != nil {
+		return core.Stats{}, err
+	}
+	return core.Run(p, v)
+}
+
 // Get retrieves and verifies the value stored under key.
 func (c *Client) Get(cloud *Cloud, key uint64) (value uint64, found bool, stats core.Stats, err error) {
 	b, err := c.take()
+	if err == nil {
+		err = b.dict.SetQuery(key)
+	}
 	if err != nil {
 		return 0, false, core.Stats{}, err
 	}
-	p := c.dictProto.NewProver()
-	for _, up := range cloud.Log {
-		if err := p.Observe(up); err != nil {
-			return 0, false, core.Stats{}, err
-		}
-	}
-	if err := b.dict.SetQuery(key); err != nil {
-		return 0, false, core.Stats{}, err
-	}
-	if err := p.SetQuery(key); err != nil {
-		return 0, false, core.Stats{}, err
-	}
-	stats, err = core.Run(p, b.dict)
-	if err != nil {
+	if stats, err = c.prove(b.dict, cloud.Log, engine.QueryDictionary, engine.QueryParams{A: key}); err != nil {
 		return 0, false, stats, err
 	}
 	value, found, err = b.dict.Value()
@@ -189,23 +190,13 @@ func (c *Client) Get(cloud *Cloud, key uint64) (value uint64, found bool, stats 
 // PrevKey returns the largest stored key ≤ q, verified.
 func (c *Client) PrevKey(cloud *Cloud, q uint64) (key uint64, found bool, stats core.Stats, err error) {
 	b, err := c.take()
+	if err == nil {
+		err = b.pred.SetQuery(q)
+	}
 	if err != nil {
 		return 0, false, core.Stats{}, err
 	}
-	p := c.predProto.NewProver()
-	for _, up := range cloud.Log {
-		if err := p.Observe(up); err != nil {
-			return 0, false, core.Stats{}, err
-		}
-	}
-	if err := b.pred.SetQuery(q); err != nil {
-		return 0, false, core.Stats{}, err
-	}
-	if err := p.SetQuery(q); err != nil {
-		return 0, false, core.Stats{}, err
-	}
-	stats, err = core.Run(p, b.pred)
-	if err != nil {
+	if stats, err = c.prove(b.pred, cloud.Log, engine.QueryPredecessor, engine.QueryParams{A: q}); err != nil {
 		return 0, false, stats, err
 	}
 	key, found, err = b.pred.Result()
@@ -215,23 +206,13 @@ func (c *Client) PrevKey(cloud *Cloud, q uint64) (key uint64, found bool, stats 
 // NextKey returns the smallest stored key ≥ q, verified.
 func (c *Client) NextKey(cloud *Cloud, q uint64) (key uint64, found bool, stats core.Stats, err error) {
 	b, err := c.take()
+	if err == nil {
+		err = b.succ.SetQuery(q)
+	}
 	if err != nil {
 		return 0, false, core.Stats{}, err
 	}
-	p := c.succProto.NewProver()
-	for _, up := range cloud.Log {
-		if err := p.Observe(up); err != nil {
-			return 0, false, core.Stats{}, err
-		}
-	}
-	if err := b.succ.SetQuery(q); err != nil {
-		return 0, false, core.Stats{}, err
-	}
-	if err := p.SetQuery(q); err != nil {
-		return 0, false, core.Stats{}, err
-	}
-	stats, err = core.Run(p, b.succ)
-	if err != nil {
+	if stats, err = c.prove(b.succ, cloud.Log, engine.QuerySuccessor, engine.QueryParams{A: q}); err != nil {
 		return 0, false, stats, err
 	}
 	key, found, err = b.succ.Result()
@@ -246,22 +227,13 @@ type Pair struct {
 // Range returns all (key, value) pairs with lo ≤ key ≤ hi, verified.
 func (c *Client) Range(cloud *Cloud, lo, hi uint64) ([]Pair, core.Stats, error) {
 	b, err := c.take()
+	if err == nil {
+		err = b.rq.SetQuery(lo, hi)
+	}
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	p := c.rqProto.NewProver()
-	for _, up := range cloud.Log {
-		if err := p.Observe(up); err != nil {
-			return nil, core.Stats{}, err
-		}
-	}
-	if err := b.rq.SetQuery(lo, hi); err != nil {
-		return nil, core.Stats{}, err
-	}
-	if err := p.SetQuery(lo, hi); err != nil {
-		return nil, core.Stats{}, err
-	}
-	stats, err := core.Run(p, b.rq)
+	stats, err := c.prove(b.rq, cloud.Log, engine.QueryRangeQuery, engine.QueryParams{A: lo, B: hi})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -282,22 +254,13 @@ func (c *Client) Range(cloud *Cloud, lo, hi uint64) ([]Pair, core.Stats, error) 
 // SumRange returns the verified sum of values over lo ≤ key ≤ hi.
 func (c *Client) SumRange(cloud *Cloud, lo, hi uint64) (int64, core.Stats, error) {
 	b, err := c.take()
+	if err == nil {
+		err = b.rs.SetQuery(lo, hi)
+	}
 	if err != nil {
 		return 0, core.Stats{}, err
 	}
-	p := c.rsProto.NewProver()
-	for _, up := range cloud.Raw {
-		if err := p.Observe(up); err != nil {
-			return 0, core.Stats{}, err
-		}
-	}
-	if err := b.rs.SetQuery(lo, hi); err != nil {
-		return 0, core.Stats{}, err
-	}
-	if err := p.SetQuery(lo, hi); err != nil {
-		return 0, core.Stats{}, err
-	}
-	stats, err := core.Run(p, b.rs)
+	stats, err := c.prove(b.rs, cloud.Raw, engine.QueryRangeSum, engine.QueryParams{A: lo, B: hi})
 	if err != nil {
 		return 0, stats, err
 	}
@@ -310,22 +273,13 @@ func (c *Client) SumRange(cloud *Cloud, lo, hi uint64) (int64, core.Stats, error
 // which have the largest values associated with them", §1.1).
 func (c *Client) TopKeys(cloud *Cloud, phi float64) ([]core.HeavyHitter, core.Stats, error) {
 	b, err := c.take()
+	if err == nil {
+		err = b.hh.SetQuery(phi)
+	}
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	p := c.hhProto.NewProver()
-	for _, up := range cloud.Raw {
-		if err := p.Observe(up); err != nil {
-			return nil, core.Stats{}, err
-		}
-	}
-	if err := b.hh.SetQuery(phi); err != nil {
-		return nil, core.Stats{}, err
-	}
-	if err := p.SetQuery(phi); err != nil {
-		return nil, core.Stats{}, err
-	}
-	stats, err := core.Run(p, b.hh)
+	stats, err := c.prove(b.hh, cloud.Raw, engine.QueryHeavyHitters, engine.QueryParams{Phi: phi})
 	if err != nil {
 		return nil, stats, err
 	}

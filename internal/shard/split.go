@@ -290,8 +290,9 @@ func (p *proxyConn) reattachSlice(a *splitAttach, k int) error {
 
 // refuseTyped fails one channel with the typed per-channel frame the
 // server would use: a budget refusal stays a budget refusal, and an
-// owner's own refusal is relayed in the owner's words — the client then
-// reads what a single engine would have told it.
+// owner's own refusal is relayed in the owner's words (a
+// *wire.BudgetError's text already is) — the client then reads what a
+// single engine would have told it.
 func (p *proxyConn) refuseTyped(id uint32, err error) error {
 	typ, text := byte(frames.ErrorCh), err.Error()
 	if errors.Is(err, wire.ErrBudget) {

@@ -7,7 +7,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,16 +32,17 @@ func seamKinds() []struct {
 	}
 }
 
-// splitShards spins up `slices` shard servers and a router splitting
-// the named dataset across all of them, one slice each.
-func splitShards(t *testing.T, workers, slices int, dataset string) (routerAddr string, r *Router, tbl *Table) {
+// splitShards spins up `slices` shard servers (Workers and
+// MaxConcurrentQueries as given) and a router splitting the named
+// dataset across all of them, one slice each.
+func splitShards(t *testing.T, workers, maxQueries, slices int, dataset string) (routerAddr string, r *Router, tbl *Table) {
 	t.Helper()
 	var shards []ShardInfo
 	owners := make([]string, slices)
 	for k := 0; k < slices; k++ {
 		name := fmt.Sprintf("s%d", k+1)
 		dir := t.TempDir()
-		srv := &wire.Server{F: f61, Workers: workers, DataDir: dir}
+		srv := &wire.Server{F: f61, Workers: workers, MaxConcurrentQueries: maxQueries, DataDir: dir}
 		addr, stop := startShard(t, srv)
 		t.Cleanup(stop)
 		shards = append(shards, ShardInfo{Name: name, Addr: addr, DataDir: dir})
@@ -110,7 +110,7 @@ func TestSplitUniverseMatchesSingleEngine(t *testing.T) {
 			t.Run(fmt.Sprintf("workers=%d/slices=%d", workers, slices), func(t *testing.T) {
 				baseAddr, stopBase := startShard(t, &wire.Server{F: f61, Workers: workers})
 				defer stopBase()
-				routerAddr, r, _ := splitShards(t, workers, slices, "big")
+				routerAddr, r, _ := splitShards(t, workers, 0, slices, "big")
 
 				type run struct {
 					serial, overlapped [][]core.Msg
@@ -188,7 +188,7 @@ func TestSplitUniverseMatchesSingleEngine(t *testing.T) {
 // RebalanceSlice.
 func TestSplitRefusals(t *testing.T) {
 	const u = 200
-	routerAddr, _, _ := splitShards(t, 0, 2, "big")
+	routerAddr, _, _ := splitShards(t, 0, 0, 2, "big")
 	baseAddr, stopBase := startShard(t, &wire.Server{F: f61})
 	defer stopBase()
 
@@ -271,6 +271,48 @@ func TestSplitRefusals(t *testing.T) {
 	if _, err := c2.OpenDatasetSlice("big", u, 0, 128); err == nil ||
 		!strings.Contains(err.Error(), "open the dataset by name") {
 		t.Fatalf("client open-slice through router = %v, want a refusal", err)
+	}
+
+	// A budget refusal at an owner (its cap of one concurrent query, hit
+	// by a second overlapped query) reads byte for byte like a single
+	// engine's, stays typed, and the connection keeps serving.
+	cappedSplit, _, _ := splitShards(t, 0, 1, 2, "big")
+	cappedBase, stopCapped := startShard(t, &wire.Server{F: f61, MaxConcurrentQueries: 1})
+	defer stopCapped()
+	observed := func(kind wire.QueryKind, params wire.QueryParams, seed uint64) core.VerifierSession {
+		v, obs := newVerifier(t, u, kind, params, seed)
+		for _, up := range ups {
+			if err := obs(up); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return v
+	}
+	var budget [2]error
+	for i, addr := range []string{cappedSplit, cappedBase} {
+		cl := dialT(t, addr)
+		if _, err := cl.OpenDataset("big", u); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Ingest(ups); err != nil {
+			t.Fatal(err)
+		}
+		sv := &stallVerifier{inner: observed(wire.QuerySelfJoinSize, wire.QueryParams{}, 8303), gate: make(chan struct{})}
+		h, err := cl.QueryAsync(wire.QuerySelfJoinSize, wire.QueryParams{}, sv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, budget[i] = cl.Query(wire.QueryFk, wire.QueryParams{K: 3}, observed(wire.QueryFk, wire.QueryParams{K: 3}, 8304))
+		close(sv.gate)
+		if _, err := h.Wait(); err != nil {
+			t.Fatalf("stalled conversation: %v", err)
+		}
+		if _, err := cl.Query(wire.QueryRangeSum, wire.QueryParams{A: 17, B: 180}, observed(wire.QueryRangeSum, wire.QueryParams{A: 17, B: 180}, 8305)); err != nil {
+			t.Fatalf("query after the budget refusal: %v", err)
+		}
+	}
+	if !errors.Is(budget[0], wire.ErrBudget) || !errors.Is(budget[1], wire.ErrBudget) || budget[0].Error() != budget[1].Error() {
+		t.Fatalf("over-cap query: split router says %v, single engine %v; want the same ErrBudget", budget[0], budget[1])
 	}
 }
 
@@ -467,8 +509,14 @@ func TestTableSwapRaces(t *testing.T) {
 	// Set once the migration starts: from then on the hammers stop
 	// persisting snapshots (a snapshot taken before the flip and saved
 	// or installed after it would revert the route — that is operator
-	// garbage-in, not a router race, so the test does not model it).
-	var migrating atomic.Bool
+	// garbage-in, not a router race, so the test does not model it). A
+	// hammer holds swapMu's read lock from its check through its swap or
+	// save, so once migrating is set under the write lock no pre-flip
+	// snapshot is still in flight.
+	var (
+		swapMu    sync.RWMutex
+		migrating bool
+	)
 	var wg sync.WaitGroup
 	// OPEN hammer: every successful attach must see the ingested count.
 	wg.Add(1)
@@ -504,11 +552,14 @@ func TestTableSwapRaces(t *testing.T) {
 				return
 			default:
 			}
-			if migrating.Load() {
-				continue
+			swapMu.RLock()
+			var err error
+			if !migrating {
+				snap := r.Table()
+				err = r.SetTable(&snap)
 			}
-			snap := r.Table()
-			if err := r.SetTable(&snap); err != nil && !errors.Is(err, ErrMigrationInFlight) {
+			swapMu.RUnlock()
+			if err != nil && !errors.Is(err, ErrMigrationInFlight) {
 				t.Errorf("SetTable: %v", err)
 				return
 			}
@@ -524,12 +575,16 @@ func TestTableSwapRaces(t *testing.T) {
 				return
 			default:
 			}
-			if !migrating.Load() {
+			swapMu.RLock()
+			var err error
+			if !migrating {
 				snap := r.Table()
-				if err := snap.Save(path); err != nil {
-					t.Errorf("save: %v", err)
-					return
-				}
+				err = snap.Save(path)
+			}
+			swapMu.RUnlock()
+			if err != nil {
+				t.Errorf("save: %v", err)
+				return
 			}
 			// The flip itself rewrites the file, so post-migration
 			// reloads still do real work.
@@ -538,7 +593,9 @@ func TestTableSwapRaces(t *testing.T) {
 	}()
 
 	time.Sleep(20 * time.Millisecond)
-	migrating.Store(true)
+	swapMu.Lock()
+	migrating = true
+	swapMu.Unlock()
 	if err := r.Rebalance("hot", "s2"); err != nil {
 		t.Fatalf("rebalance under churn: %v", err)
 	}

@@ -76,6 +76,17 @@ type ServerError struct{ Msg string }
 
 func (e *ServerError) Error() string { return "wire: server error: " + e.Msg }
 
+// BudgetError is a resource refusal the server sent as a budget frame:
+// engine admission, or the per-connection cap on concurrent queries. Msg
+// is the server's error text, which already names ErrBudget, so Error
+// returns it unchanged and a router relaying it reads exactly like the
+// server it relays. errors.Is(err, ErrBudget) holds.
+type BudgetError struct{ Msg string }
+
+func (e *BudgetError) Error() string { return e.Msg }
+
+func (e *BudgetError) Unwrap() error { return ErrBudget }
+
 // ErrTimeout reports that Client.Timeout elapsed while waiting on the
 // server; the connection has been closed. Distinguish it with
 // errors.Is(err, wire.ErrTimeout).
@@ -189,7 +200,7 @@ func (c *Client) termErr() error {
 // ctrlErr types a server refusal frame.
 func ctrlErr(typ byte, payload []byte) error {
 	if typ == frames.Budget {
-		return fmt.Errorf("%w: %s", ErrBudget, payload)
+		return &BudgetError{Msg: string(payload)}
 	}
 	return &ServerError{Msg: string(payload)}
 }

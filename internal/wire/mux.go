@@ -159,9 +159,12 @@ func (m *connMux) open(id uint32, body []byte, ds *engine.Dataset, partial bool)
 	if !ok {
 		// Same treatment as engine admission: a resource refusal on this
 		// channel only, not a protocol violation — the connection and its
-		// other conversations continue.
+		// other conversations continue. The tombstone absorbs the one
+		// frame a client may already have in flight on the refused id (a
+		// router aborting its other owners' legs sends a finish).
+		m.pins.Retire(id, nil, true)
 		return m.write(frames.BudgetCh, frames.EncodeChannel(id,
-			fmt.Appendf(nil, "too many concurrent queries (limit %d)", limit)))
+			fmt.Appendf(nil, "%v: too many concurrent queries (limit %d)", ErrBudget, limit)))
 	}
 
 	// The snapshot is taken synchronously so the conversation's view is
@@ -439,7 +442,7 @@ func (h *QueryHandle) msg() (m core.Msg, srvDead bool, err error) {
 		m, err = frames.DecodeMsg(fr.payload)
 		return m, false, err
 	case frames.BudgetCh:
-		return core.Msg{}, true, fmt.Errorf("%w: %s", ErrBudget, fr.payload)
+		return core.Msg{}, true, &BudgetError{Msg: string(fr.payload)}
 	case frames.ErrorCh:
 		return core.Msg{}, true, &ServerError{Msg: string(fr.payload)}
 	default:

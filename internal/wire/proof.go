@@ -199,7 +199,7 @@ func (c *Client) FetchProof(kind QueryKind, params QueryParams, version uint64) 
 		}
 		return pf, nil
 	case frames.BudgetCh:
-		return nil, fmt.Errorf("%w: %s", ErrBudget, fr.payload)
+		return nil, &BudgetError{Msg: string(fr.payload)}
 	case frames.ErrorCh:
 		return nil, &ServerError{Msg: string(fr.payload)}
 	default:

@@ -6,9 +6,9 @@ import (
 	"repro/sip"
 )
 
-// TestParallelProverPublicAPI exercises the Workers knob exactly as a
-// library user would: same stream, serial and parallel provers, identical
-// verified results.
+// TestParallelProverPublicAPI exercises the workers knob exactly as a
+// library user would: same stream, serial and parallel datasets,
+// identical verified results.
 func TestParallelProverPublicAPI(t *testing.T) {
 	const u = 1 << 12
 	f := sip.Mersenne()
@@ -24,17 +24,13 @@ func TestParallelProverPublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proto.Workers = workers
 		v := proto.NewVerifier(sip.NewSeededRNG(456))
-		p := proto.NewProver()
 		for _, up := range ups {
 			if err := v.Observe(up); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.Observe(up); err != nil {
-				t.Fatal(err)
-			}
 		}
+		p := datasetProver(t, f, u, workers, ups, sip.QuerySelfJoinSize, sip.QueryParams{})
 		if _, err := sip.Run(p, v); err != nil {
 			t.Fatalf("workers=%d: rejected: %v", workers, err)
 		}

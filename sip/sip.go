@@ -2,10 +2,11 @@
 // proofs for outsourced data, reproducing Cormode, Thaler & Yi,
 // "Verifying Computations with Streaming Interactive Proofs" (VLDB 2011).
 //
-// The model: a space-limited verifier (the data owner) and an untrusted
-// prover (the cloud) both observe a stream of (index, delta) updates to an
-// implicit vector a of length u. The verifier keeps only O(log u) words.
-// After the stream, the two run a short interactive protocol through which
+// The model: a space-limited verifier (the data owner) observes a stream
+// of (index, delta) updates to an implicit vector a of length u, keeping
+// only O(log u) words; an untrusted prover (the cloud) holds the data, as
+// the aggregated vector a itself. After the stream, the two run a short
+// interactive protocol through which
 // the prover convinces the verifier of the exact answer to a query that
 // would require Ω(u) space to answer unaided. A correct prover is always
 // accepted; any cheating prover is rejected except with probability
@@ -23,50 +24,38 @@
 //	circuits — F2 cross-check, COUNT,
 //	MATMUL (verified matrix product)            (§3 Remarks, Thm. 3, App. A)
 //
-// Typical use:
+// Typical use — the cloud holds the data as a Dataset, ingested once and
+// queried many times; the data owner keeps one small verifier per query:
 //
 //	proto, _ := sip.NewSelfJoinSize(sip.Mersenne(), 1<<20)
-//	proto.Workers = -1            // prover uses every core (optional)
-//	v := proto.NewVerifier(rng)   // data owner: O(log u) space
-//	p := proto.NewProver()        // cloud: stores the data
+//	v := proto.NewVerifier(rng)        // data owner: O(log u) space
+//	ds, _ := sip.NewDataset(sip.Mersenne(), 1<<20, -1) // cloud; -1 = every core
 //	for _, up := range updates {
 //	    v.Observe(up)
-//	    p.Observe(up)
 //	}
-//	stats, err := sip.Run(p, v)   // interactive verification
+//	ds.Ingest(updates)                 // once per batch, not per query
+//	p, _ := ds.Snapshot().NewProver(sip.QuerySelfJoinSize, sip.QueryParams{})
+//	stats, err := sip.Run(p, v)        // interactive verification
 //	f2, _ := v.Result()
+//
+// Every prover is built from the dataset's maintained tables, which it
+// borrows read-only. Ingestion can continue between queries — snapshots
+// are copy-on-write and O(1), so in-flight conversations never observe a
+// torn state. An Engine names datasets so many connections (see
+// internal/wire, cmd/sipserver and cmd/sipclient) share them.
 //
 // # Parallel proving
 //
 // The prover is the expensive party (Θ(u log u)-ish field work for the
 // multi-round protocols, Θ(u^{3/2}) one-round), and its table scans are
-// embarrassingly parallel. Every protocol struct carries a Workers field:
-// 0 (default) proves serially, n > 0 fans each scan out across n
-// goroutines, and -1 selects runtime.NumCPU(). Because all arithmetic is
-// exact field arithmetic combined in deterministic chunk order, the
-// transcript — every message, every claim — is bit-identical for every
-// worker count; only wall-clock time changes. The verifier's costs are
-// already logarithmic and are unaffected.
-//
-// # Persistent datasets: ingest once, prove many
-//
-// The session API above rebuilds prover state per conversation. A
-// Dataset instead maintains that state across queries — the paper's
-// actual deployment, where the cloud holds the data and answers a whole
-// workload over it:
-//
-//	ds, _ := sip.NewDataset(sip.Mersenne(), 1<<20, -1)
-//	ds.Ingest(batch)                        // once per batch, not per query
-//	snap := ds.Snapshot()                   // O(1), immutable view
-//	p, _ := snap.NewProver(sip.QuerySelfJoinSize, sip.QueryParams{})
-//	stats, err := sip.Run(p, v)             // v observed the same stream
-//
-// Every later query skips the Θ(stream) rebuild: provers are constructed
-// from the maintained tables with transcripts bit-identical to the
-// streaming path. Ingestion can continue between queries — snapshots are
-// copy-on-write, so in-flight conversations never observe a torn state.
-// An Engine names datasets so many connections (see internal/wire's v2
-// protocol, cmd/sipserver and cmd/sipclient) share them.
+// embarrassingly parallel. A dataset's workers argument (and every
+// protocol struct's Workers field) sets the fan-out: 0 proves serially,
+// n > 0 fans each scan out across n goroutines, and -1 selects
+// runtime.NumCPU(). Because all arithmetic is exact field arithmetic
+// combined in deterministic chunk order, the transcript — every message,
+// every claim — is bit-identical for every worker count; only wall-clock
+// time changes. The verifier's costs are already logarithmic and are
+// unaffected.
 //
 // Over the wire, conversations are multiplexed: each query runs on its
 // own channel of the connection in its own server goroutine against its
@@ -245,19 +234,18 @@ const (
 // DESIGN.md, "Transcript-hash schedule", for the absorption order and
 // the soundness model.
 //
-// SOUNDNESS CAVEAT — data must be committed first. The streaming
-// verifier samples all of its randomness up front, so the Fiat–Shamir
-// challenges here depend only on the public binding, not on the data or
-// the prover's messages, and the dataset version is a predictable
-// counter. A party that can choose what to ingest AFTER computing the
-// next version's challenge point could craft data that fools that
-// point. Replay proofs are therefore sound only in the model where
-// ingestion is committed before the proof at that version exists — the
-// engine enforces the version bump on ingest, but nothing in this API
-// can verify that the data itself was not chosen adversarially against
-// a precomputed challenge. Deployments where the data source is
-// untrusted should keep using interactive queries with a secret
-// CryptoRNG (Query/NewQueryVerifier), whose challenges the prover never
+// SOUNDNESS CAVEAT — integrity against third parties, no soundness
+// against the server. The streaming verifier samples all of its
+// randomness up front, and here that randomness is a hash of the public
+// binding, so the server that generates a proof knows every challenge
+// before it writes a message. Committing the data first does not help:
+// knowing r₁, the server adds c·(X − r₁) to its honest first sum-check
+// message, with c = Δ/(1 − 2r₁), claims C + Δ and answers every later
+// round honestly, and the client's verifier accepts the false claim.
+// A posted proof therefore shows only that nobody between the server and
+// the client (a cache, a mirror, a relay) altered what the server
+// recorded. Where the server itself is untrusted, use interactive
+// queries with a secret CryptoRNG, whose challenges the prover never
 // learns in advance.
 
 // Proof is one recorded Fiat–Shamir conversation: binding, prover
@@ -292,9 +280,11 @@ func DecodeProof(b []byte) (*Proof, error) { return fs.DecodeProof(b) }
 
 // VerifyProof replays a posted proof against v, which must have been
 // built from pf.Binding.RNG() and observed the client's own view of the
-// stream. A nil error certifies the recorded answer against the
-// client's fingerprint at the proof's dataset version; any flipped bit
-// in the proof fails.
+// stream. A nil error certifies that the recorded conversation is
+// consistent with the client's fingerprint at the proof's dataset
+// version, so any bit flipped after the server recorded it fails; it does
+// not certify the answer against the server itself (see the soundness
+// caveat above).
 func VerifyProof(pf *Proof, v VerifierSession) error { return pf.Binding.Verify(pf, v) }
 
 // ---------------------------------------------------------------------
@@ -457,7 +447,7 @@ func NewMultiFk(f Field, u uint64, ks []int) (*MultiFk, error) { return core.New
 // with the wire transport in cmd/sipserver and cmd/sipclient.
 
 // verifyLocal is the one local run loop: the kind's streaming verifier
-// observes the updates, the paper's prover observes them too, and the
+// observes the updates, a prover is built from their aggregate, and the
 // two hold the conversation. The verifier's refusal of the query comes
 // first. Results are read from the returned verifier's concrete type.
 func verifyLocal(f Field, u uint64, updates []Update, kind QueryKind, params QueryParams, rng RNG) (StreamVerifier, Stats, error) {
@@ -478,7 +468,7 @@ func verifyLocal(f Field, u uint64, updates []Update, kind QueryKind, params Que
 	return v, stats, err
 }
 
-// VerifySelfJoinSize streams updates into both parties and verifies F2.
+// VerifySelfJoinSize streams updates into the verifier and verifies F2.
 func VerifySelfJoinSize(f Field, u uint64, updates []Update, rng RNG) (Elem, Stats, error) {
 	v, stats, err := verifyLocal(f, u, updates, QuerySelfJoinSize, QueryParams{}, rng)
 	if err != nil {
@@ -520,7 +510,7 @@ func VerifyHeavyHitters(f Field, u uint64, updates []Update, phi float64, rng RN
 	return hh, stats, err
 }
 
-// VerifyCircuit streams updates into both parties and verifies the
+// VerifyCircuit streams updates into the verifier and verifies the
 // named circuit's full output vector over the final frequency vector
 // (e.g. CircuitMatMul: every entry of C = A·A).
 func VerifyCircuit(f Field, u uint64, updates []Update, spec CircuitSpec, rng RNG) ([]Elem, Stats, error) {

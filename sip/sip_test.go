@@ -8,6 +8,24 @@ import (
 	"repro/sip"
 )
 
+// datasetProver is the cloud side as a library user writes it: ingest
+// the stream into a dataset, then prove one query from its snapshot.
+func datasetProver(t *testing.T, f sip.Field, u uint64, workers int, ups []sip.Update, kind sip.QueryKind, params sip.QueryParams) sip.ProverSession {
+	t.Helper()
+	ds, err := sip.NewDataset(f, u, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Ingest(ups); err != nil {
+		t.Fatal(err)
+	}
+	p, err := ds.Snapshot().NewProver(kind, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestVerifySelfJoinSize(t *testing.T) {
 	const u = 1 << 10
 	rng := sip.NewSeededRNG(1)
@@ -115,21 +133,15 @@ func TestDictionaryWorkflow(t *testing.T) {
 		found bool
 	}{{42, 7, true}, {100, 0, true}, {999, 123, true}, {43, 0, false}} {
 		v := proto.NewVerifier(sip.NewSeededRNG(9))
-		p := proto.NewProver()
 		for _, up := range ups {
 			if err := v.Observe(up); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Observe(up); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if err := v.SetQuery(q.key); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.SetQuery(q.key); err != nil {
-			t.Fatal(err)
-		}
+		p := datasetProver(t, sip.Mersenne(), u, 0, ups, sip.QueryDictionary, sip.QueryParams{A: q.key})
 		if _, err := sip.Run(p, v); err != nil {
 			t.Fatalf("get(%d) rejected: %v", q.key, err)
 		}
@@ -153,15 +165,12 @@ func TestTamperThroughFacade(t *testing.T) {
 	}
 	ups := stream.UniformDeltas(u, 10, sip.NewSeededRNG(10))
 	v := proto.NewVerifier(sip.NewSeededRNG(11))
-	p := proto.NewProver()
 	for _, up := range ups {
 		if err := v.Observe(up); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Observe(up); err != nil {
-			t.Fatal(err)
-		}
 	}
+	p := datasetProver(t, sip.Mersenne(), u, 0, ups, sip.QuerySelfJoinSize, sip.QueryParams{})
 	tp := &sip.TamperedProver{P: p, T: func(r int, m sip.Msg) sip.Msg {
 		if r == 1 && len(m.Elems) > 0 {
 			m.Elems[0]++
