@@ -98,7 +98,6 @@ const (
 	phaseHH freqPhase = iota
 	phaseSCOpening
 	phaseSC
-	phaseDone
 )
 
 // FrequencyBasedVerifier runs the verifier: the augmented tree root and
@@ -107,7 +106,7 @@ const (
 type FrequencyBasedVerifier struct {
 	proto *FrequencyBased
 	hh    *HeavyHittersVerifier
-	pt    *lde.Point
+	res   scVerifier // the residual sum-check
 	ev    *lde.Evaluator
 
 	phase     freqPhase
@@ -115,9 +114,6 @@ type FrequencyBasedVerifier struct {
 	fPrime    field.Elem
 	hCount    int64
 	fTildeR   field.Elem
-	sc        *sumcheck.Verifier
-	scClaim   field.Elem
-	result    field.Elem
 }
 
 // NewVerifier samples both the tree randomness and the LDE point.
@@ -127,7 +123,7 @@ func (p *FrequencyBased) NewVerifier(rng field.RNG) *FrequencyBasedVerifier {
 	return &FrequencyBasedVerifier{
 		proto: p,
 		hh:    hhProto.NewVerifier(rng),
-		pt:    pt,
+		res:   scVerifier{pt: pt},
 		ev:    lde.NewEvaluator(pt),
 	}
 }
@@ -154,7 +150,7 @@ func (v *FrequencyBasedVerifier) Observe(up stream.Update) error {
 // the heavy-hitter reveals, the empty message that asks for the
 // sum-check opening, then the first d−1 coordinates of the LDE point.
 func (v *FrequencyBasedVerifier) Challenges() []Msg {
-	return append(append(v.hh.Challenges(), Msg{}), revealOneByOne(v.pt.R)...)
+	return append(append(v.hh.Challenges(), Msg{}), v.res.Challenges()...)
 }
 
 // Begin starts the heavy-hitter phase.
@@ -186,13 +182,8 @@ func (v *FrequencyBasedVerifier) Step(response Msg) (Msg, bool, error) {
 		return ch, false, nil
 	case phaseSCOpening:
 		return v.beginSumcheck(response)
-	case phaseSC:
-		if len(response.Ints) != 0 {
-			return Msg{}, false, reject("sum-check round message carries unexpected ints")
-		}
-		return v.absorb(response.Elems)
 	default:
-		return Msg{}, false, fmt.Errorf("core: frequency-based verifier already finished")
+		return v.res.Step(response)
 	}
 }
 
@@ -215,7 +206,7 @@ func (v *FrequencyBasedVerifier) transition() (Msg, bool, error) {
 	v.fTildeR = v.ev.Value()
 	for _, hh := range hitters {
 		v.fPrime = f.Add(v.fPrime, v.proto.H(hh.Count))
-		contrib := f.Mul(f.FromInt64(hh.Count), v.pt.ChiOfIndex(hh.Index))
+		contrib := f.Mul(f.FromInt64(hh.Count), v.res.pt.ChiOfIndex(hh.Index))
 		v.fTildeR = f.Sub(v.fTildeR, contrib)
 		v.hCount++
 	}
@@ -223,62 +214,33 @@ func (v *FrequencyBasedVerifier) transition() (Msg, bool, error) {
 	return Msg{}, false, nil
 }
 
-func (v *FrequencyBasedVerifier) scConfig() sumcheck.Config {
-	return sumcheck.Config{
+// beginSumcheck consumes the residual sum-check's opening; the final
+// check is against h̃(f̃_a(r)).
+func (v *FrequencyBasedVerifier) beginSumcheck(opening Msg) (Msg, bool, error) {
+	anchor, err := poly.EvalOracleInterpolant(v.proto.F, int(v.threshold),
+		func(i uint64) field.Elem { return v.proto.H(int64(i)) }, v.fTildeR)
+	if err != nil {
+		return Msg{}, false, err
+	}
+	v.phase = phaseSC
+	cfg := sumcheck.Config{
 		Field:  v.proto.F,
 		Params: v.proto.LdeParams,
 		// The verifier never evaluates h̃ through the combiner; it only
 		// needs the degree bound T-1 to size messages.
 		Combiner: sumcheck.PolyFn{MinDegree: int(v.threshold) - 1},
 	}
+	return v.res.begin(cfg, opening, anchor)
 }
 
-// beginSumcheck consumes the sum-check opening [claim, g_1(0..deg)].
-func (v *FrequencyBasedVerifier) beginSumcheck(opening Msg) (Msg, bool, error) {
-	cfg := v.scConfig()
-	if len(opening.Ints) != 0 || len(opening.Elems) != 1+cfg.MessageLen() {
-		return Msg{}, false, reject("sum-check opening has %d elems, want %d", len(opening.Elems), 1+cfg.MessageLen())
-	}
-	v.scClaim = opening.Elems[0]
-	f := v.proto.F
-	expected, err := poly.EvalOracleInterpolant(f, int(v.threshold),
-		func(i uint64) field.Elem { return v.proto.H(int64(i)) }, v.fTildeR)
-	if err != nil {
-		return Msg{}, false, err
-	}
-	sc, err := sumcheck.NewVerifier(cfg, v.pt.R, v.scClaim, expected)
-	if err != nil {
-		return Msg{}, false, err
-	}
-	v.sc = sc
-	v.phase = phaseSC
-	return v.absorb(opening.Elems[1:])
-}
-
-func (v *FrequencyBasedVerifier) absorb(evals []field.Elem) (Msg, bool, error) {
-	if err := v.sc.Receive(evals); err != nil {
-		return Msg{}, false, reject("%v", err)
-	}
-	if v.sc.Done() {
-		f := v.proto.F
-		// F = Σ g₁ + F′ − |H|·h(0).
-		v.result = f.Sub(f.Add(v.scClaim, v.fPrime), f.Mul(f.FromInt64(v.hCount), v.proto.H(0)))
-		v.phase = phaseDone
-		return Msg{}, true, nil
-	}
-	ch, err := v.sc.Challenge()
-	if err != nil {
-		return Msg{}, false, err
-	}
-	return Msg{Elems: []field.Elem{ch}}, false, nil
-}
-
-// Result returns the verified statistic F(a).
+// Result returns the verified statistic F(a) = Σ g₁ + F′ − |H|·h(0).
 func (v *FrequencyBasedVerifier) Result() (field.Elem, error) {
-	if v.phase != phaseDone {
-		return 0, fmt.Errorf("core: frequency-based result unavailable before acceptance")
+	claim, err := v.res.Result()
+	if err != nil {
+		return 0, err
 	}
-	return v.result, nil
+	f := v.proto.F
+	return f.Sub(f.Add(claim, v.fPrime), f.Mul(f.FromInt64(v.hCount), v.proto.H(0))), nil
 }
 
 // HeavyHitters returns the verified heavy set used in phase 1 (valid once
@@ -295,7 +257,7 @@ func (v *FrequencyBasedVerifier) HeavyHitters() ([]HeavyHitter, int64, error) {
 type FrequencyBasedProver struct {
 	proto *FrequencyBased
 	hh    *HeavyHittersProver
-	sc    *sumcheck.Prover
+	res   scProver // the residual sum-check
 }
 
 // NewProverFromCounts returns a prover over a dense count table, borrowed
@@ -332,17 +294,7 @@ func (pr *FrequencyBasedProver) Step(challenge Msg) (Msg, error) {
 	case 0:
 		return pr.openSumcheck()
 	case 1:
-		if pr.sc == nil {
-			return Msg{}, fmt.Errorf("core: sum-check phase not opened")
-		}
-		if err := pr.sc.Fold(challenge.Elems[0]); err != nil {
-			return Msg{}, err
-		}
-		g, err := pr.sc.RoundMessage()
-		if err != nil {
-			return Msg{}, err
-		}
-		return Msg{Elems: g}, nil
+		return pr.res.Step(challenge)
 	default:
 		return Msg{}, fmt.Errorf("core: unrecognized challenge shape (%d elems)", len(challenge.Elems))
 	}
@@ -392,15 +344,5 @@ func (pr *FrequencyBasedProver) openSumcheck() (Msg, error) {
 		Combiner: sumcheck.PolyFn{H: htilde, MinDegree: int(threshold) - 1},
 		Workers:  pr.proto.Workers,
 	}
-	sc, err := sumcheck.NewProver(cfg, table)
-	if err != nil {
-		return Msg{}, err
-	}
-	pr.sc = sc
-	claim := sc.Total()
-	g1, err := sc.RoundMessage()
-	if err != nil {
-		return Msg{}, err
-	}
-	return Msg{Elems: append([]field.Elem{claim}, g1...)}, nil
+	return pr.res.open(cfg, table)
 }

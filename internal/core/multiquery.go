@@ -71,25 +71,23 @@ func (p *MultiFk) batchLen() int {
 	return n
 }
 
-// MultiFkVerifier runs all slots' verifiers against one challenge
-// schedule.
+// MultiFkVerifier runs one sum-check verifier half per slot, all over
+// the one shared point and so against one challenge schedule.
 type MultiFkVerifier struct {
-	proto  *MultiFk
-	pt     *lde.Point
-	evs    []*lde.Evaluator
-	scs    []*sumcheck.Verifier
-	claims []field.Elem
-	done   bool
+	proto *MultiFk
+	evs   []*lde.Evaluator
+	slots []scVerifier
 }
 
 // NewVerifier samples the single shared point r.
 func (p *MultiFk) NewVerifier(rng field.RNG) *MultiFkVerifier {
 	pt := lde.RandomPoint(p.F, p.Params, rng)
-	evs := make([]*lde.Evaluator, len(p.Ks))
-	for i := range evs {
-		evs[i] = lde.NewEvaluator(pt)
+	v := &MultiFkVerifier{proto: p, evs: make([]*lde.Evaluator, len(p.Ks)), slots: make([]scVerifier, len(p.Ks))}
+	for i := range v.slots {
+		v.evs[i] = lde.NewEvaluator(pt)
+		v.slots[i].pt = pt
 	}
-	return &MultiFkVerifier{proto: p, pt: pt, evs: evs}
+	return v
 }
 
 // Observe folds one update of the slot-th stream. Queries over the same
@@ -104,72 +102,62 @@ func (v *MultiFkVerifier) Observe(slot int, up stream.Update) error {
 // Begin consumes the batched opening: all claims, then all slots' g_1
 // evaluations, concatenated in slot order.
 func (v *MultiFkVerifier) Begin(opening Msg) (Msg, bool, error) {
-	if v.scs != nil {
-		return Msg{}, false, fmt.Errorf("core: multi-query verifier already started")
+	n := len(v.proto.Ks)
+	if want := n + v.proto.batchLen(); len(opening.Ints) != 0 || len(opening.Elems) != want {
+		return Msg{}, false, reject("multi-query opening has %d ints and %d elems, want 0 and %d",
+			len(opening.Ints), len(opening.Elems), want)
 	}
-	want := len(v.proto.Ks) + v.proto.batchLen()
-	if len(opening.Ints) != 0 || len(opening.Elems) != want {
-		return Msg{}, false, reject("multi-query opening has %d elems, want %d", len(opening.Elems), want)
-	}
-	v.claims = append([]field.Elem(nil), opening.Elems[:len(v.proto.Ks)]...)
-	v.scs = make([]*sumcheck.Verifier, len(v.proto.Ks))
-	for slot := range v.proto.Ks {
-		expected := v.proto.F.Pow(v.evs[slot].Value(), uint64(v.proto.Ks[slot]))
-		sc, err := sumcheck.NewVerifier(v.proto.cfg(slot), v.pt.R, v.claims[slot], expected)
-		if err != nil {
-			return Msg{}, false, err
-		}
-		v.scs[slot] = sc
-	}
-	return v.absorb(opening.Elems[len(v.proto.Ks):])
+	claims := opening.Elems[:n]
+	return v.each(opening.Elems[n:], func(slot int, g1 []field.Elem) (Msg, bool, error) {
+		anchor := v.proto.F.Pow(v.evs[slot].Value(), uint64(v.proto.Ks[slot]))
+		return v.slots[slot].begin(v.proto.cfg(slot), Msg{Elems: append([]field.Elem{claims[slot]}, g1...)}, anchor)
+	})
 }
 
 // Step consumes one batched round message.
 func (v *MultiFkVerifier) Step(response Msg) (Msg, bool, error) {
-	if v.scs == nil || v.done {
-		return Msg{}, false, fmt.Errorf("core: multi-query verifier not mid-conversation")
-	}
 	if len(response.Ints) != 0 || len(response.Elems) != v.proto.batchLen() {
-		return Msg{}, false, reject("multi-query round has %d elems, want %d", len(response.Elems), v.proto.batchLen())
+		return Msg{}, false, reject("multi-query round has %d ints and %d elems, want 0 and %d",
+			len(response.Ints), len(response.Elems), v.proto.batchLen())
 	}
-	return v.absorb(response.Elems)
+	return v.each(response.Elems, func(slot int, g []field.Elem) (Msg, bool, error) {
+		return v.slots[slot].Step(Msg{Elems: g})
+	})
 }
 
-func (v *MultiFkVerifier) absorb(elems []field.Elem) (Msg, bool, error) {
-	off := 0
-	for slot, sc := range v.scs {
+// each hands every slot its part of a batched message body (the slots'
+// messages concatenated in slot order). The slots run in lockstep, so
+// they all return the same challenge — one coordinate of the shared r —
+// and finish together.
+func (v *MultiFkVerifier) each(body []field.Elem, fn func(slot int, part []field.Elem) (Msg, bool, error)) (ch Msg, done bool, err error) {
+	for slot := range v.slots {
 		n := v.proto.cfg(slot).MessageLen()
-		if err := sc.Receive(elems[off : off+n]); err != nil {
-			return Msg{}, false, reject("slot %d: %v", slot, err)
+		if ch, done, err = fn(slot, body[:n]); err != nil {
+			return Msg{}, false, fmt.Errorf("slot %d: %w", slot, err)
 		}
-		off += n
+		body = body[n:]
 	}
-	if v.scs[0].Done() {
-		v.done = true
-		return Msg{}, true, nil
-	}
-	// One shared challenge answers every slot (they run in lockstep, so
-	// all Challenge() values are the same coordinate of r).
-	ch, err := v.scs[0].Challenge()
-	if err != nil {
-		return Msg{}, false, err
-	}
-	return Msg{Elems: []field.Elem{ch}}, false, nil
+	return ch, done, nil
 }
 
 // Results returns all verified moments, in slot order.
 func (v *MultiFkVerifier) Results() ([]field.Elem, error) {
-	if !v.done {
-		return nil, fmt.Errorf("core: multi-query results unavailable before acceptance")
+	out := make([]field.Elem, len(v.slots))
+	for slot := range v.slots {
+		r, err := v.slots[slot].Result()
+		if err != nil {
+			return nil, err
+		}
+		out[slot] = r
 	}
-	return append([]field.Elem(nil), v.claims...), nil
+	return out, nil
 }
 
-// MultiFkProver holds one table per slot.
+// MultiFkProver runs one sum-check prover half per slot.
 type MultiFkProver struct {
 	proto  *MultiFk
 	tables [][]field.Elem
-	scs    []*sumcheck.Prover
+	slots  []scProver
 }
 
 // NewProverFromTables returns a prover over one aggregated table per slot
@@ -179,31 +167,23 @@ func (p *MultiFk) NewProverFromTables(tables ...[]field.Elem) (*MultiFkProver, e
 	if len(tables) != len(p.Ks) {
 		return nil, fmt.Errorf("core: %d tables for %d query slots", len(tables), len(p.Ks))
 	}
-	for _, t := range tables {
-		if uint64(len(t)) != p.Params.U {
-			return nil, fmt.Errorf("core: table has %d entries, want %d", len(t), p.Params.U)
-		}
+	if err := checkTables(p.Params.U, tables...); err != nil {
+		return nil, err
 	}
-	return &MultiFkProver{proto: p, tables: tables}, nil
+	return &MultiFkProver{proto: p, tables: tables, slots: make([]scProver, len(tables))}, nil
 }
 
 // Open emits all claims followed by all slots' round-1 polynomials.
 func (pr *MultiFkProver) Open() (Msg, error) {
-	pr.scs = make([]*sumcheck.Prover, len(pr.proto.Ks))
-	claims := make([]field.Elem, len(pr.proto.Ks))
+	claims := make([]field.Elem, len(pr.slots))
 	var body []field.Elem
-	for slot := range pr.proto.Ks {
-		sc, err := sumcheck.NewProver(pr.proto.cfg(slot), pr.tables[slot])
+	for slot := range pr.slots {
+		m, err := pr.slots[slot].open(pr.proto.cfg(slot), pr.tables[slot])
 		if err != nil {
 			return Msg{}, err
 		}
-		pr.scs[slot] = sc
-		claims[slot] = sc.Total()
-		g1, err := sc.RoundMessage()
-		if err != nil {
-			return Msg{}, err
-		}
-		body = append(body, g1...)
+		claims[slot] = m.Elems[0]
+		body = append(body, m.Elems[1:]...)
 	}
 	return Msg{Elems: append(claims, body...)}, nil
 }
@@ -211,22 +191,13 @@ func (pr *MultiFkProver) Open() (Msg, error) {
 // Step folds the shared challenge into every slot and emits the batched
 // next-round message.
 func (pr *MultiFkProver) Step(challenge Msg) (Msg, error) {
-	if pr.scs == nil {
-		return Msg{}, fmt.Errorf("core: multi-query prover not opened")
-	}
-	if len(challenge.Elems) != 1 {
-		return Msg{}, fmt.Errorf("core: challenge has %d elems, want 1", len(challenge.Elems))
-	}
 	var body []field.Elem
-	for _, sc := range pr.scs {
-		if err := sc.Fold(challenge.Elems[0]); err != nil {
-			return Msg{}, err
-		}
-		g, err := sc.RoundMessage()
+	for slot := range pr.slots {
+		m, err := pr.slots[slot].Step(challenge)
 		if err != nil {
 			return Msg{}, err
 		}
-		body = append(body, g...)
+		body = append(body, m.Elems...)
 	}
 	return Msg{Elems: body}, nil
 }

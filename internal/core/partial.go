@@ -42,11 +42,11 @@ var ErrSplitVersion = errors.New("core: split slices disagree on dataset version
 // driven by the aggregator, not by a verifier — after its final fold it
 // emits its leaves instead of a round message.
 type PartialProver struct {
+	scProver
 	cfg     sumcheck.Config // global configuration; Params span the full universe
 	lo, hi  uint64
 	tables  [][]field.Elem // slice subtables, borrowed read-only
 	version uint64
-	sc      *sumcheck.Prover
 	headD   int
 }
 
@@ -77,56 +77,38 @@ func (p *Fk) NewPartialProverFromTable(table []field.Elem, lo, hi, version uint6
 // itself — the intersection of the query range with [lo, hi) — so no
 // second table travels.
 func (p *RangeSum) NewPartialProverFromTable(table []field.Elem, lo, hi, version, qL, qR uint64) (*PartialProver, error) {
-	if qL > qR || qR >= p.Params.U {
-		return nil, fmt.Errorf("core: bad range [%d,%d] for universe %d", qL, qR, p.Params.U)
+	if err := checkRange(qL, qR, p.Params.U); err != nil {
+		return nil, err
 	}
-	indicator := make([]field.Elem, len(table))
-	for i := max(qL, lo); i <= qR && i < hi; i++ {
-		indicator[i-lo] = 1
-	}
+	indicator := rangeIndicator(lo, lo+uint64(len(table)), qL, qR)
 	return newPartialProver(p.scConfig(), lo, hi, version, table, indicator)
 }
 
 // Open computes this slice's partial claim and round-1 partial,
 // prefixed by the dataset version for the aggregator's skew check.
 func (pr *PartialProver) Open() (Msg, error) {
-	sc, err := sumcheck.NewPartialProver(pr.cfg, pr.lo, pr.hi, pr.tables...)
+	m, err := pr.start(sumcheck.NewPartialProver(pr.cfg, pr.lo, pr.hi, pr.tables...))
 	if err != nil {
 		return Msg{}, err
 	}
-	pr.sc = sc
-	claim := sc.Total()
-	g1, err := sc.RoundMessage()
-	if err != nil {
-		return Msg{}, err
-	}
-	return Msg{Ints: []uint64{pr.version}, Elems: append([]field.Elem{claim}, g1...)}, nil
+	m.Ints = []uint64{pr.version}
+	return m, nil
 }
 
 // Step folds the broadcast challenge and produces the next partial
 // message — or, after the final head fold, this slice's leaves.
 func (pr *PartialProver) Step(challenge Msg) (Msg, error) {
-	if pr.sc == nil {
-		return Msg{}, fmt.Errorf("core: partial prover not opened")
-	}
-	if len(challenge.Elems) != 1 {
-		return Msg{}, fmt.Errorf("core: partial challenge has %d elems, want 1", len(challenge.Elems))
-	}
-	if err := pr.sc.Fold(challenge.Elems[0]); err != nil {
+	if err := pr.fold(challenge); err != nil {
 		return Msg{}, err
 	}
-	if pr.sc.Round() == pr.headD {
-		leaves, err := pr.sc.Leaves()
-		if err != nil {
-			return Msg{}, err
-		}
-		return Msg{Elems: leaves}, nil
+	if pr.sc.Round() != pr.headD {
+		return pr.next()
 	}
-	g, err := pr.sc.RoundMessage()
+	leaves, err := pr.sc.Leaves()
 	if err != nil {
 		return Msg{}, err
 	}
-	return Msg{Elems: g}, nil
+	return Msg{Elems: leaves}, nil
 }
 
 // ---------------------------------------------------------------------

@@ -188,115 +188,58 @@ func NewPredecessor(f field.Field, u uint64) (*Predecessor, error) {
 // PredecessorVerifier verifies the claimed predecessor via an embedded
 // sub-vector conversation.
 type PredecessorVerifier struct {
-	sv      *SubVectorVerifier
-	q       uint64
-	claimed uint64
-	started bool
+	anchorVerifier
+	q uint64
 }
 
 // NewVerifier samples randomness and returns a verifier.
 func (p *Predecessor) NewVerifier(rng field.RNG) *PredecessorVerifier {
-	return &PredecessorVerifier{sv: p.sv.NewVerifier(rng)}
+	return &PredecessorVerifier{anchorVerifier: anchorVerifier{sv: p.sv.NewVerifier(rng)}}
 }
-
-// Observe folds one stream element (interpreted as an insertion of the
-// element's index; callers pass δ=1 updates).
-func (v *PredecessorVerifier) Observe(up stream.Update) error { return v.sv.Observe(up) }
-
-// Challenges is the embedded sub-vector conversation's schedule.
-func (v *PredecessorVerifier) Challenges() []Msg { return v.sv.Challenges() }
 
 // SetQuery fixes the query point q.
-func (v *PredecessorVerifier) SetQuery(q uint64) error {
-	if q >= v.sv.proto.Params.U {
-		return fmt.Errorf("core: query %d outside universe", q)
-	}
-	v.q = q
-	return nil
-}
+func (v *PredecessorVerifier) SetQuery(q uint64) error { return setPoint(&v.q, q, v.sv.proto.Params.U) }
 
 // Begin consumes the opening: Ints[0] is the claimed predecessor (or
 // NoneSentinel), followed by the embedded sub-vector opening over
-// [claimed, q] (respectively [0, q] for a "none" claim, which must report
-// an empty sub-vector).
+// [claimed, q], which must report exactly the claimed index (respectively
+// [0, q] for a "none" claim, which must report an empty sub-vector).
 func (v *PredecessorVerifier) Begin(opening Msg) (Msg, bool, error) {
-	if v.started {
-		return Msg{}, false, fmt.Errorf("core: predecessor verifier already started")
-	}
-	v.started = true
-	if len(opening.Ints) < 1 {
-		return Msg{}, false, reject("predecessor opening missing claim")
-	}
-	v.claimed = opening.Ints[0]
-	rest := Msg{Ints: opening.Ints[1:], Elems: opening.Elems}
-	lo := uint64(0)
-	if v.claimed != NoneSentinel {
-		if v.claimed > v.q {
-			return Msg{}, false, reject("claimed predecessor %d exceeds query %d", v.claimed, v.q)
+	return v.begin("predecessor", opening, func(claimed uint64) (uint64, uint64, int, error) {
+		switch {
+		case claimed == NoneSentinel:
+			return 0, v.q, 0, nil
+		case claimed > v.q:
+			return 0, 0, 0, reject("claimed predecessor %d exceeds query %d", claimed, v.q)
 		}
-		lo = v.claimed
-		if len(rest.Ints) != 1 || rest.Ints[0] != v.claimed {
-			return Msg{}, false, reject("predecessor sub-vector must contain exactly the claimed index")
-		}
-	} else if len(rest.Ints) != 0 {
-		return Msg{}, false, reject("none-claim must report an empty sub-vector")
-	}
-	if err := v.sv.SetQuery(lo, v.q); err != nil {
-		return Msg{}, false, err
-	}
-	return v.sv.Begin(rest)
+		return claimed, v.q, 1, nil
+	})
 }
-
-// Step delegates to the embedded sub-vector conversation.
-func (v *PredecessorVerifier) Step(response Msg) (Msg, bool, error) { return v.sv.Step(response) }
 
 // Result returns the verified predecessor; found is false when no element
 // ≤ q exists.
-func (v *PredecessorVerifier) Result() (pred uint64, found bool, err error) {
-	if _, err := v.sv.Result(); err != nil {
-		return 0, false, err
-	}
-	if v.claimed == NoneSentinel {
-		return 0, false, nil
-	}
-	return v.claimed, true, nil
-}
+func (v *PredecessorVerifier) Result() (pred uint64, found bool, err error) { return v.found() }
 
 // PredecessorProver answers predecessor queries.
 type PredecessorProver struct {
-	sv *SubVectorProver
-	q  uint64
+	anchorProver
+	q uint64
 }
 
 // SetQuery fixes the query point q.
 func (pr *PredecessorProver) SetQuery(q uint64) error {
-	if q >= pr.sv.proto.Params.U {
-		return fmt.Errorf("core: query %d outside universe", q)
-	}
-	pr.q = q
-	return nil
+	return setPoint(&pr.q, q, pr.sv.proto.Params.U)
 }
 
 // Open computes the true predecessor and opens the embedded sub-vector
 // conversation.
 func (pr *PredecessorProver) Open() (Msg, error) {
 	pred, found := scanExtreme(pr.sv.counts, func(i uint64) bool { return i <= pr.q }, true)
-	lo, claim := uint64(0), NoneSentinel
-	if found {
-		lo, claim = pred, pred
+	if !found {
+		return pr.open(NoneSentinel, 0, pr.q)
 	}
-	if err := pr.sv.SetQuery(lo, pr.q); err != nil {
-		return Msg{}, err
-	}
-	inner, err := pr.sv.Open()
-	if err != nil {
-		return Msg{}, err
-	}
-	return Msg{Ints: append([]uint64{claim}, inner.Ints...), Elems: inner.Elems}, nil
+	return pr.open(pred, pred, pr.q)
 }
-
-// Step delegates to the embedded sub-vector conversation.
-func (pr *PredecessorProver) Step(challenge Msg) (Msg, error) { return pr.sv.Step(challenge) }
 
 // Successor is the symmetric SUCCESSOR protocol: the smallest p ≥ q
 // present in the stream.
@@ -313,112 +256,55 @@ func NewSuccessor(f field.Field, u uint64) (*Successor, error) {
 
 // SuccessorVerifier verifies the claimed successor.
 type SuccessorVerifier struct {
-	sv      *SubVectorVerifier
-	q       uint64
-	claimed uint64
-	started bool
+	anchorVerifier
+	q uint64
 }
 
 // NewVerifier samples randomness and returns a verifier.
 func (p *Successor) NewVerifier(rng field.RNG) *SuccessorVerifier {
-	return &SuccessorVerifier{sv: p.sv.NewVerifier(rng)}
+	return &SuccessorVerifier{anchorVerifier: anchorVerifier{sv: p.sv.NewVerifier(rng)}}
 }
-
-// Observe folds one stream element.
-func (v *SuccessorVerifier) Observe(up stream.Update) error { return v.sv.Observe(up) }
-
-// Challenges is the embedded sub-vector conversation's schedule.
-func (v *SuccessorVerifier) Challenges() []Msg { return v.sv.Challenges() }
 
 // SetQuery fixes the query point q.
-func (v *SuccessorVerifier) SetQuery(q uint64) error {
-	if q >= v.sv.proto.Params.U {
-		return fmt.Errorf("core: query %d outside universe", q)
-	}
-	v.q = q
-	return nil
-}
+func (v *SuccessorVerifier) SetQuery(q uint64) error { return setPoint(&v.q, q, v.sv.proto.Params.U) }
 
 // Begin consumes the opening: Ints[0] is the claimed successor (or
 // NoneSentinel), then the sub-vector opening over [q, claimed]
 // (respectively [q, u-1] for "none").
 func (v *SuccessorVerifier) Begin(opening Msg) (Msg, bool, error) {
-	if v.started {
-		return Msg{}, false, fmt.Errorf("core: successor verifier already started")
-	}
-	v.started = true
-	if len(opening.Ints) < 1 {
-		return Msg{}, false, reject("successor opening missing claim")
-	}
-	v.claimed = opening.Ints[0]
-	rest := Msg{Ints: opening.Ints[1:], Elems: opening.Elems}
-	hi := v.sv.proto.Params.U - 1
-	if v.claimed != NoneSentinel {
-		if v.claimed < v.q || v.claimed >= v.sv.proto.Params.U {
-			return Msg{}, false, reject("claimed successor %d outside [%d,%d]", v.claimed, v.q, hi)
+	return v.begin("successor", opening, func(claimed uint64) (uint64, uint64, int, error) {
+		last := v.sv.proto.Params.U - 1
+		switch {
+		case claimed == NoneSentinel:
+			return v.q, last, 0, nil
+		case claimed < v.q || claimed > last:
+			return 0, 0, 0, reject("claimed successor %d outside [%d,%d]", claimed, v.q, last)
 		}
-		hi = v.claimed
-		if len(rest.Ints) != 1 || rest.Ints[0] != v.claimed {
-			return Msg{}, false, reject("successor sub-vector must contain exactly the claimed index")
-		}
-	} else if len(rest.Ints) != 0 {
-		return Msg{}, false, reject("none-claim must report an empty sub-vector")
-	}
-	if err := v.sv.SetQuery(v.q, hi); err != nil {
-		return Msg{}, false, err
-	}
-	return v.sv.Begin(rest)
+		return v.q, claimed, 1, nil
+	})
 }
-
-// Step delegates to the embedded sub-vector conversation.
-func (v *SuccessorVerifier) Step(response Msg) (Msg, bool, error) { return v.sv.Step(response) }
 
 // Result returns the verified successor.
-func (v *SuccessorVerifier) Result() (succ uint64, found bool, err error) {
-	if _, err := v.sv.Result(); err != nil {
-		return 0, false, err
-	}
-	if v.claimed == NoneSentinel {
-		return 0, false, nil
-	}
-	return v.claimed, true, nil
-}
+func (v *SuccessorVerifier) Result() (succ uint64, found bool, err error) { return v.found() }
 
 // SuccessorProver answers successor queries.
 type SuccessorProver struct {
-	sv *SubVectorProver
-	q  uint64
+	anchorProver
+	q uint64
 }
 
 // SetQuery fixes the query point q.
-func (pr *SuccessorProver) SetQuery(q uint64) error {
-	if q >= pr.sv.proto.Params.U {
-		return fmt.Errorf("core: query %d outside universe", q)
-	}
-	pr.q = q
-	return nil
-}
+func (pr *SuccessorProver) SetQuery(q uint64) error { return setPoint(&pr.q, q, pr.sv.proto.Params.U) }
 
 // Open computes the true successor and opens the embedded sub-vector
 // conversation.
 func (pr *SuccessorProver) Open() (Msg, error) {
 	succ, found := scanExtreme(pr.sv.counts, func(i uint64) bool { return i >= pr.q }, false)
-	hi, claim := pr.sv.proto.Params.U-1, NoneSentinel
-	if found {
-		hi, claim = succ, succ
+	if !found {
+		return pr.open(NoneSentinel, pr.q, pr.sv.proto.Params.U-1)
 	}
-	if err := pr.sv.SetQuery(pr.q, hi); err != nil {
-		return Msg{}, err
-	}
-	inner, err := pr.sv.Open()
-	if err != nil {
-		return Msg{}, err
-	}
-	return Msg{Ints: append([]uint64{claim}, inner.Ints...), Elems: inner.Elems}, nil
+	return pr.open(succ, pr.q, succ)
 }
-
-// Step delegates to the embedded sub-vector conversation.
-func (pr *SuccessorProver) Step(challenge Msg) (Msg, error) { return pr.sv.Step(challenge) }
 
 // scanExtreme returns the largest (wantMax) or smallest nonzero index of
 // the dense frequency table satisfying keep.
@@ -457,85 +343,54 @@ func NewKLargest(f field.Field, u uint64) (*KLargest, error) {
 // that the sub-vector (a_loc,…,a_{u-1}) has exactly k nonzero entries
 // with the smallest at loc.
 type KLargestVerifier struct {
-	sv      *SubVectorVerifier
-	k       int
-	claimed uint64
-	started bool
+	anchorVerifier
+	k int
 }
 
 // NewVerifier samples randomness and returns a verifier.
 func (p *KLargest) NewVerifier(rng field.RNG) *KLargestVerifier {
-	return &KLargestVerifier{sv: p.sv.NewVerifier(rng)}
+	return &KLargestVerifier{anchorVerifier: anchorVerifier{sv: p.sv.NewVerifier(rng)}}
 }
-
-// Observe folds one stream element.
-func (v *KLargestVerifier) Observe(up stream.Update) error { return v.sv.Observe(up) }
-
-// Challenges is the embedded sub-vector conversation's schedule.
-func (v *KLargestVerifier) Challenges() []Msg { return v.sv.Challenges() }
 
 // SetQuery fixes k ≥ 1.
-func (v *KLargestVerifier) SetQuery(k int) error {
-	if k < 1 {
-		return fmt.Errorf("core: k-largest requires k ≥ 1, got %d", k)
-	}
-	v.k = k
-	return nil
-}
+func (v *KLargestVerifier) SetQuery(k int) error { return setK(&v.k, k) }
 
 // Begin consumes the opening: Ints[0] = claimed location, then the
 // sub-vector opening over [loc, u-1].
 func (v *KLargestVerifier) Begin(opening Msg) (Msg, bool, error) {
-	if v.started {
-		return Msg{}, false, fmt.Errorf("core: k-largest verifier already started")
-	}
 	if v.k == 0 {
 		return Msg{}, false, fmt.Errorf("core: k-largest query not set")
 	}
-	v.started = true
-	if len(opening.Ints) < 1 {
-		return Msg{}, false, reject("k-largest opening missing claim")
-	}
-	v.claimed = opening.Ints[0]
-	if v.claimed >= v.sv.proto.Params.U {
-		return Msg{}, false, reject("claimed location %d outside universe", v.claimed)
-	}
-	rest := Msg{Ints: opening.Ints[1:], Elems: opening.Elems}
-	if len(rest.Ints) != v.k {
-		return Msg{}, false, reject("k-largest sub-vector has %d entries, want exactly k=%d", len(rest.Ints), v.k)
-	}
-	if rest.Ints[0] != v.claimed {
-		return Msg{}, false, reject("smallest reported entry %d is not the claimed location %d", rest.Ints[0], v.claimed)
-	}
-	if err := v.sv.SetQuery(v.claimed, v.sv.proto.Params.U-1); err != nil {
-		return Msg{}, false, err
-	}
-	return v.sv.Begin(rest)
+	return v.begin("k-largest", opening, func(claimed uint64) (uint64, uint64, int, error) {
+		last := v.sv.proto.Params.U - 1
+		if claimed > last {
+			return 0, 0, 0, reject("claimed location %d outside universe", claimed)
+		}
+		return claimed, last, v.k, nil
+	})
 }
-
-// Step delegates to the embedded sub-vector conversation.
-func (v *KLargestVerifier) Step(response Msg) (Msg, bool, error) { return v.sv.Step(response) }
 
 // Result returns the verified k-th largest element.
 func (v *KLargestVerifier) Result() (uint64, error) {
-	if _, err := v.sv.Result(); err != nil {
-		return 0, err
-	}
-	return v.claimed, nil
+	loc, _, err := v.found()
+	return loc, err
 }
 
 // KLargestProver answers k-th largest queries.
 type KLargestProver struct {
-	sv *SubVectorProver
-	k  int
+	anchorProver
+	k int
 }
 
 // SetQuery fixes k ≥ 1.
-func (pr *KLargestProver) SetQuery(k int) error {
+func (pr *KLargestProver) SetQuery(k int) error { return setK(&pr.k, k) }
+
+// setK stores a k-LARGEST query's k after checking k ≥ 1.
+func setK(dst *int, k int) error {
 	if k < 1 {
 		return fmt.Errorf("core: k-largest requires k ≥ 1, got %d", k)
 	}
-	pr.k = k
+	*dst = k
 	return nil
 }
 
@@ -557,18 +412,8 @@ func (pr *KLargestProver) Open() (Msg, error) {
 	if seen < pr.k {
 		return Msg{}, fmt.Errorf("core: only %d distinct elements present, need %d", seen, pr.k)
 	}
-	if err := pr.sv.SetQuery(loc, pr.sv.proto.Params.U-1); err != nil {
-		return Msg{}, err
-	}
-	inner, err := pr.sv.Open()
-	if err != nil {
-		return Msg{}, err
-	}
-	return Msg{Ints: append([]uint64{loc}, inner.Ints...), Elems: inner.Elems}, nil
+	return pr.open(loc, loc, pr.sv.proto.Params.U-1)
 }
-
-// Step delegates to the embedded sub-vector conversation.
-func (pr *KLargestProver) Step(challenge Msg) (Msg, error) { return pr.sv.Step(challenge) }
 
 // ---------------------------------------------------------------------
 // Provers
@@ -600,7 +445,7 @@ func (p *Predecessor) NewProverFromCounts(counts []int64) (*PredecessorProver, e
 	if err != nil {
 		return nil, err
 	}
-	return &PredecessorProver{sv: sv}, nil
+	return &PredecessorProver{anchorProver: anchorProver{sv: sv}}, nil
 }
 
 // NewProverFromCounts returns a SUCCESSOR prover over a borrowed count table.
@@ -609,7 +454,7 @@ func (p *Successor) NewProverFromCounts(counts []int64) (*SuccessorProver, error
 	if err != nil {
 		return nil, err
 	}
-	return &SuccessorProver{sv: sv}, nil
+	return &SuccessorProver{anchorProver: anchorProver{sv: sv}}, nil
 }
 
 // NewProverFromCounts returns a k-LARGEST prover over a borrowed count table.
@@ -618,7 +463,7 @@ func (p *KLargest) NewProverFromCounts(counts []int64) (*KLargestProver, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &KLargestProver{sv: sv}, nil
+	return &KLargestProver{anchorProver: anchorProver{sv: sv}}, nil
 }
 
 // ---------------------------------------------------------------------

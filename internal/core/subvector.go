@@ -93,8 +93,8 @@ func (v *SubVectorVerifier) Challenges() []Msg { return revealOneByOne(v.h.R) }
 // SetQuery fixes the queried range [qL, qR]; it must be called after the
 // stream and before Begin.
 func (v *SubVectorVerifier) SetQuery(qL, qR uint64) error {
-	if qL > qR || qR >= v.proto.Params.U {
-		return fmt.Errorf("core: bad range [%d,%d] for universe %d", qL, qR, v.proto.Params.U)
+	if err := checkRange(qL, qR, v.proto.Params.U); err != nil {
+		return err
 	}
 	v.qL, v.qR, v.hasQuery = qL, qR, true
 	return nil
@@ -294,8 +294,8 @@ func (p *SubVector) NewProverFromCounts(counts []int64) (*SubVectorProver, error
 
 // SetQuery fixes the queried range.
 func (pr *SubVectorProver) SetQuery(qL, qR uint64) error {
-	if qL > qR || qR >= pr.proto.Params.U {
-		return fmt.Errorf("core: bad range [%d,%d] for universe %d", qL, qR, pr.proto.Params.U)
+	if err := checkRange(qL, qR, pr.proto.Params.U); err != nil {
+		return err
 	}
 	pr.qL, pr.qR, pr.hasQuery = qL, qR, true
 	return nil

@@ -76,12 +76,6 @@ func New(f field.Field, c *circuit.Circuit, w circuit.Wiring) (*Protocol, error)
 	return &Protocol{F: f, C: c, Wiring: w}, nil
 }
 
-// Stats counts the conversation cost.
-type Stats struct {
-	Rounds    int // prover messages
-	CommWords int // both directions
-}
-
 // ---------------------------------------------------------------------
 // Verifier
 
@@ -104,7 +98,6 @@ type Verifier struct {
 	scRound int
 	claim   field.Elem
 	output  field.Elem
-	stats   Stats
 	done    bool
 	started bool
 }
@@ -182,8 +175,6 @@ func (v *Verifier) ReceiveOutputs(outs []field.Elem) error {
 	v.output = outs[0]
 	v.claim = foldAt(f, outs, v.zs[0])
 	v.started = true
-	v.stats.Rounds++
-	v.stats.CommWords += len(outs)
 	return nil
 }
 
@@ -232,8 +223,6 @@ func (v *Verifier) ReceiveSumcheck(evals []field.Elem) (field.Elem, error) {
 	}
 	v.claim = next
 	v.scRound++
-	v.stats.Rounds++
-	v.stats.CommWords += len(evals) + 1
 	return r, nil
 }
 
@@ -282,8 +271,6 @@ func (v *Verifier) ReceiveLine(evals []field.Elem) (field.Elem, error) {
 	t := v.ts[v.layer]
 	v.layer++
 	v.scRound = 0
-	v.stats.Rounds++
-	v.stats.CommWords += len(evals) + 1
 	if v.layer == len(v.proto.C.Layers) {
 		// Input check: the claim must equal the streamed input MLE.
 		if v.claim != v.inVal {
@@ -304,9 +291,6 @@ func (v *Verifier) Output() (field.Elem, error) {
 	}
 	return v.output, nil
 }
-
-// Stats returns the conversation accounting.
-func (v *Verifier) Stats() Stats { return v.stats }
 
 // SpaceWords reports the verifier's working memory: the pre-sampled
 // challenges (Σ (3k_i + 1)) plus O(1) running values. This is the

@@ -6,15 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/stream"
 )
 
 var f61 = field.Mersenne()
 
-// runF2 drives a complete GKR conversation for F2 over 2^k inputs,
-// streaming ups into the verifier.
-func runF2(t *testing.T, k int, ups []stream.Update, wiring circuit.Wiring, seed uint64) (*Verifier, error) {
+// runF2 drives a complete GKR session conversation for F2 over 2^k
+// inputs through core.Run, streaming ups into the verifier.
+func runF2(t *testing.T, k int, ups []stream.Update, wiring circuit.Wiring, seed uint64) (*VerifierSession, core.Stats, error) {
 	t.Helper()
 	c, err := circuit.NewF2Circuit(k)
 	if err != nil {
@@ -24,23 +25,23 @@ func runF2(t *testing.T, k int, ups []stream.Update, wiring circuit.Wiring, seed
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := proto.NewVerifier(field.NewSplitMix64(seed))
+	v, err := proto.NewVerifierSession(field.NewSplitMix64(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	input := make([]field.Elem, c.InputSize)
 	for _, up := range ups {
-		if err := v.Observe(up.Index, up.Delta); err != nil {
+		if err := v.Observe(up); err != nil {
 			t.Fatal(err)
 		}
 		input[up.Index] = f61.Add(input[up.Index], f61.FromInt64(up.Delta))
 	}
-	p, err := proto.NewProver(input)
+	p, err := proto.NewProverSession(input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(p, v)
-	return v, err
+	st, err := core.Run(p, v)
+	return v, st, err
 }
 
 func refF2(t *testing.T, ups []stream.Update, u uint64) field.Elem {
@@ -63,7 +64,7 @@ func TestGKRF2Completeness(t *testing.T) {
 		rng := field.NewSplitMix64(uint64(400 + k))
 		ups := stream.UniformDeltas(u, 50, rng)
 		for _, wiring := range []circuit.Wiring{nil, circuit.F2Wiring{K: k}} {
-			v, err := runF2(t, k, ups, wiring, uint64(500+k))
+			v, _, err := runF2(t, k, ups, wiring, uint64(500+k))
 			if err != nil {
 				t.Fatalf("k=%d wiring=%T: rejected: %v", k, wiring, err)
 			}
@@ -81,17 +82,17 @@ func TestGKRF2Completeness(t *testing.T) {
 // TestGKRCommGrowsAsLogSquared: the §3 Remarks gap — GKR communication is
 // Θ(log² u) words, so doubling log u should roughly quadruple it.
 func TestGKRCommGrowsAsLogSquared(t *testing.T) {
-	stats := map[int]Stats{}
+	stats := map[int]core.Stats{}
 	for _, k := range []int{4, 8} {
 		u := uint64(1) << k
 		ups := stream.UniformDeltas(u, 10, field.NewSplitMix64(uint64(k)))
-		v, err := runF2(t, k, ups, circuit.F2Wiring{K: k}, 7)
+		_, st, err := runF2(t, k, ups, circuit.F2Wiring{K: k}, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats[k] = v.Stats()
+		stats[k] = st
 	}
-	ratio := float64(stats[8].CommWords) / float64(stats[4].CommWords)
+	ratio := float64(stats[8].CommWords()) / float64(stats[4].CommWords())
 	if ratio < 2.5 {
 		t.Errorf("comm ratio k=8/k=4 is %.2f; expected superlinear (≈3-4×) growth in log u", ratio)
 	}
@@ -159,23 +160,23 @@ func TestGKRWrongStreamRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := proto.NewVerifier(field.NewSplitMix64(11))
+	v, err := proto.NewVerifierSession(field.NewSplitMix64(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	input := make([]field.Elem, u)
 	for _, up := range ups {
-		if err := v.Observe(up.Index, up.Delta); err != nil {
+		if err := v.Observe(up); err != nil {
 			t.Fatal(err)
 		}
 		input[up.Index] = f61.Add(input[up.Index], f61.FromInt64(up.Delta))
 	}
 	input[3] = f61.Add(input[3], 1) // prover's data differs in one cell
-	p, err := proto.NewProver(input)
+	p, err := proto.NewProverSession(input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(p, v); !errors.Is(err, ErrRejected) {
+	if _, err := core.Run(p, v); !errors.Is(err, ErrRejected) {
 		t.Fatalf("wrong-stream prover not rejected: %v", err)
 	}
 }

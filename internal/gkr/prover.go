@@ -302,8 +302,7 @@ func (pr *Prover) foldAt(table, point, src, dst []field.Elem) field.Elem {
 
 // FinishLayer closes the completed layer. (The next layer's point
 // z = x* + t*(y* − x*) is derivable by the prover from the revealed
-// challenges; the runner passes it explicitly to StartLayer, matching the
-// message flow of the original protocol.)
+// challenges; ProverSession derives it and passes it to StartLayer.)
 func (pr *Prover) FinishLayer() error {
 	if !pr.started || pr.round != 2*pr.k {
 		return errors.New("gkr: sum-check not finished")
@@ -311,50 +310,4 @@ func (pr *Prover) FinishLayer() error {
 	pr.layer++
 	pr.started = false
 	return nil
-}
-
-// ---------------------------------------------------------------------
-// Runner
-
-// Run drives a complete conversation and returns the verifier's stats.
-// A nil error means the verifier accepted (including the streamed input
-// check).
-func Run(p *Prover, v *Verifier) (Stats, error) {
-	if err := v.ReceiveOutputs(p.Outputs()); err != nil {
-		return v.Stats(), err
-	}
-	numLayers := len(p.proto.C.Layers)
-	for layer := 0; layer < numLayers; layer++ {
-		if err := p.StartLayer(layer, v.zs[layer]); err != nil {
-			return v.Stats(), err
-		}
-		k := p.proto.C.VarCount(layer + 1)
-		for round := 0; round < 2*k; round++ {
-			msg, err := p.SumcheckMsg()
-			if err != nil {
-				return v.Stats(), err
-			}
-			r, err := v.ReceiveSumcheck(msg)
-			if err != nil {
-				return v.Stats(), err
-			}
-			if err := p.Bind(r); err != nil {
-				return v.Stats(), err
-			}
-		}
-		line, err := p.LinePoly(v.xs[layer], v.ys[layer])
-		if err != nil {
-			return v.Stats(), err
-		}
-		if _, err := v.ReceiveLine(line); err != nil {
-			return v.Stats(), err
-		}
-		if err := p.FinishLayer(); err != nil {
-			return v.Stats(), err
-		}
-	}
-	if !v.Done() {
-		return v.Stats(), errors.New("gkr: conversation ended without input check")
-	}
-	return v.Stats(), nil
 }

@@ -280,8 +280,5 @@ func (s *VerifierSession) Outputs() ([]field.Elem, error) {
 	return append([]field.Elem(nil), s.outs...), nil
 }
 
-// Stats returns the conversation accounting.
-func (s *VerifierSession) Stats() Stats { return s.v.Stats() }
-
 // SpaceWords reports the verifier's working memory in words.
 func (s *VerifierSession) SpaceWords() int { return s.v.SpaceWords() }

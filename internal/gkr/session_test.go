@@ -229,11 +229,11 @@ func TestSessionTamperRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Count the honest rounds first.
-		_, vs, err := runSession(t, spec, u, ups, 0, 3)
+		rec, _, err := runSession(t, spec, u, ups, 0, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rounds := vs.Stats().Rounds
+		rounds := len(rec.proverMsgs)
 		for round := 0; round < rounds; round++ {
 			vs, err := proto.NewVerifierSession(field.NewSplitMix64(3))
 			if err != nil {

@@ -551,7 +551,8 @@ func CompareF2(f field.Field, u uint64, seed uint64) (native, gkrRow CompareRow,
 		return native, gkrRow, err
 	}
 	tp, tv = &timedProver{inner: gp}, &timedVerifier{inner: gv}
-	if _, err := core.Run(tp, tv); err != nil {
+	gstats, err := core.Run(tp, tv)
+	if err != nil {
 		return native, gkrRow, err
 	}
 	gkrResult, err := gv.Output()
@@ -561,10 +562,9 @@ func CompareF2(f field.Field, u uint64, seed uint64) (native, gkrRow CompareRow,
 	if gkrResult != nativeResult {
 		return native, gkrRow, fmt.Errorf("harness: protocols disagree on F2: native %d, gkr %d", nativeResult, gkrResult)
 	}
-	gstats := gv.Stats()
 	gkrRow = CompareRow{
 		Protocol:  "gkr",
-		CommWords: gstats.CommWords,
+		CommWords: gstats.CommWords(),
 		Rounds:    gstats.Rounds,
 		ProveTime: tp.elapsed,
 		CheckTime: tv.elapsed,

@@ -3,7 +3,10 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/circuit"
+	"repro/internal/engine"
 	"repro/internal/field"
+	"repro/internal/stream"
 )
 
 var f61 = field.Mersenne()
@@ -183,12 +186,18 @@ func TestIPv6Extrapolate(t *testing.T) {
 
 // TestCompareF2 checks that both protocols accept, agree, and exhibit the
 // §3-Remarks cost ordering: GKR strictly more communication and rounds.
+// The GKR row counts exactly the words the session exchanges: the posted
+// proof's prover messages plus the verifier's challenge schedule.
 func TestCompareF2(t *testing.T) {
 	var prevRatio float64
 	for _, logu := range []int{3, 5, 7} {
-		native, gkrRow, err := CompareF2(f61, uint64(1)<<logu, 77)
+		u := uint64(1) << logu
+		native, gkrRow, err := CompareF2(f61, u, 77)
 		if err != nil {
 			t.Fatalf("u=2^%d: %v", logu, err)
+		}
+		if want := gkrSessionWords(t, u); gkrRow.CommWords != want {
+			t.Fatalf("u=2^%d: GKR row reports %d words, the session exchanges %d", logu, gkrRow.CommWords, want)
 		}
 		if !native.Accepted || !gkrRow.Accepted {
 			t.Fatalf("u=2^%d: a protocol did not accept", logu)
@@ -204,4 +213,32 @@ func TestCompareF2(t *testing.T) {
 		}
 		prevRatio = ratio
 	}
+}
+
+// gkrSessionWords counts the words of one GKR F2 conversation over u:
+// every prover message of the snapshot's posted proof plus every
+// challenge of the matching verifier.
+func gkrSessionWords(t *testing.T, u uint64) int {
+	t.Helper()
+	ds, err := engine.NewDataset(f61, u, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Ingest(stream.UniformDeltas(u, 100, field.NewSplitMix64(77))); err != nil {
+		t.Fatal(err)
+	}
+	params := engine.QueryParams{Circuit: circuit.FamilyF2}
+	pf, err := ds.Snapshot().GenerateProof(engine.QueryCircuit, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := engine.NewStreamVerifier(f61, u, engine.QueryCircuit, params, field.NewSplitMix64(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := 0
+	for _, m := range append(pf.Messages, v.Challenges()...) {
+		words += m.Words()
+	}
+	return words
 }

@@ -57,26 +57,37 @@ func (r *Router) Rebalance(dataset, target string) error {
 		// move it by rehash.
 		return r.flipRoute(dataset, tgt.Name)
 	}
+	if err := handoff(dataset, fmt.Sprintf("%q", dataset), src, tgt); err != nil {
+		return err
+	}
+	return r.flipRoute(dataset, tgt.Name)
+}
+
+// handoff moves the dataset's checkpoint from src to tgt: Handoff on the
+// source, the file move, Adopt on the target, and the check that the
+// target adopted every update the source released (steps 2–4 above).
+// what names the moved data in errors: the dataset, or one of its slices.
+func handoff(dataset, what string, src, tgt ShardInfo) error {
 	if src.DataDir == "" || tgt.DataDir == "" {
 		return fmt.Errorf("shard: rebalance needs data dirs on both %q and %q", src.Name, tgt.Name)
 	}
 	released, err := adminCall(src.Addr, func(c *wire.Client) (uint64, error) { return c.Handoff(dataset) })
 	if err != nil {
-		return fmt.Errorf("shard: handoff of %q from %q: %w", dataset, src.Name, err)
+		return fmt.Errorf("shard: handoff of %s from %q: %w", what, src.Name, err)
 	}
 	file := store.DatasetFile(dataset)
 	if err := moveFile(filepath.Join(src.DataDir, file), filepath.Join(tgt.DataDir, file)); err != nil {
-		return fmt.Errorf("shard: moving checkpoint of %q: %w", dataset, err)
+		return fmt.Errorf("shard: moving checkpoint of %s: %w", what, err)
 	}
 	adopted, err := adminCall(tgt.Addr, func(c *wire.Client) (uint64, error) { return c.Adopt(dataset) })
 	if err != nil {
-		return fmt.Errorf("shard: adopt of %q on %q: %w", dataset, tgt.Name, err)
+		return fmt.Errorf("shard: adopt of %s on %q: %w", what, tgt.Name, err)
 	}
 	if adopted != released {
-		return fmt.Errorf("shard: handoff of %q released %d updates but %q adopted %d — checkpoint mismatch",
-			dataset, released, tgt.Name, adopted)
+		return fmt.Errorf("shard: handoff of %s released %d updates but %q adopted %d — checkpoint mismatch",
+			what, released, tgt.Name, adopted)
 	}
-	return r.flipRoute(dataset, tgt.Name)
+	return nil
 }
 
 // Evacuate is the shard-loss path: the named shard's process is gone
@@ -209,24 +220,8 @@ func (r *Router) RebalanceSlice(dataset string, slice int, target string) error 
 	if src.Name == tgt.Name {
 		return nil // already home; split owners are always explicit, nothing to pin
 	}
-	if src.DataDir == "" || tgt.DataDir == "" {
-		return fmt.Errorf("shard: rebalance needs data dirs on both %q and %q", src.Name, tgt.Name)
-	}
-	released, err := adminCall(src.Addr, func(c *wire.Client) (uint64, error) { return c.Handoff(dataset) })
-	if err != nil {
-		return fmt.Errorf("shard: handoff of %q slice %d from %q: %w", dataset, slice, src.Name, err)
-	}
-	file := store.DatasetFile(dataset)
-	if err := moveFile(filepath.Join(src.DataDir, file), filepath.Join(tgt.DataDir, file)); err != nil {
-		return fmt.Errorf("shard: moving checkpoint of %q slice %d: %w", dataset, slice, err)
-	}
-	adopted, err := adminCall(tgt.Addr, func(c *wire.Client) (uint64, error) { return c.Adopt(dataset) })
-	if err != nil {
-		return fmt.Errorf("shard: adopt of %q slice %d on %q: %w", dataset, slice, tgt.Name, err)
-	}
-	if adopted != released {
-		return fmt.Errorf("shard: handoff of %q slice %d released %d updates but %q adopted %d — checkpoint mismatch",
-			dataset, slice, released, tgt.Name, adopted)
+	if err := handoff(dataset, fmt.Sprintf("%q slice %d", dataset, slice), src, tgt); err != nil {
+		return err
 	}
 	return r.flipSliceOwner(dataset, slice, tgt.Name)
 }

@@ -24,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/field"
 	"repro/internal/proofcache"
 	"repro/internal/wire"
 	"repro/internal/wire/frames"
@@ -51,21 +50,11 @@ type Router struct {
 	// so a route flipped by a separate process (`siprouter -rebalance`)
 	// takes effect without restarting the router.
 	TablePath string
-	// Field is the prime field the shards compute in. Only the
-	// split-universe fold needs it (the byte-forwarding paths are
-	// field-agnostic); the zero value means field.Mersenne(), matching
-	// the wire server's default.
-	Field field.Field
 	// AggregateStats, when set, makes the router answer a stats request
 	// itself: it fans the request out to every shard and replies with the
 	// summed counters plus a per-shard breakdown, instead of forwarding
 	// to a single backend.
 	AggregateStats bool
-	// ProofCacheBudget caps the router's own split-proof cache (bytes) —
-	// the cache that serves assembled Fiat–Shamir proofs for split
-	// datasets, mirroring wire.Server's per-shard cache. Zero means
-	// wire.DefaultProofCacheBudget.
-	ProofCacheBudget int64
 
 	mu         sync.Mutex
 	table      *Table
@@ -95,24 +84,11 @@ var ErrMigrationInFlight = errors.New("shard: a migration is in flight; retry Se
 
 const dialBackoffFirst = 50 * time.Millisecond
 
-// field returns the configured field, defaulting to the Mersenne-61
-// field the wire server computes in.
-func (r *Router) field() field.Field {
-	if r.Field.Modulus() == 0 {
-		return field.Mersenne()
-	}
-	return r.Field
-}
-
-// proofCacheRef lazily builds the router's split-proof cache.
+// proofCacheRef lazily builds the router's split-proof cache: the cache
+// that serves assembled Fiat–Shamir proofs for split datasets, with the
+// wire server's default budget.
 func (r *Router) proofCacheRef() *proofcache.Cache {
-	r.cacheOnce.Do(func() {
-		budget := r.ProofCacheBudget
-		if budget == 0 {
-			budget = wire.DefaultProofCacheBudget
-		}
-		r.proofCache = proofcache.New(budget)
-	})
+	r.cacheOnce.Do(func() { r.proofCache = proofcache.New(wire.DefaultProofCacheBudget) })
 	return r.proofCache
 }
 

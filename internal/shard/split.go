@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/field"
 	"repro/internal/fs"
 	"repro/internal/lde"
 	"repro/internal/proofcache"
@@ -324,7 +325,7 @@ func (p *proxyConn) splitQuery(id uint32, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	comb, err := engine.SplitCombiner(p.r.field(), a.u, kind, params)
+	comb, err := engine.SplitCombiner(field.Mersenne(), a.u, kind, params)
 	if err != nil {
 		return p.refuseChannel(id, err)
 	}
@@ -359,7 +360,7 @@ type splitProver struct {
 // concurrent ingest "the" version is whatever one consistent cut says.
 // On error every owner conversation has been finished.
 func (p *proxyConn) foldOpenings(a *splitAttach, comb sumcheck.Combiner, kind wire.QueryKind, params wire.QueryParams, convs []*wire.PartialConv) (*splitProver, error) {
-	f := p.r.field()
+	f := field.Mersenne()
 	for attempt := 0; ; attempt++ {
 		parts := make([]core.Msg, len(convs))
 		var err error
@@ -493,7 +494,7 @@ func (p *proxyConn) splitProofReq(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	comb, err := engine.SplitCombiner(p.r.field(), a.u, kind, params)
+	comb, err := engine.SplitCombiner(field.Mersenne(), a.u, kind, params)
 	if err != nil {
 		return p.refuseChannel(id, err)
 	}
@@ -526,7 +527,7 @@ func (p *proxyConn) runSplitProof(id uint32, a *splitAttach, comb sumcheck.Combi
 			"proof version %d is not current (dataset %q is at version %d)", reqVersion, a.name, version)))
 		return
 	}
-	f := p.r.field()
+	f := field.Mersenne()
 	binding := fs.Binding{
 		Modulus:  f.Modulus(),
 		Universe: a.u,
