@@ -44,10 +44,10 @@
 // data dir intact, every checkpoint it held is moved to the target,
 // adopted, and routed. Run it only once the lost shard is actually down.
 //
-// -aggregate-stats makes the router answer a client's stats request
-// itself: it fans out to every shard, sums the proof-cache counters,
-// and returns the merged reply with a per-shard breakdown (plus its own
-// split-proof cache under "router").
+// A client's stats request is answered by the router itself: it fans
+// out to every shard, sums the proof-cache counters, and returns the
+// merged reply with a per-shard breakdown (plus its own split-proof
+// cache under "router").
 package main
 
 import (
@@ -70,7 +70,6 @@ func main() {
 	rebalance := flag.String("rebalance", "", "move a dataset and exit: dataset=targetShard")
 	rebalanceSlice := flag.String("rebalance-slice", "", "move one slice of a split dataset and exit: dataset:slice=targetShard")
 	evacuate := flag.String("evacuate", "", "adopt a dead shard's checkpoints and exit: lostShard=targetShard")
-	aggStats := flag.Bool("aggregate-stats", false, "answer stats requests with merged per-shard counters instead of forwarding")
 	dialBudget := flag.Duration("dial-retry-budget", 2*time.Second, "total time to spend retrying an unreachable shard before failing typed")
 	flag.Parse()
 	if *tablePath == "" {
@@ -86,7 +85,6 @@ func main() {
 	}
 	r.IdleTimeout = *idle
 	r.TablePath = *tablePath
-	r.AggregateStats = *aggStats
 	r.DialRetryBudget = *dialBudget
 
 	switch {

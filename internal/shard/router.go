@@ -12,7 +12,11 @@
 // typed refusal a shard emits (budget frames, "not current"
 // proof-version errors, unknown query kinds) reaches the client
 // unchanged, which is what lets sip.Client and wire.Client work against
-// a router with zero API changes.
+// a router with zero API changes. The client side of each connection is
+// the server's own prover side (wire.Mux): every client frame is written
+// through it, and it serves the split datasets the router answers
+// itself (split.go). Listeners and connections live in the server's
+// wire.Lifecycle.
 package shard
 
 import (
@@ -50,20 +54,13 @@ type Router struct {
 	// so a route flipped by a separate process (`siprouter -rebalance`)
 	// takes effect without restarting the router.
 	TablePath string
-	// AggregateStats, when set, makes the router answer a stats request
-	// itself: it fans the request out to every shard and replies with the
-	// summed counters plus a per-shard breakdown, instead of forwarding
-	// to a single backend.
-	AggregateStats bool
+
+	life wire.Lifecycle // listeners, live connections, handler drain
 
 	mu         sync.Mutex
 	table      *Table
 	tableMTime time.Time                // mtime of TablePath at the last (re)load
 	migrating  map[string]chan struct{} // dataset → closed when its migration settles
-	lns        map[net.Listener]struct{}
-	conns      map[net.Conn]struct{}
-	closed     bool
-	handlers   sync.WaitGroup
 
 	cacheOnce  sync.Once
 	proofCache *proofcache.Cache // split-proof cache (lazy; see proofCacheRef)
@@ -131,89 +128,24 @@ func (r *Router) SetTable(t *Table) error {
 
 // Serve accepts client connections until the listener closes. Each
 // connection is proxied on its own goroutine. Serve may run on several
-// listeners concurrently; Close stops them all.
+// listeners concurrently; Close stops them all, after which Serve
+// returns ErrRouterClosed (see wire.Lifecycle.Serve).
 func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return ErrRouterClosed
-	}
-	if r.lns == nil {
-		r.lns = make(map[net.Listener]struct{})
-	}
-	r.lns[ln] = struct{}{}
-	r.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			r.mu.Lock()
-			closed := r.closed
-			if !closed {
-				delete(r.lns, ln)
-			}
-			r.mu.Unlock()
-			if closed {
-				return ErrRouterClosed
-			}
-			return err
+	return r.life.Serve(ln, ErrRouterClosed, nil, func(conn net.Conn) {
+		p := newProxyConn(r, conn)
+		err := p.loop()
+		p.close()
+		if err != nil && !errors.Is(err, io.EOF) {
+			// The server's teardown contract: one final typed error frame,
+			// then the close.
+			_ = p.mux.Write(frames.Error, []byte(err.Error()))
 		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			conn.Close()
-			return ErrRouterClosed
-		}
-		if r.conns == nil {
-			r.conns = make(map[net.Conn]struct{})
-		}
-		r.conns[conn] = struct{}{}
-		r.handlers.Add(1)
-		r.mu.Unlock()
-		go func() {
-			defer r.handlers.Done()
-			defer func() {
-				conn.Close()
-				r.mu.Lock()
-				delete(r.conns, conn)
-				r.mu.Unlock()
-			}()
-			p := newProxyConn(r, conn)
-			err := p.loop()
-			p.close()
-			if err != nil && !errors.Is(err, io.EOF) {
-				// The server's teardown contract: one final typed error
-				// frame, then the close.
-				_ = p.writeClient(frames.Error, []byte(err.Error()))
-			}
-		}()
-	}
+	})
 }
 
 // Close stops every listener and live connection and waits the proxy
 // goroutines out.
-func (r *Router) Close() error {
-	r.mu.Lock()
-	r.closed = true
-	lns := make([]net.Listener, 0, len(r.lns))
-	for ln := range r.lns {
-		lns = append(lns, ln)
-	}
-	r.lns = nil
-	conns := make([]net.Conn, 0, len(r.conns))
-	for c := range r.conns {
-		conns = append(conns, c)
-	}
-	r.mu.Unlock()
-	var err error
-	for _, ln := range lns {
-		err = errors.Join(err, ln.Close())
-	}
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	r.handlers.Wait()
-	return err
-}
+func (r *Router) Close() error { return r.life.Close() }
 
 // migrationGate returns the channel to wait on if the dataset is mid-
 // migration, nil otherwise.
@@ -309,10 +241,14 @@ type backend struct {
 type proxyConn struct {
 	r      *Router
 	client net.Conn
-	cwmu   sync.Mutex // serializes client-side frame writes (pumps + teardown)
+	// mux is the client side of the connection: every client frame is
+	// read and written through it, its channel table pins each
+	// conversation to a *backend, and it serves split conversations and
+	// proofs itself. Split channels have no cap here (limit 0): the
+	// owners enforce their own.
+	mux *wire.Mux
 
 	flow     wire.FlowState
-	pins     *wire.ChannelPins   // channel id → *backend or *splitConv
 	backends map[string]*backend // shard name → connection
 	cur      *backend            // backend of the current attachment (nil when split)
 	pumps    sync.WaitGroup
@@ -330,12 +266,15 @@ func newProxyConn(r *Router, conn net.Conn) *proxyConn {
 	return &proxyConn{
 		r:        r,
 		client:   conn,
-		pins:     wire.NewChannelPins(),
+		mux:      wire.NewMux(conn, r.IdleTimeout, 0),
 		backends: make(map[string]*backend),
 		closing:  make(chan struct{}),
 	}
 }
 
+// close tears the proxy down: closing the backends and owner legs
+// first fails any pump or split session still waiting on one, so the
+// mux drain that follows cannot block on a shard.
 func (p *proxyConn) close() {
 	close(p.closing)
 	for _, b := range p.backends {
@@ -345,29 +284,7 @@ func (p *proxyConn) close() {
 		_ = c.Close()
 	}
 	p.pumps.Wait()
-}
-
-// readClient receives one client frame under the idle deadline.
-func (p *proxyConn) readClient() (byte, []byte, error) {
-	if t := p.r.IdleTimeout; t > 0 {
-		if err := p.client.SetReadDeadline(time.Now().Add(t)); err != nil {
-			return 0, nil, err
-		}
-	}
-	return frames.ReadFrame(p.client)
-}
-
-// writeClient sends one frame to the client, serialized against the
-// backend pumps.
-func (p *proxyConn) writeClient(typ byte, payload []byte) error {
-	p.cwmu.Lock()
-	defer p.cwmu.Unlock()
-	if t := p.r.IdleTimeout; t > 0 {
-		if err := p.client.SetWriteDeadline(time.Now().Add(t)); err != nil {
-			return err
-		}
-	}
-	return frames.WriteFrame(p.client, typ, payload)
+	p.mux.Shutdown()
 }
 
 // writeBackend forwards one frame to a shard. Only the client read loop
@@ -458,7 +375,7 @@ func (p *proxyConn) pump(b *backend) {
 			select {
 			case <-p.closing: // orderly teardown closed the backend under us
 			default:
-				_ = p.writeClient(frames.Error, fmt.Appendf(nil,
+				_ = p.mux.Write(frames.Error, fmt.Appendf(nil,
 					"shard: connection to shard %q lost: %v", b.shard.Name, err))
 				_ = p.client.Close() // unblocks the client read loop
 			}
@@ -469,10 +386,10 @@ func (p *proxyConn) pump(b *backend) {
 			// client frame lock-step allows is absorbed, exactly as the
 			// server's own bookkeeping would.
 			if id, _, err := frames.DecodeChannel(payload); err == nil {
-				p.pins.Retire(id, b, true)
+				p.mux.Pins().Retire(id, b, true)
 			}
 		}
-		if err := p.writeClient(typ, payload); err != nil {
+		if err := p.mux.Write(typ, payload); err != nil {
 			_ = p.client.Close()
 			return
 		}
@@ -482,7 +399,7 @@ func (p *proxyConn) pump(b *backend) {
 // loop is the client read loop: legality-check, place, forward.
 func (p *proxyConn) loop() error {
 	for {
-		typ, payload, err := p.readClient()
+		typ, payload, err := p.mux.Read()
 		if err != nil {
 			return err
 		}
@@ -527,109 +444,8 @@ func (p *proxyConn) loop() error {
 			if err := p.writeBackend(p.cur, typ, payload); err != nil {
 				return err
 			}
-		case frames.QueryCh:
-			id, _, err := frames.DecodeChannel(payload)
-			if err != nil {
-				return err
-			}
-			if id == 0 {
-				return fmt.Errorf("%w: channel id 0 is reserved for the control plane", wire.ErrProtocol)
-			}
-			if p.split != nil {
-				if err := p.splitQuery(id, payload); err != nil {
-					return err
-				}
-				continue
-			}
-			// Pin the conversation to the current attachment's shard: a
-			// later OPEN moves cur, not in-flight conversations. The shard
-			// enforces its own concurrency cap (limit 0 here), and its
-			// budget refusal both passes through and unpins (see pump).
-			if _, err := p.pins.Open(id, p.cur, 0); err != nil {
-				return err
-			}
-			if err := p.writeBackend(p.cur, typ, payload); err != nil {
-				return err
-			}
-		case frames.PartialQueryCh:
-			// Router chaining: a downstream aggregator treats this router
-			// as one slice owner. Pin and forward like QueryCh — unless the
-			// attachment is split here too, which would nest aggregation.
-			id, _, err := frames.DecodeChannel(payload)
-			if err != nil {
-				return err
-			}
-			if id == 0 {
-				return fmt.Errorf("%w: channel id 0 is reserved for the control plane", wire.ErrProtocol)
-			}
-			if p.split != nil {
-				if err := p.refuseChannel(id, fmt.Errorf("shard: partial conversations cannot nest: dataset is already split across shards")); err != nil {
-					return err
-				}
-				continue
-			}
-			if _, err := p.pins.Open(id, p.cur, 0); err != nil {
-				return err
-			}
-			if err := p.writeBackend(p.cur, typ, payload); err != nil {
-				return err
-			}
-		case frames.ChallengeCh, frames.FinishCh:
-			id, _, err := frames.DecodeChannel(payload)
-			if err != nil {
-				return err
-			}
-			finish := typ == frames.FinishCh
-			owner, ok := p.pins.Route(id, finish)
-			if !ok {
-				return fmt.Errorf("%w: frame 0x%02x for unknown channel %d", wire.ErrProtocol, typ, id)
-			}
-			if owner == nil {
-				continue // tombstone absorbed a frame that crossed the shard's error
-			}
-			if sc, split := owner.(*splitConv); split {
-				if finish {
-					// The conversation goroutine sees done, finishes the
-					// owner legs, and retires the pin.
-					sc.finish()
-					continue
-				}
-				_, body, err := frames.DecodeChannel(payload)
-				if err != nil {
-					return err
-				}
-				m, err := frames.DecodeMsg(body)
-				if err != nil {
-					return err
-				}
-				select {
-				case sc.ch <- m:
-				case <-sc.done:
-					// Conversation already over (error path retired it);
-					// lock-step says at most one such frame is in flight.
-				case <-p.closing:
-				}
-				continue
-			}
-			b := owner.(*backend)
-			if err := p.writeBackend(b, typ, payload); err != nil {
-				return err
-			}
-			if finish {
-				// The finish frame ends the channel on the shard with no
-				// reply; fully retire the pin.
-				p.pins.Retire(id, b, false)
-			}
-		case frames.ProofReqCh:
-			if p.split != nil {
-				if err := p.splitProofReq(payload); err != nil {
-					return err
-				}
-				continue
-			}
-			// One-shot request/response: the reply (or per-channel error)
-			// comes straight back on the same backend, no pin needed.
-			if err := p.writeBackend(p.cur, typ, payload); err != nil {
+		case frames.QueryCh, frames.PartialQueryCh, frames.ChallengeCh, frames.FinishCh, frames.ProofReqCh:
+			if err := p.channel(typ, payload); err != nil {
 				return err
 			}
 		case frames.Handoff, frames.Adopt:
@@ -657,29 +473,58 @@ func (p *proxyConn) loop() error {
 				return err
 			}
 		case frames.StatsReq:
-			if p.r.AggregateStats {
-				if err := p.aggregatedStatsReply(); err != nil {
-					return err
-				}
-				continue
-			}
-			// Stats are per shard; report the current attachment's, or the
-			// first shard's for an unattached admin probe.
-			b := p.cur
-			if b == nil {
-				r := p.r
-				r.mu.Lock()
-				s := r.table.Shards[0]
-				r.mu.Unlock()
-				if b, err = p.backendFor(s); err != nil {
-					return err
-				}
-			}
-			if err := p.writeBackend(b, typ, payload); err != nil {
+			if err := p.statsReply(); err != nil {
 				return err
 			}
 		default:
 			return fmt.Errorf("%w: unexpected frame 0x%02x", wire.ErrProtocol, typ)
 		}
+	}
+}
+
+// channel routes one channel-scoped client frame. Conversation frames
+// go wherever the channel's pin says: to the mux for a split
+// conversation, or to the backend whose dataset opened it — a later
+// OPEN moves cur, not in-flight conversations. New queries and proof
+// requests on a split attachment are answered here (split.go); on a
+// whole one they go to cur's shard, which enforces its own concurrency
+// cap (limit 0 here) and whose refusals pass through and unpin (see
+// pump). A PartialQueryCh on a whole attachment is router chaining: a
+// downstream aggregator treats this router as one slice owner.
+func (p *proxyConn) channel(typ byte, payload []byte) error {
+	id, body, err := wire.ChannelID(payload)
+	if err != nil {
+		return err
+	}
+	switch {
+	case typ == frames.ChallengeCh || typ == frames.FinishCh:
+		owner, err := p.mux.Route(typ, id, body)
+		if err != nil {
+			return err
+		}
+		b, forwarded := owner.(*backend)
+		if !forwarded {
+			return nil // the mux took it, or a tombstone absorbed it
+		}
+		if err := p.writeBackend(b, typ, payload); err != nil {
+			return err
+		}
+		if typ == frames.FinishCh {
+			// The finish frame ends the channel on the shard with no
+			// reply; fully retire the pin.
+			p.mux.Pins().Retire(id, b, false)
+		}
+		return nil
+	case p.split != nil:
+		return p.splitChannel(typ, id, body)
+	case typ == frames.ProofReqCh:
+		// One-shot request/response: the reply (or per-channel error)
+		// comes straight back on the same backend, no pin needed.
+		return p.writeBackend(p.cur, typ, payload)
+	default:
+		if _, err := p.mux.Pins().Open(id, p.cur, 0); err != nil {
+			return err
+		}
+		return p.writeBackend(p.cur, typ, payload)
 	}
 }

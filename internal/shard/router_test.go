@@ -518,6 +518,87 @@ func TestRouterRetiredFramesRefused(t *testing.T) {
 	}
 }
 
+// TestRouterServeClose: a router serving two listeners stops both on
+// Close — each Serve returns ErrRouterClosed and neither address
+// accepts again — and Serve on a closed router refuses at once without
+// touching the caller's listener.
+func TestRouterServeClose(t *testing.T) {
+	r, err := NewRouter(&Table{Shards: []ShardInfo{{Name: "s1", Addr: "127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs [2]string
+	done := make(chan error, len(addrs))
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		go func() { done <- r.Serve(ln) }()
+	}
+	// Both listeners serve before the Close: a retired frame is refused
+	// at the router's edge, no shard needed.
+	for _, addr := range addrs {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := frames.WriteFrame(conn, 0x01, frames.EncodeCount(64)); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := frames.ReadFrame(conn); err != nil || typ != frames.Error {
+			t.Fatalf("probe via %s: frame 0x%02x, err %v; want an error frame", addr, typ, err)
+		}
+		conn.Close()
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for range addrs {
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrRouterClosed) {
+				t.Fatalf("Serve returned %v, want ErrRouterClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a Serve loop survived Close")
+		}
+	}
+	for _, addr := range addrs {
+		if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			conn.Close()
+			t.Fatalf("listener %s still accepting after Close", addr)
+		}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if err := r.Serve(ln); !errors.Is(err, ErrRouterClosed) {
+		t.Fatalf("Serve on a closed router = %v, want ErrRouterClosed", err)
+	}
+	accepted := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err == nil {
+			conn.Close()
+		}
+		accepted <- err
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("listener unusable after Serve on a closed router: %v", err)
+	}
+	conn.Close()
+	if err := <-accepted; err != nil {
+		t.Fatalf("Accept after Serve on a closed router: %v", err)
+	}
+}
+
 // TestRouterLiveRebalance moves a dataset between shards while a client
 // is actively ingesting through the router, then proves no acknowledged
 // batch was lost: the update count equals the acked total, a fresh

@@ -5,7 +5,8 @@
 // shard-facing slice calls (wire.OpenDatasetSlice, wire.PartialQuery),
 // scatters each ingest batch, and folds the owners' partial-prover
 // messages with core.SplitAggregator into the single conversation the
-// client sees. The client-facing protocol is unchanged: sip.Client and
+// client sees, served like a single engine's through the connection's
+// wire.Mux. The client-facing protocol is unchanged: sip.Client and
 // wire.Client speak to a split dataset exactly as to a whole one, and
 // the transcript — and therefore every verifier decision and every
 // cached Fiat–Shamir proof byte — is bit-identical to a single engine
@@ -32,7 +33,6 @@ import (
 	"repro/internal/field"
 	"repro/internal/fs"
 	"repro/internal/lde"
-	"repro/internal/proofcache"
 	"repro/internal/stream"
 	"repro/internal/sumcheck"
 	"repro/internal/wire"
@@ -121,17 +121,6 @@ func finishConvs(convs []*wire.PartialConv) {
 	}
 }
 
-// splitConv is a live split conversation's pin owner: the read loop
-// feeds client challenges into ch, and done tells the conversation
-// goroutine the client finished (or abandoned) the channel.
-type splitConv struct {
-	ch   chan core.Msg
-	done chan struct{}
-	once sync.Once
-}
-
-func (sc *splitConv) finish() { sc.once.Do(func() { close(sc.done) }) }
-
 // splitClient returns this connection's owner leg to (shard, dataset),
 // dialing on first use. One wire.Client per pair: a client carries a
 // single attachment, and distinct split datasets on one proxy
@@ -202,7 +191,7 @@ func (p *proxyConn) openSplit(name string, u uint64, pl *splitPlacement) error {
 	}
 	a.count = total
 	p.split, p.cur = a, nil
-	return p.writeClient(frames.OK, frames.EncodeCount(total))
+	return p.mux.Write(frames.OK, frames.EncodeCount(total))
 }
 
 // splitIngest scatters one global updates batch across the owners. A
@@ -217,7 +206,7 @@ func (p *proxyConn) splitIngest(payload []byte) error {
 		return err
 	}
 	if len(idx) == 0 {
-		return p.writeClient(frames.OK, frames.EncodeCount(a.total()))
+		return p.mux.Write(frames.OK, frames.EncodeCount(a.total()))
 	}
 	subs := make([][]stream.Update, a.slices)
 	for i, ix := range idx {
@@ -238,7 +227,7 @@ func (p *proxyConn) splitIngest(payload []byte) error {
 		total += n
 	}
 	a.setCount(total)
-	return p.writeClient(frames.OK, frames.EncodeCount(total))
+	return p.mux.Write(frames.OK, frames.EncodeCount(total))
 }
 
 // deliverSlice hands slice k its sub-batch, surviving a concurrent
@@ -289,107 +278,116 @@ func (p *proxyConn) reattachSlice(a *splitAttach, k int) error {
 	return nil
 }
 
-// refuseTyped fails one channel with the typed per-channel frame the
-// server would use: a budget refusal stays a budget refusal, and an
-// owner's own refusal is relayed in the owner's words (a
-// *wire.BudgetError's text already is) — the client then reads what a
-// single engine would have told it.
-func (p *proxyConn) refuseTyped(id uint32, err error) error {
-	typ, text := byte(frames.ErrorCh), err.Error()
-	if errors.Is(err, wire.ErrBudget) {
-		typ = frames.BudgetCh
-	} else if srv, ok := err.(*wire.ServerError); ok {
-		text = srv.Msg
+// splitChannel answers one query or proof request on the split
+// attachment through the client mux — the same prover side a single
+// engine runs, over a session that folds the owners. Only the seam kinds
+// split: the engine's kind table refuses any other kind, and
+// constructor-rejected parameters, in the engine's own words before any
+// owner hears of the query.
+func (p *proxyConn) splitChannel(typ byte, id uint32, body []byte) error {
+	if typ == frames.PartialQueryCh {
+		return p.mux.Refuse(id, errors.New("shard: partial conversations cannot nest: dataset is already split across shards"))
 	}
-	return p.writeClient(typ, frames.EncodeChannel(id, []byte(text)))
-}
-
-// refuseChannel refuses a channel that was never opened, tombstoning
-// the id so the one in-flight client frame lock-step permits is
-// absorbed rather than fatal.
-func (p *proxyConn) refuseChannel(id uint32, err error) error {
-	p.pins.Retire(id, nil, true)
-	return p.refuseTyped(id, err)
-}
-
-// splitQuery starts one interactive split conversation: the owner
-// conversations open synchronously in the read loop (frame-arrival
-// order pins the snapshot set), then a goroutine drives the fold.
-func (p *proxyConn) splitQuery(id uint32, payload []byte) error {
+	var (
+		version uint64
+		kind    wire.QueryKind
+		params  wire.QueryParams
+		err     error
+	)
+	if typ == frames.ProofReqCh {
+		version, kind, params, err = frames.DecodeProofReq(body)
+	} else {
+		kind, params, err = frames.DecodeQuery(body)
+	}
+	if err != nil {
+		return err
+	}
 	a := p.split
-	_, body, err := frames.DecodeChannel(payload)
-	if err != nil {
-		return err
-	}
-	kind, params, err := frames.DecodeQuery(body)
-	if err != nil {
-		return err
-	}
 	comb, err := engine.SplitCombiner(field.Mersenne(), a.u, kind, params)
 	if err != nil {
-		return p.refuseChannel(id, err)
+		return p.mux.Refuse(id, err)
 	}
-	convs, err := a.openConvs(kind, params)
+	if typ == frames.QueryCh {
+		// Open reads the session only when start succeeds.
+		return p.mux.Open(id, func() (core.ProverSession, error) { return a.prover(comb, kind, params) })
+	}
+	sp, err := a.prover(comb, kind, params)
 	if err != nil {
 		return err // an owner leg died: connection-fatal, like a lost backend
 	}
-	sc := &splitConv{ch: make(chan core.Msg, 4), done: make(chan struct{})}
-	if _, err := p.pins.Open(id, sc, 0); err != nil {
-		finishConvs(convs)
-		return err
-	}
-	p.pumps.Add(1)
-	go p.runSplitConv(id, sc, a, comb, kind, params, convs)
+	// The router records the Fiat–Shamir proof itself: the challenge
+	// schedule is a function of the binding alone, so driving the owners
+	// with it reproduces the exact bytes a single engine would post — one
+	// assembly per (dataset, version, query) in the router's own cache,
+	// shared by every requesting connection.
+	p.mux.Proof(id, version, field.Mersenne(), p.r.proofCacheRef(), sp.resolve)
 	return nil
+}
+
+// prover opens one partial conversation per owner for a query and
+// returns them as one session. It runs in the client read loop, so
+// every owner snapshots the batches this connection had acknowledged
+// when the query arrived (see openConvs).
+func (a *splitAttach) prover(comb sumcheck.Combiner, kind wire.QueryKind, params wire.QueryParams) (*splitProver, error) {
+	convs, err := a.openConvs(kind, params)
+	if err != nil {
+		return nil, err
+	}
+	return &splitProver{a: a, comb: comb, kind: kind, params: params, convs: convs}, nil
 }
 
 // splitProver presents a split dataset's aggregator and owner
 // conversations as the one core.ProverSession a single engine would be
-// — to the client's verifier in an interactive conversation, to
-// fs.Binding.Record for a posted proof. foldOpenings builds it with the
-// openings already folded, so Open only hands that message over.
+// — to the client's verifier through the mux, to engine.RecordProof for
+// a posted proof. Open folds the owners' openings; Close finishes every
+// owner conversation, which the mux does however the session ends.
 type splitProver struct {
-	agg     *core.SplitAggregator
+	a      *splitAttach
+	comb   sumcheck.Combiner
+	kind   wire.QueryKind
+	params wire.QueryParams
+	convs  []*wire.PartialConv
+
+	agg     *core.SplitAggregator // nil until Open has folded the openings
 	opening core.Msg
-	convs   []*wire.PartialConv
 }
 
-// foldOpenings reads every owner's opening and folds them. A version
-// skew (another connection's batch landed between our opens) finishes
-// the stale conversations and reopens — bounded retries, because under
-// concurrent ingest "the" version is whatever one consistent cut says.
-// On error every owner conversation has been finished.
-func (p *proxyConn) foldOpenings(a *splitAttach, comb sumcheck.Combiner, kind wire.QueryKind, params wire.QueryParams, convs []*wire.PartialConv) (*splitProver, error) {
-	f := field.Mersenne()
+// Open reads every owner's opening and folds them; once folded, Open
+// hands the same message over again (the proof path folds to learn the
+// version before recording). A version skew (another connection's
+// batch landed between our opens) finishes the stale conversations and
+// reopens — bounded retries, because under concurrent ingest "the"
+// version is whatever one consistent cut says.
+func (sp *splitProver) Open() (core.Msg, error) {
+	if sp.agg != nil {
+		return sp.opening, nil
+	}
 	for attempt := 0; ; attempt++ {
-		parts := make([]core.Msg, len(convs))
+		parts := make([]core.Msg, len(sp.convs))
 		var err error
-		for k, conv := range convs {
+		for k, conv := range sp.convs {
 			if parts[k], err = conv.Msg(); err != nil {
-				finishConvs(convs)
-				return nil, err
+				return core.Msg{}, err
 			}
 		}
-		agg, err := core.NewSplitAggregator(f, a.u, a.slices, comb, 0)
+		agg, err := core.NewSplitAggregator(field.Mersenne(), sp.a.u, sp.a.slices, sp.comb, 0)
 		if err != nil {
-			finishConvs(convs)
-			return nil, err
+			return core.Msg{}, err
 		}
 		opening, err := agg.Open(parts)
 		if err == nil {
-			return &splitProver{agg: agg, opening: opening, convs: convs}, nil
+			sp.agg, sp.opening = agg, opening
+			return opening, nil
 		}
-		finishConvs(convs)
 		if !errors.Is(err, core.ErrSplitVersion) || attempt >= 3 {
-			return nil, err
+			return core.Msg{}, err
 		}
-		if convs, err = a.openConvs(kind, params); err != nil {
-			return nil, err
+		finishConvs(sp.convs)
+		if sp.convs, err = sp.a.openConvs(sp.kind, sp.params); err != nil {
+			return core.Msg{}, err
 		}
 	}
 }
-
-func (sp *splitProver) Open() (core.Msg, error) { return sp.opening, nil }
 
 // Step consumes one verifier challenge and emits one folded prover
 // message. Broadcast rounds fan the challenge to every owner and collect
@@ -421,133 +419,26 @@ func (sp *splitProver) Step(m core.Msg) (core.Msg, error) {
 	return out, err
 }
 
-// errSplitFinished ends a split conversation the client walked away
-// from (or whose proxy connection is closing): quiet teardown, exactly
-// as the server treats an early finish.
-var errSplitFinished = errors.New("shard: split conversation finished by the client")
-
-// runSplitConv is the conversation goroutine for one interactive split
-// query: it plays the server's side of the mux conversation against the
-// client while folding the owners underneath.
-func (p *proxyConn) runSplitConv(id uint32, sc *splitConv, a *splitAttach, comb sumcheck.Combiner, kind wire.QueryKind, params wire.QueryParams, convs []*wire.PartialConv) {
-	defer p.pumps.Done()
-	sp, err := p.foldOpenings(a, comb, kind, params, convs)
-	if err == nil {
-		err = p.converse(id, sc, sp)
-		finishConvs(sp.convs)
-	}
-	switch {
-	case err == nil:
-		// Conversation complete: wait for the client's finish frame (routed
-		// to sc by the read loop) before retiring the pin.
-		select {
-		case <-sc.done:
-		case <-p.closing:
-		}
-		p.pins.Retire(id, sc, false)
-	case errors.Is(err, errSplitFinished):
-		p.pins.Retire(id, sc, false)
-	default:
-		p.pins.Retire(id, sc, true)
-		sc.finish()
-		_ = p.refuseTyped(id, err)
-	}
-}
-
-// converse sends sp's messages to the client, one per challenge the
-// read loop feeds into sc, until the aggregator has emitted them all.
-func (p *proxyConn) converse(id uint32, sc *splitConv, sp *splitProver) error {
-	m := sp.opening
-	for {
-		if err := p.writeClient(frames.ProverCh, frames.EncodeChannel(id, frames.EncodeMsg(m))); err != nil {
-			return err
-		}
-		if sp.agg.Done() {
-			return nil
-		}
-		select {
-		case m = <-sc.ch:
-		case <-sc.done:
-			return errSplitFinished
-		case <-p.closing:
-			return errSplitFinished
-		}
-		var err error
-		if m, err = sp.Step(m); err != nil {
-			return err
-		}
-	}
-}
-
-// splitProofReq serves one PROOF request against a split dataset. The
-// router records the Fiat–Shamir proof itself: the challenge schedule is
-// a function of the binding alone (StreamVerifier.Challenges), so
-// driving the owners with it through fs.Binding.Record reproduces the
-// exact bytes a single engine's GenerateProof would cache.
-func (p *proxyConn) splitProofReq(payload []byte) error {
-	a := p.split
-	id, body, err := frames.DecodeChannel(payload)
-	if err != nil {
-		return err
-	}
-	reqVersion, kind, params, err := frames.DecodeProofReq(body)
-	if err != nil {
-		return err
-	}
-	comb, err := engine.SplitCombiner(field.Mersenne(), a.u, kind, params)
-	if err != nil {
-		return p.refuseChannel(id, err)
-	}
-	convs, err := a.openConvs(kind, params)
-	if err != nil {
-		return err
-	}
-	p.pumps.Add(1)
-	go p.runSplitProof(id, a, comb, kind, params, reqVersion, convs)
+// Close finishes every owner conversation; idempotent.
+func (sp *splitProver) Close() error {
+	finishConvs(sp.convs)
 	return nil
 }
 
-// runSplitProof folds the owners into an encoded proof, through the
-// router's proof cache: one assembly per (dataset, version, query),
-// shared by every requesting connection.
-func (p *proxyConn) runSplitProof(id uint32, a *splitAttach, comb sumcheck.Combiner, kind wire.QueryKind, params wire.QueryParams, reqVersion uint64, convs []*wire.PartialConv) {
-	defer p.pumps.Done()
-	sp, err := p.foldOpenings(a, comb, kind, params, convs)
-	if err != nil {
-		_ = p.refuseTyped(id, err)
-		return
+// resolve is the proof path's view of the session (wire.Mux.Proof): it
+// folds the openings and names the binding a single engine holding the
+// whole dataset would post the proof under.
+func (sp *splitProver) resolve() (fs.Binding, core.ProverSession, error) {
+	if _, err := sp.Open(); err != nil {
+		return fs.Binding{}, sp, err
 	}
-	// On a cache hit the owner conversations were opened and never
-	// driven past their openings; Finish is idempotent either way.
-	defer finishConvs(sp.convs)
-	version := sp.agg.Version()
-	if reqVersion != 0 && reqVersion != version {
-		// The server's version-pin refusal, verbatim.
-		_ = p.writeClient(frames.ErrorCh, frames.EncodeChannel(id, fmt.Appendf(nil,
-			"proof version %d is not current (dataset %q is at version %d)", reqVersion, a.name, version)))
-		return
-	}
-	f := field.Mersenne()
-	binding := fs.Binding{
-		Modulus:  f.Modulus(),
-		Universe: a.u,
-		Dataset:  a.name,
-		Version:  version,
-		Query:    engine.FSQuery(kind, params),
-	}
-	key := proofcache.Key{Dataset: a.name, Version: version, Query: string(binding.Query.Encode())}
-	val, err := p.r.proofCacheRef().Get(key, func() ([]byte, error) {
-		pf, err := engine.RecordProof(f, binding, func() (core.ProverSession, error) { return sp, nil })
-		if err != nil {
-			return nil, err
-		}
-		return pf.Encode(), nil
-	})
-	if err != nil {
-		_ = p.refuseTyped(id, err)
-		return
-	}
-	_ = p.writeClient(frames.ProofCh, frames.EncodeChannel(id, val))
+	return fs.Binding{
+		Modulus:  field.Mersenne().Modulus(),
+		Universe: sp.a.u,
+		Dataset:  sp.a.name,
+		Version:  sp.agg.Version(),
+		Query:    engine.FSQuery(sp.kind, sp.params),
+	}, sp, nil
 }
 
 // ---------------------------------------------------------------------
@@ -596,9 +487,9 @@ func (r *Router) AggregatedStats() (wire.ServerStats, error) {
 	return agg, nil
 }
 
-// aggregatedStatsReply answers a client stats request with the merged
-// fleet view (Router.AggregateStats mode).
-func (p *proxyConn) aggregatedStatsReply() error {
+// statsReply answers a client stats request with the merged fleet view:
+// a superset of any one shard's reply, since Shards carries each one.
+func (p *proxyConn) statsReply() error {
 	st, err := p.r.AggregatedStats()
 	if err != nil {
 		return err
@@ -607,5 +498,5 @@ func (p *proxyConn) aggregatedStatsReply() error {
 	if err != nil {
 		return err
 	}
-	return p.writeClient(frames.StatsResp, b)
+	return p.mux.Write(frames.StatsResp, b)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -11,9 +12,12 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/field"
+	"repro/internal/fs"
 	"repro/internal/stream"
 	"repro/internal/wire"
+	"repro/internal/wire/frames"
 )
 
 // seamKinds is the split-universe seam: the query kinds a split dataset
@@ -613,8 +617,8 @@ func TestTableSwapRaces(t *testing.T) {
 	}
 }
 
-// TestAggregatedStats: with AggregateStats set, one stats request fans
-// out to every shard and merges — summed proof-cache counters, the
+// TestAggregatedStats: one stats request through the router fans out
+// to every shard and merges — summed proof-cache counters, the
 // per-shard breakdown, and the router's own split-proof cache under
 // "router".
 func TestAggregatedStats(t *testing.T) {
@@ -635,7 +639,6 @@ func TestAggregatedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.AggregateStats = true
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -769,5 +772,274 @@ func TestSetTableRefusedMidMigration(t *testing.T) {
 	r.mu.Unlock()
 	if err := r.SetTable(&snap); err != nil {
 		t.Fatalf("SetTable after the migration settled: %v", err)
+	}
+}
+
+// TestSplitChallengeFlood: a client that keeps sending challenges on a
+// split conversation past its last prover message gets what a single
+// engine gives it — a typed per-channel error — and can neither wedge
+// its proxy connection nor hang Router.Close. (The router used to park
+// the surplus challenges in a queue nobody read once the conversation
+// was over, blocking its read loop for good.)
+func TestSplitChallengeFlood(t *testing.T) {
+	const u = 200
+	routerAddr, r, _ := splitShards(t, 0, 0, 2, "big")
+	conn, err := net.Dial("tcp", routerAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := frames.WriteFrame(conn, frames.Open, frames.EncodeOpen("big", u)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := frames.ReadFrame(conn); err != nil || typ != frames.OK {
+		t.Fatalf("open through the router: frame 0x%02x, err %v", typ, err)
+	}
+	// challenges pipelines n challenges on channel 1 in one write.
+	challenges := func(n int) []byte {
+		var b bytes.Buffer
+		for i := 0; i < n; i++ {
+			ch := frames.EncodeMsg(core.Msg{Elems: []field.Elem{field.Elem(i + 2)}})
+			_ = frames.WriteFrame(&b, frames.ChallengeCh, frames.EncodeChannel(1, ch))
+		}
+		return b.Bytes()
+	}
+	// The query, then one challenge more than its log u = 8 rounds take
+	// (the opening plus 7 answers): the surplus is refused typed, and the
+	// connection lives on.
+	if err := frames.WriteFrame(conn, frames.QueryCh, frames.EncodeChannel(1,
+		frames.EncodeQuery(wire.QuerySelfJoinSize, wire.QueryParams{}))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(challenges(8)); err != nil {
+		t.Fatal(err)
+	}
+	for answers := 0; ; answers++ {
+		typ, payload, err := frames.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("the surplus challenge was never refused: %v", err)
+		}
+		if typ == frames.ProverCh {
+			continue
+		}
+		if id, _, _ := frames.DecodeChannel(payload); typ != frames.ErrorCh || id != 1 || answers != 8 {
+			t.Fatalf("got frame 0x%02x on channel %d after %d answers, want a per-channel error on channel 1 after 8",
+				typ, id, answers)
+		}
+		break
+	}
+	// The rest of a 40-frame flood: the failed channel's tombstone
+	// absorbs one, the next is a protocol violation. The router may drop
+	// the connection mid-write (and its final frames with it: a close
+	// with unread input resets), so only Close is checked.
+	_, _ = conn.Write(challenges(32))
+	closed := make(chan error, 1)
+	go func() { closed <- r.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Router.Close hung on the flooded connection")
+	}
+}
+
+// tamperRelay is a TCP relay between the router and one slice owner
+// that can lie for the owner: armed with n, it adds 1 to the first
+// field element of the next channel's n-th prover message (0 is the
+// opening, whose first element is the partial claim), then disarms.
+// Everything else passes byte for byte.
+type tamperRelay struct {
+	ln     net.Listener
+	target string
+	wg     sync.WaitGroup
+
+	mu     sync.Mutex
+	frame  int // -1: pass through
+	conns  []net.Conn
+	closed bool
+}
+
+func newTamperRelay(t *testing.T, target string) *tamperRelay {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &tamperRelay{ln: ln, target: target, frame: -1}
+	tr.wg.Add(1)
+	go tr.accept()
+	t.Cleanup(func() {
+		ln.Close()
+		tr.mu.Lock()
+		tr.closed = true
+		for _, c := range tr.conns {
+			c.Close()
+		}
+		tr.mu.Unlock()
+		tr.wg.Wait()
+	})
+	return tr
+}
+
+func (tr *tamperRelay) arm(frame int) {
+	tr.mu.Lock()
+	tr.frame = frame
+	tr.mu.Unlock()
+}
+
+// take reports whether a channel's n-th prover message is the one to
+// corrupt, disarming the relay if so.
+func (tr *tamperRelay) take(n int) bool {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.frame < 0 || n != tr.frame {
+		return false
+	}
+	tr.frame = -1
+	return true
+}
+
+func (tr *tamperRelay) accept() {
+	defer tr.wg.Done()
+	for {
+		in, err := tr.ln.Accept()
+		if err != nil {
+			return
+		}
+		out, err := net.Dial("tcp", tr.target)
+		if err != nil {
+			in.Close()
+			continue
+		}
+		tr.mu.Lock()
+		if tr.closed {
+			tr.mu.Unlock()
+			in.Close()
+			out.Close()
+			return
+		}
+		tr.conns = append(tr.conns, in, out)
+		tr.wg.Add(2)
+		tr.mu.Unlock()
+		go func() {
+			defer tr.wg.Done()
+			_, _ = io.Copy(out, in)
+			out.Close()
+		}()
+		go func() {
+			defer tr.wg.Done()
+			tr.relay(out, in)
+			in.Close()
+		}()
+	}
+}
+
+// relay copies owner frames to the router, rewriting the armed one.
+func (tr *tamperRelay) relay(from, to net.Conn) {
+	sent := make(map[uint32]int) // prover messages so far, per channel
+	for {
+		typ, payload, err := frames.ReadFrame(from)
+		if err != nil {
+			return
+		}
+		if typ == frames.ProverCh {
+			if id, body, err := frames.DecodeChannel(payload); err == nil {
+				n := sent[id]
+				sent[id]++
+				if m, err := frames.DecodeMsg(body); err == nil && len(m.Elems) > 0 && tr.take(n) {
+					m.Elems[0] = f61.Add(m.Elems[0], 1)
+					payload = frames.EncodeChannel(id, frames.EncodeMsg(m))
+				}
+			}
+		}
+		if err := frames.WriteFrame(to, typ, payload); err != nil {
+			return
+		}
+	}
+}
+
+// TestSplitLyingOwner: the router is no shield for a lying slice owner.
+// With one owner's partial claim, or one of its mid-round messages, off
+// by one, the client's own verifier rejects the split conversation and
+// the posted proof fetched through the router alike; once the owner
+// stops lying, the same connection serves honest answers again.
+func TestSplitLyingOwner(t *testing.T) {
+	const u = 200
+	honest, stopHonest := startShard(t, &wire.Server{F: f61})
+	t.Cleanup(stopHonest)
+	liar, stopLiar := startShard(t, &wire.Server{F: f61})
+	t.Cleanup(stopLiar)
+	relay := newTamperRelay(t, liar)
+	routerAddr, _, stop := startRouter(t, &Table{
+		Shards: []ShardInfo{{Name: "s1", Addr: honest}, {Name: "s2", Addr: relay.ln.Addr().String()}},
+		Splits: map[string]*SplitSpec{"big": {Slices: 2, Owners: []string{"s1", "s2"}}},
+	})
+	t.Cleanup(stop)
+
+	c := dialT(t, routerAddr)
+	c.FieldModulus = f61.Modulus()
+	if _, err := c.OpenDataset("big", u); err != nil {
+		t.Fatal(err)
+	}
+	var seen []stream.Update // the stream the client's verifiers observe
+	ingest := func(seed uint64) {
+		ups := stream.UniformDeltas(u, 30, field.NewSplitMix64(seed))
+		if _, err := c.Ingest(ups); err != nil {
+			t.Fatal(err)
+		}
+		seen = append(seen, ups...)
+	}
+	query := func(seed uint64) error {
+		v, obs := newVerifier(t, u, wire.QuerySelfJoinSize, wire.QueryParams{}, seed)
+		for _, up := range seen {
+			if err := obs(up); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := c.Query(wire.QuerySelfJoinSize, wire.QueryParams{}, v)
+		return err
+	}
+	cached := func() error {
+		_, _, err := c.QueryCached(wire.QuerySelfJoinSize, wire.QueryParams{}, 0, func(b fs.Binding) (core.VerifierSession, error) {
+			v, err := engine.NewStreamVerifier(f61, u, wire.QuerySelfJoinSize, wire.QueryParams{}, b.RNG())
+			if err != nil {
+				return nil, err
+			}
+			for _, up := range seen {
+				if err := v.Observe(up); err != nil {
+					return nil, err
+				}
+			}
+			return v, nil
+		})
+		return err
+	}
+
+	ingest(8800)
+	for i, lie := range []struct {
+		where string
+		frame int
+	}{{"the opening's claim", 0}, {"a mid-round message", 2}} {
+		relay.arm(lie.frame)
+		if err := query(8810 + uint64(i)); !errors.Is(err, core.ErrRejected) {
+			t.Fatalf("owner lying in %s: interactive query = %v, want ErrRejected", lie.where, err)
+		}
+		relay.arm(lie.frame)
+		if err := cached(); !errors.Is(err, core.ErrRejected) {
+			t.Fatalf("owner lying in %s: posted proof = %v, want ErrRejected", lie.where, err)
+		}
+		// A fresh batch moves the version, so the next posted proof is
+		// recorded anew instead of served from the router's cache.
+		ingest(8820 + uint64(i))
+	}
+	relay.arm(-1)
+	if err := query(8830); err != nil {
+		t.Fatalf("honest owner, same connection: interactive query = %v", err)
+	}
+	if err := cached(); err != nil {
+		t.Fatalf("honest owner, same connection: posted proof = %v", err)
 	}
 }

@@ -84,15 +84,17 @@ const MaxCircuitName = 64
 // ErrProtocol reports a malformed or unexpected frame.
 var ErrProtocol = errors.New("wire: protocol error")
 
-// WriteFrame sends one frame: [uint32 length][uint8 type][payload].
+// WriteFrame sends one frame: [uint32 length][uint8 type][payload], in
+// one Write. Written as two, a reader woken by the header may park again
+// for the payload behind it, and whether it does is a race on every
+// frame: round trips then swing by tens of percent with the scheduling
+// of the code around them.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	var head [5]byte
-	binary.LittleEndian.PutUint32(head[:4], uint32(len(payload)))
-	head[4] = typ
-	if _, err := w.Write(head[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	buf := make([]byte, 5+len(payload))
+	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
+	buf[4] = typ
+	copy(buf[5:], payload)
+	_, err := w.Write(buf)
 	return err
 }
 

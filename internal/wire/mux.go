@@ -5,9 +5,10 @@
 //
 //   - the client opens a channel with frames.QueryCh [ch][kind+params] and
 //     drives it with frames.ChallengeCh/frames.FinishCh frames;
-//   - the server runs each channel's conversation in its own goroutine
-//     against its own immutable snapshot (taken, in arrival order, when
-//     the query frame is read), answering with frames.ProverCh frames;
+//   - the prover side runs each channel's conversation in its own
+//     goroutine against its own session (on the server, over an immutable
+//     snapshot taken, in arrival order, when the query frame is read),
+//     answering with frames.ProverCh frames;
 //   - channel failures travel as frames.ErrorCh/frames.BudgetCh and kill
 //     only that conversation — the connection, its other channels, and
 //     interleaved ingestion continue.
@@ -15,25 +16,27 @@
 // Back-pressure rule: each channel's inbound queue holds a few frames
 // (the conversations are lock-step, so an honest peer never has more
 // than one in flight); a client that floods one channel stalls its own
-// connection's read loop, never the server or other connections.
-// Channel opens past Server.MaxConcurrentQueries are refused with a
-// per-channel budget frame, the same treatment as engine admission.
+// connection's read loop until that conversation consumes or fails,
+// never the server or other connections. Channel opens past
+// Server.MaxConcurrentQueries are refused with a per-channel budget
+// frame, the same treatment as engine admission.
 //
-// Channel bookkeeping (live table, concurrency slots, tombstones for
-// failed channels) lives in ChannelPins (seam.go), shared with the
-// shard router's proxy so both ends of a proxied connection enforce the
-// same discipline.
+// The prover side is one type, Mux, whatever the session: the server
+// runs snapshot provers through it, and the shard router the folded
+// sessions of its split datasets, so a split dataset reads like one
+// engine by construction. Channel bookkeeping (live table, concurrency
+// slots, tombstones for failed channels) lives in ChannelPins (seam.go).
 package wire
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/wire/frames"
 )
 
@@ -44,20 +47,24 @@ type muxFrame struct {
 }
 
 // ---------------------------------------------------------------------
-// Server side
+// Prover side
 
-// connMux is the per-connection conversation multiplexer: it serializes
-// frame writes (the read loop's acks and every conversation goroutine
-// share one socket) and routes inbound channel frames to the goroutine
-// that owns the channel.
-type connMux struct {
-	s    *Server
-	conn net.Conn
-	wmu  sync.Mutex
+// Mux is the prover side of one client connection. It serializes frame
+// writes (the read loop's acks and every conversation goroutine share
+// one socket), admits conversation channels against a cap, runs each
+// conversation's core.ProverSession on its own goroutine until the
+// client finishes, answers posted-proof requests (proof.go), and fails a
+// channel with the typed per-channel frame. Open, Route, Refuse and
+// Proof belong to the connection's read loop.
+type Mux struct {
+	conn  net.Conn
+	idle  time.Duration
+	limit int
+	wmu   sync.Mutex
 
-	pins *ChannelPins // channel id → *muxChan
+	pins *ChannelPins // channel id → *muxChan, or an owner the caller pinned
 	wg   sync.WaitGroup
-	done chan struct{} // closed when the connection's read loop exits
+	done chan struct{} // closed by Shutdown
 }
 
 // muxChan is one live conversation channel: its inbound frame queue and
@@ -68,168 +75,164 @@ type muxChan struct {
 	done chan struct{}
 }
 
-func newConnMux(s *Server, conn net.Conn) *connMux {
-	return &connMux{
-		s:    s,
-		conn: conn,
-		pins: NewChannelPins(),
-		done: make(chan struct{}),
+// NewMux returns the prover side of conn. idle bounds every read and
+// write (zero: no deadline); a positive limit caps the conversations in
+// flight, anything else admits every channel.
+func NewMux(conn net.Conn, idle time.Duration, limit int) *Mux {
+	return &Mux{
+		conn:  conn,
+		idle:  idle,
+		limit: limit,
+		pins:  NewChannelPins(),
+		done:  make(chan struct{}),
 	}
 }
 
-// write sends one frame, serialized against every other writer on this
-// connection and carrying the server's idle deadline.
-func (m *connMux) write(typ byte, payload []byte) error {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	return m.s.write(m.conn, typ, payload)
+// Pins returns the connection's channel routing table. A caller that
+// answers some channels elsewhere (the router's backends) pins them
+// here too, so one table holds every channel id of the connection.
+func (m *Mux) Pins() *ChannelPins { return m.pins }
+
+// Read receives one client frame under the idle deadline.
+func (m *Mux) Read() (byte, []byte, error) {
+	if m.idle > 0 {
+		if err := m.conn.SetReadDeadline(time.Now().Add(m.idle)); err != nil {
+			return 0, nil, err
+		}
+	}
+	return frames.ReadFrame(m.conn)
 }
 
-// shutdown unblocks and drains every conversation goroutine. Called as
-// the connection handler unwinds, before any final error frame or the
-// socket close, so no goroutine can interleave a write with either.
-func (m *connMux) shutdown() {
+// Write sends one frame to the client, serialized against every other
+// writer on the connection and carrying the idle deadline.
+func (m *Mux) Write(typ byte, payload []byte) error {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	if m.idle > 0 {
+		if err := m.conn.SetWriteDeadline(time.Now().Add(m.idle)); err != nil {
+			return err
+		}
+	}
+	return frames.WriteFrame(m.conn, typ, payload)
+}
+
+// Shutdown unblocks and drains every goroutine the mux started. Called
+// as the connection handler unwinds, before any final error frame or
+// the socket close, so no goroutine can interleave a write with either.
+func (m *Mux) Shutdown() {
 	close(m.done)
 	m.wg.Wait()
 }
 
-// dispatch handles one channel-scoped frame from the read loop. Frame
-// legality was already checked by the handler's FlowState.
-func (m *connMux) dispatch(typ byte, payload []byte, ds *engine.Dataset) error {
-	id, rest, err := frames.DecodeChannel(payload)
-	if err != nil {
-		return err
-	}
-	if id == 0 {
-		return fmt.Errorf("%w: channel id 0 is reserved for the control plane", ErrProtocol)
-	}
-	if typ == frames.QueryCh || typ == frames.PartialQueryCh {
-		return m.open(id, rest, ds, typ == frames.PartialQueryCh)
-	}
-	if typ == frames.ProofReqCh {
-		// Proof fetches are one-shot request/response: no channel state is
-		// registered, the reply (or a per-channel error) is the whole
-		// exchange. See proof.go.
-		return m.proofFetch(id, rest, ds)
-	}
-	// The finish frame releases the channel's concurrency slot the moment
-	// it arrives — not when the conversation goroutine consumes it — so a
-	// strictly serial client at the cap is never spuriously refused.
-	owner, ok := m.pins.Route(id, typ == frames.FinishCh)
-	if !ok {
-		return fmt.Errorf("%w: frame 0x%02x for unknown channel %d", ErrProtocol, typ, id)
-	}
-	if owner == nil {
-		// A channel the server failed may see exactly one more frame from
-		// the client (lock-step: the challenge that crossed our error on
-		// the wire). The tombstone absorbed it; anything further is a
-		// protocol violation.
-		return nil
-	}
-	mc := owner.(*muxChan)
-	select {
-	case mc.q <- muxFrame{typ: typ, payload: rest}:
-	case <-mc.done:
-		// The conversation ended while this frame was in flight; drop it.
-	}
-	return nil
-}
-
-// open starts a new conversation channel: admission, a fresh snapshot
-// (taken here, in frame-arrival order, so a query never observes
-// updates the client sent after it), and the conversation goroutine.
-// With partial set the session is the slice owner's partial prover
-// (Snapshot.NewPartialProver) instead of the whole-transcript prover —
-// the split-universe aggregator's side of the conversation; the drive
-// loop is byte-for-byte the same protocol.
-func (m *connMux) open(id uint32, body []byte, ds *engine.Dataset, partial bool) error {
-	kind, params, err := frames.DecodeQuery(body)
-	if err != nil {
-		return err
-	}
-	limit := m.s.MaxConcurrentQueries
-	if limit == 0 {
-		limit = DefaultMaxConcurrentQueries
-	}
+// Open starts a conversation on channel id: admission against the cap
+// first, then start — the synchronous per-query step (the server's
+// snapshot, the router's owner opens), run in frame-arrival order so a
+// query never observes updates its client sent after it — then the
+// session start returns, served on its own goroutine; expensive work
+// belongs in the session's Open. A channel refused at the cap or by
+// start gets the typed per-channel frame; an error from start is also
+// returned (connection-fatal) unless it is a budget refusal. A session
+// that is an io.Closer is closed when its conversation ends, by any
+// path.
+func (m *Mux) Open(id uint32, start func() (core.ProverSession, error)) error {
 	mc := &muxChan{q: make(chan muxFrame, 4), done: make(chan struct{})}
-	ok, err := m.pins.Open(id, mc, limit)
+	ok, err := m.pins.Open(id, mc, m.limit)
 	if err != nil {
 		return err
 	}
 	if !ok {
 		// Same treatment as engine admission: a resource refusal on this
-		// channel only, not a protocol violation — the connection and its
-		// other conversations continue. The tombstone absorbs the one
-		// frame a client may already have in flight on the refused id (a
-		// router aborting its other owners' legs sends a finish).
-		m.pins.Retire(id, nil, true)
-		return m.write(frames.BudgetCh, frames.EncodeChannel(id,
-			fmt.Appendf(nil, "%v: too many concurrent queries (limit %d)", ErrBudget, limit)))
+		// channel only, not a protocol violation. The tombstone absorbs the
+		// one frame a client may already have in flight on the refused id
+		// (a router aborting its other owners' legs sends a finish).
+		return m.Refuse(id, fmt.Errorf("%w: too many concurrent queries (limit %d)", ErrBudget, m.limit))
 	}
-
-	// The snapshot is taken synchronously so the conversation's view is
-	// fixed before the read loop touches the next frame — a query never
-	// observes updates its client sent after it. For a resident dataset
-	// this is O(1); for an evicted one it is the rehydrate, which stalls
-	// this connection's read loop (a deliberate trade: the ordering
-	// guarantee over cold-start latency — other connections are
-	// unaffected, and the dataset a connection queries is hot by its own
-	// use). The expensive prover construction happens in the
-	// conversation goroutine either way.
-	snap, err := ds.SnapshotErr()
+	session, err := start()
 	if err != nil {
 		m.finish(id, mc, err)
-		if errors.Is(err, engine.ErrBudget) {
+		if errors.Is(err, ErrBudget) {
 			return nil // channel-level refusal already sent by finish
 		}
 		return err
 	}
-	mkSession := func() (core.ProverSession, error) {
-		if partial {
-			return snap.NewPartialProver(kind, params)
-		}
-		from, err := m.s.proverSnapshot(ds, snap)
-		if err != nil {
-			return nil, err
-		}
-		return from.NewProver(kind, params)
-	}
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		m.finish(id, mc, m.serve(id, mc, mkSession))
+		err := m.serve(id, mc, session)
+		if c, ok := session.(io.Closer); ok {
+			_ = c.Close() // a close failure cannot change what the client was told
+		}
+		m.finish(id, mc, err)
 	}()
 	return nil
 }
 
+// Route hands one ChallengeCh/FinishCh frame (split by ChannelID) to
+// the conversation serving the channel. A finish frame releases the
+// channel's concurrency slot the moment it arrives — not when the
+// conversation consumes it — so a strictly serial client at the cap is
+// never spuriously refused. An owner the caller pinned itself is
+// returned for the caller to forward to; nil means the mux took the
+// frame, or a tombstone absorbed it (a failed channel may see one more
+// client frame: the challenge that crossed its error on the wire).
+func (m *Mux) Route(typ byte, id uint32, body []byte) (any, error) {
+	owner, ok := m.pins.Route(id, typ == frames.FinishCh)
+	if !ok {
+		return nil, fmt.Errorf("%w: frame 0x%02x for unknown channel %d", ErrProtocol, typ, id)
+	}
+	mc, served := owner.(*muxChan)
+	if !served {
+		return owner, nil
+	}
+	select {
+	case mc.q <- muxFrame{typ: typ, payload: body}:
+	case <-mc.done:
+		// The conversation ended while this frame was in flight; drop it.
+	}
+	return nil, nil
+}
+
+// Refuse fails a channel that never opened with the typed per-channel
+// frame, tombstoning id so the one client frame lock-step permits
+// behind the refusal is absorbed rather than fatal.
+func (m *Mux) Refuse(id uint32, err error) error {
+	m.pins.Retire(id, nil, true)
+	return m.refusal(id, err)
+}
+
+// refusal sends err on channel id as the typed per-channel frame: a
+// budget refusal as a budget frame, a *ServerError relayed from a
+// backend as its Msg (so the client reads what the backend's engine
+// said), anything else as its text.
+func (m *Mux) refusal(id uint32, err error) error {
+	typ, text := byte(frames.ErrorCh), err.Error()
+	if errors.Is(err, ErrBudget) {
+		typ = frames.BudgetCh
+	} else if srv, ok := err.(*ServerError); ok {
+		text = srv.Msg
+	}
+	return m.Write(typ, frames.EncodeChannel(id, []byte(text)))
+}
+
 // finish retires a channel: unregister, tombstone on failure, and the
 // typed per-channel error frame.
-func (m *connMux) finish(id uint32, mc *muxChan, err error) {
+func (m *Mux) finish(id uint32, mc *muxChan, err error) {
 	close(mc.done)
 	m.pins.Retire(id, mc, err != nil)
 	if err != nil {
-		typ := byte(frames.ErrorCh)
-		if errors.Is(err, engine.ErrBudget) {
-			typ = frames.BudgetCh
-		}
-		_ = m.write(typ, frames.EncodeChannel(id, []byte(err.Error())))
+		_ = m.refusal(id, err)
 	}
 }
 
-// serve runs one channel's conversation: build the prover session (the
-// expensive part, deferred off the read loop), then answer challenges
-// until the client finishes, the session errors, or the connection goes
-// away.
-func (m *connMux) serve(id uint32, mc *muxChan, mkSession func() (core.ProverSession, error)) error {
-	session, err := mkSession()
-	if err != nil {
-		return err
-	}
+// serve runs one channel's conversation: open the session, then answer
+// challenges until the client finishes, the session errors, or the
+// connection goes away.
+func (m *Mux) serve(id uint32, mc *muxChan, session core.ProverSession) error {
 	opening, err := session.Open()
 	if err != nil {
 		return err
 	}
-	if err := m.write(frames.ProverCh, frames.EncodeChannel(id, frames.EncodeMsg(opening))); err != nil {
+	if err := m.Write(frames.ProverCh, frames.EncodeChannel(id, frames.EncodeMsg(opening))); err != nil {
 		return err
 	}
 	for {
@@ -251,7 +254,7 @@ func (m *connMux) serve(id uint32, mc *muxChan, mkSession func() (core.ProverSes
 			if err != nil {
 				return err
 			}
-			if err := m.write(frames.ProverCh, frames.EncodeChannel(id, frames.EncodeMsg(resp))); err != nil {
+			if err := m.Write(frames.ProverCh, frames.EncodeChannel(id, frames.EncodeMsg(resp))); err != nil {
 				return err
 			}
 		default:

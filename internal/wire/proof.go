@@ -11,15 +11,18 @@
 // The exchange is one-shot request/response on an ordinary mux channel
 // id: no channel state is registered on either side, errors travel as
 // the usual per-channel error/budget frames, and the connection's other
-// conversations and ingestion continue around it.
+// conversations and ingestion continue around it. Mux.Proof is the one
+// reply, for the server's snapshots and the router's split datasets
+// alike.
 package wire
 
 import (
-	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/field"
 	"repro/internal/fs"
 	"repro/internal/proofcache"
 	"repro/internal/wire/frames"
@@ -83,73 +86,45 @@ func (s *Server) Stats() ServerStats {
 	return st
 }
 
-// proofFetch serves one PROOF request. The snapshot is taken
-// synchronously in the read loop — same arrival-order guarantee as a
-// query open: the proof covers exactly the batches acknowledged before
-// the request. Cache lookup and (on a miss) proof generation then run
-// in their own goroutine, so a miss never stalls the connection's other
-// traffic.
-func (m *connMux) proofFetch(id uint32, body []byte, ds *engine.Dataset) error {
-	version, kind, params, err := frames.DecodeProofReq(body)
-	if err != nil {
-		return err
-	}
-	snap, err := ds.SnapshotErr()
-	if err != nil {
-		if errors.Is(err, engine.ErrBudget) {
-			return m.write(frames.BudgetCh, frames.EncodeChannel(id, []byte(err.Error())))
-		}
-		return err
-	}
-	if version != 0 && version != snap.Version() {
-		// The server can only prove the present: earlier versions' counts
-		// are gone. A pinned-version request that no longer matches is the
-		// client's signal to re-fingerprint.
-		return m.write(frames.ErrorCh, frames.EncodeChannel(id, fmt.Appendf(nil,
-			"proof version %d is not current (dataset %q is at version %d)", version, ds.Name(), snap.Version())))
-	}
+// Proof answers one PROOF request on channel id, on its own goroutine,
+// so a miss never stalls the connection's other traffic. resolve names
+// the binding the proof commits to and the session that records it (the
+// router folds its owners' openings there to learn the version). A
+// nonzero version must be the binding's: earlier versions' counts are
+// gone, and a stale pin is the client's signal to re-fingerprint. The
+// proof cache single-flights one engine.RecordProof over f per (dataset,
+// version, query); the encoded proof, or the typed refusal, is the
+// whole reply. A session that is an io.Closer is closed once the reply
+// is settled, cache hit or miss.
+func (m *Mux) Proof(id uint32, version uint64, f field.Field, cache *proofcache.Cache,
+	resolve func() (fs.Binding, core.ProverSession, error)) {
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		key := proofcache.Key{
-			Dataset: ds.Name(),
-			Version: snap.Version(),
-			Query:   string(engine.FSQuery(kind, params).Encode()),
+		b, session, err := resolve()
+		if err == nil && version != 0 && version != b.Version {
+			err = fmt.Errorf("proof version %d is not current (dataset %q is at version %d)", version, b.Dataset, b.Version)
 		}
-		val, err := m.s.proofCacheRef().Get(key, func() ([]byte, error) {
-			pf, err := m.s.generateProof(ds, snap, kind, params)
-			if err != nil {
-				return nil, err
-			}
-			return pf.Encode(), nil
-		})
+		var val []byte
+		if err == nil {
+			key := proofcache.Key{Dataset: b.Dataset, Version: b.Version, Query: string(b.Query.Encode())}
+			val, err = cache.Get(key, func() ([]byte, error) {
+				pf, err := engine.RecordProof(f, b, func() (core.ProverSession, error) { return session, nil })
+				if err != nil {
+					return nil, err
+				}
+				return pf.Encode(), nil
+			})
+		}
 		if err != nil {
-			typ := byte(frames.ErrorCh)
-			if errors.Is(err, engine.ErrBudget) {
-				typ = frames.BudgetCh
-			}
-			_ = m.write(typ, frames.EncodeChannel(id, []byte(err.Error())))
-			return
+			_ = m.refusal(id, err)
+		} else {
+			_ = m.Write(frames.ProofCh, frames.EncodeChannel(id, val))
 		}
-		_ = m.write(frames.ProofCh, frames.EncodeChannel(id, val))
+		if c, ok := session.(io.Closer); ok {
+			_ = c.Close() // a close failure cannot change what the client was told
+		}
 	}()
-	return nil
-}
-
-// generateProof records the proof the server posts for one query over
-// snap — what Snapshot.GenerateProof does, except that the prover comes
-// from proverSnapshot: the binding (and with it the challenge schedule)
-// is always the real dataset's, so with Corrupt set the lie is in the
-// data, never in the header; a client's binding check passes and only
-// its verifier's own fingerprint can catch it.
-func (s *Server) generateProof(ds *engine.Dataset, snap *engine.Snapshot, kind QueryKind, params QueryParams) (*fs.Proof, error) {
-	from, err := s.proverSnapshot(ds, snap)
-	if err != nil {
-		return nil, err
-	}
-	return engine.RecordProof(s.F, snap.ProofBinding(kind, params), func() (core.ProverSession, error) {
-		return from.NewProver(kind, params)
-	})
 }
 
 // ---------------------------------------------------------------------

@@ -1,14 +1,19 @@
-// The protocol seam: the two pieces of connection behaviour a protocol
-// intermediary must share with the server. The shard router
-// (internal/shard) embeds FlowState to enforce per-connection frame
-// legality exactly as the server would, and ChannelPins to route
-// channel-scoped frames. Byte layouts are not re-exported here: the
-// server, the client, and the router all call internal/wire/frames
-// directly (the import allow-list is enforced by a test in frames).
+// The protocol seam: what a protocol intermediary shares with the
+// server. The shard router (internal/shard) embeds FlowState to enforce
+// per-connection frame legality exactly as the server would, decodes
+// channel ids with ChannelID, routes channel-scoped frames through
+// ChannelPins, serves the conversations and posted proofs it answers
+// itself through the server's own Mux (mux.go), and accepts and closes
+// connections through the server's Lifecycle. Byte layouts are not
+// re-exported here: the server, the client, and the router all call
+// internal/wire/frames directly (the import allow-list is enforced by a
+// test in frames).
 package wire
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"sync"
 
 	"repro/internal/wire/frames"
@@ -58,6 +63,118 @@ func (f *FlowState) Advance(typ byte) error {
 		return fmt.Errorf("%w: unexpected frame 0x%02x", ErrProtocol, typ)
 	}
 	return nil
+}
+
+// ChannelID splits a channel-scoped frame's payload into its channel id
+// and the rest, refusing id 0 (the control plane's) in the server's
+// words.
+func ChannelID(payload []byte) (uint32, []byte, error) {
+	id, rest, err := frames.DecodeChannel(payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	if id == 0 {
+		return 0, nil, fmt.Errorf("%w: channel id 0 is reserved for the control plane", ErrProtocol)
+	}
+	return id, rest, nil
+}
+
+// ---------------------------------------------------------------------
+// Lifecycle: the accept/close registry.
+
+// Lifecycle is the listener and connection registry of a service that
+// serves one handler goroutine per accepted connection: Serve may run
+// on several listeners at once, and Close stops every one of them,
+// closes every live connection, and waits the handlers out. The zero
+// value is ready to use; Server and shard.Router each hold one.
+type Lifecycle struct {
+	mu       sync.Mutex
+	lns      map[net.Listener]struct{} // every listener currently being served
+	conns    map[net.Conn]struct{}     // connections with a live handler
+	closed   bool
+	handlers sync.WaitGroup // one per handler goroutine; drained by Close
+}
+
+// Serve accepts connections on ln until it closes, running handle on
+// its own goroutine per connection and closing the connection after.
+// init, when non-nil, runs before the first Accept; its error is
+// returned with ln unregistered. As in net/http, Serve after Close
+// returns closedErr without touching ln (a later Close must not close a
+// listener never served), and a Serve that Close stops returns
+// closedErr, not the listener's "use of closed network connection".
+func (l *Lifecycle) Serve(ln net.Listener, closedErr error, init func() error, handle func(net.Conn)) error {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return closedErr
+	}
+	if l.lns == nil {
+		l.lns, l.conns = make(map[net.Listener]struct{}), make(map[net.Conn]struct{})
+	}
+	l.lns[ln] = struct{}{}
+	l.mu.Unlock()
+	if init != nil {
+		if err := init(); err != nil {
+			l.mu.Lock()
+			delete(l.lns, ln)
+			l.mu.Unlock()
+			return err
+		}
+	}
+	for {
+		conn, err := ln.Accept()
+		l.mu.Lock()
+		switch {
+		case l.closed:
+			// Close already snapshotted the registry; don't start a
+			// handler it would not drain.
+			l.mu.Unlock()
+			if conn != nil {
+				conn.Close()
+			}
+			return closedErr
+		case err != nil:
+			// The listener died on its own; it is no longer served, so a
+			// later Close must not touch it.
+			delete(l.lns, ln)
+			l.mu.Unlock()
+			return err
+		}
+		l.conns[conn] = struct{}{}
+		l.handlers.Add(1)
+		l.mu.Unlock()
+		go func() {
+			defer l.handlers.Done()
+			defer func() {
+				conn.Close()
+				l.mu.Lock()
+				delete(l.conns, conn)
+				l.mu.Unlock()
+			}()
+			handle(conn)
+		}()
+	}
+}
+
+// Close stops every served listener, closes every live connection (a
+// handler blocked on a socket read fails its next read), and waits for
+// the handlers to return. It is idempotent — each served listener is
+// closed at most once — and returns the listeners' close errors.
+func (l *Lifecycle) Close() error {
+	l.mu.Lock()
+	l.closed = true
+	lns, conns := l.lns, l.conns
+	l.lns, l.conns = nil, nil
+	l.mu.Unlock()
+	var err error
+	for ln := range lns {
+		err = errors.Join(err, ln.Close())
+	}
+	for c := range conns {
+		_ = c.Close()
+	}
+	l.handlers.Wait()
+	return err
 }
 
 // ---------------------------------------------------------------------

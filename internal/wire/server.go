@@ -1,7 +1,9 @@
-// The prover service: listener lifecycle and the per-connection read
-// loop. Frame legality is delegated to FlowState (seam.go) and byte
-// layouts to the frames codec; this file owns policy — admission,
-// budgets, dataset lifecycle, and the admin plane (handoff/adopt/stats).
+// The prover service: the per-connection read loop over engine
+// datasets. Frame legality is delegated to FlowState, accept/close to
+// Lifecycle (seam.go), the prover side of each connection to Mux
+// (mux.go) and byte layouts to the frames codec; this file owns policy
+// — budgets, dataset lifecycle, which prover answers a query, and the
+// admin plane (handoff/adopt/stats).
 package wire
 
 import (
@@ -13,8 +15,10 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/field"
+	"repro/internal/fs"
 	"repro/internal/proofcache"
 	"repro/internal/wire/frames"
 )
@@ -74,20 +78,18 @@ type Server struct {
 	// Corrupt, when non-nil, rewrites a clone of the maintained counts
 	// before proving — a hook for the dishonest-cloud experiments and
 	// tests. It applies to every whole-dataset prover the server builds,
-	// interactive sessions and posted proofs alike (see proverSnapshot),
-	// and costs O(u) per prover, not O(stream): no raw stream is retained
+	// interactive sessions and posted proofs alike (snapshotProver), and
+	// costs O(u) per prover, not O(stream): no raw stream is retained
 	// anywhere in the server.
 	Corrupt func(counts []int64) []int64
 
+	life Lifecycle // listeners, live connections, handler drain
+
 	proofCache *proofcache.Cache // lazily built by proofCacheRef; guarded by mu
 	mu         sync.Mutex
-	lns        map[net.Listener]struct{} // every listener currently being served
-	closed     bool
-	inited     bool                  // engine configured (budget/data dir/recovery) by Serve
-	ownEngine  bool                  // engine was created by this server (Close may close it)
-	hooked     bool                  // proof-cache drop hook registered on the engine
-	conns      map[net.Conn]struct{} // connections with a live handler
-	handlers   sync.WaitGroup        // one per handler goroutine; drained by Close
+	inited     bool // engine configured (budget/data dir/recovery) by Serve
+	ownEngine  bool // engine was created by this server (Close may close it)
+	hooked     bool // proof-cache drop hook registered on the engine
 
 	recovered     int      // datasets recovered from DataDir at startup
 	recoveryFails []string // per-file failures of a partial recovery
@@ -97,81 +99,31 @@ type Server struct {
 // served on its own goroutine. Before accepting, Serve applies the
 // server's resource/durability configuration to the engine (MemBudget,
 // DataDir with a recovery scan, CheckpointEvery); a failed recovery
-// refuses to serve rather than silently dropping datasets. After an
-// intentional Close, Serve returns ErrServerClosed rather than the
-// listener's "use of closed network connection" error.
+// refuses to serve rather than silently dropping datasets, and leaves
+// the listener unregistered. Serve may run on several listeners at once
+// (sharing one engine). After Close, Serve returns ErrServerClosed
+// (see Lifecycle.Serve).
 func (s *Server) Serve(ln net.Listener) error {
-	// As in net/http, Serve on an already-closed server refuses without
-	// touching (or registering) the caller's listener — a later Close must
-	// not close a listener the server never served.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrServerClosed
+	return s.life.Serve(ln, ErrServerClosed, s.engineInit, s.serveConn)
+}
+
+// serveConn runs one connection: the read loop, then — once every
+// conversation goroutine has drained — the server's one final typed
+// error frame, before the Lifecycle closes the socket.
+func (s *Server) serveConn(conn net.Conn) {
+	limit := s.MaxConcurrentQueries
+	if limit == 0 {
+		limit = DefaultMaxConcurrentQueries
 	}
-	// Every listener being served is tracked in a set: Serve may be
-	// called concurrently on several listeners (sharing one engine), and
-	// Close must stop all of them, not just the most recent.
-	if s.lns == nil {
-		s.lns = make(map[net.Listener]struct{})
-	}
-	s.lns[ln] = struct{}{}
-	s.mu.Unlock()
-	if err := s.engineInit(); err != nil {
-		// A Serve that never accepted must not leave the listener
-		// registered: per the contract above, a later Close closes only
-		// listeners the server actually served.
-		s.mu.Lock()
-		delete(s.lns, ln)
-		s.mu.Unlock()
-		return err
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			if !closed {
-				// The listener died on its own; it is no longer served,
-				// so a later Close must not touch it.
-				delete(s.lns, ln)
-			}
-			s.mu.Unlock()
-			if closed {
-				return ErrServerClosed
-			}
-			return err
+	mux := NewMux(conn, s.IdleTimeout, limit)
+	err := s.handle(mux)
+	mux.Shutdown()
+	if err != nil && !errors.Is(err, io.EOF) {
+		typ := byte(frames.Error)
+		if errors.Is(err, engine.ErrBudget) {
+			typ = frames.Budget
 		}
-		s.mu.Lock()
-		if s.closed {
-			// Close already snapshotted the registry; don't start a
-			// handler it would not drain.
-			s.mu.Unlock()
-			conn.Close()
-			return ErrServerClosed
-		}
-		if s.conns == nil {
-			s.conns = make(map[net.Conn]struct{})
-		}
-		s.conns[conn] = struct{}{}
-		s.handlers.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.handlers.Done()
-			defer func() {
-				conn.Close()
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-			if err := s.handle(conn); err != nil && !errors.Is(err, io.EOF) {
-				typ := byte(frames.Error)
-				if errors.Is(err, engine.ErrBudget) {
-					typ = frames.Budget
-				}
-				_ = s.write(conn, typ, []byte(err.Error()))
-			}
-		}()
+		_ = mux.Write(typ, []byte(err.Error()))
 	}
 }
 
@@ -276,31 +228,12 @@ func recoveryFailures(err error) []string {
 // listeners); its owner calls engine.Close — after this Close returns,
 // with no handler still folding.
 func (s *Server) Close() error {
+	// An in-flight IngestColumns still completes before its handler
+	// notices the closed socket; the drain waits it out.
+	lnErr := s.life.Close()
 	s.mu.Lock()
-	s.closed = true
-	lns := make([]net.Listener, 0, len(s.lns))
-	for ln := range s.lns {
-		lns = append(lns, ln)
-	}
-	s.lns = nil
-	eng := s.Engine
-	persist := s.ownEngine && s.inited && s.DataDir != ""
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
+	eng, persist := s.Engine, s.ownEngine && s.inited && s.DataDir != ""
 	s.mu.Unlock()
-	var lnErr error
-	for _, ln := range lns {
-		lnErr = errors.Join(lnErr, ln.Close())
-	}
-	// Interrupt handlers blocked on socket reads (a closed conn fails the
-	// next read; an in-flight IngestColumns still completes), then wait
-	// them all out.
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	s.handlers.Wait()
 	if persist && eng != nil {
 		if err := eng.Close(); err != nil {
 			return err
@@ -335,39 +268,14 @@ func (s *Server) checkUniverse(u uint64) error {
 	return nil
 }
 
-// read receives one frame, applying the idle deadline.
-func (s *Server) read(conn net.Conn) (byte, []byte, error) {
-	if s.IdleTimeout > 0 {
-		if err := conn.SetReadDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
-			return 0, nil, err
-		}
-	}
-	return frames.ReadFrame(conn)
-}
-
-// write sends one frame, applying the idle deadline.
-func (s *Server) write(conn net.Conn, typ byte, payload []byte) error {
-	if s.IdleTimeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
-			return err
-		}
-	}
-	return frames.WriteFrame(conn, typ, payload)
-}
-
 // handle is one connection's read loop. Frame legality is FlowState's
 // (the same machine the shard router runs at its edge); each case body
 // owns only the frame's work.
-func (s *Server) handle(conn net.Conn) error {
+func (s *Server) handle(mux *Mux) error {
 	var flow FlowState
 	var ds *engine.Dataset // the attachment; FlowState admits no frame that uses it before an open
-	mux := newConnMux(s, conn)
-	// Unblock and drain this connection's conversation goroutines before
-	// the handler's caller writes any final error frame or closes the
-	// socket.
-	defer mux.shutdown()
 	for {
-		typ, payload, err := s.read(conn)
+		typ, payload, err := mux.Read()
 		if err != nil {
 			return err
 		}
@@ -386,7 +294,7 @@ func (s *Server) handle(conn net.Conn) error {
 			if ds, err = s.engineRef().Open(name, uu); err != nil {
 				return err
 			}
-			if err := mux.write(frames.OK, frames.EncodeCount(ds.Updates())); err != nil {
+			if err := mux.Write(frames.OK, frames.EncodeCount(ds.Updates())); err != nil {
 				return err
 			}
 		case frames.OpenSlice:
@@ -407,7 +315,7 @@ func (s *Server) handle(conn net.Conn) error {
 			if ds, err = s.engineRef().OpenSlice(name, globalU, lo, hi); err != nil {
 				return err
 			}
-			if err := mux.write(frames.OK, frames.EncodeCount(ds.Updates())); err != nil {
+			if err := mux.Write(frames.OK, frames.EncodeCount(ds.Updates())); err != nil {
 				return err
 			}
 		case frames.Updates:
@@ -418,11 +326,11 @@ func (s *Server) handle(conn net.Conn) error {
 			if err := ds.IngestColumns(idx, deltas); err != nil {
 				return err
 			}
-			if err := mux.write(frames.OK, frames.EncodeCount(ds.Updates())); err != nil {
+			if err := mux.Write(frames.OK, frames.EncodeCount(ds.Updates())); err != nil {
 				return err
 			}
 		case frames.QueryCh, frames.ChallengeCh, frames.FinishCh, frames.ProofReqCh, frames.PartialQueryCh:
-			if err := mux.dispatch(typ, payload, ds); err != nil {
+			if err := s.channel(mux, typ, payload, ds); err != nil {
 				return err
 			}
 		case frames.Handoff:
@@ -434,7 +342,7 @@ func (s *Server) handle(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			if err := mux.write(frames.OK, frames.EncodeCount(n)); err != nil {
+			if err := mux.Write(frames.OK, frames.EncodeCount(n)); err != nil {
 				return err
 			}
 		case frames.Adopt:
@@ -446,7 +354,7 @@ func (s *Server) handle(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			if err := mux.write(frames.OK, frames.EncodeCount(n)); err != nil {
+			if err := mux.Write(frames.OK, frames.EncodeCount(n)); err != nil {
 				return err
 			}
 		case frames.StatsReq:
@@ -454,25 +362,107 @@ func (s *Server) handle(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			if err := mux.write(frames.StatsResp, b); err != nil {
+			if err := mux.Write(frames.StatsResp, b); err != nil {
 				return err
 			}
 		}
 	}
 }
 
-// proverSnapshot returns the state a whole-dataset prover for ds is
-// built from: snap itself on an honest server; with Corrupt set, a
-// standalone snapshot over the hook's rewrite of a clone of snap's
-// counts — the dishonest cloud proves from doctored state. It is the
-// one place the hook is applied, shared by the interactive sessions
-// (mux.go) and the posted proofs (proof.go). Slices are left alone:
-// their provers are partials, and the aggregator pins one version
-// across slices, so doctoring one would only fail the fold.
-func (s *Server) proverSnapshot(ds *engine.Dataset, snap *engine.Snapshot) (*engine.Snapshot, error) {
-	if _, _, slice := ds.Slice(); s.Corrupt == nil || slice {
-		return snap, nil
+// channel serves one channel-scoped frame on the attached dataset.
+func (s *Server) channel(mux *Mux, typ byte, payload []byte, ds *engine.Dataset) error {
+	id, body, err := ChannelID(payload)
+	if err != nil {
+		return err
 	}
-	counts := s.Corrupt(append([]int64(nil), snap.Counts()...))
-	return engine.SnapshotFromCounts(s.F, ds.UniverseSize(), s.Workers, counts)
+	switch typ {
+	case frames.QueryCh, frames.PartialQueryCh:
+		kind, params, err := frames.DecodeQuery(body)
+		if err != nil {
+			return err
+		}
+		return mux.Open(id, func() (core.ProverSession, error) {
+			// The snapshot is taken synchronously so the conversation's view
+			// is fixed before the read loop touches the next frame — a query
+			// never observes updates its client sent after it. For a resident
+			// dataset this is O(1); for an evicted one it is the rehydrate,
+			// which stalls this connection's read loop (a deliberate trade:
+			// the ordering guarantee over cold-start latency — other
+			// connections are unaffected, and the dataset a connection queries
+			// is hot by its own use).
+			snap, err := ds.SnapshotErr()
+			if err != nil {
+				return nil, err
+			}
+			return &snapshotProver{s: s, ds: ds, snap: snap, kind: kind, params: params, partial: typ == frames.PartialQueryCh}, nil
+		})
+	case frames.ProofReqCh:
+		version, kind, params, err := frames.DecodeProofReq(body)
+		if err != nil {
+			return err
+		}
+		// Same arrival-order guarantee as a query open: the proof covers
+		// exactly the batches acknowledged before the request.
+		snap, err := ds.SnapshotErr()
+		if err != nil {
+			if errors.Is(err, engine.ErrBudget) {
+				return mux.Refuse(id, err)
+			}
+			return err
+		}
+		sp := &snapshotProver{s: s, ds: ds, snap: snap, kind: kind, params: params}
+		mux.Proof(id, version, s.F, s.proofCacheRef(), sp.resolve)
+		return nil
+	default: // ChallengeCh, FinishCh
+		_, err := mux.Route(typ, id, body)
+		return err
+	}
+}
+
+// snapshotProver is the session answering one query over snap, built on
+// its first Open: off the read loop, and never for a posted proof the
+// cache already holds. It is a slice owner's partial prover when
+// partial is set, else the whole-dataset prover. This is the one place
+// Corrupt is applied, to interactive sessions and posted proofs alike:
+// the dishonest cloud proves from a standalone snapshot over the hook's
+// rewrite of a clone of snap's counts. Slices are left alone: their
+// provers are partials, and the aggregator pins one version across
+// slices, so doctoring one would only fail the fold.
+type snapshotProver struct {
+	s       *Server
+	ds      *engine.Dataset
+	snap    *engine.Snapshot
+	kind    QueryKind
+	params  QueryParams
+	partial bool
+	// The prover itself, built by Open.
+	core.ProverSession
+}
+
+func (p *snapshotProver) Open() (msg core.Msg, err error) {
+	from := p.snap
+	switch _, _, slice := p.ds.Slice(); {
+	case p.partial:
+		p.ProverSession, err = from.NewPartialProver(p.kind, p.params)
+	case p.s.Corrupt != nil && !slice:
+		counts := p.s.Corrupt(append([]int64(nil), from.Counts()...))
+		if from, err = engine.SnapshotFromCounts(p.s.F, p.ds.UniverseSize(), p.s.Workers, counts); err == nil {
+			p.ProverSession, err = from.NewProver(p.kind, p.params)
+		}
+	default:
+		p.ProverSession, err = from.NewProver(p.kind, p.params)
+	}
+	if err != nil {
+		return core.Msg{}, err
+	}
+	return p.ProverSession.Open()
+}
+
+// resolve is the proof path's view of the session (Mux.Proof). The
+// binding (and with it the challenge schedule) is always the real
+// dataset's, so with Corrupt set the lie is in the data, never in the
+// header: a client's binding check passes and only its verifier's own
+// fingerprint can catch it.
+func (p *snapshotProver) resolve() (fs.Binding, core.ProverSession, error) {
+	return p.snap.ProofBinding(p.kind, p.params), p, nil
 }

@@ -33,16 +33,20 @@
 // The package is split into layers, bottom up:
 //
 //	frames (internal/wire/frames)  codec: framing + payload layouts
-//	seam.go                        FlowState + ChannelPins
-//	server.go, mux.go, proof.go    the prover service
+//	seam.go                        FlowState + ChannelPins + Lifecycle
+//	mux.go, proof.go               Mux: the prover side of a connection
+//	server.go                      the prover service over engine datasets
 //	client.go, mux.go, proof.go    the verifier client
 //
 // The frames package owns every byte layout; FlowState owns which frame
 // is legal next on a connection; ChannelPins owns the channel-id
 // routing table. The server, the client, and the shard router
-// (internal/shard) are all built from those three pieces, so a proxy
-// between a client and a server enforces exactly the rules the server
-// would. Only internal/wire/... and internal/shard import frames
+// (internal/shard) are all built from those pieces, so a proxy between
+// a client and a server enforces exactly the rules the server would.
+// The router also shares the server's Mux — the one conversation
+// driver, posted-proof reply and typed refusal, which serves the split
+// datasets it answers itself — and its Lifecycle, the one accept/close
+// registry. Only internal/wire/... and internal/shard import frames
 // (enforced by a frames test).
 package wire
 
