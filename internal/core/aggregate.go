@@ -103,8 +103,9 @@ func (v *FkVerifier) SpaceWords() int {
 // ---------------------------------------------------------------------
 
 // FkProver is the honest prover: it holds the full frequency vector
-// (O(min(u,n)) space) and spends O(K·u) field operations across all
-// rounds (Appendix B.1).
+// (O(min(u,n)) space) and spends at most O(K·u) field operations across
+// all rounds (Appendix B.1), fewer on a sparse table (the operation count
+// is in internal/sumcheck's package doc).
 type FkProver struct {
 	scProver
 	proto *Fk
@@ -114,8 +115,7 @@ type FkProver struct {
 // NewProverFromTable returns a prover over the aggregated frequency table
 // (the field image of the counts, length Params.U), borrowed read-only —
 // typically a dataset-engine snapshot. Construction is O(1), and the
-// sum-check copies the table at Open, so many sessions can share one
-// table.
+// sum-check never writes the table, so many sessions can share one.
 func (p *Fk) NewProverFromTable(table []field.Elem) (*FkProver, error) {
 	if err := checkTables(p.Params.U, table); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/lde"
+	"repro/internal/poly"
 	"repro/internal/stream"
 	"repro/internal/sumcheck"
 )
@@ -95,13 +96,14 @@ type scProver struct {
 	sc *sumcheck.Prover
 }
 
-// open builds the sum-check prover over tables and emits [Total, g_1].
-// The tables are copied, so they may be borrowed read-only.
+// open builds the sum-check prover over tables, which it borrows
+// read-only, and emits [claim, g_1].
 func (pr *scProver) open(cfg sumcheck.Config, tables ...[]field.Elem) (Msg, error) {
 	return pr.start(sumcheck.NewProver(cfg, tables...))
 }
 
-// start adopts a freshly built sum-check prover and emits [Total, g_1].
+// start adopts a freshly built sum-check prover and emits [claim, g_1].
+// The claim is Σ_{c<ℓ} g_1(c), the sum the verifier checks g_1 against.
 func (pr *scProver) start(sc *sumcheck.Prover, err error) (Msg, error) {
 	if err != nil {
 		return Msg{}, err
@@ -111,7 +113,11 @@ func (pr *scProver) start(sc *sumcheck.Prover, err error) (Msg, error) {
 	if err != nil {
 		return Msg{}, err
 	}
-	return Msg{Elems: append([]field.Elem{sc.Total()}, g1...)}, nil
+	claim, err := poly.SumPrefix(sc.Config().Field, g1, sc.Config().Params.Ell)
+	if err != nil {
+		return Msg{}, err
+	}
+	return Msg{Elems: append([]field.Elem{claim}, g1...)}, nil
 }
 
 // Step folds the revealed challenge r_j and produces g_{j+1}.

@@ -6,13 +6,15 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/lde"
+	"repro/internal/poly"
 	"repro/internal/stream"
 )
 
 // runDistributed plays the full conversation through the partial-prover
 // seam: S slice provers serve the head rounds (messages combined in
 // slice order, challenges broadcast), then a tail prover built from
-// their leaves serves the rest. It returns the combined claim and the
+// their leaves serves the rest. It returns the combined claim (the sum
+// of the slices' Σ g_1(c) claims, as a slice owner opens) and the
 // combined message per round.
 func runDistributed(t *testing.T, cfg Config, slices int, challenges []field.Elem, tables ...[]field.Elem) (field.Elem, [][]field.Elem) {
 	t.Helper()
@@ -32,9 +34,6 @@ func runDistributed(t *testing.T, cfg Config, slices int, challenges []field.Ele
 		parts[k] = p
 	}
 	var claim field.Elem
-	for _, p := range parts {
-		claim = f.Add(claim, p.Total())
-	}
 	hd := parts[0].cfg.Params.D
 	d := cfg.Params.D
 	var msgs [][]field.Elem
@@ -46,6 +45,13 @@ func runDistributed(t *testing.T, cfg Config, slices int, challenges []field.Ele
 				t.Fatalf("slice %d round %d: %v", k, j, err)
 			}
 			per[k] = m
+			if j == 0 {
+				c, err := poly.SumPrefix(f, m, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				claim = f.Add(claim, c)
+			}
 		}
 		m, err := CombinePartials(f, per)
 		if err != nil {
@@ -123,7 +129,7 @@ func TestPartialBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refClaim := ref.Total()
+			refClaim := refTotal(cfg, tc.tables...)
 			var refMsgs [][]field.Elem
 			for j := 0; j < params.D; j++ {
 				m, err := ref.RoundMessage()

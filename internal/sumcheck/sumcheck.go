@@ -24,14 +24,28 @@
 //
 // The honest prover uses the table-folding algorithm of Appendix B.1
 // (there written for ℓ=2): after round j it replaces its size-m tables by
-// size-m/ℓ tables folded by χ(r_j), so total work is O(deg·u) field
-// operations — the "at most a logarithmic factor more work than simply
-// providing the answer" property the paper emphasizes.
+// size-m/ℓ tables folded by χ(r_j). It borrows the caller's T tables of
+// u entries and, counted from the code below, spends:
+//
+//   - at ℓ=2 with u ≥ 128, one scan of the tables on the first message,
+//     reading at most T·u entries, which finds the n live pairs (pairs
+//     where any table is non-zero);
+//   - while n is at most a quarter of the m/2 pairs of the current
+//     m-entry tables and m > 64, O((T + deg)·n) field operations per
+//     round: fold, regroup and deg+1 evaluations per live pair, plus one
+//     correction per message for the dead ones;
+//   - from then on, or from the start on a denser table or at ℓ > 2,
+//     O(deg·T·m) per round on the dense m-entry tables, m falling by ℓ
+//     per round, so O(deg·T·u) at most over all rounds.
 package sumcheck
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/field"
 	"repro/internal/lde"
@@ -168,15 +182,17 @@ func (c Config) Validate() error {
 // ---------------------------------------------------------------------
 // Prover
 
-// Prover is the honest prover: it stores the full frequency tables and
-// answers each round from progressively folded copies. All table scans
-// fan out across cfg.Workers goroutines in contiguous chunks; since field
-// arithmetic is exact and partials are combined in chunk order, the
-// transcript is bit-identical for every worker count.
+// Prover is the honest prover: it borrows the full frequency tables
+// read-only and answers each round from progressively folded tables of
+// its own. All table scans fan out across cfg.Workers goroutines in
+// contiguous chunks; since field arithmetic is exact and partials are
+// combined in chunk order, the transcript is bit-identical for every
+// worker count.
 type Prover struct {
 	cfg     Config
 	workers int
-	tables  [][]field.Elem
+	tables  [][]field.Elem // the borrowed tables until the first fold, then the prover's own
+	sparse  *sparseTables  // the tables instead, while few of their pairs are live
 	chiAt   [][]field.Elem // chiAt[c][k] = χ_k(c) for evaluation points c=0..deg
 	cElems  []field.Elem   // cElems[c] = c as a field element
 	weights []field.Elem   // Lagrange basis weights for arbitrary-point folds
@@ -192,8 +208,8 @@ type Prover struct {
 // layer knows — C(v)=v² (SELF-JOIN SIZE / F2) and C(v,w)=v·w (INNER
 // PRODUCT) — the prover's dominant table walks collapse into single-pass
 // field kernels: Fold computes the next message while the folded values
-// are still in registers, and round 0 / Total use the pair-walk and lazy
-// dot kernels. Every other combiner takes the generic path.
+// are still in registers, and round 0 uses the pair-walk kernels. Every
+// other combiner takes the generic path.
 const (
 	fuseNone = iota
 	fuseSq   // Power{K:2}: message (Σ e0², Σ e1², Σ e2²)
@@ -216,8 +232,9 @@ func (p *Prover) fuseKind() int {
 }
 
 // NewProver builds a prover over explicit tables, one per combiner slot,
-// each of length exactly ℓ^d. Tables are copied; the caller's slices are
-// not modified.
+// each of length exactly ℓ^d. The tables are borrowed: the prover reads
+// them and never writes them, so callers may share one table among many
+// provers.
 func NewProver(cfg Config, tables ...[]field.Elem) (*Prover, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -225,12 +242,10 @@ func NewProver(cfg Config, tables ...[]field.Elem) (*Prover, error) {
 	if len(tables) != cfg.Combiner.Arity() {
 		return nil, fmt.Errorf("sumcheck: combiner arity %d but %d tables", cfg.Combiner.Arity(), len(tables))
 	}
-	own := make([][]field.Elem, len(tables))
 	for t, tab := range tables {
 		if uint64(len(tab)) != cfg.Params.U {
 			return nil, fmt.Errorf("sumcheck: table %d has %d entries, want %d", t, len(tab), cfg.Params.U)
 		}
-		own[t] = append([]field.Elem(nil), tab...)
 	}
 	deg := cfg.degree()
 	weights := lde.BasisWeights(cfg.Field, cfg.Params.Ell)
@@ -242,55 +257,17 @@ func NewProver(cfg Config, tables ...[]field.Elem) (*Prover, error) {
 	return &Prover{
 		cfg:     cfg,
 		workers: parallel.Workers(cfg.Workers),
-		tables:  own,
+		tables:  tables,
 		chiAt:   chiAt,
 		cElems:  cElems,
 		weights: weights,
 	}, nil
 }
 
-// Total returns the true value of the sum — the answer the prover claims.
-// The square and product combiners reduce to a lazy-accumulating dot
-// product; other combiners walk the tables through Apply.
-func (p *Prover) Total() field.Elem {
-	f := p.cfg.Field
-	switch c := p.cfg.Combiner.(type) {
-	case Power:
-		if c.K == 2 {
-			return p.parallelDot(p.tables[0], p.tables[0])
-		}
-	case Product:
-		return p.parallelDot(p.tables[0], p.tables[1])
-	}
-	n := len(p.tables[0])
-	partials := make([]field.Elem, parallel.Chunks(p.workers, n))
-	parallel.For(p.workers, n, func(chunk, lo, hi int) {
-		vals := make([]field.Elem, len(p.tables))
-		var total field.Elem
-		for i := lo; i < hi; i++ {
-			for t := range p.tables {
-				vals[t] = p.tables[t][i]
-			}
-			total = f.Add(total, p.cfg.Combiner.Apply(f, vals))
-		}
-		partials[chunk] = total
-	})
-	return f.SumSlice(partials)
-}
-
-// parallelDot computes Σ_i a[i]·b[i] across the worker pool; per-chunk
-// partials are exact 192-bit sums, so the result matches the serial walk.
-func (p *Prover) parallelDot(a, b []field.Elem) field.Elem {
-	f := p.cfg.Field
-	partials := make([]field.Elem, parallel.Chunks(p.workers, len(a)))
-	parallel.For(p.workers, len(a), func(chunk, lo, hi int) {
-		partials[chunk] = f.DotSlices(a[lo:hi], b[lo:hi])
-	})
-	return f.SumSlice(partials)
-}
-
 // RoundMessage computes the evaluations g_j(0..deg) for the current round.
-// It must be called exactly once per round, alternating with Fold.
+// It must be called exactly once per round, alternating with Fold. The
+// first call of an ℓ=2 prover scans its tables for live pairs (see
+// sparseTables). The claim is Σ_{c<ℓ} g_1(c).
 func (p *Prover) RoundMessage() ([]field.Elem, error) {
 	if p.round >= p.cfg.Params.D {
 		return nil, fmt.Errorf("sumcheck: all %d rounds already played", p.cfg.Params.D)
@@ -300,31 +277,43 @@ func (p *Prover) RoundMessage() ([]field.Elem, error) {
 		p.pending = nil
 		return msg, nil
 	}
+	if p.round == 0 && p.sparse == nil {
+		p.sparse = p.scanSparse()
+	}
+	if p.sparse != nil {
+		return p.sparseMessage(), nil
+	}
+	return p.message(p.tables), nil
+}
+
+// message computes a round message over tables: the pair-walk kernels
+// for the fused combiners, the generic walk otherwise.
+func (p *Prover) message(tables [][]field.Elem) []field.Elem {
 	if kind := p.fuseKind(); kind != fuseNone {
-		return p.messageFused(kind), nil
+		return p.messageFused(kind, tables)
 	}
 	f := p.cfg.Field
 	ell := p.cfg.Params.Ell
 	deg := p.cfg.degree()
-	size := len(p.tables[0]) / ell
+	size := len(tables[0]) / ell
 	// Each index costs ~(deg+1)·ℓ·arity field ops, so scale the grain down
 	// accordingly: coarse decompositions (large ℓ, few but heavy indices)
 	// must still fan out.
-	grain := grainFor((deg + 1) * ell * len(p.tables))
+	grain := grainFor((deg + 1) * ell * len(tables))
 	partials := make([][]field.Elem, parallel.ChunksGrain(p.workers, size, grain))
 	parallel.ForGrain(p.workers, size, grain, func(chunk, lo, hi int) {
 		out := make([]field.Elem, deg+1)
-		vals := make([]field.Elem, len(p.tables))
-		diffs := make([]field.Elem, len(p.tables))
+		vals := make([]field.Elem, len(tables))
+		diffs := make([]field.Elem, len(tables))
 		for w := lo; w < hi; w++ {
 			base := w * ell
 			if ell == 2 {
-				for t, tab := range p.tables {
+				for t, tab := range tables {
 					diffs[t] = f.Sub(tab[base+1], tab[base])
 				}
 			}
 			for c := 0; c <= deg; c++ {
-				for t, tab := range p.tables {
+				for t, tab := range tables {
 					switch {
 					case c < ell:
 						// χ at a node is an indicator: direct read.
@@ -345,22 +334,23 @@ func (p *Prover) RoundMessage() ([]field.Elem, error) {
 	for _, part := range partials {
 		f.AddSlices(out, out, part)
 	}
-	return out, nil
+	return out
 }
 
-// messageFused computes the current round message with the pair-walk
-// kernels (no pending fold to exploit — round 0, or a Fold that could not
-// fuse). Pairs split across workers; per-chunk partials are exact sums.
-func (p *Prover) messageFused(kind int) []field.Elem {
+// messageFused computes a round message over tables with the pair-walk
+// kernels (no pending fold to exploit — round 0, a sparse round of a
+// combiner without a fused sparse kernel, or a Fold that could not fuse).
+// Pairs split across workers; per-chunk partials are exact sums.
+func (p *Prover) messageFused(kind int, tables [][]field.Elem) []field.Elem {
 	f := p.cfg.Field
-	npairs := len(p.tables[0]) / 2
+	npairs := len(tables[0]) / 2
 	partials := make([][3]field.Elem, parallel.Chunks(p.workers, npairs))
 	parallel.For(p.workers, npairs, func(chunk, lo, hi int) {
 		var g0, g1, g2 field.Elem
 		if kind == fuseSq {
-			g0, g1, g2 = f.PairsSumSq(p.tables[0][2*lo : 2*hi])
+			g0, g1, g2 = f.PairsSumSq(tables[0][2*lo : 2*hi])
 		} else {
-			g0, g1, g2 = f.PairsSumProd(p.tables[0][2*lo:2*hi], p.tables[1][2*lo:2*hi])
+			g0, g1, g2 = f.PairsSumProd(tables[0][2*lo:2*hi], tables[1][2*lo:2*hi])
 		}
 		partials[chunk] = [3]field.Elem{g0, g1, g2}
 	})
@@ -388,7 +378,7 @@ func (p *Prover) foldFused(kind int, r field.Elem) {
 			g0, g1, g2 := f.FoldPairsSumSq(next[2*lo:2*hi], tab[4*lo:4*hi], r)
 			partials[chunk] = [3]field.Elem{g0, g1, g2}
 		})
-		p.tables[0] = next
+		p.tables = [][]field.Elem{next}
 	} else {
 		tabA, tabB := p.tables[0], p.tables[1]
 		nextA := make([]field.Elem, size)
@@ -399,7 +389,7 @@ func (p *Prover) foldFused(kind int, r field.Elem) {
 				tabA[4*lo:4*hi], tabB[4*lo:4*hi], r)
 			partials[chunk] = [3]field.Elem{g0, g1, g2}
 		})
-		p.tables[0], p.tables[1] = nextA, nextB
+		p.tables = [][]field.Elem{nextA, nextB}
 	}
 	out := make([]field.Elem, 3)
 	for _, pt := range partials {
@@ -411,12 +401,18 @@ func (p *Prover) foldFused(kind int, r field.Elem) {
 }
 
 // Fold binds the current round's variable to the verifier's challenge r,
-// shrinking every table by a factor of ℓ.
+// shrinking every table by a factor of ℓ. It never writes a borrowed
+// table: every fold writes a table of the prover's own.
 func (p *Prover) Fold(r field.Elem) error {
 	if p.round >= p.cfg.Params.D {
 		return fmt.Errorf("sumcheck: all %d rounds already folded", p.cfg.Params.D)
 	}
 	p.pending = nil
+	if p.sparse != nil {
+		p.foldSparse(r)
+		p.round++
+		return nil
+	}
 	if kind := p.fuseKind(); kind != fuseNone && p.round+1 < p.cfg.Params.D {
 		// The next table still has ≥2 pairs, so fold and next message
 		// share one pass over it.
@@ -430,30 +426,220 @@ func (p *Prover) Fold(r field.Elem) error {
 	if ell != 2 {
 		chi = lde.AllChi(f, p.weights, r)
 	}
+	next := make([][]field.Elem, len(p.tables))
 	for t, tab := range p.tables {
 		size := len(tab) / ell
-		next := make([]field.Elem, size)
+		next[t] = make([]field.Elem, size)
 		if ell == 2 {
 			parallel.For(p.workers, size, func(_, lo, hi int) {
 				// (1-r)·T0 + r·T1 = T0 + r·(T1-T0).
-				f.FoldPairs(next[lo:hi], tab[2*lo:2*hi], r)
+				f.FoldPairs(next[t][lo:hi], tab[2*lo:2*hi], r)
 			})
 		} else {
 			parallel.ForGrain(p.workers, size, grainFor(ell), func(_, lo, hi int) {
 				for w := lo; w < hi; w++ {
-					next[w] = f.DotSlices(chi, tab[w*ell:(w+1)*ell])
+					next[t][w] = f.DotSlices(chi, tab[w*ell:(w+1)*ell])
 				}
 			})
 		}
-		p.tables[t] = next
 	}
+	p.tables = next
 	p.round++
 	return nil
+}
+
+// ---------------------------------------------------------------------
+// Sparse rounds
+
+// An ℓ=2 prover whose tables are mostly zero holds them as their live
+// pairs only — the pairs (2w, 2w+1) where any table is non-zero — packed
+// two by two beside the sorted pair indices. Every other pair is (0, 0)
+// in every table: its line is the zero line, so it adds C(0, …, 0) at
+// every evaluation point, and it folds to 0. Folding pair w yields entry
+// w of the next table, which sits in pair w>>1, so folding and regrouping
+// the live pairs is the whole next table in the same form. The messages
+// are the dense prover's exactly: field sums are order-free.
+//
+// A prover scans its tables once, on its first message, when they have
+// at least sparseMinEntries entries. It holds them sparse while at most
+// 1/sparseShare of the pairs are live, and scatters them back to dense
+// tables — the fused path — once that fails or the table is down to
+// denseAtEntries entries, so Leaves and the tail prover see dense tables.
+const (
+	sparseMinEntries = 128
+	denseAtEntries   = 64
+	sparseShare      = 4
+)
+
+// sparseTables is a prover's tables in live-pair form.
+type sparseTables struct {
+	idx    []uint32       // live pair indices, strictly increasing
+	pairs  [][]field.Elem // pairs[t][2k], pairs[t][2k+1]: table t's pair idx[k]
+	npairs int            // pairs per table, live or dead
+	zero   field.Elem     // C(0, …, 0): what each dead pair adds at every point
+}
+
+// scanSparse finds the borrowed tables' live pairs in one pass split
+// across the workers, then packs them. A chunk stops as soon as more than
+// 1/sparseShare of its pairs are live, so a dense table costs about a
+// quarter of a pass; scanSparse returns nil then, and for any table it
+// does not scan.
+func (p *Prover) scanSparse() *sparseTables {
+	npairs := len(p.tables[0]) / 2
+	if p.cfg.Params.Ell != 2 || 2*npairs < sparseMinEntries || npairs-1 > math.MaxUint32 {
+		return nil
+	}
+	idxs := make([][]uint32, parallel.Chunks(p.workers, npairs))
+	var dense atomic.Bool
+	parallel.For(p.workers, npairs, func(chunk, lo, hi int) {
+		limit := (hi - lo) / sparseShare
+		var idx []uint32
+		for w := lo; w < hi; w += 8 {
+			for m := liveMask(p.tables, w, min(8, hi-w)); m != 0; m &= m - 1 {
+				if len(idx) == limit || dense.Load() {
+					dense.Store(true)
+					return
+				}
+				idx = append(idx, uint32(w+bits.TrailingZeros(m)))
+			}
+		}
+		idxs[chunk] = idx
+	})
+	if dense.Load() {
+		return nil
+	}
+	sp := &sparseTables{
+		idx:    idxs[0],
+		pairs:  make([][]field.Elem, len(p.tables)),
+		npairs: npairs,
+		zero:   p.cfg.Combiner.Apply(p.cfg.Field, make([]field.Elem, len(p.tables))),
+	}
+	for _, idx := range idxs[1:] {
+		sp.idx = append(sp.idx, idx...)
+	}
+	for t, tab := range p.tables {
+		packed := make([]field.Elem, 2*len(sp.idx))
+		for k, w := range sp.idx {
+			packed[2*k], packed[2*k+1] = tab[2*w], tab[2*w+1]
+		}
+		sp.pairs[t] = packed
+	}
+	p.tables = nil
+	return sp
+}
+
+// liveMask reports which of the n ≤ 8 pairs from pair w are live in any
+// table: bit j for pair w+j. It does not branch on the data, so a sparse
+// table's scattered live pairs cost no mispredictions.
+func liveMask(tables [][]field.Elem, w, n int) uint {
+	var m uint
+	for _, tab := range tables {
+		b := tab[2*w : 2*(w+n)]
+		for j := 0; j < n; j++ {
+			x := uint64(b[2*j] | b[2*j+1])
+			m |= uint((x|-x)>>63) << j
+		}
+	}
+	return m
+}
+
+// sparseMessage computes the current round's message from the live pairs.
+func (p *Prover) sparseMessage() []field.Elem {
+	out := p.message(p.sparse.pairs)
+	p.addDead(out)
+	return out
+}
+
+// addDead adds the dead pairs' share, (#dead pairs)·C(0, …, 0), at every
+// evaluation point of msg.
+func (p *Prover) addDead(msg []field.Elem) {
+	sp := p.sparse
+	if sp.zero == 0 {
+		return
+	}
+	f := p.cfg.Field
+	c := f.Mul(f.Reduce(uint64(sp.npairs-len(sp.idx))), sp.zero)
+	for i := range msg {
+		msg[i] = f.Add(msg[i], c)
+	}
+}
+
+// foldSparse folds the live pairs by r and regroups them into the next
+// table's live pairs in place, computing the next message in the same
+// pass where a sparse kernel exists (Power{2}, whose dead pairs add 0).
+// It leaves that message in p.pending, and scatters back to dense tables
+// once the sparse form stops paying.
+func (p *Prover) foldSparse(r field.Elem) {
+	f := p.cfg.Field
+	sp := p.sparse
+	var msg []field.Elem
+	var n int
+	if p.fuseKind() == fuseSq {
+		var g0, g1, g2 field.Elem
+		n, g0, g1, g2 = f.SparseFoldPairsSumSq(sp.pairs[0], sp.idx, r)
+		msg = []field.Elem{g0, g1, g2}
+	} else {
+		n = foldRegroup(f, sp.pairs, sp.idx, r)
+	}
+	sp.idx = sp.idx[:n]
+	for t := range sp.pairs {
+		sp.pairs[t] = sp.pairs[t][:2*n]
+	}
+	sp.npairs /= 2
+	if 2*sp.npairs <= denseAtEntries || sparseShare*n > sp.npairs {
+		p.scatter()
+	} else if msg == nil {
+		msg = p.sparseMessage()
+	}
+	p.pending = msg
+}
+
+// foldRegroup is field.SparseFoldPairsSumSq's fold and regroup for any
+// number of tables sharing one index list, without the message: it
+// returns the number of next-table live pairs now in idx[:n] and each
+// table's pairs[:2n]. Writes land at or below the pair just read.
+func foldRegroup(f field.Field, pairs [][]field.Elem, idx []uint32, r field.Elem) int {
+	n := 0
+	for k, i := range idx {
+		sibling := n > 0 && idx[n-1] == i>>1
+		for _, tab := range pairs {
+			a, b := tab[2*k], tab[2*k+1]
+			v := f.Add(a, f.Mul(r, f.Sub(b, a)))
+			if sibling {
+				tab[2*n-1] = v
+			} else {
+				tab[2*n], tab[2*n+1] = 0, 0
+				tab[2*n+int(i&1)] = v
+			}
+		}
+		if !sibling {
+			idx[n] = i >> 1
+			n++
+		}
+	}
+	return n
+}
+
+// scatter turns the live pairs back into dense tables of the prover's own.
+func (p *Prover) scatter() {
+	sp := p.sparse
+	p.tables = make([][]field.Elem, len(sp.pairs))
+	for t, packed := range sp.pairs {
+		tab := make([]field.Elem, 2*sp.npairs)
+		for k, w := range sp.idx {
+			tab[2*w], tab[2*w+1] = packed[2*k], packed[2*k+1]
+		}
+		p.tables[t] = tab
+	}
+	p.sparse = nil
 }
 
 // Round reports the current round index (0-based; equals the number of
 // folds performed).
 func (p *Prover) Round() int { return p.round }
+
+// Config returns the configuration the prover was built with.
+func (p *Prover) Config() Config { return p.cfg }
 
 // grainFor scales the parallel grain down by the per-index cost (in field
 // operations) so the fork threshold tracks work, not element count.
@@ -503,7 +689,7 @@ func NewVerifier(cfg Config, r []field.Elem, claimedTotal, expectedFinal field.E
 	}
 	return &Verifier{
 		cfg:      cfg,
-		r:        append([]field.Elem(nil), r...),
+		r:        slices.Clone(r),
 		claim:    claimedTotal,
 		expected: expectedFinal,
 		ev:       ev,
