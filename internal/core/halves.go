@@ -99,21 +99,23 @@ type scProver struct {
 // open builds the sum-check prover over tables, which it borrows
 // read-only, and emits [claim, g_1].
 func (pr *scProver) open(cfg sumcheck.Config, tables ...[]field.Elem) (Msg, error) {
-	return pr.start(sumcheck.NewProver(cfg, tables...))
-}
-
-// start adopts a freshly built sum-check prover and emits [claim, g_1].
-// The claim is Σ_{c<ℓ} g_1(c), the sum the verifier checks g_1 against.
-func (pr *scProver) start(sc *sumcheck.Prover, err error) (Msg, error) {
+	sc, err := sumcheck.NewProver(cfg, tables...)
 	if err != nil {
 		return Msg{}, err
 	}
+	return pr.start(cfg, sc)
+}
+
+// start adopts sc, a freshly built sum-check prover under cfg, and emits
+// [claim, g_1]. The claim is Σ_{c<ℓ} g_1(c), the sum the verifier checks
+// g_1 against.
+func (pr *scProver) start(cfg sumcheck.Config, sc *sumcheck.Prover) (Msg, error) {
 	pr.sc = sc
 	g1, err := sc.RoundMessage()
 	if err != nil {
 		return Msg{}, err
 	}
-	claim, err := poly.SumPrefix(sc.Config().Field, g1, sc.Config().Params.Ell)
+	claim, err := poly.SumPrefix(cfg.Field, g1, cfg.Params.Ell)
 	if err != nil {
 		return Msg{}, err
 	}

@@ -87,7 +87,11 @@ func (p *RangeSum) NewPartialProverFromTable(table []field.Elem, lo, hi, version
 // Open computes this slice's partial claim and round-1 partial,
 // prefixed by the dataset version for the aggregator's skew check.
 func (pr *PartialProver) Open() (Msg, error) {
-	m, err := pr.start(sumcheck.NewPartialProver(pr.cfg, pr.lo, pr.hi, pr.tables...))
+	sc, err := sumcheck.NewPartialProver(pr.cfg, pr.lo, pr.hi, pr.tables...)
+	if err != nil {
+		return Msg{}, err
+	}
+	m, err := pr.start(pr.cfg, sc)
 	if err != nil {
 		return Msg{}, err
 	}

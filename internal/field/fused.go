@@ -148,60 +148,6 @@ func (f Field) FoldPairsSumSq(dst, src []Elem, r Elem) (g0, g1, g2 Elem) {
 	return f.reduceAcc(a0), f.reduceAcc(a1), f.reduceAcc(a2)
 }
 
-// SparseFoldPairsSumSq is FoldPairsSumSq over a table held as its live
-// pairs: pairs[2k], pairs[2k+1] are the table's entries at pair idx[k],
-// idx strictly increasing, and every pair not listed is (0, 0). It folds
-// each listed pair by r, regroups the folded entries into the next
-// table's pairs (entry w lands in pair w>>1, slot w&1, a missing sibling
-// is 0) and writes them back in place: pairs[:2n] and idx[:n] hold the
-// next table the same way. It returns n and the next round's degree-2
-// power-combiner message over the listed pairs; an unlisted pair adds
-// 0² at every point, so this equals FoldPairsSumSq's message over the
-// dense table. len(pairs) must be 2·len(idx).
-func (f Field) SparseFoldPairsSumSq(pairs []Elem, idx []uint32, r Elem) (n int, g0, g1, g2 Elem) {
-	if len(pairs) != 2*len(idx) {
-		panic("field: SparseFoldPairsSumSq length mismatch")
-	}
-	p := f.p
-	rr, rp := uint64(r), f.shoup(r)
-	var a0, a1, a2 acc192
-	// The next pair being assembled: index w, entries (n0, n1). It is
-	// written back when the next one starts, at slot n−1 ≤ k−1, whose
-	// entries were read in earlier iterations.
-	var w uint32
-	var n0, n1 uint64
-	for k, i := range idx {
-		s := pairs[2*k : 2*k+2]
-		v := foldPairShoup(uint64(s[0]), uint64(s[1]), rr, rp, p)
-		if n > 0 && i>>1 == w {
-			n1 = v // i is odd: the sibling of the pair's even entry
-			continue
-		}
-		if n > 0 {
-			pairs[2*n-2], pairs[2*n-1], idx[n-1] = Elem(n0), Elem(n1), w
-			n2 := lineAt2(n0, n1, p)
-			a0.add(bits.Mul64(n0, n0))
-			a1.add(bits.Mul64(n1, n1))
-			a2.add(bits.Mul64(n2, n2))
-		}
-		w, n0, n1 = i>>1, 0, 0
-		if i&1 == 0 {
-			n0 = v
-		} else {
-			n1 = v
-		}
-		n++
-	}
-	if n > 0 {
-		pairs[2*n-2], pairs[2*n-1], idx[n-1] = Elem(n0), Elem(n1), w
-		n2 := lineAt2(n0, n1, p)
-		a0.add(bits.Mul64(n0, n0))
-		a1.add(bits.Mul64(n1, n1))
-		a2.add(bits.Mul64(n2, n2))
-	}
-	return n, f.reduceAcc(a0), f.reduceAcc(a1), f.reduceAcc(a2)
-}
-
 // FoldPairsSumProd fuses two FoldPairs (one per factor table) with the
 // next round's product-combiner message over the folded pair of tables.
 // Both dsts may alias the front halves of their srcs.

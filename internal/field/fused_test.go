@@ -155,77 +155,7 @@ func TestFusedKernelsPanicOnBadLengths(t *testing.T) {
 	mustPanic("PairsSumProd odd", func() { f.PairsSumProd(make([]Elem, 3), make([]Elem, 3)) })
 	mustPanic("FoldPairsSumSq len", func() { f.FoldPairsSumSq(make([]Elem, 3), src, 1) })
 	mustPanic("FoldPairsSumSq odd", func() { f.FoldPairsSumSq(make([]Elem, 3), make([]Elem, 6), 1) })
-	mustPanic("SparseFoldPairsSumSq", func() { f.SparseFoldPairsSumSq(make([]Elem, 3), make([]uint32, 2), 1) })
 	mustPanic("FoldPairsSumProd", func() {
 		f.FoldPairsSumProd(make([]Elem, 4), make([]Elem, 2), src, src, 1)
-	})
-}
-
-// FuzzSparseFoldPairsSumSq pins the sparse kernel against the dense one:
-// the packed pairs scattered into a dense table and run through
-// FoldPairsSumSq must give the same message, and gathering the folded
-// table at the kernel's indices must give its pairs. gaps lays out the
-// live pairs (high nibble: the gap to the previous one, so 0 makes
-// siblings; low bits: which entry of the pair is zero, making live pairs
-// with one zero entry).
-func FuzzSparseFoldPairsSumSq(fz *testing.F) {
-	fz.Add(uint8(0), uint64(7), uint64(1), []byte{0x00, 0x01, 0x12, 0x30, 0x02, 0x71})
-	fz.Add(uint8(1), uint64(0), uint64(2), []byte{})
-	fz.Add(uint8(2), uint64(1)<<61, uint64(3), []byte{0x50, 0x00, 0x03, 0x00, 0xf1})
-	fz.Fuzz(func(t *testing.T, sel uint8, r, seed uint64, gaps []byte) {
-		f := newField(fusedFields[int(sel)%len(fusedFields)])
-		re := Elem(r % f.Modulus())
-		rng := NewSplitMix64(seed)
-		idx := make([]uint32, len(gaps))
-		pairs := make([]Elem, 2*len(gaps))
-		next := uint32(0)
-		for k, g := range gaps {
-			next += uint32(g >> 4)
-			idx[k] = next
-			next++
-			if g&1 == 0 {
-				pairs[2*k] = f.Rand(rng)
-			}
-			if g&2 == 0 {
-				pairs[2*k+1] = f.Rand(rng)
-			}
-		}
-		// The dense table: every listed pair in place, an even number of
-		// pairs so FoldPairsSumSq's output splits into whole pairs.
-		npairs := int(next) + int(next)&1
-		src := make([]Elem, 2*npairs)
-		for k, w := range idx {
-			src[2*w], src[2*w+1] = pairs[2*k], pairs[2*k+1]
-		}
-		dst := make([]Elem, npairs)
-		w0, w1, w2 := f.FoldPairsSumSq(dst, src, re)
-
-		wantIdx := []uint32{}
-		for _, w := range idx {
-			if len(wantIdx) == 0 || wantIdx[len(wantIdx)-1] != w>>1 {
-				wantIdx = append(wantIdx, w>>1)
-			}
-		}
-		n, g0, g1, g2 := f.SparseFoldPairsSumSq(pairs, idx, re)
-		if g0 != w0 || g1 != w1 || g2 != w2 {
-			t.Fatalf("message (%d,%d,%d), dense (%d,%d,%d)", g0, g1, g2, w0, w1, w2)
-		}
-		if n != len(wantIdx) {
-			t.Fatalf("%d next pairs, want %d", n, len(wantIdx))
-		}
-		for j, w := range wantIdx {
-			if idx[j] != w {
-				t.Fatalf("next pair %d has index %d, want %d", j, idx[j], w)
-			}
-			if pairs[2*j] != dst[2*w] || pairs[2*j+1] != dst[2*w+1] {
-				t.Fatalf("next pair %d = (%d,%d), dense (%d,%d)", j, pairs[2*j], pairs[2*j+1], dst[2*w], dst[2*w+1])
-			}
-			dst[2*w], dst[2*w+1] = 0, 0
-		}
-		for i, e := range dst {
-			if e != 0 {
-				t.Fatalf("dense entry %d = %d is not in a listed pair", i, e)
-			}
-		}
 	})
 }

@@ -29,7 +29,6 @@ package sumcheck
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"repro/internal/field"
 	"repro/internal/lde"
@@ -133,7 +132,7 @@ func CombinePartials(f field.Field, parts [][]field.Elem) ([]field.Elem, error) 
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("sumcheck: no partial messages to combine")
 	}
-	out := slices.Clone(parts[0])
+	out := append([]field.Elem(nil), parts[0]...)
 	for k := 1; k < len(parts); k++ {
 		if len(parts[k]) != len(out) {
 			return nil, fmt.Errorf("sumcheck: partial %d has %d evaluations, want %d", k, len(parts[k]), len(out))

@@ -82,8 +82,10 @@ func densityTables(f field.Field, u uint64, arity, live int, rng field.RNG) [][]
 // TestSparseRoundsMatchOracle pins the sparse rounds against the oracle:
 // every round message and the leaves after the last fold are equal for
 // every combiner, density, size and worker count, and so are a split
-// prover's combined messages and leaves. At Workers = 0 it also pins
-// which form the first message used, so the switch itself is covered.
+// prover's combined messages and leaves. It also pins which form the
+// first message used, so the switch itself is covered: it depends on the
+// number of live pairs only, not on the worker count or on live pairs
+// clustered at the front of the table.
 func TestSparseRoundsMatchOracle(t *testing.T) {
 	f := f61
 	combiners := []Combiner{
@@ -105,16 +107,23 @@ func TestSparseRoundsMatchOracle(t *testing.T) {
 			{"zero", 0, -1}, {"first", 1, 0}, {"last", 1, int(u - 1)},
 			{"1/64", npairs / 64, -1},
 			{"under", npairs / sparseShare, -1}, {"over", npairs/sparseShare + 1, -1},
+			{"front", npairs / sparseShare, -1}, // the first live pairs, all in one chunk
 			{"1/2", npairs / 2, -1}, {"dense", npairs, -1},
 		}
 		for ci, comb := range combiners {
 			for di, dn := range densities {
 				rng := field.NewSplitMix64(uint64(1000*logu + 10*ci + di))
 				var tables [][]field.Elem
-				if dn.at >= 0 {
+				switch {
+				case dn.at >= 0:
 					tables = densityTables(f, u, comb.Arity(), 0, rng)
 					tables[0][dn.at] = 7
-				} else {
+				case dn.name == "front":
+					tables = densityTables(f, u, comb.Arity(), 0, rng)
+					for w := 0; w < dn.live; w++ {
+						tables[0][2*w+1] = 1 + f.Rand(rng)%field.Elem(f.Modulus()-1)
+					}
+				default:
 					tables = densityTables(f, u, comb.Arity(), dn.live, rng)
 				}
 				challenges := f.RandVec(rng, params.D)
@@ -122,10 +131,8 @@ func TestSparseRoundsMatchOracle(t *testing.T) {
 					name := fmt.Sprintf("logu=%d/%T%v/%s/workers=%d", logu, comb, comb, dn.name, workers)
 					cfg := Config{Field: f, Params: params, Combiner: comb, Workers: workers}
 					sparse := checkAgainstOracle(t, name, cfg, tables, challenges, 1)
-					// With one chunk the switch is exact; with several, each
-					// chunk holds its own share to it.
 					want := u >= sparseMinEntries && sparseShare*dn.live <= npairs
-					if workers == 0 && sparse != want {
+					if sparse != want {
 						t.Fatalf("%s: first message sparse %v, want %v", name, sparse, want)
 					}
 					for _, s := range []int{2, 4} {

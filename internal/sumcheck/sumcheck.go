@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/field"
@@ -137,7 +136,7 @@ type Config struct {
 	Params   lde.Params
 	Combiner Combiner
 
-	// Workers sets the prover's fan-out: every table scan (claimed total,
+	// Workers sets the prover's fan-out: every table scan (live-pair scan,
 	// per-round messages, folds) is split into contiguous chunks processed
 	// by that many goroutines, with per-chunk partials combined in chunk
 	// order. Because field arithmetic is exact, the transcript is
@@ -198,9 +197,9 @@ type Prover struct {
 	weights []field.Elem   // Lagrange basis weights for arbitrary-point folds
 	round   int
 	// pending holds the next round's message when the previous Fold ran a
-	// fused fold+message kernel (see fuseKind); RoundMessage hands it out
-	// and clears it. The fused kernels compute exactly the sums the plain
-	// path would, so the transcript is unchanged.
+	// fused fold+message kernel (see fuseKind) or a sparse fold;
+	// RoundMessage hands it out and clears it. Both compute exactly the
+	// sums the plain path would, so the transcript is unchanged.
 	pending []field.Elem
 }
 
@@ -338,8 +337,8 @@ func (p *Prover) message(tables [][]field.Elem) []field.Elem {
 }
 
 // messageFused computes a round message over tables with the pair-walk
-// kernels (no pending fold to exploit — round 0, a sparse round of a
-// combiner without a fused sparse kernel, or a Fold that could not fuse).
+// kernels (no pending fold to exploit — round 0, a sparse round, or a
+// Fold that could not fuse).
 // Pairs split across workers; per-chunk partials are exact sums.
 func (p *Prover) messageFused(kind int, tables [][]field.Elem) []field.Elem {
 	f := p.cfg.Field
@@ -469,6 +468,7 @@ const (
 	sparseMinEntries = 128
 	denseAtEntries   = 64
 	sparseShare      = 4
+	scanBatch        = 512 // pairs a scan worker reads between updates of the shared live count
 )
 
 // sparseTables is a prover's tables in live-pair form.
@@ -480,32 +480,38 @@ type sparseTables struct {
 }
 
 // scanSparse finds the borrowed tables' live pairs in one pass split
-// across the workers, then packs them. A chunk stops as soon as more than
-// 1/sparseShare of its pairs are live, so a dense table costs about a
-// quarter of a pass; scanSparse returns nil then, and for any table it
-// does not scan.
+// across the workers, then packs them. The workers share one count of the
+// live pairs found, updated every scanBatch pairs, and all stop once it
+// passes npairs/sparseShare, so a dense table costs about a quarter of a
+// pass. Whether the tables are held sparse thus depends on their live
+// pairs alone, not on the worker count or where the live pairs sit.
+// scanSparse returns nil for dense tables, and for any table it does not
+// scan.
 func (p *Prover) scanSparse() *sparseTables {
 	npairs := len(p.tables[0]) / 2
 	if p.cfg.Params.Ell != 2 || 2*npairs < sparseMinEntries || npairs-1 > math.MaxUint32 {
 		return nil
 	}
+	limit := int64(npairs / sparseShare)
+	var live atomic.Int64
 	idxs := make([][]uint32, parallel.Chunks(p.workers, npairs))
-	var dense atomic.Bool
 	parallel.For(p.workers, npairs, func(chunk, lo, hi int) {
-		limit := (hi - lo) / sparseShare
 		var idx []uint32
-		for w := lo; w < hi; w += 8 {
-			for m := liveMask(p.tables, w, min(8, hi-w)); m != 0; m &= m - 1 {
-				if len(idx) == limit || dense.Load() {
-					dense.Store(true)
-					return
+		for b := lo; b < hi; b += scanBatch {
+			end := min(b+scanBatch, hi)
+			before := len(idx)
+			for w := b; w < end; w += 8 {
+				for m := liveMask(p.tables, w, min(8, end-w)); m != 0; m &= m - 1 {
+					idx = append(idx, uint32(w+bits.TrailingZeros(m)))
 				}
-				idx = append(idx, uint32(w+bits.TrailingZeros(m)))
+			}
+			if live.Add(int64(len(idx)-before)) > limit {
+				return
 			}
 		}
 		idxs[chunk] = idx
 	})
-	if dense.Load() {
+	if live.Load() > limit {
 		return nil
 	}
 	sp := &sparseTables{
@@ -565,22 +571,12 @@ func (p *Prover) addDead(msg []field.Elem) {
 }
 
 // foldSparse folds the live pairs by r and regroups them into the next
-// table's live pairs in place, computing the next message in the same
-// pass where a sparse kernel exists (Power{2}, whose dead pairs add 0).
-// It leaves that message in p.pending, and scatters back to dense tables
-// once the sparse form stops paying.
+// table's live pairs in place, leaving the next message in p.pending. It
+// scatters back to dense tables once the sparse form stops paying; the
+// dense path computes the message itself then.
 func (p *Prover) foldSparse(r field.Elem) {
-	f := p.cfg.Field
 	sp := p.sparse
-	var msg []field.Elem
-	var n int
-	if p.fuseKind() == fuseSq {
-		var g0, g1, g2 field.Elem
-		n, g0, g1, g2 = f.SparseFoldPairsSumSq(sp.pairs[0], sp.idx, r)
-		msg = []field.Elem{g0, g1, g2}
-	} else {
-		n = foldRegroup(f, sp.pairs, sp.idx, r)
-	}
+	n := foldRegroup(p.cfg.Field, sp.pairs, sp.idx, r)
 	sp.idx = sp.idx[:n]
 	for t := range sp.pairs {
 		sp.pairs[t] = sp.pairs[t][:2*n]
@@ -588,15 +584,15 @@ func (p *Prover) foldSparse(r field.Elem) {
 	sp.npairs /= 2
 	if 2*sp.npairs <= denseAtEntries || sparseShare*n > sp.npairs {
 		p.scatter()
-	} else if msg == nil {
-		msg = p.sparseMessage()
+		return
 	}
-	p.pending = msg
+	p.pending = p.sparseMessage()
 }
 
-// foldRegroup is field.SparseFoldPairsSumSq's fold and regroup for any
-// number of tables sharing one index list, without the message: it
-// returns the number of next-table live pairs now in idx[:n] and each
+// foldRegroup folds every table's live pairs by r and regroups the folded
+// entries into the next table's pairs: entry w lands in pair w>>1, slot
+// w&1, and a missing sibling is 0. The tables share one index list. It
+// returns the number n of next-table live pairs, now in idx[:n] and each
 // table's pairs[:2n]. Writes land at or below the pair just read.
 func foldRegroup(f field.Field, pairs [][]field.Elem, idx []uint32, r field.Elem) int {
 	n := 0
@@ -637,9 +633,6 @@ func (p *Prover) scatter() {
 // Round reports the current round index (0-based; equals the number of
 // folds performed).
 func (p *Prover) Round() int { return p.round }
-
-// Config returns the configuration the prover was built with.
-func (p *Prover) Config() Config { return p.cfg }
 
 // grainFor scales the parallel grain down by the per-index cost (in field
 // operations) so the fork threshold tracks work, not element count.
@@ -689,7 +682,7 @@ func NewVerifier(cfg Config, r []field.Elem, claimedTotal, expectedFinal field.E
 	}
 	return &Verifier{
 		cfg:      cfg,
-		r:        slices.Clone(r),
+		r:        append([]field.Elem(nil), r...),
 		claim:    claimedTotal,
 		expected: expectedFinal,
 		ev:       ev,
