@@ -305,6 +305,11 @@ func FuzzBarrettMul(fz *testing.F) {
 		if uint64(dst[0]) != want {
 			t.Fatalf("p=%d: MulSlices(%d,%d) = %d, Div64 gives %d", p, a, b, dst[0], want)
 		}
+		// The streaming verifiers' split-chain product over two one-entry
+		// rows.
+		if got := f.DigitProduct([]Elem{Elem(a), Elem(b)}, 0, 0); uint64(got) != want {
+			t.Fatalf("p=%d: DigitProduct(%d,%d) = %d, Div64 gives %d", p, a, b, got, want)
+		}
 		// And the Shoup invariant-factor path, b as the slice-constant.
 		f.ScaleSlice(dst[:], []Elem{Elem(a)}, Elem(b))
 		if uint64(dst[0]) != want {

@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/field"
+	"repro/internal/lde"
 	"repro/internal/poly"
 )
 
@@ -89,9 +90,9 @@ type Verifier struct {
 	ts    []field.Elem   // line parameters t*
 	ev3   *poly.ConsecutiveEvaluator
 
-	// Streaming input evaluation at zs[L].
-	inVal field.Elem
-	inN   int
+	// Streaming input evaluation: the input's multilinear extension at
+	// zs[L], maintained like any LDE point (Theorem 1).
+	in *lde.Evaluator
 
 	// Conversation state.
 	layer   int
@@ -126,6 +127,15 @@ func (p *Protocol) NewVerifier(rng field.RNG) (*Verifier, error) {
 		}
 		v.zs[i+1] = z
 	}
+	inParams, err := lde.NewParams(2, len(v.zs[numLayers]))
+	if err != nil {
+		return nil, err
+	}
+	pt, err := lde.NewPoint(f, inParams, v.zs[numLayers])
+	if err != nil {
+		return nil, err
+	}
+	v.in = lde.NewEvaluator(pt)
 	ev3, err := poly.NewConsecutiveEvaluator(f, 3)
 	if err != nil {
 		return nil, err
@@ -140,20 +150,7 @@ func (v *Verifier) Observe(index uint64, delta int64) error {
 	if index >= uint64(v.proto.C.InputSize) {
 		return fmt.Errorf("gkr: input index %d outside [0,%d)", index, v.proto.C.InputSize)
 	}
-	f := v.proto.F
-	point := v.zs[len(v.proto.C.Layers)]
-	w := f.FromInt64(delta)
-	for _, zj := range point {
-		if index&1 == 1 {
-			w = f.Mul(w, zj)
-		} else {
-			w = f.Mul(w, f.Sub(1, zj))
-		}
-		index >>= 1
-	}
-	v.inVal = f.Add(v.inVal, w)
-	v.inN++
-	return nil
+	return v.in.Update(index, delta)
 }
 
 // ReceiveOutputs consumes the claimed output vector: the initial claim is
@@ -273,8 +270,8 @@ func (v *Verifier) ReceiveLine(evals []field.Elem) (field.Elem, error) {
 	v.scRound = 0
 	if v.layer == len(v.proto.C.Layers) {
 		// Input check: the claim must equal the streamed input MLE.
-		if v.claim != v.inVal {
-			return 0, fmt.Errorf("%w: input claim %d ≠ streamed evaluation %d", ErrRejected, v.claim, v.inVal)
+		if in := v.in.Value(); v.claim != in {
+			return 0, fmt.Errorf("%w: input claim %d ≠ streamed evaluation %d", ErrRejected, v.claim, in)
 		}
 		v.done = true
 	}

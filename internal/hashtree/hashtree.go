@@ -125,48 +125,46 @@ func (h *Hasher) Combine(j int, left, right, count field.Elem) field.Elem {
 // heavy-hitters threshold.
 type RootEvaluator struct {
 	h   *Hasher
+	w   []field.Elem // w[2(j−1)+b]: the factor a level-j node applies to its child on side b
 	acc field.Elem
 	n   int64
 }
 
-// NewRootEvaluator returns a streaming evaluator for h.
+// NewRootEvaluator returns a streaming evaluator for h. It precomputes
+// each level's two child factors, so an update selects its path's
+// factors by index instead of branching on the bits of its leaf.
 func NewRootEvaluator(h *Hasher) *RootEvaluator {
-	return &RootEvaluator{h: h}
+	f := h.F
+	w := make([]field.Elem, 2*len(h.R))
+	for j, r := range h.R {
+		w[2*j] = 1
+		if h.Kind == Multilinear {
+			w[2*j] = f.Sub(1, r)
+		}
+		w[2*j+1] = r
+	}
+	return &RootEvaluator{h: h, w: w}
 }
 
-// Update folds (i, δ) into the running root.
+// Update folds (i, δ) into the running root. A leaf reaches the root
+// through one factor per level — the child-side factor of each ancestor —
+// and, in an augmented tree, each ancestor's count gains δ at weight
+// q_j times the factors above it: bottom-up, the leaf's root weight is
+// x_d of x_0 = 1, x_j = x_{j−1}·factor_j + q_j (field.BitHorner), and
+// without counts the plain product of the factors (field.DigitProduct).
 func (e *RootEvaluator) Update(i uint64, delta int64) error {
 	h := e.h
 	if i >= h.Params.U {
 		return fmt.Errorf("hashtree: index %d outside universe [0,%d)", i, h.Params.U)
 	}
 	f := h.F
-	d := f.FromInt64(delta)
-	// S holds the path weight from the level-j ancestor to the root:
-	// Π_{k=j+1..D} weight_k. Walk levels top-down so each ancestor's
-	// count contribution uses the correct suffix product.
-	s := field.Elem(1)
-	for j := h.Params.D; j >= 1; j-- {
-		if h.Q != nil {
-			// The level-j ancestor's count increases by δ; its hash feeds
-			// the root through weight s.
-			e.acc = f.Add(e.acc, f.Mul(f.Mul(d, h.Q[j-1]), s))
-		}
-		bit := (i >> (j - 1)) & 1
-		switch h.Kind {
-		case Multilinear:
-			if bit == 1 {
-				s = f.Mul(s, h.R[j-1])
-			} else {
-				s = f.Mul(s, f.Sub(1, h.R[j-1]))
-			}
-		default:
-			if bit == 1 {
-				s = f.Mul(s, h.R[j-1])
-			}
-		}
+	var s field.Elem
+	if h.Q != nil {
+		s = f.BitHorner(e.w, h.Q, i)
+	} else {
+		s = f.DigitProduct(e.w, 1, i)
 	}
-	e.acc = f.Add(e.acc, f.Mul(d, s))
+	e.acc = f.Add(e.acc, f.Mul(f.FromInt64(delta), s))
 	e.n += delta
 	return nil
 }

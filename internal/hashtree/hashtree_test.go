@@ -80,38 +80,44 @@ func TestPaperExample(t *testing.T) {
 
 // TestStreamingMatchesTree: the O(log u)-space streaming root equals the
 // materialized tree's root for random streams, for plain and augmented
-// hashers of both kinds.
+// hashers of both kinds, over the Mersenne and a generic field.
 func TestStreamingMatchesTree(t *testing.T) {
 	params, err := NewParams(9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []Kind{Affine, Multilinear} {
-		for _, augmented := range []bool{false, true} {
-			rng := field.NewSplitMix64(61)
-			var h *Hasher
-			if augmented {
-				h = NewAugmentedHasher(f61, params, kind, rng)
-			} else {
-				h = NewHasher(f61, params, kind, rng)
-			}
-			ups := stream.UnitIncrements(params.U, 2000, rng)
-			ups = append(ups, stream.Update{Index: 5, Delta: -3})
-			ev := NewRootEvaluator(h)
-			for _, u := range ups {
-				if err := ev.Update(u.Index, u.Delta); err != nil {
+	generic, err := field.New(1000003)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []field.Field{f61, generic} {
+		for _, kind := range []Kind{Affine, Multilinear} {
+			for _, augmented := range []bool{false, true} {
+				rng := field.NewSplitMix64(61)
+				var h *Hasher
+				if augmented {
+					h = NewAugmentedHasher(f, params, kind, rng)
+				} else {
+					h = NewHasher(f, params, kind, rng)
+				}
+				ups := stream.UnitIncrements(params.U, 2000, rng)
+				ups = append(ups, stream.Update{Index: 5, Delta: -3})
+				ev := NewRootEvaluator(h)
+				for _, u := range ups {
+					if err := ev.Update(u.Index, u.Delta); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tree, err := Build(h, ups)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			tree, err := Build(h, ups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ev.Root() != tree.Root() {
-				t.Fatalf("kind=%v aug=%v: streaming root %d ≠ tree root %d", kind, augmented, ev.Root(), tree.Root())
-			}
-			if ev.Total() != stream.SumDeltas(ups) {
-				t.Fatalf("Total() = %d, want %d", ev.Total(), stream.SumDeltas(ups))
+				if ev.Root() != tree.Root() {
+					t.Fatalf("p=%d kind=%v aug=%v: streaming root %d ≠ tree root %d", f.Modulus(), kind, augmented, ev.Root(), tree.Root())
+				}
+				if ev.Total() != stream.SumDeltas(ups) {
+					t.Fatalf("Total() = %d, want %d", ev.Total(), stream.SumDeltas(ups))
+				}
 			}
 		}
 	}

@@ -157,6 +157,11 @@ func chiInto(f field.Field, weights []field.Elem, x field.Elem, out, scratch []f
 // χ_k(xs[i]). Both the evaluation-point tables of NewPoint and the
 // per-evaluation-node tables of the sum-check prover are built this way.
 func ChiTables(f field.Field, weights []field.Elem, xs []field.Elem) [][]field.Elem {
+	return rows(chiTable(f, weights, xs), len(weights))
+}
+
+// chiTable is ChiTables' flat form: χ_k(xs[i]) at index i·ℓ+k.
+func chiTable(f field.Field, weights []field.Elem, xs []field.Elem) []field.Elem {
 	ell := len(weights)
 	backing := make([]field.Elem, len(xs)*ell)
 	nodes := make([]field.Elem, ell)
@@ -165,14 +170,10 @@ func ChiTables(f field.Field, weights []field.Elem, xs []field.Elem) [][]field.E
 	}
 	diffs := make([]field.Elem, ell)
 	scratch := make([]field.Elem, ell)
-	out := make([][]field.Elem, len(xs))
 	for i, x := range xs {
-		row := backing[i*ell : (i+1)*ell : (i+1)*ell]
+		row := backing[i*ell : (i+1)*ell]
 		if uint64(x) < uint64(ell) {
 			// χ at a node is an indicator.
-			for k := range row {
-				row[k] = 0
-			}
 			row[x] = 1
 		} else {
 			for k := range diffs {
@@ -189,7 +190,16 @@ func ChiTables(f field.Field, weights []field.Elem, xs []field.Elem) [][]field.E
 				suffix = f.Mul(suffix, diffs[k])
 			}
 		}
-		out[i] = row
+	}
+	return backing
+}
+
+// rows splits a flat table into its ell-wide rows, each capped so an
+// append to one cannot write into the next.
+func rows(flat []field.Elem, ell int) [][]field.Elem {
+	out := make([][]field.Elem, len(flat)/ell)
+	for i := range out {
+		out[i] = flat[i*ell : (i+1)*ell : (i+1)*ell]
 	}
 	return out
 }
@@ -206,6 +216,9 @@ type Point struct {
 	Params Params
 	R      []field.Elem
 	Chi    [][]field.Elem
+
+	chi []field.Elem // the rows of Chi back to back: Chi[j][k] = chi[j·ℓ+k]
+	lg  uint         // log2 ℓ when ℓ is a power of two, else 0
 }
 
 // NewPoint precomputes basis tables for the point r (length d).
@@ -213,9 +226,12 @@ func NewPoint(f field.Field, params Params, r []field.Elem) (*Point, error) {
 	if len(r) != params.D {
 		return nil, fmt.Errorf("lde: point has %d coordinates, want %d", len(r), params.D)
 	}
-	w := BasisWeights(f, params.Ell)
-	chi := ChiTables(f, w, r)
-	return &Point{F: f, Params: params, R: append([]field.Elem(nil), r...), Chi: chi}, nil
+	chi := chiTable(f, BasisWeights(f, params.Ell), r)
+	pt := &Point{F: f, Params: params, R: append([]field.Elem(nil), r...), Chi: rows(chi, params.Ell), chi: chi}
+	if params.Ell&(params.Ell-1) == 0 {
+		pt.lg = uint(bits.TrailingZeros(uint(params.Ell)))
+	}
+	return pt, nil
 }
 
 // RandomPoint samples r uniformly from [p]^d and precomputes its tables.
@@ -231,8 +247,14 @@ func RandomPoint(f field.Field, params Params, rng field.RNG) *Point {
 }
 
 // ChiOfIndex returns χ_{v(i)}(r) = Π_j χ_{digit_j(i)}(r_j), the weight an
-// update to index i contributes to f_a(r).
+// update to index i contributes to f_a(r). For ℓ a power of two — every
+// decomposition the service and the experiments use — the digits are
+// shifts and masks and the d factors run as split chains
+// (field.DigitProduct); any other ℓ takes the digit-by-division loop.
 func (pt *Point) ChiOfIndex(i uint64) field.Elem {
+	if pt.lg != 0 {
+		return pt.F.DigitProduct(pt.chi, pt.lg, i)
+	}
 	ell := uint64(pt.Params.Ell)
 	out := field.Elem(1)
 	for j := 0; j < pt.Params.D; j++ {
@@ -416,13 +438,7 @@ func EvalRangeIndicator(pt *Point, qL, qR uint64) (field.Elem, error) {
 
 // chiHighBits returns Π_{j=level..d-1} χ_{bit_{j-level}(idx)}(r_j): the
 // contribution of the canonical interval at the given level whose position
-// is idx.
+// is idx. Requires ℓ=2.
 func (pt *Point) chiHighBits(idx uint64, level int) field.Elem {
-	f := pt.F
-	out := field.Elem(1)
-	for j := level; j < pt.Params.D; j++ {
-		out = f.Mul(out, pt.Chi[j][idx&1])
-		idx >>= 1
-	}
-	return out
+	return pt.F.DigitProduct(pt.chi[2*level:], 1, idx)
 }

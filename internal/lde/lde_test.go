@@ -326,23 +326,34 @@ func TestRangeIndicatorErrors(t *testing.T) {
 	}
 }
 
+// TestChiOfIndexMatchesDense: the per-update χ weight equals the dense
+// evaluation of a unit vector, for ℓ = 2 and 4 (split-chain kernel) and
+// ℓ = 3 (digit-by-division loop), over the Mersenne and a generic field.
 func TestChiOfIndexMatchesDense(t *testing.T) {
-	params, err := NewParams(2, 8)
+	generic, err := field.New(1000003)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := field.NewSplitMix64(32)
-	pt := RandomPoint(f61, params, rng)
-	for trial := 0; trial < 50; trial++ {
-		i := rng.Uint64() % params.U
-		table := make([]field.Elem, params.U)
-		table[i] = 1
-		want, err := EvalDense(pt, table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := pt.ChiOfIndex(i); got != want {
-			t.Fatalf("ChiOfIndex(%d) = %d, want %d", i, got, want)
+	for _, f := range []field.Field{f61, generic} {
+		for _, pr := range []struct{ ell, d int }{{2, 8}, {2, 1}, {2, 7}, {4, 4}, {3, 5}} {
+			params, err := NewParams(pr.ell, pr.d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := field.NewSplitMix64(32)
+			pt := RandomPoint(f, params, rng)
+			for trial := 0; trial < 50; trial++ {
+				i := rng.Uint64() % params.U
+				table := make([]field.Elem, params.U)
+				table[i] = 1
+				want, err := EvalDense(pt, table)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := pt.ChiOfIndex(i); got != want {
+					t.Fatalf("p=%d (ℓ=%d,d=%d): ChiOfIndex(%d) = %d, want %d", f.Modulus(), pr.ell, pr.d, i, got, want)
+				}
+			}
 		}
 	}
 }
