@@ -9,7 +9,10 @@
 // — shared across every connection that opens the same name — ingests
 // into it, and repeats the query battery -queries times to show the
 // amortization: the stream is ingested once, and every query (first and
-// Nth alike) skips the replay. Without -dataset the name is drawn at
+// Nth alike) skips the replay. The client's verifiers are tickets drawn
+// before the upload and fed by the batch loop that sends it — one pass
+// over the stream, whatever -queries — each spent when its query is
+// asked. Without -dataset the name is drawn at
 // random (private-<32 hex digits> from crypto/rand) and printed: a
 // private dataset is just a named dataset nobody else can guess, and the
 // server treats it like any other.
@@ -68,7 +71,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/fs"
-	"repro/internal/gkr"
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
@@ -79,13 +81,13 @@ func main() {
 	}
 }
 
-// query is one entry of the battery: what to ask, and how to print the
-// verified answer read back from the accepting verifier.
+// query is one entry of the battery: what to ask, and how to print its
+// verified answer.
 type query struct {
 	name   string
 	kind   wire.QueryKind
 	params wire.QueryParams
-	result func(engine.StreamVerifier) string
+	result func(engine.Answer) string
 }
 
 // battery returns the query set -kinds and -circuit select. "seam" is
@@ -94,44 +96,31 @@ type query struct {
 // splitting the dataset across shards.
 func battery(kinds, circuitName string, circuitArg, u uint64) []query {
 	lo, hi := u/4, u/4+99
-	moment := func(label string) func(engine.StreamVerifier) string {
-		return func(v engine.StreamVerifier) string {
-			res, _ := v.(*core.FkVerifier).Result()
-			return fmt.Sprintf("  %s = %d", label, res)
-		}
+	moment := func(label string) func(engine.Answer) string {
+		return func(a engine.Answer) string { return fmt.Sprintf("  %s = %d", label, a.Elem) }
 	}
 	if kinds == "seam" {
 		return []query{
 			{"SELF-JOIN SIZE (F2)", wire.QuerySelfJoinSize, wire.QueryParams{}, moment("moment")},
 			{"F3 MOMENT", wire.QueryFk, wire.QueryParams{K: 3}, moment("moment")},
 			{fmt.Sprintf("RANGE SUM [%d,%d]", lo, hi), wire.QueryRangeSum, wire.QueryParams{A: lo, B: hi},
-				func(v engine.StreamVerifier) string {
-					res, _ := v.(*core.RangeSumVerifier).Result()
-					return fmt.Sprintf("  range sum = %d", res)
-				}},
+				func(a engine.Answer) string { return fmt.Sprintf("  range sum = %d", a.Int) }},
 		}
 	}
 	const phi = 0.001
 	qs := []query{
 		{"SELF-JOIN SIZE (F2)", wire.QuerySelfJoinSize, wire.QueryParams{}, moment("F2")},
 		{fmt.Sprintf("RANGE QUERY [%d,%d]", lo, hi), wire.QueryRangeQuery, wire.QueryParams{A: lo, B: hi},
-			func(v engine.StreamVerifier) string {
-				entries, _ := v.(*core.SubVectorVerifier).Result()
-				return fmt.Sprintf("  %d nonzero entries verified", len(entries))
-			}},
+			func(a engine.Answer) string { return fmt.Sprintf("  %d nonzero entries verified", len(a.Entries)) }},
 		{fmt.Sprintf("HEAVY HITTERS (φ=%g)", phi), wire.QueryHeavyHitters, wire.QueryParams{Phi: phi},
-			func(v engine.StreamVerifier) string {
-				hh, _, _ := v.(*core.HeavyHittersVerifier).Result()
-				return fmt.Sprintf("  %d heavy hitters verified complete", len(hh))
+			func(a engine.Answer) string {
+				return fmt.Sprintf("  %d heavy hitters verified complete", len(a.Hitters))
 			}},
 	}
 	if circuitName != "" {
 		qs = append(qs, query{fmt.Sprintf("CIRCUIT %s (GKR)", circuitName), wire.QueryCircuit,
 			wire.QueryParams{Circuit: circuitName, A: circuitArg},
-			func(v engine.StreamVerifier) string {
-				outs, _ := v.(*gkr.VerifierSession).Outputs()
-				return fmt.Sprintf("  %d circuit outputs verified", len(outs))
-			}})
+			func(a engine.Answer) string { return fmt.Sprintf("  %d circuit outputs verified", len(a.Outputs)) }})
 	}
 	return qs
 }
@@ -184,18 +173,13 @@ func run(args []string, out io.Writer) error {
 		log.Printf("warning: -concurrency %d holds up to %d conversations; a default server caps them at %d per connection and refuses the rest (REFUSED lines, not failures)",
 			*concurrency, len(qs)**concurrency, wire.DefaultMaxConcurrentQueries)
 	}
-	ups := stream.UnitIncrements(u, *n, field.NewSplitMix64(*seed))
-
-	// Probe before the expensive verifier passes: a shared dataset that
-	// already holds updates this client never observed can never verify,
-	// so fail fast. A separate short-lived connection keeps the server's
-	// idle-timeout clock out of the local observation pass.
-	probe, err := wire.Dial(*addr)
+	client, err := wire.Dial(*addr)
 	if err != nil {
 		return fmt.Errorf("dial: %v", err)
 	}
-	prior, err := probe.OpenDataset(*dataset, u)
-	probe.Close()
+	defer client.Close()
+	client.FieldModulus = f.Modulus()
+	prior, err := client.OpenDataset(*dataset, u)
 	if err != nil {
 		return err
 	}
@@ -204,55 +188,39 @@ func run(args []string, out io.Writer) error {
 			"verification summaries must cover the whole stream — use a fresh name", *dataset, prior)
 	}
 
-	// observed builds one query's verifier and streams this client's copy
-	// of the updates into it — the single streaming pass, O(log u) state.
-	observed := func(q query, rng field.RNG) (engine.StreamVerifier, error) {
-		v, err := engine.NewStreamVerifier(f, u, q.kind, q.params, rng)
-		if err != nil {
-			return nil, err
-		}
-		for _, up := range ups {
-			if err := v.Observe(up); err != nil {
-				return nil, err
-			}
-		}
-		return v, nil
-	}
-	// Interactive verifiers are created before the upload, one set per
-	// battery round — each conversation consumes its verifier. In -cached
-	// mode the challenge randomness comes from each proof's binding, which
-	// is only known after the fetch, so those are built inside the round.
+	// ask[r][i] yields round r's verifier for query i. Interactive ones
+	// are drawn now and fed by the upload: a ticket, spent when the round
+	// asks, or for CIRCUIT — whose GKR input check depends on the query,
+	// so no ticket serves it — the verifier itself. Each conversation
+	// consumes its own. In -cached mode the challenge randomness comes
+	// from each proof's binding, known only after the fetch, so those
+	// verifiers replay the held stream inside the round.
 	rounds := max(*queries, 1)
-	vs := make([][]engine.StreamVerifier, rounds)
-	if !*cached {
-		for r := range vs {
-			vs[r] = make([]engine.StreamVerifier, len(qs))
-			for i, q := range qs {
-				if vs[r][i], err = observed(q, field.CryptoRNG{}); err != nil {
-					return err
-				}
+	ask := make([][]func() (engine.StreamVerifier, error), rounds)
+	var sinks []observer
+	for r := 0; r < rounds && !*cached; r++ {
+		for _, q := range qs {
+			t, err := engine.NewTicket(f, u, []wire.QueryKind{q.kind}, field.CryptoRNG{})
+			var sink observer = t
+			spend := func() (engine.StreamVerifier, error) { return t.Spend(q.kind, q.params) }
+			if errors.Is(err, engine.ErrTicketCircuit) {
+				var v engine.StreamVerifier
+				v, err = engine.NewStreamVerifier(f, u, q.kind, q.params, field.CryptoRNG{})
+				sink, spend = v, func() (engine.StreamVerifier, error) { return v, nil }
 			}
+			if err != nil {
+				return err
+			}
+			sinks = append(sinks, sink)
+			ask[r] = append(ask[r], spend)
 		}
 	}
-
-	// Connect for real only now that the heavy local pass is done, so
-	// the server's idle timeout never sees a silent connection.
-	client, err := wire.Dial(*addr)
-	if err != nil {
-		return fmt.Errorf("dial: %v", err)
-	}
-	defer client.Close()
-	client.FieldModulus = f.Modulus()
-	if prior, err = client.OpenDataset(*dataset, u); err != nil {
+	ups := stream.UnitIncrements(u, *n, field.NewSplitMix64(*seed))
+	if err := upload(client, ups, sinks); err != nil {
 		return err
 	}
-	if prior != 0 {
-		return fmt.Errorf("dataset %q gained %d updates from another uploader during the local pass; use a fresh name", *dataset, prior)
-	}
-	if _, err = client.Ingest(ups); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "ingested %d updates into dataset %q over universe 2^%d; verifier state is O(log u)\n", len(ups), *dataset, *logu)
+	fmt.Fprintf(out, "ingested %d updates into dataset %q over universe 2^%d; one pass fed them to %d held verifiers of O(log u) words each\n",
+		len(ups), *dataset, *logu, len(sinks))
 
 	// verifyPosted is one -cached query: fetch the posted proof (one
 	// server-side generation per dataset version, every later fetch a
@@ -261,8 +229,15 @@ func run(args []string, out io.Writer) error {
 	verifyPosted := func(q query) (v engine.StreamVerifier, accepted string, err error) {
 		pf, stats, err := client.QueryCached(q.kind, q.params, 0, func(b fs.Binding) (core.VerifierSession, error) {
 			var err error
-			v, err = observed(q, b.RNG())
-			return v, err
+			if v, err = engine.NewStreamVerifier(f, u, q.kind, q.params, b.RNG()); err != nil {
+				return nil, err
+			}
+			for _, up := range ups {
+				if err := v.Observe(up); err != nil {
+					return nil, err
+				}
+			}
+			return v, nil
 		})
 		if err != nil {
 			return nil, "", err
@@ -283,15 +258,16 @@ func run(args []string, out io.Writer) error {
 	var transportFailed atomic.Bool
 	runRound := func(r int) (lines []string) {
 		t0 := time.Now()
-		var handles []*wire.QueryHandle
-		if !*cached {
-			for i, q := range qs {
-				h, err := client.QueryAsync(q.kind, q.params, vs[r][i])
-				if err != nil {
-					transportFailed.Store(true)
-					return append(lines, fmt.Sprintf("%s: %v", q.name, err))
-				}
-				handles = append(handles, h)
+		vs := make([]engine.StreamVerifier, len(ask[r]))
+		handles := make([]*wire.QueryHandle, len(ask[r]))
+		for i, spend := range ask[r] {
+			var err error
+			if vs[i], err = spend(); err == nil {
+				handles[i], err = client.QueryAsync(qs[i].kind, qs[i].params, vs[i])
+			}
+			if err != nil {
+				transportFailed.Store(true)
+				return append(lines, fmt.Sprintf("%s: %v", qs[i].name, err))
 			}
 		}
 		for i, q := range qs {
@@ -302,7 +278,7 @@ func run(args []string, out io.Writer) error {
 				v, accepted, err = verifyPosted(q)
 			} else {
 				var stats core.Stats
-				v = vs[r][i]
+				v = vs[i]
 				stats, err = handles[i].Wait()
 				accepted = fmt.Sprintf("%s: ACCEPTED — %d rounds, %d bytes of proof traffic", q.name, stats.Rounds, stats.CommBytes())
 			}
@@ -314,7 +290,8 @@ func run(args []string, out io.Writer) error {
 				lines = append(lines, line)
 				continue
 			}
-			lines = append(lines, accepted, q.result(v))
+			a, _ := engine.AnswerOf(q.kind, v)
+			lines = append(lines, accepted, q.result(a))
 		}
 		return append(lines, fmt.Sprintf("round wall time: %v", time.Since(t0).Round(time.Millisecond)))
 	}
@@ -349,6 +326,30 @@ func run(args []string, out io.Writer) error {
 	}
 	if transportFailed.Load() {
 		return errTransport
+	}
+	return nil
+}
+
+// observer is anything that folds a stream update into verifier state.
+type observer interface{ Observe(stream.Update) error }
+
+// upload is the client's one pass over its stream: each batch goes
+// through every sink, then to the server, so no update is read twice.
+func upload(c *wire.Client, ups []stream.Update, sinks []observer) error {
+	const batch = 4096
+	for len(ups) > 0 {
+		b := ups[:min(batch, len(ups))]
+		for _, up := range b {
+			for _, s := range sinks {
+				if err := s.Observe(up); err != nil {
+					return err
+				}
+			}
+		}
+		if _, err := c.Ingest(b); err != nil {
+			return err
+		}
+		ups = ups[len(b):]
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"regexp"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/shard"
+	"repro/internal/stream"
 	"repro/internal/wire"
 )
 
@@ -124,5 +126,68 @@ func TestRunRefusals(t *testing.T) {
 		if err := run(args, &out); err == nil {
 			t.Errorf("run %v succeeded", args)
 		}
+	}
+}
+
+// TestInteractiveOnePass: -queries 4 with the four-query battery holds
+// 16 verifiers, and the client's one upload pass feeds all of them —
+// every conversation is then accepted with no replay of the stream.
+func TestInteractiveOnePass(t *testing.T) {
+	var out bytes.Buffer
+	args := []string{"-addr", startServer(t), "-logu", "10", "-n", "1024", "-queries", "4", "-circuit", "F2"}
+	if err := run(args, &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "one pass fed them to 16 held verifiers") {
+		t.Fatalf("no one-pass line for 16 verifiers:\n%s", out.String())
+	}
+	if got := strings.Count(out.String(), ": ACCEPTED"); got != 16 {
+		t.Fatalf("%d accepted conversations, want 16:\n%s", got, out.String())
+	}
+}
+
+// recorder logs every update it observes under its own id.
+type recorder struct {
+	id  int
+	log *[]string
+}
+
+func (r recorder) Observe(up stream.Update) error {
+	*r.log = append(*r.log, fmt.Sprintf("%d:%d", r.id, up.Index))
+	return nil
+}
+
+// TestUploadFeedsUpdateMajor: upload reads each update once and hands it
+// to every sink before the next — sink after sink per update, not stream
+// after stream per sink — across several ingest batches.
+func TestUploadFeedsUpdateMajor(t *testing.T) {
+	const u, n, sinks = 1 << 12, 9000, 3
+	c, err := wire.Dial(startServer(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.OpenDataset("one-pass", u); err != nil {
+		t.Fatal(err)
+	}
+	ups := stream.UnitIncrements(u, n, field.NewSplitMix64(3))
+	var got, want []string
+	var obs []observer
+	for i := 0; i < sinks; i++ {
+		obs = append(obs, recorder{i, &got})
+	}
+	for _, up := range ups {
+		for i := 0; i < sinks; i++ {
+			want = append(want, fmt.Sprintf("%d:%d", i, up.Index))
+		}
+	}
+	if err := upload(c, ups, obs); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatal("upload did not feed the sinks update by update in one pass")
+	}
+	if count, err := c.Ingest(nil); err != nil || count != n {
+		t.Fatalf("server holds %d updates (%v), want %d", count, err, n)
 	}
 }

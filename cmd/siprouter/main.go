@@ -51,10 +51,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -64,24 +67,46 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", ":7400", "address to listen on")
-	tablePath := flag.String("table", "", "routing table JSON (required)")
-	idle := flag.Duration("idle-timeout", 5*time.Minute, "disconnect clients idle for this long (0 = never)")
-	rebalance := flag.String("rebalance", "", "move a dataset and exit: dataset=targetShard")
-	rebalanceSlice := flag.String("rebalance-slice", "", "move one slice of a split dataset and exit: dataset:slice=targetShard")
-	evacuate := flag.String("evacuate", "", "adopt a dead shard's checkpoints and exit: lostShard=targetShard")
-	dialBudget := flag.Duration("dial-retry-budget", 2*time.Second, "total time to spend retrying an unreachable shard before failing typed")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, runs the one-shot command or serves, and logs to out.
+// A bad flag is an error, not an exit.
+func run(args []string, out io.Writer) error {
+	logger := log.New(out, "", log.LstdFlags)
+	fl := flag.NewFlagSet("siprouter", flag.ContinueOnError)
+	fl.SetOutput(out)
+	listen := fl.String("listen", ":7400", "address to listen on")
+	tablePath := fl.String("table", "", "routing table JSON (required)")
+	idle := fl.Duration("idle-timeout", 5*time.Minute, "disconnect clients idle for this long (0 = never)")
+	rebalance := fl.String("rebalance", "", "move a dataset and exit: dataset=targetShard")
+	rebalanceSlice := fl.String("rebalance-slice", "", "move one slice of a split dataset and exit: dataset:slice=targetShard")
+	evacuate := fl.String("evacuate", "", "adopt a dead shard's checkpoints and exit: lostShard=targetShard")
+	dialBudget := fl.Duration("dial-retry-budget", 2*time.Second, "total time to spend retrying an unreachable shard before failing typed")
+	if err := fl.Parse(args); err != nil {
+		return err
+	}
 	if *tablePath == "" {
-		log.Fatalf("-table is required")
+		return errors.New("-table is required")
+	}
+	// Every one-shot spec is parsed before the table is touched.
+	var sliceDS, sliceTarget string
+	var slice int
+	if *rebalanceSlice != "" {
+		var err error
+		if sliceDS, slice, sliceTarget, err = parseSlice(*rebalanceSlice); err != nil {
+			return fmt.Errorf("-rebalance-slice: %v", err)
+		}
 	}
 	tbl, err := shard.LoadTable(*tablePath)
 	if err != nil {
-		log.Fatalf("routing table: %v", err)
+		return fmt.Errorf("routing table: %v", err)
 	}
 	r, err := shard.NewRouter(tbl)
 	if err != nil {
-		log.Fatalf("router: %v", err)
+		return fmt.Errorf("router: %v", err)
 	}
 	r.IdleTimeout = *idle
 	r.TablePath = *tablePath
@@ -91,46 +116,33 @@ func main() {
 	case *rebalance != "":
 		ds, target, err := splitPair(*rebalance)
 		if err != nil {
-			log.Fatalf("-rebalance: %v", err)
+			return fmt.Errorf("-rebalance: %v", err)
 		}
 		if err := r.Rebalance(ds, target); err != nil {
-			log.Fatalf("rebalance: %v", err)
+			return fmt.Errorf("rebalance: %v", err)
 		}
-		log.Printf("dataset %q now served by shard %q (route pinned in %s)", ds, target, *tablePath)
-		return
+		logger.Printf("dataset %q now served by shard %q (route pinned in %s)", ds, target, *tablePath)
+		return nil
 	case *rebalanceSlice != "":
-		spec, target, err := splitPair(*rebalanceSlice)
-		if err != nil {
-			log.Fatalf("-rebalance-slice: %v", err)
+		if err := r.RebalanceSlice(sliceDS, slice, sliceTarget); err != nil {
+			return fmt.Errorf("rebalance-slice: %v", err)
 		}
-		colon := strings.LastIndex(spec, ":")
-		if colon <= 0 || colon == len(spec)-1 {
-			log.Fatalf("-rebalance-slice: want dataset:slice=targetShard, got %q", *rebalanceSlice)
-		}
-		ds := spec[:colon]
-		slice, err := strconv.Atoi(spec[colon+1:])
-		if err != nil {
-			log.Fatalf("-rebalance-slice: slice index %q: %v", spec[colon+1:], err)
-		}
-		if err := r.RebalanceSlice(ds, slice, target); err != nil {
-			log.Fatalf("rebalance-slice: %v", err)
-		}
-		log.Printf("slice %d of %q now served by shard %q (owner list updated in %s)", slice, ds, target, *tablePath)
-		return
+		logger.Printf("slice %d of %q now served by shard %q (owner list updated in %s)", slice, sliceDS, sliceTarget, *tablePath)
+		return nil
 	case *evacuate != "":
 		lost, target, err := splitPair(*evacuate)
 		if err != nil {
-			log.Fatalf("-evacuate: %v", err)
+			return fmt.Errorf("-evacuate: %v", err)
 		}
 		moved, err := r.Evacuate(lost, target)
 		for _, ds := range moved {
-			log.Printf("dataset %q recovered from %q onto %q", ds, lost, target)
+			logger.Printf("dataset %q recovered from %q onto %q", ds, lost, target)
 		}
 		if err != nil {
-			log.Fatalf("evacuate: %v", err)
+			return fmt.Errorf("evacuate: %v", err)
 		}
-		log.Printf("evacuated %d dataset(s); routes pinned in %s", len(moved), *tablePath)
-		return
+		logger.Printf("evacuated %d dataset(s); routes pinned in %s", len(moved), *tablePath)
+		return nil
 	}
 
 	// Probe each shard before serving: a router fronting unreachable or
@@ -139,26 +151,27 @@ func main() {
 	for _, s := range tbl.Shards {
 		st, err := probeShard(s.Addr)
 		if err != nil {
-			log.Printf("warning: shard %q (%s) is unreachable: %v", s.Name, s.Addr, err)
+			logger.Printf("warning: shard %q (%s) is unreachable: %v", s.Name, s.Addr, err)
 			continue
 		}
-		log.Printf("shard %q (%s): %d dataset(s) recovered at startup", s.Name, s.Addr, st.DatasetsRecovered)
+		logger.Printf("shard %q (%s): %d dataset(s) recovered at startup", s.Name, s.Addr, st.DatasetsRecovered)
 		for _, f := range st.RecoveryFailures {
-			log.Printf("warning: shard %q failed to recover a checkpoint: %s", s.Name, f)
+			logger.Printf("warning: shard %q failed to recover a checkpoint: %s", s.Name, f)
 		}
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		log.Fatalf("listen: %v", err)
+		return fmt.Errorf("listen: %v", err)
 	}
-	log.Printf("siprouter listening on %s, fronting %d shard(s) from %s", ln.Addr(), len(tbl.Shards), *tablePath)
+	logger.Printf("siprouter listening on %s, fronting %d shard(s) from %s", ln.Addr(), len(tbl.Shards), *tablePath)
 	err = r.Serve(ln)
 	if cerr := r.Close(); cerr != nil {
-		log.Printf("shutdown: %v", cerr)
+		logger.Printf("shutdown: %v", cerr)
 	}
 	if err != nil {
-		log.Fatalf("serve: %v", err)
+		return fmt.Errorf("serve: %v", err)
 	}
+	return nil
 }
 
 // probeShard fetches one shard's operational stats over a short-lived
@@ -179,4 +192,20 @@ func splitPair(s string) (string, string, error) {
 		return "", "", fmt.Errorf("want name=target, got %q", s)
 	}
 	return s[:i], s[i+1:], nil
+}
+
+// parseSlice parses a -rebalance-slice spec, dataset:slice=targetShard.
+func parseSlice(s string) (ds string, slice int, target string, err error) {
+	spec, target, err := splitPair(s)
+	if err != nil {
+		return "", 0, "", err
+	}
+	colon := strings.LastIndex(spec, ":")
+	if colon <= 0 || colon == len(spec)-1 {
+		return "", 0, "", fmt.Errorf("want dataset:slice=targetShard, got %q", s)
+	}
+	if slice, err = strconv.Atoi(spec[colon+1:]); err != nil {
+		return "", 0, "", fmt.Errorf("slice index %q: %v", spec[colon+1:], err)
+	}
+	return spec[:colon], slice, target, nil
 }

@@ -35,8 +35,11 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log"
 	"net"
+	"os"
 	"runtime"
 	"time"
 
@@ -46,23 +49,36 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", ":7408", "address to listen on")
-	cheatDrop := flag.Int("cheat-drop", 0, "misbehave: remove this many items from the maintained counts before proving")
-	workers := flag.Int("workers", runtime.NumCPU(), "prover worker-pool size (1 = serial)")
-	idle := flag.Duration("idle-timeout", 5*time.Minute, "disconnect clients idle for this long (0 = never)")
-	maxLogu := flag.Int("max-logu", 26, "largest log2 universe a client may open")
-	maxDatasets := flag.Int("max-datasets", wire.DefaultMaxDatasets, "cap on named datasets")
-	maxQueries := flag.Int("max-queries", wire.DefaultMaxConcurrentQueries, "multiplexed query conversations in flight per connection (-1 = no cap); excess channel opens are refused with a budget frame")
-	proofBudget := flag.Int64("proof-cache-budget", wire.DefaultProofCacheBudget, "bytes of posted Fiat–Shamir proofs kept for PROOF requests (one proof per dataset-version and query, served to every verifier; negative = disabled)")
-	dataDir := flag.String("data-dir", "", "checkpoint directory: enables eviction, durability, and restart recovery")
-	memBudget := flag.Int64("mem-budget", 0, "aggregate resident dataset memory in bytes; LRU datasets evict to -data-dir (0 = unlimited)")
-	ckptEvery := flag.Duration("checkpoint-interval", 30*time.Second, "background checkpoint interval for dirty datasets (needs -data-dir; 0 = only on eviction/shutdown)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, serves until the listener fails or the server is
+// closed, and logs to out. A bad flag is an error, not an exit.
+func run(args []string, out io.Writer) error {
+	logger := log.New(out, "", log.LstdFlags)
+	fl := flag.NewFlagSet("sipserver", flag.ContinueOnError)
+	fl.SetOutput(out)
+	listen := fl.String("listen", ":7408", "address to listen on")
+	cheatDrop := fl.Int("cheat-drop", 0, "misbehave: remove this many items from the maintained counts before proving")
+	workers := fl.Int("workers", runtime.NumCPU(), "prover worker-pool size (1 = serial)")
+	idle := fl.Duration("idle-timeout", 5*time.Minute, "disconnect clients idle for this long (0 = never)")
+	maxLogu := fl.Int("max-logu", 26, "largest log2 universe a client may open")
+	maxDatasets := fl.Int("max-datasets", wire.DefaultMaxDatasets, "cap on named datasets")
+	maxQueries := fl.Int("max-queries", wire.DefaultMaxConcurrentQueries, "multiplexed query conversations in flight per connection (-1 = no cap); excess channel opens are refused with a budget frame")
+	proofBudget := fl.Int64("proof-cache-budget", wire.DefaultProofCacheBudget, "bytes of posted Fiat–Shamir proofs kept for PROOF requests (one proof per dataset-version and query, served to every verifier; negative = disabled)")
+	dataDir := fl.String("data-dir", "", "checkpoint directory: enables eviction, durability, and restart recovery")
+	memBudget := fl.Int64("mem-budget", 0, "aggregate resident dataset memory in bytes; LRU datasets evict to -data-dir (0 = unlimited)")
+	ckptEvery := fl.Duration("checkpoint-interval", 30*time.Second, "background checkpoint interval for dirty datasets (needs -data-dir; 0 = only on eviction/shutdown)")
+	if err := fl.Parse(args); err != nil {
+		return err
+	}
 	if *maxLogu < 1 || *maxLogu > 61 {
-		log.Fatalf("-max-logu %d outside the supported range [1,61]", *maxLogu)
+		return fmt.Errorf("-max-logu %d outside the supported range [1,61]", *maxLogu)
 	}
 	if *memBudget > 0 && *dataDir == "" {
-		log.Printf("warning: -mem-budget without -data-dir is a hard admission cap (nothing can be evicted)")
+		logger.Printf("warning: -mem-budget without -data-dir is a hard admission cap (nothing can be evicted)")
 	}
 
 	f := field.Mersenne()
@@ -89,18 +105,18 @@ func main() {
 			eng.SetBudget(*memBudget)
 		}
 		if err := eng.SetDataDir(*dataDir); err != nil {
-			log.Fatalf("data dir: %v", err)
+			return fmt.Errorf("data dir: %v", err)
 		}
 		n, err := eng.Recover()
 		switch {
 		case errors.Is(err, engine.ErrPartialRecovery):
 			// A damaged file must not take the healthy datasets down.
-			log.Printf("warning: %v", err)
+			logger.Printf("warning: %v", err)
 		case err != nil:
-			log.Fatalf("recovering datasets: %v", err)
+			return fmt.Errorf("recovering datasets: %v", err)
 		}
 		if n > 0 {
-			log.Printf("recovered %d dataset(s) from %s: %v", n, *dataDir, eng.Names())
+			logger.Printf("recovered %d dataset(s) from %s: %v", n, *dataDir, eng.Names())
 		}
 	}
 	if *cheatDrop > 0 {
@@ -122,37 +138,38 @@ func main() {
 			}
 			return counts
 		}
-		log.Printf("running DISHONESTLY: removing %d items from the maintained counts before proving", n)
+		logger.Printf("running DISHONESTLY: removing %d items from the maintained counts before proving", n)
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		log.Fatalf("listen: %v", err)
+		return fmt.Errorf("listen: %v", err)
 	}
 	if *dataDir != "" {
-		log.Printf("durable datasets in %s (budget %d bytes, checkpoint every %v)", *dataDir, *memBudget, *ckptEvery)
+		logger.Printf("durable datasets in %s (budget %d bytes, checkpoint every %v)", *dataDir, *memBudget, *ckptEvery)
 	}
-	log.Printf("sipserver (p = 2^61-1) listening on %s; datasets persist across connections", ln.Addr())
+	logger.Printf("sipserver (p = 2^61-1) listening on %s; datasets persist across connections", ln.Addr())
 	switch {
 	case *proofBudget < 0:
-		log.Printf("proof cache disabled: every PROOF request regenerates (concurrent requests still coalesce)")
+		logger.Printf("proof cache disabled: every PROOF request regenerates (concurrent requests still coalesce)")
 	case *proofBudget == 0:
-		log.Printf("proof cache: %d bytes for posted proofs (one per dataset-version and query)", int64(wire.DefaultProofCacheBudget))
+		logger.Printf("proof cache: %d bytes for posted proofs (one per dataset-version and query)", int64(wire.DefaultProofCacheBudget))
 	default:
-		log.Printf("proof cache: %d bytes for posted proofs (one per dataset-version and query)", *proofBudget)
+		logger.Printf("proof cache: %d bytes for posted proofs (one per dataset-version and query)", *proofBudget)
 	}
 	err = srv.Serve(ln)
 	if cerr := srv.Close(); cerr != nil {
-		log.Printf("shutdown: %v", cerr)
+		logger.Printf("shutdown: %v", cerr)
 	}
 	pc := srv.Stats().ProofCache
-	log.Printf("proof cache: %d hits (%d coalesced), %d misses, %d evictions, %d proofs / %d bytes resident",
+	logger.Printf("proof cache: %d hits (%d coalesced), %d misses, %d evictions, %d proofs / %d bytes resident",
 		pc.Hits, pc.Coalesced, pc.Misses, pc.Evictions, pc.Entries, pc.Bytes)
 	// The engine is ours, not the server's: stop its checkpointer and
 	// flush dirty datasets so shutdown is loss-free.
 	if cerr := eng.Close(); cerr != nil {
-		log.Printf("engine shutdown: %v", cerr)
+		logger.Printf("engine shutdown: %v", cerr)
 	}
 	if err != nil && !errors.Is(err, wire.ErrServerClosed) {
-		log.Fatalf("serve: %v", err)
+		return fmt.Errorf("serve: %v", err)
 	}
+	return nil
 }

@@ -58,15 +58,8 @@ func main() {
 	_, err = client.OpenDataset(name, u)
 	must(err)
 
-	events := stream.UnitIncrements(u, n, sip.NewSeededRNG(7))
-	_, err = client.Ingest(events)
-	must(err)
-	fmt.Printf("ingested %d events into %q over universe 2^14\n\n", n, name)
-
 	// The battery: one expensive sum-check conversation and three
-	// tree-based ones. Each round needs fresh verifiers (a conversation
-	// consumes its verifier); they observe the stream locally — that is
-	// the data owner's single streaming pass.
+	// tree-based ones.
 	type query struct {
 		label  string
 		kind   wire.QueryKind
@@ -78,37 +71,38 @@ func main() {
 		{"PREDECESSOR(9000)", wire.QueryPredecessor, wire.QueryParams{A: 9000}},
 		{"HEAVY HITTERS (φ=0.002)", wire.QueryHeavyHitters, wire.QueryParams{Phi: 0.002}},
 	}
-	verifiers := func(seed uint64, ups []sip.Update) []sip.VerifierSession {
-		f2proto, err := sip.NewSelfJoinSize(f, u)
+	// Every conversation consumes its own verifier randomness: reusing a
+	// draw against the same server is unsafe (the paper's §7). So every
+	// ticket — serial battery, overlapped battery, the post-ingest F2 —
+	// is drawn up front from one RNG, and all of them observe the stream
+	// as it is uploaded: the data owner's single streaming pass.
+	rng := sip.NewSeededRNG(100)
+	tickets := make([]*sip.Ticket, 2*len(battery)+1)
+	for i := range tickets {
+		tickets[i], err = sip.NewTicket(f, u, []sip.QueryKind{battery[i%len(battery)].kind}, rng)
 		must(err)
-		rqproto, err := sip.NewRangeQuery(f, u)
+	}
+	serialT, overlappedT, post := tickets[:len(battery)], tickets[len(battery):2*len(battery)], tickets[2*len(battery)]
+	spend := func(t *sip.Ticket, q query) sip.VerifierSession {
+		v, err := t.Spend(q.kind, q.params)
 		must(err)
-		predproto, err := sip.NewPredecessor(f, u)
-		must(err)
-		hhproto, err := sip.NewHeavyHitters(f, u)
-		must(err)
-		rng := sip.NewSeededRNG(seed)
-		f2v := f2proto.NewVerifier(rng)
-		rqv := rqproto.NewVerifier(rng)
-		predv := predproto.NewVerifier(rng)
-		hhv := hhproto.NewVerifier(rng)
-		for _, up := range ups {
-			must(f2v.Observe(up))
-			must(rqv.Observe(up))
-			must(predv.Observe(up))
-			must(hhv.Observe(up))
-		}
-		must(rqv.SetQuery(256, 355))
-		must(predv.SetQuery(9000))
-		must(hhv.SetQuery(0.002))
-		return []sip.VerifierSession{f2v, rqv, predv, hhv}
+		return v
 	}
 
+	events := stream.UnitIncrements(u, n, sip.NewSeededRNG(7))
+	_, err = client.Ingest(events)
+	must(err)
+	for _, up := range events {
+		for _, t := range tickets {
+			must(t.Observe(up))
+		}
+	}
+	fmt.Printf("ingested %d events into %q over universe 2^14\n\n", n, name)
+
 	// Serial: one conversation at a time.
-	vs := verifiers(100, events)
 	t0 := time.Now()
 	for i, q := range battery {
-		_, err := client.Query(q.kind, q.params, vs[i])
+		_, err := client.Query(q.kind, q.params, spend(serialT[i], q))
 		must(err)
 	}
 	serial := time.Since(t0)
@@ -116,12 +110,11 @@ func main() {
 
 	// Overlapped: all four in flight at once on the same connection,
 	// with another ingest interleaved between their frames.
-	vs = verifiers(100, events)
 	more := stream.UnitIncrements(u, 5000, sip.NewSeededRNG(8))
 	t0 = time.Now()
 	handles := make([]*wire.QueryHandle, len(battery))
 	for i, q := range battery {
-		handles[i], err = client.QueryAsync(q.kind, q.params, vs[i])
+		handles[i], err = client.QueryAsync(q.kind, q.params, spend(overlappedT[i], q))
 		must(err)
 	}
 	count, err := client.Ingest(more) // flows between the conversations' frames
@@ -137,9 +130,12 @@ func main() {
 	fmt.Printf("speedup: %.2fx (expect ~1x on a single core, more with cores)\n\n", float64(serial)/float64(overlapped))
 
 	// The queries issued before the mid-flight ingest proved against the
-	// pre-ingest snapshot; a fresh conversation sees the union.
-	vs = verifiers(200, append(append([]sip.Update(nil), events...), more...))
-	_, err = client.Query(wire.QuerySelfJoinSize, wire.QueryParams{}, vs[0])
+	// pre-ingest snapshot; a fresh conversation sees the union, so only
+	// its ticket observes the mid-flight batch.
+	for _, up := range more {
+		must(post.Observe(up))
+	}
+	_, err = client.Query(battery[0].kind, battery[0].params, spend(post, battery[0]))
 	must(err)
 	fmt.Println("post-ingest F2 conversation verified over the union — every answer provably complete")
 }

@@ -10,9 +10,10 @@
 //	             and HEAVY HITTERS — twice, to show the second round of
 //	             queries costs the cloud no stream replay
 //
-// The auditor observed the full stream (that is the verifier's single
-// streaming pass); the cloud never re-ingests anything: every prover is
-// built from the dataset's maintained tables.
+// The auditor's tickets observe the stream once, as it is uploaded (that
+// is the verifier's single streaming pass), and it keeps no copy; the
+// cloud never re-ingests anything: every prover is built from the
+// dataset's maintained tables.
 //
 // Run with: go run ./examples/shareddataset
 package main
@@ -45,11 +46,37 @@ func main() {
 	defer srv.Close()
 	addr := ln.Addr().String()
 
+	// The audit: two rounds of three verified queries.
+	audit := []struct {
+		kind   wire.QueryKind
+		params wire.QueryParams
+		show   func(sip.Answer) string
+	}{
+		{wire.QuerySelfJoinSize, wire.QueryParams{}, func(a sip.Answer) string {
+			return fmt.Sprintf("F2            = %-12d", a.Elem)
+		}},
+		{wire.QueryRangeQuery, wire.QueryParams{A: 100, B: 199}, func(a sip.Answer) string {
+			return fmt.Sprintf("range [100,199] = %d nonzero entries verified", len(a.Entries))
+		}},
+		{wire.QueryHeavyHitters, wire.QueryParams{Phi: 0.002}, func(a sip.Answer) string {
+			return fmt.Sprintf("heavy hitters = %d items ≥ %d occurrences, completeness verified", len(a.Hitters), a.Int)
+		}},
+	}
+	// The auditor's verifier state: one ticket per audit conversation,
+	// each drawn before the stream for any of the audit kinds, fed once as
+	// the uploads go by — the verifier's single streaming pass, O(log u)
+	// words per ticket, the stream itself never kept — and spent on
+	// whichever query is asked.
+	kinds := []sip.QueryKind{sip.QuerySelfJoinSize, sip.QueryRangeQuery, sip.QueryHeavyHitters}
+	tickets := make([]*sip.Ticket, 2*len(audit))
+	for i := range tickets {
+		tickets[i], err = sip.NewTicket(f, u, kinds, sip.NewCryptoRNG())
+		must(err)
+	}
+
 	// The day's events, split between two uploaders.
 	morning := stream.UnitIncrements(u, perHalf, sip.NewSeededRNG(41))
 	afternoon := stream.UnitIncrements(u, perHalf, sip.NewSeededRNG(42))
-	all := append(append([]sip.Update(nil), morning...), afternoon...)
-
 	for i, part := range [][]sip.Update{morning, afternoon} {
 		c, err := wire.Dial(addr)
 		must(err)
@@ -57,12 +84,16 @@ func main() {
 		must(err)
 		after, err := c.Ingest(part)
 		must(err)
+		for _, up := range part {
+			for _, t := range tickets {
+				must(t.Observe(up))
+			}
+		}
 		fmt.Printf("uploader %c: dataset %q had %d updates, now %d\n", 'A'+i, name, prior, after)
 		c.Close()
 	}
 
-	// The auditor: observed the whole stream (O(log u) summaries only),
-	// attaches by name, and queries — twice.
+	// The auditor attaches by name and queries — twice.
 	auditor, err := wire.Dial(addr)
 	must(err)
 	defer auditor.Close()
@@ -70,47 +101,18 @@ func main() {
 	must(err)
 	fmt.Printf("auditor: attached to %q with %d updates ingested by others\n\n", name, count)
 
-	for round := 1; round <= 2; round++ {
-		fmt.Printf("--- audit round %d (cloud replays nothing) ---\n", round)
-
-		f2proto, err := sip.NewSelfJoinSize(f, u)
-		must(err)
-		rqproto, err := sip.NewRangeQuery(f, u)
-		must(err)
-		hhproto, err := sip.NewHeavyHitters(f, u)
-		must(err)
-		rng := sip.NewCryptoRNG()
-		f2v := f2proto.NewVerifier(rng)
-		rqv := rqproto.NewVerifier(rng)
-		hhv := hhproto.NewVerifier(rng)
-		for _, up := range all {
-			must(f2v.Observe(up))
-			must(rqv.Observe(up))
-			must(hhv.Observe(up))
+	for r := 0; r < 2; r++ {
+		fmt.Printf("--- audit round %d (cloud replays nothing) ---\n", r+1)
+		for i, q := range audit {
+			v, err := tickets[r*len(audit)+i].Spend(q.kind, q.params)
+			must(err)
+			stats, err := auditor.Query(q.kind, q.params, v)
+			must(err)
+			a, err := sip.AnswerOf(q.kind, v)
+			must(err)
+			fmt.Printf("%s (%d proof bytes)\n", q.show(a), stats.CommBytes())
 		}
-
-		stats, err := auditor.Query(wire.QuerySelfJoinSize, wire.QueryParams{}, f2v)
-		must(err)
-		f2, err := f2v.Result()
-		must(err)
-		fmt.Printf("F2            = %-12d (%d proof bytes)\n", f2, stats.CommBytes())
-
-		lo, hi := uint64(100), uint64(199)
-		must(rqv.SetQuery(lo, hi))
-		stats, err = auditor.Query(wire.QueryRangeQuery, wire.QueryParams{A: lo, B: hi}, rqv)
-		must(err)
-		entries, err := rqv.Result()
-		must(err)
-		fmt.Printf("range [%d,%d] = %d nonzero entries verified (%d proof bytes)\n", lo, hi, len(entries), stats.CommBytes())
-
-		phi := 0.002
-		must(hhv.SetQuery(phi))
-		stats, err = auditor.Query(wire.QueryHeavyHitters, wire.QueryParams{Phi: phi}, hhv)
-		must(err)
-		hhs, threshold, err := hhv.Result()
-		must(err)
-		fmt.Printf("heavy hitters = %d items ≥ %d occurrences, completeness verified (%d proof bytes)\n\n",
-			len(hhs), threshold, stats.CommBytes())
+		fmt.Println()
 	}
 	fmt.Println("every answer verified; a cloud that dropped either uploader's data would be rejected")
 }

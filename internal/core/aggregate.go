@@ -71,10 +71,15 @@ type FkVerifier struct {
 }
 
 // NewVerifier samples the secret point r (before the stream, as required)
-// and returns a verifier ready to observe updates.
+// and adopts it.
 func (p *Fk) NewVerifier(rng field.RNG) *FkVerifier {
-	pt := lde.RandomPoint(p.F, p.Params, rng)
-	return &FkVerifier{scVerifier: scVerifier{pt: pt}, proto: p, ev: lde.NewEvaluator(pt)}
+	return p.Adopt(Summary{Point: lde.NewEvaluator(lde.RandomPoint(p.F, p.Params, rng))})
+}
+
+// Adopt returns a verifier over s's point summary, which must be drawn
+// for p.Params and may already have observed updates.
+func (p *Fk) Adopt(s Summary) *FkVerifier {
+	return &FkVerifier{scVerifier: scVerifier{pt: s.Point.Point()}, proto: p, ev: s.Point}
 }
 
 // Observe folds one stream update into the running LDE evaluation.
@@ -242,10 +247,14 @@ type RangeSumVerifier struct {
 	hasQuery bool
 }
 
-// NewVerifier samples the secret point and returns the verifier.
+// NewVerifier samples the secret point and adopts it.
 func (p *RangeSum) NewVerifier(rng field.RNG) *RangeSumVerifier {
-	pt := lde.RandomPoint(p.F, p.Params, rng)
-	return &RangeSumVerifier{scVerifier: scVerifier{pt: pt}, proto: p, ev: lde.NewEvaluator(pt)}
+	return p.Adopt(DrawSummary(p.F, p.Params.D, FamilyPoint, rng))
+}
+
+// Adopt returns a verifier over s's point summary.
+func (p *RangeSum) Adopt(s Summary) *RangeSumVerifier {
+	return &RangeSumVerifier{scVerifier: scVerifier{pt: s.Point.Point()}, proto: p, ev: s.Point}
 }
 
 // Observe folds one (key, value) pair, encoded as an update.

@@ -116,16 +116,16 @@ type FrequencyBasedVerifier struct {
 	fTildeR   field.Elem
 }
 
-// NewVerifier samples both the tree randomness and the LDE point.
+// NewVerifier samples the LDE point, then the augmented tree randomness,
+// and adopts them.
 func (p *FrequencyBased) NewVerifier(rng field.RNG) *FrequencyBasedVerifier {
+	return p.Adopt(DrawSummary(p.F, p.TreeParams.D, FamilyPoint|FamilyAug, rng))
+}
+
+// Adopt returns a verifier over s's point and augmented tree summaries.
+func (p *FrequencyBased) Adopt(s Summary) *FrequencyBasedVerifier {
 	hhProto := &HeavyHitters{F: p.F, Params: p.TreeParams}
-	pt := lde.RandomPoint(p.F, p.LdeParams, rng)
-	return &FrequencyBasedVerifier{
-		proto: p,
-		hh:    hhProto.NewVerifier(rng),
-		res:   scVerifier{pt: pt},
-		ev:    lde.NewEvaluator(pt),
-	}
+	return &FrequencyBasedVerifier{proto: p, hh: hhProto.Adopt(s), res: scVerifier{pt: s.Point.Point()}, ev: s.Point}
 }
 
 // SetH replaces the statistic (used by Fmax, whose h depends on the

@@ -120,10 +120,14 @@ type HeavyHittersVerifier struct {
 }
 
 // NewVerifier samples the augmented per-level randomness (r_j, q_j) and
-// returns a verifier ready to observe the stream.
+// adopts it.
 func (p *HeavyHitters) NewVerifier(rng field.RNG) *HeavyHittersVerifier {
-	h := hashtree.NewAugmentedHasher(p.F, p.Params, hashtree.Affine, rng)
-	return &HeavyHittersVerifier{proto: p, h: h, root: hashtree.NewRootEvaluator(h)}
+	return p.Adopt(DrawSummary(p.F, p.Params.D, FamilyAug, rng))
+}
+
+// Adopt returns a verifier over s's augmented tree summary.
+func (p *HeavyHitters) Adopt(s Summary) *HeavyHittersVerifier {
+	return &HeavyHittersVerifier{proto: p, h: s.Aug.Hasher(), root: s.Aug}
 }
 
 // Observe folds one stream update into the augmented root.

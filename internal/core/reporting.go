@@ -52,9 +52,14 @@ type IndexVerifier struct {
 	q uint64
 }
 
-// NewVerifier samples randomness and returns a verifier.
+// NewVerifier draws a tree summary and adopts it.
 func (p *Index) NewVerifier(rng field.RNG) *IndexVerifier {
-	return &IndexVerifier{SubVectorVerifier: p.sv.NewVerifier(rng)}
+	return p.Adopt(p.sv.summary(rng))
+}
+
+// Adopt returns a verifier over s's tree summary.
+func (p *Index) Adopt(s Summary) *IndexVerifier {
+	return &IndexVerifier{SubVectorVerifier: p.sv.Adopt(s)}
 }
 
 // SetQuery fixes the queried position.
@@ -129,9 +134,14 @@ type DictionaryVerifier struct {
 	*SubVectorVerifier
 }
 
-// NewVerifier samples randomness and returns a verifier.
+// NewVerifier draws a tree summary and adopts it.
 func (p *Dictionary) NewVerifier(rng field.RNG) *DictionaryVerifier {
-	return &DictionaryVerifier{SubVectorVerifier: p.sv.NewVerifier(rng)}
+	return p.Adopt(p.sv.summary(rng))
+}
+
+// Adopt returns a verifier over s's tree summary.
+func (p *Dictionary) Adopt(s Summary) *DictionaryVerifier {
+	return &DictionaryVerifier{SubVectorVerifier: p.sv.Adopt(s)}
 }
 
 // SetQuery fixes the looked-up key.
@@ -192,9 +202,14 @@ type PredecessorVerifier struct {
 	q uint64
 }
 
-// NewVerifier samples randomness and returns a verifier.
+// NewVerifier draws a tree summary and adopts it.
 func (p *Predecessor) NewVerifier(rng field.RNG) *PredecessorVerifier {
-	return &PredecessorVerifier{anchorVerifier: anchorVerifier{sv: p.sv.NewVerifier(rng)}}
+	return p.Adopt(p.sv.summary(rng))
+}
+
+// Adopt returns a verifier over s's tree summary.
+func (p *Predecessor) Adopt(s Summary) *PredecessorVerifier {
+	return &PredecessorVerifier{anchorVerifier: anchorVerifier{sv: p.sv.Adopt(s)}}
 }
 
 // SetQuery fixes the query point q.
@@ -260,9 +275,14 @@ type SuccessorVerifier struct {
 	q uint64
 }
 
-// NewVerifier samples randomness and returns a verifier.
+// NewVerifier draws a tree summary and adopts it.
 func (p *Successor) NewVerifier(rng field.RNG) *SuccessorVerifier {
-	return &SuccessorVerifier{anchorVerifier: anchorVerifier{sv: p.sv.NewVerifier(rng)}}
+	return p.Adopt(p.sv.summary(rng))
+}
+
+// Adopt returns a verifier over s's tree summary.
+func (p *Successor) Adopt(s Summary) *SuccessorVerifier {
+	return &SuccessorVerifier{anchorVerifier: anchorVerifier{sv: p.sv.Adopt(s)}}
 }
 
 // SetQuery fixes the query point q.
@@ -347,9 +367,14 @@ type KLargestVerifier struct {
 	k int
 }
 
-// NewVerifier samples randomness and returns a verifier.
+// NewVerifier draws a tree summary and adopts it.
 func (p *KLargest) NewVerifier(rng field.RNG) *KLargestVerifier {
-	return &KLargestVerifier{anchorVerifier: anchorVerifier{sv: p.sv.NewVerifier(rng)}}
+	return p.Adopt(p.sv.summary(rng))
+}
+
+// Adopt returns a verifier over s's tree summary.
+func (p *KLargest) Adopt(s Summary) *KLargestVerifier {
+	return &KLargestVerifier{anchorVerifier: anchorVerifier{sv: p.sv.Adopt(s)}}
 }
 
 // SetQuery fixes k ≥ 1.

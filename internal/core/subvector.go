@@ -73,10 +73,19 @@ type SubVectorVerifier struct {
 }
 
 // NewVerifier samples the per-level hash randomness (before the stream)
-// and returns a verifier ready to observe updates.
+// and adopts it.
 func (p *SubVector) NewVerifier(rng field.RNG) *SubVectorVerifier {
-	h := hashtree.NewHasher(p.F, p.Params, hashtree.Affine, rng)
-	return &SubVectorVerifier{proto: p, h: h, root: hashtree.NewRootEvaluator(h)}
+	return p.Adopt(p.summary(rng))
+}
+
+// summary draws the tree summary this protocol's verifiers adopt.
+func (p *SubVector) summary(rng field.RNG) Summary {
+	return DrawSummary(p.F, p.Params.D, FamilyTree, rng)
+}
+
+// Adopt returns a verifier over s's tree summary.
+func (p *SubVector) Adopt(s Summary) *SubVectorVerifier {
+	return &SubVectorVerifier{proto: p, h: s.Tree.Hasher(), root: s.Tree}
 }
 
 // Observe folds one stream update into the running root hash.

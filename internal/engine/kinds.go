@@ -13,11 +13,11 @@ import (
 
 // This file is the kind table: everything the service knows about a
 // query kind is its row in kinds. Snapshot.NewProver,
-// Snapshot.NewPartialProver, NewStreamVerifier and SplitCombiner are a
-// bounds-checked lookup plus one call, made once per conversation or
-// proof — never per round or per update. Adding a kind is one row;
-// widening the split-universe seam is one row's combiner and its
-// instance's partial.
+// Snapshot.NewPartialProver, NewTicket, Ticket.Spend, NewStreamVerifier,
+// AnswerOf and SplitCombiner are a bounds-checked lookup plus one call,
+// made once per conversation or proof — never per round or per update.
+// Adding a kind is one row; widening the split-universe seam is one
+// row's combiner and its instance's partial.
 
 // kindRow is one query kind.
 type kindRow struct {
@@ -29,14 +29,20 @@ type kindRow struct {
 	// partials under; nil for a kind outside the seam (ErrNotSplittable),
 	// which is thereby refused without instantiating anything.
 	combiner func(p QueryParams) sumcheck.Combiner
+	// families is the set of summaries the kind's verifier adopts (see
+	// core.Summary); zero only for CIRCUIT, whose GKR input check depends
+	// on the query, so no ticket serves it.
+	families core.Families
+	// answer reads the verified result off the kind's accepting verifier.
+	answer func(core.VerifierSession) (Answer, error)
 }
 
 // instance holds one protocol instance's session constructors side by
 // side, query parameters already bound.
 type instance struct {
-	// verifier draws its randomness from rng and has its query set, but
-	// has observed nothing.
-	verifier func(rng field.RNG) (StreamVerifier, error)
+	// verifier adopts s, drawn for the row's families, and sets the
+	// query; CIRCUIT's, with no families, draws from rng instead.
+	verifier func(s core.Summary, rng field.RNG) (StreamVerifier, error)
 	// prover borrows a snapshot's maintained tables read-only.
 	prover func(st *tableState) (core.ProverSession, error)
 	// partial is the slice owner's session over [lo, hi); nil exactly
@@ -50,12 +56,12 @@ type instance struct {
 // its table is in place — the point where the paper's verifier would
 // transmit the query.
 func sessions[V StreamVerifier, P core.ProverSession](
-	newVerifier func(field.RNG) V, fromState func(*tableState) (P, error),
+	adopt func(core.Summary) V, fromState func(*tableState) (P, error),
 	setV func(V) error, setP func(P) error,
 ) *instance {
 	return &instance{
-		verifier: func(rng field.RNG) (StreamVerifier, error) {
-			v := newVerifier(rng)
+		verifier: func(s core.Summary, _ field.RNG) (StreamVerifier, error) {
+			v := adopt(s)
 			if setV != nil {
 				if err := setV(v); err != nil {
 					return nil, err
@@ -79,6 +85,24 @@ func sessions[V StreamVerifier, P core.ProverSession](
 func paramA(p QueryParams) uint64 { return p.A }
 func paramK(p QueryParams) int    { return int(p.K) }
 
+// reads is an answer column over the kind's concrete verifier type V.
+func reads[V any](read func(v V, a *Answer) error) func(core.VerifierSession) (Answer, error) {
+	return func(s core.VerifierSession) (a Answer, err error) {
+		v, ok := s.(V)
+		if !ok {
+			return a, fmt.Errorf("engine: %T is not the kind's verifier", s)
+		}
+		err = read(v, &a)
+		return a, err
+	}
+}
+
+// found is the answer column of the kinds that locate an index.
+func found[V interface{ Result() (uint64, bool, error) }](v V, a *Answer) (err error) {
+	a.At, a.Found, err = v.Result()
+	return err
+}
+
 // kinds is indexed by QueryKind; a zero row is an unknown kind.
 var kinds = [...]kindRow{
 	QuerySelfJoinSize: fkRow(func(QueryParams) int { return 2 }),
@@ -90,7 +114,7 @@ var kinds = [...]kindRow{
 				return nil, err
 			}
 			proto.Workers = workers
-			in := sessions(proto.NewVerifier,
+			in := sessions(proto.Adopt,
 				func(st *tableState) (*core.RangeSumProver, error) { return proto.NewProverFromTable(st.elems) },
 				func(v *core.RangeSumVerifier) error { return v.SetQuery(p.A, p.B) },
 				func(pr *core.RangeSumProver) error { return pr.SetQuery(p.A, p.B) })
@@ -100,6 +124,11 @@ var kinds = [...]kindRow{
 			return in, nil
 		},
 		combiner: func(QueryParams) sumcheck.Combiner { return sumcheck.Product{} },
+		families: core.FamilyPoint,
+		answer: reads(func(v *core.RangeSumVerifier, a *Answer) (err error) {
+			a.Int, err = v.SignedResult()
+			return err
+		}),
 	},
 	QueryRangeQuery: {open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
 		proto, err := core.NewRangeQuery(f, u)
@@ -107,51 +136,73 @@ var kinds = [...]kindRow{
 			return nil, err
 		}
 		proto.Workers = workers
-		return sessions(proto.NewVerifier,
+		return sessions(proto.Adopt,
 			func(st *tableState) (*core.SubVectorProver, error) { return proto.NewProverFromCounts(st.counts) },
 			func(v *core.SubVectorVerifier) error { return v.SetQuery(p.A, p.B) },
 			func(pr *core.SubVectorProver) error { return pr.SetQuery(p.A, p.B) }), nil
-	}},
-	QueryIndex:       scalarRow(core.NewIndex, paramA),
-	QueryDictionary:  scalarRow(core.NewDictionary, paramA),
-	QueryPredecessor: scalarRow(core.NewPredecessor, paramA),
-	QuerySuccessor:   scalarRow(core.NewSuccessor, paramA),
-	QueryKLargest:    scalarRow(core.NewKLargest, paramK),
+	}, families: core.FamilyTree, answer: reads(func(v *core.SubVectorVerifier, a *Answer) (err error) {
+		a.Entries, err = v.Result()
+		return err
+	})},
+	QueryIndex: scalarRow(core.NewIndex, paramA, func(v *core.IndexVerifier, a *Answer) (err error) {
+		a.Int, err = v.Value()
+		return err
+	}),
+	QueryDictionary: scalarRow(core.NewDictionary, paramA, func(v *core.DictionaryVerifier, a *Answer) (err error) {
+		a.At, a.Found, err = v.Value()
+		return err
+	}),
+	QueryPredecessor: scalarRow(core.NewPredecessor, paramA, found[*core.PredecessorVerifier]),
+	QuerySuccessor:   scalarRow(core.NewSuccessor, paramA, found[*core.SuccessorVerifier]),
+	QueryKLargest: scalarRow(core.NewKLargest, paramK, func(v *core.KLargestVerifier, a *Answer) (err error) {
+		a.At, err = v.Result()
+		a.Found = err == nil
+		return err
+	}),
 	QueryHeavyHitters: {open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
 		proto, err := core.NewHeavyHitters(f, u)
 		if err != nil {
 			return nil, err
 		}
 		proto.Workers = workers
-		return sessions(proto.NewVerifier,
+		return sessions(proto.Adopt,
 			func(st *tableState) (*core.HeavyHittersProver, error) {
 				return proto.NewProverFromCounts(st.counts, st.total)
 			},
 			func(v *core.HeavyHittersVerifier) error { return v.SetQuery(p.Phi) },
 			func(pr *core.HeavyHittersProver) error { return pr.SetQuery(p.Phi) }), nil
-	}},
+	}, families: core.FamilyAug, answer: reads(func(v *core.HeavyHittersVerifier, a *Answer) (err error) {
+		a.Hitters, a.Int, err = v.Result()
+		return err
+	})},
 	QueryF0: {open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
 		proto, err := core.NewF0(f, u, p.Phi)
 		if err != nil {
 			return nil, err
 		}
 		proto.Workers = workers
-		return sessions(proto.NewVerifier,
+		return sessions(proto.Adopt,
 			func(st *tableState) (*core.FrequencyBasedProver, error) {
 				return proto.NewProverFromCounts(st.counts, st.total)
 			}, nil, nil), nil
-	}},
+	}, families: core.FamilyPoint | core.FamilyAug, answer: reads(func(v *core.FrequencyBasedVerifier, a *Answer) (err error) {
+		a.Elem, err = v.Result()
+		return err
+	})},
 	QueryFmax: {open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
 		proto, err := core.NewFmax(f, u, p.Phi)
 		if err != nil {
 			return nil, err
 		}
 		proto.SetWorkers(workers)
-		return sessions(proto.NewVerifier,
+		return sessions(proto.Adopt,
 			func(st *tableState) (*core.FmaxProver, error) {
 				return proto.NewProverFromCounts(st.counts, st.total)
 			}, nil, nil), nil
-	}},
+	}, families: core.FamilyTree | core.FamilyPoint | core.FamilyAug, answer: reads(func(v *core.FmaxVerifier, a *Answer) (err error) {
+		a.Int, err = v.Result()
+		return err
+	})},
 	// QueryCircuit: the family name travels in p.Circuit, its argument in
 	// p.A. The circuit reads the element table's first InputSize entries
 	// (zero-padded if the family's input outgrows the padded universe).
@@ -161,12 +212,15 @@ var kinds = [...]kindRow{
 			return nil, err
 		}
 		return &instance{
-			verifier: func(rng field.RNG) (StreamVerifier, error) { return proto.NewVerifierSession(rng) },
+			verifier: func(_ core.Summary, rng field.RNG) (StreamVerifier, error) { return proto.NewVerifierSession(rng) },
 			prover: func(st *tableState) (core.ProverSession, error) {
 				return proto.NewProverSession(proto.PadInput(st.elems))
 			},
 		}, nil
-	}},
+	}, answer: reads(func(v *gkr.VerifierSession, a *Answer) (err error) {
+		a.Outputs, err = v.Outputs()
+		return err
+	})},
 }
 
 // fkRow is SELF-JOIN SIZE (k = 2) and Fk (k from the parameters).
@@ -178,7 +232,7 @@ func fkRow(k func(QueryParams) int) kindRow {
 				return nil, err
 			}
 			proto.Workers = workers
-			in := sessions(proto.NewVerifier,
+			in := sessions(proto.Adopt,
 				func(st *tableState) (*core.FkProver, error) { return proto.NewProverFromTable(st.elems) }, nil, nil)
 			in.partial = func(st *tableState, lo, hi uint64) (core.ProverSession, error) {
 				return proto.NewPartialProverFromTable(st.elems, lo, hi, st.version)
@@ -186,6 +240,11 @@ func fkRow(k func(QueryParams) int) kindRow {
 			return in, nil
 		},
 		combiner: func(p QueryParams) sumcheck.Combiner { return sumcheck.Power{K: k(p)} },
+		families: core.FamilyPoint,
+		answer: reads(func(v *core.FkVerifier, a *Answer) (err error) {
+			a.Elem, err = v.Result()
+			return err
+		}),
 	}
 }
 
@@ -196,19 +255,20 @@ type scalarQuery[A any] interface{ SetQuery(A) error }
 // argument share (INDEX, DICTIONARY, PREDECESSOR, SUCCESSOR, k-LARGEST).
 type scalarProto[V, P any] interface {
 	SetWorkers(int)
-	NewVerifier(field.RNG) V
+	Adopt(core.Summary) V
 	NewProverFromCounts([]int64) (P, error)
 }
 
 // scalarRow is their one row constructor: newProto is the wrapper's
-// constructor, arg picks its scalar out of the query parameters.
+// constructor, arg picks its scalar out of the query parameters, read is
+// the answer column. All five adopt the tree summary.
 func scalarRow[A any, V interface {
 	StreamVerifier
 	scalarQuery[A]
 }, P interface {
 	core.ProverSession
 	scalarQuery[A]
-}, S scalarProto[V, P]](newProto func(field.Field, uint64) (S, error), arg func(QueryParams) A) kindRow {
+}, S scalarProto[V, P]](newProto func(field.Field, uint64) (S, error), arg func(QueryParams) A, read func(V, *Answer) error) kindRow {
 	return kindRow{open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
 		proto, err := newProto(f, u)
 		if err != nil {
@@ -216,11 +276,11 @@ func scalarRow[A any, V interface {
 		}
 		proto.SetWorkers(workers)
 		a := arg(p)
-		return sessions(proto.NewVerifier,
+		return sessions(proto.Adopt,
 			func(st *tableState) (P, error) { return proto.NewProverFromCounts(st.counts) },
 			func(v V) error { return v.SetQuery(a) },
 			func(pr P) error { return pr.SetQuery(a) }), nil
-	}}
+	}, families: core.FamilyTree, answer: reads(read)}
 }
 
 // lookup is the bounds-checked row access every entry point shares.

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/fs"
@@ -36,13 +38,21 @@ type StreamVerifier interface {
 // with no observed state: the caller streams its own copy of the
 // updates into it. Pass a transcript-derived rng (fs.Binding.RNG) to
 // verify a posted proof offline, or a secret one for an interactive
-// conversation.
+// conversation. It is a one-kind ticket spent at once; CIRCUIT, which
+// has no ticket, draws its GKR verifier from rng directly.
 func NewStreamVerifier(f field.Field, u uint64, kind QueryKind, params QueryParams, rng field.RNG) (StreamVerifier, error) {
-	in, err := openKind(f, u, kind, params, 0)
+	t, err := NewTicket(f, u, []QueryKind{kind}, rng)
+	if errors.Is(err, ErrTicketCircuit) {
+		in, err := openKind(f, u, kind, params, 0)
+		if err != nil {
+			return nil, err
+		}
+		return in.verifier(core.Summary{}, rng)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return in.verifier(rng)
+	return t.Spend(kind, params)
 }
 
 // FSQuery returns the canonical fs.Query descriptor for a query.

@@ -172,6 +172,9 @@ func (e *RootEvaluator) Update(i uint64, delta int64) error {
 // Root returns the current root hash t.
 func (e *RootEvaluator) Root() field.Elem { return e.acc }
 
+// Hasher returns the per-level randomness the root is hashed under.
+func (e *RootEvaluator) Hasher() *Hasher { return e.h }
+
 // Total returns n = Σδ (the stream length for insert-only streams).
 func (e *RootEvaluator) Total() int64 { return e.n }
 

@@ -13,8 +13,12 @@
 // prover has seen the random point. The remedy the paper prescribes
 // ("V can just carry out multiple independent copies of the protocol,
 // [each] only O(log u) space") is implemented literally: the client keeps
-// a budget of independent verifier bundles, all fed by the stream, and
-// each query consumes one.
+// a budget of independent slots, all fed by the stream, and each query
+// consumes one. A slot is two verifier tickets (engine.Ticket) whose
+// query is picked when it is asked: a tree ticket over the +1-shifted
+// dictionary log (get, previous/next key, range) and a point +
+// augmented-tree ticket over the raw values (range sum, top keys). A put
+// feeds three summaries per slot.
 package kvstore
 
 import (
@@ -27,7 +31,7 @@ import (
 	"repro/internal/stream"
 )
 
-// ErrBudgetExhausted is returned when all verifier bundles are used.
+// ErrBudgetExhausted is returned when all verifier slots are used.
 var ErrBudgetExhausted = errors.New("kvstore: query budget exhausted (create the client with a larger budget)")
 
 // Cloud is the untrusted storage provider: it retains the full update
@@ -39,31 +43,19 @@ type Cloud struct {
 	Raw []stream.Update // unshifted (key, value) updates
 }
 
-// bundle is one single-use set of independent verifiers.
-type bundle struct {
-	dict *core.DictionaryVerifier
-	pred *core.PredecessorVerifier
-	succ *core.SuccessorVerifier
-	rq   *core.SubVectorVerifier
-	rs   *core.RangeSumVerifier
-	hh   *core.HeavyHittersVerifier
+// slot is one query's worth of independent verifier randomness.
+type slot struct {
+	shifted, raw *engine.Ticket
 }
 
 // Client is the data owner.
 type Client struct {
-	f field.Field
-	u uint64
-
-	dictProto *core.Dictionary
-	predProto *core.Predecessor
-	succProto *core.Successor
-	rqProto   *core.SubVector
-	rsProto   *core.RangeSum
-	hhProto   *core.HeavyHitters
-
-	bundles []bundle
-	next    int
-	keys    int
+	f     field.Field
+	u     uint64
+	dict  *core.Dictionary // the +1 put encoding
+	slots []slot
+	next  int
+	keys  int
 }
 
 // NewClient creates a client for keys and values in [0, u) with the given
@@ -72,35 +64,20 @@ func NewClient(f field.Field, u uint64, budget int, rng field.RNG) (*Client, err
 	if budget < 1 {
 		return nil, fmt.Errorf("kvstore: budget %d < 1", budget)
 	}
-	c := &Client{f: f, u: u}
-	var err error
-	if c.dictProto, err = core.NewDictionary(f, u); err != nil {
+	dict, err := core.NewDictionary(f, u)
+	if err != nil {
 		return nil, err
 	}
-	if c.predProto, err = core.NewPredecessor(f, u); err != nil {
-		return nil, err
-	}
-	if c.succProto, err = core.NewSuccessor(f, u); err != nil {
-		return nil, err
-	}
-	if c.rqProto, err = core.NewRangeQuery(f, u); err != nil {
-		return nil, err
-	}
-	if c.rsProto, err = core.NewRangeSum(f, u); err != nil {
-		return nil, err
-	}
-	if c.hhProto, err = core.NewHeavyHitters(f, u); err != nil {
-		return nil, err
-	}
-	c.bundles = make([]bundle, budget)
-	for i := range c.bundles {
-		c.bundles[i] = bundle{
-			dict: c.dictProto.NewVerifier(rng),
-			pred: c.predProto.NewVerifier(rng),
-			succ: c.succProto.NewVerifier(rng),
-			rq:   c.rqProto.NewVerifier(rng),
-			rs:   c.rsProto.NewVerifier(rng),
-			hh:   c.hhProto.NewVerifier(rng),
+	c := &Client{f: f, u: u, dict: dict, slots: make([]slot, budget)}
+	for i := range c.slots {
+		s := &c.slots[i]
+		// A DICTIONARY ticket holds the tree summary every shifted-log
+		// query adopts; the raw ticket holds RANGE-SUM's and HEAVY HITTERS'.
+		if s.shifted, err = engine.NewTicket(f, u, []engine.QueryKind{engine.QueryDictionary}, rng); err != nil {
+			return nil, err
+		}
+		if s.raw, err = engine.NewTicket(f, u, []engine.QueryKind{engine.QueryRangeSum, engine.QueryHeavyHitters}, rng); err != nil {
+			return nil, err
 		}
 	}
 	return c, nil
@@ -113,29 +90,16 @@ func NewCloud(u uint64) *Cloud { return &Cloud{U: u} }
 // folds it into its summaries. Keys must be distinct (the DICTIONARY
 // promise); values must be < u.
 func (c *Client) Put(cloud *Cloud, key, value uint64) error {
-	shifted, err := c.dictProto.PutUpdate(key, value)
+	shifted, err := c.dict.PutUpdate(key, value)
 	if err != nil {
 		return err
 	}
 	raw := stream.Update{Index: key, Delta: int64(value)}
-	for i := range c.bundles {
-		b := &c.bundles[i]
-		if err := b.dict.Observe(shifted); err != nil {
+	for _, s := range c.slots {
+		if err := s.shifted.Observe(shifted); err != nil {
 			return err
 		}
-		if err := b.pred.Observe(shifted); err != nil {
-			return err
-		}
-		if err := b.succ.Observe(shifted); err != nil {
-			return err
-		}
-		if err := b.rq.Observe(shifted); err != nil {
-			return err
-		}
-		if err := b.rs.Observe(raw); err != nil {
-			return err
-		}
-		if err := b.hh.Observe(raw); err != nil {
+		if err := s.raw.Observe(raw); err != nil {
 			return err
 		}
 	}
@@ -150,73 +114,52 @@ func (c *Client) Keys() int { return c.keys }
 
 // RemainingQueries returns how many verified queries the client can still
 // issue.
-func (c *Client) RemainingQueries() int { return len(c.bundles) - c.next }
+func (c *Client) RemainingQueries() int { return len(c.slots) - c.next }
 
-func (c *Client) take() (*bundle, error) {
-	if c.next >= len(c.bundles) {
-		return nil, ErrBudgetExhausted
+// ask spends the next slot on one query — its raw ticket over cloud.Raw
+// when raw is set, else its shifted ticket over cloud.Log — and runs the
+// conversation against the cloud, which proves from that log's aggregate.
+func (c *Client) ask(cloud *Cloud, raw bool, kind engine.QueryKind, params engine.QueryParams) (engine.Answer, core.Stats, error) {
+	if c.next >= len(c.slots) {
+		return engine.Answer{}, core.Stats{}, ErrBudgetExhausted
 	}
-	b := &c.bundles[c.next]
+	s, ups := c.slots[c.next].shifted, cloud.Log
+	if raw {
+		s, ups = c.slots[c.next].raw, cloud.Raw
+	}
 	c.next++
-	return b, nil
-}
-
-// prove runs one query's conversation against the cloud. The cloud
-// proves from the aggregate of ups; v already has its query set.
-func (c *Client) prove(v core.VerifierSession, ups []stream.Update, kind engine.QueryKind, params engine.QueryParams) (core.Stats, error) {
+	v, err := s.Spend(kind, params)
+	if err != nil {
+		return engine.Answer{}, core.Stats{}, err
+	}
 	p, err := engine.NewReplayProver(c.f, c.u, kind, params, ups, 0)
 	if err != nil {
-		return core.Stats{}, err
+		return engine.Answer{}, core.Stats{}, err
 	}
-	return core.Run(p, v)
+	stats, err := core.Run(p, v)
+	if err != nil {
+		return engine.Answer{}, stats, err
+	}
+	a, err := engine.AnswerOf(kind, v)
+	return a, stats, err
 }
 
 // Get retrieves and verifies the value stored under key.
 func (c *Client) Get(cloud *Cloud, key uint64) (value uint64, found bool, stats core.Stats, err error) {
-	b, err := c.take()
-	if err == nil {
-		err = b.dict.SetQuery(key)
-	}
-	if err != nil {
-		return 0, false, core.Stats{}, err
-	}
-	if stats, err = c.prove(b.dict, cloud.Log, engine.QueryDictionary, engine.QueryParams{A: key}); err != nil {
-		return 0, false, stats, err
-	}
-	value, found, err = b.dict.Value()
-	return value, found, stats, err
+	a, stats, err := c.ask(cloud, false, engine.QueryDictionary, engine.QueryParams{A: key})
+	return a.At, a.Found, stats, err
 }
 
 // PrevKey returns the largest stored key ≤ q, verified.
 func (c *Client) PrevKey(cloud *Cloud, q uint64) (key uint64, found bool, stats core.Stats, err error) {
-	b, err := c.take()
-	if err == nil {
-		err = b.pred.SetQuery(q)
-	}
-	if err != nil {
-		return 0, false, core.Stats{}, err
-	}
-	if stats, err = c.prove(b.pred, cloud.Log, engine.QueryPredecessor, engine.QueryParams{A: q}); err != nil {
-		return 0, false, stats, err
-	}
-	key, found, err = b.pred.Result()
-	return key, found, stats, err
+	a, stats, err := c.ask(cloud, false, engine.QueryPredecessor, engine.QueryParams{A: q})
+	return a.At, a.Found, stats, err
 }
 
 // NextKey returns the smallest stored key ≥ q, verified.
 func (c *Client) NextKey(cloud *Cloud, q uint64) (key uint64, found bool, stats core.Stats, err error) {
-	b, err := c.take()
-	if err == nil {
-		err = b.succ.SetQuery(q)
-	}
-	if err != nil {
-		return 0, false, core.Stats{}, err
-	}
-	if stats, err = c.prove(b.succ, cloud.Log, engine.QuerySuccessor, engine.QueryParams{A: q}); err != nil {
-		return 0, false, stats, err
-	}
-	key, found, err = b.succ.Result()
-	return key, found, stats, err
+	a, stats, err := c.ask(cloud, false, engine.QuerySuccessor, engine.QueryParams{A: q})
+	return a.At, a.Found, stats, err
 }
 
 // Pair is one key–value result of a verified range scan.
@@ -226,23 +169,12 @@ type Pair struct {
 
 // Range returns all (key, value) pairs with lo ≤ key ≤ hi, verified.
 func (c *Client) Range(cloud *Cloud, lo, hi uint64) ([]Pair, core.Stats, error) {
-	b, err := c.take()
-	if err == nil {
-		err = b.rq.SetQuery(lo, hi)
-	}
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	stats, err := c.prove(b.rq, cloud.Log, engine.QueryRangeQuery, engine.QueryParams{A: lo, B: hi})
+	a, stats, err := c.ask(cloud, false, engine.QueryRangeQuery, engine.QueryParams{A: lo, B: hi})
 	if err != nil {
 		return nil, stats, err
 	}
-	entries, err := b.rq.Result()
-	if err != nil {
-		return nil, stats, err
-	}
-	out := make([]Pair, 0, len(entries))
-	for _, e := range entries {
+	out := make([]Pair, 0, len(a.Entries))
+	for _, e := range a.Entries {
 		if e.Value < 1 {
 			return nil, stats, fmt.Errorf("kvstore: malformed stored entry at key %d", e.Index)
 		}
@@ -253,36 +185,14 @@ func (c *Client) Range(cloud *Cloud, lo, hi uint64) ([]Pair, core.Stats, error) 
 
 // SumRange returns the verified sum of values over lo ≤ key ≤ hi.
 func (c *Client) SumRange(cloud *Cloud, lo, hi uint64) (int64, core.Stats, error) {
-	b, err := c.take()
-	if err == nil {
-		err = b.rs.SetQuery(lo, hi)
-	}
-	if err != nil {
-		return 0, core.Stats{}, err
-	}
-	stats, err := c.prove(b.rs, cloud.Raw, engine.QueryRangeSum, engine.QueryParams{A: lo, B: hi})
-	if err != nil {
-		return 0, stats, err
-	}
-	sum, err := b.rs.SignedResult()
-	return sum, stats, err
+	a, stats, err := c.ask(cloud, true, engine.QueryRangeSum, engine.QueryParams{A: lo, B: hi})
+	return a.Int, stats, err
 }
 
 // TopKeys returns the keys holding at least a phi fraction of the total
 // stored value mass, verified complete ("the heavy hitters are the keys
 // which have the largest values associated with them", §1.1).
 func (c *Client) TopKeys(cloud *Cloud, phi float64) ([]core.HeavyHitter, core.Stats, error) {
-	b, err := c.take()
-	if err == nil {
-		err = b.hh.SetQuery(phi)
-	}
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	stats, err := c.prove(b.hh, cloud.Raw, engine.QueryHeavyHitters, engine.QueryParams{Phi: phi})
-	if err != nil {
-		return nil, stats, err
-	}
-	hh, _, err := b.hh.Result()
-	return hh, stats, err
+	a, stats, err := c.ask(cloud, true, engine.QueryHeavyHitters, engine.QueryParams{Phi: phi})
+	return a.Hitters, stats, err
 }

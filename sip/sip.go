@@ -25,18 +25,21 @@
 //	MATMUL (verified matrix product)            (§3 Remarks, Thm. 3, App. A)
 //
 // Typical use — the cloud holds the data as a Dataset, ingested once and
-// queried many times; the data owner keeps one small verifier per query:
+// queried many times; the data owner keeps one small ticket per query it
+// will ask, and picks the query only when it asks:
 //
-//	proto, _ := sip.NewSelfJoinSize(sip.Mersenne(), 1<<20)
-//	v := proto.NewVerifier(rng)        // data owner: O(log u) space
-//	ds, _ := sip.NewDataset(sip.Mersenne(), 1<<20, -1) // cloud; -1 = every core
+//	kinds := []sip.QueryKind{sip.QuerySelfJoinSize, sip.QueryRangeSum}
+//	t, _ := sip.NewTicket(sip.Mersenne(), 1<<20, kinds, rng) // data owner: O(log u) space
+//	ds, _ := sip.NewDataset(sip.Mersenne(), 1<<20, -1)      // cloud; -1 = every core
 //	for _, up := range updates {
-//	    v.Observe(up)
+//	    t.Observe(up)                  // the one streaming pass
 //	}
 //	ds.Ingest(updates)                 // once per batch, not per query
-//	p, _ := ds.Snapshot().NewProver(sip.QuerySelfJoinSize, sip.QueryParams{})
+//	q := sip.QueryParams{A: 10, B: 99} // the query, picked now
+//	v, _ := t.Spend(sip.QueryRangeSum, q)
+//	p, _ := ds.Snapshot().NewProver(sip.QueryRangeSum, q)
 //	stats, err := sip.Run(p, v)        // interactive verification
-//	f2, _ := v.Result()
+//	ans, _ := sip.AnswerOf(sip.QueryRangeSum, v) // ans.Int is the sum
 //
 // Every prover is built from the dataset's maintained tables, which it
 // borrows read-only. Ingestion can continue between queries — snapshots
@@ -267,6 +270,32 @@ type ProofQuery = fs.Query
 // verifier in the loop. The client's own StreamVerifier is the check.
 type StreamVerifier = engine.StreamVerifier
 
+// Ticket is a single-use streaming verifier whose query is picked when it
+// is spent: NewTicket draws the summaries of the kinds it may serve, the
+// client feeds it the stream once (Observe), and Spend returns one kind's
+// verifier with its query set.
+type Ticket = engine.Ticket
+
+// The typed refusals of NewTicket and Ticket.Spend: a second spend, a
+// kind the ticket was not drawn for, and CIRCUIT (whose verifier comes
+// from NewQueryVerifier).
+var (
+	ErrTicketSpent   = engine.ErrTicketSpent
+	ErrTicketFamily  = engine.ErrTicketFamily
+	ErrTicketCircuit = engine.ErrTicketCircuit
+)
+
+// NewTicket draws a ticket for any of kinds over [0, u) from rng.
+func NewTicket(f Field, u uint64, kinds []QueryKind, rng RNG) (*Ticket, error) {
+	return engine.NewTicket(f, u, kinds, rng)
+}
+
+// Answer is a verified result, one shape for every kind.
+type Answer = engine.Answer
+
+// AnswerOf reads kind's verified result off its accepting verifier.
+func AnswerOf(kind QueryKind, v VerifierSession) (Answer, error) { return engine.AnswerOf(kind, v) }
+
 // NewQueryVerifier returns the streaming verifier session for one query
 // kind over [0, u) with no observed state. For offline verification,
 // build it with the proof binding's RNG, Observe your own copy of the
@@ -447,87 +476,67 @@ func NewMultiFk(f Field, u uint64, ks []int) (*MultiFk, error) { return core.New
 // with the wire transport in cmd/sipserver and cmd/sipclient.
 
 // verifyLocal is the one local run loop: the kind's streaming verifier
-// observes the updates, a prover is built from their aggregate, and the
-// two hold the conversation. The verifier's refusal of the query comes
-// first. Results are read from the returned verifier's concrete type.
-func verifyLocal(f Field, u uint64, updates []Update, kind QueryKind, params QueryParams, rng RNG) (StreamVerifier, Stats, error) {
+// observes the updates, a prover is built from their aggregate, the two
+// hold the conversation, and the kind's answer is read off the accepting
+// verifier. The verifier's refusal of the query comes first.
+func verifyLocal(f Field, u uint64, updates []Update, kind QueryKind, params QueryParams, rng RNG) (Answer, Stats, error) {
 	v, err := engine.NewStreamVerifier(f, u, kind, params, rng)
 	if err != nil {
-		return nil, Stats{}, err
+		return Answer{}, Stats{}, err
 	}
 	for _, up := range updates {
 		if err := v.Observe(up); err != nil {
-			return nil, Stats{}, err
+			return Answer{}, Stats{}, err
 		}
 	}
 	p, err := engine.NewReplayProver(f, u, kind, params, updates, 0)
 	if err != nil {
-		return nil, Stats{}, err
+		return Answer{}, Stats{}, err
 	}
 	stats, err := Run(p, v)
-	return v, stats, err
+	if err != nil {
+		return Answer{}, stats, err
+	}
+	a, err := AnswerOf(kind, v)
+	return a, stats, err
 }
 
 // VerifySelfJoinSize streams updates into the verifier and verifies F2.
 func VerifySelfJoinSize(f Field, u uint64, updates []Update, rng RNG) (Elem, Stats, error) {
-	v, stats, err := verifyLocal(f, u, updates, QuerySelfJoinSize, QueryParams{}, rng)
-	if err != nil {
-		return 0, stats, err
-	}
-	res, err := v.(*core.FkVerifier).Result()
-	return res, stats, err
+	a, stats, err := verifyLocal(f, u, updates, QuerySelfJoinSize, QueryParams{}, rng)
+	return a.Elem, stats, err
 }
 
 // VerifyRangeSum streams key-value updates and verifies the sum over
 // [qL, qR], returned as a signed integer.
 func VerifyRangeSum(f Field, u uint64, updates []Update, qL, qR uint64, rng RNG) (int64, Stats, error) {
-	v, stats, err := verifyLocal(f, u, updates, QueryRangeSum, QueryParams{A: qL, B: qR}, rng)
-	if err != nil {
-		return 0, stats, err
-	}
-	res, err := v.(*core.RangeSumVerifier).SignedResult()
-	return res, stats, err
+	a, stats, err := verifyLocal(f, u, updates, QueryRangeSum, QueryParams{A: qL, B: qR}, rng)
+	return a.Int, stats, err
 }
 
 // VerifyRangeQuery streams updates and verifies the nonzero entries in
 // [qL, qR].
 func VerifyRangeQuery(f Field, u uint64, updates []Update, qL, qR uint64, rng RNG) ([]Entry, Stats, error) {
-	v, stats, err := verifyLocal(f, u, updates, QueryRangeQuery, QueryParams{A: qL, B: qR}, rng)
-	if err != nil {
-		return nil, stats, err
-	}
-	entries, err := v.(*core.SubVectorVerifier).Result()
-	return entries, stats, err
+	a, stats, err := verifyLocal(f, u, updates, QueryRangeQuery, QueryParams{A: qL, B: qR}, rng)
+	return a.Entries, stats, err
 }
 
 // VerifyHeavyHitters streams updates and verifies the φ-heavy hitters.
 func VerifyHeavyHitters(f Field, u uint64, updates []Update, phi float64, rng RNG) ([]HeavyHitter, Stats, error) {
-	v, stats, err := verifyLocal(f, u, updates, QueryHeavyHitters, QueryParams{Phi: phi}, rng)
-	if err != nil {
-		return nil, stats, err
-	}
-	hh, _, err := v.(*core.HeavyHittersVerifier).Result()
-	return hh, stats, err
+	a, stats, err := verifyLocal(f, u, updates, QueryHeavyHitters, QueryParams{Phi: phi}, rng)
+	return a.Hitters, stats, err
 }
 
 // VerifyCircuit streams updates into the verifier and verifies the
 // named circuit's full output vector over the final frequency vector
 // (e.g. CircuitMatMul: every entry of C = A·A).
 func VerifyCircuit(f Field, u uint64, updates []Update, spec CircuitSpec, rng RNG) ([]Elem, Stats, error) {
-	v, stats, err := verifyLocal(f, u, updates, QueryCircuit, QueryParams{Circuit: spec.Name, A: spec.Arg}, rng)
-	if err != nil {
-		return nil, stats, err
-	}
-	outs, err := v.(*CircuitVerifier).Outputs()
-	return outs, stats, err
+	a, stats, err := verifyLocal(f, u, updates, QueryCircuit, QueryParams{Circuit: spec.Name, A: spec.Arg}, rng)
+	return a.Outputs, stats, err
 }
 
 // VerifyF0 streams updates and verifies the number of distinct items.
 func VerifyF0(f Field, u uint64, updates []Update, rng RNG) (Elem, Stats, error) {
-	v, stats, err := verifyLocal(f, u, updates, QueryF0, QueryParams{}, rng)
-	if err != nil {
-		return 0, stats, err
-	}
-	res, err := v.(*core.FrequencyBasedVerifier).Result()
-	return res, stats, err
+	a, stats, err := verifyLocal(f, u, updates, QueryF0, QueryParams{}, rng)
+	return a.Elem, stats, err
 }
