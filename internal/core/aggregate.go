@@ -120,12 +120,21 @@ type FkProver struct {
 // NewProverFromTable returns a prover over the aggregated frequency table
 // (the field image of the counts, length Params.U), borrowed read-only —
 // typically a dataset-engine snapshot. Construction is O(1), and the
-// sum-check never writes the table, so many sessions can share one.
+// sum-check never writes the table, so many sessions can share one. The
+// prover scans the table for live pairs when it opens.
 func (p *Fk) NewProverFromTable(table []field.Elem) (*FkProver, error) {
+	return p.NewProverFromScan(table, nil)
+}
+
+// NewProverFromScan is NewProverFromTable with the table's live-pair scan
+// supplied: live is called once, when the prover opens, and must return
+// sumcheck.ScanLivePairs of table — typically a dataset engine's memo,
+// shared by every prover of one table version. nil scans at open.
+func (p *Fk) NewProverFromScan(table []field.Elem, live func() sumcheck.LivePairs) (*FkProver, error) {
 	if err := checkTables(p.Params.U, table); err != nil {
 		return nil, err
 	}
-	return &FkProver{proto: p, table: table}, nil
+	return &FkProver{scProver: scProver{live: live}, proto: p, table: table}, nil
 }
 
 // Open computes the claimed moment and the unprompted round-1 polynomial.

@@ -94,12 +94,24 @@ func (v *scVerifier) Result() (field.Elem, error) {
 // scProver is the prover half of a sum-check conversation.
 type scProver struct {
 	sc *sumcheck.Prover
+	// live, when set, returns the live-pair scan of the tables the
+	// prover opens over: a memo shared by every prover of one table
+	// version. nil scans them at open.
+	live func() sumcheck.LivePairs
+}
+
+// livePairs returns the live-pair scan of tables under cfg.
+func (pr *scProver) livePairs(cfg sumcheck.Config, tables [][]field.Elem) sumcheck.LivePairs {
+	if pr.live != nil {
+		return pr.live()
+	}
+	return sumcheck.ScanLivePairs(cfg.Params.Ell, cfg.Workers, tables...)
 }
 
 // open builds the sum-check prover over tables, which it borrows
 // read-only, and emits [claim, g_1].
 func (pr *scProver) open(cfg sumcheck.Config, tables ...[]field.Elem) (Msg, error) {
-	sc, err := sumcheck.NewProver(cfg, tables...)
+	sc, err := sumcheck.NewProver(cfg, pr.livePairs(cfg, tables), tables...)
 	if err != nil {
 		return Msg{}, err
 	}

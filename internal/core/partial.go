@@ -50,7 +50,7 @@ type PartialProver struct {
 	headD   int
 }
 
-func newPartialProver(cfg sumcheck.Config, lo, hi, version uint64, tables ...[]field.Elem) (*PartialProver, error) {
+func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, hi, version uint64, tables ...[]field.Elem) (*PartialProver, error) {
 	sp, err := sumcheck.SliceParams(cfg.Params, lo, hi)
 	if err != nil {
 		return nil, err
@@ -60,15 +60,22 @@ func newPartialProver(cfg sumcheck.Config, lo, hi, version uint64, tables ...[]f
 			return nil, fmt.Errorf("core: slice table %d has %d entries, want %d", t, len(tab), sp.U)
 		}
 	}
-	return &PartialProver{cfg: cfg, lo: lo, hi: hi, tables: tables, version: version, headD: sp.D}, nil
+	return &PartialProver{scProver: scProver{live: live}, cfg: cfg, lo: lo, hi: hi, tables: tables, version: version, headD: sp.D}, nil
 }
 
 // NewPartialProverFromTable returns the slice-owner session for the
 // universe slice [lo, hi) of p.Params. table holds the slice's hi−lo
 // entries (global index i stored at i−lo), borrowed read-only; version
-// is the dataset version the opening reports to the aggregator.
+// is the dataset version the opening reports to the aggregator. The
+// prover scans table for live pairs when it opens.
 func (p *Fk) NewPartialProverFromTable(table []field.Elem, lo, hi, version uint64) (*PartialProver, error) {
-	return newPartialProver(p.scConfig(), lo, hi, version, table)
+	return p.NewPartialProverFromScan(table, nil, lo, hi, version)
+}
+
+// NewPartialProverFromScan is NewPartialProverFromTable with table's
+// live-pair scan supplied by live, as in NewProverFromScan.
+func (p *Fk) NewPartialProverFromScan(table []field.Elem, live func() sumcheck.LivePairs, lo, hi, version uint64) (*PartialProver, error) {
+	return newPartialProver(p.scConfig(), live, lo, hi, version, table)
 }
 
 // NewPartialProverFromTable returns the slice-owner session for a
@@ -81,13 +88,13 @@ func (p *RangeSum) NewPartialProverFromTable(table []field.Elem, lo, hi, version
 		return nil, err
 	}
 	indicator := rangeIndicator(lo, lo+uint64(len(table)), qL, qR)
-	return newPartialProver(p.scConfig(), lo, hi, version, table, indicator)
+	return newPartialProver(p.scConfig(), nil, lo, hi, version, table, indicator)
 }
 
 // Open computes this slice's partial claim and round-1 partial,
 // prefixed by the dataset version for the aggregator's skew check.
 func (pr *PartialProver) Open() (Msg, error) {
-	sc, err := sumcheck.NewPartialProver(pr.cfg, pr.lo, pr.hi, pr.tables...)
+	sc, err := sumcheck.NewPartialProver(pr.cfg, pr.lo, pr.hi, pr.livePairs(pr.cfg, pr.tables), pr.tables...)
 	if err != nil {
 		return Msg{}, err
 	}

@@ -56,11 +56,13 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/field"
 	"repro/internal/lde"
 	"repro/internal/parallel"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 )
 
 // Engine is a registry of named datasets sharing one field, worker
@@ -315,6 +317,14 @@ func tableBytes(paddedU uint64) int64 { return int64(paddedU) * 16 }
 // tableState is one immutable-once-sealed version of a dataset's
 // aggregate state. While unsealed it is mutated in place by ingestion;
 // Snapshot seals it, and the next ingest clones it (copy-on-write).
+//
+// A sealed state also memoizes the live-pair scan of elems (see
+// Snapshot.livePairs): computed once, on first use, and shared by every
+// SELF-JOIN SIZE and Fk prover of the version. It lives and dies with the state — an
+// ingest's clone starts without one, and an evicted state is dropped
+// with it, so a rehydrated one scans afresh. It holds pair indices only:
+// a sparse scan lists at most u/8 of them at 4 bytes each, 1/32 of
+// tableBytes.
 type tableState struct {
 	counts  []int64
 	elems   []field.Elem
@@ -322,6 +332,9 @@ type tableState struct {
 	n       uint64 // updates ingested
 	version uint64 // ingest batches applied; the proof-cache key component
 	sealed  bool
+
+	liveOnce sync.Once
+	live     sumcheck.LivePairs // elems' live-pair scan, once liveOnce has run
 }
 
 func (st *tableState) clone() *tableState {
@@ -380,6 +393,8 @@ type Dataset struct {
 	nMeta    uint64      // updates ingested, valid even while evicted
 	verMeta  uint64      // dataset version, valid even while evicted
 	lastUse  uint64      // LRU stamp; guarded by eng.mu, not mu
+
+	liveScans atomic.Uint64 // live-pair scans run over its table versions
 
 	// saveMu serializes checkpoint writes for this dataset and guards
 	// the record of what is on disk, so a slow writer holding an older
@@ -681,3 +696,17 @@ func (s *Snapshot) Updates() uint64 { return s.st.n }
 // Version returns the dataset version the snapshot was taken at; see
 // Dataset.Version.
 func (s *Snapshot) Version() uint64 { return s.st.version }
+
+// livePairs returns the live-pair scan of the snapshot's element table,
+// which the SELF-JOIN SIZE and Fk provers (whole and slice owner) take
+// instead of scanning the table themselves. The sealed state computes it
+// once, single-flight, on first use: every conversation on an unchanged
+// version after the first skips the O(u) scan.
+func (s *Snapshot) livePairs() sumcheck.LivePairs {
+	st := s.st
+	st.liveOnce.Do(func() {
+		st.live = sumcheck.ScanLivePairs(s.ds.params.Ell, s.ds.workers, st.elems)
+		s.ds.liveScans.Add(1)
+	})
+	return st.live
+}

@@ -44,10 +44,10 @@ type instance struct {
 	// query; CIRCUIT's, with no families, draws from rng instead.
 	verifier func(s core.Summary, rng field.RNG) (StreamVerifier, error)
 	// prover borrows a snapshot's maintained tables read-only.
-	prover func(st *tableState) (core.ProverSession, error)
+	prover func(s *Snapshot) (core.ProverSession, error)
 	// partial is the slice owner's session over [lo, hi); nil exactly
 	// when the row's combiner is.
-	partial func(st *tableState, lo, hi uint64) (core.ProverSession, error)
+	partial func(s *Snapshot, lo, hi uint64) (core.ProverSession, error)
 }
 
 // sessions assembles an instance from one protocol's typed constructors.
@@ -56,7 +56,7 @@ type instance struct {
 // its table is in place — the point where the paper's verifier would
 // transmit the query.
 func sessions[V StreamVerifier, P core.ProverSession](
-	adopt func(core.Summary) V, fromState func(*tableState) (P, error),
+	adopt func(core.Summary) V, fromState func(*Snapshot) (P, error),
 	setV func(V) error, setP func(P) error,
 ) *instance {
 	return &instance{
@@ -69,8 +69,8 @@ func sessions[V StreamVerifier, P core.ProverSession](
 			}
 			return v, nil
 		},
-		prover: func(st *tableState) (core.ProverSession, error) {
-			p, err := fromState(st)
+		prover: func(s *Snapshot) (core.ProverSession, error) {
+			p, err := fromState(s)
 			if err == nil && setP != nil {
 				err = setP(p)
 			}
@@ -115,11 +115,11 @@ var kinds = [...]kindRow{
 			}
 			proto.Workers = workers
 			in := sessions(proto.Adopt,
-				func(st *tableState) (*core.RangeSumProver, error) { return proto.NewProverFromTable(st.elems) },
+				func(s *Snapshot) (*core.RangeSumProver, error) { return proto.NewProverFromTable(s.Elems()) },
 				func(v *core.RangeSumVerifier) error { return v.SetQuery(p.A, p.B) },
 				func(pr *core.RangeSumProver) error { return pr.SetQuery(p.A, p.B) })
-			in.partial = func(st *tableState, lo, hi uint64) (core.ProverSession, error) {
-				return proto.NewPartialProverFromTable(st.elems, lo, hi, st.version, p.A, p.B)
+			in.partial = func(s *Snapshot, lo, hi uint64) (core.ProverSession, error) {
+				return proto.NewPartialProverFromTable(s.Elems(), lo, hi, s.Version(), p.A, p.B)
 			}
 			return in, nil
 		},
@@ -137,7 +137,7 @@ var kinds = [...]kindRow{
 		}
 		proto.Workers = workers
 		return sessions(proto.Adopt,
-			func(st *tableState) (*core.SubVectorProver, error) { return proto.NewProverFromCounts(st.counts) },
+			func(s *Snapshot) (*core.SubVectorProver, error) { return proto.NewProverFromCounts(s.Counts()) },
 			func(v *core.SubVectorVerifier) error { return v.SetQuery(p.A, p.B) },
 			func(pr *core.SubVectorProver) error { return pr.SetQuery(p.A, p.B) }), nil
 	}, families: core.FamilyTree, answer: reads(func(v *core.SubVectorVerifier, a *Answer) (err error) {
@@ -166,8 +166,8 @@ var kinds = [...]kindRow{
 		}
 		proto.Workers = workers
 		return sessions(proto.Adopt,
-			func(st *tableState) (*core.HeavyHittersProver, error) {
-				return proto.NewProverFromCounts(st.counts, st.total)
+			func(s *Snapshot) (*core.HeavyHittersProver, error) {
+				return proto.NewProverFromCounts(s.Counts(), s.Total())
 			},
 			func(v *core.HeavyHittersVerifier) error { return v.SetQuery(p.Phi) },
 			func(pr *core.HeavyHittersProver) error { return pr.SetQuery(p.Phi) }), nil
@@ -182,8 +182,8 @@ var kinds = [...]kindRow{
 		}
 		proto.Workers = workers
 		return sessions(proto.Adopt,
-			func(st *tableState) (*core.FrequencyBasedProver, error) {
-				return proto.NewProverFromCounts(st.counts, st.total)
+			func(s *Snapshot) (*core.FrequencyBasedProver, error) {
+				return proto.NewProverFromCounts(s.Counts(), s.Total())
 			}, nil, nil), nil
 	}, families: core.FamilyPoint | core.FamilyAug, answer: reads(func(v *core.FrequencyBasedVerifier, a *Answer) (err error) {
 		a.Elem, err = v.Result()
@@ -196,8 +196,8 @@ var kinds = [...]kindRow{
 		}
 		proto.SetWorkers(workers)
 		return sessions(proto.Adopt,
-			func(st *tableState) (*core.FmaxProver, error) {
-				return proto.NewProverFromCounts(st.counts, st.total)
+			func(s *Snapshot) (*core.FmaxProver, error) {
+				return proto.NewProverFromCounts(s.Counts(), s.Total())
 			}, nil, nil), nil
 	}, families: core.FamilyTree | core.FamilyPoint | core.FamilyAug, answer: reads(func(v *core.FmaxVerifier, a *Answer) (err error) {
 		a.Int, err = v.Result()
@@ -213,8 +213,8 @@ var kinds = [...]kindRow{
 		}
 		return &instance{
 			verifier: func(_ core.Summary, rng field.RNG) (StreamVerifier, error) { return proto.NewVerifierSession(rng) },
-			prover: func(st *tableState) (core.ProverSession, error) {
-				return proto.NewProverSession(proto.PadInput(st.elems))
+			prover: func(s *Snapshot) (core.ProverSession, error) {
+				return proto.NewProverSession(proto.PadInput(s.Elems()))
 			},
 		}, nil
 	}, answer: reads(func(v *gkr.VerifierSession, a *Answer) (err error) {
@@ -223,7 +223,9 @@ var kinds = [...]kindRow{
 	})},
 }
 
-// fkRow is SELF-JOIN SIZE (k = 2) and Fk (k from the parameters).
+// fkRow is SELF-JOIN SIZE (k = 2) and Fk (k from the parameters). Its
+// provers, whole and slice owner, take the version's live-pair memo
+// (Snapshot.livePairs) instead of scanning the element table.
 func fkRow(k func(QueryParams) int) kindRow {
 	return kindRow{
 		open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
@@ -233,9 +235,9 @@ func fkRow(k func(QueryParams) int) kindRow {
 			}
 			proto.Workers = workers
 			in := sessions(proto.Adopt,
-				func(st *tableState) (*core.FkProver, error) { return proto.NewProverFromTable(st.elems) }, nil, nil)
-			in.partial = func(st *tableState, lo, hi uint64) (core.ProverSession, error) {
-				return proto.NewPartialProverFromTable(st.elems, lo, hi, st.version)
+				func(s *Snapshot) (*core.FkProver, error) { return proto.NewProverFromScan(s.Elems(), s.livePairs) }, nil, nil)
+			in.partial = func(s *Snapshot, lo, hi uint64) (core.ProverSession, error) {
+				return proto.NewPartialProverFromScan(s.Elems(), s.livePairs, lo, hi, s.Version())
 			}
 			return in, nil
 		},
@@ -277,7 +279,7 @@ func scalarRow[A any, V interface {
 		proto.SetWorkers(workers)
 		a := arg(p)
 		return sessions(proto.Adopt,
-			func(st *tableState) (P, error) { return proto.NewProverFromCounts(st.counts) },
+			func(s *Snapshot) (P, error) { return proto.NewProverFromCounts(s.Counts()) },
 			func(v V) error { return v.SetQuery(a) },
 			func(pr P) error { return pr.SetQuery(a) }), nil
 	}, families: core.FamilyTree, answer: reads(read)}

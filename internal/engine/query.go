@@ -58,5 +58,5 @@ func (s *Snapshot) NewProver(kind QueryKind, params QueryParams) (core.ProverSes
 	if err != nil {
 		return nil, err
 	}
-	return in.prover(s.st)
+	return in.prover(s)
 }

@@ -137,5 +137,5 @@ func (s *Snapshot) NewPartialProver(kind QueryKind, params QueryParams) (core.Pr
 	if err != nil {
 		return nil, err
 	}
-	return in.partial(s.st, lo, hi)
+	return in.partial(s, lo, hi)
 }

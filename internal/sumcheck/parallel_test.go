@@ -13,7 +13,7 @@ import (
 // emitted.
 func transcriptFor(t *testing.T, cfg Config, tables [][]field.Elem, challenges []field.Elem) []field.Elem {
 	t.Helper()
-	p, err := NewProver(cfg, tables...)
+	p, err := newScanned(cfg, tables...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestParallelProverAccepted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewProver(cfg, table)
+		p, err := newScanned(cfg, table)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,11 +129,11 @@ func TestParallelProverLargeRound(t *testing.T) {
 	serialCfg := Config{Field: f, Params: params, Combiner: Product{}}
 	parCfg := serialCfg
 	parCfg.Workers = -1
-	ps, err := NewProver(serialCfg, a, b)
+	ps, err := newScanned(serialCfg, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := NewProver(parCfg, a, b)
+	pp, err := newScanned(parCfg, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,11 @@
 // again bit-identically.
 //
 // The seam therefore needs no new prover: a partial prover is an
-// ordinary Prover over the slice's parameterization, plus three
-// helpers — SliceParams to derive that parameterization, Leaves to
-// read out the fully folded entries, NewTailProver to resume from
-// collected leaves — and CombinePartials to sum per-slice messages in
-// slice order.
+// ordinary Prover over the slice's parameterization (and the slice
+// tables' own live-pair scan), plus three helpers — SliceParams to
+// derive that parameterization, Leaves to read out the fully folded
+// entries, NewTailProver to resume from collected leaves — and
+// CombinePartials to sum per-slice messages in slice order.
 package sumcheck
 
 import (
@@ -60,19 +60,20 @@ func SliceParams(global lde.Params, lo, hi uint64) (lde.Params, error) {
 
 // NewPartialProver builds the prover for the universe slice [lo, hi) of
 // cfg.Params. Each table holds only the slice's hi−lo entries (the
-// caller indexes globally at i ∈ [lo, hi) and stores at i−lo). The
-// returned prover plays the first d−log₂(U/(hi−lo)) global rounds: its
-// RoundMessage is this slice's exact partial of the global round
-// message, and Fold applies the broadcast challenge. After its final
-// fold, Leaves reads out the single remaining entry per table.
-func NewPartialProver(cfg Config, lo, hi uint64, tables ...[]field.Elem) (*Prover, error) {
+// caller indexes globally at i ∈ [lo, hi) and stores at i−lo), and live
+// is their ScanLivePairs. The returned prover plays the first
+// d−log₂(U/(hi−lo)) global rounds: its RoundMessage is this slice's
+// exact partial of the global round message, and Fold applies the
+// broadcast challenge. After its final fold, Leaves reads out the single
+// remaining entry per table.
+func NewPartialProver(cfg Config, lo, hi uint64, live LivePairs, tables ...[]field.Elem) (*Prover, error) {
 	sp, err := SliceParams(cfg.Params, lo, hi)
 	if err != nil {
 		return nil, err
 	}
 	scfg := cfg
 	scfg.Params = sp
-	return NewProver(scfg, tables...)
+	return NewProver(scfg, live, tables...)
 }
 
 // Leaves returns the single remaining entry of each table once every
@@ -122,7 +123,7 @@ func NewTailProver(cfg Config, leaves [][]field.Elem) (*Prover, error) {
 	}
 	tcfg := cfg
 	tcfg.Params = lde.Params{Ell: 2, D: bits.TrailingZeros64(s), U: s}
-	return NewProver(tcfg, tables...)
+	return NewProver(tcfg, ScanLivePairs(2, cfg.Workers, tables...), tables...)
 }
 
 // CombinePartials sums per-slice round messages elementwise in slice

@@ -27,7 +27,7 @@ func runDistributed(t *testing.T, cfg Config, slices int, challenges []field.Ele
 		for ti, tab := range tables {
 			sub[ti] = tab[lo:hi]
 		}
-		p, err := NewPartialProver(cfg, lo, hi, sub...)
+		p, err := NewPartialProver(cfg, lo, hi, ScanLivePairs(2, cfg.Workers, sub...), sub...)
 		if err != nil {
 			t.Fatalf("slice %d: %v", k, err)
 		}
@@ -125,7 +125,7 @@ func TestPartialBitIdentical(t *testing.T) {
 		for _, workers := range []int{0, 3} {
 			cfg := Config{Field: f61, Params: params, Combiner: tc.combiner, Workers: workers}
 			challenges := f61.RandVec(field.NewSplitMix64(99), params.D)
-			ref, err := NewProver(cfg, tc.tables...)
+			ref, err := newScanned(cfg, tc.tables...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package sumcheck
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/field"
@@ -79,13 +80,20 @@ func densityTables(f field.Field, u uint64, arity, live int, rng field.RNG) [][]
 	return tables
 }
 
+// newScanned is NewProver over tables and their own fresh scan.
+func newScanned(cfg Config, tables ...[]field.Elem) (*Prover, error) {
+	return NewProver(cfg, ScanLivePairs(cfg.Params.Ell, cfg.Workers, tables...), tables...)
+}
+
 // TestSparseRoundsMatchOracle pins the sparse rounds against the oracle:
 // every round message and the leaves after the last fold are equal for
 // every combiner, density, size and worker count, and so are a split
-// prover's combined messages and leaves. It also pins which form the
-// first message used, so the switch itself is covered: it depends on the
-// number of live pairs only, not on the worker count or on live pairs
-// clustered at the front of the table.
+// prover's combined messages and leaves. One scan is handed to two
+// provers one after the other, then to two provers running concurrently,
+// and must come out unwritten. It also pins which form the scan chose,
+// so the switch itself is covered: it depends on the number of live
+// pairs only, not on the worker count or on live pairs clustered at the
+// front of the table.
 func TestSparseRoundsMatchOracle(t *testing.T) {
 	f := f61
 	combiners := []Combiner{
@@ -127,16 +135,21 @@ func TestSparseRoundsMatchOracle(t *testing.T) {
 					tables = densityTables(f, u, comb.Arity(), dn.live, rng)
 				}
 				challenges := f.RandVec(rng, params.D)
+				o := &oracle{cfg: Config{Field: f, Params: params, Combiner: comb}, tables: slices.Clone(tables)}
+				want := o.run(challenges)
 				for _, workers := range []int{0, 2, -1} {
 					name := fmt.Sprintf("logu=%d/%T%v/%s/workers=%d", logu, comb, comb, dn.name, workers)
 					cfg := Config{Field: f, Params: params, Combiner: comb, Workers: workers}
-					sparse := checkAgainstOracle(t, name, cfg, tables, challenges, 1)
-					want := u >= sparseMinEntries && sparseShare*dn.live <= npairs
-					if sparse != want {
-						t.Fatalf("%s: first message sparse %v, want %v", name, sparse, want)
+					live := checkSharedScan(t, name, cfg, tables, challenges, want)
+					sparse := u >= sparseMinEntries && sparseShare*dn.live <= npairs
+					if live.Sparse() != sparse {
+						t.Fatalf("%s: scan sparse %v, want %v", name, live.Sparse(), sparse)
+					}
+					if sparse && len(live.Indices()) != dn.live {
+						t.Fatalf("%s: scan found %d live pairs, want %d", name, len(live.Indices()), dn.live)
 					}
 					for _, s := range []int{2, 4} {
-						checkAgainstOracle(t, fmt.Sprintf("%s/S=%d", name, s), cfg, tables, challenges, s)
+						checkSplit(t, fmt.Sprintf("%s/S=%d", name, s), cfg, tables, challenges, s, want)
 					}
 				}
 			}
@@ -144,18 +157,126 @@ func TestSparseRoundsMatchOracle(t *testing.T) {
 	}
 }
 
-// checkAgainstOracle plays the conversation of the prover over tables —
-// or, for nslices > 1, of that many partial provers whose messages are
-// summed by CombinePartials — and compares every message and the leaves
-// with the oracle's. It reports whether the first prover's first message
-// came from live pairs.
-func checkAgainstOracle(t *testing.T, name string, cfg Config, tables [][]field.Elem, challenges []field.Elem, nslices int) (sparse bool) {
+// transcript is a conversation's round messages and final leaves.
+type transcript struct {
+	msgs   [][]field.Elem
+	leaves [][]field.Elem // leaves[k]: slice k's Leaves()
+}
+
+func (tr transcript) String() string { return fmt.Sprint(tr.msgs, tr.leaves) }
+
+// run plays the oracle's whole conversation; its leaves are the fully
+// folded tables, one entry per table.
+func (o *oracle) run(challenges []field.Elem) transcript {
+	var tr transcript
+	for j := 0; j < o.cfg.Params.D; j++ {
+		tr.msgs = append(tr.msgs, o.message())
+		o.fold(challenges[j])
+	}
+	leaf := make([]field.Elem, len(o.tables))
+	for i, tab := range o.tables {
+		leaf[i] = tab[0]
+	}
+	tr.leaves = [][]field.Elem{leaf}
+	return tr
+}
+
+// play runs the conversation of provers — one whole prover, or the
+// partial provers of consecutive slices, whose messages CombinePartials
+// sums — and returns its messages and each prover's leaves.
+func play(cfg Config, provers []*Prover, challenges []field.Elem) (transcript, error) {
+	var tr transcript
+	for j := 0; j < provers[0].cfg.Params.D; j++ {
+		parts := make([][]field.Elem, len(provers))
+		for k, p := range provers {
+			m, err := p.RoundMessage()
+			if err != nil {
+				return tr, fmt.Errorf("round %d: %w", j+1, err)
+			}
+			parts[k] = m
+		}
+		m, err := CombinePartials(cfg.Field, parts)
+		if err != nil {
+			return tr, err
+		}
+		tr.msgs = append(tr.msgs, m)
+		for _, p := range provers {
+			if err := p.Fold(challenges[j]); err != nil {
+				return tr, fmt.Errorf("fold %d: %w", j+1, err)
+			}
+		}
+	}
+	for _, p := range provers {
+		leaves, err := p.Leaves()
+		if err != nil {
+			return tr, err
+		}
+		tr.leaves = append(tr.leaves, leaves)
+	}
+	return tr, nil
+}
+
+// checkSharedScan scans tables once and hands the scan to two provers
+// one after the other, then to two provers at once; every conversation
+// must equal the oracle's, want. Neither the borrowed tables nor the
+// scan's indices may be written. It returns the scan.
+func checkSharedScan(t *testing.T, name string, cfg Config, tables [][]field.Elem, challenges []field.Elem, want transcript) LivePairs {
 	t.Helper()
 	orig := make([][]field.Elem, len(tables))
 	for i, tab := range tables {
-		orig[i] = append([]field.Elem(nil), tab...)
+		orig[i] = slices.Clone(tab)
 	}
-	o := &oracle{cfg: cfg, tables: append([][]field.Elem(nil), orig...)}
+	live := ScanLivePairs(cfg.Params.Ell, cfg.Workers, tables...)
+	idx := slices.Clone(live.Indices())
+	converse := func() (transcript, error) {
+		p, err := NewProver(cfg, live, tables...)
+		if err != nil {
+			return transcript{}, err
+		}
+		if p.sparse != nil != live.Sparse() {
+			return transcript{}, fmt.Errorf("prover sparse %v, scan sparse %v", p.sparse != nil, live.Sparse())
+		}
+		return play(cfg, []*Prover{p}, challenges)
+	}
+	var got [4]transcript
+	var errs [4]error
+	for i := 0; i < 2; i++ {
+		got[i], errs[i] = converse()
+	}
+	var wg sync.WaitGroup
+	for i := 2; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = converse()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("%s: prover %d: %v", name, i, errs[i])
+		}
+		if got[i].String() != want.String() {
+			t.Fatalf("%s: prover %d: transcript\n%v\noracle\n%v", name, i, got[i], want)
+		}
+	}
+	for i, tab := range tables {
+		if !slices.Equal(tab, orig[i]) {
+			t.Fatalf("%s: table %d was written", name, i)
+		}
+	}
+	if !slices.Equal(live.Indices(), idx) {
+		t.Fatalf("%s: the shared scan's indices were written", name)
+	}
+	return live
+}
+
+// checkSplit plays the conversation of nslices partial provers, each
+// over its slice's own scan, and compares the combined messages and the
+// leaves with the oracle's: slice k's leaves are entry k of the oracle's
+// tables after the head rounds.
+func checkSplit(t *testing.T, name string, cfg Config, tables [][]field.Elem, challenges []field.Elem, nslices int, want transcript) {
+	t.Helper()
 	width := cfg.Params.U / uint64(nslices)
 	provers := make([]*Prover, nslices)
 	for k := range provers {
@@ -165,57 +286,28 @@ func checkAgainstOracle(t *testing.T, name string, cfg Config, tables [][]field.
 			sub[i] = tab[lo:hi]
 		}
 		var err error
-		if nslices == 1 {
-			provers[k], err = NewProver(cfg, sub...)
-		} else {
-			provers[k], err = NewPartialProver(cfg, lo, hi, sub...)
-		}
+		provers[k], err = NewPartialProver(cfg, lo, hi, ScanLivePairs(2, cfg.Workers, sub...), sub...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	rounds := provers[0].cfg.Params.D
-	for j := 0; j < rounds; j++ {
-		parts := make([][]field.Elem, nslices)
-		for k, p := range provers {
-			m, err := p.RoundMessage()
-			if err != nil {
-				t.Fatalf("%s round %d: %v", name, j+1, err)
-			}
-			parts[k] = m
-		}
-		if j == 0 {
-			sparse = provers[0].sparse != nil
-		}
-		got, err := CombinePartials(cfg.Field, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := o.message(); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s round %d: message %v, oracle %v", name, j+1, got, want)
-		}
-		for _, p := range provers {
-			if err := p.Fold(challenges[j]); err != nil {
-				t.Fatalf("%s fold %d: %v", name, j+1, err)
-			}
-		}
+	got, err := play(cfg, provers, challenges)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	head := len(got.msgs)
+	if fmt.Sprint(got.msgs) != fmt.Sprint(want.msgs[:head]) {
+		t.Fatalf("%s: messages %v, oracle %v", name, got.msgs, want.msgs[:head])
+	}
+	o := &oracle{cfg: cfg, tables: slices.Clone(tables)}
+	for j := 0; j < head; j++ {
 		o.fold(challenges[j])
 	}
-	for i, tab := range tables { // borrowed, never written
-		if !slices.Equal(tab, orig[i]) {
-			t.Fatalf("%s: table %d was written", name, i)
-		}
-	}
-	for k, p := range provers {
-		leaves, err := p.Leaves()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	for k, leaves := range got.leaves {
 		for i, leaf := range leaves {
-			if want := o.tables[i][k]; leaf != want {
-				t.Fatalf("%s: slice %d leaf %d = %d, oracle %d", name, k, i, leaf, want)
+			if w := o.tables[i][k]; leaf != w {
+				t.Fatalf("%s: slice %d leaf %d = %d, oracle %d", name, k, i, leaf, w)
 			}
 		}
 	}
-	return sparse
 }

@@ -27,13 +27,18 @@
 // size-m/ℓ tables folded by χ(r_j). It borrows the caller's T tables of
 // u entries and, counted from the code below, spends:
 //
-//   - at ℓ=2 with u ≥ 128, one scan of the tables on the first message,
+//   - at ℓ=2 with u ≥ 128, one scan of the tables (ScanLivePairs),
 //     reading at most T·u entries, which finds the n live pairs (pairs
-//     where any table is non-zero);
+//     where any table is non-zero). The scan is a value the prover is
+//     handed, not work it does: a caller scans once per set of tables
+//     and shares the result, and the dataset engine scans once per
+//     sealed table version, not once per conversation;
+//   - O(T·n) to pack the live pairs when the prover is built;
 //   - while n is at most a quarter of the m/2 pairs of the current
 //     m-entry tables and m > 64, O((T + deg)·n) field operations per
-//     round: fold, regroup and deg+1 evaluations per live pair, plus one
-//     correction per message for the dead ones;
+//     round: fold (split across the workers), regroup (one pass that
+//     does not branch on the data) and deg+1 evaluations per live pair,
+//     plus one correction per message for the dead ones;
 //   - from then on, or from the start on a denser table or at ℓ > 2,
 //     O(deg·T·m) per round on the dense m-entry tables, m falling by ℓ
 //     per round, so O(deg·T·u) at most over all rounds.
@@ -44,6 +49,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/field"
@@ -136,14 +142,15 @@ type Config struct {
 	Params   lde.Params
 	Combiner Combiner
 
-	// Workers sets the prover's fan-out: every table scan (live-pair scan,
-	// per-round messages, folds) is split into contiguous chunks processed
-	// by that many goroutines, with per-chunk partials combined in chunk
-	// order. Because field arithmetic is exact, the transcript is
-	// bit-identical for every worker count. 0 (the default) runs serially,
-	// n < 0 selects runtime.NumCPU(). The verifier ignores it — checking is
-	// already O(log u). Combiners must be safe for concurrent Apply calls
-	// when Workers != 0 (the combiners in this package are pure).
+	// Workers sets the prover's fan-out: every table scan (per-round
+	// messages, folds, the live-pair packing) is split into contiguous
+	// chunks processed by that many goroutines, with per-chunk partials
+	// combined in chunk order. Because field arithmetic is exact, the
+	// transcript is bit-identical for every worker count. 0 (the
+	// default) runs serially, n < 0 selects runtime.NumCPU(). The
+	// verifier ignores it — checking is already O(log u). Combiners must
+	// be safe for concurrent Apply calls when Workers != 0 (the
+	// combiners in this package are pure).
 	Workers int
 }
 
@@ -231,10 +238,11 @@ func (p *Prover) fuseKind() int {
 }
 
 // NewProver builds a prover over explicit tables, one per combiner slot,
-// each of length exactly ℓ^d. The tables are borrowed: the prover reads
-// them and never writes them, so callers may share one table among many
-// provers.
-func NewProver(cfg Config, tables ...[]field.Elem) (*Prover, error) {
+// each of length exactly ℓ^d, and live, their ScanLivePairs. The tables
+// are borrowed: the prover reads them and never writes them, nor live,
+// so callers may share one table and its scan among many provers. A
+// sparse scan's live pairs are packed here, in O(T·n).
+func NewProver(cfg Config, live LivePairs, tables ...[]field.Elem) (*Prover, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -246,6 +254,10 @@ func NewProver(cfg Config, tables ...[]field.Elem) (*Prover, error) {
 			return nil, fmt.Errorf("sumcheck: table %d has %d entries, want %d", t, len(tab), cfg.Params.U)
 		}
 	}
+	if uint64(live.entries) != cfg.Params.U || live.sparse && cfg.Params.Ell != 2 {
+		return nil, fmt.Errorf("sumcheck: live pairs scanned over %d entries at ℓ=2, prover has %d at ℓ=%d",
+			live.entries, cfg.Params.U, cfg.Params.Ell)
+	}
 	deg := cfg.degree()
 	weights := lde.BasisWeights(cfg.Field, cfg.Params.Ell)
 	cElems := make([]field.Elem, deg+1)
@@ -253,20 +265,24 @@ func NewProver(cfg Config, tables ...[]field.Elem) (*Prover, error) {
 		cElems[c] = cfg.Field.Reduce(uint64(c))
 	}
 	chiAt := lde.ChiTables(cfg.Field, weights, cElems)
-	return &Prover{
+	p := &Prover{
 		cfg:     cfg,
 		workers: parallel.Workers(cfg.Workers),
 		tables:  tables,
 		chiAt:   chiAt,
 		cElems:  cElems,
 		weights: weights,
-	}, nil
+	}
+	if live.sparse {
+		p.sparse = p.newSparse(live, tables)
+		p.tables = nil
+	}
+	return p, nil
 }
 
 // RoundMessage computes the evaluations g_j(0..deg) for the current round.
 // It must be called exactly once per round, alternating with Fold. The
-// first call of an ℓ=2 prover scans its tables for live pairs (see
-// sparseTables). The claim is Σ_{c<ℓ} g_1(c).
+// claim is Σ_{c<ℓ} g_1(c).
 func (p *Prover) RoundMessage() ([]field.Elem, error) {
 	if p.round >= p.cfg.Params.D {
 		return nil, fmt.Errorf("sumcheck: all %d rounds already played", p.cfg.Params.D)
@@ -275,9 +291,6 @@ func (p *Prover) RoundMessage() ([]field.Elem, error) {
 		msg := p.pending
 		p.pending = nil
 		return msg, nil
-	}
-	if p.round == 0 && p.sparse == nil {
-		p.sparse = p.scanSparse()
 	}
 	if p.sparse != nil {
 		return p.sparseMessage(), nil
@@ -459,11 +472,13 @@ func (p *Prover) Fold(r field.Elem) error {
 // the live pairs is the whole next table in the same form. The messages
 // are the dense prover's exactly: field sums are order-free.
 //
-// A prover scans its tables once, on its first message, when they have
-// at least sparseMinEntries entries. It holds them sparse while at most
-// 1/sparseShare of the pairs are live, and scatters them back to dense
-// tables — the fused path — once that fails or the table is down to
-// denseAtEntries entries, so Leaves and the tail prover see dense tables.
+// ScanLivePairs finds the live pairs of tables with at least
+// sparseMinEntries entries, in one pass. A prover takes that scan and
+// holds its tables sparse while at most 1/sparseShare of the pairs are
+// live. Once a fold leaves more, or leaves at most denseAtEntries
+// entries, the prover still answers that round from the live pairs, and
+// its next fold scatters the folded entries into dense tables — the
+// fused path — so Leaves and the tail prover see dense tables.
 const (
 	sparseMinEntries = 128
 	denseAtEntries   = 64
@@ -471,67 +486,75 @@ const (
 	scanBatch        = 512 // pairs a scan worker reads between updates of the shared live count
 )
 
-// sparseTables is a prover's tables in live-pair form.
-type sparseTables struct {
-	idx    []uint32       // live pair indices, strictly increasing
-	pairs  [][]field.Elem // pairs[t][2k], pairs[t][2k+1]: table t's pair idx[k]
-	npairs int            // pairs per table, live or dead
-	zero   field.Elem     // C(0, …, 0): what each dead pair adds at every point
+// LivePairs is one live-pair scan of a set of tables: the sorted indices
+// of their live pairs, or the verdict that they are to be held dense. It
+// depends on the tables alone, so one scan serves every prover over the
+// same tables — a dataset engine computes it once per sealed table
+// version — and provers never write it.
+type LivePairs struct {
+	idx     []uint32 // live pair indices, strictly increasing; shared, read-only
+	entries int      // length of each scanned table; -1 when the tables disagree
+	sparse  bool
 }
 
-// scanSparse finds the borrowed tables' live pairs in one pass split
-// across the workers, then packs them. The workers share one count of the
-// live pairs found, updated every scanBatch pairs, and all stop once it
-// passes npairs/sparseShare, so a dense table costs about a quarter of a
-// pass. Whether the tables are held sparse thus depends on their live
-// pairs alone, not on the worker count or where the live pairs sit.
-// scanSparse returns nil for dense tables, and for any table it does not
-// scan.
-func (p *Prover) scanSparse() *sparseTables {
-	npairs := len(p.tables[0]) / 2
-	if p.cfg.Params.Ell != 2 || 2*npairs < sparseMinEntries || npairs-1 > math.MaxUint32 {
-		return nil
+// Sparse reports whether the scanned tables are to be held as their live
+// pairs.
+func (l LivePairs) Sparse() bool { return l.sparse }
+
+// Indices returns the live pair indices, strictly increasing: nil when
+// the tables are dense or hold no live pair. The slice is shared by every
+// holder of the scan; callers must not write it.
+func (l LivePairs) Indices() []uint32 { return l.idx }
+
+// ScanLivePairs finds the live pairs of tables under branching factor ell
+// in one pass split across workers goroutines (0 serial, n < 0 all
+// cores). The workers share one count of the live pairs found, updated
+// every scanBatch pairs, and all stop once it passes npairs/sparseShare,
+// so a dense table costs about a quarter of a pass. The verdict thus
+// depends on the tables' live pairs alone, not on the worker count or
+// where the live pairs sit. Tables at ℓ > 2 or under sparseMinEntries
+// entries are dense without a scan.
+func ScanLivePairs(ell, workers int, tables ...[]field.Elem) LivePairs {
+	live := LivePairs{entries: -1}
+	if len(tables) == 0 {
+		return live
+	}
+	for _, tab := range tables[1:] {
+		if len(tab) != len(tables[0]) {
+			return live
+		}
+	}
+	live.entries = len(tables[0])
+	npairs := live.entries / 2
+	if ell != 2 || live.entries < sparseMinEntries || npairs-1 > math.MaxUint32 {
+		return live
 	}
 	limit := int64(npairs / sparseShare)
-	var live atomic.Int64
-	idxs := make([][]uint32, parallel.Chunks(p.workers, npairs))
-	parallel.For(p.workers, npairs, func(chunk, lo, hi int) {
+	var found atomic.Int64
+	nw := parallel.Workers(workers)
+	idxs := make([][]uint32, parallel.Chunks(nw, npairs))
+	parallel.For(nw, npairs, func(chunk, lo, hi int) {
 		var idx []uint32
 		for b := lo; b < hi; b += scanBatch {
 			end := min(b+scanBatch, hi)
 			before := len(idx)
 			for w := b; w < end; w += 8 {
-				for m := liveMask(p.tables, w, min(8, end-w)); m != 0; m &= m - 1 {
+				for m := liveMask(tables, w, min(8, end-w)); m != 0; m &= m - 1 {
 					idx = append(idx, uint32(w+bits.TrailingZeros(m)))
 				}
 			}
-			if live.Add(int64(len(idx)-before)) > limit {
+			if found.Add(int64(len(idx)-before)) > limit {
 				return
 			}
 		}
 		idxs[chunk] = idx
 	})
-	if live.Load() > limit {
-		return nil
+	if found.Load() > limit {
+		return live
 	}
-	sp := &sparseTables{
-		idx:    idxs[0],
-		pairs:  make([][]field.Elem, len(p.tables)),
-		npairs: npairs,
-		zero:   p.cfg.Combiner.Apply(p.cfg.Field, make([]field.Elem, len(p.tables))),
-	}
-	for _, idx := range idxs[1:] {
-		sp.idx = append(sp.idx, idx...)
-	}
-	for t, tab := range p.tables {
-		packed := make([]field.Elem, 2*len(sp.idx))
-		for k, w := range sp.idx {
-			packed[2*k], packed[2*k+1] = tab[2*w], tab[2*w+1]
-		}
-		sp.pairs[t] = packed
-	}
-	p.tables = nil
-	return sp
+	live.idx = slices.Concat(idxs...)
+	live.sparse = true
+	return live
 }
 
 // liveMask reports which of the n ≤ 8 pairs from pair w are live in any
@@ -547,6 +570,45 @@ func liveMask(tables [][]field.Elem, w, n int) uint {
 		}
 	}
 	return m
+}
+
+// sparseTables is a prover's tables in live-pair form. All three slices
+// are the prover's own, allocated once per conversation.
+type sparseTables struct {
+	idx    []uint32       // live pair indices, strictly increasing
+	pairs  [][]field.Elem // pairs[t][2k], pairs[t][2k+1]: table t's pair idx[k]
+	folded [][]field.Elem // folded[t][k]: entry idx[k] of table t's next table, before regrouping
+	npairs int            // pairs per table, live or dead
+	zero   field.Elem     // C(0, …, 0): what each dead pair adds at every point
+	last   bool           // the sparse form stops paying: the next fold goes dense
+}
+
+// newSparse packs the borrowed tables' live pairs, listed by live, into
+// tables of the prover's own, the gather split across the workers. It
+// copies the indices too: the prover regroups them in place, and live's
+// are shared.
+func (p *Prover) newSparse(live LivePairs, tables [][]field.Elem) *sparseTables {
+	n := len(live.idx)
+	sp := &sparseTables{
+		idx:    slices.Clone(live.idx),
+		pairs:  make([][]field.Elem, len(tables)),
+		folded: make([][]field.Elem, len(tables)),
+		npairs: live.entries / 2,
+		zero:   p.cfg.Combiner.Apply(p.cfg.Field, make([]field.Elem, len(tables))),
+	}
+	for t := range tables {
+		buf := make([]field.Elem, 3*n)
+		sp.pairs[t], sp.folded[t] = buf[:2*n], buf[2*n:]
+	}
+	parallel.For(p.workers, n, func(_, lo, hi int) {
+		for t, tab := range tables {
+			packed := sp.pairs[t]
+			for k, w := range live.idx[lo:hi] {
+				packed[2*(lo+k)], packed[2*(lo+k)+1] = tab[2*w], tab[2*w+1]
+			}
+		}
+	})
+	return sp
 }
 
 // sparseMessage computes the current round's message from the live pairs.
@@ -570,60 +632,74 @@ func (p *Prover) addDead(msg []field.Elem) {
 	}
 }
 
-// foldSparse folds the live pairs by r and regroups them into the next
-// table's live pairs in place, leaving the next message in p.pending. It
-// scatters back to dense tables once the sparse form stops paying; the
-// dense path computes the message itself then.
+// foldSparse folds the live pairs by r into the fold buffers, split
+// across the workers, and regroups them into the next table's live pairs,
+// leaving the next message in p.pending. After a fold that found the
+// sparse form no longer pays, it scatters the folded entries into dense
+// tables instead; the dense path computes the message itself then.
 func (p *Prover) foldSparse(r field.Elem) {
 	sp := p.sparse
-	n := foldRegroup(p.cfg.Field, sp.pairs, sp.idx, r)
+	f := p.cfg.Field
+	n := len(sp.idx)
+	parallel.For(p.workers, n, func(_, lo, hi int) {
+		for t, packed := range sp.pairs {
+			f.FoldPairs(sp.folded[t][lo:hi], packed[2*lo:2*hi], r)
+		}
+	})
+	if sp.last {
+		p.scatter()
+		return
+	}
+	n = regroup(sp.idx, sp.pairs, sp.folded)
 	sp.idx = sp.idx[:n]
 	for t := range sp.pairs {
 		sp.pairs[t] = sp.pairs[t][:2*n]
 	}
 	sp.npairs /= 2
-	if 2*sp.npairs <= denseAtEntries || sparseShare*n > sp.npairs {
-		p.scatter()
-		return
-	}
+	sp.last = 2*sp.npairs <= denseAtEntries || sparseShare*n > sp.npairs
 	p.pending = p.sparseMessage()
 }
 
-// foldRegroup folds every table's live pairs by r and regroups the folded
-// entries into the next table's pairs: entry w lands in pair w>>1, slot
-// w&1, and a missing sibling is 0. The tables share one index list. It
-// returns the number n of next-table live pairs, now in idx[:n] and each
-// table's pairs[:2n]. Writes land at or below the pair just read.
-func foldRegroup(f field.Field, pairs [][]field.Elem, idx []uint32, r field.Elem) int {
-	n := 0
-	for k, i := range idx {
-		sibling := n > 0 && idx[n-1] == i>>1
-		for _, tab := range pairs {
-			a, b := tab[2*k], tab[2*k+1]
-			v := f.Add(a, f.Mul(r, f.Sub(b, a)))
-			if sibling {
-				tab[2*n-1] = v
-			} else {
-				tab[2*n], tab[2*n+1] = 0, 0
-				tab[2*n+int(i&1)] = v
-			}
-		}
-		if !sibling {
-			idx[n] = i >> 1
-			n++
+// regroup moves the folded entries into the next table's pairs: folded
+// entry k is entry w = idx[k] of the next table, which lands in pair
+// w>>1, slot w&1, beside a 0 when its sibling is dead. The tables share
+// one index list. It returns the number n of next-table live pairs, now
+// in idx[:n] and each table's pairs[:2n]. Entry k joins the previous pair
+// exactly when its parent w>>1 equals the previous entry's; that test,
+// the slot and the zeroing are masks, so the pass never branches on the
+// data. Writes land at or below the entry just read.
+func regroup(idx []uint32, pairs, folded [][]field.Elem) int {
+	prev := ^uint32(0) // no parent: a parent w>>1 fits in 31 bits
+	j := -1
+	for k, w := range idx {
+		parent := w >> 1
+		d := uint64(parent ^ prev)
+		fresh := (d | -d) >> 63 // 1 when entry k opens pair j+1
+		j += int(fresh)
+		idx[j] = parent
+		prev = parent
+		slot1 := -uint64(w & 1) // all ones when entry k goes to slot 1
+		keep := fresh - 1       // all ones when slot 0 already holds its sibling
+		for t, tab := range pairs {
+			v := uint64(folded[t][k])
+			pr := tab[2*j : 2*j+2]
+			pr[0] = field.Elem(v&^slot1 | uint64(pr[0])&keep)
+			pr[1] = field.Elem(v & slot1)
 		}
 	}
-	return n
+	return j + 1
 }
 
-// scatter turns the live pairs back into dense tables of the prover's own.
+// scatter turns the folded entries into dense tables of the prover's
+// own: folded entry k is entry idx[k] of the next table, of npairs
+// entries, and every other entry is 0.
 func (p *Prover) scatter() {
 	sp := p.sparse
-	p.tables = make([][]field.Elem, len(sp.pairs))
-	for t, packed := range sp.pairs {
-		tab := make([]field.Elem, 2*sp.npairs)
+	p.tables = make([][]field.Elem, len(sp.folded))
+	for t, folded := range sp.folded {
+		tab := make([]field.Elem, sp.npairs)
 		for k, w := range sp.idx {
-			tab[2*w], tab[2*w+1] = packed[2*k], packed[2*k+1]
+			tab[w] = folded[k]
 		}
 		p.tables[t] = tab
 	}

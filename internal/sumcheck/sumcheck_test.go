@@ -80,7 +80,7 @@ func runProtocol(t *testing.T, cfg Config, rng field.RNG, tables ...[]field.Elem
 		vals[i] = v
 	}
 	expected := cfg.Combiner.Apply(cfg.Field, vals)
-	p, err := NewProver(cfg, tables...)
+	p, err := newScanned(cfg, tables...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestClaimedTotalMatchesReference(t *testing.T) {
 	table := buildTable(t, f61, ups, params.U)
 	for k := 1; k <= 5; k++ {
 		cfg := Config{Field: f61, Params: params, Combiner: Power{K: k}}
-		p, err := NewProver(cfg, table)
+		p, err := newScanned(cfg, table)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestInnerProductCompleteness(t *testing.T) {
 	for i := range a {
 		want = f61.Add(want, f61.Mul(f61.FromInt64(a[i]), f61.FromInt64(b[i])))
 	}
-	p, err := NewProver(cfg, ta, tb)
+	p, err := newScanned(cfg, ta, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestPolyCombinerCompleteness(t *testing.T) {
 	for _, cnt := range a {
 		want = f61.Add(want, h.Eval(f61, f61.FromInt64(cnt)))
 	}
-	p, _ := NewProver(cfg, table)
+	p, _ := newScanned(cfg, table)
 	if got := claimOf(t, p); got != want {
 		t.Fatalf("PolyFn claim = %d, want %d", got, want)
 	}
@@ -240,7 +240,7 @@ func TestSoundnessLyingClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	expected := f61.Mul(val, val)
-	p, err := NewProver(cfg, table)
+	p, err := newScanned(cfg, table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestSoundnessTamperedMessages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := NewProver(cfg, table)
+			p, err := newScanned(cfg, table)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,7 +317,7 @@ func TestSoundnessModifiedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProver(cfg, modified)
+	p, err := newScanned(cfg, modified)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestSoundnessRateSmallField(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewProver(cfg, table)
+		p, err := newScanned(cfg, table)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,17 +453,31 @@ func TestConstructorValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
-	if _, err := NewProver(good, make([]field.Elem, 8)); err == nil {
+	if _, err := newScanned(good, make([]field.Elem, 8)); err == nil {
 		t.Error("short table accepted")
 	}
-	if _, err := NewProver(good, make([]field.Elem, 16), make([]field.Elem, 16)); err == nil {
+	if _, err := newScanned(good, make([]field.Elem, 16), make([]field.Elem, 16)); err == nil {
 		t.Error("arity mismatch accepted")
 	}
-	if _, err := NewProver(Config{Params: params, Combiner: Power{K: 2}}, make([]field.Elem, 16)); err == nil {
+	if _, err := newScanned(Config{Params: params, Combiner: Power{K: 2}}, make([]field.Elem, 16)); err == nil {
 		t.Error("invalid field accepted")
 	}
 	if _, err := NewVerifier(good, make([]field.Elem, 3), 0, 0); err == nil {
 		t.Error("short challenge vector accepted")
+	}
+	if _, err := NewProver(good, LivePairs{}, make([]field.Elem, 16)); err == nil {
+		t.Error("unscanned table accepted")
+	}
+	if _, err := NewProver(good, ScanLivePairs(2, 0, make([]field.Elem, 8)), make([]field.Elem, 16)); err == nil {
+		t.Error("scan of another table size accepted")
+	}
+	params4, err := lde.NewParams(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]field.Elem, params4.U)
+	if _, err := NewProver(Config{Field: f61, Params: params4, Combiner: Power{K: 2}}, ScanLivePairs(2, 0, zeros), zeros); err == nil {
+		t.Error("live pairs at ℓ=4 accepted")
 	}
 	small, err := field.New(5)
 	if err != nil {
@@ -473,7 +487,7 @@ func TestConstructorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewProver(Config{Field: small, Params: smallParams, Combiner: Power{K: 9}}, make([]field.Elem, 4)); err == nil {
+	if _, err := newScanned(Config{Field: small, Params: smallParams, Combiner: Power{K: 9}}, make([]field.Elem, 4)); err == nil {
 		t.Error("degree ≥ field size accepted")
 	}
 }
@@ -484,7 +498,7 @@ func TestProverStateMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
-	p, err := NewProver(cfg, make([]field.Elem, 4))
+	p, err := newScanned(cfg, make([]field.Elem, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +569,7 @@ func BenchmarkProverF2Sparse(b *testing.B) {
 	challenges := f61.RandVec(rng, params.D)
 	b.Run("open", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p, err := NewProver(cfg, table)
+			p, err := newScanned(cfg, table)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -567,7 +581,7 @@ func BenchmarkProverF2Sparse(b *testing.B) {
 	b.Run("rounds", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			p, err := NewProver(cfg, table)
+			p, err := newScanned(cfg, table)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -613,7 +627,7 @@ func BenchmarkProverF2(b *testing.B) {
 			claim := refTotal(cfg, table)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p, err := NewProver(cfg, table)
+				p, err := newScanned(cfg, table)
 				if err != nil {
 					b.Fatal(err)
 				}
