@@ -66,15 +66,10 @@ func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, h
 // NewPartialProverFromTable returns the slice-owner session for the
 // universe slice [lo, hi) of p.Params. table holds the slice's hi−lo
 // entries (global index i stored at i−lo), borrowed read-only; version
-// is the dataset version the opening reports to the aggregator. The
-// prover scans table for live pairs when it opens.
-func (p *Fk) NewPartialProverFromTable(table []field.Elem, lo, hi, version uint64) (*PartialProver, error) {
-	return p.NewPartialProverFromScan(table, nil, lo, hi, version)
-}
-
-// NewPartialProverFromScan is NewPartialProverFromTable with table's
-// live-pair scan supplied by live, as in NewProverFromScan.
-func (p *Fk) NewPartialProverFromScan(table []field.Elem, live func() sumcheck.LivePairs, lo, hi, version uint64) (*PartialProver, error) {
+// is the dataset version the opening reports to the aggregator. live
+// supplies table's live-pair scan as in NewProverFromScan; nil scans
+// table when the prover opens.
+func (p *Fk) NewPartialProverFromTable(table []field.Elem, live func() sumcheck.LivePairs, lo, hi, version uint64) (*PartialProver, error) {
 	return newPartialProver(p.scConfig(), live, lo, hi, version, table)
 }
 

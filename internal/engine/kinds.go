@@ -237,7 +237,7 @@ func fkRow(k func(QueryParams) int) kindRow {
 			in := sessions(proto.Adopt,
 				func(s *Snapshot) (*core.FkProver, error) { return proto.NewProverFromScan(s.Elems(), s.livePairs) }, nil, nil)
 			in.partial = func(s *Snapshot, lo, hi uint64) (core.ProverSession, error) {
-				return proto.NewPartialProverFromScan(s.Elems(), s.livePairs, lo, hi, s.Version())
+				return proto.NewPartialProverFromTable(s.Elems(), s.livePairs, lo, hi, s.Version())
 			}
 			return in, nil
 		},

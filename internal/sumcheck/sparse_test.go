@@ -274,9 +274,13 @@ func checkSharedScan(t *testing.T, name string, cfg Config, tables [][]field.Ele
 // checkSplit plays the conversation of nslices partial provers, each
 // over its slice's own scan, and compares the combined messages and the
 // leaves with the oracle's: slice k's leaves are entry k of the oracle's
-// tables after the head rounds.
+// tables after the head rounds. The borrowed tables may not be written.
 func checkSplit(t *testing.T, name string, cfg Config, tables [][]field.Elem, challenges []field.Elem, nslices int, want transcript) {
 	t.Helper()
+	orig := make([][]field.Elem, len(tables))
+	for i, tab := range tables {
+		orig[i] = slices.Clone(tab)
+	}
 	width := cfg.Params.U / uint64(nslices)
 	provers := make([]*Prover, nslices)
 	for k := range provers {
@@ -298,6 +302,11 @@ func checkSplit(t *testing.T, name string, cfg Config, tables [][]field.Elem, ch
 	head := len(got.msgs)
 	if fmt.Sprint(got.msgs) != fmt.Sprint(want.msgs[:head]) {
 		t.Fatalf("%s: messages %v, oracle %v", name, got.msgs, want.msgs[:head])
+	}
+	for i, tab := range tables {
+		if !slices.Equal(tab, orig[i]) {
+			t.Fatalf("%s: table %d was written", name, i)
+		}
 	}
 	o := &oracle{cfg: cfg, tables: slices.Clone(tables)}
 	for j := 0; j < head; j++ {
