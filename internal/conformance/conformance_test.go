@@ -534,6 +534,14 @@ func startBackend(t *testing.T, b *backend) *backend {
 	srv, eng := b.srv, b.eng
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(func() { _ = srv.Close(); _ = eng.Close() })
+	// Serve recovers the data dir before it answers anything: wait for
+	// that, or a checkpoint a handoff moves in later could be recovered
+	// as well as adopted.
+	c := dial(t, b.addr)
+	if _, err := c.ServerStats(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
 	return b
 }
 

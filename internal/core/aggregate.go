@@ -113,32 +113,47 @@ func (v *FkVerifier) SpaceWords() int {
 // is in internal/sumcheck's package doc).
 type FkProver struct {
 	scProver
-	proto *Fk
-	table []field.Elem
+	proto  *Fk
+	table  []field.Elem
+	chunks sumcheck.Chunked // the table instead, held in chunks (NewProverFromChunks)
 }
 
 // NewProverFromTable returns a prover over the aggregated frequency table
-// (the field image of the counts, length Params.U), borrowed read-only —
-// typically a dataset-engine snapshot. Construction is O(1), and the
-// sum-check never writes the table, so many sessions can share one. The
-// prover scans the table for live pairs when it opens.
+// (the field image of the counts, length Params.U), borrowed read-only.
+// Construction is O(1), and the sum-check never writes the table, so many
+// sessions can share one. The prover scans the table for live pairs when
+// it opens.
 func (p *Fk) NewProverFromTable(table []field.Elem) (*FkProver, error) {
-	return p.NewProverFromScan(table, nil)
-}
-
-// NewProverFromScan is NewProverFromTable with the table's live-pair scan
-// supplied: live is called once, when the prover opens, and must return
-// sumcheck.ScanLivePairs of table — typically a dataset engine's memo,
-// shared by every prover of one table version. nil scans at open.
-func (p *Fk) NewProverFromScan(table []field.Elem, live func() sumcheck.LivePairs) (*FkProver, error) {
 	if err := checkTables(p.Params.U, table); err != nil {
 		return nil, err
 	}
-	return &FkProver{scProver: scProver{live: live}, proto: p, table: table}, nil
+	return &FkProver{proto: p, table: table}, nil
+}
+
+// NewProverFromChunks is NewProverFromTable over a table held in chunks
+// (sumcheck.NewChunkedProver; ℓ = 2 only) — typically a dataset-engine
+// snapshot. live is called once, when the prover opens, and must return
+// the table's live-pair scan: a dataset engine's memo, shared by every
+// prover of one table version.
+func (p *Fk) NewProverFromChunks(tab sumcheck.Chunked, live func() sumcheck.LivePairs) (*FkProver, error) {
+	if live == nil {
+		return nil, fmt.Errorf("core: a chunked table needs its live-pair scan")
+	}
+	return &FkProver{scProver: scProver{live: live}, proto: p, chunks: tab}, nil
 }
 
 // Open computes the claimed moment and the unprompted round-1 polynomial.
-func (pr *FkProver) Open() (Msg, error) { return pr.open(pr.proto.scConfig(), pr.table) }
+func (pr *FkProver) Open() (Msg, error) {
+	cfg := pr.proto.scConfig()
+	if pr.chunks.Chunks == nil {
+		return pr.open(cfg, pr.table)
+	}
+	sc, err := sumcheck.NewChunkedProver(cfg, pr.live(), pr.chunks)
+	if err != nil {
+		return Msg{}, err
+	}
+	return pr.start(cfg, sc)
+}
 
 // ---------------------------------------------------------------------
 

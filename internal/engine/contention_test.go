@@ -133,9 +133,10 @@ func TestCrossDatasetContention(t *testing.T) {
 							return
 						}
 						var total int64
+						elems := snap.Elems()
 						for j, c := range snap.Counts() {
 							total += c
-							if f61.FromInt64(c) != snap.Elems()[j] {
+							if f61.FromInt64(c) != elems[j] {
 								t.Error("snapshot tore across a transition: counts and elems disagree")
 								return
 							}

@@ -20,10 +20,13 @@
 //     RANGE-SUM) take it as their table directly;
 //   - total: Σδ, the stream length n for the heavy-hitters threshold φn.
 //
-// Updates are ingested in batches, once, through a sharded scatter
-// kernel; Snapshot hands out an immutable view in O(1) (copy-on-write:
-// the next ingest after a snapshot clones the tables, so readers never
-// block ingestion and never observe a torn state). Snapshot.NewProver
+// Both tables are held in fixed 2^12-entry chunks, nil until written
+// (table.go). Updates are ingested in batches, once, through a sharded
+// scatter kernel whose workers own whole chunks; Snapshot hands out an
+// immutable view in O(1) (copy-on-write per chunk: the next ingest after
+// a snapshot copies the chunk-pointer array and then only the chunks it
+// writes, so readers never block ingestion and never observe a torn
+// state, and a version costs what changed). Snapshot.NewProver
 // constructs the prover session for any QueryKind from that view without
 // touching the raw stream — the engine does not even retain it.
 //
@@ -54,6 +57,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -314,39 +318,6 @@ func (e *Engine) Drop(name string) {
 // count and a field.Elem per padded universe entry.
 func tableBytes(paddedU uint64) int64 { return int64(paddedU) * 16 }
 
-// tableState is one immutable-once-sealed version of a dataset's
-// aggregate state. While unsealed it is mutated in place by ingestion;
-// Snapshot seals it, and the next ingest clones it (copy-on-write).
-//
-// A sealed state also memoizes the live-pair scan of elems (see
-// Snapshot.livePairs): computed once, on first use, and shared by every
-// SELF-JOIN SIZE and Fk prover of the version. It lives and dies with the state — an
-// ingest's clone starts without one, and an evicted state is dropped
-// with it, so a rehydrated one scans afresh. It holds pair indices only:
-// a sparse scan lists at most u/8 of them at 4 bytes each, 1/32 of
-// tableBytes.
-type tableState struct {
-	counts  []int64
-	elems   []field.Elem
-	total   int64
-	n       uint64 // updates ingested
-	version uint64 // ingest batches applied; the proof-cache key component
-	sealed  bool
-
-	liveOnce sync.Once
-	live     sumcheck.LivePairs // elems' live-pair scan, once liveOnce has run
-}
-
-func (st *tableState) clone() *tableState {
-	return &tableState{
-		counts:  append([]int64(nil), st.counts...),
-		elems:   append([]field.Elem(nil), st.elems...),
-		total:   st.total,
-		n:       st.n,
-		version: st.version,
-	}
-}
-
 // residency is the per-dataset state machine of the memory governor:
 //
 //	resident ──beginEvict──▶ evicting ──save ok──▶ evicted
@@ -394,7 +365,7 @@ type Dataset struct {
 	verMeta  uint64      // dataset version, valid even while evicted
 	lastUse  uint64      // LRU stamp; guarded by eng.mu, not mu
 
-	liveScans atomic.Uint64 // live-pair scans run over its table versions
+	liveScans atomic.Uint64 // chunk live-pair scans run for its table versions
 
 	// saveMu serializes checkpoint writes for this dataset and guards
 	// the record of what is on disk, so a slow writer holding an older
@@ -416,10 +387,7 @@ func NewDataset(f field.Field, u uint64, workers int) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds.head = &tableState{
-		counts: make([]int64, ds.params.U),
-		elems:  make([]field.Elem, ds.params.U),
-	}
+	ds.head = newTableState(ds.params.U)
 	ds.res = resResident
 	return ds, nil
 }
@@ -571,45 +539,57 @@ func (d *Dataset) IngestColumns(idx []uint64, deltas []int64) error {
 			d.head = st
 		}
 		f := d.f
-		apply := func(k int) {
-			i := idx[k] - base // slice tables are indexed locally
-			st.counts[i] += deltas[k]
-			st.elems[i] = f.Add(st.elems[i], f.FromInt64(deltas[k]))
-		}
+		mask := uint64(1)<<st.shift - 1
+		st.ownAll(idx, base)
 		nw := parallel.Workers(d.workers)
 		if nw > 1 && len(idx) >= minShardBatch {
-			// Index i belongs to shard i/width; equal-width shards keep the
-			// shard computation overflow-free for any supported universe.
-			u := d.params.U
-			width := (u + uint64(nw) - 1) / uint64(nw)
-			shard := make([]int32, len(idx))
-			count := make([]int, nw)
+			// A stable counting sort groups update positions by chunk; the
+			// workers take contiguous runs of chunks, and apply each chunk's
+			// updates in batch order through its own slices. No two workers
+			// touch one chunk, so each copy-on-write copy is made once.
+			nc := len(st.chunks)
+			start := make([]int, nc+1)
+			for _, i := range idx {
+				start[(i-base)>>st.shift+1]++
+			}
+			for c := 0; c < nc; c++ {
+				start[c+1] += start[c]
+			}
+			pos := make([]int32, len(idx))
+			next := slices.Clone(start[:nc])
 			for k, i := range idx {
-				s := int32((i - base) / width)
-				shard[k] = s
-				count[s]++
+				c := (i - base) >> st.shift
+				pos[next[c]] = int32(k)
+				next[c]++
 			}
-			start := make([]int, nw+1)
-			for s := 0; s < nw; s++ {
-				start[s+1] = start[s] + count[s]
-			}
-			pos := make([]int, len(idx))
-			next := append([]int(nil), start[:nw]...)
-			for k := range idx {
-				s := shard[k]
-				pos[next[s]] = k
-				next[s]++
-			}
-			parallel.ForGrain(nw, nw, 1, func(_, lo, hi int) {
-				for s := lo; s < hi; s++ {
-					for _, k := range pos[start[s]:start[s+1]] {
-						apply(k)
+			parallel.ForGrain(nw, nc, 1, func(_, lo, hi int) {
+				for c := lo; c < hi; c++ {
+					if start[c] == start[c+1] {
+						continue
+					}
+					ch := st.chunks[c]
+					if ch == nil || ch.gen != st.gen {
+						ch = st.own(uint64(c))
+					}
+					counts, elems := ch.counts, ch.elems
+					for _, k := range pos[start[c]:start[c+1]] {
+						j := (idx[k] - base) & mask
+						counts[j] += deltas[k]
+						elems[j] = f.Add(elems[j], f.FromInt64(deltas[k]))
 					}
 				}
 			})
 		} else {
-			for k := range idx {
-				apply(k)
+			chunks, shift, gen := st.chunks, st.shift, st.gen // own writes elements, never the header
+			for k, i := range idx {
+				i -= base // slice tables are indexed locally
+				ch := chunks[i>>shift]
+				if ch == nil || ch.gen != gen {
+					ch = st.own(i >> shift)
+				}
+				j, dl := i&mask, deltas[k]
+				ch.counts[j] += dl
+				ch.elems[j] = f.Add(ch.elems[j], f.FromInt64(dl))
 			}
 		}
 		for _, dl := range deltas {
@@ -646,9 +626,9 @@ func (d *Dataset) Version() uint64 {
 // Snapshot returns an immutable view of the current state in O(1),
 // rehydrating an evicted dataset first. The snapshot stays valid — and
 // bit-stable — while ingestion continues and across later evictions of
-// its dataset; the first ingest after a snapshot pays one O(u) table
-// copy. Snapshot panics if rehydration fails (use SnapshotErr for the
-// error-returning form).
+// its dataset; the first ingest after a snapshot copies the chunk-pointer
+// array and then each chunk it writes. Snapshot panics if rehydration
+// fails (use SnapshotErr for the error-returning form).
 func (d *Dataset) Snapshot() *Snapshot {
 	s, err := d.SnapshotErr()
 	if err != nil {
@@ -679,12 +659,13 @@ type Snapshot struct {
 	st *tableState
 }
 
-// Counts returns the dense frequency vector. Read-only: callers must not
-// modify it.
-func (s *Snapshot) Counts() []int64 { return s.st.counts }
+// Counts returns the dense frequency vector as a fresh O(u) copy, the
+// caller's own.
+func (s *Snapshot) Counts() []int64 { return flat(s.st, countsOf) }
 
-// Elems returns the field image of the frequency vector. Read-only.
-func (s *Snapshot) Elems() []field.Elem { return s.st.elems }
+// Elems returns the field image of the frequency vector as a fresh O(u)
+// copy, the caller's own.
+func (s *Snapshot) Elems() []field.Elem { return flat(s.st, elemsOf) }
 
 // Total returns Σδ over the ingested stream (the length n of an
 // insert-only stream).
@@ -697,16 +678,18 @@ func (s *Snapshot) Updates() uint64 { return s.st.n }
 // Dataset.Version.
 func (s *Snapshot) Version() uint64 { return s.st.version }
 
+// elemChunks returns the element table in chunks, borrowed: the SELF-JOIN
+// SIZE and Fk provers (whole and slice owner) read it in place.
+func (s *Snapshot) elemChunks() sumcheck.Chunked {
+	return sumcheck.Chunked{Width: 1 << s.st.shift, Chunks: column(s.st, elemsOf)}
+}
+
 // livePairs returns the live-pair scan of the snapshot's element table,
-// which the SELF-JOIN SIZE and Fk provers (whole and slice owner) take
-// instead of scanning the table themselves. The sealed state computes it
-// once, single-flight, on first use: every conversation on an unchanged
-// version after the first skips the O(u) scan.
+// which the SELF-JOIN SIZE and Fk provers take instead of scanning the
+// table themselves. The sealed state assembles it once, single-flight, on
+// first use, scanning only chunks no earlier version scanned: every
+// conversation on an unchanged version after the first skips the
+// assembly, and a version one ingest made scans the chunks it touched.
 func (s *Snapshot) livePairs() sumcheck.LivePairs {
-	st := s.st
-	st.liveOnce.Do(func() {
-		st.live = sumcheck.ScanLivePairs(s.ds.params.Ell, s.ds.workers, st.elems)
-		s.ds.liveScans.Add(1)
-	})
-	return st.live
+	return s.st.scanLive(s.ds.workers, &s.ds.liveScans)
 }

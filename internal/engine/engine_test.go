@@ -229,9 +229,10 @@ func TestConcurrentIngestAndSnapshot(t *testing.T) {
 				// A frozen view must be internally consistent: counts,
 				// elems, and total all describe the same epoch.
 				var total int64
+				elems := snap.Elems()
 				for j, c := range snap.Counts() {
 					total += c
-					if f61.FromInt64(c) != snap.Elems()[j] {
+					if f61.FromInt64(c) != elems[j] {
 						t.Error("snapshot tore: counts and elems disagree")
 						return
 					}

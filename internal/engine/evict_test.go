@@ -426,9 +426,10 @@ func TestConcurrentEvictRehydrate(t *testing.T) {
 					return
 				}
 				var total int64
+				elems := snap.Elems()
 				for j, c := range snap.Counts() {
 					total += c
-					if f61.FromInt64(c) != snap.Elems()[j] {
+					if f61.FromInt64(c) != elems[j] {
 						t.Error("snapshot tore across evict/rehydrate: counts and elems disagree")
 						return
 					}

@@ -2,7 +2,7 @@ package engine
 
 import "repro/internal/sumcheck"
 
-// LiveScans reports how many live-pair scans d's table versions have run.
+// LiveScans reports how many chunk live-pair scans d's table versions have run.
 func LiveScans(d *Dataset) uint64 { return d.liveScans.Load() }
 
 // LivePairsOf returns s's live-pair memo, scanning on first use.

@@ -224,8 +224,9 @@ var kinds = [...]kindRow{
 }
 
 // fkRow is SELF-JOIN SIZE (k = 2) and Fk (k from the parameters). Its
-// provers, whole and slice owner, take the version's live-pair memo
-// (Snapshot.livePairs) instead of scanning the element table.
+// provers, whole and slice owner, read the element table in place through
+// its chunks and take the version's live-pair memo (Snapshot.livePairs)
+// instead of scanning it.
 func fkRow(k func(QueryParams) int) kindRow {
 	return kindRow{
 		open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
@@ -235,9 +236,11 @@ func fkRow(k func(QueryParams) int) kindRow {
 			}
 			proto.Workers = workers
 			in := sessions(proto.Adopt,
-				func(s *Snapshot) (*core.FkProver, error) { return proto.NewProverFromScan(s.Elems(), s.livePairs) }, nil, nil)
+				func(s *Snapshot) (*core.FkProver, error) {
+					return proto.NewProverFromChunks(s.elemChunks(), s.livePairs)
+				}, nil, nil)
 			in.partial = func(s *Snapshot, lo, hi uint64) (core.ProverSession, error) {
-				return proto.NewPartialProverFromTable(s.Elems(), s.livePairs, lo, hi, s.Version())
+				return proto.NewPartialProverFromChunks(s.elemChunks(), s.livePairs, lo, hi, s.Version())
 			}
 			return in, nil
 		},

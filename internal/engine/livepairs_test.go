@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -11,79 +12,218 @@ import (
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 )
 
-// TestLivePairsOncePerVersion: the live-pair scan is a value of the
-// sealed table version. At Workers 0 and 2, eight concurrent SELF-JOIN
-// SIZE and Fk conversations on one snapshot reproduce the reference
-// transcript and share one scan, whose index list they leave
-// byte-equal. An ingest makes a version that scans once more while the
-// old snapshot still proves the old data, and an evicted dataset
-// rehydrates without its memo and scans afresh.
+// kept is a snapshot with copies of its tables, taken when it was new.
+type kept struct {
+	snap   *engine.Snapshot
+	counts []int64
+	elems  []field.Elem
+}
+
+// part is one dataset under TestLivePairsOncePerVersion: the whole
+// universe, or one slice [lo, hi) of it.
+type part struct {
+	name   string
+	ds     *engine.Dataset
+	lo, hi uint64
+	kept   []kept
+}
+
+// TestLivePairsOncePerVersion: a version's live-pair index, assembled
+// from the memoized lists of its chunks, equals a fresh ScanLivePairs of
+// its elements after every batch of a seeded random stream of ± batches:
+// one-update, small and sharded (≥ minShardBatch) batches, and batches
+// that undo an earlier one and so return entries to zero. It runs over a
+// whole dataset and over S = 2 slices, at Workers 0 and 2, through an
+// evict/rehydrate cycle and a Release/Adopt handoff. After every batch
+// every older snapshot still holds its tables (copy-on-write per chunk),
+// the tables hold the stream's counts, and a one-update version scans
+// exactly the one chunk its update touched. Twice along the stream,
+// concurrent SELF-JOIN SIZE and Fk conversations on the whole dataset
+// reproduce the reference transcript and leave the shared index
+// unwritten.
 func TestLivePairsOncePerVersion(t *testing.T) {
-	const u = 1 << 12
-	cases := []conformance.Case{conformance.Cases[0], conformance.Cases[1]}
-	ups := stream.UnitIncrements(u, 64, field.NewSplitMix64(3201))
-	bump := []stream.Update{{Index: 5, Delta: 3}}
-	more := append(slices.Clone(ups), bump...)
+	const u = 1 << 15 // eight chunks
 	cost, err := engine.TableCost(u)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cases := []conformance.Case{conformance.Cases[0], conformance.Cases[1]}
 	for _, workers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			e := engine.New(f61, workers)
-			if err := e.SetDataDir(t.TempDir()); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() {
-				if err := e.Close(); err != nil {
-					t.Error(err)
+		for _, nslices := range []uint64{1, 2} {
+			t.Run(fmt.Sprintf("workers=%d/S=%d", workers, nslices), func(t *testing.T) {
+				e := engine.New(f61, workers)
+				if err := e.SetDataDir(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() {
+					if err := e.Close(); err != nil {
+						t.Error(err)
+					}
+				})
+				e.SetBudget(cost)
+				var parts []*part
+				for s := uint64(0); s < nslices; s++ {
+					p := &part{name: fmt.Sprintf("a%d", s), lo: s * u / nslices, hi: (s + 1) * u / nslices}
+					if nslices == 1 {
+						p.ds, err = e.Open(p.name, u)
+					} else {
+						p.ds, err = e.OpenSlice(p.name, u, p.lo, p.hi)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					parts = append(parts, p)
+				}
+				rng := field.NewSplitMix64(3201 + uint64(workers) + 10*nslices)
+				counts := make([]int64, u)
+				var history []stream.Update
+				var batches [][]stream.Update
+				for step := 0; step < 28; step++ {
+					var batch []stream.Update
+					one := false
+					switch {
+					case step%7 == 3 && len(batches) > 0: // undo an earlier batch
+						for _, up := range batches[rng.Uint64()%uint64(len(batches))] {
+							batch = append(batch, stream.Update{Index: up.Index, Delta: -up.Delta})
+						}
+					case step%7 == 5: // a sharded scatter
+						batch = stream.UnitIncrements(u, 1<<13+int(rng.Uint64()%100), rng)
+					case step%2 == 0:
+						one = true
+						batch = []stream.Update{{Index: rng.Uint64() % u, Delta: 1 + int64(rng.Uint64()%3)}}
+					default:
+						batch = stream.UnitIncrements(u, 1+int(rng.Uint64()%64), rng)
+						if rng.Uint64()%2 == 0 {
+							for i := range batch {
+								batch[i].Delta = -batch[i].Delta
+							}
+						}
+					}
+					batches = append(batches, batch)
+					history = append(history, batch...)
+					for _, up := range batch {
+						counts[up.Index] += up.Delta
+					}
+					rebuilt := false // the parts' next versions are rebuilt from checkpoints, every chunk unscanned
+					switch step {
+					case 9: // evict every part: the other dataset needs the whole budget
+						if _, err := e.Open("other", u); err != nil {
+							t.Fatal(err)
+						}
+						for _, p := range parts {
+							if p.ds.Resident() {
+								t.Fatalf("%s is still resident under a one-dataset budget", p.name)
+							}
+						}
+						rebuilt = true
+					case 18: // hand every part off and take it back
+						for _, p := range parts {
+							if _, err := e.Release(p.name); err != nil {
+								t.Fatal(err)
+							}
+							if _, err := e.Adopt(p.name); err != nil {
+								t.Fatal(err)
+							}
+							var ok bool
+							if p.ds, ok = e.Get(p.name); !ok {
+								t.Fatalf("%s not registered after Adopt", p.name)
+							}
+						}
+						rebuilt = true
+					}
+					for _, p := range parts {
+						var sub []stream.Update
+						for _, up := range batch {
+							if up.Index >= p.lo && up.Index < p.hi {
+								sub = append(sub, up)
+							}
+						}
+						if err := p.ds.Ingest(sub); err != nil {
+							t.Fatal(err)
+						}
+						before := engine.LiveScans(p.ds)
+						snap := p.ds.Snapshot()
+						live := engine.LivePairsOf(snap)
+						scans := engine.LiveScans(p.ds) - before
+						name := fmt.Sprintf("step %d, %s", step, p.name)
+						if one && !rebuilt && scans != uint64(len(sub)) {
+							t.Fatalf("%s: a %d-update version ran %d chunk scans, want %d", name, len(sub), scans, len(sub))
+						}
+						elems := snap.Elems()
+						want := sumcheck.ScanLivePairs(2, 0, elems)
+						if live.Sparse() != want.Sparse() || !slices.Equal(live.Indices(), want.Indices()) {
+							t.Fatalf("%s: index (sparse %v, %d pairs) differs from a fresh scan (sparse %v, %d pairs)",
+								name, live.Sparse(), live.Len(), want.Sparse(), want.Len())
+						}
+						if got := snap.Counts(); !slices.Equal(got, counts[p.lo:p.hi]) {
+							t.Fatalf("%s: the tables do not hold the stream's counts", name)
+						}
+						p.kept = append(p.kept, kept{snap, snap.Counts(), elems})
+						for v, k := range p.kept {
+							if !slices.Equal(k.snap.Counts(), k.counts) || !slices.Equal(k.snap.Elems(), k.elems) {
+								t.Fatalf("%s: the snapshot of step %d changed", name, v)
+							}
+						}
+					}
+					if nslices == 1 && (step == 5 || step == 27) {
+						snap := parts[0].ds.Snapshot()
+						idx := engine.LivePairsOf(snap).Indices()
+						converseConcurrently(t, u, snap, cases, history, 4)
+						if !slices.Equal(engine.LivePairsOf(snap).Indices(), idx) {
+							t.Fatalf("step %d: a conversation wrote the shared live-pair index", step)
+						}
+					}
 				}
 			})
-			e.SetBudget(cost)
-			ds, err := e.Open("a", u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ds.Ingest(ups); err != nil {
-				t.Fatal(err)
-			}
-			scans := func(want uint64) {
-				t.Helper()
-				if got := engine.LiveScans(ds); got != want {
-					t.Fatalf("%d live-pair scans, want %d", got, want)
-				}
-			}
-			snap := ds.Snapshot()
-			live := engine.LivePairsOf(snap)
-			if !live.Sparse() || len(live.Indices()) == 0 {
-				t.Fatalf("scan of %d updates over u = %d is not sparse with live pairs", len(ups), u)
-			}
-			idx := slices.Clone(live.Indices())
-			converseConcurrently(t, u, snap, cases, ups, 8)
-			scans(1)
-			if !slices.Equal(engine.LivePairsOf(snap).Indices(), idx) {
-				t.Fatal("a conversation wrote the shared live-pair indices")
-			}
+		}
+	}
+}
 
-			if err := ds.Ingest(bump); err != nil {
-				t.Fatal(err)
-			}
-			converseConcurrently(t, u, snap, cases, ups, 2)
-			scans(1)
-			converseConcurrently(t, u, ds.Snapshot(), cases, more, 2)
-			scans(2)
-
-			if _, err := e.Open("b", u); err != nil { // evicts a
-				t.Fatal(err)
-			}
-			if ds.Resident() {
-				t.Fatal("a is still resident under a one-dataset budget")
-			}
-			converseConcurrently(t, u, ds.Snapshot(), cases, more, 2)
-			scans(3)
-		})
+// TestVersionAllocations: a one-update ingest after a snapshot, at
+// u = 2^20, allocates the chunk it writes and the version's chunk-pointer
+// array and nothing in proportion to u: at most 8 allocations (the
+// snapshot, the new table state and its chunk-pointer array, the chunk
+// and its two columns, and the ingest's bookkeeping), and at most one
+// chunk's 64 KiB plus the 2 KiB array and 4 KiB of slack in bytes. A
+// flat-table clone allocated 16 MiB here.
+func TestVersionAllocations(t *testing.T) {
+	const u = 1 << 20
+	ds, err := engine.NewDataset(f61, u, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Ingest(stream.UnitIncrements(u, 1<<12, field.NewSplitMix64(3401))); err != nil {
+		t.Fatal(err)
+	}
+	idx, deltas := []uint64{12345}, []int64{1}
+	bump := func() {
+		ds.Snapshot()
+		deltas[0] = -deltas[0] // +1 and −1 in turn: the data stays periodic
+		if err := ds.IngestColumns(idx, deltas); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, bump)
+	t.Logf("a one-update version at u = 2^20: %.1f allocations", allocs)
+	if allocs > 8 {
+		t.Errorf("a one-update version allocated %.1f times, want ≤ 8", allocs)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		bump()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	const limit = 64<<10 + 8*(u>>12) + 4<<10
+	t.Logf("a one-update version at u = 2^20: %d bytes", perRun)
+	if perRun > limit {
+		t.Errorf("a one-update version allocated %d bytes, want ≤ %d", perRun, limit)
 	}
 }
 
@@ -130,22 +270,47 @@ func converseConcurrently(t *testing.T, u uint64, snap *engine.Snapshot, cases [
 	}
 }
 
+// BenchmarkVersion prices what a new dataset version costs: a one-update
+// ingest after a snapshot, then that version's live-pair index, at a
+// fixed 2^12 non-zero entries over growing universes. The index scans the
+// one chunk the update copied and links the other chunks' lists, so the
+// cost barely grows with u.
+func BenchmarkVersion(b *testing.B) {
+	for _, logu := range []int{16, 20, 22} {
+		b.Run(fmt.Sprintf("u=2^%d", logu), func(b *testing.B) {
+			u := uint64(1) << logu
+			ds, err := engine.NewDataset(f61, u, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := ds.Ingest(stream.UnitIncrements(u, 1<<12, field.NewSplitMix64(3501))); err != nil {
+				b.Fatal(err)
+			}
+			engine.LivePairsOf(ds.Snapshot())
+			idx, deltas := []uint64{u / 3}, []int64{1}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				deltas[0] = 1 - 2*int64(i%2) // +1 and −1 in turn
+				if err := ds.IngestColumns(idx, deltas); err != nil {
+					b.Fatal(err)
+				}
+				engine.LivePairsOf(ds.Snapshot())
+			}
+		})
+	}
+}
+
 // BenchmarkF2Conversation prices the prover's side of one SELF-JOIN SIZE
 // conversation at the f2_large shape (u = 2^20, 2^15 unit updates,
 // Workers 2), driven by an unobserved verifier's challenge schedule.
 // hit proves one snapshot over and over, so every conversation finds the
-// version's live-pair scan memoized; miss first ingests one update, off
+// version's live-pair index memoized; miss first ingests one update, off
 // the clock, so every conversation is the first on a new version and
-// pays the scan.
+// pays the index, which scans the one chunk the update copied. dense
+// proves one snapshot of a table with no zero entry (nnz = u), so every
+// round is dense and the first reads through the chunks.
 func BenchmarkF2Conversation(b *testing.B) {
 	const u, n = 1 << 20, 1 << 15
-	ds, err := engine.NewDataset(f61, u, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := ds.Ingest(stream.UnitIncrements(u, n, field.NewSplitMix64(3301))); err != nil {
-		b.Fatal(err)
-	}
 	v, err := engine.NewStreamVerifier(f61, u, engine.QuerySelfJoinSize, engine.QueryParams{}, field.NewSplitMix64(3302))
 	if err != nil {
 		b.Fatal(err)
@@ -165,6 +330,13 @@ func BenchmarkF2Conversation(b *testing.B) {
 			}
 		}
 	}
+	ds, err := engine.NewDataset(f61, u, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ds.Ingest(stream.UnitIncrements(u, n, field.NewSplitMix64(3301))); err != nil {
+		b.Fatal(err)
+	}
 	b.Run("hit", func(b *testing.B) {
 		snap := ds.Snapshot()
 		converse(snap)
@@ -182,6 +354,26 @@ func BenchmarkF2Conversation(b *testing.B) {
 			}
 			snap := ds.Snapshot()
 			b.StartTimer()
+			converse(snap)
+		}
+	})
+	b.Run("dense", func(b *testing.B) {
+		dense, err := engine.NewDataset(f61, u, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := field.NewSplitMix64(3303)
+		idx, deltas := make([]uint64, u), make([]int64, u)
+		for i := range idx {
+			idx[i], deltas[i] = uint64(i), 1+int64(rng.Uint64()%1000)
+		}
+		if err := dense.IngestColumns(idx, deltas); err != nil {
+			b.Fatal(err)
+		}
+		snap := dense.Snapshot()
+		converse(snap)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			converse(snap)
 		}
 	})

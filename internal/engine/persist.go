@@ -52,7 +52,6 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/lde"
-	"repro/internal/parallel"
 	"repro/internal/store"
 )
 
@@ -364,8 +363,9 @@ func (e *Engine) rehydrate(d *Dataset) error {
 	return nil
 }
 
-// checkpointOf packages a sealed-or-stable table state for the codec.
-// Caller must guarantee st is not concurrently mutated.
+// checkpointOf packages a sealed-or-stable table state for the codec,
+// which writes its counts chunk by chunk. Caller must guarantee st is not
+// concurrently mutated.
 func (d *Dataset) checkpointOf(st *tableState) *store.Checkpoint {
 	return &store.Checkpoint{
 		Universe: d.origU,
@@ -375,7 +375,8 @@ func (d *Dataset) checkpointOf(st *tableState) *store.Checkpoint {
 		Version:  st.version,
 		SliceLo:  d.sliceLo,
 		SliceHi:  d.sliceHi,
-		Counts:   st.counts,
+		Chunks:   column(st, countsOf),
+		ChunkLen: 1 << st.shift,
 	}
 }
 
@@ -404,31 +405,16 @@ func shellForCheckpoint(f field.Field, ckpt *store.Checkpoint, workers int) (*Da
 	return newDatasetShell(f, ckpt.Universe, workers)
 }
 
-// stateFromCheckpoint rebuilds live tables from a checkpoint: the counts
-// are taken as-is, the field image is recomputed (it is a deterministic
-// function of the counts, so an evict/rehydrate cycle is bit-exact).
+// stateFromCheckpoint rebuilds live tables from a checkpoint: the chunks
+// alias the loaded counts, and the field image is recomputed (it is a
+// deterministic function of the counts, so an evict/rehydrate cycle is
+// bit-exact).
 func (d *Dataset) stateFromCheckpoint(ckpt *store.Checkpoint) (*tableState, error) {
 	if err := d.checkCheckpoint(ckpt); err != nil {
 		return nil, err
 	}
-	st := &tableState{
-		counts:  ckpt.Counts,
-		elems:   make([]field.Elem, len(ckpt.Counts)),
-		total:   ckpt.Total,
-		n:       ckpt.Updates,
-		version: ckpt.Version,
-	}
-	f := d.f
-	rebuild := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			st.elems[i] = f.FromInt64(st.counts[i])
-		}
-	}
-	if nw := parallel.Workers(d.workers); nw > 1 && len(st.counts) >= minShardBatch {
-		parallel.ForGrain(nw, len(st.counts), 1<<12, func(_, lo, hi int) { rebuild(lo, hi) })
-	} else {
-		rebuild(0, len(st.counts))
-	}
+	st := stateFromCounts(d.f, d.workers, ckpt.Counts)
+	st.total, st.n, st.version = ckpt.Total, ckpt.Updates, ckpt.Version
 	return st, nil
 }
 
@@ -675,10 +661,10 @@ func SnapshotFromCounts(f field.Field, u uint64, workers int, counts []int64) (*
 	if uint64(len(counts)) > ds.params.U {
 		return nil, fmt.Errorf("engine: %d counts exceed the padded universe %d", len(counts), ds.params.U)
 	}
-	st := ds.head
-	copy(st.counts, counts)
-	for i, c := range counts {
-		st.elems[i] = f.FromInt64(c)
+	full := make([]int64, ds.params.U)
+	copy(full, counts)
+	st := stateFromCounts(f, workers, full)
+	for _, c := range counts {
 		st.total += c
 	}
 	st.sealed = true

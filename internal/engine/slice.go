@@ -102,10 +102,7 @@ func (e *Engine) OpenSlice(name string, globalU, lo, hi uint64) (*Dataset, error
 		return nil, fmt.Errorf("engine: dataset limit of %d reached", e.maxDatasets)
 	}
 	ds := shell
-	ds.head = &tableState{
-		counts: make([]int64, ds.params.U),
-		elems:  make([]field.Elem, ds.params.U),
-	}
+	ds.head = newTableState(ds.params.U)
 	ds.res = resResident
 	ds.name = name
 	ds.eng = e

@@ -23,22 +23,25 @@ import (
 // (to the client, a lying router) for every case, router↔slice owner at
 // S = 2 for the seam cases, interactively and — at the owner hop, where
 // the router records the proof through the relay — in the posted proof.
-// Every message of every conversation is lied about once; each lie must
-// meet core.ErrRejected, and the same connection must then serve an
-// honest conversation.
+// A fourth hop lies inside the router at S = 2: its split conversation
+// rewrites message j after folding the owners' partials (or, in the
+// tail rounds, after proving alone), interactively and in the posted
+// proofs it records. Every message of every conversation is lied about
+// once; each lie must meet core.ErrRejected, and the same connection
+// must then serve an honest conversation.
 func TestMessageLiars(t *testing.T) {
 	t.Run("server", func(t *testing.T) {
 		t.Parallel()
 		addr, stop := startShard(t, &wire.Server{F: f61})
 		t.Cleanup(stop)
 		relay := newTamperRelay(t, addr)
-		messageLiar(t, relay, relay.addr(), conformance.Cases, false)
+		messageLiar(t, &relay.liar, relay.addr(), conformance.Cases, false)
 	})
 	t.Run("router", func(t *testing.T) {
 		t.Parallel()
 		routerAddr, _, _ := twoShards(t, 0, map[string]string{"liar": "s2"})
 		relay := newTamperRelay(t, routerAddr)
-		messageLiar(t, relay, relay.addr(), conformance.Cases, false)
+		messageLiar(t, &relay.liar, relay.addr(), conformance.Cases, false)
 	})
 	t.Run("owner", func(t *testing.T) {
 		t.Parallel()
@@ -53,14 +56,42 @@ func TestMessageLiars(t *testing.T) {
 		routerAddr, _, stop := startRouter(t, &Table{Shards: shards,
 			Splits: map[string]*SplitSpec{"liar": {Slices: 2, Owners: []string{"s1", "s2"}}}})
 		t.Cleanup(stop)
-		messageLiar(t, relay, routerAddr, conformance.Filter(conformance.Case.Seam), true)
+		messageLiar(t, &relay.liar, routerAddr, conformance.Filter(conformance.Case.Seam), true)
+	})
+	t.Run("fold", func(t *testing.T) {
+		t.Parallel()
+		var shards []ShardInfo
+		for _, name := range []string{"s1", "s2"} {
+			addr, stop := startShard(t, &wire.Server{F: f61})
+			t.Cleanup(stop)
+			shards = append(shards, ShardInfo{Name: name, Addr: addr})
+		}
+		r, err := NewRouter(&Table{Shards: shards,
+			Splits: map[string]*SplitSpec{"liar": {Slices: 2, Owners: []string{"s1", "s2"}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &liar{armed: -1}
+		r.foldLie = func(j int, m core.Msg) core.Msg {
+			if l.take(j) {
+				return tamper(m)
+			}
+			return m
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = r.Serve(ln) }()
+		t.Cleanup(func() { _ = r.Close() })
+		messageLiar(t, l, ln.Addr().String(), conformance.Filter(conformance.Case.Seam), true)
 	})
 }
 
-// messageLiar arms relay at message j = 0, 1, … of each case's
-// conversation through addr until an arming finds no message j to
-// rewrite; that conversation, told no lie, must be accepted.
-func messageLiar(t *testing.T, relay *tamperRelay, addr string, cases []conformance.Case, withPosted bool) {
+// messageLiar arms l at message j = 0, 1, … of each case's conversation
+// through addr until an arming finds no message j to rewrite; that
+// conversation, told no lie, must be accepted.
+func messageLiar(t *testing.T, l *liar, addr string, cases []conformance.Case, withPosted bool) {
 	const u = 200 // pads to 256
 	c := dialT(t, addr)
 	c.FieldModulus = f61.Modulus()
@@ -111,9 +142,9 @@ func messageLiar(t *testing.T, relay *tamperRelay, addr string, cases []conforma
 				if j > 4096 {
 					t.Fatalf("%v %s: the relay is still rewriting at message %d", cs, d.name, j)
 				}
-				relay.arm(j)
+				l.arm(j)
 				err := d.run(cs)
-				if !relay.disarm() {
+				if !l.disarm() {
 					if err != nil {
 						t.Errorf("%v %s: with no lie left to tell: %v", cs, d.name, err)
 					}
@@ -131,19 +162,51 @@ func messageLiar(t *testing.T, relay *tamperRelay, addr string, cases []conforma
 	}
 }
 
-// tamperRelay is a TCP relay in front of one hop's prover side. Armed
-// with j, it rewrites the j-th prover message of a conversation (counted
-// per channel, 0 is the opening) and disarms: it adds 1 to the first
-// element, flips the first int when there is no element, and appends an
-// element to an empty message, where the other two rewrites would pass
-// it unchanged. Everything else passes byte for byte.
+// liar holds which prover message of a conversation to rewrite next:
+// armed with j, it rewrites message j (counted per conversation, 0 is the
+// opening) and disarms.
+type liar struct {
+	mu    sync.Mutex
+	armed int // -1: tell no lie
+}
+
+func (l *liar) arm(j int) {
+	l.mu.Lock()
+	l.armed = j
+	l.mu.Unlock()
+}
+
+// disarm reports whether the armed lie was told, and disarms.
+func (l *liar) disarm() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	told := l.armed < 0
+	l.armed = -1
+	return told
+}
+
+// take reports whether a conversation's n-th prover message is the one
+// to rewrite, and if so marks the lie told.
+func (l *liar) take(n int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n != l.armed {
+		return false
+	}
+	l.armed = -1
+	return true
+}
+
+// tamperRelay is a TCP relay in front of one hop's prover side. Its liar
+// picks the prover message to rewrite (tamper); everything else passes
+// byte for byte.
 type tamperRelay struct {
+	liar
 	ln     net.Listener
 	target string
 	wg     sync.WaitGroup
 
-	mu     sync.Mutex
-	armed  int // -1: pass through
+	mu     sync.Mutex // guards conns and closed
 	conns  []net.Conn
 	closed bool
 }
@@ -154,7 +217,7 @@ func newTamperRelay(t *testing.T, target string) *tamperRelay {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &tamperRelay{ln: ln, target: target, armed: -1}
+	tr := &tamperRelay{liar: liar{armed: -1}, ln: ln, target: target}
 	tr.wg.Add(1)
 	go tr.accept()
 	t.Cleanup(func() {
@@ -171,33 +234,6 @@ func newTamperRelay(t *testing.T, target string) *tamperRelay {
 }
 
 func (tr *tamperRelay) addr() string { return tr.ln.Addr().String() }
-
-func (tr *tamperRelay) arm(j int) {
-	tr.mu.Lock()
-	tr.armed = j
-	tr.mu.Unlock()
-}
-
-// disarm reports whether the armed lie was told, and disarms.
-func (tr *tamperRelay) disarm() bool {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	told := tr.armed < 0
-	tr.armed = -1
-	return told
-}
-
-// take reports whether a channel's n-th prover message is the one to
-// rewrite, and if so marks the lie told.
-func (tr *tamperRelay) take(n int) bool {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if n != tr.armed {
-		return false
-	}
-	tr.armed = -1
-	return true
-}
 
 func (tr *tamperRelay) accept() {
 	defer tr.wg.Done()
@@ -258,6 +294,10 @@ func (tr *tamperRelay) relay(from, to net.Conn) {
 	}
 }
 
+// tamper rewrites a prover message: it adds 1 to the first element,
+// flips the first int when there is no element, and appends an element
+// to an empty message, where the other two rewrites would pass it
+// unchanged.
 func tamper(m core.Msg) core.Msg {
 	switch {
 	case len(m.Elems) > 0:

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/proofcache"
 	"repro/internal/wire"
 	"repro/internal/wire/frames"
@@ -64,6 +65,11 @@ type Router struct {
 
 	cacheOnce  sync.Once
 	proofCache *proofcache.Cache // split-proof cache (lazy; see proofCacheRef)
+
+	// foldLie, when set before Serve, rewrites every message a split
+	// dataset's conversation emits — m is message j, 0 being the folded
+	// opening — as a router lying while it folds would. Tests only.
+	foldLie func(j int, m core.Msg) core.Msg
 }
 
 // ErrRouterClosed is returned by Serve after Close.

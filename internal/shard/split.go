@@ -53,6 +53,8 @@ type splitAttach struct {
 	mu     sync.Mutex
 	owners []*wire.Client // slice k → its owner leg
 	count  uint64         // last acked global update count
+
+	foldLie func(j int, m core.Msg) core.Msg // the router's, see Router.foldLie
 }
 
 // bounds returns slice k's [lo, hi) over the padded universe.
@@ -169,11 +171,12 @@ func (p *proxyConn) openSplit(name string, u uint64, pl *splitPlacement) error {
 			name, u, params.U, pl.slices)
 	}
 	a := &splitAttach{
-		name:   name,
-		u:      u,
-		width:  params.U / uint64(pl.slices),
-		slices: pl.slices,
-		owners: make([]*wire.Client, pl.slices),
+		name:    name,
+		u:       u,
+		width:   params.U / uint64(pl.slices),
+		slices:  pl.slices,
+		owners:  make([]*wire.Client, pl.slices),
+		foldLie: p.r.foldLie,
 	}
 	var total uint64
 	for k, s := range pl.owners {
@@ -350,6 +353,17 @@ type splitProver struct {
 
 	agg     *core.SplitAggregator // nil until Open has folded the openings
 	opening core.Msg
+	sent    int // messages emitted: the opening, then one per Step
+}
+
+// emit counts one emitted message, passing it through the attachment's
+// fold liar when one is set.
+func (sp *splitProver) emit(m core.Msg) core.Msg {
+	if lie := sp.a.foldLie; lie != nil {
+		m = lie(sp.sent, m)
+	}
+	sp.sent++
+	return m
 }
 
 // Open reads every owner's opening and folds them; once folded, Open
@@ -376,8 +390,8 @@ func (sp *splitProver) Open() (core.Msg, error) {
 		}
 		opening, err := agg.Open(parts)
 		if err == nil {
-			sp.agg, sp.opening = agg, opening
-			return opening, nil
+			sp.agg, sp.opening = agg, sp.emit(opening)
+			return sp.opening, nil
 		}
 		if !errors.Is(err, core.ErrSplitVersion) || attempt >= 3 {
 			return core.Msg{}, err
@@ -398,7 +412,11 @@ func (sp *splitProver) Step(m core.Msg) (core.Msg, error) {
 		return core.Msg{}, fmt.Errorf("%w: challenge carries %d field elements, want 1", wire.ErrProtocol, len(m.Elems))
 	}
 	if !sp.agg.Broadcast() {
-		return sp.agg.Next(m.Elems[0])
+		out, err := sp.agg.Next(m.Elems[0])
+		if err != nil {
+			return core.Msg{}, err
+		}
+		return sp.emit(out), nil
 	}
 	for _, conv := range sp.convs {
 		if err := conv.Challenge(m); err != nil {
@@ -413,10 +431,13 @@ func (sp *splitProver) Step(m core.Msg) (core.Msg, error) {
 		}
 	}
 	out, err := sp.agg.Collect(parts)
-	if err == nil && sp.agg.TailStarted() {
+	if err != nil {
+		return core.Msg{}, err
+	}
+	if sp.agg.TailStarted() {
 		finishConvs(sp.convs)
 	}
-	return out, err
+	return sp.emit(out), nil
 }
 
 // Close finishes every owner conversation; idempotent.

@@ -86,6 +86,21 @@ type Checkpoint struct {
 	SliceLo  uint64  // slice lower bound in the padded universe (0 for whole datasets)
 	SliceHi  uint64  // slice upper bound; 0 means a whole-universe dataset
 	Counts   []int64 // dense frequency vector: padded to ℓ^d ≥ Universe, or the slice's width
+
+	// Chunks, when Counts is nil, holds the same vector in chunks of
+	// ChunkLen entries each, nil for a chunk of zeros. Encode and Save
+	// write it exactly as the Counts it stands for, without assembling
+	// them; Decode and Load always fill Counts.
+	Chunks   [][]int64
+	ChunkLen int
+}
+
+// entries returns the length of the frequency vector.
+func (c *Checkpoint) entries() int {
+	if c.Counts != nil {
+		return len(c.Counts)
+	}
+	return len(c.Chunks) * c.ChunkLen
 }
 
 // Slice reports whether the checkpoint holds a universe slice rather
@@ -94,7 +109,8 @@ func (c *Checkpoint) Slice() bool { return c.SliceHi != 0 }
 
 // Encode serializes the checkpoint.
 func Encode(c *Checkpoint) []byte {
-	out := make([]byte, headerSize+8*len(c.Counts)+crcSize)
+	n := c.entries()
+	out := make([]byte, headerSize+8*n+crcSize)
 	copy(out[:8], magic[:])
 	binary.LittleEndian.PutUint64(out[8:], c.Universe)
 	binary.LittleEndian.PutUint64(out[16:], c.Modulus)
@@ -103,12 +119,20 @@ func Encode(c *Checkpoint) []byte {
 	binary.LittleEndian.PutUint64(out[40:], c.Version)
 	binary.LittleEndian.PutUint64(out[48:], c.SliceLo)
 	binary.LittleEndian.PutUint64(out[56:], c.SliceHi)
-	binary.LittleEndian.PutUint64(out[64:], uint64(len(c.Counts)))
-	off := headerSize
-	for _, v := range c.Counts {
-		binary.LittleEndian.PutUint64(out[off:], uint64(v))
-		off += 8
+	binary.LittleEndian.PutUint64(out[64:], uint64(n))
+	put := func(off int, counts []int64) {
+		for _, v := range counts {
+			binary.LittleEndian.PutUint64(out[off:], uint64(v))
+			off += 8
+		}
 	}
+	if c.Counts != nil {
+		put(headerSize, c.Counts)
+	}
+	for k, counts := range c.Chunks { // a nil chunk's zeros are already there
+		put(headerSize+8*k*c.ChunkLen, counts)
+	}
+	off := headerSize + 8*n
 	binary.LittleEndian.PutUint32(out[off:], crc32.Checksum(out[:off], castagnoli))
 	return out
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -227,4 +228,30 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			t.Fatal("re-encode round-trip drifted")
 		}
 	})
+}
+
+// TestChunksEncodeAsCounts: a checkpoint whose counts are held in chunks,
+// nil for chunks of zeros, encodes to exactly the bytes of the same
+// counts held flat, and decodes to those counts.
+func TestChunksEncodeAsCounts(t *testing.T) {
+	flat := sample()
+	copy(flat.Counts[4:8], []int64{0, 0, 0, 0})
+	chunked := *flat
+	chunked.Counts, chunked.ChunkLen = nil, 4
+	for lo := 0; lo < len(flat.Counts); lo += 4 {
+		var c []int64
+		if lo != 4 {
+			c = flat.Counts[lo : lo+4]
+		}
+		chunked.Chunks = append(chunked.Chunks, c)
+	}
+	want := Encode(flat)
+	if got := Encode(&chunked); !bytes.Equal(got, want) {
+		t.Fatalf("chunked encoding\n%x\nflat encoding\n%x", got, want)
+	}
+	got, err := Decode(want, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCheckpoint(t, got, flat)
 }

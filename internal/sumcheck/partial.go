@@ -76,6 +76,19 @@ func NewPartialProver(cfg Config, lo, hi uint64, live LivePairs, tables ...[]fie
 	return NewProver(scfg, live, tables...)
 }
 
+// NewPartialChunkedProver is NewPartialProver over the slice's one table
+// held in chunks, as NewChunkedProver takes it: live is the scan of the
+// slice's hi−lo entries.
+func NewPartialChunkedProver(cfg Config, lo, hi uint64, live LivePairs, tab Chunked) (*Prover, error) {
+	sp, err := SliceParams(cfg.Params, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	scfg := cfg
+	scfg.Params = sp
+	return NewChunkedProver(scfg, live, tab)
+}
+
 // Leaves returns the single remaining entry of each table once every
 // round has been folded — the slice's contribution to the tail
 // prover's tables. It fails if any fold is still pending.

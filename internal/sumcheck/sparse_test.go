@@ -88,7 +88,8 @@ func newScanned(cfg Config, tables ...[]field.Elem) (*Prover, error) {
 // TestSparseRoundsMatchOracle pins the sparse rounds against the oracle:
 // every round message and the leaves after the last fold are equal for
 // every combiner, density, size and worker count, and so are a split
-// prover's combined messages and leaves. One scan is handed to two
+// prover's combined messages and leaves, and — for the one-table
+// combiners — those of the same table held in chunks. One scan is handed to two
 // provers one after the other, then to two provers running concurrently,
 // and must come out unwritten. It also pins which form the scan chose,
 // so the switch itself is covered: it depends on the number of live
@@ -149,7 +150,10 @@ func TestSparseRoundsMatchOracle(t *testing.T) {
 						t.Fatalf("%s: scan found %d live pairs, want %d", name, len(live.Indices()), dn.live)
 					}
 					for _, s := range []int{2, 4} {
-						checkSplit(t, fmt.Sprintf("%s/S=%d", name, s), cfg, tables, challenges, s, want)
+						checkSplit(t, fmt.Sprintf("%s/S=%d", name, s), cfg, tables, challenges, s, want, flatPartial(cfg))
+					}
+					if comb.Arity() == 1 {
+						checkChunked(t, name, cfg, tables[0], challenges, want, live)
 					}
 				}
 			}
@@ -271,11 +275,71 @@ func checkSharedScan(t *testing.T, name string, cfg Config, tables [][]field.Ele
 	return live
 }
 
+// flatPartial builds the partial prover of a slice over its flat tables
+// and their own scan.
+func flatPartial(cfg Config) func(lo, hi uint64, sub [][]field.Elem) (*Prover, error) {
+	return func(lo, hi uint64, sub [][]field.Elem) (*Prover, error) {
+		return NewPartialProver(cfg, lo, hi, ScanLivePairs(2, cfg.Workers, sub...), sub...)
+	}
+}
+
+// chunkTable holds table in chunks of width entries, every all-zero
+// chunk nil, and returns them with each chunk's live pairs, one run per
+// chunk.
+func chunkTable(table []field.Elem, width int) (Chunked, [][]uint32) {
+	tab := Chunked{Width: width}
+	var runs [][]uint32
+	for lo := 0; lo < len(table); lo += width {
+		ch := table[lo : lo+width]
+		if slices.ContainsFunc(ch, func(e field.Elem) bool { return e != 0 }) {
+			runs = append(runs, AppendLivePairs(nil, lo/2, ch))
+		} else {
+			ch = nil
+		}
+		tab.Chunks = append(tab.Chunks, ch)
+	}
+	return tab, runs
+}
+
+// checkChunked holds table in chunks of several widths, all-zero chunks
+// nil. The scan assembled from per-chunk runs must equal live, the flat
+// table's scan, and a chunked prover over it — whole, and split S = 2
+// with each slice chunked alone — must play the oracle's conversation.
+func checkChunked(t *testing.T, name string, cfg Config, table []field.Elem, challenges []field.Elem, want transcript, live LivePairs) {
+	t.Helper()
+	for _, width := range []int{2, 4, 64} {
+		cname := fmt.Sprintf("%s/chunks of %d", name, width)
+		tab, runs := chunkTable(table, width)
+		got := LivePairsFromRuns(2, len(table), runs)
+		if got.Sparse() != live.Sparse() || got.Len() != live.Len() || !slices.Equal(got.Indices(), live.Indices()) {
+			t.Fatalf("%s: scan from runs (sparse %v, %d pairs) differs from the flat scan (sparse %v, %d pairs)",
+				cname, got.Sparse(), got.Len(), live.Sparse(), live.Len())
+		}
+		p, err := NewChunkedProver(cfg, got, tab)
+		if err != nil {
+			t.Fatalf("%s: %v", cname, err)
+		}
+		tr, err := play(cfg, []*Prover{p}, challenges)
+		if err != nil {
+			t.Fatalf("%s: %v", cname, err)
+		}
+		if tr.String() != want.String() {
+			t.Fatalf("%s: transcript\n%v\noracle\n%v", cname, tr, want)
+		}
+		checkSplit(t, cname+"/S=2", cfg, [][]field.Elem{table}, challenges, 2, want, func(lo, hi uint64, sub [][]field.Elem) (*Prover, error) {
+			tab, runs := chunkTable(sub[0], width)
+			return NewPartialChunkedProver(cfg, lo, hi, LivePairsFromRuns(2, len(sub[0]), runs), tab)
+		})
+	}
+}
+
 // checkSplit plays the conversation of nslices partial provers, each
-// over its slice's own scan, and compares the combined messages and the
-// leaves with the oracle's: slice k's leaves are entry k of the oracle's
-// tables after the head rounds. The borrowed tables may not be written.
-func checkSplit(t *testing.T, name string, cfg Config, tables [][]field.Elem, challenges []field.Elem, nslices int, want transcript) {
+// built by newPart over its slice's tables, and compares the combined
+// messages and the leaves with the oracle's: slice k's leaves are entry k
+// of the oracle's tables after the head rounds. The borrowed tables may
+// not be written.
+func checkSplit(t *testing.T, name string, cfg Config, tables [][]field.Elem, challenges []field.Elem, nslices int, want transcript,
+	newPart func(lo, hi uint64, sub [][]field.Elem) (*Prover, error)) {
 	t.Helper()
 	orig := make([][]field.Elem, len(tables))
 	for i, tab := range tables {
@@ -290,7 +354,7 @@ func checkSplit(t *testing.T, name string, cfg Config, tables [][]field.Elem, ch
 			sub[i] = tab[lo:hi]
 		}
 		var err error
-		provers[k], err = NewPartialProver(cfg, lo, hi, ScanLivePairs(2, cfg.Workers, sub...), sub...)
+		provers[k], err = newPart(lo, hi, sub)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

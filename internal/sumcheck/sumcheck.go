@@ -31,8 +31,9 @@
 //     reading at most T·u entries, which finds the n live pairs (pairs
 //     where any table is non-zero). The scan is a value the prover is
 //     handed, not work it does: a caller scans once per set of tables
-//     and shares the result, and the dataset engine scans once per
-//     sealed table version, not once per conversation;
+//     and shares the result, and the dataset engine assembles it per
+//     table version from per-chunk lists (LivePairsFromRuns), scanning
+//     only the chunks an ingest wrote;
 //   - O(T·n) to pack the live pairs when the prover is built;
 //   - while n is at most a quarter of the m/2 pairs of the current
 //     m-entry tables and m > 64, O((T + deg)·n) field operations per
@@ -188,17 +189,19 @@ func (c Config) Validate() error {
 // ---------------------------------------------------------------------
 // Prover
 
-// Prover is the honest prover: it borrows the full frequency tables
-// read-only and answers each round from progressively folded tables of
-// its own. All table scans fan out across cfg.Workers goroutines in
-// contiguous chunks; since field arithmetic is exact and partials are
-// combined in chunk order, the transcript is bit-identical for every
-// worker count.
+// Prover is the honest prover: it borrows the full frequency tables —
+// flat, or one table in chunks — read-only and answers each round from
+// progressively folded tables of its own. All table scans fan out across
+// cfg.Workers goroutines in contiguous chunks; since field arithmetic is
+// exact and partials are combined in chunk order, the transcript is
+// bit-identical for every worker count.
 type Prover struct {
 	cfg     Config
 	workers int
 	tables  [][]field.Elem // the borrowed tables until the first fold, then the prover's own
+	chunks  *Chunked       // the one borrowed table instead, held in chunks, until the first fold
 	sparse  *sparseTables  // the tables instead, while few of their pairs are live
+	zero    field.Elem     // C(0, …, 0): what each all-zero pair adds at every point
 	chiAt   [][]field.Elem // chiAt[c][k] = χ_k(c) for evaluation points c=0..deg
 	cElems  []field.Elem   // cElems[c] = c as a field element
 	weights []field.Elem   // Lagrange basis weights for arbitrary-point folds
@@ -249,11 +252,89 @@ func NewProver(cfg Config, live LivePairs, tables ...[]field.Elem) (*Prover, err
 	if len(tables) != cfg.Combiner.Arity() {
 		return nil, fmt.Errorf("sumcheck: combiner arity %d but %d tables", cfg.Combiner.Arity(), len(tables))
 	}
+	src := make([]Chunked, len(tables))
 	for t, tab := range tables {
 		if uint64(len(tab)) != cfg.Params.U {
 			return nil, fmt.Errorf("sumcheck: table %d has %d entries, want %d", t, len(tab), cfg.Params.U)
 		}
+		src[t] = Chunked{Width: len(tab), Chunks: [][]field.Elem{tab}}
 	}
+	p, err := newProver(cfg, live)
+	if err != nil {
+		return nil, err
+	}
+	p.tables = tables
+	if live.sparse {
+		p.sparse = p.newSparse(live, src)
+		p.tables = nil
+	}
+	return p, nil
+}
+
+// Chunked is one table held as equal chunks: chunk k holds entries
+// [k·Width, (k+1)·Width), and a nil chunk holds zeros. Width is a power
+// of two ≥ 2.
+type Chunked struct {
+	Width  int
+	Chunks [][]field.Elem
+}
+
+// Len returns the number of entries the table holds.
+func (c Chunked) Len() int { return c.Width * len(c.Chunks) }
+
+// each calls fn(at, n, seg) for the runs of entries [lo, hi) that lie in
+// one chunk, in order: the run is entries at..at+n−1, and seg holds them,
+// or is nil when the chunk is.
+func (c Chunked) each(lo, hi int, fn func(at, n int, seg []field.Elem)) {
+	for lo < hi {
+		k := lo / c.Width
+		end := min(hi, (k+1)*c.Width)
+		var seg []field.Elem
+		if ch := c.Chunks[k]; ch != nil {
+			seg = ch[lo-k*c.Width : end-k*c.Width]
+		}
+		fn(lo, end-lo, seg)
+		lo = end
+	}
+}
+
+// NewChunkedProver is NewProver over one table held in chunks, at ℓ = 2
+// with a combiner of arity 1; live is the live-pair scan of the whole
+// table (ScanLivePairs of its entries, or LivePairsFromRuns). The chunks
+// are borrowed like NewProver's tables. The first round reads through
+// them — a nil chunk adds C(0) per pair — and the first fold writes a
+// flat table of the prover's own, half the size, as NewProver's does.
+func NewChunkedProver(cfg Config, live LivePairs, tab Chunked) (*Prover, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Combiner.Arity() != 1 || cfg.Params.Ell != 2 {
+		return nil, fmt.Errorf("sumcheck: a chunked table needs ℓ=2 and arity 1, have ℓ=%d and arity %d",
+			cfg.Params.Ell, cfg.Combiner.Arity())
+	}
+	if tab.Width < 2 || tab.Width&(tab.Width-1) != 0 || uint64(tab.Len()) != cfg.Params.U {
+		return nil, fmt.Errorf("sumcheck: %d chunks of %d entries do not make a table of %d", len(tab.Chunks), tab.Width, cfg.Params.U)
+	}
+	for k, ch := range tab.Chunks {
+		if ch != nil && len(ch) != tab.Width {
+			return nil, fmt.Errorf("sumcheck: chunk %d has %d entries, want %d", k, len(ch), tab.Width)
+		}
+	}
+	p, err := newProver(cfg, live)
+	if err != nil {
+		return nil, err
+	}
+	if live.sparse {
+		p.sparse = p.newSparse(live, []Chunked{tab})
+	} else {
+		p.chunks = &tab
+	}
+	return p, nil
+}
+
+// newProver is the table-free part of both constructors: it checks live
+// against cfg and precomputes the evaluation tables.
+func newProver(cfg Config, live LivePairs) (*Prover, error) {
 	if uint64(live.entries) != cfg.Params.U || live.sparse && cfg.Params.Ell != 2 {
 		return nil, fmt.Errorf("sumcheck: live pairs scanned over %d entries at ℓ=2, prover has %d at ℓ=%d",
 			live.entries, cfg.Params.U, cfg.Params.Ell)
@@ -264,20 +345,14 @@ func NewProver(cfg Config, live LivePairs, tables ...[]field.Elem) (*Prover, err
 	for c := 0; c <= deg; c++ {
 		cElems[c] = cfg.Field.Reduce(uint64(c))
 	}
-	chiAt := lde.ChiTables(cfg.Field, weights, cElems)
-	p := &Prover{
+	return &Prover{
 		cfg:     cfg,
 		workers: parallel.Workers(cfg.Workers),
-		tables:  tables,
-		chiAt:   chiAt,
+		chiAt:   lde.ChiTables(cfg.Field, weights, cElems),
 		cElems:  cElems,
 		weights: weights,
-	}
-	if live.sparse {
-		p.sparse = p.newSparse(live, tables)
-		p.tables = nil
-	}
-	return p, nil
+		zero:    cfg.Combiner.Apply(cfg.Field, make([]field.Elem, cfg.Combiner.Arity())),
+	}, nil
 }
 
 // RoundMessage computes the evaluations g_j(0..deg) for the current round.
@@ -294,6 +369,9 @@ func (p *Prover) RoundMessage() ([]field.Elem, error) {
 	}
 	if p.sparse != nil {
 		return p.sparseMessage(), nil
+	}
+	if p.chunks != nil {
+		return p.chunkMessage(), nil
 	}
 	return p.message(p.tables), nil
 }
@@ -315,31 +393,7 @@ func (p *Prover) message(tables [][]field.Elem) []field.Elem {
 	partials := make([][]field.Elem, parallel.ChunksGrain(p.workers, size, grain))
 	parallel.ForGrain(p.workers, size, grain, func(chunk, lo, hi int) {
 		out := make([]field.Elem, deg+1)
-		vals := make([]field.Elem, len(tables))
-		diffs := make([]field.Elem, len(tables))
-		for w := lo; w < hi; w++ {
-			base := w * ell
-			if ell == 2 {
-				for t, tab := range tables {
-					diffs[t] = f.Sub(tab[base+1], tab[base])
-				}
-			}
-			for c := 0; c <= deg; c++ {
-				for t, tab := range tables {
-					switch {
-					case c < ell:
-						// χ at a node is an indicator: direct read.
-						vals[t] = tab[base+c]
-					case ell == 2:
-						// (1-c)·T0 + c·T1 = T0 + c·(T1-T0): one multiply.
-						vals[t] = f.Add(tab[base], f.Mul(p.cElems[c], diffs[t]))
-					default:
-						vals[t] = f.DotSlices(p.chiAt[c], tab[base:base+ell])
-					}
-				}
-				out[c] = f.Add(out[c], p.cfg.Combiner.Apply(f, vals))
-			}
-		}
+		p.messageRange(out, tables, lo, hi)
 		partials[chunk] = out
 	})
 	out := make([]field.Elem, deg+1)
@@ -347,6 +401,39 @@ func (p *Prover) message(tables [][]field.Elem) []field.Elem {
 		f.AddSlices(out, out, part)
 	}
 	return out
+}
+
+// messageRange adds the generic walk's terms for the ℓ-tuples w ∈ [lo, hi)
+// of tables into out.
+func (p *Prover) messageRange(out []field.Elem, tables [][]field.Elem, lo, hi int) {
+	f := p.cfg.Field
+	ell := p.cfg.Params.Ell
+	deg := p.cfg.degree()
+	vals := make([]field.Elem, len(tables))
+	diffs := make([]field.Elem, len(tables))
+	for w := lo; w < hi; w++ {
+		base := w * ell
+		if ell == 2 {
+			for t, tab := range tables {
+				diffs[t] = f.Sub(tab[base+1], tab[base])
+			}
+		}
+		for c := 0; c <= deg; c++ {
+			for t, tab := range tables {
+				switch {
+				case c < ell:
+					// χ at a node is an indicator: direct read.
+					vals[t] = tab[base+c]
+				case ell == 2:
+					// (1-c)·T0 + c·T1 = T0 + c·(T1-T0): one multiply.
+					vals[t] = f.Add(tab[base], f.Mul(p.cElems[c], diffs[t]))
+				default:
+					vals[t] = f.DotSlices(p.chiAt[c], tab[base:base+ell])
+				}
+			}
+			out[c] = f.Add(out[c], p.cfg.Combiner.Apply(f, vals))
+		}
+	}
 }
 
 // messageFused computes a round message over tables with the pair-walk
@@ -366,6 +453,11 @@ func (p *Prover) messageFused(kind int, tables [][]field.Elem) []field.Elem {
 		}
 		partials[chunk] = [3]field.Elem{g0, g1, g2}
 	})
+	return sum3(f, partials)
+}
+
+// sum3 adds the three-point partials of a fused kernel in chunk order.
+func sum3(f field.Field, partials [][3]field.Elem) []field.Elem {
 	out := make([]field.Elem, 3)
 	for _, pt := range partials {
 		out[0] = f.Add(out[0], pt[0])
@@ -403,13 +495,7 @@ func (p *Prover) foldFused(kind int, r field.Elem) {
 		})
 		p.tables = [][]field.Elem{nextA, nextB}
 	}
-	out := make([]field.Elem, 3)
-	for _, pt := range partials {
-		out[0] = f.Add(out[0], pt[0])
-		out[1] = f.Add(out[1], pt[1])
-		out[2] = f.Add(out[2], pt[2])
-	}
-	p.pending = out
+	p.pending = sum3(f, partials)
 }
 
 // Fold binds the current round's variable to the verifier's challenge r,
@@ -422,6 +508,11 @@ func (p *Prover) Fold(r field.Elem) error {
 	p.pending = nil
 	if p.sparse != nil {
 		p.foldSparse(r)
+		p.round++
+		return nil
+	}
+	if p.chunks != nil {
+		p.foldChunks(r)
 		p.round++
 		return nil
 	}
@@ -460,6 +551,91 @@ func (p *Prover) Fold(r field.Elem) error {
 	return nil
 }
 
+// chunkMessage computes round 1's message over the chunked table: the
+// pairs split across workers as in message, each worker's pairs read
+// chunk by chunk.
+func (p *Prover) chunkMessage() []field.Elem {
+	f := p.cfg.Field
+	deg := p.cfg.degree()
+	sq := p.fuseKind() == fuseSq
+	grain := parallel.MinGrain
+	if !sq {
+		grain = grainFor((deg + 1) * 2)
+	}
+	npairs := p.chunks.Len() / 2
+	partials := make([][]field.Elem, parallel.ChunksGrain(p.workers, npairs, grain))
+	parallel.ForGrain(p.workers, npairs, grain, func(chunk, lo, hi int) {
+		out := make([]field.Elem, deg+1)
+		dead := 0
+		p.chunks.each(2*lo, 2*hi, func(_, n int, seg []field.Elem) {
+			switch {
+			case seg == nil:
+				dead += n / 2
+			case sq:
+				g0, g1, g2 := f.PairsSumSq(seg)
+				out[0], out[1], out[2] = f.Add(out[0], g0), f.Add(out[1], g1), f.Add(out[2], g2)
+			default:
+				p.messageRange(out, [][]field.Elem{seg}, 0, n/2)
+			}
+		})
+		p.addZeros(out, dead)
+		partials[chunk] = out
+	})
+	out := make([]field.Elem, deg+1)
+	for _, part := range partials {
+		f.AddSlices(out, out, part)
+	}
+	return out
+}
+
+// foldChunks folds the chunked table by r into a flat table of the
+// prover's own; a nil chunk folds to zeros, which the new table already
+// holds. When the fused kernel applies, it computes the next message in
+// the same pass, as foldFused does; chunks of at least 4 entries keep its
+// next-table pairs whole.
+func (p *Prover) foldChunks(r field.Elem) {
+	f := p.cfg.Field
+	src := p.chunks
+	next := make([]field.Elem, src.Len()/2)
+	if p.fuseKind() == fuseSq && p.round+1 < p.cfg.Params.D && src.Width >= 4 {
+		npairs := len(next) / 2
+		partials := make([][3]field.Elem, parallel.Chunks(p.workers, npairs))
+		parallel.For(p.workers, npairs, func(chunk, lo, hi int) {
+			var g [3]field.Elem
+			src.each(4*lo, 4*hi, func(at, n int, seg []field.Elem) {
+				if seg != nil { // zeros fold to zeros, whose squares add nothing
+					g0, g1, g2 := f.FoldPairsSumSq(next[at/2:(at+n)/2], seg, r)
+					g = [3]field.Elem{f.Add(g[0], g0), f.Add(g[1], g1), f.Add(g[2], g2)}
+				}
+			})
+			partials[chunk] = g
+		})
+		p.pending = sum3(f, partials)
+	} else {
+		parallel.For(p.workers, len(next), func(_, lo, hi int) {
+			src.each(2*lo, 2*hi, func(at, n int, seg []field.Elem) {
+				if seg != nil {
+					f.FoldPairs(next[at/2:(at+n)/2], seg, r)
+				}
+			})
+		})
+	}
+	p.tables, p.chunks = [][]field.Elem{next}, nil
+}
+
+// addZeros adds what that many all-zero pairs contribute,
+// pairs·C(0, …, 0), at every evaluation point of msg.
+func (p *Prover) addZeros(msg []field.Elem, pairs int) {
+	if p.zero == 0 || pairs == 0 {
+		return
+	}
+	f := p.cfg.Field
+	c := f.Mul(f.Reduce(uint64(pairs)), p.zero)
+	for i := range msg {
+		msg[i] = f.Add(msg[i], c)
+	}
+}
+
 // ---------------------------------------------------------------------
 // Sparse rounds
 
@@ -489,11 +665,12 @@ const (
 // LivePairs is one live-pair scan of a set of tables: the sorted indices
 // of their live pairs, or the verdict that they are to be held dense. It
 // depends on the tables alone, so one scan serves every prover over the
-// same tables — a dataset engine computes it once per sealed table
-// version — and provers never write it.
+// same tables — a dataset engine assembles it once per sealed table
+// version from per-chunk runs — and provers never write it.
 type LivePairs struct {
-	idx     []uint32 // live pair indices, strictly increasing; shared, read-only
-	entries int      // length of each scanned table; -1 when the tables disagree
+	runs    [][]uint32 // the live pair indices in runs, each strictly increasing and past the one before; shared, read-only
+	n       int        // live pairs over all runs
+	entries int        // length of each scanned table; -1 when the tables disagree
 	sparse  bool
 }
 
@@ -501,10 +678,13 @@ type LivePairs struct {
 // pairs.
 func (l LivePairs) Sparse() bool { return l.sparse }
 
-// Indices returns the live pair indices, strictly increasing: nil when
-// the tables are dense or hold no live pair. The slice is shared by every
-// holder of the scan; callers must not write it.
-func (l LivePairs) Indices() []uint32 { return l.idx }
+// Len returns the number of live pairs listed: 0 when the tables are
+// dense.
+func (l LivePairs) Len() int { return l.n }
+
+// Indices returns the live pair indices, strictly increasing, in a slice
+// of the caller's own: nil when the tables are dense or hold no live pair.
+func (l LivePairs) Indices() []uint32 { return slices.Concat(l.runs...) }
 
 // ScanLivePairs finds the live pairs of tables under branching factor ell
 // in one pass split across workers goroutines (0 serial, n < 0 all
@@ -525,36 +705,78 @@ func ScanLivePairs(ell, workers int, tables ...[]field.Elem) LivePairs {
 		}
 	}
 	live.entries = len(tables[0])
-	npairs := live.entries / 2
-	if ell != 2 || live.entries < sparseMinEntries || npairs-1 > math.MaxUint32 {
+	if !sparseCandidate(ell, live.entries) {
 		return live
 	}
+	npairs := live.entries / 2
 	limit := int64(npairs / sparseShare)
 	var found atomic.Int64
 	nw := parallel.Workers(workers)
-	idxs := make([][]uint32, parallel.Chunks(nw, npairs))
+	runs := make([][]uint32, parallel.Chunks(nw, npairs))
 	parallel.For(nw, npairs, func(chunk, lo, hi int) {
 		var idx []uint32
 		for b := lo; b < hi; b += scanBatch {
 			end := min(b+scanBatch, hi)
 			before := len(idx)
-			for w := b; w < end; w += 8 {
-				for m := liveMask(tables, w, min(8, end-w)); m != 0; m &= m - 1 {
-					idx = append(idx, uint32(w+bits.TrailingZeros(m)))
-				}
-			}
+			idx = appendLive(idx, 0, tables, b, end)
 			if found.Add(int64(len(idx)-before)) > limit {
 				return
 			}
 		}
-		idxs[chunk] = idx
+		runs[chunk] = idx
 	})
 	if found.Load() > limit {
 		return live
 	}
-	live.idx = slices.Concat(idxs...)
-	live.sparse = true
+	return LivePairsFromRuns(ell, live.entries, runs)
+}
+
+// AppendLivePairs appends to dst the live pairs of one table, without
+// ScanLivePairs's early stop: first+w for each live pair w of table. A
+// caller holding a table in pieces scans each piece once this way — pair
+// w of the piece is pair first+w of the whole — and assembles the whole
+// table's scan with LivePairsFromRuns.
+func AppendLivePairs(dst []uint32, first int, table []field.Elem) []uint32 {
+	return appendLive(dst, first, [][]field.Elem{table}, 0, len(table)/2)
+}
+
+// LivePairsFromRuns is the live-pair scan of tables of entries entries
+// under ell, assembled from runs of live pair indices the caller found
+// itself (AppendLivePairs): each run strictly increasing and past the one
+// before, together every live pair. The verdict is ScanLivePairs's, so
+// the result equals ScanLivePairs over the same tables. The runs are
+// shared, not copied.
+func LivePairsFromRuns(ell, entries int, runs [][]uint32) LivePairs {
+	live := LivePairs{entries: entries}
+	if !sparseCandidate(ell, entries) {
+		return live
+	}
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	if n > entries/2/sparseShare {
+		return live
+	}
+	live.runs, live.n, live.sparse = runs, n, true
 	return live
+}
+
+// sparseCandidate reports whether tables of entries entries under ell
+// can be held sparse at all.
+func sparseCandidate(ell, entries int) bool {
+	return ell == 2 && entries >= sparseMinEntries && entries/2-1 <= math.MaxUint32
+}
+
+// appendLive appends first+w to idx for each live pair w ∈ [lo, hi) of
+// tables.
+func appendLive(idx []uint32, first int, tables [][]field.Elem, lo, hi int) []uint32 {
+	for w := lo; w < hi; w += 8 {
+		for m := liveMask(tables, w, min(8, hi-w)); m != 0; m &= m - 1 {
+			idx = append(idx, uint32(first+w+bits.TrailingZeros(m)))
+		}
+	}
+	return idx
 }
 
 // liveMask reports which of the n ≤ 8 pairs from pair w are live in any
@@ -579,23 +801,22 @@ type sparseTables struct {
 	pairs  [][]field.Elem // pairs[t][2k], pairs[t][2k+1]: table t's pair idx[k]
 	folded [][]field.Elem // folded[t][k]: entry idx[k] of table t's next table, before regrouping
 	npairs int            // pairs per table, live or dead
-	zero   field.Elem     // C(0, …, 0): what each dead pair adds at every point
 	last   bool           // the sparse form stops paying: the next fold goes dense
 }
 
 // newSparse packs the borrowed tables' live pairs, listed by live, into
 // tables of the prover's own, the gather split across the workers. It
 // copies the indices too: the prover regroups them in place, and live's
-// are shared.
-func (p *Prover) newSparse(live LivePairs, tables [][]field.Elem) *sparseTables {
-	n := len(live.idx)
+// are shared. A pair never straddles two chunks, and a nil chunk holds no
+// live pair.
+func (p *Prover) newSparse(live LivePairs, tables []Chunked) *sparseTables {
 	sp := &sparseTables{
-		idx:    slices.Clone(live.idx),
+		idx:    slices.Concat(live.runs...),
 		pairs:  make([][]field.Elem, len(tables)),
 		folded: make([][]field.Elem, len(tables)),
 		npairs: live.entries / 2,
-		zero:   p.cfg.Combiner.Apply(p.cfg.Field, make([]field.Elem, len(tables))),
 	}
+	n := len(sp.idx)
 	for t := range tables {
 		buf := make([]field.Elem, 3*n)
 		sp.pairs[t], sp.folded[t] = buf[:2*n], buf[2*n:]
@@ -603,33 +824,23 @@ func (p *Prover) newSparse(live LivePairs, tables [][]field.Elem) *sparseTables 
 	parallel.For(p.workers, n, func(_, lo, hi int) {
 		for t, tab := range tables {
 			packed := sp.pairs[t]
-			for k, w := range live.idx[lo:hi] {
-				packed[2*(lo+k)], packed[2*(lo+k)+1] = tab[2*w], tab[2*w+1]
+			shift := bits.TrailingZeros(uint(tab.Width))
+			for k, w := range sp.idx[lo:hi] {
+				i := 2 * int(w)
+				ch := tab.Chunks[i>>shift][i&(tab.Width-1):]
+				packed[2*(lo+k)], packed[2*(lo+k)+1] = ch[0], ch[1]
 			}
 		}
 	})
 	return sp
 }
 
-// sparseMessage computes the current round's message from the live pairs.
+// sparseMessage computes the current round's message from the live
+// pairs, adding the dead pairs' share.
 func (p *Prover) sparseMessage() []field.Elem {
 	out := p.message(p.sparse.pairs)
-	p.addDead(out)
+	p.addZeros(out, p.sparse.npairs-len(p.sparse.idx))
 	return out
-}
-
-// addDead adds the dead pairs' share, (#dead pairs)·C(0, …, 0), at every
-// evaluation point of msg.
-func (p *Prover) addDead(msg []field.Elem) {
-	sp := p.sparse
-	if sp.zero == 0 {
-		return
-	}
-	f := p.cfg.Field
-	c := f.Mul(f.Reduce(uint64(sp.npairs-len(sp.idx))), sp.zero)
-	for i := range msg {
-		msg[i] = f.Add(msg[i], c)
-	}
 }
 
 // foldSparse folds the live pairs by r into the fold buffers, split

@@ -445,7 +445,7 @@ func (p *snapshotProver) Open() (msg core.Msg, err error) {
 	case p.partial:
 		p.ProverSession, err = from.NewPartialProver(p.kind, p.params)
 	case p.s.Corrupt != nil && !slice:
-		counts := p.s.Corrupt(append([]int64(nil), from.Counts()...))
+		counts := p.s.Corrupt(from.Counts()) // a fresh copy, the hook's to rewrite
 		if from, err = engine.SnapshotFromCounts(p.s.F, p.ds.UniverseSize(), p.s.Workers, counts); err == nil {
 			p.ProverSession, err = from.NewProver(p.kind, p.params)
 		}
