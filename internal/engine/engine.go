@@ -504,14 +504,15 @@ func (d *Dataset) Ingest(ups []stream.Update) error {
 }
 
 // IngestColumns is Ingest over parallel index/delta columns (the wire
-// layer decodes straight into this shape). Large batches are applied
-// through a sharded scatter: a stable O(n) counting sort groups update
-// positions by contiguous index shard, then each worker applies one
-// shard's updates in batch order. No two workers touch the same entry
-// and per-index application order is preserved, so the result is
-// identical to the serial left-to-right application for every worker
-// count. An evicted dataset is rehydrated first (admission control
-// applies: rehydration may fail with ErrBudget).
+// layer decodes straight into this shape). Large batches over tables of
+// at least as many chunks as workers are applied through a sharded
+// scatter: a stable O(n) counting sort groups update positions by chunk,
+// then each worker applies the updates of a contiguous run of chunks in
+// batch order. No two workers touch the same chunk and per-index
+// application order is preserved, so the result is identical to the
+// serial left-to-right application for every worker count. An evicted
+// dataset is rehydrated first (admission control applies: rehydration
+// may fail with ErrBudget).
 func (d *Dataset) IngestColumns(idx []uint64, deltas []int64) error {
 	if len(idx) != len(deltas) {
 		return fmt.Errorf("engine: batch has %d indices but %d deltas", len(idx), len(deltas))
@@ -540,9 +541,8 @@ func (d *Dataset) IngestColumns(idx []uint64, deltas []int64) error {
 		}
 		f := d.f
 		mask := uint64(1)<<st.shift - 1
-		st.ownAll(idx, base)
 		nw := parallel.Workers(d.workers)
-		if nw > 1 && len(idx) >= minShardBatch {
+		if nw > 1 && len(idx) >= minShardBatch && len(st.chunks) >= nw {
 			// A stable counting sort groups update positions by chunk; the
 			// workers take contiguous runs of chunks, and apply each chunk's
 			// updates in batch order through its own slices. No two workers

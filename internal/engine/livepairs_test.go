@@ -15,11 +15,13 @@ import (
 	"repro/internal/sumcheck"
 )
 
-// kept is a snapshot with copies of its tables, taken when it was new.
+// kept is a snapshot with copies of its tables, taken when it was new,
+// and the stream it holds.
 type kept struct {
-	snap   *engine.Snapshot
-	counts []int64
-	elems  []field.Elem
+	snap    *engine.Snapshot
+	counts  []int64
+	elems   []field.Elem
+	history []stream.Update
 }
 
 // part is one dataset under TestLivePairsOncePerVersion: the whole
@@ -32,18 +34,27 @@ type part struct {
 }
 
 // TestLivePairsOncePerVersion: a version's live-pair index, assembled
-// from the memoized lists of its chunks, equals a fresh ScanLivePairs of
-// its elements after every batch of a seeded random stream of ± batches:
-// one-update, small and sharded (≥ minShardBatch) batches, and batches
-// that undo an earlier one and so return entries to zero. It runs over a
-// whole dataset and over S = 2 slices, at Workers 0 and 2, through an
-// evict/rehydrate cycle and a Release/Adopt handoff. After every batch
-// every older snapshot still holds its tables (copy-on-write per chunk),
-// the tables hold the stream's counts, and a one-update version scans
-// exactly the one chunk its update touched. Twice along the stream,
-// concurrent SELF-JOIN SIZE and Fk conversations on the whole dataset
-// reproduce the reference transcript and leave the shared index
-// unwritten.
+// from the memoized counts and lists of its chunks, equals a fresh
+// ScanLivePairs of its elements after every batch of a seeded random
+// stream of ± batches: one-update, small and sharded (≥ minShardBatch)
+// batches, batches that crowd one chunk past the share of live pairs a
+// chunk keeps a list for, and batches that undo an earlier one and so
+// return entries to zero. It runs over a whole dataset and over S = 2 slices, at Workers 0
+// and 2, through an evict/rehydrate cycle and a Release/Adopt handoff.
+// After every batch every older snapshot still holds its tables
+// (copy-on-write per chunk), the tables hold the stream's counts, and
+// building the new versions' indices ran exactly one chunk scan per
+// chunk no version had scanned: one for a one-update version, every chunk
+// for a rebuilt one. Four times along the stream — once after a sharded
+// batch, once on the versions rehydrated after the eviction, once on
+// those adopted after the handoff, and once at the end — the step makes
+// two fresh versions, the second one update past the first, so the two
+// share every chunk the first one's batch wrote. Their first uses race,
+// beside uses of an older snapshot: concurrent SELF-JOIN SIZE and Fk
+// conversations on the whole dataset, each reproducing the reference
+// transcript, and concurrent index builds on each slice. The scan count
+// must still be exact, which is the single-flight guarantee of the
+// per-chunk and per-version memos.
 func TestLivePairsOncePerVersion(t *testing.T) {
 	const u = 1 << 15 // eight chunks
 	cost, err := engine.TableCost(u)
@@ -78,12 +89,14 @@ func TestLivePairsOncePerVersion(t *testing.T) {
 					parts = append(parts, p)
 				}
 				rng := field.NewSplitMix64(3201 + uint64(workers) + 10*nslices)
+				oneUpdate := func() []stream.Update {
+					return []stream.Update{{Index: rng.Uint64() % u, Delta: 1 + int64(rng.Uint64()%3)}}
+				}
 				counts := make([]int64, u)
 				var history []stream.Update
 				var batches [][]stream.Update
 				for step := 0; step < 28; step++ {
 					var batch []stream.Update
-					one := false
 					switch {
 					case step%7 == 3 && len(batches) > 0: // undo an earlier batch
 						for _, up := range batches[rng.Uint64()%uint64(len(batches))] {
@@ -91,9 +104,13 @@ func TestLivePairsOncePerVersion(t *testing.T) {
 						}
 					case step%7 == 5: // a sharded scatter
 						batch = stream.UnitIncrements(u, 1<<13+int(rng.Uint64()%100), rng)
+					case step%7 == 1: // one chunk too dense to keep a list of its own
+						at := rng.Uint64() % u / engine.ChunkEntries * engine.ChunkEntries
+						for _, up := range stream.UnitIncrements(engine.ChunkEntries, 1200, rng) {
+							batch = append(batch, stream.Update{Index: at + up.Index, Delta: up.Delta})
+						}
 					case step%2 == 0:
-						one = true
-						batch = []stream.Update{{Index: rng.Uint64() % u, Delta: 1 + int64(rng.Uint64()%3)}}
+						batch = oneUpdate()
 					default:
 						batch = stream.UnitIncrements(u, 1+int(rng.Uint64()%64), rng)
 						if rng.Uint64()%2 == 0 {
@@ -102,10 +119,22 @@ func TestLivePairsOncePerVersion(t *testing.T) {
 							}
 						}
 					}
-					batches = append(batches, batch)
-					history = append(history, batch...)
-					for _, up := range batch {
-						counts[up.Index] += up.Delta
+					// The step's versions: one per batch, and at a racing
+					// step a second, one update past the first.
+					race := step == 5 || step == 9 || step == 18 || step == 27
+					vbatches := [][]stream.Update{batch}
+					if race {
+						vbatches = append(vbatches, oneUpdate())
+					}
+					var vcounts [][]int64
+					var vhistory [][]stream.Update
+					for _, vb := range vbatches {
+						batches = append(batches, vb)
+						history = append(history, vb...)
+						for _, up := range vb {
+							counts[up.Index] += up.Delta
+						}
+						vcounts, vhistory = append(vcounts, slices.Clone(counts)), append(vhistory, slices.Clone(history))
 					}
 					rebuilt := false // the parts' next versions are rebuilt from checkpoints, every chunk unscanned
 					switch step {
@@ -135,51 +164,82 @@ func TestLivePairsOncePerVersion(t *testing.T) {
 						rebuilt = true
 					}
 					for _, p := range parts {
-						var sub []stream.Update
-						for _, up := range batch {
-							if up.Index >= p.lo && up.Index < p.hi {
-								sub = append(sub, up)
+						name := fmt.Sprintf("step %d, %s", step, p.name)
+						before := engine.LiveScans(p.ds)
+						var fresh []kept
+						wantScans := uint64(0)
+						for j, vb := range vbatches {
+							touched := map[uint64]bool{}
+							var sub []stream.Update
+							for _, up := range vb {
+								if up.Index >= p.lo && up.Index < p.hi {
+									sub = append(sub, up)
+									touched[(up.Index-p.lo)/engine.ChunkEntries] = true
+								}
+							}
+							if err := p.ds.Ingest(sub); err != nil {
+								t.Fatal(err)
+							}
+							if rebuilt && j == 0 {
+								wantScans += (p.hi - p.lo) / engine.ChunkEntries
+							} else {
+								wantScans += uint64(len(touched))
+							}
+							fresh = append(fresh, kept{snap: p.ds.Snapshot(), counts: vcounts[j][p.lo:p.hi], history: vhistory[j]})
+						}
+						if race {
+							old := p.kept[len(p.kept)/2]
+							if nslices == 1 {
+								converseConcurrently(t, u, append(fresh, old), cases, 2)
+							} else {
+								buildConcurrently(append(fresh, old), 4)
 							}
 						}
-						if err := p.ds.Ingest(sub); err != nil {
-							t.Fatal(err)
+						for _, k := range fresh {
+							engine.LivePairsOf(k.snap)
 						}
-						before := engine.LiveScans(p.ds)
-						snap := p.ds.Snapshot()
-						live := engine.LivePairsOf(snap)
-						scans := engine.LiveScans(p.ds) - before
-						name := fmt.Sprintf("step %d, %s", step, p.name)
-						if one && !rebuilt && scans != uint64(len(sub)) {
-							t.Fatalf("%s: a %d-update version ran %d chunk scans, want %d", name, len(sub), scans, len(sub))
+						if scans := engine.LiveScans(p.ds) - before; scans != wantScans {
+							t.Fatalf("%s: %d new versions ran %d chunk scans, want %d", name, len(fresh), scans, wantScans)
 						}
-						elems := snap.Elems()
-						want := sumcheck.ScanLivePairs(2, 0, elems)
-						if live.Sparse() != want.Sparse() || !slices.Equal(live.Indices(), want.Indices()) {
-							t.Fatalf("%s: index (sparse %v, %d pairs) differs from a fresh scan (sparse %v, %d pairs)",
-								name, live.Sparse(), live.Len(), want.Sparse(), want.Len())
+						for _, k := range fresh {
+							live := engine.LivePairsOf(k.snap)
+							k.elems = k.snap.Elems()
+							want := sumcheck.ScanLivePairs(2, 0, k.elems)
+							if live.Sparse() != want.Sparse() || !slices.Equal(live.Indices(), want.Indices()) {
+								t.Fatalf("%s: index (sparse %v, %d pairs) differs from a fresh scan (sparse %v, %d pairs)",
+									name, live.Sparse(), live.Len(), want.Sparse(), want.Len())
+							}
+							if !slices.Equal(k.snap.Counts(), k.counts) {
+								t.Fatalf("%s: the tables do not hold the stream's counts", name)
+							}
+							p.kept = append(p.kept, k)
 						}
-						if got := snap.Counts(); !slices.Equal(got, counts[p.lo:p.hi]) {
-							t.Fatalf("%s: the tables do not hold the stream's counts", name)
-						}
-						p.kept = append(p.kept, kept{snap, snap.Counts(), elems})
 						for v, k := range p.kept {
 							if !slices.Equal(k.snap.Counts(), k.counts) || !slices.Equal(k.snap.Elems(), k.elems) {
-								t.Fatalf("%s: the snapshot of step %d changed", name, v)
+								t.Fatalf("%s: the snapshot of version %d changed", name, v)
 							}
-						}
-					}
-					if nslices == 1 && (step == 5 || step == 27) {
-						snap := parts[0].ds.Snapshot()
-						idx := engine.LivePairsOf(snap).Indices()
-						converseConcurrently(t, u, snap, cases, history, 4)
-						if !slices.Equal(engine.LivePairsOf(snap).Indices(), idx) {
-							t.Fatalf("step %d: a conversation wrote the shared live-pair index", step)
 						}
 					}
 				}
 			})
 		}
 	}
+}
+
+// buildConcurrently builds the live-pair index of every kept snapshot
+// from n goroutines each, all at once.
+func buildConcurrently(ks []kept, n int) {
+	var wg sync.WaitGroup
+	for _, k := range ks {
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				engine.LivePairsOf(k.snap)
+			}()
+		}
+	}
+	wg.Wait()
 }
 
 // TestVersionAllocations: a one-update ingest after a snapshot, at
@@ -227,10 +287,11 @@ func TestVersionAllocations(t *testing.T) {
 	}
 }
 
-// converseConcurrently runs n conversations of every case against snap,
-// a snapshot over a universe of u, at once and requires each to reproduce the case's reference transcript
-// over ups.
-func converseConcurrently(t *testing.T, u uint64, snap *engine.Snapshot, cases []conformance.Case, ups []stream.Update, n int) {
+// converseConcurrently runs n conversations of every case against each
+// kept snapshot, a snapshot over a universe of u, all at once, and
+// requires each to reproduce the case's reference transcript over the
+// stream the snapshot holds.
+func converseConcurrently(t *testing.T, u uint64, ks []kept, cases []conformance.Case, n int) {
 	t.Helper()
 	type conv struct {
 		c    conformance.Case
@@ -240,15 +301,17 @@ func converseConcurrently(t *testing.T, u uint64, snap *engine.Snapshot, cases [
 		err  error
 	}
 	var convs []*conv
-	for _, c := range cases {
-		want := conformance.Reference(t, u, c, 7, ups)
-		for i := 0; i < n; i++ {
-			p, err := snap.NewProver(c.Kind, c.Params)
-			if err != nil {
-				t.Fatalf("%v: %v", c, err)
+	for _, k := range ks {
+		for _, c := range cases {
+			want := conformance.Reference(t, u, c, 7, k.history)
+			for i := 0; i < n; i++ {
+				p, err := k.snap.NewProver(c.Kind, c.Params)
+				if err != nil {
+					t.Fatalf("%v: %v", c, err)
+				}
+				v := conformance.Verifier(t, u, c, field.NewSplitMix64(7), k.history)
+				convs = append(convs, &conv{c: c, want: want, rec: &conformance.Recorder{Inner: v}, p: p})
 			}
-			v := conformance.Verifier(t, u, c, field.NewSplitMix64(7), ups)
-			convs = append(convs, &conv{c: c, want: want, rec: &conformance.Recorder{Inner: v}, p: p})
 		}
 	}
 	var wg sync.WaitGroup
@@ -308,7 +371,9 @@ func BenchmarkVersion(b *testing.B) {
 // the clock, so every conversation is the first on a new version and
 // pays the index, which scans the one chunk the update copied. dense
 // proves one snapshot of a table with no zero entry (nnz = u), so every
-// round is dense and the first reads through the chunks.
+// round is dense and the first reads through the chunks; dense-miss does
+// so on a new version each time, so every conversation also pays the
+// index's dense verdict: one chunk scan and a sum of per-chunk counts.
 func BenchmarkF2Conversation(b *testing.B) {
 	const u, n = 1 << 20, 1 << 15
 	v, err := engine.NewStreamVerifier(f61, u, engine.QuerySelfJoinSize, engine.QueryParams{}, field.NewSplitMix64(3302))
@@ -357,23 +422,34 @@ func BenchmarkF2Conversation(b *testing.B) {
 			converse(snap)
 		}
 	})
+	dense, err := engine.NewDataset(f61, u, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := field.NewSplitMix64(3303)
+	idx, deltas := make([]uint64, u), make([]int64, u)
+	for i := range idx {
+		idx[i], deltas[i] = uint64(i), 1+int64(rng.Uint64()%1000)
+	}
+	if err := dense.IngestColumns(idx, deltas); err != nil {
+		b.Fatal(err)
+	}
 	b.Run("dense", func(b *testing.B) {
-		dense, err := engine.NewDataset(f61, u, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := field.NewSplitMix64(3303)
-		idx, deltas := make([]uint64, u), make([]int64, u)
-		for i := range idx {
-			idx[i], deltas[i] = uint64(i), 1+int64(rng.Uint64()%1000)
-		}
-		if err := dense.IngestColumns(idx, deltas); err != nil {
-			b.Fatal(err)
-		}
 		snap := dense.Snapshot()
 		converse(snap)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			converse(snap)
+		}
+	})
+	b.Run("dense-miss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := dense.Ingest([]stream.Update{{Index: 0, Delta: 1 - 2*int64(i%2)}}); err != nil {
+				b.Fatal(err)
+			}
+			snap := dense.Snapshot()
+			b.StartTimer()
 			converse(snap)
 		}
 	})

@@ -19,26 +19,28 @@ const chunkShift = 12
 // every other state holding it shares it read-only and copies it before a
 // write, so a sealed version's chunks never change.
 //
-// A chunk also memoizes its live-pair list: computed once, single-flight,
-// by the first snapshot that needs it, and shared by every version that
-// holds the chunk. A copied chunk starts without one.
+// A chunk also memoizes its live pairs: counted once, single-flight, by
+// the first snapshot that needs them, and shared by every version that
+// holds the chunk. A copied chunk starts without them. The chunk lists
+// its live pairs only while it would be held sparse on its own — at most
+// a quarter of its pairs live, 4 bytes each, so at most 1/32 of its 64 KiB
+// of table — and a denser chunk keeps just the count.
 type chunk struct {
 	counts []int64
 	elems  []field.Elem
 	gen    uint64 // the table state that may write the chunk in place
 
-	scan    sync.Once
-	scanned atomic.Bool // scan has run: live is set
-	live    []uint32    // the live pairs of elems, indexed in the whole table
+	scan  sync.Once
+	nlive int      // live pairs of elems, once scan has run
+	live  []uint32 // their indices in the whole table, when nlive is at most MaxSparseLive of the chunk
 }
 
 // scanLive memoizes the chunk's live pairs; first is the table's index of
 // the chunk's first pair. scans counts the scans that run.
 func (ch *chunk) scanLive(first int, scans *atomic.Uint64) {
 	ch.scan.Do(func() {
-		ch.live = sumcheck.AppendLivePairs(nil, first, ch.elems)
+		ch.live, ch.nlive = sumcheck.AppendLivePairs(nil, first, ch.elems, sumcheck.MaxSparseLive(2, len(ch.elems)))
 		scans.Add(1)
-		ch.scanned.Store(true)
 	})
 }
 
@@ -55,13 +57,15 @@ var gens atomic.Uint64
 // writes, once (copy-on-write per chunk).
 //
 // A sealed state also memoizes its live-pair scan (see
-// Snapshot.livePairs), assembled from its chunks' memoized lists: a
-// version whose ingest touched m chunks scans those m chunks, 2^shift
-// entries each, and links every other chunk's list as it stands. The
-// lists hold pair indices only, at most 4 bytes per live pair, 1/8 of
-// the 32 table bytes a live pair occupies. A version keeps no index of
-// its own: its scan lists the chunks' lists, and a dense verdict lists
-// none.
+// Snapshot.livePairs), assembled from its chunks' memoized counts and
+// lists: a version whose ingest touched m chunks scans those m chunks,
+// 2^shift entries each, and reads every other chunk's memo as it stands.
+// A state rebuilt from a checkpoint holds only unscanned chunks, so its
+// first index reads its whole table once, as the rebuild did. A dense
+// verdict, reached on the summed counts, lists nothing. A sparse one
+// links the chunks' lists and lists afresh, into an index of the
+// version's own, any chunk too dense to keep a list: at most 4 bytes per
+// live pair, 1/32 of the table bytes of a sparse version.
 type tableState struct {
 	shift   uint
 	chunks  []*chunk
@@ -95,12 +99,11 @@ func stateFromCounts(f field.Field, workers int, counts []int64) *tableState {
 	w := 1 << st.shift
 	elems := make([]field.Elem, len(counts))
 	build := func(_, lo, hi int) {
+		for i, x := range counts[lo*w : hi*w] {
+			elems[lo*w+i] = f.FromInt64(x)
+		}
 		for k := lo; k < hi; k++ {
-			ch := &chunk{counts: counts[k*w : (k+1)*w : (k+1)*w], elems: elems[k*w : (k+1)*w : (k+1)*w], gen: st.gen}
-			for i, x := range ch.counts {
-				ch.elems[i] = f.FromInt64(x)
-			}
-			st.chunks[k] = ch
+			st.chunks[k] = &chunk{counts: counts[k*w : (k+1)*w : (k+1)*w], elems: elems[k*w : (k+1)*w : (k+1)*w], gen: st.gen}
 		}
 	}
 	parallel.ForGrain(parallel.Workers(workers), len(st.chunks), max(1, minShardBatch/w), build)
@@ -133,50 +136,6 @@ func (st *tableState) own(k uint64) *chunk {
 	return ch
 }
 
-// ownAll owns, before a batch writes, every chunk the state does not own
-// yet — but only when the batch, whose indices less base are idx, writes
-// every chunk of the table. Such a batch rewrites the whole table, so its
-// chunks share one allocation per column instead of two allocations each,
-// and none of them pins an older one: a version's chunks then span at
-// most this table-sized allocation and the chunks later batches copied
-// one by one.
-func (st *tableState) ownAll(idx []uint64, base uint64) {
-	if len(idx) < len(st.chunks) {
-		return
-	}
-	var need []int
-	for k, ch := range st.chunks {
-		if ch == nil || ch.gen != st.gen {
-			need = append(need, k)
-		}
-	}
-	if len(need) == 0 {
-		return
-	}
-	seen, left := make([]bool, len(st.chunks)), len(st.chunks)
-	for _, i := range idx {
-		if k := (i - base) >> st.shift; !seen[k] {
-			seen[k] = true
-			if left--; left == 0 {
-				break
-			}
-		}
-	}
-	if left > 0 {
-		return
-	}
-	w := 1 << st.shift
-	counts, elems := make([]int64, len(need)*w), make([]field.Elem, len(need)*w)
-	for j, k := range need {
-		ch := &chunk{counts: counts[j*w : (j+1)*w : (j+1)*w], elems: elems[j*w : (j+1)*w : (j+1)*w], gen: st.gen}
-		if old := st.chunks[k]; old != nil {
-			copy(ch.counts, old.counts)
-			copy(ch.elems, old.elems)
-		}
-		st.chunks[k] = ch
-	}
-}
-
 // countsOf and elemsOf pick a chunk's columns.
 func countsOf(ch *chunk) []int64     { return ch.counts }
 func elemsOf(ch *chunk) []field.Elem { return ch.elems }
@@ -206,29 +165,43 @@ func flat[T any](st *tableState, col func(*chunk) []T) []T {
 }
 
 // scanLive memoizes the sealed state's live-pair scan: it scans, across
-// workers, the chunks no version has scanned yet, then lists every
-// chunk's live pairs in order. scans counts the chunk scans that run.
+// workers, the chunks no version has scanned yet, then totals every
+// chunk's live pairs and, when that makes the table sparse, lists them in
+// order. scans counts the chunk scans that run.
 func (st *tableState) scanLive(workers int, scans *atomic.Uint64) sumcheck.LivePairs {
 	st.liveOnce.Do(func() {
-		var todo []int
-		for k, ch := range st.chunks {
-			if ch != nil && !ch.scanned.Load() {
-				todo = append(todo, k)
-			}
-		}
 		half := 1 << (st.shift - 1)
-		parallel.ForGrain(parallel.Workers(workers), len(todo), max(1, parallel.MinGrain>>st.shift), func(_, lo, hi int) {
-			for _, k := range todo[lo:hi] {
-				st.chunks[k].scanLive(k*half, scans)
+		nw, grain := parallel.Workers(workers), max(1, parallel.MinGrain>>st.shift)
+		sums := make([]int, parallel.ChunksGrain(nw, len(st.chunks), grain))
+		parallel.ForGrain(nw, len(st.chunks), grain, func(task, lo, hi int) {
+			sum := 0
+			for k, ch := range st.chunks[lo:hi] {
+				if ch != nil {
+					ch.scanLive((lo+k)*half, scans)
+					sum += ch.nlive
+				}
 			}
+			sums[task] = sum
 		})
-		runs := make([][]uint32, 0, len(st.chunks))
-		for _, ch := range st.chunks {
-			if ch != nil && len(ch.live) > 0 {
-				runs = append(runs, ch.live)
+		entries, n := len(st.chunks)<<st.shift, 0
+		for _, x := range sums {
+			n += x
+		}
+		var runs [][]uint32
+		if n <= sumcheck.MaxSparseLive(2, entries) {
+			runs = make([][]uint32, 0, len(st.chunks))
+			for k, ch := range st.chunks {
+				switch {
+				case ch == nil || ch.nlive == 0:
+				case ch.live != nil:
+					runs = append(runs, ch.live)
+				default: // too dense to keep a list of its own
+					live, _ := sumcheck.AppendLivePairs(nil, k*half, ch.elems, ch.nlive)
+					runs = append(runs, live)
+				}
 			}
 		}
-		st.live = sumcheck.LivePairsFromRuns(2, len(st.chunks)<<st.shift, runs)
+		st.live = sumcheck.LivePairsFromRuns(2, entries, n, runs)
 	})
 	return st.live
 }

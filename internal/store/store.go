@@ -120,21 +120,23 @@ func Encode(c *Checkpoint) []byte {
 	binary.LittleEndian.PutUint64(out[48:], c.SliceLo)
 	binary.LittleEndian.PutUint64(out[56:], c.SliceHi)
 	binary.LittleEndian.PutUint64(out[64:], uint64(n))
-	put := func(off int, counts []int64) {
-		for _, v := range counts {
-			binary.LittleEndian.PutUint64(out[off:], uint64(v))
-			off += 8
-		}
-	}
 	if c.Counts != nil {
-		put(headerSize, c.Counts)
+		putCounts(out[headerSize:], c.Counts)
 	}
 	for k, counts := range c.Chunks { // a nil chunk's zeros are already there
-		put(headerSize+8*k*c.ChunkLen, counts)
+		putCounts(out[headerSize+8*k*c.ChunkLen:], counts)
 	}
 	off := headerSize + 8*n
 	binary.LittleEndian.PutUint32(out[off:], crc32.Checksum(out[:off], castagnoli))
 	return out
+}
+
+// putCounts writes counts little-endian at the front of dst.
+func putCounts(dst []byte, counts []int64) {
+	dst = dst[:8*len(counts)]
+	for i, v := range counts {
+		binary.LittleEndian.PutUint64(dst[8*i:], uint64(v))
+	}
 }
 
 // Decode parses a checkpoint, verifying structure and checksum. A

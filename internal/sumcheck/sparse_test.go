@@ -283,22 +283,52 @@ func flatPartial(cfg Config) func(lo, hi uint64, sub [][]field.Elem) (*Prover, e
 	}
 }
 
+// TestAppendLivePairsLimit: AppendLivePairs lists a table's live pairs
+// after dst while at most limit are live, and past that returns dst as
+// given; its count is every live pair's either way.
+func TestAppendLivePairsLimit(t *testing.T) {
+	rng := field.NewSplitMix64(77)
+	table := make([]field.Elem, 1<<10)
+	var want []uint32
+	for w := 0; w < len(table)/2; w++ {
+		if rng.Uint64()%5 == 0 {
+			table[2*w+int(rng.Uint64()%2)] = 1 + field.Elem(rng.Uint64()%100)
+			want = append(want, uint32(1000+w))
+		}
+	}
+	if got, _ := AppendLivePairs(nil, 0, table, len(want)-1); got != nil {
+		t.Fatalf("over the limit, a nil dst came back as %d entries, not nil", len(got))
+	}
+	dst := []uint32{7}
+	for _, limit := range []int{-1, 0, len(want) - 1, len(want), len(table) / 2} {
+		got, n := AppendLivePairs(dst, 1000, table, limit)
+		if n != len(want) {
+			t.Fatalf("limit %d: counted %d live pairs, want %d", limit, n, len(want))
+		}
+		if wantList := append([]uint32{7}, want...); n > limit && !slices.Equal(got, dst) || n <= limit && !slices.Equal(got, wantList) {
+			t.Fatalf("limit %d of %d live pairs: listed %d entries after dst", limit, n, len(got)-1)
+		}
+	}
+}
+
 // chunkTable holds table in chunks of width entries, every all-zero
 // chunk nil, and returns them with each chunk's live pairs, one run per
-// chunk.
-func chunkTable(table []field.Elem, width int) (Chunked, [][]uint32) {
+// chunk, and how many live pairs there are.
+func chunkTable(table []field.Elem, width int) (Chunked, [][]uint32, int) {
 	tab := Chunked{Width: width}
 	var runs [][]uint32
+	total := 0
 	for lo := 0; lo < len(table); lo += width {
 		ch := table[lo : lo+width]
 		if slices.ContainsFunc(ch, func(e field.Elem) bool { return e != 0 }) {
-			runs = append(runs, AppendLivePairs(nil, lo/2, ch))
+			run, n := AppendLivePairs(nil, lo/2, ch, width/2)
+			runs, total = append(runs, run), total+n
 		} else {
 			ch = nil
 		}
 		tab.Chunks = append(tab.Chunks, ch)
 	}
-	return tab, runs
+	return tab, runs, total
 }
 
 // checkChunked holds table in chunks of several widths, all-zero chunks
@@ -309,8 +339,8 @@ func checkChunked(t *testing.T, name string, cfg Config, table []field.Elem, cha
 	t.Helper()
 	for _, width := range []int{2, 4, 64} {
 		cname := fmt.Sprintf("%s/chunks of %d", name, width)
-		tab, runs := chunkTable(table, width)
-		got := LivePairsFromRuns(2, len(table), runs)
+		tab, runs, n := chunkTable(table, width)
+		got := LivePairsFromRuns(2, len(table), n, runs)
 		if got.Sparse() != live.Sparse() || got.Len() != live.Len() || !slices.Equal(got.Indices(), live.Indices()) {
 			t.Fatalf("%s: scan from runs (sparse %v, %d pairs) differs from the flat scan (sparse %v, %d pairs)",
 				cname, got.Sparse(), got.Len(), live.Sparse(), live.Len())
@@ -327,8 +357,8 @@ func checkChunked(t *testing.T, name string, cfg Config, table []field.Elem, cha
 			t.Fatalf("%s: transcript\n%v\noracle\n%v", cname, tr, want)
 		}
 		checkSplit(t, cname+"/S=2", cfg, [][]field.Elem{table}, challenges, 2, want, func(lo, hi uint64, sub [][]field.Elem) (*Prover, error) {
-			tab, runs := chunkTable(sub[0], width)
-			return NewPartialChunkedProver(cfg, lo, hi, LivePairsFromRuns(2, len(sub[0]), runs), tab)
+			tab, runs, n := chunkTable(sub[0], width)
+			return NewPartialChunkedProver(cfg, lo, hi, LivePairsFromRuns(2, len(sub[0]), n, runs), tab)
 		})
 	}
 }

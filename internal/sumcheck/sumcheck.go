@@ -32,8 +32,8 @@
 //     where any table is non-zero). The scan is a value the prover is
 //     handed, not work it does: a caller scans once per set of tables
 //     and shares the result, and the dataset engine assembles it per
-//     table version from per-chunk lists (LivePairsFromRuns), scanning
-//     only the chunks an ingest wrote;
+//     table version from per-chunk counts and lists (AppendLivePairs,
+//     LivePairsFromRuns), scanning only the chunks an ingest wrote;
 //   - O(T·n) to pack the live pairs when the prover is built;
 //   - while n is at most a quarter of the m/2 pairs of the current
 //     m-entry tables and m > 64, O((T + deg)·n) field operations per
@@ -725,37 +725,56 @@ func ScanLivePairs(ell, workers int, tables ...[]field.Elem) LivePairs {
 		}
 		runs[chunk] = idx
 	})
-	if found.Load() > limit {
+	n := int(found.Load())
+	if n > int(limit) {
 		return live
 	}
-	return LivePairsFromRuns(ell, live.entries, runs)
+	return LivePairsFromRuns(ell, live.entries, n, runs)
 }
 
 // AppendLivePairs appends to dst the live pairs of one table, without
-// ScanLivePairs's early stop: first+w for each live pair w of table. A
-// caller holding a table in pieces scans each piece once this way — pair
-// w of the piece is pair first+w of the whole — and assembles the whole
-// table's scan with LivePairsFromRuns.
-func AppendLivePairs(dst []uint32, first int, table []field.Elem) []uint32 {
-	return appendLive(dst, first, [][]field.Elem{table}, 0, len(table)/2)
+// ScanLivePairs's early stop, and returns their count n: first+w for each
+// live pair w of table. A caller holding a table in pieces scans each
+// piece once this way — pair w of the piece is pair first+w of the whole
+// — and assembles the whole table's scan with LivePairsFromRuns. Once
+// more than limit pairs are live it lists no more and only counts: when
+// n > limit it returns dst as given.
+func AppendLivePairs(dst []uint32, first int, table []field.Elem, limit int) ([]uint32, int) {
+	tables := [][]field.Elem{table}
+	given, n := dst, 0
+	for w, npairs := 0, len(table)/2; w < npairs; w += 8 {
+		m := liveMask(tables, w, min(8, npairs-w))
+		if n += bits.OnesCount(m); n > limit {
+			dst = given
+			continue
+		}
+		for ; m != 0; m &= m - 1 {
+			dst = append(dst, uint32(first+w+bits.TrailingZeros(m)))
+		}
+	}
+	return dst, n
+}
+
+// MaxSparseLive is the most live pairs tables of entries entries under
+// ell may hold and still be held sparse, by ScanLivePairs's verdict; −1
+// when such tables are never held sparse.
+func MaxSparseLive(ell, entries int) int {
+	if !sparseCandidate(ell, entries) {
+		return -1
+	}
+	return entries / 2 / sparseShare
 }
 
 // LivePairsFromRuns is the live-pair scan of tables of entries entries
-// under ell, assembled from runs of live pair indices the caller found
-// itself (AppendLivePairs): each run strictly increasing and past the one
-// before, together every live pair. The verdict is ScanLivePairs's, so
-// the result equals ScanLivePairs over the same tables. The runs are
-// shared, not copied.
-func LivePairsFromRuns(ell, entries int, runs [][]uint32) LivePairs {
+// under ell that hold n live pairs, assembled from runs of live pair
+// indices the caller found itself (AppendLivePairs). The verdict is
+// ScanLivePairs's, so the result equals ScanLivePairs over the same
+// tables. runs is read only when n is at most MaxSparseLive; it must then
+// list the n pairs, each run strictly increasing and past the one before.
+// The runs are shared, not copied.
+func LivePairsFromRuns(ell, entries, n int, runs [][]uint32) LivePairs {
 	live := LivePairs{entries: entries}
-	if !sparseCandidate(ell, entries) {
-		return live
-	}
-	n := 0
-	for _, r := range runs {
-		n += len(r)
-	}
-	if n > entries/2/sparseShare {
+	if n > MaxSparseLive(ell, entries) {
 		return live
 	}
 	live.runs, live.n, live.sparse = runs, n, true
@@ -823,12 +842,14 @@ func (p *Prover) newSparse(live LivePairs, tables []Chunked) *sparseTables {
 	}
 	parallel.For(p.workers, n, func(_, lo, hi int) {
 		for t, tab := range tables {
-			packed := sp.pairs[t]
-			shift := bits.TrailingZeros(uint(tab.Width))
-			for k, w := range sp.idx[lo:hi] {
-				i := 2 * int(w)
-				ch := tab.Chunks[i>>shift][i&(tab.Width-1):]
-				packed[2*(lo+k)], packed[2*(lo+k)+1] = ch[0], ch[1]
+			packed, half := sp.pairs[t], tab.Width/2
+			for k := lo; k < hi; { // the live pairs of one chunk at a time
+				c := int(sp.idx[k]) / half
+				ch, first, end := tab.Chunks[c], c*half, (c+1)*half
+				for ; k < hi && int(sp.idx[k]) < end; k++ {
+					j := 2 * (int(sp.idx[k]) - first)
+					packed[2*k], packed[2*k+1] = ch[j], ch[j+1]
+				}
 			}
 		}
 	})
