@@ -113,46 +113,28 @@ func (v *FkVerifier) SpaceWords() int {
 // is in internal/sumcheck's package doc).
 type FkProver struct {
 	scProver
-	proto  *Fk
-	table  []field.Elem
-	chunks sumcheck.Chunked // the table instead, held in chunks (NewProverFromChunks)
+	proto *Fk
+	table sumcheck.Chunked
 }
 
 // NewProverFromTable returns a prover over the aggregated frequency table
-// (the field image of the counts, length Params.U), borrowed read-only.
-// Construction is O(1), and the sum-check never writes the table, so many
-// sessions can share one. The prover scans the table for live pairs when
-// it opens.
-func (p *Fk) NewProverFromTable(table []field.Elem) (*FkProver, error) {
-	if err := checkTables(p.Params.U, table); err != nil {
-		return nil, err
+// (the field image of the counts, Params.U entries) held in chunks — a
+// flat table is sumcheck.Flat, a dataset-engine snapshot its chunks —
+// and borrowed read-only. Construction is O(1), and the sum-check never
+// writes the table, so many sessions can share one. live, when set, is
+// called once, when the prover opens, and returns the table's live-pair
+// scan: a memo shared by every prover of one table version. nil scans
+// the table when the prover opens.
+func (p *Fk) NewProverFromTable(table sumcheck.Chunked, live func() sumcheck.LivePairs) (*FkProver, error) {
+	if uint64(table.Len()) != p.Params.U {
+		return nil, fmt.Errorf("core: table has %d entries, want %d", table.Len(), p.Params.U)
 	}
-	return &FkProver{proto: p, table: table}, nil
-}
-
-// NewProverFromChunks is NewProverFromTable over a table held in chunks
-// (sumcheck.NewChunkedProver; ℓ = 2 only) — typically a dataset-engine
-// snapshot. live is called once, when the prover opens, and must return
-// the table's live-pair scan: a dataset engine's memo, shared by every
-// prover of one table version.
-func (p *Fk) NewProverFromChunks(tab sumcheck.Chunked, live func() sumcheck.LivePairs) (*FkProver, error) {
-	if live == nil {
-		return nil, fmt.Errorf("core: a chunked table needs its live-pair scan")
-	}
-	return &FkProver{scProver: scProver{live: live}, proto: p, chunks: tab}, nil
+	return &FkProver{scProver: scProver{live: live}, proto: p, table: table}, nil
 }
 
 // Open computes the claimed moment and the unprompted round-1 polynomial.
 func (pr *FkProver) Open() (Msg, error) {
-	cfg := pr.proto.scConfig()
-	if pr.chunks.Chunks == nil {
-		return pr.open(cfg, pr.table)
-	}
-	sc, err := sumcheck.NewChunkedProver(cfg, pr.live(), pr.chunks)
-	if err != nil {
-		return Msg{}, err
-	}
-	return pr.start(cfg, sc)
+	return pr.open(pr.proto.scConfig(), pr.table)
 }
 
 // ---------------------------------------------------------------------
@@ -230,7 +212,7 @@ func (p *InnerProduct) NewProverFromTables(a, b []field.Elem) (*InnerProductProv
 
 // Open computes the claimed inner product and round-1 polynomial.
 func (pr *InnerProductProver) Open() (Msg, error) {
-	return pr.open(pr.proto.scConfig(), pr.tables[0], pr.tables[1])
+	return pr.open(pr.proto.scConfig(), sumcheck.Flat(pr.tables[0]), sumcheck.Flat(pr.tables[1]))
 }
 
 // ---------------------------------------------------------------------
@@ -354,7 +336,7 @@ func (pr *RangeSumProver) Open() (Msg, error) {
 	if !pr.hasQuery {
 		return Msg{}, fmt.Errorf("core: range-sum query not set")
 	}
-	return pr.open(pr.proto.scConfig(), pr.table, rangeIndicator(0, pr.proto.Params.U, pr.qL, pr.qR))
+	return pr.open(pr.proto.scConfig(), sumcheck.Flat(pr.table), sumcheck.Flat(rangeIndicator(0, pr.proto.Params.U, pr.qL, pr.qR)))
 }
 
 // rangeIndicator materializes the [qL, qR] indicator over the universe

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 )
 
 var f61 = field.Mersenne()
@@ -69,7 +70,7 @@ func TestSelfJoinSizeEndToEnd(t *testing.T) {
 	rng := field.NewSplitMix64(101)
 	ups := stream.UniformDeltas(u, 1000, rng)
 	v := proto.NewVerifier(rng)
-	p := must(proto.NewProverFromTable(elemsOf(t, ups, proto.Params.U)))
+	p := must(proto.NewProverFromTable(sumcheck.Flat(elemsOf(t, ups, proto.Params.U)), nil))
 	observeAll(t, v, ups)
 	stats, err := Run(p, v)
 	if err != nil {
@@ -108,7 +109,7 @@ func TestFkEndToEndOrders(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := proto.NewVerifier(rng)
-		p := must(proto.NewProverFromTable(elemsOf(t, ups, proto.Params.U)))
+		p := must(proto.NewProverFromTable(sumcheck.Flat(elemsOf(t, ups, proto.Params.U)), nil))
 		observeAll(t, v, ups)
 		if _, err := Run(p, v); err != nil {
 			t.Fatalf("F%d rejected: %v", k, err)
@@ -132,7 +133,7 @@ func TestFkTinyUniverse(t *testing.T) {
 	rng := field.NewSplitMix64(103)
 	ups := []stream.Update{{Index: 0, Delta: 3}, {Index: 1, Delta: 4}, {Index: 0, Delta: 2}}
 	v := proto.NewVerifier(rng)
-	p := must(proto.NewProverFromTable(elemsOf(t, ups, proto.Params.U)))
+	p := must(proto.NewProverFromTable(sumcheck.Flat(elemsOf(t, ups, proto.Params.U)), nil))
 	observeAll(t, v, ups)
 	if _, err := Run(p, v); err != nil {
 		t.Fatalf("d=1 F2 rejected: %v", err)
@@ -285,7 +286,7 @@ func TestAggregateTamperMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := proto.NewVerifier(rng)
-		p := must(proto.NewProverFromTable(elemsOf(t, ups, proto.Params.U)))
+		p := must(proto.NewProverFromTable(sumcheck.Flat(elemsOf(t, ups, proto.Params.U)), nil))
 		observeAll(t, v, ups)
 		return p, v
 	}
@@ -326,7 +327,7 @@ func TestAggregateWrongStreamProver(t *testing.T) {
 	v := proto.NewVerifier(rng)
 	observeAll(t, v, ups)
 	// Prover never sees the last 3 updates.
-	p := must(proto.NewProverFromTable(elemsOf(t, ups[:len(ups)-3], proto.Params.U)))
+	p := must(proto.NewProverFromTable(sumcheck.Flat(elemsOf(t, ups[:len(ups)-3], proto.Params.U)), nil))
 	if _, err := Run(p, v); !errors.Is(err, ErrRejected) {
 		t.Fatalf("prover with missing data not rejected: %v", err)
 	}
@@ -348,7 +349,7 @@ func TestVerifierSessionMisuse(t *testing.T) {
 	if _, _, err := v.Begin(Msg{Elems: make([]field.Elem, 2)}); err == nil {
 		t.Error("malformed opening accepted")
 	}
-	p := must(proto.NewProverFromTable(elemsOf(t, nil, proto.Params.U)))
+	p := must(proto.NewProverFromTable(sumcheck.Flat(elemsOf(t, nil, proto.Params.U)), nil))
 	if _, err := p.Step(Msg{Elems: []field.Elem{1}}); err == nil {
 		t.Error("prover step before open accepted")
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 )
 
 // TestPolarizationIdentity verifies §3.2's observation that the inner
@@ -27,7 +28,7 @@ func TestPolarizationIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := proto.NewVerifier(field.NewSplitMix64(seed))
-		p := must(proto.NewProverFromTable(elemsOf(t, ups, proto.Params.U)))
+		p := must(proto.NewProverFromTable(sumcheck.Flat(elemsOf(t, ups, proto.Params.U)), nil))
 		observeAll(t, v, ups)
 		if _, err := Run(p, v); err != nil {
 			t.Fatalf("F2 rejected: %v", err)

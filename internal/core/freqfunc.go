@@ -344,5 +344,5 @@ func (pr *FrequencyBasedProver) openSumcheck() (Msg, error) {
 		Combiner: sumcheck.PolyFn{H: htilde, MinDegree: int(threshold) - 1},
 		Workers:  pr.proto.Workers,
 	}
-	return pr.res.open(cfg, table)
+	return pr.res.open(cfg, sumcheck.Flat(table))
 }

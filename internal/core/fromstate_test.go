@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/sumcheck"
 )
 
 // Every prover is built from aggregated state: a field table
@@ -22,8 +23,17 @@ func TestFromStateLengthValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fk.NewProverFromTable(short); err == nil {
+	if _, err := fk.NewProverFromTable(sumcheck.Flat(short), nil); err == nil {
 		t.Error("Fk accepted a short table")
+	}
+	// A table in chunks is refused at construction too, with its scan
+	// supplied: 64 entries for the whole 128, 32 for the slice [64, 128).
+	live := func() sumcheck.LivePairs { return sumcheck.LivePairs{} }
+	if _, err := fk.NewProverFromTable(sumcheck.Chunked{Width: 32, Chunks: make([][]field.Elem, 2)}, live); err == nil {
+		t.Error("Fk accepted a short table in chunks")
+	}
+	if _, err := fk.NewPartialProverFromTable(sumcheck.Chunked{Width: 16, Chunks: make([][]field.Elem, 2)}, live, 64, 128, 1); err == nil {
+		t.Error("Fk accepted a short slice table in chunks")
 	}
 	rs, err := NewRangeSum(f, u)
 	if err != nil {

@@ -101,7 +101,7 @@ type scProver struct {
 }
 
 // livePairs returns the live-pair scan of tables under cfg.
-func (pr *scProver) livePairs(cfg sumcheck.Config, tables [][]field.Elem) sumcheck.LivePairs {
+func (pr *scProver) livePairs(cfg sumcheck.Config, tables []sumcheck.Chunked) sumcheck.LivePairs {
 	if pr.live != nil {
 		return pr.live()
 	}
@@ -110,7 +110,7 @@ func (pr *scProver) livePairs(cfg sumcheck.Config, tables [][]field.Elem) sumche
 
 // open builds the sum-check prover over tables, which it borrows
 // read-only, and emits [claim, g_1].
-func (pr *scProver) open(cfg sumcheck.Config, tables ...[]field.Elem) (Msg, error) {
+func (pr *scProver) open(cfg sumcheck.Config, tables ...sumcheck.Chunked) (Msg, error) {
 	sc, err := sumcheck.NewProver(cfg, pr.livePairs(cfg, tables), tables...)
 	if err != nil {
 		return Msg{}, err

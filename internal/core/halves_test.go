@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 )
 
 // halvesCase is one protocol built on a shared session half. build
@@ -71,7 +72,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 			build: func() (ProverSession, VerifierSession) {
 				v := fk.NewVerifier(field.NewSplitMix64(1))
 				observeAll(t, v, a)
-				return must(fk.NewProverFromTable(ta)), v
+				return must(fk.NewProverFromTable(sumcheck.Flat(ta), nil)), v
 			},
 			answer: result, want: refFk(t, a, u, 3),
 		},

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 )
 
 // recordingProver captures every message a prover session emits.
@@ -94,7 +95,7 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 					return nil, nil, err
 				}
 			}
-			p, err := proto.NewProverFromTable(table)
+			p, err := proto.NewProverFromTable(sumcheck.Flat(table), nil)
 			return p, v, err
 		}},
 		{"RangeSum", func(workers int) (ProverSession, VerifierSession, error) {

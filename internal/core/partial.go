@@ -45,20 +45,19 @@ type PartialProver struct {
 	scProver
 	cfg     sumcheck.Config // global configuration; Params span the full universe
 	lo, hi  uint64
-	tables  [][]field.Elem   // slice subtables, borrowed read-only
-	chunks  sumcheck.Chunked // the one subtable instead, held in chunks
+	tables  []sumcheck.Chunked // slice subtables, borrowed read-only
 	version uint64
 	headD   int
 }
 
-func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, hi, version uint64, tables ...[]field.Elem) (*PartialProver, error) {
+func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, hi, version uint64, tables ...sumcheck.Chunked) (*PartialProver, error) {
 	sp, err := sumcheck.SliceParams(cfg.Params, lo, hi)
 	if err != nil {
 		return nil, err
 	}
 	for t, tab := range tables {
-		if uint64(len(tab)) != sp.U {
-			return nil, fmt.Errorf("core: slice table %d has %d entries, want %d", t, len(tab), sp.U)
+		if uint64(tab.Len()) != sp.U {
+			return nil, fmt.Errorf("core: slice table %d has %d entries, want %d", t, tab.Len(), sp.U)
 		}
 	}
 	return &PartialProver{scProver: scProver{live: live}, cfg: cfg, lo: lo, hi: hi, tables: tables, version: version, headD: sp.D}, nil
@@ -66,27 +65,13 @@ func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, h
 
 // NewPartialProverFromTable returns the slice-owner session for the
 // universe slice [lo, hi) of p.Params. table holds the slice's hi−lo
-// entries (global index i stored at i−lo), borrowed read-only; version
-// is the dataset version the opening reports to the aggregator. live
+// entries (global index i stored at i−lo) in chunks, as
+// NewProverFromTable takes a whole table, borrowed read-only; version is
+// the dataset version the opening reports to the aggregator. live
 // supplies table's live-pair scan, as a memo shared by every prover of
 // the table; nil scans table when the prover opens.
-func (p *Fk) NewPartialProverFromTable(table []field.Elem, live func() sumcheck.LivePairs, lo, hi, version uint64) (*PartialProver, error) {
+func (p *Fk) NewPartialProverFromTable(table sumcheck.Chunked, live func() sumcheck.LivePairs, lo, hi, version uint64) (*PartialProver, error) {
 	return newPartialProver(p.scConfig(), live, lo, hi, version, table)
-}
-
-// NewPartialProverFromChunks is NewPartialProverFromTable over the
-// slice's table held in chunks, as NewProverFromChunks takes a whole one;
-// live is required.
-func (p *Fk) NewPartialProverFromChunks(tab sumcheck.Chunked, live func() sumcheck.LivePairs, lo, hi, version uint64) (*PartialProver, error) {
-	if live == nil {
-		return nil, fmt.Errorf("core: a chunked table needs its live-pair scan")
-	}
-	pr, err := newPartialProver(p.scConfig(), live, lo, hi, version)
-	if err != nil {
-		return nil, err
-	}
-	pr.chunks = tab
-	return pr, nil
 }
 
 // NewPartialProverFromTable returns the slice-owner session for a
@@ -99,19 +84,13 @@ func (p *RangeSum) NewPartialProverFromTable(table []field.Elem, lo, hi, version
 		return nil, err
 	}
 	indicator := rangeIndicator(lo, lo+uint64(len(table)), qL, qR)
-	return newPartialProver(p.scConfig(), nil, lo, hi, version, table, indicator)
+	return newPartialProver(p.scConfig(), nil, lo, hi, version, sumcheck.Flat(table), sumcheck.Flat(indicator))
 }
 
 // Open computes this slice's partial claim and round-1 partial,
 // prefixed by the dataset version for the aggregator's skew check.
 func (pr *PartialProver) Open() (Msg, error) {
-	var sc *sumcheck.Prover
-	var err error
-	if pr.chunks.Chunks != nil {
-		sc, err = sumcheck.NewPartialChunkedProver(pr.cfg, pr.lo, pr.hi, pr.live(), pr.chunks)
-	} else {
-		sc, err = sumcheck.NewPartialProver(pr.cfg, pr.lo, pr.hi, pr.livePairs(pr.cfg, pr.tables), pr.tables...)
-	}
+	sc, err := sumcheck.NewPartialProver(pr.cfg, pr.lo, pr.hi, pr.livePairs(pr.cfg, pr.tables), pr.tables...)
 	if err != nil {
 		return Msg{}, err
 	}

@@ -63,7 +63,7 @@ func newSplitFk(t *testing.T, u uint64, k, slices, workers int, table []field.El
 	owners := make([]*PartialProver, slices)
 	for s := range owners {
 		lo, hi := uint64(s)*width, uint64(s+1)*width
-		o, err := proto.NewPartialProverFromTable(table[lo:hi], nil, lo, hi, version)
+		o, err := proto.NewPartialProverFromTable(sumcheck.Flat(table[lo:hi]), nil, lo, hi, version)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestSplitFkBitIdentical(t *testing.T) {
 			}
 			proto.Workers = workers
 			// Reference transcript from the single-table prover.
-			refP, err := proto.NewProverFromTable(table)
+			refP, err := proto.NewProverFromTable(sumcheck.Flat(table), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,7 +237,7 @@ func TestSplitAggregatorVersionSkew(t *testing.T) {
 	parts := make([]Msg, 2)
 	for s := 0; s < 2; s++ {
 		lo, hi := uint64(s)*u/2, uint64(s+1)*u/2
-		o, err := proto.NewPartialProverFromTable(table[lo:hi], nil, lo, hi, uint64(3+s))
+		o, err := proto.NewPartialProverFromTable(sumcheck.Flat(table[lo:hi]), nil, lo, hi, uint64(3+s))
 		if err != nil {
 			t.Fatal(err)
 		}

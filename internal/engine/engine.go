@@ -678,8 +678,9 @@ func (s *Snapshot) Updates() uint64 { return s.st.n }
 // Dataset.Version.
 func (s *Snapshot) Version() uint64 { return s.st.version }
 
-// elemChunks returns the element table in chunks, borrowed: the SELF-JOIN
-// SIZE and Fk provers (whole and slice owner) read it in place.
+// elemChunks returns the element table as the sum-check prover's table
+// type, borrowed: the SELF-JOIN SIZE and Fk provers (whole and slice
+// owner) take it as it is and read it in place.
 func (s *Snapshot) elemChunks() sumcheck.Chunked {
 	return sumcheck.Chunked{Width: 1 << s.st.shift, Chunks: column(s.st, elemsOf)}
 }

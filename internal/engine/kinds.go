@@ -237,10 +237,10 @@ func fkRow(k func(QueryParams) int) kindRow {
 			proto.Workers = workers
 			in := sessions(proto.Adopt,
 				func(s *Snapshot) (*core.FkProver, error) {
-					return proto.NewProverFromChunks(s.elemChunks(), s.livePairs)
+					return proto.NewProverFromTable(s.elemChunks(), s.livePairs)
 				}, nil, nil)
 			in.partial = func(s *Snapshot, lo, hi uint64) (core.ProverSession, error) {
-				return proto.NewPartialProverFromChunks(s.elemChunks(), s.livePairs, lo, hi, s.Version())
+				return proto.NewPartialProverFromTable(s.elemChunks(), s.livePairs, lo, hi, s.Version())
 			}
 			return in, nil
 		},

@@ -204,7 +204,7 @@ func TestLivePairsOncePerVersion(t *testing.T) {
 						for _, k := range fresh {
 							live := engine.LivePairsOf(k.snap)
 							k.elems = k.snap.Elems()
-							want := sumcheck.ScanLivePairs(2, 0, k.elems)
+							want := sumcheck.ScanLivePairs(2, 0, sumcheck.Flat(k.elems))
 							if live.Sparse() != want.Sparse() || !slices.Equal(live.Indices(), want.Indices()) {
 								t.Fatalf("%s: index (sparse %v, %d pairs) differs from a fresh scan (sparse %v, %d pairs)",
 									name, live.Sparse(), live.Len(), want.Sparse(), want.Len())

@@ -141,7 +141,8 @@ func countsOf(ch *chunk) []int64     { return ch.counts }
 func elemsOf(ch *chunk) []field.Elem { return ch.elems }
 
 // column returns one column of the state chunk by chunk, nil for nil
-// chunks: the checkpoint codec and the sum-check prover read it in place.
+// chunks: the checkpoint codec reads it in place, and so does the
+// sum-check prover, as the Chunks of a sumcheck.Chunked (elemChunks).
 func column[T any](st *tableState, col func(*chunk) []T) [][]T {
 	out := make([][]T, len(st.chunks))
 	for k, ch := range st.chunks {

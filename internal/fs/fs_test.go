@@ -9,6 +9,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/fs"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 )
 
 func testBinding(f field.Field, u uint64) fs.Binding {
@@ -36,7 +37,7 @@ func proveF2(t *testing.T, b fs.Binding, f field.Field, u uint64) (*fs.Proof, []
 	}
 	table := make([]field.Elem, proto.Params.U)
 	f.FromInt64Slice(table, counts)
-	p, err := proto.NewProverFromTable(table)
+	p, err := proto.NewProverFromTable(sumcheck.Flat(table), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

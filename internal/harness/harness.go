@@ -31,6 +31,7 @@ import (
 	"repro/internal/gkr"
 	"repro/internal/lde"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 )
 
 // timedProver accumulates the wall time spent inside the prover session.
@@ -452,7 +453,7 @@ func BranchingSweep(f field.Field, u uint64, ells []int, seed uint64) ([]Branchi
 		}
 		table := make([]field.Elem, params.U)
 		f.FromInt64Slice(table, counts)
-		p, err := proto.NewProverFromTable(table)
+		p, err := proto.NewProverFromTable(sumcheck.Flat(table), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -60,13 +60,13 @@ func SliceParams(global lde.Params, lo, hi uint64) (lde.Params, error) {
 
 // NewPartialProver builds the prover for the universe slice [lo, hi) of
 // cfg.Params. Each table holds only the slice's hi−lo entries (the
-// caller indexes globally at i ∈ [lo, hi) and stores at i−lo), and live
-// is their ScanLivePairs. The returned prover plays the first
+// caller indexes globally at i ∈ [lo, hi) and stores at i−lo), held in
+// chunks as NewProver takes them, and live is their ScanLivePairs. The returned prover plays the first
 // d−log₂(U/(hi−lo)) global rounds: its RoundMessage is this slice's
 // exact partial of the global round message, and Fold applies the
 // broadcast challenge. After its final fold, Leaves reads out the single
 // remaining entry per table.
-func NewPartialProver(cfg Config, lo, hi uint64, live LivePairs, tables ...[]field.Elem) (*Prover, error) {
+func NewPartialProver(cfg Config, lo, hi uint64, live LivePairs, tables ...Chunked) (*Prover, error) {
 	sp, err := SliceParams(cfg.Params, lo, hi)
 	if err != nil {
 		return nil, err
@@ -74,19 +74,6 @@ func NewPartialProver(cfg Config, lo, hi uint64, live LivePairs, tables ...[]fie
 	scfg := cfg
 	scfg.Params = sp
 	return NewProver(scfg, live, tables...)
-}
-
-// NewPartialChunkedProver is NewPartialProver over the slice's one table
-// held in chunks, as NewChunkedProver takes it: live is the scan of the
-// slice's hi−lo entries.
-func NewPartialChunkedProver(cfg Config, lo, hi uint64, live LivePairs, tab Chunked) (*Prover, error) {
-	sp, err := SliceParams(cfg.Params, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	scfg := cfg
-	scfg.Params = sp
-	return NewChunkedProver(scfg, live, tab)
 }
 
 // Leaves returns the single remaining entry of each table once every
@@ -98,10 +85,10 @@ func (p *Prover) Leaves() ([]field.Elem, error) {
 	}
 	out := make([]field.Elem, len(p.tables))
 	for t, tab := range p.tables {
-		if len(tab) != 1 {
-			return nil, fmt.Errorf("sumcheck: table %d folded to %d entries, want 1", t, len(tab))
+		if tab.Len() != 1 {
+			return nil, fmt.Errorf("sumcheck: table %d folded to %d entries, want 1", t, tab.Len())
 		}
-		out[t] = tab[0]
+		out[t] = tab.Chunks[0][0]
 	}
 	return out, nil
 }
@@ -136,7 +123,8 @@ func NewTailProver(cfg Config, leaves [][]field.Elem) (*Prover, error) {
 	}
 	tcfg := cfg
 	tcfg.Params = lde.Params{Ell: 2, D: bits.TrailingZeros64(s), U: s}
-	return NewProver(tcfg, ScanLivePairs(2, cfg.Workers, tables...), tables...)
+	flat := flats(tables)
+	return NewProver(tcfg, ScanLivePairs(2, cfg.Workers, flat...), flat...)
 }
 
 // CombinePartials sums per-slice round messages elementwise in slice

@@ -27,7 +27,8 @@ func runDistributed(t *testing.T, cfg Config, slices int, challenges []field.Ele
 		for ti, tab := range tables {
 			sub[ti] = tab[lo:hi]
 		}
-		p, err := NewPartialProver(cfg, lo, hi, ScanLivePairs(2, cfg.Workers, sub...), sub...)
+		flat := flats(sub)
+		p, err := NewPartialProver(cfg, lo, hi, ScanLivePairs(2, cfg.Workers, flat...), flat...)
 		if err != nil {
 			t.Fatalf("slice %d: %v", k, err)
 		}

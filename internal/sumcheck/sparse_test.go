@@ -80,21 +80,23 @@ func densityTables(f field.Field, u uint64, arity, live int, rng field.RNG) [][]
 	return tables
 }
 
-// newScanned is NewProver over tables and their own fresh scan.
+// newScanned is NewProver over flat tables and their own fresh scan.
 func newScanned(cfg Config, tables ...[]field.Elem) (*Prover, error) {
-	return NewProver(cfg, ScanLivePairs(cfg.Params.Ell, cfg.Workers, tables...), tables...)
+	flat := flats(tables)
+	return NewProver(cfg, ScanLivePairs(cfg.Params.Ell, cfg.Workers, flat...), flat...)
 }
 
 // TestSparseRoundsMatchOracle pins the sparse rounds against the oracle:
 // every round message and the leaves after the last fold are equal for
 // every combiner, density, size and worker count, and so are a split
-// prover's combined messages and leaves, and — for the one-table
-// combiners — those of the same table held in chunks. One scan is handed to two
-// provers one after the other, then to two provers running concurrently,
-// and must come out unwritten. It also pins which form the scan chose,
-// so the switch itself is covered: it depends on the number of live
-// pairs only, not on the worker count or on live pairs clustered at the
-// front of the table.
+// prover's combined messages and leaves, and those of the same tables
+// held in chunks. One scan is handed to two provers one after the other,
+// then to two provers running concurrently, and must come out unwritten.
+// It also pins which form the scan chose, so the switch itself is
+// covered: it depends on the number of live pairs only, not on the
+// worker count or on live pairs clustered at the front of the table.
+// Last, a dense ℓ = 4 table held in chunks must play its flat prover's
+// conversation.
 func TestSparseRoundsMatchOracle(t *testing.T) {
 	f := f61
 	combiners := []Combiner{
@@ -152,10 +154,52 @@ func TestSparseRoundsMatchOracle(t *testing.T) {
 					for _, s := range []int{2, 4} {
 						checkSplit(t, fmt.Sprintf("%s/S=%d", name, s), cfg, tables, challenges, s, want, flatPartial(cfg))
 					}
-					if comb.Arity() == 1 {
-						checkChunked(t, name, cfg, tables[0], challenges, want, live)
-					}
+					checkChunked(t, name, cfg, tables, challenges, want, live, 2, 4, 64)
 				}
+			}
+		}
+	}
+	checkChunkedEll4(t)
+}
+
+// checkChunkedEll4 holds ℓ = 4 tables of 256 entries, every third block
+// of 16 zero and table 1's blocks zero where table 0's are not, in
+// chunks of 4 and 16, and plays them against the flat prover for every
+// combiner and worker count. A split prover needs ℓ = 2, so only the
+// whole prover plays.
+func checkChunkedEll4(t *testing.T) {
+	f := f61
+	params, err := lde.NewParams(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := field.NewSplitMix64(4)
+	tables := [][]field.Elem{f.RandVec(rng, int(params.U)), f.RandVec(rng, int(params.U))}
+	for b := 0; b < int(params.U)/16; b++ {
+		if b%3 == 0 {
+			clear(tables[0][16*b : 16*(b+1)])
+		}
+		if b%3 == 1 {
+			clear(tables[1][16*b : 16*(b+1)])
+		}
+	}
+	challenges := f.RandVec(rng, params.D)
+	for _, comb := range []Combiner{Power{K: 2}, Power{K: 3}, Product{}, PolyFn{H: poly.Poly{5, 3, 0, 2}}} {
+		for _, workers := range []int{0, 2} {
+			name := fmt.Sprintf("ℓ=4/%T%v/workers=%d", comb, comb, workers)
+			cfg := Config{Field: f, Params: params, Combiner: comb, Workers: workers}
+			tabs := tables[:comb.Arity()]
+			p, err := newScanned(cfg, tabs...)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := play(cfg, []*Prover{p}, challenges)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkChunked(t, name, cfg, tabs, challenges, want, ScanLivePairs(4, workers, flats(tabs)...), 4, 16)
+			if _, err := NewPartialProver(cfg, 0, params.U/2, LivePairs{}, chunkTables(tabs, 4)...); err == nil {
+				t.Fatalf("%s: a partial prover at ℓ=4 accepted", name)
 			}
 		}
 	}
@@ -230,10 +274,10 @@ func checkSharedScan(t *testing.T, name string, cfg Config, tables [][]field.Ele
 	for i, tab := range tables {
 		orig[i] = slices.Clone(tab)
 	}
-	live := ScanLivePairs(cfg.Params.Ell, cfg.Workers, tables...)
+	live := ScanLivePairs(cfg.Params.Ell, cfg.Workers, flats(tables)...)
 	idx := slices.Clone(live.Indices())
 	converse := func() (transcript, error) {
-		p, err := NewProver(cfg, live, tables...)
+		p, err := NewProver(cfg, live, flats(tables)...)
 		if err != nil {
 			return transcript{}, err
 		}
@@ -279,7 +323,8 @@ func checkSharedScan(t *testing.T, name string, cfg Config, tables [][]field.Ele
 // and their own scan.
 func flatPartial(cfg Config) func(lo, hi uint64, sub [][]field.Elem) (*Prover, error) {
 	return func(lo, hi uint64, sub [][]field.Elem) (*Prover, error) {
-		return NewPartialProver(cfg, lo, hi, ScanLivePairs(2, cfg.Workers, sub...), sub...)
+		flat := flats(sub)
+		return NewPartialProver(cfg, lo, hi, ScanLivePairs(2, cfg.Workers, flat...), flat...)
 	}
 }
 
@@ -311,41 +356,62 @@ func TestAppendLivePairsLimit(t *testing.T) {
 	}
 }
 
-// chunkTable holds table in chunks of width entries, every all-zero
-// chunk nil, and returns them with each chunk's live pairs, one run per
-// chunk, and how many live pairs there are.
-func chunkTable(table []field.Elem, width int) (Chunked, [][]uint32, int) {
-	tab := Chunked{Width: width}
-	var runs [][]uint32
-	total := 0
-	for lo := 0; lo < len(table); lo += width {
-		ch := table[lo : lo+width]
-		if slices.ContainsFunc(ch, func(e field.Elem) bool { return e != 0 }) {
-			run, n := AppendLivePairs(nil, lo/2, ch, width/2)
-			runs, total = append(runs, run), total+n
-		} else {
-			ch = nil
+// chunkTables holds each of tables in chunks of width entries, every
+// all-zero chunk nil.
+func chunkTables(tables [][]field.Elem, width int) []Chunked {
+	out := make([]Chunked, len(tables))
+	for t, table := range tables {
+		out[t].Width = width
+		for lo := 0; lo < len(table); lo += width {
+			ch := table[lo : lo+width]
+			if !slices.ContainsFunc(ch, func(e field.Elem) bool { return e != 0 }) {
+				ch = nil
+			}
+			out[t].Chunks = append(out[t].Chunks, ch)
 		}
-		tab.Chunks = append(tab.Chunks, ch)
 	}
-	return tab, runs, total
+	return out
 }
 
-// checkChunked holds table in chunks of several widths, all-zero chunks
-// nil. The scan assembled from per-chunk runs must equal live, the flat
-// table's scan, and a chunked prover over it — whole, and split S = 2
-// with each slice chunked alone — must play the oracle's conversation.
-func checkChunked(t *testing.T, name string, cfg Config, table []field.Elem, challenges []field.Elem, want transcript, live LivePairs) {
-	t.Helper()
-	for _, width := range []int{2, 4, 64} {
-		cname := fmt.Sprintf("%s/chunks of %d", name, width)
-		tab, runs, n := chunkTable(table, width)
-		got := LivePairsFromRuns(2, len(table), n, runs)
-		if got.Sparse() != live.Sparse() || got.Len() != live.Len() || !slices.Equal(got.Indices(), live.Indices()) {
-			t.Fatalf("%s: scan from runs (sparse %v, %d pairs) differs from the flat scan (sparse %v, %d pairs)",
-				cname, got.Sparse(), got.Len(), live.Sparse(), live.Len())
+// chunkScans returns the live-pair scans of tabs: ScanLivePairs over the
+// chunks and, for one table at ℓ = 2, last, the scan assembled from each
+// live chunk's run (AppendLivePairs, LivePairsFromRuns), as a dataset
+// engine assembles it.
+func chunkScans(cfg Config, tabs []Chunked) []LivePairs {
+	scans := []LivePairs{ScanLivePairs(cfg.Params.Ell, cfg.Workers, tabs...)}
+	if len(tabs) != 1 || cfg.Params.Ell != 2 {
+		return scans
+	}
+	tab := tabs[0]
+	var runs [][]uint32
+	total := 0
+	for k, ch := range tab.Chunks {
+		if ch != nil {
+			run, n := AppendLivePairs(nil, k*tab.Width/2, ch, tab.Width/2)
+			runs, total = append(runs, run), total+n
 		}
-		p, err := NewChunkedProver(cfg, got, tab)
+	}
+	return append(scans, LivePairsFromRuns(2, tab.Len(), total, runs))
+}
+
+// checkChunked holds tables in chunks of each width, all-zero chunks nil,
+// so that a nil chunk may sit beside a live one. Each scan chunkScans
+// finds must equal live, the flat tables' scan, and a prover over the
+// chunks and the last of them — whole, and at ℓ = 2 split S = 2 with each
+// slice chunked alone — must play the conversation want.
+func checkChunked(t *testing.T, name string, cfg Config, tables [][]field.Elem, challenges []field.Elem, want transcript, live LivePairs, widths ...int) {
+	t.Helper()
+	for _, width := range widths {
+		cname := fmt.Sprintf("%s/chunks of %d", name, width)
+		tabs := chunkTables(tables, width)
+		scans := chunkScans(cfg, tabs)
+		for _, got := range scans {
+			if got.Sparse() != live.Sparse() || got.Len() != live.Len() || !slices.Equal(got.Indices(), live.Indices()) {
+				t.Fatalf("%s: chunked scan (sparse %v, %d pairs) differs from the flat scan (sparse %v, %d pairs)",
+					cname, got.Sparse(), got.Len(), live.Sparse(), live.Len())
+			}
+		}
+		p, err := NewProver(cfg, scans[len(scans)-1], tabs...)
 		if err != nil {
 			t.Fatalf("%s: %v", cname, err)
 		}
@@ -354,11 +420,15 @@ func checkChunked(t *testing.T, name string, cfg Config, table []field.Elem, cha
 			t.Fatalf("%s: %v", cname, err)
 		}
 		if tr.String() != want.String() {
-			t.Fatalf("%s: transcript\n%v\noracle\n%v", cname, tr, want)
+			t.Fatalf("%s: transcript\n%v\nwant\n%v", cname, tr, want)
 		}
-		checkSplit(t, cname+"/S=2", cfg, [][]field.Elem{table}, challenges, 2, want, func(lo, hi uint64, sub [][]field.Elem) (*Prover, error) {
-			tab, runs, n := chunkTable(sub[0], width)
-			return NewPartialChunkedProver(cfg, lo, hi, LivePairsFromRuns(2, len(sub[0]), n, runs), tab)
+		if cfg.Params.Ell != 2 {
+			continue
+		}
+		checkSplit(t, cname+"/S=2", cfg, tables, challenges, 2, want, func(lo, hi uint64, sub [][]field.Elem) (*Prover, error) {
+			tabs := chunkTables(sub, width)
+			scans := chunkScans(cfg, tabs)
+			return NewPartialProver(cfg, lo, hi, scans[len(scans)-1], tabs...)
 		})
 	}
 }

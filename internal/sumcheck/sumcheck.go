@@ -25,7 +25,8 @@
 // The honest prover uses the table-folding algorithm of Appendix B.1
 // (there written for ℓ=2): after round j it replaces its size-m tables by
 // size-m/ℓ tables folded by χ(r_j). It borrows the caller's T tables of
-// u entries and, counted from the code below, spends:
+// u entries, each held in equal chunks (Chunked; a flat table is one
+// chunk, Flat), and, counted from the code below, spends:
 //
 //   - at ℓ=2 with u ≥ 128, one scan of the tables (ScanLivePairs),
 //     reading at most T·u entries, which finds the n live pairs (pairs
@@ -189,19 +190,119 @@ func (c Config) Validate() error {
 // ---------------------------------------------------------------------
 // Prover
 
+// Chunked is one table held as equal chunks: chunk k holds entries
+// [k·Width, (k+1)·Width), and a nil chunk holds zeros. A flat table is
+// one chunk (Flat).
+type Chunked struct {
+	Width  int
+	Chunks [][]field.Elem
+}
+
+// Flat returns tab as a table of one chunk.
+func Flat(tab []field.Elem) Chunked {
+	return Chunked{Width: len(tab), Chunks: [][]field.Elem{tab}}
+}
+
+// Len returns the number of entries the table holds.
+func (c Chunked) Len() int { return c.Width * len(c.Chunks) }
+
+// flats wraps each flat table as a Chunked.
+func flats(tables [][]field.Elem) []Chunked {
+	out := make([]Chunked, len(tables))
+	for t, tab := range tables {
+		out[t] = Flat(tab)
+	}
+	return out
+}
+
+// tableLen returns the entries each of tables holds, or an error unless
+// they share one Width, a positive multiple of ell, and one length, and
+// every chunk that is not nil holds Width entries.
+func tableLen(ell int, tables []Chunked) (int, error) {
+	if len(tables) == 0 {
+		return 0, errors.New("sumcheck: no tables")
+	}
+	width, n := tables[0].Width, tables[0].Len()
+	if width < 1 || width%ell != 0 {
+		return 0, fmt.Errorf("sumcheck: chunks of %d entries at ℓ=%d", width, ell)
+	}
+	for t, tab := range tables {
+		if tab.Width != width || tab.Len() != n {
+			return 0, fmt.Errorf("sumcheck: table %d has %d entries in chunks of %d, table 0 %d in chunks of %d",
+				t, tab.Len(), tab.Width, n, width)
+		}
+		for k, ch := range tab.Chunks {
+			if ch != nil && len(ch) != width {
+				return 0, fmt.Errorf("sumcheck: table %d chunk %d has %d entries, want %d", t, k, len(ch), width)
+			}
+		}
+	}
+	return n, nil
+}
+
+// eachRun calls fn(at, n, segs) for the runs of entries [lo, hi) of
+// tables, which share one Width, that lie in one chunk, in order: segs[t]
+// holds table t's entries at..at+n−1, or is nil when its chunk is, and
+// segs itself is nil when every table's chunk is.
+func eachRun(tables []Chunked, lo, hi int, fn func(at, n int, segs [][]field.Elem)) {
+	width := tables[0].Width
+	segs := make([][]field.Elem, len(tables))
+	for lo < hi {
+		k := lo / width
+		end := min(hi, (k+1)*width)
+		run := [][]field.Elem(nil)
+		for t, tab := range tables {
+			segs[t] = nil
+			if ch := tab.Chunks[k]; ch != nil {
+				segs[t], run = ch[lo-k*width:end-k*width], segs
+			}
+		}
+		fn(lo, end-lo, run)
+		lo = end
+	}
+}
+
+// withZeros returns tables with every nil chunk that sits beside a live
+// chunk of another table replaced by one zero chunk of the prover's own,
+// so that a run is nil in every table or in none. It copies the chunk
+// lists; the borrowed ones are never written.
+func withZeros(tables []Chunked) []Chunked {
+	if len(tables) < 2 {
+		return tables
+	}
+	out := make([]Chunked, len(tables))
+	for t, tab := range tables {
+		out[t] = Chunked{Width: tab.Width, Chunks: slices.Clone(tab.Chunks)}
+	}
+	var zeros []field.Elem
+	for k := range out[0].Chunks {
+		if !slices.ContainsFunc(tables, func(tab Chunked) bool { return tab.Chunks[k] != nil }) {
+			continue
+		}
+		for _, tab := range out {
+			if tab.Chunks[k] == nil {
+				if zeros == nil {
+					zeros = make([]field.Elem, tab.Width)
+				}
+				tab.Chunks[k] = zeros
+			}
+		}
+	}
+	return out
+}
+
 // Prover is the honest prover: it borrows the full frequency tables —
-// flat, or one table in chunks — read-only and answers each round from
-// progressively folded tables of its own. All table scans fan out across
-// cfg.Workers goroutines in contiguous chunks; since field arithmetic is
-// exact and partials are combined in chunk order, the transcript is
-// bit-identical for every worker count.
+// each held in chunks, a flat table as one — read-only and answers each
+// round from progressively folded flat tables of its own. All table
+// scans fan out across cfg.Workers goroutines in contiguous ranges;
+// since field arithmetic is exact and partials are combined in range
+// order, the transcript is bit-identical for every worker count.
 type Prover struct {
 	cfg     Config
 	workers int
-	tables  [][]field.Elem // the borrowed tables until the first fold, then the prover's own
-	chunks  *Chunked       // the one borrowed table instead, held in chunks, until the first fold
+	tables  []Chunked      // the borrowed tables until the first fold, then the prover's own flat ones
 	sparse  *sparseTables  // the tables instead, while few of their pairs are live
-	zero    field.Elem     // C(0, …, 0): what each all-zero pair adds at every point
+	zero    field.Elem     // C(0, …, 0): what each all-zero ℓ-tuple adds at every point
 	chiAt   [][]field.Elem // chiAt[c][k] = χ_k(c) for evaluation points c=0..deg
 	cElems  []field.Elem   // cElems[c] = c as a field element
 	weights []field.Elem   // Lagrange basis weights for arbitrary-point folds
@@ -240,101 +341,28 @@ func (p *Prover) fuseKind() int {
 	return fuseNone
 }
 
-// NewProver builds a prover over explicit tables, one per combiner slot,
-// each of length exactly ℓ^d, and live, their ScanLivePairs. The tables
-// are borrowed: the prover reads them and never writes them, nor live,
-// so callers may share one table and its scan among many provers. A
-// sparse scan's live pairs are packed here, in O(T·n).
-func NewProver(cfg Config, live LivePairs, tables ...[]field.Elem) (*Prover, error) {
+// NewProver builds a prover over tables, one per combiner slot, which
+// share one Width, a multiple of ℓ, and hold ℓ^d entries each, and live,
+// their ScanLivePairs. The tables are borrowed: the prover reads them
+// and never writes them, nor live, so callers may share one table and
+// its scan among many provers. A sparse scan's live pairs are packed
+// here, in O(T·n). Otherwise the first round reads through the chunks —
+// an all-nil run adds C(0, …, 0) per ℓ-tuple — and the first fold writes
+// flat tables of the prover's own, ℓ times smaller.
+func NewProver(cfg Config, live LivePairs, tables ...Chunked) (*Prover, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(tables) != cfg.Combiner.Arity() {
 		return nil, fmt.Errorf("sumcheck: combiner arity %d but %d tables", cfg.Combiner.Arity(), len(tables))
 	}
-	src := make([]Chunked, len(tables))
-	for t, tab := range tables {
-		if uint64(len(tab)) != cfg.Params.U {
-			return nil, fmt.Errorf("sumcheck: table %d has %d entries, want %d", t, len(tab), cfg.Params.U)
-		}
-		src[t] = Chunked{Width: len(tab), Chunks: [][]field.Elem{tab}}
-	}
-	p, err := newProver(cfg, live)
+	n, err := tableLen(cfg.Params.Ell, tables)
 	if err != nil {
 		return nil, err
 	}
-	p.tables = tables
-	if live.sparse {
-		p.sparse = p.newSparse(live, src)
-		p.tables = nil
+	if uint64(n) != cfg.Params.U {
+		return nil, fmt.Errorf("sumcheck: tables have %d entries, want %d", n, cfg.Params.U)
 	}
-	return p, nil
-}
-
-// Chunked is one table held as equal chunks: chunk k holds entries
-// [k·Width, (k+1)·Width), and a nil chunk holds zeros. Width is a power
-// of two ≥ 2.
-type Chunked struct {
-	Width  int
-	Chunks [][]field.Elem
-}
-
-// Len returns the number of entries the table holds.
-func (c Chunked) Len() int { return c.Width * len(c.Chunks) }
-
-// each calls fn(at, n, seg) for the runs of entries [lo, hi) that lie in
-// one chunk, in order: the run is entries at..at+n−1, and seg holds them,
-// or is nil when the chunk is.
-func (c Chunked) each(lo, hi int, fn func(at, n int, seg []field.Elem)) {
-	for lo < hi {
-		k := lo / c.Width
-		end := min(hi, (k+1)*c.Width)
-		var seg []field.Elem
-		if ch := c.Chunks[k]; ch != nil {
-			seg = ch[lo-k*c.Width : end-k*c.Width]
-		}
-		fn(lo, end-lo, seg)
-		lo = end
-	}
-}
-
-// NewChunkedProver is NewProver over one table held in chunks, at ℓ = 2
-// with a combiner of arity 1; live is the live-pair scan of the whole
-// table (ScanLivePairs of its entries, or LivePairsFromRuns). The chunks
-// are borrowed like NewProver's tables. The first round reads through
-// them — a nil chunk adds C(0) per pair — and the first fold writes a
-// flat table of the prover's own, half the size, as NewProver's does.
-func NewChunkedProver(cfg Config, live LivePairs, tab Chunked) (*Prover, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Combiner.Arity() != 1 || cfg.Params.Ell != 2 {
-		return nil, fmt.Errorf("sumcheck: a chunked table needs ℓ=2 and arity 1, have ℓ=%d and arity %d",
-			cfg.Params.Ell, cfg.Combiner.Arity())
-	}
-	if tab.Width < 2 || tab.Width&(tab.Width-1) != 0 || uint64(tab.Len()) != cfg.Params.U {
-		return nil, fmt.Errorf("sumcheck: %d chunks of %d entries do not make a table of %d", len(tab.Chunks), tab.Width, cfg.Params.U)
-	}
-	for k, ch := range tab.Chunks {
-		if ch != nil && len(ch) != tab.Width {
-			return nil, fmt.Errorf("sumcheck: chunk %d has %d entries, want %d", k, len(ch), tab.Width)
-		}
-	}
-	p, err := newProver(cfg, live)
-	if err != nil {
-		return nil, err
-	}
-	if live.sparse {
-		p.sparse = p.newSparse(live, []Chunked{tab})
-	} else {
-		p.chunks = &tab
-	}
-	return p, nil
-}
-
-// newProver is the table-free part of both constructors: it checks live
-// against cfg and precomputes the evaluation tables.
-func newProver(cfg Config, live LivePairs) (*Prover, error) {
 	if uint64(live.entries) != cfg.Params.U || live.sparse && cfg.Params.Ell != 2 {
 		return nil, fmt.Errorf("sumcheck: live pairs scanned over %d entries at ℓ=2, prover has %d at ℓ=%d",
 			live.entries, cfg.Params.U, cfg.Params.Ell)
@@ -345,14 +373,20 @@ func newProver(cfg Config, live LivePairs) (*Prover, error) {
 	for c := 0; c <= deg; c++ {
 		cElems[c] = cfg.Field.Reduce(uint64(c))
 	}
-	return &Prover{
+	p := &Prover{
 		cfg:     cfg,
 		workers: parallel.Workers(cfg.Workers),
+		tables:  withZeros(tables),
 		chiAt:   lde.ChiTables(cfg.Field, weights, cElems),
 		cElems:  cElems,
 		weights: weights,
 		zero:    cfg.Combiner.Apply(cfg.Field, make([]field.Elem, cfg.Combiner.Arity())),
-	}, nil
+	}
+	if live.sparse {
+		p.sparse = p.newSparse(live, p.tables)
+		p.tables = nil
+	}
+	return p, nil
 }
 
 // RoundMessage computes the evaluations g_j(0..deg) for the current round.
@@ -370,30 +404,47 @@ func (p *Prover) RoundMessage() ([]field.Elem, error) {
 	if p.sparse != nil {
 		return p.sparseMessage(), nil
 	}
-	if p.chunks != nil {
-		return p.chunkMessage(), nil
-	}
 	return p.message(p.tables), nil
 }
 
-// message computes a round message over tables: the pair-walk kernels
-// for the fused combiners, the generic walk otherwise.
-func (p *Prover) message(tables [][]field.Elem) []field.Elem {
-	if kind := p.fuseKind(); kind != fuseNone {
-		return p.messageFused(kind, tables)
-	}
+// message computes a round message over tables: the ℓ-tuples split
+// across workers, each worker's read run by run with the pair-walk
+// kernels for the fused combiners and the generic walk otherwise. A run
+// that is nil in every table adds C(0, …, 0) per ℓ-tuple.
+func (p *Prover) message(tables []Chunked) []field.Elem {
 	f := p.cfg.Field
 	ell := p.cfg.Params.Ell
 	deg := p.cfg.degree()
-	size := len(tables[0]) / ell
-	// Each index costs ~(deg+1)·ℓ·arity field ops, so scale the grain down
-	// accordingly: coarse decompositions (large ℓ, few but heavy indices)
-	// must still fan out.
-	grain := grainFor((deg + 1) * ell * len(tables))
+	kind := p.fuseKind()
+	grain := parallel.MinGrain
+	if kind == fuseNone {
+		// Each index costs ~(deg+1)·ℓ·arity field ops, so scale the grain
+		// down accordingly: coarse decompositions (large ℓ, few but heavy
+		// indices) must still fan out.
+		grain = grainFor((deg + 1) * ell * len(tables))
+	}
+	size := tables[0].Len() / ell
 	partials := make([][]field.Elem, parallel.ChunksGrain(p.workers, size, grain))
 	parallel.ForGrain(p.workers, size, grain, func(chunk, lo, hi int) {
 		out := make([]field.Elem, deg+1)
-		p.messageRange(out, tables, lo, hi)
+		dead := 0
+		eachRun(tables, ell*lo, ell*hi, func(_, n int, segs [][]field.Elem) {
+			var g0, g1, g2 field.Elem
+			switch {
+			case segs == nil:
+				dead += n / ell
+				return
+			case kind == fuseSq:
+				g0, g1, g2 = f.PairsSumSq(segs[0])
+			case kind == fuseProd:
+				g0, g1, g2 = f.PairsSumProd(segs[0], segs[1])
+			default:
+				p.messageRange(out, segs, n/ell)
+				return
+			}
+			out[0], out[1], out[2] = f.Add(out[0], g0), f.Add(out[1], g1), f.Add(out[2], g2)
+		})
+		p.addZeros(out, dead)
 		partials[chunk] = out
 	})
 	out := make([]field.Elem, deg+1)
@@ -403,23 +454,23 @@ func (p *Prover) message(tables [][]field.Elem) []field.Elem {
 	return out
 }
 
-// messageRange adds the generic walk's terms for the ℓ-tuples w ∈ [lo, hi)
-// of tables into out.
-func (p *Prover) messageRange(out []field.Elem, tables [][]field.Elem, lo, hi int) {
+// messageRange adds the generic walk's terms for the first m ℓ-tuples
+// of segs into out.
+func (p *Prover) messageRange(out []field.Elem, segs [][]field.Elem, m int) {
 	f := p.cfg.Field
 	ell := p.cfg.Params.Ell
 	deg := p.cfg.degree()
-	vals := make([]field.Elem, len(tables))
-	diffs := make([]field.Elem, len(tables))
-	for w := lo; w < hi; w++ {
+	vals := make([]field.Elem, len(segs))
+	diffs := make([]field.Elem, len(segs))
+	for w := 0; w < m; w++ {
 		base := w * ell
 		if ell == 2 {
-			for t, tab := range tables {
+			for t, tab := range segs {
 				diffs[t] = f.Sub(tab[base+1], tab[base])
 			}
 		}
 		for c := 0; c <= deg; c++ {
-			for t, tab := range tables {
+			for t, tab := range segs {
 				switch {
 				case c < ell:
 					// χ at a node is an indicator: direct read.
@@ -436,68 +487,6 @@ func (p *Prover) messageRange(out []field.Elem, tables [][]field.Elem, lo, hi in
 	}
 }
 
-// messageFused computes a round message over tables with the pair-walk
-// kernels (no pending fold to exploit — round 0, a sparse round, or a
-// Fold that could not fuse).
-// Pairs split across workers; per-chunk partials are exact sums.
-func (p *Prover) messageFused(kind int, tables [][]field.Elem) []field.Elem {
-	f := p.cfg.Field
-	npairs := len(tables[0]) / 2
-	partials := make([][3]field.Elem, parallel.Chunks(p.workers, npairs))
-	parallel.For(p.workers, npairs, func(chunk, lo, hi int) {
-		var g0, g1, g2 field.Elem
-		if kind == fuseSq {
-			g0, g1, g2 = f.PairsSumSq(tables[0][2*lo : 2*hi])
-		} else {
-			g0, g1, g2 = f.PairsSumProd(tables[0][2*lo:2*hi], tables[1][2*lo:2*hi])
-		}
-		partials[chunk] = [3]field.Elem{g0, g1, g2}
-	})
-	return sum3(f, partials)
-}
-
-// sum3 adds the three-point partials of a fused kernel in chunk order.
-func sum3(f field.Field, partials [][3]field.Elem) []field.Elem {
-	out := make([]field.Elem, 3)
-	for _, pt := range partials {
-		out[0] = f.Add(out[0], pt[0])
-		out[1] = f.Add(out[1], pt[1])
-		out[2] = f.Add(out[2], pt[2])
-	}
-	return out
-}
-
-// foldFused folds every table by r and computes the next round's message
-// in the same pass, leaving it in p.pending. Chunking is in units of
-// next-table pairs so kernel boundaries always align.
-func (p *Prover) foldFused(kind int, r field.Elem) {
-	f := p.cfg.Field
-	size := len(p.tables[0]) / 2
-	npairs := size / 2
-	partials := make([][3]field.Elem, parallel.Chunks(p.workers, npairs))
-	if kind == fuseSq {
-		tab := p.tables[0]
-		next := make([]field.Elem, size)
-		parallel.For(p.workers, npairs, func(chunk, lo, hi int) {
-			g0, g1, g2 := f.FoldPairsSumSq(next[2*lo:2*hi], tab[4*lo:4*hi], r)
-			partials[chunk] = [3]field.Elem{g0, g1, g2}
-		})
-		p.tables = [][]field.Elem{next}
-	} else {
-		tabA, tabB := p.tables[0], p.tables[1]
-		nextA := make([]field.Elem, size)
-		nextB := make([]field.Elem, size)
-		parallel.For(p.workers, npairs, func(chunk, lo, hi int) {
-			g0, g1, g2 := f.FoldPairsSumProd(
-				nextA[2*lo:2*hi], nextB[2*lo:2*hi],
-				tabA[4*lo:4*hi], tabB[4*lo:4*hi], r)
-			partials[chunk] = [3]field.Elem{g0, g1, g2}
-		})
-		p.tables = [][]field.Elem{nextA, nextB}
-	}
-	p.pending = sum3(f, partials)
-}
-
 // Fold binds the current round's variable to the verifier's challenge r,
 // shrinking every table by a factor of ℓ. It never writes a borrowed
 // table: every fold writes a table of the prover's own.
@@ -508,129 +497,85 @@ func (p *Prover) Fold(r field.Elem) error {
 	p.pending = nil
 	if p.sparse != nil {
 		p.foldSparse(r)
-		p.round++
-		return nil
+	} else {
+		p.fold(r)
 	}
-	if p.chunks != nil {
-		p.foldChunks(r)
-		p.round++
-		return nil
-	}
-	if kind := p.fuseKind(); kind != fuseNone && p.round+1 < p.cfg.Params.D {
-		// The next table still has ≥2 pairs, so fold and next message
-		// share one pass over it.
-		p.foldFused(kind, r)
-		p.round++
-		return nil
-	}
-	f := p.cfg.Field
-	ell := p.cfg.Params.Ell
-	var chi []field.Elem
-	if ell != 2 {
-		chi = lde.AllChi(f, p.weights, r)
-	}
-	next := make([][]field.Elem, len(p.tables))
-	for t, tab := range p.tables {
-		size := len(tab) / ell
-		next[t] = make([]field.Elem, size)
-		if ell == 2 {
-			parallel.For(p.workers, size, func(_, lo, hi int) {
-				// (1-r)·T0 + r·T1 = T0 + r·(T1-T0).
-				f.FoldPairs(next[t][lo:hi], tab[2*lo:2*hi], r)
-			})
-		} else {
-			parallel.ForGrain(p.workers, size, grainFor(ell), func(_, lo, hi int) {
-				for w := lo; w < hi; w++ {
-					next[t][w] = f.DotSlices(chi, tab[w*ell:(w+1)*ell])
-				}
-			})
-		}
-	}
-	p.tables = next
 	p.round++
 	return nil
 }
 
-// chunkMessage computes round 1's message over the chunked table: the
-// pairs split across workers as in message, each worker's pairs read
-// chunk by chunk.
-func (p *Prover) chunkMessage() []field.Elem {
+// fold folds p.tables by r into flat tables of the prover's own, each
+// worker's range read run by run; a run that is nil in every table folds
+// to zeros, which the new tables already hold. When the fused kernel
+// applies and the next tables still have ≥ 2 pairs, it computes the next
+// message in the same pass, leaving it in p.pending; chunks of at least
+// 4 entries keep its next-table pairs whole.
+func (p *Prover) fold(r field.Elem) {
 	f := p.cfg.Field
-	deg := p.cfg.degree()
-	sq := p.fuseKind() == fuseSq
-	grain := parallel.MinGrain
-	if !sq {
-		grain = grainFor((deg + 1) * 2)
+	ell := p.cfg.Params.Ell
+	size := p.tables[0].Len() / ell
+	next := make([][]field.Elem, len(p.tables))
+	for t := range next {
+		next[t] = make([]field.Elem, size)
 	}
-	npairs := p.chunks.Len() / 2
-	partials := make([][]field.Elem, parallel.ChunksGrain(p.workers, npairs, grain))
-	parallel.ForGrain(p.workers, npairs, grain, func(chunk, lo, hi int) {
-		out := make([]field.Elem, deg+1)
-		dead := 0
-		p.chunks.each(2*lo, 2*hi, func(_, n int, seg []field.Elem) {
-			switch {
-			case seg == nil:
-				dead += n / 2
-			case sq:
-				g0, g1, g2 := f.PairsSumSq(seg)
-				out[0], out[1], out[2] = f.Add(out[0], g0), f.Add(out[1], g1), f.Add(out[2], g2)
-			default:
-				p.messageRange(out, [][]field.Elem{seg}, 0, n/2)
-			}
-		})
-		p.addZeros(out, dead)
-		partials[chunk] = out
-	})
-	out := make([]field.Elem, deg+1)
-	for _, part := range partials {
-		f.AddSlices(out, out, part)
-	}
-	return out
-}
-
-// foldChunks folds the chunked table by r into a flat table of the
-// prover's own; a nil chunk folds to zeros, which the new table already
-// holds. When the fused kernel applies, it computes the next message in
-// the same pass, as foldFused does; chunks of at least 4 entries keep its
-// next-table pairs whole.
-func (p *Prover) foldChunks(r field.Elem) {
-	f := p.cfg.Field
-	src := p.chunks
-	next := make([]field.Elem, src.Len()/2)
-	if p.fuseKind() == fuseSq && p.round+1 < p.cfg.Params.D && src.Width >= 4 {
-		npairs := len(next) / 2
+	switch kind := p.fuseKind(); {
+	case kind != fuseNone && p.round+1 < p.cfg.Params.D && p.tables[0].Width >= 4:
+		npairs := size / 2
 		partials := make([][3]field.Elem, parallel.Chunks(p.workers, npairs))
 		parallel.For(p.workers, npairs, func(chunk, lo, hi int) {
 			var g [3]field.Elem
-			src.each(4*lo, 4*hi, func(at, n int, seg []field.Elem) {
-				if seg != nil { // zeros fold to zeros, whose squares add nothing
-					g0, g1, g2 := f.FoldPairsSumSq(next[at/2:(at+n)/2], seg, r)
-					g = [3]field.Elem{f.Add(g[0], g0), f.Add(g[1], g1), f.Add(g[2], g2)}
+			eachRun(p.tables, 4*lo, 4*hi, func(at, n int, segs [][]field.Elem) {
+				if segs == nil { // zeros fold to zeros, which add C(0, …, 0) = 0
+					return
 				}
+				var g0, g1, g2 field.Elem
+				a, b := at/2, (at+n)/2
+				if kind == fuseSq {
+					g0, g1, g2 = f.FoldPairsSumSq(next[0][a:b], segs[0], r)
+				} else {
+					g0, g1, g2 = f.FoldPairsSumProd(next[0][a:b], next[1][a:b], segs[0], segs[1], r)
+				}
+				g = [3]field.Elem{f.Add(g[0], g0), f.Add(g[1], g1), f.Add(g[2], g2)}
 			})
 			partials[chunk] = g
 		})
-		p.pending = sum3(f, partials)
-	} else {
-		parallel.For(p.workers, len(next), func(_, lo, hi int) {
-			src.each(2*lo, 2*hi, func(at, n int, seg []field.Elem) {
-				if seg != nil {
-					f.FoldPairs(next[at/2:(at+n)/2], seg, r)
+		out := make([]field.Elem, 3)
+		for _, g := range partials {
+			out[0], out[1], out[2] = f.Add(out[0], g[0]), f.Add(out[1], g[1]), f.Add(out[2], g[2])
+		}
+		p.pending = out
+	case ell == 2:
+		parallel.For(p.workers, size, func(_, lo, hi int) {
+			eachRun(p.tables, 2*lo, 2*hi, func(at, n int, segs [][]field.Elem) {
+				for t, seg := range segs {
+					// (1-r)·T0 + r·T1 = T0 + r·(T1-T0).
+					f.FoldPairs(next[t][at/2:(at+n)/2], seg, r)
+				}
+			})
+		})
+	default:
+		chi := lde.AllChi(f, p.weights, r)
+		parallel.ForGrain(p.workers, size, grainFor(ell), func(_, lo, hi int) {
+			eachRun(p.tables, ell*lo, ell*hi, func(at, n int, segs [][]field.Elem) {
+				for t, seg := range segs {
+					for w := 0; w < n/ell; w++ {
+						next[t][at/ell+w] = f.DotSlices(chi, seg[w*ell:(w+1)*ell])
+					}
 				}
 			})
 		})
 	}
-	p.tables, p.chunks = [][]field.Elem{next}, nil
+	p.tables = flats(next)
 }
 
-// addZeros adds what that many all-zero pairs contribute,
-// pairs·C(0, …, 0), at every evaluation point of msg.
-func (p *Prover) addZeros(msg []field.Elem, pairs int) {
-	if p.zero == 0 || pairs == 0 {
+// addZeros adds what that many all-zero ℓ-tuples contribute,
+// tuples·C(0, …, 0), at every evaluation point of msg.
+func (p *Prover) addZeros(msg []field.Elem, tuples int) {
+	if p.zero == 0 || tuples == 0 {
 		return
 	}
 	f := p.cfg.Field
-	c := f.Mul(f.Reduce(uint64(pairs)), p.zero)
+	c := f.Mul(f.Reduce(uint64(tuples)), p.zero)
 	for i := range msg {
 		msg[i] = f.Add(msg[i], c)
 	}
@@ -688,48 +633,43 @@ func (l LivePairs) Indices() []uint32 { return slices.Concat(l.runs...) }
 
 // ScanLivePairs finds the live pairs of tables under branching factor ell
 // in one pass split across workers goroutines (0 serial, n < 0 all
-// cores). The workers share one count of the live pairs found, updated
-// every scanBatch pairs, and all stop once it passes npairs/sparseShare,
-// so a dense table costs about a quarter of a pass. The verdict thus
-// depends on the tables' live pairs alone, not on the worker count or
-// where the live pairs sit. Tables at ℓ > 2 or under sparseMinEntries
-// entries are dense without a scan.
-func ScanLivePairs(ell, workers int, tables ...[]field.Elem) LivePairs {
-	live := LivePairs{entries: -1}
-	if len(tables) == 0 {
-		return live
+// cores); a nil chunk holds no live pair. The workers share one count of
+// the live pairs found, updated every scanBatch pairs, and all stop once
+// it passes npairs/sparseShare, so a dense table costs about a quarter of
+// a pass. The verdict thus depends on the tables' live pairs alone, not
+// on the worker count or where the live pairs sit. Tables at ℓ > 2 or
+// under sparseMinEntries entries are dense without a scan, and tables
+// that do not share one shape are scanned over no size a prover takes.
+func ScanLivePairs(ell, workers int, tables ...Chunked) LivePairs {
+	entries, err := tableLen(ell, tables)
+	if err != nil {
+		return LivePairs{entries: -1}
 	}
-	for _, tab := range tables[1:] {
-		if len(tab) != len(tables[0]) {
-			return live
-		}
+	if !sparseCandidate(ell, entries) {
+		return LivePairs{entries: entries}
 	}
-	live.entries = len(tables[0])
-	if !sparseCandidate(ell, live.entries) {
-		return live
-	}
-	npairs := live.entries / 2
+	npairs := entries / 2
 	limit := int64(npairs / sparseShare)
 	var found atomic.Int64
 	nw := parallel.Workers(workers)
 	runs := make([][]uint32, parallel.Chunks(nw, npairs))
 	parallel.For(nw, npairs, func(chunk, lo, hi int) {
 		var idx []uint32
-		for b := lo; b < hi; b += scanBatch {
-			end := min(b+scanBatch, hi)
-			before := len(idx)
-			idx = appendLive(idx, 0, tables, b, end)
-			if found.Add(int64(len(idx)-before)) > limit {
-				return
+		over := false
+		eachRun(tables, 2*lo, 2*hi, func(at, n int, segs [][]field.Elem) {
+			for b := 0; b < n/2 && segs != nil && !over; b += scanBatch {
+				before := len(idx)
+				idx = appendLive(idx, at/2, segs, b, min(b+scanBatch, n/2))
+				over = found.Add(int64(len(idx)-before)) > limit
 			}
-		}
+		})
 		runs[chunk] = idx
 	})
 	n := int(found.Load())
 	if n > int(limit) {
-		return live
+		return LivePairs{entries: entries}
 	}
-	return LivePairsFromRuns(ell, live.entries, n, runs)
+	return LivePairsFromRuns(ell, entries, n, runs)
 }
 
 // AppendLivePairs appends to dst the live pairs of one table, without
@@ -799,11 +739,15 @@ func appendLive(idx []uint32, first int, tables [][]field.Elem, lo, hi int) []ui
 }
 
 // liveMask reports which of the n ≤ 8 pairs from pair w are live in any
-// table: bit j for pair w+j. It does not branch on the data, so a sparse
-// table's scattered live pairs cost no mispredictions.
+// table, a nil table holding zeros: bit j for pair w+j. It does not
+// branch on the data, so a sparse table's scattered live pairs cost no
+// mispredictions.
 func liveMask(tables [][]field.Elem, w, n int) uint {
 	var m uint
 	for _, tab := range tables {
+		if tab == nil {
+			continue
+		}
 		b := tab[2*w : 2*(w+n)]
 		for j := 0; j < n; j++ {
 			x := uint64(b[2*j] | b[2*j+1])
@@ -826,8 +770,8 @@ type sparseTables struct {
 // newSparse packs the borrowed tables' live pairs, listed by live, into
 // tables of the prover's own, the gather split across the workers. It
 // copies the indices too: the prover regroups them in place, and live's
-// are shared. A pair never straddles two chunks, and a nil chunk holds no
-// live pair.
+// are shared. A pair never straddles two chunks, and a chunk that is nil
+// in every table holds no live pair.
 func (p *Prover) newSparse(live LivePairs, tables []Chunked) *sparseTables {
 	sp := &sparseTables{
 		idx:    slices.Concat(live.runs...),
@@ -859,7 +803,7 @@ func (p *Prover) newSparse(live LivePairs, tables []Chunked) *sparseTables {
 // sparseMessage computes the current round's message from the live
 // pairs, adding the dead pairs' share.
 func (p *Prover) sparseMessage() []field.Elem {
-	out := p.message(p.sparse.pairs)
+	out := p.message(flats(p.sparse.pairs))
 	p.addZeros(out, p.sparse.npairs-len(p.sparse.idx))
 	return out
 }
@@ -927,13 +871,13 @@ func regroup(idx []uint32, pairs, folded [][]field.Elem) int {
 // entries, and every other entry is 0.
 func (p *Prover) scatter() {
 	sp := p.sparse
-	p.tables = make([][]field.Elem, len(sp.folded))
+	p.tables = make([]Chunked, len(sp.folded))
 	for t, folded := range sp.folded {
 		tab := make([]field.Elem, sp.npairs)
 		for k, w := range sp.idx {
 			tab[w] = folded[k]
 		}
-		p.tables[t] = tab
+		p.tables[t] = Flat(tab)
 	}
 	p.sparse = nil
 }

@@ -447,37 +447,17 @@ func TestVerifierStructuralChecks(t *testing.T) {
 	})
 }
 
+// TestConstructorValidation: NewProver refuses every malformed input —
+// configuration, tables and scan — and accepts the well-formed ones
+// beside them, flat or in chunks.
 func TestConstructorValidation(t *testing.T) {
 	params, err := lde.NewParams(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
-	if _, err := newScanned(good, make([]field.Elem, 8)); err == nil {
-		t.Error("short table accepted")
-	}
-	if _, err := newScanned(good, make([]field.Elem, 16), make([]field.Elem, 16)); err == nil {
-		t.Error("arity mismatch accepted")
-	}
-	if _, err := newScanned(Config{Params: params, Combiner: Power{K: 2}}, make([]field.Elem, 16)); err == nil {
-		t.Error("invalid field accepted")
-	}
-	if _, err := NewVerifier(good, make([]field.Elem, 3), 0, 0); err == nil {
-		t.Error("short challenge vector accepted")
-	}
-	if _, err := NewProver(good, LivePairs{}, make([]field.Elem, 16)); err == nil {
-		t.Error("unscanned table accepted")
-	}
-	if _, err := NewProver(good, ScanLivePairs(2, 0, make([]field.Elem, 8)), make([]field.Elem, 16)); err == nil {
-		t.Error("scan of another table size accepted")
-	}
 	params4, err := lde.NewParams(4, 4)
 	if err != nil {
 		t.Fatal(err)
-	}
-	zeros := make([]field.Elem, params4.U)
-	if _, err := NewProver(Config{Field: f61, Params: params4, Combiner: Power{K: 2}}, ScanLivePairs(2, 0, zeros), zeros); err == nil {
-		t.Error("live pairs at ℓ=4 accepted")
 	}
 	small, err := field.New(5)
 	if err != nil {
@@ -487,8 +467,48 @@ func TestConstructorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newScanned(Config{Field: small, Params: smallParams, Combiner: Power{K: 9}}, make([]field.Elem, 4)); err == nil {
-		t.Error("degree ≥ field size accepted")
+	good := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
+	prod := Config{Field: f61, Params: params, Combiner: Product{}}
+	at4 := Config{Field: f61, Params: params4, Combiner: Power{K: 2}}
+	zeros := func(n int) Chunked { return Flat(make([]field.Elem, n)) }
+	scan := func(ell int, tables ...Chunked) *LivePairs {
+		live := ScanLivePairs(ell, 0, tables...)
+		return &live
+	}
+	live16 := Chunked{Width: 8, Chunks: [][]field.Elem{nil, {0, 3, 0, 0, 0, 0, 0, 0}}}
+	for _, tc := range []struct {
+		name   string
+		ok     bool
+		cfg    Config
+		live   *LivePairs // nil: the tables' own scan
+		tables []Chunked
+	}{
+		{"flat table", true, good, nil, []Chunked{zeros(16)}},
+		{"table in chunks", true, good, nil, []Chunked{live16}},
+		{"nil chunk beside a live one", true, prod, nil, []Chunked{live16, {Width: 8, Chunks: [][]field.Elem{nil, nil}}}},
+		{"short table", false, good, nil, []Chunked{zeros(8)}},
+		{"arity mismatch", false, good, nil, []Chunked{zeros(16), zeros(16)}},
+		{"invalid field", false, Config{Params: params, Combiner: Power{K: 2}}, nil, []Chunked{zeros(16)}},
+		{"degree ≥ field size", false, Config{Field: small, Params: smallParams, Combiner: Power{K: 9}}, nil, []Chunked{zeros(4)}},
+		{"tables of differing Width", false, prod, nil, []Chunked{zeros(16), live16}},
+		{"Width not a multiple of ℓ", false, at4, nil, []Chunked{{Width: 2, Chunks: make([][]field.Elem, 128)}}},
+		{"chunk shorter than Width", false, good, nil, []Chunked{{Width: 8, Chunks: [][]field.Elem{make([]field.Elem, 4), nil}}}},
+		{"Len() ≠ ℓ^d", false, good, nil, []Chunked{{Width: 4, Chunks: make([][]field.Elem, 3)}}},
+		{"no chunks", false, good, nil, []Chunked{{Width: 16}}},
+		{"unscanned table", false, good, &LivePairs{}, []Chunked{zeros(16)}},
+		{"scan of another table size", false, good, scan(2, zeros(8)), []Chunked{zeros(16)}},
+		{"sparse scan at ℓ=4", false, at4, scan(2, zeros(256)), []Chunked{zeros(256)}},
+	} {
+		live := tc.live
+		if live == nil {
+			live = scan(tc.cfg.Params.Ell, tc.tables...)
+		}
+		if _, err := NewProver(tc.cfg, *live, tc.tables...); (err == nil) != tc.ok {
+			t.Errorf("%s: accepted %v, want %v (%v)", tc.name, err == nil, tc.ok, err)
+		}
+	}
+	if _, err := NewVerifier(good, make([]field.Elem, 3), 0, 0); err == nil {
+		t.Error("short challenge vector accepted")
 	}
 }
 
