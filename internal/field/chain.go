@@ -11,11 +11,14 @@ import "math/bits"
 // multiplies, and the verifier runs at the multiplier's latency rather
 // than its throughput. These kernels split the chain into independent
 // chains over interleaved levels and combine them at the end, so several
-// multiplies are in flight at once. The rearrangement is exact over Z_p,
-// so every value is bit-identical to the one-loop product. Digits are
-// read by shift and mask (no divide), a digit selects its factor by index
-// (no branch on the digit), and the generic modulus reduces with the
-// precomputed reducer in the pre-shifted domain (no Div64; see batch.go).
+// multiplies are in flight at once. A plain product also halves its
+// chain: DigitWindows pairs adjacent levels into one table entry, so a
+// two-bit digit selects both factors at once. Every rearrangement is
+// exact over Z_p, so every value is bit-identical to the one-loop
+// product. Digits are read by shift and mask (no divide), a digit
+// selects its factor by index (no branch on the digit), and the generic
+// modulus reduces with the precomputed reducer in the pre-shifted domain
+// (no Div64; see batch.go).
 
 // mulNorm returns a·b mod p for canonical a, b through the pre-shifted
 // reducer: b<<sh makes the 128-bit product arrive normalized for remNorm.
@@ -82,6 +85,33 @@ func (f Field) DigitProduct(t []Elem, lg uint, i uint64) Elem {
 		i >>= lg
 	}
 	return Elem(mulNorm(mulNorm(a0, a1, sh, d, v), mulNorm(a2, a3, sh, d, v), sh, d, v))
+}
+
+// DigitWindows returns the two-bit window table of a per-level factor
+// table t (two entries per level, len(t) = 2n): window m holds the four
+// products of levels 2m and 2m+1, entry 4m + b₀ + 2b₁ =
+// t[2(2m) + b₀]·t[2(2m+1) + b₁], so DigitProduct(windows, 2, i) equals
+// DigitProduct(t, 1, i) for every i < 2^n at ⌈n/2⌉ multiplies instead of
+// n. For odd n the last window has no upper level: its entries with
+// b₁ = 1 are selected only by an index ≥ 2^n and are zero. The table holds
+// 4·⌈n/2⌉ entries, two more than t for odd n and as many for even n.
+func (f Field) DigitWindows(t []Elem) []Elem {
+	if len(t)&1 != 0 {
+		panic("field: DigitWindows needs two table entries per level")
+	}
+	n := len(t) / 2
+	out := make([]Elem, 4*((n+1)/2))
+	for m := 0; 2*m < n; m++ {
+		lo, win := t[4*m:4*m+2], out[4*m:4*m+4]
+		if 2*m+1 == n {
+			win[0], win[1] = lo[0], lo[1]
+			break
+		}
+		hi := t[4*m+2 : 4*m+4]
+		win[0], win[1] = f.Mul(lo[0], hi[0]), f.Mul(lo[1], hi[0])
+		win[2], win[3] = f.Mul(lo[0], hi[1]), f.Mul(lo[1], hi[1])
+	}
+	return out
 }
 
 // BitHorner returns x_n of the recurrence x_0 = 1,

@@ -32,7 +32,8 @@ func bitHornerRef(f Field, t, q []Elem, i uint64) Elem {
 // TestChainKernelsMatchReference: the split-chain products equal the
 // one-chain products bit for bit, for every tail length (n mod 4, n odd
 // and even), digit widths 1…8 and both reducers, with boundary elements
-// in the tables.
+// in the tables; and a per-level table's two-level windows give the
+// per-level product for every index below 2^n, odd tails included.
 func TestChainKernelsMatchReference(t *testing.T) {
 	fields := batchFields(t)
 	for _, p := range adversarialModuli {
@@ -49,6 +50,23 @@ func TestChainKernelsMatchReference(t *testing.T) {
 					if got, want := f.DigitProduct(tab, lg, i), digitProductRef(f, tab, lg, i); got != want {
 						t.Fatalf("p=%d lg=%d n=%d i=%#x: DigitProduct = %d, want %d", f.Modulus(), lg, n, i, got, want)
 					}
+				}
+			}
+		}
+		for n := 0; n <= 21; n++ {
+			tab := interestingElems(f, rng, 2*n)[:2*n]
+			win := f.DigitWindows(tab)
+			if len(win) != 4*((n+1)/2) {
+				t.Fatalf("p=%d n=%d: %d window entries, want %d", f.Modulus(), n, len(win), 4*((n+1)/2))
+			}
+			mask := uint64(1)<<uint(n) - 1
+			for trial := uint64(0); trial < 64; trial++ {
+				i := trial & mask // n ≤ 6: every index
+				if n > 6 {
+					i = rng.Uint64() & mask
+				}
+				if got, want := f.DigitProduct(win, 2, i), digitProductRef(f, tab, 1, i); got != want {
+					t.Fatalf("p=%d n=%d i=%#x: windowed DigitProduct = %d, want %d", f.Modulus(), n, i, got, want)
 				}
 			}
 		}
@@ -70,6 +88,7 @@ func TestChainKernelsPanicOnBadTables(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"DigitProduct partial row": func() { f.DigitProduct(make([]Elem, 3), 1, 0) },
 		"BitHorner short table":    func() { f.BitHorner(make([]Elem, 3), make([]Elem, 2), 0) },
+		"DigitWindows odd table":   func() { f.DigitWindows(make([]Elem, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -82,13 +101,43 @@ func TestChainKernelsPanicOnBadTables(t *testing.T) {
 	}
 }
 
+// FuzzDigitWindows: for an arbitrary modulus, per-level table and index
+// below 2^d, the two-level windows' product equals the per-level one-chain
+// product.
+func FuzzDigitWindows(fz *testing.F) {
+	fz.Add(uint8(0), uint64(1), uint8(20), uint64(0xabcde))
+	fz.Add(uint8(0), uint64(2), uint8(1), uint64(1))
+	fz.Add(uint8(1), uint64(3), uint8(7), uint64(0x55))
+	fz.Add(uint8(4), uint64(4), uint8(62), uint64(1)<<61|1)
+	fz.Add(uint8(7), uint64(5), uint8(0), uint64(0))
+	fz.Fuzz(func(t *testing.T, mod uint8, seed uint64, d uint8, i uint64) {
+		f := newField(adversarialModuli[int(mod)%len(adversarialModuli)])
+		n := int(d % 63)
+		i &= 1<<uint(n) - 1
+		tab := interestingElems(f, NewSplitMix64(seed), 2*n)[:2*n]
+		if got, want := f.DigitProduct(f.DigitWindows(tab), 2, i), digitProductRef(f, tab, 1, i); got != want {
+			t.Fatalf("p=%d d=%d i=%#x: windowed DigitProduct = %d, want %d", f.Modulus(), n, i, got, want)
+		}
+	})
+}
+
 // BenchmarkDigitProduct prices one verifier update's χ weight at d = 20
-// (u = 2^20, ℓ = 2): the split chains against the one-chain reference.
+// (u = 2^20, ℓ = 2): the two-level windows streaming verifiers read, the
+// per-level split chains they replace (the ratio's base), and the
+// one-chain reference.
 func BenchmarkDigitProduct(b *testing.B) {
 	for _, m := range benchModuli(b) {
 		f := m.f
 		tab := f.RandVec(NewSplitMix64(5), 40)
+		win := f.DigitWindows(tab)
 		q := f.RandVec(NewSplitMix64(6), 20)
+		b.Run(fmt.Sprintf("window/%s/d=20", m.name), func(b *testing.B) {
+			var acc Elem
+			for i := 0; i < b.N; i++ {
+				acc += f.DigitProduct(win, 2, uint64(i)*0x9e3779b97f4a7c15)
+			}
+			sinkElem = acc
+		})
 		b.Run(fmt.Sprintf("split/%s/d=20", m.name), func(b *testing.B) {
 			var acc Elem
 			for i := 0; i < b.N; i++ {

@@ -124,15 +124,21 @@ func (h *Hasher) Combine(j int, left, right, count field.Elem) field.Elem {
 // hash). It also tracks n = Σδ, the total count needed by the
 // heavy-hitters threshold.
 type RootEvaluator struct {
-	h   *Hasher
-	w   []field.Elem // w[2(j−1)+b]: the factor a level-j node applies to its child on side b
+	h *Hasher
+	// w holds the factor a level-j node applies to its child on side b:
+	// at w[2(j−1)+b] in an augmented tree, in two-level windows in a
+	// plain one.
+	w   []field.Elem
 	acc field.Elem
 	n   int64
 }
 
 // NewRootEvaluator returns a streaming evaluator for h. It precomputes
 // each level's two child factors, so an update selects its path's
-// factors by index instead of branching on the bits of its leaf.
+// factors by index instead of branching on the bits of its leaf. A plain
+// tree keeps them as two-level windows (field.DigitWindows): 4·⌈d/2⌉
+// words, and ⌈d/2⌉ multiplies per update. An augmented tree keeps them
+// per level, since its recurrence adds a count term at every level.
 func NewRootEvaluator(h *Hasher) *RootEvaluator {
 	f := h.F
 	w := make([]field.Elem, 2*len(h.R))
@@ -143,6 +149,9 @@ func NewRootEvaluator(h *Hasher) *RootEvaluator {
 		}
 		w[2*j+1] = r
 	}
+	if h.Q == nil {
+		w = f.DigitWindows(w)
+	}
 	return &RootEvaluator{h: h, w: w}
 }
 
@@ -151,7 +160,8 @@ func NewRootEvaluator(h *Hasher) *RootEvaluator {
 // and, in an augmented tree, each ancestor's count gains δ at weight
 // q_j times the factors above it: bottom-up, the leaf's root weight is
 // x_d of x_0 = 1, x_j = x_{j−1}·factor_j + q_j (field.BitHorner), and
-// without counts the plain product of the factors (field.DigitProduct).
+// without counts the plain product of the factors, two levels per window
+// (field.DigitProduct).
 func (e *RootEvaluator) Update(i uint64, delta int64) error {
 	h := e.h
 	if i >= h.Params.U {
@@ -162,7 +172,7 @@ func (e *RootEvaluator) Update(i uint64, delta int64) error {
 	if h.Q != nil {
 		s = f.BitHorner(e.w, h.Q, i)
 	} else {
-		s = f.DigitProduct(e.w, 1, i)
+		s = f.DigitProduct(e.w, 2, i)
 	}
 	e.acc = f.Add(e.acc, f.Mul(f.FromInt64(delta), s))
 	e.n += delta

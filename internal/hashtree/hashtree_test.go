@@ -82,14 +82,21 @@ func TestPaperExample(t *testing.T) {
 // materialized tree's root for random streams, for plain and augmented
 // hashers of both kinds, over the Mersenne and a generic field.
 func TestStreamingMatchesTree(t *testing.T) {
-	params, err := NewParams(9)
-	if err != nil {
-		t.Fatal(err)
-	}
 	generic, err := field.New(1000003)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Odd heights end the plain tree's two-level windows in a half window.
+	for _, d := range []int{1, 8, 9} {
+		params, err := NewParams(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		testStreamingMatchesTree(t, params, generic)
+	}
+}
+
+func testStreamingMatchesTree(t *testing.T, params Params, generic field.Field) {
 	for _, f := range []field.Field{f61, generic} {
 		for _, kind := range []Kind{Affine, Multilinear} {
 			for _, augmented := range []bool{false, true} {
@@ -101,7 +108,7 @@ func TestStreamingMatchesTree(t *testing.T) {
 					h = NewHasher(f, params, kind, rng)
 				}
 				ups := stream.UnitIncrements(params.U, 2000, rng)
-				ups = append(ups, stream.Update{Index: 5, Delta: -3})
+				ups = append(ups, stream.Update{Index: 5 % params.U, Delta: -3})
 				ev := NewRootEvaluator(h)
 				for _, u := range ups {
 					if err := ev.Update(u.Index, u.Delta); err != nil {
@@ -113,7 +120,7 @@ func TestStreamingMatchesTree(t *testing.T) {
 					t.Fatal(err)
 				}
 				if ev.Root() != tree.Root() {
-					t.Fatalf("p=%d kind=%v aug=%v: streaming root %d ≠ tree root %d", f.Modulus(), kind, augmented, ev.Root(), tree.Root())
+					t.Fatalf("p=%d d=%d kind=%v aug=%v: streaming root %d ≠ tree root %d", f.Modulus(), params.D, kind, augmented, ev.Root(), tree.Root())
 				}
 				if ev.Total() != stream.SumDeltas(ups) {
 					t.Fatalf("Total() = %d, want %d", ev.Total(), stream.SumDeltas(ups))
@@ -302,6 +309,23 @@ func TestRootEvaluatorValidation(t *testing.T) {
 	}
 }
 
+// TestRootTableEqualMemory: a plain tree's root evaluator holds at most
+// 4·⌈d/2⌉ words of factors, the per-level table's 2d rounded up to whole
+// two-level windows. The windows cost no memory; a wider window would be
+// a space trade, reported on the verifier_space_words row.
+func TestRootTableEqualMemory(t *testing.T) {
+	for d := 1; d <= 40; d++ {
+		params, err := NewParams(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := NewRootEvaluator(NewHasher(f61, params, Affine, field.NewSplitMix64(uint64(d))))
+		if words, limit := cap(ev.w), 4*((d+1)/2); words > limit {
+			t.Errorf("d=%d: factor table holds %d words, want ≤ %d", d, words, limit)
+		}
+	}
+}
+
 // TestRootSensitivity: changing any single leaf changes the root (with
 // overwhelming probability over the hasher randomness) — the collision
 // property soundness rests on.
@@ -354,18 +378,30 @@ func TestTreeSizeSparse(t *testing.T) {
 	}
 }
 
+// BenchmarkRootEvaluatorUpdate prices one update of a d = 20 root: the
+// plain tree (SUB-VECTOR and its wrappers, two-level windows) and the
+// augmented one (HEAVY HITTERS, F0 and Fmax, per-level recurrence).
 func BenchmarkRootEvaluatorUpdate(b *testing.B) {
 	params, err := NewParams(20)
 	if err != nil {
 		b.Fatal(err)
 	}
-	h := NewHasher(f61, params, Affine, field.NewSplitMix64(71))
-	ev := NewRootEvaluator(h)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ev.Update(uint64(i)&(params.U-1), 1); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		h    *Hasher
+	}{
+		{"plain", NewHasher(f61, params, Affine, field.NewSplitMix64(71))},
+		{"augmented", NewAugmentedHasher(f61, params, Affine, field.NewSplitMix64(71))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ev := NewRootEvaluator(c.h)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ev.Update(uint64(i)&(params.U-1), 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -204,31 +204,38 @@ func rows(flat []field.Elem, ell int) [][]field.Elem {
 	return out
 }
 
-// Point is a fixed evaluation point r ∈ [p]^d together with the
-// precomputed per-dimension basis values Chi[j][k] = χ_k(r_j). The tables
-// occupy O(dℓ) words; the paper's strictly-logarithmic-space accounting
-// charges the verifier d+1 words (r and the running value) and notes that
-// a space-frugal verifier "must recompute some values multiple times" —
-// precomputation is the time-optimal choice and what their implementation
-// measures.
+// Point is a fixed evaluation point r ∈ [p]^d together with a precomputed
+// table of its basis values χ_k(r_j), the factors an update's χ weight is
+// the product of. At ℓ = 2 the table holds two-level windows
+// (field.DigitWindows): window m is the four products
+// χ_{b₀}(r_{2m})·χ_{b₁}(r_{2m+1}) at 4m + b₀ + 2b₁, 4·⌈d/2⌉ words — as
+// many as the 2d per-level values for even d, two more for odd d — so an
+// update multiplies ⌈d/2⌉ factors instead of d. Any other ℓ keeps the
+// per-level rows, χ_k(r_j) at jℓ + k, dℓ words. The paper's
+// strictly-logarithmic-space accounting charges the verifier d+1 words (r
+// and the running value) and notes that a space-frugal verifier "must
+// recompute some values multiple times" — precomputation is the
+// time-optimal choice and what their implementation measures.
 type Point struct {
 	F      field.Field
 	Params Params
 	R      []field.Elem
-	Chi    [][]field.Elem
 
-	chi []field.Elem // the rows of Chi back to back: Chi[j][k] = chi[j·ℓ+k]
-	lg  uint         // log2 ℓ when ℓ is a power of two, else 0
+	tab []field.Elem // the factor table: two-level windows at ℓ = 2, per-level rows otherwise
+	lg  uint         // the digit width tab is read at: 2 at ℓ = 2, log2 ℓ for other powers of two, else 0
 }
 
-// NewPoint precomputes basis tables for the point r (length d).
+// NewPoint precomputes the factor table for the point r (length d).
 func NewPoint(f field.Field, params Params, r []field.Elem) (*Point, error) {
 	if len(r) != params.D {
 		return nil, fmt.Errorf("lde: point has %d coordinates, want %d", len(r), params.D)
 	}
-	chi := chiTable(f, BasisWeights(f, params.Ell), r)
-	pt := &Point{F: f, Params: params, R: append([]field.Elem(nil), r...), Chi: rows(chi, params.Ell), chi: chi}
-	if params.Ell&(params.Ell-1) == 0 {
+	pt := &Point{F: f, Params: params, R: append([]field.Elem(nil), r...)}
+	pt.tab = chiTable(f, BasisWeights(f, params.Ell), r)
+	switch {
+	case params.Ell == 2:
+		pt.tab, pt.lg = f.DigitWindows(pt.tab), 2
+	case params.Ell&(params.Ell-1) == 0:
 		pt.lg = uint(bits.TrailingZeros(uint(params.Ell)))
 	}
 	return pt, nil
@@ -247,18 +254,19 @@ func RandomPoint(f field.Field, params Params, rng field.RNG) *Point {
 }
 
 // ChiOfIndex returns χ_{v(i)}(r) = Π_j χ_{digit_j(i)}(r_j), the weight an
-// update to index i contributes to f_a(r). For ℓ a power of two — every
-// decomposition the service and the experiments use — the digits are
-// shifts and masks and the d factors run as split chains
-// (field.DigitProduct); any other ℓ takes the digit-by-division loop.
+// update to index i < u contributes to f_a(r). For ℓ a power of two —
+// every decomposition the service and the experiments use — the digits
+// are shifts and masks and the factors run as split chains
+// (field.DigitProduct), at ℓ = 2 one per two-level window; any other ℓ
+// takes the digit-by-division loop.
 func (pt *Point) ChiOfIndex(i uint64) field.Elem {
 	if pt.lg != 0 {
-		return pt.F.DigitProduct(pt.chi, pt.lg, i)
+		return pt.F.DigitProduct(pt.tab, pt.lg, i)
 	}
 	ell := uint64(pt.Params.Ell)
 	out := field.Elem(1)
-	for j := 0; j < pt.Params.D; j++ {
-		out = pt.F.Mul(out, pt.Chi[j][i%ell])
+	for j := uint64(0); j < uint64(pt.Params.D); j++ {
+		out = pt.F.Mul(out, pt.tab[j*ell+i%ell])
 		i /= ell
 	}
 	return out
@@ -331,7 +339,7 @@ func EvalDenseWorkers(pt *Point, table []field.Elem, workers int) (field.Elem, e
 	for j := 0; j < params.D; j++ {
 		size := len(cur) / ell
 		next := scratch[:size]
-		chi := pt.Chi[j]
+		chi := pt.tab[j*ell : (j+1)*ell]
 		// Each index costs ℓ field ops; scale the grain so large-ℓ
 		// decompositions with few indices still fan out.
 		grain := parallel.MinGrain / ell
@@ -438,7 +446,20 @@ func EvalRangeIndicator(pt *Point, qL, qR uint64) (field.Elem, error) {
 
 // chiHighBits returns Π_{j=level..d-1} χ_{bit_{j-level}(idx)}(r_j): the
 // contribution of the canonical interval at the given level whose position
-// is idx. Requires ℓ=2.
+// is idx < 2^(d-level). Requires ℓ = 2. An even level starts at a window
+// boundary; an odd one takes its own factor from r (χ₀ = 1 − r_j,
+// χ₁ = r_j) and runs the windows above it.
 func (pt *Point) chiHighBits(idx uint64, level int) field.Elem {
-	return pt.F.DigitProduct(pt.chi[2*level:], 1, idx)
+	f := pt.F
+	switch {
+	case level == pt.Params.D:
+		return 1 // the whole universe: an empty product
+	case level&1 == 0:
+		return f.DigitProduct(pt.tab[2*level:], 2, idx)
+	}
+	chi := pt.R[level]
+	if idx&1 == 0 {
+		chi = f.Sub(1, chi)
+	}
+	return f.Mul(chi, f.DigitProduct(pt.tab[2*level+2:], 2, idx>>1))
 }

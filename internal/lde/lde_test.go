@@ -243,70 +243,84 @@ func TestLinearityQuick(t *testing.T) {
 	}
 }
 
-// TestRangeIndicator compares the O(log²u) canonical-interval evaluation
-// with a dense evaluation of the explicit indicator table, across
-// exhaustive small ranges and random large ones.
-func TestRangeIndicator(t *testing.T) {
-	params, err := NewParams(2, 6) // u = 64: exhaustive
+// rangeFields are the fields the ℓ = 2 tables are checked over: the
+// Mersenne fast path and a generic prime.
+func rangeFields(t *testing.T) []field.Field {
+	t.Helper()
+	generic, err := field.New(1000003)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := RandomPoint(f61, params, field.NewSplitMix64(28))
-	for qL := uint64(0); qL < params.U; qL += 3 {
-		for qR := qL; qR < params.U; qR += 5 {
-			got, err := EvalRangeIndicator(pt, qL, qR)
+	return []field.Field{f61, generic}
+}
+
+// checkRangeIndicator compares the O(log²u) canonical-interval evaluation
+// of [qL, qR] with a dense evaluation of the explicit indicator table.
+func checkRangeIndicator(t *testing.T, pt *Point, qL, qR uint64) {
+	t.Helper()
+	got, err := EvalRangeIndicator(pt, qL, qR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := make([]field.Elem, pt.Params.U)
+	for i := qL; i <= qR; i++ {
+		table[i] = 1
+	}
+	want, err := EvalDense(pt, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("p=%d d=%d range [%d,%d]: got %d, want %d", pt.F.Modulus(), pt.Params.D, qL, qR, got, want)
+	}
+}
+
+// TestRangeIndicator checks every range at d = 5, 6 and 7. The canonical
+// intervals of an odd level start mid-window, and an odd d ends in a half
+// window.
+func TestRangeIndicator(t *testing.T) {
+	for _, f := range rangeFields(t) {
+		for _, d := range []int{5, 6, 7} {
+			params, err := NewParams(2, d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			table := make([]field.Elem, params.U)
-			for i := qL; i <= qR; i++ {
-				table[i] = 1
-			}
-			want, err := EvalDense(pt, table)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("range [%d,%d]: got %d, want %d", qL, qR, got, want)
+			pt := RandomPoint(f, params, field.NewSplitMix64(28))
+			for qL := uint64(0); qL < params.U; qL++ {
+				for qR := qL; qR < params.U; qR++ {
+					checkRangeIndicator(t, pt, qL, qR)
+				}
 			}
 		}
 	}
 }
 
+// TestRangeIndicatorLarge checks random ranges at d = 15 and 16, and the
+// full universe.
 func TestRangeIndicatorLarge(t *testing.T) {
-	params, err := NewParams(2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := field.NewSplitMix64(29)
-	pt := RandomPoint(f61, params, rng)
-	for trial := 0; trial < 20; trial++ {
-		qL := rng.Uint64() % params.U
-		qR := qL + rng.Uint64()%(params.U-qL)
-		got, err := EvalRangeIndicator(pt, qL, qR)
-		if err != nil {
-			t.Fatal(err)
+	for _, f := range rangeFields(t) {
+		for _, d := range []int{15, 16} {
+			params, err := NewParams(2, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := field.NewSplitMix64(29)
+			pt := RandomPoint(f, params, rng)
+			for trial := 0; trial < 20; trial++ {
+				qL := rng.Uint64() % params.U
+				qR := qL + rng.Uint64()%(params.U-qL)
+				checkRangeIndicator(t, pt, qL, qR)
+			}
+			// Full-universe range must give Σχ = 1-extension: indicator of
+			// all is the constant-1 vector, whose extension is 1 everywhere.
+			got, err := EvalRangeIndicator(pt, 0, params.U-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != 1 {
+				t.Fatalf("p=%d d=%d: full range indicator = %d, want 1", f.Modulus(), d, got)
+			}
 		}
-		table := make([]field.Elem, params.U)
-		for i := qL; i <= qR; i++ {
-			table[i] = 1
-		}
-		want, err := EvalDense(pt, table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("range [%d,%d]: got %d, want %d", qL, qR, got, want)
-		}
-	}
-	// Full-universe range must give Σχ = 1-extension: indicator of all is
-	// the constant-1 vector, whose extension is 1 everywhere.
-	got, err := EvalRangeIndicator(pt, 0, params.U-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("full range indicator = %d, want 1", got)
 	}
 }
 
@@ -327,15 +341,12 @@ func TestRangeIndicatorErrors(t *testing.T) {
 }
 
 // TestChiOfIndexMatchesDense: the per-update χ weight equals the dense
-// evaluation of a unit vector, for ℓ = 2 and 4 (split-chain kernel) and
-// ℓ = 3 (digit-by-division loop), over the Mersenne and a generic field.
+// evaluation of a unit vector, for ℓ = 2 (two-level windows, odd and even
+// d), ℓ = 4 (per-level split chains) and ℓ = 3 (digit-by-division loop),
+// over the Mersenne and a generic field.
 func TestChiOfIndexMatchesDense(t *testing.T) {
-	generic, err := field.New(1000003)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []field.Field{f61, generic} {
-		for _, pr := range []struct{ ell, d int }{{2, 8}, {2, 1}, {2, 7}, {4, 4}, {3, 5}} {
+	for _, f := range rangeFields(t) {
+		for _, pr := range []struct{ ell, d int }{{2, 8}, {2, 1}, {2, 2}, {2, 7}, {2, 9}, {4, 4}, {3, 5}} {
 			params, err := NewParams(pr.ell, pr.d)
 			if err != nil {
 				t.Fatal(err)
@@ -354,6 +365,23 @@ func TestChiOfIndexMatchesDense(t *testing.T) {
 					t.Fatalf("p=%d (ℓ=%d,d=%d): ChiOfIndex(%d) = %d, want %d", f.Modulus(), pr.ell, pr.d, i, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestPointTableEqualMemory: an ℓ = 2 point's factor table holds at most
+// 4·⌈d/2⌉ words, the per-level table's 2d rounded up to whole two-level
+// windows. The windows cost no memory; a wider window would be a space
+// trade, reported on the verifier_space_words row.
+func TestPointTableEqualMemory(t *testing.T) {
+	for d := 1; d <= 40; d++ {
+		params, err := NewParams(2, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt := RandomPoint(f61, params, field.NewSplitMix64(uint64(d)))
+		if words, limit := cap(pt.tab), 4*((d+1)/2); words > limit {
+			t.Errorf("d=%d: factor table holds %d words, want ≤ %d", d, words, limit)
 		}
 	}
 }
