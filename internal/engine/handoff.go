@@ -20,9 +20,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
-
-	"repro/internal/store"
 )
 
 // ErrReleased reports a table operation on a dataset that was released
@@ -159,38 +156,10 @@ func (e *Engine) Adopt(name string) (uint64, error) {
 	if _, ok := e.datasets[name]; ok {
 		return 0, fmt.Errorf("engine: dataset %q is already registered; refusing to adopt a second owner", name)
 	}
-	if e.maxDatasets > 0 && len(e.datasets) >= e.maxDatasets {
-		return 0, fmt.Errorf("engine: dataset limit of %d reached; %q not adopted", e.maxDatasets, name)
-	}
-	ckpt, err := store.Load(filepath.Join(e.dataDir, fileForName(name)), e.f.Modulus())
+	n, err := e.registerCheckpointLocked(name, fileForName(name))
 	if err != nil {
 		return 0, fmt.Errorf("engine: adopting %q: %w", name, err)
 	}
-	ds, err := shellForCheckpoint(e.f, ckpt, e.workers)
-	if err != nil {
-		return 0, fmt.Errorf("engine: adopting %q: %w", name, err)
-	}
-	ds.name = name
-	ds.eng = e
-	if err := ds.checkCheckpoint(ckpt); err != nil {
-		return 0, fmt.Errorf("engine: adopting %q: %w", name, err)
-	}
-	size := tableBytes(ds.params.U)
-	if e.budget <= 0 || e.resident+size <= e.budget {
-		st, err := ds.stateFromCheckpoint(ckpt)
-		if err != nil {
-			return 0, fmt.Errorf("engine: adopting %q: %w", name, err)
-		}
-		ds.head = st
-		ds.res = resResident
-		e.resident += size
-	} // else: stays evicted (head nil) until first use
-	ds.nMeta = ckpt.Updates
-	ds.verMeta = ckpt.Version
-	ds.diskN = ckpt.Updates
-	ds.diskHas = true
-	e.touchLocked(ds)
-	e.datasets[name] = ds
 	delete(e.releasedNames, name)
-	return ckpt.Updates, nil
+	return n, nil
 }

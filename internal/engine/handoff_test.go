@@ -173,3 +173,47 @@ func TestReleasedNameTombstone(t *testing.T) {
 		t.Fatalf("recreated dataset holds %d updates, want 0", got)
 	}
 }
+
+// TestRecoverSkipsReleased: the checkpoint a Release leaves in the data
+// dir belongs to the adopter. A Recover on the releasing engine must not
+// register it again, or Open would hand back a dataset with two owners;
+// the tombstone holds until Adopt clears it. Another engine over the
+// same dir (a restart) recovers the file.
+func TestRecoverSkipsReleased(t *testing.T) {
+	const u = 64
+	dir := t.TempDir()
+	eng := engine.New(f61, 0)
+	if err := eng.SetDataDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := eng.Open("moved", u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Ingest(stream.UnitIncrements(u, 10, field.NewSplitMix64(13))); err != nil {
+		t.Fatal(err)
+	}
+	n, err := eng.Release("moved")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := eng.Recover(); got != 0 || err != nil {
+		t.Fatalf("Recover after Release = (%d, %v), want (0, nil)", got, err)
+	}
+	if _, err := eng.Open("moved", u); !errors.Is(err, engine.ErrReleased) {
+		t.Fatalf("Open after Release and Recover = %v, want ErrReleased", err)
+	}
+	if m, err := eng.Adopt("moved"); err != nil || m != n {
+		t.Fatalf("Adopt = (%d, %v), want (%d, nil)", m, err, n)
+	}
+	if _, err := eng.Open("moved", u); err != nil {
+		t.Fatalf("Open after Adopt = %v, want nil", err)
+	}
+	restarted := engine.New(f61, 0)
+	if err := restarted.SetDataDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := restarted.Recover(); got != 1 || err != nil {
+		t.Fatalf("Recover on a fresh engine = (%d, %v), want (1, nil)", got, err)
+	}
+}

@@ -490,7 +490,9 @@ func (e *Engine) Persist() error {
 // validating each file fully (checksum, version, field). Datasets are
 // loaded resident until the memory budget fills, then registered
 // evicted — they rehydrate on first use. Names already registered are
-// skipped, so Recover is idempotent and safe on a shared engine. It
+// skipped, so Recover is idempotent and safe on a shared engine, and so
+// are names this engine released: their checkpoints belong to the
+// adopter until Adopt takes the name back. It
 // returns how many datasets were recovered; per-file failures never
 // abort the scan — they are joined under ErrPartialRecovery so callers
 // can warn and keep serving the healthy datasets.
@@ -518,52 +520,63 @@ func (e *Engine) Recover() (int, error) {
 		if _, ok := e.datasets[name]; ok {
 			continue
 		}
-		if e.maxDatasets > 0 && len(e.datasets) >= e.maxDatasets {
-			errs = append(errs, fmt.Errorf("engine: dataset limit of %d reached; %q not recovered", e.maxDatasets, name))
-			continue
+		if _, gone := e.releasedNames[name]; gone {
+			continue // handed off: the checkpoint is the adopter's
 		}
-		ckpt, err := store.Load(filepath.Join(e.dataDir, ent.Name()), e.f.Modulus())
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		// A shell only: tables are rebuilt below iff the dataset will
-		// actually be resident — an over-budget fleet restarts without
-		// paying O(u) per dataset it is not going to keep in memory.
-		ds, err := shellForCheckpoint(e.f, ckpt, e.workers)
-		if err != nil {
+		if _, err := e.registerCheckpointLocked(name, ent.Name()); err != nil {
 			errs = append(errs, fmt.Errorf("dataset %q: %w", name, err))
 			continue
 		}
-		ds.name = name
-		ds.eng = e
-		if err := ds.checkCheckpoint(ckpt); err != nil {
-			errs = append(errs, fmt.Errorf("dataset %q: %w", name, err))
-			continue
-		}
-		size := tableBytes(ds.params.U)
-		if e.budget <= 0 || e.resident+size <= e.budget {
-			st, err := ds.stateFromCheckpoint(ckpt)
-			if err != nil {
-				errs = append(errs, fmt.Errorf("dataset %q: %w", name, err))
-				continue
-			}
-			ds.head = st
-			ds.res = resResident
-			e.resident += size
-		} // else: stays evicted (head nil) until first use
-		ds.nMeta = ckpt.Updates
-		ds.verMeta = ckpt.Version
-		ds.diskN = ckpt.Updates
-		ds.diskHas = true
-		e.touchLocked(ds)
-		e.datasets[name] = ds
 		n++
 	}
 	if len(errs) > 0 {
 		return n, fmt.Errorf("%w: %w", ErrPartialRecovery, errors.Join(errs...))
 	}
 	return n, nil
+}
+
+// registerCheckpointLocked registers name from the checkpoint file in
+// the data dir, validated fully, and returns the update count it covers.
+// The dataset is loaded resident if the memory budget allows and
+// registered evicted otherwise. Caller holds e.mu and has checked that
+// name is free.
+func (e *Engine) registerCheckpointLocked(name, file string) (uint64, error) {
+	if e.maxDatasets > 0 && len(e.datasets) >= e.maxDatasets {
+		return 0, fmt.Errorf("engine: dataset limit of %d reached", e.maxDatasets)
+	}
+	ckpt, err := store.Load(filepath.Join(e.dataDir, file), e.f.Modulus())
+	if err != nil {
+		return 0, err
+	}
+	// A shell only: tables are rebuilt below iff the dataset will
+	// actually be resident — an over-budget fleet restarts without
+	// paying O(u) per dataset it is not going to keep in memory.
+	ds, err := shellForCheckpoint(e.f, ckpt, e.workers)
+	if err != nil {
+		return 0, err
+	}
+	ds.name = name
+	ds.eng = e
+	if err := ds.checkCheckpoint(ckpt); err != nil {
+		return 0, err
+	}
+	size := tableBytes(ds.params.U)
+	if e.budget <= 0 || e.resident+size <= e.budget {
+		st, err := ds.stateFromCheckpoint(ckpt)
+		if err != nil {
+			return 0, err
+		}
+		ds.head = st
+		ds.res = resResident
+		e.resident += size
+	} // else: stays evicted (head nil) until first use
+	ds.nMeta = ckpt.Updates
+	ds.verMeta = ckpt.Version
+	ds.diskN = ckpt.Updates
+	ds.diskHas = true
+	e.touchLocked(ds)
+	e.datasets[name] = ds
+	return ckpt.Updates, nil
 }
 
 // removeCheckpointLocked deletes the dataset's checkpoint file, if any.

@@ -2,7 +2,6 @@ package gkr
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -14,8 +13,9 @@ import (
 var f61 = field.Mersenne()
 
 // runF2 drives a complete GKR session conversation for F2 over 2^k
-// inputs through core.Run, streaming ups into the verifier.
-func runF2(t *testing.T, k int, ups []stream.Update, wiring circuit.Wiring, seed uint64) (*VerifierSession, core.Stats, error) {
+// inputs through core.Run, streaming ups into the verifier. A non-nil
+// tamper rewrites the prover's messages in flight.
+func runF2(t *testing.T, k int, ups []stream.Update, wiring circuit.Wiring, seed uint64, tamper core.Tamperer) (*VerifierSession, core.Stats, error) {
 	t.Helper()
 	c, err := circuit.NewF2Circuit(k)
 	if err != nil {
@@ -40,7 +40,11 @@ func runF2(t *testing.T, k int, ups []stream.Update, wiring circuit.Wiring, seed
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := core.Run(p, v)
+	var ps core.ProverSession = p
+	if tamper != nil {
+		ps = &core.TamperedProver{P: p, T: tamper}
+	}
+	st, err := core.Run(ps, v)
 	return v, st, err
 }
 
@@ -64,7 +68,7 @@ func TestGKRF2Completeness(t *testing.T) {
 		rng := field.NewSplitMix64(uint64(400 + k))
 		ups := stream.UniformDeltas(u, 50, rng)
 		for _, wiring := range []circuit.Wiring{nil, circuit.F2Wiring{K: k}} {
-			v, _, err := runF2(t, k, ups, wiring, uint64(500+k))
+			v, _, err := runF2(t, k, ups, wiring, uint64(500+k), nil)
 			if err != nil {
 				t.Fatalf("k=%d wiring=%T: rejected: %v", k, wiring, err)
 			}
@@ -86,7 +90,7 @@ func TestGKRCommGrowsAsLogSquared(t *testing.T) {
 	for _, k := range []int{4, 8} {
 		u := uint64(1) << k
 		ups := stream.UniformDeltas(u, 10, field.NewSplitMix64(uint64(k)))
-		_, st, err := runF2(t, k, ups, circuit.F2Wiring{K: k}, 7)
+		_, st, err := runF2(t, k, ups, circuit.F2Wiring{K: k}, 7, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,51 +102,24 @@ func TestGKRCommGrowsAsLogSquared(t *testing.T) {
 	}
 }
 
-// TestGKRWrongOutputRejected: claiming the wrong output fails immediately
-// or at latest at the input check.
+// TestGKRWrongOutputRejected: claiming the wrong output passes Begin
+// (any vector of the right length is a well-formed claim) and fails at
+// the first sum-check message, since the prover's true g1 sums to the
+// true value, not the lie.
 func TestGKRWrongOutputRejected(t *testing.T) {
 	k := 4
-	u := uint64(1) << k
-	c, err := circuit.NewF2Circuit(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proto, err := New(f61, c, circuit.F2Wiring{K: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := proto.NewVerifier(field.NewSplitMix64(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ups := stream.UniformDeltas(u, 50, field.NewSplitMix64(9))
-	input := make([]field.Elem, u)
-	for _, up := range ups {
-		if err := v.Observe(up.Index, up.Delta); err != nil {
-			t.Fatal(err)
+	ups := stream.UniformDeltas(uint64(1)<<k, 50, field.NewSplitMix64(9))
+	_, st, err := runF2(t, k, ups, circuit.F2Wiring{K: k}, 8, func(round int, m core.Msg) core.Msg {
+		if round == 0 {
+			m.Elems[0] = f61.Add(m.Elems[0], 1)
 		}
-		input[up.Index] = f61.Add(input[up.Index], f61.FromInt64(up.Delta))
-	}
-	p, err := proto.NewProver(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs := p.Outputs()
-	outs[0] = f61.Add(outs[0], 1)
-	if err := v.ReceiveOutputs(outs); err != nil {
-		t.Fatalf("output receipt itself should succeed: %v", err)
-	}
-	// Play the rest honestly: the first sum-check round must fail, since
-	// the prover's true g1 sums to the true value, not the lie.
-	if err := p.StartLayer(0, v.zs[0]); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := p.SumcheckMsg()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.ReceiveSumcheck(msg); !errors.Is(err, ErrRejected) {
+		return m
+	})
+	if !errors.Is(err, core.ErrRejected) {
 		t.Fatalf("lying output not rejected: %v", err)
+	}
+	if st.Rounds != 2 {
+		t.Fatalf("rejected after %d prover messages, want 2 (opening + first sum-check round)", st.Rounds)
 	}
 }
 
@@ -176,80 +153,33 @@ func TestGKRWrongStreamRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Run(p, v); !errors.Is(err, ErrRejected) {
+	if _, err := core.Run(p, v); !errors.Is(err, core.ErrRejected) {
 		t.Fatalf("wrong-stream prover not rejected: %v", err)
 	}
 }
 
-// TestGKRTamperedSumcheckRejected: flipping a sum-check evaluation mid-
-// protocol is caught.
+// TestGKRTamperedSumcheckRejected: flipping g(2) of the second
+// sum-check message leaves that round's g(0) + g(1) check intact, so the
+// flip must be caught by a later round or the line check.
 func TestGKRTamperedSumcheckRejected(t *testing.T) {
 	k := 4
-	u := uint64(1) << k
-	ups := stream.UniformDeltas(u, 50, field.NewSplitMix64(12))
-	c, err := circuit.NewF2Circuit(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proto, err := New(f61, c, circuit.F2Wiring{K: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := proto.NewVerifier(field.NewSplitMix64(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := make([]field.Elem, u)
-	for _, up := range ups {
-		if err := v.Observe(up.Index, up.Delta); err != nil {
-			t.Fatal(err)
+	ups := stream.UniformDeltas(uint64(1)<<k, 50, field.NewSplitMix64(12))
+	_, st, err := runF2(t, k, ups, circuit.F2Wiring{K: k}, 13, func(round int, m core.Msg) core.Msg {
+		if round == 2 {
+			m.Elems[2] = f61.Add(m.Elems[2], 1)
 		}
-		input[up.Index] = f61.Add(input[up.Index], f61.FromInt64(up.Delta))
+		return m
+	})
+	if !errors.Is(err, core.ErrRejected) {
+		t.Fatalf("tampered sum-check not rejected: %v", err)
 	}
-	p, err := proto.NewProver(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.ReceiveOutputs(p.Outputs()); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.StartLayer(0, v.zs[0]); err != nil {
-		t.Fatal(err)
-	}
-	rejected := false
-	for round := 0; round < 2*proto.C.VarCount(1); round++ {
-		msg, err := p.SumcheckMsg()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if round == 1 {
-			msg[2] = f61.Add(msg[2], 1)
-		}
-		r, err := v.ReceiveSumcheck(msg)
-		if err != nil {
-			if round >= 1 && errors.Is(err, ErrRejected) {
-				rejected = true
-				break
-			}
-			t.Fatal(err)
-		}
-		if err := p.Bind(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !rejected {
-		// The flip corrupts g(2) only, so the round-1 sum check passes but
-		// the next round (or the line check) must fail. Finish the layer.
-		line, err := p.LinePoly(v.xs[0], v.ys[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := v.ReceiveLine(line); !errors.Is(err, ErrRejected) {
-			t.Fatalf("tampered sum-check not rejected: %v", err)
-		}
+	if st.Rounds <= 3 {
+		t.Fatalf("rejected after %d prover messages; the flipped g(2) cannot fail its own round", st.Rounds)
 	}
 }
 
+// TestGKRValidation: construction refusals and out-of-order use of
+// either session.
 func TestGKRValidation(t *testing.T) {
 	c, err := circuit.NewF2Circuit(3)
 	if err != nil {
@@ -262,17 +192,48 @@ func TestGKRValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := proto.NewVerifier(field.NewSplitMix64(14))
+	if _, err := proto.NewProverSession(make([]field.Elem, 3)); err == nil {
+		t.Error("short input accepted")
+	}
+	v, err := proto.NewVerifierSession(field.NewSplitMix64(14))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Observe(8, 1); err == nil || strings.Contains(err.Error(), "rejected") {
-		t.Errorf("out-of-range observe: %v", err)
+	if _, _, err := v.Step(core.Msg{Elems: []field.Elem{1, 2, 3}}); err == nil || errors.Is(err, core.ErrRejected) {
+		t.Errorf("sum-check before outputs: %v, want a misuse error", err)
 	}
-	if _, err := v.ReceiveSumcheck([]field.Elem{1, 2, 3}); err == nil {
-		t.Error("sum-check before outputs accepted")
+	if _, err := v.Outputs(); err == nil {
+		t.Error("outputs available before acceptance")
 	}
-	if _, err := proto.NewProver(make([]field.Elem, 3)); err == nil {
-		t.Error("short input accepted")
+	p, err := proto.NewProverSession(make([]field.Elem, c.InputSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opening, err := p.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	z0, _, err := v.Begin(opening)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := v.Begin(opening); err == nil {
+		t.Error("second Begin accepted")
+	}
+	if _, err := p.Step(core.Msg{Elems: append(z0.Elems, 1)}); err == nil {
+		t.Error("z₀ of the wrong length accepted")
+	}
+	if _, err := p.Step(core.Msg{Ints: []uint64{1}, Elems: z0.Elems}); err == nil {
+		t.Error("integer payload in a challenge accepted")
+	}
+	msg, err := p.Step(z0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Step(core.Msg{Elems: []field.Elem{1, 2}}); err == nil {
+		t.Error("two-element sum-check challenge accepted")
+	}
+	if _, _, err := v.Step(core.Msg{Elems: msg.Elems[:2]}); !errors.Is(err, core.ErrRejected) {
+		t.Errorf("two-evaluation sum-check message: %v, want core.ErrRejected", err)
 	}
 }

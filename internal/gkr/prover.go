@@ -5,79 +5,112 @@ import (
 	"fmt"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/parallel"
 )
 
-// gkrGrain is the minimum per-goroutine chunk for the per-gate loops.
-// One gate costs ~10 field operations in SumcheckMsg (vs ~1 for the
-// kernels parallel.MinGrain is calibrated for), so a smaller floor pays.
-const gkrGrain = 1 << 9
+type proverPhase uint8
 
-// Prover is the honest GKR prover. It evaluates the circuit once, then
-// answers each layer's sum-check with the standard per-gate bookkeeping:
-// every gate keeps a running product of the χ factors of its bound
-// variables, and the Ṽ_{i+1} evaluations come from a table folded by one
-// challenge per round — O(S) field operations per round, O(S log S) per
-// layer.
-type Prover struct {
+const (
+	phaseAwaitZ   proverPhase = iota // waiting for the revealed output point z₀
+	phaseSumcheck                    // waiting for a sum-check challenge
+	phaseAwaitT                      // line sent, waiting for t*
+)
+
+// ProverSession is the honest GKR prover. It evaluates the circuit once,
+// then answers each layer's sum-check with the standard per-gate
+// bookkeeping: every gate keeps a running product of the χ factors of
+// its bound variables, and the Ṽ_{i+1} evaluations come from a table
+// folded by one challenge per round — O(S) field operations per round,
+// O(S log S) per layer. It records the revealed sum-check challenges,
+// from which it evaluates the line restriction and derives each next
+// layer's point without extra messages.
+type ProverSession struct {
 	proto  *Protocol
 	values [][]field.Elem
+	phase  proverPhase
 
-	// Per-layer sum-check state. pX starts as the χ̃_o(z) table (the eqZ
-	// factor is folded in up front, saving one multiply per gate per
-	// round) and accumulates the bound-x χ factors; pY starts as the
-	// frozen x-phase weights and accumulates the bound-y factors, so the
-	// per-gate round weight is a single table read.
-	layer   int
-	z       []field.Elem
-	k       int
-	round   int
-	pX      []field.Elem // per gate, χ̃_o(z) · product of bound-x χ factors
-	pY      []field.Elem // per gate, frozen x weight · bound-y χ factors
-	bX      []field.Elem // Ṽ_{i+1} table folded by x challenges
-	bY      []field.Elem // Ṽ_{i+1} table folded by y challenges
-	vxStar  field.Elem   // Ṽ_{i+1}(x*)
-	started bool
+	// Per-layer sum-check state. xs and ys are the bound challenges, x
+	// half then y half; their lengths are the round count. pX starts as
+	// the χ̃_o(z) table (the eqZ factor is folded in up front, saving one
+	// multiply per gate per round) and accumulates the bound-x χ factors;
+	// pY starts as the frozen x-phase weights and accumulates the bound-y
+	// factors, so the per-gate round weight is a single table read.
+	layer  int
+	xs, ys []field.Elem
+	pX     []field.Elem // per gate, χ̃_o(z) · product of bound-x χ factors
+	pY     []field.Elem // per gate, frozen x weight · bound-y χ factors
+	bX     []field.Elem // Ṽ_{i+1} table folded by x challenges
+	bY     []field.Elem // Ṽ_{i+1} table folded by y challenges
+	vxStar field.Elem   // Ṽ_{i+1}(x*)
 }
 
-// NewProver evaluates the circuit on the given input vector.
-func (p *Protocol) NewProver(input []field.Elem) (*Prover, error) {
+// NewProverSession evaluates the circuit on the input and returns the
+// conversation-ready prover.
+func (p *Protocol) NewProverSession(input []field.Elem) (*ProverSession, error) {
 	values, err := p.C.EvaluateWorkers(p.F, input, p.Workers)
 	if err != nil {
 		return nil, err
 	}
-	return &Prover{proto: p, values: values}, nil
+	return &ProverSession{proto: p, values: values}, nil
 }
 
-// Outputs returns the circuit's output vector (the prover's claim).
-func (pr *Prover) Outputs() []field.Elem {
-	return append([]field.Elem(nil), pr.values[0]...)
+// Open produces the opening message: the claimed output vector.
+func (s *ProverSession) Open() (core.Msg, error) {
+	return core.Msg{Elems: append([]field.Elem(nil), s.values[0]...)}, nil
 }
 
-// StartLayer begins the sum-check for the given layer at the revealed
-// point z (the verifier's zs[layer], which the prover can also derive
-// from earlier challenges; it is passed explicitly to keep the message
-// flow of the original protocol).
-func (pr *Prover) StartLayer(layer int, z []field.Elem) error {
-	if layer != pr.layer || pr.started {
-		return fmt.Errorf("gkr: StartLayer(%d) out of order (at %d, started=%v)", layer, pr.layer, pr.started)
+// Step consumes a verifier challenge and produces the next response.
+func (s *ProverSession) Step(challenge core.Msg) (core.Msg, error) {
+	if len(challenge.Ints) != 0 {
+		return core.Msg{}, errors.New("gkr: unexpected integer payload in challenge")
 	}
-	if len(z) != pr.proto.C.VarCount(layer) {
-		return fmt.Errorf("gkr: z has %d coordinates, want %d", len(z), pr.proto.C.VarCount(layer))
+	switch s.phase {
+	case phaseAwaitZ:
+		return s.startLayer(challenge.Elems)
+	case phaseSumcheck:
+		if len(challenge.Elems) != 1 {
+			return core.Msg{}, fmt.Errorf("gkr: sum-check challenge has %d elements, want 1", len(challenge.Elems))
+		}
+		s.bind(challenge.Elems[0])
+		if len(s.ys) < s.k() {
+			return core.Msg{Elems: s.sumcheckMsg()}, nil
+		}
+		s.phase = phaseAwaitT
+		return core.Msg{Elems: s.linePoly()}, nil
+	default: // phaseAwaitT
+		if len(challenge.Elems) != 1 {
+			return core.Msg{}, fmt.Errorf("gkr: line challenge has %d elements, want 1", len(challenge.Elems))
+		}
+		z := linePoint(s.proto.F, make([]field.Elem, len(s.xs)), s.xs, s.ys, challenge.Elems[0])
+		s.layer++
+		return s.startLayer(z)
 	}
-	pr.z = append([]field.Elem(nil), z...)
-	pr.k = pr.proto.C.VarCount(layer + 1)
-	pr.round = 0
+}
+
+// k is the current layer's sum-check half length, k_{layer+1}.
+func (s *ProverSession) k() int { return s.proto.C.VarCount(s.layer + 1) }
+
+// startLayer begins the current layer's sum-check at the point z and
+// returns its first message.
+func (s *ProverSession) startLayer(z []field.Elem) (core.Msg, error) {
+	if s.layer == len(s.proto.C.Layers) {
+		return core.Msg{}, errors.New("gkr: conversation already complete")
+	}
+	if want := s.proto.C.VarCount(s.layer); len(z) != want {
+		return core.Msg{}, fmt.Errorf("gkr: z has %d coordinates, want %d", len(z), want)
+	}
 	// The χ̃ table has exactly 2^len(z) = len(gates) entries; it seeds the
 	// per-gate x weights directly (field multiplication is associative and
 	// exact, so folding it in here leaves every message value unchanged).
-	pr.pX = expandEq(pr.proto.F, z, pr.proto.Workers)
-	pr.pY = nil
-	pr.bX = append([]field.Elem(nil), pr.values[layer+1]...)
-	pr.bY = nil
-	pr.started = true
-	return nil
+	s.pX = expandEq(s.proto.F, z, s.proto.Workers)
+	s.pY = nil
+	s.bX = append([]field.Elem(nil), s.values[s.layer+1]...)
+	s.bY = nil
+	s.xs, s.ys = s.xs[:0], s.ys[:0]
+	s.phase = phaseSumcheck
+	return core.Msg{Elems: s.sumcheckMsg()}, nil
 }
 
 // expandEq builds the table χ̃_o(z) for all o ∈ {0,1}^len(z),
@@ -103,26 +136,16 @@ func expandEq(f field.Field, z []field.Elem, workers int) []field.Elem {
 	return table
 }
 
-// SumcheckMsg produces the current round's 3 evaluations g(0), g(1), g(2).
-func (pr *Prover) SumcheckMsg() ([]field.Elem, error) {
-	if !pr.started {
-		return nil, errors.New("gkr: no layer in progress")
-	}
-	if pr.round >= 2*pr.k {
-		return nil, errors.New("gkr: sum-check already finished")
-	}
-	f := pr.proto.F
-	gates := pr.proto.C.Layers[pr.layer].Gates
-	below := pr.values[pr.layer+1]
-	inX := pr.round < pr.k
-	var t int
-	var folded []field.Elem
-	if inX {
-		t = pr.round // 0-based position within the x variables
-		folded = pr.bX
-	} else {
-		t = pr.round - pr.k
-		folded = pr.bY
+// sumcheckMsg produces the current round's 3 evaluations g(0), g(1), g(2).
+func (s *ProverSession) sumcheckMsg() []field.Elem {
+	f := s.proto.F
+	gates := s.proto.C.Layers[s.layer].Gates
+	below := s.values[s.layer+1]
+	// t is the round variable's 0-based position within its half.
+	inX := len(s.xs) < s.k()
+	t, folded := len(s.xs), s.bX
+	if !inX {
+		t, folded = len(s.ys), s.bY
 	}
 	// One pass over the gates; chunks accumulate partial sums combined in
 	// chunk order, so the totals are bit-identical for every worker count
@@ -132,7 +155,7 @@ func (pr *Prover) SumcheckMsg() ([]field.Elem, error) {
 	// and g(2) (χ(2) = 2) — and the c = 2 table value is 2b − a, so each
 	// gate costs two combiner evaluations and two weight multiplies
 	// instead of three of each plus the per-point χ products.
-	nw := parallel.Workers(pr.proto.Workers)
+	nw := parallel.Workers(s.proto.Workers)
 	partials := make([][3]field.Elem, parallel.ChunksGrain(nw, len(gates), gkrGrain))
 	parallel.ForGrain(nw, len(gates), gkrGrain, func(chunk, lo, hi int) {
 		var acc [3]field.Elem
@@ -142,10 +165,10 @@ func (pr *Prover) SumcheckMsg() ([]field.Elem, error) {
 			var weight field.Elem
 			if inX {
 				wire = gate.In1
-				weight = pr.pX[g]
+				weight = s.pX[g]
 			} else {
 				wire = gate.In2
-				weight = pr.pY[g]
+				weight = s.pY[g]
 			}
 			// Ṽ at (bound, c, wire suffix): two adjacent folded entries.
 			suffix := wire >> uint(t)
@@ -166,9 +189,9 @@ func (pr *Prover) SumcheckMsg() ([]field.Elem, error) {
 				}
 			} else {
 				if gate.Type == circuit.Add {
-					o01, o2 = f.Add(pr.vxStar, v01), f.Add(pr.vxStar, v2)
+					o01, o2 = f.Add(s.vxStar, v01), f.Add(s.vxStar, v2)
 				} else {
-					o01, o2 = f.Mul(pr.vxStar, v01), f.Mul(pr.vxStar, v2)
+					o01, o2 = f.Mul(s.vxStar, v01), f.Mul(s.vxStar, v2)
 				}
 			}
 			t01 := f.Mul(weight, o01)
@@ -189,65 +212,55 @@ func (pr *Prover) SumcheckMsg() ([]field.Elem, error) {
 			out[ci] = f.Add(out[ci], p[ci])
 		}
 	}
-	return out, nil
+	return out
 }
 
-// Bind consumes the verifier's challenge for the current round.
-func (pr *Prover) Bind(r field.Elem) error {
-	if !pr.started || pr.round >= 2*pr.k {
-		return errors.New("gkr: no round to bind")
+// bind consumes the verifier's challenge for the current round.
+func (s *ProverSession) bind(r field.Elem) {
+	f := s.proto.F
+	gates := s.proto.C.Layers[s.layer].Gates
+	k := s.k()
+	inX := len(s.xs) < k
+	t, weights := len(s.xs), s.pX
+	if !inX {
+		t, weights = len(s.ys), s.pY
 	}
-	f := pr.proto.F
-	gates := pr.proto.C.Layers[pr.layer].Gates
-	inX := pr.round < pr.k
-	var t int
-	if inX {
-		t = pr.round
-	} else {
-		t = pr.round - pr.k
-	}
-	nw := parallel.Workers(pr.proto.Workers)
+	nw := parallel.Workers(s.proto.Workers)
 	oneMinusR := f.Sub(1, r)
 	parallel.ForGrain(nw, len(gates), gkrGrain, func(_, lo, hi int) {
 		for g := lo; g < hi; g++ {
-			var wire uint32
+			wire := gates[g].In2
 			if inX {
 				wire = gates[g].In1
-			} else {
-				wire = gates[g].In2
 			}
 			factor := r
 			if (wire>>uint(t))&1 == 0 {
 				factor = oneMinusR
 			}
-			if inX {
-				pr.pX[g] = f.Mul(pr.pX[g], factor)
-			} else {
-				pr.pY[g] = f.Mul(pr.pY[g], factor)
-			}
+			weights[g] = f.Mul(weights[g], factor)
 		}
 	})
-	if inX {
-		pr.bX = pr.foldOnce(pr.bX, r)
-	} else {
-		pr.bY = pr.foldOnce(pr.bY, r)
+	if !inX {
+		s.bY = s.foldOnce(s.bY, r)
+		s.ys = append(s.ys, r)
+		return
 	}
-	pr.round++
-	if pr.round == pr.k {
+	s.bX = s.foldOnce(s.bX, r)
+	s.xs = append(s.xs, r)
+	if len(s.xs) == k {
 		// x phase complete: the per-gate x weights are frozen as the seed
 		// of the y-phase products, and Ṽ(x*) is the fully folded table.
-		pr.vxStar = pr.bX[0]
-		pr.pY = append([]field.Elem(nil), pr.pX...)
-		pr.bY = append([]field.Elem(nil), pr.values[pr.layer+1]...)
+		s.vxStar = s.bX[0]
+		s.pY = append([]field.Elem(nil), s.pX...)
+		s.bY = append([]field.Elem(nil), s.values[s.layer+1]...)
 	}
-	return nil
 }
 
 // foldOnce binds one variable of the table to r with the FoldPairs batch
 // kernel; chunks write disjoint destination ranges.
-func (pr *Prover) foldOnce(table []field.Elem, r field.Elem) []field.Elem {
-	f := pr.proto.F
-	nw := parallel.Workers(pr.proto.Workers)
+func (s *ProverSession) foldOnce(table []field.Elem, r field.Elem) []field.Elem {
+	f := s.proto.F
+	nw := parallel.Workers(s.proto.Workers)
 	next := make([]field.Elem, len(table)/2)
 	parallel.ForGrain(nw, len(next), gkrGrain, func(_, lo, hi int) {
 		f.FoldPairs(next[lo:hi], table[2*lo:2*hi], r)
@@ -255,59 +268,21 @@ func (pr *Prover) foldOnce(table []field.Elem, r field.Elem) []field.Elem {
 	return next
 }
 
-// LinePoly returns the k+1 evaluations of q(t) = Ṽ_{layer+1}(x* + t(y*-x*))
-// at t = 0..k. It requires the sum-check to be complete; the x* and y*
-// points are reconstructed from the bound challenges implicitly by
-// evaluating the value table along the line.
-func (pr *Prover) LinePoly(xStar, yStar []field.Elem) ([]field.Elem, error) {
-	if !pr.started || pr.round != 2*pr.k {
-		return nil, errors.New("gkr: sum-check not finished")
+// linePoly returns the k+1 evaluations of q(t) = Ṽ_{layer+1}(x* + t(y*−x*))
+// at t = 0..k, evaluating the value table along the line through the
+// bound challenges.
+func (s *ProverSession) linePoly() []field.Elem {
+	f := s.proto.F
+	table := s.values[s.layer+1]
+	k := len(s.xs)
+	out := make([]field.Elem, k+1)
+	point := make([]field.Elem, k)
+	// One pair of ping-pong buffers serves all k+1 evaluations.
+	src := make([]field.Elem, len(table))
+	dst := make([]field.Elem, len(table)/2)
+	for ti := range out {
+		linePoint(f, point, s.xs, s.ys, f.Reduce(uint64(ti)))
+		out[ti] = foldAt(f, s.proto.Workers, table, point, src, dst)
 	}
-	f := pr.proto.F
-	table := pr.values[pr.layer+1]
-	out := make([]field.Elem, pr.k+1)
-	point := make([]field.Elem, pr.k)
-	// Scratch ping-pong buffers shared across the k+1 evaluations; each
-	// fold reads one buffer and writes the other, so the chunked FoldPairs
-	// calls never overlap.
-	bufA := make([]field.Elem, len(table))
-	bufB := make([]field.Elem, len(table)/2)
-	for ti := 0; ti <= pr.k; ti++ {
-		t := f.Reduce(uint64(ti))
-		for j := 0; j < pr.k; j++ {
-			point[j] = f.Add(xStar[j], f.Mul(t, f.Sub(yStar[j], xStar[j])))
-		}
-		out[ti] = pr.foldAt(table, point, bufA, bufB)
-	}
-	return out, nil
-}
-
-// foldAt evaluates the multilinear extension of table at point, folding
-// one variable per round with the parallel FoldPairs kernel. src and dst
-// must each hold len(table) and len(table)/2 elements of scratch.
-func (pr *Prover) foldAt(table, point, src, dst []field.Elem) field.Elem {
-	f := pr.proto.F
-	nw := parallel.Workers(pr.proto.Workers)
-	cur := src[:len(table)]
-	copy(cur, table)
-	for _, r := range point {
-		next := dst[:len(cur)/2]
-		parallel.ForGrain(nw, len(next), gkrGrain, func(_, lo, hi int) {
-			f.FoldPairs(next[lo:hi], cur[2*lo:2*hi], r)
-		})
-		cur, dst = next, cur
-	}
-	return cur[0]
-}
-
-// FinishLayer closes the completed layer. (The next layer's point
-// z = x* + t*(y* − x*) is derivable by the prover from the revealed
-// challenges; ProverSession derives it and passes it to StartLayer.)
-func (pr *Prover) FinishLayer() error {
-	if !pr.started || pr.round != 2*pr.k {
-		return errors.New("gkr: sum-check not finished")
-	}
-	pr.layer++
-	pr.started = false
-	return nil
+	return out
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/stream"
 )
 
-// sessionSpecs are the registry families exercised by the adapter tests,
+// sessionSpecs are the registry families exercised by the session tests,
 // over a deliberately non-power-of-two universe.
 var sessionSpecs = []circuit.Spec{
 	{Name: circuit.FamilyF2},
@@ -29,7 +29,7 @@ func sessionUps(u uint64, n int, seed uint64) []stream.Update {
 
 // sessionInput builds the prover input the way the engine does: dense
 // element table over the padded universe, then the protocol's padding.
-func sessionInput(t *testing.T, proto *Protocol, ups []stream.Update, u uint64) []field.Elem {
+func sessionInput(t testing.TB, proto *Protocol, ups []stream.Update, u uint64) []field.Elem {
 	t.Helper()
 	d, err := circuit.PaddedVars(u)
 	if err != nil {
