@@ -132,7 +132,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 			opening: len(f0.NewVerifier(field.NewSplitMix64(5)).hh.Challenges()) + 1, hhReveal: true,
 		},
 		{
-			name: "SplitAggregator",
+			name: "SplitProver",
 			build: func() (ProverSession, VerifierSession) {
 				v := f2.NewVerifier(field.NewSplitMix64(6))
 				observeAll(t, v, a)

@@ -4,21 +4,22 @@
 // A dataset too large for one prover is split into S contiguous,
 // aligned slices of its (padded) universe. Each slice owner runs a
 // PartialProver session: its opening and round messages are exact
-// partials of the single-prover messages, summed elementwise by an
-// aggregator sitting between the verifier and the S owners. After the
-// head rounds have folded each slice to a single entry per table (its
-// "leaves"), the aggregator collects the leaves and serves the
-// remaining rounds itself from a tail prover — the verifier speaks the
-// unchanged protocol and the transcript is bit-identical to the
-// single-prover run.
+// partials of the single-prover messages. SplitProver is the one
+// prover session in front of the S owners: it sums their partials
+// elementwise, and once the head rounds have folded each slice to a
+// single entry per table (its "leaves") it collects the leaves and
+// serves the remaining rounds itself from a tail prover. The verifier
+// speaks the unchanged protocol, and the transcript is bit-identical to
+// the single-prover run. core.Run, wire.Mux and engine.RecordProof
+// drive a SplitProver like any other prover session.
 //
-// Message shapes on the aggregator↔owner leg:
+// Message shapes on the SplitProver↔owner leg (SplitOwner):
 //
 //	opening:  Ints=[version]  Elems=[claim, g_1(0..deg)]
 //	round j:  Elems=[g_j(0..deg)]      (head rounds 2..h)
 //	leaves:   Elems=[leaf_1..leaf_T]   (after the h-th fold; T = arity)
 //
-// The version rides the opening so the aggregator can pin one dataset
+// The version rides the opening so the SplitProver can pin one dataset
 // version across all S slices (ErrSplitVersion on skew) and bind
 // Fiat–Shamir proofs to it.
 package core
@@ -26,6 +27,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/field"
 	"repro/internal/lde"
@@ -33,13 +35,13 @@ import (
 )
 
 // ErrSplitVersion reports slice openings that disagree on the dataset
-// version: an ingest scatter was racing the query and the aggregator
-// must retry rather than fold partials of different dataset states.
+// version: an ingest scatter was racing the query, and the SplitProver
+// must reopen rather than fold partials of different dataset states.
 var ErrSplitVersion = errors.New("core: split slices disagree on dataset version")
 
 // PartialProver is the slice owner's session for one aggregation query:
 // a ProverSession whose messages are this slice's exact partials. It is
-// driven by the aggregator, not by a verifier — after its final fold it
+// driven by a SplitProver, not by a verifier — after its final fold it
 // emits its leaves instead of a round message.
 type PartialProver struct {
 	scProver
@@ -67,7 +69,7 @@ func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, h
 // universe slice [lo, hi) of p.Params. table holds the slice's hi−lo
 // entries (global index i stored at i−lo) in chunks, as
 // NewProverFromTable takes a whole table, borrowed read-only; version is
-// the dataset version the opening reports to the aggregator. live
+// the dataset version the opening reports to the SplitProver. live
 // supplies table's live-pair scan, as a memo shared by every prover of
 // the table; nil scans table when the prover opens.
 func (p *Fk) NewPartialProverFromTable(table sumcheck.Chunked, live func() sumcheck.LivePairs, lo, hi, version uint64) (*PartialProver, error) {
@@ -88,7 +90,7 @@ func (p *RangeSum) NewPartialProverFromTable(table []field.Elem, lo, hi, version
 }
 
 // Open computes this slice's partial claim and round-1 partial,
-// prefixed by the dataset version for the aggregator's skew check.
+// prefixed by the dataset version for the SplitProver's skew check.
 func (pr *PartialProver) Open() (Msg, error) {
 	sc, err := sumcheck.NewPartialProver(pr.cfg, pr.lo, pr.hi, pr.livePairs(pr.cfg, pr.tables), pr.tables...)
 	if err != nil {
@@ -120,49 +122,51 @@ func (pr *PartialProver) Step(challenge Msg) (Msg, error) {
 
 // ---------------------------------------------------------------------
 
-// SplitAggregator folds S slice owners' partial messages into the
-// single-prover transcript. It sits between the verifier (which speaks
-// the unchanged protocol) and the owners:
-//
-//	parts := <Open on every owner, slice order>
-//	opening, _ := agg.Open(parts)            // → verifier
-//	for each verifier challenge r:
-//	    if agg.Broadcast() {
-//	        parts := <Step(r) on every owner>  // partials, or leaves
-//	        m, _ := agg.Collect(parts)
-//	        if agg.TailStarted() { <finish the owner conversations> }
-//	    } else {
-//	        m, _ := agg.Next(r)                // tail rounds, local
-//	    }
-//	    // m → verifier
-//
-// Because field addition is exact and the tail prover resumes from the
-// exact global folded table, every emitted message is bit-identical to
-// the single-prover run.
-type SplitAggregator struct {
-	cfg     sumcheck.Config
-	slices  int
-	hd      int // head rounds served by the owners (= slice depth)
-	round   int // combined messages emitted so far
+// SplitOwner is one slice owner's leg of a split conversation, in the
+// calls a wire.PartialConv makes: Msg reads the owner's next message
+// (its opening first), Challenge sends it a broadcast challenge, and
+// Finish ends the leg.
+type SplitOwner interface {
+	Msg() (Msg, error)
+	Challenge(Msg) error
+	Finish() error
+}
+
+// splitOpens bounds the openings of one split conversation: the first,
+// then one reopen per version skew.
+const splitOpens = 4
+
+// SplitProver is the one prover session of a split dataset: it folds S
+// slice owners' partial messages into the transcript a single prover
+// over the whole universe sends. Open pins one dataset version across
+// the owners' openings and sums them; each head round broadcasts the
+// challenge and sums the owners' partials; the leaf round collects the
+// owners' leaves, finishes the owners and seeds a tail prover, which
+// serves the last log₂ S rounds alone. Field addition is exact and the
+// tail resumes from the exact global folded table, so every message is
+// bit-identical to the single-prover run. Close finishes the owners
+// however the conversation ends.
+type SplitProver struct {
+	cfg    sumcheck.Config
+	open   func() ([]SplitOwner, error)
+	owners []SplitOwner // slice order; nil once finished
+	hd     int          // head rounds the owners serve (= slice depth)
+
+	opening Msg
 	version uint64
+	round   int // messages emitted
 	tail    *sumcheck.Prover
 }
 
-// NewSplitAggregator builds the aggregator for a universe of size ≥ u
-// (original, unpadded) split into `slices` equal aligned slices.
-// Slice counts must be powers of two small enough that each slice has
-// width ≥ 2. workers bounds the tail prover's fan-out (the tail tables
-// have only `slices` entries, so it rarely matters).
-func NewSplitAggregator(f field.Field, u uint64, slices int, comb sumcheck.Combiner, workers int) (*SplitAggregator, error) {
+// NewSplitProver returns the session for a universe of size ≥ u
+// (original, unpadded) split across the owners open returns, in slice
+// order: S equal aligned slices, S a power of two and each slice of
+// width ≥ 2. It calls open once, synchronously — the caller's place in
+// its frame order is when the owners snapshot — and Open calls it again
+// only to reopen after a version skew. workers bounds the tail prover's
+// fan-out (its tables have S entries, so it rarely matters).
+func NewSplitProver(f field.Field, u uint64, comb sumcheck.Combiner, workers int, open func() ([]SplitOwner, error)) (*SplitProver, error) {
 	params, err := lde.ParamsForUniverse(u, 2)
-	if err != nil {
-		return nil, err
-	}
-	if slices < 1 || uint64(slices) > params.U || params.U%uint64(slices) != 0 {
-		return nil, fmt.Errorf("core: cannot split universe %d into %d slices", params.U, slices)
-	}
-	width := params.U / uint64(slices)
-	sp, err := sumcheck.SliceParams(params, 0, width)
 	if err != nil {
 		return nil, err
 	}
@@ -170,144 +174,176 @@ func NewSplitAggregator(f field.Field, u uint64, slices int, comb sumcheck.Combi
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &SplitAggregator{cfg: cfg, slices: slices, hd: sp.D}, nil
+	owners, err := open()
+	if err != nil {
+		return nil, err
+	}
+	sp := &SplitProver{cfg: cfg, open: open, owners: owners}
+	if s := uint64(len(owners)); s == 0 || params.U%s != 0 || params.U/s < 2 {
+		_ = sp.Close() // the refusal is what the caller must hear
+		return nil, fmt.Errorf("core: cannot split universe %d into %d slices", params.U, s)
+	}
+	sp.hd = params.D - bits.TrailingZeros(uint(len(owners)))
+	return sp, nil
 }
 
-// Rounds returns the total number of protocol rounds d.
-func (a *SplitAggregator) Rounds() int { return a.cfg.Params.D }
+// Version returns the dataset version Open pinned across the owners.
+func (sp *SplitProver) Version() uint64 { return sp.version }
 
-// HeadRounds returns the number of rounds served by the slice owners.
-func (a *SplitAggregator) HeadRounds() int { return a.hd }
-
-// Slices returns the slice count S.
-func (a *SplitAggregator) Slices() int { return a.slices }
-
-// Version returns the dataset version pinned by the openings.
-func (a *SplitAggregator) Version() uint64 { return a.version }
-
-// Done reports whether every round message has been emitted.
-func (a *SplitAggregator) Done() bool { return a.round == a.cfg.Params.D }
-
-// Broadcast reports whether the verifier's challenge for the round just
-// emitted must be broadcast to the owners (true through the leaf
-// round); afterwards the tail prover answers locally via Next.
-func (a *SplitAggregator) Broadcast() bool {
-	return a.round < a.hd || (a.round == a.hd && a.slices > 1)
+// Open emits the owners' summed opening under one pinned version. On a
+// version skew — another connection's batch landed between two owners'
+// snapshots — it finishes the owners and reopens them, splitOpens
+// openings in all: under concurrent ingest "the" version is whatever
+// one consistent cut says. Once it has succeeded, Open returns the same
+// opening again (the proof path opens to learn the version, then
+// records).
+func (sp *SplitProver) Open() (Msg, error) {
+	if sp.round > 0 {
+		return sp.opening, nil
+	}
+	for opens := 1; ; opens++ {
+		m, err := sp.pin()
+		if err == nil {
+			sp.opening, sp.round = m, 1
+			return m, nil
+		}
+		if !errors.Is(err, ErrSplitVersion) || opens == splitOpens {
+			return Msg{}, err
+		}
+		_ = sp.Close() // a leg that fails to finish fails the reopen too
+		if sp.owners, err = sp.open(); err != nil {
+			return Msg{}, err
+		}
+	}
 }
 
-// TailStarted reports whether the owners' conversations are complete
-// (their leaves are folded into the tail prover).
-func (a *SplitAggregator) TailStarted() bool { return a.tail != nil }
-
-// Open combines the S slice openings (slice order) into the opening the
-// verifier sees, pinning the dataset version all slices must share.
-func (a *SplitAggregator) Open(parts []Msg) (Msg, error) {
-	if a.round != 0 {
-		return Msg{}, fmt.Errorf("core: split aggregator already opened")
-	}
-	want := 1 + a.cfg.MessageLen()
-	for k, part := range parts {
-		if len(part.Ints) != 1 || len(part.Elems) != want {
-			return Msg{}, fmt.Errorf("core: slice %d opening has %d ints and %d elems, want 1 and %d",
-				k, len(part.Ints), len(part.Elems), want)
-		}
-		if k == 0 {
-			a.version = part.Ints[0]
-		} else if part.Ints[0] != a.version {
-			return Msg{}, fmt.Errorf("%w: slice 0 at %d, slice %d at %d", ErrSplitVersion, a.version, k, part.Ints[0])
-		}
-	}
-	out, err := a.sum(parts, want)
+// pin reads the owners' openings and sums them if they share a version.
+func (sp *SplitProver) pin() (Msg, error) {
+	parts, err := sp.receive(1, 1+sp.cfg.MessageLen())
 	if err != nil {
 		return Msg{}, err
 	}
-	a.round = 1
-	return out, nil
+	sp.version = parts[0].Ints[0]
+	for k, part := range parts {
+		if part.Ints[0] != sp.version {
+			return Msg{}, fmt.Errorf("%w: slice 0 at %d, slice %d at %d", ErrSplitVersion, sp.version, k, part.Ints[0])
+		}
+	}
+	return sp.sum(parts), nil
 }
 
-// Collect combines the owners' responses to a broadcast challenge: the
-// next combined round message during the head, or — on the leaf round —
-// the owners' leaves, from which it seeds the tail prover and emits the
-// first tail message.
-func (a *SplitAggregator) Collect(parts []Msg) (Msg, error) {
-	if a.round == 0 || !a.Broadcast() {
-		return Msg{}, fmt.Errorf("core: no broadcast outstanding at round %d", a.round)
+// Step folds the verifier's challenge and emits the next message. The
+// round count picks who answers it: in the head rounds the owners,
+// whose partials are summed; in the leaf round the owners' leaves,
+// which finish the owners and seed the tail prover; after it the tail
+// prover alone, with no owner round trip.
+func (sp *SplitProver) Step(challenge Msg) (Msg, error) {
+	if sp.round == 0 || sp.round == sp.cfg.Params.D {
+		return Msg{}, fmt.Errorf("core: split prover has no round to play after %d messages", sp.round)
 	}
-	if a.round < a.hd {
-		for k, part := range parts {
-			if len(part.Ints) != 0 {
-				return Msg{}, fmt.Errorf("core: slice %d round message carries unexpected ints", k)
-			}
-		}
-		out, err := a.sum(parts, a.cfg.MessageLen())
+	if len(challenge.Elems) != 1 {
+		return Msg{}, fmt.Errorf("core: sum-check challenge has %d elems, want 1", len(challenge.Elems))
+	}
+	if sp.round < sp.hd {
+		parts, err := sp.broadcast(challenge, sp.cfg.MessageLen())
 		if err != nil {
 			return Msg{}, err
 		}
-		a.round++
-		return out, nil
+		sp.round++
+		return sp.sum(parts), nil
 	}
-	// Leaf round: each part is one fully folded entry per table.
-	arity := a.cfg.Combiner.Arity()
-	if len(parts) != a.slices {
-		return Msg{}, fmt.Errorf("core: %d slice responses, want %d", len(parts), a.slices)
+	var err error
+	if sp.round == sp.hd {
+		err = sp.seed(challenge)
+	} else {
+		err = sp.tail.Fold(challenge.Elems[0])
 	}
-	leaves := make([][]field.Elem, a.slices)
+	if err != nil {
+		return Msg{}, err
+	}
+	g, err := sp.tail.RoundMessage()
+	if err != nil {
+		return Msg{}, err
+	}
+	sp.round++
+	return Msg{Elems: g}, nil
+}
+
+// seed broadcasts the last head challenge, collects the owners' leaves,
+// finishes the owners, and starts the tail prover on the global folded
+// table the leaves make in slice order.
+func (sp *SplitProver) seed(challenge Msg) error {
+	parts, err := sp.broadcast(challenge, sp.cfg.Combiner.Arity())
+	if err != nil {
+		return err
+	}
+	_ = sp.Close() // the leaves are in: a leg's finish cannot change the tail
+	leaves := make([][]field.Elem, len(parts))
 	for k, part := range parts {
-		if len(part.Ints) != 0 || len(part.Elems) != arity {
-			return Msg{}, fmt.Errorf("core: slice %d leaves have %d ints and %d elems, want 0 and %d",
-				k, len(part.Ints), len(part.Elems), arity)
-		}
 		leaves[k] = part.Elems
 	}
-	tail, err := sumcheck.NewTailProver(a.cfg, leaves)
-	if err != nil {
-		return Msg{}, err
-	}
-	a.tail = tail
-	g, err := tail.RoundMessage()
-	if err != nil {
-		return Msg{}, err
-	}
-	a.round++
-	return Msg{Elems: g}, nil
+	sp.tail, err = sumcheck.NewTailProver(sp.cfg, leaves)
+	return err
 }
 
-// Next serves a tail round: it folds the verifier's challenge into the
-// tail prover and emits the next message, no owner round trip needed.
-func (a *SplitAggregator) Next(r field.Elem) (Msg, error) {
-	if a.tail == nil {
-		return Msg{}, fmt.Errorf("core: tail not started at round %d", a.round)
-	}
-	if a.Done() {
-		return Msg{}, fmt.Errorf("core: all %d rounds already emitted", a.cfg.Params.D)
-	}
-	if err := a.tail.Fold(r); err != nil {
-		return Msg{}, err
-	}
-	g, err := a.tail.RoundMessage()
-	if err != nil {
-		return Msg{}, err
-	}
-	a.round++
-	return Msg{Elems: g}, nil
-}
-
-func (a *SplitAggregator) sum(parts []Msg, wantElems int) (Msg, error) {
-	if len(parts) != a.slices {
-		return Msg{}, fmt.Errorf("core: %d slice responses, want %d", len(parts), a.slices)
-	}
-	f := a.cfg.Field
-	out := make([]field.Elem, wantElems)
-	for k, part := range parts {
-		if len(part.Elems) != wantElems {
-			return Msg{}, fmt.Errorf("core: slice %d response has %d elems, want %d", k, len(part.Elems), wantElems)
+// broadcast sends the challenge to every owner before it waits on any
+// reply, so the owners fold side by side and a round costs one round
+// trip rather than S, then receives one reply of elems elements from
+// each. An owner's error passes up bare, so a wire.ServerError still
+// reaches the client in the owner engine's own words.
+func (sp *SplitProver) broadcast(challenge Msg, elems int) ([]Msg, error) {
+	for _, o := range sp.owners {
+		if err := o.Challenge(challenge); err != nil {
+			return nil, err
 		}
-		for _, e := range part.Elems {
-			if uint64(e) >= f.Modulus() {
-				return Msg{}, fmt.Errorf("core: slice %d response contains non-canonical element", k)
+	}
+	return sp.receive(0, elems)
+}
+
+// receive reads one message from every owner, in slice order, and
+// refuses one that does not carry ints ints and elems canonical field
+// elements — naming the slice, rather than folding its lie into a
+// message only the client's verifier would object to.
+func (sp *SplitProver) receive(ints, elems int) ([]Msg, error) {
+	if sp.owners == nil {
+		return nil, errors.New("core: split prover's owners are finished")
+	}
+	parts := make([]Msg, len(sp.owners))
+	for k, o := range sp.owners {
+		m, err := o.Msg()
+		if err != nil {
+			return nil, err
+		}
+		if len(m.Ints) != ints || len(m.Elems) != elems {
+			return nil, fmt.Errorf("core: slice %d sent %d ints and %d elems, want %d and %d",
+				k, len(m.Ints), len(m.Elems), ints, elems)
+		}
+		for _, e := range m.Elems {
+			if uint64(e) >= sp.cfg.Field.Modulus() {
+				return nil, fmt.Errorf("core: slice %d sent a non-canonical element", k)
 			}
 		}
-		f.AddSlices(out, out, part.Elems)
+		parts[k] = m
 	}
-	return Msg{Elems: out}, nil
+	return parts, nil
+}
+
+// sum adds the owners' messages elementwise in slice order.
+func (sp *SplitProver) sum(parts []Msg) Msg {
+	out := make([]field.Elem, len(parts[0].Elems))
+	for _, part := range parts {
+		sp.cfg.Field.AddSlices(out, out, part.Elems)
+	}
+	return Msg{Elems: out}
+}
+
+// Close finishes every owner leg still open; calling it again does
+// nothing more.
+func (sp *SplitProver) Close() error {
+	errs := make([]error, len(sp.owners))
+	for k, o := range sp.owners {
+		errs[k] = o.Finish()
+	}
+	sp.owners = nil
+	return errors.Join(errs...)
 }

@@ -2,74 +2,125 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/field"
 	"repro/internal/stream"
 	"repro/internal/sumcheck"
 )
 
-// splitSession drives S slice-owner sessions through a SplitAggregator,
-// presenting the single-prover ProverSession interface to a verifier.
-type splitSession struct {
-	t      *testing.T
-	agg    *SplitAggregator
-	owners []*PartialProver
+// localOwner is a slice owner in process: a PartialProver behind the
+// SplitOwner calls a slice-owning server answers over the wire.
+type localOwner struct {
+	p          ProverSession
+	opened     bool
+	challenge  Msg // the last broadcast challenge
+	challenges int
+	finished   bool
 }
 
-func (s *splitSession) Open() (Msg, error) {
-	parts := make([]Msg, len(s.owners))
-	for k, o := range s.owners {
-		m, err := o.Open()
+func (o *localOwner) Msg() (Msg, error) {
+	if !o.opened {
+		o.opened = true
+		return o.p.Open()
+	}
+	return o.p.Step(o.challenge)
+}
+
+func (o *localOwner) Challenge(m Msg) error {
+	o.challenge = m
+	o.challenges++
+	return nil
+}
+
+func (o *localOwner) Finish() error {
+	o.finished = true
+	return nil
+}
+
+// fkSlices opens the local owners of an Fk query over table, split into
+// slices equal slices. version(n, k) is slice k's dataset version at
+// the n-th open, counted from 1; every owner opened is kept in opened.
+type fkSlices struct {
+	proto   *Fk
+	table   []field.Elem
+	slices  int
+	version func(n, k int) uint64
+	opens   int
+	opened  []*localOwner
+}
+
+func (s *fkSlices) open() ([]SplitOwner, error) {
+	s.opens++
+	width := s.proto.Params.U / uint64(s.slices)
+	owners := make([]SplitOwner, s.slices)
+	for k := range owners {
+		lo, hi := uint64(k)*width, uint64(k+1)*width
+		p, err := s.proto.NewPartialProverFromTable(sumcheck.Flat(s.table[lo:hi]), nil, lo, hi, s.version(s.opens, k))
 		if err != nil {
-			return Msg{}, err
+			return nil, err
 		}
-		parts[k] = m
+		o := &localOwner{p: p}
+		s.opened = append(s.opened, o)
+		owners[k] = o
 	}
-	return s.agg.Open(parts)
+	return owners, nil
 }
 
-func (s *splitSession) Step(ch Msg) (Msg, error) {
-	if s.agg.Broadcast() {
-		parts := make([]Msg, len(s.owners))
-		for k, o := range s.owners {
-			m, err := o.Step(ch)
-			if err != nil {
-				return Msg{}, err
-			}
-			parts[k] = m
-		}
-		return s.agg.Collect(parts)
-	}
-	if len(ch.Elems) != 1 {
-		s.t.Fatalf("challenge with %d elems", len(ch.Elems))
-	}
-	return s.agg.Next(ch.Elems[0])
-}
-
-// newSplitFk builds S slice owners plus aggregator for an Fk query.
-func newSplitFk(t *testing.T, u uint64, k, slices, workers int, table []field.Elem, version uint64) *splitSession {
+// newFk returns the Fk protocol over u with the given worker count.
+func newFk(t *testing.T, u uint64, k, workers int) *Fk {
 	t.Helper()
 	proto, err := NewFk(f61, u, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	proto.Workers = workers
-	agg, err := NewSplitAggregator(f61, u, slices, sumcheck.Power{K: k}, workers)
+	return proto
+}
+
+// newSplitFk returns the split session of an Fk query over table, its
+// slices owners all at version.
+func newSplitFk(t *testing.T, u uint64, k, slices, workers int, table []field.Elem, version uint64) *SplitProver {
+	t.Helper()
+	s := &fkSlices{proto: newFk(t, u, k, workers), table: table, slices: slices,
+		version: func(int, int) uint64 { return version }}
+	sp, err := NewSplitProver(f61, u, sumcheck.Power{K: k}, workers, s.open)
 	if err != nil {
 		t.Fatal(err)
 	}
-	width := proto.Params.U / uint64(slices)
-	owners := make([]*PartialProver, slices)
-	for s := range owners {
-		lo, hi := uint64(s)*width, uint64(s+1)*width
-		o, err := proto.NewPartialProverFromTable(sumcheck.Flat(table[lo:hi]), nil, lo, hi, version)
-		if err != nil {
-			t.Fatal(err)
-		}
-		owners[s] = o
+	return sp
+}
+
+// runFk runs p against a fresh Fk verifier of ups drawing its
+// challenges from seed, and returns the transcript and the result.
+func runFk(t *testing.T, proto *Fk, p ProverSession, ups []stream.Update, seed uint64) ([]Msg, field.Elem, error) {
+	t.Helper()
+	rec := &recordingProver{inner: p}
+	v := proto.NewVerifier(field.NewSplitMix64(seed))
+	observeAll(t, v, ups)
+	if _, err := Run(rec, v); err != nil {
+		return rec.msgs, 0, err
 	}
-	return &splitSession{t: t, agg: agg, owners: owners}
+	res, err := v.Result()
+	return rec.msgs, res, err
+}
+
+// fkReference is the single-table Fk prover's accepted transcript.
+func fkReference(t *testing.T, proto *Fk, table []field.Elem, ups []stream.Update, seed uint64) ([]Msg, field.Elem) {
+	t.Helper()
+	p, err := proto.NewProverFromTable(sumcheck.Flat(table), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs, res, err := runFk(t, proto, p, ups, seed)
+	if err != nil {
+		t.Fatalf("reference run rejected: %v", err)
+	}
+	return msgs, res
 }
 
 // TestSplitFkBitIdentical runs the distributed Fk conversation against
@@ -82,66 +133,22 @@ func TestSplitFkBitIdentical(t *testing.T) {
 	table := elemsOf(t, ups, u)
 	for _, k := range []int{2, 3} {
 		for _, workers := range []int{0, 4} {
-			proto, err := NewFk(f61, u, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			proto.Workers = workers
-			// Reference transcript from the single-table prover.
-			refP, err := proto.NewProverFromTable(sumcheck.Flat(table), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := &recordingProver{inner: refP}
-			refV := proto.NewVerifier(field.NewSplitMix64(77))
-			for _, up := range ups {
-				if err := refV.Observe(up); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := Run(ref, refV); err != nil {
-				t.Fatalf("reference run rejected: %v", err)
-			}
-			refResult, err := refV.Result()
-			if err != nil {
-				t.Fatal(err)
-			}
+			proto := newFk(t, u, k, workers)
+			ref, refResult := fkReference(t, proto, table, ups, 77)
 			for _, slices := range []int{1, 2, 4} {
+				name := fmt.Sprintf("k=%d w=%d S=%d", k, workers, slices)
 				split := newSplitFk(t, u, k, slices, workers, table, 9)
-				rec := &recordingProver{inner: split}
-				v := proto.NewVerifier(field.NewSplitMix64(77))
-				for _, up := range ups {
-					if err := v.Observe(up); err != nil {
-						t.Fatal(err)
-					}
+				msgs, got, err := runFk(t, proto, split, ups, 77)
+				if err != nil {
+					t.Fatalf("%s: split run rejected: %v", name, err)
 				}
-				if _, err := Run(rec, v); err != nil {
-					t.Fatalf("k=%d w=%d S=%d: split run rejected: %v", k, workers, slices, err)
+				if got != refResult {
+					t.Fatalf("%s: result %d ≠ %d", name, got, refResult)
 				}
-				if got, _ := v.Result(); got != refResult {
-					t.Fatalf("k=%d w=%d S=%d: result %d ≠ %d", k, workers, slices, got, refResult)
+				if split.Version() != 9 {
+					t.Fatalf("%s: pinned version %d, want 9", name, split.Version())
 				}
-				if split.agg.Version() != 9 {
-					t.Fatalf("aggregator pinned version %d, want 9", split.agg.Version())
-				}
-				if len(rec.msgs) != len(ref.msgs) {
-					t.Fatalf("k=%d w=%d S=%d: %d messages, want %d", k, workers, slices, len(rec.msgs), len(ref.msgs))
-				}
-				for j := range rec.msgs {
-					got, want := rec.msgs[j], ref.msgs[j]
-					if len(got.Ints) != 0 {
-						t.Fatalf("k=%d w=%d S=%d msg %d: combined message leaked ints", k, workers, slices, j)
-					}
-					if len(got.Elems) != len(want.Elems) {
-						t.Fatalf("k=%d w=%d S=%d msg %d: %d elems, want %d", k, workers, slices, j, len(got.Elems), len(want.Elems))
-					}
-					for c := range got.Elems {
-						if got.Elems[c] != want.Elems[c] {
-							t.Fatalf("k=%d w=%d S=%d msg %d elem %d: %d ≠ %d",
-								k, workers, slices, j, c, got.Elems[c], want.Elems[c])
-						}
-					}
-				}
+				sameTranscript(t, name, msgs, ref)
 			}
 		}
 	}
@@ -160,6 +167,16 @@ func TestSplitRangeSumBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := func(p ProverSession) ([]Msg, error) {
+		rec := &recordingProver{inner: p}
+		v := proto.NewVerifier(field.NewSplitMix64(13))
+		observeAll(t, v, ups)
+		if err := v.SetQuery(qL, qR); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Run(rec, v)
+		return rec.msgs, err
+	}
 	refP, err := proto.NewProverFromTable(table)
 	if err != nil {
 		t.Fatal(err)
@@ -167,107 +184,246 @@ func TestSplitRangeSumBitIdentical(t *testing.T) {
 	if err := refP.SetQuery(qL, qR); err != nil {
 		t.Fatal(err)
 	}
-	ref := &recordingProver{inner: refP}
-	refV := proto.NewVerifier(field.NewSplitMix64(13))
-	for _, up := range ups {
-		if err := refV.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := refV.SetQuery(qL, qR); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(ref, refV); err != nil {
+	ref, err := run(refP)
+	if err != nil {
 		t.Fatalf("reference run rejected: %v", err)
 	}
 	for _, slices := range []int{1, 2, 4, 8} {
-		agg, err := NewSplitAggregator(f61, u, slices, sumcheck.Product{}, 0)
+		width := proto.Params.U / uint64(slices)
+		split, err := NewSplitProver(f61, u, sumcheck.Product{}, 0, func() ([]SplitOwner, error) {
+			owners := make([]SplitOwner, slices)
+			for s := range owners {
+				lo, hi := uint64(s)*width, uint64(s+1)*width
+				p, err := proto.NewPartialProverFromTable(table[lo:hi], lo, hi, 4, qL, qR)
+				if err != nil {
+					return nil, err
+				}
+				owners[s] = &localOwner{p: p}
+			}
+			return owners, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		width := proto.Params.U / uint64(slices)
-		owners := make([]*PartialProver, slices)
-		for s := range owners {
-			lo, hi := uint64(s)*width, uint64(s+1)*width
-			o, err := proto.NewPartialProverFromTable(table[lo:hi], lo, hi, 4, qL, qR)
+		msgs, err := run(split)
+		if err != nil {
+			t.Fatalf("S=%d: split range-sum rejected: %v", slices, err)
+		}
+		sameTranscript(t, fmt.Sprintf("S=%d", slices), msgs, ref)
+	}
+}
+
+// TestSplitProverVersionSkew runs the reopen: owners skewed on the
+// first open and consistent on the second are accepted with the
+// reference transcript; owners skewed on every open are refused with
+// ErrSplitVersion after exactly four opens, every owner opened finished.
+func TestSplitProverVersionSkew(t *testing.T) {
+	const u = 1 << 5
+	ups := stream.UniformDeltas(u, 60, field.NewSplitMix64(8))
+	table := elemsOf(t, ups, u)
+	proto := newFk(t, u, 2, 0)
+	ref, _ := fkReference(t, proto, table, ups, 21)
+
+	allFinished := func(t *testing.T, s *fkSlices) {
+		t.Helper()
+		for i, o := range s.opened {
+			if !o.finished {
+				t.Fatalf("owner %d of %d opened was never finished", i, len(s.opened))
+			}
+		}
+	}
+	t.Run("reopen", func(t *testing.T) {
+		s := &fkSlices{proto: proto, table: table, slices: 2, version: func(n, k int) uint64 {
+			if n == 1 {
+				return uint64(3 + k)
+			}
+			return 5
+		}}
+		sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, 0, s.open)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs, _, err := runFk(t, proto, sp, ups, 21)
+		if err != nil {
+			t.Fatalf("reopened run rejected: %v", err)
+		}
+		sameTranscript(t, "reopen", msgs, ref)
+		if s.opens != 2 || sp.Version() != 5 {
+			t.Fatalf("%d opens pinned version %d, want 2 opens at version 5", s.opens, sp.Version())
+		}
+		_ = sp.Close()
+		allFinished(t, s)
+	})
+	t.Run("always skewed", func(t *testing.T) {
+		s := &fkSlices{proto: proto, table: table, slices: 2,
+			version: func(n, k int) uint64 { return uint64(3 + k) }}
+		sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, 0, s.open)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := runFk(t, proto, sp, ups, 21); !errors.Is(err, ErrSplitVersion) {
+			t.Fatalf("always-skewed run: err = %v, want ErrSplitVersion", err)
+		}
+		if s.opens != 4 {
+			t.Fatalf("%d opens, want 4", s.opens)
+		}
+		_ = sp.Close()
+		allFinished(t, s)
+	})
+}
+
+// TestSplitProverValidation exercises the slice-count rules: a refused
+// count finishes the owners it was handed, and a valid split has the
+// owners serve the head rounds, d − log₂ S of them.
+func TestSplitProverValidation(t *testing.T) {
+	const u = 16
+	for _, slices := range []int{0, 3, 16} {
+		owners := make([]*localOwner, slices)
+		open := func() ([]SplitOwner, error) {
+			out := make([]SplitOwner, slices)
+			for k := range out {
+				owners[k] = &localOwner{}
+				out[k] = owners[k]
+			}
+			return out, nil
+		}
+		if _, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, 0, open); err == nil {
+			t.Fatalf("%d slices of %d accepted", slices, u)
+		}
+		for k, o := range owners {
+			if !o.finished {
+				t.Fatalf("%d slices: refused owner %d not finished", slices, k)
+			}
+		}
+	}
+
+	const big = 1000 // pads to 1024: d = 10, and 4 slices serve 8 head rounds
+	ups := stream.UniformDeltas(big, 100, field.NewSplitMix64(9))
+	proto := newFk(t, big, 2, 0)
+	s := &fkSlices{proto: proto, table: elemsOf(t, ups, proto.Params.U), slices: 4,
+		version: func(int, int) uint64 { return 1 }}
+	sp, err := NewSplitProver(f61, big, sumcheck.Power{K: 2}, 0, s.open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs, _, err := runFk(t, proto, sp, ups, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(msgs) != 10 || s.opened[0].challenges != 8 {
+		t.Fatalf("%d messages, owners challenged %d times; want 10 and 8", len(msgs), s.opened[0].challenges)
+	}
+}
+
+// pipelinedOwner's reply to round j waits, up to a deadline, until
+// all S owners have been sent round j's challenge: a SplitProver that
+// waits on one owner before it challenges the next stalls in round 1.
+type pipelinedOwner struct {
+	*localOwner
+	sent   *atomic.Int64 // challenges sent to all S owners so far
+	slices int
+}
+
+func (o *pipelinedOwner) Challenge(m Msg) error {
+	o.sent.Add(1)
+	return o.localOwner.Challenge(m)
+}
+
+func (o *pipelinedOwner) Msg() (Msg, error) {
+	want := int64(o.challenges * o.slices)
+	for deadline := time.Now().Add(time.Second); o.sent.Load() < want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return Msg{}, fmt.Errorf("owner read after %d of %d challenges were sent", o.sent.Load(), want)
+		}
+	}
+	return o.localOwner.Msg()
+}
+
+// TestSplitProverPipelinedBroadcast pins the broadcast: every owner is
+// sent the challenge before the SplitProver waits on any reply, so the
+// S owners fold side by side and a round costs one round trip.
+func TestSplitProverPipelinedBroadcast(t *testing.T) {
+	const u, slices = 1 << 6, 4
+	ups := stream.UniformDeltas(u, 100, field.NewSplitMix64(10))
+	table := elemsOf(t, ups, u)
+	proto := newFk(t, u, 2, 0)
+	ref, _ := fkReference(t, proto, table, ups, 5)
+	s := &fkSlices{proto: proto, table: table, slices: slices, version: func(int, int) uint64 { return 2 }}
+	var sent atomic.Int64
+	sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, 0, func() ([]SplitOwner, error) {
+		owners, err := s.open()
+		for k := range owners {
+			owners[k] = &pipelinedOwner{localOwner: owners[k].(*localOwner), sent: &sent, slices: slices}
+		}
+		return owners, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs, _, err := runFk(t, proto, sp, ups, 5)
+	if err != nil {
+		t.Fatalf("pipelined owners: %v", err)
+	}
+	sameTranscript(t, "pipelined", msgs, ref)
+}
+
+// lyingOwner rewrites its n-th message, 0 being the opening.
+type lyingOwner struct {
+	*localOwner
+	n, read int
+	lie     func(Msg) Msg
+}
+
+func (o *lyingOwner) Msg() (Msg, error) {
+	m, err := o.localOwner.Msg()
+	if err == nil && o.read == o.n {
+		m = o.lie(m)
+	}
+	o.read++
+	return m, err
+}
+
+// TestSplitProverRefusesOwnerLies: an owner message of the wrong shape
+// or holding a non-canonical element — in a head partial or among the
+// leaves — is refused by the SplitProver with an error naming the
+// slice, not folded into a message only the client's verifier would
+// object to.
+func TestSplitProverRefusesOwnerLies(t *testing.T) {
+	const u, slices = 1 << 6, 2 // d = 6; the owners' 6th message is their leaves
+	ups := stream.UniformDeltas(u, 100, field.NewSplitMix64(11))
+	table := elemsOf(t, ups, u)
+	proto := newFk(t, u, 2, 0)
+	for _, c := range []struct {
+		name string
+		n    int
+		lie  func(Msg) Msg
+		want string
+	}{
+		{"head partial ≥ p", 2, func(m Msg) Msg { m.Elems[0] = ^field.Elem(0); return m }, "slice 1 sent a non-canonical element"},
+		{"leaf ≥ p", 5, func(m Msg) Msg { m.Elems[0] = ^field.Elem(0); return m }, "slice 1 sent a non-canonical element"},
+		{"stray int", 3, func(m Msg) Msg { m.Ints = []uint64{7}; return m }, "slice 1 sent 1 ints"},
+		{"two leaves", 5, func(m Msg) Msg { m.Elems = append(m.Elems, 1); return m }, "slice 1 sent 0 ints and 2 elems"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := &fkSlices{proto: proto, table: table, slices: slices, version: func(int, int) uint64 { return 1 }}
+			sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, 0, func() ([]SplitOwner, error) {
+				owners, err := s.open()
+				owners[1] = &lyingOwner{localOwner: owners[1].(*localOwner), n: c.n, lie: c.lie}
+				return owners, err
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			owners[s] = o
-		}
-		rec := &recordingProver{inner: &splitSession{t: t, agg: agg, owners: owners}}
-		v := proto.NewVerifier(field.NewSplitMix64(13))
-		for _, up := range ups {
-			if err := v.Observe(up); err != nil {
-				t.Fatal(err)
+			if _, _, err := runFk(t, proto, sp, ups, 6); err == nil || errors.Is(err, ErrRejected) ||
+				!strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want the SplitProver's %q", err, c.want)
 			}
-		}
-		if err := v.SetQuery(qL, qR); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(rec, v); err != nil {
-			t.Fatalf("S=%d: split range-sum rejected: %v", slices, err)
-		}
-		if len(rec.msgs) != len(ref.msgs) {
-			t.Fatalf("S=%d: %d messages, want %d", slices, len(rec.msgs), len(ref.msgs))
-		}
-		for j := range rec.msgs {
-			for c := range rec.msgs[j].Elems {
-				if rec.msgs[j].Elems[c] != ref.msgs[j].Elems[c] {
-					t.Fatalf("S=%d msg %d elem %d differs", slices, j, c)
+			_ = sp.Close()
+			for k, o := range s.opened {
+				if !o.finished {
+					t.Fatalf("owner %d not finished", k)
 				}
 			}
-		}
-	}
-}
-
-// TestSplitAggregatorVersionSkew checks the typed error on slice
-// openings that disagree on the dataset version.
-func TestSplitAggregatorVersionSkew(t *testing.T) {
-	const u = 1 << 4
-	table := make([]field.Elem, u)
-	proto, err := NewSelfJoinSize(f61, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := NewSplitAggregator(f61, u, 2, sumcheck.Power{K: 2}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([]Msg, 2)
-	for s := 0; s < 2; s++ {
-		lo, hi := uint64(s)*u/2, uint64(s+1)*u/2
-		o, err := proto.NewPartialProverFromTable(sumcheck.Flat(table[lo:hi]), nil, lo, hi, uint64(3+s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := o.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[s] = m
-	}
-	if _, err := agg.Open(parts); !errors.Is(err, ErrSplitVersion) {
-		t.Fatalf("version skew error = %v, want ErrSplitVersion", err)
-	}
-}
-
-// TestSplitAggregatorValidation exercises slice-count rules.
-func TestSplitAggregatorValidation(t *testing.T) {
-	if _, err := NewSplitAggregator(f61, 16, 3, sumcheck.Power{K: 2}, 0); err == nil {
-		t.Fatal("3 slices of 16 accepted")
-	}
-	if _, err := NewSplitAggregator(f61, 16, 16, sumcheck.Power{K: 2}, 0); err == nil {
-		t.Fatal("width-1 slices accepted")
-	}
-	if _, err := NewSplitAggregator(f61, 16, 0, sumcheck.Power{K: 2}, 0); err == nil {
-		t.Fatal("0 slices accepted")
-	}
-	a, err := NewSplitAggregator(f61, 1000, 4, sumcheck.Power{K: 2}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Rounds() != 10 || a.HeadRounds() != 8 {
-		t.Fatalf("rounds=%d head=%d, want 10/8", a.Rounds(), a.HeadRounds())
+		})
 	}
 }

@@ -31,6 +31,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/field"
 )
@@ -163,6 +164,15 @@ func (tp *TamperedProver) Step(challenge Msg) (Msg, error) {
 	}
 	tp.round++
 	return tp.T(tp.round, cloneMsg(m)), nil
+}
+
+// Close closes the wrapped session when it is an io.Closer, so a
+// tampered split conversation still finishes its owner legs.
+func (tp *TamperedProver) Close() error {
+	if c, ok := tp.P.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }
 
 func cloneMsg(m Msg) Msg {

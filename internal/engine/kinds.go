@@ -25,7 +25,7 @@ type kindRow struct {
 	// (f, u, p, workers). The protocol constructor's error is the
 	// parameter validation.
 	open func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error)
-	// combiner is what a split-universe aggregator folds the kind's
+	// combiner is what a core.SplitProver folds the kind's
 	// partials under; nil for a kind outside the seam (ErrNotSplittable),
 	// which is thereby refused without instantiating anything.
 	combiner func(p QueryParams) sumcheck.Combiner
@@ -339,7 +339,7 @@ func NewReplayProver(f field.Field, u uint64, kind QueryKind, params QueryParams
 	return snap.NewProver(kind, params)
 }
 
-// SplitCombiner returns the combiner a split-universe aggregator folds a
+// SplitCombiner returns the combiner a core.SplitProver folds a
 // query's partials under, after validating the query as far as a single
 // engine's protocol constructor would: an unknown kind or rejected
 // parameters fail in the engine's words, a kind outside the seam with

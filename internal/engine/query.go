@@ -50,7 +50,7 @@ func (s *Snapshot) NewProver(kind QueryKind, params QueryParams) (core.ProverSes
 	if s.ds.sliceHi != 0 {
 		// A slice holds only [sliceLo, sliceHi) of the universe; its
 		// messages are partials, not a complete transcript. Query it
-		// through NewPartialProver behind an aggregator.
+		// through NewPartialProver behind a core.SplitProver.
 		return nil, fmt.Errorf("engine: dataset %q is the slice [%d,%d) of universe %d; whole-transcript provers need the full table",
 			s.ds.name, s.ds.sliceLo, s.ds.sliceHi, s.ds.origU)
 	}

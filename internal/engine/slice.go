@@ -4,7 +4,7 @@
 // dataset name, ingests only the indexes it owns, and serves queries
 // through Snapshot.NewPartialProver — a session whose messages are this
 // slice's exact partials of the single-engine transcript (see
-// internal/core's SplitAggregator for the folding side).
+// core.SplitProver for the folding side).
 //
 // A slice keeps the dataset's identity global: origU is the *global*
 // universe (every protocol is parameterized by it) while params and the

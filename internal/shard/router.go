@@ -67,9 +67,10 @@ type Router struct {
 	proofCache *proofcache.Cache // split-proof cache (lazy; see proofCacheRef)
 
 	// foldLie, when set before Serve, rewrites every message a split
-	// dataset's conversation emits — m is message j, 0 being the folded
-	// opening — as a router lying while it folds would. Tests only.
-	foldLie func(j int, m core.Msg) core.Msg
+	// dataset's conversation emits — through core.TamperedProver, round 0
+	// being the folded opening — as a router lying while it folds would.
+	// Tests only.
+	foldLie core.Tamperer
 }
 
 // ErrRouterClosed is returned by Serve after Close.

@@ -4,7 +4,7 @@
 // a protocol PARTICIPANT here — it attaches to every owner over the
 // shard-facing slice calls (wire.OpenDatasetSlice, wire.PartialQuery),
 // scatters each ingest batch, and folds the owners' partial-prover
-// messages with core.SplitAggregator into the single conversation the
+// messages with a core.SplitProver into the single conversation the
 // client sees, served like a single engine's through the connection's
 // wire.Mux. The client-facing protocol is unchanged: sip.Client and
 // wire.Client speak to a split dataset exactly as to a whole one, and
@@ -17,7 +17,7 @@
 // empty or not), so the scatter delivers every non-empty global batch
 // to every owner — one frame each, empty sub-batches included — and
 // acks a fully-empty global batch locally. Slice versions then track
-// the single-engine version exactly, which is what lets the aggregator
+// the single-engine version exactly, which is what lets the SplitProver
 // pin one version across owners and the proof binding carry the same
 // version a single engine would.
 package shard
@@ -34,7 +34,6 @@ import (
 	"repro/internal/fs"
 	"repro/internal/lde"
 	"repro/internal/stream"
-	"repro/internal/sumcheck"
 	"repro/internal/wire"
 	"repro/internal/wire/frames"
 )
@@ -53,8 +52,6 @@ type splitAttach struct {
 	mu     sync.Mutex
 	owners []*wire.Client // slice k → its owner leg
 	count  uint64         // last acked global update count
-
-	foldLie func(j int, m core.Msg) core.Msg // the router's, see Router.foldLie
 }
 
 // bounds returns slice k's [lo, hi) over the padded universe.
@@ -100,27 +97,20 @@ func (a *splitAttach) total() uint64 {
 // opening synchronously in frame-arrival order is what guarantees every
 // owner snapshots the same set of this connection's acknowledged
 // batches — the same ordering a single engine's mux gives one dataset.
-func (a *splitAttach) openConvs(kind wire.QueryKind, params wire.QueryParams) ([]*wire.PartialConv, error) {
+func (a *splitAttach) openConvs(kind wire.QueryKind, params wire.QueryParams) ([]core.SplitOwner, error) {
 	owners := a.clients()
-	convs := make([]*wire.PartialConv, len(owners))
+	convs := make([]core.SplitOwner, 0, len(owners))
 	for k, c := range owners {
 		conv, err := c.PartialQuery(kind, params)
 		if err != nil {
-			finishConvs(convs)
+			for _, conv := range convs {
+				_ = conv.Finish()
+			}
 			return nil, fmt.Errorf("shard: opening partial conversation on slice %d of %q: %w", k, a.name, err)
 		}
-		convs[k] = conv
+		convs = append(convs, conv)
 	}
 	return convs, nil
-}
-
-// finishConvs closes every non-nil conversation; idempotent.
-func finishConvs(convs []*wire.PartialConv) {
-	for _, c := range convs {
-		if c != nil {
-			_ = c.Finish()
-		}
-	}
 }
 
 // splitClient returns this connection's owner leg to (shard, dataset),
@@ -171,12 +161,11 @@ func (p *proxyConn) openSplit(name string, u uint64, pl *splitPlacement) error {
 			name, u, params.U, pl.slices)
 	}
 	a := &splitAttach{
-		name:    name,
-		u:       u,
-		width:   params.U / uint64(pl.slices),
-		slices:  pl.slices,
-		owners:  make([]*wire.Client, pl.slices),
-		foldLie: p.r.foldLie,
+		name:   name,
+		u:      u,
+		width:  params.U / uint64(pl.slices),
+		slices: pl.slices,
+		owners: make([]*wire.Client, pl.slices),
 	}
 	var total uint64
 	for k, s := range pl.owners {
@@ -283,8 +272,8 @@ func (p *proxyConn) reattachSlice(a *splitAttach, k int) error {
 
 // splitChannel answers one query or proof request on the split
 // attachment through the client mux — the same prover side a single
-// engine runs, over a session that folds the owners. Only the seam kinds
-// split: the engine's kind table refuses any other kind, and
+// engine runs, over a core.SplitProver that folds the owners. Only the
+// seam kinds split: the engine's kind table refuses any other kind, and
 // constructor-rejected parameters, in the engine's own words before any
 // owner hears of the query.
 func (p *proxyConn) splitChannel(typ byte, id uint32, body []byte) error {
@@ -310,11 +299,33 @@ func (p *proxyConn) splitChannel(typ byte, id uint32, body []byte) error {
 	if err != nil {
 		return p.mux.Refuse(id, err)
 	}
-	if typ == frames.QueryCh {
-		// Open reads the session only when start succeeds.
-		return p.mux.Open(id, func() (core.ProverSession, error) { return a.prover(comb, kind, params) })
+	// The owners open in the client read loop — mux.Open runs start
+	// synchronously, as does the proof path below — so every owner
+	// snapshots the batches this connection had acknowledged when the
+	// query arrived (see openConvs).
+	open := func() (*core.SplitProver, error) {
+		return core.NewSplitProver(field.Mersenne(), a.u, comb, 0, func() ([]core.SplitOwner, error) {
+			return a.openConvs(kind, params)
+		})
 	}
-	sp, err := a.prover(comb, kind, params)
+	// session is what the mux serves: sp, behind the router's fold liar
+	// when one is set.
+	session := func(sp *core.SplitProver) core.ProverSession {
+		if p.r.foldLie == nil {
+			return sp
+		}
+		return &core.TamperedProver{P: sp, T: p.r.foldLie}
+	}
+	if typ == frames.QueryCh {
+		return p.mux.Open(id, func() (core.ProverSession, error) {
+			sp, err := open()
+			if err != nil {
+				return nil, err
+			}
+			return session(sp), nil
+		})
+	}
+	sp, err := open()
 	if err != nil {
 		return err // an owner leg died: connection-fatal, like a lost backend
 	}
@@ -322,144 +333,19 @@ func (p *proxyConn) splitChannel(typ byte, id uint32, body []byte) error {
 	// schedule is a function of the binding alone, so driving the owners
 	// with it reproduces the exact bytes a single engine would post — one
 	// assembly per (dataset, version, query) in the router's own cache,
-	// shared by every requesting connection.
-	p.mux.Proof(id, version, field.Mersenne(), p.r.proofCacheRef(), sp.resolve)
+	// shared by every requesting connection. sp opens here to learn the
+	// version; the recording's Open gets the same opening again.
+	p.mux.Proof(id, version, field.Mersenne(), p.r.proofCacheRef(), func() (fs.Binding, core.ProverSession, error) {
+		_, err := sp.Open()
+		return fs.Binding{
+			Modulus:  field.Mersenne().Modulus(),
+			Universe: a.u,
+			Dataset:  a.name,
+			Version:  sp.Version(),
+			Query:    engine.FSQuery(kind, params),
+		}, session(sp), err
+	})
 	return nil
-}
-
-// prover opens one partial conversation per owner for a query and
-// returns them as one session. It runs in the client read loop, so
-// every owner snapshots the batches this connection had acknowledged
-// when the query arrived (see openConvs).
-func (a *splitAttach) prover(comb sumcheck.Combiner, kind wire.QueryKind, params wire.QueryParams) (*splitProver, error) {
-	convs, err := a.openConvs(kind, params)
-	if err != nil {
-		return nil, err
-	}
-	return &splitProver{a: a, comb: comb, kind: kind, params: params, convs: convs}, nil
-}
-
-// splitProver presents a split dataset's aggregator and owner
-// conversations as the one core.ProverSession a single engine would be
-// — to the client's verifier through the mux, to engine.RecordProof for
-// a posted proof. Open folds the owners' openings; Close finishes every
-// owner conversation, which the mux does however the session ends.
-type splitProver struct {
-	a      *splitAttach
-	comb   sumcheck.Combiner
-	kind   wire.QueryKind
-	params wire.QueryParams
-	convs  []*wire.PartialConv
-
-	agg     *core.SplitAggregator // nil until Open has folded the openings
-	opening core.Msg
-	sent    int // messages emitted: the opening, then one per Step
-}
-
-// emit counts one emitted message, passing it through the attachment's
-// fold liar when one is set.
-func (sp *splitProver) emit(m core.Msg) core.Msg {
-	if lie := sp.a.foldLie; lie != nil {
-		m = lie(sp.sent, m)
-	}
-	sp.sent++
-	return m
-}
-
-// Open reads every owner's opening and folds them; once folded, Open
-// hands the same message over again (the proof path folds to learn the
-// version before recording). A version skew (another connection's
-// batch landed between our opens) finishes the stale conversations and
-// reopens — bounded retries, because under concurrent ingest "the"
-// version is whatever one consistent cut says.
-func (sp *splitProver) Open() (core.Msg, error) {
-	if sp.agg != nil {
-		return sp.opening, nil
-	}
-	for attempt := 0; ; attempt++ {
-		parts := make([]core.Msg, len(sp.convs))
-		var err error
-		for k, conv := range sp.convs {
-			if parts[k], err = conv.Msg(); err != nil {
-				return core.Msg{}, err
-			}
-		}
-		agg, err := core.NewSplitAggregator(field.Mersenne(), sp.a.u, sp.a.slices, sp.comb, 0)
-		if err != nil {
-			return core.Msg{}, err
-		}
-		opening, err := agg.Open(parts)
-		if err == nil {
-			sp.agg, sp.opening = agg, sp.emit(opening)
-			return sp.opening, nil
-		}
-		if !errors.Is(err, core.ErrSplitVersion) || attempt >= 3 {
-			return core.Msg{}, err
-		}
-		finishConvs(sp.convs)
-		if sp.convs, err = sp.a.openConvs(sp.kind, sp.params); err != nil {
-			return core.Msg{}, err
-		}
-	}
-}
-
-// Step consumes one verifier challenge and emits one folded prover
-// message. Broadcast rounds fan the challenge to every owner and collect
-// their partials; once the tail starts the owners are done and the
-// aggregator folds alone.
-func (sp *splitProver) Step(m core.Msg) (core.Msg, error) {
-	if len(m.Elems) != 1 {
-		return core.Msg{}, fmt.Errorf("%w: challenge carries %d field elements, want 1", wire.ErrProtocol, len(m.Elems))
-	}
-	if !sp.agg.Broadcast() {
-		out, err := sp.agg.Next(m.Elems[0])
-		if err != nil {
-			return core.Msg{}, err
-		}
-		return sp.emit(out), nil
-	}
-	for _, conv := range sp.convs {
-		if err := conv.Challenge(m); err != nil {
-			return core.Msg{}, err
-		}
-	}
-	parts := make([]core.Msg, len(sp.convs))
-	for k, conv := range sp.convs {
-		var err error
-		if parts[k], err = conv.Msg(); err != nil {
-			return core.Msg{}, err
-		}
-	}
-	out, err := sp.agg.Collect(parts)
-	if err != nil {
-		return core.Msg{}, err
-	}
-	if sp.agg.TailStarted() {
-		finishConvs(sp.convs)
-	}
-	return sp.emit(out), nil
-}
-
-// Close finishes every owner conversation; idempotent.
-func (sp *splitProver) Close() error {
-	finishConvs(sp.convs)
-	return nil
-}
-
-// resolve is the proof path's view of the session (wire.Mux.Proof): it
-// folds the openings and names the binding a single engine holding the
-// whole dataset would post the proof under.
-func (sp *splitProver) resolve() (fs.Binding, core.ProverSession, error) {
-	if _, err := sp.Open(); err != nil {
-		return fs.Binding{}, sp, err
-	}
-	return fs.Binding{
-		Modulus:  field.Mersenne().Modulus(),
-		Universe: sp.a.u,
-		Dataset:  sp.a.name,
-		Version:  sp.agg.Version(),
-		Query:    engine.FSQuery(sp.kind, sp.params),
-	}, sp, nil
 }
 
 // ---------------------------------------------------------------------

@@ -22,8 +22,9 @@
 // ordinary Prover over the slice's parameterization (and the slice
 // tables' own live-pair scan), plus three helpers — SliceParams to
 // derive that parameterization, Leaves to read out the fully folded
-// entries, NewTailProver to resume from collected leaves — and
-// CombinePartials to sum per-slice messages in slice order.
+// entries, NewTailProver to resume from collected leaves. Summing the
+// per-slice messages in slice order is core.SplitProver's, which also
+// refuses an owner's non-canonical element.
 package sumcheck
 
 import (
@@ -125,21 +126,4 @@ func NewTailProver(cfg Config, leaves [][]field.Elem) (*Prover, error) {
 	tcfg.Params = lde.Params{Ell: 2, D: bits.TrailingZeros64(s), U: s}
 	flat := flats(tables)
 	return NewProver(tcfg, ScanLivePairs(2, cfg.Workers, flat...), flat...)
-}
-
-// CombinePartials sums per-slice round messages elementwise in slice
-// order. Because field addition is exact, the result is bit-identical
-// to the message the single-table prover would send.
-func CombinePartials(f field.Field, parts [][]field.Elem) ([]field.Elem, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("sumcheck: no partial messages to combine")
-	}
-	out := append([]field.Elem(nil), parts[0]...)
-	for k := 1; k < len(parts); k++ {
-		if len(parts[k]) != len(out) {
-			return nil, fmt.Errorf("sumcheck: partial %d has %d evaluations, want %d", k, len(parts[k]), len(out))
-		}
-		f.AddSlices(out, out, parts[k])
-	}
-	return out, nil
 }

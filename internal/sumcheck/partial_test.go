@@ -10,6 +10,16 @@ import (
 	"repro/internal/stream"
 )
 
+// sumPartials adds per-slice messages elementwise in slice order, as
+// core.SplitProver combines its owners' partials.
+func sumPartials(f field.Field, parts [][]field.Elem) []field.Elem {
+	out := make([]field.Elem, len(parts[0]))
+	for _, part := range parts {
+		f.AddSlices(out, out, part)
+	}
+	return out
+}
+
 // runDistributed plays the full conversation through the partial-prover
 // seam: S slice provers serve the head rounds (messages combined in
 // slice order, challenges broadcast), then a tail prover built from
@@ -54,11 +64,7 @@ func runDistributed(t *testing.T, cfg Config, slices int, challenges []field.Ele
 				claim = f.Add(claim, c)
 			}
 		}
-		m, err := CombinePartials(f, per)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msgs = append(msgs, m)
+		msgs = append(msgs, sumPartials(f, per))
 		if j < d-1 {
 			for _, p := range parts {
 				if err := p.Fold(challenges[j]); err != nil {

@@ -230,7 +230,7 @@ func (o *oracle) run(challenges []field.Elem) transcript {
 }
 
 // play runs the conversation of provers — one whole prover, or the
-// partial provers of consecutive slices, whose messages CombinePartials
+// partial provers of consecutive slices, whose messages sumPartials
 // sums — and returns its messages and each prover's leaves.
 func play(cfg Config, provers []*Prover, challenges []field.Elem) (transcript, error) {
 	var tr transcript
@@ -243,11 +243,7 @@ func play(cfg Config, provers []*Prover, challenges []field.Elem) (transcript, e
 			}
 			parts[k] = m
 		}
-		m, err := CombinePartials(cfg.Field, parts)
-		if err != nil {
-			return tr, err
-		}
-		tr.msgs = append(tr.msgs, m)
+		tr.msgs = append(tr.msgs, sumPartials(cfg.Field, parts))
 		for _, p := range provers {
 			if err := p.Fold(challenges[j]); err != nil {
 				return tr, fmt.Errorf("fold %d: %w", j+1, err)

@@ -1,9 +1,9 @@
 // Split-universe client calls: attaching to one slice of a split
-// dataset and driving a partial-prover conversation — the leg an
+// dataset and holding a partial-prover conversation — the leg an
 // aggregating router speaks to each slice owner. The verifier-facing
-// protocol is unchanged; these calls exist so the aggregator
-// (internal/shard, or a test) can collect the owners' exact partial
-// messages and fold them with core.SplitAggregator.
+// protocol is unchanged; these calls exist so a core.SplitProver (the
+// router's, or a test's) can fold the owners' exact partial messages:
+// a PartialConv is a core.SplitOwner.
 package wire
 
 import (
@@ -62,11 +62,11 @@ func (c *Client) IngestBatch(ups []stream.Update) (uint64, error) {
 
 // PartialConv is one partial-prover conversation with a slice owner,
 // returned by Client.PartialQuery. Unlike QueryHandle it has no driving
-// goroutine: the aggregator is the conversation's clock, reading each
-// message with Msg and broadcasting each challenge with Challenge, so
-// it can hold S conversations in lock-step. Not safe for concurrent use
-// (one aggregator goroutine owns it); distinct conversations on one
-// Client are independent.
+// goroutine: the core.SplitProver holding it is the conversation's
+// clock, reading each message with Msg and broadcasting each challenge
+// with Challenge, so it can hold S conversations in lock-step. Not safe
+// for concurrent use (one SplitProver owns it); distinct conversations
+// on one Client are independent.
 type PartialConv struct {
 	h       *QueryHandle
 	srvDead bool // server already failed the channel; no finish frame owed

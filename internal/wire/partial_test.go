@@ -15,8 +15,8 @@ import (
 // TestWireSplitPartialConversations is the wire half of the
 // split-universe contract: two servers each own one slice of a dataset,
 // fed by a scatter of the same global batches over OpenDatasetSlice +
-// Ingest; partial conversations driven over the wire through
-// PartialQuery and folded by a SplitAggregator reproduce, bit for bit,
+// Ingest; partial conversations opened over the wire through
+// PartialQuery and folded by a core.SplitProver reproduce, bit for bit,
 // the transcript of a single whole-universe server's prover.
 func TestWireSplitPartialConversations(t *testing.T) {
 	const u = 200 // pads to 256; S=2 slices of width 128
@@ -32,10 +32,12 @@ func TestWireSplitPartialConversations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var seen []stream.Update // what the verifiers observe
 	for _, b := range batches {
 		if err := refDS.Ingest(b); err != nil {
 			t.Fatal(err)
 		}
+		seen = append(seen, b...)
 	}
 	refSnap := refDS.Snapshot()
 
@@ -81,77 +83,44 @@ func TestWireSplitPartialConversations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		challenges := f61.RandVec(field.NewSplitMix64(600), params.D)
-
+		// Both provers run through core.Run against the same verifier.
+		verifier := func() core.VerifierSession {
+			return conformance.Verifier(t, u, tc, field.NewSplitMix64(600), seen)
+		}
 		refProver, err := refSnap.NewProver(tc.Kind, tc.Params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refMsg, err := refProver.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		refMsgs := []core.Msg{refMsg}
-		for j := 0; j < params.D-1; j++ {
-			m, err := refProver.Step(core.Msg{Elems: []field.Elem{challenges[j]}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refMsgs = append(refMsgs, m)
-		}
+		refMsgs := conformance.Converse(t, refProver, verifier())
 
-		agg, err := core.NewSplitAggregator(f61, u, s, comb, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
 		convs := make([]*PartialConv, s)
-		parts := make([]core.Msg, s)
-		for k, c := range clients {
-			if convs[k], err = c.PartialQuery(tc.Kind, tc.Params); err != nil {
-				t.Fatalf("%v slice %d: %v", tc, k, err)
+		split, err := core.NewSplitProver(f61, u, comb, 0, func() ([]core.SplitOwner, error) {
+			owners := make([]core.SplitOwner, s)
+			for k, c := range clients {
+				conv, err := c.PartialQuery(tc.Kind, tc.Params)
+				if err != nil {
+					return nil, err
+				}
+				convs[k], owners[k] = conv, conv
 			}
-			if parts[k], err = convs[k].Msg(); err != nil {
-				t.Fatalf("%v slice %d opening: %v", tc, k, err)
-			}
-		}
-		opening, err := agg.Open(parts)
+			return owners, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if agg.Version() != refSnap.Version() {
-			t.Fatalf("%v: aggregated version %d, want %d", tc, agg.Version(), refSnap.Version())
+		msgs := conformance.Converse(t, split, verifier())
+		if split.Version() != refSnap.Version() {
+			t.Fatalf("%v: pinned version %d, want %d", tc, split.Version(), refSnap.Version())
 		}
-		msgs := []core.Msg{opening}
-		for j := 0; j < agg.Rounds()-1; j++ {
-			r := core.Msg{Elems: []field.Elem{challenges[j]}}
-			var m core.Msg
-			if agg.Broadcast() {
-				for k, conv := range convs {
-					if err := conv.Challenge(r); err != nil {
-						t.Fatalf("%v slice %d round %d: %v", tc, k, j+1, err)
-					}
-				}
-				for k, conv := range convs {
-					if parts[k], err = conv.Msg(); err != nil {
-						t.Fatalf("%v slice %d round %d: %v", tc, k, j+1, err)
-					}
-				}
-				if m, err = agg.Collect(parts); err != nil {
-					t.Fatalf("%v collect round %d: %v", tc, j+1, err)
-				}
-				if agg.TailStarted() {
-					for k, conv := range convs {
-						if err := conv.Finish(); err != nil {
-							t.Fatalf("%v slice %d finish: %v", tc, k, err)
-						}
-					}
-				}
-			} else {
-				if m, err = agg.Next(challenges[j]); err != nil {
-					t.Fatalf("%v tail round %d: %v", tc, j+1, err)
-				}
+		// The leaf round finished the owner legs: each conversation is
+		// retired, and Close has nothing left to finish.
+		for k, conv := range convs {
+			if !conv.closed {
+				t.Fatalf("%v: slice %d's conversation outlived the leaf round", tc, k)
 			}
-			msgs = append(msgs, m)
+		}
+		if err := split.Close(); err != nil {
+			t.Fatalf("%v close: %v", tc, err)
 		}
 		if err := conformance.Same(refMsgs, msgs); err != nil {
 			t.Fatalf("%v: %v", tc, err)
@@ -227,7 +196,7 @@ func TestWireSliceRefusals(t *testing.T) {
 	}
 
 	// PartialQuery on a whole dataset: the S=1 degenerate split — its
-	// combined transcript under a 1-slice aggregator equals the plain
+	// transcript under a 1-owner core.SplitProver equals the plain
 	// prover transcript (head rounds only; S=1 needs no leaf collect).
 	c3, err := Dial(addr)
 	if err != nil {
