@@ -27,14 +27,15 @@
 // -circuit-arg) runs on the same multiplexed connection against the
 // same maintained dataset — no extra upload, no server-side replay.
 //
-// -cached replaces the interactive conversations
-// with non-interactive replay: each query fetches the server's posted
-// Fiat–Shamir proof for the dataset's current version — generated once
-// and served from the proof cache to every verifier that asks — and
+// -cached replaces the interactive conversations with non-interactive
+// replay, which only SELF-JOIN SIZE has: its query fetches the server's
+// posted Fiat–Shamir proof for the dataset's current version — generated
+// once and served from the proof cache to every verifier that asks — and
 // verifies it offline against a verifier built from the proof binding's
 // deterministic challenge stream and this client's own copy of the
-// updates. No prover work happens on the server after the first fetch
-// of each (version, query). A posted proof gives integrity against third
+// updates. Every other query of the battery prints a REFUSED line (no
+// posted proof for its kind): a refusal, not a transport failure, so the
+// exit status stays zero. A posted proof gives integrity against third
 // parties, not soundness against the server: its challenges are public,
 // so the server that generates it can prove a false answer this check
 // accepts. Against an untrusted server, run without -cached.
@@ -43,10 +44,11 @@
 // size, range query, and heavy hitters. "seam" runs the split-universe
 // seam — self-join size, the F3 frequency moment, and a range sum — the
 // kinds a dataset split across shards serves, so this is the battery to
-// point at a siprouter fronting a Splits table. In -cached mode each
-// ACCEPTED line carries the sha256 of the posted proof bytes: fetch the
-// same dataset through a router and through a single engine and the
-// digests must match — the split-universe bit-identity check.
+// point at a siprouter fronting a Splits table. In -cached mode the
+// SELF-JOIN SIZE ACCEPTED line carries the sha256 of the posted proof
+// bytes: fetch the same dataset through a router and through a single
+// engine and the digests must match — the split-universe bit-identity
+// check.
 //
 // Point it at a server started with -cheat-drop to watch every query
 // get rejected.
@@ -141,7 +143,7 @@ func run(args []string, out io.Writer) error {
 	concurrency := fl.Int("concurrency", 1, "query rounds overlapped on the one connection (multiplexed conversations)")
 	circuitName := fl.String("circuit", "", fmt.Sprintf("add a CIRCUIT (GKR) conversation per round; families: %v", circuit.Families()))
 	circuitArg := fl.Uint64("circuit-arg", 0, "circuit family argument (MATMUL: matrix dimension n, 0 = default)")
-	cached := fl.Bool("cached", false, "verify posted Fiat–Shamir proofs offline instead of running interactive conversations (integrity against third parties only: the server that generates a proof can forge it)")
+	cached := fl.Bool("cached", false, "verify the posted SELF-JOIN SIZE Fiat–Shamir proof offline instead of running interactive conversations; other kinds are refused (integrity against third parties only: the server that generates a proof can forge it)")
 	kinds := fl.String("kinds", "all", `query battery: "all" (F2, range query, heavy hitters) or "seam" (F2, F3 moment, range sum — what a split-universe dataset serves)`)
 	if err := fl.Parse(args); err != nil {
 		return err
@@ -360,6 +362,8 @@ func refusal(name string, err error) (line string, transport bool) {
 	switch {
 	case errors.Is(err, core.ErrRejected):
 		return fmt.Sprintf("%s: REJECTED — the cloud is cheating (%v)", name, err), false
+	case errors.Is(err, wire.ErrNotPosted):
+		return fmt.Sprintf("%s: REFUSED — no posted proof for this kind; run without -cached", name), false
 	case errors.Is(err, wire.ErrBudget):
 		// A healthy server at its concurrent-query cap, not a transport
 		// failure: the conversation was refused, not broken.

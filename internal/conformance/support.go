@@ -112,27 +112,38 @@ func Verifier(t testing.TB, u uint64, c Case, rng field.RNG, ups []stream.Update
 }
 
 // Recorder is a verifier that keeps a copy of every prover message it
-// consumes, so two conversations can be compared bit for bit.
+// consumes (Msgs) and of every challenge Inner answers with (Said), so
+// two conversations can be compared bit for bit, both ways.
 type Recorder struct {
 	Inner core.VerifierSession
 	Msgs  []core.Msg
+	Said  []core.Msg
 }
 
-func (r *Recorder) record(m core.Msg) {
-	r.Msgs = append(r.Msgs, core.Msg{
+func clone(m core.Msg) core.Msg {
+	return core.Msg{
 		Ints:  append([]uint64(nil), m.Ints...),
 		Elems: append([]field.Elem(nil), m.Elems...),
-	})
+	}
+}
+
+// said records a challenge Inner sent: one that asks for another
+// message.
+func (r *Recorder) said(ch core.Msg, done bool, err error) (core.Msg, bool, error) {
+	if err == nil && !done {
+		r.Said = append(r.Said, clone(ch))
+	}
+	return ch, done, err
 }
 
 func (r *Recorder) Begin(m core.Msg) (core.Msg, bool, error) {
-	r.record(m)
-	return r.Inner.Begin(m)
+	r.Msgs = append(r.Msgs, clone(m))
+	return r.said(r.Inner.Begin(m))
 }
 
 func (r *Recorder) Step(m core.Msg) (core.Msg, bool, error) {
-	r.record(m)
-	return r.Inner.Step(m)
+	r.Msgs = append(r.Msgs, clone(m))
+	return r.said(r.Inner.Step(m))
 }
 
 // Converse runs p against v with core.Run and returns p's messages; a

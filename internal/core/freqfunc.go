@@ -146,13 +146,6 @@ func (v *FrequencyBasedVerifier) Observe(up stream.Update) error {
 	return v.ev.Update(up.Index, up.Delta)
 }
 
-// Challenges returns every message this verifier will send, in order:
-// the heavy-hitter reveals, the empty message that asks for the
-// sum-check opening, then the first d−1 coordinates of the LDE point.
-func (v *FrequencyBasedVerifier) Challenges() []Msg {
-	return append(append(v.hh.Challenges(), Msg{}), v.res.Challenges()...)
-}
-
 // Begin starts the heavy-hitter phase.
 func (v *FrequencyBasedVerifier) Begin(opening Msg) (Msg, bool, error) {
 	if err := v.hh.SetQuery(v.proto.Phi); err != nil {

@@ -33,10 +33,17 @@ type scVerifier struct {
 }
 
 // Challenges returns every message this verifier will send, in order:
-// the first d−1 coordinates of r (r_d never travels). They are fixed by
-// the randomness the constructor drew — no observed state, no prover
-// input — so a Fiat–Shamir prover can be driven with them directly.
-func (v *scVerifier) Challenges() []Msg { return revealOneByOne(v.pt.R) }
+// the first d−1 coordinates of r, one per round (r_d never travels).
+// They are fixed by the randomness the constructor drew, so the
+// SELF-JOIN SIZE posted proof (engine.RecordProof) is recorded with them
+// directly.
+func (v *scVerifier) Challenges() []Msg {
+	out := make([]Msg, 0, len(v.pt.R)-1)
+	for _, c := range v.pt.R[:len(v.pt.R)-1] {
+		out = append(out, Msg{Elems: []field.Elem{c}})
+	}
+	return out
+}
 
 // begin consumes the opening [claim, g_1(0..deg)]; anchor is the value
 // C(f(r)) the final round must reach.
@@ -176,9 +183,6 @@ type anchorVerifier struct {
 // Observe folds one stream element (interpreted as an insertion of the
 // element's index; callers pass δ=1 updates).
 func (v *anchorVerifier) Observe(up stream.Update) error { return v.sv.Observe(up) }
-
-// Challenges is the embedded sub-vector conversation's schedule.
-func (v *anchorVerifier) Challenges() []Msg { return v.sv.Challenges() }
 
 // Step delegates to the embedded sub-vector conversation.
 func (v *anchorVerifier) Step(response Msg) (Msg, bool, error) { return v.sv.Step(response) }

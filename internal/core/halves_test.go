@@ -129,7 +129,9 @@ func TestSumcheckHalvesContract(t *testing.T) {
 				return must(f0.NewProverFromCounts(ca, int64(len(a)))), v
 			},
 			answer: result, want: f0Want,
-			opening: len(f0.NewVerifier(field.NewSplitMix64(5)).hh.Challenges()) + 1, hhReveal: true,
+			// d−1 heavy-hitter reveals, then the empty message that asks
+			// for the sum-check opening: it is prover message d.
+			opening: f0.TreeParams.D, hhReveal: true,
 		},
 		{
 			name: "SplitProver",

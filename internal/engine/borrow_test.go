@@ -20,10 +20,10 @@ func sumcheckKind(c conformance.Case) bool {
 }
 
 // TestProversBorrowTables: every sum-check prover borrows the snapshot's
-// table read-only. After an accepted conversation and a posted proof of
-// every sum-check kind, the snapshot's Elems and Counts are bit-for-bit
-// what they were, on a table sparse enough for the live-pair rounds and
-// on a dense one.
+// table read-only. After an accepted conversation of every sum-check
+// kind, and the posted proof of the one posted kind (SELF-JOIN SIZE),
+// the snapshot's Elems and Counts are bit-for-bit what they were, on a
+// table sparse enough for the live-pair rounds and on a dense one.
 func TestProversBorrowTables(t *testing.T) {
 	const u = 1 << 10
 	rng := field.NewSplitMix64(3101)
@@ -50,8 +50,10 @@ func TestProversBorrowTables(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			conformance.Converse(t, p, conformance.Verifier(t, u, c, field.NewSplitMix64(31), tc.ups))
-			if _, err := snap.GenerateProof(c.Kind, c.Params); err != nil {
-				t.Fatalf("%s: posted proof: %v", name, err)
+			if engine.CheckPosted(c.Kind) == nil {
+				if _, err := snap.GenerateProof(c.Kind, c.Params); err != nil {
+					t.Fatalf("%s: posted proof: %v", name, err)
+				}
 			}
 			if !slices.Equal(snap.Elems(), elems) || !slices.Equal(snap.Counts(), counts) {
 				t.Fatalf("%s: the prover wrote the snapshot's table", name)

@@ -380,7 +380,7 @@ func BenchmarkF2Conversation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched := v.Challenges()
+	sched := v.(*core.FkVerifier).Challenges()
 	converse := func(snap *engine.Snapshot) {
 		p, err := snap.NewProver(engine.QuerySelfJoinSize, engine.QueryParams{})
 		if err != nil {

@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/conformance"
@@ -12,14 +14,15 @@ import (
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/stream"
+	"repro/internal/wire"
 )
 
 // TestChallengesMatchVerifier pins the schedule the proof generator
-// relies on: for every kind, what an unobserved verifier's Challenges()
-// announces equals, message for message, what a stream-fed verifier on
-// the same RNG says in a live conversation with the snapshot prover —
-// and Record driven by that schedule gets the prover messages of that
-// conversation.
+// relies on, for SELF-JOIN SIZE, the one posted kind: what an unobserved
+// verifier's Challenges() announces equals, message for message, what a
+// stream-fed verifier on the same RNG says in a live conversation with
+// the snapshot prover — and Record driven by that schedule gets the
+// prover messages of that conversation.
 func TestChallengesMatchVerifier(t *testing.T) {
 	const u = 500
 	f := field.Mersenne()
@@ -32,50 +35,35 @@ func TestChallengesMatchVerifier(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := ds.Snapshot()
-	for _, tc := range conformance.Cases {
-		unobserved, err := engine.NewStreamVerifier(f, u, tc.Kind, tc.Params, field.NewSplitMix64(77))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched := unobserved.Challenges()
+	tc := conformance.Case{Kind: engine.QuerySelfJoinSize}
+	unobserved, err := engine.NewStreamVerifier(f, u, tc.Kind, tc.Params, field.NewSplitMix64(77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := unobserved.(*core.FkVerifier).Challenges()
 
-		v := conformance.Verifier(t, u, tc, field.NewSplitMix64(77), ups)
-		p, err := snap.NewProver(tc.Kind, tc.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live := &conformance.Recorder{Inner: v}
-		var said []core.Msg
-		msg, err := p.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch, done, err := live.Begin(msg)
-		for err == nil && !done {
-			said = append(said, ch)
-			if msg, err = p.Step(ch); err != nil {
-				break
-			}
-			ch, done, err = live.Step(msg)
-		}
-		if err != nil {
-			t.Fatalf("%v: live conversation: %v", tc, err)
-		}
-		if err := conformance.Same(sched, said); err != nil {
-			t.Fatalf("%v: Challenges() vs live verifier: %v", tc, err)
-		}
+	p, err := snap.NewProver(tc.Kind, tc.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := &conformance.Recorder{Inner: conformance.Verifier(t, u, tc, field.NewSplitMix64(77), ups)}
+	if _, err := core.Run(p, live); err != nil {
+		t.Fatalf("%v: live conversation: %v", tc, err)
+	}
+	if err := conformance.Same(sched, live.Said); err != nil {
+		t.Fatalf("%v: Challenges() vs live verifier: %v", tc, err)
+	}
 
-		p2, err := snap.NewProver(tc.Kind, tc.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pf, err := snap.ProofBinding(tc.Kind, tc.Params).Record(p2, sched)
-		if err != nil {
-			t.Fatalf("%v: Record: %v", tc, err)
-		}
-		if err := conformance.Same(pf.Messages, live.Msgs); err != nil {
-			t.Fatalf("%v: Record vs live prover: %v", tc, err)
-		}
+	p2, err := snap.NewProver(tc.Kind, tc.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := snap.ProofBinding(tc.Kind, tc.Params).Record(p2, sched)
+	if err != nil {
+		t.Fatalf("%v: Record: %v", tc, err)
+	}
+	if err := conformance.Same(pf.Messages, live.Msgs); err != nil {
+		t.Fatalf("%v: Record vs live prover: %v", tc, err)
 	}
 }
 
@@ -93,11 +81,11 @@ func TestGenerateProofDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := ds.Snapshot()
-	a, err := snap.GenerateProof(engine.QueryHeavyHitters, engine.QueryParams{Phi: 0.02})
+	a, err := snap.GenerateProof(engine.QuerySelfJoinSize, engine.QueryParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := snap.GenerateProof(engine.QueryHeavyHitters, engine.QueryParams{Phi: 0.02})
+	b, err := snap.GenerateProof(engine.QuerySelfJoinSize, engine.QueryParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,26 +219,17 @@ func TestVersionSurvivesRecovery(t *testing.T) {
 	}
 }
 
-// TestProofGolden pins the bytes of the posted proof for every query
-// kind on one fixed (stream seed, dataset name, universe): the digests
-// were generated before the count-replay generator was removed and
-// must never move without a deliberate transcript-version bump.
+// TestProofGolden pins the bytes of the posted proof on one fixed
+// (stream seed, dataset name, universe): the digest was generated
+// before the count-replay generator was removed and must never move
+// without a deliberate transcript-version bump. SELF-JOIN SIZE is the
+// one posted kind; every other kind's row is its refusal, ErrNotPosted
+// naming the kind, from GenerateProof and from RecordProof before the
+// prover is built.
 func TestProofGolden(t *testing.T) {
 	const u = 500
 	golden := map[engine.QueryKind]string{
 		engine.QuerySelfJoinSize: "039e6e3cfd0db29f18abdf6053a064a8f21706ad135c2c7c60a0ccb61db08258",
-		engine.QueryFk:           "53d245e29fa6a271e2e9eb45a185a171f0e4bc056cab78be6003d0ccb6e9babd",
-		engine.QueryRangeSum:     "6cb79aaadf33554f722623fabf65b68e67b736266bf5d2ea1b17f478be8068cd",
-		engine.QueryRangeQuery:   "16de449c5607efc6a111d5461ab1ed080500bb0f6774263fa50a8805c498382a",
-		engine.QueryIndex:        "35f9ff46057fb79aafecb782b67e1990bc52ef17678cb9c6ea63087a22effaf4",
-		engine.QueryDictionary:   "45de301d1d0a4743ea81eeeba16bb7647d43578b8ec30e268a9da34e81cc8793",
-		engine.QueryPredecessor:  "cdc9746a3e05bfebce2c4d68f86963aef01adbebf32f39749d7f56aa8219fbcb",
-		engine.QuerySuccessor:    "8ab0ff3705203aae541dee6018560f9efc1297eb2f5cff022732f42f63cbbb53",
-		engine.QueryKLargest:     "f722bfa3a8eaedffbff5e7458fbf5c05069ee30b911aa3933021c0604f78b1aa",
-		engine.QueryHeavyHitters: "bf40d6ab23ef900edc8e116b1d0a3fcd202abce8d4d3f0d5f68defb594331d37",
-		engine.QueryF0:           "b9ce649c9bd3d73293133642935d5ad3ab55819fc168a04e291467fe8c095c59",
-		engine.QueryFmax:         "4702dfbf4c90fcb14534e19a55ed22eb90f3eca8f458e305c100a207c9c2be6e",
-		engine.QueryCircuit:      "eee83761a58146edfd37ad01cd4425afaee8f94ea6853dad67a250729239edcc",
 	}
 	e := engine.New(field.Mersenne(), 2)
 	ds, err := e.Open("golden", u)
@@ -263,6 +242,20 @@ func TestProofGolden(t *testing.T) {
 	snap := ds.Snapshot()
 	for _, tc := range conformance.Cases {
 		pf, err := snap.GenerateProof(tc.Kind, tc.Params)
+		if _, posted := golden[tc.Kind]; !posted {
+			name := fmt.Sprintf("kind %d", tc.Kind)
+			if !errors.Is(err, engine.ErrNotPosted) || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: GenerateProof = %v, want ErrNotPosted naming the kind", name, err)
+			}
+			_, err := engine.RecordProof(field.Mersenne(), snap.ProofBinding(tc.Kind, tc.Params), func() (core.ProverSession, error) {
+				t.Errorf("%s: RecordProof built a prover for a kind it refuses", name)
+				return snap.NewProver(tc.Kind, tc.Params)
+			})
+			if !errors.Is(err, engine.ErrNotPosted) {
+				t.Errorf("%s: RecordProof = %v, want ErrNotPosted", name, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("kind %d: GenerateProof: %v", tc.Kind, err)
 		}
@@ -273,22 +266,19 @@ func TestProofGolden(t *testing.T) {
 	}
 }
 
-// kindCase is one of TestPostedProofForgery's forged queries.
-type kindCase struct {
-	kind   engine.QueryKind
-	params engine.QueryParams
-}
-
-// TestPostedProofForgery pins a known gap: a posted proof has no
-// soundness against the server that generates it. The verifier's whole
-// randomness is the public binding's RNG, so the server reads r₁ off
-// NewStreamVerifier(…, b.RNG()).Challenges() before it writes g₁. It
-// adds c·(X − r₁) to the honest g₁ with c = Δ/(1 − 2r₁), which raises
-// g₁(0) + g₁(1) by Δ and leaves g₁(r₁) alone, claims C + Δ, and answers
-// every later round honestly. The client's streaming verifier accepts
-// the false claim; a verifier whose randomness the server did not know
-// rejects the same messages. When posted proofs become sound, the first
-// assertion flips.
+// TestPostedProofForgery pins both halves of a known gap. A posted
+// proof has no soundness against the server that generates it: the
+// verifier's whole randomness is the public binding's RNG, so the
+// server reads r₁ off the schedule of NewStreamVerifier(…, b.RNG())
+// before it writes g₁. It adds c·(X − r₁) to the honest g₁ with
+// c = Δ/(1 − 2r₁), which raises g₁(0) + g₁(1) by Δ and leaves g₁(r₁)
+// alone, claims C + Δ, and answers every later round honestly. The
+// client's streaming verifier accepts the false SELF-JOIN SIZE claim; a
+// verifier whose randomness the server did not know rejects the same
+// messages. When the SELF-JOIN SIZE posted proof becomes sound, that
+// assertion flips. The other half: Fk and RANGE-SUM, which the same
+// forgery broke, have no posted proof at all — RecordProof and a
+// client's FetchProof refuse them with ErrNotPosted.
 func TestPostedProofForgery(t *testing.T) {
 	const u = 1 << 10
 	const delta field.Elem = 1000
@@ -303,61 +293,79 @@ func TestPostedProofForgery(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := ds.Snapshot()
-	streamed := func(tc kindCase, rng field.RNG) engine.StreamVerifier {
-		v, err := engine.NewStreamVerifier(f, u, tc.kind, tc.params, rng)
+	streamed := func(rng field.RNG) *core.FkVerifier {
+		v, err := engine.NewStreamVerifier(f, u, engine.QuerySelfJoinSize, engine.QueryParams{}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, up := range ups {
-			if err := v.Observe(up); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return v
+		conformance.Feed(t, v, ups)
+		return v.(*core.FkVerifier)
 	}
-	for _, tc := range []kindCase{
-		{engine.QuerySelfJoinSize, engine.QueryParams{}},
-		{engine.QueryFk, engine.QueryParams{K: 3}},
-		{engine.QueryRangeSum, engine.QueryParams{A: 3, B: 700}},
-	} {
-		b := snap.ProofBinding(tc.kind, tc.params)
-		r1 := streamed(tc, b.RNG()).Challenges()[0].Elems[0]
-		c := f.Mul(delta, f.Inv(f.Sub(1, f.Mul(2, r1))))
-		forge := func(round int, m core.Msg) core.Msg {
-			if round == 0 { // [claim, g₁(0), …, g₁(deg)]
-				m.Elems[0] = f.Add(m.Elems[0], delta)
-				for x := range m.Elems[1:] {
-					m.Elems[1+x] = f.Add(m.Elems[1+x], f.Mul(c, f.Sub(field.Elem(x), r1)))
-				}
+	b := snap.ProofBinding(engine.QuerySelfJoinSize, engine.QueryParams{})
+	r1 := streamed(b.RNG()).Challenges()[0].Elems[0]
+	c := f.Mul(delta, f.Inv(f.Sub(1, f.Mul(2, r1))))
+	forge := func(round int, m core.Msg) core.Msg {
+		if round == 0 { // [claim, g₁(0), …, g₁(deg)]
+			m.Elems[0] = f.Add(m.Elems[0], delta)
+			for x := range m.Elems[1:] {
+				m.Elems[1+x] = f.Add(m.Elems[1+x], f.Mul(c, f.Sub(field.Elem(x), r1)))
 			}
-			return m
 		}
-		forged, err := engine.RecordProof(f, b, func() (core.ProverSession, error) {
-			p, err := snap.NewProver(tc.kind, tc.params)
-			return &core.TamperedProver{P: p, T: forge}, err
+		return m
+	}
+	forged, err := engine.RecordProof(f, b, func() (core.ProverSession, error) {
+		p, err := snap.NewProver(engine.QuerySelfJoinSize, engine.QueryParams{})
+		return &core.TamperedProver{P: p, T: forge}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := streamed(b.RNG())
+	if err := b.Verify(forged, client); err != nil {
+		t.Fatalf("the forgery was rejected (%v); if posted proofs are now sound, flip this pin", err)
+	}
+	got, err := client.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest, err := snap.GenerateProof(engine.QuerySelfJoinSize, engine.QueryParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := f.Add(honest.Messages[0].Elems[0], delta); got != want {
+		t.Fatalf("accepted answer %d, want the forged %d", got, want)
+	}
+	if err := b.Verify(forged, streamed(field.NewSplitMix64(7))); !errors.Is(err, core.ErrRejected) {
+		t.Fatalf("a verifier on an independent RNG: %v, want ErrRejected", err)
+	}
+
+	srv := &wire.Server{F: f, Engine: e}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+	cl, err := wire.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.OpenDataset("forged", u); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []conformance.Case{
+		{Kind: engine.QueryFk, Params: engine.QueryParams{K: 3}},
+		{Kind: engine.QueryRangeSum, Params: engine.QueryParams{A: 3, B: 700}},
+	} {
+		_, err := engine.RecordProof(f, snap.ProofBinding(q.Kind, q.Params), func() (core.ProverSession, error) {
+			return snap.NewProver(q.Kind, q.Params)
 		})
-		if err != nil {
-			t.Fatal(err)
+		if !errors.Is(err, engine.ErrNotPosted) {
+			t.Errorf("%v: RecordProof = %v, want ErrNotPosted", q, err)
 		}
-
-		client := streamed(tc, b.RNG())
-		if err := b.Verify(forged, client); err != nil {
-			t.Fatalf("kind %d: the forgery was rejected (%v); if posted proofs are now sound, flip this pin", tc.kind, err)
-		}
-		got, err := client.(interface{ Result() (field.Elem, error) }).Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		honest, err := snap.GenerateProof(tc.kind, tc.params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := f.Add(honest.Messages[0].Elems[0], delta); got != want {
-			t.Fatalf("kind %d: accepted answer %d, want the forged %d", tc.kind, got, want)
-		}
-
-		if err := b.Verify(forged, streamed(tc, field.NewSplitMix64(7))); !errors.Is(err, core.ErrRejected) {
-			t.Fatalf("kind %d: a verifier on an independent RNG: %v, want ErrRejected", tc.kind, err)
+		if _, err := cl.FetchProof(q.Kind, q.Params, 0); !errors.Is(err, wire.ErrNotPosted) {
+			t.Errorf("%v: FetchProof = %v, want ErrNotPosted", q, err)
 		}
 	}
 }

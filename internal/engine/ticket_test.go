@@ -18,8 +18,9 @@ var ticketed = conformance.Filter(conformance.Case.Ticketed)
 
 // TestTicketMatchesStreamVerifier: for every ticket kind and three seeds,
 // a one-kind ticket spent on its kind is the verifier NewStreamVerifier
-// builds on the same seed — same challenge schedule, same space before
-// and after the stream, same conversation with the snapshot's prover.
+// builds on the same seed — same space after the stream, and the same
+// conversation with the snapshot's prover: the same prover messages and
+// the same challenges, recorded live.
 func TestTicketMatchesStreamVerifier(t *testing.T) {
 	const u = 500
 	ups := stream.UniformDeltas(u, 20, field.NewSplitMix64(61))
@@ -47,11 +48,8 @@ func TestTicketMatchesStreamVerifier(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if err := conformance.Same(direct.Challenges(), spent.Challenges()); err != nil {
-				t.Fatalf("%s: challenges: %v", name, err)
-			}
 			conformance.Feed(t, direct, ups)
-			var msgs [2][]core.Msg
+			var recs [2]conformance.Recorder
 			var space [2]int
 			for i, v := range []engine.StreamVerifier{direct, spent} {
 				p, err := snap.NewProver(c.Kind, c.Params)
@@ -61,9 +59,15 @@ func TestTicketMatchesStreamVerifier(t *testing.T) {
 				if sw, ok := v.(interface{ SpaceWords() int }); ok {
 					space[i] = sw.SpaceWords()
 				}
-				msgs[i] = conformance.Converse(t, p, v)
+				recs[i].Inner = v
+				if _, err := core.Run(p, &recs[i]); err != nil {
+					t.Fatalf("%s: conversation rejected: %v", name, err)
+				}
 			}
-			if err := conformance.Same(msgs[0], msgs[1]); err != nil {
+			if err := conformance.Same(recs[0].Said, recs[1].Said); err != nil {
+				t.Fatalf("%s: challenges: %v", name, err)
+			}
+			if err := conformance.Same(recs[0].Msgs, recs[1].Msgs); err != nil {
 				t.Fatalf("%s: transcripts: %v", name, err)
 			}
 			if space[0] != space[1] {

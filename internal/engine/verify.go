@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/field"
@@ -12,12 +13,23 @@ import (
 // This file is the verifier-construction side of the non-interactive
 // replay layer. NewStreamVerifier builds the verifier session for any
 // query kind — the object a client holds, streams its updates into, and
-// drives interactively or against a posted proof (fs.Proof). The same
-// constructor, left unobserved, gives the proof generator the kind's
-// challenge schedule: every verifier draws all of its randomness at
-// construction, so what it will say is known before it has seen
-// anything, and RecordProof records the prover against that schedule
-// with no verifier in the loop.
+// drives interactively or, for SELF-JOIN SIZE alone, against a posted
+// proof (fs.Proof): a posted proof's randomness is the public binding's,
+// so the server that records it can forge it, and no other kind is
+// posted.
+
+// ErrNotPosted refuses a posted proof of any kind but SELF-JOIN SIZE.
+var ErrNotPosted = errors.New("engine: no posted proof for this kind")
+
+// CheckPosted is the one posted-proof admission check, run by
+// RecordProof and by every caller before it spends anything on a posted
+// proof (a client's request, a server's snapshot, a split's owners).
+func CheckPosted(kind QueryKind) error {
+	if kind != QuerySelfJoinSize {
+		return fmt.Errorf("%w (kind %d): only SELF-JOIN SIZE is posted; ask it interactively", ErrNotPosted, kind)
+	}
+	return nil
+}
 
 // StreamVerifier is a verifier session that also observes stream
 // updates — what a client keeps while uploading, and later drives
@@ -25,12 +37,6 @@ import (
 type StreamVerifier interface {
 	core.VerifierSession
 	Observe(stream.Update) error
-	// Challenges returns every message the verifier will send, in order,
-	// empty phase-transition messages included: a conversation it accepts
-	// has exactly len(Challenges())+1 prover messages. The schedule is a
-	// function of the constructor's rng alone — not of observed updates,
-	// query parameters set later, or prover messages.
-	Challenges() []core.Msg
 }
 
 // NewStreamVerifier constructs the verifier session for one query kind
@@ -78,17 +84,17 @@ func (s *Snapshot) ProofBinding(kind QueryKind, params QueryParams) fs.Binding {
 }
 
 // RecordProof records the Fiat–Shamir proof binding b commits to: the
-// prover, driven by the challenge schedule of an unobserved verifier
-// built on the binding's RNG (O(log u) to construct). The verifier comes
-// first because it validates the query — a refused query never pays for
-// a prover — and checks nothing else: the client's verifier, which saw
-// the stream, is the check, exactly as in an interactive conversation.
-// Every proof generator (a snapshot, a wire server, a router folding a
-// split dataset) is this function over its own prover.
+// prover, driven by the challenge schedule of an unobserved SELF-JOIN
+// SIZE verifier built on the binding's RNG (O(log u) to construct). Any
+// other kind is refused before anything is built. Nothing is checked:
+// the client's verifier, which saw the stream, is the check. Every
+// proof generator (a snapshot, a wire server, a router folding a split
+// dataset) is this function over its own prover.
 func RecordProof(f field.Field, b fs.Binding, prover func() (core.ProverSession, error)) (*fs.Proof, error) {
-	q := b.Query
-	v, err := NewStreamVerifier(f, b.Universe, QueryKind(q.Kind),
-		QueryParams{A: q.A, B: q.B, K: q.K, Phi: q.Phi, Circuit: q.Circuit}, b.RNG())
+	if err := CheckPosted(QueryKind(b.Query.Kind)); err != nil {
+		return nil, err
+	}
+	v, err := NewStreamVerifier(f, b.Universe, QuerySelfJoinSize, QueryParams{}, b.RNG())
 	if err != nil {
 		return nil, err
 	}
@@ -96,14 +102,14 @@ func RecordProof(f field.Field, b fs.Binding, prover func() (core.ProverSession,
 	if err != nil {
 		return nil, err
 	}
-	return b.Record(p, v.Challenges())
+	return b.Record(p, v.(*core.FkVerifier).Challenges())
 }
 
 // GenerateProof records the Fiat–Shamir proof of one query over the
-// snapshot, with the prover from the maintained tables. Generation is
-// deterministic — same snapshot version ⇒ bit-identical proof. A
-// universe slice is refused (NewProver): split proofs are assembled by
-// the aggregator.
+// snapshot, with the prover from the maintained tables: SELF-JOIN SIZE
+// only (RecordProof). Generation is deterministic — same snapshot
+// version ⇒ bit-identical proof. A universe slice is refused
+// (NewProver): split proofs are recorded over a core.SplitProver.
 func (s *Snapshot) GenerateProof(kind QueryKind, params QueryParams) (*fs.Proof, error) {
 	return RecordProof(s.ds.f, s.ProofBinding(kind, params), func() (core.ProverSession, error) {
 		return s.NewProver(kind, params)

@@ -116,8 +116,9 @@ type Proof struct {
 }
 
 // Record drives p through one conversation and returns the recorded
-// proof. challenges is the verifier's whole schedule — Challenges() of a
-// verifier built for this binding from b.RNG() — and p MUST prove over
+// proof. challenges is the verifier's whole schedule — the sum-check
+// verifier's Challenges(), built for this binding from b.RNG() — and p
+// MUST prove over
 // the dataset state at b.Version. No verifier takes part: the schedule
 // is fixed by the binding alone, so nothing a verifier could observe
 // changes what the prover is asked. The proof is checked where it is

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/stream"
@@ -186,8 +187,7 @@ func TestIPv6Extrapolate(t *testing.T) {
 
 // TestCompareF2 checks that both protocols accept, agree, and exhibit the
 // §3-Remarks cost ordering: GKR strictly more communication and rounds.
-// The GKR row counts exactly the words the session exchanges: the posted
-// proof's prover messages plus the verifier's challenge schedule.
+// The GKR row counts exactly the words the session exchanges, both ways.
 func TestCompareF2(t *testing.T) {
 	var prevRatio float64
 	for _, logu := range []int{3, 5, 7} {
@@ -216,19 +216,20 @@ func TestCompareF2(t *testing.T) {
 }
 
 // gkrSessionWords counts the words of one GKR F2 conversation over u:
-// every prover message of the snapshot's posted proof plus every
-// challenge of the matching verifier.
+// core.Run's count of every prover message and every challenge between
+// the snapshot's CIRCUIT prover and a stream-fed verifier.
 func gkrSessionWords(t *testing.T, u uint64) int {
 	t.Helper()
+	ups := stream.UniformDeltas(u, 100, field.NewSplitMix64(77))
 	ds, err := engine.NewDataset(f61, u, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Ingest(stream.UniformDeltas(u, 100, field.NewSplitMix64(77))); err != nil {
+	if err := ds.Ingest(ups); err != nil {
 		t.Fatal(err)
 	}
 	params := engine.QueryParams{Circuit: circuit.FamilyF2}
-	pf, err := ds.Snapshot().GenerateProof(engine.QueryCircuit, params)
+	p, err := ds.Snapshot().NewProver(engine.QueryCircuit, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +237,14 @@ func gkrSessionWords(t *testing.T, u uint64) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := 0
-	for _, m := range append(pf.Messages, v.Challenges()...) {
-		words += m.Words()
+	for _, up := range ups {
+		if err := v.Observe(up); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return words
+	st, err := core.Run(p, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.CommWords()
 }

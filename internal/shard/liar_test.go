@@ -5,10 +5,12 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/conformance"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/fs"
 	"repro/internal/stream"
@@ -22,11 +24,11 @@ import (
 // rewrites prover message j at one hop: client↔server and client↔router
 // (to the client, a lying router) for every case, router↔slice owner at
 // S = 2 for the seam cases, interactively and — at the owner hop, where
-// the router records the proof through the relay — in the posted proof.
-// A fourth hop lies inside the router at S = 2: its split conversation
-// rewrites message j after folding the owners' partials (or, in the
-// tail rounds, after proving alone), interactively and in the posted
-// proofs it records. Every message of every conversation is lied about
+// the router records the proof through the relay — in the posted
+// SELF-JOIN SIZE proof. A fourth hop lies inside the router at S = 2:
+// its split conversation rewrites message j after folding the owners'
+// partials (or, in the tail rounds, after proving alone), interactively
+// and in the posted proof it records. Every message of every conversation is lied about
 // once; each lie must meet core.ErrRejected, and the same connection
 // must then serve an honest conversation.
 func TestMessageLiars(t *testing.T) {
@@ -129,14 +131,14 @@ func messageLiar(t *testing.T, l *liar, addr string, cases []conformance.Case, w
 		name string
 		run  func(conformance.Case) error
 	}
-	deliveries := []delivery{{"interactive", interactive}}
-	if withPosted {
-		deliveries = append(deliveries, delivery{"posted", posted})
-	}
 	lies := 0
 	defer func() { t.Logf("%d lies told", lies) }()
 	for _, cs := range cases {
 		ref = conformance.Reference(t, u, cs, seed, seen)
+		deliveries := []delivery{{"interactive", interactive}}
+		if withPosted && engine.CheckPosted(cs.Kind) == nil {
+			deliveries = append(deliveries, delivery{"posted", posted})
+		}
 		for _, d := range deliveries {
 			for j := 0; ; j++ {
 				if j > 4096 {
@@ -199,12 +201,13 @@ func (l *liar) take(n int) bool {
 
 // tamperRelay is a TCP relay in front of one hop's prover side. Its liar
 // picks the prover message to rewrite (tamper); everything else passes
-// byte for byte.
+// byte for byte. proverFrames counts the prover messages it relayed.
 type tamperRelay struct {
 	liar
-	ln     net.Listener
-	target string
-	wg     sync.WaitGroup
+	ln           net.Listener
+	target       string
+	wg           sync.WaitGroup
+	proverFrames atomic.Int64
 
 	mu     sync.Mutex // guards conns and closed
 	conns  []net.Conn
@@ -280,6 +283,7 @@ func (tr *tamperRelay) relay(from, to net.Conn) {
 			return
 		}
 		if typ == frames.ProverCh {
+			tr.proverFrames.Add(1)
 			if id, body, err := frames.DecodeChannel(payload); err == nil {
 				n := sent[id]
 				sent[id]++

@@ -275,7 +275,8 @@ func (p *proxyConn) reattachSlice(a *splitAttach, k int) error {
 // engine runs, over a core.SplitProver that folds the owners. Only the
 // seam kinds split: the engine's kind table refuses any other kind, and
 // constructor-rejected parameters, in the engine's own words before any
-// owner hears of the query.
+// owner hears of the query. A proof request for a kind with no posted
+// proof (engine.CheckPosted) is refused first, the same way.
 func (p *proxyConn) splitChannel(typ byte, id uint32, body []byte) error {
 	if typ == frames.PartialQueryCh {
 		return p.mux.Refuse(id, errors.New("shard: partial conversations cannot nest: dataset is already split across shards"))
@@ -293,6 +294,11 @@ func (p *proxyConn) splitChannel(typ byte, id uint32, body []byte) error {
 	}
 	if err != nil {
 		return err
+	}
+	if typ == frames.ProofReqCh {
+		if err := engine.CheckPosted(kind); err != nil {
+			return p.mux.Refuse(id, err)
+		}
 	}
 	a := p.split
 	comb, err := engine.SplitCombiner(field.Mersenne(), a.u, kind, params)

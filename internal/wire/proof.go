@@ -6,7 +6,10 @@
 // byte-budgeted LRU (internal/proofcache), and served to every verifier
 // that asks. k concurrent verifiers of one query cost one prover run:
 // the cache single-flights concurrent misses, so fan-out reads are
-// cache hits rather than k interactive conversations.
+// cache hits rather than k interactive conversations. Only SELF-JOIN
+// SIZE is posted: a request for any other kind is refused on its
+// channel (engine.CheckPosted) before the snapshot or the cache is
+// touched.
 //
 // The exchange is one-shot request/response on an ordinary mux channel
 // id: no channel state is registered on either side, errors travel as
@@ -131,10 +134,11 @@ func (m *Mux) Proof(id uint32, version uint64, f field.Field, cache *proofcache.
 // Client side
 
 // FetchProof retrieves the server's posted Fiat–Shamir proof for one
-// query. version pins the dataset version the proof must cover (the
-// request fails if ingestion has moved past it); 0 accepts the current
-// version. The returned proof carries the version it was generated at
-// in its binding.
+// query. Only SELF-JOIN SIZE is posted: any other kind fails with
+// ErrNotPosted before a frame is written. version pins the dataset
+// version the proof must cover (the request fails if ingestion has moved
+// past it); 0 accepts the current version. The returned proof carries
+// the version it was generated at in its binding.
 //
 // The proof's binding is validated against the request before it is
 // returned: dataset name and universe must match the attached dataset,
@@ -144,8 +148,8 @@ func (m *Mux) Proof(id uint32, version uint64, f field.Field, cache *proofcache.
 // binding are therefore fixed by values the CLIENT chose; a malicious
 // server gets no grinding bits from the proof header.
 func (c *Client) FetchProof(kind QueryKind, params QueryParams, version uint64) (*fs.Proof, error) {
-	if kind == QueryCircuit && len(params.Circuit) > frames.MaxCircuitName {
-		return nil, fmt.Errorf("wire: circuit name of %d bytes exceeds %d", len(params.Circuit), frames.MaxCircuitName)
+	if err := engine.CheckPosted(kind); err != nil {
+		return nil, err
 	}
 	dsName, dsU, err := c.attachment("FetchProof")
 	if err != nil {

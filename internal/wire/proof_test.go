@@ -105,14 +105,14 @@ func TestProofFetchInvalidation(t *testing.T) {
 	if _, err := c.Ingest(ups1); err != nil {
 		t.Fatal(err)
 	}
-	pf1, err := c.FetchProof(QueryRangeSum, QueryParams{A: 3, B: 400}, 0)
+	pf1, err := c.FetchProof(QuerySelfJoinSize, QueryParams{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Ingest(ups2); err != nil {
 		t.Fatal(err)
 	}
-	pf2, err := c.FetchProof(QueryRangeSum, QueryParams{A: 3, B: 400}, 0)
+	pf2, err := c.FetchProof(QuerySelfJoinSize, QueryParams{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +123,14 @@ func TestProofFetchInvalidation(t *testing.T) {
 		t.Fatal("proofs at different versions are identical")
 	}
 	all := append(append([]stream.Update{}, ups1...), ups2...)
-	v := streamedVerifier(t, pf2.Binding, QueryRangeSum, QueryParams{A: 3, B: 400}, all)
+	v := streamedVerifier(t, pf2.Binding, QuerySelfJoinSize, QueryParams{}, all)
 	if err := pf2.Binding.Verify(pf2, v); err != nil {
 		t.Fatalf("post-ingest proof rejected: %v", err)
 	}
 
 	// A fetch pinned to the superseded version is refused, not silently
 	// served stale.
-	if _, err := c.FetchProof(QueryRangeSum, QueryParams{A: 3, B: 400}, pf1.Version); err == nil ||
+	if _, err := c.FetchProof(QuerySelfJoinSize, QueryParams{}, pf1.Version); err == nil ||
 		!strings.Contains(err.Error(), "not current") {
 		t.Fatalf("stale pinned fetch: err = %v, want version refusal", err)
 	}
@@ -138,8 +138,9 @@ func TestProofFetchInvalidation(t *testing.T) {
 
 // TestProofBitFlipSweep flips one bit in every byte of a wire-fetched
 // proof; each mutant must fail decoding or offline verification. The
-// query carries a nonzero Phi so no byte of the descriptor is
-// flip-degenerate (0.0 and -0.0 compare equal as floats).
+// query carries a nonzero Phi, which SELF-JOIN SIZE ignores but its
+// binding commits to, so no byte of the descriptor is flip-degenerate
+// (0.0 and -0.0 compare equal as floats).
 func TestProofBitFlipSweep(t *testing.T) {
 	srv := &Server{F: f61}
 	addr, stop := startServerOpts(t, srv)
@@ -158,7 +159,7 @@ func TestProofBitFlipSweep(t *testing.T) {
 	if _, err := c.Ingest(ups); err != nil {
 		t.Fatal(err)
 	}
-	kind, params := QueryKind(QueryHeavyHitters), QueryParams{Phi: 0.05}
+	kind, params := QueryKind(QuerySelfJoinSize), QueryParams{Phi: 0.05}
 	pf, err := c.FetchProof(kind, params, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -424,49 +425,5 @@ func TestProofCacheInvalidatedOnDrop(t *testing.T) {
 	v := streamedVerifier(t, pf2.Binding, QuerySelfJoinSize, QueryParams{}, ups2)
 	if err := pf2.Binding.Verify(pf2, v); err != nil {
 		t.Fatalf("recreated dataset's proof rejected offline: %v", err)
-	}
-}
-
-// TestProofRefusedParamsCacheNothing: with no verifier run at
-// generation, the unobserved verifier the schedule comes from is still
-// what validates the query — parameters its constructor or SetQuery
-// refuses fail the fetch on the channel, cache nothing, and leave the
-// connection serving.
-func TestProofRefusedParamsCacheNothing(t *testing.T) {
-	srv := &Server{F: f61}
-	addr, stop := startServerOpts(t, srv)
-	defer stop()
-	const u = 512
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.OpenDataset("refuse", u); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Ingest(stream.UnitIncrements(u, 80, field.NewSplitMix64(960))); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []struct {
-		kind   QueryKind
-		params QueryParams
-	}{
-		{QueryRangeSum, QueryParams{A: 9, B: 3}},
-		{QueryRangeQuery, QueryParams{A: 9, B: 3}},
-		{QueryIndex, QueryParams{A: u}},
-		{QueryPredecessor, QueryParams{A: u}},
-		{QueryHeavyHitters, QueryParams{Phi: 2}},
-		{QueryCircuit, QueryParams{Circuit: "NOSUCH"}},
-	} {
-		if _, err := c.FetchProof(q.kind, q.params, 0); err == nil || !strings.Contains(err.Error(), "server error") {
-			t.Errorf("kind %d %+v: FetchProof = %v, want a server refusal", q.kind, q.params, err)
-		}
-	}
-	if st := srv.Stats().ProofCache; st.Entries != 0 {
-		t.Fatalf("refused proofs left %d cache entries", st.Entries)
-	}
-	if _, err := c.FetchProof(QuerySelfJoinSize, QueryParams{}, 0); err != nil {
-		t.Fatalf("fetch after refusals: %v", err)
 	}
 }

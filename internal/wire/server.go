@@ -401,6 +401,10 @@ func (s *Server) channel(mux *Mux, typ byte, payload []byte, ds *engine.Dataset)
 		if err != nil {
 			return err
 		}
+		// Refused before the snapshot and the proof cache (a miss).
+		if err := engine.CheckPosted(kind); err != nil {
+			return mux.Refuse(id, err)
+		}
 		// Same arrival-order guarantee as a query open: the proof covers
 		// exactly the batches acknowledged before the request.
 		snap, err := ds.SnapshotErr()

@@ -104,6 +104,10 @@ const DefaultMaxConcurrentQueries = 64
 // with errors.Is(err, wire.ErrBudget).
 var ErrBudget = engine.ErrBudget
 
+// ErrNotPosted refuses a posted proof of any kind but SELF-JOIN SIZE:
+// Client.FetchProof returns it before it writes a request.
+var ErrNotPosted = engine.ErrNotPosted
+
 // ErrProtocol reports a malformed or unexpected frame. It is the
 // canonical instance from the codec layer, so errors.Is matches on both
 // sides of a proxy.

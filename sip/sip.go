@@ -225,7 +225,9 @@ const (
 //
 // Interactive conversations cost the server one prover run per
 // verifier. The replay layer instead posts ONE proof per
-// (dataset, version, query): the verifier's challenges are derived
+// (dataset, version) of SELF-JOIN SIZE, the only kind it serves: every
+// other kind is refused with ErrNotPosted and answered interactively.
+// The verifier's challenges are derived
 // deterministically from a transcript hash over the proof's binding
 // (field modulus, universe, dataset name, dataset version, query), so
 // any client that agrees on the binding re-derives the same challenges,
@@ -249,7 +251,14 @@ const (
 // the client (a cache, a mirror, a relay) altered what the server
 // recorded. Where the server itself is untrusted, use interactive
 // queries with a secret CryptoRNG, whose challenges the prover never
-// learns in advance.
+// learns in advance. The sound posted object is a one-message annotation
+// that depends on no verifier randomness; until SELF-JOIN SIZE is served
+// that way, no other kind is posted at all.
+
+// ErrNotPosted is the refusal of a posted proof for any kind but
+// SELF-JOIN SIZE, from Snapshot.GenerateProof and wire.Client.FetchProof
+// alike.
+var ErrNotPosted = engine.ErrNotPosted
 
 // Proof is one recorded Fiat–Shamir conversation: binding, prover
 // messages, transcript digest.
@@ -263,11 +272,9 @@ type ProofBinding = fs.Binding
 type ProofQuery = fs.Query
 
 // StreamVerifier is a verifier session that also observes stream
-// updates — what a client keeps for offline proof verification. Its
-// Challenges method returns every message it will send, fixed by the
-// RNG it was built with: the schedule a proof generator (an engine, or
-// a router folding a split dataset) records the prover against, with no
-// verifier in the loop. The client's own StreamVerifier is the check.
+// updates — what a client keeps for an interactive conversation or, for
+// SELF-JOIN SIZE, for offline proof verification, where it is the only
+// check: nothing is verified when a proof is recorded.
 type StreamVerifier = engine.StreamVerifier
 
 // Ticket is a single-use streaming verifier whose query is picked when it
