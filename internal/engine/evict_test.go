@@ -12,6 +12,7 @@ import (
 	"repro/internal/conformance"
 	"repro/internal/engine"
 	"repro/internal/field"
+	"repro/internal/store"
 	"repro/internal/stream"
 )
 
@@ -63,6 +64,68 @@ func TestBudgetAdmission(t *testing.T) {
 	if got := e3.ResidentBytes(); got != oneDataset {
 		t.Fatalf("resident bytes after eviction = %d, want %d", got, oneDataset)
 	}
+}
+
+// TestZeroDatasetCheckpointIsHeader: a dataset whose counts returned to
+// zero — every chunk it wrote still held — evicts to a header-sized
+// checkpoint and rehydrates holding no chunk, answering as before.
+func TestZeroDatasetCheckpointIsHeader(t *testing.T) {
+	const u = 4 * engine.ChunkEntries
+	dir := t.TempDir()
+	e := engine.New(f61, 0)
+	if err := e.SetDataDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	cost, err := engine.TableCost(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetBudget(cost)
+	ds, err := e.Open("zero", u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := stream.UniformDeltas(u, 64, field.NewSplitMix64(52))
+	down := make([]stream.Update, len(up))
+	for i, x := range up {
+		down[i] = stream.Update{Index: x.Index, Delta: -x.Delta}
+	}
+	for _, batch := range [][]stream.Update{up, down} {
+		if err := ds.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if held := engine.HeldChunks(ds); held == 0 {
+		t.Fatal("the ingests wrote no chunk")
+	}
+	if _, err := e.Open("decoy", u); err != nil { // evicts "zero"
+		t.Fatal(err)
+	}
+	if err := e.Persist(); err != nil { // waits out the eviction's save
+		t.Fatal(err)
+	}
+	info, err := os.Stat(filepath.Join(dir, store.DatasetFile("zero")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if header := len(store.Encode(&store.Checkpoint{})); info.Size() != int64(header) {
+		t.Fatalf("the all-zero checkpoint is %d bytes, a header is %d", info.Size(), header)
+	}
+	snap, err := ds.SnapshotErr() // rehydrates, evicting the decoy
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held := engine.HeldChunks(ds); held != 0 || !ds.Resident() {
+		t.Fatalf("rehydrated holding %d chunks (resident: %v), want 0", held, ds.Resident())
+	}
+	if ds.Updates() != uint64(2*len(up)) || ds.Version() != 2 {
+		t.Fatalf("rehydrated %d updates at version %d", ds.Updates(), ds.Version())
+	}
+	p, err := snap.NewProver(engine.QuerySelfJoinSize, engine.QueryParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conformance.Converse(t, p, conformance.Verifier(t, u, conformance.Cases[0], field.NewSplitMix64(601), append(up, down...)))
 }
 
 // TestPersistRecover: an engine restarted over the same data dir serves

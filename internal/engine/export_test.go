@@ -10,3 +10,19 @@ func LivePairsOf(s *Snapshot) sumcheck.LivePairs { return s.livePairs() }
 
 // ChunkEntries is the width of a table chunk at u ≥ 2^chunkShift.
 const ChunkEntries = 1 << chunkShift
+
+// HeldChunks reports how many chunks d's resident head holds (nil chunks
+// are all zero and held by no one); 0 while d is not resident.
+func HeldChunks(d *Dataset) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := 0
+	if d.head != nil {
+		for _, ch := range d.head.chunks {
+			if ch != nil {
+				n++
+			}
+		}
+	}
+	return n
+}

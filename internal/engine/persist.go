@@ -13,7 +13,8 @@
 // beginEvictLocked and the claim step of rehydrate — so admission
 // accounting (e.resident, e.transitions) can never race a transition's
 // start. The I/O that completes a transition (checkpoint save,
-// store.Load, the O(u) field-image rebuild) runs with NO lock held:
+// store.LoadChunks, the field-image rebuild of the held chunks) runs
+// with NO lock held:
 // each dataset carries a residency latch (Dataset.res, a four-state
 // machine, plus resCond) and only goroutines needing *that* dataset's
 // tables wait on it. k transitions of k distinct datasets therefore
@@ -287,9 +288,9 @@ func (e *Engine) finishEvict(d *Dataset, st *tableState, dir string) {
 
 // rehydrate loads an evicted dataset's checkpoint back into memory,
 // subject to admission control. The transition is claimed (and its
-// bytes reserved) under the engine lock, but the load and the O(u)
-// field-image rebuild run with no lock held, so concurrent
-// rehydrations of distinct datasets overlap. No-op if the dataset is
+// bytes reserved) under the engine lock, but the load and the
+// field-image rebuild of the held chunks run with no lock held, so
+// concurrent rehydrations of distinct datasets overlap. No-op if the dataset is
 // already resident or mid-transition (the withState loop re-checks).
 func (e *Engine) rehydrate(d *Dataset) error {
 	e.mu.Lock()
@@ -326,7 +327,7 @@ func (e *Engine) rehydrate(d *Dataset) error {
 	e.mu.Unlock()
 
 	// I/O and rebuild, outside every lock.
-	ckpt, err := store.Load(filepath.Join(dir, fileForName(d.name)), e.f.Modulus())
+	ckpt, err := store.LoadChunks(filepath.Join(dir, fileForName(d.name)), e.f.Modulus())
 	var st *tableState
 	if err == nil {
 		st, err = d.stateFromCheckpoint(ckpt)
@@ -363,10 +364,17 @@ func (e *Engine) rehydrate(d *Dataset) error {
 	return nil
 }
 
-// checkpointOf packages a sealed-or-stable table state for the codec,
-// which writes its counts chunk by chunk. Caller must guarantee st is not
-// concurrently mutated.
+// checkpointOf packages a sealed-or-stable table state for the codec:
+// its held chunks' counts, in place. The codec writes a held chunk of
+// zeros as it writes a nil one, as nothing. Caller must guarantee st is
+// not concurrently mutated.
 func (d *Dataset) checkpointOf(st *tableState) *store.Checkpoint {
+	var chunks []store.Chunk
+	for k, ch := range st.chunks {
+		if ch != nil {
+			chunks = append(chunks, store.Chunk{Index: uint64(k), Counts: ch.counts})
+		}
+	}
 	return &store.Checkpoint{
 		Universe: d.origU,
 		Modulus:  d.f.Modulus(),
@@ -375,8 +383,8 @@ func (d *Dataset) checkpointOf(st *tableState) *store.Checkpoint {
 		Version:  st.version,
 		SliceLo:  d.sliceLo,
 		SliceHi:  d.sliceHi,
-		Chunks:   column(st, countsOf),
-		ChunkLen: 1 << st.shift,
+		Chunks:   chunks,
+		Entries:  uint64(len(st.chunks)) << st.shift,
 	}
 }
 
@@ -389,8 +397,8 @@ func (d *Dataset) checkCheckpoint(ckpt *store.Checkpoint) error {
 	if ckpt.SliceLo != d.sliceLo || ckpt.SliceHi != d.sliceHi {
 		return fmt.Errorf("checkpoint slice [%d,%d), dataset has [%d,%d)", ckpt.SliceLo, ckpt.SliceHi, d.sliceLo, d.sliceHi)
 	}
-	if uint64(len(ckpt.Counts)) != d.params.U {
-		return fmt.Errorf("checkpoint table length %d, dataset pads to %d", len(ckpt.Counts), d.params.U)
+	if ckpt.Entries != d.params.U {
+		return fmt.Errorf("checkpoint table length %d, dataset pads to %d", ckpt.Entries, d.params.U)
 	}
 	return nil
 }
@@ -405,15 +413,16 @@ func shellForCheckpoint(f field.Field, ckpt *store.Checkpoint, workers int) (*Da
 	return newDatasetShell(f, ckpt.Universe, workers)
 }
 
-// stateFromCheckpoint rebuilds live tables from a checkpoint: the chunks
-// alias the loaded counts, and the field image is recomputed (it is a
-// deterministic function of the counts, so an evict/rehydrate cycle is
-// bit-exact).
+// stateFromCheckpoint rebuilds live tables from a chunk-shaped
+// checkpoint (store.LoadChunks): a chunk with a record aliases its
+// loaded counts and gets its field image recomputed (a deterministic
+// function of the counts, so an evict/rehydrate cycle is bit-exact); a
+// chunk without one stays nil, with no counts and no image.
 func (d *Dataset) stateFromCheckpoint(ckpt *store.Checkpoint) (*tableState, error) {
 	if err := d.checkCheckpoint(ckpt); err != nil {
 		return nil, err
 	}
-	st := stateFromCounts(d.f, d.workers, ckpt.Counts)
+	st := stateFromChunks(d.f, d.workers, d.params.U, ckpt.Chunks)
 	st.total, st.n, st.version = ckpt.Total, ckpt.Updates, ckpt.Version
 	return st, nil
 }
@@ -544,13 +553,13 @@ func (e *Engine) registerCheckpointLocked(name, file string) (uint64, error) {
 	if e.maxDatasets > 0 && len(e.datasets) >= e.maxDatasets {
 		return 0, fmt.Errorf("engine: dataset limit of %d reached", e.maxDatasets)
 	}
-	ckpt, err := store.Load(filepath.Join(e.dataDir, file), e.f.Modulus())
+	ckpt, err := store.LoadChunks(filepath.Join(e.dataDir, file), e.f.Modulus())
 	if err != nil {
 		return 0, err
 	}
 	// A shell only: tables are rebuilt below iff the dataset will
 	// actually be resident — an over-budget fleet restarts without
-	// paying O(u) per dataset it is not going to keep in memory.
+	// paying a field image per dataset it is not going to keep in memory.
 	ds, err := shellForCheckpoint(e.f, ckpt, e.workers)
 	if err != nil {
 		return 0, err
@@ -676,7 +685,7 @@ func SnapshotFromCounts(f field.Field, u uint64, workers int, counts []int64) (*
 	}
 	full := make([]int64, ds.params.U)
 	copy(full, counts)
-	st := stateFromCounts(f, workers, full)
+	st := stateFromChunks(f, workers, ds.params.U, store.Chunks(full))
 	for _, c := range counts {
 		st.total += c
 	}

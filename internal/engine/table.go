@@ -7,12 +7,15 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/parallel"
+	"repro/internal/store"
 	"repro/internal/sumcheck"
 )
 
 // chunkShift sets the chunk of a dataset's tables: 2^12 entries, 64 KiB
 // of counts and field elements. A table narrower than that is one chunk.
-const chunkShift = 12
+// It is the checkpoint format's chunk, so a checkpoint's records are the
+// engine's chunks.
+const chunkShift = store.ChunkShift
 
 // chunk is 2^shift consecutive entries of a dataset's tables. It is
 // written in place only by the unsealed table state whose gen it carries;
@@ -51,17 +54,18 @@ var gens atomic.Uint64
 // tableState is one immutable-once-sealed version of a dataset's
 // aggregate state: its tables as chunks of 2^shift entries. A chunk no
 // ingest has written is nil (all zero); a state rebuilt from a
-// checkpoint holds every chunk. While unsealed it is mutated in place by
-// ingestion; Snapshot seals it, and the next ingest clones it — the
-// chunk-pointer array only, u/2^shift pointers — and copies each chunk it
-// writes, once (copy-on-write per chunk).
+// checkpoint holds the chunks the checkpoint has records of. While
+// unsealed it is mutated in place by ingestion; Snapshot seals it, and
+// the next ingest clones it — the chunk-pointer array only, u/2^shift
+// pointers — and copies each chunk it writes, once (copy-on-write per
+// chunk).
 //
 // A sealed state also memoizes its live-pair scan (see
 // Snapshot.livePairs), assembled from its chunks' memoized counts and
 // lists: a version whose ingest touched m chunks scans those m chunks,
 // 2^shift entries each, and reads every other chunk's memo as it stands.
 // A state rebuilt from a checkpoint holds only unscanned chunks, so its
-// first index reads its whole table once, as the rebuild did. A dense
+// first index reads every held chunk once, as the rebuild did. A dense
 // verdict, reached on the summed counts, lists nothing. A sparse one
 // links the chunks' lists and lists afresh, into an index of the
 // version's own, any chunk too dense to keep a list: at most 4 bytes per
@@ -89,24 +93,24 @@ func newTableState(u uint64) *tableState {
 	return &tableState{shift: shift, chunks: make([]*chunk, u>>shift), gen: gens.Add(1)}
 }
 
-// stateFromCounts builds an unsealed state whose counts are counts (a
-// power-of-two length): its chunks alias counts, and their field images,
-// one allocation like counts, are computed across workers. Every chunk is
-// held, zeros or not, so the state owns its whole table as a resident
-// dataset does.
-func stateFromCounts(f field.Field, workers int, counts []int64) *tableState {
-	st := newTableState(uint64(len(counts)))
+// stateFromChunks builds an unsealed state of u entries (u a power of
+// two) holding the given chunks, 2^shift counts each: every held chunk
+// aliases its counts, and their field images, one allocation, are
+// computed across workers. A chunk not given stays nil.
+func stateFromChunks(f field.Field, workers int, u uint64, chunks []store.Chunk) *tableState {
+	st := newTableState(u)
 	w := 1 << st.shift
-	elems := make([]field.Elem, len(counts))
+	elems := make([]field.Elem, len(chunks)*w)
 	build := func(_, lo, hi int) {
-		for i, x := range counts[lo*w : hi*w] {
-			elems[lo*w+i] = f.FromInt64(x)
-		}
-		for k := lo; k < hi; k++ {
-			st.chunks[k] = &chunk{counts: counts[k*w : (k+1)*w : (k+1)*w], elems: elems[k*w : (k+1)*w : (k+1)*w], gen: st.gen}
+		for i := lo; i < hi; i++ {
+			c, img := chunks[i], elems[i*w:(i+1)*w:(i+1)*w]
+			for j, x := range c.Counts {
+				img[j] = f.FromInt64(x)
+			}
+			st.chunks[c.Index] = &chunk{counts: c.Counts, elems: img, gen: st.gen}
 		}
 	}
-	parallel.ForGrain(parallel.Workers(workers), len(st.chunks), max(1, minShardBatch/w), build)
+	parallel.ForGrain(parallel.Workers(workers), len(chunks), max(1, minShardBatch/w), build)
 	return st
 }
 
@@ -141,8 +145,8 @@ func countsOf(ch *chunk) []int64     { return ch.counts }
 func elemsOf(ch *chunk) []field.Elem { return ch.elems }
 
 // column returns one column of the state chunk by chunk, nil for nil
-// chunks: the checkpoint codec reads it in place, and so does the
-// sum-check prover, as the Chunks of a sumcheck.Chunked (elemChunks).
+// chunks: the sum-check prover reads it in place, as the Chunks of a
+// sumcheck.Chunked (elemChunks).
 func column[T any](st *tableState, col func(*chunk) []T) [][]T {
 	out := make([][]T, len(st.chunks))
 	for k, ch := range st.chunks {

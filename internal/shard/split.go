@@ -222,8 +222,10 @@ func (p *proxyConn) splitIngest(payload []byte) error {
 	return p.mux.Write(frames.OK, frames.EncodeCount(total))
 }
 
-// deliverSlice hands slice k its sub-batch, surviving a concurrent
-// slice handoff: a delivery refused mid-migration (the source engine
+// deliverSlice hands slice k its sub-batch as exactly one frame: the
+// sub-batch is part of one client frame, so Ingest sends it whole, empty
+// or not, and every slice version stays the version a single engine
+// reaches. It survives a concurrent slice handoff: a delivery refused mid-migration (the source engine
 // released the slice after checkpointing, so the refused batch was not
 // applied) is re-sent through a fresh attachment to the slice's new
 // home. Three attempts bound a migration storm.
@@ -236,7 +238,7 @@ func (p *proxyConn) deliverSlice(a *splitAttach, k int, sub []stream.Update) (ui
 				continue
 			}
 		}
-		n, err := a.owner(k).IngestBatch(sub)
+		n, err := a.owner(k).Ingest(sub)
 		if err == nil {
 			return n, nil
 		}

@@ -313,23 +313,27 @@ func (c *Client) attachment(op string) (name string, u uint64, err error) {
 	return c.dsName, c.dsU, nil
 }
 
-// Ingest uploads updates into the attached dataset, waiting for the
-// server's acknowledgement of every batch. It returns the dataset's
-// update count after the last batch (including other connections'
-// concurrent ingestion).
+// maxFrameUpdates is the most updates one updates frame carries: 16
+// bytes each, within frames.MaxFrame.
+const maxFrameUpdates = frames.MaxFrame / 16
+
+// Ingest uploads updates into the attached dataset as one acknowledged
+// updates frame, empty batches included, and returns the dataset's
+// update count after it (including other connections' concurrent
+// ingestion). The server applies one frame as one batch: all of it or,
+// when any index is out of range, none of it, as one dataset version.
+// Only a batch past what one frame carries (frames.MaxFrame/16 updates)
+// is cut into several frames, each its own batch, and a refusal then
+// leaves the frames before it applied.
 func (c *Client) Ingest(ups []stream.Update) (uint64, error) {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
 	if c.dsName == "" {
 		return 0, errNotAttached("Ingest")
 	}
-	const batch = 4096
 	var count uint64
 	for sent := false; len(ups) > 0 || !sent; sent = true {
-		n := len(ups)
-		if n > batch {
-			n = batch
-		}
+		n := min(len(ups), maxFrameUpdates)
 		if err := c.write(frames.Updates, frames.EncodeUpdates(ups[:n])); err != nil {
 			return count, err
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/conformance"
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/stream"
 	"repro/internal/wire/frames"
@@ -363,5 +364,50 @@ func TestIngestSurfacesIngestError(t *testing.T) {
 	_, err = cl.Ingest(stream.UnitIncrements(500, 100, field.NewSplitMix64(1900)))
 	if err == nil || !strings.Contains(err.Error(), "outside universe") {
 		t.Fatalf("Ingest after the refusal = %v, want the sticky server error", err)
+	}
+}
+
+// TestIngestIsOneBatch: one Ingest call is one engine batch. An honest
+// 10 000-update Ingest moves the dataset's version by exactly one, and
+// one whose last index is outside the universe applies nothing — the
+// count and the version stay where they were.
+func TestIngestIsOneBatch(t *testing.T) {
+	const u, n = 1 << 12, 10000
+	eng := engine.New(f61, 0)
+	addr, stop := startServerOpts(t, &Server{F: f61, Engine: eng})
+	defer stop()
+	dial := func() *Client {
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	honest := dial()
+	name := openFresh(t, honest, u, nil)
+	ds, ok := eng.Get(name)
+	if !ok {
+		t.Fatal("the opened dataset is not registered")
+	}
+	v0 := ds.Version()
+	if count, err := honest.Ingest(stream.UnitIncrements(u, n, field.NewSplitMix64(1901))); err != nil || count != n {
+		t.Fatalf("honest Ingest: count %d, %v", count, err)
+	}
+	if got := ds.Version(); got != v0+1 {
+		t.Fatalf("a %d-update Ingest moved the version %d → %d, want one step", n, v0, got)
+	}
+
+	bad := dial()
+	if _, err := bad.OpenDataset(name, u); err != nil {
+		t.Fatal(err)
+	}
+	ups := stream.UnitIncrements(u, n, field.NewSplitMix64(1902))
+	ups[n-1].Index = u
+	if _, err := bad.Ingest(ups); err == nil || !strings.Contains(err.Error(), "outside universe") {
+		t.Fatalf("Ingest ending outside the universe = %v, want the bounds refusal", err)
+	}
+	if ds.Updates() != n || ds.Version() != v0+1 {
+		t.Fatalf("the refused Ingest left %d updates at version %d, want %d at %d", ds.Updates(), ds.Version(), n, v0+1)
 	}
 }

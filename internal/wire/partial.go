@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/stream"
 	"repro/internal/wire/frames"
 )
 
@@ -40,24 +39,6 @@ func (c *Client) OpenDatasetSlice(name string, globalU, lo, hi uint64) (uint64, 
 		c.dsName, c.dsU = name, globalU
 	}
 	return count, err
-}
-
-// IngestBatch uploads ups as exactly one acknowledged updates frame —
-// empty batches included. Unlike Ingest it never chunks: a slice
-// dataset's version counts *delivered* batches, so an aggregating
-// router scattering one global batch across S owners must hand each
-// owner exactly one frame (possibly empty) to keep every slice version
-// equal to the version a single engine reaches on the same stream.
-func (c *Client) IngestBatch(ups []stream.Update) (uint64, error) {
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	if c.dsName == "" {
-		return 0, errNotAttached("IngestBatch")
-	}
-	if err := c.write(frames.Updates, frames.EncodeUpdates(ups)); err != nil {
-		return 0, err
-	}
-	return c.readOK()
 }
 
 // PartialConv is one partial-prover conversation with a slice owner,

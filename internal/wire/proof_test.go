@@ -350,7 +350,6 @@ func TestClientRequiresAttachment(t *testing.T) {
 	v := conformance.Verifier(t, 64, conformance.Cases[0], field.NewSplitMix64(1), nil)
 	calls := map[string]func() error{
 		"Ingest":       func() error { _, err := c.Ingest(nil); return err },
-		"IngestBatch":  func() error { _, err := c.IngestBatch(nil); return err },
 		"QueryAsync":   func() error { _, err := c.QueryAsync(QuerySelfJoinSize, QueryParams{}, v); return err },
 		"PartialQuery": func() error { _, err := c.PartialQuery(QuerySelfJoinSize, QueryParams{}); return err },
 		"FetchProof":   func() error { _, err := c.FetchProof(QuerySelfJoinSize, QueryParams{}, 0); return err },

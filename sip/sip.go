@@ -45,7 +45,11 @@
 // borrows read-only. Ingestion can continue between queries — snapshots
 // are copy-on-write and O(1), so in-flight conversations never observe a
 // torn state. An Engine names datasets so many connections (see
-// internal/wire, cmd/sipserver and cmd/sipclient) share them.
+// internal/wire, cmd/sipserver and cmd/sipclient) share them. One
+// Dataset.Ingest call is one batch: applied whole or, when any index is
+// outside the universe, not at all, as one dataset version. Over the
+// wire, one wire.Client.Ingest call is the same one batch, sent as one
+// acknowledged frame.
 //
 // # Parallel proving
 //
@@ -84,8 +88,10 @@
 // Admission control at Open (and at rehydration) keeps resident tables
 // under the budget by evicting least-recently-used datasets: each one
 // checkpoints to the data dir (a versioned, checksummed, atomically
-// renamed file), frees its tables, and rehydrates transparently on its
-// next use — query transcripts are bit-identical across an
+// renamed file that costs what the dataset holds: an all-zero chunk of
+// the table is not written, a sparse one is written as pairs), frees
+// its tables, and rehydrates transparently on its next use, rebuilding
+// only the chunks it holds — query transcripts are bit-identical across an
 // evict/rehydrate cycle. When eviction cannot make room, admission
 // fails with ErrBudget. Persist checkpoints dirty datasets on demand;
 // StartCheckpointer does it on an interval, bounding crash loss to that
