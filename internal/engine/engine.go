@@ -12,15 +12,19 @@
 // A Dataset instead maintains the aggregate state every prover kind is a
 // cheap function of:
 //
-//   - counts: the dense frequency vector a (int64 per entry) — the
-//     hash-tree provers (SUB-VECTOR and friends, HEAVY HITTERS) and the
-//     frequency-based provers (F0, Fmax) build their leaves/residual
-//     tables from it;
-//   - elems: the field image of a — the sum-check provers (Fk,
-//     RANGE-SUM) take it as their table directly;
+//   - counts: the dense frequency vector a (int64 per entry), the one
+//     table the engine stores and writes — the hash-tree provers
+//     (SUB-VECTOR and friends, HEAVY HITTERS) and the frequency-based
+//     provers (F0, Fmax) build their leaves/residual tables from it;
+//   - the field image of a, which the sum-check provers (Fk, RANGE-SUM,
+//     the GKR circuits) take as their table: never written by an ingest,
+//     but built from the counts, chunk by chunk, by the first snapshot of
+//     a version that needs it, and memoized beside the chunk's live pairs;
 //   - total: Σδ, the stream length n for the heavy-hitters threshold φn.
 //
-// Both tables are held in fixed 2^12-entry chunks, nil until written
+// A batch that would take a count or Σδ outside int64 is refused whole
+// (a slice's Σδ, one part of its split dataset's, is kept modulo 2^64).
+// The counts are held in fixed 2^12-entry chunks, nil until written
 // (table.go). Updates are ingested in batches, once, through a sharded
 // scatter kernel whose workers own whole chunks; Snapshot hands out an
 // immutable view in O(1) (copy-on-write per chunk: the next ingest after
@@ -57,14 +61,12 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/field"
 	"repro/internal/lde"
-	"repro/internal/parallel"
 	"repro/internal/stream"
 	"repro/internal/sumcheck"
 )
@@ -157,40 +159,59 @@ func (e *Engine) Open(name string, u uint64) (*Dataset, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ds, ok := e.datasets[name]; ok {
-		if ds.sliceHi != 0 {
-			return nil, fmt.Errorf("engine: dataset %q is the slice [%d,%d) of universe %d; reattach with OpenSlice", name, ds.sliceLo, ds.sliceHi, ds.origU)
-		}
-		if ds.origU != u {
-			return nil, fmt.Errorf("engine: dataset %q has universe %d, not %d", name, ds.origU, u)
-		}
-		e.touchLocked(ds)
-		return ds, nil
-	}
-	if _, gone := e.releasedNames[name]; gone {
-		return nil, fmt.Errorf("%w: dataset %q was handed off from this engine", ErrReleased, name)
-	}
-	if e.maxDatasets > 0 && len(e.datasets) >= e.maxDatasets {
-		return nil, fmt.Errorf("engine: dataset limit of %d reached", e.maxDatasets)
-	}
-	params, err := lde.ParamsForUniverse(u, 2)
+	shell, err := newDatasetShell(e.f, u, e.workers)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.admitLocked(tableBytes(params.U), nil); err != nil {
+	return e.open(name, shell)
+}
+
+// open is Open and OpenSlice after validation: it attaches to the dataset
+// registered under name when that is the one shell (a table-less dataset)
+// describes, or registers shell under name with fresh all-zero tables,
+// subject to the tombstone, the dataset cap and admission control.
+func (e *Engine) open(name string, shell *Dataset) (*Dataset, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if ds, err := e.existingLocked(name, shell); ds != nil || err != nil {
+		return ds, err
+	}
+	if err := e.admitLocked(tableBytes(shell.params.U), nil); err != nil {
 		return nil, fmt.Errorf("engine: cannot admit dataset %q: %w", name, err)
 	}
 	// admitLocked may have released e.mu while waiting out an in-flight
-	// transition: re-check the registry (a concurrent Open of the same
-	// name may have won) and the cap before creating.
+	// transition: re-check the registry (a concurrent open of the same
+	// name may have won), the tombstone and the cap before creating.
+	if ds, err := e.existingLocked(name, shell); ds != nil || err != nil {
+		return ds, err
+	}
+	ds := shell
+	ds.head = newTableState(ds.params.U)
+	ds.res = resResident
+	ds.name = name
+	ds.eng = e
+	e.resident += tableBytes(ds.params.U)
+	e.touchLocked(ds)
+	e.datasets[name] = ds
+	return ds, nil
+}
+
+// existingLocked returns the dataset registered under name, touched, when
+// it is the one want describes, and an error when it is another one or
+// when name may not be created now; (nil, nil) leaves name free to
+// create. Caller holds e.mu.
+func (e *Engine) existingLocked(name string, want *Dataset) (*Dataset, error) {
 	if ds, ok := e.datasets[name]; ok {
-		if ds.sliceHi != 0 {
+		switch {
+		case want.sliceHi == 0 && ds.sliceHi != 0:
 			return nil, fmt.Errorf("engine: dataset %q is the slice [%d,%d) of universe %d; reattach with OpenSlice", name, ds.sliceLo, ds.sliceHi, ds.origU)
-		}
-		if ds.origU != u {
-			return nil, fmt.Errorf("engine: dataset %q has universe %d, not %d", name, ds.origU, u)
+		case want.sliceHi == 0 && ds.origU != want.origU:
+			return nil, fmt.Errorf("engine: dataset %q has universe %d, not %d", name, ds.origU, want.origU)
+		case want.sliceHi != 0 && ds.sliceHi == 0:
+			return nil, fmt.Errorf("engine: dataset %q is a whole-universe dataset, not a slice", name)
+		case ds.origU != want.origU || ds.sliceLo != want.sliceLo || ds.sliceHi != want.sliceHi:
+			return nil, fmt.Errorf("engine: dataset %q is the slice [%d,%d) of universe %d, not [%d,%d) of %d",
+				name, ds.sliceLo, ds.sliceHi, ds.origU, want.sliceLo, want.sliceHi, want.origU)
 		}
 		e.touchLocked(ds)
 		return ds, nil
@@ -201,16 +222,7 @@ func (e *Engine) Open(name string, u uint64) (*Dataset, error) {
 	if e.maxDatasets > 0 && len(e.datasets) >= e.maxDatasets {
 		return nil, fmt.Errorf("engine: dataset limit of %d reached", e.maxDatasets)
 	}
-	ds, err := NewDataset(e.f, u, e.workers)
-	if err != nil {
-		return nil, err
-	}
-	ds.name = name
-	ds.eng = e
-	e.resident += tableBytes(params.U)
-	e.touchLocked(ds)
-	e.datasets[name] = ds
-	return ds, nil
+	return nil, nil
 }
 
 // Get returns the named dataset if it exists. An evicted dataset is
@@ -315,7 +327,8 @@ func (e *Engine) Drop(name string) {
 // ---------------------------------------------------------------------
 
 // tableBytes is the resident cost of one dataset's head tables: an int64
-// count and a field.Elem per padded universe entry.
+// count and, once a version is proved, a field.Elem of its image per
+// padded universe entry.
 func tableBytes(paddedU uint64) int64 { return int64(paddedU) * 16 }
 
 // residency is the per-dataset state machine of the memory governor:
@@ -365,7 +378,7 @@ type Dataset struct {
 	verMeta  uint64      // dataset version, valid even while evicted
 	lastUse  uint64      // LRU stamp; guarded by eng.mu, not mu
 
-	liveScans atomic.Uint64 // chunk live-pair scans run for its table versions
+	liveScans atomic.Uint64 // chunk memos (field image and live-pair scan) run for its table versions
 
 	// saveMu serializes checkpoint writes for this dataset and guards
 	// the record of what is on disk, so a slow writer holding an older
@@ -492,8 +505,21 @@ func errOutsideUniverse(i, u uint64) error {
 	return fmt.Errorf("engine: index %d outside universe [0,%d)", i, u)
 }
 
+// errOverflow is Ingest's refusal of a batch that would take the count at
+// index i outside int64.
+func errOverflow(i uint64) error {
+	return fmt.Errorf("engine: batch would overflow the int64 count at index %d", i)
+}
+
+// addInt64 returns a+b, wrapped, and whether it stays inside int64.
+func addInt64(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (s > a) == (b > 0)
+}
+
 // Ingest folds a batch of updates into the maintained state. Either the
-// whole batch is applied or, when any index is out of range, none of it.
+// whole batch is applied or, when any index is out of range or any count
+// or Σδ would overflow int64, none of it.
 func (d *Dataset) Ingest(ups []stream.Update) error {
 	idx := make([]uint64, len(ups))
 	deltas := make([]int64, len(ups))
@@ -504,97 +530,28 @@ func (d *Dataset) Ingest(ups []stream.Update) error {
 }
 
 // IngestColumns is Ingest over parallel index/delta columns (the wire
-// layer decodes straight into this shape). Large batches over tables of
-// at least as many chunks as workers are applied through a sharded
-// scatter: a stable O(n) counting sort groups update positions by chunk,
-// then each worker applies the updates of a contiguous run of chunks in
-// batch order. No two workers touch the same chunk and per-index
-// application order is preserved, so the result is identical to the
-// serial left-to-right application for every worker count. An evicted
-// dataset is rehydrated first (admission control applies: rehydration
-// may fail with ErrBudget).
+// layer decodes straight into this shape); tableState.add applies it. An
+// evicted dataset is rehydrated first (admission control applies:
+// rehydration may fail with ErrBudget).
 func (d *Dataset) IngestColumns(idx []uint64, deltas []int64) error {
-	if len(idx) != len(deltas) {
-		return fmt.Errorf("engine: batch has %d indices but %d deltas", len(idx), len(deltas))
-	}
-	// Bounds are the *requested* universe, not the padded power of two:
-	// every protocol is parameterized by origU, so an update in
-	// [origU, 2^d) would live in padding no verifier accounts for. A
-	// slice dataset additionally owns only [sliceLo, sliceHi) of it.
-	base, bound := d.sliceLo, d.origU
-	if d.sliceHi != 0 && d.sliceHi < bound {
-		bound = d.sliceHi
-	}
-	for _, i := range idx {
-		if i >= d.origU {
-			return errOutsideUniverse(i, d.origU)
-		}
-		if i < base || i >= bound {
-			return fmt.Errorf("engine: index %d outside slice [%d,%d)", i, d.sliceLo, d.sliceHi)
-		}
+	base, err := d.checkIndices(idx, deltas)
+	if err != nil {
+		return err
 	}
 	d.touch()
 	return d.withState(func(st *tableState) error {
+		total, err := CheckTotal(st.total, deltas)
+		if err != nil && d.sliceHi == 0 {
+			return err
+		}
 		if st.sealed {
 			st = st.clone()
-			d.head = st
 		}
-		f := d.f
-		mask := uint64(1)<<st.shift - 1
-		nw := parallel.Workers(d.workers)
-		if nw > 1 && len(idx) >= minShardBatch && len(st.chunks) >= nw {
-			// A stable counting sort groups update positions by chunk; the
-			// workers take contiguous runs of chunks, and apply each chunk's
-			// updates in batch order through its own slices. No two workers
-			// touch one chunk, so each copy-on-write copy is made once.
-			nc := len(st.chunks)
-			start := make([]int, nc+1)
-			for _, i := range idx {
-				start[(i-base)>>st.shift+1]++
-			}
-			for c := 0; c < nc; c++ {
-				start[c+1] += start[c]
-			}
-			pos := make([]int32, len(idx))
-			next := slices.Clone(start[:nc])
-			for k, i := range idx {
-				c := (i - base) >> st.shift
-				pos[next[c]] = int32(k)
-				next[c]++
-			}
-			parallel.ForGrain(nw, nc, 1, func(_, lo, hi int) {
-				for c := lo; c < hi; c++ {
-					if start[c] == start[c+1] {
-						continue
-					}
-					ch := st.chunks[c]
-					if ch == nil || ch.gen != st.gen {
-						ch = st.own(uint64(c))
-					}
-					counts, elems := ch.counts, ch.elems
-					for _, k := range pos[start[c]:start[c+1]] {
-						j := (idx[k] - base) & mask
-						counts[j] += deltas[k]
-						elems[j] = f.Add(elems[j], f.FromInt64(deltas[k]))
-					}
-				}
-			})
-		} else {
-			chunks, shift, gen := st.chunks, st.shift, st.gen // own writes elements, never the header
-			for k, i := range idx {
-				i -= base // slice tables are indexed locally
-				ch := chunks[i>>shift]
-				if ch == nil || ch.gen != gen {
-					ch = st.own(i >> shift)
-				}
-				j, dl := i&mask, deltas[k]
-				ch.counts[j] += dl
-				ch.elems[j] = f.Add(ch.elems[j], f.FromInt64(dl))
-			}
+		if err := st.add(idx, deltas, base, d.workers); err != nil {
+			return err
 		}
-		for _, dl := range deltas {
-			st.total += dl
-		}
+		d.head = st
+		st.total = total
 		st.n += uint64(len(idx))
 		d.nMeta = st.n
 		if len(idx) > 0 || d.sliceHi != 0 {
@@ -611,6 +568,68 @@ func (d *Dataset) IngestColumns(idx []uint64, deltas []int64) error {
 		}
 		return nil
 	})
+}
+
+// CheckColumns returns the refusal IngestColumns would give the batch
+// now, applying none of it, and the dataset's Σδ before it. An
+// aggregator that scatters one batch across slice datasets checks every
+// part before it delivers any, so a refused batch reaches no slice.
+func (d *Dataset) CheckColumns(idx []uint64, deltas []int64) (int64, error) {
+	base, err := d.checkIndices(idx, deltas)
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	err = d.withState(func(st *tableState) error {
+		total = st.total
+		if _, err := CheckTotal(st.total, deltas); err != nil && d.sliceHi == 0 {
+			return err
+		}
+		return st.check(idx, deltas, base)
+	})
+	return total, err
+}
+
+// checkIndices refuses a batch whose columns differ in length or that
+// names an index outside the dataset, and returns the table index of the
+// dataset's first entry.
+func (d *Dataset) checkIndices(idx []uint64, deltas []int64) (uint64, error) {
+	if len(idx) != len(deltas) {
+		return 0, fmt.Errorf("engine: batch has %d indices but %d deltas", len(idx), len(deltas))
+	}
+	// Bounds are the *requested* universe, not the padded power of two:
+	// every protocol is parameterized by origU, so an update in
+	// [origU, 2^d) would live in padding no verifier accounts for. A
+	// slice dataset additionally owns only [sliceLo, sliceHi) of it.
+	base, bound := d.sliceLo, d.origU
+	if d.sliceHi != 0 && d.sliceHi < bound {
+		bound = d.sliceHi
+	}
+	for _, i := range idx {
+		if i >= d.origU {
+			return 0, errOutsideUniverse(i, d.origU)
+		}
+		if i < base || i >= bound {
+			return 0, fmt.Errorf("engine: index %d outside slice [%d,%d)", i, d.sliceLo, d.sliceHi)
+		}
+	}
+	return base, nil
+}
+
+// CheckTotal returns Σδ after deltas, from total, modulo 2^64, and the
+// refusal Ingest gives when it leaves int64 at any step. A slice dataset
+// ignores the refusal: its Σδ is one part of its split dataset's, and
+// only the sum of the parts, which the split router checks with
+// CheckTotal, is a stream length.
+func CheckTotal(total int64, deltas []int64) (int64, error) {
+	var err error
+	for _, dl := range deltas {
+		var ok bool
+		if total, ok = addInt64(total, dl); !ok {
+			err = errors.New("engine: batch would overflow the int64 total Σδ")
+		}
+	}
+	return total, err
 }
 
 // Version returns the dataset's monotone version: the number of
@@ -664,8 +683,11 @@ type Snapshot struct {
 func (s *Snapshot) Counts() []int64 { return flat(s.st, countsOf) }
 
 // Elems returns the field image of the frequency vector as a fresh O(u)
-// copy, the caller's own.
-func (s *Snapshot) Elems() []field.Elem { return flat(s.st, elemsOf) }
+// copy, the caller's own. It runs the chunks' memos first (livePairs).
+func (s *Snapshot) Elems() []field.Elem {
+	s.livePairs()
+	return flat(s.st, elemsOf)
+}
 
 // Total returns Σδ over the ingested stream (the length n of an
 // insert-only stream).
@@ -680,17 +702,20 @@ func (s *Snapshot) Version() uint64 { return s.st.version }
 
 // elemChunks returns the element table as the sum-check prover's table
 // type, borrowed: the SELF-JOIN SIZE and Fk provers (whole and slice
-// owner) take it as it is and read it in place.
+// owner) take it as it is and read it in place. It runs the chunks' memos
+// first (livePairs), which build the field image.
 func (s *Snapshot) elemChunks() sumcheck.Chunked {
+	s.livePairs()
 	return sumcheck.Chunked{Width: 1 << s.st.shift, Chunks: column(s.st, elemsOf)}
 }
 
 // livePairs returns the live-pair scan of the snapshot's element table,
 // which the SELF-JOIN SIZE and Fk provers take instead of scanning the
 // table themselves. The sealed state assembles it once, single-flight, on
-// first use, scanning only chunks no earlier version scanned: every
-// conversation on an unchanged version after the first skips the
-// assembly, and a version one ingest made scans the chunks it touched.
+// first use, memoizing only chunks no earlier version memoized — each
+// builds its field image from its counts and scans it: every conversation
+// on an unchanged version after the first skips the assembly, and a
+// version one ingest made memoizes the chunks it touched.
 func (s *Snapshot) livePairs() sumcheck.LivePairs {
-	return s.st.scanLive(s.ds.workers, &s.ds.liveScans)
+	return s.st.scanLive(s.ds.f, s.ds.workers, &s.ds.liveScans)
 }

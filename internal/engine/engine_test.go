@@ -1,7 +1,10 @@
 package engine_test
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -190,6 +193,122 @@ func TestIngestRejectsPaddedIndices(t *testing.T) {
 	if got := ds.Snapshot().Counts()[3]; got != 0 {
 		t.Fatalf("rejected batch leaked a delta: counts[3] = %d", got)
 	}
+}
+
+// TestIngestRefusesOverflow: a batch that would take an int64 count or
+// Σδ outside int64 is refused whole, at Workers 0 and 2 (the serial and
+// the sharded scatter): two updates of 2^62 at one index, the second of
+// two such one-update batches, a sharded batch whose overflowing index
+// follows updates it must take back, and a batch whose counts fit but
+// whose Σδ does not. CheckColumns gives each the same refusal first.
+// After each refusal the counts, the update count, the version and the
+// posted SELF-JOIN SIZE proof are those before it, and the proof is
+// byte-equal again after an evict/rehydrate cycle.
+func TestIngestRefusesOverflow(t *testing.T) {
+	const u = 1 << 15 // eight chunks
+	const big = int64(1) << 62
+	cost, err := engine.TableCost(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := engine.New(f61, workers)
+			if err := e.SetDataDir(t.TempDir()); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				if err := e.Close(); err != nil {
+					t.Error(err)
+				}
+			})
+			ds, err := e.Open("a", u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := field.NewSplitMix64(4501 + uint64(workers))
+			// A sharded batch that leaves Σδ at -1-2^62, then 2^62 at x:
+			// Σδ = -1 has room for two updates of 2^62, one count does not.
+			base := append(stream.UnitIncrements(u, 1<<13, rng),
+				stream.Update{Index: 7, Delta: -big}, stream.Update{Index: 8, Delta: -(1 << 13) - 1})
+			if err := ds.Ingest(base); err != nil {
+				t.Fatal(err)
+			}
+			const x = 3 << 12
+			if err := ds.Ingest([]stream.Update{{Index: x, Delta: big}}); err != nil {
+				t.Fatal(err)
+			}
+			proof := func() string {
+				pf, err := ds.Snapshot().GenerateProof(engine.QuerySelfJoinSize, engine.QueryParams{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Sprintf("%x", sha256.Sum256(pf.Encode()))
+			}
+			counts, n, version, sum := ds.Snapshot().Counts(), ds.Updates(), ds.Version(), proof()
+
+			// Two -2^62s at z take z to MinInt64 and are taken back when
+			// y, in a later chunk, overflows.
+			crowd := stream.UnitIncrements(u, 1<<13, rng)
+			const y, z = 6<<12 + 5, 1<<12 + 9
+			crowd = slices.Insert(crowd, 100, stream.Update{Index: z, Delta: -big}, stream.Update{Index: z, Delta: -big})
+			crowd = slices.Insert(crowd, 5000, stream.Update{Index: y, Delta: big}, stream.Update{Index: y, Delta: big})
+			for _, tc := range []struct {
+				name  string
+				batch []stream.Update
+				want  string
+			}{
+				{"two updates of 2^62 at one index", []stream.Update{{Index: 11, Delta: big}, {Index: 11, Delta: big}}, "count at index 11"},
+				{"the second one-update batch of 2^62", []stream.Update{{Index: x, Delta: big}}, fmt.Sprintf("count at index %d", x)},
+				{"a sharded batch", crowd, fmt.Sprintf("count at index %d", y)},
+				{"Σδ past int64", []stream.Update{{Index: 1, Delta: big}, {Index: 2, Delta: big}, {Index: 3, Delta: big}}, "Σδ"},
+			} {
+				idx, deltas := columns(tc.batch)
+				if total, err := ds.CheckColumns(idx, deltas); err == nil || !strings.Contains(err.Error(), tc.want) || total != -1 {
+					t.Fatalf("%s: CheckColumns = %d, %v, want Σδ -1 and a refusal naming %q", tc.name, total, err, tc.want)
+				}
+				err := ds.Ingest(tc.batch)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("%s: Ingest = %v, want a refusal naming %q", tc.name, err, tc.want)
+				}
+				if !slices.Equal(ds.Snapshot().Counts(), counts) || ds.Updates() != n || ds.Version() != version {
+					t.Fatalf("%s: the refused batch changed the dataset", tc.name)
+				}
+				if got := proof(); got != sum {
+					t.Fatalf("%s: the posted proof moved from %s to %s", tc.name, sum, got)
+				}
+			}
+
+			// CheckColumns accepts, and applies nothing of, a batch that
+			// Ingest accepts.
+			if total, err := ds.CheckColumns(columns(crowd[:100])); err != nil || total != -1 {
+				t.Fatalf("CheckColumns of an acceptable batch = %d, %v, want -1, nil", total, err)
+			}
+			if !slices.Equal(ds.Snapshot().Counts(), counts) || ds.Version() != version {
+				t.Fatal("CheckColumns changed the dataset")
+			}
+
+			e.SetBudget(cost)
+			if _, err := e.Open("other", u); err != nil {
+				t.Fatal(err)
+			}
+			if ds.Resident() {
+				t.Fatal("a is still resident under a one-dataset budget")
+			}
+			if got := proof(); got != sum {
+				t.Fatalf("the posted proof moved across an evict/rehydrate cycle, from %s to %s", sum, got)
+			}
+		})
+	}
+}
+
+// columns splits a batch into IngestColumns' index and delta columns.
+func columns(ups []stream.Update) ([]uint64, []int64) {
+	idx, deltas := make([]uint64, len(ups)), make([]int64, len(ups))
+	for i, up := range ups {
+		idx[i], deltas[i] = up.Index, up.Delta
+	}
+	return idx, deltas
 }
 
 // TestConcurrentIngestAndSnapshot hammers one dataset from many

@@ -242,13 +242,107 @@ func buildConcurrently(ks []kept, n int) {
 	wg.Wait()
 }
 
+// TestFieldImageMemo: a chunk's field image is built by its live-pair
+// memo alone. After an ingest, a rehydrate or a Recover no chunk holds
+// one; the first proof of a version builds the image of each held chunk
+// exactly once, as one memo beside its live-pair scan, a second proof of
+// the version builds none, a one-update version builds one, and Elems
+// reads the memo's image.
+func TestFieldImageMemo(t *testing.T) {
+	const u = 1 << 15 // eight chunks
+	cost, err := engine.TableCost(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	e := engine.New(f61, 2)
+	if err := e.SetDataDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := e.Open("a", u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Ingest(stream.UnitIncrements(u, 1<<12, field.NewSplitMix64(4601))); err != nil {
+		t.Fatal(err)
+	}
+	held := engine.HeldChunks(ds)
+	if held != u/engine.ChunkEntries {
+		t.Fatalf("the ingest wrote %d of %d chunks", held, u/engine.ChunkEntries)
+	}
+	images := func(when string, want int) {
+		t.Helper()
+		if got := engine.ImageChunks(ds); got != want {
+			t.Fatalf("%s: %d chunks hold a field image, want %d", when, got, want)
+		}
+	}
+	builds := func(when string, want int, use func(*engine.Snapshot)) {
+		t.Helper()
+		before := engine.LiveScans(ds)
+		use(ds.Snapshot())
+		if got := engine.LiveScans(ds) - before; got != uint64(want) {
+			t.Fatalf("%s built %d chunk images, want %d", when, got, want)
+		}
+	}
+	prove := func(s *engine.Snapshot) {
+		if _, err := s.GenerateProof(engine.QuerySelfJoinSize, engine.QueryParams{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	images("after an ingest", 0)
+	builds("the first proof of a version", held, prove)
+	images("after the first proof", held)
+	builds("a second proof of the version", 0, prove)
+	if err := ds.IngestColumns([]uint64{12345}, []int64{1}); err != nil {
+		t.Fatal(err)
+	}
+	images("after a one-update ingest", held-1)
+	builds("the first proof of a one-update version", 1, prove)
+
+	e.SetBudget(cost)
+	if _, err := e.Open("other", u); err != nil {
+		t.Fatal(err)
+	}
+	if ds.Resident() {
+		t.Fatal("a is still resident under a one-dataset budget")
+	}
+	want := ds.Snapshot().Counts() // rehydrates a
+	images("after a rehydrate", 0)
+	builds("the first proof after a rehydrate", held, prove)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e = engine.New(f61, 2)
+	if err := e.SetDataDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	var ok bool
+	if ds, ok = e.Get("a"); !ok || !ds.Resident() {
+		t.Fatal("a is not resident after Recover")
+	}
+	images("after Recover", 0)
+	builds("Elems after Recover", held, func(s *engine.Snapshot) {
+		for j, x := range s.Elems() {
+			if x != f61.FromInt64(want[j]) {
+				t.Fatalf("Elems()[%d] = %d, want the image of count %d", j, x, want[j])
+			}
+		}
+	})
+	images("after Elems", held)
+}
+
 // TestVersionAllocations: a one-update ingest after a snapshot, at
 // u = 2^20, allocates the chunk it writes and the version's chunk-pointer
-// array and nothing in proportion to u: at most 8 allocations (the
+// array and nothing in proportion to u: at most 7 allocations (the
 // snapshot, the new table state and its chunk-pointer array, the chunk
-// and its two columns, and the ingest's bookkeeping), and at most one
-// chunk's 64 KiB plus the 2 KiB array and 4 KiB of slack in bytes. A
-// flat-table clone allocated 16 MiB here.
+// and its counts, and the ingest's bookkeeping), and at most one chunk's
+// 32 KiB of counts plus the 2 KiB array and 4 KiB of slack in bytes: the
+// chunk's field image waits for the version's first proof. A flat-table
+// clone allocated 16 MiB here.
 func TestVersionAllocations(t *testing.T) {
 	const u = 1 << 20
 	ds, err := engine.NewDataset(f61, u, 0)
@@ -268,8 +362,8 @@ func TestVersionAllocations(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, bump)
 	t.Logf("a one-update version at u = 2^20: %.1f allocations", allocs)
-	if allocs > 8 {
-		t.Errorf("a one-update version allocated %.1f times, want ≤ 8", allocs)
+	if allocs > 7 {
+		t.Errorf("a one-update version allocated %.1f times, want ≤ 7", allocs)
 	}
 	const runs = 20
 	var before, after runtime.MemStats
@@ -280,7 +374,7 @@ func TestVersionAllocations(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	const limit = 64<<10 + 8*(u>>12) + 4<<10
+	const limit = 32<<10 + 8*(u>>12) + 4<<10
 	t.Logf("a one-update version at u = 2^20: %d bytes", perRun)
 	if perRun > limit {
 		t.Errorf("a one-update version allocated %d bytes, want ≤ %d", perRun, limit)

@@ -13,13 +13,12 @@
 // beginEvictLocked and the claim step of rehydrate — so admission
 // accounting (e.resident, e.transitions) can never race a transition's
 // start. The I/O that completes a transition (checkpoint save,
-// store.LoadChunks, the field-image rebuild of the held chunks) runs
-// with NO lock held:
-// each dataset carries a residency latch (Dataset.res, a four-state
-// machine, plus resCond) and only goroutines needing *that* dataset's
-// tables wait on it. k transitions of k distinct datasets therefore
-// cost ~1× the I/O wall-clock, not k× — the engine lock is held only
-// for the O(1) bookkeeping at each end.
+// store.LoadChunks) runs with NO lock held: each dataset carries a
+// residency latch (Dataset.res, a four-state machine, plus resCond) and
+// only goroutines needing *that* dataset's tables wait on it. k
+// transitions of k distinct datasets therefore cost ~1× the I/O
+// wall-clock, not k× — the engine lock is held only for the O(1)
+// bookkeeping at each end.
 //
 // Accounting invariants (all under e.mu):
 //
@@ -103,7 +102,8 @@ func fileForName(name string) string { return store.DatasetFile(name) }
 func nameFromFile(file string) (string, error) { return store.DatasetName(file) }
 
 // SetBudget caps the aggregate bytes of resident dataset tables (counts
-// plus field image: 16 bytes per padded universe entry per dataset).
+// plus the field image a proved version builds: 16 bytes per padded
+// universe entry per dataset).
 // Zero or negative removes the cap. The budget is enforced at admission
 // time — Open of a new dataset and rehydration of an evicted one — by
 // evicting least-recently-used datasets to the data dir; without a data
@@ -288,10 +288,10 @@ func (e *Engine) finishEvict(d *Dataset, st *tableState, dir string) {
 
 // rehydrate loads an evicted dataset's checkpoint back into memory,
 // subject to admission control. The transition is claimed (and its
-// bytes reserved) under the engine lock, but the load and the
-// field-image rebuild of the held chunks run with no lock held, so
-// concurrent rehydrations of distinct datasets overlap. No-op if the dataset is
-// already resident or mid-transition (the withState loop re-checks).
+// bytes reserved) under the engine lock, but the load runs with no lock
+// held, so concurrent rehydrations of distinct datasets overlap. No-op if
+// the dataset is already resident or mid-transition (the withState loop
+// re-checks).
 func (e *Engine) rehydrate(d *Dataset) error {
 	e.mu.Lock()
 	d.mu.Lock()
@@ -415,14 +415,14 @@ func shellForCheckpoint(f field.Field, ckpt *store.Checkpoint, workers int) (*Da
 
 // stateFromCheckpoint rebuilds live tables from a chunk-shaped
 // checkpoint (store.LoadChunks): a chunk with a record aliases its
-// loaded counts and gets its field image recomputed (a deterministic
-// function of the counts, so an evict/rehydrate cycle is bit-exact); a
-// chunk without one stays nil, with no counts and no image.
+// loaded counts, and its field image waits for the version's first proof
+// (built from the counts alone, so an evict/rehydrate cycle is
+// bit-exact); a chunk without one stays nil.
 func (d *Dataset) stateFromCheckpoint(ckpt *store.Checkpoint) (*tableState, error) {
 	if err := d.checkCheckpoint(ckpt); err != nil {
 		return nil, err
 	}
-	st := stateFromChunks(d.f, d.workers, d.params.U, ckpt.Chunks)
+	st := stateFromChunks(d.params.U, ckpt.Chunks)
 	st.total, st.n, st.version = ckpt.Total, ckpt.Updates, ckpt.Version
 	return st, nil
 }
@@ -559,7 +559,7 @@ func (e *Engine) registerCheckpointLocked(name, file string) (uint64, error) {
 	}
 	// A shell only: tables are rebuilt below iff the dataset will
 	// actually be resident — an over-budget fleet restarts without
-	// paying a field image per dataset it is not going to keep in memory.
+	// holding counts for datasets it is not going to keep in memory.
 	ds, err := shellForCheckpoint(e.f, ckpt, e.workers)
 	if err != nil {
 		return 0, err
@@ -685,7 +685,7 @@ func SnapshotFromCounts(f field.Field, u uint64, workers int, counts []int64) (*
 	}
 	full := make([]int64, ds.params.U)
 	copy(full, counts)
-	st := stateFromChunks(f, workers, ds.params.U, store.Chunks(full))
+	st := stateFromChunks(ds.params.U, store.Chunks(full))
 	for _, c := range counts {
 		st.total += c
 	}

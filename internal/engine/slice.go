@@ -16,7 +16,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/core"
@@ -65,51 +64,7 @@ func (e *Engine) OpenSlice(name string, globalU, lo, hi uint64) (*Dataset, error
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	attach := func(ds *Dataset) (*Dataset, error) {
-		if ds.sliceHi == 0 {
-			return nil, fmt.Errorf("engine: dataset %q is a whole-universe dataset, not a slice", name)
-		}
-		if ds.origU != globalU || ds.sliceLo != lo || ds.sliceHi != hi {
-			return nil, fmt.Errorf("engine: dataset %q is the slice [%d,%d) of universe %d, not [%d,%d) of %d",
-				name, ds.sliceLo, ds.sliceHi, ds.origU, lo, hi, globalU)
-		}
-		e.touchLocked(ds)
-		return ds, nil
-	}
-	if ds, ok := e.datasets[name]; ok {
-		return attach(ds)
-	}
-	if _, gone := e.releasedNames[name]; gone {
-		return nil, fmt.Errorf("%w: dataset %q was handed off from this engine", ErrReleased, name)
-	}
-	if e.maxDatasets > 0 && len(e.datasets) >= e.maxDatasets {
-		return nil, fmt.Errorf("engine: dataset limit of %d reached", e.maxDatasets)
-	}
-	if err := e.admitLocked(tableBytes(shell.params.U), nil); err != nil {
-		return nil, fmt.Errorf("engine: cannot admit dataset %q: %w", name, err)
-	}
-	// admitLocked may have released e.mu while waiting out an in-flight
-	// transition: re-check the registry and the cap before creating.
-	if ds, ok := e.datasets[name]; ok {
-		return attach(ds)
-	}
-	if _, gone := e.releasedNames[name]; gone {
-		return nil, fmt.Errorf("%w: dataset %q was handed off from this engine", ErrReleased, name)
-	}
-	if e.maxDatasets > 0 && len(e.datasets) >= e.maxDatasets {
-		return nil, fmt.Errorf("engine: dataset limit of %d reached", e.maxDatasets)
-	}
-	ds := shell
-	ds.head = newTableState(ds.params.U)
-	ds.res = resResident
-	ds.name = name
-	ds.eng = e
-	e.resident += tableBytes(ds.params.U)
-	e.touchLocked(ds)
-	e.datasets[name] = ds
-	return ds, nil
+	return e.open(name, shell)
 }
 
 // NewPartialProver constructs the slice-owner prover session for one

@@ -11,38 +11,43 @@ import (
 	"repro/internal/sumcheck"
 )
 
-// chunkShift sets the chunk of a dataset's tables: 2^12 entries, 64 KiB
-// of counts and field elements. A table narrower than that is one chunk.
-// It is the checkpoint format's chunk, so a checkpoint's records are the
-// engine's chunks.
+// chunkShift sets the chunk of a dataset's tables: 2^12 entries, 32 KiB
+// of counts. A table narrower than that is one chunk. It is the checkpoint
+// format's chunk, so a checkpoint's records are the engine's chunks.
 const chunkShift = store.ChunkShift
 
-// chunk is 2^shift consecutive entries of a dataset's tables. It is
-// written in place only by the unsealed table state whose gen it carries;
-// every other state holding it shares it read-only and copies it before a
-// write, so a sealed version's chunks never change.
+// chunk is 2^shift consecutive entries of a dataset's counts: 32 KiB. It
+// is written in place only by the unsealed table state whose gen it
+// carries; every other state holding it shares it read-only and copies
+// its counts before a write, so a sealed version's chunks never change.
 //
-// A chunk also memoizes its live pairs: counted once, single-flight, by
-// the first snapshot that needs them, and shared by every version that
-// holds the chunk. A copied chunk starts without them. The chunk lists
-// its live pairs only while it would be held sparse on its own — at most
-// a quarter of its pairs live, 4 bytes each, so at most 1/32 of its 64 KiB
-// of table — and a denser chunk keeps just the count.
+// A chunk also memoizes its field image and its live pairs: built once,
+// single-flight, by the first snapshot that needs them, and shared by
+// every version that holds the chunk — 32 KiB more once a version is
+// proved. A copied chunk starts without them, so a memoized chunk is
+// never written. The chunk lists its live pairs only while it would be
+// held sparse on its own — at most a quarter of its pairs live, 4 bytes
+// each, so at most 1/16 of its 32 KiB of counts — and a denser chunk
+// keeps just the count.
 type chunk struct {
 	counts []int64
-	elems  []field.Elem
 	gen    uint64 // the table state that may write the chunk in place
 
-	scan  sync.Once
-	nlive int      // live pairs of elems, once scan has run
-	live  []uint32 // their indices in the whole table, when nlive is at most MaxSparseLive of the chunk
+	memo  sync.Once
+	elems []field.Elem // the field image of counts, once memo has run
+	nlive int          // live pairs of elems, once memo has run
+	live  []uint32     // their indices in the whole table, when nlive is at most MaxSparseLive of the chunk
 }
 
-// scanLive memoizes the chunk's live pairs; first is the table's index of
-// the chunk's first pair. scans counts the scans that run.
-func (ch *chunk) scanLive(first int, scans *atomic.Uint64) {
-	ch.scan.Do(func() {
-		ch.live, ch.nlive = sumcheck.AppendLivePairs(nil, first, ch.elems, sumcheck.MaxSparseLive(2, len(ch.elems)))
+// memoize builds the chunk's field image from its counts and scans the
+// image for live pairs while it is in cache; first is the table's index
+// of the chunk's first pair. scans counts the memos that run.
+func (ch *chunk) memoize(f field.Field, first int, scans *atomic.Uint64) {
+	ch.memo.Do(func() {
+		elems := make([]field.Elem, len(ch.counts))
+		f.FromInt64Slice(elems, ch.counts)
+		ch.elems = elems
+		ch.live, ch.nlive = sumcheck.AppendLivePairs(nil, first, elems, sumcheck.MaxSparseLive(2, len(elems)))
 		scans.Add(1)
 	})
 }
@@ -95,22 +100,12 @@ func newTableState(u uint64) *tableState {
 
 // stateFromChunks builds an unsealed state of u entries (u a power of
 // two) holding the given chunks, 2^shift counts each: every held chunk
-// aliases its counts, and their field images, one allocation, are
-// computed across workers. A chunk not given stays nil.
-func stateFromChunks(f field.Field, workers int, u uint64, chunks []store.Chunk) *tableState {
+// aliases its counts. A chunk not given stays nil.
+func stateFromChunks(u uint64, chunks []store.Chunk) *tableState {
 	st := newTableState(u)
-	w := 1 << st.shift
-	elems := make([]field.Elem, len(chunks)*w)
-	build := func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c, img := chunks[i], elems[i*w:(i+1)*w:(i+1)*w]
-			for j, x := range c.Counts {
-				img[j] = f.FromInt64(x)
-			}
-			st.chunks[c.Index] = &chunk{counts: c.Counts, elems: img, gen: st.gen}
-		}
+	for _, c := range chunks {
+		st.chunks[c.Index] = &chunk{counts: c.Counts, gen: st.gen}
 	}
-	parallel.ForGrain(parallel.Workers(workers), len(chunks), max(1, minShardBatch/w), build)
 	return st
 }
 
@@ -127,17 +122,132 @@ func (st *tableState) clone() *tableState {
 }
 
 // own replaces chunk k with one the state owns, before its first write:
-// a copy, or all zeros for a nil chunk. A copy skips zeroing the memory it
-// overwrites. The state owns a chunk that carries its gen.
+// a copy of its counts, or all zeros for a nil chunk. A copy skips zeroing
+// the memory it overwrites. The state owns a chunk that carries its gen.
 func (st *tableState) own(k uint64) *chunk {
 	ch := &chunk{gen: st.gen}
 	if old := st.chunks[k]; old != nil {
-		ch.counts, ch.elems = slices.Clone(old.counts), slices.Clone(old.elems)
+		ch.counts = slices.Clone(old.counts)
 	} else {
-		ch.counts, ch.elems = make([]int64, 1<<st.shift), make([]field.Elem, 1<<st.shift)
+		ch.counts = make([]int64, 1<<st.shift)
 	}
 	st.chunks[k] = ch
 	return ch
+}
+
+// add applies a batch to the unsealed state's counts: index idx[k]-base
+// gains deltas[k]. When a count would leave int64 it applies none of the
+// batch, taking back, last first, what it had added, and refuses it.
+//
+// Large batches over tables of at least as many chunks as workers go
+// through a sharded scatter: a stable O(n) counting sort groups update
+// positions by chunk, then each worker applies the updates of a
+// contiguous run of chunks in batch order; a chunk that refuses an
+// update takes back its own, and on any refusal the workers then take
+// back every chunk they applied whole, and check, on the restored
+// counts, names the update the serial application refuses. No two
+// workers touch one chunk and per-index order is preserved, so the
+// result is the serial left-to-right application's for every worker
+// count, and each copy-on-write copy is made once.
+func (st *tableState) add(idx []uint64, deltas []int64, base uint64, workers int) error {
+	mask := uint64(1)<<st.shift - 1
+	nw := parallel.Workers(workers)
+	if nw <= 1 || len(idx) < minShardBatch || len(st.chunks) < nw {
+		chunks, shift, gen := st.chunks, st.shift, st.gen // own writes elements, never the header
+		for k, i := range idx {
+			i -= base // slice tables are indexed locally
+			ch := chunks[i>>shift]
+			if ch == nil || ch.gen != gen {
+				ch = st.own(i >> shift)
+			}
+			c, ok := addInt64(ch.counts[i&mask], deltas[k])
+			if !ok {
+				for back := k - 1; back >= 0; back-- {
+					j := idx[back] - base
+					chunks[j>>shift].counts[j&mask] -= deltas[back]
+				}
+				return errOverflow(idx[k])
+			}
+			ch.counts[i&mask] = c
+		}
+		return nil
+	}
+	nc := len(st.chunks)
+	start := make([]int, nc+1)
+	for _, i := range idx {
+		start[(i-base)>>st.shift+1]++
+	}
+	for c := 0; c < nc; c++ {
+		start[c+1] += start[c]
+	}
+	pos := make([]int32, len(idx))
+	next := slices.Clone(start[:nc])
+	for k, i := range idx {
+		c := (i - base) >> st.shift
+		pos[next[c]] = int32(k)
+		next[c]++
+	}
+	// undo takes back the updates of chunk c's positions ks, last first.
+	undo := func(c int, ks []int32) {
+		for n := len(ks) - 1; n >= 0; n-- {
+			k := ks[n]
+			st.chunks[c].counts[(idx[k]-base)&mask] -= deltas[k]
+		}
+	}
+	bad := make([]bool, nc) // the chunks that refused an update
+	parallel.ForGrain(nw, nc, 1, func(_, lo, hi int) {
+		for c := lo; c < hi; c++ {
+			ks := pos[start[c]:start[c+1]]
+			if len(ks) == 0 {
+				continue
+			}
+			ch := st.chunks[c]
+			if ch == nil || ch.gen != st.gen {
+				ch = st.own(uint64(c))
+			}
+			for n, k := range ks {
+				j := (idx[k] - base) & mask
+				x, ok := addInt64(ch.counts[j], deltas[k])
+				if !ok {
+					undo(c, ks[:n])
+					bad[c] = true
+					break
+				}
+				ch.counts[j] = x
+			}
+		}
+	})
+	if !slices.Contains(bad, true) {
+		return nil
+	}
+	parallel.ForGrain(nw, nc, 1, func(_, lo, hi int) {
+		for c := lo; c < hi; c++ {
+			if !bad[c] {
+				undo(c, pos[start[c]:start[c+1]])
+			}
+		}
+	})
+	return st.check(idx, deltas, base) // on the restored counts: the serial application's refusal
+}
+
+// check returns the refusal add would give the batch, writing nothing:
+// it follows each index's count through the batch in order.
+func (st *tableState) check(idx []uint64, deltas []int64, base uint64) error {
+	mask := uint64(1)<<st.shift - 1
+	seen := make(map[uint64]int64)
+	for k, i := range idx {
+		c, ok := seen[i]
+		if !ok {
+			if ch := st.chunks[(i-base)>>st.shift]; ch != nil {
+				c = ch.counts[(i-base)&mask]
+			}
+		}
+		if c, ok = addInt64(c, deltas[k]); !ok {
+			return errOverflow(i)
+		}
+		seen[i] = c
+	}
+	return nil
 }
 
 // countsOf and elemsOf pick a chunk's columns.
@@ -169,11 +279,12 @@ func flat[T any](st *tableState, col func(*chunk) []T) []T {
 	return out
 }
 
-// scanLive memoizes the sealed state's live-pair scan: it scans, across
-// workers, the chunks no version has scanned yet, then totals every
-// chunk's live pairs and, when that makes the table sparse, lists them in
-// order. scans counts the chunk scans that run.
-func (st *tableState) scanLive(workers int, scans *atomic.Uint64) sumcheck.LivePairs {
+// scanLive memoizes the sealed state's live-pair scan: it runs, across
+// workers, the memo of each chunk no version has memoized yet (its field
+// image and its live pairs), then totals every chunk's live pairs and,
+// when that makes the table sparse, lists them in order. scans counts the
+// chunk memos that run.
+func (st *tableState) scanLive(f field.Field, workers int, scans *atomic.Uint64) sumcheck.LivePairs {
 	st.liveOnce.Do(func() {
 		half := 1 << (st.shift - 1)
 		nw, grain := parallel.Workers(workers), max(1, parallel.MinGrain>>st.shift)
@@ -182,7 +293,7 @@ func (st *tableState) scanLive(workers int, scans *atomic.Uint64) sumcheck.LiveP
 			sum := 0
 			for k, ch := range st.chunks[lo:hi] {
 				if ch != nil {
-					ch.scanLive((lo+k)*half, scans)
+					ch.memoize(f, (lo+k)*half, scans)
 					sum += ch.nlive
 				}
 			}

@@ -310,10 +310,11 @@ func FuzzBarrettMul(fz *testing.F) {
 		if got := f.DigitProduct([]Elem{Elem(a), Elem(b)}, 0, 0); uint64(got) != want {
 			t.Fatalf("p=%d: DigitProduct(%d,%d) = %d, Div64 gives %d", p, a, b, got, want)
 		}
-		// And the Shoup invariant-factor path, b as the slice-constant.
-		f.ScaleSlice(dst[:], []Elem{Elem(a)}, Elem(b))
+		// And the Shoup invariant-factor path, b as the slice-constant:
+		// folding the pair (0, a) at r = b gives 0 + b·(a − 0).
+		f.FoldPairs(dst[:], []Elem{0, Elem(a)}, Elem(b))
 		if uint64(dst[0]) != want {
-			t.Fatalf("p=%d: ScaleSlice(%d by %d) = %d, Div64 gives %d", p, a, b, dst[0], want)
+			t.Fatalf("p=%d: FoldPairs((0,%d) at %d) = %d, Div64 gives %d", p, a, b, dst[0], want)
 		}
 	})
 }

@@ -3,11 +3,9 @@ package field
 import "math/bits"
 
 // Batch (slice-wise) arithmetic: the kernel layer under the parallel
-// prover engine. FoldPairs, DotSlices, AddSlices, and SumSlice are the
-// chunk bodies of today's hot paths (sum-check folds and messages, dense
-// LDE evaluation, the one-round prover); the remaining kernels round out
-// the slice-wise API so engine code added later shares one
-// implementation instead of re-deriving the dual Mersenne/generic paths.
+// prover engine. FoldPairs, DotSlices and AddSlices are the
+// chunk bodies of the hot paths (sum-check folds and messages, dense LDE
+// evaluation, the one-round prover).
 //
 // No kernel executes a hardware divide: the Mersenne path folds bits and
 // the generic path uses the Field's precomputed reducer, with the modulus
@@ -17,20 +15,11 @@ import "math/bits"
 // x<<sh < d fits a word) makes the 128-bit product arrive already
 // normalized for remNorm, so the per-element reduction is branch-free
 // multiply/add/cmov with a single final >>sh. Reductions are lazy where
-// the algebra allows: multiply-add kernels (AddScaledSlice, FoldPairs)
-// reduce the product+addend once, and the accumulating kernels (SumSlice,
-// DotSlices) add exactly in 128/192-bit registers and reduce once per
-// slice. All kernels tolerate dst aliasing a source slice and panic on
-// length mismatches, mirroring the built-in copy contract.
-
-// barrettReduce reduces an arbitrary 2-word value hi·2^64 + lo < p·2^64
-// with explicit reducer constants (see reduce128 for the method form).
-func barrettReduce(hi, lo uint64, sh uint, d, v uint64) uint64 {
-	sh &= 63
-	h := hi<<sh | lo>>((64-sh)&63)
-	l := lo << sh
-	return remNorm(h, l, d, v) >> sh
-}
+// the algebra allows: the multiply-add kernel FoldPairs reduces the
+// product+addend once, and the accumulating kernel DotSlices adds
+// exactly in 192-bit registers and reduces once per slice. All
+// kernels tolerate dst aliasing a source slice and panic on length
+// mismatches, mirroring the built-in copy contract.
 
 // AddSlices sets dst[i] = a[i] + b[i] for every i. All three slices must
 // have equal length.
@@ -43,20 +32,6 @@ func (f Field) AddSlices(dst, a, b []Elem) {
 			s -= p
 		}
 		dst[i] = Elem(s)
-	}
-}
-
-// SubSlices sets dst[i] = a[i] - b[i] for every i.
-func (f Field) SubSlices(dst, a, b []Elem) {
-	checkLen(len(dst), len(a), len(b))
-	p := f.p
-	for i := range dst {
-		ai, bi := a[i], b[i]
-		if ai >= bi {
-			dst[i] = ai - bi
-		} else {
-			dst[i] = Elem(uint64(ai) + p - uint64(bi))
-		}
 	}
 }
 
@@ -77,38 +52,6 @@ func (f Field) MulSlices(dst, a, b []Elem) {
 	for i := range dst {
 		hi, lo := bits.Mul64(uint64(a[i]), uint64(b[i])<<sh)
 		dst[i] = Elem(remNorm(hi, lo, d, v) >> sh)
-	}
-}
-
-// ScaleSlice sets dst[i] = c·a[i] for every i. The constant factor makes
-// this a Shoup multiplication on both moduli: one divide precomputes
-// ⌊c·2^64/p⌋, then every element is three multiplies and a cmov.
-func (f Field) ScaleSlice(dst, a []Elem, c Elem) {
-	checkLen2(len(dst), len(a))
-	if c == 1 {
-		copy(dst, a)
-		return
-	}
-	p := f.p
-	cc, cp := uint64(c), f.shoup(c)
-	for i := range dst {
-		dst[i] = Elem(shoupMul(uint64(a[i]), cc, cp, p))
-	}
-}
-
-// AddScaledSlice sets dst[i] = a[i] + c·b[i] for every i — the fused
-// accumulate step of LDE folds. Shoup multiplication by the invariant c
-// plus one conditional subtract for the add.
-func (f Field) AddScaledSlice(dst, a, b []Elem, c Elem) {
-	checkLen(len(dst), len(a), len(b))
-	p := f.p
-	cc, cp := uint64(c), f.shoup(c)
-	for i := range dst {
-		s := uint64(a[i]) + shoupMul(uint64(b[i]), cc, cp, p)
-		if s >= p {
-			s -= p
-		}
-		dst[i] = Elem(s)
 	}
 }
 
@@ -147,20 +90,6 @@ func (f Field) FoldPairs(dst, src []Elem, r Elem) {
 	}
 }
 
-// ReduceSlice sets dst[i] = xs[i] mod p for every i.
-func (f Field) ReduceSlice(dst []Elem, xs []uint64) {
-	checkLen2(len(dst), len(xs))
-	p := f.p
-	sh, d, v := f.sh, f.d, f.v
-	for i := range dst {
-		x := xs[i]
-		if x >= p {
-			x = barrettReduce(0, x, sh, d, v)
-		}
-		dst[i] = Elem(x)
-	}
-}
-
 // FromInt64Slice sets dst[i] = xs[i] mod p (negatives wrapping) for every
 // i — how a batch of stream deltas enters the field. Deltas already in
 // [0, p) — every realistic stream — take the comparison-only fast path.
@@ -175,30 +104,6 @@ func (f Field) FromInt64Slice(dst []Elem, xs []int64) {
 			dst[i] = f.FromInt64(x)
 		}
 	}
-}
-
-// SumSlice returns Σ_i xs[i] mod p. Elements are added exactly into two
-// 128-bit accumulators (the high words absorb carries only, so they can
-// never overflow) and reduced once at the end.
-func (f Field) SumSlice(xs []Elem) Elem {
-	var hi0, lo0, hi1, lo1 uint64
-	i := 0
-	for ; i+2 <= len(xs); i += 2 {
-		var c uint64
-		lo0, c = bits.Add64(lo0, uint64(xs[i]), 0)
-		hi0 += c
-		lo1, c = bits.Add64(lo1, uint64(xs[i+1]), 0)
-		hi1 += c
-	}
-	if i < len(xs) {
-		var c uint64
-		lo0, c = bits.Add64(lo0, uint64(xs[i]), 0)
-		hi0 += c
-	}
-	var c uint64
-	lo0, c = bits.Add64(lo0, lo1, 0)
-	hi0 += hi1 + c
-	return f.foldAcc(hi0, lo0)
 }
 
 // DotSlices returns Σ_i a[i]·b[i] mod p. Products are accumulated exactly

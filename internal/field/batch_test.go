@@ -31,39 +31,15 @@ func TestBatchMatchesScalar(t *testing.T) {
 				t.Fatalf("AddSlices[%d] = %d, want %d", i, got[i], want)
 			}
 		}
-		f.SubSlices(got, a, b)
-		for i := range got {
-			if want := f.Sub(a[i], b[i]); got[i] != want {
-				t.Fatalf("SubSlices[%d] = %d, want %d", i, got[i], want)
-			}
-		}
 		f.MulSlices(got, a, b)
 		for i := range got {
 			if want := f.Mul(a[i], b[i]); got[i] != want {
 				t.Fatalf("MulSlices[%d] = %d, want %d", i, got[i], want)
 			}
 		}
-		c := f.Rand(NewSplitMix64(7))
-		f.ScaleSlice(got, a, c)
-		for i := range got {
-			if want := f.Mul(a[i], c); got[i] != want {
-				t.Fatalf("ScaleSlice[%d] = %d, want %d", i, got[i], want)
-			}
-		}
-		f.AddScaledSlice(got, a, b, c)
-		for i := range got {
-			if want := f.Add(a[i], f.Mul(c, b[i])); got[i] != want {
-				t.Fatalf("AddScaledSlice[%d] = %d, want %d", i, got[i], want)
-			}
-		}
-
-		var sum, dot Elem
+		var dot Elem
 		for i := range a {
-			sum = f.Add(sum, a[i])
 			dot = f.Add(dot, f.Mul(a[i], b[i]))
-		}
-		if got := f.SumSlice(a); got != sum {
-			t.Fatalf("SumSlice = %d, want %d", got, sum)
 		}
 		if got := f.DotSlices(a, b); got != dot {
 			t.Fatalf("DotSlices = %d, want %d", got, dot)
@@ -96,18 +72,10 @@ func TestFoldPairs(t *testing.T) {
 	}
 }
 
-func TestReduceAndFromInt64Slices(t *testing.T) {
+func TestFromInt64Slice(t *testing.T) {
 	for _, f := range batchFields(t) {
-		xs := []uint64{0, 1, f.Modulus() - 1, f.Modulus(), f.Modulus() + 5, ^uint64(0)}
-		dst := make([]Elem, len(xs))
-		f.ReduceSlice(dst, xs)
-		for i, x := range xs {
-			if want := f.Reduce(x); dst[i] != want {
-				t.Fatalf("ReduceSlice[%d] = %d, want %d", i, dst[i], want)
-			}
-		}
 		is := []int64{0, 1, -1, 1000, -1000, -(1 << 62)}
-		dst = make([]Elem, len(is))
+		dst := make([]Elem, len(is))
 		f.FromInt64Slice(dst, is)
 		for i, x := range is {
 			if want := f.FromInt64(x); dst[i] != want {

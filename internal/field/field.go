@@ -105,9 +105,6 @@ func (f Field) Modulus() uint64 { return f.p }
 // Valid reports whether f was constructed by New or Mersenne.
 func (f Field) Valid() bool { return f.p >= 2 }
 
-// Eq reports whether two fields have the same modulus.
-func (f Field) Eq(g Field) bool { return f.p == g.p }
-
 // remNorm returns the remainder of the 2-word value h·2^64 + l divided by
 // the normalized divisor d (top bit set), given the precomputed reciprocal
 // v = ⌊(2^128-1)/d⌋ - 2^64. Requires h < d. This is the 2-word division of
@@ -506,15 +503,6 @@ func (f Field) FillRand(rng RNG, out []Elem) {
 				i++
 			}
 			w >>= k
-		}
-	}
-}
-
-// RandNonZero returns a uniformly random element of Z_p \ {0}.
-func (f Field) RandNonZero(rng RNG) Elem {
-	for {
-		if e := f.Rand(rng); e != 0 {
-			return e
 		}
 	}
 }

@@ -239,19 +239,6 @@ func TestRandInRangeAndSpread(t *testing.T) {
 	}
 }
 
-func TestRandNonZero(t *testing.T) {
-	f, err := New(17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := NewSplitMix64(5)
-	for i := 0; i < 500; i++ {
-		if f.RandNonZero(rng) == 0 {
-			t.Fatal("RandNonZero returned 0")
-		}
-	}
-}
-
 func TestIsPrimeAgainstBigInt(t *testing.T) {
 	rng := NewSplitMix64(6)
 	for i := 0; i < 500; i++ {

@@ -95,9 +95,6 @@ func NewAugmentedHasher(f field.Field, params Params, kind Kind, rng field.RNG) 
 	return h
 }
 
-// Augmented reports whether subtree counts are folded into the hash.
-func (h *Hasher) Augmented() bool { return h.Q != nil }
-
 // Combine hashes the two children of a level-j node (j in 1..d). count is
 // the node's subtree count and is ignored for plain hashers.
 func (h *Hasher) Combine(j int, left, right, count field.Elem) field.Elem {

@@ -179,17 +179,6 @@ func (t *IncrementalTree) Level(level int) ([]Node, error) {
 	return t.levels[level], nil
 }
 
-// HeavyLeaves returns the leaves with Count ≥ threshold.
-func (t *IncrementalTree) HeavyLeaves(threshold int64) []Node {
-	var out []Node
-	for _, n := range t.levels[0] {
-		if n.Count >= threshold {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // HeavyChildren returns all level-l nodes that are children of level-(l+1)
 // nodes with Count ≥ threshold, with zero siblings materialized — the
 // round message of the §6.1 heavy-hitters protocol. The children's hashes

@@ -206,7 +206,7 @@ func (r *Router) flipRoute(dataset, shardName string) error {
 // RebalanceSlice moves one slice of a split dataset to the named target
 // shard by the same checkpoint handoff as Rebalance, then flips the
 // slice's owner in the split spec. New OPENs and scatter re-attachments
-// of the dataset are frozen for the duration; the proxy's deliverSlice
+// of the dataset are frozen for the duration; the proxy's onSlice
 // retry makes an in-flight ingest survive the move with no acked batch
 // lost. The target must not already own another slice of the dataset —
 // slice checkpoints are named by dataset alone, so two slices in one

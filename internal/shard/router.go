@@ -63,6 +63,8 @@ type Router struct {
 	tableMTime time.Time                // mtime of TablePath at the last (re)load
 	migrating  map[string]chan struct{} // dataset → closed when its migration settles
 
+	splitWrites sync.Map // split dataset → *sync.Mutex held across one scatter (split.go)
+
 	cacheOnce  sync.Once
 	proofCache *proofcache.Cache // split-proof cache (lazy; see proofCacheRef)
 
@@ -148,6 +150,13 @@ func (r *Router) Serve(ln net.Listener) error {
 			_ = p.mux.Write(frames.Error, []byte(err.Error()))
 		}
 	})
+}
+
+// splitWriteLock returns the lock that serializes the scatters of the
+// named split dataset across the router's connections.
+func (r *Router) splitWriteLock(dataset string) *sync.Mutex {
+	mu, _ := r.splitWrites.LoadOrStore(dataset, new(sync.Mutex))
+	return mu.(*sync.Mutex)
 }
 
 // Close stops every listener and live connection and waits the proxy
@@ -441,9 +450,9 @@ func (p *proxyConn) loop() error {
 			// Slices are the router's private leg to the owners; a client
 			// attaches to the whole split dataset through a plain OPEN.
 			return fmt.Errorf("%w: open-slice is a shard-facing frame; open the dataset by name and let the router split it", wire.ErrProtocol)
-		case frames.Updates:
+		case frames.Updates, frames.CheckUpdates:
 			if p.split != nil {
-				if err := p.splitIngest(payload); err != nil {
+				if err := p.splitIngest(typ, payload); err != nil {
 					return err
 				}
 				continue

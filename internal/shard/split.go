@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -186,18 +187,26 @@ func (p *proxyConn) openSplit(name string, u uint64, pl *splitPlacement) error {
 	return p.mux.Write(frames.OK, frames.EncodeCount(total))
 }
 
-// splitIngest scatters one global updates batch across the owners. A
-// non-empty batch is delivered to EVERY owner (empty sub-batches
-// included) so slice versions track the global version; a fully-empty
-// batch is acked locally, mirroring the engine's no-bump rule for empty
+// splitIngest scatters one global updates batch across the owners or,
+// for a check-updates frame, only asks them. A non-empty batch is
+// delivered to EVERY owner (empty sub-batches included) so slice
+// versions track the global version; a fully-empty updates batch is
+// acked locally, mirroring the engine's no-bump rule for empty
 // whole-dataset batches.
-func (p *proxyConn) splitIngest(payload []byte) error {
+//
+// A batch is refused whole, as a single engine refuses it: every owner
+// checks its part (wire.Client.CheckIngest) before any owner applies
+// one, and the router refuses a batch that would take the global Σδ,
+// the sum of the owners' (each kept modulo 2^64), outside int64. The
+// scatters of one dataset are serialized router-wide, so no other
+// connection's batch lands between the check and the delivery.
+func (p *proxyConn) splitIngest(typ byte, payload []byte) error {
 	a := p.split
 	idx, deltas, err := frames.DecodeUpdateColumns(payload)
 	if err != nil {
 		return err
 	}
-	if len(idx) == 0 {
+	if len(idx) == 0 && typ == frames.Updates {
 		return p.mux.Write(frames.OK, frames.EncodeCount(a.total()))
 	}
 	subs := make([][]stream.Update, a.slices)
@@ -210,41 +219,69 @@ func (p *proxyConn) splitIngest(payload []byte) error {
 		k := int(ix / a.width)
 		subs[k] = append(subs[k], stream.Update{Index: ix, Delta: deltas[i]})
 	}
-	var total uint64
-	for k := 0; k < a.slices; k++ {
-		n, err := p.deliverSlice(a, k, subs[k])
-		if err != nil {
+	mu := p.r.splitWriteLock(a.name)
+	mu.Lock()
+	defer mu.Unlock()
+	var total int64
+	for k := range subs {
+		var part int64
+		err := p.onSlice(a, k, func(c *wire.Client) (err error) {
+			part, err = c.CheckIngest(subs[k])
 			return err
+		})
+		if se := (*wire.ServerError)(nil); errors.As(err, &se) {
+			return errors.New(se.Msg) // the owner engine's refusal, in its words
 		}
-		total += n
+		if err != nil {
+			return fmt.Errorf("shard: checking batch on slice %d of %q: %w", k, a.name, err)
+		}
+		total += part
 	}
-	a.setCount(total)
-	return p.mux.Write(frames.OK, frames.EncodeCount(total))
+	if _, err := engine.CheckTotal(total, deltas); err != nil {
+		return err
+	}
+	if typ == frames.CheckUpdates {
+		return p.mux.Write(frames.OK, frames.EncodeCount(uint64(total)))
+	}
+	var n uint64
+	for k := range subs {
+		var part uint64
+		err := p.onSlice(a, k, func(c *wire.Client) (err error) {
+			part, err = c.Ingest(subs[k])
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("shard: delivering batch to slice %d of %q: %w", k, a.name, err)
+		}
+		n += part
+	}
+	a.setCount(n)
+	return p.mux.Write(frames.OK, frames.EncodeCount(n))
 }
 
-// deliverSlice hands slice k its sub-batch as exactly one frame: the
+// onSlice runs call on slice k's owner leg. A call the owner refused
+// because it released the slice for a handoff (engine.ErrReleased: it
+// checkpointed first, so the refused request did nothing) is re-run
+// through a fresh attachment to the slice's new home; three attempts
+// bound a migration storm. Any other failure is returned at once. A
+// scatter sends each owner its sub-batch as exactly one frame: the
 // sub-batch is part of one client frame, so Ingest sends it whole, empty
 // or not, and every slice version stays the version a single engine
-// reaches. It survives a concurrent slice handoff: a delivery refused mid-migration (the source engine
-// released the slice after checkpointing, so the refused batch was not
-// applied) is re-sent through a fresh attachment to the slice's new
-// home. Three attempts bound a migration storm.
-func (p *proxyConn) deliverSlice(a *splitAttach, k int, sub []stream.Update) (uint64, error) {
-	var lastErr error
+// reaches.
+func (p *proxyConn) onSlice(a *splitAttach, k int, call func(*wire.Client) error) error {
+	var err error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
-			if err := p.reattachSlice(a, k); err != nil {
-				lastErr = err
+			if err = p.reattachSlice(a, k); err != nil {
 				continue
 			}
 		}
-		n, err := a.owner(k).Ingest(sub)
-		if err == nil {
-			return n, nil
+		var se *wire.ServerError
+		if err = call(a.owner(k)); !errors.As(err, &se) || !strings.Contains(se.Msg, engine.ErrReleased.Error()) {
+			return err
 		}
-		lastErr = err
 	}
-	return 0, fmt.Errorf("shard: delivering batch to slice %d of %q: %w", k, a.name, lastErr)
+	return err
 }
 
 // reattachSlice re-resolves slice k's owner (waiting out any in-flight

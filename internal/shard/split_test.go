@@ -162,6 +162,78 @@ func TestSplitRefusals(t *testing.T) {
 	}
 }
 
+// TestSplitRefusesOverflow: a split dataset (S = 2, slices [0,128) and
+// [128,256)) accepts and refuses the batches a single engine does, in
+// its words, and a refused batch reaches no slice. Σδ is the global one:
+// a batch that wraps slice 0's part of it is accepted, and one that takes
+// the global Σδ outside int64 is refused although each part fits. A
+// count overflow in slice 1, behind a harmless update in slice 0, leaves
+// slice 0 as it was. After every refusal each slice holds the accepted
+// updates only, and the split's posted SELF-JOIN SIZE proof, pinned at
+// the accepted version, is byte-equal to the single engine's.
+func TestSplitRefusesOverflow(t *testing.T) {
+	const u = 200
+	const big = int64(1) << 62
+	routerAddr, _, tbl := splitShards(t, 0, 0, 2, "big")
+	baseAddr, stopBase := startShard(t, &wire.Server{F: f61})
+	defer stopBase()
+	open := func(addr string) *wire.Client {
+		c := dialT(t, addr)
+		if _, err := c.OpenDataset("big", u); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	split, base := open(routerAddr), open(baseAddr)
+	var version uint64
+	var held [2]uint64 // accepted updates per slice
+	ingest := func(batch []stream.Update, refusal string) {
+		t.Helper()
+		_, want := base.Ingest(batch)
+		_, got := split.Ingest(batch)
+		if refusal == "" {
+			if want != nil || got != nil {
+				t.Fatalf("batch %v: single engine %v, split %v; want both accepted", batch, want, got)
+			}
+			version++
+			for _, up := range batch {
+				held[up.Index/128]++
+			}
+		} else {
+			if want == nil || got == nil || got.Error() != want.Error() || !strings.Contains(got.Error(), refusal) {
+				t.Fatalf("batch %v: single engine %v, split %v; want the same refusal naming %q", batch, want, got, refusal)
+			}
+			split.Close()
+			base.Close()
+			split, base = open(routerAddr), open(baseAddr)
+		}
+		for k, owner := range []string{"s1", "s2"} {
+			c := dialT(t, shardAddr(tbl, owner))
+			n, err := c.OpenDatasetSlice("big", u, uint64(k)*128, uint64(k+1)*128)
+			c.Close()
+			if err != nil || n != held[k] {
+				t.Fatalf("after batch %v: slice %d holds %d updates (%v), want %d", batch, k, n, err, held[k])
+			}
+		}
+		want1, err := base.FetchProof(wire.QuerySelfJoinSize, wire.QueryParams{}, version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got1, err := split.FetchProof(wire.QuerySelfJoinSize, wire.QueryParams{}, version)
+		if err != nil {
+			t.Fatalf("after batch %v: split proof at version %d: %v", batch, version, err)
+		}
+		if !bytes.Equal(got1.Encode(), want1.Encode()) {
+			t.Fatalf("after batch %v: the split's posted proof differs from the single engine's", batch)
+		}
+	}
+	ingest([]stream.Update{{Index: 150, Delta: -big}, {Index: 5, Delta: big}, {Index: 6, Delta: big - 1}}, "")
+	ingest([]stream.Update{{Index: 7, Delta: 1}}, "") // slice 0's Σδ wraps; the global Σδ is 2^62
+	ingest([]stream.Update{{Index: 8, Delta: big}, {Index: 151, Delta: big}}, "int64 total Σδ")
+	ingest([]stream.Update{{Index: 9, Delta: 1}, {Index: 150, Delta: -big}, {Index: 150, Delta: -big}}, "count at index 150")
+	ingest([]stream.Update{{Index: 9, Delta: 1}, {Index: 150, Delta: -big}}, "")
+}
+
 // TestSplitSliceRebalanceMidIngest moves one slice between shards while
 // the client streams batches through the router. The proxy's delivery
 // retry re-attaches to the slice's new home, so no acked batch is lost

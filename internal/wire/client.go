@@ -321,11 +321,28 @@ const maxFrameUpdates = frames.MaxFrame / 16
 // updates frame, empty batches included, and returns the dataset's
 // update count after it (including other connections' concurrent
 // ingestion). The server applies one frame as one batch: all of it or,
-// when any index is out of range, none of it, as one dataset version.
+// when any index is out of range or a count or Σδ would overflow int64,
+// none of it, as one dataset version.
 // Only a batch past what one frame carries (frames.MaxFrame/16 updates)
 // is cut into several frames, each its own batch, and a refusal then
 // leaves the frames before it applied.
 func (c *Client) Ingest(ups []stream.Update) (uint64, error) {
+	return c.ingest(frames.Updates, ups, maxFrameUpdates)
+}
+
+// CheckIngest asks whether the server would apply ups, one frame's worth,
+// as one updates frame now, and returns the attached dataset's Σδ. The
+// server applies none of it. It refuses the batch as Ingest would, with
+// the same error, and that refusal closes the connection as Ingest's
+// does.
+func (c *Client) CheckIngest(ups []stream.Update) (int64, error) {
+	total, err := c.ingest(frames.CheckUpdates, ups, maxFrameUpdates)
+	return int64(total), err
+}
+
+// ingest sends ups as frames of type typ, at most perFrame updates each,
+// and returns the last frame's acknowledged value.
+func (c *Client) ingest(typ byte, ups []stream.Update, perFrame int) (uint64, error) {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
 	if c.dsName == "" {
@@ -333,8 +350,8 @@ func (c *Client) Ingest(ups []stream.Update) (uint64, error) {
 	}
 	var count uint64
 	for sent := false; len(ups) > 0 || !sent; sent = true {
-		n := min(len(ups), maxFrameUpdates)
-		if err := c.write(frames.Updates, frames.EncodeUpdates(ups[:n])); err != nil {
+		n := min(len(ups), perFrame)
+		if err := c.write(typ, frames.EncodeUpdates(ups[:n])); err != nil {
 			return count, err
 		}
 		var err error

@@ -21,6 +21,7 @@ var flowRules = map[byte]flowRule{
 	frames.Open:           {atStart: true, attached: true, attaches: true},
 	frames.OpenSlice:      {atStart: true, attached: true, attaches: true},
 	frames.Updates:        {attached: true},
+	frames.CheckUpdates:   {attached: true},
 	frames.QueryCh:        {attached: true},
 	frames.ChallengeCh:    {attached: true},
 	frames.FinishCh:       {attached: true},

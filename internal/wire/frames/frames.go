@@ -63,12 +63,14 @@ const (
 	StatsReq  = 0x16 // client→server: request operational stats
 	StatsResp = 0x17 // server→client: JSON-encoded stats
 
-	// Frames 0x18–0x19 are the split-universe revision: a dataset too
+	// Frames 0x18–0x1a are the split-universe revision: a dataset too
 	// large for one engine lives as S universe slices on S shards, and an
 	// aggregator (the shard router) folds their partial messages into the
-	// unchanged client-facing protocol.
+	// unchanged client-facing protocol, and checks every slice's part of
+	// a batch before it delivers any.
 	OpenSlice      = 0x18 // client→server: attach to a universe slice [globalU][lo][hi][name]
 	PartialQueryCh = 0x19 // aggregator→server: open partial-prover channel [ch][query]
+	CheckUpdates   = 0x1a // client→server: would the updates frame be applied? acked with OK [Σδ], nothing applied
 )
 
 // MaxFrame bounds a single frame (64 MiB) to fail fast on corruption.

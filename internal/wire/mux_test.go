@@ -411,3 +411,48 @@ func TestIngestIsOneBatch(t *testing.T) {
 		t.Fatalf("the refused Ingest left %d updates at version %d, want %d at %d", ds.Updates(), ds.Version(), n, v0+1)
 	}
 }
+
+// TestIngestFrameCut: a batch past the per-frame cap is cut into frames,
+// each its own engine batch. At a cap of 3, seven updates are three
+// frames, three versions and a count of seven; a refused index in the
+// second frame leaves the first frame applied and sends no third.
+func TestIngestFrameCut(t *testing.T) {
+	const u = 1 << 10
+	eng := engine.New(f61, 0)
+	addr, stop := startServerOpts(t, &Server{F: f61, Engine: eng})
+	defer stop()
+	dial := func() *Client {
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	honest := dial()
+	name := openFresh(t, honest, u, nil)
+	ds, ok := eng.Get(name)
+	if !ok {
+		t.Fatal("the opened dataset is not registered")
+	}
+	v0 := ds.Version()
+	if count, err := honest.ingest(frames.Updates, stream.UnitIncrements(u, 7, field.NewSplitMix64(1903)), 3); err != nil || count != 7 {
+		t.Fatalf("7 updates at 3 a frame: count %d, %v", count, err)
+	}
+	if got := ds.Version(); got != v0+3 {
+		t.Fatalf("7 updates at 3 a frame moved the version %d → %d, want three steps", v0, got)
+	}
+
+	bad := dial()
+	if _, err := bad.OpenDataset(name, u); err != nil {
+		t.Fatal(err)
+	}
+	ups := stream.UnitIncrements(u, 7, field.NewSplitMix64(1904))
+	ups[4].Index = u
+	if _, err := bad.ingest(frames.Updates, ups, 3); err == nil || !strings.Contains(err.Error(), "outside universe") {
+		t.Fatalf("a refused index in the second frame = %v, want the bounds refusal", err)
+	}
+	if ds.Updates() != 7+3 || ds.Version() != v0+4 {
+		t.Fatalf("the refused second frame left %d updates at version %d, want %d at %d", ds.Updates(), ds.Version(), 7+3, v0+4)
+	}
+}

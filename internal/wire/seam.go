@@ -48,7 +48,7 @@ func (f *FlowState) Advance(typ byte) error {
 	switch typ {
 	case frames.Open, frames.OpenSlice:
 		f.attached = true
-	case frames.Updates:
+	case frames.Updates, frames.CheckUpdates:
 		if !f.attached {
 			return fmt.Errorf("%w: updates before a dataset is open", ErrProtocol)
 		}
@@ -300,11 +300,4 @@ func (p *ChannelPins) Retire(id uint32, owner any, failed bool) {
 			}
 		}
 	}
-}
-
-// Active reports how many channels currently hold a concurrency slot.
-func (p *ChannelPins) Active() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.active
 }

@@ -329,6 +329,18 @@ func (s *Server) handle(mux *Mux) error {
 			if err := mux.Write(frames.OK, frames.EncodeCount(ds.Updates())); err != nil {
 				return err
 			}
+		case frames.CheckUpdates:
+			idx, deltas, err := frames.DecodeUpdateColumns(payload)
+			if err != nil {
+				return err
+			}
+			total, err := ds.CheckColumns(idx, deltas)
+			if err != nil {
+				return err
+			}
+			if err := mux.Write(frames.OK, frames.EncodeCount(uint64(total))); err != nil {
+				return err
+			}
 		case frames.QueryCh, frames.ChallengeCh, frames.FinishCh, frames.ProofReqCh, frames.PartialQueryCh:
 			if err := s.channel(mux, typ, payload, ds); err != nil {
 				return err

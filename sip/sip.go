@@ -47,9 +47,11 @@
 // torn state. An Engine names datasets so many connections (see
 // internal/wire, cmd/sipserver and cmd/sipclient) share them. One
 // Dataset.Ingest call is one batch: applied whole or, when any index is
-// outside the universe, not at all, as one dataset version. Over the
-// wire, one wire.Client.Ingest call is the same one batch, sent as one
-// acknowledged frame.
+// outside the universe or a count or Σδ would overflow int64, not at
+// all, as one dataset version. Over the wire, one wire.Client.Ingest
+// call is the same one batch, sent as one acknowledged frame; a dataset
+// split across shards behind the router refuses it the same way, and
+// no slice applies any of a refused batch.
 //
 // # Parallel proving
 //
