@@ -69,7 +69,7 @@ func run(args []string, out io.Writer) error {
 	maxQueries := fl.Int("max-queries", wire.DefaultMaxConcurrentQueries, "multiplexed query conversations in flight per connection (-1 = no cap); excess channel opens are refused with a budget frame")
 	proofBudget := fl.Int64("proof-cache-budget", wire.DefaultProofCacheBudget, "bytes of posted Fiat–Shamir proofs kept for PROOF requests (one proof per dataset-version and query, served to every verifier; negative = disabled)")
 	dataDir := fl.String("data-dir", "", "checkpoint directory: enables eviction, durability, and restart recovery")
-	memBudget := fl.Int64("mem-budget", 0, "aggregate resident dataset memory in bytes; LRU datasets evict to -data-dir (0 = unlimited)")
+	memBudget := fl.Int64("mem-budget", 0, "aggregate resident dataset memory in bytes, 9 per padded universe entry of each dataset (8 of counts, 1 of live-pair lists); LRU datasets evict to -data-dir (0 = unlimited)")
 	ckptEvery := fl.Duration("checkpoint-interval", 30*time.Second, "background checkpoint interval for dirty datasets (needs -data-dir; 0 = only on eviction/shutdown)")
 	if err := fl.Parse(args); err != nil {
 		return err

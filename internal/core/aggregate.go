@@ -114,18 +114,18 @@ func (v *FkVerifier) SpaceWords() int {
 type FkProver struct {
 	scProver
 	proto *Fk
-	table sumcheck.Chunked
+	table sumcheck.Counts
 }
 
 // NewProverFromTable returns a prover over the aggregated frequency table
-// (the field image of the counts, Params.U entries) held in chunks — a
-// flat table is sumcheck.Flat, a dataset-engine snapshot its chunks —
-// and borrowed read-only. Construction is O(1), and the sum-check never
+// (its counts, Params.U entries, each |c| < p) held in chunks — a flat
+// table is sumcheck.Flat, a dataset-engine snapshot its chunks — and
+// borrowed read-only. Construction is O(1), and the sum-check never
 // writes the table, so many sessions can share one. live, when set, is
 // called once, when the prover opens, and returns the table's live-pair
 // scan: a memo shared by every prover of one table version. nil scans
 // the table when the prover opens.
-func (p *Fk) NewProverFromTable(table sumcheck.Chunked, live func() sumcheck.LivePairs) (*FkProver, error) {
+func (p *Fk) NewProverFromTable(table sumcheck.Counts, live func() sumcheck.LivePairs) (*FkProver, error) {
 	if uint64(table.Len()) != p.Params.U {
 		return nil, fmt.Errorf("core: table has %d entries, want %d", table.Len(), p.Params.U)
 	}
@@ -134,7 +134,7 @@ func (p *Fk) NewProverFromTable(table sumcheck.Chunked, live func() sumcheck.Liv
 
 // Open computes the claimed moment and the unprompted round-1 polynomial.
 func (pr *FkProver) Open() (Msg, error) {
-	return pr.open(pr.proto.scConfig(), pr.table)
+	return openTables(&pr.scProver, pr.proto.scConfig(), pr.table)
 }
 
 // ---------------------------------------------------------------------
@@ -212,7 +212,7 @@ func (p *InnerProduct) NewProverFromTables(a, b []field.Elem) (*InnerProductProv
 
 // Open computes the claimed inner product and round-1 polynomial.
 func (pr *InnerProductProver) Open() (Msg, error) {
-	return pr.open(pr.proto.scConfig(), sumcheck.Flat(pr.tables[0]), sumcheck.Flat(pr.tables[1]))
+	return openTables(&pr.scProver, pr.proto.scConfig(), sumcheck.Flat(pr.tables[0]), sumcheck.Flat(pr.tables[1]))
 }
 
 // ---------------------------------------------------------------------
@@ -303,21 +303,22 @@ func (v *RangeSumVerifier) SignedResult() (int64, error) {
 	return v.proto.F.Centered(e), nil
 }
 
-// RangeSumProver holds the key–value vector and materializes the
-// indicator once the query arrives.
+// RangeSumProver holds the key–value vector and builds the indicator,
+// in the table's chunks, once the query arrives.
 type RangeSumProver struct {
 	scProver
 	proto    *RangeSum
-	table    []field.Elem
+	table    sumcheck.Counts
 	qL, qR   uint64
 	hasQuery bool
 }
 
 // NewProverFromTable returns a prover over the aggregated key–value
-// table, borrowed read-only; see Fk.NewProverFromTable.
-func (p *RangeSum) NewProverFromTable(table []field.Elem) (*RangeSumProver, error) {
-	if err := checkTables(p.Params.U, table); err != nil {
-		return nil, err
+// table, its counts held in chunks and borrowed read-only; see
+// Fk.NewProverFromTable.
+func (p *RangeSum) NewProverFromTable(table sumcheck.Counts) (*RangeSumProver, error) {
+	if uint64(table.Len()) != p.Params.U {
+		return nil, fmt.Errorf("core: table has %d entries, want %d", table.Len(), p.Params.U)
 	}
 	return &RangeSumProver{proto: p, table: table}, nil
 }
@@ -336,15 +337,36 @@ func (pr *RangeSumProver) Open() (Msg, error) {
 	if !pr.hasQuery {
 		return Msg{}, fmt.Errorf("core: range-sum query not set")
 	}
-	return pr.open(pr.proto.scConfig(), sumcheck.Flat(pr.table), sumcheck.Flat(rangeIndicator(0, pr.proto.Params.U, pr.qL, pr.qR)))
+	return openTables(&pr.scProver, pr.proto.scConfig(), pr.table, rangeIndicator(pr.table, 0, pr.qL, pr.qR))
 }
 
-// rangeIndicator materializes the [qL, qR] indicator over the universe
-// slice [lo, hi) (global index i stored at i−lo).
-func rangeIndicator(lo, hi, qL, qR uint64) []field.Elem {
-	ind := make([]field.Elem, hi-lo)
-	for i := max(qL, lo); i <= qR && i < hi; i++ {
-		ind[i-lo] = 1
+// rangeIndicator returns the [qL, qR] indicator over the universe slice
+// table spans from lo (global index i stored at i−lo), in table's
+// chunks: nil outside the range, one shared all-ones chunk for the
+// chunks inside it, and its own chunk for each chunk the range ends in.
+func rangeIndicator(table sumcheck.Counts, lo, qL, qR uint64) sumcheck.Counts {
+	w := uint64(table.Width)
+	ind := sumcheck.Counts{Width: table.Width, Chunks: make([][]int64, len(table.Chunks))}
+	var ones []int64
+	for k := range ind.Chunks {
+		a, b := lo+uint64(k)*w, lo+uint64(k+1)*w-1 // the chunk's first and last global index
+		switch {
+		case b < qL || a > qR:
+		case qL <= a && b <= qR:
+			if ones == nil {
+				ones = make([]int64, w)
+				for i := range ones {
+					ones[i] = 1
+				}
+			}
+			ind.Chunks[k] = ones
+		default:
+			ch := make([]int64, w)
+			for i := max(qL, a); i <= min(qR, b); i++ {
+				ch[i-a] = 1
+			}
+			ind.Chunks[k] = ch
+		}
 	}
 	return ind
 }

@@ -26,7 +26,13 @@ func observeAll(t *testing.T, obs observer, ups []stream.Update) {
 
 // countsOf is the one prover input of these tests: ups aggregated over
 // the protocol's padded universe n. Every prover borrows it read-only.
-func countsOf(t *testing.T, ups []stream.Update, n uint64) []int64 {
+func countsOf(t *testing.T, ups []stream.Update, n uint64) sumcheck.Counts {
+	t.Helper()
+	return sumcheck.Flat(applied(t, ups, n))
+}
+
+// applied is the frequency vector of ups over n entries.
+func applied(t *testing.T, ups []stream.Update, n uint64) []int64 {
 	t.Helper()
 	a, err := stream.Apply(ups, n)
 	if err != nil {
@@ -35,11 +41,12 @@ func countsOf(t *testing.T, ups []stream.Update, n uint64) []int64 {
 	return a
 }
 
-// elemsOf is countsOf's field image, the sum-check provers' table.
+// elemsOf is the field image of ups' frequency vector, the flat table of
+// the provers that take field elements.
 func elemsOf(t *testing.T, ups []stream.Update, n uint64) []field.Elem {
 	t.Helper()
 	out := make([]field.Elem, n)
-	f61.FromInt64Slice(out, countsOf(t, ups, n))
+	f61.FromInt64Slice(out, applied(t, ups, n))
 	return out
 }
 
@@ -55,7 +62,7 @@ func must[P any](p P, err error) P {
 func refFk(t *testing.T, ups []stream.Update, u uint64, k int) field.Elem {
 	t.Helper()
 	var total field.Elem
-	for _, v := range countsOf(t, ups, u) {
+	for _, v := range applied(t, ups, u) {
 		total = f61.Add(total, f61.Pow(f61.FromInt64(v), uint64(k)))
 	}
 	return total
@@ -70,7 +77,7 @@ func TestSelfJoinSizeEndToEnd(t *testing.T) {
 	rng := field.NewSplitMix64(101)
 	ups := stream.UniformDeltas(u, 1000, rng)
 	v := proto.NewVerifier(rng)
-	p := must(proto.NewProverFromTable(sumcheck.Flat(elemsOf(t, ups, proto.Params.U)), nil))
+	p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil))
 	observeAll(t, v, ups)
 	stats, err := Run(p, v)
 	if err != nil {
@@ -109,7 +116,7 @@ func TestFkEndToEndOrders(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := proto.NewVerifier(rng)
-		p := must(proto.NewProverFromTable(sumcheck.Flat(elemsOf(t, ups, proto.Params.U)), nil))
+		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil))
 		observeAll(t, v, ups)
 		if _, err := Run(p, v); err != nil {
 			t.Fatalf("F%d rejected: %v", k, err)
@@ -133,7 +140,7 @@ func TestFkTinyUniverse(t *testing.T) {
 	rng := field.NewSplitMix64(103)
 	ups := []stream.Update{{Index: 0, Delta: 3}, {Index: 1, Delta: 4}, {Index: 0, Delta: 2}}
 	v := proto.NewVerifier(rng)
-	p := must(proto.NewProverFromTable(sumcheck.Flat(elemsOf(t, ups, proto.Params.U)), nil))
+	p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil))
 	observeAll(t, v, ups)
 	if _, err := Run(p, v); err != nil {
 		t.Fatalf("d=1 F2 rejected: %v", err)
@@ -197,7 +204,7 @@ func TestRangeSumEndToEnd(t *testing.T) {
 	ups := stream.KVUpdates(pairs)
 	for _, q := range []struct{ lo, hi uint64 }{{0, u - 1}, {100, 200}, {0, 0}, {u - 1, u - 1}, {u / 2, u/2 + 999}} {
 		v := proto.NewVerifier(rng)
-		p := must(proto.NewProverFromTable(elemsOf(t, ups, proto.Params.U)))
+		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U)))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(q.lo, q.hi); err != nil {
 			t.Fatal(err)
@@ -233,7 +240,7 @@ func TestRangeSumNegativeValues(t *testing.T) {
 	rng := field.NewSplitMix64(106)
 	ups := []stream.Update{{Index: 3, Delta: -50}, {Index: 9, Delta: 20}, {Index: 40, Delta: 7}}
 	v := proto.NewVerifier(rng)
-	p := must(proto.NewProverFromTable(elemsOf(t, ups, proto.Params.U)))
+	p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U)))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(0, 20); err != nil {
 		t.Fatal(err)
@@ -266,7 +273,7 @@ func TestRangeSumQueryValidation(t *testing.T) {
 	if _, _, err := v.Begin(Msg{}); err == nil {
 		t.Error("Begin without query accepted")
 	}
-	p := must(proto.NewProverFromTable(elemsOf(t, nil, proto.Params.U)))
+	p := must(proto.NewProverFromTable(countsOf(t, nil, proto.Params.U)))
 	if _, err := p.Open(); err == nil {
 		t.Error("prover Open without query accepted")
 	}
@@ -286,7 +293,7 @@ func TestAggregateTamperMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := proto.NewVerifier(rng)
-		p := must(proto.NewProverFromTable(sumcheck.Flat(elemsOf(t, ups, proto.Params.U)), nil))
+		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil))
 		observeAll(t, v, ups)
 		return p, v
 	}
@@ -327,7 +334,7 @@ func TestAggregateWrongStreamProver(t *testing.T) {
 	v := proto.NewVerifier(rng)
 	observeAll(t, v, ups)
 	// Prover never sees the last 3 updates.
-	p := must(proto.NewProverFromTable(sumcheck.Flat(elemsOf(t, ups[:len(ups)-3], proto.Params.U)), nil))
+	p := must(proto.NewProverFromTable(countsOf(t, ups[:len(ups)-3], proto.Params.U), nil))
 	if _, err := Run(p, v); !errors.Is(err, ErrRejected) {
 		t.Fatalf("prover with missing data not rejected: %v", err)
 	}
@@ -349,7 +356,7 @@ func TestVerifierSessionMisuse(t *testing.T) {
 	if _, _, err := v.Begin(Msg{Elems: make([]field.Elem, 2)}); err == nil {
 		t.Error("malformed opening accepted")
 	}
-	p := must(proto.NewProverFromTable(sumcheck.Flat(elemsOf(t, nil, proto.Params.U)), nil))
+	p := must(proto.NewProverFromTable(countsOf(t, nil, proto.Params.U), nil))
 	if _, err := p.Step(Msg{Elems: []field.Elem{1}}); err == nil {
 		t.Error("prover step before open accepted")
 	}

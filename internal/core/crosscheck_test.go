@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/stream"
-	"repro/internal/sumcheck"
 )
 
 // TestPolarizationIdentity verifies §3.2's observation that the inner
@@ -28,7 +27,7 @@ func TestPolarizationIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := proto.NewVerifier(field.NewSplitMix64(seed))
-		p := must(proto.NewProverFromTable(sumcheck.Flat(elemsOf(t, ups, proto.Params.U)), nil))
+		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil))
 		observeAll(t, v, ups)
 		if _, err := Run(p, v); err != nil {
 			t.Fatalf("F2 rejected: %v", err)
@@ -96,7 +95,7 @@ func TestRangeSumEqualsInnerProduct(t *testing.T) {
 		t.Fatal(err)
 	}
 	rsV := rsProto.NewVerifier(field.NewSplitMix64(707))
-	rsP := must(rsProto.NewProverFromTable(elemsOf(t, ups, u)))
+	rsP := must(rsProto.NewProverFromTable(countsOf(t, ups, u)))
 	observeAll(t, rsV, ups)
 	if err := rsV.SetQuery(qL, qR); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/hashtree"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 )
 
 // Fmax is the §6.2 protocol for the maximum frequency. It composes two
@@ -188,10 +189,10 @@ type FmaxProver struct {
 	fbOpen  bool
 }
 
-// NewProverFromCounts returns a prover over a dense count table with the
-// given stream total Σδ (dataset-engine state); both composed sub-provers
-// borrow the same table read-only.
-func (p *Fmax) NewProverFromCounts(counts []int64, total int64) (*FmaxProver, error) {
+// NewProverFromCounts returns a prover over a count table held in chunks
+// with the given stream total Σδ (dataset-engine state); both composed
+// sub-provers borrow the same table read-only.
+func (p *Fmax) NewProverFromCounts(counts sumcheck.Counts, total int64) (*FmaxProver, error) {
 	sv, err := p.SV.NewProverFromCounts(counts)
 	if err != nil {
 		return nil, err
@@ -210,11 +211,12 @@ func (pr *FmaxProver) Open() (Msg, error) {
 	// maximum frequency, as before.
 	var witness uint64
 	var lb int64
-	for i, c := range pr.sv.counts {
+	eachCount(pr.sv.counts, false, func(i uint64, c int64) bool {
 		if c > lb {
-			witness, lb = uint64(i), c
+			witness, lb = i, c
 		}
-	}
+		return true
+	})
 	if lb < 1 {
 		return Msg{}, fmt.Errorf("core: fmax requires a non-empty stream with positive frequencies")
 	}

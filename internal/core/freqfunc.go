@@ -253,9 +253,10 @@ type FrequencyBasedProver struct {
 	res   scProver // the residual sum-check
 }
 
-// NewProverFromCounts returns a prover over a dense count table, borrowed
-// read-only, with the given stream total Σδ (dataset-engine state).
-func (p *FrequencyBased) NewProverFromCounts(counts []int64, total int64) (*FrequencyBasedProver, error) {
+// NewProverFromCounts returns a prover over a count table held in chunks,
+// borrowed read-only, with the given stream total Σδ (dataset-engine
+// state).
+func (p *FrequencyBased) NewProverFromCounts(counts sumcheck.Counts, total int64) (*FrequencyBasedProver, error) {
 	hhProto := &HeavyHitters{F: p.F, Params: p.TreeParams, Workers: p.Workers}
 	hh, err := hhProto.NewProverFromCounts(counts, total)
 	if err != nil {
@@ -308,17 +309,18 @@ func (pr *FrequencyBasedProver) openSumcheck() (Msg, error) {
 	}
 	f := pr.proto.F
 	table := make([]field.Elem, pr.proto.LdeParams.U)
-	for i, c := range pr.hh.counts {
-		if c == 0 {
-			continue
+	var err error
+	eachCount(pr.hh.counts, false, func(i uint64, c int64) bool {
+		switch {
+		case c < 0:
+			err = fmt.Errorf("core: frequency-based protocols require non-negative frequencies (index %d has %d)", i, c)
+		case c < threshold: // a heavy count is removed from the residual stream
+			table[i] = f.FromInt64(c)
 		}
-		if c < 0 {
-			return Msg{}, fmt.Errorf("core: frequency-based protocols require non-negative frequencies (index %d has %d)", i, c)
-		}
-		if c >= threshold {
-			continue // heavy: removed from the residual stream
-		}
-		table[i] = f.FromInt64(c)
+		return err == nil
+	})
+	if err != nil {
+		return Msg{}, err
 	}
 	// h̃ interpolates h on 0..T-1 (all residual frequencies lie there).
 	xs := make([]field.Elem, threshold)
@@ -337,5 +339,5 @@ func (pr *FrequencyBasedProver) openSumcheck() (Msg, error) {
 		Combiner: sumcheck.PolyFn{H: htilde, MinDegree: int(threshold) - 1},
 		Workers:  pr.proto.Workers,
 	}
-	return pr.res.open(cfg, sumcheck.Flat(table))
+	return openTables(&pr.res, cfg, sumcheck.Flat(table))
 }

@@ -17,29 +17,29 @@ func TestFromStateLengthValidation(t *testing.T) {
 	f := field.Mersenne()
 	const u = 128
 	short := make([]field.Elem, 7)
-	shortCounts := make([]int64, 7)
+	shortCounts := sumcheck.Flat(make([]int64, 7))
 
 	fk, err := NewFk(f, u, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fk.NewProverFromTable(sumcheck.Flat(short), nil); err == nil {
+	if _, err := fk.NewProverFromTable(shortCounts, nil); err == nil {
 		t.Error("Fk accepted a short table")
 	}
 	// A table in chunks is refused at construction too, with its scan
 	// supplied: 64 entries for the whole 128, 32 for the slice [64, 128).
 	live := func() sumcheck.LivePairs { return sumcheck.LivePairs{} }
-	if _, err := fk.NewProverFromTable(sumcheck.Chunked{Width: 32, Chunks: make([][]field.Elem, 2)}, live); err == nil {
+	if _, err := fk.NewProverFromTable(sumcheck.Counts{Width: 32, Chunks: make([][]int64, 2)}, live); err == nil {
 		t.Error("Fk accepted a short table in chunks")
 	}
-	if _, err := fk.NewPartialProverFromTable(sumcheck.Chunked{Width: 16, Chunks: make([][]field.Elem, 2)}, live, 64, 128, 1); err == nil {
+	if _, err := fk.NewPartialProverFromTable(sumcheck.Counts{Width: 16, Chunks: make([][]int64, 2)}, live, 64, 128, 1); err == nil {
 		t.Error("Fk accepted a short slice table in chunks")
 	}
 	rs, err := NewRangeSum(f, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.NewProverFromTable(short); err == nil {
+	if _, err := rs.NewProverFromTable(shortCounts); err == nil {
 		t.Error("RangeSum accepted a short table")
 	}
 	sv, err := NewSubVector(f, u)

@@ -107,18 +107,18 @@ type scProver struct {
 	live func() sumcheck.LivePairs
 }
 
-// livePairs returns the live-pair scan of tables under cfg.
-func (pr *scProver) livePairs(cfg sumcheck.Config, tables []sumcheck.Chunked) sumcheck.LivePairs {
+// livePairs returns pr's live-pair scan of tables under cfg.
+func livePairs[T field.Entry](pr *scProver, cfg sumcheck.Config, tables []sumcheck.Table[T]) sumcheck.LivePairs {
 	if pr.live != nil {
 		return pr.live()
 	}
 	return sumcheck.ScanLivePairs(cfg.Params.Ell, cfg.Workers, tables...)
 }
 
-// open builds the sum-check prover over tables, which it borrows
-// read-only, and emits [claim, g_1].
-func (pr *scProver) open(cfg sumcheck.Config, tables ...sumcheck.Chunked) (Msg, error) {
-	sc, err := sumcheck.NewProver(cfg, pr.livePairs(cfg, tables), tables...)
+// openTables builds pr's sum-check prover over tables, of field elements
+// or of counts, which it borrows read-only, and emits [claim, g_1].
+func openTables[T field.Entry](pr *scProver, cfg sumcheck.Config, tables ...sumcheck.Table[T]) (Msg, error) {
+	sc, err := sumcheck.NewProver(cfg, livePairs(pr, cfg, tables), tables...)
 	if err != nil {
 		return Msg{}, err
 	}

@@ -45,7 +45,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 	rng := field.NewSplitMix64(2811)
 	a := stream.UnitIncrements(u, 300, rng)
 	b := stream.UniformDeltas(u, 9, rng)
-	ca, cb := countsOf(t, a, u), countsOf(t, b, u)
+	ca, cb := applied(t, a, u), applied(t, b, u)
 	ta, tb := elemsOf(t, a, u), elemsOf(t, b, u)
 	const qL, qR = 5, 41
 
@@ -72,7 +72,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 			build: func() (ProverSession, VerifierSession) {
 				v := fk.NewVerifier(field.NewSplitMix64(1))
 				observeAll(t, v, a)
-				return must(fk.NewProverFromTable(sumcheck.Flat(ta), nil)), v
+				return must(fk.NewProverFromTable(sumcheck.Flat(ca), nil)), v
 			},
 			answer: result, want: refFk(t, a, u, 3),
 		},
@@ -99,7 +99,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 			build: func() (ProverSession, VerifierSession) {
 				v := rs.NewVerifier(field.NewSplitMix64(3))
 				observeAll(t, v, b)
-				p := must(rs.NewProverFromTable(tb))
+				p := must(rs.NewProverFromTable(sumcheck.Flat(cb)))
 				if err := errors.Join(v.SetQuery(qL, qR), p.SetQuery(qL, qR)); err != nil {
 					t.Fatal(err)
 				}
@@ -126,7 +126,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 			build: func() (ProverSession, VerifierSession) {
 				v := f0.NewVerifier(field.NewSplitMix64(5))
 				observeAll(t, v, a)
-				return must(f0.NewProverFromCounts(ca, int64(len(a)))), v
+				return must(f0.NewProverFromCounts(sumcheck.Flat(ca), int64(len(a)))), v
 			},
 			answer: result, want: f0Want,
 			// d−1 heavy-hitter reveals, then the empty message that asks
@@ -138,7 +138,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 			build: func() (ProverSession, VerifierSession) {
 				v := f2.NewVerifier(field.NewSplitMix64(6))
 				observeAll(t, v, a)
-				return newSplitFk(t, u, 2, 2, 0, ta, 1), v
+				return newSplitFk(t, u, 2, 2, 0, ca, 1), v
 			},
 			answer: result, want: refFk(t, a, u, 2),
 		},
@@ -204,7 +204,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 func TestAnchorHalvesContract(t *testing.T) {
 	const u = 64
 	ups := stream.UnitIncrements(u, 20, field.NewSplitMix64(2812))
-	counts := countsOf(t, ups, u)
+	counts := applied(t, ups, u)
 	type anchor struct {
 		At    uint64
 		Found bool
@@ -238,7 +238,7 @@ func TestAnchorHalvesContract(t *testing.T) {
 		{
 			name: "Predecessor",
 			build: func() (ProverSession, VerifierSession) {
-				v, p := pred.NewVerifier(field.NewSplitMix64(1)), must(pred.NewProverFromCounts(counts))
+				v, p := pred.NewVerifier(field.NewSplitMix64(1)), must(pred.NewProverFromCounts(sumcheck.Flat(counts)))
 				observeAll(t, v, ups)
 				if err := errors.Join(v.SetQuery(q), p.SetQuery(q)); err != nil {
 					t.Fatal(err)
@@ -254,7 +254,7 @@ func TestAnchorHalvesContract(t *testing.T) {
 		{
 			name: "Successor",
 			build: func() (ProverSession, VerifierSession) {
-				v, p := succ.NewVerifier(field.NewSplitMix64(2)), must(succ.NewProverFromCounts(counts))
+				v, p := succ.NewVerifier(field.NewSplitMix64(2)), must(succ.NewProverFromCounts(sumcheck.Flat(counts)))
 				observeAll(t, v, ups)
 				if err := errors.Join(v.SetQuery(q), p.SetQuery(q)); err != nil {
 					t.Fatal(err)
@@ -270,7 +270,7 @@ func TestAnchorHalvesContract(t *testing.T) {
 		{
 			name: "KLargest",
 			build: func() (ProverSession, VerifierSession) {
-				v, p := kl.NewVerifier(field.NewSplitMix64(3)), must(kl.NewProverFromCounts(counts))
+				v, p := kl.NewVerifier(field.NewSplitMix64(3)), must(kl.NewProverFromCounts(sumcheck.Flat(counts)))
 				observeAll(t, v, ups)
 				if err := errors.Join(v.SetQuery(k), p.SetQuery(k)); err != nil {
 					t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/hashtree"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 )
 
 // HeavyHitters is the protocol of §6.1: report every item whose frequency
@@ -281,7 +282,7 @@ func (v *HeavyHittersVerifier) SpaceWords() int {
 // revealed (r, q).
 type HeavyHittersProver struct {
 	proto    *HeavyHitters
-	counts   []int64 // borrowed read-only
+	counts   sumcheck.Counts // borrowed read-only
 	total    int64
 	tree     *hashtree.IncrementalTree
 	phi      float64
@@ -290,12 +291,12 @@ type HeavyHittersProver struct {
 	threshold int64
 }
 
-// NewProverFromCounts returns a prover over a dense count table (length
-// Params.U), borrowed read-only, with the given stream total Σδ — the
-// maintained state of a dataset engine.
-func (p *HeavyHitters) NewProverFromCounts(counts []int64, total int64) (*HeavyHittersProver, error) {
-	if uint64(len(counts)) != p.Params.U {
-		return nil, fmt.Errorf("core: count table has %d entries, want %d", len(counts), p.Params.U)
+// NewProverFromCounts returns a prover over a count table (Params.U
+// entries) held in chunks, borrowed read-only, with the given stream
+// total Σδ — the maintained state of a dataset engine.
+func (p *HeavyHitters) NewProverFromCounts(counts sumcheck.Counts, total int64) (*HeavyHittersProver, error) {
+	if uint64(counts.Len()) != p.Params.U {
+		return nil, fmt.Errorf("core: count table has %d entries, want %d", counts.Len(), p.Params.U)
 	}
 	return &HeavyHittersProver{proto: p, counts: counts, total: total}, nil
 }
@@ -314,7 +315,7 @@ func (pr *HeavyHittersProver) Open() (Msg, error) {
 	if !pr.hasQuery {
 		return Msg{}, fmt.Errorf("core: heavy-hitters query not set")
 	}
-	tree, err := hashtree.NewIncrementalFromCounts(pr.proto.F, pr.proto.Params, hashtree.Affine, pr.counts)
+	tree, err := hashtree.NewIncrementalFromCounts(pr.proto.F, pr.proto.Params, hashtree.Affine, pr.counts.Width, pr.counts.Chunks)
 	if err != nil {
 		return Msg{}, err
 	}

@@ -178,7 +178,7 @@ func (pr *MultiFkProver) Open() (Msg, error) {
 	claims := make([]field.Elem, len(pr.slots))
 	var body []field.Elem
 	for slot := range pr.slots {
-		m, err := pr.slots[slot].open(pr.proto.cfg(slot), sumcheck.Flat(pr.tables[slot]))
+		m, err := openTables(&pr.slots[slot], pr.proto.cfg(slot), sumcheck.Flat(pr.tables[slot]))
 		if err != nil {
 			return Msg{}, err
 		}

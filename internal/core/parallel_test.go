@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/stream"
-	"repro/internal/sumcheck"
 )
 
 // recordingProver captures every message a prover session emits.
@@ -95,7 +94,7 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 					return nil, nil, err
 				}
 			}
-			p, err := proto.NewProverFromTable(sumcheck.Flat(table), nil)
+			p, err := proto.NewProverFromTable(counts, nil)
 			return p, v, err
 		}},
 		{"RangeSum", func(workers int) (ProverSession, VerifierSession, error) {
@@ -113,7 +112,7 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 			if err := v.SetQuery(10, u/2); err != nil {
 				return nil, nil, err
 			}
-			p, err := proto.NewProverFromTable(table)
+			p, err := proto.NewProverFromTable(counts)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -47,12 +47,12 @@ type PartialProver struct {
 	scProver
 	cfg     sumcheck.Config // global configuration; Params span the full universe
 	lo, hi  uint64
-	tables  []sumcheck.Chunked // slice subtables, borrowed read-only
+	tables  []sumcheck.Counts // slice subtables, borrowed read-only
 	version uint64
 	headD   int
 }
 
-func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, hi, version uint64, tables ...sumcheck.Chunked) (*PartialProver, error) {
+func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, hi, version uint64, tables ...sumcheck.Counts) (*PartialProver, error) {
 	sp, err := sumcheck.SliceParams(cfg.Params, lo, hi)
 	if err != nil {
 		return nil, err
@@ -72,27 +72,27 @@ func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, h
 // the dataset version the opening reports to the SplitProver. live
 // supplies table's live-pair scan, as a memo shared by every prover of
 // the table; nil scans table when the prover opens.
-func (p *Fk) NewPartialProverFromTable(table sumcheck.Chunked, live func() sumcheck.LivePairs, lo, hi, version uint64) (*PartialProver, error) {
+func (p *Fk) NewPartialProverFromTable(table sumcheck.Counts, live func() sumcheck.LivePairs, lo, hi, version uint64) (*PartialProver, error) {
 	return newPartialProver(p.scConfig(), live, lo, hi, version, table)
 }
 
 // NewPartialProverFromTable returns the slice-owner session for a
 // range-sum query over the global range [qL, qR] (validated against the
-// full universe). The slice materializes its part of the indicator
-// itself — the intersection of the query range with [lo, hi) — so no
-// second table travels.
-func (p *RangeSum) NewPartialProverFromTable(table []field.Elem, lo, hi, version, qL, qR uint64) (*PartialProver, error) {
+// full universe). table holds the slice's counts as Fk's takes them. The
+// slice builds its part of the indicator itself — the intersection of
+// the query range with [lo, hi), in table's chunks — so no second table
+// travels.
+func (p *RangeSum) NewPartialProverFromTable(table sumcheck.Counts, lo, hi, version, qL, qR uint64) (*PartialProver, error) {
 	if err := checkRange(qL, qR, p.Params.U); err != nil {
 		return nil, err
 	}
-	indicator := rangeIndicator(lo, lo+uint64(len(table)), qL, qR)
-	return newPartialProver(p.scConfig(), nil, lo, hi, version, sumcheck.Flat(table), sumcheck.Flat(indicator))
+	return newPartialProver(p.scConfig(), nil, lo, hi, version, table, rangeIndicator(table, lo, qL, qR))
 }
 
 // Open computes this slice's partial claim and round-1 partial,
 // prefixed by the dataset version for the SplitProver's skew check.
 func (pr *PartialProver) Open() (Msg, error) {
-	sc, err := sumcheck.NewPartialProver(pr.cfg, pr.lo, pr.hi, pr.livePairs(pr.cfg, pr.tables), pr.tables...)
+	sc, err := sumcheck.NewPartialProver(pr.cfg, pr.lo, pr.hi, livePairs(&pr.scProver, pr.cfg, pr.tables), pr.tables...)
 	if err != nil {
 		return Msg{}, err
 	}

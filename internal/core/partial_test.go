@@ -47,7 +47,7 @@ func (o *localOwner) Finish() error {
 // the n-th open, counted from 1; every owner opened is kept in opened.
 type fkSlices struct {
 	proto   *Fk
-	table   []field.Elem
+	table   []int64
 	slices  int
 	version func(n, k int) uint64
 	opens   int
@@ -84,7 +84,7 @@ func newFk(t *testing.T, u uint64, k, workers int) *Fk {
 
 // newSplitFk returns the split session of an Fk query over table, its
 // slices owners all at version.
-func newSplitFk(t *testing.T, u uint64, k, slices, workers int, table []field.Elem, version uint64) *SplitProver {
+func newSplitFk(t *testing.T, u uint64, k, slices, workers int, table []int64, version uint64) *SplitProver {
 	t.Helper()
 	s := &fkSlices{proto: newFk(t, u, k, workers), table: table, slices: slices,
 		version: func(int, int) uint64 { return version }}
@@ -110,7 +110,7 @@ func runFk(t *testing.T, proto *Fk, p ProverSession, ups []stream.Update, seed u
 }
 
 // fkReference is the single-table Fk prover's accepted transcript.
-func fkReference(t *testing.T, proto *Fk, table []field.Elem, ups []stream.Update, seed uint64) ([]Msg, field.Elem) {
+func fkReference(t *testing.T, proto *Fk, table []int64, ups []stream.Update, seed uint64) ([]Msg, field.Elem) {
 	t.Helper()
 	p, err := proto.NewProverFromTable(sumcheck.Flat(table), nil)
 	if err != nil {
@@ -130,7 +130,7 @@ func TestSplitFkBitIdentical(t *testing.T) {
 	const u = 1 << 7
 	rng := field.NewSplitMix64(3)
 	ups := stream.UniformDeltas(u, 500, rng)
-	table := elemsOf(t, ups, u)
+	table := applied(t, ups, u)
 	for _, k := range []int{2, 3} {
 		for _, workers := range []int{0, 4} {
 			proto := newFk(t, u, k, workers)
@@ -161,7 +161,7 @@ func TestSplitRangeSumBitIdentical(t *testing.T) {
 	const u = 1 << 6
 	rng := field.NewSplitMix64(5)
 	ups := stream.UniformDeltas(u, 300, rng)
-	table := elemsOf(t, ups, u)
+	table := applied(t, ups, u)
 	const qL, qR = 7, 51
 	proto, err := NewRangeSum(f61, u)
 	if err != nil {
@@ -177,7 +177,7 @@ func TestSplitRangeSumBitIdentical(t *testing.T) {
 		_, err := Run(rec, v)
 		return rec.msgs, err
 	}
-	refP, err := proto.NewProverFromTable(table)
+	refP, err := proto.NewProverFromTable(sumcheck.Flat(table))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSplitRangeSumBitIdentical(t *testing.T) {
 			owners := make([]SplitOwner, slices)
 			for s := range owners {
 				lo, hi := uint64(s)*width, uint64(s+1)*width
-				p, err := proto.NewPartialProverFromTable(table[lo:hi], lo, hi, 4, qL, qR)
+				p, err := proto.NewPartialProverFromTable(sumcheck.Flat(table[lo:hi]), lo, hi, 4, qL, qR)
 				if err != nil {
 					return nil, err
 				}
@@ -220,7 +220,7 @@ func TestSplitRangeSumBitIdentical(t *testing.T) {
 func TestSplitProverVersionSkew(t *testing.T) {
 	const u = 1 << 5
 	ups := stream.UniformDeltas(u, 60, field.NewSplitMix64(8))
-	table := elemsOf(t, ups, u)
+	table := applied(t, ups, u)
 	proto := newFk(t, u, 2, 0)
 	ref, _ := fkReference(t, proto, table, ups, 21)
 
@@ -300,7 +300,7 @@ func TestSplitProverValidation(t *testing.T) {
 	const big = 1000 // pads to 1024: d = 10, and 4 slices serve 8 head rounds
 	ups := stream.UniformDeltas(big, 100, field.NewSplitMix64(9))
 	proto := newFk(t, big, 2, 0)
-	s := &fkSlices{proto: proto, table: elemsOf(t, ups, proto.Params.U), slices: 4,
+	s := &fkSlices{proto: proto, table: applied(t, ups, proto.Params.U), slices: 4,
 		version: func(int, int) uint64 { return 1 }}
 	sp, err := NewSplitProver(f61, big, sumcheck.Power{K: 2}, 0, s.open)
 	if err != nil {
@@ -345,7 +345,7 @@ func (o *pipelinedOwner) Msg() (Msg, error) {
 func TestSplitProverPipelinedBroadcast(t *testing.T) {
 	const u, slices = 1 << 6, 4
 	ups := stream.UniformDeltas(u, 100, field.NewSplitMix64(10))
-	table := elemsOf(t, ups, u)
+	table := applied(t, ups, u)
 	proto := newFk(t, u, 2, 0)
 	ref, _ := fkReference(t, proto, table, ups, 5)
 	s := &fkSlices{proto: proto, table: table, slices: slices, version: func(int, int) uint64 { return 2 }}
@@ -391,7 +391,7 @@ func (o *lyingOwner) Msg() (Msg, error) {
 func TestSplitProverRefusesOwnerLies(t *testing.T) {
 	const u, slices = 1 << 6, 2 // d = 6; the owners' 6th message is their leaves
 	ups := stream.UniformDeltas(u, 100, field.NewSplitMix64(11))
-	table := elemsOf(t, ups, u)
+	table := applied(t, ups, u)
 	proto := newFk(t, u, 2, 0)
 	for _, c := range []struct {
 		name string

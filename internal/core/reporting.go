@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 )
 
 // This file implements the §4.2 reductions of the reporting queries to
@@ -327,19 +328,14 @@ func (pr *SuccessorProver) Open() (Msg, error) {
 }
 
 // scanExtreme returns the largest (wantMax) or smallest nonzero index of
-// the dense frequency table satisfying keep.
-func scanExtreme(counts []int64, keep func(uint64) bool, wantMax bool) (uint64, bool) {
-	var best uint64
-	found := false
-	for i, c := range counts {
-		idx := uint64(i)
-		if c == 0 || !keep(idx) {
-			continue
+// the frequency table satisfying keep.
+func scanExtreme(counts sumcheck.Counts, keep func(uint64) bool, wantMax bool) (best uint64, found bool) {
+	eachCount(counts, wantMax, func(i uint64, _ int64) bool {
+		if keep(i) {
+			best, found = i, true
 		}
-		if !found || (wantMax && idx > best) || (!wantMax && idx < best) {
-			best, found = idx, true
-		}
-	}
+		return !found
+	})
 	return best, found
 }
 
@@ -428,12 +424,11 @@ func (pr *KLargestProver) Open() (Msg, error) {
 	}
 	var loc uint64
 	seen := 0
-	for i := len(pr.sv.counts) - 1; i >= 0 && seen < pr.k; i-- {
-		if pr.sv.counts[i] != 0 {
-			seen++
-			loc = uint64(i)
-		}
-	}
+	eachCount(pr.sv.counts, true, func(i uint64, _ int64) bool {
+		seen++
+		loc = i
+		return seen < pr.k
+	})
 	if seen < pr.k {
 		return Msg{}, fmt.Errorf("core: only %d distinct elements present, need %d", seen, pr.k)
 	}
@@ -443,11 +438,11 @@ func (pr *KLargestProver) Open() (Msg, error) {
 // ---------------------------------------------------------------------
 // Provers
 //
-// Each specialization's prover borrows a dense count table (a
-// dataset-engine snapshot) read-only; see SubVector.NewProverFromCounts.
+// Each specialization's prover borrows a count table held in chunks (a
+// dataset-engine snapshot's) read-only; see SubVector.NewProverFromCounts.
 
 // NewProverFromCounts returns an INDEX prover over a borrowed count table.
-func (p *Index) NewProverFromCounts(counts []int64) (*IndexProver, error) {
+func (p *Index) NewProverFromCounts(counts sumcheck.Counts) (*IndexProver, error) {
 	sv, err := p.sv.NewProverFromCounts(counts)
 	if err != nil {
 		return nil, err
@@ -456,7 +451,7 @@ func (p *Index) NewProverFromCounts(counts []int64) (*IndexProver, error) {
 }
 
 // NewProverFromCounts returns a DICTIONARY prover over a borrowed count table.
-func (p *Dictionary) NewProverFromCounts(counts []int64) (*DictionaryProver, error) {
+func (p *Dictionary) NewProverFromCounts(counts sumcheck.Counts) (*DictionaryProver, error) {
 	sv, err := p.sv.NewProverFromCounts(counts)
 	if err != nil {
 		return nil, err
@@ -465,7 +460,7 @@ func (p *Dictionary) NewProverFromCounts(counts []int64) (*DictionaryProver, err
 }
 
 // NewProverFromCounts returns a PREDECESSOR prover over a borrowed count table.
-func (p *Predecessor) NewProverFromCounts(counts []int64) (*PredecessorProver, error) {
+func (p *Predecessor) NewProverFromCounts(counts sumcheck.Counts) (*PredecessorProver, error) {
 	sv, err := p.sv.NewProverFromCounts(counts)
 	if err != nil {
 		return nil, err
@@ -474,7 +469,7 @@ func (p *Predecessor) NewProverFromCounts(counts []int64) (*PredecessorProver, e
 }
 
 // NewProverFromCounts returns a SUCCESSOR prover over a borrowed count table.
-func (p *Successor) NewProverFromCounts(counts []int64) (*SuccessorProver, error) {
+func (p *Successor) NewProverFromCounts(counts sumcheck.Counts) (*SuccessorProver, error) {
 	sv, err := p.sv.NewProverFromCounts(counts)
 	if err != nil {
 		return nil, err
@@ -483,7 +478,7 @@ func (p *Successor) NewProverFromCounts(counts []int64) (*SuccessorProver, error
 }
 
 // NewProverFromCounts returns a k-LARGEST prover over a borrowed count table.
-func (p *KLargest) NewProverFromCounts(counts []int64) (*KLargestProver, error) {
+func (p *KLargest) NewProverFromCounts(counts sumcheck.Counts) (*KLargestProver, error) {
 	sv, err := p.sv.NewProverFromCounts(counts)
 	if err != nil {
 		return nil, err

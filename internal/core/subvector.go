@@ -6,6 +6,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/hashtree"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 )
 
 // SubVector is the reporting-query protocol of §4: after the stream, the
@@ -279,20 +280,44 @@ func (v *SubVectorVerifier) SpaceWords() int {
 // dataset engine hand the same table to many query sessions.
 type SubVectorProver struct {
 	proto    *SubVector
-	counts   []int64 // the aggregated frequency vector, borrowed read-only
+	counts   sumcheck.Counts // the aggregated frequency vector, borrowed read-only
 	tree     *hashtree.IncrementalTree
 	qL, qR   uint64
 	hasQuery bool
 }
 
 // NewProverFromCounts returns a prover whose frequency table is the given
-// dense count vector (length Params.U), borrowed read-only — typically a
-// dataset-engine snapshot. Construction is O(1).
-func (p *SubVector) NewProverFromCounts(counts []int64) (*SubVectorProver, error) {
-	if uint64(len(counts)) != p.Params.U {
-		return nil, fmt.Errorf("core: count table has %d entries, want %d", len(counts), p.Params.U)
+// count vector (Params.U entries) held in chunks — a flat table is
+// sumcheck.Flat, a dataset-engine snapshot its chunks — and borrowed
+// read-only. Construction is O(1).
+func (p *SubVector) NewProverFromCounts(counts sumcheck.Counts) (*SubVectorProver, error) {
+	if uint64(counts.Len()) != p.Params.U {
+		return nil, fmt.Errorf("core: count table has %d entries, want %d", counts.Len(), p.Params.U)
 	}
 	return &SubVectorProver{proto: p, counts: counts}, nil
+}
+
+// eachCount calls fn(i, c) for each non-zero count c of counts, at index
+// i, in increasing index order — decreasing when down — until fn returns
+// false. It passes over nil chunks whole.
+func eachCount(counts sumcheck.Counts, down bool, fn func(i uint64, c int64) bool) {
+	n := len(counts.Chunks)
+	for kk := range n {
+		k := kk
+		if down {
+			k = n - 1 - kk
+		}
+		ch := counts.Chunks[k]
+		for jj := range ch {
+			j := jj
+			if down {
+				j = len(ch) - 1 - jj
+			}
+			if c := ch[j]; c != 0 && !fn(uint64(k*counts.Width+j), c) {
+				return
+			}
+		}
+	}
 }
 
 // SetQuery fixes the queried range.
@@ -310,7 +335,7 @@ func (pr *SubVectorProver) Open() (Msg, error) {
 	if !pr.hasQuery {
 		return Msg{}, fmt.Errorf("core: sub-vector query not set")
 	}
-	tree, err := hashtree.NewIncrementalFromCounts(pr.proto.F, pr.proto.Params, hashtree.Affine, pr.counts)
+	tree, err := hashtree.NewIncrementalFromCounts(pr.proto.F, pr.proto.Params, hashtree.Affine, pr.counts.Width, pr.counts.Chunks)
 	if err != nil {
 		return Msg{}, err
 	}

@@ -132,17 +132,8 @@ func TestCrossDatasetContention(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						var total int64
-						elems := snap.Elems()
-						for j, c := range snap.Counts() {
-							total += c
-							if f61.FromInt64(c) != elems[j] {
-								t.Error("snapshot tore across a transition: counts and elems disagree")
-								return
-							}
-						}
-						if total != snap.Total() {
-							t.Errorf("snapshot tore: Σcounts=%d but Total=%d", total, snap.Total())
+						if why := torn(snap); why != "" {
+							t.Error("snapshot tore across a transition: " + why)
 							return
 						}
 					}

@@ -12,14 +12,15 @@
 // A Dataset instead maintains the aggregate state every prover kind is a
 // cheap function of:
 //
-//   - counts: the dense frequency vector a (int64 per entry), the one
-//     table the engine stores and writes — the hash-tree provers
+//   - counts: the frequency vector a (int64 per entry), the one table the
+//     engine stores and writes, and every prover's one input, read in
+//     place chunk by chunk — the sum-check provers (Fk, RANGE-SUM) read
+//     each count as a field element as they go, the hash-tree provers
 //     (SUB-VECTOR and friends, HEAVY HITTERS) and the frequency-based
-//     provers (F0, Fmax) build their leaves/residual tables from it;
-//   - the field image of a, which the sum-check provers (Fk, RANGE-SUM,
-//     the GKR circuits) take as their table: never written by an ingest,
-//     but built from the counts, chunk by chunk, by the first snapshot of
-//     a version that needs it, and memoized beside the chunk's live pairs;
+//     provers (F0, Fmax) build their leaves/residual tables from it, and
+//     CIRCUIT its GKR input. No field image of a is held: a chunk's memo
+//     keeps its live pairs, and a reduced copy only of a chunk that may
+//     hold a count of p or more;
 //   - total: Σδ, the stream length n for the heavy-hitters threshold φn.
 //
 // A batch that would take a count or Σδ outside int64 is refused whole
@@ -327,9 +328,14 @@ func (e *Engine) Drop(name string) {
 // ---------------------------------------------------------------------
 
 // tableBytes is the resident cost of one dataset's head tables: an int64
-// count and, once a version is proved, a field.Elem of its image per
-// padded universe entry.
-func tableBytes(paddedU uint64) int64 { return int64(paddedU) * 16 }
+// count per padded universe entry, plus the most a proved version's
+// live-pair lists hold — its chunks' lists and its own index, each at
+// most sumcheck.MaxSparseLive pairs of 4 bytes, about 1 byte per entry in
+// all. The reduced copy a chunk's memo makes of counts of p or more is
+// not charged.
+func tableBytes(paddedU uint64) int64 {
+	return int64(paddedU)*8 + 2*4*int64(max(0, sumcheck.MaxSparseLive(2, int(paddedU))))
+}
 
 // residency is the per-dataset state machine of the memory governor:
 //
@@ -378,7 +384,7 @@ type Dataset struct {
 	verMeta  uint64      // dataset version, valid even while evicted
 	lastUse  uint64      // LRU stamp; guarded by eng.mu, not mu
 
-	liveScans atomic.Uint64 // chunk memos (field image and live-pair scan) run for its table versions
+	liveScans atomic.Uint64 // chunk memos (live-pair scans) run for its table versions
 
 	// saveMu serializes checkpoint writes for this dataset and guards
 	// the record of what is on disk, so a slow writer holding an older
@@ -679,14 +685,15 @@ type Snapshot struct {
 }
 
 // Counts returns the dense frequency vector as a fresh O(u) copy, the
-// caller's own.
-func (s *Snapshot) Counts() []int64 { return flat(s.st, countsOf) }
-
-// Elems returns the field image of the frequency vector as a fresh O(u)
-// copy, the caller's own. It runs the chunks' memos first (livePairs).
-func (s *Snapshot) Elems() []field.Elem {
-	s.livePairs()
-	return flat(s.st, elemsOf)
+// caller's own. No prover reads it; the provers borrow the chunks.
+func (s *Snapshot) Counts() []int64 {
+	out := make([]int64, len(s.st.chunks)<<s.st.shift)
+	for k, ch := range s.st.chunks {
+		if ch != nil {
+			copy(out[k<<s.st.shift:], ch.counts)
+		}
+	}
+	return out
 }
 
 // Total returns Σδ over the ingested stream (the length n of an
@@ -700,22 +707,29 @@ func (s *Snapshot) Updates() uint64 { return s.st.n }
 // Dataset.Version.
 func (s *Snapshot) Version() uint64 { return s.st.version }
 
-// elemChunks returns the element table as the sum-check prover's table
-// type, borrowed: the SELF-JOIN SIZE and Fk provers (whole and slice
-// owner) take it as it is and read it in place. It runs the chunks' memos
-// first (livePairs), which build the field image.
-func (s *Snapshot) elemChunks() sumcheck.Chunked {
-	s.livePairs()
-	return sumcheck.Chunked{Width: 1 << s.st.shift, Chunks: column(s.st, elemsOf)}
+// countChunks returns the snapshot's counts chunk by chunk, borrowed:
+// the hash-tree kinds, F0, Fmax and CIRCUIT read them in place.
+func (s *Snapshot) countChunks() sumcheck.Counts {
+	return column(s.st, func(ch *chunk) []int64 { return ch.counts })
 }
 
-// livePairs returns the live-pair scan of the snapshot's element table,
-// which the SELF-JOIN SIZE and Fk provers take instead of scanning the
-// table themselves. The sealed state assembles it once, single-flight, on
-// first use, memoizing only chunks no earlier version memoized — each
-// builds its field image from its counts and scans it: every conversation
-// on an unchanged version after the first skips the assembly, and a
-// version one ingest made memoizes the chunks it touched.
+// provedChunks returns the counts the sum-check provers read, chunk by
+// chunk, borrowed: each chunk's counts, or its reduced copy when it may
+// hold a count of p or more. The SELF-JOIN SIZE, Fk and RANGE-SUM provers
+// (whole and slice owner) read them in place. It runs the chunks' memos
+// first (livePairs), which build the reduced copies.
+func (s *Snapshot) provedChunks() sumcheck.Counts {
+	s.livePairs()
+	return column(s.st, (*chunk).proved)
+}
+
+// livePairs returns the live-pair scan of the snapshot's counts, which
+// the SELF-JOIN SIZE and Fk provers take instead of scanning the table
+// themselves. The sealed state assembles it once, single-flight, on first
+// use, memoizing only chunks no earlier version memoized — each scans its
+// counts, skipping zero blocks: every conversation on an unchanged
+// version after the first skips the assembly, and a version one ingest
+// made memoizes the chunks it touched.
 func (s *Snapshot) livePairs() sumcheck.LivePairs {
 	return s.st.scanLive(s.ds.f, s.ds.workers, &s.ds.liveScans)
 }

@@ -17,15 +17,24 @@ import (
 )
 
 // Budget geometry used throughout: u = 500 pads to 512 entries, and a
-// dataset's resident tables cost 16 bytes per padded entry.
-const (
-	evictU     = 500
-	oneDataset = 512 * 16
-)
+// dataset's resident tables cost TableCost: 8 bytes of counts per padded
+// entry, plus 1 byte per entry for the live-pair lists.
+const evictU = 500
+
+var oneDataset = func() int64 {
+	cost, err := engine.TableCost(evictU)
+	if err != nil {
+		panic(err)
+	}
+	return cost
+}()
 
 // TestBudgetAdmission: admission failures are typed, atomic, and leave
 // the resident set intact.
 func TestBudgetAdmission(t *testing.T) {
+	if oneDataset != 512*8+512 {
+		t.Fatalf("TableCost(%d) = %d, want 8 bytes of counts and 1 of live lists per padded entry", evictU, oneDataset)
+	}
 	// Without a data dir, the budget is a hard cap: nothing can be
 	// evicted to make room.
 	e := engine.New(f61, 0)
@@ -488,17 +497,8 @@ func TestConcurrentEvictRehydrate(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				var total int64
-				elems := snap.Elems()
-				for j, c := range snap.Counts() {
-					total += c
-					if f61.FromInt64(c) != elems[j] {
-						t.Error("snapshot tore across evict/rehydrate: counts and elems disagree")
-						return
-					}
-				}
-				if total != snap.Total() {
-					t.Errorf("snapshot tore: Σcounts=%d but Total=%d", total, snap.Total())
+				if why := torn(snap); why != "" {
+					t.Error("snapshot tore across evict/rehydrate: " + why)
 					return
 				}
 			}

@@ -11,11 +11,10 @@
 // Release seals and persists the dataset's final state, removes it from
 // the registry, and poisons the handle: every later table use fails with
 // ErrReleased (wrapped), a typed signal that the dataset has a new home.
-// Because the checkpoint codec is deterministic and the field image is
-// built from the counts alone, on the first proof of a version, on either
-// side of the move, transcripts and cached-proof bytes are bit-identical
-// across it — the same guarantee the evict/rehydrate cycle already makes,
-// extended across processes.
+// Because the checkpoint codec is deterministic and every prover reads
+// the counts alone, on either side of the move, transcripts and
+// cached-proof bytes are bit-identical across it — the same guarantee the
+// evict/rehydrate cycle already makes, extended across processes.
 package engine
 
 import (

@@ -115,11 +115,11 @@ var kinds = [...]kindRow{
 			}
 			proto.Workers = workers
 			in := sessions(proto.Adopt,
-				func(s *Snapshot) (*core.RangeSumProver, error) { return proto.NewProverFromTable(s.Elems()) },
+				func(s *Snapshot) (*core.RangeSumProver, error) { return proto.NewProverFromTable(s.provedChunks()) },
 				func(v *core.RangeSumVerifier) error { return v.SetQuery(p.A, p.B) },
 				func(pr *core.RangeSumProver) error { return pr.SetQuery(p.A, p.B) })
 			in.partial = func(s *Snapshot, lo, hi uint64) (core.ProverSession, error) {
-				return proto.NewPartialProverFromTable(s.Elems(), lo, hi, s.Version(), p.A, p.B)
+				return proto.NewPartialProverFromTable(s.provedChunks(), lo, hi, s.Version(), p.A, p.B)
 			}
 			return in, nil
 		},
@@ -137,7 +137,7 @@ var kinds = [...]kindRow{
 		}
 		proto.Workers = workers
 		return sessions(proto.Adopt,
-			func(s *Snapshot) (*core.SubVectorProver, error) { return proto.NewProverFromCounts(s.Counts()) },
+			func(s *Snapshot) (*core.SubVectorProver, error) { return proto.NewProverFromCounts(s.countChunks()) },
 			func(v *core.SubVectorVerifier) error { return v.SetQuery(p.A, p.B) },
 			func(pr *core.SubVectorProver) error { return pr.SetQuery(p.A, p.B) }), nil
 	}, families: core.FamilyTree, answer: reads(func(v *core.SubVectorVerifier, a *Answer) (err error) {
@@ -167,7 +167,7 @@ var kinds = [...]kindRow{
 		proto.Workers = workers
 		return sessions(proto.Adopt,
 			func(s *Snapshot) (*core.HeavyHittersProver, error) {
-				return proto.NewProverFromCounts(s.Counts(), s.Total())
+				return proto.NewProverFromCounts(s.countChunks(), s.Total())
 			},
 			func(v *core.HeavyHittersVerifier) error { return v.SetQuery(p.Phi) },
 			func(pr *core.HeavyHittersProver) error { return pr.SetQuery(p.Phi) }), nil
@@ -183,7 +183,7 @@ var kinds = [...]kindRow{
 		proto.Workers = workers
 		return sessions(proto.Adopt,
 			func(s *Snapshot) (*core.FrequencyBasedProver, error) {
-				return proto.NewProverFromCounts(s.Counts(), s.Total())
+				return proto.NewProverFromCounts(s.countChunks(), s.Total())
 			}, nil, nil), nil
 	}, families: core.FamilyPoint | core.FamilyAug, answer: reads(func(v *core.FrequencyBasedVerifier, a *Answer) (err error) {
 		a.Elem, err = v.Result()
@@ -197,15 +197,16 @@ var kinds = [...]kindRow{
 		proto.SetWorkers(workers)
 		return sessions(proto.Adopt,
 			func(s *Snapshot) (*core.FmaxProver, error) {
-				return proto.NewProverFromCounts(s.Counts(), s.Total())
+				return proto.NewProverFromCounts(s.countChunks(), s.Total())
 			}, nil, nil), nil
 	}, families: core.FamilyTree | core.FamilyPoint | core.FamilyAug, answer: reads(func(v *core.FmaxVerifier, a *Answer) (err error) {
 		a.Int, err = v.Result()
 		return err
 	})},
 	// QueryCircuit: the family name travels in p.Circuit, its argument in
-	// p.A. The circuit reads the element table's first InputSize entries
-	// (zero-padded if the family's input outgrows the padded universe).
+	// p.A. The circuit reads the field images of the first InputSize
+	// counts (zero-padded if the family's input outgrows the padded
+	// universe).
 	QueryCircuit: {open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
 		proto, err := gkr.NewProtocolFor(f, circuit.Spec{Name: p.Circuit, Arg: p.A}, u, workers)
 		if err != nil {
@@ -214,7 +215,8 @@ var kinds = [...]kindRow{
 		return &instance{
 			verifier: func(_ core.Summary, rng field.RNG) (StreamVerifier, error) { return proto.NewVerifierSession(rng) },
 			prover: func(s *Snapshot) (core.ProverSession, error) {
-				return proto.NewProverSession(proto.PadInput(s.Elems()))
+				c := s.countChunks()
+				return proto.NewProverSession(proto.InputFromCounts(c.Width, c.Chunks))
 			},
 		}, nil
 	}, answer: reads(func(v *gkr.VerifierSession, a *Answer) (err error) {
@@ -224,9 +226,9 @@ var kinds = [...]kindRow{
 }
 
 // fkRow is SELF-JOIN SIZE (k = 2) and Fk (k from the parameters). Its
-// provers, whole and slice owner, read the element table in place through
-// its chunks and take the version's live-pair memo (Snapshot.livePairs)
-// instead of scanning it.
+// provers, whole and slice owner, read the counts in place through their
+// chunks and take the version's live-pair memo (Snapshot.livePairs)
+// instead of scanning them.
 func fkRow(k func(QueryParams) int) kindRow {
 	return kindRow{
 		open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
@@ -237,10 +239,10 @@ func fkRow(k func(QueryParams) int) kindRow {
 			proto.Workers = workers
 			in := sessions(proto.Adopt,
 				func(s *Snapshot) (*core.FkProver, error) {
-					return proto.NewProverFromTable(s.elemChunks(), s.livePairs)
+					return proto.NewProverFromTable(s.provedChunks(), s.livePairs)
 				}, nil, nil)
 			in.partial = func(s *Snapshot, lo, hi uint64) (core.ProverSession, error) {
-				return proto.NewPartialProverFromTable(s.elemChunks(), s.livePairs, lo, hi, s.Version())
+				return proto.NewPartialProverFromTable(s.provedChunks(), s.livePairs, lo, hi, s.Version())
 			}
 			return in, nil
 		},
@@ -261,7 +263,7 @@ type scalarQuery[A any] interface{ SetQuery(A) error }
 type scalarProto[V, P any] interface {
 	SetWorkers(int)
 	Adopt(core.Summary) V
-	NewProverFromCounts([]int64) (P, error)
+	NewProverFromCounts(sumcheck.Counts) (P, error)
 }
 
 // scalarRow is their one row constructor: newProto is the wrapper's
@@ -282,7 +284,7 @@ func scalarRow[A any, V interface {
 		proto.SetWorkers(workers)
 		a := arg(p)
 		return sessions(proto.Adopt,
-			func(s *Snapshot) (P, error) { return proto.NewProverFromCounts(s.Counts()) },
+			func(s *Snapshot) (P, error) { return proto.NewProverFromCounts(s.countChunks()) },
 			func(v V) error { return v.SetQuery(a) },
 			func(pr P) error { return pr.SetQuery(a) }), nil
 	}, families: core.FamilyTree, answer: reads(read)}

@@ -20,7 +20,6 @@ import (
 type kept struct {
 	snap    *engine.Snapshot
 	counts  []int64
-	elems   []field.Elem
 	history []stream.Update
 }
 
@@ -203,8 +202,7 @@ func TestLivePairsOncePerVersion(t *testing.T) {
 						}
 						for _, k := range fresh {
 							live := engine.LivePairsOf(k.snap)
-							k.elems = k.snap.Elems()
-							want := sumcheck.ScanLivePairs(2, 0, sumcheck.Flat(k.elems))
+							want := sumcheck.ScanLivePairs(2, 0, sumcheck.Flat(imageOf(k.snap.Counts())))
 							if live.Sparse() != want.Sparse() || !slices.Equal(live.Indices(), want.Indices()) {
 								t.Fatalf("%s: index (sparse %v, %d pairs) differs from a fresh scan (sparse %v, %d pairs)",
 									name, live.Sparse(), live.Len(), want.Sparse(), want.Len())
@@ -215,7 +213,7 @@ func TestLivePairsOncePerVersion(t *testing.T) {
 							p.kept = append(p.kept, k)
 						}
 						for v, k := range p.kept {
-							if !slices.Equal(k.snap.Counts(), k.counts) || !slices.Equal(k.snap.Elems(), k.elems) {
+							if !slices.Equal(k.snap.Counts(), k.counts) {
 								t.Fatalf("%s: the snapshot of version %d changed", name, v)
 							}
 						}
@@ -224,6 +222,13 @@ func TestLivePairsOncePerVersion(t *testing.T) {
 			})
 		}
 	}
+}
+
+// imageOf returns the field image of counts.
+func imageOf(counts []int64) []field.Elem {
+	elems := make([]field.Elem, len(counts))
+	f61.FromInt64Slice(elems, counts)
+	return elems
 }
 
 // buildConcurrently builds the live-pair index of every kept snapshot
@@ -242,13 +247,16 @@ func buildConcurrently(ks []kept, n int) {
 	wg.Wait()
 }
 
-// TestFieldImageMemo: a chunk's field image is built by its live-pair
-// memo alone. After an ingest, a rehydrate or a Recover no chunk holds
-// one; the first proof of a version builds the image of each held chunk
-// exactly once, as one memo beside its live-pair scan, a second proof of
-// the version builds none, a one-update version builds one, and Elems
-// reads the memo's image.
-func TestFieldImageMemo(t *testing.T) {
+// TestNoFieldImage: the engine holds counts and no field image of them.
+// After an ingest, a rehydrate or a Recover a chunk holds its 32 KiB of
+// counts and nothing else; after a proof, at most its live list beside
+// them, and Snapshot.Counts adds nothing. The first proof of a version
+// scans each held chunk exactly once, a second proof of the version scans
+// none, and a one-update version scans the chunk it wrote. A chunk that
+// holds a count of p or more builds a reduced copy of its counts, once,
+// in the memo of its first proof: a second proof builds none, and after
+// a rehydrate or a Recover it is built again only by the next proof.
+func TestNoFieldImage(t *testing.T) {
 	const u = 1 << 15 // eight chunks
 	cost, err := engine.TableCost(u)
 	if err != nil {
@@ -270,18 +278,26 @@ func TestFieldImageMemo(t *testing.T) {
 	if held != u/engine.ChunkEntries {
 		t.Fatalf("the ingest wrote %d of %d chunks", held, u/engine.ChunkEntries)
 	}
-	images := func(when string, want int) {
+	const countBytes, listBytes = 8 * engine.ChunkEntries, engine.ChunkEntries / 2
+	holds := func(when string, reduced int, proved bool) {
 		t.Helper()
-		if got := engine.ImageChunks(ds); got != want {
-			t.Fatalf("%s: %d chunks hold a field image, want %d", when, got, want)
+		if got := engine.ReducedChunks(ds); got != reduced {
+			t.Fatalf("%s: %d chunks hold a reduced copy, want %d", when, got, reduced)
+		}
+		want, slack := (held+reduced)*countBytes, 0
+		if proved {
+			slack = held * listBytes
+		}
+		if got := engine.ChunkBytes(ds); got < want || got > want+slack {
+			t.Fatalf("%s: the chunks hold %d bytes, want %d counts and at most %d of live lists", when, got, want, slack)
 		}
 	}
-	builds := func(when string, want int, use func(*engine.Snapshot)) {
+	scans := func(when string, want int, use func(*engine.Snapshot)) {
 		t.Helper()
 		before := engine.LiveScans(ds)
 		use(ds.Snapshot())
 		if got := engine.LiveScans(ds) - before; got != uint64(want) {
-			t.Fatalf("%s built %d chunk images, want %d", when, got, want)
+			t.Fatalf("%s scanned %d chunks, want %d", when, got, want)
 		}
 	}
 	prove := func(s *engine.Snapshot) {
@@ -289,15 +305,23 @@ func TestFieldImageMemo(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	images("after an ingest", 0)
-	builds("the first proof of a version", held, prove)
-	images("after the first proof", held)
-	builds("a second proof of the version", 0, prove)
+	holds("after an ingest", 0, false)
+	scans("the first proof of a version", held, prove)
+	holds("after the first proof", 0, true)
+	scans("a second proof of the version", 0, prove)
+	scans("Snapshot.Counts", 0, func(s *engine.Snapshot) { s.Counts() })
+	holds("after Snapshot.Counts", 0, true)
 	if err := ds.IngestColumns([]uint64{12345}, []int64{1}); err != nil {
 		t.Fatal(err)
 	}
-	images("after a one-update ingest", held-1)
-	builds("the first proof of a one-update version", 1, prove)
+	scans("the first proof of a one-update version", 1, prove)
+	if err := ds.IngestColumns([]uint64{12346}, []int64{int64(f61.Modulus())}); err != nil {
+		t.Fatal(err)
+	}
+	scans("the first proof of a version holding p", 1, prove)
+	holds("after the first proof of a version holding p", 1, true)
+	scans("a second proof of the version holding p", 0, prove)
+	holds("after a second proof of the version holding p", 1, true)
 
 	e.SetBudget(cost)
 	if _, err := e.Open("other", u); err != nil {
@@ -306,9 +330,10 @@ func TestFieldImageMemo(t *testing.T) {
 	if ds.Resident() {
 		t.Fatal("a is still resident under a one-dataset budget")
 	}
-	want := ds.Snapshot().Counts() // rehydrates a
-	images("after a rehydrate", 0)
-	builds("the first proof after a rehydrate", held, prove)
+	ds.Snapshot() // rehydrates a
+	holds("after a rehydrate", 0, false)
+	scans("the first proof after a rehydrate", held, prove)
+	holds("after the first proof after a rehydrate", 1, true)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -324,15 +349,9 @@ func TestFieldImageMemo(t *testing.T) {
 	if ds, ok = e.Get("a"); !ok || !ds.Resident() {
 		t.Fatal("a is not resident after Recover")
 	}
-	images("after Recover", 0)
-	builds("Elems after Recover", held, func(s *engine.Snapshot) {
-		for j, x := range s.Elems() {
-			if x != f61.FromInt64(want[j]) {
-				t.Fatalf("Elems()[%d] = %d, want the image of count %d", j, x, want[j])
-			}
-		}
-	})
-	images("after Elems", held)
+	holds("after Recover", 0, false)
+	scans("the first proof after Recover", held, prove)
+	holds("after the first proof after Recover", 1, true)
 }
 
 // TestVersionAllocations: a one-update ingest after a snapshot, at
@@ -340,9 +359,9 @@ func TestFieldImageMemo(t *testing.T) {
 // array and nothing in proportion to u: at most 7 allocations (the
 // snapshot, the new table state and its chunk-pointer array, the chunk
 // and its counts, and the ingest's bookkeeping), and at most one chunk's
-// 32 KiB of counts plus the 2 KiB array and 4 KiB of slack in bytes: the
-// chunk's field image waits for the version's first proof. A flat-table
-// clone allocated 16 MiB here.
+// 32 KiB of counts plus the 2 KiB array and 4 KiB of slack in bytes: no
+// field image is ever built, and the chunk's live-pair scan waits for
+// the version's first proof. A flat-table clone allocated 16 MiB here.
 func TestVersionAllocations(t *testing.T) {
 	const u = 1 << 20
 	ds, err := engine.NewDataset(f61, u, 0)

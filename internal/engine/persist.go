@@ -102,8 +102,8 @@ func fileForName(name string) string { return store.DatasetFile(name) }
 func nameFromFile(file string) (string, error) { return store.DatasetName(file) }
 
 // SetBudget caps the aggregate bytes of resident dataset tables (counts
-// plus the field image a proved version builds: 16 bytes per padded
-// universe entry per dataset).
+// plus the live-pair lists a proved version keeps: 9 bytes per padded
+// universe entry per dataset, see TableCost).
 // Zero or negative removes the cap. The budget is enforced at admission
 // time — Open of a new dataset and rehydration of an evicted one — by
 // evicting least-recently-used datasets to the data dir; without a data
@@ -127,8 +127,9 @@ func (e *Engine) ResidentBytes() int64 {
 }
 
 // TableCost returns the resident byte cost of a dataset over a universe
-// of size ≥ u: 16 bytes per entry of the padded (power-of-two) table —
-// what opening it charges against the engine budget.
+// of size ≥ u: 8 bytes of counts per entry of the padded (power-of-two)
+// table, plus the live-pair lists' bound, 1 byte per entry from 128
+// entries up — what opening it charges against the engine budget.
 func TableCost(u uint64) (int64, error) {
 	params, err := lde.ParamsForUniverse(u, 2)
 	if err != nil {
@@ -415,9 +416,9 @@ func shellForCheckpoint(f field.Field, ckpt *store.Checkpoint, workers int) (*Da
 
 // stateFromCheckpoint rebuilds live tables from a chunk-shaped
 // checkpoint (store.LoadChunks): a chunk with a record aliases its
-// loaded counts, and its field image waits for the version's first proof
-// (built from the counts alone, so an evict/rehydrate cycle is
-// bit-exact); a chunk without one stays nil.
+// loaded counts, which every prover reads as they are (so an
+// evict/rehydrate cycle is bit-exact), and its live-pair scan waits for
+// the version's first proof; a chunk without one stays nil.
 func (d *Dataset) stateFromCheckpoint(ckpt *store.Checkpoint) (*tableState, error) {
 	if err := d.checkCheckpoint(ckpt); err != nil {
 		return nil, err

@@ -40,9 +40,9 @@ type QueryParams struct {
 }
 
 // NewProver constructs the prover session for one query over the
-// snapshot's maintained state. No stream is replayed: the sum-check
-// provers borrow the field table, the tree provers borrow the count
-// table, and the heavy-hitters threshold comes from the maintained Σδ.
+// snapshot's maintained state. No stream is replayed and no table is
+// copied: every prover borrows the counts' chunks, and the heavy-hitters
+// threshold comes from the maintained Σδ.
 // The resulting conversation transcript is bit-identical to
 // NewReplayProver's over the original stream (crosschecked in the
 // package tests), for every worker count.

@@ -20,36 +20,66 @@ const chunkShift = store.ChunkShift
 // is written in place only by the unsealed table state whose gen it
 // carries; every other state holding it shares it read-only and copies
 // its counts before a write, so a sealed version's chunks never change.
+// Every write keeps peak, an upper bound on the chunk's largest |count|.
 //
-// A chunk also memoizes its field image and its live pairs: built once,
+// The counts are every prover's one input: the sum-check provers read
+// them as field elements as they go (sumcheck.Counts), which needs each
+// |count| below p. A chunk also memoizes its live pairs — scanned once,
 // single-flight, by the first snapshot that needs them, and shared by
-// every version that holds the chunk — 32 KiB more once a version is
-// proved. A copied chunk starts without them, so a memoized chunk is
-// never written. The chunk lists its live pairs only while it would be
-// held sparse on its own — at most a quarter of its pairs live, 4 bytes
-// each, so at most 1/16 of its 32 KiB of counts — and a denser chunk
-// keeps just the count.
+// every version that holds the chunk — and, when its peak may reach p,
+// a reduced copy of its counts, each in [0, p), which the sum-check
+// provers read instead. A copied chunk starts without a memo, so a
+// memoized chunk is never written. The chunk lists its live pairs only
+// while it would be held sparse on its own — at most a quarter of its
+// pairs live, 4 bytes each, so at most 1/16 of its 32 KiB of counts —
+// and a denser chunk keeps just the count.
 type chunk struct {
 	counts []int64
 	gen    uint64 // the table state that may write the chunk in place
+	peak   uint64 // at least the largest |count|
 
-	memo  sync.Once
-	elems []field.Elem // the field image of counts, once memo has run
-	nlive int          // live pairs of elems, once memo has run
-	live  []uint32     // their indices in the whole table, when nlive is at most MaxSparseLive of the chunk
+	memo    sync.Once
+	reduced []int64  // counts mod p, once memo has run, when peak may reach p
+	nlive   int      // live pairs of the counts, once memo has run
+	live    []uint32 // their indices in the whole table, when nlive is at most MaxSparseLive of the chunk
 }
 
-// memoize builds the chunk's field image from its counts and scans the
-// image for live pairs while it is in cache; first is the table's index
-// of the chunk's first pair. scans counts the memos that run.
+// memoize scans the chunk's counts for live pairs, through a reduced copy
+// it builds first when the chunk's peak may reach p; first is the table's
+// index of the chunk's first pair. scans counts the memos that run.
 func (ch *chunk) memoize(f field.Field, first int, scans *atomic.Uint64) {
 	ch.memo.Do(func() {
-		elems := make([]field.Elem, len(ch.counts))
-		f.FromInt64Slice(elems, ch.counts)
-		ch.elems = elems
-		ch.live, ch.nlive = sumcheck.AppendLivePairs(nil, first, elems, sumcheck.MaxSparseLive(2, len(elems)))
+		if ch.peak >= f.Modulus() {
+			ch.reduced = sumcheck.ReducedCounts(f, ch.counts)
+		}
+		ch.live, ch.nlive = sumcheck.AppendLiveCounts(nil, first, ch.proved(), sumcheck.MaxSparseLive(2, len(ch.counts)))
 		scans.Add(1)
 	})
+}
+
+// proved returns the counts the sum-check provers read: the reduced copy
+// when the memo built one, else the counts themselves. It reads the memo,
+// so it is called only after memoize.
+func (ch *chunk) proved() []int64 {
+	if ch.reduced != nil {
+		return ch.reduced
+	}
+	return ch.counts
+}
+
+// magnitude returns |c| as a uint64, without a branch (MinInt64 included).
+func magnitude(c int64) uint64 {
+	m := uint64(c >> 63)
+	return (uint64(c) ^ m) - m
+}
+
+// peakOf returns the largest |count| of counts.
+func peakOf(counts []int64) uint64 {
+	var peak uint64
+	for _, c := range counts {
+		peak = max(peak, magnitude(c))
+	}
+	return peak
 }
 
 // gens issues table-state generations: each state writes in place only
@@ -104,7 +134,7 @@ func newTableState(u uint64) *tableState {
 func stateFromChunks(u uint64, chunks []store.Chunk) *tableState {
 	st := newTableState(u)
 	for _, c := range chunks {
-		st.chunks[c.Index] = &chunk{counts: c.Counts, gen: st.gen}
+		st.chunks[c.Index] = &chunk{counts: c.Counts, gen: st.gen, peak: peakOf(c.Counts)}
 	}
 	return st
 }
@@ -127,7 +157,7 @@ func (st *tableState) clone() *tableState {
 func (st *tableState) own(k uint64) *chunk {
 	ch := &chunk{gen: st.gen}
 	if old := st.chunks[k]; old != nil {
-		ch.counts = slices.Clone(old.counts)
+		ch.counts, ch.peak = slices.Clone(old.counts), old.peak
 	} else {
 		ch.counts = make([]int64, 1<<st.shift)
 	}
@@ -169,6 +199,7 @@ func (st *tableState) add(idx []uint64, deltas []int64, base uint64, workers int
 				return errOverflow(idx[k])
 			}
 			ch.counts[i&mask] = c
+			ch.peak = max(ch.peak, magnitude(c))
 		}
 		return nil
 	}
@@ -214,6 +245,7 @@ func (st *tableState) add(idx []uint64, deltas []int64, base uint64, workers int
 					break
 				}
 				ch.counts[j] = x
+				ch.peak = max(ch.peak, magnitude(x))
 			}
 		}
 	})
@@ -250,40 +282,24 @@ func (st *tableState) check(idx []uint64, deltas []int64, base uint64) error {
 	return nil
 }
 
-// countsOf and elemsOf pick a chunk's columns.
-func countsOf(ch *chunk) []int64     { return ch.counts }
-func elemsOf(ch *chunk) []field.Elem { return ch.elems }
-
-// column returns one column of the state chunk by chunk, nil for nil
-// chunks: the sum-check prover reads it in place, as the Chunks of a
-// sumcheck.Chunked (elemChunks).
-func column[T any](st *tableState, col func(*chunk) []T) [][]T {
-	out := make([][]T, len(st.chunks))
+// column returns the state's counts chunk by chunk, as col picks them
+// from each chunk, nil for nil chunks: the provers read them in place, as
+// a sumcheck.Counts.
+func column(st *tableState, col func(*chunk) []int64) sumcheck.Counts {
+	out := sumcheck.Counts{Width: 1 << st.shift, Chunks: make([][]int64, len(st.chunks))}
 	for k, ch := range st.chunks {
 		if ch != nil {
-			out[k] = col(ch)
-		}
-	}
-	return out
-}
-
-// flat returns one column of the state as a fresh flat table, zeros for
-// nil chunks.
-func flat[T any](st *tableState, col func(*chunk) []T) []T {
-	out := make([]T, len(st.chunks)<<st.shift)
-	for k, ch := range st.chunks {
-		if ch != nil {
-			copy(out[k<<st.shift:], col(ch))
+			out.Chunks[k] = col(ch)
 		}
 	}
 	return out
 }
 
 // scanLive memoizes the sealed state's live-pair scan: it runs, across
-// workers, the memo of each chunk no version has memoized yet (its field
-// image and its live pairs), then totals every chunk's live pairs and,
-// when that makes the table sparse, lists them in order. scans counts the
-// chunk memos that run.
+// workers, the memo of each chunk no version has memoized yet (its live
+// pairs, and its reduced copy when it needs one), then totals every
+// chunk's live pairs and, when that makes the table sparse, lists them in
+// order. scans counts the chunk memos that run.
 func (st *tableState) scanLive(f field.Field, workers int, scans *atomic.Uint64) sumcheck.LivePairs {
 	st.liveOnce.Do(func() {
 		half := 1 << (st.shift - 1)
@@ -312,7 +328,7 @@ func (st *tableState) scanLive(f field.Field, workers int, scans *atomic.Uint64)
 				case ch.live != nil:
 					runs = append(runs, ch.live)
 				default: // too dense to keep a list of its own
-					live, _ := sumcheck.AppendLivePairs(nil, k*half, ch.elems, ch.nlive)
+					live, _ := sumcheck.AppendLiveCounts(nil, k*half, ch.proved(), ch.nlive)
 					runs = append(runs, live)
 				}
 			}

@@ -63,8 +63,8 @@ func (f Field) MulSlices(dst, a, b []Elem) {
 // multiplies stay in flight. len(src) must be 2·len(dst); dst may alias
 // the front half of src (group i writes index i only after reading
 // indices 2i and 2i+1 ≥ i, so the in-place fold never reads a clobbered
-// slot).
-func (f Field) FoldPairs(dst, src []Elem, r Elem) {
+// slot). Entries are read as Lift reads them.
+func FoldPairs[T Entry](f Field, dst []Elem, src []T, r Elem) {
 	if len(src) != 2*len(dst) {
 		panic("field: FoldPairs length mismatch")
 	}
@@ -76,19 +76,22 @@ func (f Field) FoldPairs(dst, src []Elem, r Elem) {
 		// bounds checks; all loads precede the (possibly aliasing)
 		// stores in program order, preserving the in-place contract.
 		s, dd := src[2*i:2*i+8], dst[i:i+4]
-		n0 := foldPairShoup(uint64(s[0]), uint64(s[1]), rr, rp, p)
-		n1 := foldPairShoup(uint64(s[2]), uint64(s[3]), rr, rp, p)
-		n2 := foldPairShoup(uint64(s[4]), uint64(s[5]), rr, rp, p)
-		n3 := foldPairShoup(uint64(s[6]), uint64(s[7]), rr, rp, p)
+		n0 := foldPairShoup(Lift(s[0], p), Lift(s[1], p), rr, rp, p)
+		n1 := foldPairShoup(Lift(s[2], p), Lift(s[3], p), rr, rp, p)
+		n2 := foldPairShoup(Lift(s[4], p), Lift(s[5], p), rr, rp, p)
+		n3 := foldPairShoup(Lift(s[6], p), Lift(s[7], p), rr, rp, p)
 		dd[0] = Elem(n0)
 		dd[1] = Elem(n1)
 		dd[2] = Elem(n2)
 		dd[3] = Elem(n3)
 	}
 	for ; i < len(dst); i++ {
-		dst[i] = Elem(foldPairShoup(uint64(src[2*i]), uint64(src[2*i+1]), rr, rp, p))
+		dst[i] = Elem(foldPairShoup(Lift(src[2*i], p), Lift(src[2*i+1], p), rr, rp, p))
 	}
 }
+
+// FoldPairs is the element instance of FoldPairs.
+func (f Field) FoldPairs(dst, src []Elem, r Elem) { FoldPairs(f, dst, src, r) }
 
 // FromInt64Slice sets dst[i] = xs[i] mod p (negatives wrapping) for every
 // i — how a batch of stream deltas enters the field. Deltas already in

@@ -76,11 +76,25 @@ func (f Field) FoldPairsSum(dst, src []Elem, r Elem) Elem {
 	return f.foldAcc(hi, lo)
 }
 
+// Entry is what the round kernels below read: canonical field elements,
+// or int64 counts c with |c| < p, each standing for c mod p — a dataset's
+// counts, read in place. Each kernel has one body, instantiated for both.
+type Entry interface{ Elem | int64 }
+
+// Lift returns the field element entry c stands for, without a branch: an
+// element as it is, a count c with |c| < p as c, plus p when c < 0.
+func Lift[T Entry](c T, p uint64) uint64 {
+	if ^T(0) > 0 { // unsigned: an element, canonical already
+		return uint64(c)
+	}
+	return uint64(c) + uint64(int64(c)>>63)&p
+}
+
 // PairsSumSq returns the degree-2 power-combiner round message of a table:
 // (Σ_q e0², Σ_q e1², Σ_q e2²) over pairs (src[2q], src[2q+1]), where
 // e0, e1, e2 are the pair's line evaluations at c = 0, 1, 2. len(src) must
 // be even. This is the round-0 (no pending fold) message kernel.
-func (f Field) PairsSumSq(src []Elem) (g0, g1, g2 Elem) {
+func PairsSumSq[T Entry](f Field, src []T) (g0, g1, g2 Elem) {
 	if len(src)%2 != 0 {
 		panic("field: PairsSumSq odd length")
 	}
@@ -88,7 +102,7 @@ func (f Field) PairsSumSq(src []Elem) (g0, g1, g2 Elem) {
 	var a0, a1, a2 acc192
 	for q := 0; q+2 <= len(src); q += 2 {
 		s := src[q : q+2]
-		e0, e1 := uint64(s[0]), uint64(s[1])
+		e0, e1 := Lift(s[0], p), Lift(s[1], p)
 		e2 := lineAt2(e0, e1, p)
 		a0.add(bits.Mul64(e0, e0))
 		a1.add(bits.Mul64(e1, e1))
@@ -99,7 +113,7 @@ func (f Field) PairsSumSq(src []Elem) (g0, g1, g2 Elem) {
 
 // PairsSumProd is PairsSumSq for the product combiner over two tables:
 // (Σ_q eA0·eB0, Σ_q eA1·eB1, Σ_q eA2·eB2).
-func (f Field) PairsSumProd(srcA, srcB []Elem) (g0, g1, g2 Elem) {
+func PairsSumProd[T Entry](f Field, srcA, srcB []T) (g0, g1, g2 Elem) {
 	checkLen2(len(srcA), len(srcB))
 	if len(srcA)%2 != 0 {
 		panic("field: PairsSumProd odd length")
@@ -108,8 +122,8 @@ func (f Field) PairsSumProd(srcA, srcB []Elem) (g0, g1, g2 Elem) {
 	var a0, a1, a2 acc192
 	for q := 0; q+2 <= len(srcA); q += 2 {
 		sa, sb := srcA[q:q+2], srcB[q:q+2]
-		ea0, ea1 := uint64(sa[0]), uint64(sa[1])
-		eb0, eb1 := uint64(sb[0]), uint64(sb[1])
+		ea0, ea1 := Lift(sa[0], p), Lift(sa[1], p)
+		eb0, eb1 := Lift(sb[0], p), Lift(sb[1], p)
 		ea2 := lineAt2(ea0, ea1, p)
 		eb2 := lineAt2(eb0, eb1, p)
 		a0.add(bits.Mul64(ea0, eb0))
@@ -123,8 +137,8 @@ func (f Field) PairsSumProd(srcA, srcB []Elem) (g0, g1, g2 Elem) {
 // degree-2 power-combiner message over dst: it writes the folded table and
 // returns (Σ e0², Σ e1², Σ e2²) over the fresh pairs (dst[2q], dst[2q+1])
 // without re-reading dst from memory. len(src) = 2·len(dst), len(dst)
-// even; dst may alias the front half of src.
-func (f Field) FoldPairsSumSq(dst, src []Elem, r Elem) (g0, g1, g2 Elem) {
+// even; dst may alias the front half of an element src.
+func FoldPairsSumSq[T Entry](f Field, dst []Elem, src []T, r Elem) (g0, g1, g2 Elem) {
 	if len(src) != 2*len(dst) {
 		panic("field: FoldPairsSumSq length mismatch")
 	}
@@ -136,8 +150,8 @@ func (f Field) FoldPairsSumSq(dst, src []Elem, r Elem) (g0, g1, g2 Elem) {
 	var a0, a1, a2 acc192
 	for q := 0; q+2 <= len(dst); q += 2 {
 		s, dd := src[2*q:2*q+4], dst[q:q+2]
-		n0 := foldPairShoup(uint64(s[0]), uint64(s[1]), rr, rp, p)
-		n1 := foldPairShoup(uint64(s[2]), uint64(s[3]), rr, rp, p)
+		n0 := foldPairShoup(Lift(s[0], p), Lift(s[1], p), rr, rp, p)
+		n1 := foldPairShoup(Lift(s[2], p), Lift(s[3], p), rr, rp, p)
 		dd[0] = Elem(n0)
 		dd[1] = Elem(n1)
 		n2 := lineAt2(n0, n1, p)
@@ -148,10 +162,16 @@ func (f Field) FoldPairsSumSq(dst, src []Elem, r Elem) (g0, g1, g2 Elem) {
 	return f.reduceAcc(a0), f.reduceAcc(a1), f.reduceAcc(a2)
 }
 
+// FoldPairsSumSq is the element instance of FoldPairsSumSq.
+func (f Field) FoldPairsSumSq(dst, src []Elem, r Elem) (g0, g1, g2 Elem) {
+	return FoldPairsSumSq(f, dst, src, r)
+}
+
 // FoldPairsSumProd fuses two FoldPairs (one per factor table) with the
 // next round's product-combiner message over the folded pair of tables.
-// Both dsts may alias the front halves of their srcs.
-func (f Field) FoldPairsSumProd(dstA, dstB, srcA, srcB []Elem, r Elem) (g0, g1, g2 Elem) {
+// Both dsts may alias the front halves of their srcs when those hold
+// elements.
+func FoldPairsSumProd[T Entry](f Field, dstA, dstB []Elem, srcA, srcB []T, r Elem) (g0, g1, g2 Elem) {
 	if len(srcA) != 2*len(dstA) || len(srcB) != 2*len(dstB) {
 		panic("field: FoldPairsSumProd length mismatch")
 	}
@@ -164,13 +184,13 @@ func (f Field) FoldPairsSumProd(dstA, dstB, srcA, srcB []Elem, r Elem) (g0, g1, 
 	var a0, a1, a2 acc192
 	for q := 0; q+2 <= len(dstA); q += 2 {
 		sa, da := srcA[2*q:2*q+4], dstA[q:q+2]
-		na0 := foldPairShoup(uint64(sa[0]), uint64(sa[1]), rr, rp, p)
-		na1 := foldPairShoup(uint64(sa[2]), uint64(sa[3]), rr, rp, p)
+		na0 := foldPairShoup(Lift(sa[0], p), Lift(sa[1], p), rr, rp, p)
+		na1 := foldPairShoup(Lift(sa[2], p), Lift(sa[3], p), rr, rp, p)
 		da[0] = Elem(na0)
 		da[1] = Elem(na1)
 		sb, db := srcB[2*q:2*q+4], dstB[q:q+2]
-		nb0 := foldPairShoup(uint64(sb[0]), uint64(sb[1]), rr, rp, p)
-		nb1 := foldPairShoup(uint64(sb[2]), uint64(sb[3]), rr, rp, p)
+		nb0 := foldPairShoup(Lift(sb[0], p), Lift(sb[1], p), rr, rp, p)
+		nb1 := foldPairShoup(Lift(sb[2], p), Lift(sb[3], p), rr, rp, p)
 		db[0] = Elem(nb0)
 		db[1] = Elem(nb1)
 		na2 := lineAt2(na0, na1, p)

@@ -58,12 +58,12 @@ func TestFusedKernelsMatchPlain(t *testing.T) {
 
 			// PairsSumSq / PairsSumProd against the scalar walk.
 			w0, w1, w2 := pairsSumSqRef(f, src)
-			g0, g1, g2 := f.PairsSumSq(src)
+			g0, g1, g2 := PairsSumSq(f, src)
 			if g0 != w0 || g1 != w1 || g2 != w2 {
 				t.Fatalf("p=%d n=%d: PairsSumSq = (%d,%d,%d), want (%d,%d,%d)", p, n, g0, g1, g2, w0, w1, w2)
 			}
 			w0, w1, w2 = pairsSumProdRef(f, src, srcB)
-			g0, g1, g2 = f.PairsSumProd(src, srcB)
+			g0, g1, g2 = PairsSumProd(f, src, srcB)
 			if g0 != w0 || g1 != w1 || g2 != w2 {
 				t.Fatalf("p=%d n=%d: PairsSumProd = (%d,%d,%d), want (%d,%d,%d)", p, n, g0, g1, g2, w0, w1, w2)
 			}
@@ -87,7 +87,7 @@ func TestFusedKernelsMatchPlain(t *testing.T) {
 			w0, w1, w2 = pairsSumProdRef(f, wantDst, wantDstB)
 			gotDst = make([]Elem, n)
 			gotDstB := make([]Elem, n)
-			g0, g1, g2 = f.FoldPairsSumProd(gotDst, gotDstB, src, srcB, r)
+			g0, g1, g2 = FoldPairsSumProd(f, gotDst, gotDstB, src, srcB, r)
 			if g0 != w0 || g1 != w1 || g2 != w2 {
 				t.Fatalf("p=%d n=%d: FoldPairsSumProd = (%d,%d,%d), want (%d,%d,%d)", p, n, g0, g1, g2, w0, w1, w2)
 			}
@@ -150,13 +150,13 @@ func TestFusedKernelsPanicOnBadLengths(t *testing.T) {
 	}
 	src := make([]Elem, 8)
 	mustPanic("FoldPairsSum", func() { f.FoldPairsSum(make([]Elem, 3), src, 1) })
-	mustPanic("PairsSumSq", func() { f.PairsSumSq(make([]Elem, 3)) })
-	mustPanic("PairsSumProd len", func() { f.PairsSumProd(make([]Elem, 4), make([]Elem, 6)) })
-	mustPanic("PairsSumProd odd", func() { f.PairsSumProd(make([]Elem, 3), make([]Elem, 3)) })
+	mustPanic("PairsSumSq", func() { PairsSumSq(f, make([]Elem, 3)) })
+	mustPanic("PairsSumProd len", func() { PairsSumProd(f, make([]Elem, 4), make([]Elem, 6)) })
+	mustPanic("PairsSumProd odd", func() { PairsSumProd(f, make([]Elem, 3), make([]Elem, 3)) })
 	mustPanic("FoldPairsSumSq len", func() { f.FoldPairsSumSq(make([]Elem, 3), src, 1) })
 	mustPanic("FoldPairsSumSq odd", func() { f.FoldPairsSumSq(make([]Elem, 3), make([]Elem, 6), 1) })
 	mustPanic("FoldPairsSumProd", func() {
-		f.FoldPairsSumProd(make([]Elem, 4), make([]Elem, 2), src, src, 1)
+		FoldPairsSumProd(f, make([]Elem, 4), make([]Elem, 2), src, src, 1)
 	})
 }
 

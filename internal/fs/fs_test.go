@@ -35,9 +35,7 @@ func proveF2(t *testing.T, b fs.Binding, f field.Field, u uint64) (*fs.Proof, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := make([]field.Elem, proto.Params.U)
-	f.FromInt64Slice(table, counts)
-	p, err := proto.NewProverFromTable(sumcheck.Flat(table), nil)
+	p, err := proto.NewProverFromTable(sumcheck.Flat(counts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

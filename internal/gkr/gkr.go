@@ -124,16 +124,19 @@ func NewVerifierFor(f field.Field, spec circuit.Spec, u uint64, rng field.RNG) (
 	return p.NewVerifierSession(rng)
 }
 
-// PadInput derives the circuit input from a dense element table: the
-// first InputSize entries, zero-padded if the table is shorter. The
-// returned slice may alias elems; the prover copies it on construction.
-func (p *Protocol) PadInput(elems []field.Elem) []field.Elem {
-	n := p.C.InputSize
-	if len(elems) >= n {
-		return elems[:n]
+// InputFromCounts derives the circuit input from a frequency table held
+// in equal chunks of width entries (a nil chunk holds zeros, a flat table
+// is one chunk): the field images of its first InputSize counts,
+// zero-padded if the table is shorter. It reads only the chunks the
+// input covers, and only those that are not nil.
+func (p *Protocol) InputFromCounts(width int, chunks [][]int64) []field.Elem {
+	in := make([]field.Elem, p.C.InputSize)
+	for k, ch := range chunks {
+		if lo := k * width; lo < len(in) && ch != nil {
+			n := min(width, len(in)-lo)
+			p.F.FromInt64Slice(in[lo:lo+n], ch[:n])
+		}
 	}
-	in := make([]field.Elem, n)
-	copy(in, elems)
 	return in
 }
 

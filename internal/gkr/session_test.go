@@ -27,19 +27,19 @@ func sessionUps(u uint64, n int, seed uint64) []stream.Update {
 	return ups
 }
 
-// sessionInput builds the prover input the way the engine does: dense
-// element table over the padded universe, then the protocol's padding.
+// sessionInput builds the prover input the way the engine does: a count
+// table over the padded universe, then the protocol's input from it.
 func sessionInput(t testing.TB, proto *Protocol, ups []stream.Update, u uint64) []field.Elem {
 	t.Helper()
 	d, err := circuit.PaddedVars(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	elems := make([]field.Elem, 1<<d)
+	counts := make([]int64, 1<<d)
 	for _, up := range ups {
-		elems[up.Index] = f61.Add(elems[up.Index], f61.FromInt64(up.Delta))
+		counts[up.Index] += up.Delta
 	}
-	return proto.PadInput(elems)
+	return proto.InputFromCounts(len(counts), [][]int64{counts})
 }
 
 // recorder captures both directions of a conversation for bit-exact

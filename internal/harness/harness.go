@@ -451,9 +451,7 @@ func BranchingSweep(f field.Field, u uint64, ells []int, seed uint64) ([]Branchi
 		if err != nil {
 			return nil, err
 		}
-		table := make([]field.Elem, params.U)
-		f.FromInt64Slice(table, counts)
-		p, err := proto.NewProverFromTable(sumcheck.Flat(table), nil)
+		p, err := proto.NewProverFromTable(sumcheck.Flat(counts), nil)
 		if err != nil {
 			return nil, err
 		}

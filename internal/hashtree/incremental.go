@@ -58,22 +58,39 @@ func NewIncremental(f field.Field, params Params, kind Kind, updates []stream.Up
 	return newFromLeaves(f, params, kind, leaves), nil
 }
 
-// NewIncrementalFromCounts builds the same tree from a dense frequency
-// table (length params.U) instead of a raw update stream: the leaves are
-// the nonzero entries in index order, exactly what NewIncremental derives
-// by aggregating the stream, so the two constructors produce identical
-// trees for the same aggregate state. This is the entry point for provers
-// built from maintained dataset state rather than stream replay.
-func NewIncrementalFromCounts(f field.Field, params Params, kind Kind, counts []int64) (*IncrementalTree, error) {
-	if uint64(len(counts)) != params.U {
-		return nil, fmt.Errorf("hashtree: count table has %d entries, want %d", len(counts), params.U)
+// NewIncrementalFromCounts builds the same tree from a frequency table
+// held in equal chunks of width entries — chunk k holds entries
+// [k·width, (k+1)·width) and a nil chunk holds zeros, params.U entries in
+// all — instead of a raw update stream: the leaves are the nonzero
+// entries in index order, exactly what NewIncremental derives by
+// aggregating the stream, so the two constructors produce identical
+// trees for the same aggregate state. It passes over nil chunks and
+// blocks of 8 zero counts with one test each. This is the entry point
+// for provers built from maintained dataset state rather than stream
+// replay; a flat table is one chunk.
+func NewIncrementalFromCounts(f field.Field, params Params, kind Kind, width int, chunks [][]int64) (*IncrementalTree, error) {
+	if width < 1 || uint64(width)*uint64(len(chunks)) != params.U {
+		return nil, fmt.Errorf("hashtree: count table has %d chunks of %d entries, want %d entries", len(chunks), width, params.U)
 	}
 	var leaves []Node
-	for i, c := range counts {
-		if c == 0 {
+	for k, ch := range chunks {
+		if ch == nil {
 			continue
 		}
-		leaves = append(leaves, Node{Index: uint64(i), Hash: f.FromInt64(c), Count: c})
+		if len(ch) != width {
+			return nil, fmt.Errorf("hashtree: count chunk %d has %d entries, want %d", k, len(ch), width)
+		}
+		for i := 0; i < width; i += 8 {
+			b := ch[i:min(i+8, width)]
+			if len(b) == 8 && b[0]|b[1]|b[2]|b[3]|b[4]|b[5]|b[6]|b[7] == 0 {
+				continue
+			}
+			for j, c := range b {
+				if c != 0 {
+					leaves = append(leaves, Node{Index: uint64(k*width + i + j), Hash: f.FromInt64(c), Count: c})
+				}
+			}
+		}
 	}
 	return newFromLeaves(f, params, kind, leaves), nil
 }

@@ -16,8 +16,8 @@
 // engine persists and releases the dataset (engine.Release), the router
 // moves the checkpoint file between shard data dirs, the target adopts
 // it (engine.Adopt), and the route flips. The checkpoint codec is
-// deterministic and the field image a pure function of the counts, so
-// transcripts and cached-proof bytes are bit-identical across the move.
+// deterministic and every prover reads the counts alone, so transcripts
+// and cached-proof bytes are bit-identical across the move.
 package shard
 
 import (

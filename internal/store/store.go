@@ -3,10 +3,8 @@
 // A checkpoint serializes the aggregate state a dataset's provers are
 // built from — the count vector, Σδ, the ingested-update count, the
 // universe size, and the field modulus — into one self-describing,
-// checksummed file. The field image (elems) is deliberately not stored:
-// it is a deterministic function of the counts (FromInt64 per entry), so
-// rehydration recomputes it, halving the file and making it impossible
-// for the two tables to disagree on disk.
+// checksummed file. The counts are every prover's one input: no field
+// image of them is stored, or held in memory either.
 //
 // The counts are written chunk by chunk, in the engine's chunks of
 // ChunkLen(n) = min(2^ChunkShift, n) entries, so a file costs what the

@@ -62,12 +62,13 @@ func SliceParams(global lde.Params, lo, hi uint64) (lde.Params, error) {
 // NewPartialProver builds the prover for the universe slice [lo, hi) of
 // cfg.Params. Each table holds only the slice's hi−lo entries (the
 // caller indexes globally at i ∈ [lo, hi) and stores at i−lo), held in
-// chunks as NewProver takes them, and live is their ScanLivePairs. The returned prover plays the first
+// chunks as NewProver takes them, and live is their ScanLivePairs. The
+// returned prover plays the first
 // d−log₂(U/(hi−lo)) global rounds: its RoundMessage is this slice's
 // exact partial of the global round message, and Fold applies the
 // broadcast challenge. After its final fold, Leaves reads out the single
 // remaining entry per table.
-func NewPartialProver(cfg Config, lo, hi uint64, live LivePairs, tables ...Chunked) (*Prover, error) {
+func NewPartialProver[T field.Entry](cfg Config, lo, hi uint64, live LivePairs, tables ...Table[T]) (*Prover, error) {
 	sp, err := SliceParams(cfg.Params, lo, hi)
 	if err != nil {
 		return nil, err

@@ -324,25 +324,25 @@ func flatPartial(cfg Config) func(lo, hi uint64, sub [][]field.Elem) (*Prover, e
 	}
 }
 
-// TestAppendLivePairsLimit: AppendLivePairs lists a table's live pairs
+// TestAppendLiveCountsLimit: AppendLiveCounts lists a table's live pairs
 // after dst while at most limit are live, and past that returns dst as
 // given; its count is every live pair's either way.
-func TestAppendLivePairsLimit(t *testing.T) {
+func TestAppendLiveCountsLimit(t *testing.T) {
 	rng := field.NewSplitMix64(77)
-	table := make([]field.Elem, 1<<10)
+	table := make([]int64, 1<<10)
 	var want []uint32
 	for w := 0; w < len(table)/2; w++ {
 		if rng.Uint64()%5 == 0 {
-			table[2*w+int(rng.Uint64()%2)] = 1 + field.Elem(rng.Uint64()%100)
+			table[2*w+int(rng.Uint64()%2)] = int64(rng.Uint64()%200) - 100 | 1
 			want = append(want, uint32(1000+w))
 		}
 	}
-	if got, _ := AppendLivePairs(nil, 0, table, len(want)-1); got != nil {
+	if got, _ := AppendLiveCounts(nil, 0, table, len(want)-1); got != nil {
 		t.Fatalf("over the limit, a nil dst came back as %d entries, not nil", len(got))
 	}
 	dst := []uint32{7}
 	for _, limit := range []int{-1, 0, len(want) - 1, len(want), len(table) / 2} {
-		got, n := AppendLivePairs(dst, 1000, table, limit)
+		got, n := AppendLiveCounts(dst, 1000, table, limit)
 		if n != len(want) {
 			t.Fatalf("limit %d: counted %d live pairs, want %d", limit, n, len(want))
 		}
@@ -369,21 +369,42 @@ func chunkTables(tables [][]field.Elem, width int) []Chunked {
 	return out
 }
 
+// asCounts returns tabs as tables of counts standing for the same
+// elements: an element above p/2 as the negative count e − p, every
+// other as itself.
+func asCounts(f field.Field, tabs []Chunked) []Counts {
+	out := make([]Counts, len(tabs))
+	for t, tab := range tabs {
+		out[t] = Counts{Width: tab.Width, Chunks: make([][]int64, len(tab.Chunks))}
+		for k, ch := range tab.Chunks {
+			if ch == nil {
+				continue
+			}
+			cs := make([]int64, len(ch))
+			for i, e := range ch {
+				cs[i] = f.Centered(e)
+			}
+			out[t].Chunks[k] = cs
+		}
+	}
+	return out
+}
+
 // chunkScans returns the live-pair scans of tabs: ScanLivePairs over the
 // chunks and, for one table at ℓ = 2, last, the scan assembled from each
-// live chunk's run (AppendLivePairs, LivePairsFromRuns), as a dataset
-// engine assembles it.
+// live chunk's run of counts (AppendLiveCounts, LivePairsFromRuns), as a
+// dataset engine assembles it.
 func chunkScans(cfg Config, tabs []Chunked) []LivePairs {
 	scans := []LivePairs{ScanLivePairs(cfg.Params.Ell, cfg.Workers, tabs...)}
 	if len(tabs) != 1 || cfg.Params.Ell != 2 {
 		return scans
 	}
-	tab := tabs[0]
+	tab := asCounts(cfg.Field, tabs)[0]
 	var runs [][]uint32
 	total := 0
 	for k, ch := range tab.Chunks {
 		if ch != nil {
-			run, n := AppendLivePairs(nil, k*tab.Width/2, ch, tab.Width/2)
+			run, n := AppendLiveCounts(nil, k*tab.Width/2, ch, tab.Width/2)
 			runs, total = append(runs, run), total+n
 		}
 	}
@@ -393,8 +414,9 @@ func chunkScans(cfg Config, tabs []Chunked) []LivePairs {
 // checkChunked holds tables in chunks of each width, all-zero chunks nil,
 // so that a nil chunk may sit beside a live one. Each scan chunkScans
 // finds must equal live, the flat tables' scan, and a prover over the
-// chunks and the last of them — whole, and at ℓ = 2 split S = 2 with each
-// slice chunked alone — must play the conversation want.
+// chunks and the last of them — whole, over the chunks as counts (half
+// of them negative), and at ℓ = 2 split S = 2 with each slice chunked
+// alone — must play the conversation want.
 func checkChunked(t *testing.T, name string, cfg Config, tables [][]field.Elem, challenges []field.Elem, want transcript, live LivePairs, widths ...int) {
 	t.Helper()
 	for _, width := range widths {
@@ -407,16 +429,26 @@ func checkChunked(t *testing.T, name string, cfg Config, tables [][]field.Elem, 
 					cname, got.Sparse(), got.Len(), live.Sparse(), live.Len())
 			}
 		}
-		p, err := NewProver(cfg, scans[len(scans)-1], tabs...)
+		counts := asCounts(cfg.Field, tabs)
+		if got := ScanLivePairs(cfg.Params.Ell, cfg.Workers, counts...); got.Sparse() != live.Sparse() || !slices.Equal(got.Indices(), live.Indices()) {
+			t.Fatalf("%s: scan of the counts (sparse %v, %d pairs) differs from the flat scan", cname, got.Sparse(), got.Len())
+		}
+		pe, err := NewProver(cfg, scans[len(scans)-1], tabs...)
 		if err != nil {
 			t.Fatalf("%s: %v", cname, err)
 		}
-		tr, err := play(cfg, []*Prover{p}, challenges)
+		pc, err := NewProver(cfg, scans[len(scans)-1], counts...)
 		if err != nil {
 			t.Fatalf("%s: %v", cname, err)
 		}
-		if tr.String() != want.String() {
-			t.Fatalf("%s: transcript\n%v\nwant\n%v", cname, tr, want)
+		for _, p := range []*Prover{pe, pc} {
+			tr, err := play(cfg, []*Prover{p}, challenges)
+			if err != nil {
+				t.Fatalf("%s: %v", cname, err)
+			}
+			if tr.String() != want.String() {
+				t.Fatalf("%s: transcript\n%v\nwant\n%v", cname, tr, want)
+			}
 		}
 		if cfg.Params.Ell != 2 {
 			continue

@@ -25,15 +25,16 @@
 // The honest prover uses the table-folding algorithm of Appendix B.1
 // (there written for ℓ=2): after round j it replaces its size-m tables by
 // size-m/ℓ tables folded by χ(r_j). It borrows the caller's T tables of
-// u entries, each held in equal chunks (Chunked; a flat table is one
-// chunk, Flat), and, counted from the code below, spends:
+// u entries, each held in equal chunks (Table; a flat table is one chunk,
+// Flat) of field elements or of int64 counts, and, counted from the code
+// below, spends:
 //
 //   - at ℓ=2 with u ≥ 128, one scan of the tables (ScanLivePairs),
 //     reading at most T·u entries, which finds the n live pairs (pairs
 //     where any table is non-zero). The scan is a value the prover is
 //     handed, not work it does: a caller scans once per set of tables
 //     and shares the result, and the dataset engine assembles it per
-//     table version from per-chunk counts and lists (AppendLivePairs,
+//     table version from per-chunk counts and lists (AppendLiveCounts,
 //     LivePairsFromRuns), scanning only the chunks an ingest wrote;
 //   - O(T·n) to pack the live pairs when the prover is built;
 //   - while n is at most a quarter of the m/2 pairs of the current
@@ -190,21 +191,31 @@ func (c Config) Validate() error {
 // ---------------------------------------------------------------------
 // Prover
 
-// Chunked is one table held as equal chunks: chunk k holds entries
+// Table is one table held as equal chunks: chunk k holds entries
 // [k·Width, (k+1)·Width), and a nil chunk holds zeros. A flat table is
-// one chunk (Flat).
-type Chunked struct {
+// one chunk (Flat). Its entries are field elements (Chunked) or int64
+// counts (Counts), read as field.Lift reads them: a prover reads a count
+// c as c mod p and needs |c| < p of each one — ReducedCounts makes a
+// copy of any counts that meets it. A dataset engine lends its chunks of
+// counts as they are.
+type Table[T field.Entry] struct {
 	Width  int
-	Chunks [][]field.Elem
+	Chunks [][]T
 }
 
+// Chunked is a table of field elements, Counts one of counts.
+type (
+	Chunked = Table[field.Elem]
+	Counts  = Table[int64]
+)
+
 // Flat returns tab as a table of one chunk.
-func Flat(tab []field.Elem) Chunked {
-	return Chunked{Width: len(tab), Chunks: [][]field.Elem{tab}}
+func Flat[T field.Entry](tab []T) Table[T] {
+	return Table[T]{Width: len(tab), Chunks: [][]T{tab}}
 }
 
 // Len returns the number of entries the table holds.
-func (c Chunked) Len() int { return c.Width * len(c.Chunks) }
+func (c Table[T]) Len() int { return c.Width * len(c.Chunks) }
 
 // flats wraps each flat table as a Chunked.
 func flats(tables [][]field.Elem) []Chunked {
@@ -218,7 +229,7 @@ func flats(tables [][]field.Elem) []Chunked {
 // tableLen returns the entries each of tables holds, or an error unless
 // they share one Width, a positive multiple of ell, and one length, and
 // every chunk that is not nil holds Width entries.
-func tableLen(ell int, tables []Chunked) (int, error) {
+func tableLen[T field.Entry](ell int, tables []Table[T]) (int, error) {
 	if len(tables) == 0 {
 		return 0, errors.New("sumcheck: no tables")
 	}
@@ -244,13 +255,13 @@ func tableLen(ell int, tables []Chunked) (int, error) {
 // tables, which share one Width, that lie in one chunk, in order: segs[t]
 // holds table t's entries at..at+n−1, or is nil when its chunk is, and
 // segs itself is nil when every table's chunk is.
-func eachRun(tables []Chunked, lo, hi int, fn func(at, n int, segs [][]field.Elem)) {
+func eachRun[T field.Entry](tables []Table[T], lo, hi int, fn func(at, n int, segs [][]T)) {
 	width := tables[0].Width
-	segs := make([][]field.Elem, len(tables))
+	segs := make([][]T, len(tables))
 	for lo < hi {
 		k := lo / width
 		end := min(hi, (k+1)*width)
-		run := [][]field.Elem(nil)
+		run := [][]T(nil)
 		for t, tab := range tables {
 			segs[t] = nil
 			if ch := tab.Chunks[k]; ch != nil {
@@ -266,23 +277,23 @@ func eachRun(tables []Chunked, lo, hi int, fn func(at, n int, segs [][]field.Ele
 // chunk of another table replaced by one zero chunk of the prover's own,
 // so that a run is nil in every table or in none. It copies the chunk
 // lists; the borrowed ones are never written.
-func withZeros(tables []Chunked) []Chunked {
+func withZeros[T field.Entry](tables []Table[T]) []Table[T] {
 	if len(tables) < 2 {
 		return tables
 	}
-	out := make([]Chunked, len(tables))
+	out := make([]Table[T], len(tables))
 	for t, tab := range tables {
-		out[t] = Chunked{Width: tab.Width, Chunks: slices.Clone(tab.Chunks)}
+		out[t] = Table[T]{Width: tab.Width, Chunks: slices.Clone(tab.Chunks)}
 	}
-	var zeros []field.Elem
+	var zeros []T
 	for k := range out[0].Chunks {
-		if !slices.ContainsFunc(tables, func(tab Chunked) bool { return tab.Chunks[k] != nil }) {
+		if !slices.ContainsFunc(tables, func(tab Table[T]) bool { return tab.Chunks[k] != nil }) {
 			continue
 		}
 		for _, tab := range out {
 			if tab.Chunks[k] == nil {
 				if zeros == nil {
-					zeros = make([]field.Elem, tab.Width)
+					zeros = make([]T, tab.Width)
 				}
 				tab.Chunks[k] = zeros
 			}
@@ -292,15 +303,19 @@ func withZeros(tables []Chunked) []Chunked {
 }
 
 // Prover is the honest prover: it borrows the full frequency tables —
-// each held in chunks, a flat table as one — read-only and answers each
-// round from progressively folded flat tables of its own. All table
-// scans fan out across cfg.Workers goroutines in contiguous ranges;
-// since field arithmetic is exact and partials are combined in range
-// order, the transcript is bit-identical for every worker count.
+// each held in chunks, a flat table as one, of field elements or of
+// counts — read-only, and answers each round from progressively folded
+// flat field tables of its own. Only the first round and the first fold
+// read the borrowed tables; each kernel there has one body for both entry
+// types. All table scans fan out across cfg.Workers goroutines in
+// contiguous ranges; since field arithmetic is exact and partials are
+// combined in range order, the transcript is bit-identical for every
+// worker count.
 type Prover struct {
 	cfg     Config
 	workers int
-	tables  []Chunked      // the borrowed tables until the first fold, then the prover's own flat ones
+	tables  []Chunked      // the borrowed element tables until the first fold, then the prover's own flat ones
+	counts  []Counts       // the borrowed count tables instead, until the first fold
 	sparse  *sparseTables  // the tables instead, while few of their pairs are live
 	zero    field.Elem     // C(0, …, 0): what each all-zero ℓ-tuple adds at every point
 	chiAt   [][]field.Elem // chiAt[c][k] = χ_k(c) for evaluation points c=0..deg
@@ -348,8 +363,8 @@ func (p *Prover) fuseKind() int {
 // its scan among many provers. A sparse scan's live pairs are packed
 // here, in O(T·n). Otherwise the first round reads through the chunks —
 // an all-nil run adds C(0, …, 0) per ℓ-tuple — and the first fold writes
-// flat tables of the prover's own, ℓ times smaller.
-func NewProver(cfg Config, live LivePairs, tables ...Chunked) (*Prover, error) {
+// flat field tables of the prover's own, ℓ times smaller.
+func NewProver[T field.Entry](cfg Config, live LivePairs, tables ...Table[T]) (*Prover, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -376,15 +391,21 @@ func NewProver(cfg Config, live LivePairs, tables ...Chunked) (*Prover, error) {
 	p := &Prover{
 		cfg:     cfg,
 		workers: parallel.Workers(cfg.Workers),
-		tables:  withZeros(tables),
 		chiAt:   lde.ChiTables(cfg.Field, weights, cElems),
 		cElems:  cElems,
 		weights: weights,
 		zero:    cfg.Combiner.Apply(cfg.Field, make([]field.Elem, cfg.Combiner.Arity())),
 	}
+	tables = withZeros(tables)
 	if live.sparse {
-		p.sparse = p.newSparse(live, p.tables)
-		p.tables = nil
+		p.sparse = newSparse(p, live, tables)
+		return p, nil
+	}
+	switch tabs := any(tables).(type) {
+	case []Chunked:
+		p.tables = tabs
+	case []Counts:
+		p.counts = tabs
 	}
 	return p, nil
 }
@@ -401,17 +422,20 @@ func (p *Prover) RoundMessage() ([]field.Elem, error) {
 		p.pending = nil
 		return msg, nil
 	}
-	if p.sparse != nil {
+	switch {
+	case p.sparse != nil:
 		return p.sparseMessage(), nil
+	case p.counts != nil:
+		return message(p, p.counts), nil
 	}
-	return p.message(p.tables), nil
+	return message(p, p.tables), nil
 }
 
 // message computes a round message over tables: the ℓ-tuples split
 // across workers, each worker's read run by run with the pair-walk
 // kernels for the fused combiners and the generic walk otherwise. A run
 // that is nil in every table adds C(0, …, 0) per ℓ-tuple.
-func (p *Prover) message(tables []Chunked) []field.Elem {
+func message[T field.Entry](p *Prover, tables []Table[T]) []field.Elem {
 	f := p.cfg.Field
 	ell := p.cfg.Params.Ell
 	deg := p.cfg.degree()
@@ -428,18 +452,18 @@ func (p *Prover) message(tables []Chunked) []field.Elem {
 	parallel.ForGrain(p.workers, size, grain, func(chunk, lo, hi int) {
 		out := make([]field.Elem, deg+1)
 		dead := 0
-		eachRun(tables, ell*lo, ell*hi, func(_, n int, segs [][]field.Elem) {
+		eachRun(tables, ell*lo, ell*hi, func(_, n int, segs [][]T) {
 			var g0, g1, g2 field.Elem
 			switch {
 			case segs == nil:
 				dead += n / ell
 				return
 			case kind == fuseSq:
-				g0, g1, g2 = f.PairsSumSq(segs[0])
+				g0, g1, g2 = field.PairsSumSq(f, segs[0])
 			case kind == fuseProd:
-				g0, g1, g2 = f.PairsSumProd(segs[0], segs[1])
+				g0, g1, g2 = field.PairsSumProd(f, segs[0], segs[1])
 			default:
-				p.messageRange(out, segs, n/ell)
+				messageRange(p, out, segs, n/ell)
 				return
 			}
 			out[0], out[1], out[2] = f.Add(out[0], g0), f.Add(out[1], g1), f.Add(out[2], g2)
@@ -455,35 +479,47 @@ func (p *Prover) message(tables []Chunked) []field.Elem {
 }
 
 // messageRange adds the generic walk's terms for the first m ℓ-tuples
-// of segs into out.
-func (p *Prover) messageRange(out []field.Elem, segs [][]field.Elem, m int) {
+// of segs into out, reading each ℓ-tuple of each table into a row of
+// field elements first.
+func messageRange[T field.Entry](p *Prover, out []field.Elem, segs [][]T, m int) {
 	f := p.cfg.Field
 	ell := p.cfg.Params.Ell
 	deg := p.cfg.degree()
 	vals := make([]field.Elem, len(segs))
 	diffs := make([]field.Elem, len(segs))
+	rows := make([][]field.Elem, len(segs))
+	for t := range rows {
+		rows[t] = make([]field.Elem, ell)
+	}
 	for w := 0; w < m; w++ {
-		base := w * ell
-		if ell == 2 {
-			for t, tab := range segs {
-				diffs[t] = f.Sub(tab[base+1], tab[base])
+		for t, tab := range segs {
+			liftRow(rows[t], tab[w*ell:], f.Modulus())
+			if ell == 2 {
+				diffs[t] = f.Sub(rows[t][1], rows[t][0])
 			}
 		}
 		for c := 0; c <= deg; c++ {
-			for t, tab := range segs {
+			for t, row := range rows {
 				switch {
 				case c < ell:
 					// χ at a node is an indicator: direct read.
-					vals[t] = tab[base+c]
+					vals[t] = row[c]
 				case ell == 2:
 					// (1-c)·T0 + c·T1 = T0 + c·(T1-T0): one multiply.
-					vals[t] = f.Add(tab[base], f.Mul(p.cElems[c], diffs[t]))
+					vals[t] = f.Add(row[0], f.Mul(p.cElems[c], diffs[t]))
 				default:
-					vals[t] = f.DotSlices(p.chiAt[c], tab[base:base+ell])
+					vals[t] = f.DotSlices(p.chiAt[c], row)
 				}
 			}
 			out[c] = f.Add(out[c], p.cfg.Combiner.Apply(f, vals))
 		}
+	}
+}
+
+// liftRow sets row to the field elements of src's first len(row) entries.
+func liftRow[T field.Entry](row []field.Elem, src []T, mod uint64) {
+	for j := range row {
+		row[j] = field.Elem(field.Lift(src[j], mod))
 	}
 }
 
@@ -495,45 +531,50 @@ func (p *Prover) Fold(r field.Elem) error {
 		return fmt.Errorf("sumcheck: all %d rounds already folded", p.cfg.Params.D)
 	}
 	p.pending = nil
-	if p.sparse != nil {
+	switch {
+	case p.sparse != nil:
 		p.foldSparse(r)
-	} else {
-		p.fold(r)
+	case p.counts != nil:
+		fold(p, p.counts, r)
+		p.counts = nil
+	default:
+		fold(p, p.tables, r)
 	}
 	p.round++
 	return nil
 }
 
-// fold folds p.tables by r into flat tables of the prover's own, each
-// worker's range read run by run; a run that is nil in every table folds
-// to zeros, which the new tables already hold. When the fused kernel
-// applies and the next tables still have ≥ 2 pairs, it computes the next
-// message in the same pass, leaving it in p.pending; chunks of at least
-// 4 entries keep its next-table pairs whole.
-func (p *Prover) fold(r field.Elem) {
+// fold folds tables by r into flat field tables of the prover's own,
+// which become p.tables, each worker's range read run by run; a run that
+// is nil in every table folds to zeros, which the new tables already
+// hold. When the fused kernel applies and the next tables still have ≥ 2
+// pairs, it computes the next message in the same pass, leaving it in
+// p.pending; chunks of at least 4 entries keep its next-table pairs
+// whole.
+func fold[T field.Entry](p *Prover, tables []Table[T], r field.Elem) {
 	f := p.cfg.Field
 	ell := p.cfg.Params.Ell
-	size := p.tables[0].Len() / ell
-	next := make([][]field.Elem, len(p.tables))
+	size := tables[0].Len() / ell
+	next := make([][]field.Elem, len(tables))
 	for t := range next {
 		next[t] = make([]field.Elem, size)
 	}
 	switch kind := p.fuseKind(); {
-	case kind != fuseNone && p.round+1 < p.cfg.Params.D && p.tables[0].Width >= 4:
+	case kind != fuseNone && p.round+1 < p.cfg.Params.D && tables[0].Width >= 4:
 		npairs := size / 2
 		partials := make([][3]field.Elem, parallel.Chunks(p.workers, npairs))
 		parallel.For(p.workers, npairs, func(chunk, lo, hi int) {
 			var g [3]field.Elem
-			eachRun(p.tables, 4*lo, 4*hi, func(at, n int, segs [][]field.Elem) {
+			eachRun(tables, 4*lo, 4*hi, func(at, n int, segs [][]T) {
 				if segs == nil { // zeros fold to zeros, which add C(0, …, 0) = 0
 					return
 				}
 				var g0, g1, g2 field.Elem
 				a, b := at/2, (at+n)/2
 				if kind == fuseSq {
-					g0, g1, g2 = f.FoldPairsSumSq(next[0][a:b], segs[0], r)
+					g0, g1, g2 = field.FoldPairsSumSq(f, next[0][a:b], segs[0], r)
 				} else {
-					g0, g1, g2 = f.FoldPairsSumProd(next[0][a:b], next[1][a:b], segs[0], segs[1], r)
+					g0, g1, g2 = field.FoldPairsSumProd(f, next[0][a:b], next[1][a:b], segs[0], segs[1], r)
 				}
 				g = [3]field.Elem{f.Add(g[0], g0), f.Add(g[1], g1), f.Add(g[2], g2)}
 			})
@@ -546,20 +587,22 @@ func (p *Prover) fold(r field.Elem) {
 		p.pending = out
 	case ell == 2:
 		parallel.For(p.workers, size, func(_, lo, hi int) {
-			eachRun(p.tables, 2*lo, 2*hi, func(at, n int, segs [][]field.Elem) {
+			eachRun(tables, 2*lo, 2*hi, func(at, n int, segs [][]T) {
 				for t, seg := range segs {
 					// (1-r)·T0 + r·T1 = T0 + r·(T1-T0).
-					f.FoldPairs(next[t][at/2:(at+n)/2], seg, r)
+					field.FoldPairs(f, next[t][at/2:(at+n)/2], seg, r)
 				}
 			})
 		})
 	default:
 		chi := lde.AllChi(f, p.weights, r)
 		parallel.ForGrain(p.workers, size, grainFor(ell), func(_, lo, hi int) {
-			eachRun(p.tables, ell*lo, ell*hi, func(at, n int, segs [][]field.Elem) {
+			row := make([]field.Elem, ell)
+			eachRun(tables, ell*lo, ell*hi, func(at, n int, segs [][]T) {
 				for t, seg := range segs {
 					for w := 0; w < n/ell; w++ {
-						next[t][at/ell+w] = f.DotSlices(chi, seg[w*ell:(w+1)*ell])
+						liftRow(row, seg[w*ell:], f.Modulus())
+						next[t][at/ell+w] = f.DotSlices(chi, row)
 					}
 				}
 			})
@@ -640,7 +683,7 @@ func (l LivePairs) Indices() []uint32 { return slices.Concat(l.runs...) }
 // on the worker count or where the live pairs sit. Tables at ℓ > 2 or
 // under sparseMinEntries entries are dense without a scan, and tables
 // that do not share one shape are scanned over no size a prover takes.
-func ScanLivePairs(ell, workers int, tables ...Chunked) LivePairs {
+func ScanLivePairs[T field.Entry](ell, workers int, tables ...Table[T]) LivePairs {
 	entries, err := tableLen(ell, tables)
 	if err != nil {
 		return LivePairs{entries: -1}
@@ -656,7 +699,7 @@ func ScanLivePairs(ell, workers int, tables ...Chunked) LivePairs {
 	parallel.For(nw, npairs, func(chunk, lo, hi int) {
 		var idx []uint32
 		over := false
-		eachRun(tables, 2*lo, 2*hi, func(at, n int, segs [][]field.Elem) {
+		eachRun(tables, 2*lo, 2*hi, func(at, n int, segs [][]T) {
 			for b := 0; b < n/2 && segs != nil && !over; b += scanBatch {
 				before := len(idx)
 				idx = appendLive(idx, at/2, segs, b, min(b+scanBatch, n/2))
@@ -672,18 +715,26 @@ func ScanLivePairs(ell, workers int, tables ...Chunked) LivePairs {
 	return LivePairsFromRuns(ell, entries, n, runs)
 }
 
-// AppendLivePairs appends to dst the live pairs of one table, without
-// ScanLivePairs's early stop, and returns their count n: first+w for each
-// live pair w of table. A caller holding a table in pieces scans each
-// piece once this way — pair w of the piece is pair first+w of the whole
-// — and assembles the whole table's scan with LivePairsFromRuns. Once
-// more than limit pairs are live it lists no more and only counts: when
-// n > limit it returns dst as given.
-func AppendLivePairs(dst []uint32, first int, table []field.Elem, limit int) ([]uint32, int) {
-	tables := [][]field.Elem{table}
+// AppendLiveCounts appends to dst the live pairs of one table of counts,
+// each count c with |c| < p, without ScanLivePairs's early stop, and
+// returns their count n: first+w for each pair w that holds a non-zero
+// count. It passes over each block of 8 zero counts with one test. A
+// caller holding a table in pieces scans each piece once this way — pair
+// w of the piece is pair first+w of the whole — and assembles the whole
+// table's scan with LivePairsFromRuns. Once more than limit pairs are
+// live it lists no more and only counts: when n > limit it returns dst
+// as given.
+func AppendLiveCounts(dst []uint32, first int, counts []int64, limit int) ([]uint32, int) {
+	tables := [][]int64{counts}
 	given, n := dst, 0
-	for w, npairs := 0, len(table)/2; w < npairs; w += 8 {
-		m := liveMask(tables, w, min(8, npairs-w))
+	for i := 0; i < len(counts); i += 8 {
+		if i+8 <= len(counts) {
+			if b := counts[i : i+8 : i+8]; b[0]|b[1]|b[2]|b[3]|b[4]|b[5]|b[6]|b[7] == 0 {
+				continue
+			}
+		}
+		w := i / 2
+		m := liveMask(tables, w, min(4, len(counts)/2-w))
 		if n += bits.OnesCount(m); n > limit {
 			dst = given
 			continue
@@ -693,6 +744,16 @@ func AppendLivePairs(dst []uint32, first int, table []field.Elem, limit int) ([]
 		}
 	}
 	return dst, n
+}
+
+// ReducedCounts returns a copy of counts holding each count c as c mod p,
+// in [0, p): a table a prover may read whatever the counts' size.
+func ReducedCounts(f field.Field, counts []int64) []int64 {
+	out := make([]int64, len(counts))
+	for i, c := range counts {
+		out[i] = int64(f.FromInt64(c))
+	}
+	return out
 }
 
 // MaxSparseLive is the most live pairs tables of entries entries under
@@ -707,7 +768,7 @@ func MaxSparseLive(ell, entries int) int {
 
 // LivePairsFromRuns is the live-pair scan of tables of entries entries
 // under ell that hold n live pairs, assembled from runs of live pair
-// indices the caller found itself (AppendLivePairs). The verdict is
+// indices the caller found itself (AppendLiveCounts). The verdict is
 // ScanLivePairs's, so the result equals ScanLivePairs over the same
 // tables. runs is read only when n is at most MaxSparseLive; it must then
 // list the n pairs, each run strictly increasing and past the one before.
@@ -729,7 +790,7 @@ func sparseCandidate(ell, entries int) bool {
 
 // appendLive appends first+w to idx for each live pair w ∈ [lo, hi) of
 // tables.
-func appendLive(idx []uint32, first int, tables [][]field.Elem, lo, hi int) []uint32 {
+func appendLive[T field.Entry](idx []uint32, first int, tables [][]T, lo, hi int) []uint32 {
 	for w := lo; w < hi; w += 8 {
 		for m := liveMask(tables, w, min(8, hi-w)); m != 0; m &= m - 1 {
 			idx = append(idx, uint32(first+w+bits.TrailingZeros(m)))
@@ -739,10 +800,11 @@ func appendLive(idx []uint32, first int, tables [][]field.Elem, lo, hi int) []ui
 }
 
 // liveMask reports which of the n ≤ 8 pairs from pair w are live in any
-// table, a nil table holding zeros: bit j for pair w+j. It does not
-// branch on the data, so a sparse table's scattered live pairs cost no
-// mispredictions.
-func liveMask(tables [][]field.Elem, w, n int) uint {
+// table, a nil table holding zeros: bit j for pair w+j. An entry is live
+// when it is not 0, which for a count c with |c| < p is when c mod p is
+// not. It does not branch on the data, so a sparse table's scattered live
+// pairs cost no mispredictions.
+func liveMask[T field.Entry](tables [][]T, w, n int) uint {
 	var m uint
 	for _, tab := range tables {
 		if tab == nil {
@@ -768,11 +830,12 @@ type sparseTables struct {
 }
 
 // newSparse packs the borrowed tables' live pairs, listed by live, into
-// tables of the prover's own, the gather split across the workers. It
-// copies the indices too: the prover regroups them in place, and live's
-// are shared. A pair never straddles two chunks, and a chunk that is nil
-// in every table holds no live pair.
-func (p *Prover) newSparse(live LivePairs, tables []Chunked) *sparseTables {
+// field tables of the prover's own, the gather split across the workers
+// and each entry lifted as it is read. It copies the indices too: the
+// prover regroups them in place, and live's are shared. A pair never
+// straddles two chunks, and a chunk that is nil in every table holds no
+// live pair.
+func newSparse[T field.Entry](p *Prover, live LivePairs, tables []Table[T]) *sparseTables {
 	sp := &sparseTables{
 		idx:    slices.Concat(live.runs...),
 		pairs:  make([][]field.Elem, len(tables)),
@@ -784,6 +847,7 @@ func (p *Prover) newSparse(live LivePairs, tables []Chunked) *sparseTables {
 		buf := make([]field.Elem, 3*n)
 		sp.pairs[t], sp.folded[t] = buf[:2*n], buf[2*n:]
 	}
+	mod := p.cfg.Field.Modulus()
 	parallel.For(p.workers, n, func(_, lo, hi int) {
 		for t, tab := range tables {
 			packed, half := sp.pairs[t], tab.Width/2
@@ -792,7 +856,8 @@ func (p *Prover) newSparse(live LivePairs, tables []Chunked) *sparseTables {
 				ch, first, end := tab.Chunks[c], c*half, (c+1)*half
 				for ; k < hi && int(sp.idx[k]) < end; k++ {
 					j := 2 * (int(sp.idx[k]) - first)
-					packed[2*k], packed[2*k+1] = ch[j], ch[j+1]
+					packed[2*k] = field.Elem(field.Lift(ch[j], mod))
+					packed[2*k+1] = field.Elem(field.Lift(ch[j+1], mod))
 				}
 			}
 		}
@@ -803,7 +868,7 @@ func (p *Prover) newSparse(live LivePairs, tables []Chunked) *sparseTables {
 // sparseMessage computes the current round's message from the live
 // pairs, adding the dead pairs' share.
 func (p *Prover) sparseMessage() []field.Elem {
-	out := p.message(flats(p.sparse.pairs))
+	out := message(p, flats(p.sparse.pairs))
 	p.addZeros(out, p.sparse.npairs-len(p.sparse.idx))
 	return out
 }

@@ -140,7 +140,10 @@ func TestMuxCrossDatasetResidency(t *testing.T) {
 		u         = 500
 		nDatasets = 4
 	)
-	oneDataset := int64(512 * 16) // u padded to 512, 16 bytes/entry
+	oneDataset, err := engine.TableCost(u) // u padded to 512
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{0, -1} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			srv := &Server{F: f61, Workers: workers, MemBudget: 2 * oneDataset, DataDir: t.TempDir()}

@@ -44,9 +44,9 @@ type Server struct {
 	// Zero means no deadline.
 	IdleTimeout time.Duration
 	// MaxUniverse caps the universe size a client may announce with
-	// open — a dataset allocates 16 bytes per universe entry up
-	// front, so without a cap one cheap frame could exhaust server
-	// memory. Zero selects DefaultMaxUniverse.
+	// open — a dataset is charged 9 bytes per universe entry up front
+	// (engine.TableCost), so without a cap one cheap frame could
+	// exhaust server memory. Zero selects DefaultMaxUniverse.
 	MaxUniverse uint64
 	// MaxConcurrentQueries caps the multiplexed query conversations in
 	// flight per connection. An excess channel open is refused with a

@@ -117,14 +117,14 @@ func TestEngineNamedDatasets(t *testing.T) {
 // the same dir recovers everything.
 func TestEngineDurableBudgeted(t *testing.T) {
 	f := sip.Mersenne()
-	const u = 1 << 9 // pads to itself: one dataset = 512*16 resident bytes
+	const u = 1 << 9 // pads to itself: one dataset = 512*9 resident bytes
 	dir := t.TempDir()
 
 	eng := sip.NewEngine(f, 0)
 	if err := eng.SetDataDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	eng.SetBudget(512 * 16)
+	eng.SetBudget(512 * 9)
 
 	rng := sip.NewSeededRNG(7)
 	var ups []sip.Update
@@ -172,7 +172,7 @@ func TestEngineDurableBudgeted(t *testing.T) {
 	// (no data dir) it would fail — exercise the typed error via a
 	// second, memory-only engine.
 	mem := sip.NewEngine(f, 0)
-	mem.SetBudget(512 * 16)
+	mem.SetBudget(512 * 9)
 	if _, err := mem.Open("one", u); err != nil {
 		t.Fatal(err)
 	}

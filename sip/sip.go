@@ -82,13 +82,16 @@
 //
 //	eng := sip.NewEngine(sip.Mersenne(), -1)
 //	eng.SetDataDir("/var/lib/sip")      // enables checkpoints + eviction
-//	eng.SetBudget(1 << 30)              // Σ resident table bytes across datasets
+//	eng.SetBudget(1 << 30)              // Σ resident table bytes across datasets: 9 per padded entry each
 //	eng.StartCheckpointer(30 * time.Second)
 //	defer eng.Close()                   // stop + final flush: loss-free shutdown
 //	n, _ := eng.Recover()               // after a restart: reload every dataset
 //
-// Admission control at Open (and at rehydration) keeps resident tables
-// under the budget by evicting least-recently-used datasets: each one
+// A dataset's resident tables cost 8 bytes of counts per padded universe
+// entry plus at most 1 of live-pair lists: the counts are every prover's
+// one input, and no field image of them is held. Admission control at
+// Open (and at rehydration) keeps resident tables under the budget by
+// evicting least-recently-used datasets: each one
 // checkpoints to the data dir (a versioned, checksummed, atomically
 // renamed file that costs what the dataset holds: an all-zero chunk of
 // the table is not written, a sparse one is written as pairs), frees
