@@ -296,24 +296,6 @@ func red61(x uint64) uint64 {
 	return r
 }
 
-// foldAcc reduces a 128-bit lazy accumulator hi·2^64 + lo (both words
-// arbitrary) to canonical form: hi·2^64 + lo ≡ hi·r64 + lo (mod p).
-func (f Field) foldAcc(hi, lo uint64) Elem {
-	if f.p == Mersenne61 {
-		// 2^64 ≡ 8 (mod M61).
-		return Elem(add61(mul61(red61(hi), 8), red61(lo)))
-	}
-	r := f.reduce128(0, lo)
-	if hi != 0 {
-		ph, pl := bits.Mul64(f.reduce128(0, hi), f.resid64())
-		r += f.reduce128(ph, pl)
-		if r >= f.p {
-			r -= f.p
-		}
-	}
-	return Elem(r)
-}
-
 // foldAcc3 reduces a 192-bit lazy accumulator hi·2^128 + mid·2^64 + lo
 // (all words arbitrary) to canonical form using the precomputed residues
 // of 2^64 and 2^128.

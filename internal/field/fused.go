@@ -43,39 +43,6 @@ func lineAt2(n0, n1, p uint64) uint64 {
 	return s
 }
 
-// FoldPairsSum folds like FoldPairs and also returns Σ_i dst[i] — the
-// identity-combiner projection of the fused fold+message pass. len(src)
-// must be 2·len(dst); dst may alias the front half of src.
-func (f Field) FoldPairsSum(dst, src []Elem, r Elem) Elem {
-	if len(src) != 2*len(dst) {
-		panic("field: FoldPairsSum length mismatch")
-	}
-	p := f.p
-	rr, rp := uint64(r), f.shoup(r)
-	var hi, lo uint64
-	i := 0
-	for ; i+2 <= len(dst); i += 2 {
-		s, dd := src[2*i:2*i+4], dst[i:i+2]
-		n0 := foldPairShoup(uint64(s[0]), uint64(s[1]), rr, rp, p)
-		n1 := foldPairShoup(uint64(s[2]), uint64(s[3]), rr, rp, p)
-		dd[0] = Elem(n0)
-		dd[1] = Elem(n1)
-		var c uint64
-		lo, c = bits.Add64(lo, n0, 0)
-		hi += c
-		lo, c = bits.Add64(lo, n1, 0)
-		hi += c
-	}
-	for ; i < len(dst); i++ {
-		n := foldPairShoup(uint64(src[2*i]), uint64(src[2*i+1]), rr, rp, p)
-		dst[i] = Elem(n)
-		var c uint64
-		lo, c = bits.Add64(lo, n, 0)
-		hi += c
-	}
-	return f.foldAcc(hi, lo)
-}
-
 // Entry is what the round kernels below read: canonical field elements,
 // or int64 counts c with |c| < p, each standing for c mod p — a dataset's
 // counts, read in place. Each kernel has one body, instantiated for both.

@@ -41,20 +41,8 @@ func TestFusedKernelsMatchPlain(t *testing.T) {
 			srcB := f.RandVec(rng, 2*n)
 			r := f.Rand(rng)
 
-			// FoldPairsSum = FoldPairs, then the sum.
 			wantDst := make([]Elem, n)
 			f.FoldPairs(wantDst, src, r)
-			wantSum := sumOf(f, wantDst)
-			gotDst := make([]Elem, n)
-			gotSum := f.FoldPairsSum(gotDst, src, r)
-			if gotSum != wantSum {
-				t.Fatalf("p=%d n=%d: FoldPairsSum = %d, want %d", p, n, gotSum, wantSum)
-			}
-			for i := range gotDst {
-				if gotDst[i] != wantDst[i] {
-					t.Fatalf("p=%d n=%d: FoldPairsSum dst[%d] = %d, want %d", p, n, i, gotDst[i], wantDst[i])
-				}
-			}
 
 			// PairsSumSq / PairsSumProd against the scalar walk.
 			w0, w1, w2 := pairsSumSqRef(f, src)
@@ -70,7 +58,7 @@ func TestFusedKernelsMatchPlain(t *testing.T) {
 
 			// FoldPairsSumSq = FoldPairs + PairsSumSq over the fold.
 			w0, w1, w2 = pairsSumSqRef(f, wantDst)
-			gotDst = make([]Elem, n)
+			gotDst := make([]Elem, n)
 			g0, g1, g2 = f.FoldPairsSumSq(gotDst, src, r)
 			if g0 != w0 || g1 != w1 || g2 != w2 {
 				t.Fatalf("p=%d n=%d: FoldPairsSumSq = (%d,%d,%d), want (%d,%d,%d)", p, n, g0, g1, g2, w0, w1, w2)
@@ -112,20 +100,9 @@ func TestFusedKernelsInPlace(t *testing.T) {
 
 		want := make([]Elem, n)
 		f.FoldPairs(want, src, r)
-		wantSum := sumOf(f, want)
-
-		buf := append([]Elem(nil), src...)
-		if got := f.FoldPairsSum(buf[:n], buf, r); got != wantSum {
-			t.Fatalf("p=%d: in-place FoldPairsSum = %d, want %d", p, got, wantSum)
-		}
-		for i := range want {
-			if buf[i] != want[i] {
-				t.Fatalf("p=%d: in-place FoldPairsSum dst[%d] = %d, want %d", p, i, buf[i], want[i])
-			}
-		}
 
 		w0, w1, w2 := pairsSumSqRef(f, want)
-		buf = append(buf[:0], src...)
+		buf := append([]Elem(nil), src...)
 		g0, g1, g2 := f.FoldPairsSumSq(buf[:n], buf, r)
 		if g0 != w0 || g1 != w1 || g2 != w2 {
 			t.Fatalf("p=%d: in-place FoldPairsSumSq = (%d,%d,%d), want (%d,%d,%d)", p, g0, g1, g2, w0, w1, w2)
@@ -149,7 +126,6 @@ func TestFusedKernelsPanicOnBadLengths(t *testing.T) {
 		fn()
 	}
 	src := make([]Elem, 8)
-	mustPanic("FoldPairsSum", func() { f.FoldPairsSum(make([]Elem, 3), src, 1) })
 	mustPanic("PairsSumSq", func() { PairsSumSq(f, make([]Elem, 3)) })
 	mustPanic("PairsSumProd len", func() { PairsSumProd(f, make([]Elem, 4), make([]Elem, 6)) })
 	mustPanic("PairsSumProd odd", func() { PairsSumProd(f, make([]Elem, 3), make([]Elem, 3)) })
@@ -158,13 +134,4 @@ func TestFusedKernelsPanicOnBadLengths(t *testing.T) {
 	mustPanic("FoldPairsSumProd", func() {
 		FoldPairsSumProd(f, make([]Elem, 4), make([]Elem, 2), src, src, 1)
 	})
-}
-
-// sumOf returns Σ xs mod p, one Add at a time.
-func sumOf(f Field, xs []Elem) Elem {
-	var s Elem
-	for _, x := range xs {
-		s = f.Add(s, x)
-	}
-	return s
 }

@@ -44,46 +44,6 @@ func (p Poly) Eval(f field.Field, x field.Elem) field.Elem {
 	return acc
 }
 
-// Add returns p + q.
-func Add(f field.Field, p, q Poly) Poly {
-	n := len(p)
-	if len(q) > n {
-		n = len(q)
-	}
-	out := make(Poly, n)
-	for i := range out {
-		var a, b field.Elem
-		if i < len(p) {
-			a = p[i]
-		}
-		if i < len(q) {
-			b = q[i]
-		}
-		out[i] = f.Add(a, b)
-	}
-	return out
-}
-
-// Sub returns p - q.
-func Sub(f field.Field, p, q Poly) Poly {
-	n := len(p)
-	if len(q) > n {
-		n = len(q)
-	}
-	out := make(Poly, n)
-	for i := range out {
-		var a, b field.Elem
-		if i < len(p) {
-			a = p[i]
-		}
-		if i < len(q) {
-			b = q[i]
-		}
-		out[i] = f.Sub(a, b)
-	}
-	return out
-}
-
 // Mul returns p·q by schoolbook multiplication. The degrees in this
 // repository are tiny (≤ √u), so no FFT is needed.
 func Mul(f field.Field, p, q Poly) Poly {
@@ -103,15 +63,6 @@ func Mul(f field.Field, p, q Poly) Poly {
 		}
 	}
 	return out.Trim()
-}
-
-// Scale returns c·p.
-func Scale(f field.Field, p Poly, c field.Elem) Poly {
-	out := make(Poly, len(p))
-	for i, a := range p {
-		out[i] = f.Mul(a, c)
-	}
-	return out
 }
 
 // Interpolate returns the unique polynomial of degree < len(xs) passing
@@ -157,31 +108,6 @@ func Interpolate(f field.Field, xs, ys []field.Elem) (Poly, error) {
 		}
 	}
 	return out.Trim(), nil
-}
-
-// EvalInterpolant evaluates, at point r, the unique polynomial of degree
-// < len(xs) through the points (xs[i], ys[i]), without materializing
-// coefficients. O(n²) field operations.
-func EvalInterpolant(f field.Field, xs, ys []field.Elem, r field.Elem) (field.Elem, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("poly: eval interpolant: %d xs but %d ys", len(xs), len(ys))
-	}
-	var acc field.Elem
-	for i := range xs {
-		num, den := field.Elem(1), field.Elem(1)
-		for j := range xs {
-			if j == i {
-				continue
-			}
-			num = f.Mul(num, f.Sub(r, xs[j]))
-			den = f.Mul(den, f.Sub(xs[i], xs[j]))
-		}
-		if den == 0 {
-			return 0, fmt.Errorf("poly: eval interpolant: duplicate x %d", xs[i])
-		}
-		acc = f.Add(acc, f.Mul(ys[i], f.Mul(num, f.Inv(den))))
-	}
-	return acc, nil
 }
 
 // ConsecutiveEvaluator evaluates interpolants through the consecutive

@@ -28,7 +28,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -188,13 +187,28 @@ func (r *Router) unfreeze(dataset string) {
 // flipRoute pins dataset → shard in the table and persists it when the
 // router has a TablePath.
 func (r *Router) flipRoute(dataset, shardName string) error {
+	return r.editTable(func(t *Table) error {
+		if t.Routes == nil {
+			t.Routes = make(map[string]string)
+		}
+		t.Routes[dataset] = shardName
+		return nil
+	})
+}
+
+// editTable applies edit to the live table under r.mu, then saves a
+// snapshot of the edited table to TablePath, when set, outside r.mu so
+// routing never waits on the disk. r.tableSave spans the edit and its
+// save: saves land in the order of the edits, so an older snapshot never
+// overwrites a newer one.
+func (r *Router) editTable(edit func(*Table) error) error {
+	r.tableSave.Lock()
+	defer r.tableSave.Unlock()
 	r.mu.Lock()
-	if r.table.Routes == nil {
-		r.table.Routes = make(map[string]string)
+	if err := edit(r.table); err != nil {
+		r.mu.Unlock()
+		return err
 	}
-	r.table.Routes[dataset] = shardName
-	// Marshal a snapshot, not the live table: another flip may mutate it
-	// while Save serializes outside the lock.
 	tbl, path := r.table.clone(), r.TablePath
 	r.mu.Unlock()
 	if path == "" {
@@ -261,19 +275,14 @@ func (r *Router) freezeForSlice(dataset string, slice int, target string) (tgt, 
 // flipSliceOwner records the slice's new home in the split spec and
 // persists the table when the router has a TablePath.
 func (r *Router) flipSliceOwner(dataset string, slice int, shardName string) error {
-	r.mu.Lock()
-	sp, ok := r.table.Splits[dataset]
-	if !ok || slice < 0 || slice >= len(sp.Owners) {
-		r.mu.Unlock()
-		return fmt.Errorf("shard: dataset %q slice %d vanished from the split spec mid-move", dataset, slice)
-	}
-	sp.Owners[slice] = shardName
-	tbl, path := r.table.clone(), r.TablePath
-	r.mu.Unlock()
-	if path == "" {
+	return r.editTable(func(t *Table) error {
+		sp, ok := t.Splits[dataset]
+		if !ok || slice < 0 || slice >= len(sp.Owners) {
+			return fmt.Errorf("shard: dataset %q slice %d vanished from the split spec mid-move", dataset, slice)
+		}
+		sp.Owners[slice] = shardName
 		return nil
-	}
-	return tbl.Save(path)
+	})
 }
 
 // adminCall dials a shard, runs one admin call, and hangs up.
@@ -287,11 +296,11 @@ func adminCall(addr string, fn func(*wire.Client) (uint64, error)) (uint64, erro
 	return fn(c)
 }
 
-// moveFile renames src onto dst, falling back to copy-and-delete when
-// the data dirs live on different filesystems. The copy lands under a
-// temporary name and is renamed into place, so the target engine can
-// never adopt a half-written checkpoint (store.Load's checksum would
-// refuse it regardless).
+// moveFile renames src onto dst, falling back to a copy when the data
+// dirs live on different filesystems. The copy is a store.WriteAtomic,
+// so the target engine can never adopt a half-written checkpoint, and
+// the source goes only once the copy and its directory entry are on
+// disk.
 func moveFile(src, dst string) error {
 	if err := os.Rename(src, dst); err == nil {
 		return nil
@@ -301,23 +310,7 @@ func moveFile(src, dst string) error {
 		return err
 	}
 	defer in.Close()
-	tmp := dst + ".moving"
-	out, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err = io.Copy(out, in); err == nil {
-		err = out.Sync()
-	}
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, dst); err != nil {
-		os.Remove(tmp)
+	if err := store.WriteAtomic(dst, in); err != nil {
 		return err
 	}
 	return os.Remove(src)

@@ -58,6 +58,7 @@ type Router struct {
 
 	life wire.Lifecycle // listeners, live connections, handler drain
 
+	tableSave  sync.Mutex // held across a table edit and its save (editTable)
 	mu         sync.Mutex
 	table      *Table
 	tableMTime time.Time                // mtime of TablePath at the last (re)load

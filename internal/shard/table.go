@@ -21,11 +21,14 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"sort"
+
+	"repro/internal/store"
 )
 
 // ShardInfo names one engine process: its registry name, the address
@@ -234,16 +237,12 @@ func LoadTable(path string) (*Table, error) {
 	return &t, nil
 }
 
-// Save writes the table back as JSON (atomically: temp file + rename),
-// so a route flipped by a rebalance survives a router restart.
+// Save writes the table back as JSON with store.WriteAtomic, so a route
+// flipped by a rebalance survives a router restart or a crash.
 func (t *Table) Save(path string) error {
 	b, err := json.MarshalIndent(t, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return store.WriteAtomic(path, bytes.NewReader(append(b, '\n')))
 }

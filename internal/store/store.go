@@ -56,10 +56,12 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -376,20 +378,28 @@ func readSparse(b []byte, counts []int64, live uint64) ([]byte, error) {
 	return b, nil
 }
 
-// Save writes the checkpoint to path atomically: encode, write to a
-// temporary file in the same directory, fsync, rename, fsync the
-// directory. A crash at any point leaves either the old file or the new
-// one, never a torn mix — and a returned nil means the new file (its
-// directory entry included) is durably on disk, which is what lets the
-// engine free tables immediately after an eviction save.
+// Save writes the checkpoint to path with WriteAtomic: a returned nil
+// means the new file is durably on disk, which is what lets the engine
+// free tables immediately after an eviction save.
 func Save(path string, c *Checkpoint) error {
+	return WriteAtomic(path, bytes.NewReader(Encode(c)))
+}
+
+// WriteAtomic writes what src holds to path atomically and durably:
+// write to a fresh temporary file in the same directory, fsync, rename,
+// fsync the directory. A crash at any point leaves either the old file
+// or the new one, never a torn mix, and a returned nil means the new
+// file (its directory entry included) is on disk. Each call has its own
+// temporary file, so concurrent writers of one path never collide; the
+// last rename wins. The file is created with mode 0600.
+func WriteAtomic(path string, src io.Reader) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(Encode(c)); err != nil {
+	if _, err := io.Copy(tmp, src); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -13,8 +13,8 @@
 // Import seam: only packages under internal/wire/... and the shard
 // router (internal/shard/) may import this package — the protocol's
 // endpoints and its one intermediary. Everything else speaks through
-// wire.Client and wire.Server; TestFrameCodecImportSeam enforces the
-// boundary so codec changes have exactly two audiences.
+// wire.Client and wire.Server; internal/archtest's codec-seams rule
+// enforces the boundary so codec changes have exactly two audiences.
 package frames
 
 import (
