@@ -325,6 +325,19 @@ func Run() {}
 	{rule: "split-session", name: "test loop (9e45139^)", restore: map[string]string{
 		"internal/core/splitsession_test.go": "9e45139-core-splitsession_test.go",
 	}, want: []string{"gained internal/core.splitSession"}},
+	{rule: "split-session", name: "second collapsed-prover constructor", files: map[string]string{"internal/core/collapse.go": `package core
+
+import (
+	"repro/internal/field"
+	"repro/internal/sumcheck"
+)
+
+// NewCollapsedSplitProver proves a split dataset from its owners' live
+// pairs alone, beside the SplitProver that already collapses.
+func NewCollapsedSplitProver(cfg sumcheck.Config, idx []uint32, pairs [][]field.Elem) (*sumcheck.Prover, error) {
+	return sumcheck.NewPairsProver(cfg, idx, pairs)
+}
+`}, want: []string{"gained NewCollapsedSplitProver"}},
 	{rule: "split-session", name: "test-side aggregator", files: map[string]string{"internal/core/aggregator_test.go": `package core
 
 type SplitAggregator struct{ parts []Msg }
@@ -342,6 +355,31 @@ func (a *SplitAggregator) TailStarted() bool { return false }
 	{rule: "sumcheck-shape", name: "chunked Fk constructors (86d849e^)", restore: map[string]string{
 		"internal/core/chunked.go": "86d849e-core-chunked.go",
 	}, want: []string{"gained Fk.NewProverFromChunks", "gained Fk.NewPartialProverFromChunks"}},
+	{rule: "sumcheck-shape", name: "tail constructor beside the pairs one", files: map[string]string{"internal/sumcheck/tail.go": `package sumcheck
+
+import (
+	"math/bits"
+
+	"repro/internal/field"
+	"repro/internal/lde"
+)
+
+func NewTailProver(cfg Config, leaves [][]field.Elem) (*Prover, error) {
+	s := len(leaves)
+	pairs := make([][]field.Elem, cfg.Combiner.Arity())
+	for t := range pairs {
+		for _, lv := range leaves {
+			pairs[t] = append(pairs[t], lv[t])
+		}
+	}
+	idx := make([]uint32, s/2)
+	for w := range idx {
+		idx[w] = uint32(w)
+	}
+	cfg.Params = lde.Params{Ell: 2, D: bits.TrailingZeros(uint(s)), U: uint64(s)}
+	return NewPairsProver(cfg, idx, pairs)
+}
+`}, want: []string{"gained NewTailProver"}},
 	{rule: "sumcheck-shape", name: "second verifier constructor", files: map[string]string{"internal/sumcheck/chunkedv.go": `package sumcheck
 
 import "repro/internal/field"

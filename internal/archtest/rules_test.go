@@ -768,6 +768,7 @@ var splitAPI = []string{
 	"Fk.NewPartialProverFromTable", "NewSplitProver",
 	"PartialProver", "PartialProver.Open", "PartialProver.Step",
 	"ErrSplitVersion", "RangeSum.NewPartialProverFromTable",
+	"SliceError", "SliceError.Error", "SliceError.Reason", "SliceError.Slice",
 	"SplitOwner", "SplitOwner.Challenge", "SplitOwner.Finish", "SplitOwner.Msg",
 	"SplitProver", "SplitProver.Close", "SplitProver.Open", "SplitProver.Step", "SplitProver.Version",
 }
@@ -863,14 +864,16 @@ func mentions(t types.Type, ip, name string) bool {
 // proverFuncs lists the functions and methods of package sumcheck whose
 // signature takes or returns a *sumcheck.Prover, or that are its
 // methods: the one prover constructor set (NewProver, NewPartialProver,
-// NewTailProver), the one dense message walk (message, messageRange) and
-// fold walk (fold) beside the sparse pair, and the prover's methods. The
-// one verifier constructor is NewVerifier.
+// and NewPairsProver, which takes packed live pairs — a split
+// conversation's tail and its collapse — over newProver's shared set-up),
+// the one dense message walk (message, messageRange) and fold walk
+// (fold) beside the sparse pair, and the prover's methods. The one
+// verifier constructor is NewVerifier.
 var proverFuncs = []string{
-	"NewPartialProver", "NewProver", "NewTailProver", "Run",
-	"Prover.Fold", "Prover.Leaves", "Prover.Round", "Prover.RoundMessage",
+	"NewPairsProver", "NewPartialProver", "NewProver", "Run",
+	"Prover.Fold", "Prover.Leaves", "Prover.Pairs", "Prover.Round", "Prover.RoundMessage",
 	"Prover.addZeros", "Prover.foldSparse", "Prover.fuseKind", "Prover.scatter", "Prover.sparseMessage",
-	"fold", "message", "messageRange", "newSparse",
+	"fold", "message", "messageRange", "newProver",
 }
 
 // fkProvers are core.Fk's prover constructors: one pair, whole table and

@@ -32,7 +32,7 @@ func TestFromStateLengthValidation(t *testing.T) {
 	if _, err := fk.NewProverFromTable(sumcheck.Counts{Width: 32, Chunks: make([][]int64, 2)}, live); err == nil {
 		t.Error("Fk accepted a short table in chunks")
 	}
-	if _, err := fk.NewPartialProverFromTable(sumcheck.Counts{Width: 16, Chunks: make([][]int64, 2)}, live, 64, 128, 1); err == nil {
+	if _, err := fk.NewPartialProverFromTable(sumcheck.Counts{Width: 16, Chunks: make([][]int64, 2)}, live, 64, 128, 1, 0); err == nil {
 		t.Error("Fk accepted a short slice table in chunks")
 	}
 	rs, err := NewRangeSum(f, u)

@@ -15,19 +15,33 @@
 //
 // Message shapes on the SplitProver↔owner leg (SplitOwner):
 //
-//	opening:  Ints=[version]  Elems=[claim, g_1(0..deg)]
+//	opening:  Ints=[version]  Elems=[claim, g_1(0..deg)]          (no pairs shipped)
+//	          Ints=[version, w_1..w_n]
+//	          Elems=[claim, g_1(0..deg), P_1, …, P_T]             (n live pairs shipped)
 //	round j:  Elems=[g_j(0..deg)]      (head rounds 2..h)
 //	leaves:   Elems=[leaf_1..leaf_T]   (after the h-th fold; T = arity)
 //
 // The version rides the opening so the SplitProver can pin one dataset
 // version across all S slices (ErrSplitVersion on skew) and bind
-// Fiat–Shamir proofs to it.
+// Fiat–Shamir proofs to it. A slice whose live-pair scan holds its
+// tables sparse also ships its live pairs in the opening, when the
+// opening still fits the bound its owner was given (one wire frame):
+// w_1 < … < w_n are their pair indices in the whole universe, and P_t is
+// table t's values packed two by two, 2n elements, as the slice's
+// sum-check prover packed them. A sparse slice with no live pair lists
+// its first pair, (0, 0). When every owner shipped its pairs and there
+// are at most sumcheck.MaxSparseLive of the universe, the SplitProver
+// finishes the owners after the openings and proves every later round
+// alone from their union — the whole-universe prover, with no head
+// round — so the conversation costs one owner round trip. Otherwise the
+// head rounds run as above, and the shipped pairs go unread.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/field"
 	"repro/internal/lde"
@@ -45,14 +59,15 @@ var ErrSplitVersion = errors.New("core: split slices disagree on dataset version
 // emits its leaves instead of a round message.
 type PartialProver struct {
 	scProver
-	cfg     sumcheck.Config // global configuration; Params span the full universe
-	lo, hi  uint64
-	tables  []sumcheck.Counts // slice subtables, borrowed read-only
-	version uint64
-	headD   int
+	cfg      sumcheck.Config // global configuration; Params span the full universe
+	lo, hi   uint64
+	tables   []sumcheck.Counts // slice subtables, borrowed read-only
+	version  uint64
+	headD    int
+	maxWords int // the most ints and elements an opening that ships pairs may hold
 }
 
-func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, hi, version uint64, tables ...sumcheck.Counts) (*PartialProver, error) {
+func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, hi, version uint64, maxWords int, tables ...sumcheck.Counts) (*PartialProver, error) {
 	sp, err := sumcheck.SliceParams(cfg.Params, lo, hi)
 	if err != nil {
 		return nil, err
@@ -62,7 +77,7 @@ func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, h
 			return nil, fmt.Errorf("core: slice table %d has %d entries, want %d", t, tab.Len(), sp.U)
 		}
 	}
-	return &PartialProver{scProver: scProver{live: live}, cfg: cfg, lo: lo, hi: hi, tables: tables, version: version, headD: sp.D}, nil
+	return &PartialProver{scProver: scProver{live: live}, cfg: cfg, lo: lo, hi: hi, tables: tables, version: version, headD: sp.D, maxWords: maxWords}, nil
 }
 
 // NewPartialProverFromTable returns the slice-owner session for the
@@ -71,9 +86,11 @@ func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, h
 // NewProverFromTable takes a whole table, borrowed read-only; version is
 // the dataset version the opening reports to the SplitProver. live
 // supplies table's live-pair scan, as a memo shared by every prover of
-// the table; nil scans table when the prover opens.
-func (p *Fk) NewPartialProverFromTable(table sumcheck.Counts, live func() sumcheck.LivePairs, lo, hi, version uint64) (*PartialProver, error) {
-	return newPartialProver(p.scConfig(), live, lo, hi, version, table)
+// the table; nil scans table when the prover opens. maxWords bounds an
+// opening that ships the slice's live pairs, in ints and elements: a
+// sparse slice whose opening would hold more ships none.
+func (p *Fk) NewPartialProverFromTable(table sumcheck.Counts, live func() sumcheck.LivePairs, lo, hi, version uint64, maxWords int) (*PartialProver, error) {
+	return newPartialProver(p.scConfig(), live, lo, hi, version, maxWords, table)
 }
 
 // NewPartialProverFromTable returns the slice-owner session for a
@@ -81,16 +98,19 @@ func (p *Fk) NewPartialProverFromTable(table sumcheck.Counts, live func() sumche
 // full universe). table holds the slice's counts as Fk's takes them. The
 // slice builds its part of the indicator itself — the intersection of
 // the query range with [lo, hi), in table's chunks — so no second table
-// travels.
-func (p *RangeSum) NewPartialProverFromTable(table sumcheck.Counts, lo, hi, version, qL, qR uint64) (*PartialProver, error) {
+// travels. maxWords is as Fk's takes it.
+func (p *RangeSum) NewPartialProverFromTable(table sumcheck.Counts, lo, hi, version, qL, qR uint64, maxWords int) (*PartialProver, error) {
 	if err := checkRange(qL, qR, p.Params.U); err != nil {
 		return nil, err
 	}
-	return newPartialProver(p.scConfig(), nil, lo, hi, version, table, rangeIndicator(table, lo, qL, qR))
+	return newPartialProver(p.scConfig(), nil, lo, hi, version, maxWords, table, rangeIndicator(table, lo, qL, qR))
 }
 
 // Open computes this slice's partial claim and round-1 partial,
 // prefixed by the dataset version for the SplitProver's skew check.
+// While the slice's sum-check prover holds its tables sparse, the
+// opening also ships the live pairs that prover packed, within
+// maxWords (see the message shapes above).
 func (pr *PartialProver) Open() (Msg, error) {
 	sc, err := sumcheck.NewPartialProver(pr.cfg, pr.lo, pr.hi, livePairs(&pr.scProver, pr.cfg, pr.tables), pr.tables...)
 	if err != nil {
@@ -101,6 +121,28 @@ func (pr *PartialProver) Open() (Msg, error) {
 		return Msg{}, err
 	}
 	m.Ints = []uint64{pr.version}
+	idx, pairs, ok := sc.Pairs()
+	if !ok {
+		return m, nil
+	}
+	if len(idx) == 0 { // list pair 0 as (0, 0), so that the shipping shows
+		idx, pairs = []uint32{0}, make([][]field.Elem, len(pairs))
+		for t := range pairs {
+			pairs[t] = make([]field.Elem, 2)
+		}
+	}
+	if len(m.Elems)+1+len(idx)*(1+2*len(pairs)) > pr.maxWords {
+		return m, nil
+	}
+	first := pr.lo / 2
+	m.Ints = slices.Grow(m.Ints, len(idx))
+	for _, w := range idx {
+		m.Ints = append(m.Ints, first+uint64(w))
+	}
+	m.Elems = slices.Grow(m.Elems, 2*len(idx)*len(pairs))
+	for _, tab := range pairs {
+		m.Elems = append(m.Elems, tab...)
+	}
 	return m, nil
 }
 
@@ -136,21 +178,35 @@ type SplitOwner interface {
 // then one reopen per version skew.
 const splitOpens = 4
 
+// SliceError is a SplitProver's refusal of an owner's message that does
+// not have the shape its round asks for — or, in an opening, ships
+// pairs that are not a slice's live pairs — rather than folding the lie
+// into a message only the client's verifier would object to.
+type SliceError struct {
+	Slice  int    // the slice whose owner sent the message
+	Reason string // what is wrong with it
+}
+
+func (e *SliceError) Error() string { return fmt.Sprintf("core: slice %d %s", e.Slice, e.Reason) }
+
 // SplitProver is the one prover session of a split dataset: it folds S
 // slice owners' partial messages into the transcript a single prover
 // over the whole universe sends. Open pins one dataset version across
 // the owners' openings and sums them; each head round broadcasts the
 // challenge and sums the owners' partials; the leaf round collects the
 // owners' leaves, finishes the owners and seeds a tail prover, which
-// serves the last log₂ S rounds alone. Field addition is exact and the
-// tail resumes from the exact global folded table, so every message is
-// bit-identical to the single-prover run. Close finishes the owners
-// however the conversation ends.
+// serves the last log₂ S rounds alone. When every owner's opening
+// shipped its live pairs, and there are few enough, Open instead
+// finishes the owners at once and seeds the whole-universe prover from
+// their union, which serves every later round alone. Field addition is
+// exact, and both provers resume from the exact global table, so every
+// message is bit-identical to the single-prover run. Close finishes the
+// owners however the conversation ends.
 type SplitProver struct {
 	cfg    sumcheck.Config
 	open   func() ([]SplitOwner, error)
 	owners []SplitOwner // slice order; nil once finished
-	hd     int          // head rounds the owners serve (= slice depth)
+	hd     int          // head rounds the owners serve: the slice depth, or 0 once collapsed
 
 	opening Msg
 	version uint64
@@ -217,9 +273,10 @@ func (sp *SplitProver) Open() (Msg, error) {
 	}
 }
 
-// pin reads the owners' openings and sums them if they share a version.
+// pin reads the owners' openings and sums their partials if they share
+// a version, then collapses the conversation if it can.
 func (sp *SplitProver) pin() (Msg, error) {
-	parts, err := sp.receive(1, 1+sp.cfg.MessageLen())
+	parts, err := sp.receive(sp.checkOpening)
 	if err != nil {
 		return Msg{}, err
 	}
@@ -229,7 +286,70 @@ func (sp *SplitProver) pin() (Msg, error) {
 			return Msg{}, fmt.Errorf("%w: slice 0 at %d, slice %d at %d", ErrSplitVersion, sp.version, k, part.Ints[0])
 		}
 	}
-	return sp.sum(parts), nil
+	return sp.sum(parts, 1+sp.cfg.MessageLen()), sp.collapse(parts)
+}
+
+// checkOpening checks slice k's opening: the version, the partial, and the
+// live pairs it ships, if any — n pair indices in increasing order
+// inside the slice, and 2n values per table.
+func (sp *SplitProver) checkOpening(k int, m Msg) error {
+	n := len(m.Ints) - 1
+	arity, partial := sp.cfg.Combiner.Arity(), 1+sp.cfg.MessageLen()
+	if n < 0 || len(m.Elems) != partial+2*arity*n {
+		return &SliceError{k, fmt.Sprintf("sent an opening of %d ints and %d elems, want 1+n and %d+%d·n", len(m.Ints), len(m.Elems), partial, 2*arity)}
+	}
+	half := sp.cfg.Params.U / uint64(len(sp.owners)) / 2 // pairs per slice
+	lo, hi := uint64(k)*half, uint64(k+1)*half
+	for j, w := range m.Ints[1:] {
+		switch {
+		case w < lo || w >= hi:
+			return &SliceError{k, fmt.Sprintf("shipped pair %d, outside its pairs [%d, %d)", w, lo, hi)}
+		case j > 0 && w <= m.Ints[j]:
+			return &SliceError{k, fmt.Sprintf("shipped pair %d after pair %d", w, m.Ints[j])}
+		}
+	}
+	return nil
+}
+
+// collapse finishes the owners and seeds the whole-universe prover from
+// the union of the live pairs their openings shipped, when every owner
+// shipped and the union is within sumcheck.MaxSparseLive of the
+// universe. Slice order is pair order, so the union is the openings'
+// pairs concatenated. The prover then serves every round after the
+// opening (hd = 0); the opening itself is the summed partials.
+func (sp *SplitProver) collapse(parts []Msg) error {
+	n := 0
+	for _, part := range parts {
+		if len(part.Ints) == 1 {
+			return nil
+		}
+		n += len(part.Ints) - 1
+	}
+	if n > sumcheck.MaxSparseLive(2, int(sp.cfg.Params.U)) {
+		return nil
+	}
+	_ = sp.Close() // the pairs are in: a leg's finish cannot change the prover
+	idx := make([]uint32, 0, n)
+	pairs := make([][]field.Elem, sp.cfg.Combiner.Arity())
+	for t := range pairs {
+		pairs[t] = make([]field.Elem, 0, 2*n)
+	}
+	for _, part := range parts {
+		for _, w := range part.Ints[1:] {
+			idx = append(idx, uint32(w))
+		}
+		packed := part.Elems[1+sp.cfg.MessageLen():]
+		m := 2 * (len(part.Ints) - 1)
+		for t := range pairs {
+			pairs[t] = append(pairs[t], packed[t*m:(t+1)*m]...)
+		}
+	}
+	tail, err := sumcheck.NewPairsProver(sp.cfg, idx, pairs)
+	if err != nil {
+		return err
+	}
+	sp.tail, sp.hd = tail, 0
+	return nil
 }
 
 // Step folds the verifier's challenge and emits the next message. The
@@ -250,7 +370,7 @@ func (sp *SplitProver) Step(challenge Msg) (Msg, error) {
 			return Msg{}, err
 		}
 		sp.round++
-		return sp.sum(parts), nil
+		return sp.sum(parts, sp.cfg.MessageLen()), nil
 	}
 	var err error
 	if sp.round == sp.hd {
@@ -271,40 +391,56 @@ func (sp *SplitProver) Step(challenge Msg) (Msg, error) {
 
 // seed broadcasts the last head challenge, collects the owners' leaves,
 // finishes the owners, and starts the tail prover on the global folded
-// table the leaves make in slice order.
+// table the leaves make in slice order: S entries per table, every pair
+// listed.
 func (sp *SplitProver) seed(challenge Msg) error {
-	parts, err := sp.broadcast(challenge, sp.cfg.Combiner.Arity())
+	arity := sp.cfg.Combiner.Arity()
+	parts, err := sp.broadcast(challenge, arity)
 	if err != nil {
 		return err
 	}
 	_ = sp.Close() // the leaves are in: a leg's finish cannot change the tail
-	leaves := make([][]field.Elem, len(parts))
-	for k, part := range parts {
-		leaves[k] = part.Elems
+	s := len(parts)
+	pairs := make([][]field.Elem, arity)
+	for t := range pairs {
+		pairs[t] = make([]field.Elem, s)
+		for k, part := range parts {
+			pairs[t][k] = part.Elems[t]
+		}
 	}
-	sp.tail, err = sumcheck.NewTailProver(sp.cfg, leaves)
+	idx := make([]uint32, s/2)
+	for w := range idx {
+		idx[w] = uint32(w)
+	}
+	cfg := sp.cfg
+	cfg.Params = lde.Params{Ell: 2, D: bits.TrailingZeros(uint(s)), U: uint64(s)}
+	sp.tail, err = sumcheck.NewPairsProver(cfg, idx, pairs)
 	return err
 }
 
 // broadcast sends the challenge to every owner before it waits on any
 // reply, so the owners fold side by side and a round costs one round
-// trip rather than S, then receives one reply of elems elements from
-// each. An owner's error passes up bare, so a wire.ServerError still
-// reaches the client in the owner engine's own words.
+// trip rather than S, then receives one reply of elems elements, and no
+// int, from each. An owner's error passes up bare, so a wire.ServerError
+// still reaches the client in the owner engine's own words.
 func (sp *SplitProver) broadcast(challenge Msg, elems int) ([]Msg, error) {
 	for _, o := range sp.owners {
 		if err := o.Challenge(challenge); err != nil {
 			return nil, err
 		}
 	}
-	return sp.receive(0, elems)
+	return sp.receive(func(k int, m Msg) error {
+		if len(m.Ints) != 0 || len(m.Elems) != elems {
+			return &SliceError{k, fmt.Sprintf("sent %d ints and %d elems, want 0 and %d", len(m.Ints), len(m.Elems), elems)}
+		}
+		return nil
+	})
 }
 
 // receive reads one message from every owner, in slice order, and
-// refuses one that does not carry ints ints and elems canonical field
-// elements — naming the slice, rather than folding its lie into a
-// message only the client's verifier would object to.
-func (sp *SplitProver) receive(ints, elems int) ([]Msg, error) {
+// refuses with a SliceError one that shape refuses or that holds a
+// non-canonical field element.
+func (sp *SplitProver) receive(shape func(k int, m Msg) error) ([]Msg, error) {
 	if sp.owners == nil {
 		return nil, errors.New("core: split prover's owners are finished")
 	}
@@ -314,13 +450,12 @@ func (sp *SplitProver) receive(ints, elems int) ([]Msg, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(m.Ints) != ints || len(m.Elems) != elems {
-			return nil, fmt.Errorf("core: slice %d sent %d ints and %d elems, want %d and %d",
-				k, len(m.Ints), len(m.Elems), ints, elems)
+		if err := shape(k, m); err != nil {
+			return nil, err
 		}
 		for _, e := range m.Elems {
 			if uint64(e) >= sp.cfg.Field.Modulus() {
-				return nil, fmt.Errorf("core: slice %d sent a non-canonical element", k)
+				return nil, &SliceError{k, "sent a non-canonical element"}
 			}
 		}
 		parts[k] = m
@@ -328,11 +463,12 @@ func (sp *SplitProver) receive(ints, elems int) ([]Msg, error) {
 	return parts, nil
 }
 
-// sum adds the owners' messages elementwise in slice order.
-func (sp *SplitProver) sum(parts []Msg) Msg {
-	out := make([]field.Elem, len(parts[0].Elems))
+// sum adds the first n elements of the owners' messages elementwise in
+// slice order.
+func (sp *SplitProver) sum(parts []Msg, n int) Msg {
+	out := make([]field.Elem, n)
 	for _, part := range parts {
-		sp.cfg.Field.AddSlices(out, out, part.Elems)
+		sp.cfg.Field.AddSlices(out, out, part.Elems[:n])
 	}
 	return Msg{Elems: out}
 }

@@ -45,13 +45,15 @@ func (o *localOwner) Finish() error {
 // fkSlices opens the local owners of an Fk query over table, split into
 // slices equal slices. version(n, k) is slice k's dataset version at
 // the n-th open, counted from 1; every owner opened is kept in opened.
+// maxWords bounds an opening that ships live pairs: 0 ships none.
 type fkSlices struct {
-	proto   *Fk
-	table   []int64
-	slices  int
-	version func(n, k int) uint64
-	opens   int
-	opened  []*localOwner
+	proto    *Fk
+	table    []int64
+	slices   int
+	version  func(n, k int) uint64
+	maxWords int
+	opens    int
+	opened   []*localOwner
 }
 
 func (s *fkSlices) open() ([]SplitOwner, error) {
@@ -60,7 +62,7 @@ func (s *fkSlices) open() ([]SplitOwner, error) {
 	owners := make([]SplitOwner, s.slices)
 	for k := range owners {
 		lo, hi := uint64(k)*width, uint64(k+1)*width
-		p, err := s.proto.NewPartialProverFromTable(sumcheck.Flat(s.table[lo:hi]), nil, lo, hi, s.version(s.opens, k))
+		p, err := s.proto.NewPartialProverFromTable(sumcheck.Flat(s.table[lo:hi]), nil, lo, hi, s.version(s.opens, k), s.maxWords)
 		if err != nil {
 			return nil, err
 		}
@@ -69,6 +71,16 @@ func (s *fkSlices) open() ([]SplitOwner, error) {
 		owners[k] = o
 	}
 	return owners, nil
+}
+
+// allFinished fails t unless every owner s opened was finished.
+func allFinished(t *testing.T, s *fkSlices) {
+	t.Helper()
+	for i, o := range s.opened {
+		if !o.finished {
+			t.Fatalf("owner %d of %d opened was never finished", i, len(s.opened))
+		}
+	}
 }
 
 // newFk returns the Fk protocol over u with the given worker count.
@@ -194,7 +206,7 @@ func TestSplitRangeSumBitIdentical(t *testing.T) {
 			owners := make([]SplitOwner, slices)
 			for s := range owners {
 				lo, hi := uint64(s)*width, uint64(s+1)*width
-				p, err := proto.NewPartialProverFromTable(sumcheck.Flat(table[lo:hi]), lo, hi, 4, qL, qR)
+				p, err := proto.NewPartialProverFromTable(sumcheck.Flat(table[lo:hi]), lo, hi, 4, qL, qR, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -224,14 +236,6 @@ func TestSplitProverVersionSkew(t *testing.T) {
 	proto := newFk(t, u, 2, 0)
 	ref, _ := fkReference(t, proto, table, ups, 21)
 
-	allFinished := func(t *testing.T, s *fkSlices) {
-		t.Helper()
-		for i, o := range s.opened {
-			if !o.finished {
-				t.Fatalf("owner %d of %d opened was never finished", i, len(s.opened))
-			}
-		}
-	}
 	t.Run("reopen", func(t *testing.T) {
 		s := &fkSlices{proto: proto, table: table, slices: 2, version: func(n, k int) uint64 {
 			if n == 1 {
@@ -424,6 +428,101 @@ func TestSplitProverRefusesOwnerLies(t *testing.T) {
 					t.Fatalf("owner %d not finished", k)
 				}
 			}
+		})
+	}
+}
+
+// TestSplitCollapseBitIdentical: while every slice is sparse and its
+// opening may ship its live pairs, the SplitProver collapses — it
+// finishes the owners after the openings, challenges none, and proves
+// every later round from the union of their pairs — and the transcript
+// is still the single prover's, bit for bit, for every slice count
+// (slice 1 of 2 holding no live pair included) and worker count. An
+// opening bound too small for the pairs, or one dense slice, keeps the
+// head rounds, also bit-identical.
+func TestSplitCollapseBitIdentical(t *testing.T) {
+	const u = 1 << 10 // slices of 256 or 512 entries: sparse at up to 32 or 64 live pairs
+	sparse := stream.UnitIncrements(u, 30, field.NewSplitMix64(12))
+	low := stream.UnitIncrements(u/2, 30, field.NewSplitMix64(13)) // slice 1 of 2 empty
+	oneDense := append(stream.UniformDeltas(u/4, 5, field.NewSplitMix64(14)), sparse...)
+	for _, c := range []struct {
+		name     string
+		ups      []stream.Update
+		slices   int
+		maxWords int
+		collapse bool
+	}{
+		{"sparse S=2", sparse, 2, 1 << 20, true},
+		{"sparse S=4", sparse, 4, 1 << 20, true},
+		{"one empty slice", low, 2, 1 << 20, true},
+		{"opening bound", sparse, 2, 8, false},
+		{"one dense slice", oneDense, 4, 1 << 20, false},
+	} {
+		for _, k := range []int{2, 3} {
+			for _, workers := range []int{0, 3} {
+				name := fmt.Sprintf("%s k=%d w=%d", c.name, k, workers)
+				proto := newFk(t, u, k, workers)
+				table := applied(t, c.ups, u)
+				ref, refResult := fkReference(t, proto, table, c.ups, 21)
+				s := &fkSlices{proto: proto, table: table, slices: c.slices, maxWords: c.maxWords,
+					version: func(int, int) uint64 { return 3 }}
+				sp, err := NewSplitProver(f61, u, sumcheck.Power{K: k}, workers, s.open)
+				if err != nil {
+					t.Fatal(err)
+				}
+				msgs, got, err := runFk(t, proto, sp, c.ups, 21)
+				if err != nil || got != refResult {
+					t.Fatalf("%s: result %d, %v; want %d", name, got, err, refResult)
+				}
+				sameTranscript(t, name, msgs, ref)
+				allFinished(t, s)
+				if challenged := s.opened[0].challenges > 0; challenged == c.collapse {
+					t.Fatalf("%s: owners challenged %d times, collapse %v", name, s.opened[0].challenges, c.collapse)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitProverRefusesMalformedPairs: live pairs an owner ships that
+// are not its slice's — an index outside the slice, indices out of
+// order, a non-canonical value, or a count of values that does not
+// match the indices — are refused with a SliceError naming the slice.
+func TestSplitProverRefusesMalformedPairs(t *testing.T) {
+	const u, slices = 1 << 9, 2 // slice 1 owns pairs [128, 256)
+	ups := stream.UnitIncrements(u, 20, field.NewSplitMix64(15))
+	table := applied(t, ups, u)
+	proto := newFk(t, u, 2, 0)
+	for _, c := range []struct {
+		name string
+		lie  func(Msg) Msg
+		want string
+	}{
+		{"index outside the slice", func(m Msg) Msg { m.Ints[1] = 3; return m }, "shipped pair 3, outside its pairs [128, 256)"},
+		{"indices out of order", func(m Msg) Msg { m.Ints[1], m.Ints[2] = m.Ints[2], m.Ints[1]; return m }, "after pair"},
+		{"repeated index", func(m Msg) Msg { m.Ints[2] = m.Ints[1]; return m }, "after pair"},
+		{"value ≥ p", func(m Msg) Msg { m.Elems[len(m.Elems)-1] = ^field.Elem(0); return m }, "sent a non-canonical element"},
+		{"one value short", func(m Msg) Msg { m.Elems = m.Elems[:len(m.Elems)-1]; return m }, "sent an opening of"},
+		{"one index more", func(m Msg) Msg { m.Ints = append(m.Ints, 255); return m }, "sent an opening of"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := &fkSlices{proto: proto, table: table, slices: slices, maxWords: 1 << 20,
+				version: func(int, int) uint64 { return 1 }}
+			sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, 0, func() ([]SplitOwner, error) {
+				owners, err := s.open()
+				owners[1] = &lyingOwner{localOwner: owners[1].(*localOwner), lie: c.lie}
+				return owners, err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = runFk(t, proto, sp, ups, 6)
+			var se *SliceError
+			if !errors.As(err, &se) || se.Slice != 1 || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want slice 1's SliceError saying %q", err, c.want)
+			}
+			_ = sp.Close()
+			allFinished(t, s)
 		})
 	}
 }

@@ -45,9 +45,10 @@ type instance struct {
 	verifier func(s core.Summary, rng field.RNG) (StreamVerifier, error)
 	// prover borrows a snapshot's maintained tables read-only.
 	prover func(s *Snapshot) (core.ProverSession, error)
-	// partial is the slice owner's session over [lo, hi); nil exactly
-	// when the row's combiner is.
-	partial func(s *Snapshot, lo, hi uint64) (core.ProverSession, error)
+	// partial is the slice owner's session over [lo, hi), whose opening
+	// ships live pairs only within maxWords words; nil exactly when the
+	// row's combiner is.
+	partial func(s *Snapshot, lo, hi uint64, maxWords int) (core.ProverSession, error)
 }
 
 // sessions assembles an instance from one protocol's typed constructors.
@@ -118,8 +119,8 @@ var kinds = [...]kindRow{
 				func(s *Snapshot) (*core.RangeSumProver, error) { return proto.NewProverFromTable(s.provedChunks()) },
 				func(v *core.RangeSumVerifier) error { return v.SetQuery(p.A, p.B) },
 				func(pr *core.RangeSumProver) error { return pr.SetQuery(p.A, p.B) })
-			in.partial = func(s *Snapshot, lo, hi uint64) (core.ProverSession, error) {
-				return proto.NewPartialProverFromTable(s.provedChunks(), lo, hi, s.Version(), p.A, p.B)
+			in.partial = func(s *Snapshot, lo, hi uint64, maxWords int) (core.ProverSession, error) {
+				return proto.NewPartialProverFromTable(s.provedChunks(), lo, hi, s.Version(), p.A, p.B, maxWords)
 			}
 			return in, nil
 		},
@@ -241,8 +242,8 @@ func fkRow(k func(QueryParams) int) kindRow {
 				func(s *Snapshot) (*core.FkProver, error) {
 					return proto.NewProverFromTable(s.provedChunks(), s.livePairs)
 				}, nil, nil)
-			in.partial = func(s *Snapshot, lo, hi uint64) (core.ProverSession, error) {
-				return proto.NewPartialProverFromTable(s.provedChunks(), s.livePairs, lo, hi, s.Version())
+			in.partial = func(s *Snapshot, lo, hi uint64, maxWords int) (core.ProverSession, error) {
+				return proto.NewPartialProverFromTable(s.provedChunks(), s.livePairs, lo, hi, s.Version(), maxWords)
 			}
 			return in, nil
 		},

@@ -48,7 +48,7 @@ func TestKindTable(t *testing.T) {
 			verifier, v := engine.NewStreamVerifier(f61, u, c.Kind, c.Params, field.NewSplitMix64(1))
 			prover, sp := snap.NewProver(c.Kind, c.Params)
 			_, rp := engine.NewReplayProver(f61, u, c.Kind, c.Params, ups, workers)
-			_, pp := snap.NewPartialProver(c.Kind, c.Params)
+			_, pp := snap.NewPartialProver(c.Kind, c.Params, 0)
 			_, comb := engine.SplitCombiner(f61, u, c.Kind, c.Params)
 			if known && v == nil && sp == nil {
 				if _, ok := prover.(interface{ Observe(stream.Update) error }); ok {

@@ -74,8 +74,11 @@ func (e *Engine) OpenSlice(name string, globalU, lo, hi uint64) (*Dataset, error
 // dataset it returns the session for the one slice covering the whole
 // padded table — the S=1 degenerate split an aggregation-overhead
 // benchmark compares against. Kinds outside the seam (everything but
-// SELF-JOIN SIZE, Fk, and RANGE-SUM) fail with ErrNotSplittable.
-func (s *Snapshot) NewPartialProver(kind QueryKind, params QueryParams) (core.ProverSession, error) {
+// SELF-JOIN SIZE, Fk, and RANGE-SUM) fail with ErrNotSplittable. While
+// the slice's tables are sparse the opening also ships their live pairs,
+// when it stays within maxWords ints and elements (0 ships none): what
+// lets the SplitProver collapse the conversation to one round trip.
+func (s *Snapshot) NewPartialProver(kind QueryKind, params QueryParams, maxWords int) (core.ProverSession, error) {
 	d := s.ds
 	lo, hi := d.sliceLo, d.sliceHi
 	if hi == 0 {
@@ -89,5 +92,5 @@ func (s *Snapshot) NewPartialProver(kind QueryKind, params QueryParams) (core.Pr
 	if err != nil {
 		return nil, err
 	}
-	return in.partial(s, lo, hi)
+	return in.partial(s, lo, hi, maxWords)
 }

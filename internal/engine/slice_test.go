@@ -77,7 +77,7 @@ func TestOpenSliceIdentity(t *testing.T) {
 		t.Fatal("GenerateProof served a slice")
 	}
 	// Kinds outside the seam fail typed on the partial path.
-	if _, err := snap.NewPartialProver(engine.QueryF0, engine.QueryParams{Phi: 0.1}); !errors.Is(err, engine.ErrNotSplittable) {
+	if _, err := snap.NewPartialProver(engine.QueryF0, engine.QueryParams{Phi: 0.1}, 0); !errors.Is(err, engine.ErrNotSplittable) {
 		t.Fatalf("F0 partial = %v, want ErrNotSplittable", err)
 	}
 }
@@ -157,7 +157,7 @@ func TestSliceHandoffMidIngest(t *testing.T) {
 	if err := got.Ingest([]stream.Update{{Index: 40, Delta: 7}}); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := got.Snapshot().NewPartialProver(engine.QuerySelfJoinSize, engine.QueryParams{})
+	sess, err := got.Snapshot().NewPartialProver(engine.QuerySelfJoinSize, engine.QueryParams{}, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestSliceEvictRecover(t *testing.T) {
 
 	record := func(snap *engine.Snapshot) []core.Msg {
 		t.Helper()
-		sess, err := snap.NewPartialProver(engine.QueryFk, engine.QueryParams{K: 2})
+		sess, err := snap.NewPartialProver(engine.QueryFk, engine.QueryParams{K: 2}, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}

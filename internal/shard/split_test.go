@@ -234,6 +234,84 @@ func TestSplitRefusesOverflow(t *testing.T) {
 	ingest([]stream.Update{{Index: 9, Delta: 1}, {Index: 150, Delta: -big}}, "")
 }
 
+// TestSplitCollapse pins the collapsed split conversation. On a sparse
+// S = 2 dataset each owner's opening ships its live pairs and the router
+// proves every later round alone from their union: no owner is sent a
+// challenge, and every seam kind's interactive transcript and the posted
+// SELF-JOIN SIZE proof's bytes equal a single engine's. On a dense one —
+// more live pairs than sumcheck.MaxSparseLive of each slice — the owners
+// fold through the head rounds as before, byte-equal too.
+func TestSplitCollapse(t *testing.T) {
+	const u = 1 << 12 // slices of 2048 entries: sparse at up to 256 live pairs each
+	for _, c := range []struct {
+		name      string
+		n         int // unit increments at uniform indices
+		collapsed bool
+	}{
+		{"sparse", 60, true},
+		{"dense", 3000, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var shards []ShardInfo
+			var relays []*tamperRelay
+			for _, name := range []string{"s1", "s2"} {
+				addr, stop := startShard(t, &wire.Server{F: f61})
+				t.Cleanup(stop)
+				relay := newTamperRelay(t, addr)
+				relays = append(relays, relay)
+				shards = append(shards, ShardInfo{Name: name, Addr: relay.addr()})
+			}
+			routerAddr, _, stop := startRouter(t, &Table{Shards: shards,
+				Splits: map[string]*SplitSpec{"ds": {Slices: 2, Owners: []string{"s1", "s2"}}}})
+			t.Cleanup(stop)
+			baseAddr, stopBase := startShard(t, &wire.Server{F: f61})
+			t.Cleanup(stopBase)
+
+			ups := stream.UnitIncrements(u, c.n, field.NewSplitMix64(48))
+			split, base := dialT(t, routerAddr), dialT(t, baseAddr)
+			for _, cl := range []*wire.Client{split, base} {
+				cl.FieldModulus = f61.Modulus()
+				if _, err := cl.OpenDataset("ds", u); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cl.Ingest(ups); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const seed = 48_100
+			for _, cs := range conformance.Filter(conformance.Case.Seam) {
+				var msgs [2][]core.Msg
+				for i, cl := range []*wire.Client{split, base} {
+					rec := &conformance.Recorder{Inner: conformance.Verifier(t, u, cs, field.NewSplitMix64(seed), ups)}
+					if _, err := cl.Query(cs.Kind, cs.Params, rec); err != nil {
+						t.Fatalf("%v: %v", cs, err)
+					}
+					msgs[i] = rec.Msgs
+				}
+				if err := conformance.Same(msgs[1], msgs[0]); err != nil {
+					t.Fatalf("%v: the split transcript differs from the single engine's: %v", cs, err)
+				}
+			}
+			want, err := base.FetchProof(wire.QuerySelfJoinSize, wire.QueryParams{}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := split.FetchProof(wire.QuerySelfJoinSize, wire.QueryParams{}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Encode(), want.Encode()) {
+				t.Fatal("the split's posted proof differs from the single engine's")
+			}
+			for k, relay := range relays {
+				if n := relay.challengeFrames.Load(); (n == 0) != c.collapsed {
+					t.Fatalf("slice %d's owner was sent %d challenges; collapsed %v", k, n, c.collapsed)
+				}
+			}
+		})
+	}
+}
+
 // TestSplitSliceRebalanceMidIngest moves one slice between shards while
 // the client streams batches through the router. The proxy's delivery
 // retry re-attaches to the slice's new home, so no acked batch is lost

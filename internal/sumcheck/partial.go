@@ -20,11 +20,16 @@
 //
 // The seam therefore needs no new prover: a partial prover is an
 // ordinary Prover over the slice's parameterization (and the slice
-// tables' own live-pair scan), plus three helpers — SliceParams to
+// tables' own live-pair scan), plus two helpers — SliceParams to
 // derive that parameterization, Leaves to read out the fully folded
-// entries, NewTailProver to resume from collected leaves. Summing the
-// per-slice messages in slice order is core.SplitProver's, which also
-// refuses an owner's non-canonical element.
+// entries. The tail prover is NewPairsProver over the S-entry tables
+// the leaves make, every pair listed. While the slices' tables are
+// sparse, the seam can skip the head rounds altogether: a slice
+// prover's Pairs are its live pairs, and NewPairsProver over their
+// union, in slice order, is the whole-universe prover with no gather.
+// Summing the per-slice messages in slice order, and assembling the
+// tail and the union, is core.SplitProver's, which also refuses an
+// owner's non-canonical element.
 package sumcheck
 
 import (
@@ -93,38 +98,4 @@ func (p *Prover) Leaves() ([]field.Elem, error) {
 		out[t] = tab.Chunks[0][0]
 	}
 	return out, nil
-}
-
-// NewTailProver resumes the global conversation from collected slice
-// leaves: leaves[k] is slice k's Leaves() vector, in slice order. The
-// returned prover's tables are exactly the global tables after the
-// head rounds' folds, so its first RoundMessage is the next global
-// round message with no further fold needed (the last head challenge
-// was already folded in by every slice). cfg is the global
-// configuration; only its field, combiner, and worker count are used.
-func NewTailProver(cfg Config, leaves [][]field.Elem) (*Prover, error) {
-	s := uint64(len(leaves))
-	if s < 2 || s&(s-1) != 0 {
-		return nil, fmt.Errorf("sumcheck: %d slices is not a power of two ≥ 2", s)
-	}
-	if cfg.Combiner == nil {
-		return nil, fmt.Errorf("sumcheck: nil combiner")
-	}
-	arity := cfg.Combiner.Arity()
-	tables := make([][]field.Elem, arity)
-	for t := range tables {
-		tables[t] = make([]field.Elem, s)
-	}
-	for k, leaf := range leaves {
-		if len(leaf) != arity {
-			return nil, fmt.Errorf("sumcheck: slice %d has %d leaves, want %d", k, len(leaf), arity)
-		}
-		for t, e := range leaf {
-			tables[t][k] = e
-		}
-	}
-	tcfg := cfg
-	tcfg.Params = lde.Params{Ell: 2, D: bits.TrailingZeros64(s), U: s}
-	flat := flats(tables)
-	return NewProver(tcfg, ScanLivePairs(2, cfg.Workers, flat...), flat...)
 }

@@ -1,6 +1,7 @@
 package sumcheck
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -18,6 +19,28 @@ func sumPartials(f field.Field, parts [][]field.Elem) []field.Elem {
 		f.AddSlices(out, out, part)
 	}
 	return out
+}
+
+// tailProver resumes the global conversation from collected slice
+// leaves, leaves[k] being slice k's Leaves() vector, as
+// core.SplitProver does: the leaves in slice order are the global
+// tables after the head folds, S entries each, and NewPairsProver takes
+// them with every pair listed.
+func tailProver(cfg Config, leaves [][]field.Elem) (*Prover, error) {
+	s := len(leaves)
+	pairs := make([][]field.Elem, cfg.Combiner.Arity())
+	for t := range pairs {
+		pairs[t] = make([]field.Elem, s)
+		for k, lv := range leaves {
+			pairs[t][k] = lv[t]
+		}
+	}
+	idx := make([]uint32, s/2)
+	for w := range idx {
+		idx[w] = uint32(w)
+	}
+	cfg.Params = lde.Params{Ell: 2, D: bits.TrailingZeros(uint(s)), U: uint64(s)}
+	return NewPairsProver(cfg, idx, pairs)
 }
 
 // runDistributed plays the full conversation through the partial-prover
@@ -84,7 +107,7 @@ func runDistributed(t *testing.T, cfg Config, slices int, challenges []field.Ele
 		}
 		leaves[k] = lv
 	}
-	tail, err := NewTailProver(cfg, leaves)
+	tail, err := tailProver(cfg, leaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +263,28 @@ func TestSliceParamsValidation(t *testing.T) {
 	if _, err := SliceParams(lde.Params{Ell: 3, D: 2, U: 9}, 0, 3); err == nil {
 		t.Fatal("ℓ=3 slice accepted")
 	}
-	if _, err := NewTailProver(Config{Field: f61, Combiner: Power{K: 2}}, [][]field.Elem{{1}, {2}, {3}}); err == nil {
-		t.Fatal("3-slice tail accepted")
-	}
-	if _, err := NewTailProver(Config{Field: f61, Combiner: Power{K: 2}}, [][]field.Elem{{1, 9}, {2}}); err == nil {
-		t.Fatal("wrong-arity leaves accepted")
+}
+
+// TestPairsProverRefusals: NewPairsProver refuses packed pairs that do
+// not describe tables of its configuration.
+func TestPairsProverRefusals(t *testing.T) {
+	cfg := Config{Field: f61, Combiner: Power{K: 2}, Params: lde.Params{Ell: 2, D: 3, U: 8}}
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		idx   []uint32
+		pairs [][]field.Elem
+	}{
+		{"ℓ=3", Config{Field: f61, Combiner: Power{K: 2}, Params: lde.Params{Ell: 3, D: 2, U: 9}}, []uint32{0}, [][]field.Elem{{1, 2}}},
+		{"no pair", Config{Field: f61, Combiner: Power{K: 2}, Params: lde.Params{Ell: 2, D: 0, U: 1}}, nil, [][]field.Elem{nil}},
+		{"two tables for arity 1", cfg, []uint32{0}, [][]field.Elem{{1, 2}, {3, 4}}},
+		{"short table", cfg, []uint32{0, 1}, [][]field.Elem{{1, 2, 3}}},
+		{"index past the pairs", cfg, []uint32{4}, [][]field.Elem{{1, 2}}},
+		{"repeated index", cfg, []uint32{1, 1}, [][]field.Elem{{1, 2, 3, 4}}},
+		{"decreasing index", cfg, []uint32{2, 1}, [][]field.Elem{{1, 2, 3, 4}}},
+	} {
+		if _, err := NewPairsProver(c.cfg, c.idx, c.pairs); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }

@@ -104,6 +104,7 @@ func TestSparseRoundsMatchOracle(t *testing.T) {
 		PolyFn{H: poly.Poly{0, 3, 1}},    // H(0) = 0
 		PolyFn{H: poly.Poly{5, 3, 0, 2}}, // H(0) ≠ 0: dead pairs add H(0)
 	}
+	collapses := 0 // splits whose slices were all sparse, played as the union of their pairs
 	for _, logu := range []int{7, 10, 14} {
 		params, err := lde.NewParams(2, logu)
 		if err != nil {
@@ -152,13 +153,19 @@ func TestSparseRoundsMatchOracle(t *testing.T) {
 						t.Fatalf("%s: scan found %d live pairs, want %d", name, len(live.Indices()), dn.live)
 					}
 					for _, s := range []int{2, 4} {
-						checkSplit(t, fmt.Sprintf("%s/S=%d", name, s), cfg, tables, challenges, s, want, flatPartial(cfg))
+						if checkSplit(t, fmt.Sprintf("%s/S=%d", name, s), cfg, tables, challenges, s, want, flatPartial(cfg)) {
+							collapses++
+						}
 					}
 					checkChunked(t, name, cfg, tables, challenges, want, live, 2, 4, 64)
 				}
 			}
 		}
 	}
+	if collapses == 0 {
+		t.Fatal("no split had every slice sparse: the union of the slices' pairs never played")
+	}
+	t.Logf("%d splits played as the union of their slices' pairs", collapses)
 	checkChunkedEll4(t)
 }
 
@@ -467,7 +474,7 @@ func checkChunked(t *testing.T, name string, cfg Config, tables [][]field.Elem, 
 // of the oracle's tables after the head rounds. The borrowed tables may
 // not be written.
 func checkSplit(t *testing.T, name string, cfg Config, tables [][]field.Elem, challenges []field.Elem, nslices int, want transcript,
-	newPart func(lo, hi uint64, sub [][]field.Elem) (*Prover, error)) {
+	newPart func(lo, hi uint64, sub [][]field.Elem) (*Prover, error)) (collapsed bool) {
 	t.Helper()
 	orig := make([][]field.Elem, len(tables))
 	for i, tab := range tables {
@@ -485,6 +492,16 @@ func checkSplit(t *testing.T, name string, cfg Config, tables [][]field.Elem, ch
 		provers[k], err = newPart(lo, hi, sub)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	union, collapsed := unionProver(t, cfg, provers)
+	if collapsed {
+		got, err := play(cfg, []*Prover{union}, challenges)
+		if err != nil {
+			t.Fatalf("%s: the union of the slices' pairs: %v", name, err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%s: the union of the slices' pairs played\n%v\noracle\n%v", name, got, want)
 		}
 	}
 	got, err := play(cfg, provers, challenges)
@@ -511,4 +528,34 @@ func checkSplit(t *testing.T, name string, cfg Config, tables [][]field.Elem, ch
 			}
 		}
 	}
+	return collapsed
+}
+
+// unionProver is NewPairsProver over the union of the slice provers'
+// Pairs — each slice's indices moved to the whole table's, in slice
+// order — when every slice holds its tables sparse: the whole prover a
+// split conversation collapses to. The slices' pairs are copied, not
+// taken, so the slice provers can still play.
+func unionProver(t *testing.T, cfg Config, provers []*Prover) (*Prover, bool) {
+	t.Helper()
+	var idx []uint32
+	pairs := make([][]field.Elem, cfg.Combiner.Arity())
+	for k, p := range provers {
+		sub, packed, ok := p.Pairs()
+		if !ok {
+			return nil, false
+		}
+		first := uint32(k * int(p.cfg.Params.U) / 2)
+		for _, w := range sub {
+			idx = append(idx, first+w)
+		}
+		for i, tab := range packed {
+			pairs[i] = append(pairs[i], tab...)
+		}
+	}
+	union, err := NewPairsProver(cfg, idx, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return union, true
 }

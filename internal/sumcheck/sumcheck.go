@@ -382,23 +382,10 @@ func NewProver[T field.Entry](cfg Config, live LivePairs, tables ...Table[T]) (*
 		return nil, fmt.Errorf("sumcheck: live pairs scanned over %d entries at ℓ=2, prover has %d at ℓ=%d",
 			live.entries, cfg.Params.U, cfg.Params.Ell)
 	}
-	deg := cfg.degree()
-	weights := lde.BasisWeights(cfg.Field, cfg.Params.Ell)
-	cElems := make([]field.Elem, deg+1)
-	for c := 0; c <= deg; c++ {
-		cElems[c] = cfg.Field.Reduce(uint64(c))
-	}
-	p := &Prover{
-		cfg:     cfg,
-		workers: parallel.Workers(cfg.Workers),
-		chiAt:   lde.ChiTables(cfg.Field, weights, cElems),
-		cElems:  cElems,
-		weights: weights,
-		zero:    cfg.Combiner.Apply(cfg.Field, make([]field.Elem, cfg.Combiner.Arity())),
-	}
+	p := newProver(cfg)
 	tables = withZeros(tables)
 	if live.sparse {
-		p.sparse = newSparse(p, live, tables)
+		p.sparse = newSparse(p.workers, cfg.Field.Modulus(), live, tables)
 		return p, nil
 	}
 	switch tabs := any(tables).(type) {
@@ -408,6 +395,77 @@ func NewProver[T field.Entry](cfg Config, live LivePairs, tables ...Table[T]) (*
 		p.counts = tabs
 	}
 	return p, nil
+}
+
+// NewPairsProver builds a prover over tables of cfg.Params.U entries at
+// ℓ=2 handed over as their live pairs, packed as a sparse NewProver
+// packs them, so nothing is gathered: idx lists pair indices, strictly
+// increasing, and pairs[t] holds table t's pair idx[k] at 2k and 2k+1,
+// as canonical field elements. Every pair not listed is (0, 0) in every
+// table; a listed pair may be too. The prover takes idx and pairs as its
+// own and regroups them in place as it folds. It holds the tables as
+// their listed pairs while at most a quarter of the pairs are
+// listed, and dense from its first fold otherwise — as a tail prover's
+// S-entry tables, every pair listed, are.
+func NewPairsProver(cfg Config, idx []uint32, pairs [][]field.Elem) (*Prover, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Params.Ell != 2 || cfg.Params.U < 2 {
+		return nil, fmt.Errorf("sumcheck: packed pairs need ℓ=2 and at least one pair, have ℓ=%d and %d entries", cfg.Params.Ell, cfg.Params.U)
+	}
+	if len(pairs) != cfg.Combiner.Arity() {
+		return nil, fmt.Errorf("sumcheck: combiner arity %d but %d packed tables", cfg.Combiner.Arity(), len(pairs))
+	}
+	for t, tab := range pairs {
+		if len(tab) != 2*len(idx) {
+			return nil, fmt.Errorf("sumcheck: packed table %d holds %d entries for %d pairs", t, len(tab), len(idx))
+		}
+	}
+	npairs := cfg.Params.U / 2
+	for k, w := range idx {
+		if uint64(w) >= npairs || k > 0 && w <= idx[k-1] {
+			return nil, fmt.Errorf("sumcheck: pair index %d at %d is out of order or past %d pairs", w, k, npairs)
+		}
+	}
+	p := newProver(cfg)
+	p.sparse = &sparseTables{idx: idx, pairs: pairs, folded: make([][]field.Elem, len(pairs)), npairs: int(npairs)}
+	for t := range pairs {
+		p.sparse.folded[t] = make([]field.Elem, len(idx))
+	}
+	p.sparse.last = !p.sparse.pays()
+	return p, nil
+}
+
+// newProver returns a prover under cfg, which the caller validated,
+// with no tables yet.
+func newProver(cfg Config) *Prover {
+	deg := cfg.degree()
+	weights := lde.BasisWeights(cfg.Field, cfg.Params.Ell)
+	cElems := make([]field.Elem, deg+1)
+	for c := 0; c <= deg; c++ {
+		cElems[c] = cfg.Field.Reduce(uint64(c))
+	}
+	return &Prover{
+		cfg:     cfg,
+		workers: parallel.Workers(cfg.Workers),
+		chiAt:   lde.ChiTables(cfg.Field, weights, cElems),
+		cElems:  cElems,
+		weights: weights,
+		zero:    cfg.Combiner.Apply(cfg.Field, make([]field.Elem, cfg.Combiner.Arity())),
+	}
+}
+
+// Pairs returns what a sparse prover packed, as NewPairsProver takes it:
+// the live pair indices and each table's packed pairs. They are the
+// prover's own, for the caller to read and not to keep past the first
+// fold, which rewrites them. ok is false once the prover has folded, or
+// when it holds its tables dense.
+func (p *Prover) Pairs() (idx []uint32, pairs [][]field.Elem, ok bool) {
+	if p.sparse == nil || p.round > 0 {
+		return nil, nil, false
+	}
+	return p.sparse.idx, p.sparse.pairs, true
 }
 
 // RoundMessage computes the evaluations g_j(0..deg) for the current round.
@@ -830,12 +888,12 @@ type sparseTables struct {
 }
 
 // newSparse packs the borrowed tables' live pairs, listed by live, into
-// field tables of the prover's own, the gather split across the workers
-// and each entry lifted as it is read. It copies the indices too: the
-// prover regroups them in place, and live's are shared. A pair never
-// straddles two chunks, and a chunk that is nil in every table holds no
-// live pair.
-func newSparse[T field.Entry](p *Prover, live LivePairs, tables []Table[T]) *sparseTables {
+// field tables of the prover's own, the gather split across workers
+// goroutines and each entry lifted to a field element mod mod as it is
+// read. It copies the indices too: the prover regroups them in place,
+// and live's are shared. A pair never straddles two chunks, and a chunk
+// that is nil in every table holds no live pair.
+func newSparse[T field.Entry](workers int, mod uint64, live LivePairs, tables []Table[T]) *sparseTables {
 	sp := &sparseTables{
 		idx:    slices.Concat(live.runs...),
 		pairs:  make([][]field.Elem, len(tables)),
@@ -847,8 +905,7 @@ func newSparse[T field.Entry](p *Prover, live LivePairs, tables []Table[T]) *spa
 		buf := make([]field.Elem, 3*n)
 		sp.pairs[t], sp.folded[t] = buf[:2*n], buf[2*n:]
 	}
-	mod := p.cfg.Field.Modulus()
-	parallel.For(p.workers, n, func(_, lo, hi int) {
+	parallel.For(workers, n, func(_, lo, hi int) {
 		for t, tab := range tables {
 			packed, half := sp.pairs[t], tab.Width/2
 			for k := lo; k < hi; { // the live pairs of one chunk at a time
@@ -897,8 +954,15 @@ func (p *Prover) foldSparse(r field.Elem) {
 		sp.pairs[t] = sp.pairs[t][:2*n]
 	}
 	sp.npairs /= 2
-	sp.last = 2*sp.npairs <= denseAtEntries || sparseShare*n > sp.npairs
+	sp.last = !sp.pays()
 	p.pending = p.sparseMessage()
+}
+
+// pays reports whether the live-pair form still pays: the tables hold
+// more than denseAtEntries entries and at most 1/sparseShare of their
+// pairs are live.
+func (sp *sparseTables) pays() bool {
+	return 2*sp.npairs > denseAtEntries && sparseShare*len(sp.idx) <= sp.npairs
 }
 
 // regroup moves the folded entries into the next table's pairs: folded

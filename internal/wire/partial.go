@@ -56,10 +56,12 @@ type PartialConv struct {
 
 // PartialQuery opens a partial-prover conversation for one query on its
 // own channel. The first Msg returns the owner's opening (the dataset
-// version and this slice's partial claim + round-1 message); each
-// Challenge(r) buys the next Msg, which after the final head fold is
-// the slice's leaves. The caller must Finish (or Close) the
-// conversation when done with it.
+// version and this slice's partial claim + round-1 message, and a
+// sparse slice's live pairs when they fit the frame); each Challenge(r)
+// buys the next Msg, which after the final head fold is the slice's
+// leaves. A SplitProver that proves from the shipped pairs sends no
+// challenge at all. The caller must Finish (or Close) the conversation
+// when done with it.
 func (c *Client) PartialQuery(kind QueryKind, params QueryParams) (*PartialConv, error) {
 	if _, _, err := c.attachment("PartialQuery"); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -216,8 +217,11 @@ func TestWireSliceRefusals(t *testing.T) {
 	if opening, err = conv.Msg(); err != nil {
 		t.Fatal(err)
 	}
-	if len(opening.Ints) != 1 || opening.Ints[0] != 1 {
-		t.Fatalf("whole-dataset partial opening ints = %v, want [1]", opening.Ints)
+	// The table is sparse, so the opening ships its one live pair after
+	// the version: index 9 sits in slot 1 of pair 4, (0, 2), packed after
+	// the partial [claim, g_1(0..2)].
+	if fmt.Sprint(opening.Ints) != "[1 4]" || len(opening.Elems) != 6 || fmt.Sprint(opening.Elems[4:]) != "[0 2]" {
+		t.Fatalf("whole-dataset partial opening = %v, want ints [1 4] and elems ending [0 2]", opening)
 	}
 	if err := conv.Finish(); err != nil {
 		t.Fatal(err)

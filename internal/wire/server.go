@@ -459,7 +459,9 @@ func (p *snapshotProver) Open() (msg core.Msg, err error) {
 	from := p.snap
 	switch _, _, slice := p.ds.Slice(); {
 	case p.partial:
-		p.ProverSession, err = from.NewPartialProver(p.kind, p.params)
+		// The opening travels in one frame: the channel id and the
+		// message header, then 8 bytes a word.
+		p.ProverSession, err = from.NewPartialProver(p.kind, p.params, (frames.MaxFrame-4-8)/8)
 	case p.s.Corrupt != nil && !slice:
 		counts := p.s.Corrupt(from.Counts()) // a fresh copy, the hook's to rewrite
 		if from, err = engine.SnapshotFromCounts(p.s.F, p.ds.UniverseSize(), p.s.Workers, counts); err == nil {
