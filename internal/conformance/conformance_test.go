@@ -21,6 +21,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 	"repro/internal/wire"
 )
 
@@ -34,41 +35,88 @@ const (
 
 var f = conformance.Field
 
-// batches is the one stream every cell ingests. The first initial
-// batches are uneven on purpose: a bulk batch, a per-update drip, an
-// empty batch (which must not move the version on any path), a batch
-// touching only the edge slices, and a second bulk batch. After them
-// comes one batch per case, which interleaved cells ingest between
-// queries.
-var batches = func() [][]stream.Update {
+// A feed is a stream every cell of a matrix ingests, in batches, and the
+// reference transcripts and posted-proof bytes of asking each case at
+// each point of it.
+type feed struct {
+	batches    [][]stream.Update
+	references sync.Map // refKey → *refEntry
+}
+
+// bulk is the matrix's feed. The first initial batches are uneven on
+// purpose: a bulk batch, a per-update drip, an empty batch (which must
+// not move the version on any path), a batch touching only the edge
+// slices, and a second bulk batch. After them comes one batch per case,
+// which interleaved cells ingest between queries. About 20 of every 21
+// entries are live, so every table is dense.
+var bulk = func() *feed {
 	bulk := stream.UniformDeltas(u, 20, field.NewSplitMix64(34_001))
 	out := [][]stream.Update{bulk[:7], bulk[7:8], bulk[8:9], nil, bulk[9:10],
 		{{Index: 0, Delta: 5}, {Index: u - 1, Delta: 2}}, bulk[10:]}
 	for k := range conformance.Cases {
 		out = append(out, stream.UnitIncrements(u, 8, field.NewSplitMix64(uint64(34_100+k))))
 	}
-	return out
+	return &feed{batches: out}
 }()
+
+// sparse is the feed of the sparse cells: 16 unit increments, so at
+// most 16 live pairs of the padded table's 128 — an eighth, half the
+// most a table may hold and be proved in sparse rounds — in the initial
+// batches alone (its cells do not interleave). A whole table and each
+// slice of an S = 2 split then hold theirs sparse, and the union of the
+// slices' pairs is few enough for a split conversation to collapse.
+var sparse = func() *feed {
+	ups := stream.UnitIncrements(u, 16, field.NewSplitMix64(34_200))
+	return &feed{batches: [][]stream.Update{ups[:5], ups[5:6], ups[6:7], nil, ups[7:8], ups[8:12], ups[12:]}}
+}()
+
+// TestSparseFeed pins what the sparse cells stand on: after the sparse
+// feed's initial batches the padded table holds at most an eighth of
+// its pairs live, its live-pair scan holds it sparse, so does each half
+// of an S = 2 split, and the halves' live pairs together are few enough
+// for the split conversation to collapse.
+func TestSparseFeed(t *testing.T) {
+	const padded = 256
+	counts := make([]int64, padded)
+	for _, up := range sparse.prefix(initial) {
+		counts[up.Index] += up.Delta
+	}
+	whole := sumcheck.ScanLivePairs(2, 0, sumcheck.Flat(counts))
+	if !whole.Sparse() || whole.Len() > padded/2/8 {
+		t.Fatalf("the sparse feed leaves %d live pairs (sparse %v), want at most %d, held sparse", whole.Len(), whole.Sparse(), padded/2/8)
+	}
+	n := 0
+	for s := 0; s < 2; s++ {
+		half := sumcheck.ScanLivePairs(2, 0, sumcheck.Flat(counts[s*padded/2:(s+1)*padded/2]))
+		if !half.Sparse() {
+			t.Fatalf("slice %d of an S = 2 split is not held sparse", s)
+		}
+		n += half.Len()
+	}
+	if n > sumcheck.MaxSparseLive(2, padded) {
+		t.Fatalf("the slices' %d live pairs are too many to collapse", n)
+	}
+}
 
 const (
 	initial = 7 // batches ingested before the first query
 	mid     = 3 // where a restart or handoff interrupts the ingest
 )
 
-// prefix is the stream of the first p batches.
-func prefix(p int) []stream.Update {
+// prefix is the stream of the feed's first p batches.
+func (fd *feed) prefix(p int) []stream.Update {
 	var out []stream.Update
-	for _, b := range batches[:p] {
+	for _, b := range fd.batches[:p] {
 		out = append(out, b...)
 	}
 	return out
 }
 
-// version is a dataset's version after the first p batches: one per
-// non-empty batch.
-func version(p int) uint64 {
+// version is a dataset's version after the feed's first p batches: one
+// per non-empty batch.
+func (fd *feed) version(p int) uint64 {
 	var v uint64
-	for _, b := range batches[:p] {
+	for _, b := range fd.batches[:p] {
 		if len(b) > 0 {
 			v++
 		}
@@ -106,11 +154,9 @@ func indices(lo, hi int) []int {
 // reference serves every cell that asks case k at the same state.
 func seed(k int) uint64 { return uint64(35_000 + k) }
 
-// references memoises the reference transcript and, for SELF-JOIN SIZE
+// reference memoises the reference transcript and, for SELF-JOIN SIZE
 // (the one posted kind), the posted-proof bytes per (case, batches
 // ingested).
-var references sync.Map // refKey → *refEntry
-
 type refKey struct{ k, p int }
 
 type refEntry struct {
@@ -119,16 +165,16 @@ type refEntry struct {
 	proof []byte
 }
 
-func reference(t *testing.T, k, p int) *refEntry {
-	e, _ := references.LoadOrStore(refKey{k, p}, &refEntry{})
+func (fd *feed) reference(t *testing.T, k, p int) *refEntry {
+	e, _ := fd.references.LoadOrStore(refKey{k, p}, &refEntry{})
 	ref := e.(*refEntry)
 	ref.once.Do(func() {
-		c, ups := caseAt(k), prefix(p)
+		c, ups := caseAt(k), fd.prefix(p)
 		ref.msgs = conformance.Reference(t, u, c, seed(k), ups)
 		if engine.CheckPosted(c.Kind) != nil {
 			return
 		}
-		b := fs.Binding{Modulus: f.Modulus(), Universe: u, Dataset: dataset, Version: version(p),
+		b := fs.Binding{Modulus: f.Modulus(), Universe: u, Dataset: dataset, Version: fd.version(p),
 			Query: engine.FSQuery(c.Kind, c.Params)}
 		pf, err := engine.RecordProof(f, b, func() (core.ProverSession, error) {
 			return engine.NewReplayProver(f, u, c.Kind, c.Params, ups, 0)
@@ -157,8 +203,16 @@ type cell struct {
 	topo     string // direct, server, router or split
 	slices   int    // split only
 	workers  int
-	perturb  string // none, interleaved, evict, restart or handoff
+	perturb  string // none, interleaved, evict, restart, handoff, or sparse (none, fed the sparse feed)
 	delivery string // serial, overlapped or posted
+}
+
+// feed is the stream the cell ingests.
+func (c cell) feed() *feed {
+	if c.perturb == "sparse" {
+		return sparse
+	}
+	return bulk
 }
 
 func (c cell) String() string {
@@ -173,7 +227,9 @@ func (c cell) String() string {
 // counts, perturbations and deliveries each topology has. A direct
 // snapshot has no connection to overlap on; a lone server has no second
 // home to hand off to; a split dataset's eviction is the engine's
-// TestSliceEvictRecover.
+// TestSliceEvictRecover. The sparse cells prove their tables in sparse
+// rounds at a server and a router, and collapse a split S = 2
+// conversation to one owner round trip.
 var topologies = []struct {
 	topo       string
 	slices     []int
@@ -182,9 +238,9 @@ var topologies = []struct {
 	deliveries []string
 }{
 	{"direct", []int{0}, []int{0, -1, 2}, []string{"none", "interleaved", "evict", "restart", "handoff"}, []string{"serial", "posted"}},
-	{"server", []int{0}, []int{0, -1}, []string{"none", "interleaved", "evict", "restart"}, []string{"serial", "overlapped", "posted"}},
-	{"router", []int{0}, []int{0, -1}, []string{"none", "interleaved", "evict", "restart", "handoff"}, []string{"serial", "overlapped", "posted"}},
-	{"split", []int{1, 2, 4}, []int{0, -1}, []string{"none", "interleaved", "restart", "handoff"}, []string{"serial", "overlapped", "posted"}},
+	{"server", []int{0}, []int{0, -1}, []string{"none", "interleaved", "evict", "restart", "sparse"}, []string{"serial", "overlapped", "posted"}},
+	{"router", []int{0}, []int{0, -1}, []string{"none", "interleaved", "evict", "restart", "handoff", "sparse"}, []string{"serial", "overlapped", "posted"}},
+	{"split", []int{1, 2, 4}, []int{0, -1}, []string{"none", "interleaved", "restart", "handoff", "sparse"}, []string{"serial", "overlapped", "posted"}},
 }
 
 func cells() []cell {
@@ -299,7 +355,8 @@ func deploy(t *testing.T, cl cell) deployment {
 // case; overlapped cases are put in flight first and judged after.
 func runCell(t *testing.T, cl cell, ks []int) {
 	d := deploy(t, cl)
-	for i, b := range batches[:initial] {
+	fd := cl.feed()
+	for i, b := range fd.batches[:initial] {
 		if i == mid && (cl.perturb == "restart" || cl.perturb == "handoff") {
 			d.move(t)
 		}
@@ -312,7 +369,7 @@ func runCell(t *testing.T, cl cell, ks []int) {
 		if cl.perturb == "evict" {
 			d.evict(t)
 		}
-		pk, ups := p, prefix(p) // the state case k is asked at
+		pk, ups := p, fd.prefix(p) // the state case k is asked at
 		rec := &conformance.Recorder{Inner: conformance.Verifier(t, u, c, field.NewSplitMix64(seed(k)), ups)}
 		switch cl.delivery {
 		case "serial":
@@ -335,13 +392,13 @@ func runCell(t *testing.T, cl cell, ks []int) {
 				}
 				if err != nil {
 					t.Errorf("%v: posted proof: %v", c, err)
-				} else if !bytes.Equal(pf.Encode(), reference(t, k, pk).proof) {
-					t.Errorf("%v: posted proof bytes differ from the reference (version %d, want %d)", c, pf.Version, version(pk))
+				} else if !bytes.Equal(pf.Encode(), fd.reference(t, k, pk).proof) {
+					t.Errorf("%v: posted proof bytes differ from the reference (version %d, want %d)", c, pf.Version, fd.version(pk))
 				}
 			})
 		}
 		if cl.perturb == "interleaved" {
-			d.ingest(t, batches[p])
+			d.ingest(t, fd.batches[p])
 			p++
 		}
 	}
@@ -364,7 +421,7 @@ func check(t *testing.T, cl cell, k, p int, err error, rec *conformance.Recorder
 		t.Errorf("%v: %v", c, err)
 		return
 	}
-	if err := conformance.Same(reference(t, k, p).msgs, rec.Msgs); err != nil {
+	if err := conformance.Same(cl.feed().reference(t, k, p).msgs, rec.Msgs); err != nil {
 		t.Errorf("%v: transcript differs from the reference: %v", c, err)
 	}
 }
@@ -445,7 +502,7 @@ func (d *direct) move(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.ds.Ingest(batches[0]); !errors.Is(err, engine.ErrReleased) {
+		if err := d.ds.Ingest(bulk.batches[0]); !errors.Is(err, engine.ErrReleased) {
 			t.Fatalf("ingest through a released handle: %v, want ErrReleased", err)
 		}
 		if _, err := d.ds.SnapshotErr(); !errors.Is(err, engine.ErrReleased) {

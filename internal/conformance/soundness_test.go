@@ -52,7 +52,7 @@ func doctor(counts []int64) []int64 {
 // second connection attached to the uploader's dataset by name: the lie
 // follows the dataset, not the connection.
 func dataLiar(t *testing.T, hop string, ks []int, cells *atomic.Int64) {
-	ups := prefix(initial)
+	ups := bulk.prefix(initial)
 	if hop == "direct" {
 		ds, err := engine.NewDataset(f, u, 0)
 		if err != nil {
@@ -112,7 +112,7 @@ func dataLiar(t *testing.T, hop string, ks []int, cells *atomic.Int64) {
 	if _, err := uploader.OpenDataset(dataset, u); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range batches[:initial] {
+	for _, b := range bulk.batches[:initial] {
 		if _, err := uploader.Ingest(b); err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func dataLiar(t *testing.T, hop string, ks []int, cells *atomic.Int64) {
 		_, err := c.Query(cs.Kind, cs.Params, rec)
 		verdict("interactive", err)
 		if err == nil && !lie {
-			verdict("interactive", conformance.Same(reference(t, k, initial).msgs, rec.Msgs))
+			verdict("interactive", conformance.Same(bulk.reference(t, k, initial).msgs, rec.Msgs))
 		}
 		if engine.CheckPosted(cs.Kind) != nil {
 			return
@@ -148,7 +148,7 @@ func dataLiar(t *testing.T, hop string, ks []int, cells *atomic.Int64) {
 			return conformance.Verifier(t, u, cs, b.RNG(), ups), nil
 		})
 		verdict("posted", err)
-		if err == nil && !lie && !bytes.Equal(pf.Encode(), reference(t, k, initial).proof) {
+		if err == nil && !lie && !bytes.Equal(pf.Encode(), bulk.reference(t, k, initial).proof) {
 			t.Errorf("%v posted, honest: the proof bytes differ from the reference", cs)
 		}
 	}

@@ -123,8 +123,10 @@ type FkProver struct {
 // borrowed read-only. Construction is O(1), and the sum-check never
 // writes the table, so many sessions can share one. live, when set, is
 // called once, when the prover opens, and returns the table's live-pair
-// scan: a memo shared by every prover of one table version. nil scans
-// the table when the prover opens.
+// scan: a memo shared by every prover of one table version, whose
+// opening (the live pairs' values and the first message) the version's
+// first sparse prover builds and every later one borrows. nil scans the
+// table when the prover opens, for that prover alone.
 func (p *Fk) NewProverFromTable(table sumcheck.Counts, live func() sumcheck.LivePairs) (*FkProver, error) {
 	if uint64(table.Len()) != p.Params.U {
 		return nil, fmt.Errorf("core: table has %d entries, want %d", table.Len(), p.Params.U)

@@ -103,7 +103,7 @@ type scProver struct {
 	sc *sumcheck.Prover
 	// live, when set, returns the live-pair scan of the tables the
 	// prover opens over: a memo shared by every prover of one table
-	// version. nil scans them at open.
+	// version, with the opening it carries. nil scans them at open.
 	live func() sumcheck.LivePairs
 }
 

@@ -28,7 +28,7 @@
 // opening still fits the bound its owner was given (one wire frame):
 // w_1 < … < w_n are their pair indices in the whole universe, and P_t is
 // table t's values packed two by two, 2n elements, as the slice's
-// sum-check prover packed them. A sparse slice with no live pair lists
+// sum-check prover holds them. A sparse slice with no live pair lists
 // its first pair, (0, 0). When every owner shipped its pairs and there
 // are at most sumcheck.MaxSparseLive of the universe, the SplitProver
 // finishes the owners after the openings and proves every later round
@@ -86,8 +86,10 @@ func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, h
 // NewProverFromTable takes a whole table, borrowed read-only; version is
 // the dataset version the opening reports to the SplitProver. live
 // supplies table's live-pair scan, as a memo shared by every prover of
-// the table; nil scans table when the prover opens. maxWords bounds an
-// opening that ships the slice's live pairs, in ints and elements: a
+// the table, and with it the scan's opening: the live pairs the opening
+// ships and its first message are the memo's after the version's first
+// sparse prover; nil scans table when the prover opens. maxWords bounds
+// an opening that ships the slice's live pairs, in ints and elements: a
 // sparse slice whose opening would hold more ships none.
 func (p *Fk) NewPartialProverFromTable(table sumcheck.Counts, live func() sumcheck.LivePairs, lo, hi, version uint64, maxWords int) (*PartialProver, error) {
 	return newPartialProver(p.scConfig(), live, lo, hi, version, maxWords, table)
@@ -109,8 +111,9 @@ func (p *RangeSum) NewPartialProverFromTable(table sumcheck.Counts, lo, hi, vers
 // Open computes this slice's partial claim and round-1 partial,
 // prefixed by the dataset version for the SplitProver's skew check.
 // While the slice's sum-check prover holds its tables sparse, the
-// opening also ships the live pairs that prover packed, within
-// maxWords (see the message shapes above).
+// opening also ships the live pairs that prover borrowed from its
+// scan's opening, copied into the message, within maxWords (see the
+// message shapes above).
 func (pr *PartialProver) Open() (Msg, error) {
 	sc, err := sumcheck.NewPartialProver(pr.cfg, pr.lo, pr.hi, livePairs(&pr.scProver, pr.cfg, pr.tables), pr.tables...)
 	if err != nil {

@@ -20,10 +20,13 @@ func sumcheckKind(c conformance.Case) bool {
 }
 
 // TestProversBorrowTables: every sum-check prover borrows the snapshot's
-// table read-only. After an accepted conversation of every sum-check
-// kind, and the posted proof of the one posted kind (SELF-JOIN SIZE),
-// the snapshot's Elems and Counts are bit-for-bit what they were, on a
-// table sparse enough for the live-pair rounds and on a dense one.
+// table, and the version's opening, read-only. After an accepted
+// conversation of every sum-check kind, and the posted proof of the one
+// posted kind (SELF-JOIN SIZE), the snapshot's Counts are bit-for-bit
+// what they were, and so is the opening a whole-table partial opening
+// ships (the live pairs' values and the first message, built by the
+// first opening), on a table sparse enough for the live-pair rounds and
+// on a dense one.
 func TestProversBorrowTables(t *testing.T) {
 	const u = 1 << 10
 	rng := field.NewSplitMix64(3101)
@@ -43,6 +46,18 @@ func TestProversBorrowTables(t *testing.T) {
 		}
 		snap := ds.Snapshot()
 		counts := slices.Clone(snap.Counts())
+		opening := func() core.Msg {
+			p, err := snap.NewPartialProver(engine.QuerySelfJoinSize, engine.QueryParams{}, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := p.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		memo := opening()
 		for _, c := range conformance.Filter(sumcheckKind) {
 			name := fmt.Sprintf("%s/%v", tc.name, c)
 			p, err := snap.NewProver(c.Kind, c.Params)
@@ -57,6 +72,9 @@ func TestProversBorrowTables(t *testing.T) {
 			}
 			if !slices.Equal(snap.Counts(), counts) {
 				t.Fatalf("%s: the prover wrote the snapshot's table", name)
+			}
+			if m := opening(); !slices.Equal(m.Ints, memo.Ints) || !slices.Equal(m.Elems, memo.Elems) {
+				t.Fatalf("%s: the prover wrote the version's opening", name)
 			}
 		}
 	}
@@ -74,10 +92,16 @@ func TestProversBorrowTables(t *testing.T) {
 //     first run. A prover that copied the table and folded all u entries
 //     allocated 1 052 376 bytes; the conversation must stay under a
 //     quarter of that.
-//   - warm: each run proves the same snapshot again, whose scan is
-//     already memoized, so it may allocate only in proportion to the
-//     live pairs: at most 64 bytes per live pair plus 16 KiB. An O(u)
-//     allocation on this path fails it, and so does a scan.
+//   - warm: each run proves the same snapshot again, whose scan and
+//     opening are already memoized, so it gathers nothing and allocates
+//     only the prover's own buffers: 28 bytes per live pair for the
+//     sparse rounds (the regrouped indices, 4, the pairs, 16, and the
+//     folded entries, 8), the two dense buffers of 2^11 and 2^10 entries
+//     (24 KiB) from the fold that leaves more than a quarter of the pairs
+//     live, and 12 KiB of messages and headers. An O(u) allocation on
+//     this path fails it, and so do a scan and a second gather; a
+//     prover that gathered its own copy and made a dense table per round
+//     allocated 69 160 bytes.
 func TestF2ConversationAllocations(t *testing.T) {
 	const u, n = 1 << 16, 1 << 10
 	ups := stream.UnitIncrements(u, n, field.NewSplitMix64(3102))
@@ -148,7 +172,7 @@ func TestF2ConversationAllocations(t *testing.T) {
 		if got := engine.LiveScans(ds) - scans; got != 0 {
 			t.Fatalf("conversations on a memoized version ran %d live-pair scans", got)
 		}
-		limit := uint64(64*live + 16<<10)
+		limit := uint64(28*live + 36<<10)
 		t.Logf("warm F2 conversation at u = 2^16, n = 2^10 (%d live pairs): %d bytes allocated", live, best)
 		if best > limit {
 			t.Fatalf("warm F2 conversation allocated %d bytes, want ≤ %d", best, limit)

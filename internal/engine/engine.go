@@ -329,12 +329,14 @@ func (e *Engine) Drop(name string) {
 
 // tableBytes is the resident cost of one dataset's head tables: an int64
 // count per padded universe entry, plus the most a proved version's
-// live-pair lists hold — its chunks' lists and its own index, each at
-// most sumcheck.MaxSparseLive pairs of 4 bytes, about 1 byte per entry in
-// all. The reduced copy a chunk's memo makes of counts of p or more is
+// live-pair memos hold — its chunks' lists and its own index, each at
+// most sumcheck.MaxSparseLive pairs of 4 bytes, and its opening's packed
+// pair values, 16 bytes for each of as many pairs: 11 bytes per entry in
+// all. The reduced copy a chunk's memo makes of counts of p or more, and
+// the opening's first messages (a few field elements per combiner), are
 // not charged.
 func tableBytes(paddedU uint64) int64 {
-	return int64(paddedU)*8 + 2*4*int64(max(0, sumcheck.MaxSparseLive(2, int(paddedU))))
+	return int64(paddedU)*8 + (2*4+16)*int64(max(0, sumcheck.MaxSparseLive(2, int(paddedU))))
 }
 
 // residency is the per-dataset state machine of the memory governor:

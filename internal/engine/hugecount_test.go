@@ -141,6 +141,11 @@ func hugeCounts(t *testing.T, u uint64, ups []stream.Update) {
 	if err := e.SetDataDir(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { // before the data dir goes: an eviction saves in the background
+		if err := e.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	ds, err := e.Open("huge", u)
 	if err != nil {
 		t.Fatal(err)

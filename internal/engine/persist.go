@@ -102,7 +102,7 @@ func fileForName(name string) string { return store.DatasetFile(name) }
 func nameFromFile(file string) (string, error) { return store.DatasetName(file) }
 
 // SetBudget caps the aggregate bytes of resident dataset tables (counts
-// plus the live-pair lists a proved version keeps: 9 bytes per padded
+// plus the live-pair memos a proved version keeps: 11 bytes per padded
 // universe entry per dataset, see TableCost).
 // Zero or negative removes the cap. The budget is enforced at admission
 // time — Open of a new dataset and rehydration of an evicted one — by
@@ -128,8 +128,9 @@ func (e *Engine) ResidentBytes() int64 {
 
 // TableCost returns the resident byte cost of a dataset over a universe
 // of size ≥ u: 8 bytes of counts per entry of the padded (power-of-two)
-// table, plus the live-pair lists' bound, 1 byte per entry from 128
-// entries up — what opening it charges against the engine budget.
+// table, plus the live-pair memos' bound from 128 entries up, 1 byte per
+// entry of lists and 2 of the opening's packed pair values — what opening
+// it charges against the engine budget.
 func TableCost(u uint64) (int64, error) {
 	params, err := lde.ParamsForUniverse(u, 2)
 	if err != nil {

@@ -102,9 +102,11 @@ var gens atomic.Uint64
 // A state rebuilt from a checkpoint holds only unscanned chunks, so its
 // first index reads every held chunk once, as the rebuild did. A dense
 // verdict, reached on the summed counts, lists nothing. A sparse one
-// links the chunks' lists and lists afresh, into an index of the
-// version's own, any chunk too dense to keep a list: at most 4 bytes per
-// live pair, 1/32 of the table bytes of a sparse version.
+// copies the chunks' lists, and lists afresh any chunk too dense to keep
+// a list, into one index of the version's own: at most 4 bytes per live
+// pair, 1/32 of the table bytes of a sparse version. Its opening, which
+// the version's first sparse proof builds, adds the live pairs' values,
+// 16 bytes per live pair, and a first message per Fk combiner.
 type tableState struct {
 	shift   uint
 	chunks  []*chunk
@@ -299,7 +301,10 @@ func column(st *tableState, col func(*chunk) []int64) sumcheck.Counts {
 // workers, the memo of each chunk no version has memoized yet (its live
 // pairs, and its reduced copy when it needs one), then totals every
 // chunk's live pairs and, when that makes the table sparse, lists them in
-// order. scans counts the chunk memos that run.
+// order, in one index of the version's own. A sparse scan also carries
+// the version's opening (sumcheck.LivePairs), which the first sparse
+// prover over the version builds and every later one borrows. scans
+// counts the chunk memos that run.
 func (st *tableState) scanLive(f field.Field, workers int, scans *atomic.Uint64) sumcheck.LivePairs {
 	st.liveOnce.Do(func() {
 		half := 1 << (st.shift - 1)
@@ -319,21 +324,20 @@ func (st *tableState) scanLive(f field.Field, workers int, scans *atomic.Uint64)
 		for _, x := range sums {
 			n += x
 		}
-		var runs [][]uint32
+		var idx []uint32
 		if n <= sumcheck.MaxSparseLive(2, entries) {
-			runs = make([][]uint32, 0, len(st.chunks))
+			idx = make([]uint32, 0, n)
 			for k, ch := range st.chunks {
 				switch {
 				case ch == nil || ch.nlive == 0:
 				case ch.live != nil:
-					runs = append(runs, ch.live)
+					idx = append(idx, ch.live...)
 				default: // too dense to keep a list of its own
-					live, _ := sumcheck.AppendLiveCounts(nil, k*half, ch.proved(), ch.nlive)
-					runs = append(runs, live)
+					idx, _ = sumcheck.AppendLiveCounts(idx, k*half, ch.proved(), ch.nlive)
 				}
 			}
 		}
-		st.live = sumcheck.LivePairsFromRuns(2, entries, n, runs)
+		st.live = sumcheck.LivePairsFromRuns(2, entries, n, [][]uint32{idx})
 	})
 	return st.live
 }

@@ -80,6 +80,15 @@ func densityTables(f field.Field, u uint64, arity, live int, rng field.RNG) [][]
 	return tables
 }
 
+// flats wraps each flat table as a Chunked.
+func flats(tables [][]field.Elem) []Chunked {
+	out := make([]Chunked, len(tables))
+	for t, tab := range tables {
+		out[t] = Flat(tab)
+	}
+	return out
+}
+
 // newScanned is NewProver over flat tables and their own fresh scan.
 func newScanned(cfg Config, tables ...[]field.Elem) (*Prover, error) {
 	flat := flats(tables)

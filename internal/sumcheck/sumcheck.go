@@ -36,7 +36,10 @@
 //     and shares the result, and the dataset engine assembles it per
 //     table version from per-chunk counts and lists (AppendLiveCounts,
 //     LivePairsFromRuns), scanning only the chunks an ingest wrote;
-//   - O(T·n) to pack the live pairs when the prover is built;
+//   - O(T·n) to pack the live pairs and O((T + deg)·n) for the first
+//     message, once per scan: the first prover over a scan builds both,
+//     and every later one borrows them (LivePairs), so a dataset engine
+//     that shares one scan per table version pays them once per version;
 //   - while n is at most a quarter of the m/2 pairs of the current
 //     m-entry tables and m > 64, O((T + deg)·n) field operations per
 //     round: fold (split across the workers), regroup (one pass that
@@ -45,6 +48,10 @@
 //   - from then on, or from the start on a denser table or at ℓ > 2,
 //     O(deg·T·m) per round on the dense m-entry tables, m falling by ℓ
 //     per round, so O(deg·T·u) at most over all rounds.
+//
+// A prover allocates its own buffers once per conversation: the sparse
+// rounds regroup in place, and the dense folds alternate between two
+// buffers.
 package sumcheck
 
 import (
@@ -53,6 +60,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/field"
@@ -217,15 +225,6 @@ func Flat[T field.Entry](tab []T) Table[T] {
 // Len returns the number of entries the table holds.
 func (c Table[T]) Len() int { return c.Width * len(c.Chunks) }
 
-// flats wraps each flat table as a Chunked.
-func flats(tables [][]field.Elem) []Chunked {
-	out := make([]Chunked, len(tables))
-	for t, tab := range tables {
-		out[t] = Flat(tab)
-	}
-	return out
-}
-
 // tableLen returns the entries each of tables holds, or an error unless
 // they share one Width, a positive multiple of ell, and one length, and
 // every chunk that is not nil holds Width entries.
@@ -317,6 +316,7 @@ type Prover struct {
 	tables  []Chunked      // the borrowed element tables until the first fold, then the prover's own flat ones
 	counts  []Counts       // the borrowed count tables instead, until the first fold
 	sparse  *sparseTables  // the tables instead, while few of their pairs are live
+	dense   denseBufs      // the buffers the dense folds write
 	zero    field.Elem     // C(0, …, 0): what each all-zero ℓ-tuple adds at every point
 	chiAt   [][]field.Elem // chiAt[c][k] = χ_k(c) for evaluation points c=0..deg
 	cElems  []field.Elem   // cElems[c] = c as a field element
@@ -360,10 +360,13 @@ func (p *Prover) fuseKind() int {
 // share one Width, a multiple of ℓ, and hold ℓ^d entries each, and live,
 // their ScanLivePairs. The tables are borrowed: the prover reads them
 // and never writes them, nor live, so callers may share one table and
-// its scan among many provers. A sparse scan's live pairs are packed
-// here, in O(T·n). Otherwise the first round reads through the chunks —
-// an all-nil run adds C(0, …, 0) per ℓ-tuple — and the first fold writes
-// flat field tables of the prover's own, ℓ times smaller.
+// its scan among many provers. A sparse prover borrows the scan's
+// opening (LivePairs), the live pairs packed in O(T·n) by the first
+// prover built over the scan; the tables must be the ones the scan was
+// taken of, and the field the one that prover lifted them to. Otherwise
+// the first round reads through the chunks — an all-nil run adds
+// C(0, …, 0) per ℓ-tuple — and the first fold writes flat field tables
+// of the prover's own, ℓ times smaller.
 func NewProver[T field.Entry](cfg Config, live LivePairs, tables ...Table[T]) (*Prover, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -385,7 +388,9 @@ func NewProver[T field.Entry](cfg Config, live LivePairs, tables ...Table[T]) (*
 	p := newProver(cfg)
 	tables = withZeros(tables)
 	if live.sparse {
-		p.sparse = newSparse(p.workers, cfg.Field.Modulus(), live, tables)
+		if p.sparse, err = newSparse(p.workers, cfg, live, tables); err != nil {
+			return nil, err
+		}
 		return p, nil
 	}
 	switch tabs := any(tables).(type) {
@@ -429,10 +434,7 @@ func NewPairsProver(cfg Config, idx []uint32, pairs [][]field.Elem) (*Prover, er
 		}
 	}
 	p := newProver(cfg)
-	p.sparse = &sparseTables{idx: idx, pairs: pairs, folded: make([][]field.Elem, len(pairs)), npairs: int(npairs)}
-	for t := range pairs {
-		p.sparse.folded[t] = make([]field.Elem, len(idx))
-	}
+	p.sparse = &sparseTables{idx: idx, pairs: pairs, view: viewOf(pairs), npairs: int(npairs), owned: true}
 	p.sparse.last = !p.sparse.pays()
 	return p, nil
 }
@@ -457,10 +459,10 @@ func newProver(cfg Config) *Prover {
 }
 
 // Pairs returns what a sparse prover packed, as NewPairsProver takes it:
-// the live pair indices and each table's packed pairs. They are the
-// prover's own, for the caller to read and not to keep past the first
-// fold, which rewrites them. ok is false once the prover has folded, or
-// when it holds its tables dense.
+// the live pair indices and each table's packed pairs. They are for the
+// caller to read only: a prover over a scan borrows them from the scan's
+// opening, which every prover over it shares. ok is false once the
+// prover has folded, or when it holds its tables dense.
 func (p *Prover) Pairs() (idx []uint32, pairs [][]field.Elem, ok bool) {
 	if p.sparse == nil || p.round > 0 {
 		return nil, nil, false
@@ -481,6 +483,10 @@ func (p *Prover) RoundMessage() ([]field.Elem, error) {
 		return msg, nil
 	}
 	switch {
+	case p.sparse != nil && p.sparse.first != nil && p.round == 0:
+		first := p.sparse.first
+		first.once.Do(func() { first.msg = p.sparseMessage() })
+		return slices.Clone(first.msg), nil
 	case p.sparse != nil:
 		return p.sparseMessage(), nil
 	case p.counts != nil:
@@ -602,20 +608,22 @@ func (p *Prover) Fold(r field.Elem) error {
 	return nil
 }
 
-// fold folds tables by r into flat field tables of the prover's own,
-// which become p.tables, each worker's range read run by run; a run that
-// is nil in every table folds to zeros, which the new tables already
-// hold. When the fused kernel applies and the next tables still have ≥ 2
-// pairs, it computes the next message in the same pass, leaving it in
-// p.pending; chunks of at least 4 entries keep its next-table pairs
-// whole.
+// fold folds tables by r into flat field tables of the prover's own (a
+// buffer of p.dense), which become p.tables, each worker's range read
+// run by run; a run that is nil in every table folds to zeros, which the
+// new tables already hold: only the first fold reads borrowed chunks,
+// and it writes a buffer's first, zeroed, use. When the fused kernel
+// applies and the next tables still have ≥ 2 pairs, it computes the next
+// message in the same pass, leaving it in p.pending; chunks of at least
+// 4 entries keep its next-table pairs whole.
 func fold[T field.Entry](p *Prover, tables []Table[T], r field.Elem) {
 	f := p.cfg.Field
 	ell := p.cfg.Params.Ell
 	size := tables[0].Len() / ell
-	next := make([][]field.Elem, len(tables))
-	for t := range next {
-		next[t] = make([]field.Elem, size)
+	out := p.dense.take(len(tables), size)
+	next := make([][]field.Elem, len(out))
+	for t, tab := range out {
+		next[t] = tab.Chunks[0]
 	}
 	switch kind := p.fuseKind(); {
 	case kind != fuseNone && p.round+1 < p.cfg.Params.D && tables[0].Width >= 4:
@@ -666,7 +674,7 @@ func fold[T field.Entry](p *Prover, tables []Table[T], r field.Elem) {
 			})
 		})
 	}
-	p.tables = flats(next)
+	p.tables = out
 }
 
 // addZeros adds what that many all-zero ℓ-tuples contribute,
@@ -712,12 +720,60 @@ const (
 // of their live pairs, or the verdict that they are to be held dense. It
 // depends on the tables alone, so one scan serves every prover over the
 // same tables — a dataset engine assembles it once per sealed table
-// version from per-chunk runs — and provers never write it.
+// version from per-chunk runs — and provers never write it. A sparse
+// scan also carries its tables' opening, which the first prover over the
+// scan builds and every prover borrows.
 type LivePairs struct {
 	runs    [][]uint32 // the live pair indices in runs, each strictly increasing and past the one before; shared, read-only
 	n       int        // live pairs over all runs
 	entries int        // length of each scanned table; -1 when the tables disagree
 	sparse  bool
+	open    *opening // the tables' opening, while sparse
+}
+
+// opening is what every sparse prover over one scan's tables opens
+// with: the live pair indices in one slice, the tables' live pairs
+// packed and lifted, and the first round message under each combiner
+// that keeps one. None of it depends on the verifier's randomness, so
+// the first prover builds each part, single-flight, and every prover
+// borrows it read-only: round 0 and the first fold read it, and nothing
+// writes it once it is built.
+type opening struct {
+	pack  sync.Once
+	mod   uint64         // the modulus the pairs were lifted by
+	idx   []uint32       // the live pair indices: the scan's one run, or its runs joined
+	pairs [][]field.Elem // pairs[t][2k], pairs[t][2k+1]: table t's pair idx[k]
+
+	mu    sync.Mutex
+	first map[Combiner]*firstMessage
+}
+
+// firstMessage is an opening's first round message under one combiner.
+type firstMessage struct {
+	once sync.Once
+	msg  []field.Elem
+}
+
+// message returns the opening's first-message memo under c, nil when c
+// keeps none: only the combiners of this package that compare by value
+// (Power, Product) key it.
+func (o *opening) message(c Combiner) *firstMessage {
+	switch c.(type) {
+	case Power, Product:
+	default:
+		return nil
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	m := o.first[c]
+	if m == nil {
+		if o.first == nil {
+			o.first = make(map[Combiner]*firstMessage)
+		}
+		m = &firstMessage{}
+		o.first[c] = m
+	}
+	return m
 }
 
 // Sparse reports whether the scanned tables are to be held as their live
@@ -830,13 +886,14 @@ func MaxSparseLive(ell, entries int) int {
 // ScanLivePairs's, so the result equals ScanLivePairs over the same
 // tables. runs is read only when n is at most MaxSparseLive; it must then
 // list the n pairs, each run strictly increasing and past the one before.
-// The runs are shared, not copied.
+// The runs are shared, not copied; the one run of a caller that lists
+// every pair in one slice is its opening's index too.
 func LivePairsFromRuns(ell, entries, n int, runs [][]uint32) LivePairs {
 	live := LivePairs{entries: entries}
 	if n > MaxSparseLive(ell, entries) {
 		return live
 	}
-	live.runs, live.n, live.sparse = runs, n, true
+	live.runs, live.n, live.sparse, live.open = runs, n, true, &opening{}
 	return live
 }
 
@@ -877,55 +934,89 @@ func liveMask[T field.Entry](tables [][]T, w, n int) uint {
 	return m
 }
 
-// sparseTables is a prover's tables in live-pair form. All three slices
-// are the prover's own, allocated once per conversation.
+// sparseTables is a prover's tables in live-pair form. Until the first
+// fold, idx and pairs are the scan's opening, borrowed; the first fold
+// regroups into buffers of the prover's own, allocated then, once per
+// conversation, and every later fold regroups in place.
 type sparseTables struct {
 	idx    []uint32       // live pair indices, strictly increasing
 	pairs  [][]field.Elem // pairs[t][2k], pairs[t][2k+1]: table t's pair idx[k]
+	view   []Chunked      // pairs, each as a flat table: what the message walk reads
 	folded [][]field.Elem // folded[t][k]: entry idx[k] of table t's next table, before regrouping
 	npairs int            // pairs per table, live or dead
 	last   bool           // the sparse form stops paying: the next fold goes dense
+	owned  bool           // idx and pairs are the prover's own, not the opening's
+	first  *firstMessage  // the opening's first message under the prover's combiner; nil when it keeps none
 }
 
-// newSparse packs the borrowed tables' live pairs, listed by live, into
-// field tables of the prover's own, the gather split across workers
-// goroutines and each entry lifted to a field element mod mod as it is
-// read. It copies the indices too: the prover regroups them in place,
-// and live's are shared. A pair never straddles two chunks, and a chunk
-// that is nil in every table holds no live pair.
-func newSparse[T field.Entry](workers int, mod uint64, live LivePairs, tables []Table[T]) *sparseTables {
-	sp := &sparseTables{
-		idx:    slices.Concat(live.runs...),
-		pairs:  make([][]field.Elem, len(tables)),
-		folded: make([][]field.Elem, len(tables)),
-		npairs: live.entries / 2,
+// newSparse returns the live pairs of the borrowed tables, listed by
+// live, as the scan's opening holds them, building the opening first if
+// no prover over the scan has: the gather is split across workers
+// goroutines and lifts each entry to a field element under cfg as it is
+// read. A pair never straddles two chunks, and a chunk that is nil in
+// every table holds no live pair. It refuses tables of another count,
+// or another modulus, than the opening was built for.
+func newSparse[T field.Entry](workers int, cfg Config, live LivePairs, tables []Table[T]) (*sparseTables, error) {
+	op, mod := live.open, cfg.Field.Modulus()
+	op.pack.Do(func() {
+		op.mod, op.idx = mod, joined(live.runs)
+		op.pairs = gather(workers, mod, op.idx, tables)
+	})
+	if op.mod != mod || len(op.pairs) != len(tables) {
+		return nil, fmt.Errorf("sumcheck: live pairs opened mod %d for %d tables, prover has %d tables mod %d",
+			op.mod, len(op.pairs), len(tables), mod)
 	}
-	n := len(sp.idx)
-	for t := range tables {
-		buf := make([]field.Elem, 3*n)
-		sp.pairs[t], sp.folded[t] = buf[:2*n], buf[2*n:]
+	return &sparseTables{idx: op.idx, pairs: op.pairs, view: viewOf(op.pairs), npairs: live.entries / 2, first: op.message(cfg.Combiner)}, nil
+}
+
+// joined returns the runs as one slice: the one run itself, shared, or
+// the runs copied one after another.
+func joined(runs [][]uint32) []uint32 {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	return slices.Concat(runs...)
+}
+
+// gather packs the pairs idx lists of tables into field tables of their
+// own, pairs[t][2k] and pairs[t][2k+1] holding table t's pair idx[k]
+// lifted mod mod, split across workers goroutines.
+func gather[T field.Entry](workers int, mod uint64, idx []uint32, tables []Table[T]) [][]field.Elem {
+	n := len(idx)
+	pairs := make([][]field.Elem, len(tables))
+	for t := range pairs {
+		pairs[t] = make([]field.Elem, 2*n)
 	}
 	parallel.For(workers, n, func(_, lo, hi int) {
 		for t, tab := range tables {
-			packed, half := sp.pairs[t], tab.Width/2
+			packed, half := pairs[t], tab.Width/2
 			for k := lo; k < hi; { // the live pairs of one chunk at a time
-				c := int(sp.idx[k]) / half
+				c := int(idx[k]) / half
 				ch, first, end := tab.Chunks[c], c*half, (c+1)*half
-				for ; k < hi && int(sp.idx[k]) < end; k++ {
-					j := 2 * (int(sp.idx[k]) - first)
+				for ; k < hi && int(idx[k]) < end; k++ {
+					j := 2 * (int(idx[k]) - first)
 					packed[2*k] = field.Elem(field.Lift(ch[j], mod))
 					packed[2*k+1] = field.Elem(field.Lift(ch[j+1], mod))
 				}
 			}
 		}
 	})
-	return sp
+	return pairs
+}
+
+// viewOf returns each of pairs as a flat table.
+func viewOf(pairs [][]field.Elem) []Chunked {
+	view := make([]Chunked, len(pairs))
+	for t, tab := range pairs {
+		view[t] = Flat(tab)
+	}
+	return view
 }
 
 // sparseMessage computes the current round's message from the live
 // pairs, adding the dead pairs' share.
 func (p *Prover) sparseMessage() []field.Elem {
-	out := message(p, flats(p.sparse.pairs))
+	out := message(p, p.sparse.view)
 	p.addZeros(out, p.sparse.npairs-len(p.sparse.idx))
 	return out
 }
@@ -934,11 +1025,19 @@ func (p *Prover) sparseMessage() []field.Elem {
 // across the workers, and regroups them into the next table's live pairs,
 // leaving the next message in p.pending. After a fold that found the
 // sparse form no longer pays, it scatters the folded entries into dense
-// tables instead; the dense path computes the message itself then.
+// tables instead; the dense path computes the message itself then. The
+// first fold allocates the prover's own buffers: the folded entries, and
+// the pairs and indices it regroups borrowed ones into.
 func (p *Prover) foldSparse(r field.Elem) {
 	sp := p.sparse
 	f := p.cfg.Field
 	n := len(sp.idx)
+	if sp.folded == nil {
+		sp.folded = make([][]field.Elem, len(sp.pairs))
+		for t := range sp.folded {
+			sp.folded[t] = make([]field.Elem, n)
+		}
+	}
 	parallel.For(p.workers, n, func(_, lo, hi int) {
 		for t, packed := range sp.pairs {
 			f.FoldPairs(sp.folded[t][lo:hi], packed[2*lo:2*hi], r)
@@ -948,10 +1047,23 @@ func (p *Prover) foldSparse(r field.Elem) {
 		p.scatter()
 		return
 	}
-	n = regroup(sp.idx, sp.pairs, sp.folded)
-	sp.idx = sp.idx[:n]
-	for t := range sp.pairs {
-		sp.pairs[t] = sp.pairs[t][:2*n]
+	idx, pairs := sp.idx, sp.pairs
+	if !sp.owned {
+		idx, pairs = make([]uint32, n), make([][]field.Elem, len(sp.pairs))
+		for t := range pairs {
+			pairs[t] = make([]field.Elem, 2*n)
+		}
+		sp.owned = true
+	}
+	if len(pairs) == 1 {
+		n = regroup1(idx, sp.idx, pairs[0], sp.folded[0])
+	} else {
+		n = regroup(idx, sp.idx, pairs, sp.folded)
+	}
+	sp.idx, sp.pairs = idx[:n], pairs
+	for t := range pairs {
+		pairs[t] = pairs[t][:2*n]
+		sp.view[t].Width, sp.view[t].Chunks[0] = 2*n, pairs[t]
 	}
 	sp.npairs /= 2
 	sp.last = !sp.pays()
@@ -966,22 +1078,22 @@ func (sp *sparseTables) pays() bool {
 }
 
 // regroup moves the folded entries into the next table's pairs: folded
-// entry k is entry w = idx[k] of the next table, which lands in pair
+// entry k is entry w = src[k] of the next table, which lands in pair
 // w>>1, slot w&1, beside a 0 when its sibling is dead. The tables share
 // one index list. It returns the number n of next-table live pairs, now
-// in idx[:n] and each table's pairs[:2n]. Entry k joins the previous pair
+// in dst[:n] and each table's pairs[:2n]. Entry k joins the previous pair
 // exactly when its parent w>>1 equals the previous entry's; that test,
 // the slot and the zeroing are masks, so the pass never branches on the
-// data. Writes land at or below the entry just read.
-func regroup(idx []uint32, pairs, folded [][]field.Elem) int {
+// data. Writes land at or below the entry just read, so dst may be src.
+func regroup(dst, src []uint32, pairs, folded [][]field.Elem) int {
 	prev := ^uint32(0) // no parent: a parent w>>1 fits in 31 bits
 	j := -1
-	for k, w := range idx {
+	for k, w := range src {
 		parent := w >> 1
 		d := uint64(parent ^ prev)
 		fresh := (d | -d) >> 63 // 1 when entry k opens pair j+1
 		j += int(fresh)
-		idx[j] = parent
+		dst[j] = parent
 		prev = parent
 		slot1 := -uint64(w & 1) // all ones when entry k goes to slot 1
 		keep := fresh - 1       // all ones when slot 0 already holds its sibling
@@ -995,20 +1107,72 @@ func regroup(idx []uint32, pairs, folded [][]field.Elem) int {
 	return j + 1
 }
 
+// regroup1 is regroup for one table. The folded entries are cut to
+// src's length and each pair is a fixed-length subslice, so the loop's
+// only bounds checks are the index and pair writes, and slot 0 of the
+// open pair is carried in a register rather than read back.
+func regroup1(dst, src []uint32, pairs, folded []field.Elem) int {
+	folded = folded[:len(src)]
+	prev := ^uint32(0)
+	j := -1
+	var slot0 uint64 // what slot 0 of pair j holds
+	for k, w := range src {
+		parent := w >> 1
+		d := uint64(parent ^ prev)
+		fresh := (d | -d) >> 63
+		j += int(fresh)
+		dst[j] = parent
+		prev = parent
+		slot1 := -uint64(w & 1)
+		v := uint64(folded[k])
+		slot0 = v&^slot1 | slot0&(fresh-1)
+		pr := (*[2]field.Elem)(pairs[2*j : 2*j+2])
+		pr[0], pr[1] = field.Elem(slot0), field.Elem(v&slot1)
+	}
+	return j + 1
+}
+
 // scatter turns the folded entries into dense tables of the prover's
-// own: folded entry k is entry idx[k] of the next table, of npairs
-// entries, and every other entry is 0.
+// own, the first buffer of p.dense: folded entry k is entry idx[k] of
+// the next table, of npairs entries, and every other entry is 0, as the
+// buffer's first, zeroed, use holds it.
 func (p *Prover) scatter() {
 	sp := p.sparse
-	p.tables = make([]Chunked, len(sp.folded))
+	p.tables = p.dense.take(len(sp.folded), sp.npairs)
 	for t, folded := range sp.folded {
-		tab := make([]field.Elem, sp.npairs)
+		tab := p.tables[t].Chunks[0]
 		for k, w := range sp.idx {
 			tab[w] = folded[k]
 		}
-		p.tables[t] = Flat(tab)
 	}
 	p.sparse = nil
+}
+
+// denseBufs is a prover's two buffers of flat dense tables: each dense
+// fold, and the scatter, writes the one the current tables are not in,
+// so the folds alternate between them. A buffer is allocated at its
+// first use, the largest it is asked for, since tables only shrink.
+type denseBufs struct {
+	tabs [2][]Chunked
+	next int // the buffer the next fold writes
+}
+
+// take returns arity flat tables of size entries in the next buffer,
+// which then becomes the current one. A buffer's first use holds zeros.
+func (b *denseBufs) take(arity, size int) []Chunked {
+	tabs := b.tabs[b.next]
+	if tabs == nil || cap(tabs[0].Chunks[0]) < size {
+		tabs = make([]Chunked, arity)
+		for t := range tabs {
+			tabs[t] = Flat(make([]field.Elem, size))
+		}
+		b.tabs[b.next] = tabs
+	}
+	for t := range tabs {
+		tabs[t].Width, tabs[t].Chunks[0] = size, tabs[t].Chunks[0][:size]
+	}
+	b.next ^= 1
+	return tabs
 }
 
 // Round reports the current round index (0-based; equals the number of

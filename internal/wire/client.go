@@ -205,11 +205,23 @@ func ctrlErr(typ byte, payload []byte) error {
 	return &ServerError{Msg: string(payload)}
 }
 
-// write sends one frame, serialized against every other writer on the
-// connection and bounded by Timeout. When the write fails because the
-// server already tore the connection down after an error frame, the
-// typed server error is surfaced instead of the raw transport error.
+// write sends one frame of type typ carrying payload, as send sends it.
 func (c *Client) write(typ byte, payload []byte) error {
+	return c.send(frames.Frame(typ, payload))
+}
+
+// writeMsg sends the protocol message m on channel id as one frame of
+// type typ, laid out in one buffer (frames.MsgFrame), as write sends.
+func (c *Client) writeMsg(typ byte, id uint32, m core.Msg) error {
+	return c.send(frames.MsgFrame(typ, id, m))
+}
+
+// send writes one laid-out frame in one Write, serialized against every
+// other writer on the connection and bounded by Timeout. When the write
+// fails because the server already tore the connection down after an
+// error frame, the typed server error is surfaced instead of the raw
+// transport error.
+func (c *Client) send(frame []byte) error {
 	c.wmu.Lock()
 	err := func() error {
 		if c.Timeout > 0 {
@@ -217,7 +229,8 @@ func (c *Client) write(typ byte, payload []byte) error {
 				return err
 			}
 		}
-		return frames.WriteFrame(c.conn, typ, payload)
+		_, err := c.conn.Write(frame)
+		return err
 	}()
 	c.wmu.Unlock()
 	if err == nil {

@@ -92,12 +92,36 @@ var ErrProtocol = errors.New("wire: protocol error")
 // frame: round trips then swing by tens of percent with the scheduling
 // of the code around them.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	buf := make([]byte, 5+len(payload))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
-	buf[4] = typ
-	copy(buf[5:], payload)
-	_, err := w.Write(buf)
+	_, err := w.Write(Frame(typ, payload))
 	return err
+}
+
+// Frame lays out one frame, [uint32 length][uint8 type][payload], as
+// WriteFrame sends it.
+func Frame(typ byte, payload []byte) []byte {
+	buf := frameHead(typ, len(payload))
+	copy(buf[5:], payload)
+	return buf
+}
+
+// MsgFrame lays out the channel-scoped frame of a protocol message —
+// [uint32 length][uint8 type][uint32 channel id][message] — in one
+// buffer: the bytes of WriteFrame(w, typ, EncodeChannel(id,
+// EncodeMsg(m))), with the message written once, in place.
+func MsgFrame(typ byte, id uint32, m core.Msg) []byte {
+	buf := frameHead(typ, 4+msgLen(m))
+	binary.LittleEndian.PutUint32(buf[5:9], id)
+	putMsg(buf[9:], m)
+	return buf
+}
+
+// frameHead returns a frame buffer for a payload of n bytes, its length
+// and type written.
+func frameHead(typ byte, n int) []byte {
+	buf := make([]byte, 5+n)
+	binary.LittleEndian.PutUint32(buf[:4], uint32(n))
+	buf[4] = typ
+	return buf
 }
 
 // ReadFrame receives one frame, bounding its size by MaxFrame.
@@ -119,7 +143,16 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 
 // EncodeMsg lays out a protocol message.
 func EncodeMsg(m core.Msg) []byte {
-	out := make([]byte, 8+8*len(m.Ints)+8*len(m.Elems))
+	out := make([]byte, msgLen(m))
+	putMsg(out, m)
+	return out
+}
+
+// msgLen returns the bytes EncodeMsg lays m out in.
+func msgLen(m core.Msg) int { return 8 + 8*len(m.Ints) + 8*len(m.Elems) }
+
+// putMsg lays out m in out, msgLen(m) bytes.
+func putMsg(out []byte, m core.Msg) {
 	binary.LittleEndian.PutUint32(out[0:4], uint32(len(m.Ints)))
 	binary.LittleEndian.PutUint32(out[4:8], uint32(len(m.Elems)))
 	off := 8
@@ -131,7 +164,6 @@ func EncodeMsg(m core.Msg) []byte {
 		binary.LittleEndian.PutUint64(out[off:], uint64(e))
 		off += 8
 	}
-	return out
 }
 
 // DecodeMsg parses a protocol message.

@@ -39,6 +39,13 @@ func FuzzDecodeMsg(f *testing.F) {
 		if got := frames.EncodeMsg(m); !bytes.Equal(got, b) {
 			t.Fatalf("re-encode of a valid message differs: %x vs %x", got, b)
 		}
+		// The one-buffer channel frame writes the bytes the layered
+		// encoders do.
+		id := uint32(len(b)) * 0x9e3779b9
+		want := frames.Frame(frames.ProverCh, frames.EncodeChannel(id, b))
+		if got := frames.MsgFrame(frames.ProverCh, id, m); !bytes.Equal(got, want) {
+			t.Fatalf("frames.MsgFrame differs from the layered frame: %x vs %x", got, want)
+		}
 	})
 }
 

@@ -106,6 +106,18 @@ func (m *Mux) Read() (byte, []byte, error) {
 // Write sends one frame to the client, serialized against every other
 // writer on the connection and carrying the idle deadline.
 func (m *Mux) Write(typ byte, payload []byte) error {
+	return m.send(frames.Frame(typ, payload))
+}
+
+// writeMsg sends the protocol message msg on channel id as one frame of
+// type typ, laid out in one buffer (frames.MsgFrame).
+func (m *Mux) writeMsg(typ byte, id uint32, msg core.Msg) error {
+	return m.send(frames.MsgFrame(typ, id, msg))
+}
+
+// send writes one laid-out frame in one Write, serialized with every
+// other writer of the connection.
+func (m *Mux) send(frame []byte) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	if m.idle > 0 {
@@ -113,7 +125,8 @@ func (m *Mux) Write(typ byte, payload []byte) error {
 			return err
 		}
 	}
-	return frames.WriteFrame(m.conn, typ, payload)
+	_, err := m.conn.Write(frame)
+	return err
 }
 
 // Shutdown unblocks and drains every goroutine the mux started. Called
@@ -232,7 +245,7 @@ func (m *Mux) serve(id uint32, mc *muxChan, session core.ProverSession) error {
 	if err != nil {
 		return err
 	}
-	if err := m.Write(frames.ProverCh, frames.EncodeChannel(id, frames.EncodeMsg(opening))); err != nil {
+	if err := m.writeMsg(frames.ProverCh, id, opening); err != nil {
 		return err
 	}
 	for {
@@ -254,7 +267,7 @@ func (m *Mux) serve(id uint32, mc *muxChan, session core.ProverSession) error {
 			if err != nil {
 				return err
 			}
-			if err := m.Write(frames.ProverCh, frames.EncodeChannel(id, frames.EncodeMsg(resp))); err != nil {
+			if err := m.writeMsg(frames.ProverCh, id, resp); err != nil {
 				return err
 			}
 		default:
@@ -385,7 +398,7 @@ func (h *QueryHandle) drive() error {
 			break
 		}
 		st.WordsToProver += challenge.Words()
-		if err = h.c.write(frames.ChallengeCh, frames.EncodeChannel(h.id, frames.EncodeMsg(challenge))); err != nil {
+		if err = h.c.writeMsg(frames.ChallengeCh, h.id, challenge); err != nil {
 			return err
 		}
 		msg, srvDead, err = h.msg()

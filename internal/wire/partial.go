@@ -106,7 +106,7 @@ func (p *PartialConv) Challenge(m core.Msg) error {
 	if p.closed {
 		return fmt.Errorf("wire: partial conversation is closed")
 	}
-	if err := p.h.c.write(frames.ChallengeCh, frames.EncodeChannel(p.h.id, frames.EncodeMsg(m))); err != nil {
+	if err := p.h.c.writeMsg(frames.ChallengeCh, p.h.id, m); err != nil {
 		p.retire()
 		return err
 	}

@@ -82,7 +82,7 @@
 //
 //	eng := sip.NewEngine(sip.Mersenne(), -1)
 //	eng.SetDataDir("/var/lib/sip")      // enables checkpoints + eviction
-//	eng.SetBudget(1 << 30)              // Σ resident table bytes across datasets: 9 per padded entry each
+//	eng.SetBudget(1 << 30)              // Σ resident table bytes across datasets: 11 per padded entry each
 //	eng.StartCheckpointer(30 * time.Second)
 //	defer eng.Close()                   // stop + final flush: loss-free shutdown
 //	n, _ := eng.Recover()               // after a restart: reload every dataset
