@@ -26,12 +26,12 @@
 // A batch that would take a count or Σδ outside int64 is refused whole
 // (a slice's Σδ, one part of its split dataset's, is kept modulo 2^64).
 // The counts are held in fixed 2^12-entry chunks, nil until written
-// (table.go). Updates are ingested in batches, once, through a sharded
-// scatter kernel whose workers own whole chunks; Snapshot hands out an
-// immutable view in O(1) (copy-on-write per chunk: the next ingest after
-// a snapshot copies the chunk-pointer array and then only the chunks it
-// writes, so readers never block ingestion and never observe a torn
-// state, and a version costs what changed). Snapshot.NewProver
+// (table.go). Updates are ingested in batches, once, each batch in one
+// serial pass in stream order; Snapshot hands out an immutable view in
+// O(1) (copy-on-write per chunk: the next ingest after a snapshot copies
+// the chunk-pointer array and then only the chunks it writes, so readers
+// never block ingestion and never observe a torn state, and a version
+// costs what changed). Snapshot.NewProver
 // constructs the prover session for any QueryKind from that view without
 // touching the raw stream — the engine does not even retain it.
 //
@@ -504,10 +504,6 @@ func (d *Dataset) touch() {
 	}
 }
 
-// minShardBatch is the batch size below which the sharded scatter is not
-// worth its per-worker pass over the batch.
-const minShardBatch = 1 << 13
-
 // errOutsideUniverse is Ingest's refusal of an index outside [0, u).
 func errOutsideUniverse(i, u uint64) error {
 	return fmt.Errorf("engine: index %d outside universe [0,%d)", i, u)
@@ -555,7 +551,7 @@ func (d *Dataset) IngestColumns(idx []uint64, deltas []int64) error {
 		if st.sealed {
 			st = st.clone()
 		}
-		if err := st.add(idx, deltas, base, d.workers); err != nil {
+		if err := st.add(idx, deltas, base); err != nil {
 			return err
 		}
 		d.head = st

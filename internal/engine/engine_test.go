@@ -218,11 +218,14 @@ func TestIngestRejectsPaddedIndices(t *testing.T) {
 }
 
 // TestIngestRefusesOverflow: a batch that would take an int64 count or
-// Σδ outside int64 is refused whole, at Workers 0 and 2 (the serial and
-// the sharded scatter): two updates of 2^62 at one index, the second of
-// two such one-update batches, a sharded batch whose overflowing index
-// follows updates it must take back, and a batch whose counts fit but
+// Σδ outside int64 is refused whole, at Workers 0 and 2: two updates of
+// 2^62 at one index, the second of two such one-update batches, a
+// 2^13-update batch whose overflowing index follows updates, in other
+// chunks, it must take back, and a batch whose counts fit but
 // whose Σδ does not. CheckColumns gives each the same refusal first.
+// Each is refused on a sealed head, whose copy-on-write successor the
+// refusal drops, and on an unsealed one, whose chunks the batch writes
+// in place until the refusal takes its applied prefix back.
 // After each refusal the counts, the update count, the version and the
 // posted SELF-JOIN SIZE proof are those before it, and the proof is
 // byte-equal again after an evict/rehydrate cycle.
@@ -249,7 +252,7 @@ func TestIngestRefusesOverflow(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := field.NewSplitMix64(4501 + uint64(workers))
-			// A sharded batch that leaves Σδ at -1-2^62, then 2^62 at x:
+			// A 2^13-update batch that leaves Σδ at -1-2^62, then 2^62 at x:
 			// Σδ = -1 has room for two updates of 2^62, one count does not.
 			base := append(stream.UnitIncrements(u, 1<<13, rng),
 				stream.Update{Index: 7, Delta: -big}, stream.Update{Index: 8, Delta: -(1 << 13) - 1})
@@ -282,22 +285,33 @@ func TestIngestRefusesOverflow(t *testing.T) {
 			}{
 				{"two updates of 2^62 at one index", []stream.Update{{Index: 11, Delta: big}, {Index: 11, Delta: big}}, "count at index 11"},
 				{"the second one-update batch of 2^62", []stream.Update{{Index: x, Delta: big}}, fmt.Sprintf("count at index %d", x)},
-				{"a sharded batch", crowd, fmt.Sprintf("count at index %d", y)},
+				{"a 2^13-update batch", crowd, fmt.Sprintf("count at index %d", y)},
 				{"Σδ past int64", []stream.Update{{Index: 1, Delta: big}, {Index: 2, Delta: big}, {Index: 3, Delta: big}}, "Σδ"},
 			} {
-				idx, deltas := columns(tc.batch)
-				if total, err := ds.CheckColumns(idx, deltas); err == nil || !strings.Contains(err.Error(), tc.want) || total != -1 {
-					t.Fatalf("%s: CheckColumns = %d, %v, want Σδ -1 and a refusal naming %q", tc.name, total, err, tc.want)
-				}
-				err := ds.Ingest(tc.batch)
-				if err == nil || !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("%s: Ingest = %v, want a refusal naming %q", tc.name, err, tc.want)
-				}
-				if !slices.Equal(ds.Snapshot().Counts(), counts) || ds.Updates() != n || ds.Version() != version {
-					t.Fatalf("%s: the refused batch changed the dataset", tc.name)
-				}
-				if got := proof(); got != sum {
-					t.Fatalf("%s: the posted proof moved from %s to %s", tc.name, sum, got)
+				for _, unsealed := range []bool{false, true} {
+					name := tc.name + ", on a sealed head"
+					if unsealed {
+						// An empty batch unseals the head and changes nothing,
+						// so the refused batch writes the head's own chunks.
+						if err := ds.Ingest(nil); err != nil {
+							t.Fatal(err)
+						}
+						name = tc.name + ", on an unsealed head"
+					}
+					idx, deltas := columns(tc.batch)
+					if total, err := ds.CheckColumns(idx, deltas); err == nil || !strings.Contains(err.Error(), tc.want) || total != -1 {
+						t.Fatalf("%s: CheckColumns = %d, %v, want Σδ -1 and a refusal naming %q", name, total, err, tc.want)
+					}
+					err := ds.Ingest(tc.batch)
+					if err == nil || !strings.Contains(err.Error(), tc.want) {
+						t.Fatalf("%s: Ingest = %v, want a refusal naming %q", name, err, tc.want)
+					}
+					if !slices.Equal(ds.Snapshot().Counts(), counts) || ds.Updates() != n || ds.Version() != version {
+						t.Fatalf("%s: the refused batch changed the dataset", name)
+					}
+					if got := proof(); got != sum {
+						t.Fatalf("%s: the posted proof moved from %s to %s", name, sum, got)
+					}
 				}
 			}
 

@@ -35,7 +35,7 @@ type part struct {
 // TestLivePairsOncePerVersion: a version's live-pair index, assembled
 // from the memoized counts and lists of its chunks, equals a fresh
 // ScanLivePairs of its elements after every batch of a seeded random
-// stream of ± batches: one-update, small and sharded (≥ minShardBatch)
+// stream of ± batches: one-update, small and large (2^13 updates or more)
 // batches, batches that crowd one chunk past the share of live pairs a
 // chunk keeps a list for, and batches that undo an earlier one and so
 // return entries to zero. It runs over a whole dataset and over S = 2 slices, at Workers 0
@@ -44,7 +44,7 @@ type part struct {
 // (copy-on-write per chunk), the tables hold the stream's counts, and
 // building the new versions' indices ran exactly one chunk scan per
 // chunk no version had scanned: one for a one-update version, every chunk
-// for a rebuilt one. Four times along the stream — once after a sharded
+// for a rebuilt one. Four times along the stream — once after a large
 // batch, once on the versions rehydrated after the eviction, once on
 // those adopted after the handoff, and once at the end — the step makes
 // two fresh versions, the second one update past the first, so the two
@@ -101,7 +101,7 @@ func TestLivePairsOncePerVersion(t *testing.T) {
 						for _, up := range batches[rng.Uint64()%uint64(len(batches))] {
 							batch = append(batch, stream.Update{Index: up.Index, Delta: -up.Delta})
 						}
-					case step%7 == 5: // a sharded scatter
+					case step%7 == 5: // a large batch
 						batch = stream.UnitIncrements(u, 1<<13+int(rng.Uint64()%100), rng)
 					case step%7 == 1: // one chunk too dense to keep a list of its own
 						at := rng.Uint64() % u / engine.ChunkEntries * engine.ChunkEntries
@@ -354,49 +354,77 @@ func TestNoFieldImage(t *testing.T) {
 	holds("after the first proof after Recover", 1, true)
 }
 
-// TestVersionAllocations: a one-update ingest after a snapshot, at
-// u = 2^20, allocates the chunk it writes and the version's chunk-pointer
-// array and nothing in proportion to u: at most 7 allocations (the
-// snapshot, the new table state and its chunk-pointer array, the chunk
-// and its counts, and the ingest's bookkeeping), and at most one chunk's
-// 32 KiB of counts plus the 2 KiB array and 4 KiB of slack in bytes: no
-// field image is ever built, and the chunk's live-pair scan waits for
-// the version's first proof. A flat-table clone allocated 16 MiB here.
+// TestVersionAllocations: an ingest after a snapshot allocates the chunks
+// it writes and the version's chunk-pointer array and nothing in
+// proportion to u or to the batch: at most 5 allocations (the snapshot,
+// the new table state and its chunk-pointer array, and the ingest's
+// bookkeeping) plus 2 per chunk written (the chunk and its counts), and
+// in bytes at most 32 KiB of counts and a 128-byte header per chunk
+// written, the 8-byte-per-chunk array and 3968 bytes of slack (for one
+// chunk, the 4 KiB of slack this test has always allowed). No field
+// image is ever built, the chunks' live-pair scans wait for the
+// version's first proof, and the batch is applied in place, with no
+// per-update index of its own. One row writes one update at u = 2^20 (a
+// flat-table clone allocated 16 MiB here); the other writes a
+// 2^15-update batch over every one of the 64 chunks of u = 2^18 at
+// Workers 2 (a sharded scatter's counting sort allocated 4 bytes per
+// update here).
 func TestVersionAllocations(t *testing.T) {
-	const u = 1 << 20
-	ds, err := engine.NewDataset(f61, u, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Ingest(stream.UnitIncrements(u, 1<<12, field.NewSplitMix64(3401))); err != nil {
-		t.Fatal(err)
-	}
-	idx, deltas := []uint64{12345}, []int64{1}
-	bump := func() {
-		ds.Snapshot()
-		deltas[0] = -deltas[0] // +1 and −1 in turn: the data stays periodic
-		if err := ds.IngestColumns(idx, deltas); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(20, bump)
-	t.Logf("a one-update version at u = 2^20: %.1f allocations", allocs)
-	if allocs > 7 {
-		t.Errorf("a one-update version allocated %.1f times, want ≤ 7", allocs)
-	}
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		bump()
-	}
-	runtime.ReadMemStats(&after)
-	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	const limit = 32<<10 + 8*(u>>12) + 4<<10
-	t.Logf("a one-update version at u = 2^20: %d bytes", perRun)
-	if perRun > limit {
-		t.Errorf("a one-update version allocated %d bytes, want ≤ %d", perRun, limit)
+	for _, row := range []struct {
+		name    string
+		u       uint64
+		workers int
+		n       int // updates per batch
+		chunks  int // the chunks the batch writes
+	}{
+		{"a one-update version at u = 2^20", 1 << 20, 0, 1, 1},
+		{"a 2^15-update batch at u = 2^18", 1 << 18, 2, 1 << 15, 64},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			ds, err := engine.NewDataset(f61, row.u, row.workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.Ingest(stream.UnitIncrements(row.u, 1<<12, field.NewSplitMix64(3401))); err != nil {
+				t.Fatal(err)
+			}
+			idx, deltas := columns(stream.UnitIncrements(row.u, row.n, field.NewSplitMix64(3402)))
+			written := map[uint64]bool{}
+			for _, i := range idx {
+				written[i/engine.ChunkEntries] = true
+			}
+			if len(written) != row.chunks {
+				t.Fatalf("the batch writes %d chunks, want %d", len(written), row.chunks)
+			}
+			bump := func() {
+				ds.Snapshot()
+				for k := range deltas {
+					deltas[k] = -deltas[k] // + and − in turn: the data stays periodic
+				}
+				if err := ds.IngestColumns(idx, deltas); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(20, bump)
+			t.Logf("%s: %.1f allocations", row.name, allocs)
+			if want := float64(5 + 2*row.chunks); allocs > want {
+				t.Errorf("%s allocated %.1f times, want ≤ %.0f", row.name, allocs, want)
+			}
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				bump()
+			}
+			runtime.ReadMemStats(&after)
+			perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+			limit := uint64(row.chunks)*(32<<10+128) + 8*(row.u/engine.ChunkEntries) + 4<<10 - 128
+			t.Logf("%s: %d bytes", row.name, perRun)
+			if perRun > limit {
+				t.Errorf("%s allocated %d bytes, want ≤ %d", row.name, perRun, limit)
+			}
+		})
 	}
 }
 
@@ -471,6 +499,38 @@ func BenchmarkVersion(b *testing.B) {
 					b.Fatal(err)
 				}
 				engine.LivePairsOf(ds.Snapshot())
+			}
+		})
+	}
+}
+
+// BenchmarkIngestBatch prices the write side at the ingest_evict shape:
+// one 2^15-update batch at u = 2^18 through IngestColumns onto a sealed
+// head, so each op copies the 64 chunks the batch writes and applies it
+// in one serial pass, at Workers 0 and 2 (the pass does not fan out, so
+// the two rows should read alike).
+func BenchmarkIngestBatch(b *testing.B) {
+	const u, n = 1 << 18, 1 << 15
+	idx, deltas := columns(stream.UnitIncrements(u, n, field.NewSplitMix64(3601)))
+	for _, workers := range []int{0, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			ds, err := engine.NewDataset(f61, u, workers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := ds.IngestColumns(idx, deltas); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ds.Snapshot()
+				for k := range deltas {
+					deltas[k] = -deltas[k] // − and + in turn: the data stays periodic
+				}
+				if err := ds.IngestColumns(idx, deltas); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -167,101 +167,32 @@ func (st *tableState) own(k uint64) *chunk {
 	return ch
 }
 
-// add applies a batch to the unsealed state's counts: index idx[k]-base
-// gains deltas[k]. When a count would leave int64 it applies none of the
-// batch, taking back, last first, what it had added, and refuses it.
-//
-// Large batches over tables of at least as many chunks as workers go
-// through a sharded scatter: a stable O(n) counting sort groups update
-// positions by chunk, then each worker applies the updates of a
-// contiguous run of chunks in batch order; a chunk that refuses an
-// update takes back its own, and on any refusal the workers then take
-// back every chunk they applied whole, and check, on the restored
-// counts, names the update the serial application refuses. No two
-// workers touch one chunk and per-index order is preserved, so the
-// result is the serial left-to-right application's for every worker
-// count, and each copy-on-write copy is made once.
-func (st *tableState) add(idx []uint64, deltas []int64, base uint64, workers int) error {
+// add applies a batch to the unsealed state's counts in one serial pass,
+// in batch order: index idx[k]-base gains deltas[k], each chunk the state
+// does not own yet taken through own before its first write. When a
+// count would leave int64 it applies none of the batch, taking back,
+// last first, what it had added, and refuses it.
+func (st *tableState) add(idx []uint64, deltas []int64, base uint64) error {
 	mask := uint64(1)<<st.shift - 1
-	nw := parallel.Workers(workers)
-	if nw <= 1 || len(idx) < minShardBatch || len(st.chunks) < nw {
-		chunks, shift, gen := st.chunks, st.shift, st.gen // own writes elements, never the header
-		for k, i := range idx {
-			i -= base // slice tables are indexed locally
-			ch := chunks[i>>shift]
-			if ch == nil || ch.gen != gen {
-				ch = st.own(i >> shift)
-			}
-			c, ok := addInt64(ch.counts[i&mask], deltas[k])
-			if !ok {
-				for back := k - 1; back >= 0; back-- {
-					j := idx[back] - base
-					chunks[j>>shift].counts[j&mask] -= deltas[back]
-				}
-				return errOverflow(idx[k])
-			}
-			ch.counts[i&mask] = c
-			ch.peak = max(ch.peak, magnitude(c))
-		}
-		return nil
-	}
-	nc := len(st.chunks)
-	start := make([]int, nc+1)
-	for _, i := range idx {
-		start[(i-base)>>st.shift+1]++
-	}
-	for c := 0; c < nc; c++ {
-		start[c+1] += start[c]
-	}
-	pos := make([]int32, len(idx))
-	next := slices.Clone(start[:nc])
+	chunks, shift, gen := st.chunks, st.shift, st.gen // own writes elements, never the header
 	for k, i := range idx {
-		c := (i - base) >> st.shift
-		pos[next[c]] = int32(k)
-		next[c]++
-	}
-	// undo takes back the updates of chunk c's positions ks, last first.
-	undo := func(c int, ks []int32) {
-		for n := len(ks) - 1; n >= 0; n-- {
-			k := ks[n]
-			st.chunks[c].counts[(idx[k]-base)&mask] -= deltas[k]
+		i -= base // slice tables are indexed locally
+		ch := chunks[i>>shift]
+		if ch == nil || ch.gen != gen {
+			ch = st.own(i >> shift)
 		}
-	}
-	bad := make([]bool, nc) // the chunks that refused an update
-	parallel.ForGrain(nw, nc, 1, func(_, lo, hi int) {
-		for c := lo; c < hi; c++ {
-			ks := pos[start[c]:start[c+1]]
-			if len(ks) == 0 {
-				continue
+		c, ok := addInt64(ch.counts[i&mask], deltas[k])
+		if !ok {
+			for back := k - 1; back >= 0; back-- {
+				j := idx[back] - base
+				chunks[j>>shift].counts[j&mask] -= deltas[back]
 			}
-			ch := st.chunks[c]
-			if ch == nil || ch.gen != st.gen {
-				ch = st.own(uint64(c))
-			}
-			for n, k := range ks {
-				j := (idx[k] - base) & mask
-				x, ok := addInt64(ch.counts[j], deltas[k])
-				if !ok {
-					undo(c, ks[:n])
-					bad[c] = true
-					break
-				}
-				ch.counts[j] = x
-				ch.peak = max(ch.peak, magnitude(x))
-			}
+			return errOverflow(idx[k])
 		}
-	})
-	if !slices.Contains(bad, true) {
-		return nil
+		ch.counts[i&mask] = c
+		ch.peak = max(ch.peak, magnitude(c))
 	}
-	parallel.ForGrain(nw, nc, 1, func(_, lo, hi int) {
-		for c := lo; c < hi; c++ {
-			if !bad[c] {
-				undo(c, pos[start[c]:start[c+1]])
-			}
-		}
-	})
-	return st.check(idx, deltas, base) // on the restored counts: the serial application's refusal
+	return nil
 }
 
 // check returns the refusal add would give the batch, writing nothing:
