@@ -26,11 +26,10 @@ func main() {
 
 	failures := 0
 	attack := func(name string, tamper sip.Tamperer, dropData bool) {
-		proto, err := sip.NewSelfJoinSize(f, u)
+		v, err := sip.NewQueryVerifier(f, u, sip.QuerySelfJoinSize, sip.QueryParams{}, sip.NewCryptoRNG())
 		if err != nil {
 			log.Fatal(err)
 		}
-		v := proto.NewVerifier(sip.NewCryptoRNG())
 		for _, up := range updates {
 			if err := v.Observe(up); err != nil {
 				log.Fatal(err)

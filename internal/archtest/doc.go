@@ -3,8 +3,8 @@
 // Each rule says "the only uses of X are in Y" about the type-checked
 // module: one sum-check half pair, one prover side of a connection, one
 // kind table, one prover input, one GKR session per side, one split
-// session, one sum-check table shape, one challenge schedule and one
-// stored table. The test type-checks the module's non-test packages once,
+// session, one sum-check table shape, one challenge schedule, one stored
+// table, and no exported function under internal/ that only tests call. The test type-checks the module's non-test packages once,
 // in import order, and reads its test files by syntax, resolving their
 // package-qualified names through their imports. Every rule also has
 // mutation rows: synthetic violating files, checked in memory, that the

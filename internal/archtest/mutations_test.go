@@ -11,13 +11,33 @@ import (
 // replacing the tree's, named by slash path from the module root, given
 // inline (files) or restored from a testdata copy of code the tree has
 // deleted (restore, path → testdata file). The rule must report it at a
-// line of the row's files, with every want among those reports.
+// line of the row's files, with every want among those reports. A clean
+// row is a near miss instead: the rule must report nothing at its files.
 type row struct {
 	rule, name string
 	files      map[string]string
 	restore    map[string]string
 	want       []string
+	clean      bool
 }
+
+// streamSumDeltas replaces internal/stream/stream.go with its update type
+// and SumDeltas, a function testOnly lists.
+const streamSumDeltas = `package stream
+
+type Update struct {
+	Index uint64
+	Delta int64
+}
+
+func SumDeltas(updates []Update) int64 {
+	var n int64
+	for _, u := range updates {
+		n += u.Delta
+	}
+	return n
+}
+`
 
 var rows = []row{
 	// sumcheck-halves
@@ -430,6 +450,54 @@ type image struct {
 	cols map[uint64][]field.Elem
 }
 `}, want: []string{"the field cols holds field elements"}},
+
+	// test-only-export
+	{rule: "test-only-export", name: "export only a test calls", files: map[string]string{
+		"internal/stream/pick.go": `package stream
+
+// Pick returns the i-th update.
+func Pick(ups []Update, i int) Update { return ups[i] }
+`,
+		"internal/stream/pick_test.go": `package stream
+
+import "testing"
+
+func TestPick(t *testing.T) { _ = Pick([]Update{{}}, 0) }
+`}, want: []string{"internal/stream.Pick is exported, but only tests call it"}},
+	{rule: "test-only-export", name: "recursion is no use", files: map[string]string{"internal/lde/depth.go": `package lde
+
+// Depth returns ⌊log₂ n⌋.
+func Depth(n uint64) int {
+	if n <= 1 {
+		return 0
+	}
+	return 1 + Depth(n/2)
+}
+`}, want: []string{"internal/lde.Depth is exported, but only tests call it"}},
+	{rule: "test-only-export", name: "listed function", clean: true, files: map[string]string{
+		"internal/stream/stream.go": streamSumDeltas,
+	}},
+	{rule: "test-only-export", name: "listed function gains a non-test use", files: map[string]string{
+		"internal/stream/stream.go": streamSumDeltas,
+		"cmd/sipbench/sum.go": `package main
+
+import "repro/internal/stream"
+
+var total = stream.SumDeltas(nil)
+`}, want: []string{"internal/stream.SumDeltas is listed in testOnly, but non-test code uses it"}},
+	{rule: "test-only-export", name: "in-package non-test caller", clean: true, files: map[string]string{"internal/stream/pick.go": `package stream
+
+// Pick returns the i-th update.
+func Pick(ups []Update, i int) Update { return ups[i] }
+
+// last returns the final update.
+func last(ups []Update) Update { return Pick(ups, len(ups)-1) }
+`}},
+	{rule: "test-only-export", name: "conformance is test support", clean: true, files: map[string]string{"internal/conformance/pick.go": `package conformance
+
+// Pick returns its argument.
+func Pick(i int) int { return i }
+`}},
 }
 
 // TestMutations checks that every rule reports each of its rows, and that
@@ -464,6 +532,12 @@ func TestMutations(t *testing.T) {
 				if _, ok := files[f[:strings.Index(f, ":")]]; ok {
 					in = append(in, f)
 				}
+			}
+			if row.clean {
+				if len(in) > 0 {
+					t.Fatalf("%s reports a clean row:\n%s", row.rule, strings.Join(in, "\n"))
+				}
+				return
 			}
 			if len(in) == 0 {
 				t.Fatalf("%s reports nothing in the row's files", row.rule)

@@ -42,6 +42,7 @@ var rules = []rule{
 	{"sumcheck-shape", sumcheckShape},
 	{"one-schedule", oneSchedule},
 	{"no-field-image", noFieldImage},
+	{"test-only-export", testOnlyExport},
 }
 
 // TestRules checks every rule against the tree.
@@ -870,7 +871,7 @@ func mentions(t types.Type, ip, name string) bool {
 // (fold) beside the sparse pair, and the prover's methods. The one
 // verifier constructor is NewVerifier.
 var proverFuncs = []string{
-	"NewPairsProver", "NewPartialProver", "NewProver", "Run",
+	"NewPairsProver", "NewPartialProver", "NewProver",
 	"Prover.Fold", "Prover.Leaves", "Prover.Pairs", "Prover.Round", "Prover.RoundMessage",
 	"Prover.addZeros", "Prover.foldSparse", "Prover.fuseKind", "Prover.scatter", "Prover.sparseMessage",
 	"fold", "message", "messageRange", "newProver",
@@ -1039,4 +1040,72 @@ func fieldOf(p *pkg, id *ast.Ident) string {
 		}
 	}
 	return ""
+}
+
+// testOnly lists the exported package-level functions under internal/
+// that no non-test code uses, by package directory and name, each with
+// the reason it stays exported.
+var testOnly = map[string]string{
+	"internal/core.NewInnerProduct":        "the paper's §3.2 two-stream protocol: library-only, as a dataset is one stream (DESIGN.md)",
+	"internal/core.NewInverseDistribution": "the paper's §6.2 protocol beside F0 and Fmax: library-only, no query kind serves it",
+	"internal/lde.EvalDenseWorkers":        "the dense-table oracle the lde and sumcheck tests check streaming evaluation and provers against",
+	"internal/stream.DistinctKV":           "a key-value workload generator the tests of several packages share",
+	"internal/stream.KVUpdates":            "turns DistinctKV's pairs into updates for the tests of several packages",
+	"internal/stream.SumDeltas":            "the Σδ oracle the tests of several packages check provers' thresholds with",
+	"internal/wire/frames.EncodeMsg":       "the message encoding the wire and shard tests forge frames with",
+}
+
+// testOnlyExport: every exported package-level function under internal/
+// has a non-test use somewhere in the module (in its own package too, but
+// not in its own body), or is listed in testOnly with the reason it stays
+// exported; a function only tests call belongs in the test file that
+// uses it. internal/conformance, which exists for tests, is exempt. A
+// listed function has no non-test use, and every listed name is declared.
+// Types and methods are out of scope: a type is often used only through a
+// constructor's result, and a use through an interface does not show as
+// a use of the concrete method.
+func testOnlyExport(t *testing.T, m *module) []string {
+	fs := &findings{m: m}
+	used := map[string]bool{}
+	for _, p := range m.order {
+		uses(p, func(_ *ast.File, decl *ast.FuncDecl, _ *ast.Ident, obj types.Object) {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Pkg() == nil || recvName(fn.Origin()) != "" {
+				return
+			}
+			if decl != nil && decl.Recv == nil && decl.Name.Name == fn.Name() && fn.Pkg().Path() == p.path {
+				return // recursion is no use
+			}
+			used[strings.TrimPrefix(fn.Pkg().Path(), modulePath+"/")+"."+fn.Name()] = true
+		})
+	}
+	declared := map[string]bool{}
+	for _, p := range m.order {
+		if !within(p.dir, "internal") || within(p.dir, "internal/conformance") {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv != nil || !fd.Name.IsExported() {
+					continue
+				}
+				key := p.dir + "." + fd.Name.Name
+				declared[key] = true
+				_, listed := testOnly[key]
+				switch {
+				case !used[key] && !listed:
+					fs.add(fd.Name.Pos(), "%s is exported, but only tests call it; move it into the test file that uses it, or list it in testOnly with a reason", key)
+				case used[key] && listed:
+					fs.add(fd.Name.Pos(), "%s is listed in testOnly, but non-test code uses it; drop it from the list", key)
+				}
+			}
+		}
+	}
+	for key := range testOnly {
+		if !declared[key] {
+			fs.add(m.pkgs[modulePath+"/internal/archtest"].tests[0].Package, "testOnly lists %s, which is not declared; drop it from the list", key)
+		}
+	}
+	return fs.sorted()
 }

@@ -144,36 +144,49 @@ func TestRangeSumEqualsInnerProduct(t *testing.T) {
 	}
 }
 
-// TestFkViaMultiEqualsSingle: batched and standalone protocols agree on
-// every slot.
-func TestFkViaMultiEqualsSingle(t *testing.T) {
-	const u = 128
+// TestFkAtTwoEqualsSelfJoinSize: the generic FREQUENCY MOMENTS protocol at
+// k = 2 and the specialised SELF-JOIN SIZE protocol (§3.1) verify the same
+// answer on a stream that mixes insertions and deletions.
+func TestFkAtTwoEqualsSelfJoinSize(t *testing.T) {
+	const u = 300 // not a power of two: both pad to the same universe
 	rng := field.NewSplitMix64(709)
 	ups := stream.UniformDeltas(u, 25, rng)
-	multi, err := NewMultiFk(f61, u, []int{1, 2, 3})
+	for i := uint64(0); i < u; i += 7 {
+		ups = append(ups, stream.Update{Index: i, Delta: -40})
+	}
+
+	f2, err := NewSelfJoinSize(f61, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mv := multi.NewVerifier(field.NewSplitMix64(710))
-	for _, up := range ups {
-		for slot := 0; slot < 3; slot++ {
-			if err := mv.Observe(slot, up); err != nil {
-				t.Fatal(err)
-			}
-		}
+	f2V := f2.NewVerifier(field.NewSplitMix64(710))
+	observeAll(t, f2V, ups)
+	if _, err := Run(must(f2.NewProverFromTable(countsOf(t, ups, f2.Params.U), nil)), f2V); err != nil {
+		t.Fatalf("F2 rejected: %v", err)
 	}
-	table := elemsOf(t, ups, u)
-	mp := must(multi.NewProverFromTables(table, table, table))
-	if _, err := Run(mp, mv); err != nil {
-		t.Fatalf("batch rejected: %v", err)
-	}
-	results, err := mv.Results()
+	f2Result, err := f2V.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for slot, k := range []int{1, 2, 3} {
-		if want := refFk(t, ups, u, k); results[slot] != want {
-			t.Fatalf("slot %d (F%d) = %d, want %d", slot, k, results[slot], want)
-		}
+
+	fk, err := NewFk(f61, u, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fkV := fk.NewVerifier(field.NewSplitMix64(711))
+	observeAll(t, fkV, ups)
+	if _, err := Run(must(fk.NewProverFromTable(countsOf(t, ups, fk.Params.U), nil)), fkV); err != nil {
+		t.Fatalf("F_k at k=2 rejected: %v", err)
+	}
+	fkResult, err := fkV.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if f2Result != fkResult {
+		t.Fatalf("SELF-JOIN SIZE %d ≠ F_k at k=2 %d", f2Result, fkResult)
+	}
+	if want := refFk(t, ups, u, 2); f2Result != want {
+		t.Fatalf("F2 = %d, want %d", f2Result, want)
 	}
 }

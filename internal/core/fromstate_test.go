@@ -77,11 +77,4 @@ func TestFromStateLengthValidation(t *testing.T) {
 	if _, err := ip.NewProverFromTables(make([]field.Elem, u), short); err == nil {
 		t.Error("InnerProduct accepted a short table")
 	}
-	mf, err := NewMultiFk(f, u, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mf.NewProverFromTables(short); err == nil {
-		t.Error("MultiFk accepted a short table")
-	}
 }

@@ -12,9 +12,9 @@ import (
 
 // The two protocol families of this package share one session per side:
 //
-//   - every §3 aggregation protocol (Fk, INNER PRODUCT, RANGE-SUM, each
-//     MultiFk slot, the §6.2 residual phase, and the split-universe
-//     slice owners) is one sum-check with a protocol-specific combiner:
+//   - every §3 aggregation protocol (Fk, INNER PRODUCT, RANGE-SUM, the
+//     §6.2 residual phase, and the split-universe slice owners) is one
+//     sum-check with a protocol-specific combiner:
 //     scVerifier and scProver hold that conversation, and a protocol
 //     supplies only its sumcheck.Config, its tables, and the verifier's
 //     final-check anchor C(f(r));

@@ -52,7 +52,6 @@ func TestSumcheckHalvesContract(t *testing.T) {
 	fk := must(NewFk(f61, u, 3))
 	ip := must(NewInnerProduct(f61, u))
 	rs := must(NewRangeSum(f61, u))
-	mf := must(NewMultiFk(f61, u, []int{2, 3}))
 	f0 := must(NewF0(f61, u, 0))
 	f2 := must(NewSelfJoinSize(f61, u))
 
@@ -106,20 +105,6 @@ func TestSumcheckHalvesContract(t *testing.T) {
 				return p, v
 			},
 			answer: result, want: refRange(cb, qL, qR),
-		},
-		{
-			name: "MultiFk",
-			build: func() (ProverSession, VerifierSession) {
-				v := mf.NewVerifier(field.NewSplitMix64(4))
-				for _, up := range a {
-					if err := errors.Join(v.Observe(0, up), v.Observe(1, up)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return must(mf.NewProverFromTables(ta, ta)), v
-			},
-			answer: func(v VerifierSession) (any, error) { return v.(*MultiFkVerifier).Results() },
-			want:   []field.Elem{refFk(t, a, u, 2), refFk(t, a, u, 3)},
 		},
 		{
 			name: "F0",

@@ -59,7 +59,7 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every run borrows the same tables read-only.
-	table, counts, zipfCounts := elemsOf(t, ups, u), countsOf(t, ups, u), countsOf(t, zipf, 1<<8)
+	counts, zipfCounts := countsOf(t, ups, u), countsOf(t, zipf, 1<<8)
 
 	type runResult struct {
 		msgs []Msg
@@ -152,23 +152,6 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 				}
 			}
 			p, err := proto.NewProverFromCounts(zipfCounts, stream.SumDeltas(zipf))
-			return p, v, err
-		}},
-		{"MultiFk", func(workers int) (ProverSession, VerifierSession, error) {
-			proto, err := NewMultiFk(f, u, []int{2, 3})
-			if err != nil {
-				return nil, nil, err
-			}
-			proto.Workers = workers
-			v := proto.NewVerifier(field.NewSplitMix64(67))
-			for _, up := range ups {
-				for slot := 0; slot < 2; slot++ {
-					if err := v.Observe(slot, up); err != nil {
-						return nil, nil, err
-					}
-				}
-			}
-			p, err := proto.NewProverFromTables(table, table)
 			return p, v, err
 		}},
 	}

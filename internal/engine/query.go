@@ -18,6 +18,11 @@ const (
 	QueryRangeSum
 	QueryRangeQuery
 	QueryIndex
+	// QueryDictionary answers get(A) over a key-value stream. A put of
+	// (key, value) is the update Update{Index: key, Delta: value+1}: the
+	// +1 shift tells a stored 0 from an absent key. Keys are distinct
+	// across the stream, values are below u, and u < p/2. The answer's
+	// At is the value and Found whether the key is present.
 	QueryDictionary
 	QueryPredecessor
 	QuerySuccessor

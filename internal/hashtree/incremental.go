@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/parallel"
-	"repro/internal/stream"
 )
 
 // IncrementalTree is the prover-side tree for the interactive protocols of
@@ -36,38 +35,15 @@ type IncrementalTree struct {
 	q      []field.Elem
 }
 
-// NewIncremental aggregates the updates into sorted nonzero leaves and
-// builds the count skeleton of every level. Level-0 hashes (the leaf
-// values) are available immediately; higher-level hashes require Extend.
-func NewIncremental(f field.Field, params Params, kind Kind, updates []stream.Update) (*IncrementalTree, error) {
-	agg := make(map[uint64]int64, len(updates))
-	for _, u := range updates {
-		if u.Index >= params.U {
-			return nil, fmt.Errorf("hashtree: index %d outside universe [0,%d)", u.Index, params.U)
-		}
-		agg[u.Index] += u.Delta
-	}
-	leaves := make([]Node, 0, len(agg))
-	for i, c := range agg {
-		if c == 0 {
-			continue
-		}
-		leaves = append(leaves, Node{Index: i, Hash: f.FromInt64(c), Count: c})
-	}
-	sort.Slice(leaves, func(a, b int) bool { return leaves[a].Index < leaves[b].Index })
-	return newFromLeaves(f, params, kind, leaves), nil
-}
-
-// NewIncrementalFromCounts builds the same tree from a frequency table
-// held in equal chunks of width entries — chunk k holds entries
-// [k·width, (k+1)·width) and a nil chunk holds zeros, params.U entries in
-// all — instead of a raw update stream: the leaves are the nonzero
-// entries in index order, exactly what NewIncremental derives by
-// aggregating the stream, so the two constructors produce identical
-// trees for the same aggregate state. It passes over nil chunks and
-// blocks of 8 zero counts with one test each. This is the entry point
-// for provers built from maintained dataset state rather than stream
-// replay; a flat table is one chunk.
+// NewIncrementalFromCounts builds the count skeleton of every level from
+// a frequency table held in equal chunks of width entries — chunk k holds
+// entries [k·width, (k+1)·width) and a nil chunk holds zeros, params.U
+// entries in all. The leaves are the nonzero entries in index order, so
+// the tree is the one the aggregate state defines (the tests check it
+// against a reference built by aggregating a raw update stream). Level-0
+// hashes (the leaf values) are available immediately; higher-level
+// hashes require Extend. It passes over nil chunks and blocks of 8 zero
+// counts with one test each. A flat table is one chunk.
 func NewIncrementalFromCounts(f field.Field, params Params, kind Kind, width int, chunks [][]int64) (*IncrementalTree, error) {
 	if width < 1 || uint64(width)*uint64(len(chunks)) != params.U {
 		return nil, fmt.Errorf("hashtree: count table has %d chunks of %d entries, want %d entries", len(chunks), width, params.U)

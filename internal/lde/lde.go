@@ -310,17 +310,12 @@ func (e *Evaluator) Point() *Point { return e.pt }
 // the paper's units: the d coordinates of r plus the running value.
 func (e *Evaluator) SpaceWords() int { return e.pt.Params.D + 1 }
 
-// EvalDense evaluates f_a(r) from an explicit table of all u entries by
-// folding one dimension at a time: O(u) field operations total. This is
-// the prover-side (and test oracle) counterpart of the streaming
-// evaluator.
-func EvalDense(pt *Point, table []field.Elem) (field.Elem, error) {
-	return EvalDenseWorkers(pt, table, 1)
-}
-
-// EvalDenseWorkers is EvalDense with the fold of each dimension fanned out
-// across a worker pool (workers ≤ 0 follows the parallel.Workers
-// convention). Each worker folds a contiguous block of the output table,
+// EvalDenseWorkers evaluates f_a(r) from an explicit table of all u
+// entries by folding one dimension at a time: O(u) field operations
+// total, the prover-side (and test oracle) counterpart of the streaming
+// evaluator. The fold of each dimension fans out across a worker pool
+// (workers ≤ 0 follows the parallel.Workers convention; 1 is serial).
+// Each worker folds a contiguous block of the output table,
 // so the result is bit-identical to the serial evaluation for every worker
 // count — field arithmetic is exact and blocks are disjoint.
 func EvalDenseWorkers(pt *Point, table []field.Elem, workers int) (field.Elem, error) {

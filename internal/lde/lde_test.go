@@ -150,7 +150,7 @@ func TestLDEAgreesOnHypercube(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := EvalDense(pt, table)
+			got, err := EvalDenseWorkers(pt, table, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +187,7 @@ func TestStreamingMatchesDense(t *testing.T) {
 		for i, v := range a {
 			table[i] = f61.FromInt64(v)
 		}
-		want, err := EvalDense(pt, table)
+		want, err := EvalDenseWorkers(pt, table, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func checkRangeIndicator(t *testing.T, pt *Point, qL, qR uint64) {
 	for i := qL; i <= qR; i++ {
 		table[i] = 1
 	}
-	want, err := EvalDense(pt, table)
+	want, err := EvalDenseWorkers(pt, table, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestChiOfIndexMatchesDense(t *testing.T) {
 				i := rng.Uint64() % params.U
 				table := make([]field.Elem, params.U)
 				table[i] = 1
-				want, err := EvalDense(pt, table)
+				want, err := EvalDenseWorkers(pt, table, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -391,7 +391,7 @@ func TestNewPointValidation(t *testing.T) {
 	if _, err := NewPoint(f61, params, make([]field.Elem, 3)); err == nil {
 		t.Error("wrong-length point accepted")
 	}
-	if _, err := EvalDense(RandomPoint(f61, params, field.NewSplitMix64(1)), make([]field.Elem, 5)); err == nil {
+	if _, err := EvalDenseWorkers(RandomPoint(f61, params, field.NewSplitMix64(1)), make([]field.Elem, 5), 1); err == nil {
 		t.Error("wrong-length table accepted")
 	}
 }

@@ -48,7 +48,7 @@ func TestEvalDenseWorkersMatchesSerial(t *testing.T) {
 		}
 		pt := RandomPoint(f, params, rng)
 		table := f.RandVec(rng, int(params.U))
-		want, err := EvalDense(pt, table)
+		want, err := EvalDenseWorkers(pt, table, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,10 +8,7 @@
 package stream
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 )
@@ -137,66 +134,4 @@ func KVUpdates(pairs []KVPair) []Update {
 		out[i] = Update{Index: p.Key, Delta: int64(p.Value)}
 	}
 	return out
-}
-
-// --- Binary encoding -------------------------------------------------
-//
-// Streams cross the wire (verifier → cloud upload) and are archived for
-// reproducible experiments as a sequence of little-endian (uint64 index,
-// int64 delta) records with a small header.
-
-var magic = [4]byte{'S', 'I', 'P', '1'}
-
-// ErrBadFormat reports a malformed encoded stream.
-var ErrBadFormat = errors.New("stream: bad encoding")
-
-// Write encodes updates with the universe size to w.
-func Write(w io.Writer, u uint64, updates []Update) error {
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], u)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(len(updates)))
-	if _, err := w.Write(buf[:]); err != nil {
-		return err
-	}
-	for _, upd := range updates {
-		binary.LittleEndian.PutUint64(buf[:8], upd.Index)
-		binary.LittleEndian.PutUint64(buf[8:], uint64(upd.Delta))
-		if _, err := w.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Read decodes a stream written by Write.
-func Read(r io.Reader) (u uint64, updates []Update, err error) {
-	var head [4]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return 0, nil, err
-	}
-	if head != magic {
-		return 0, nil, ErrBadFormat
-	}
-	var buf [16]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, nil, err
-	}
-	u = binary.LittleEndian.Uint64(buf[:8])
-	n := binary.LittleEndian.Uint64(buf[8:])
-	const maxReasonable = 1 << 32
-	if n > maxReasonable {
-		return 0, nil, fmt.Errorf("%w: implausible length %d", ErrBadFormat, n)
-	}
-	updates = make([]Update, n)
-	for i := range updates {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return 0, nil, fmt.Errorf("%w: truncated at record %d: %v", ErrBadFormat, i, err)
-		}
-		updates[i].Index = binary.LittleEndian.Uint64(buf[:8])
-		updates[i].Delta = int64(binary.LittleEndian.Uint64(buf[8:]))
-	}
-	return u, updates, nil
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/field"
@@ -146,56 +145,45 @@ func TestDistinctKV(t *testing.T) {
 	}
 }
 
-func TestEncodeRoundTrip(t *testing.T) {
-	rng := field.NewSplitMix64(5)
-	ups := UnitIncrements(64, 100, rng)
-	ups = append(ups, Update{Index: 3, Delta: -17})
-	var buf bytes.Buffer
-	if err := Write(&buf, 64, ups); err != nil {
-		t.Fatal(err)
+func TestKVUpdates(t *testing.T) {
+	pairs := []KVPair{{Key: 2, Value: 0}, {Key: 5, Value: 17}, {Key: 9, Value: 1 << 40}}
+	ups := KVUpdates(pairs)
+	want := []Update{{2, 0}, {5, 17}, {9, 1 << 40}}
+	if len(ups) != len(want) {
+		t.Fatalf("len = %d, want %d", len(ups), len(want))
 	}
-	u, got, err := Read(&buf)
+	for i := range want {
+		if ups[i] != want[i] {
+			t.Errorf("update %d = %v, want %v", i, ups[i], want[i])
+		}
+	}
+	if got := KVUpdates(nil); len(got) != 0 {
+		t.Errorf("KVUpdates(nil) has %d updates", len(got))
+	}
+}
+
+func TestDistinctKVFullUniverse(t *testing.T) {
+	// n = u is the largest draw allowed: every key appears exactly once.
+	const u = 64
+	pairs, err := DistinctKV(u, u, 3, field.NewSplitMix64(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u != 64 {
-		t.Fatalf("u = %d", u)
+	if len(pairs) != u {
+		t.Fatalf("len = %d, want %d", len(pairs), u)
 	}
-	if len(got) != len(ups) {
-		t.Fatalf("len = %d, want %d", len(got), len(ups))
-	}
-	for i := range ups {
-		if got[i] != ups[i] {
-			t.Fatalf("record %d = %v, want %v", i, got[i], ups[i])
+	for i, p := range pairs {
+		if p.Key != uint64(i) {
+			t.Fatalf("pair %d has key %d", i, p.Key)
 		}
 	}
-}
-
-func TestEncodeEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, 16, nil); err != nil {
+	again, err := DistinctKV(u, u, 3, field.NewSplitMix64(6))
+	if err != nil {
 		t.Fatal(err)
 	}
-	u, got, err := Read(&buf)
-	if err != nil || u != 16 || len(got) != 0 {
-		t.Fatalf("empty roundtrip: u=%d len=%d err=%v", u, len(got), err)
-	}
-}
-
-func TestReadErrors(t *testing.T) {
-	if _, _, err := Read(bytes.NewReader([]byte("XYZ"))); err == nil {
-		t.Error("short magic accepted")
-	}
-	if _, _, err := Read(bytes.NewReader([]byte("BAD!12345678123456781234"))); err == nil {
-		t.Error("wrong magic accepted")
-	}
-	// Valid header claiming one record but truncated body.
-	var buf bytes.Buffer
-	if err := Write(&buf, 8, []Update{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-4]
-	if _, _, err := Read(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated stream accepted")
+	for i := range pairs {
+		if pairs[i] != again[i] {
+			t.Fatal("not deterministic")
+		}
 	}
 }

@@ -1307,57 +1307,3 @@ func (v *Verifier) Round() int { return v.round }
 func (v *Verifier) SpaceWords() int {
 	return v.cfg.Params.D + 2 + v.cfg.MessageLen()
 }
-
-// ---------------------------------------------------------------------
-// Local runner
-
-// Transcript records one full conversation for inspection and accounting.
-type Transcript struct {
-	Messages   [][]field.Elem // prover → verifier, one per round
-	Challenges []field.Elem   // verifier → prover (r_1..r_{d-1} are sent; r_d never travels)
-}
-
-// CommWords counts the field elements exchanged in both directions, the
-// paper's communication measure t.
-func (tr Transcript) CommWords() int {
-	n := len(tr.Challenges)
-	for _, m := range tr.Messages {
-		n += len(m)
-	}
-	return n
-}
-
-// Run executes the complete conversation between a local prover and
-// verifier, optionally passing each message through tamper (used by the
-// soundness experiments; nil means honest delivery). It returns the
-// transcript and the verifier's verdict: a nil error means accepted.
-func Run(p *Prover, v *Verifier, tamper func(round int, evals []field.Elem) []field.Elem) (Transcript, error) {
-	var tr Transcript
-	d := v.cfg.Params.D
-	for j := 0; j < d; j++ {
-		msg, err := p.RoundMessage()
-		if err != nil {
-			return tr, err
-		}
-		if tamper != nil {
-			msg = tamper(j+1, msg)
-		}
-		tr.Messages = append(tr.Messages, msg)
-		if err := v.Receive(msg); err != nil {
-			return tr, err
-		}
-		// The prover needs r_j to proceed to round j+1; after the final
-		// round no challenge is revealed.
-		if j < d-1 {
-			rj, err := v.Challenge()
-			if err != nil {
-				return tr, err
-			}
-			tr.Challenges = append(tr.Challenges, rj)
-			if err := p.Fold(rj); err != nil {
-				return tr, err
-			}
-		}
-	}
-	return tr, nil
-}

@@ -13,6 +13,58 @@ import (
 
 var f61 = field.Mersenne()
 
+// Transcript records one full conversation for inspection and accounting.
+type Transcript struct {
+	Messages   [][]field.Elem // prover → verifier, one per round
+	Challenges []field.Elem   // verifier → prover (r_1..r_{d-1} are sent; r_d never travels)
+}
+
+// CommWords counts the field elements exchanged in both directions, the
+// paper's communication measure t.
+func (tr Transcript) CommWords() int {
+	n := len(tr.Challenges)
+	for _, m := range tr.Messages {
+		n += len(m)
+	}
+	return n
+}
+
+// Run executes the complete conversation between a local prover and
+// verifier, optionally passing each message through tamper (nil means
+// honest delivery). It returns the transcript and the verifier's verdict:
+// a nil error means accepted. The protocols drive the same halves through
+// internal/core; this is the tests' direct driver.
+func Run(p *Prover, v *Verifier, tamper func(round int, evals []field.Elem) []field.Elem) (Transcript, error) {
+	var tr Transcript
+	d := v.cfg.Params.D
+	for j := 0; j < d; j++ {
+		msg, err := p.RoundMessage()
+		if err != nil {
+			return tr, err
+		}
+		if tamper != nil {
+			msg = tamper(j+1, msg)
+		}
+		tr.Messages = append(tr.Messages, msg)
+		if err := v.Receive(msg); err != nil {
+			return tr, err
+		}
+		// The prover needs r_j to proceed to round j+1; after the final
+		// round no challenge is revealed.
+		if j < d-1 {
+			rj, err := v.Challenge()
+			if err != nil {
+				return tr, err
+			}
+			tr.Challenges = append(tr.Challenges, rj)
+			if err := p.Fold(rj); err != nil {
+				return tr, err
+			}
+		}
+	}
+	return tr, nil
+}
+
 // buildTable converts a replayed stream into a field-element table.
 func buildTable(t *testing.T, f field.Field, ups []stream.Update, u uint64) []field.Elem {
 	t.Helper()
@@ -73,7 +125,7 @@ func runProtocol(t *testing.T, cfg Config, rng field.RNG, tables ...[]field.Elem
 	pt := lde.RandomPoint(cfg.Field, cfg.Params, rng)
 	vals := make([]field.Elem, len(tables))
 	for i, tab := range tables {
-		v, err := lde.EvalDense(pt, tab)
+		v, err := lde.EvalDenseWorkers(pt, tab, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +287,7 @@ func TestSoundnessLyingClaim(t *testing.T) {
 	table := buildTable(t, f61, ups, params.U)
 	cfg := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
 	pt := lde.RandomPoint(f61, params, rng)
-	val, err := lde.EvalDense(pt, table)
+	val, err := lde.EvalDenseWorkers(pt, table, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +322,7 @@ func TestSoundnessTamperedMessages(t *testing.T) {
 			ups := stream.UniformDeltas(params.U, 100, rng)
 			table := buildTable(t, f61, ups, params.U)
 			pt := lde.RandomPoint(f61, params, rng)
-			val, err := lde.EvalDense(pt, table)
+			val, err := lde.EvalDenseWorkers(pt, table, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -313,7 +365,7 @@ func TestSoundnessModifiedStream(t *testing.T) {
 	modified := buildTable(t, f61, ups[:len(ups)-1], params.U)
 	cfg := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
 	pt := lde.RandomPoint(f61, params, rng)
-	val, err := lde.EvalDense(pt, table)
+	val, err := lde.EvalDenseWorkers(pt, table, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +410,7 @@ func TestSoundnessRateSmallField(t *testing.T) {
 			table[i] = small.FromInt64(v)
 		}
 		pt := lde.RandomPoint(small, params, rng)
-		val, err := lde.EvalDense(pt, table)
+		val, err := lde.EvalDenseWorkers(pt, table, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -640,7 +692,7 @@ func BenchmarkProverF2(b *testing.B) {
 			}
 			cfg := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
 			pt := lde.RandomPoint(f61, params, rng)
-			val, err := lde.EvalDense(pt, table)
+			val, err := lde.EvalDenseWorkers(pt, table, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

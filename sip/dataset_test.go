@@ -30,21 +30,13 @@ func TestDatasetIngestOnceProveMany(t *testing.T) {
 	snap := ds.Snapshot()
 
 	// Several queries of different kinds against the same snapshot.
-	f2proto, err := sip.NewSelfJoinSize(f, u)
+	f2v := observedVerifier(t, f, u, sip.QuerySelfJoinSize, sip.NewSeededRNG(1), ups)
+	hht, err := sip.NewTicket(f, u, []sip.QueryKind{sip.QueryHeavyHitters}, sip.NewSeededRNG(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hhproto, err := sip.NewHeavyHitters(f, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2v := f2proto.NewVerifier(sip.NewSeededRNG(1))
-	hhv := hhproto.NewVerifier(sip.NewSeededRNG(2))
 	for _, up := range ups {
-		if err := f2v.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-		if err := hhv.Observe(up); err != nil {
+		if err := hht.Observe(up); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,10 +47,12 @@ func TestDatasetIngestOnceProveMany(t *testing.T) {
 	if _, err := sip.Run(p, f2v); err != nil {
 		t.Fatalf("F2 rejected: %v", err)
 	}
-	if err := hhv.SetQuery(0.01); err != nil {
+	hhq := sip.QueryParams{Phi: 0.01}
+	hhv, err := hht.Spend(sip.QueryHeavyHitters, hhq)
+	if err != nil {
 		t.Fatal(err)
 	}
-	hp, err := snap.NewProver(sip.QueryHeavyHitters, sip.QueryParams{Phi: 0.01})
+	hp, err := snap.NewProver(sip.QueryHeavyHitters, hhq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +67,7 @@ func TestDatasetIngestOnceProveMany(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := append(append([]sip.Update(nil), ups...), extra...)
-	v2 := f2proto.NewVerifier(sip.NewSeededRNG(3))
-	for _, up := range all {
-		if err := v2.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-	}
+	v2 := observedVerifier(t, f, u, sip.QuerySelfJoinSize, sip.NewSeededRNG(3), all)
 	p2, err := ds.Snapshot().NewProver(sip.QuerySelfJoinSize, sip.QueryParams{})
 	if err != nil {
 		t.Fatal(err)
@@ -131,16 +120,7 @@ func TestEngineDurableBudgeted(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		ups = append(ups, sip.Update{Index: rng.Uint64() % u, Delta: 1})
 	}
-	proto, err := sip.NewSelfJoinSize(f, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := proto.NewVerifier(sip.NewSeededRNG(8))
-	for _, up := range ups {
-		if err := v.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-	}
+	v := observedVerifier(t, f, u, sip.QuerySelfJoinSize, sip.NewSeededRNG(8), ups)
 
 	a, err := eng.Open("a", u)
 	if err != nil {

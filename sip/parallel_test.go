@@ -20,25 +20,16 @@ func TestParallelProverPublicAPI(t *testing.T) {
 
 	results := make([]sip.Elem, 0, 3)
 	for _, workers := range []int{0, 4, -1} {
-		proto, err := sip.NewSelfJoinSize(f, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := proto.NewVerifier(sip.NewSeededRNG(456))
-		for _, up := range ups {
-			if err := v.Observe(up); err != nil {
-				t.Fatal(err)
-			}
-		}
+		v := observedVerifier(t, f, u, sip.QuerySelfJoinSize, sip.NewSeededRNG(456), ups)
 		p := datasetProver(t, f, u, workers, ups, sip.QuerySelfJoinSize, sip.QueryParams{})
 		if _, err := sip.Run(p, v); err != nil {
 			t.Fatalf("workers=%d: rejected: %v", workers, err)
 		}
-		res, err := v.Result()
+		res, err := sip.AnswerOf(sip.QuerySelfJoinSize, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		results = append(results, res)
+		results = append(results, res.Elem)
 	}
 	if results[0] != results[1] || results[0] != results[2] {
 		t.Fatalf("results differ across worker counts: %v", results)

@@ -15,14 +15,19 @@
 // Supported queries (paper section in parentheses):
 //
 //	SELF-JOIN SIZE / F2, frequency moments Fk   (§3.1, §3.2)
-//	INNER PRODUCT / join size, RANGE-SUM        (§3.2)
-//	SUB-VECTOR, RANGE QUERY, INDEX, DICTIONARY,
+//	RANGE-SUM                                   (§3.2)
+//	RANGE QUERY (SUB-VECTOR), INDEX, DICTIONARY,
 //	PREDECESSOR, SUCCESSOR                      (§4)
 //	HEAVY HITTERS, k-LARGEST                    (§6.1)
-//	F0, inverse distribution, Fmax              (§6.2)
+//	F0, Fmax                                    (§6.2)
 //	CIRCUIT: GKR over layered arithmetic
 //	circuits — F2 cross-check, COUNT,
 //	MATMUL (verified matrix product)            (§3 Remarks, Thm. 3, App. A)
+//
+// Each is one QueryKind: a dataset proves it, a Ticket or NewQueryVerifier
+// checks it, and AnswerOf reads the verified result. The paper's INNER
+// PRODUCT (§3.2) and inverse distribution (§6.2) protocols live in
+// internal/core, tested there, with no query kind.
 //
 // Typical use — the cloud holds the data as a Dataset, ingested once and
 // queried many times; the data owner keeps one small ticket per query it
@@ -55,16 +60,14 @@
 //
 // # Parallel proving
 //
-// The prover is the expensive party (Θ(u log u)-ish field work for the
-// multi-round protocols, Θ(u^{3/2}) one-round), and its table scans are
-// embarrassingly parallel. A dataset's workers argument (and every
-// protocol struct's Workers field) sets the fan-out: 0 proves serially,
-// n > 0 fans each scan out across n goroutines, and -1 selects
-// runtime.NumCPU(). Because all arithmetic is exact field arithmetic
-// combined in deterministic chunk order, the transcript — every message,
-// every claim — is bit-identical for every worker count; only wall-clock
-// time changes. The verifier's costs are already logarithmic and are
-// unaffected.
+// The prover is the expensive party (Θ(u log u)-ish field work), and
+// its table scans are embarrassingly parallel. A dataset's workers
+// argument sets the fan-out: 0 proves serially, n > 0 fans each scan out
+// across n goroutines, and -1 selects runtime.NumCPU(). Because all
+// arithmetic is exact field arithmetic combined in deterministic chunk
+// order, the transcript — every message, every claim — is bit-identical
+// for every worker count; only wall-clock time changes. The verifier's
+// costs are already logarithmic and are unaffected.
 //
 // Over the wire, conversations are multiplexed: each query runs on its
 // own channel of the connection in its own server goroutine against its
@@ -87,12 +90,13 @@
 //	defer eng.Close()                   // stop + final flush: loss-free shutdown
 //	n, _ := eng.Recover()               // after a restart: reload every dataset
 //
-// A dataset's resident tables cost 8 bytes of counts per padded universe
-// entry plus at most 1 of live-pair lists: the counts are every prover's
-// one input, and no field image of them is held. Admission control at
-// Open (and at rehydration) keeps resident tables under the budget by
-// evicting least-recently-used datasets: each one
-// checkpoints to the data dir (a versioned, checksummed, atomically
+// A dataset's resident tables cost 11 bytes per padded universe entry: 8
+// of counts, 1 of a proved version's live-pair lists and 2 of the packed
+// live-pair values its sparse proofs open with (engine.TableCost). The
+// counts are every prover's one input, and no field image of them is
+// held. Admission control at Open (and at rehydration) keeps resident
+// tables under the budget by evicting least-recently-used datasets: each
+// one checkpoints to the data dir (a versioned, checksummed, atomically
 // renamed file that costs what the dataset holds: an all-zero chunk of
 // the table is not written, a sparse one is written as pairs), frees
 // its tables, and rehydrates transparently on its next use, rebuilding
@@ -221,6 +225,11 @@ const (
 	QueryRangeSum     = engine.QueryRangeSum
 	QueryRangeQuery   = engine.QueryRangeQuery
 	QueryIndex        = engine.QueryIndex
+	// QueryDictionary answers get(A) over a key-value stream. A put of
+	// (key, value) is the update Update{Index: key, Delta: value+1}: the
+	// +1 shift tells a stored 0 from an absent key. Keys are distinct
+	// across the stream, values are below u, and u < p/2. The answer's
+	// At is the value and Found whether the key is present.
 	QueryDictionary   = engine.QueryDictionary
 	QueryPredecessor  = engine.QueryPredecessor
 	QuerySuccessor    = engine.QuerySuccessor
@@ -387,103 +396,6 @@ func NewEngine(f Field, workers int) *Engine { return engine.New(f, workers) }
 func NewDataset(f Field, u uint64, workers int) (*Dataset, error) {
 	return engine.NewDataset(f, u, workers)
 }
-
-// ---------------------------------------------------------------------
-// Protocol constructors (aliases into internal/core)
-
-// Fk is the frequency-moment protocol (F2 = SELF-JOIN SIZE).
-type Fk = core.Fk
-
-// InnerProduct is the two-stream join-size protocol.
-type InnerProduct = core.InnerProduct
-
-// RangeSum is the keyed range-aggregation protocol.
-type RangeSum = core.RangeSum
-
-// SubVector is the reporting-query workhorse (RANGE QUERY et al.).
-type SubVector = core.SubVector
-
-// Index, Dictionary, Predecessor, Successor and KLargest specialize
-// SubVector per §4.2 and §6.1.
-type (
-	Index       = core.Index
-	Dictionary  = core.Dictionary
-	Predecessor = core.Predecessor
-	Successor   = core.Successor
-	KLargest    = core.KLargest
-)
-
-// HeavyHitters is the §6.1 protocol.
-type HeavyHitters = core.HeavyHitters
-
-// FrequencyBased is the §6.2 protocol family; Fmax composes it with an
-// INDEX witness.
-type (
-	FrequencyBased = core.FrequencyBased
-	Fmax           = core.Fmax
-)
-
-// NewSelfJoinSize returns the SELF-JOIN SIZE (F2) protocol over [0, u).
-func NewSelfJoinSize(f Field, u uint64) (*Fk, error) { return core.NewSelfJoinSize(f, u) }
-
-// NewFk returns the k-th frequency moment protocol over [0, u).
-func NewFk(f Field, u uint64, k int) (*Fk, error) { return core.NewFk(f, u, k) }
-
-// NewInnerProduct returns the INNER PRODUCT protocol over [0, u).
-func NewInnerProduct(f Field, u uint64) (*InnerProduct, error) { return core.NewInnerProduct(f, u) }
-
-// NewRangeSum returns the RANGE-SUM protocol over [0, u).
-func NewRangeSum(f Field, u uint64) (*RangeSum, error) { return core.NewRangeSum(f, u) }
-
-// NewSubVector returns the SUB-VECTOR protocol over [0, u).
-func NewSubVector(f Field, u uint64) (*SubVector, error) { return core.NewSubVector(f, u) }
-
-// NewRangeQuery returns the RANGE QUERY protocol over [0, u).
-func NewRangeQuery(f Field, u uint64) (*SubVector, error) { return core.NewRangeQuery(f, u) }
-
-// NewIndex returns the INDEX protocol over [0, u).
-func NewIndex(f Field, u uint64) (*Index, error) { return core.NewIndex(f, u) }
-
-// NewDictionary returns the verified key-value store protocol over [0, u).
-func NewDictionary(f Field, u uint64) (*Dictionary, error) { return core.NewDictionary(f, u) }
-
-// NewPredecessor returns the PREDECESSOR protocol over [0, u).
-func NewPredecessor(f Field, u uint64) (*Predecessor, error) { return core.NewPredecessor(f, u) }
-
-// NewSuccessor returns the SUCCESSOR protocol over [0, u).
-func NewSuccessor(f Field, u uint64) (*Successor, error) { return core.NewSuccessor(f, u) }
-
-// NewKLargest returns the k-th largest protocol over [0, u).
-func NewKLargest(f Field, u uint64) (*KLargest, error) { return core.NewKLargest(f, u) }
-
-// NewHeavyHitters returns the φ-heavy-hitters protocol over [0, u).
-func NewHeavyHitters(f Field, u uint64) (*HeavyHitters, error) { return core.NewHeavyHitters(f, u) }
-
-// NewF0 returns the distinct-count protocol over [0, u); phi = 0 selects
-// the paper's default φ = u^{-1/2}.
-func NewF0(f Field, u uint64, phi float64) (*FrequencyBased, error) { return core.NewF0(f, u, phi) }
-
-// NewInverseDistribution returns the "how many items occur exactly k
-// times" protocol over [0, u).
-func NewInverseDistribution(f Field, u uint64, phi float64, k int64) (*FrequencyBased, error) {
-	return core.NewInverseDistribution(f, u, phi, k)
-}
-
-// NewFrequencyBased returns the generic Σ h(a_i) protocol over [0, u).
-func NewFrequencyBased(f Field, u uint64, phi float64, h func(int64) Elem) (*FrequencyBased, error) {
-	return core.NewFrequencyBased(f, u, phi, h)
-}
-
-// NewFmax returns the maximum-frequency protocol over [0, u).
-func NewFmax(f Field, u uint64, phi float64) (*Fmax, error) { return core.NewFmax(f, u, phi) }
-
-// MultiFk is the §7 "Multiple Queries" direct-sum batch: several
-// frequency-moment queries verified in one conversation sharing a single
-// random point and challenge schedule.
-type MultiFk = core.MultiFk
-
-// NewMultiFk returns a batch protocol with one slot per entry of ks.
-func NewMultiFk(f Field, u uint64, ks []int) (*MultiFk, error) { return core.NewMultiFk(f, u, ks) }
 
 // ---------------------------------------------------------------------
 // One-call conveniences

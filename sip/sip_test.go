@@ -26,6 +26,22 @@ func datasetProver(t *testing.T, f sip.Field, u uint64, workers int, ups []sip.U
 	return p
 }
 
+// observedVerifier is the data owner's side: kind's verifier over
+// [0, u), with no query parameters, fed the stream once.
+func observedVerifier(t *testing.T, f sip.Field, u uint64, kind sip.QueryKind, rng sip.RNG, ups []sip.Update) sip.StreamVerifier {
+	t.Helper()
+	v, err := sip.NewQueryVerifier(f, u, kind, sip.QueryParams{}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, up := range ups {
+		if err := v.Observe(up); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return v
+}
+
 func TestVerifySelfJoinSize(t *testing.T) {
 	const u = 1 << 10
 	rng := sip.NewSeededRNG(1)
@@ -111,46 +127,45 @@ func TestVerifyHeavyHittersAndF0(t *testing.T) {
 }
 
 // TestDictionaryWorkflow exercises the motivating key-value store example
-// end to end through the public API.
+// end to end through the public API: puts are encoded as the
+// QueryDictionary doc says, and each get is one ticket spent on its key.
 func TestDictionaryWorkflow(t *testing.T) {
 	const u = 1 << 10
-	proto, err := sip.NewDictionary(sip.Mersenne(), u)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := sip.Mersenne()
 	puts := []sip.KVPair{{Key: 42, Value: 7}, {Key: 100, Value: 0}, {Key: 999, Value: 123}}
 	var ups []sip.Update
 	for _, kv := range puts {
-		up, err := proto.PutUpdate(kv.Key, kv.Value)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ups = append(ups, up)
+		ups = append(ups, sip.Update{Index: kv.Key, Delta: int64(kv.Value) + 1})
 	}
 	for _, q := range []struct {
 		key   uint64
 		want  uint64
 		found bool
 	}{{42, 7, true}, {100, 0, true}, {999, 123, true}, {43, 0, false}} {
-		v := proto.NewVerifier(sip.NewSeededRNG(9))
-		for _, up := range ups {
-			if err := v.Observe(up); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := v.SetQuery(q.key); err != nil {
-			t.Fatal(err)
-		}
-		p := datasetProver(t, sip.Mersenne(), u, 0, ups, sip.QueryDictionary, sip.QueryParams{A: q.key})
-		if _, err := sip.Run(p, v); err != nil {
-			t.Fatalf("get(%d) rejected: %v", q.key, err)
-		}
-		val, found, err := v.Value()
+		tk, err := sip.NewTicket(f, u, []sip.QueryKind{sip.QueryDictionary}, sip.NewSeededRNG(9))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if val != q.want || found != q.found {
-			t.Fatalf("get(%d) = (%d,%v), want (%d,%v)", q.key, val, found, q.want, q.found)
+		for _, up := range ups {
+			if err := tk.Observe(up); err != nil {
+				t.Fatal(err)
+			}
+		}
+		params := sip.QueryParams{A: q.key}
+		v, err := tk.Spend(sip.QueryDictionary, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := datasetProver(t, f, u, 0, ups, sip.QueryDictionary, params)
+		if _, err := sip.Run(p, v); err != nil {
+			t.Fatalf("get(%d) rejected: %v", q.key, err)
+		}
+		ans, err := sip.AnswerOf(sip.QueryDictionary, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.At != q.want || ans.Found != q.found {
+			t.Fatalf("get(%d) = (%d,%v), want (%d,%v)", q.key, ans.At, ans.Found, q.want, q.found)
 		}
 	}
 }
@@ -159,17 +174,8 @@ func TestDictionaryWorkflow(t *testing.T) {
 // the public API.
 func TestTamperThroughFacade(t *testing.T) {
 	const u = 256
-	proto, err := sip.NewSelfJoinSize(sip.Mersenne(), u)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ups := stream.UniformDeltas(u, 10, sip.NewSeededRNG(10))
-	v := proto.NewVerifier(sip.NewSeededRNG(11))
-	for _, up := range ups {
-		if err := v.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-	}
+	v := observedVerifier(t, sip.Mersenne(), u, sip.QuerySelfJoinSize, sip.NewSeededRNG(11), ups)
 	p := datasetProver(t, sip.Mersenne(), u, 0, ups, sip.QuerySelfJoinSize, sip.QueryParams{})
 	tp := &sip.TamperedProver{P: p, T: func(r int, m sip.Msg) sip.Msg {
 		if r == 1 && len(m.Elems) > 0 {
