@@ -64,7 +64,8 @@ func main() {
 
 	// Act 2: a cloud that tampers with one sumcheck message.
 	runAttack := func(name string, updates []sip.Update, tamper sip.Tamperer) {
-		v, err := sip.NewCircuitVerifier(f, spec, u, sip.NewCryptoRNG())
+		query := sip.QueryParams{Circuit: spec.Name, A: spec.Arg}
+		v, err := sip.NewQueryVerifier(f, u, sip.QueryCircuit, query, sip.NewCryptoRNG())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func main() {
 		if err := ds.Ingest(cloudData); err != nil {
 			log.Fatal(err)
 		}
-		p, err := ds.Snapshot().NewProver(sip.QueryCircuit, sip.QueryParams{Circuit: spec.Name, A: spec.Arg})
+		p, err := ds.Snapshot().NewProver(sip.QueryCircuit, query)
 		if err != nil {
 			log.Fatal(err)
 		}

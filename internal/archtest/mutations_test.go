@@ -39,6 +39,23 @@ func SumDeltas(updates []Update) int64 {
 }
 `
 
+// streamBatch adds a type with an exported method no non-test code calls
+// to internal/stream.
+const streamBatch = `package stream
+
+// Batch is a run of updates.
+type Batch []Update
+
+// Span returns the width of the index range the batch touches.
+func (b Batch) Span() uint64 {
+	lo, hi := b[0].Index, b[0].Index
+	for _, u := range b {
+		lo, hi = min(lo, u.Index), max(hi, u.Index)
+	}
+	return hi - lo + 1
+}
+`
+
 var rows = []row{
 	// sumcheck-halves
 	{rule: "sumcheck-halves", name: "function value", files: map[string]string{"internal/engine/mk.go": `package engine
@@ -173,6 +190,17 @@ func kindName(k QueryKind) string {
 	return ""
 }
 `}, want: []string{"a test switches on engine.QueryKind"}},
+	{rule: "kind-table", name: "harness names a summary family", files: map[string]string{"internal/harness/draw.go": `package harness
+
+import (
+	"repro/internal/core"
+	"repro/internal/field"
+)
+
+func draw(f field.Field, d int, rng field.RNG) core.Summary {
+	return core.DrawSummary(f, d, core.FamilyPoint, rng)
+}
+`}, want: []string{"names core.FamilyPoint"}},
 
 	// no-concrete-verifier
 	{rule: "no-concrete-verifier", name: "type switch case", files: map[string]string{"sip/answer.go": `package sip
@@ -193,14 +221,16 @@ import "repro/internal/core"
 
 func fk(v core.VerifierSession) *core.FkVerifier { return v.(*core.FkVerifier) }
 `}, want: []string{"asserts the concrete verifier type"}},
-	{rule: "no-concrete-verifier", name: "assertion through a sip alias", files: map[string]string{"cmd/sipclient/assert.go": `package main
+	{rule: "no-concrete-verifier", name: "assertion through a sip alias", files: map[string]string{"sip/assert.go": `package sip
 
 import (
 	"repro/internal/core"
-	"repro/sip"
+	"repro/internal/gkr"
 )
 
-func circuit(v core.VerifierSession) *sip.CircuitVerifier { return v.(*sip.CircuitVerifier) }
+type CircuitVerifier = gkr.VerifierSession
+
+func circuit(v core.VerifierSession) *CircuitVerifier { return v.(*CircuitVerifier) }
 `}, want: []string{"asserts the concrete verifier type *repro/internal/gkr.VerifierSession"}},
 	{rule: "no-concrete-verifier", name: "streaming client builds a verifier", files: map[string]string{"internal/kvstore/verifier.go": `package kvstore
 
@@ -214,9 +244,9 @@ func verifier(f field.Field, u uint64) (core.VerifierSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	return proto.NewVerifier(field.CryptoRNG{}), nil
+	return proto.Adopt(core.DrawSummary(f, proto.Params.D, core.FamilyPoint, field.CryptoRNG{})), nil
 }
-`}, want: []string{"builds a verifier with NewVerifier"}},
+`}, want: []string{"builds a verifier with Adopt"}},
 	{rule: "no-concrete-verifier", name: "streaming client keeps a verifier maker", files: map[string]string{"examples/concurrentqueries/mk.go": `package main
 
 import (
@@ -224,10 +254,10 @@ import (
 	"repro/internal/field"
 )
 
-func maker(proto *core.RangeSum) func(field.RNG) *core.RangeSumVerifier {
-	return proto.NewVerifier
+func maker(proto *core.RangeSum, rng field.RNG) (func(core.Summary) *core.RangeSumVerifier, core.Summary) {
+	return proto.Adopt, core.DrawSummary(proto.F, proto.Params.D, core.FamilyPoint, rng)
 }
-`}, want: []string{"builds a verifier with NewVerifier"}},
+`}, want: []string{"builds a verifier with Adopt"}},
 
 	// codec-seams
 	{rule: "codec-seams", name: "non-test conformance import", files: map[string]string{"cmd/sipbench/conf.go": `package main
@@ -498,6 +528,25 @@ func last(ups []Update) Update { return Pick(ups, len(ups)-1) }
 // Pick returns its argument.
 func Pick(i int) int { return i }
 `}},
+	{rule: "test-only-export", name: "method only a test calls", files: map[string]string{
+		"internal/stream/batch.go": streamBatch,
+		"internal/stream/batch_test.go": `package stream
+
+import "testing"
+
+func TestSpan(t *testing.T) { _ = Batch{{}}.Span() }
+`}, want: []string{"internal/stream.Batch.Span is an exported method only tests call"}},
+	{rule: "test-only-export", name: "method used through a literal interface", clean: true, files: map[string]string{
+		"internal/stream/batch.go": streamBatch + `
+// spanOf reads any span.
+func spanOf(x interface{ Span() uint64 }) uint64 { return x.Span() }
+`}},
+	{rule: "test-only-export", name: "listed method gains a non-test use", files: map[string]string{"cmd/siprouter/table.go": `package main
+
+import "repro/internal/shard"
+
+func routes(r *shard.Router) *shard.Table { return r.Table() }
+`}, want: []string{"internal/shard.Router.Table is listed in testOnlyMethods, but non-test code uses it"}},
 }
 
 // TestMutations checks that every rule reports each of its rows, and that

@@ -440,15 +440,32 @@ func proverSide(t *testing.T, m *module) []string {
 // sip.).
 func isKind(t types.Type) bool { return t != nil && isNamed(t, enginePath, "QueryKind") }
 
+// familyHomes are the non-test files that name a summary family: core's
+// summary.go, which draws them, and the kind table, which says which
+// families each kind's verifier adopts.
+var familyHomes = []string{"internal/core/summary.go", "internal/engine/kinds.go"}
+
 // kindTable: a query kind is one row of internal/engine/kinds.go. Nothing
 // outside that file and bench/ (whose check.go keeps its own answers as
 // the benchmark's independent oracle) switches on an engine.QueryKind,
 // whichever alias names it: no switch has a QueryKind tag or a QueryKind
 // case. Test files are held to it through their imports: a case naming a
-// QueryKind constant.
+// QueryKind constant. The row's families column is the one choice of a
+// verifier's summaries: no non-test file but familyHomes names
+// core.FamilyTree, FamilyPoint or FamilyAug.
 func kindTable(t *testing.T, m *module) []string {
 	fs := &findings{m: m}
 	for _, p := range m.order {
+		uses(p, func(f *ast.File, _ *ast.FuncDecl, id *ast.Ident, obj types.Object) {
+			if slices.Contains(familyHomes, m.name(f)) {
+				return
+			}
+			for _, fam := range []string{"FamilyTree", "FamilyPoint", "FamilyAug"} {
+				if isConst(obj, corePath, fam) {
+					fs.add(id.Pos(), "names core.%s; a kind's summary families are its row's families column in internal/engine/kinds.go", fam)
+				}
+			}
+		})
 		if within(p.dir, "bench") {
 			continue
 		}
@@ -686,11 +703,11 @@ func noArgNewProver(n ast.Node) *ast.SelectorExpr {
 // sessions (core.Run drives them), and no package-own rejection
 // sentinel.
 var gkrAPI = []string{
-	"New", "NewProtocolFor", "NewVerifierFor",
+	"New", "NewProtocolFor",
 	"Protocol", "Protocol.C", "Protocol.F", "Protocol.InputFromCounts", "Protocol.NewProverSession",
 	"Protocol.NewVerifierSession", "Protocol.Wiring", "Protocol.Workers",
 	"ProverSession", "ProverSession.Open", "ProverSession.Step",
-	"VerifierSession", "VerifierSession.Begin", "VerifierSession.Observe", "VerifierSession.Output",
+	"VerifierSession", "VerifierSession.Begin", "VerifierSession.Observe",
 	"VerifierSession.Outputs", "VerifierSession.SpaceWords", "VerifierSession.Step",
 }
 
@@ -1055,30 +1072,55 @@ var testOnly = map[string]string{
 	"internal/wire/frames.EncodeMsg":       "the message encoding the wire and shard tests forge frames with",
 }
 
-// testOnlyExport: every exported package-level function under internal/
-// has a non-test use somewhere in the module (in its own package too, but
-// not in its own body), or is listed in testOnly with the reason it stays
-// exported; a function only tests call belongs in the test file that
-// uses it. internal/conformance, which exists for tests, is exempt. A
-// listed function has no non-test use, and every listed name is declared.
-// Types and methods are out of scope: a type is often used only through a
-// constructor's result, and a use through an interface does not show as
-// a use of the concrete method.
+// testOnlyMethods lists the exported methods under internal/ that no
+// non-test code uses, by package directory, receiver type and name, each
+// with the reason it stays exported.
+var testOnlyMethods = map[string]string{
+	"internal/circuit.Circuit.Evaluate":              "the plain evaluation the GKR and circuit tests check the protocol's outputs against",
+	"internal/core.InnerProduct.NewProverFromTables": "the paper's §3.2 two-stream protocol: library-only, no query kind serves it (testOnly's NewInnerProduct)",
+	"internal/core.InnerProduct.NewVerifier":         "the §3.2 protocol's verifier: two streams, so no summary family or kind row draws it",
+	"internal/core.InnerProductVerifier.ObserveA":    "feeds the §3.2 verifier's first stream",
+	"internal/core.InnerProductVerifier.ObserveB":    "feeds the §3.2 verifier's second stream",
+	"internal/shard.Router.SetTable":                 "conformance's restart cells re-address a restarted shard with it",
+	"internal/shard.Router.Table":                    "conformance's restart cells read the table they re-address",
+	"internal/sumcheck.LivePairs.Indices":            "the sumcheck tests check a live-pair scan's order and contents with it",
+	"internal/sumcheck.LivePairs.Len":                "the sumcheck tests check a live-pair scan's size with it",
+	"internal/sumcheck.LivePairs.Sparse":             "the sumcheck tests check which form a live-pair scan took with it",
+}
+
+// testOnlyExport: every exported package-level function and every
+// exported method under internal/ has a non-test use somewhere in the
+// module (in its own package too, but not in its own body), or is listed
+// in testOnly or testOnlyMethods with the reason it stays exported; a
+// function only tests call belongs in the test file that uses it, and a
+// method only its own package's tests call goes (they read the field
+// instead). A method is also used when an interface type that non-test
+// code mentions, a literal or the standard library's, declares its name
+// and signature (a type parameter there matches any type), when it is
+// the error protocol's Unwrap, or when sip re-exports its type by alias
+// (library API). internal/conformance, which exists for tests, is exempt.
+// A listed name has no non-test use, and every listed name is declared.
 func testOnlyExport(t *testing.T, m *module) []string {
 	fs := &findings{m: m}
-	used := map[string]bool{}
+	used := map[string]token.Pos{} // a use of each used name
 	for _, p := range m.order {
-		uses(p, func(_ *ast.File, decl *ast.FuncDecl, _ *ast.Ident, obj types.Object) {
+		uses(p, func(_ *ast.File, decl *ast.FuncDecl, id *ast.Ident, obj types.Object) {
 			fn, ok := obj.(*types.Func)
-			if !ok || fn.Pkg() == nil || recvName(fn.Origin()) != "" {
+			if !ok || fn.Pkg() == nil {
 				return
 			}
-			if decl != nil && decl.Recv == nil && decl.Name.Name == fn.Name() && fn.Pkg().Path() == p.path {
+			if r := fn.Type().(*types.Signature).Recv(); r != nil && types.IsInterface(r.Type()) {
+				return // an interface's method: see interfaceMethods
+			}
+			recv := recvName(fn.Origin())
+			if decl != nil && declRecv(decl) == recv && decl.Name.Name == fn.Name() && fn.Pkg().Path() == p.path {
 				return // recursion is no use
 			}
-			used[strings.TrimPrefix(fn.Pkg().Path(), modulePath+"/")+"."+fn.Name()] = true
+			used[methodKey(strings.TrimPrefix(fn.Pkg().Path(), modulePath+"/"), recv, fn.Name())] = id.Pos()
 		})
 	}
+	ifaces := interfaceMethods(m)
+	library := sipAliased(m)
 	declared := map[string]bool{}
 	for _, p := range m.order {
 		if !within(p.dir, "internal") || within(p.dir, "internal/conformance") {
@@ -1087,25 +1129,178 @@ func testOnlyExport(t *testing.T, m *module) []string {
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Recv != nil || !fd.Name.IsExported() {
+				if !ok || !fd.Name.IsExported() {
 					continue
 				}
-				key := p.dir + "." + fd.Name.Name
+				recv := declRecv(fd)
+				key := methodKey(p.dir, recv, fd.Name.Name)
 				declared[key] = true
-				_, listed := testOnly[key]
+				list, listName, what := testOnly, "testOnly", "exported, but only tests call it; move it into the test file that uses it"
+				at, isUsed := used[key]
+				if recv != "" {
+					list, listName, what = testOnlyMethods, "testOnlyMethods", "an exported method only tests call; delete it if only its own package's tests do"
+					fn, _ := p.info.Defs[fd.Name].(*types.Func)
+					if !isUsed && (library[p.dir+"."+recv] || fn != nil && ifaces.declare(fn)) {
+						at, isUsed = fd.Name.Pos(), true
+					}
+				}
+				_, listed := list[key]
 				switch {
-				case !used[key] && !listed:
-					fs.add(fd.Name.Pos(), "%s is exported, but only tests call it; move it into the test file that uses it, or list it in testOnly with a reason", key)
-				case used[key] && listed:
-					fs.add(fd.Name.Pos(), "%s is listed in testOnly, but non-test code uses it; drop it from the list", key)
+				case !isUsed && !listed:
+					fs.add(fd.Name.Pos(), "%s is %s, or list it in %s with a reason", key, what, listName)
+				case isUsed && listed:
+					fs.add(at, "%s is listed in %s, but non-test code uses it; drop it from the list", key, listName)
 				}
 			}
 		}
 	}
-	for key := range testOnly {
-		if !declared[key] {
-			fs.add(m.pkgs[modulePath+"/internal/archtest"].tests[0].Package, "testOnly lists %s, which is not declared; drop it from the list", key)
+	for listName, list := range map[string]map[string]string{"testOnly": testOnly, "testOnlyMethods": testOnlyMethods} {
+		for key := range list {
+			if !declared[key] {
+				fs.add(m.pkgs[modulePath+"/internal/archtest"].tests[0].Package, "%s lists %s, which is not declared; drop it from the list", listName, key)
+			}
 		}
 	}
 	return fs.sorted()
+}
+
+// methodKey names a function "dir.Name" and a method "dir.Recv.Name".
+func methodKey(dir, recv, name string) string {
+	if recv == "" {
+		return dir + "." + name
+	}
+	return dir + "." + recv + "." + name
+}
+
+// sigs holds interface method signatures by method name.
+type sigs map[string][]*types.Signature
+
+// declare reports whether an interface in s declares fn's name and
+// signature, a type parameter there matching any type, or fn is the
+// error protocol's Unwrap, which errors.Is and errors.As call through an
+// interface of the standard library's own.
+func (s sigs) declare(fn *types.Func) bool {
+	sig := fn.Type().(*types.Signature)
+	if fn.Name() == "Unwrap" && sig.Params().Len() == 0 && sig.Results().Len() == 1 {
+		return true
+	}
+	for _, is := range s[fn.Name()] {
+		if fits(sig, is) {
+			return true
+		}
+	}
+	return false
+}
+
+// fits reports whether a method of signature sig has the interface
+// method signature is, a type parameter in is matching any type.
+func fits(sig, is *types.Signature) bool {
+	if types.Identical(sig, is) {
+		return true
+	}
+	if sig.Variadic() != is.Variadic() {
+		return false
+	}
+	for _, tt := range [][2]*types.Tuple{{sig.Params(), is.Params()}, {sig.Results(), is.Results()}} {
+		if tt[0].Len() != tt[1].Len() {
+			return false
+		}
+		for i := 0; i < tt[0].Len(); i++ {
+			x, y := tt[0].At(i).Type(), tt[1].At(i).Type()
+			if _, param := y.(*types.TypeParam); !param && !types.Identical(x, y) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// interfaceMethods collects the methods of every interface type non-test
+// code mentions: the types of its expressions and of the objects it
+// declares and uses, and the types those are built from (a called
+// function's parameters included), through the standard library too.
+func interfaceMethods(m *module) sigs {
+	out := sigs{}
+	seen := map[types.Type]bool{}
+	var visit func(t types.Type)
+	visit = func(t types.Type) {
+		if t == nil || seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t := t.(type) {
+		case *types.Alias:
+			visit(types.Unalias(t))
+		case *types.Named:
+			if _, ok := t.Underlying().(*types.Interface); ok {
+				visit(t.Underlying())
+			}
+			for i := 0; i < t.TypeArgs().Len(); i++ {
+				visit(t.TypeArgs().At(i))
+			}
+		case *types.Interface:
+			for i := 0; i < t.NumMethods(); i++ {
+				fn := t.Method(i)
+				out[fn.Name()] = append(out[fn.Name()], fn.Type().(*types.Signature))
+				visit(fn.Type())
+			}
+		case *types.Signature:
+			visit(t.Params())
+			visit(t.Results())
+		case *types.Tuple:
+			for i := 0; i < t.Len(); i++ {
+				visit(t.At(i).Type())
+			}
+		case *types.Pointer:
+			visit(t.Elem())
+		case *types.Slice:
+			visit(t.Elem())
+		case *types.Array:
+			visit(t.Elem())
+		case *types.Chan:
+			visit(t.Elem())
+		case *types.Map:
+			visit(t.Key())
+			visit(t.Elem())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				visit(t.Field(i).Type())
+			}
+		case *types.TypeParam:
+			visit(t.Constraint())
+		}
+	}
+	for _, p := range m.order {
+		for _, tv := range p.info.Types {
+			visit(tv.Type)
+		}
+		for _, objs := range []map[*ast.Ident]types.Object{p.info.Defs, p.info.Uses} {
+			for _, obj := range objs {
+				if obj != nil {
+					visit(obj.Type())
+				}
+			}
+		}
+	}
+	return out
+}
+
+// sipAliased returns the types sip re-exports by alias, as "dir.Type":
+// their methods are the library's API.
+func sipAliased(m *module) map[string]bool {
+	out := map[string]bool{}
+	p := m.pkgs[modulePath+"/sip"]
+	if p == nil {
+		return out
+	}
+	for _, obj := range p.info.Defs {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || !tn.IsAlias() || tn.Parent() != p.types.Scope() {
+			continue
+		}
+		if n := named(tn.Type()); n != nil && n.Obj().Pkg() != nil {
+			out[strings.TrimPrefix(n.Obj().Pkg().Path(), modulePath+"/")+"."+n.Obj().Name()] = true
+		}
+	}
+	return out
 }

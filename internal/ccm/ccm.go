@@ -161,11 +161,6 @@ func (pr *Prover) Observe(i uint64, delta int64) error {
 	return nil
 }
 
-// Total returns the true F2 (the claimed answer implied by the proof).
-func (pr *Prover) Total() field.Elem {
-	return pr.proto.F.DotSlices(pr.table, pr.table)
-}
-
 // proveTile is how many beyond-node evaluation points share one pass over
 // the frequency table in Prove. Each table row is read once per tile
 // instead of once per point, and a tile's χ rows (proveTile·ℓ words) stay

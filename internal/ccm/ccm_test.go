@@ -74,8 +74,8 @@ func TestCompleteness(t *testing.T) {
 		if want := refF2(t, ups, proto.U); got != want {
 			t.Fatalf("u=%d: F2 = %d, want %d", u, got, want)
 		}
-		if p.Total() != got {
-			t.Fatalf("u=%d: Total %d ≠ verified %d", u, p.Total(), got)
+		if total := proto.F.DotSlices(p.table, p.table); total != got {
+			t.Fatalf("u=%d: prover's F2 %d ≠ verified %d", u, total, got)
 		}
 		// Θ(√u) accounting.
 		if v.SpaceWords() != 2*proto.Ell+1 {

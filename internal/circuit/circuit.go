@@ -131,15 +131,6 @@ func (c *Circuit) EvaluateWorkers(f field.Field, input []field.Elem, workers int
 	return values, nil
 }
 
-// Size returns the total gate count.
-func (c *Circuit) Size() int {
-	n := 0
-	for _, l := range c.Layers {
-		n += len(l.Gates)
-	}
-	return n
-}
-
 // NewF2Circuit builds the circuit computing F2 = Σ_i a_i² over 2^k
 // inputs: one squaring layer (mult(i,i)) under a binary tree of adds.
 // Depth k+1, size 2^{k+1} - 1 + 2^k gates.

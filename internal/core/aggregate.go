@@ -50,12 +50,6 @@ func NewFkWithParams(f field.Field, params lde.Params, k int) (*Fk, error) {
 	return p, nil
 }
 
-// NewSelfJoinSize returns the SELF-JOIN SIZE (F2) protocol, the paper's
-// headline aggregation query.
-func NewSelfJoinSize(f field.Field, u uint64) (*Fk, error) {
-	return NewFk(f, u, 2)
-}
-
 func (p *Fk) scConfig() sumcheck.Config {
 	return sumcheck.Config{Field: p.F, Params: p.Params, Combiner: sumcheck.Power{K: p.K}, Workers: p.Workers}
 }
@@ -68,12 +62,6 @@ type FkVerifier struct {
 	scVerifier
 	proto *Fk
 	ev    *lde.Evaluator
-}
-
-// NewVerifier samples the secret point r (before the stream, as required)
-// and adopts it.
-func (p *Fk) NewVerifier(rng field.RNG) *FkVerifier {
-	return p.Adopt(Summary{Point: lde.NewEvaluator(lde.RandomPoint(p.F, p.Params, rng))})
 }
 
 // Adopt returns a verifier over s's point summary, which must be drawn
@@ -253,11 +241,6 @@ type RangeSumVerifier struct {
 	ev       *lde.Evaluator
 	qL, qR   uint64
 	hasQuery bool
-}
-
-// NewVerifier samples the secret point and adopts it.
-func (p *RangeSum) NewVerifier(rng field.RNG) *RangeSumVerifier {
-	return p.Adopt(DrawSummary(p.F, p.Params.D, FamilyPoint, rng))
 }
 
 // Adopt returns a verifier over s's point summary.

@@ -70,13 +70,13 @@ func refFk(t *testing.T, ups []stream.Update, u uint64, k int) field.Elem {
 
 func TestSelfJoinSizeEndToEnd(t *testing.T) {
 	const u = 1 << 10
-	proto, err := NewSelfJoinSize(f61, u)
+	proto, err := NewFk(f61, u, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := field.NewSplitMix64(101)
 	ups := stream.UniformDeltas(u, 1000, rng)
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
 	p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil))
 	observeAll(t, v, ups)
 	stats, err := Run(p, v)
@@ -115,7 +115,7 @@ func TestFkEndToEndOrders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := proto.NewVerifier(rng)
+		v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
 		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil))
 		observeAll(t, v, ups)
 		if _, err := Run(p, v); err != nil {
@@ -139,7 +139,7 @@ func TestFkTinyUniverse(t *testing.T) {
 	}
 	rng := field.NewSplitMix64(103)
 	ups := []stream.Update{{Index: 0, Delta: 3}, {Index: 1, Delta: 4}, {Index: 0, Delta: 2}}
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
 	p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil))
 	observeAll(t, v, ups)
 	if _, err := Run(p, v); err != nil {
@@ -203,7 +203,7 @@ func TestRangeSumEndToEnd(t *testing.T) {
 	}
 	ups := stream.KVUpdates(pairs)
 	for _, q := range []struct{ lo, hi uint64 }{{0, u - 1}, {100, 200}, {0, 0}, {u - 1, u - 1}, {u / 2, u/2 + 999}} {
-		v := proto.NewVerifier(rng)
+		v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
 		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U)))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(q.lo, q.hi); err != nil {
@@ -239,7 +239,7 @@ func TestRangeSumNegativeValues(t *testing.T) {
 	}
 	rng := field.NewSplitMix64(106)
 	ups := []stream.Update{{Index: 3, Delta: -50}, {Index: 9, Delta: 20}, {Index: 40, Delta: 7}}
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
 	p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U)))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(0, 20); err != nil {
@@ -263,7 +263,7 @@ func TestRangeSumQueryValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := field.NewSplitMix64(107)
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
 	if err := v.SetQuery(5, 4); err == nil {
 		t.Error("inverted range accepted")
 	}
@@ -288,11 +288,11 @@ func TestAggregateTamperMatrix(t *testing.T) {
 	ups := stream.UniformDeltas(u, 100, rng)
 
 	newRun := func() (ProverSession, VerifierSession) {
-		proto, err := NewSelfJoinSize(f61, u)
+		proto, err := NewFk(f61, u, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := proto.NewVerifier(rng)
+		v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
 		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil))
 		observeAll(t, v, ups)
 		return p, v
@@ -325,13 +325,13 @@ func TestAggregateTamperMatrix(t *testing.T) {
 // paper's core threat) and is caught.
 func TestAggregateWrongStreamProver(t *testing.T) {
 	const u = 256
-	proto, err := NewSelfJoinSize(f61, u)
+	proto, err := NewFk(f61, u, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := field.NewSplitMix64(109)
 	ups := stream.UniformDeltas(u, 100, rng)
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
 	observeAll(t, v, ups)
 	// Prover never sees the last 3 updates.
 	p := must(proto.NewProverFromTable(countsOf(t, ups[:len(ups)-3], proto.Params.U), nil))
@@ -341,12 +341,12 @@ func TestAggregateWrongStreamProver(t *testing.T) {
 }
 
 func TestVerifierSessionMisuse(t *testing.T) {
-	proto, err := NewSelfJoinSize(f61, 16)
+	proto, err := NewFk(f61, 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := field.NewSplitMix64(110)
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
 	if _, err := v.Result(); err == nil {
 		t.Error("result before conversation accepted")
 	}

@@ -31,7 +31,7 @@ func runHeavyHitters(t *testing.T, u uint64, ups []stream.Update, phi float64, s
 		t.Fatal(err)
 	}
 	rng := field.NewSplitMix64(seed)
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyAug, rng))
 	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.Params.U), stream.SumDeltas(ups)))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(phi); err != nil {
@@ -150,7 +150,7 @@ func TestHeavyHittersOmissionCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := field.NewSplitMix64(308)
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyAug, rng))
 	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.Params.U), stream.SumDeltas(ups)))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(0.3); err != nil { // threshold = 282
@@ -186,7 +186,7 @@ func TestHeavyHittersInflationCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyAug, rng))
 	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.Params.U), stream.SumDeltas(ups)))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(0.05); err != nil {
@@ -231,7 +231,7 @@ func runF0(t *testing.T, u uint64, ups []stream.Update, phi float64, seed uint64
 		t.Fatal(err)
 	}
 	rng := field.NewSplitMix64(seed)
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.TreeParams.D, FamilyPoint|FamilyAug, rng))
 	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.TreeParams.U), stream.SumDeltas(ups)))
 	observeAll(t, v, ups)
 	stats, err := Run(p, v)
@@ -308,7 +308,7 @@ func TestInverseDistributionEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng2 := field.NewSplitMix64(315)
-		v := proto.NewVerifier(rng2)
+		v := proto.Adopt(DrawSummary(proto.F, proto.TreeParams.D, FamilyPoint|FamilyAug, rng2))
 		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.TreeParams.U), stream.SumDeltas(ups)))
 		observeAll(t, v, ups)
 		if _, err := Run(p, v); err != nil {
@@ -348,7 +348,7 @@ func TestFrequencyBasedTamper(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng2 := field.NewSplitMix64(317)
-		v := proto.NewVerifier(rng2)
+		v := proto.Adopt(DrawSummary(proto.F, proto.TreeParams.D, FamilyPoint|FamilyAug, rng2))
 		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.TreeParams.U), stream.SumDeltas(ups)))
 		observeAll(t, v, ups)
 		hit := false
@@ -382,7 +382,7 @@ func TestFrequencyBasedWrongStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.TreeParams.D, FamilyPoint|FamilyAug, rng))
 	p := must(proto.NewProverFromCounts(countsOf(t, ups[:len(ups)-1], proto.TreeParams.U), stream.SumDeltas(ups[:len(ups)-1])))
 	observeAll(t, v, ups)
 	if _, err := Run(p, v); !errors.Is(err, ErrRejected) {
@@ -404,7 +404,7 @@ func TestFmaxEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree|FamilyPoint|FamilyAug, rng))
 	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.Params.U), stream.SumDeltas(ups)))
 	observeAll(t, v, ups)
 	if _, err := Run(p, v); err != nil {
@@ -438,7 +438,7 @@ func TestFmaxFlatStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := field.NewSplitMix64(320)
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree|FamilyPoint|FamilyAug, rng))
 	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.Params.U), stream.SumDeltas(ups)))
 	observeAll(t, v, ups)
 	if _, err := Run(p, v); err != nil {
@@ -460,7 +460,7 @@ func TestFmaxUnderclaimCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := field.NewSplitMix64(321)
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree|FamilyPoint|FamilyAug, rng))
 	observeAll(t, v, ups)
 	// The dishonest prover pretends the stream topped out at 5: it
 	// proves from a doctored stream where item 7 has count 5.

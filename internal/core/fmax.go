@@ -65,11 +65,6 @@ type FmaxVerifier struct {
 	done    bool
 }
 
-// NewVerifier samples randomness for both sub-protocols and adopts it.
-func (p *Fmax) NewVerifier(rng field.RNG) *FmaxVerifier {
-	return p.Adopt(DrawSummary(p.F, p.Params.D, FamilyTree|FamilyPoint|FamilyAug, rng))
-}
-
 // Adopt returns a verifier over all three of s's summaries: the tree for
 // the witness, the point and augmented tree for the frequency phase.
 func (p *Fmax) Adopt(s Summary) *FmaxVerifier {

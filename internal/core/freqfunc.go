@@ -116,12 +116,6 @@ type FrequencyBasedVerifier struct {
 	fTildeR   field.Elem
 }
 
-// NewVerifier samples the LDE point, then the augmented tree randomness,
-// and adopts them.
-func (p *FrequencyBased) NewVerifier(rng field.RNG) *FrequencyBasedVerifier {
-	return p.Adopt(DrawSummary(p.F, p.TreeParams.D, FamilyPoint|FamilyAug, rng))
-}
-
 // Adopt returns a verifier over s's point and augmented tree summaries.
 func (p *FrequencyBased) Adopt(s Summary) *FrequencyBasedVerifier {
 	hhProto := &HeavyHitters{F: p.F, Params: p.TreeParams}
@@ -234,12 +228,6 @@ func (v *FrequencyBasedVerifier) Result() (field.Elem, error) {
 	}
 	f := v.proto.F
 	return f.Sub(f.Add(claim, v.fPrime), f.Mul(f.FromInt64(v.hCount), v.proto.H(0))), nil
-}
-
-// HeavyHitters returns the verified heavy set used in phase 1 (valid once
-// the protocol finished).
-func (v *FrequencyBasedVerifier) HeavyHitters() ([]HeavyHitter, int64, error) {
-	return v.hh.Result()
 }
 
 // ---------------------------------------------------------------------

@@ -53,7 +53,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 	ip := must(NewInnerProduct(f61, u))
 	rs := must(NewRangeSum(f61, u))
 	f0 := must(NewF0(f61, u, 0))
-	f2 := must(NewSelfJoinSize(f61, u))
+	f2 := must(NewFk(f61, u, 2))
 
 	var ipWant, f0Want field.Elem
 	for i := range ca {
@@ -69,7 +69,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 		{
 			name: "Fk",
 			build: func() (ProverSession, VerifierSession) {
-				v := fk.NewVerifier(field.NewSplitMix64(1))
+				v := fk.Adopt(DrawSummary(fk.F, fk.Params.D, FamilyPoint, field.NewSplitMix64(1)))
 				observeAll(t, v, a)
 				return must(fk.NewProverFromTable(sumcheck.Flat(ca), nil)), v
 			},
@@ -96,7 +96,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 		{
 			name: "RangeSum",
 			build: func() (ProverSession, VerifierSession) {
-				v := rs.NewVerifier(field.NewSplitMix64(3))
+				v := rs.Adopt(DrawSummary(rs.F, rs.Params.D, FamilyPoint, field.NewSplitMix64(3)))
 				observeAll(t, v, b)
 				p := must(rs.NewProverFromTable(sumcheck.Flat(cb)))
 				if err := errors.Join(v.SetQuery(qL, qR), p.SetQuery(qL, qR)); err != nil {
@@ -109,7 +109,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 		{
 			name: "F0",
 			build: func() (ProverSession, VerifierSession) {
-				v := f0.NewVerifier(field.NewSplitMix64(5))
+				v := f0.Adopt(DrawSummary(f0.F, f0.TreeParams.D, FamilyPoint|FamilyAug, field.NewSplitMix64(5)))
 				observeAll(t, v, a)
 				return must(f0.NewProverFromCounts(sumcheck.Flat(ca), int64(len(a)))), v
 			},
@@ -121,7 +121,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 		{
 			name: "SplitProver",
 			build: func() (ProverSession, VerifierSession) {
-				v := f2.NewVerifier(field.NewSplitMix64(6))
+				v := f2.Adopt(DrawSummary(f2.F, f2.Params.D, FamilyPoint, field.NewSplitMix64(6)))
 				observeAll(t, v, a)
 				return newSplitFk(t, u, 2, 2, 0, ca, 1), v
 			},
@@ -223,7 +223,7 @@ func TestAnchorHalvesContract(t *testing.T) {
 		{
 			name: "Predecessor",
 			build: func() (ProverSession, VerifierSession) {
-				v, p := pred.NewVerifier(field.NewSplitMix64(1)), must(pred.NewProverFromCounts(sumcheck.Flat(counts)))
+				v, p := pred.Adopt(DrawSummary(pred.sv.F, pred.sv.Params.D, FamilyTree, field.NewSplitMix64(1))), must(pred.NewProverFromCounts(sumcheck.Flat(counts)))
 				observeAll(t, v, ups)
 				if err := errors.Join(v.SetQuery(q), p.SetQuery(q)); err != nil {
 					t.Fatal(err)
@@ -239,7 +239,7 @@ func TestAnchorHalvesContract(t *testing.T) {
 		{
 			name: "Successor",
 			build: func() (ProverSession, VerifierSession) {
-				v, p := succ.NewVerifier(field.NewSplitMix64(2)), must(succ.NewProverFromCounts(sumcheck.Flat(counts)))
+				v, p := succ.Adopt(DrawSummary(succ.sv.F, succ.sv.Params.D, FamilyTree, field.NewSplitMix64(2))), must(succ.NewProverFromCounts(sumcheck.Flat(counts)))
 				observeAll(t, v, ups)
 				if err := errors.Join(v.SetQuery(q), p.SetQuery(q)); err != nil {
 					t.Fatal(err)
@@ -255,7 +255,7 @@ func TestAnchorHalvesContract(t *testing.T) {
 		{
 			name: "KLargest",
 			build: func() (ProverSession, VerifierSession) {
-				v, p := kl.NewVerifier(field.NewSplitMix64(3)), must(kl.NewProverFromCounts(sumcheck.Flat(counts)))
+				v, p := kl.Adopt(DrawSummary(kl.sv.F, kl.sv.Params.D, FamilyTree, field.NewSplitMix64(3))), must(kl.NewProverFromCounts(sumcheck.Flat(counts)))
 				observeAll(t, v, ups)
 				if err := errors.Join(v.SetQuery(k), p.SetQuery(k)); err != nil {
 					t.Fatal(err)

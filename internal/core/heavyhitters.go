@@ -120,12 +120,6 @@ type HeavyHittersVerifier struct {
 	done      bool
 }
 
-// NewVerifier samples the augmented per-level randomness (r_j, q_j) and
-// adopts it.
-func (p *HeavyHitters) NewVerifier(rng field.RNG) *HeavyHittersVerifier {
-	return p.Adopt(DrawSummary(p.F, p.Params.D, FamilyAug, rng))
-}
-
 // Adopt returns a verifier over s's augmented tree summary.
 func (p *HeavyHitters) Adopt(s Summary) *HeavyHittersVerifier {
 	return &HeavyHittersVerifier{proto: p, h: s.Aug.Hasher(), root: s.Aug}
@@ -315,7 +309,7 @@ func (pr *HeavyHittersProver) Open() (Msg, error) {
 	if !pr.hasQuery {
 		return Msg{}, fmt.Errorf("core: heavy-hitters query not set")
 	}
-	tree, err := hashtree.NewIncrementalFromCounts(pr.proto.F, pr.proto.Params, hashtree.Affine, pr.counts.Width, pr.counts.Chunks)
+	tree, err := hashtree.NewIncrementalFromCounts(pr.proto.F, pr.proto.Params, pr.counts.Width, pr.counts.Chunks)
 	if err != nil {
 		return Msg{}, err
 	}

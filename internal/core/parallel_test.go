@@ -88,7 +88,7 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 				return nil, nil, err
 			}
 			proto.Workers = workers
-			v := proto.NewVerifier(field.NewSplitMix64(63))
+			v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, field.NewSplitMix64(63)))
 			for _, up := range ups {
 				if err := v.Observe(up); err != nil {
 					return nil, nil, err
@@ -103,7 +103,7 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 				return nil, nil, err
 			}
 			proto.Workers = workers
-			v := proto.NewVerifier(field.NewSplitMix64(64))
+			v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, field.NewSplitMix64(64)))
 			for _, up := range ups {
 				if err := v.Observe(up); err != nil {
 					return nil, nil, err
@@ -124,7 +124,7 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 				return nil, nil, err
 			}
 			proto.Workers = workers
-			v := proto.NewVerifier(field.NewSplitMix64(65))
+			v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree, field.NewSplitMix64(65)))
 			for _, up := range ups {
 				if err := v.Observe(up); err != nil {
 					return nil, nil, err
@@ -145,7 +145,7 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 				return nil, nil, err
 			}
 			proto.Workers = workers
-			v := proto.NewVerifier(field.NewSplitMix64(66))
+			v := proto.Adopt(DrawSummary(proto.F, proto.TreeParams.D, FamilyPoint|FamilyAug, field.NewSplitMix64(66)))
 			for _, up := range zipf {
 				if err := v.Observe(up); err != nil {
 					return nil, nil, err

@@ -112,7 +112,7 @@ func newSplitFk(t *testing.T, u uint64, k, slices, workers int, table []int64, v
 func runFk(t *testing.T, proto *Fk, p ProverSession, ups []stream.Update, seed uint64) ([]Msg, field.Elem, error) {
 	t.Helper()
 	rec := &recordingProver{inner: p}
-	v := proto.NewVerifier(field.NewSplitMix64(seed))
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, field.NewSplitMix64(seed)))
 	observeAll(t, v, ups)
 	if _, err := Run(rec, v); err != nil {
 		return rec.msgs, 0, err
@@ -181,7 +181,7 @@ func TestSplitRangeSumBitIdentical(t *testing.T) {
 	}
 	run := func(p ProverSession) ([]Msg, error) {
 		rec := &recordingProver{inner: p}
-		v := proto.NewVerifier(field.NewSplitMix64(13))
+		v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, field.NewSplitMix64(13)))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(qL, qR); err != nil {
 			t.Fatal(err)

@@ -53,11 +53,6 @@ type IndexVerifier struct {
 	q uint64
 }
 
-// NewVerifier draws a tree summary and adopts it.
-func (p *Index) NewVerifier(rng field.RNG) *IndexVerifier {
-	return p.Adopt(p.sv.summary(rng))
-}
-
 // Adopt returns a verifier over s's tree summary.
 func (p *Index) Adopt(s Summary) *IndexVerifier {
 	return &IndexVerifier{SubVectorVerifier: p.sv.Adopt(s)}
@@ -135,11 +130,6 @@ type DictionaryVerifier struct {
 	*SubVectorVerifier
 }
 
-// NewVerifier draws a tree summary and adopts it.
-func (p *Dictionary) NewVerifier(rng field.RNG) *DictionaryVerifier {
-	return p.Adopt(p.sv.summary(rng))
-}
-
 // Adopt returns a verifier over s's tree summary.
 func (p *Dictionary) Adopt(s Summary) *DictionaryVerifier {
 	return &DictionaryVerifier{SubVectorVerifier: p.sv.Adopt(s)}
@@ -201,11 +191,6 @@ func NewPredecessor(f field.Field, u uint64) (*Predecessor, error) {
 type PredecessorVerifier struct {
 	anchorVerifier
 	q uint64
-}
-
-// NewVerifier draws a tree summary and adopts it.
-func (p *Predecessor) NewVerifier(rng field.RNG) *PredecessorVerifier {
-	return p.Adopt(p.sv.summary(rng))
 }
 
 // Adopt returns a verifier over s's tree summary.
@@ -274,11 +259,6 @@ func NewSuccessor(f field.Field, u uint64) (*Successor, error) {
 type SuccessorVerifier struct {
 	anchorVerifier
 	q uint64
-}
-
-// NewVerifier draws a tree summary and adopts it.
-func (p *Successor) NewVerifier(rng field.RNG) *SuccessorVerifier {
-	return p.Adopt(p.sv.summary(rng))
 }
 
 // Adopt returns a verifier over s's tree summary.
@@ -361,11 +341,6 @@ func NewKLargest(f field.Field, u uint64) (*KLargest, error) {
 type KLargestVerifier struct {
 	anchorVerifier
 	k int
-}
-
-// NewVerifier draws a tree summary and adopts it.
-func (p *KLargest) NewVerifier(rng field.RNG) *KLargestVerifier {
-	return p.Adopt(p.sv.summary(rng))
 }
 
 // Adopt returns a verifier over s's tree summary.

@@ -17,7 +17,7 @@ func runSubVector(t *testing.T, u uint64, ups []stream.Update, qL, qR uint64) ([
 		t.Fatal(err)
 	}
 	rng := field.NewSplitMix64(200 + qL + qR)
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree, rng))
 	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.Params.U)))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(qL, qR); err != nil {
@@ -144,7 +144,7 @@ func TestSubVectorTamperMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := proto.NewVerifier(rng)
+		v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree, rng))
 		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.Params.U)))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(qL, qR); err != nil {
@@ -205,7 +205,7 @@ func TestSubVectorWrongStreamProver(t *testing.T) {
 	}
 	rng := field.NewSplitMix64(204)
 	ups := stream.UniformDeltas(u, 50, rng)
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree, rng))
 	p := must(proto.NewProverFromCounts(countsOf(t, ups[:len(ups)-1], proto.Params.U)))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(0, 255); err != nil {
@@ -229,7 +229,7 @@ func TestIndexEndToEnd(t *testing.T) {
 	ups := stream.UniformDeltas(u, 100, rng)
 	a, _ := stream.Apply(ups, u)
 	for _, q := range []uint64{0, 1, 100, 255} {
-		v := proto.NewVerifier(rng)
+		v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
 		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(q); err != nil {
@@ -283,7 +283,7 @@ func TestDictionaryEndToEnd(t *testing.T) {
 		}
 	}
 	for _, q := range queries {
-		v := proto.NewVerifier(rng)
+		v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
 		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(q); err != nil {
@@ -343,7 +343,7 @@ func TestPredecessorEndToEnd(t *testing.T) {
 		{99, 17, true}, {100, 100, true}, {200, 101, true}, {511, 511, true},
 	}
 	for _, c := range cases {
-		v := proto.NewVerifier(rng)
+		v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
 		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(c.q); err != nil {
@@ -373,7 +373,7 @@ func TestPredecessorNone(t *testing.T) {
 	}
 	rng := field.NewSplitMix64(208)
 	ups := []stream.Update{{Index: 200, Delta: 1}}
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
 	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(100); err != nil {
@@ -402,7 +402,7 @@ func TestPredecessorLyingProver(t *testing.T) {
 	}
 	rng := field.NewSplitMix64(209)
 	ups := []stream.Update{{Index: 10, Delta: 1}, {Index: 50, Delta: 1}}
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
 	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(60); err != nil {
@@ -447,7 +447,7 @@ func TestSuccessorEndToEnd(t *testing.T) {
 		{0, 3, true}, {3, 3, true}, {4, 17, true}, {101, 500, true}, {500, 500, true}, {501, 0, false},
 	}
 	for _, c := range cases {
-		v := proto.NewVerifier(rng)
+		v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
 		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(c.q); err != nil {
@@ -483,7 +483,7 @@ func TestKLargestEndToEnd(t *testing.T) {
 		ups = append(ups, stream.Update{Index: i, Delta: 2}) // multiplicity > 1
 	}
 	for k := 1; k <= 5; k++ {
-		v := proto.NewVerifier(rng)
+		v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
 		p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(k); err != nil {
@@ -523,7 +523,7 @@ func TestKLargestLyingProver(t *testing.T) {
 	}
 	rng := field.NewSplitMix64(212)
 	ups := []stream.Update{{Index: 10, Delta: 1}, {Index: 50, Delta: 1}, {Index: 90, Delta: 1}}
-	v := proto.NewVerifier(rng)
+	v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
 	p := must(proto.NewProverFromCounts(countsOf(t, ups, proto.sv.Params.U)))
 	observeAll(t, v, ups)
 	// Honest 2nd largest is 50. Tamper the claim to 90 (pretending 90 is

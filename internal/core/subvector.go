@@ -73,17 +73,6 @@ type SubVectorVerifier struct {
 	done     bool
 }
 
-// NewVerifier samples the per-level hash randomness (before the stream)
-// and adopts it.
-func (p *SubVector) NewVerifier(rng field.RNG) *SubVectorVerifier {
-	return p.Adopt(p.summary(rng))
-}
-
-// summary draws the tree summary this protocol's verifiers adopt.
-func (p *SubVector) summary(rng field.RNG) Summary {
-	return DrawSummary(p.F, p.Params.D, FamilyTree, rng)
-}
-
 // Adopt returns a verifier over s's tree summary.
 func (p *SubVector) Adopt(s Summary) *SubVectorVerifier {
 	return &SubVectorVerifier{proto: p, h: s.Tree.Hasher(), root: s.Tree}
@@ -335,7 +324,7 @@ func (pr *SubVectorProver) Open() (Msg, error) {
 	if !pr.hasQuery {
 		return Msg{}, fmt.Errorf("core: sub-vector query not set")
 	}
-	tree, err := hashtree.NewIncrementalFromCounts(pr.proto.F, pr.proto.Params, hashtree.Affine, pr.counts.Width, pr.counts.Chunks)
+	tree, err := hashtree.NewIncrementalFromCounts(pr.proto.F, pr.proto.Params, pr.counts.Width, pr.counts.Chunks)
 	if err != nil {
 		return Msg{}, err
 	}

@@ -30,19 +30,20 @@ const (
 
 // DrawSummary draws fams for a universe of 2^d leaves (ℓ = 2), always in
 // the order tree → point → augmented tree: every verifier's randomness is
-// a function of that order, so each protocol's NewVerifier(rng) is
-// DrawSummary on rng, then Adopt.
+// a function of that order. It is the one draw of a verifier's secret
+// randomness; the kind table (engine) says which families each kind's
+// Adopt reads.
 func DrawSummary(f field.Field, d int, fams Families, rng field.RNG) Summary {
 	tp := hashtree.Params{D: d, U: 1 << d}
 	var s Summary
 	if fams&FamilyTree != 0 {
-		s.Tree = hashtree.NewRootEvaluator(hashtree.NewHasher(f, tp, hashtree.Affine, rng))
+		s.Tree = hashtree.NewRootEvaluator(hashtree.NewHasher(f, tp, rng))
 	}
 	if fams&FamilyPoint != 0 {
 		s.Point = lde.NewEvaluator(lde.RandomPoint(f, lde.Params{Ell: 2, D: d, U: tp.U}, rng))
 	}
 	if fams&FamilyAug != 0 {
-		s.Aug = hashtree.NewRootEvaluator(hashtree.NewAugmentedHasher(f, tp, hashtree.Affine, rng))
+		s.Aug = hashtree.NewRootEvaluator(hashtree.NewAugmentedHasher(f, tp, rng))
 	}
 	return s
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/fs"
 	"repro/internal/stream"
@@ -26,7 +27,7 @@ func testBinding(f field.Field, u uint64) fs.Binding {
 // the proof and the update list so callers can build fresh verifiers.
 func proveF2(t *testing.T, b fs.Binding, f field.Field, u uint64) (*fs.Proof, []stream.Update) {
 	t.Helper()
-	proto, err := core.NewSelfJoinSize(f, u)
+	proto, err := core.NewFk(f, u, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func proveF2(t *testing.T, b fs.Binding, f field.Field, u uint64) (*fs.Proof, []
 		t.Fatal(err)
 	}
 	// The schedule comes from a verifier that never sees the stream.
-	pf, err := b.Record(p, proto.NewVerifier(b.RNG()).Challenges())
+	pf, err := b.Record(p, proto.Adopt(core.DrawSummary(f, proto.Params.D, core.FamilyPoint, b.RNG())).Challenges())
 	if err != nil {
 		t.Fatalf("Record: %v", err)
 	}
@@ -49,11 +50,10 @@ func proveF2(t *testing.T, b fs.Binding, f field.Field, u uint64) (*fs.Proof, []
 
 func freshF2Verifier(t *testing.T, b fs.Binding, f field.Field, u uint64, ups []stream.Update) core.VerifierSession {
 	t.Helper()
-	proto, err := core.NewSelfJoinSize(f, u)
+	v, err := engine.NewStreamVerifier(f, u, engine.QuerySelfJoinSize, engine.QueryParams{}, b.RNG())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := proto.NewVerifier(b.RNG())
 	for _, up := range ups {
 		if err := v.Observe(up); err != nil {
 			t.Fatal(err)

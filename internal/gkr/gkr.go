@@ -113,17 +113,6 @@ func NewProtocolFor(f field.Field, spec circuit.Spec, u uint64, workers int) (*P
 	return p, nil
 }
 
-// NewVerifierFor builds the verifier session for a named circuit family
-// over universe u. (Workers are a prover-side knob; the verifier streams
-// in O(log² u) space and stays serial.)
-func NewVerifierFor(f field.Field, spec circuit.Spec, u uint64, rng field.RNG) (*VerifierSession, error) {
-	p, err := NewProtocolFor(f, spec, u, 0)
-	if err != nil {
-		return nil, err
-	}
-	return p.NewVerifierSession(rng)
-}
-
 // InputFromCounts derives the circuit input from a frequency table held
 // in equal chunks of width entries (a nil chunk holds zeros, a flat table
 // is one chunk): the field images of its first InputSize counts,

@@ -72,11 +72,11 @@ func TestGKRF2Completeness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("k=%d wiring=%T: rejected: %v", k, wiring, err)
 			}
-			got, err := v.Output()
+			outs, err := v.Outputs()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := refF2(t, ups, u); got != want {
+			if got, want := outs[0], refF2(t, ups, u); got != want {
 				t.Fatalf("k=%d: F2 = %d, want %d", k, got, want)
 			}
 		}

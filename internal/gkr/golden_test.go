@@ -80,7 +80,11 @@ func TestGKRSpaceWords(t *testing.T) {
 		{circuit.Spec{Name: circuit.FamilyF2}, 36},
 		{circuit.Spec{Name: circuit.FamilyCount}, 27},
 	} {
-		v, err := NewVerifierFor(f61, c.spec, 16, field.NewSplitMix64(1))
+		p, err := NewProtocolFor(f61, c.spec, 16, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := p.NewVerifierSession(field.NewSplitMix64(1))
 		if err != nil {
 			t.Fatal(err)
 		}

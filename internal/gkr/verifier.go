@@ -190,14 +190,6 @@ func (v *VerifierSession) canonical(evals []field.Elem) error {
 	return nil
 }
 
-// Output returns the first output gate's verified value.
-func (v *VerifierSession) Output() (field.Elem, error) {
-	if !v.done {
-		return 0, errors.New("gkr: output unavailable before acceptance")
-	}
-	return v.outs[0], nil
-}
-
 // Outputs returns the full verified output vector (e.g. the n² entries
 // of a MATMUL product). The initial claim binds the whole vector via its
 // extension at z₀, so acceptance covers every entry.

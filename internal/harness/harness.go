@@ -28,7 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/field"
-	"repro/internal/gkr"
+	"repro/internal/hashtree"
 	"repro/internal/lde"
 	"repro/internal/stream"
 	"repro/internal/sumcheck"
@@ -95,13 +95,17 @@ type F2Row struct {
 // parallel fan-out (0 serial, n < 0 all cores); the transcript and the
 // row's space/communication columns are identical for every value.
 func F2MultiRound(f field.Field, u uint64, maxDelta int64, seed uint64, workers int) (F2Row, error) {
-	proto, err := core.NewSelfJoinSize(f, u)
+	tree, err := hashtree.ParamsForUniverse(u)
 	if err != nil {
 		return F2Row{}, err
 	}
+	u = tree.U
 	gen := field.NewSplitMix64(seed)
-	ups := stream.UniformDeltas(proto.Params.U, maxDelta, gen)
-	v := proto.NewVerifier(field.NewSplitMix64(seed + 1))
+	ups := stream.UniformDeltas(u, maxDelta, gen)
+	v, err := engine.NewStreamVerifier(f, u, engine.QuerySelfJoinSize, engine.QueryParams{}, field.NewSplitMix64(seed+1))
+	if err != nil {
+		return F2Row{}, err
+	}
 
 	t0 := time.Now()
 	for _, up := range ups {
@@ -110,7 +114,7 @@ func F2MultiRound(f field.Field, u uint64, maxDelta int64, seed uint64, workers 
 		}
 	}
 	streamTime := time.Since(t0)
-	p, err := engine.NewReplayProver(f, proto.Params.U, engine.QuerySelfJoinSize, engine.QueryParams{}, ups, workers)
+	p, err := engine.NewReplayProver(f, u, engine.QuerySelfJoinSize, engine.QueryParams{}, ups, workers)
 	if err != nil {
 		return F2Row{}, err
 	}
@@ -120,13 +124,13 @@ func F2MultiRound(f field.Field, u uint64, maxDelta int64, seed uint64, workers 
 	stats, err := core.Run(tp, tv)
 	row := F2Row{
 		Protocol:      "multi-round",
-		U:             proto.Params.U,
+		U:             u,
 		N:             uint64(len(ups)),
 		StreamTime:    streamTime,
 		UpdatesPerSec: rate(len(ups), streamTime),
 		ProveTime:     tp.elapsed,
 		CheckTime:     tv.elapsed,
-		SpaceBytes:    8 * v.SpaceWords(),
+		SpaceBytes:    spaceBytes(v),
 		CommBytes:     stats.CommBytes(),
 		Accepted:      err == nil,
 	}
@@ -198,16 +202,22 @@ type SubVectorRow struct {
 // SubVectorRun runs the §4 protocol with a centered query of the given
 // span on the paper's workload. workers is the prover's parallel fan-out.
 func SubVectorRun(f field.Field, u uint64, span uint64, maxDelta int64, seed uint64, workers int) (SubVectorRow, error) {
-	proto, err := core.NewSubVector(f, u)
+	tree, err := hashtree.ParamsForUniverse(u)
 	if err != nil {
 		return SubVectorRow{}, err
 	}
-	if span > proto.Params.U {
-		span = proto.Params.U
+	u = tree.U
+	if span > u {
+		span = u
 	}
 	gen := field.NewSplitMix64(seed)
-	ups := stream.UniformDeltas(proto.Params.U, maxDelta, gen)
-	v := proto.NewVerifier(field.NewSplitMix64(seed + 1))
+	ups := stream.UniformDeltas(u, maxDelta, gen)
+	qL := (u - span) / 2
+	query := engine.QueryParams{A: qL, B: qL + span - 1}
+	v, err := engine.NewStreamVerifier(f, u, engine.QueryRangeQuery, query, field.NewSplitMix64(seed+1))
+	if err != nil {
+		return SubVectorRow{}, err
+	}
 
 	t0 := time.Now()
 	for _, up := range ups {
@@ -216,12 +226,7 @@ func SubVectorRun(f field.Field, u uint64, span uint64, maxDelta int64, seed uin
 		}
 	}
 	streamTime := time.Since(t0)
-	qL := (proto.Params.U - span) / 2
-	qR := qL + span - 1
-	if err := v.SetQuery(qL, qR); err != nil {
-		return SubVectorRow{}, err
-	}
-	p, err := engine.NewReplayProver(f, proto.Params.U, engine.QueryRangeQuery, engine.QueryParams{A: qL, B: qR}, ups, workers)
+	p, err := engine.NewReplayProver(f, u, engine.QueryRangeQuery, query, ups, workers)
 	if err != nil {
 		return SubVectorRow{}, err
 	}
@@ -230,24 +235,29 @@ func SubVectorRun(f field.Field, u uint64, span uint64, maxDelta int64, seed uin
 	tv := &timedVerifier{inner: v}
 	stats, err := core.Run(tp, tv)
 	row := SubVectorRow{
-		U:          proto.Params.U,
+		U:          u,
 		N:          uint64(len(ups)),
 		Span:       span,
 		StreamTime: streamTime,
 		ProveTime:  tp.elapsed,
 		CheckTime:  tv.elapsed,
-		SpaceBytes: 8 * v.SpaceWords(),
+		SpaceBytes: spaceBytes(v),
 		CommBytes:  stats.CommBytes(),
 		Accepted:   err == nil,
 	}
 	if err == nil {
-		entries, rerr := v.Result()
+		a, rerr := engine.AnswerOf(engine.QueryRangeQuery, v)
 		if rerr != nil {
 			return row, rerr
 		}
-		row.K = len(entries)
+		row.K = len(a.Entries)
 	}
 	return row, err
+}
+
+// spaceBytes is v's working memory at 8 bytes a word.
+func spaceBytes(v core.VerifierSession) int {
+	return 8 * v.(interface{ SpaceWords() int }).SpaceWords()
 }
 
 func rate(n int, d time.Duration) float64 {
@@ -369,22 +379,26 @@ type F0Row struct {
 // φ = u^{-1/2} and reports the (log u, √u·log u) costs of Theorem 6.
 // workers is the prover's parallel fan-out.
 func F0Run(f field.Field, u uint64, seed uint64, workers int) (F0Row, error) {
-	proto, err := core.NewF0(f, u, 0)
+	tree, err := hashtree.ParamsForUniverse(u)
 	if err != nil {
 		return F0Row{}, err
 	}
+	u = tree.U
 	gen := field.NewSplitMix64(seed)
-	ups, err := stream.Zipf(proto.TreeParams.U, int(4*proto.TreeParams.U), 1.2, gen)
+	ups, err := stream.Zipf(u, int(4*u), 1.2, gen)
 	if err != nil {
 		return F0Row{}, err
 	}
-	v := proto.NewVerifier(field.NewSplitMix64(seed + 1))
+	v, err := engine.NewStreamVerifier(f, u, engine.QueryF0, engine.QueryParams{}, field.NewSplitMix64(seed+1))
+	if err != nil {
+		return F0Row{}, err
+	}
 	for _, up := range ups {
 		if err := v.Observe(up); err != nil {
 			return F0Row{}, err
 		}
 	}
-	p, err := engine.NewReplayProver(f, proto.TreeParams.U, engine.QueryF0, engine.QueryParams{}, ups, workers)
+	p, err := engine.NewReplayProver(f, u, engine.QueryF0, engine.QueryParams{}, ups, workers)
 	if err != nil {
 		return F0Row{}, err
 	}
@@ -392,7 +406,7 @@ func F0Run(f field.Field, u uint64, seed uint64, workers int) (F0Row, error) {
 	tv := &timedVerifier{inner: v}
 	stats, err := core.Run(tp, tv)
 	row := F0Row{
-		U:         proto.TreeParams.U,
+		U:         u,
 		CommWords: stats.CommWords(),
 		ProveTime: tp.elapsed,
 		CheckTime: tv.elapsed,
@@ -401,11 +415,11 @@ func F0Run(f field.Field, u uint64, seed uint64, workers int) (F0Row, error) {
 	if err != nil {
 		return row, err
 	}
-	res, err := v.Result()
+	a, err := engine.AnswerOf(engine.QueryF0, v)
 	if err != nil {
 		return row, err
 	}
-	row.F0 = uint64(res)
+	row.F0 = uint64(a.Elem)
 	return row, nil
 }
 
@@ -438,7 +452,8 @@ func BranchingSweep(f field.Field, u uint64, ells []int, seed uint64) ([]Branchi
 		}
 		gen := field.NewSplitMix64(seed)
 		ups := stream.UniformDeltas(params.U, 100, gen)
-		v := proto.NewVerifier(field.NewSplitMix64(seed + 1))
+		// A custom ℓ has no kind-table row: draw the secret point by hand.
+		v := proto.Adopt(core.Summary{Point: lde.NewEvaluator(lde.RandomPoint(f, params, field.NewSplitMix64(seed+1)))})
 		t0 := time.Now()
 		for _, up := range ups {
 			if err := v.Observe(up); err != nil {
@@ -446,7 +461,7 @@ func BranchingSweep(f field.Field, u uint64, ells []int, seed uint64) ([]Branchi
 			}
 		}
 		streamTime := time.Since(t0)
-		// A custom ℓ has no kind-table row: aggregate the table by hand.
+		// Nor a prover: aggregate the table by hand.
 		counts, err := stream.Apply(ups, params.U)
 		if err != nil {
 			return nil, err
@@ -496,11 +511,10 @@ type CompareRow struct {
 func CompareF2(f field.Field, u uint64, seed uint64) (native, gkrRow CompareRow, err error) {
 	ups := stream.UniformDeltas(u, 100, field.NewSplitMix64(seed))
 
-	proto, err := core.NewSelfJoinSize(f, u)
+	v, err := engine.NewStreamVerifier(f, u, engine.QuerySelfJoinSize, engine.QueryParams{}, field.NewSplitMix64(seed+1))
 	if err != nil {
 		return native, gkrRow, err
 	}
-	v := proto.NewVerifier(field.NewSplitMix64(seed + 1))
 	for _, up := range ups {
 		if err := v.Observe(up); err != nil {
 			return native, gkrRow, err
@@ -515,7 +529,7 @@ func CompareF2(f field.Field, u uint64, seed uint64) (native, gkrRow CompareRow,
 	if err != nil {
 		return native, gkrRow, err
 	}
-	nativeResult, err := v.Result()
+	nativeAnswer, err := engine.AnswerOf(engine.QuerySelfJoinSize, v)
 	if err != nil {
 		return native, gkrRow, err
 	}
@@ -528,7 +542,7 @@ func CompareF2(f field.Field, u uint64, seed uint64) (native, gkrRow CompareRow,
 		Accepted:  true,
 	}
 
-	spec := circuit.Spec{Name: circuit.FamilyF2}
+	query := engine.QueryParams{Circuit: circuit.FamilyF2}
 	ds, err := engine.NewDataset(f, u, 1)
 	if err != nil {
 		return native, gkrRow, err
@@ -536,7 +550,7 @@ func CompareF2(f field.Field, u uint64, seed uint64) (native, gkrRow CompareRow,
 	if err := ds.Ingest(ups); err != nil {
 		return native, gkrRow, err
 	}
-	gv, err := gkr.NewVerifierFor(f, spec, u, field.NewSplitMix64(seed+2))
+	gv, err := engine.NewStreamVerifier(f, u, engine.QueryCircuit, query, field.NewSplitMix64(seed+2))
 	if err != nil {
 		return native, gkrRow, err
 	}
@@ -545,7 +559,7 @@ func CompareF2(f field.Field, u uint64, seed uint64) (native, gkrRow CompareRow,
 			return native, gkrRow, err
 		}
 	}
-	gp, err := ds.Snapshot().NewProver(engine.QueryCircuit, engine.QueryParams{Circuit: spec.Name, A: spec.Arg})
+	gp, err := ds.Snapshot().NewProver(engine.QueryCircuit, query)
 	if err != nil {
 		return native, gkrRow, err
 	}
@@ -554,12 +568,12 @@ func CompareF2(f field.Field, u uint64, seed uint64) (native, gkrRow CompareRow,
 	if err != nil {
 		return native, gkrRow, err
 	}
-	gkrResult, err := gv.Output()
+	gkrAnswer, err := engine.AnswerOf(engine.QueryCircuit, gv)
 	if err != nil {
 		return native, gkrRow, err
 	}
-	if gkrResult != nativeResult {
-		return native, gkrRow, fmt.Errorf("harness: protocols disagree on F2: native %d, gkr %d", nativeResult, gkrResult)
+	if gkrAnswer.Outputs[0] != nativeAnswer.Elem {
+		return native, gkrRow, fmt.Errorf("harness: protocols disagree on F2: native %d, gkr %d", nativeAnswer.Elem, gkrAnswer.Outputs[0])
 	}
 	gkrRow = CompareRow{
 		Protocol:  "gkr",

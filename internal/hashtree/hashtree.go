@@ -15,28 +15,12 @@
 // of the whole vector; crucially it is linear in a, so the verifier can
 // maintain it over the stream in O(log u) words (Eq. 8) while the prover
 // materializes the (sparse) tree.
-//
-// The package also implements the multilinear variant
-// v = (1-r_j)·vL + r_j·vR noted in the paper's App. B.2 remarks, under
-// which the root equals the multilinear extension f_a(r) — a property the
-// tests use to cross-check this package against internal/lde.
 package hashtree
 
 import (
 	"fmt"
 
 	"repro/internal/field"
-)
-
-// Kind selects the per-level combining function.
-type Kind int
-
-const (
-	// Affine is the paper's hash: v = vL + r_j·vR (Eq. 7).
-	Affine Kind = iota
-	// Multilinear is the variant v = (1-r_j)·vL + r_j·vR, whose root is
-	// the multilinear extension of the leaf vector (App. B.2 remarks).
-	Multilinear
 )
 
 // Params fixes the tree shape: u = 2^d leaves, levels 0 (leaves) … d
@@ -67,20 +51,19 @@ func ParamsForUniverse(u uint64) (Params, error) {
 type Hasher struct {
 	F      field.Field
 	Params Params
-	Kind   Kind
 	R      []field.Elem
 	Q      []field.Elem
 }
 
 // NewHasher samples the d level parameters r_1..r_d.
-func NewHasher(f field.Field, params Params, kind Kind, rng field.RNG) *Hasher {
-	return &Hasher{F: f, Params: params, Kind: kind, R: f.RandVec(rng, params.D)}
+func NewHasher(f field.Field, params Params, rng field.RNG) *Hasher {
+	return &Hasher{F: f, Params: params, R: f.RandVec(rng, params.D)}
 }
 
 // NewAugmentedHasher additionally samples q_1..q_d for the subtree-count
 // children of §6.1.
-func NewAugmentedHasher(f field.Field, params Params, kind Kind, rng field.RNG) *Hasher {
-	h := NewHasher(f, params, kind, rng)
+func NewAugmentedHasher(f field.Field, params Params, rng field.RNG) *Hasher {
+	h := NewHasher(f, params, rng)
 	h.Q = f.RandVec(rng, params.D)
 	return h
 }
@@ -90,13 +73,7 @@ func NewAugmentedHasher(f field.Field, params Params, kind Kind, rng field.RNG) 
 func (h *Hasher) Combine(j int, left, right, count field.Elem) field.Elem {
 	f := h.F
 	r := h.R[j-1]
-	var v field.Elem
-	switch h.Kind {
-	case Multilinear:
-		v = f.Add(f.Mul(f.Sub(1, r), left), f.Mul(r, right))
-	default:
-		v = f.Add(left, f.Mul(r, right))
-	}
+	v := f.Add(left, f.Mul(r, right))
 	if h.Q != nil {
 		v = f.Add(v, f.Mul(h.Q[j-1], count))
 	}
@@ -131,9 +108,6 @@ func NewRootEvaluator(h *Hasher) *RootEvaluator {
 	w := make([]field.Elem, 2*len(h.R))
 	for j, r := range h.R {
 		w[2*j] = 1
-		if h.Kind == Multilinear {
-			w[2*j] = f.Sub(1, r)
-		}
 		w[2*j+1] = r
 	}
 	if h.Q == nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/field"
-	"repro/internal/lde"
 	"repro/internal/stream"
 )
 
@@ -41,7 +40,7 @@ func TestPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &Hasher{F: f61, Params: params, Kind: Affine, R: []field.Elem{1, 1, 1}}
+	h := &Hasher{F: f61, Params: params, R: []field.Elem{1, 1, 1}}
 	vals := []int64{2, 3, 8, 1, 7, 6, 4, 3}
 	var ups []stream.Update
 	for i, v := range vals {
@@ -80,7 +79,7 @@ func TestPaperExample(t *testing.T) {
 
 // TestStreamingMatchesTree: the O(log u)-space streaming root equals the
 // materialized tree's root for random streams, for plain and augmented
-// hashers of both kinds, over the Mersenne and a generic field.
+// hashers, over the Mersenne and a generic field.
 func TestStreamingMatchesTree(t *testing.T) {
 	generic, err := field.New(1000003)
 	if err != nil {
@@ -98,72 +97,33 @@ func TestStreamingMatchesTree(t *testing.T) {
 
 func testStreamingMatchesTree(t *testing.T, params Params, generic field.Field) {
 	for _, f := range []field.Field{f61, generic} {
-		for _, kind := range []Kind{Affine, Multilinear} {
-			for _, augmented := range []bool{false, true} {
-				rng := field.NewSplitMix64(61)
-				var h *Hasher
-				if augmented {
-					h = NewAugmentedHasher(f, params, kind, rng)
-				} else {
-					h = NewHasher(f, params, kind, rng)
-				}
-				ups := stream.UnitIncrements(params.U, 2000, rng)
-				ups = append(ups, stream.Update{Index: 5 % params.U, Delta: -3})
-				ev := NewRootEvaluator(h)
-				for _, u := range ups {
-					if err := ev.Update(u.Index, u.Delta); err != nil {
-						t.Fatal(err)
-					}
-				}
-				tree, err := Build(h, ups)
-				if err != nil {
+		for _, augmented := range []bool{false, true} {
+			rng := field.NewSplitMix64(61)
+			var h *Hasher
+			if augmented {
+				h = NewAugmentedHasher(f, params, rng)
+			} else {
+				h = NewHasher(f, params, rng)
+			}
+			ups := stream.UnitIncrements(params.U, 2000, rng)
+			ups = append(ups, stream.Update{Index: 5 % params.U, Delta: -3})
+			ev := NewRootEvaluator(h)
+			for _, u := range ups {
+				if err := ev.Update(u.Index, u.Delta); err != nil {
 					t.Fatal(err)
 				}
-				if ev.Root() != tree.Root() {
-					t.Fatalf("p=%d d=%d kind=%v aug=%v: streaming root %d ≠ tree root %d", f.Modulus(), params.D, kind, augmented, ev.Root(), tree.Root())
-				}
-				if ev.Total() != stream.SumDeltas(ups) {
-					t.Fatalf("Total() = %d, want %d", ev.Total(), stream.SumDeltas(ups))
-				}
+			}
+			tree, err := Build(h, ups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ev.Root() != tree.Root() {
+				t.Fatalf("p=%d d=%d aug=%v: streaming root %d ≠ tree root %d", f.Modulus(), params.D, augmented, ev.Root(), tree.Root())
+			}
+			if ev.Total() != stream.SumDeltas(ups) {
+				t.Fatalf("Total() = %d, want %d", ev.Total(), stream.SumDeltas(ups))
 			}
 		}
-	}
-}
-
-// TestMultilinearRootIsLDE verifies the App. B.2 remark: with the
-// multilinear hash, the root equals the multilinear extension f_a(r)
-// evaluated at the level randomness — tying this package to internal/lde.
-func TestMultilinearRootIsLDE(t *testing.T) {
-	params, err := NewParams(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := field.NewSplitMix64(62)
-	h := NewHasher(f61, params, Multilinear, rng)
-	ups := stream.UnitIncrements(params.U, 500, rng)
-	ev := NewRootEvaluator(h)
-	for _, u := range ups {
-		if err := ev.Update(u.Index, u.Delta); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ldeParams, err := lde.NewParams(2, params.D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Level j of the tree consumes bit j-1, i.e. LDE dimension j-1.
-	pt, err := lde.NewPoint(f61, ldeParams, h.R)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lev := lde.NewEvaluator(pt)
-	for _, u := range ups {
-		if err := lev.Update(u.Index, u.Delta); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ev.Root() != lev.Value() {
-		t.Fatalf("multilinear root %d ≠ LDE value %d", ev.Root(), lev.Value())
 	}
 }
 
@@ -173,7 +133,7 @@ func TestTreeNodeLookupAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := field.NewSplitMix64(63)
-	h := NewAugmentedHasher(f61, params, Affine, rng)
+	h := NewAugmentedHasher(f61, params, rng)
 	ups := []stream.Update{{Index: 3, Delta: 5}, {Index: 3, Delta: 2}, {Index: 12, Delta: 4}, {Index: 7, Delta: 1}, {Index: 9, Delta: 3}, {Index: 0, Delta: 2}, {Index: 1, Delta: -2}}
 	tree, err := Build(h, ups)
 	if err != nil {
@@ -210,7 +170,7 @@ func TestLeavesInRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHasher(f61, params, Affine, field.NewSplitMix64(64))
+	h := NewHasher(f61, params, field.NewSplitMix64(64))
 	ups := []stream.Update{{Index: 2, Delta: 1}, {Index: 5, Delta: 1}, {Index: 6, Delta: 1}, {Index: 20, Delta: 1}, {Index: 31, Delta: 1}}
 	tree, err := Build(h, ups)
 	if err != nil {
@@ -233,7 +193,7 @@ func TestHeavyChildren(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewAugmentedHasher(f61, params, Affine, field.NewSplitMix64(65))
+	h := NewAugmentedHasher(f61, params, field.NewSplitMix64(65))
 	// a = [10, 0, 0, 0, 3, 3, 0, 1]: total 17.
 	ups := []stream.Update{{Index: 0, Delta: 10}, {Index: 4, Delta: 3}, {Index: 5, Delta: 3}, {Index: 7, Delta: 1}}
 	tree, err := Build(h, ups)
@@ -267,7 +227,7 @@ func TestBuildValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHasher(f61, params, Affine, field.NewSplitMix64(66))
+	h := NewHasher(f61, params, field.NewSplitMix64(66))
 	if _, err := Build(h, []stream.Update{{Index: 8, Delta: 1}}); err == nil {
 		t.Error("out-of-universe update accepted")
 	}
@@ -295,7 +255,7 @@ func TestRootEvaluatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHasher(f61, params, Affine, field.NewSplitMix64(67))
+	h := NewHasher(f61, params, field.NewSplitMix64(67))
 	ev := NewRootEvaluator(h)
 	if err := ev.Update(8, 1); err == nil {
 		t.Error("out-of-universe update accepted")
@@ -303,7 +263,7 @@ func TestRootEvaluatorValidation(t *testing.T) {
 	if got, want := ev.SpaceWords(), params.D+2; got != want {
 		t.Errorf("plain SpaceWords = %d, want %d", got, want)
 	}
-	aug := NewRootEvaluator(NewAugmentedHasher(f61, params, Affine, field.NewSplitMix64(68)))
+	aug := NewRootEvaluator(NewAugmentedHasher(f61, params, field.NewSplitMix64(68)))
 	if got, want := aug.SpaceWords(), 2*params.D+2; got != want {
 		t.Errorf("augmented SpaceWords = %d, want %d", got, want)
 	}
@@ -319,7 +279,7 @@ func TestRootTableEqualMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := NewRootEvaluator(NewHasher(f61, params, Affine, field.NewSplitMix64(uint64(d))))
+		ev := NewRootEvaluator(NewHasher(f61, params, field.NewSplitMix64(uint64(d))))
 		if words, limit := cap(ev.w), 4*((d+1)/2); words > limit {
 			t.Errorf("d=%d: factor table holds %d words, want ≤ %d", d, words, limit)
 		}
@@ -335,7 +295,7 @@ func TestRootSensitivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := field.NewSplitMix64(69)
-	h := NewHasher(f61, params, Affine, rng)
+	h := NewHasher(f61, params, rng)
 	base := stream.UnitIncrements(params.U, 100, rng)
 	tree, err := Build(h, base)
 	if err != nil {
@@ -362,7 +322,7 @@ func TestTreeSizeSparse(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := field.NewSplitMix64(70)
-	h := NewHasher(f61, params, Affine, rng)
+	h := NewHasher(f61, params, rng)
 	const n = 64
 	ups := stream.UnitIncrements(params.U, n, rng)
 	tree, err := Build(h, ups)
@@ -390,8 +350,8 @@ func BenchmarkRootEvaluatorUpdate(b *testing.B) {
 		name string
 		h    *Hasher
 	}{
-		{"plain", NewHasher(f61, params, Affine, field.NewSplitMix64(71))},
-		{"augmented", NewAugmentedHasher(f61, params, Affine, field.NewSplitMix64(71))},
+		{"plain", NewHasher(f61, params, field.NewSplitMix64(71))},
+		{"augmented", NewAugmentedHasher(f61, params, field.NewSplitMix64(71))},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			ev := NewRootEvaluator(c.h)
@@ -411,7 +371,7 @@ func BenchmarkTreeBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := field.NewSplitMix64(72)
-	h := NewHasher(f61, params, Affine, rng)
+	h := NewHasher(f61, params, rng)
 	ups := stream.UniformDeltas(params.U, 1000, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

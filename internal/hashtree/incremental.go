@@ -21,7 +21,6 @@ import (
 type IncrementalTree struct {
 	F      field.Field
 	Params Params
-	Kind   Kind
 
 	// Workers sets the fan-out of Extend: each level's hashes are computed
 	// by that many goroutines over contiguous node blocks (0 serial, n < 0
@@ -44,7 +43,7 @@ type IncrementalTree struct {
 // hashes (the leaf values) are available immediately; higher-level
 // hashes require Extend. It passes over nil chunks and blocks of 8 zero
 // counts with one test each. A flat table is one chunk.
-func NewIncrementalFromCounts(f field.Field, params Params, kind Kind, width int, chunks [][]int64) (*IncrementalTree, error) {
+func NewIncrementalFromCounts(f field.Field, params Params, width int, chunks [][]int64) (*IncrementalTree, error) {
 	if width < 1 || uint64(width)*uint64(len(chunks)) != params.U {
 		return nil, fmt.Errorf("hashtree: count table has %d chunks of %d entries, want %d entries", len(chunks), width, params.U)
 	}
@@ -68,12 +67,12 @@ func NewIncrementalFromCounts(f field.Field, params Params, kind Kind, width int
 			}
 		}
 	}
-	return newFromLeaves(f, params, kind, leaves), nil
+	return newFromLeaves(f, params, leaves), nil
 }
 
 // newFromLeaves builds the count skeleton above sorted nonzero leaves.
-func newFromLeaves(f field.Field, params Params, kind Kind, leaves []Node) *IncrementalTree {
-	t := &IncrementalTree{F: f, Params: params, Kind: kind, levels: make([][]Node, params.D+1)}
+func newFromLeaves(f field.Field, params Params, leaves []Node) *IncrementalTree {
+	t := &IncrementalTree{F: f, Params: params, levels: make([][]Node, params.D+1)}
 	t.levels[0] = leaves
 	for j := 1; j <= params.D; j++ {
 		prev := t.levels[j-1]
@@ -104,7 +103,7 @@ func (t *IncrementalTree) Extend(r, q field.Elem) error {
 	}
 	t.r = append(t.r, r)
 	t.q = append(t.q, q)
-	h := Hasher{F: t.F, Params: t.Params, Kind: t.Kind, R: t.r, Q: t.q}
+	h := Hasher{F: t.F, Params: t.Params, R: t.r, Q: t.q}
 	prev := t.levels[j-1]
 	cur := t.levels[j]
 	// Each parent's children occupy a contiguous run of prev, so the level
@@ -139,14 +138,6 @@ func (t *IncrementalTree) Node(level int, index uint64) (Node, error) {
 	return t.lookup(level, index), nil
 }
 
-// Count returns the subtree count at (level, index); valid at any level.
-func (t *IncrementalTree) Count(level int, index uint64) (int64, error) {
-	if level < 0 || level > t.Params.D {
-		return 0, fmt.Errorf("hashtree: level %d out of range", level)
-	}
-	return t.lookup(level, index).Count, nil
-}
-
 func (t *IncrementalTree) lookup(level int, index uint64) Node {
 	nodes := t.levels[level]
 	k := sort.Search(len(nodes), func(i int) bool { return nodes[i].Index >= index })
@@ -162,14 +153,6 @@ func (t *IncrementalTree) LeavesInRange(qL, qR uint64) []Node {
 	lo := sort.Search(len(leaves), func(i int) bool { return leaves[i].Index >= qL })
 	hi := sort.Search(len(leaves), func(i int) bool { return leaves[i].Index > qR })
 	return leaves[lo:hi]
-}
-
-// Level returns the materialized nodes of a level whose hashes are built.
-func (t *IncrementalTree) Level(level int) ([]Node, error) {
-	if level < 0 || level > len(t.r) {
-		return nil, fmt.Errorf("hashtree: level %d hashes not built (have %d)", level, len(t.r))
-	}
-	return t.levels[level], nil
 }
 
 // HeavyChildren returns all level-l nodes that are children of level-(l+1)

@@ -18,16 +18,16 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		rng := field.NewSplitMix64(81)
 		var h *Hasher
 		if augmented {
-			h = NewAugmentedHasher(f61, params, Affine, rng)
+			h = NewAugmentedHasher(f61, params, rng)
 		} else {
-			h = NewHasher(f61, params, Affine, rng)
+			h = NewHasher(f61, params, rng)
 		}
 		ups := stream.UnitIncrements(params.U, 400, rng)
 		batch, err := Build(h, ups)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc, err := NewIncremental(f61, params, Affine, ups)
+		inc, err := NewIncremental(f61, params, ups)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,10 +42,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			if err := inc.Extend(h.R[j-1], q); err != nil {
 				t.Fatal(err)
 			}
-			lv, err := inc.Level(j)
-			if err != nil {
-				t.Fatal(err)
-			}
+			lv := inc.levels[j]
 			want := batch.Level(j)
 			if len(lv) != len(want) {
 				t.Fatalf("aug=%v level %d: %d nodes, want %d", augmented, j, len(lv), len(want))
@@ -68,15 +65,12 @@ func TestIncrementalAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	ups := []stream.Update{{Index: 1, Delta: 3}, {Index: 9, Delta: 4}}
-	inc, err := NewIncremental(f61, params, Affine, ups)
+	inc, err := NewIncremental(f61, params, ups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := inc.Node(1, 0); err == nil {
 		t.Error("unbuilt level access accepted")
-	}
-	if _, err := inc.Level(1); err == nil {
-		t.Error("unbuilt level listing accepted")
 	}
 	// Level-0 hashes (the leaf values) are available before any Extend, so
 	// HeavyChildren(0, ·) works immediately — the heavy-hitters prover
@@ -87,11 +81,11 @@ func TestIncrementalAccess(t *testing.T) {
 	if _, err := inc.HeavyChildren(1, 1); err == nil {
 		t.Error("heavy children on unbuilt level accepted")
 	}
-	if c, err := inc.Count(1, 0); err != nil || c != 3 {
-		t.Errorf("Count(1,0) = %d, %v; want 3", c, err)
+	if c := inc.lookup(1, 0).Count; c != 3 {
+		t.Errorf("count at (1,0) = %d; want 3", c)
 	}
-	if c, err := inc.Count(4, 0); err != nil || c != 7 {
-		t.Errorf("root count = %d, %v; want 7", c, err)
+	if c := inc.lookup(4, 0).Count; c != 7 {
+		t.Errorf("root count = %d; want 7", c)
 	}
 	n, err := inc.Node(0, 1)
 	if err != nil || n.Count != 3 {
@@ -108,7 +102,7 @@ func TestIncrementalAccess(t *testing.T) {
 	if err != nil || n.Hash != f61.Add(0, f61.Mul(7, 3)) {
 		t.Fatalf("level-1 node 0 = %+v, %v", n, err)
 	}
-	if _, err := NewIncremental(f61, params, Affine, []stream.Update{{Index: 99, Delta: 1}}); err == nil {
+	if _, err := NewIncremental(f61, params, []stream.Update{{Index: 99, Delta: 1}}); err == nil {
 		t.Error("out-of-universe update accepted")
 	}
 }

@@ -8,8 +8,7 @@ import (
 )
 
 // TestIncrementalExtendWorkersIdentical: building the tree with a worker
-// pool must produce exactly the serial hashes at every level, for both
-// hash kinds.
+// pool must produce exactly the serial hashes at every level.
 func TestIncrementalExtendWorkersIdentical(t *testing.T) {
 	f := field.Mersenne()
 	params, err := NewParams(14)
@@ -21,38 +20,29 @@ func TestIncrementalExtendWorkersIdentical(t *testing.T) {
 	rs := f.RandVec(rng, params.D)
 	qs := f.RandVec(rng, params.D)
 
-	for _, kind := range []Kind{Affine, Multilinear} {
-		serial, err := NewIncremental(f, params, kind, ups)
-		if err != nil {
+	serial, err := NewIncremental(f, params, ups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := NewIncremental(f, params, ups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par.Workers = -1
+	for j := 0; j < params.D; j++ {
+		if err := serial.Extend(rs[j], qs[j]); err != nil {
 			t.Fatal(err)
 		}
-		par, err := NewIncremental(f, params, kind, ups)
-		if err != nil {
+		if err := par.Extend(rs[j], qs[j]); err != nil {
 			t.Fatal(err)
 		}
-		par.Workers = -1
-		for j := 0; j < params.D; j++ {
-			if err := serial.Extend(rs[j], qs[j]); err != nil {
-				t.Fatal(err)
-			}
-			if err := par.Extend(rs[j], qs[j]); err != nil {
-				t.Fatal(err)
-			}
-			want, err := serial.Level(j + 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := par.Level(j + 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("kind=%v level %d: %d nodes, want %d", kind, j+1, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("kind=%v level %d node %d: parallel %+v, serial %+v", kind, j+1, i, got[i], want[i])
-				}
+		want, got := serial.levels[j+1], par.levels[j+1]
+		if len(got) != len(want) {
+			t.Fatalf("level %d: %d nodes, want %d", j+1, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("level %d node %d: parallel %+v, serial %+v", j+1, i, got[i], want[i])
 			}
 		}
 	}

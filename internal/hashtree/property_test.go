@@ -9,7 +9,7 @@ import (
 )
 
 // TestRootLinearityQuick: the root hash is linear in the leaf vector —
-// t(a+b) = t(a) + t(b) — for both hash kinds and both augmentations.
+// t(a+b) = t(a) + t(b) — with and without augmentation.
 // Linearity is the property that makes streaming maintenance (Eq. 8)
 // possible at all.
 func TestRootLinearityQuick(t *testing.T) {
@@ -17,34 +17,31 @@ func TestRootLinearityQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []Kind{Affine, Multilinear} {
-		for _, augmented := range []bool{false, true} {
-			kind, augmented := kind, augmented
-			hrng := field.NewSplitMix64(uint64(91 + int(kind)))
-			var h *Hasher
-			if augmented {
-				h = NewAugmentedHasher(f61, params, kind, hrng)
-			} else {
-				h = NewHasher(f61, params, kind, hrng)
+	for _, augmented := range []bool{false, true} {
+		hrng := field.NewSplitMix64(91)
+		var h *Hasher
+		if augmented {
+			h = NewAugmentedHasher(f61, params, hrng)
+		} else {
+			h = NewHasher(f61, params, hrng)
+		}
+		check := func(seed uint64) bool {
+			rng := field.NewSplitMix64(seed)
+			upsA := stream.UnitIncrements(params.U, 30, rng)
+			upsB := stream.UnitIncrements(params.U, 30, rng)
+			evA, evB, evAB := NewRootEvaluator(h), NewRootEvaluator(h), NewRootEvaluator(h)
+			for _, u := range upsA {
+				_ = evA.Update(u.Index, u.Delta)
+				_ = evAB.Update(u.Index, u.Delta)
 			}
-			check := func(seed uint64) bool {
-				rng := field.NewSplitMix64(seed)
-				upsA := stream.UnitIncrements(params.U, 30, rng)
-				upsB := stream.UnitIncrements(params.U, 30, rng)
-				evA, evB, evAB := NewRootEvaluator(h), NewRootEvaluator(h), NewRootEvaluator(h)
-				for _, u := range upsA {
-					_ = evA.Update(u.Index, u.Delta)
-					_ = evAB.Update(u.Index, u.Delta)
-				}
-				for _, u := range upsB {
-					_ = evB.Update(u.Index, u.Delta)
-					_ = evAB.Update(u.Index, u.Delta)
-				}
-				return evAB.Root() == f61.Add(evA.Root(), evB.Root())
+			for _, u := range upsB {
+				_ = evB.Update(u.Index, u.Delta)
+				_ = evAB.Update(u.Index, u.Delta)
 			}
-			if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-				t.Errorf("kind=%v aug=%v: %v", kind, augmented, err)
-			}
+			return evAB.Root() == f61.Add(evA.Root(), evB.Root())
+		}
+		if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
+			t.Errorf("aug=%v: %v", augmented, err)
 		}
 	}
 }
@@ -56,7 +53,7 @@ func TestRootOrderInvarianceQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewAugmentedHasher(f61, params, Affine, field.NewSplitMix64(92))
+	h := NewAugmentedHasher(f61, params, field.NewSplitMix64(92))
 	check := func(seed uint64) bool {
 		rng := field.NewSplitMix64(seed)
 		ups := stream.UnitIncrements(params.U, 40, rng)
@@ -81,7 +78,7 @@ func TestCancellationQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHasher(f61, params, Affine, field.NewSplitMix64(93))
+	h := NewHasher(f61, params, field.NewSplitMix64(93))
 	check := func(seed uint64) bool {
 		rng := field.NewSplitMix64(seed)
 		base := stream.UnitIncrements(params.U, 20, rng)

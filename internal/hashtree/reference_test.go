@@ -54,12 +54,12 @@ func Build(h *Hasher, updates []stream.Update) (*Tree, error) {
 
 // NewIncremental aggregates the updates into sorted nonzero leaves and
 // builds the count skeleton of every level.
-func NewIncremental(f field.Field, params Params, kind Kind, updates []stream.Update) (*IncrementalTree, error) {
+func NewIncremental(f field.Field, params Params, updates []stream.Update) (*IncrementalTree, error) {
 	leaves, err := leavesOf(f, params.U, updates)
 	if err != nil {
 		return nil, err
 	}
-	return newFromLeaves(f, params, kind, leaves), nil
+	return newFromLeaves(f, params, leaves), nil
 }
 
 // Tree is the whole tree at once, every level hashed with all the
@@ -67,7 +67,7 @@ func NewIncremental(f field.Field, params Params, kind Kind, updates []stream.Up
 // index. It is the reference the prover's IncrementalTree, which hashes
 // one level per revealed round, is checked against. Size is O(min(u, n·log(u/n))) as in
 // Theorem 5. Absent nodes hash to 0 (an all-zero subtree hashes to 0
-// under both kinds, with count 0).
+// with count 0).
 type Tree struct {
 	H      *Hasher
 	levels [][]Node

@@ -112,10 +112,6 @@ func (c *Client) Put(cloud *Cloud, key, value uint64) error {
 // Keys returns the number of puts so far.
 func (c *Client) Keys() int { return c.keys }
 
-// RemainingQueries returns how many verified queries the client can still
-// issue.
-func (c *Client) RemainingQueries() int { return len(c.slots) - c.next }
-
 // ask spends the next slot on one query — its raw ticket over cloud.Raw
 // when raw is set, else its shifted ticket over cloud.Log — and runs the
 // conversation against the cloud, which proves from that log's aggregate.

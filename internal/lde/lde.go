@@ -76,26 +76,6 @@ func ParamsForUniverse(u uint64, ell int) (Params, error) {
 	return Params{Ell: ell, D: d, U: cap}, nil
 }
 
-// Digits writes the base-ℓ digits of i (least significant first) into buf,
-// which must have length ≥ d, and returns buf[:d].
-func (p Params) Digits(i uint64, buf []int) []int {
-	ell := uint64(p.Ell)
-	for j := 0; j < p.D; j++ {
-		buf[j] = int(i % ell)
-		i /= ell
-	}
-	return buf[:p.D]
-}
-
-// Index is the inverse of Digits.
-func (p Params) Index(digits []int) uint64 {
-	var i uint64
-	for j := p.D - 1; j >= 0; j-- {
-		i = i*uint64(p.Ell) + uint64(digits[j])
-	}
-	return i
-}
-
 // BasisWeights returns w_k = 1 / Π_{j≠k}(k-j) for nodes 0..ℓ-1, the
 // normalizing constants of the Lagrange basis χ_k over [ℓ].
 func BasisWeights(f field.Field, ell int) []field.Elem {
@@ -277,7 +257,6 @@ func (pt *Point) ChiOfIndex(i uint64) field.Elem {
 type Evaluator struct {
 	pt  *Point
 	acc field.Elem
-	n   uint64 // updates processed
 }
 
 // NewEvaluator returns a streaming evaluator anchored at pt.
@@ -293,15 +272,11 @@ func (e *Evaluator) Update(i uint64, delta int64) error {
 	}
 	d := e.pt.F.FromInt64(delta)
 	e.acc = e.pt.F.Add(e.acc, e.pt.F.Mul(d, e.pt.ChiOfIndex(i)))
-	e.n++
 	return nil
 }
 
 // Value returns the current f_a(r).
 func (e *Evaluator) Value() field.Elem { return e.acc }
-
-// Updates returns how many stream elements have been folded in.
-func (e *Evaluator) Updates() uint64 { return e.n }
 
 // Point returns the evaluation point the evaluator is anchored at.
 func (e *Evaluator) Point() *Point { return e.pt }

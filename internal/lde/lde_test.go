@@ -54,29 +54,6 @@ func TestParamsForUniverse(t *testing.T) {
 	}
 }
 
-func TestDigitsIndexRoundTrip(t *testing.T) {
-	for _, pr := range []struct{ ell, d int }{{2, 12}, {3, 6}, {10, 4}} {
-		p, err := NewParams(pr.ell, pr.d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]int, p.D)
-		rng := field.NewSplitMix64(21)
-		for trial := 0; trial < 200; trial++ {
-			i := rng.Uint64() % p.U
-			digits := p.Digits(i, buf)
-			for _, dg := range digits {
-				if dg < 0 || dg >= p.Ell {
-					t.Fatalf("digit %d out of range for ℓ=%d", dg, p.Ell)
-				}
-			}
-			if back := p.Index(digits); back != i {
-				t.Fatalf("(ℓ=%d,d=%d): Index(Digits(%d)) = %d", p.Ell, p.D, i, back)
-			}
-		}
-	}
-}
-
 func TestAllChiIndicatorAtNodes(t *testing.T) {
 	for _, ell := range []int{2, 3, 5, 8} {
 		w := BasisWeights(f61, ell)
@@ -139,12 +116,11 @@ func TestLDEAgreesOnHypercube(t *testing.T) {
 		}
 		rng := field.NewSplitMix64(24)
 		table := f61.RandVec(rng, int(params.U))
-		buf := make([]int, params.D)
+		ell := uint64(params.Ell)
 		for _, i := range []uint64{0, 1, params.U / 2, params.U - 1} {
-			digits := params.Digits(i, buf)
 			r := make([]field.Elem, params.D)
-			for j, dg := range digits {
-				r[j] = f61.Reduce(uint64(dg))
+			for j, k := 0, i; j < params.D; j, k = j+1, k/ell {
+				r[j] = f61.Reduce(k % ell) // base-ℓ digit j of i
 			}
 			pt, err := NewPoint(f61, params, r)
 			if err != nil {
@@ -193,9 +169,6 @@ func TestStreamingMatchesDense(t *testing.T) {
 		}
 		if ev.Value() != want {
 			t.Fatalf("(ℓ=%d,d=%d): streaming %d ≠ dense %d", pr.ell, pr.d, ev.Value(), want)
-		}
-		if ev.Updates() != uint64(len(ups)) {
-			t.Fatalf("Updates() = %d, want %d", ev.Updates(), len(ups))
 		}
 		if ev.SpaceWords() != params.D+1 {
 			t.Fatalf("SpaceWords() = %d, want %d", ev.SpaceWords(), params.D+1)

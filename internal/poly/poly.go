@@ -148,9 +148,6 @@ func NewConsecutiveEvaluator(f field.Field, n int) (*ConsecutiveEvaluator, error
 	return &ConsecutiveEvaluator{f: f, w: denoms}, nil
 }
 
-// N returns the number of interpolation points.
-func (e *ConsecutiveEvaluator) N() int { return len(e.w) }
-
 // Eval returns the value at r of the unique degree-<n polynomial with
 // g(i) = ys[i] for i = 0..n-1.
 func (e *ConsecutiveEvaluator) Eval(ys []field.Elem, r field.Elem) (field.Elem, error) {

@@ -133,8 +133,8 @@ func TestConsecutiveEvaluator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev.N() != n {
-			t.Fatalf("N() = %d, want %d", ev.N(), n)
+		if len(ev.w) != n {
+			t.Fatalf("%d interpolation points, want %d", len(ev.w), n)
 		}
 		p := Poly(f61.RandVec(rng, n))
 		ys := make([]field.Elem, n)

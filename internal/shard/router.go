@@ -41,13 +41,10 @@ type Router struct {
 	// IdleTimeout bounds client-side reads and writes, mirroring
 	// wire.Server.IdleTimeout. Zero means no deadline.
 	IdleTimeout time.Duration
-	// DialTimeout bounds each backend dial attempt (default 2s). A
-	// backend dial retries with exponential backoff until DialRetryBudget
-	// is spent, then the open is failed back to the client.
-	DialTimeout time.Duration
 	// DialRetryBudget bounds the total wall-clock time spent retrying a
-	// backend dial (attempts plus backoff sleeps) before the failure
-	// surfaces as ErrBackendUnavailable. Zero means the default 2s.
+	// backend dial (attempts of at most dialAttemptTimeout each, plus
+	// backoff sleeps) before the failure surfaces as
+	// ErrBackendUnavailable. Zero means the default 2s.
 	DialRetryBudget time.Duration
 	// TablePath, when set, is where Rebalance persists the flipped route
 	// so it survives a router restart. A serving router also watches the
@@ -89,7 +86,10 @@ var ErrBackendUnavailable = errors.New("shard: backend unavailable")
 // route flip and could silently undo it.
 var ErrMigrationInFlight = errors.New("shard: a migration is in flight; retry SetTable after it settles")
 
-const dialBackoffFirst = 50 * time.Millisecond
+const (
+	dialBackoffFirst   = 50 * time.Millisecond
+	dialAttemptTimeout = 2 * time.Second // caps one backend dial attempt
+)
 
 // proofCacheRef lazily builds the router's split-proof cache: the cache
 // that serves assembled Fiat–Shamir proofs for split datasets, with the
@@ -324,7 +324,7 @@ func (p *proxyConn) backendFor(s ShardInfo) (*backend, error) {
 	if b := p.backends[s.Name]; b != nil {
 		return b, nil
 	}
-	conn, err := dialBackoff(s.Addr, p.r.DialTimeout, p.r.DialRetryBudget)
+	conn, err := dialBackoff(s.Addr, p.r.DialRetryBudget)
 	if err != nil {
 		return nil, fmt.Errorf("shard: shard %q (%s) is unreachable: %w", s.Name, s.Addr, err)
 	}
@@ -340,10 +340,7 @@ func (p *proxyConn) backendFor(s ShardInfo) (*backend, error) {
 // fails the client within the budget rather than after an unbounded
 // attempts × timeout product. The per-attempt dial timeout is capped to
 // the budget's remainder, so the last attempt cannot overshoot.
-func dialBackoff(addr string, dialTimeout, budget time.Duration) (net.Conn, error) {
-	if dialTimeout <= 0 {
-		dialTimeout = 2 * time.Second
-	}
+func dialBackoff(addr string, budget time.Duration) (net.Conn, error) {
 	if budget <= 0 {
 		budget = 2 * time.Second
 	}
@@ -362,12 +359,12 @@ func dialBackoff(addr string, dialTimeout, budget time.Duration) (net.Conn, erro
 			time.Sleep(delay)
 			delay *= 2
 		}
-		perAttempt := dialTimeout
+		perAttempt := dialAttemptTimeout
 		if remaining := time.Until(deadline); remaining <= 0 {
 			if attempt > 0 {
 				break
 			}
-			// Always make at least one attempt, bounded by dialTimeout.
+			// Always make at least one attempt, bounded by dialAttemptTimeout.
 		} else if perAttempt > remaining {
 			perAttempt = remaining
 		}

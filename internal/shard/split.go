@@ -137,7 +137,7 @@ func (p *proxyConn) splitClient(s ShardInfo, dataset string) (*wire.Client, erro
 // dialSplitLeg dials a fresh owner leg with the same bounded retry as a
 // byte-forwarding backend.
 func (p *proxyConn) dialSplitLeg(s ShardInfo) (*wire.Client, error) {
-	conn, err := dialBackoff(s.Addr, p.r.DialTimeout, p.r.DialRetryBudget)
+	conn, err := dialBackoff(s.Addr, p.r.DialRetryBudget)
 	if err != nil {
 		return nil, fmt.Errorf("shard: shard %q (%s) is unreachable: %w", s.Name, s.Addr, err)
 	}
@@ -420,7 +420,7 @@ func (r *Router) AggregatedStats() (wire.ServerStats, error) {
 		agg.Shards[name] = st
 	}
 	for _, s := range shards {
-		conn, err := dialBackoff(s.Addr, r.DialTimeout, r.DialRetryBudget)
+		conn, err := dialBackoff(s.Addr, r.DialRetryBudget)
 		if err != nil {
 			return wire.ServerStats{}, fmt.Errorf("shard: stats from shard %q: %w", s.Name, err)
 		}

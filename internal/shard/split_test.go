@@ -419,7 +419,7 @@ func TestDialBackoffBudget(t *testing.T) {
 	ln.Close()
 
 	start := time.Now()
-	_, err = dialBackoff(deadAddr, time.Second, 300*time.Millisecond)
+	_, err = dialBackoff(deadAddr, 300*time.Millisecond)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("dial of a dead address succeeded")

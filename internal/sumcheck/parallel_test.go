@@ -18,13 +18,13 @@ func transcriptFor(t *testing.T, cfg Config, tables [][]field.Elem, challenges [
 		t.Fatal(err)
 	}
 	var out []field.Elem
-	for j := 0; j < cfg.Rounds(); j++ {
+	for j := 0; j < cfg.Params.D; j++ {
 		msg, err := p.RoundMessage()
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, msg...)
-		if j < cfg.Rounds()-1 {
+		if j < cfg.Params.D-1 {
 			if err := p.Fold(challenges[j]); err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestParallelProverAccepted(t *testing.T) {
 		if _, err := Run(p, v, nil); err != nil {
 			t.Fatalf("workers=%d: honest parallel prover rejected: %v", workers, err)
 		}
-		if !v.Accepted() {
+		if !accepted(v) {
 			t.Fatalf("workers=%d: verifier did not accept", workers)
 		}
 	}

@@ -227,7 +227,7 @@ func TestPartialVerifierAccepts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !v.Accepted() {
+	if !accepted(v) {
 		t.Fatal("verifier did not accept the distributed conversation")
 	}
 }

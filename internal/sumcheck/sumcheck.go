@@ -177,9 +177,6 @@ func (c Config) degree() int {
 // (deg+1 evaluations).
 func (c Config) MessageLen() int { return c.degree() + 1 }
 
-// Rounds returns the number of rounds d.
-func (c Config) Rounds() int { return c.Params.D }
-
 // Validate reports whether the configuration is usable: a valid field, a
 // combiner, and a message degree small enough for distinct evaluation
 // points to exist in the field.
@@ -1293,13 +1290,6 @@ func (v *Verifier) Challenge() (field.Elem, error) {
 
 // Done reports whether all d rounds have been received.
 func (v *Verifier) Done() bool { return v.round == v.cfg.Params.D }
-
-// Accepted reports whether the verifier finished all rounds without
-// rejecting.
-func (v *Verifier) Accepted() bool { return v.Done() && !v.rejected }
-
-// Round returns the number of messages received so far.
-func (v *Verifier) Round() int { return v.round }
 
 // SpaceWords reports the verifier's working memory in the paper's
 // accounting: the d challenges, the running claim, the expected final

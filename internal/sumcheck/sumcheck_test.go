@@ -118,6 +118,9 @@ func claimOf(t *testing.T, p *Prover) field.Elem {
 	return claim
 }
 
+// accepted reports whether v finished every round without rejecting.
+func accepted(v *Verifier) bool { return v.Done() && !v.rejected }
+
 // runProtocol wires up one complete honest conversation for the given
 // combiner and tables, with the verifier's point sampled from rng.
 func runProtocol(t *testing.T, cfg Config, rng field.RNG, tables ...[]field.Elem) (Transcript, *Verifier, error) {
@@ -158,7 +161,7 @@ func TestF2Completeness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("(ℓ=%d,d=%d): honest run rejected: %v", pr.ell, pr.d, err)
 		}
-		if !v.Accepted() {
+		if !accepted(v) {
 			t.Fatalf("(ℓ=%d,d=%d): verifier not in accepted state", pr.ell, pr.d)
 		}
 		if len(tr.Messages) != params.D {
@@ -211,7 +214,7 @@ func TestFkCompleteness(t *testing.T) {
 		if cfg.MessageLen() != k+1 {
 			t.Fatalf("F%d message length %d, want %d (paper: degree k for ℓ=2)", k, cfg.MessageLen(), k+1)
 		}
-		if _, v, err := runProtocol(t, cfg, rng, table); err != nil || !v.Accepted() {
+		if _, v, err := runProtocol(t, cfg, rng, table); err != nil || !accepted(v) {
 			t.Fatalf("F%d honest run rejected: %v", k, err)
 		}
 	}
@@ -229,7 +232,7 @@ func TestInnerProductCompleteness(t *testing.T) {
 	tb := buildTable(t, f61, upsB, params.U)
 	cfg := Config{Field: f61, Params: params, Combiner: Product{}}
 	_, v, err := runProtocol(t, cfg, rng, ta, tb)
-	if err != nil || !v.Accepted() {
+	if err != nil || !accepted(v) {
 		t.Fatalf("inner product honest run rejected: %v", err)
 	}
 	// Claimed total must equal the reference inner product.
@@ -260,7 +263,7 @@ func TestPolyCombinerCompleteness(t *testing.T) {
 	table := buildTable(t, f61, ups, params.U)
 	cfg := Config{Field: f61, Params: params, Combiner: PolyFn{H: h}}
 	_, v, err := runProtocol(t, cfg, rng, table)
-	if err != nil || !v.Accepted() {
+	if err != nil || !accepted(v) {
 		t.Fatalf("poly combiner honest run rejected: %v", err)
 	}
 	a, _ := stream.Apply(ups, params.U)
@@ -484,7 +487,7 @@ func TestVerifierStructuralChecks(t *testing.T) {
 		if err := v.Receive([]field.Elem{0, 1, 0}); !errors.Is(err, ErrReject) {
 			t.Errorf("post-rejection message accepted: %v", err)
 		}
-		if v.Accepted() {
+		if accepted(v) {
 			t.Error("rejected verifier reports accepted")
 		}
 	})
@@ -610,7 +613,7 @@ func TestBranchingFactorTradeoff(t *testing.T) {
 		table := buildTable(t, f61, ups, params.U)
 		cfg := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
 		tr, v, err := runProtocol(t, cfg, rng, table)
-		if err != nil || !v.Accepted() {
+		if err != nil || !accepted(v) {
 			t.Fatalf("(ℓ=%d,d=%d) rejected: %v", pr.ell, pr.d, err)
 		}
 		wantWords := pr.d*(2*(pr.ell-1)+1) + pr.d - 1

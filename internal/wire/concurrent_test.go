@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/stream"
 )
@@ -102,18 +102,17 @@ func TestConcurrentClientsParallelProver(t *testing.T) {
 				return
 			}
 
-			f2proto, err := core.NewSelfJoinSize(f61, u)
+			f2v, err := engine.NewStreamVerifier(f61, u, QuerySelfJoinSize, QueryParams{}, field.NewSplitMix64(seed+1))
 			if err != nil {
 				errs <- err
 				return
 			}
-			f2v := f2proto.NewVerifier(field.NewSplitMix64(seed + 1))
-			rsproto, err := core.NewRangeSum(f61, u)
+			qL, qR := uint64(64), uint64(u/2)
+			rsv, err := engine.NewStreamVerifier(f61, u, QueryRangeSum, QueryParams{A: qL, B: qR}, field.NewSplitMix64(seed+2))
 			if err != nil {
 				errs <- err
 				return
 			}
-			rsv := rsproto.NewVerifier(field.NewSplitMix64(seed + 2))
 			for _, up := range ups {
 				if err := f2v.Observe(up); err != nil {
 					errs <- err
@@ -134,7 +133,7 @@ func TestConcurrentClientsParallelProver(t *testing.T) {
 				errs <- fmt.Errorf("client %d: F2 rejected: %w", c, err)
 				return
 			}
-			gotF2, err := f2v.Result()
+			gotF2, err := engine.AnswerOf(QuerySelfJoinSize, f2v)
 			if err != nil {
 				errs <- err
 				return
@@ -145,21 +144,16 @@ func TestConcurrentClientsParallelProver(t *testing.T) {
 				e := f61.FromInt64(v)
 				wantF2 = f61.Add(wantF2, f61.Mul(e, e))
 			}
-			if gotF2 != wantF2 {
-				errs <- fmt.Errorf("client %d: F2 = %d, want %d", c, gotF2, wantF2)
+			if gotF2.Elem != wantF2 {
+				errs <- fmt.Errorf("client %d: F2 = %d, want %d", c, gotF2.Elem, wantF2)
 				return
 			}
 
-			qL, qR := uint64(64), uint64(u/2)
-			if err := rsv.SetQuery(qL, qR); err != nil {
-				errs <- err
-				return
-			}
 			if _, err := client.Query(QueryRangeSum, QueryParams{A: qL, B: qR}, rsv); err != nil {
 				errs <- fmt.Errorf("client %d: range-sum rejected: %w", c, err)
 				return
 			}
-			gotRS, err := rsv.SignedResult()
+			gotRS, err := engine.AnswerOf(QueryRangeSum, rsv)
 			if err != nil {
 				errs <- err
 				return
@@ -168,8 +162,8 @@ func TestConcurrentClientsParallelProver(t *testing.T) {
 			for i := qL; i <= qR; i++ {
 				wantRS += a[i]
 			}
-			if gotRS != wantRS {
-				errs <- fmt.Errorf("client %d: range-sum = %d, want %d", c, gotRS, wantRS)
+			if gotRS.Int != wantRS {
+				errs <- fmt.Errorf("client %d: range-sum = %d, want %d", c, gotRS.Int, wantRS)
 			}
 		}(c)
 	}

@@ -152,11 +152,11 @@ func TestWireSliceRefusals(t *testing.T) {
 
 	// Whole-transcript query: refused per-channel, with the slice bounds
 	// in the error.
-	proto, err := core.NewSelfJoinSize(f61, u)
+	v, err := engine.NewStreamVerifier(f61, u, QuerySelfJoinSize, QueryParams{}, field.NewSplitMix64(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query(QuerySelfJoinSize, QueryParams{}, proto.NewVerifier(field.NewSplitMix64(5))); err == nil ||
+	if _, err := c.Query(QuerySelfJoinSize, QueryParams{}, v); err == nil ||
 		!strings.Contains(err.Error(), "slice") {
 		t.Fatalf("whole-transcript query on a slice: %v", err)
 	}

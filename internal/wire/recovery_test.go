@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/stream"
@@ -53,11 +52,10 @@ func verifyF2Named(t *testing.T, addr, name string, ups []stream.Update, seed ui
 	if count != uint64(len(ups)) {
 		t.Fatalf("dataset %q holds %d updates, want %d (re-ingestion should not be needed)", name, count, len(ups))
 	}
-	proto, err := core.NewSelfJoinSize(f61, recU)
+	v, err := engine.NewStreamVerifier(f61, recU, QuerySelfJoinSize, QueryParams{}, field.NewSplitMix64(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := proto.NewVerifier(field.NewSplitMix64(seed))
 	for _, up := range ups {
 		if err := v.Observe(up); err != nil {
 			t.Fatal(err)

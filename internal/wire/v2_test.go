@@ -75,16 +75,15 @@ func TestSharedDatasetAcrossConnections(t *testing.T) {
 		t.Fatalf("querier saw %d updates, want %d", count, len(ups))
 	}
 
-	f2proto, err := core.NewSelfJoinSize(f61, u)
+	f2v, err := engine.NewStreamVerifier(f61, u, QuerySelfJoinSize, QueryParams{}, field.NewSplitMix64(71))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2v := f2proto.NewVerifier(field.NewSplitMix64(71))
-	rqproto, err := core.NewRangeQuery(f61, u)
+	rq := QueryParams{A: 0, B: 99}
+	rqv, err := engine.NewStreamVerifier(f61, u, QueryRangeQuery, rq, field.NewSplitMix64(72))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rqv := rqproto.NewVerifier(field.NewSplitMix64(72))
 	for _, up := range ups {
 		if err := f2v.Observe(up); err != nil {
 			t.Fatal(err)
@@ -96,7 +95,7 @@ func TestSharedDatasetAcrossConnections(t *testing.T) {
 	if _, err := q.Query(QuerySelfJoinSize, QueryParams{}, f2v); err != nil {
 		t.Fatalf("F2 over shared dataset rejected: %v", err)
 	}
-	got, err := f2v.Result()
+	got, err := engine.AnswerOf(QuerySelfJoinSize, f2v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +105,8 @@ func TestSharedDatasetAcrossConnections(t *testing.T) {
 		e := f61.FromInt64(v)
 		want = f61.Add(want, f61.Mul(e, e))
 	}
-	if got != want {
-		t.Fatalf("F2 = %d, want %d", got, want)
+	if got.Elem != want {
+		t.Fatalf("F2 = %d, want %d", got.Elem, want)
 	}
 
 	// Ingestion continues between queries on the same connection.
@@ -120,10 +119,7 @@ func TestSharedDatasetAcrossConnections(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := rqv.SetQuery(0, 99); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Query(QueryRangeQuery, QueryParams{A: 0, B: 99}, rqv); err != nil {
+	if _, err := q.Query(QueryRangeQuery, rq, rqv); err != nil {
 		t.Fatalf("range query after further ingestion rejected: %v", err)
 	}
 }
@@ -201,12 +197,11 @@ func TestConcurrentSharedDataset(t *testing.T) {
 				errs <- fmt.Errorf("client %d: dataset has %d updates, want %d", c, count, len(ups))
 				return
 			}
-			proto, err := core.NewSelfJoinSize(f61, u)
+			v, err := engine.NewStreamVerifier(f61, u, QuerySelfJoinSize, QueryParams{}, field.NewSplitMix64(uint64(500+c)))
 			if err != nil {
 				errs <- err
 				return
 			}
-			v := proto.NewVerifier(field.NewSplitMix64(uint64(500 + c)))
 			for _, up := range ups {
 				if err := v.Observe(up); err != nil {
 					errs <- err
@@ -217,13 +212,13 @@ func TestConcurrentSharedDataset(t *testing.T) {
 				errs <- fmt.Errorf("client %d: rejected: %w", c, err)
 				return
 			}
-			got, err := v.Result()
+			got, err := engine.AnswerOf(QuerySelfJoinSize, v)
 			if err != nil {
 				errs <- err
 				return
 			}
-			if got != wantF2 {
-				errs <- fmt.Errorf("client %d: F2 = %d, want %d", c, got, wantF2)
+			if got.Elem != wantF2 {
+				errs <- fmt.Errorf("client %d: F2 = %d, want %d", c, got.Elem, wantF2)
 			}
 		}(c)
 	}
@@ -462,11 +457,10 @@ func TestIdleTimeoutDoesNotKillActiveClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	proto, err := core.NewSelfJoinSize(f61, u)
+	v, err := engine.NewStreamVerifier(f61, u, QuerySelfJoinSize, QueryParams{}, field.NewSplitMix64(96))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := proto.NewVerifier(field.NewSplitMix64(96))
 	for _, up := range ups {
 		if err := v.Observe(up); err != nil {
 			t.Fatal(err)

@@ -66,8 +66,8 @@ func TestVerifyCircuitRejectsTamper(t *testing.T) {
 	for i := uint64(0); i < u; i++ {
 		ups = append(ups, sip.Update{Index: i, Delta: int64(i%5) - 2})
 	}
-	spec := sip.CircuitSpec{Name: sip.CircuitF2}
-	v, err := sip.NewCircuitVerifier(f, spec, u, sip.NewSeededRNG(80))
+	query := sip.QueryParams{Circuit: sip.CircuitF2}
+	v, err := sip.NewQueryVerifier(f, u, sip.QueryCircuit, query, sip.NewSeededRNG(80))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestVerifyCircuitRejectsTamper(t *testing.T) {
 	if err := ds.Ingest(ups); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ds.Snapshot().NewProver(sip.QueryCircuit, sip.QueryParams{Circuit: spec.Name})
+	p, err := ds.Snapshot().NewProver(sip.QueryCircuit, query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/fs"
-	"repro/internal/gkr"
 	"repro/internal/stream"
 )
 
@@ -352,7 +351,10 @@ func VerifyProof(pf *Proof, v VerifierSession) error { return pf.Binding.Verify(
 // words per layer. Circuits come from a registry of named families;
 // select one by name (and optional argument) in QueryParams.Circuit /
 // QueryParams.A — locally via Snapshot.NewProver, or over the wire where
-// the name travels in the query frame.
+// the name travels in the query frame. Its streaming verifier is every
+// kind's: NewQueryVerifier(f, u, QueryCircuit, params, rng), which must
+// observe the same stream as the dataset it queries; after acceptance
+// AnswerOf(QueryCircuit, v).Outputs is the verified output vector.
 
 // CircuitSpec names a circuit family and its argument (for MATMUL, the
 // matrix dimension n; 0 selects a default spanning the universe).
@@ -371,19 +373,6 @@ func CircuitFamilies() []string { return circuit.Families() }
 // ErrUnknownCircuit is returned (wrapped) when a CircuitSpec names no
 // registered family.
 var ErrUnknownCircuit = circuit.ErrUnknownFamily
-
-// CircuitVerifier is the verifier session for a CIRCUIT query: observe
-// the stream, then drive it against a prover with Run (or hand it to
-// the wire client). After acceptance, Outputs returns the verified
-// output vector of the circuit.
-type CircuitVerifier = gkr.VerifierSession
-
-// NewCircuitVerifier returns the streaming verifier for one circuit
-// family over [0, u). It keeps O(log² u) words and must observe the
-// same stream as the dataset it queries.
-func NewCircuitVerifier(f Field, spec CircuitSpec, u uint64, rng RNG) (*CircuitVerifier, error) {
-	return gkr.NewVerifierFor(f, spec, u, rng)
-}
 
 // NewEngine returns an empty dataset registry. workers is the prover
 // fan-out handed to every dataset (0 serial, -1 all cores). The engine
