@@ -259,6 +259,7 @@ func (m *module) check(p *pkg, tolerant bool) error {
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Instances:  map[*ast.Ident]types.Instance{},
 	}
 	if len(p.files) == 0 {
 		return nil // a test-only package

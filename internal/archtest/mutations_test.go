@@ -56,6 +56,18 @@ func (b Batch) Span() uint64 {
 }
 `
 
+// streamSource adds a type with a Name() string method, the shape
+// io/fs.FileInfo, io/fs.DirEntry and testing.TB declare, to
+// internal/stream.
+const streamSource = `package stream
+
+// Source names a stream.
+type Source struct{ name string }
+
+// Name returns the source's name.
+func (s Source) Name() string { return s.name }
+`
+
 var rows = []row{
 	// sumcheck-halves
 	{rule: "sumcheck-halves", name: "function value", files: map[string]string{"internal/engine/mk.go": `package engine
@@ -540,6 +552,48 @@ func TestSpan(t *testing.T) { _ = Batch{{}}.Span() }
 		"internal/stream/batch.go": streamBatch + `
 // spanOf reads any span.
 func spanOf(x interface{ Span() uint64 }) uint64 { return x.Span() }
+
+// width reads a batch's span.
+func width(b Batch) uint64 { return spanOf(b) }
+`}},
+	{rule: "test-only-export", name: "interface declares the method, nothing converts to it", files: map[string]string{
+		"internal/stream/batch.go": streamBatch + `
+// spanOf reads any span.
+func spanOf(x interface{ Span() uint64 }) uint64 { return x.Span() }
+`}, want: []string{"internal/stream.Batch.Span is an exported method only tests call"}},
+	{rule: "test-only-export", name: "dead method of a standard library shape", files: map[string]string{
+		"internal/stream/source.go": streamSource,
+		"internal/stream/size.go": `package stream
+
+import "io/fs"
+
+// size reads a file's size.
+func size(fi fs.FileInfo) int64 { return fi.Size() }
+`}, want: []string{"internal/stream.Source.Name is an exported method only tests call"}},
+	{rule: "test-only-export", name: "compile-time assertion is no use", files: map[string]string{
+		"internal/stream/source.go": streamSource + `
+var _ interface{ Name() string } = Source{}
+`}, want: []string{"internal/stream.Source.Name is an exported method only tests call"}},
+	{rule: "test-only-export", name: "method reached through an assertion", clean: true, files: map[string]string{
+		"internal/stream/source.go": streamSource + `
+// nameOf names v when it has a name.
+func nameOf(v any) string {
+	if n, ok := v.(interface{ Name() string }); ok {
+		return n.Name()
+	}
+	return ""
+}
+
+// label names a source through nameOf.
+func label(s Source) string { return nameOf(s) }
+`}},
+	{rule: "test-only-export", name: "method reached through a type argument", clean: true, files: map[string]string{
+		"internal/stream/source.go": streamSource + `
+// nameOf names any named value.
+func nameOf[T interface{ Name() string }](v T) string { return v.Name() }
+
+// label names a source through nameOf.
+func label(s Source) string { return nameOf(s) }
 `}},
 	{rule: "test-only-export", name: "listed method gains a non-test use", files: map[string]string{"cmd/siprouter/table.go": `package main
 

@@ -1079,6 +1079,8 @@ var testOnlyMethods = map[string]string{
 	"internal/circuit.Circuit.Evaluate":              "the plain evaluation the GKR and circuit tests check the protocol's outputs against",
 	"internal/core.InnerProduct.NewProverFromTables": "the paper's §3.2 two-stream protocol: library-only, no query kind serves it (testOnly's NewInnerProduct)",
 	"internal/core.InnerProduct.NewVerifier":         "the §3.2 protocol's verifier: two streams, so no summary family or kind row draws it",
+	"internal/core.InnerProductProver.Open":          "the §3.2 prover's session opening: core.Run calls it in the protocol's tests",
+	"internal/core.InnerProductVerifier.Begin":       "the §3.2 verifier's session opening: core.Run calls it in the protocol's tests",
 	"internal/core.InnerProductVerifier.ObserveA":    "feeds the §3.2 verifier's first stream",
 	"internal/core.InnerProductVerifier.ObserveB":    "feeds the §3.2 verifier's second stream",
 	"internal/shard.Router.SetTable":                 "conformance's restart cells re-address a restarted shard with it",
@@ -1094,12 +1096,13 @@ var testOnlyMethods = map[string]string{
 // in testOnly or testOnlyMethods with the reason it stays exported; a
 // function only tests call belongs in the test file that uses it, and a
 // method only its own package's tests call goes (they read the field
-// instead). A method is also used when an interface type that non-test
-// code mentions, a literal or the standard library's, declares its name
-// and signature (a type parameter there matches any type), when it is
-// the error protocol's Unwrap, or when sip re-exports its type by alias
-// (library API). internal/conformance, which exists for tests, is exempt.
-// A listed name has no non-test use, and every listed name is declared.
+// instead). A method is also used when non-test code converts a value
+// whose type has it to an interface that declares it, or to an interface
+// and then asserts that one to an interface that declares it (see
+// ifaceUses); when it is the error protocol's Unwrap; or when sip
+// re-exports its type by alias (library API). internal/conformance,
+// which exists for tests, is exempt. A listed name has no non-test use,
+// and every listed name is declared.
 func testOnlyExport(t *testing.T, m *module) []string {
 	fs := &findings{m: m}
 	used := map[string]token.Pos{} // a use of each used name
@@ -1119,7 +1122,11 @@ func testOnlyExport(t *testing.T, m *module) []string {
 			used[methodKey(strings.TrimPrefix(fn.Pkg().Path(), modulePath+"/"), recv, fn.Name())] = id.Pos()
 		})
 	}
-	ifaces := interfaceMethods(m)
+	for key, at := range ifaceUses(m) {
+		if _, ok := used[key]; !ok {
+			used[key] = at
+		}
+	}
 	library := sipAliased(m)
 	declared := map[string]bool{}
 	for _, p := range m.order {
@@ -1139,8 +1146,7 @@ func testOnlyExport(t *testing.T, m *module) []string {
 				at, isUsed := used[key]
 				if recv != "" {
 					list, listName, what = testOnlyMethods, "testOnlyMethods", "an exported method only tests call; delete it if only its own package's tests do"
-					fn, _ := p.info.Defs[fd.Name].(*types.Func)
-					if !isUsed && (library[p.dir+"."+recv] || fn != nil && ifaces.declare(fn)) {
+					if !isUsed && (library[p.dir+"."+recv] || errorUnwrap(p.info.Defs[fd.Name])) {
 						at, isUsed = fd.Name.Pos(), true
 					}
 				}
@@ -1172,117 +1178,250 @@ func methodKey(dir, recv, name string) string {
 	return dir + "." + recv + "." + name
 }
 
-// sigs holds interface method signatures by method name.
-type sigs map[string][]*types.Signature
-
-// declare reports whether an interface in s declares fn's name and
-// signature, a type parameter there matching any type, or fn is the
-// error protocol's Unwrap, which errors.Is and errors.As call through an
-// interface of the standard library's own.
-func (s sigs) declare(fn *types.Func) bool {
-	sig := fn.Type().(*types.Signature)
-	if fn.Name() == "Unwrap" && sig.Params().Len() == 0 && sig.Results().Len() == 1 {
-		return true
-	}
-	for _, is := range s[fn.Name()] {
-		if fits(sig, is) {
-			return true
-		}
-	}
-	return false
-}
-
-// fits reports whether a method of signature sig has the interface
-// method signature is, a type parameter in is matching any type.
-func fits(sig, is *types.Signature) bool {
-	if types.Identical(sig, is) {
-		return true
-	}
-	if sig.Variadic() != is.Variadic() {
+// errorUnwrap reports whether obj is an Unwrap method of the error
+// protocol, which errors.Is and errors.As call through an interface of
+// the standard library's own.
+func errorUnwrap(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Name() != "Unwrap" {
 		return false
 	}
-	for _, tt := range [][2]*types.Tuple{{sig.Params(), is.Params()}, {sig.Results(), is.Results()}} {
-		if tt[0].Len() != tt[1].Len() {
-			return false
-		}
-		for i := 0; i < tt[0].Len(); i++ {
-			x, y := tt[0].At(i).Type(), tt[1].At(i).Type()
-			if _, param := y.(*types.TypeParam); !param && !types.Identical(x, y) {
-				return false
-			}
-		}
-	}
-	return true
+	sig := fn.Type().(*types.Signature)
+	return sig.Params().Len() == 0 && sig.Results().Len() == 1
 }
 
-// interfaceMethods collects the methods of every interface type non-test
-// code mentions: the types of its expressions and of the objects it
-// declares and uses, and the types those are built from (a called
-// function's parameters included), through the standard library too.
-func interfaceMethods(m *module) sigs {
-	out := sigs{}
-	seen := map[types.Type]bool{}
-	var visit func(t types.Type)
-	visit = func(t types.Type) {
-		if t == nil || seen[t] {
-			return
-		}
-		seen[t] = true
-		switch t := t.(type) {
-		case *types.Alias:
-			visit(types.Unalias(t))
-		case *types.Named:
-			if _, ok := t.Underlying().(*types.Interface); ok {
-				visit(t.Underlying())
+// ifaceUses returns the methods, by methodKey with a position that
+// reaches each, that non-test code calls through an interface. At every
+// site where it converts a value of a non-interface type V to an
+// interface type I — an assignment or a typed declaration, a call's
+// argument (append's included), a return, a composite literal's element
+// or key, a send, a map index, an explicit conversion, a type argument
+// against its constraint — each method I declares reaches the method of
+// V that types.LookupFieldOrMethod selects. An interface non-test code
+// asserts to (x.(I) or a type switch case) reaches, in the same way, the
+// methods of every V some site converts that implements it. A
+// conversion to the blank identifier is a compile-time assertion, not a
+// use.
+func ifaceUses(m *module) map[string]token.Pos {
+	type site struct {
+		it *types.Interface
+		at token.Pos
+	}
+	out := map[string]token.Pos{}
+	reach := func(v types.Type, it *types.Interface, at token.Pos) {
+		for i := 0; i < it.NumMethods(); i++ {
+			im := it.Method(i)
+			obj, _, _ := types.LookupFieldOrMethod(v, true, im.Pkg(), im.Name())
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Pkg() == nil {
+				continue
 			}
-			for i := 0; i < t.TypeArgs().Len(); i++ {
-				visit(t.TypeArgs().At(i))
+			key := methodKey(strings.TrimPrefix(fn.Pkg().Path(), modulePath+"/"), recvName(fn.Origin()), fn.Name())
+			if _, ok := out[key]; !ok {
+				out[key] = at
 			}
-		case *types.Interface:
-			for i := 0; i < t.NumMethods(); i++ {
-				fn := t.Method(i)
-				out[fn.Name()] = append(out[fn.Name()], fn.Type().(*types.Signature))
-				visit(fn.Type())
-			}
-		case *types.Signature:
-			visit(t.Params())
-			visit(t.Results())
-		case *types.Tuple:
-			for i := 0; i < t.Len(); i++ {
-				visit(t.At(i).Type())
-			}
-		case *types.Pointer:
-			visit(t.Elem())
-		case *types.Slice:
-			visit(t.Elem())
-		case *types.Array:
-			visit(t.Elem())
-		case *types.Chan:
-			visit(t.Elem())
-		case *types.Map:
-			visit(t.Key())
-			visit(t.Elem())
-		case *types.Struct:
-			for i := 0; i < t.NumFields(); i++ {
-				visit(t.Field(i).Type())
-			}
-		case *types.TypeParam:
-			visit(t.Constraint())
 		}
 	}
+	converted := map[string]types.Type{} // every V a site converts, by type string
+	var asserted []site
 	for _, p := range m.order {
-		for _, tv := range p.info.Types {
-			visit(tv.Type)
-		}
-		for _, objs := range []map[*ast.Ident]types.Object{p.info.Defs, p.info.Uses} {
-			for _, obj := range objs {
-				if obj != nil {
-					visit(obj.Type())
-				}
+		conversions(p, func(v types.Type, it *types.Interface, at token.Pos) {
+			converted[types.TypeString(v, nil)] = v
+			reach(v, it, at)
+		}, func(it *types.Interface, at token.Pos) {
+			asserted = append(asserted, site{it, at})
+		})
+	}
+	for _, a := range asserted {
+		for _, v := range converted {
+			if types.Implements(v, a.it) {
+				reach(v, a.it, a.at)
 			}
 		}
 	}
 	return out
+}
+
+// conversions walks p's non-test files, calling conv at each site where
+// a value of non-interface type v becomes a value of an interface type
+// (see ifaceUses) and assert at each interface type a type assertion or
+// a type switch case names.
+func conversions(p *pkg, conv func(v types.Type, it *types.Interface, at token.Pos), assert func(it *types.Interface, at token.Pos)) {
+	info := p.info
+	toType := func(target, v types.Type, at token.Pos) {
+		if target == nil || v == nil || types.IsInterface(v) {
+			return
+		}
+		if b, ok := v.(*types.Basic); ok && b.Info()&types.IsUntyped != 0 {
+			return // nil or an untyped constant: no methods
+		}
+		if it, ok := target.Underlying().(*types.Interface); ok {
+			conv(v, it, at)
+		}
+	}
+	to := func(target types.Type, e ast.Expr) { toType(target, info.TypeOf(e), e.Pos()) }
+	// assign converts vals to the targets target(0), target(1), …; a
+	// single multi-valued call spreads its results. A nil target is no
+	// conversion.
+	assign := func(target func(i int) types.Type, vals []ast.Expr) {
+		if len(vals) == 1 {
+			if tup, ok := info.TypeOf(vals[0]).(*types.Tuple); ok {
+				for i := 0; i < tup.Len(); i++ {
+					toType(target(i), tup.At(i).Type(), vals[0].Pos())
+				}
+				return
+			}
+		}
+		for i, e := range vals {
+			to(target(i), e)
+		}
+	}
+	notBlank := func(e ast.Expr) types.Type {
+		if id, ok := e.(*ast.Ident); ok && id.Name == "_" {
+			return nil
+		}
+		return info.TypeOf(e)
+	}
+	for id, inst := range info.Instances {
+		var tparams *types.TypeParamList
+		switch t := info.Uses[id].Type().(type) {
+		case *types.Signature:
+			tparams = t.TypeParams()
+		case *types.Named:
+			tparams = t.TypeParams()
+		}
+		for i := 0; tparams != nil && i < inst.TypeArgs.Len(); i++ {
+			toType(tparams.At(i).Constraint(), inst.TypeArgs.At(i), id.Pos())
+		}
+	}
+	var walk func(root ast.Node, sig *types.Signature)
+	walk = func(root ast.Node, sig *types.Signature) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					walk(n.Body, info.Defs[n.Name].Type().(*types.Signature))
+				}
+				return false
+			case *ast.FuncLit:
+				walk(n.Body, info.TypeOf(n).(*types.Signature))
+				return false
+			case *ast.AssignStmt:
+				assign(func(i int) types.Type { return notBlank(n.Lhs[i]) }, n.Rhs)
+			case *ast.ValueSpec:
+				if n.Type != nil {
+					assign(func(i int) types.Type { return notBlank(n.Names[i]) }, n.Values)
+				}
+			case *ast.ReturnStmt:
+				res := sig.Results()
+				assign(func(i int) types.Type { return res.At(i).Type() }, n.Results)
+			case *ast.SendStmt:
+				if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+					to(ch.Elem(), n.Value)
+				}
+			case *ast.IndexExpr:
+				if mt, ok := info.TypeOf(n.X).Underlying().(*types.Map); ok {
+					to(mt.Key(), n.Index)
+				}
+			case *ast.CallExpr:
+				callArgs(info, n, to, assign)
+			case *ast.CompositeLit:
+				compositeLit(info, n, to)
+			case *ast.TypeAssertExpr:
+				if n.Type != nil {
+					if it, ok := info.TypeOf(n.Type).Underlying().(*types.Interface); ok {
+						assert(it, n.Pos())
+					}
+				}
+			case *ast.TypeSwitchStmt:
+				for _, c := range n.Body.List {
+					for _, e := range c.(*ast.CaseClause).List {
+						if it, ok := info.TypeOf(e).Underlying().(*types.Interface); ok {
+							assert(it, e.Pos())
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, f := range p.files {
+		walk(f, nil)
+	}
+}
+
+// callArgs converts a call's arguments to its parameters: an explicit
+// conversion's operand to its type, append's elements to the slice's
+// element type, and a function's arguments to its parameters, the
+// variadic tail to the element type unless spread with "...".
+func callArgs(info *types.Info, n *ast.CallExpr, to func(types.Type, ast.Expr), assign func(func(int) types.Type, []ast.Expr)) {
+	tv := info.Types[n.Fun]
+	switch {
+	case tv.IsType():
+		if len(n.Args) == 1 {
+			to(tv.Type, n.Args[0])
+		}
+	case tv.IsBuiltin():
+		id, ok := ast.Unparen(n.Fun).(*ast.Ident)
+		if !ok || id.Name != "append" || n.Ellipsis.IsValid() {
+			return
+		}
+		if s, ok := info.TypeOf(n).Underlying().(*types.Slice); ok {
+			for _, a := range n.Args[1:] {
+				to(s.Elem(), a)
+			}
+		}
+	default:
+		sig, ok := tv.Type.Underlying().(*types.Signature)
+		if !ok {
+			return
+		}
+		params := sig.Params()
+		assign(func(i int) types.Type {
+			if last := params.Len() - 1; sig.Variadic() && i >= last {
+				if n.Ellipsis.IsValid() {
+					return params.At(last).Type()
+				}
+				return params.At(last).Type().Underlying().(*types.Slice).Elem()
+			}
+			return params.At(i).Type()
+		}, n.Args)
+	}
+}
+
+// compositeLit converts a composite literal's elements to their field,
+// element or key types.
+func compositeLit(info *types.Info, n *ast.CompositeLit, to func(types.Type, ast.Expr)) {
+	t := info.TypeOf(n)
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	for i, e := range n.Elts {
+		kv, keyed := e.(*ast.KeyValueExpr)
+		val := e
+		if keyed {
+			val = kv.Value
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			if keyed {
+				if fld, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+					to(fld.Type(), val)
+				}
+			} else if i < u.NumFields() {
+				to(u.Field(i).Type(), val)
+			}
+		case *types.Slice:
+			to(u.Elem(), val)
+		case *types.Array:
+			to(u.Elem(), val)
+		case *types.Map:
+			if keyed {
+				to(u.Key(), kv.Key)
+			}
+			to(u.Elem(), val)
+		}
+	}
 }
 
 // sipAliased returns the types sip re-exports by alias, as "dir.Type":

@@ -193,7 +193,7 @@ func (v *FrequencyBasedVerifier) transition() (Msg, bool, error) {
 	v.fTildeR = v.ev.Value()
 	for _, hh := range hitters {
 		v.fPrime = f.Add(v.fPrime, v.proto.H(hh.Count))
-		contrib := f.Mul(f.FromInt64(hh.Count), v.res.pt.ChiOfIndex(hh.Index))
+		contrib := v.res.pt.ChiOfIndex(hh.Index, f.FromInt64(hh.Count))
 		v.fTildeR = f.Sub(v.fTildeR, contrib)
 		v.hCount++
 	}

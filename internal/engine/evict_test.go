@@ -59,11 +59,15 @@ func TestBudgetAdmission(t *testing.T) {
 	if _, err := e2.Open("big", evictU); !errors.Is(err, engine.ErrBudget) {
 		t.Fatalf("oversized dataset = %v, want ErrBudget", err)
 	}
-	// With a data dir, the same sequence succeeds by evicting LRU.
+	// With a data dir, the same sequence succeeds by evicting LRU. The
+	// eviction saves "a" in the background; Close waits it out, and as a
+	// cleanup registered after TempDir's it runs before the directory is
+	// removed.
 	e3 := engine.New(f61, 0)
 	if err := e3.SetDataDir(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = e3.Close() })
 	e3.SetBudget(oneDataset)
 	if _, err := e3.Open("a", evictU); err != nil {
 		t.Fatal(err)
@@ -86,6 +90,7 @@ func TestZeroDatasetCheckpointIsHeader(t *testing.T) {
 	if err := e.SetDataDir(dir); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = e.Close() }) // waits out the decoy's eviction below
 	cost, err := engine.TableCost(u)
 	if err != nil {
 		t.Fatal(err)

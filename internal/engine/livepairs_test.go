@@ -540,13 +540,16 @@ func BenchmarkIngestBatch(b *testing.B) {
 // conversation at the f2_large shape (u = 2^20, 2^15 unit updates,
 // Workers 2), driven by an unobserved verifier's challenge schedule.
 // hit proves one snapshot over and over, so every conversation finds the
-// version's live-pair index memoized; miss first ingests one update, off
-// the clock, so every conversation is the first on a new version and
-// pays the index, which scans the one chunk the update copied. dense
-// proves one snapshot of a table with no zero entry (nnz = u), so every
-// round is dense and the first reads through the chunks; dense-miss does
-// so on a new version each time, so every conversation also pays the
-// index's dense verdict: one chunk scan and a sum of per-chunk counts.
+// version's live-pair index memoized; cold does the same, but each
+// conversation follows a fresh verifier's pass over the 2^15 updates,
+// off the clock, as every f2_large operation does; miss first ingests
+// one update, off the clock, so every conversation is the first on a new
+// version and pays the index, which scans the one chunk the update
+// copied. dense proves one snapshot of a table with no zero entry
+// (nnz = u), so every round is dense and the first reads through the
+// chunks; dense-miss does so on a new version each time, so every
+// conversation also pays the index's dense verdict: one chunk scan and a
+// sum of per-chunk counts.
 func BenchmarkF2Conversation(b *testing.B) {
 	const u, n = 1 << 20, 1 << 15
 	v, err := engine.NewStreamVerifier(f61, u, engine.QuerySelfJoinSize, engine.QueryParams{}, field.NewSplitMix64(3302))
@@ -572,7 +575,8 @@ func BenchmarkF2Conversation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := ds.Ingest(stream.UnitIncrements(u, n, field.NewSplitMix64(3301))); err != nil {
+	ups := stream.UnitIncrements(u, n, field.NewSplitMix64(3301))
+	if err := ds.Ingest(ups); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("hit", func(b *testing.B) {
@@ -580,6 +584,25 @@ func BenchmarkF2Conversation(b *testing.B) {
 		converse(snap)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			converse(snap)
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		snap := ds.Snapshot()
+		converse(snap)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			w, err := engine.NewStreamVerifier(f61, u, engine.QuerySelfJoinSize, engine.QueryParams{}, field.NewSplitMix64(uint64(i)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, up := range ups {
+				if err := w.Observe(up); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
 			converse(snap)
 		}
 	})

@@ -301,9 +301,12 @@ func FuzzBarrettMul(fz *testing.F) {
 			t.Fatalf("p=%d: MulSlices(%d,%d) = %d, Div64 gives %d", p, a, b, dst[0], want)
 		}
 		// The streaming verifiers' split-chain product over two one-entry
-		// rows.
-		if got := f.DigitProduct([]Elem{Elem(a), Elem(b)}, 0, 0); uint64(got) != want {
+		// rows, and over one row scaled by the other factor.
+		if got := f.DigitProduct([]Elem{Elem(a), Elem(b)}, 0, 0, 1); uint64(got) != want {
 			t.Fatalf("p=%d: DigitProduct(%d,%d) = %d, Div64 gives %d", p, a, b, got, want)
+		}
+		if got := f.DigitProduct([]Elem{Elem(a)}, 0, 0, Elem(b)); uint64(got) != want {
+			t.Fatalf("p=%d: DigitProduct(%d) scaled by %d = %d, Div64 gives %d", p, a, b, got, want)
 		}
 		// And the Shoup invariant-factor path, b as the slice-constant:
 		// folding the pair (0, a) at r = b gives 0 + b·(a − 0).

@@ -101,8 +101,9 @@ type RootEvaluator struct {
 // each level's two child factors, so an update selects its path's
 // factors by index instead of branching on the bits of its leaf. A plain
 // tree keeps them as two-level windows (field.DigitWindows): 4·⌈d/2⌉
-// words, and ⌈d/2⌉ multiplies per update. An augmented tree keeps them
-// per level, since its recurrence adds a count term at every level.
+// words, and ⌈d/2⌉ multiplies per update, δ included. An augmented tree
+// keeps them per level, since its recurrence adds a count term at every
+// level.
 func NewRootEvaluator(h *Hasher) *RootEvaluator {
 	f := h.F
 	w := make([]field.Elem, 2*len(h.R))
@@ -122,20 +123,22 @@ func NewRootEvaluator(h *Hasher) *RootEvaluator {
 // q_j times the factors above it: bottom-up, the leaf's root weight is
 // x_d of x_0 = 1, x_j = x_{j−1}·factor_j + q_j (field.BitHorner), and
 // without counts the plain product of the factors, two levels per window
-// (field.DigitProduct).
+// (field.DigitProduct). Both kernels take δ as their scale, so no
+// multiply trails the weight.
 func (e *RootEvaluator) Update(i uint64, delta int64) error {
 	h := e.h
 	if i >= h.Params.U {
 		return fmt.Errorf("hashtree: index %d outside universe [0,%d)", i, h.Params.U)
 	}
 	f := h.F
+	d := f.FromInt64(delta)
 	var s field.Elem
 	if h.Q != nil {
-		s = f.BitHorner(e.w, h.Q, i)
+		s = f.BitHorner(e.w, h.Q, i, d)
 	} else {
-		s = f.DigitProduct(e.w, 2, i)
+		s = f.DigitProduct(e.w, 2, i, d)
 	}
-	e.acc = f.Add(e.acc, f.Mul(f.FromInt64(delta), s))
+	e.acc = f.Add(e.acc, s)
 	e.n += delta
 	return nil
 }

@@ -233,18 +233,19 @@ func RandomPoint(f field.Field, params Params, rng field.RNG) *Point {
 	return pt
 }
 
-// ChiOfIndex returns χ_{v(i)}(r) = Π_j χ_{digit_j(i)}(r_j), the weight an
-// update to index i < u contributes to f_a(r). For ℓ a power of two —
-// every decomposition the service and the experiments use — the digits
-// are shifts and masks and the factors run as split chains
-// (field.DigitProduct), at ℓ = 2 one per two-level window; any other ℓ
-// takes the digit-by-division loop.
-func (pt *Point) ChiOfIndex(i uint64) field.Elem {
+// ChiOfIndex returns s·χ_{v(i)}(r) = s·Π_j χ_{digit_j(i)}(r_j): the
+// weight an update to index i < u contributes to f_a(r), scaled by s (the
+// update's δ, or 1 for the weight alone). For ℓ a power of two — every
+// decomposition the service and the experiments use — the digits are
+// shifts and masks and the factors run as split chains
+// (field.DigitProduct), at ℓ = 2 one per two-level window with s in the
+// product; any other ℓ takes the digit-by-division loop.
+func (pt *Point) ChiOfIndex(i uint64, s field.Elem) field.Elem {
 	if pt.lg != 0 {
-		return pt.F.DigitProduct(pt.tab, pt.lg, i)
+		return pt.F.DigitProduct(pt.tab, pt.lg, i, s)
 	}
 	ell := uint64(pt.Params.Ell)
-	out := field.Elem(1)
+	out := s
 	for j := uint64(0); j < uint64(pt.Params.D); j++ {
 		out = pt.F.Mul(out, pt.tab[j*ell+i%ell])
 		i /= ell
@@ -265,13 +266,13 @@ func NewEvaluator(pt *Point) *Evaluator {
 }
 
 // Update folds one stream element into the running evaluation:
-// f_a(r) += δ·χ_v(i)(r). Takes O(dℓ) field operations (O(log u) for ℓ=2).
+// f_a(r) += δ·χ_v(i)(r). Takes O(dℓ) field operations; at ℓ = 2, ⌈d/2⌉
+// multiplies, δ included.
 func (e *Evaluator) Update(i uint64, delta int64) error {
 	if i >= e.pt.Params.U {
 		return fmt.Errorf("lde: index %d outside universe [0,%d)", i, e.pt.Params.U)
 	}
-	d := e.pt.F.FromInt64(delta)
-	e.acc = e.pt.F.Add(e.acc, e.pt.F.Mul(d, e.pt.ChiOfIndex(i)))
+	e.acc = e.pt.F.Add(e.acc, e.pt.ChiOfIndex(i, e.pt.F.FromInt64(delta)))
 	return nil
 }
 
@@ -418,18 +419,18 @@ func EvalRangeIndicator(pt *Point, qL, qR uint64) (field.Elem, error) {
 // contribution of the canonical interval at the given level whose position
 // is idx < 2^(d-level). Requires ℓ = 2. An even level starts at a window
 // boundary; an odd one takes its own factor from r (χ₀ = 1 − r_j,
-// χ₁ = r_j) and runs the windows above it.
+// χ₁ = r_j) and runs the windows above it, scaled by that factor.
 func (pt *Point) chiHighBits(idx uint64, level int) field.Elem {
 	f := pt.F
 	switch {
 	case level == pt.Params.D:
 		return 1 // the whole universe: an empty product
 	case level&1 == 0:
-		return f.DigitProduct(pt.tab[2*level:], 2, idx)
+		return f.DigitProduct(pt.tab[2*level:], 2, idx, 1)
 	}
 	chi := pt.R[level]
 	if idx&1 == 0 {
 		chi = f.Sub(1, chi)
 	}
-	return f.Mul(chi, f.DigitProduct(pt.tab[2*level+2:], 2, idx>>1))
+	return f.DigitProduct(pt.tab[2*level+2:], 2, idx>>1, chi)
 }

@@ -313,10 +313,11 @@ func TestRangeIndicatorErrors(t *testing.T) {
 	}
 }
 
-// TestChiOfIndexMatchesDense: the per-update χ weight equals the dense
-// evaluation of a unit vector, for ℓ = 2 (two-level windows, odd and even
-// d), ℓ = 4 (per-level split chains) and ℓ = 3 (digit-by-division loop),
-// over the Mersenne and a generic field.
+// TestChiOfIndexMatchesDense: the per-update χ weight scaled by s equals
+// the dense evaluation of the vector holding s at i, for ℓ = 2 (two-level
+// windows, odd and even d), ℓ = 4 (per-level split chains) and ℓ = 3
+// (digit-by-division loop), over the Mersenne and a generic field, with
+// s = 1 and random scales.
 func TestChiOfIndexMatchesDense(t *testing.T) {
 	for _, f := range rangeFields(t) {
 		for _, pr := range []struct{ ell, d int }{{2, 8}, {2, 1}, {2, 2}, {2, 7}, {2, 9}, {4, 4}, {3, 5}} {
@@ -328,14 +329,18 @@ func TestChiOfIndexMatchesDense(t *testing.T) {
 			pt := RandomPoint(f, params, rng)
 			for trial := 0; trial < 50; trial++ {
 				i := rng.Uint64() % params.U
+				s := field.Elem(1)
+				if trial%2 == 1 {
+					s = f.Rand(rng)
+				}
 				table := make([]field.Elem, params.U)
-				table[i] = 1
+				table[i] = s
 				want, err := EvalDenseWorkers(pt, table, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := pt.ChiOfIndex(i); got != want {
-					t.Fatalf("p=%d (ℓ=%d,d=%d): ChiOfIndex(%d) = %d, want %d", f.Modulus(), pr.ell, pr.d, i, got, want)
+				if got := pt.ChiOfIndex(i, s); got != want {
+					t.Fatalf("p=%d (ℓ=%d,d=%d): ChiOfIndex(%d, %d) = %d, want %d", f.Modulus(), pr.ell, pr.d, i, s, got, want)
 				}
 			}
 		}
