@@ -309,7 +309,7 @@ func (pr *HeavyHittersProver) Open() (Msg, error) {
 	if !pr.hasQuery {
 		return Msg{}, fmt.Errorf("core: heavy-hitters query not set")
 	}
-	tree, err := hashtree.NewIncrementalFromCounts(pr.proto.F, pr.proto.Params, pr.counts.Width, pr.counts.Chunks)
+	tree, err := hashtree.NewIncrementalFromCounts(pr.proto.F, pr.proto.Params, pr.counts)
 	if err != nil {
 		return Msg{}, err
 	}

@@ -288,7 +288,8 @@ func (p *SubVector) NewProverFromCounts(counts sumcheck.Counts) (*SubVectorProve
 
 // eachCount calls fn(i, c) for each non-zero count c of counts, at index
 // i, in increasing index order — decreasing when down — until fn returns
-// false. It passes over nil chunks whole.
+// false. It passes over nil chunks whole and reads a sparse chunk's
+// listed counts only.
 func eachCount(counts sumcheck.Counts, down bool, fn func(i uint64, c int64) bool) {
 	n := len(counts.Chunks)
 	for kk := range n {
@@ -296,13 +297,17 @@ func eachCount(counts sumcheck.Counts, down bool, fn func(i uint64, c int64) boo
 		if down {
 			k = n - 1 - kk
 		}
-		ch := counts.Chunks[k]
+		ch, offs := counts.Chunks[k], counts.Sparse(k)
 		for jj := range ch {
 			j := jj
 			if down {
 				j = len(ch) - 1 - jj
 			}
-			if c := ch[j]; c != 0 && !fn(uint64(k*counts.Width+j), c) {
+			at := j
+			if offs != nil {
+				at = int(offs[j])
+			}
+			if c := ch[j]; c != 0 && !fn(uint64(k*counts.Width+at), c) {
 				return
 			}
 		}
@@ -324,7 +329,7 @@ func (pr *SubVectorProver) Open() (Msg, error) {
 	if !pr.hasQuery {
 		return Msg{}, fmt.Errorf("core: sub-vector query not set")
 	}
-	tree, err := hashtree.NewIncrementalFromCounts(pr.proto.F, pr.proto.Params, pr.counts.Width, pr.counts.Chunks)
+	tree, err := hashtree.NewIncrementalFromCounts(pr.proto.F, pr.proto.Params, pr.counts)
 	if err != nil {
 		return Msg{}, err
 	}

@@ -685,11 +685,11 @@ type Snapshot struct {
 // Counts returns the dense frequency vector as a fresh O(u) copy, the
 // caller's own. No prover reads it; the provers borrow the chunks.
 func (s *Snapshot) Counts() []int64 {
-	out := make([]int64, len(s.st.chunks)<<s.st.shift)
-	for k, ch := range s.st.chunks {
-		if ch != nil {
-			copy(out[k<<s.st.shift:], ch.counts)
-		}
+	c := s.countChunks()
+	out := make([]int64, c.Len())
+	for k := range c.Chunks {
+		seg := out[k*c.Width : (k+1)*c.Width]
+		copy(seg, c.Expand(k, seg))
 	}
 	return out
 }

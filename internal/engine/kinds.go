@@ -216,8 +216,7 @@ var kinds = [...]kindRow{
 		return &instance{
 			verifier: func(_ core.Summary, rng field.RNG) (StreamVerifier, error) { return proto.NewVerifierSession(rng) },
 			prover: func(s *Snapshot) (core.ProverSession, error) {
-				c := s.countChunks()
-				return proto.NewProverSession(proto.InputFromCounts(c.Width, c.Chunks))
+				return proto.NewProverSession(proto.InputFromCounts(s.countChunks()))
 			},
 		}, nil
 	}, answer: reads(func(v *gkr.VerifierSession, a *Answer) (err error) {

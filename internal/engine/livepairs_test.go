@@ -358,7 +358,8 @@ func TestNoFieldImage(t *testing.T) {
 // it writes and the version's chunk-pointer array and nothing in
 // proportion to u or to the batch: at most 5 allocations (the snapshot,
 // the new table state and its chunk-pointer array, and the ingest's
-// bookkeeping) plus 2 per chunk written (the chunk and its counts), and
+// bookkeeping) plus 2 per chunk written (the chunk and its counts; a
+// sparse chunk's two lists make 3, inside the bookkeeping's share), and
 // in bytes at most 32 KiB of counts and a 128-byte header per chunk
 // written, the 8-byte-per-chunk array and 3968 bytes of slack (for one
 // chunk, the 4 KiB of slack this test has always allowed). No field
@@ -368,17 +369,24 @@ func TestNoFieldImage(t *testing.T) {
 // flat-table clone allocated 16 MiB here); the other writes a
 // 2^15-update batch over every one of the 64 chunks of u = 2^18 at
 // Workers 2 (a sharded scatter's counting sort allocated 4 bytes per
-// update here).
+// update here). The batch takes each of its chunks dense. A sparse row's
+// chunk stays sparse, so its version
+// allocates the chunk-pointer array (as the runtime allocates it,
+// pointerArrayBytes) and at most 1 KiB more, not 32 KiB per chunk
+// written: a one-update version of a 4096-update dataset at u = 2^21,
+// about 8 counts per chunk (a dense chunk allocated 37 KiB here).
 func TestVersionAllocations(t *testing.T) {
 	for _, row := range []struct {
 		name    string
 		u       uint64
 		workers int
-		n       int // updates per batch
-		chunks  int // the chunks the batch writes
+		n       int  // updates per batch
+		chunks  int  // the chunks the batch writes
+		sparse  bool // the written chunks stay sparse
 	}{
-		{"a one-update version at u = 2^20", 1 << 20, 0, 1, 1},
-		{"a 2^15-update batch at u = 2^18", 1 << 18, 2, 1 << 15, 64},
+		{"a one-update version at u = 2^20", 1 << 20, 0, 1, 1, false},
+		{"a 2^15-update batch at u = 2^18", 1 << 18, 2, 1 << 15, 64, false},
+		{"a one-update version of a 4096-update dataset at u = 2^21", 1 << 21, 0, 1, 1, true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			ds, err := engine.NewDataset(f61, row.u, row.workers)
@@ -420,11 +428,64 @@ func TestVersionAllocations(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			perRun := (after.TotalAlloc - before.TotalAlloc) / runs
 			limit := uint64(row.chunks)*(32<<10+128) + 8*(row.u/engine.ChunkEntries) + 4<<10 - 128
+			if row.sparse {
+				limit = pointerArrayBytes(int(row.u/engine.ChunkEntries)) + 1<<10
+			}
 			t.Logf("%s: %d bytes", row.name, perRun)
 			if perRun > limit {
 				t.Errorf("%s allocated %d bytes, want ≤ %d", row.name, perRun, limit)
 			}
 		})
+	}
+}
+
+// pointerArraySink keeps pointerArrayBytes's array alive.
+var pointerArraySink []*int
+
+// pointerArrayBytes returns the bytes the runtime allocates for an array
+// of n pointers: 8 per pointer, rounded up to its size class with the
+// header a large pointer-holding object carries (4864 bytes for 512).
+func pointerArrayBytes(n int) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pointerArraySink = make([]*int, n)
+	runtime.ReadMemStats(&after)
+	pointerArraySink = nil
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSparseDatasetBytes: a sparse stream's dataset allocates in
+// proportion to its updates, not to u. Creating a dataset over
+// u = 2^21 and ingesting 2^12 unit updates, about 8 per chunk, holds
+// every chunk sparse and allocates at most 32 bytes per update besides
+// the chunk-pointer array, where dense chunks allocated 32 KiB per chunk
+// written, 4 KiB per update. It runs alone (not parallel), and takes the
+// smallest of three runs, since MemStats counts the whole process.
+func TestSparseDatasetBytes(t *testing.T) {
+	const u, n = 1 << 21, 1 << 12
+	idx, deltas := columns(stream.UnitIncrements(u, n, field.NewSplitMix64(3403)))
+	best := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ds, err := engine.NewDataset(f61, u, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.IngestColumns(idx, deltas); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+		if held := engine.HeldChunks(ds); held == 0 {
+			t.Fatal("the ingest wrote no chunk")
+		}
+	}
+	limit := 32*uint64(n) + pointerArrayBytes(u/engine.ChunkEntries)
+	t.Logf("2^12 updates at u = 2^21: %d bytes (%.1f per update)", best, float64(best)/n)
+	if best > limit {
+		t.Fatalf("2^12 updates at u = 2^21 allocated %d bytes, want ≤ %d", best, limit)
 	}
 }
 

@@ -367,14 +367,14 @@ func (e *Engine) rehydrate(d *Dataset) error {
 }
 
 // checkpointOf packages a sealed-or-stable table state for the codec:
-// its held chunks' counts, in place. The codec writes a held chunk of
-// zeros as it writes a nil one, as nothing. Caller must guarantee st is
-// not concurrently mutated.
+// its held chunks' counts, in place, each in its form. The codec writes
+// a held chunk of zeros as it writes a nil one, as nothing. Caller must
+// guarantee st is not concurrently mutated.
 func (d *Dataset) checkpointOf(st *tableState) *store.Checkpoint {
 	var chunks []store.Chunk
 	for k, ch := range st.chunks {
 		if ch != nil {
-			chunks = append(chunks, store.Chunk{Index: uint64(k), Counts: ch.counts})
+			chunks = append(chunks, store.Chunk{Index: uint64(k), Offsets: ch.offs, Counts: ch.counts})
 		}
 	}
 	return &store.Checkpoint{
@@ -417,9 +417,10 @@ func shellForCheckpoint(f field.Field, ckpt *store.Checkpoint, workers int) (*Da
 
 // stateFromCheckpoint rebuilds live tables from a chunk-shaped
 // checkpoint (store.LoadChunks): a chunk with a record aliases its
-// loaded counts, which every prover reads as they are (so an
-// evict/rehydrate cycle is bit-exact), and its live-pair scan waits for
-// the version's first proof; a chunk without one stays nil.
+// loaded counts, in the form the decoder picked, which every prover
+// reads as they are (so an evict/rehydrate cycle is bit-exact), and its
+// live-pair scan waits for the version's first proof; a chunk without
+// one stays nil.
 func (d *Dataset) stateFromCheckpoint(ckpt *store.Checkpoint) (*tableState, error) {
 	if err := d.checkCheckpoint(ckpt); err != nil {
 		return nil, err
@@ -688,6 +689,9 @@ func SnapshotFromCounts(f field.Field, u uint64, workers int, counts []int64) (*
 	full := make([]int64, ds.params.U)
 	copy(full, counts)
 	st := stateFromChunks(ds.params.U, store.Chunks(full))
+	for _, ch := range st.chunks {
+		ch.peak = peakOf(ch.counts)
+	}
 	for _, c := range counts {
 		st.total += c
 	}

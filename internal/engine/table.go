@@ -16,50 +16,136 @@ import (
 // format's chunk, so a checkpoint's records are the engine's chunks.
 const chunkShift = store.ChunkShift
 
-// chunk is 2^shift consecutive entries of a dataset's counts: 32 KiB. It
-// is written in place only by the unsealed table state whose gen it
-// carries; every other state holding it shares it read-only and copies
-// its counts before a write, so a sealed version's chunks never change.
-// Every write keeps peak, an upper bound on the chunk's largest |count|.
+// chunk is 2^shift consecutive entries of a dataset's counts, held in
+// one of two forms. A dense chunk is all 2^shift counts, 32 KiB. A
+// sparse chunk lists only its non-zero counts, at most maxSparse of
+// them, beside their offsets in increasing order: the layout of the
+// checkpoint's sparse record, about 10 bytes per count. An ingest picks a
+// written chunk's form before it writes it (tableState.add), and a
+// rehydrate picks it from the checkpoint's record (store.DecodeChunks);
+// a dense chunk never turns sparse on a write.
+//
+// A chunk is written in place only by the unsealed table state whose gen
+// it carries; every other state holding it shares it read-only and
+// copies it before a write, so a sealed version's chunks never change.
+// Every write to a dense chunk keeps peak, an upper bound on its largest
+// |count|; a sparse chunk reads its largest |count| off its few counts
+// (maxCount).
 //
 // The counts are every prover's one input: the sum-check provers read
-// them as field elements as they go (sumcheck.Counts), which needs each
-// |count| below p. A chunk also memoizes its live pairs — scanned once,
-// single-flight, by the first snapshot that needs them, and shared by
-// every version that holds the chunk — and, when its peak may reach p,
-// a reduced copy of its counts, each in [0, p), which the sum-check
-// provers read instead. A copied chunk starts without a memo, so a
-// memoized chunk is never written. The chunk lists its live pairs only
-// while it would be held sparse on its own — at most a quarter of its
-// pairs live, 4 bytes each, so at most 1/16 of its 32 KiB of counts —
-// and a denser chunk keeps just the count.
+// them as field elements as they go (sumcheck.Counts, which carries both
+// forms), which needs each |count| below p. A chunk also memoizes its
+// live pairs — listed once, single-flight, by the first snapshot that
+// needs them, and shared by every version that holds the chunk — and,
+// when its largest |count| may reach p, a reduced copy of its counts,
+// each in [0, p), which the sum-check provers read instead. A copied
+// chunk starts without a memo, so a memoized chunk is never written. The
+// chunk lists its live pairs only while it would be held sparse on its
+// own — at most a quarter of its pairs live, 4 bytes each, so at most
+// 1/16 of its 32 KiB of counts — and a denser chunk keeps just the count.
 type chunk struct {
-	counts []int64
-	gen    uint64 // the table state that may write the chunk in place
-	peak   uint64 // at least the largest |count|
+	counts []int64  // dense: the 2^shift counts; sparse: the non-zero ones, at offs
+	offs   []uint16 // sparse: the offsets of counts, strictly increasing; nil for a dense chunk
+	gen    uint64   // the table state that may write the chunk in place
+	peak   uint64   // dense: at least the largest |count|
 
 	memo    sync.Once
-	reduced []int64  // counts mod p, once memo has run, when peak may reach p
-	nlive   int      // live pairs of the counts, once memo has run
+	nlive   int32    // live pairs of the counts, once memo has run; 32 bits beside memo keep a chunk at 128 bytes
+	reduced []int64  // counts mod p, once memo has run, when maxCount may reach p
 	live    []uint32 // their indices in the whole table, when nlive is at most MaxSparseLive of the chunk
 }
 
-// memoize scans the chunk's counts for live pairs, through a reduced copy
-// it builds first when the chunk's peak may reach p; first is the table's
-// index of the chunk's first pair. scans counts the memos that run.
-func (ch *chunk) memoize(f field.Field, first int, scans *atomic.Uint64) {
+// maxSparse is the most non-zero counts a chunk of width entries holds
+// sparse: width/16, 256 of a 4096-entry chunk, the checkpoint decoder's
+// rule, so a rehydrated chunk takes the form the ingest would give it.
+func maxSparse(width int) int { return store.MaxSparse(uint64(width)) }
+
+// maxCount returns at least the chunk's largest |count|.
+func (ch *chunk) maxCount() uint64 {
+	if ch.offs != nil {
+		return peakOf(ch.counts)
+	}
+	return ch.peak
+}
+
+// at returns the count at offset j.
+func (ch *chunk) at(j int) int64 {
+	if ch.offs == nil {
+		return ch.counts[j]
+	}
+	if k, ok := slices.BinarySearch(ch.offs, uint16(j)); ok {
+		return ch.counts[k]
+	}
+	return 0
+}
+
+// put sets the count at offset j to c: in place in a dense chunk; in a
+// sparse one by replacing, inserting or removing its entry, so that the
+// chunk lists no zero.
+func (ch *chunk) put(j int, c int64) {
+	if ch.offs == nil {
+		ch.counts[j] = c
+		return
+	}
+	k, ok := slices.BinarySearch(ch.offs, uint16(j))
+	switch {
+	case ok && c != 0:
+		ch.counts[k] = c
+	case ok:
+		ch.offs, ch.counts = slices.Delete(ch.offs, k, k+1), slices.Delete(ch.counts, k, k+1)
+	case c != 0:
+		ch.offs, ch.counts = slices.Insert(ch.offs, k, uint16(j)), slices.Insert(ch.counts, k, c)
+	}
+}
+
+// memoize lists the chunk's live pairs, through a reduced copy of its
+// counts it builds first when they may reach p; the chunk is entries
+// [2·first, 2·first+width) of the table. scans counts the memos that
+// run.
+func (ch *chunk) memoize(f field.Field, first, width int, scans *atomic.Uint64) {
 	ch.memo.Do(func() {
-		if ch.peak >= f.Modulus() {
+		if ch.maxCount() >= f.Modulus() {
 			ch.reduced = sumcheck.ReducedCounts(f, ch.counts)
 		}
-		ch.live, ch.nlive = sumcheck.AppendLiveCounts(nil, first, ch.proved(), sumcheck.MaxSparseLive(2, len(ch.counts)))
+		var n int
+		ch.live, n = ch.appendLive(nil, first, sumcheck.MaxSparseLive(2, width))
+		ch.nlive = int32(n)
 		scans.Add(1)
 	})
 }
 
+// appendLive appends the chunk's live pairs to dst and returns their
+// count n, as sumcheck.AppendLiveCounts does over its proved counts: pair
+// first+w for each pair w holding a count that is not 0 mod p, dst as
+// given when n > limit. A sparse chunk reads its listed counts only, into
+// a list of its own size when dst is nil. It reads the memo, so it is
+// called only from memoize or after it.
+func (ch *chunk) appendLive(dst []uint32, first, limit int) ([]uint32, int) {
+	proved := ch.proved()
+	if ch.offs == nil {
+		return sumcheck.AppendLiveCounts(dst, first, proved, limit)
+	}
+	given, n, prev := dst, 0, -1
+	if dst == nil {
+		dst = make([]uint32, 0, len(ch.offs))
+	}
+	for j, o := range ch.offs {
+		if w := first + int(o>>1); proved[j] != 0 && w != prev {
+			if n++; n <= limit {
+				dst = append(dst, uint32(w))
+			}
+			prev = w
+		}
+	}
+	if n > limit {
+		return given, n
+	}
+	return dst, n
+}
+
 // proved returns the counts the sum-check provers read: the reduced copy
-// when the memo built one, else the counts themselves. It reads the memo,
-// so it is called only after memoize.
+// when the memo built one, else the counts themselves, in the chunk's
+// form. It reads the memo, so it is called only after memoize.
 func (ch *chunk) proved() []int64 {
 	if ch.reduced != nil {
 		return ch.reduced
@@ -110,6 +196,7 @@ var gens atomic.Uint64
 type tableState struct {
 	shift   uint
 	chunks  []*chunk
+	tally   []uint32 // add's per-chunk update tally, all zero between batches; shared along a dataset's states
 	gen     uint64
 	total   int64
 	n       uint64 // updates ingested
@@ -131,21 +218,24 @@ func newTableState(u uint64) *tableState {
 }
 
 // stateFromChunks builds an unsealed state of u entries (u a power of
-// two) holding the given chunks, 2^shift counts each: every held chunk
-// aliases its counts. A chunk not given stays nil.
+// two) holding the given chunks, in the form each is given in, each with
+// its Peak: every held chunk aliases its counts. A chunk not given stays
+// nil.
 func stateFromChunks(u uint64, chunks []store.Chunk) *tableState {
 	st := newTableState(u)
 	for _, c := range chunks {
-		st.chunks[c.Index] = &chunk{counts: c.Counts, gen: st.gen, peak: peakOf(c.Counts)}
+		st.chunks[c.Index] = &chunk{counts: c.Counts, offs: c.Offsets, gen: st.gen, peak: c.Peak}
 	}
 	return st
 }
 
-// clone returns an unsealed successor sharing every chunk.
+// clone returns an unsealed successor sharing every chunk, and the
+// ingest's tally.
 func (st *tableState) clone() *tableState {
 	return &tableState{
 		shift:   st.shift,
 		chunks:  slices.Clone(st.chunks),
+		tally:   st.tally,
 		gen:     gens.Add(1),
 		total:   st.total,
 		n:       st.n,
@@ -153,46 +243,102 @@ func (st *tableState) clone() *tableState {
 	}
 }
 
-// own replaces chunk k with one the state owns, before its first write:
-// a copy of its counts, or all zeros for a nil chunk. A copy skips zeroing
-// the memory it overwrites. The state owns a chunk that carries its gen.
-func (st *tableState) own(k uint64) *chunk {
-	ch := &chunk{gen: st.gen}
-	if old := st.chunks[k]; old != nil {
+// own replaces chunk k with one the state owns, before its first write,
+// with room for the inserts non-zero counts the batch may add to it: a
+// copy of a dense chunk, dense; else a copy of a sparse chunk's lists, or
+// empty lists for a nil chunk, while its non-zero counts and inserts fit
+// in maxSparse; else the chunk's counts written out dense. A dense copy
+// skips zeroing the memory it overwrites. The state owns a chunk that
+// carries its gen.
+func (st *tableState) own(k uint64, inserts int) *chunk {
+	ch, old := &chunk{gen: st.gen}, st.chunks[k]
+	width := 1 << st.shift
+	switch {
+	case old != nil && old.offs == nil:
 		ch.counts, ch.peak = slices.Clone(old.counts), old.peak
-	} else {
-		ch.counts = make([]int64, 1<<st.shift)
+	case old == nil && inserts <= maxSparse(width):
+		ch.offs, ch.counts = make([]uint16, 0, inserts), make([]int64, 0, inserts)
+	case old == nil:
+		ch.counts = make([]int64, width)
+	case len(old.offs)+inserts <= maxSparse(width):
+		n := len(old.offs) + inserts
+		ch.offs = append(make([]uint16, 0, n), old.offs...)
+		ch.counts = append(make([]int64, 0, n), old.counts...)
+	default:
+		sparse := sumcheck.Counts{Width: width, Chunks: [][]int64{old.counts}, Offsets: [][]uint16{old.offs}}
+		ch.counts, ch.peak = sparse.Expand(0, make([]int64, width)), peakOf(old.counts)
 	}
 	st.chunks[k] = ch
 	return ch
 }
 
 // add applies a batch to the unsealed state's counts in one serial pass,
-// in batch order: index idx[k]-base gains deltas[k], each chunk the state
-// does not own yet taken through own before its first write. When a
-// count would leave int64 it applies none of the batch, taking back,
-// last first, what it had added, and refuses it.
+// in batch order: index idx[k]-base gains deltas[k]. First it picks the
+// form of each chunk the batch writes: it tallies the batch's updates to
+// each chunk not held dense, and owns each such chunk once, dense when
+// its non-zero counts and its updates could pass maxSparse — so no batch
+// inserts into a sparse chunk more than maxSparse times — and leaves a
+// dense chunk to the pass, which owns it on its first write. When a count
+// would leave int64 it applies none of the batch, taking back, last
+// first, what it had added (a sparse chunk's lists exactly, since they
+// hold no zero), and refuses it.
 func (st *tableState) add(idx []uint64, deltas []int64, base uint64) error {
 	mask := uint64(1)<<st.shift - 1
 	chunks, shift, gen := st.chunks, st.shift, st.gen // own writes elements, never the header
+	if st.tally == nil {
+		st.tally = make([]uint32, len(chunks))
+	}
+	tally := st.tally
+	for _, i := range idx {
+		k := (i - base) >> shift
+		if ch := chunks[k]; ch == nil || ch.offs != nil {
+			tally[k]++
+		}
+	}
+	for _, i := range idx {
+		k := (i - base) >> shift
+		if n := int(tally[k]); n != 0 {
+			tally[k] = 0
+			if ch := chunks[k]; ch == nil || ch.gen != gen || len(ch.offs)+n > maxSparse(1<<shift) {
+				st.own(k, n)
+			}
+		}
+	}
 	for k, i := range idx {
 		i -= base // slice tables are indexed locally
 		ch := chunks[i>>shift]
-		if ch == nil || ch.gen != gen {
-			ch = st.own(i >> shift)
+		if ch.gen != gen {
+			ch = st.own(i>>shift, 0) // dense: the form pass owned every other chunk
+		}
+		if ch.offs != nil {
+			j := int(i & mask)
+			c, ok := addInt64(ch.at(j), deltas[k])
+			if !ok {
+				return st.takeBack(idx[:k], deltas, base, idx[k])
+			}
+			ch.put(j, c)
+			continue
 		}
 		c, ok := addInt64(ch.counts[i&mask], deltas[k])
 		if !ok {
-			for back := k - 1; back >= 0; back-- {
-				j := idx[back] - base
-				chunks[j>>shift].counts[j&mask] -= deltas[back]
-			}
-			return errOverflow(idx[k])
+			return st.takeBack(idx[:k], deltas, base, idx[k])
 		}
 		ch.counts[i&mask] = c
 		ch.peak = max(ch.peak, magnitude(c))
 	}
 	return nil
+}
+
+// takeBack undoes the first len(idx) updates of a batch, last first, and
+// returns the refusal of the update at index over.
+func (st *tableState) takeBack(idx []uint64, deltas []int64, base, over uint64) error {
+	mask := uint64(1)<<st.shift - 1
+	for back := len(idx) - 1; back >= 0; back-- {
+		i := idx[back] - base
+		ch, j := st.chunks[i>>st.shift], int(i&mask)
+		ch.put(j, ch.at(j)-deltas[back])
+	}
+	return errOverflow(over)
 }
 
 // check returns the refusal add would give the batch, writing nothing:
@@ -204,7 +350,7 @@ func (st *tableState) check(idx []uint64, deltas []int64, base uint64) error {
 		c, ok := seen[i]
 		if !ok {
 			if ch := st.chunks[(i-base)>>st.shift]; ch != nil {
-				c = ch.counts[(i-base)&mask]
+				c = ch.at(int((i - base) & mask))
 			}
 		}
 		if c, ok = addInt64(c, deltas[k]); !ok {
@@ -216,13 +362,21 @@ func (st *tableState) check(idx []uint64, deltas []int64, base uint64) error {
 }
 
 // column returns the state's counts chunk by chunk, as col picks them
-// from each chunk, nil for nil chunks: the provers read them in place, as
-// a sumcheck.Counts.
+// from each chunk in its form, nil for nil chunks and for sparse chunks
+// that list nothing: the provers read them in place, as a
+// sumcheck.Counts.
 func column(st *tableState, col func(*chunk) []int64) sumcheck.Counts {
 	out := sumcheck.Counts{Width: 1 << st.shift, Chunks: make([][]int64, len(st.chunks))}
 	for k, ch := range st.chunks {
-		if ch != nil {
+		switch {
+		case ch == nil:
+		case ch.offs == nil:
 			out.Chunks[k] = col(ch)
+		case len(ch.offs) > 0:
+			if out.Offsets == nil {
+				out.Offsets = make([][]uint16, len(st.chunks))
+			}
+			out.Chunks[k], out.Offsets[k] = col(ch), ch.offs
 		}
 	}
 	return out
@@ -245,8 +399,8 @@ func (st *tableState) scanLive(f field.Field, workers int, scans *atomic.Uint64)
 			sum := 0
 			for k, ch := range st.chunks[lo:hi] {
 				if ch != nil {
-					ch.memoize(f, (lo+k)*half, scans)
-					sum += ch.nlive
+					ch.memoize(f, (lo+k)*half, 1<<st.shift, scans)
+					sum += int(ch.nlive)
 				}
 			}
 			sums[task] = sum
@@ -264,7 +418,7 @@ func (st *tableState) scanLive(f field.Field, workers int, scans *atomic.Uint64)
 				case ch.live != nil:
 					idx = append(idx, ch.live...)
 				default: // too dense to keep a list of its own
-					idx, _ = sumcheck.AppendLiveCounts(idx, k*half, ch.proved(), ch.nlive)
+					idx, _ = ch.appendLive(idx, k*half, int(ch.nlive))
 				}
 			}
 		}

@@ -149,6 +149,33 @@ func TestMul61LazyBound(t *testing.T) {
 	}
 }
 
+// TestMul61Canonical: mul61 of canonical operands — the boundary
+// operands of TestMul61LazyBound that are canonical, and random
+// canonical pairs — is a·b mod p, below p, with no final subtract.
+func TestMul61Canonical(t *testing.T) {
+	ops := []uint64{0, 1, 2, 7, 8, Mersenne61 - 2, Mersenne61 - 1, 1<<60 + 3, 1 << 60}
+	rng := NewSplitMix64(0x61c)
+	for len(ops) < 64 {
+		ops = append(ops, rng.Uint64()%Mersenne61)
+	}
+	m := new(big.Int).SetUint64(Mersenne61)
+	check := func(a, b uint64) {
+		r := mul61(a, b)
+		want := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+		if r >= Mersenne61 || new(big.Int).SetUint64(r).Cmp(want.Mod(want, m)) != 0 {
+			t.Fatalf("mul61(%d, %d) = %d, want %v < p", a, b, r, want)
+		}
+	}
+	for _, a := range ops {
+		for _, b := range ops {
+			check(a, b)
+		}
+	}
+	for range 1 << 16 {
+		check(rng.Uint64()%Mersenne61, rng.Uint64()%Mersenne61)
+	}
+}
+
 func TestChainKernelsPanicOnBadTables(t *testing.T) {
 	f := Mersenne()
 	for name, fn := range map[string]func(){

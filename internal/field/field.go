@@ -272,17 +272,20 @@ func (f Field) Mul(a, b Elem) Elem {
 	return Elem(rem)
 }
 
-// mul61 multiplies modulo 2^61 - 1. Since 2^64 ≡ 8 (mod p), the 128-bit
-// product hi·2^64 + lo reduces to 8·hi + lo, which is folded at bit 61.
+// mul61 multiplies canonical a, b modulo p = 2^61 - 1. Since
+// 2^64 ≡ 8 (mod p), the 128-bit product hi·2^64 + lo reduces to
+// 8·hi + lo, which is folded at bit 61 twice, and the second fold is
+// already canonical. With a, b ≤ p − 1, hi < 2^58, so the first fold
+// r = (lo mod 2^61) + (lo >> 61) + 8·hi is at most
+// (2^61 − 1) + 7 + (2^61 − 8) < 2^62: r >> 61 is 0 or 1, and the second
+// fold (r mod 2^61) + (r >> 61) is at most p. It is ≡ a·b (mod p), so it
+// equals p only when a·b ≡ 0, that is when a or b is 0 (p is prime);
+// but then hi = lo = 0 and it is 0. So it lies in [0, p − 1]
+// (TestMul61Canonical).
 func mul61(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
-	// a, b < 2^61 so hi < 2^58 and hi<<3 cannot overflow.
 	r := (lo & Mersenne61) + (lo >> 61) + hi<<3
-	r = (r & Mersenne61) + (r >> 61)
-	if r >= Mersenne61 {
-		r -= Mersenne61
-	}
-	return r
+	return (r & Mersenne61) + (r >> 61)
 }
 
 // red61 reduces an arbitrary uint64 modulo 2^61 - 1 (2^61 ≡ 1, so the word

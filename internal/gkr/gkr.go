@@ -55,6 +55,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/parallel"
+	"repro/internal/sumcheck"
 )
 
 // gkrGrain is the minimum per-goroutine chunk for the per-gate loops.
@@ -114,15 +115,23 @@ func NewProtocolFor(f field.Field, spec circuit.Spec, u uint64, workers int) (*P
 }
 
 // InputFromCounts derives the circuit input from a frequency table held
-// in equal chunks of width entries (a nil chunk holds zeros, a flat table
-// is one chunk): the field images of its first InputSize counts,
+// in chunks (sumcheck.Counts: a nil chunk holds zeros, a flat table is
+// one chunk): the field images of its first InputSize counts,
 // zero-padded if the table is shorter. It reads only the chunks the
 // input covers, and only those that are not nil.
-func (p *Protocol) InputFromCounts(width int, chunks [][]int64) []field.Elem {
+func (p *Protocol) InputFromCounts(counts sumcheck.Counts) []field.Elem {
 	in := make([]field.Elem, p.C.InputSize)
-	for k, ch := range chunks {
-		if lo := k * width; lo < len(in) && ch != nil {
-			n := min(width, len(in)-lo)
+	var buf []int64
+	for k := range counts.Chunks {
+		lo := k * counts.Width
+		if lo >= len(in) {
+			break
+		}
+		if counts.Sparse(k) != nil && buf == nil {
+			buf = make([]int64, counts.Width)
+		}
+		if ch := counts.Expand(k, buf); ch != nil {
+			n := min(counts.Width, len(in)-lo)
 			p.F.FromInt64Slice(in[lo:lo+n], ch[:n])
 		}
 	}

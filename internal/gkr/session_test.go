@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 )
 
 // sessionSpecs are the registry families exercised by the session tests,
@@ -39,7 +40,7 @@ func sessionInput(t testing.TB, proto *Protocol, ups []stream.Update, u uint64) 
 	for _, up := range ups {
 		counts[up.Index] += up.Delta
 	}
-	return proto.InputFromCounts(len(counts), [][]int64{counts})
+	return proto.InputFromCounts(sumcheck.Flat(counts))
 }
 
 // recorder captures both directions of a conversation for bit-exact

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/parallel"
+	"repro/internal/sumcheck"
 )
 
 // IncrementalTree is the prover-side tree for the interactive protocols of
@@ -35,20 +36,35 @@ type IncrementalTree struct {
 }
 
 // NewIncrementalFromCounts builds the count skeleton of every level from
-// a frequency table held in equal chunks of width entries — chunk k holds
-// entries [k·width, (k+1)·width) and a nil chunk holds zeros, params.U
-// entries in all. The leaves are the nonzero entries in index order, so
-// the tree is the one the aggregate state defines (the tests check it
-// against a reference built by aggregating a raw update stream). Level-0
-// hashes (the leaf values) are available immediately; higher-level
-// hashes require Extend. It passes over nil chunks and blocks of 8 zero
-// counts with one test each. A flat table is one chunk.
-func NewIncrementalFromCounts(f field.Field, params Params, width int, chunks [][]int64) (*IncrementalTree, error) {
+// a frequency table held in chunks (sumcheck.Counts: a nil chunk holds
+// zeros, a flat table is one chunk), params.U entries in all. The leaves
+// are the nonzero entries in index order, so the tree is the one the
+// aggregate state defines (the tests check it against a reference built
+// by aggregating a raw update stream). Level-0 hashes (the leaf values)
+// are available immediately; higher-level hashes require Extend. It
+// passes over nil chunks and blocks of 8 zero counts with one test each,
+// and reads a sparse chunk's listed counts only.
+func NewIncrementalFromCounts(f field.Field, params Params, counts sumcheck.Counts) (*IncrementalTree, error) {
+	width, chunks := counts.Width, counts.Chunks
 	if width < 1 || uint64(width)*uint64(len(chunks)) != params.U {
 		return nil, fmt.Errorf("hashtree: count table has %d chunks of %d entries, want %d entries", len(chunks), width, params.U)
 	}
 	var leaves []Node
+	leaf := func(i int, c int64) {
+		leaves = append(leaves, Node{Index: uint64(i), Hash: f.FromInt64(c), Count: c})
+	}
 	for k, ch := range chunks {
+		if offs := counts.Sparse(k); offs != nil {
+			if len(ch) != len(offs) {
+				return nil, fmt.Errorf("hashtree: sparse count chunk %d lists %d offsets for %d counts", k, len(offs), len(ch))
+			}
+			for j, c := range ch {
+				if c != 0 {
+					leaf(k*width+int(offs[j]), c)
+				}
+			}
+			continue
+		}
 		if ch == nil {
 			continue
 		}
@@ -62,7 +78,7 @@ func NewIncrementalFromCounts(f field.Field, params Params, width int, chunks []
 			}
 			for j, c := range b {
 				if c != 0 {
-					leaves = append(leaves, Node{Index: uint64(k*width + i + j), Hash: f.FromInt64(c), Count: c})
+					leaf(k*width+i+j, c)
 				}
 			}
 		}

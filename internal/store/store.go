@@ -125,17 +125,31 @@ type Checkpoint struct {
 	// Chunks, when Counts is nil, holds the vector as chunks of
 	// ChunkLen(Entries) entries, in increasing Index order; a chunk not
 	// listed is all zero. Encode writes a listed chunk of zeros as it
-	// writes an unlisted one; DecodeChunks and LoadChunks list only
-	// chunks holding a non-zero count.
+	// writes an unlisted one, whatever its form; DecodeChunks and
+	// LoadChunks list only chunks holding a non-zero count, each sparse
+	// when it holds at most MaxSparse of them.
 	Chunks  []Chunk
 	Entries uint64 // table length; Decode sets it, Encode reads it only when Counts is nil
 }
 
-// Chunk is one chunk of a checkpoint's counts.
+// Chunk is one chunk of a checkpoint's counts, in one of two forms. A
+// dense chunk's Counts are its w counts. A sparse chunk, one whose
+// Offsets are not nil, lists its non-zero counts only: Counts[j] is
+// entry Offsets[j] of the chunk, the offsets strictly increasing and
+// every listed count non-zero, as a sparse record holds them.
 type Chunk struct {
-	Index  uint64  // the chunk covers entries [Index·w, (Index+1)·w) of the table
-	Counts []int64 // its w counts
+	Index   uint64   // the chunk covers entries [Index·w, (Index+1)·w) of the table
+	Offsets []uint16 // the sparse form's offsets; nil for a dense chunk
+	Counts  []int64  // its w counts, or the sparse form's listed ones
+	Peak    uint64   // its largest |count|: DecodeChunks sets it, Encode does not read it
 }
+
+// MaxSparse is the most non-zero counts a chunk of w entries holds in
+// the sparse form when DecodeChunks fills it: w/16, so its (offset,
+// count) lists, 10 bytes a count, cost under 1/12 of the 8w bytes of
+// the dense form. A sparse record holds up to w/4; one holding more
+// than w/16 is filled into a dense chunk.
+func MaxSparse(w uint64) int { return int(w / 16) }
 
 // entries returns the length of the frequency vector.
 func (c *Checkpoint) entries() uint64 {
@@ -190,7 +204,11 @@ func Encode(c *Checkpoint) []byte {
 	live := make([]int, len(chunks))
 	size := headerSize + crcSize
 	for i, ch := range chunks {
-		switch live[i] = nonZero(ch.Counts); {
+		live[i] = len(ch.Counts) // a sparse chunk lists no zero
+		if ch.Offsets == nil {
+			live[i] = nonZero(ch.Counts)
+		}
+		switch {
 		case live[i] == 0:
 		case uint64(live[i]) <= w/4:
 			size += recordHead + pairSize*live[i]
@@ -209,16 +227,30 @@ func Encode(c *Checkpoint) []byte {
 		}
 		out = binary.LittleEndian.AppendUint64(out, ch.Index)
 		out = binary.LittleEndian.AppendUint32(out, uint32(live[i]))
-		if uint64(live[i]) > w/4 {
+		switch dense := uint64(live[i]) > w/4; {
+		case dense && ch.Offsets != nil:
+			for j, next := 0, 0; j < int(w); j++ {
+				var v int64
+				if next < len(ch.Offsets) && int(ch.Offsets[next]) == j {
+					v, next = ch.Counts[next], next+1
+				}
+				out = binary.LittleEndian.AppendUint64(out, uint64(v))
+			}
+		case dense:
 			for _, v := range ch.Counts {
 				out = binary.LittleEndian.AppendUint64(out, uint64(v))
 			}
-			continue
-		}
-		for j, v := range ch.Counts {
-			if v != 0 {
-				out = binary.LittleEndian.AppendUint16(out, uint16(j))
+		case ch.Offsets != nil:
+			for j, v := range ch.Counts {
+				out = binary.LittleEndian.AppendUint16(out, ch.Offsets[j])
 				out = binary.LittleEndian.AppendUint64(out, uint64(v))
+			}
+		default:
+			for j, v := range ch.Counts {
+				if v != 0 {
+					out = binary.LittleEndian.AppendUint16(out, uint16(j))
+					out = binary.LittleEndian.AppendUint64(out, uint64(v))
+				}
 			}
 		}
 	}
@@ -236,9 +268,11 @@ func Decode(b []byte, wantModulus uint64) (*Checkpoint, error) {
 }
 
 // DecodeChunks is Decode into Chunks: one chunk per record, never a
-// flat vector. A file of b bytes allocates O(b) plus at most one
-// ChunkLen-entry chunk per record (each record holds a non-zero count),
-// so it is safe on untrusted bytes.
+// flat vector, with its Peak. A record of at most MaxSparse counts fills
+// a sparse chunk of just those; any other fills a dense chunk. A file of
+// b bytes allocates O(b) plus at most one ChunkLen-entry chunk per
+// record (each record holds a non-zero count), so it is safe on
+// untrusted bytes.
 func DecodeChunks(b []byte, wantModulus uint64) (*Checkpoint, error) {
 	return decode(b, wantModulus, false)
 }
@@ -320,62 +354,86 @@ func decode(b []byte, wantModulus uint64, flat bool) (*Checkpoint, error) {
 		if live == 0 || live > w {
 			return nil, fmt.Errorf("%w: chunk %d has %d live entries of %d", ErrCorrupt, k, live, w)
 		}
-		var counts []int64
-		if flat {
-			counts = c.Counts[k*w : (k+1)*w]
-		} else {
-			counts = make([]int64, w)
+		ch := Chunk{Index: k}
+		switch {
+		case flat:
+			ch.Counts = c.Counts[k*w : (k+1)*w]
+		case live <= uint64(MaxSparse(w)):
+			ch.Offsets, ch.Counts = make([]uint16, live), make([]int64, live)
+		default:
+			ch.Counts = make([]int64, w)
 		}
 		var err error
 		if live > w/4 {
-			rest, err = readDense(rest, counts, live)
+			rest, ch.Peak, err = readDense(rest, ch.Counts, live)
 		} else {
-			rest, err = readSparse(rest, counts, live)
+			rest, ch.Peak, err = readSparse(rest, ch, live, w)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: chunk %d: %v", ErrCorrupt, k, err)
 		}
 		if !flat {
-			c.Chunks = append(c.Chunks, Chunk{Index: k, Counts: counts})
+			c.Chunks = append(c.Chunks, ch)
 		}
 	}
 	return c, nil
 }
 
-// readDense reads a dense record's counts, which must hold live
-// non-zero entries, and returns the bytes after it.
-func readDense(b []byte, counts []int64, live uint64) ([]byte, error) {
-	if len(b) < 8*len(counts) {
-		return nil, fmt.Errorf("%d bytes for %d counts", len(b), len(counts))
+// magnitude returns |v| as a uint64 (MinInt64 included).
+func magnitude(v int64) uint64 {
+	if v < 0 {
+		return -uint64(v)
 	}
-	for j := range counts {
-		counts[j] = int64(binary.LittleEndian.Uint64(b[8*j:]))
-	}
-	if got := nonZero(counts); uint64(got) != live {
-		return nil, fmt.Errorf("dense record holds %d live entries, says %d", got, live)
-	}
-	return b[8*len(counts):], nil
+	return uint64(v)
 }
 
-// readSparse reads a sparse record's live pairs into zeroed counts and
-// returns the bytes after it.
-func readSparse(b []byte, counts []int64, live uint64) ([]byte, error) {
-	if uint64(len(b)) < pairSize*live {
-		return nil, fmt.Errorf("%d bytes for %d pairs", len(b), live)
+// readDense reads a dense record's counts, which must hold live
+// non-zero entries, in one pass, and returns the bytes after it and the
+// largest |count|.
+func readDense(b []byte, counts []int64, live uint64) ([]byte, uint64, error) {
+	if len(b) < 8*len(counts) {
+		return nil, 0, fmt.Errorf("%d bytes for %d counts", len(b), len(counts))
 	}
-	prev := -1
-	for range live {
+	var got, peak uint64
+	for j := range counts {
+		v := int64(binary.LittleEndian.Uint64(b[8*j:]))
+		counts[j] = v
+		if v != 0 {
+			got++
+		}
+		peak = max(peak, magnitude(v))
+	}
+	if got != live {
+		return nil, 0, fmt.Errorf("dense record holds %d live entries, says %d", got, live)
+	}
+	return b[8*len(counts):], peak, nil
+}
+
+// readSparse reads a sparse record's live pairs of a w-entry chunk into
+// ch — as its listed pairs when it is sparse, else into its zeroed w
+// counts — and returns the bytes after it and the largest |count|.
+func readSparse(b []byte, ch Chunk, live, w uint64) ([]byte, uint64, error) {
+	if uint64(len(b)) < pairSize*live {
+		return nil, 0, fmt.Errorf("%d bytes for %d pairs", len(b), live)
+	}
+	prev, peak := -1, uint64(0)
+	for i := range int(live) {
 		j, v := int(binary.LittleEndian.Uint16(b)), int64(binary.LittleEndian.Uint64(b[2:]))
 		b = b[pairSize:]
-		if j <= prev || j >= len(counts) {
-			return nil, fmt.Errorf("offset %d after %d in a %d-entry chunk", j, prev, len(counts))
+		if j <= prev || uint64(j) >= w {
+			return nil, 0, fmt.Errorf("offset %d after %d in a %d-entry chunk", j, prev, w)
 		}
 		if v == 0 {
-			return nil, fmt.Errorf("offset %d holds a zero", j)
+			return nil, 0, fmt.Errorf("offset %d holds a zero", j)
 		}
-		counts[j], prev = v, j
+		if ch.Offsets != nil {
+			ch.Offsets[i], ch.Counts[i] = uint16(j), v
+		} else {
+			ch.Counts[j] = v
+		}
+		prev, peak = j, max(peak, magnitude(v))
 	}
-	return b, nil
+	return b, peak, nil
 }
 
 // Save writes the checkpoint to path with WriteAtomic: a returned nil

@@ -318,9 +318,97 @@ func TestChunksEncodeAsCounts(t *testing.T) {
 		t.Fatalf("DecodeChunks listed %d chunks, want %d", len(ch.Chunks), len(wantChunks))
 	}
 	for i, c := range ch.Chunks {
-		if c.Index != wantChunks[i].Index || !slices.Equal(c.Counts, wantChunks[i].Counts) {
+		if c.Index != wantChunks[i].Index || !slices.Equal(expand(c, len(wantChunks[i].Counts)), wantChunks[i].Counts) {
 			t.Fatalf("chunk %d: got index %d, want %d (or counts differ)", i, c.Index, wantChunks[i].Index)
 		}
+	}
+}
+
+// expand returns c's w counts, whatever its form.
+func expand(c Chunk, w int) []int64 {
+	if c.Offsets == nil {
+		return c.Counts
+	}
+	out := make([]int64, w)
+	for j, o := range c.Offsets {
+		out[o] = c.Counts[j]
+	}
+	return out
+}
+
+// sparseOf returns counts in the sparse form: its non-zero entries and
+// their offsets.
+func sparseOf(counts []int64) ([]uint16, []int64) {
+	offs, vals := []uint16{}, []int64(nil)
+	for j, v := range counts {
+		if v != 0 {
+			offs, vals = append(offs, uint16(j)), append(vals, v)
+		}
+	}
+	return offs, vals
+}
+
+// TestSparseChunksEncodeAsCounts: a table mixing nil, sparse and dense
+// chunks — each sparse one held as its listed counts, one of them
+// listing more than a sparse record holds — encodes to exactly the bytes
+// of the same counts held flat, and DecodeChunks reads it back as the
+// same counts, each chunk sparse just when it holds at most MaxSparse
+// counts, with its largest |count| as its Peak.
+func TestSparseChunksEncodeAsCounts(t *testing.T) {
+	w := 1 << ChunkShift
+	live := map[int]int64{}
+	for j := 0; j < MaxSparse(uint64(w)); j++ { // chunk 0: sparse at the bound
+		live[7*j+2] = int64(j) - 50
+	}
+	live[w+5] = math.MinInt64                    // chunk 1: one count; chunk 2 all zero
+	for j := 0; j <= MaxSparse(uint64(w)); j++ { // chunk 3: one past the bound
+		live[3*w+5*j] = int64(j) + 1
+	}
+	for j := 0; j <= w/4; j++ { // chunk 4: a dense record
+		live[4*w+3*j] = -int64(j) - 1
+	}
+	for j := 0; j < w/2; j++ { // chunk 5: a dense record, held dense
+		live[5*w+2*j+1] = int64(j) + 3
+	}
+	live[7*w-1] = 9 // chunk 6: the last entry
+	flat := table(7*w, live)
+	want := Encode(flat)
+	mixedForms := chunked(flat, true)
+	for i, c := range mixedForms.Chunks {
+		if i != 5 {
+			mixedForms.Chunks[i].Offsets, mixedForms.Chunks[i].Counts = sparseOf(c.Counts)
+		}
+	}
+	if got := Encode(mixedForms); !bytes.Equal(got, want) {
+		t.Fatal("the mixed-form encoding differs from the flat one")
+	}
+	ch, err := DecodeChunks(want, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(Encode(ch), want) {
+		t.Fatal("the chunk decoding re-encodes differently")
+	}
+	var listed []uint64
+	for _, c := range ch.Chunks {
+		listed = append(listed, c.Index)
+		counts := flat.Counts[int(c.Index)*w : int(c.Index+1)*w]
+		if !slices.Equal(expand(c, w), counts) {
+			t.Fatalf("chunk %d: counts differ", c.Index)
+		}
+		var peak uint64
+		for _, v := range counts {
+			peak = max(peak, magnitude(v))
+		}
+		if c.Peak != peak {
+			t.Fatalf("chunk %d: peak %d, want %d", c.Index, c.Peak, peak)
+		}
+		if sparse := nonZero(counts) <= MaxSparse(uint64(w)); (c.Offsets != nil) != sparse || sparse && len(c.Counts) != nonZero(counts) {
+			t.Fatalf("chunk %d: %d listed of %d live, sparse %v", c.Index, len(c.Counts), nonZero(counts), c.Offsets != nil)
+		}
+	}
+	if !slices.Equal(listed, []uint64{0, 1, 3, 4, 5, 6}) {
+		t.Fatalf("DecodeChunks listed chunks %v", listed)
 	}
 }
 

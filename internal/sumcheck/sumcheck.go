@@ -203,9 +203,18 @@ func (c Config) Validate() error {
 // c as c mod p and needs |c| < p of each one — ReducedCounts makes a
 // copy of any counts that meets it. A dataset engine lends its chunks of
 // counts as they are.
+//
+// A chunk is held in one of two forms. A dense chunk is its Width
+// entries. A sparse chunk k, one with Offsets[k] not nil, holds only the
+// entries it lists: Chunks[k][j] is entry Offsets[k][j] of the chunk,
+// the offsets strictly increasing, and every entry it does not list is
+// 0. Offsets is nil when every chunk is dense. Readers that walk the
+// non-zero entries take a sparse chunk as it is; the others read it
+// through Expand.
 type Table[T field.Entry] struct {
-	Width  int
-	Chunks [][]T
+	Width   int
+	Chunks  [][]T
+	Offsets [][]uint16
 }
 
 // Chunked is a table of field elements, Counts one of counts.
@@ -222,9 +231,34 @@ func Flat[T field.Entry](tab []T) Table[T] {
 // Len returns the number of entries the table holds.
 func (c Table[T]) Len() int { return c.Width * len(c.Chunks) }
 
+// Sparse returns the offsets of chunk k when it is held sparse, else nil.
+func (c Table[T]) Sparse(k int) []uint16 {
+	if c.Offsets == nil {
+		return nil
+	}
+	return c.Offsets[k]
+}
+
+// Expand returns chunk k as its Width entries: a dense chunk as it is,
+// nil for a nil chunk, and a sparse chunk written out into buf, which
+// holds at least Width entries of the caller's.
+func (c Table[T]) Expand(k int, buf []T) []T {
+	offs := c.Sparse(k)
+	if offs == nil {
+		return c.Chunks[k]
+	}
+	buf = buf[:c.Width]
+	clear(buf)
+	for j, o := range offs {
+		buf[o] = c.Chunks[k][j]
+	}
+	return buf
+}
+
 // tableLen returns the entries each of tables holds, or an error unless
 // they share one Width, a positive multiple of ell, and one length, and
-// every chunk that is not nil holds Width entries.
+// every chunk that is not nil holds Width entries, or, when it is
+// sparse, one entry per offset and at most Width offsets.
 func tableLen[T field.Entry](ell int, tables []Table[T]) (int, error) {
 	if len(tables) == 0 {
 		return 0, errors.New("sumcheck: no tables")
@@ -234,13 +268,17 @@ func tableLen[T field.Entry](ell int, tables []Table[T]) (int, error) {
 		return 0, fmt.Errorf("sumcheck: chunks of %d entries at ℓ=%d", width, ell)
 	}
 	for t, tab := range tables {
-		if tab.Width != width || tab.Len() != n {
+		if tab.Width != width || tab.Len() != n || tab.Offsets != nil && len(tab.Offsets) != len(tab.Chunks) {
 			return 0, fmt.Errorf("sumcheck: table %d has %d entries in chunks of %d, table 0 %d in chunks of %d",
 				t, tab.Len(), tab.Width, n, width)
 		}
 		for k, ch := range tab.Chunks {
-			if ch != nil && len(ch) != width {
-				return 0, fmt.Errorf("sumcheck: table %d chunk %d has %d entries, want %d", t, k, len(ch), width)
+			want, offs := width, tab.Sparse(k)
+			if offs != nil {
+				want = len(offs)
+			}
+			if (ch != nil || offs != nil) && len(ch) != want || want > width {
+				return 0, fmt.Errorf("sumcheck: table %d chunk %d has %d entries, want %d", t, k, len(ch), want)
 			}
 		}
 	}
@@ -250,17 +288,29 @@ func tableLen[T field.Entry](ell int, tables []Table[T]) (int, error) {
 // eachRun calls fn(at, n, segs) for the runs of entries [lo, hi) of
 // tables, which share one Width, that lie in one chunk, in order: segs[t]
 // holds table t's entries at..at+n−1, or is nil when its chunk is, and
-// segs itself is nil when every table's chunk is.
+// segs itself is nil when every table's chunk is. A sparse chunk is read
+// through Expand, into a buffer of the call's own.
 func eachRun[T field.Entry](tables []Table[T], lo, hi int, fn func(at, n int, segs [][]T)) {
 	width := tables[0].Width
 	segs := make([][]T, len(tables))
+	var bufs [][]T // each table's buffer for its sparse chunks, made on its first
 	for lo < hi {
 		k := lo / width
 		end := min(hi, (k+1)*width)
 		run := [][]T(nil)
 		for t, tab := range tables {
+			ch := tab.Chunks[k]
+			if tab.Sparse(k) != nil {
+				if bufs == nil {
+					bufs = make([][]T, len(tables))
+				}
+				if bufs[t] == nil {
+					bufs[t] = make([]T, width)
+				}
+				ch = tab.Expand(k, bufs[t])
+			}
 			segs[t] = nil
-			if ch := tab.Chunks[k]; ch != nil {
+			if ch != nil {
 				segs[t], run = ch[lo-k*width:end-k*width], segs
 			}
 		}
@@ -279,7 +329,7 @@ func withZeros[T field.Entry](tables []Table[T]) []Table[T] {
 	}
 	out := make([]Table[T], len(tables))
 	for t, tab := range tables {
-		out[t] = Table[T]{Width: tab.Width, Chunks: slices.Clone(tab.Chunks)}
+		out[t] = Table[T]{Width: tab.Width, Chunks: slices.Clone(tab.Chunks), Offsets: tab.Offsets}
 	}
 	var zeros []T
 	for k := range out[0].Chunks {
@@ -977,7 +1027,8 @@ func joined(runs [][]uint32) []uint32 {
 
 // gather packs the pairs idx lists of tables into field tables of their
 // own, pairs[t][2k] and pairs[t][2k+1] holding table t's pair idx[k]
-// lifted mod mod, split across workers goroutines.
+// lifted mod mod, split across workers goroutines. It reads a sparse
+// chunk's listed entries in order beside the pairs it packs from them.
 func gather[T field.Entry](workers int, mod uint64, idx []uint32, tables []Table[T]) [][]field.Elem {
 	n := len(idx)
 	pairs := make([][]field.Elem, len(tables))
@@ -990,6 +1041,22 @@ func gather[T field.Entry](workers int, mod uint64, idx []uint32, tables []Table
 			for k := lo; k < hi; { // the live pairs of one chunk at a time
 				c := int(idx[k]) / half
 				ch, first, end := tab.Chunks[c], c*half, (c+1)*half
+				if offs := tab.Sparse(c); offs != nil {
+					// A listed entry outside the live pairs is 0 mod p, and
+					// the packed pairs start zeroed: write the listed
+					// entries of each live pair.
+					j := 0
+					for ; k < hi && int(idx[k]) < end; k++ {
+						e := 2 * (int(idx[k]) - first)
+						for j < len(offs) && int(offs[j]) < e {
+							j++
+						}
+						for ; j < len(offs) && int(offs[j]) <= e+1; j++ {
+							packed[2*k+int(offs[j])-e] = field.Elem(field.Lift(ch[j], mod))
+						}
+					}
+					continue
+				}
 				for ; k < hi && int(idx[k]) < end; k++ {
 					j := 2 * (int(idx[k]) - first)
 					packed[2*k] = field.Elem(field.Lift(ch[j], mod))
