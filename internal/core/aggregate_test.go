@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/hashtree"
 	"repro/internal/stream"
 	"repro/internal/sumcheck"
 )
@@ -29,6 +30,24 @@ func observeAll(t *testing.T, obs observer, ups []stream.Update) {
 func countsOf(t *testing.T, ups []stream.Update, n uint64) sumcheck.Counts {
 	t.Helper()
 	return sumcheck.Flat(applied(t, ups, n))
+}
+
+// skeletonOf is the tree provers' one input in these tests: the tree
+// skeleton of ups' frequency vector over params. Every prover borrows it
+// read-only.
+func skeletonOf(t *testing.T, f field.Field, ups []stream.Update, params hashtree.Params) *hashtree.Skeleton {
+	t.Helper()
+	return flatSkeleton(t, f, params, applied(t, ups, params.U))
+}
+
+// flatSkeleton is the tree skeleton of a flat frequency vector.
+func flatSkeleton(t *testing.T, f field.Field, params hashtree.Params, counts []int64) *hashtree.Skeleton {
+	t.Helper()
+	sk, err := hashtree.NewSkeleton(f, params, sumcheck.Flat(counts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sk
 }
 
 // applied is the frequency vector of ups over n entries.

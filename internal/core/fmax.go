@@ -6,7 +6,6 @@ import (
 	"repro/internal/field"
 	"repro/internal/hashtree"
 	"repro/internal/stream"
-	"repro/internal/sumcheck"
 )
 
 // Fmax is the §6.2 protocol for the maximum frequency. It composes two
@@ -184,15 +183,15 @@ type FmaxProver struct {
 	fbOpen  bool
 }
 
-// NewProverFromCounts returns a prover over a count table held in chunks
-// with the given stream total Σδ (dataset-engine state); both composed
-// sub-provers borrow the same table read-only.
-func (p *Fmax) NewProverFromCounts(counts sumcheck.Counts, total int64) (*FmaxProver, error) {
-	sv, err := p.SV.NewProverFromCounts(counts)
+// NewProverFromSkeleton returns a prover over the tree skeleton of a
+// count table with the given stream total Σδ (dataset-engine state); both
+// composed sub-provers borrow the same skeleton read-only.
+func (p *Fmax) NewProverFromSkeleton(sk *hashtree.Skeleton, total int64) (*FmaxProver, error) {
+	sv, err := p.SV.NewProverFromSkeleton(sk)
 	if err != nil {
 		return nil, err
 	}
-	fb, err := p.FB.NewProverFromCounts(counts, total)
+	fb, err := p.FB.NewProverFromSkeleton(sk, total)
 	if err != nil {
 		return nil, err
 	}
@@ -202,16 +201,16 @@ func (p *Fmax) NewProverFromCounts(counts sumcheck.Counts, total int64) (*FmaxPr
 // Open finds the maximum frequency and its witness, then opens the INDEX
 // sub-conversation.
 func (pr *FmaxProver) Open() (Msg, error) {
-	// Ascending scan: the witness is the smallest index achieving the
-	// maximum frequency, as before.
+	// Ascending scan of the leaves: the witness is the smallest index
+	// achieving the maximum frequency.
 	var witness uint64
 	var lb int64
-	eachCount(pr.sv.counts, false, func(i uint64, c int64) bool {
+	leaves, counts := pr.sv.sk.Leaves()
+	for k, c := range counts {
 		if c > lb {
-			witness, lb = i, c
+			witness, lb = leaves[k], c
 		}
-		return true
-	})
+	}
 	if lb < 1 {
 		return Msg{}, fmt.Errorf("core: fmax requires a non-empty stream with positive frequencies")
 	}
@@ -245,7 +244,7 @@ func (pr *FmaxProver) Step(challenge Msg) (Msg, error) {
 }
 
 // SetWorkers sets the prover's parallel fan-out of both composed
-// sub-protocols; see Fk.Workers. Call before NewProverFromCounts.
+// sub-protocols; see Fk.Workers. Call before NewProverFromSkeleton.
 func (p *Fmax) SetWorkers(n int) {
 	p.SV.Workers = n
 	p.FB.Workers = n

@@ -241,12 +241,12 @@ type FrequencyBasedProver struct {
 	res   scProver // the residual sum-check
 }
 
-// NewProverFromCounts returns a prover over a count table held in chunks,
-// borrowed read-only, with the given stream total Σδ (dataset-engine
-// state).
-func (p *FrequencyBased) NewProverFromCounts(counts sumcheck.Counts, total int64) (*FrequencyBasedProver, error) {
+// NewProverFromSkeleton returns a prover over the tree skeleton of a
+// count table, borrowed read-only, with the given stream total Σδ
+// (dataset-engine state).
+func (p *FrequencyBased) NewProverFromSkeleton(sk *hashtree.Skeleton, total int64) (*FrequencyBasedProver, error) {
 	hhProto := &HeavyHitters{F: p.F, Params: p.TreeParams, Workers: p.Workers}
-	hh, err := hhProto.NewProverFromCounts(counts, total)
+	hh, err := hhProto.NewProverFromSkeleton(sk, total)
 	if err != nil {
 		return nil, err
 	}
@@ -297,18 +297,14 @@ func (pr *FrequencyBasedProver) openSumcheck() (Msg, error) {
 	}
 	f := pr.proto.F
 	table := make([]field.Elem, pr.proto.LdeParams.U)
-	var err error
-	eachCount(pr.hh.counts, false, func(i uint64, c int64) bool {
+	leaves, counts := pr.hh.sk.Leaves()
+	for k, c := range counts {
 		switch {
 		case c < 0:
-			err = fmt.Errorf("core: frequency-based protocols require non-negative frequencies (index %d has %d)", i, c)
+			return Msg{}, fmt.Errorf("core: frequency-based protocols require non-negative frequencies (index %d has %d)", leaves[k], c)
 		case c < threshold: // a heavy count is removed from the residual stream
-			table[i] = f.FromInt64(c)
+			table[leaves[k]] = f.FromInt64(c)
 		}
-		return err == nil
-	})
-	if err != nil {
-		return Msg{}, err
 	}
 	// h̃ interpolates h on 0..T-1 (all residual frequencies lie there).
 	xs := make([]field.Elem, threshold)

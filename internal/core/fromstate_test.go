@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/hashtree"
 	"repro/internal/sumcheck"
 )
 
 // Every prover is built from aggregated state: a field table
 // (NewProverFromTable/NewProverFromTables) or a count table
-// (NewProverFromCounts), borrowed read-only. This pins strict length
-// validation; the per-kind transcript matrix and the immutability of the
+// or its tree skeleton (NewProverFromSkeleton), borrowed read-only. This
+// pins strict length validation; the per-kind transcript matrix and the immutability of the
 // borrowed tables are checked in internal/engine.
 
 func TestFromStateLengthValidation(t *testing.T) {
@@ -18,6 +19,7 @@ func TestFromStateLengthValidation(t *testing.T) {
 	const u = 128
 	short := make([]field.Elem, 7)
 	shortCounts := sumcheck.Flat(make([]int64, 7))
+	shortTree := flatSkeleton(t, f, hashtree.Params{D: 3, U: 8}, make([]int64, 8))
 
 	fk, err := NewFk(f, u, 2)
 	if err != nil {
@@ -46,29 +48,29 @@ func TestFromStateLengthValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sv.NewProverFromCounts(shortCounts); err == nil {
-		t.Error("SubVector accepted a short count table")
+	if _, err := sv.NewProverFromSkeleton(shortTree); err == nil {
+		t.Error("SubVector accepted a short tree skeleton")
 	}
 	hh, err := NewHeavyHitters(f, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hh.NewProverFromCounts(shortCounts, 0); err == nil {
-		t.Error("HeavyHitters accepted a short count table")
+	if _, err := hh.NewProverFromSkeleton(shortTree, 0); err == nil {
+		t.Error("HeavyHitters accepted a short tree skeleton")
 	}
 	fb, err := NewF0(f, u, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fb.NewProverFromCounts(shortCounts, 0); err == nil {
-		t.Error("FrequencyBased accepted a short count table")
+	if _, err := fb.NewProverFromSkeleton(shortTree, 0); err == nil {
+		t.Error("FrequencyBased accepted a short tree skeleton")
 	}
 	fm, err := NewFmax(f, u, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fm.NewProverFromCounts(shortCounts, 0); err == nil {
-		t.Error("Fmax accepted a short count table")
+	if _, err := fm.NewProverFromSkeleton(shortTree, 0); err == nil {
+		t.Error("Fmax accepted a short tree skeleton")
 	}
 	ip, err := NewInnerProduct(f, u)
 	if err != nil {

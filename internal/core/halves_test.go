@@ -111,7 +111,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 			build: func() (ProverSession, VerifierSession) {
 				v := f0.Adopt(DrawSummary(f0.F, f0.TreeParams.D, FamilyPoint|FamilyAug, field.NewSplitMix64(5)))
 				observeAll(t, v, a)
-				return must(f0.NewProverFromCounts(sumcheck.Flat(ca), int64(len(a)))), v
+				return must(f0.NewProverFromSkeleton(flatSkeleton(t, f0.F, f0.TreeParams, ca), int64(len(a)))), v
 			},
 			answer: result, want: f0Want,
 			// d−1 heavy-hitter reveals, then the empty message that asks
@@ -223,7 +223,7 @@ func TestAnchorHalvesContract(t *testing.T) {
 		{
 			name: "Predecessor",
 			build: func() (ProverSession, VerifierSession) {
-				v, p := pred.Adopt(DrawSummary(pred.sv.F, pred.sv.Params.D, FamilyTree, field.NewSplitMix64(1))), must(pred.NewProverFromCounts(sumcheck.Flat(counts)))
+				v, p := pred.Adopt(DrawSummary(pred.sv.F, pred.sv.Params.D, FamilyTree, field.NewSplitMix64(1))), must(pred.NewProverFromSkeleton(flatSkeleton(t, pred.sv.F, pred.sv.Params, counts)))
 				observeAll(t, v, ups)
 				if err := errors.Join(v.SetQuery(q), p.SetQuery(q)); err != nil {
 					t.Fatal(err)
@@ -239,7 +239,7 @@ func TestAnchorHalvesContract(t *testing.T) {
 		{
 			name: "Successor",
 			build: func() (ProverSession, VerifierSession) {
-				v, p := succ.Adopt(DrawSummary(succ.sv.F, succ.sv.Params.D, FamilyTree, field.NewSplitMix64(2))), must(succ.NewProverFromCounts(sumcheck.Flat(counts)))
+				v, p := succ.Adopt(DrawSummary(succ.sv.F, succ.sv.Params.D, FamilyTree, field.NewSplitMix64(2))), must(succ.NewProverFromSkeleton(flatSkeleton(t, succ.sv.F, succ.sv.Params, counts)))
 				observeAll(t, v, ups)
 				if err := errors.Join(v.SetQuery(q), p.SetQuery(q)); err != nil {
 					t.Fatal(err)
@@ -255,7 +255,7 @@ func TestAnchorHalvesContract(t *testing.T) {
 		{
 			name: "KLargest",
 			build: func() (ProverSession, VerifierSession) {
-				v, p := kl.Adopt(DrawSummary(kl.sv.F, kl.sv.Params.D, FamilyTree, field.NewSplitMix64(3))), must(kl.NewProverFromCounts(sumcheck.Flat(counts)))
+				v, p := kl.Adopt(DrawSummary(kl.sv.F, kl.sv.Params.D, FamilyTree, field.NewSplitMix64(3))), must(kl.NewProverFromSkeleton(flatSkeleton(t, kl.sv.F, kl.sv.Params, counts)))
 				observeAll(t, v, ups)
 				if err := errors.Join(v.SetQuery(k), p.SetQuery(k)); err != nil {
 					t.Fatal(err)

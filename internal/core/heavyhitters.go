@@ -7,7 +7,6 @@ import (
 	"repro/internal/field"
 	"repro/internal/hashtree"
 	"repro/internal/stream"
-	"repro/internal/sumcheck"
 )
 
 // HeavyHitters is the protocol of §6.1: report every item whose frequency
@@ -270,13 +269,12 @@ func (v *HeavyHittersVerifier) SpaceWords() int {
 
 // ---------------------------------------------------------------------
 
-// HeavyHittersProver runs the prover side: it holds the dense frequency
-// table and total Σδ of the stream (O(u) words, independent of stream
-// length), builds the count skeleton at Open, and hashes one level per
-// revealed (r, q).
+// HeavyHittersProver runs the prover side: it holds the tree skeleton of
+// the frequency table (shared read-only, see SubVectorProver) and the
+// total Σδ of the stream, and hashes one level per revealed (r, q).
 type HeavyHittersProver struct {
 	proto    *HeavyHitters
-	counts   sumcheck.Counts // borrowed read-only
+	sk       *hashtree.Skeleton // borrowed read-only
 	total    int64
 	tree     *hashtree.IncrementalTree
 	phi      float64
@@ -285,14 +283,14 @@ type HeavyHittersProver struct {
 	threshold int64
 }
 
-// NewProverFromCounts returns a prover over a count table (Params.U
-// entries) held in chunks, borrowed read-only, with the given stream
+// NewProverFromSkeleton returns a prover over the skeleton of a count
+// table (Params.U entries), borrowed read-only, with the given stream
 // total Σδ — the maintained state of a dataset engine.
-func (p *HeavyHitters) NewProverFromCounts(counts sumcheck.Counts, total int64) (*HeavyHittersProver, error) {
-	if uint64(counts.Len()) != p.Params.U {
-		return nil, fmt.Errorf("core: count table has %d entries, want %d", counts.Len(), p.Params.U)
+func (p *HeavyHitters) NewProverFromSkeleton(sk *hashtree.Skeleton, total int64) (*HeavyHittersProver, error) {
+	if err := checkSkeleton(sk, p.Params); err != nil {
+		return nil, err
 	}
-	return &HeavyHittersProver{proto: p, counts: counts, total: total}, nil
+	return &HeavyHittersProver{proto: p, sk: sk, total: total}, nil
 }
 
 // SetQuery fixes the heaviness fraction φ.
@@ -304,17 +302,13 @@ func (pr *HeavyHittersProver) SetQuery(phi float64) error {
 	return nil
 }
 
-// Open builds the count skeleton and emits M_0.
+// Open starts the conversation's hash state over the skeleton and emits
+// M_0.
 func (pr *HeavyHittersProver) Open() (Msg, error) {
 	if !pr.hasQuery {
 		return Msg{}, fmt.Errorf("core: heavy-hitters query not set")
 	}
-	tree, err := hashtree.NewIncrementalFromCounts(pr.proto.F, pr.proto.Params, pr.counts)
-	if err != nil {
-		return Msg{}, err
-	}
-	tree.Workers = pr.proto.Workers
-	pr.tree = tree
+	pr.tree = pr.sk.NewTree(pr.proto.Workers)
 	pr.threshold = Threshold(pr.phi, pr.total)
 	return pr.levelMsg(0)
 }

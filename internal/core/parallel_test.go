@@ -59,7 +59,7 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every run borrows the same tables read-only.
-	counts, zipfCounts := countsOf(t, ups, u), countsOf(t, zipf, 1<<8)
+	counts := countsOf(t, ups, u)
 
 	type runResult struct {
 		msgs []Msg
@@ -133,7 +133,7 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 			if err := v.SetQuery(100, 1100); err != nil {
 				return nil, nil, err
 			}
-			p, err := proto.NewProverFromCounts(counts)
+			p, err := proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -151,7 +151,7 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 					return nil, nil, err
 				}
 			}
-			p, err := proto.NewProverFromCounts(zipfCounts, stream.SumDeltas(zipf))
+			p, err := proto.NewProverFromSkeleton(skeletonOf(t, proto.F, zipf, proto.TreeParams), stream.SumDeltas(zipf))
 			return p, v, err
 		}},
 	}

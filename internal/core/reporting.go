@@ -2,10 +2,11 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/field"
+	"repro/internal/hashtree"
 	"repro/internal/stream"
-	"repro/internal/sumcheck"
 )
 
 // This file implements the §4.2 reductions of the reporting queries to
@@ -232,14 +233,16 @@ func (pr *PredecessorProver) SetQuery(q uint64) error {
 	return setPoint(&pr.q, q, pr.sv.proto.Params.U)
 }
 
-// Open computes the true predecessor and opens the embedded sub-vector
+// Open finds the true predecessor, the last leaf at or below q, by binary
+// search over the skeleton's leaves, and opens the embedded sub-vector
 // conversation.
 func (pr *PredecessorProver) Open() (Msg, error) {
-	pred, found := scanExtreme(pr.sv.counts, func(i uint64) bool { return i <= pr.q }, true)
-	if !found {
+	leaves, _ := pr.sv.sk.Leaves()
+	k := sort.Search(len(leaves), func(i int) bool { return leaves[i] > pr.q })
+	if k == 0 {
 		return pr.open(NoneSentinel, 0, pr.q)
 	}
-	return pr.open(pred, pred, pr.q)
+	return pr.open(leaves[k-1], leaves[k-1], pr.q)
 }
 
 // Successor is the symmetric SUCCESSOR protocol: the smallest p ≥ q
@@ -297,26 +300,16 @@ type SuccessorProver struct {
 // SetQuery fixes the query point q.
 func (pr *SuccessorProver) SetQuery(q uint64) error { return setPoint(&pr.q, q, pr.sv.proto.Params.U) }
 
-// Open computes the true successor and opens the embedded sub-vector
+// Open finds the true successor, the first leaf at or above q, by binary
+// search over the skeleton's leaves, and opens the embedded sub-vector
 // conversation.
 func (pr *SuccessorProver) Open() (Msg, error) {
-	succ, found := scanExtreme(pr.sv.counts, func(i uint64) bool { return i >= pr.q }, false)
-	if !found {
+	leaves, _ := pr.sv.sk.Leaves()
+	k := sort.Search(len(leaves), func(i int) bool { return leaves[i] >= pr.q })
+	if k == len(leaves) {
 		return pr.open(NoneSentinel, pr.q, pr.sv.proto.Params.U-1)
 	}
-	return pr.open(succ, pr.q, succ)
-}
-
-// scanExtreme returns the largest (wantMax) or smallest nonzero index of
-// the frequency table satisfying keep.
-func scanExtreme(counts sumcheck.Counts, keep func(uint64) bool, wantMax bool) (best uint64, found bool) {
-	eachCount(counts, wantMax, func(i uint64, _ int64) bool {
-		if keep(i) {
-			best, found = i, true
-		}
-		return !found
-	})
-	return best, found
+	return pr.open(leaves[k], pr.q, leaves[k])
 }
 
 // ---------------------------------------------------------------------
@@ -390,71 +383,68 @@ func setK(dst *int, k int) error {
 	return nil
 }
 
-// Open locates the k-th largest distinct element and opens the sub-vector
+// Open locates the k-th largest distinct element, the k-th leaf from the
+// top of the skeleton, and opens the sub-vector
 // conversation over [loc, u-1]. It reports an error if fewer than k
 // distinct elements are present.
 func (pr *KLargestProver) Open() (Msg, error) {
 	if pr.k == 0 {
 		return Msg{}, fmt.Errorf("core: k-largest query not set")
 	}
-	var loc uint64
-	seen := 0
-	eachCount(pr.sv.counts, true, func(i uint64, _ int64) bool {
-		seen++
-		loc = i
-		return seen < pr.k
-	})
-	if seen < pr.k {
-		return Msg{}, fmt.Errorf("core: only %d distinct elements present, need %d", seen, pr.k)
+	leaves, _ := pr.sv.sk.Leaves()
+	if len(leaves) < pr.k {
+		return Msg{}, fmt.Errorf("core: only %d distinct elements present, need %d", len(leaves), pr.k)
 	}
+	loc := leaves[len(leaves)-pr.k]
 	return pr.open(loc, loc, pr.sv.proto.Params.U-1)
 }
 
 // ---------------------------------------------------------------------
 // Provers
 //
-// Each specialization's prover borrows a count table held in chunks (a
-// dataset-engine snapshot's) read-only; see SubVector.NewProverFromCounts.
+// Each specialization's prover borrows the tree skeleton of a count table
+// (a dataset-engine version's) read-only; see
+// SubVector.NewProverFromSkeleton.
 
-// NewProverFromCounts returns an INDEX prover over a borrowed count table.
-func (p *Index) NewProverFromCounts(counts sumcheck.Counts) (*IndexProver, error) {
-	sv, err := p.sv.NewProverFromCounts(counts)
+// NewProverFromSkeleton returns an INDEX prover over a borrowed tree skeleton.
+func (p *Index) NewProverFromSkeleton(sk *hashtree.Skeleton) (*IndexProver, error) {
+	sv, err := p.sv.NewProverFromSkeleton(sk)
 	if err != nil {
 		return nil, err
 	}
 	return &IndexProver{SubVectorProver: sv}, nil
 }
 
-// NewProverFromCounts returns a DICTIONARY prover over a borrowed count table.
-func (p *Dictionary) NewProverFromCounts(counts sumcheck.Counts) (*DictionaryProver, error) {
-	sv, err := p.sv.NewProverFromCounts(counts)
+// NewProverFromSkeleton returns a DICTIONARY prover over a borrowed tree skeleton.
+func (p *Dictionary) NewProverFromSkeleton(sk *hashtree.Skeleton) (*DictionaryProver, error) {
+	sv, err := p.sv.NewProverFromSkeleton(sk)
 	if err != nil {
 		return nil, err
 	}
 	return &DictionaryProver{SubVectorProver: sv}, nil
 }
 
-// NewProverFromCounts returns a PREDECESSOR prover over a borrowed count table.
-func (p *Predecessor) NewProverFromCounts(counts sumcheck.Counts) (*PredecessorProver, error) {
-	sv, err := p.sv.NewProverFromCounts(counts)
+// NewProverFromSkeleton returns a PREDECESSOR prover over a borrowed tree skeleton.
+func (p *Predecessor) NewProverFromSkeleton(sk *hashtree.Skeleton) (*PredecessorProver, error) {
+	sv, err := p.sv.NewProverFromSkeleton(sk)
 	if err != nil {
 		return nil, err
 	}
 	return &PredecessorProver{anchorProver: anchorProver{sv: sv}}, nil
 }
 
-// NewProverFromCounts returns a SUCCESSOR prover over a borrowed count table.
-func (p *Successor) NewProverFromCounts(counts sumcheck.Counts) (*SuccessorProver, error) {
-	sv, err := p.sv.NewProverFromCounts(counts)
+// NewProverFromSkeleton returns a SUCCESSOR prover over a borrowed tree skeleton.
+func (p *Successor) NewProverFromSkeleton(sk *hashtree.Skeleton) (*SuccessorProver, error) {
+	sv, err := p.sv.NewProverFromSkeleton(sk)
 	if err != nil {
 		return nil, err
 	}
 	return &SuccessorProver{anchorProver: anchorProver{sv: sv}}, nil
 }
 
-// NewProverFromCounts returns a k-LARGEST prover over a borrowed count table.
-func (p *KLargest) NewProverFromCounts(counts sumcheck.Counts) (*KLargestProver, error) {
-	sv, err := p.sv.NewProverFromCounts(counts)
+// NewProverFromSkeleton returns a k-LARGEST prover over a borrowed tree skeleton.
+func (p *KLargest) NewProverFromSkeleton(sk *hashtree.Skeleton) (*KLargestProver, error) {
+	sv, err := p.sv.NewProverFromSkeleton(sk)
 	if err != nil {
 		return nil, err
 	}

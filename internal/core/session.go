@@ -13,8 +13,8 @@
 // Every protocol is a pair of session state machines. The verifier
 // observes the stream of (index, delta) updates in O(log u) space; the
 // prover holds the data, and every prover is built from the aggregated
-// frequency table (NewProverFromTable / NewProverFromCounts), borrowed
-// read-only. After the stream (and after the query parameters are fixed),
+// frequency table (NewProverFromTable) or its hash-tree skeleton
+// (NewProverFromSkeleton), borrowed read-only. After the stream (and after the query parameters are fixed),
 // the conversation proceeds in rounds:
 //
 //	opening := prover.Open()

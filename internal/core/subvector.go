@@ -6,7 +6,6 @@ import (
 	"repro/internal/field"
 	"repro/internal/hashtree"
 	"repro/internal/stream"
-	"repro/internal/sumcheck"
 )
 
 // SubVector is the reporting-query protocol of §4: after the stream, the
@@ -262,56 +261,36 @@ func (v *SubVectorVerifier) SpaceWords() int {
 
 // ---------------------------------------------------------------------
 
-// SubVectorProver holds the dense frequency table (O(u) words, like the
-// aggregation provers) and builds the hash tree one level per round as
-// the randomness is revealed. Holding aggregated counts instead of the
-// raw stream keeps prover memory independent of stream length and lets a
-// dataset engine hand the same table to many query sessions.
+// SubVectorProver holds the tree skeleton of the frequency table (the
+// nonzero subtrees' indices and counts, shared read-only with every other
+// conversation over the same counts) and hashes the tree one level per
+// round as the randomness is revealed. Holding aggregated state instead
+// of the raw stream keeps prover memory independent of stream length and
+// lets a dataset engine hand the same skeleton to many query sessions.
 type SubVectorProver struct {
 	proto    *SubVector
-	counts   sumcheck.Counts // the aggregated frequency vector, borrowed read-only
+	sk       *hashtree.Skeleton // borrowed read-only
 	tree     *hashtree.IncrementalTree
 	qL, qR   uint64
 	hasQuery bool
 }
 
-// NewProverFromCounts returns a prover whose frequency table is the given
-// count vector (Params.U entries) held in chunks — a flat table is
-// sumcheck.Flat, a dataset-engine snapshot its chunks — and borrowed
-// read-only. Construction is O(1).
-func (p *SubVector) NewProverFromCounts(counts sumcheck.Counts) (*SubVectorProver, error) {
-	if uint64(counts.Len()) != p.Params.U {
-		return nil, fmt.Errorf("core: count table has %d entries, want %d", counts.Len(), p.Params.U)
+// NewProverFromSkeleton returns a prover over the skeleton of the count
+// vector (hashtree.NewSkeleton over Params.U counts), borrowed read-only.
+// Construction is O(1).
+func (p *SubVector) NewProverFromSkeleton(sk *hashtree.Skeleton) (*SubVectorProver, error) {
+	if err := checkSkeleton(sk, p.Params); err != nil {
+		return nil, err
 	}
-	return &SubVectorProver{proto: p, counts: counts}, nil
+	return &SubVectorProver{proto: p, sk: sk}, nil
 }
 
-// eachCount calls fn(i, c) for each non-zero count c of counts, at index
-// i, in increasing index order — decreasing when down — until fn returns
-// false. It passes over nil chunks whole and reads a sparse chunk's
-// listed counts only.
-func eachCount(counts sumcheck.Counts, down bool, fn func(i uint64, c int64) bool) {
-	n := len(counts.Chunks)
-	for kk := range n {
-		k := kk
-		if down {
-			k = n - 1 - kk
-		}
-		ch, offs := counts.Chunks[k], counts.Sparse(k)
-		for jj := range ch {
-			j := jj
-			if down {
-				j = len(ch) - 1 - jj
-			}
-			at := j
-			if offs != nil {
-				at = int(offs[j])
-			}
-			if c := ch[j]; c != 0 && !fn(uint64(k*counts.Width+at), c) {
-				return
-			}
-		}
+// checkSkeleton refuses a skeleton of another tree shape than params.
+func checkSkeleton(sk *hashtree.Skeleton, params hashtree.Params) error {
+	if got := sk.Params(); got != params {
+		return fmt.Errorf("core: tree skeleton spans %d entries, want %d", got.U, params.U)
 	}
+	return nil
 }
 
 // SetQuery fixes the queried range.
@@ -323,25 +302,19 @@ func (pr *SubVectorProver) SetQuery(qL, qR uint64) error {
 	return nil
 }
 
-// Open aggregates the leaves and emits the claimed sub-vector plus
-// boundary leaf values.
+// Open starts the conversation's hash state over the skeleton and emits
+// the claimed sub-vector plus boundary leaf values.
 func (pr *SubVectorProver) Open() (Msg, error) {
 	if !pr.hasQuery {
 		return Msg{}, fmt.Errorf("core: sub-vector query not set")
 	}
-	tree, err := hashtree.NewIncrementalFromCounts(pr.proto.F, pr.proto.Params, pr.counts)
-	if err != nil {
-		return Msg{}, err
-	}
-	tree.Workers = pr.proto.Workers
-	pr.tree = tree
+	pr.tree = pr.sk.NewTree(pr.proto.Workers)
+	idx, vals := pr.sk.LeavesInRange(pr.qL, pr.qR)
 	var msg Msg
-	for _, leaf := range tree.LeavesInRange(pr.qL, pr.qR) {
-		msg.Ints = append(msg.Ints, leaf.Index)
-		msg.Elems = append(msg.Elems, leaf.Hash)
-	}
-	for _, idx := range boundaryNeeds(pr.qL, pr.qR, 0) {
-		n, err := tree.Node(0, idx)
+	msg.Ints = append(msg.Ints, idx...)
+	msg.Elems = append(msg.Elems, vals...)
+	for _, at := range boundaryNeeds(pr.qL, pr.qR, 0) {
+		n, err := pr.tree.Node(0, at)
 		if err != nil {
 			return Msg{}, err
 		}

@@ -17,10 +17,10 @@
 //     place chunk by chunk — the sum-check provers (Fk, RANGE-SUM) read
 //     each count as a field element as they go, the hash-tree provers
 //     (SUB-VECTOR and friends, HEAVY HITTERS) and the frequency-based
-//     provers (F0, Fmax) build their leaves/residual tables from it, and
-//     CIRCUIT its GKR input. No field image of a is held: a chunk's memo
-//     keeps its live pairs, and a reduced copy only of a chunk that may
-//     hold a count of p or more;
+//     provers (F0, Fmax) read the tree skeleton a version builds from it
+//     once, and CIRCUIT builds its GKR input from it. No field image of a
+//     is held: a chunk's memo keeps its live pairs, and a reduced copy
+//     only of a chunk that may hold a count of p or more;
 //   - total: Σδ, the stream length n for the heavy-hitters threshold φn.
 //
 // A batch that would take a count or Σδ outside int64 is refused whole
@@ -67,6 +67,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/field"
+	"repro/internal/hashtree"
 	"repro/internal/lde"
 	"repro/internal/stream"
 	"repro/internal/sumcheck"
@@ -177,7 +178,7 @@ func (e *Engine) open(name string, shell *Dataset) (*Dataset, error) {
 	if ds, err := e.existingLocked(name, shell); ds != nil || err != nil {
 		return ds, err
 	}
-	if err := e.admitLocked(tableBytes(shell.params.U), nil); err != nil {
+	if err := e.admitLocked(shell.tableBytes(), nil); err != nil {
 		return nil, fmt.Errorf("engine: cannot admit dataset %q: %w", name, err)
 	}
 	// admitLocked may have released e.mu while waiting out an in-flight
@@ -191,7 +192,7 @@ func (e *Engine) open(name string, shell *Dataset) (*Dataset, error) {
 	ds.res = resResident
 	ds.name = name
 	ds.eng = e
-	e.resident += tableBytes(ds.params.U)
+	e.resident += ds.tableBytes()
 	e.touchLocked(ds)
 	e.datasets[name] = ds
 	return ds, nil
@@ -309,7 +310,7 @@ func (e *Engine) Drop(name string) {
 	}
 	delete(e.datasets, name)
 	if ds.res == resResident && ds.head != nil {
-		e.resident -= tableBytes(ds.params.U)
+		e.resident -= ds.tableBytes()
 		e.admitCond.Broadcast()
 	}
 	ds.eng = nil
@@ -327,16 +328,36 @@ func (e *Engine) Drop(name string) {
 
 // ---------------------------------------------------------------------
 
-// tableBytes is the resident cost of one dataset's head tables: an int64
-// count per padded universe entry, plus the most a proved version's
-// live-pair memos hold — its chunks' lists and its own index, each at
-// most sumcheck.MaxSparseLive pairs of 4 bytes, and its opening's packed
-// pair values, 16 bytes for each of as many pairs: 11 bytes per entry in
-// all. The reduced copy a chunk's memo makes of counts of p or more, and
-// the opening's first messages (a few field elements per combiner), are
-// not charged.
-func tableBytes(paddedU uint64) int64 {
-	return int64(paddedU)*8 + (2*4+16)*int64(max(0, sumcheck.MaxSparseLive(2, int(paddedU))))
+// tableBytes is the resident cost of the dataset's head tables
+// (tableCost), charged against the engine's budget from admission to
+// eviction. A slice answers no tree kind, so it keeps no tree skeleton.
+func (d *Dataset) tableBytes() int64 { return tableCost(d.params.U, d.sliceHi == 0) }
+
+// tableCost is the resident cost of one dataset's head tables over
+// paddedU entries: an int64 count per entry, plus the most a proved
+// version's memos hold. Its live-pair memos hold its chunks' lists and
+// its own index, each at most L = sumcheck.MaxSparseLive pairs of 4
+// bytes, and its opening's packed pair values, 16 bytes for each of as
+// many pairs: 3 bytes per entry, as L is an eighth of the entries. With
+// trees, the version's tree skeleton is kept only when it has at most L
+// leaves (tableState.treeSkeleton), and then holds at most
+// hashtree.SkeletonBytes(L): an index and a count, 16 bytes, for each of
+// the Σ_j min(L, u/2^j) < 5u/8 nodes its levels may hold, and 8 bytes for
+// each leaf's value, under 11 bytes per entry. That is 22 bytes per
+// entry in all, less 16 bytes; 11 without trees. The reduced copy a
+// chunk's memo makes of counts of p or more, the opening's first
+// messages (a few field elements per combiner) and the skeleton's slice
+// headers are not charged.
+func tableCost(paddedU uint64, trees bool) int64 {
+	bytes := int64(paddedU) * 8
+	if limit := sumcheck.MaxSparseLive(2, int(paddedU)); limit >= 0 {
+		bytes += (2*4 + 16) * int64(limit)
+		if trees {
+			tree, _ := hashtree.ParamsForUniverse(paddedU) // paddedU ≥ 128 here
+			bytes += hashtree.SkeletonBytes(tree, limit)
+		}
+	}
+	return bytes
 }
 
 // residency is the per-dataset state machine of the memory governor:
@@ -386,7 +407,8 @@ type Dataset struct {
 	verMeta  uint64      // dataset version, valid even while evicted
 	lastUse  uint64      // LRU stamp; guarded by eng.mu, not mu
 
-	liveScans atomic.Uint64 // chunk memos (live-pair scans) run for its table versions
+	liveScans  atomic.Uint64 // chunk memos (live-pair scans) run for its table versions
+	skelBuilds atomic.Uint64 // tree skeletons built for its table versions, memoized or not
 
 	// saveMu serializes checkpoint writes for this dataset and guards
 	// the record of what is on disk, so a slow writer holding an older
@@ -685,7 +707,7 @@ type Snapshot struct {
 // Counts returns the dense frequency vector as a fresh O(u) copy, the
 // caller's own. No prover reads it; the provers borrow the chunks.
 func (s *Snapshot) Counts() []int64 {
-	c := s.countChunks()
+	c := s.st.countChunks()
 	out := make([]int64, c.Len())
 	for k := range c.Chunks {
 		seg := out[k*c.Width : (k+1)*c.Width]
@@ -705,12 +727,6 @@ func (s *Snapshot) Updates() uint64 { return s.st.n }
 // Dataset.Version.
 func (s *Snapshot) Version() uint64 { return s.st.version }
 
-// countChunks returns the snapshot's counts chunk by chunk, borrowed:
-// the hash-tree kinds, F0, Fmax and CIRCUIT read them in place.
-func (s *Snapshot) countChunks() sumcheck.Counts {
-	return column(s.st, func(ch *chunk) []int64 { return ch.counts })
-}
-
 // provedChunks returns the counts the sum-check provers read, chunk by
 // chunk, borrowed: each chunk's counts, or its reduced copy when it may
 // hold a count of p or more. The SELF-JOIN SIZE, Fk and RANGE-SUM provers
@@ -719,6 +735,16 @@ func (s *Snapshot) countChunks() sumcheck.Counts {
 func (s *Snapshot) provedChunks() sumcheck.Counts {
 	s.livePairs()
 	return column(s.st, (*chunk).proved)
+}
+
+// skeleton returns the tree skeleton of the snapshot's counts, which the
+// hash-tree kinds, F0 and Fmax prove from. The sealed state memoizes it,
+// single-flight, on the first tree query of its version when the version
+// is sparse enough to keep one (tableState.treeSkeleton): every later
+// conversation on the version shares it and allocates only its own level
+// hashes. A denser version builds one per query and keeps none.
+func (s *Snapshot) skeleton() (*hashtree.Skeleton, error) {
+	return s.st.treeSkeleton(s.ds.f, s.ds.origU, &s.ds.skelBuilds)
 }
 
 // livePairs returns the live-pair scan of the snapshot's counts, which

@@ -18,8 +18,9 @@ import (
 
 // Budget geometry used throughout: u = 500 pads to 512 entries, and a
 // dataset's resident tables cost TableCost: 8 bytes of counts per padded
-// entry, plus 1 byte per entry for the live-pair lists and 2 for the
-// opening's packed pair values.
+// entry, plus 1 byte per entry for the live-pair lists, 2 for the
+// opening's packed pair values and 11 for the tree skeleton, less 16
+// bytes.
 const evictU = 500
 
 var oneDataset = func() int64 {
@@ -33,8 +34,8 @@ var oneDataset = func() int64 {
 // TestBudgetAdmission: admission failures are typed, atomic, and leave
 // the resident set intact.
 func TestBudgetAdmission(t *testing.T) {
-	if oneDataset != 512*11 {
-		t.Fatalf("TableCost(%d) = %d, want 8 bytes of counts, 1 of live lists and 2 of packed pairs per padded entry", evictU, oneDataset)
+	if oneDataset != 512*22-16 {
+		t.Fatalf("TableCost(%d) = %d, want 8 bytes of counts, 1 of live lists, 2 of packed pairs and 11 of tree skeleton per padded entry, less 16", evictU, oneDataset)
 	}
 	// Without a data dir, the budget is a hard cap: nothing can be
 	// evicted to make room.

@@ -6,6 +6,10 @@ import "repro/internal/sumcheck"
 // scans one chunk's counts for live pairs.
 func LiveScans(d *Dataset) uint64 { return d.liveScans.Load() }
 
+// SkeletonBuilds reports how many tree skeletons d's table versions have
+// built, kept by a version's memo or not.
+func SkeletonBuilds(d *Dataset) uint64 { return d.skelBuilds.Load() }
+
 // LivePairsOf returns s's live-pair memo, scanning on first use.
 func LivePairsOf(s *Snapshot) sumcheck.LivePairs { return s.livePairs() }
 

@@ -90,7 +90,7 @@ func (e *Engine) Release(name string) (uint64, error) {
 	}
 	e.releasedNames[name] = struct{}{}
 	if wasResident {
-		e.resident -= tableBytes(ds.params.U)
+		e.resident -= ds.tableBytes()
 		e.admitCond.Broadcast()
 	}
 	ds.eng = nil
@@ -128,7 +128,7 @@ func (e *Engine) unreleaseDataset(name string, ds *Dataset, wasResident bool) {
 		ds.eng = e
 		e.datasets[name] = ds
 		if wasResident {
-			e.resident += tableBytes(ds.params.U)
+			e.resident += ds.tableBytes()
 		}
 		e.touchLocked(ds)
 	}

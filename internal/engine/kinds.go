@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/gkr"
+	"repro/internal/hashtree"
 	"repro/internal/stream"
 	"repro/internal/sumcheck"
 )
@@ -138,7 +139,7 @@ var kinds = [...]kindRow{
 		}
 		proto.Workers = workers
 		return sessions(proto.Adopt,
-			func(s *Snapshot) (*core.SubVectorProver, error) { return proto.NewProverFromCounts(s.countChunks()) },
+			treeProver(noTotal(proto.NewProverFromSkeleton)),
 			func(v *core.SubVectorVerifier) error { return v.SetQuery(p.A, p.B) },
 			func(pr *core.SubVectorProver) error { return pr.SetQuery(p.A, p.B) }), nil
 	}, families: core.FamilyTree, answer: reads(func(v *core.SubVectorVerifier, a *Answer) (err error) {
@@ -167,9 +168,7 @@ var kinds = [...]kindRow{
 		}
 		proto.Workers = workers
 		return sessions(proto.Adopt,
-			func(s *Snapshot) (*core.HeavyHittersProver, error) {
-				return proto.NewProverFromCounts(s.countChunks(), s.Total())
-			},
+			treeProver(proto.NewProverFromSkeleton),
 			func(v *core.HeavyHittersVerifier) error { return v.SetQuery(p.Phi) },
 			func(pr *core.HeavyHittersProver) error { return pr.SetQuery(p.Phi) }), nil
 	}, families: core.FamilyAug, answer: reads(func(v *core.HeavyHittersVerifier, a *Answer) (err error) {
@@ -183,9 +182,7 @@ var kinds = [...]kindRow{
 		}
 		proto.Workers = workers
 		return sessions(proto.Adopt,
-			func(s *Snapshot) (*core.FrequencyBasedProver, error) {
-				return proto.NewProverFromCounts(s.countChunks(), s.Total())
-			}, nil, nil), nil
+			treeProver(proto.NewProverFromSkeleton), nil, nil), nil
 	}, families: core.FamilyPoint | core.FamilyAug, answer: reads(func(v *core.FrequencyBasedVerifier, a *Answer) (err error) {
 		a.Elem, err = v.Result()
 		return err
@@ -197,9 +194,7 @@ var kinds = [...]kindRow{
 		}
 		proto.SetWorkers(workers)
 		return sessions(proto.Adopt,
-			func(s *Snapshot) (*core.FmaxProver, error) {
-				return proto.NewProverFromCounts(s.countChunks(), s.Total())
-			}, nil, nil), nil
+			treeProver(proto.NewProverFromSkeleton), nil, nil), nil
 	}, families: core.FamilyTree | core.FamilyPoint | core.FamilyAug, answer: reads(func(v *core.FmaxVerifier, a *Answer) (err error) {
 		a.Int, err = v.Result()
 		return err
@@ -216,7 +211,7 @@ var kinds = [...]kindRow{
 		return &instance{
 			verifier: func(_ core.Summary, rng field.RNG) (StreamVerifier, error) { return proto.NewVerifierSession(rng) },
 			prover: func(s *Snapshot) (core.ProverSession, error) {
-				return proto.NewProverSession(proto.InputFromCounts(s.countChunks()))
+				return proto.NewProverSession(proto.InputFromCounts(s.st.countChunks()))
 			},
 		}, nil
 	}, answer: reads(func(v *gkr.VerifierSession, a *Answer) (err error) {
@@ -255,6 +250,26 @@ func fkRow(k func(QueryParams) int) kindRow {
 	}
 }
 
+// treeProver is the prover constructor of a hash-tree kind (the
+// SUB-VECTOR family, HEAVY HITTERS, F0 and Fmax): newProver over the
+// snapshot's tree skeleton (Snapshot.skeleton) and its Σδ.
+func treeProver[P any](newProver func(sk *hashtree.Skeleton, total int64) (P, error)) func(*Snapshot) (P, error) {
+	return func(s *Snapshot) (P, error) {
+		sk, err := s.skeleton()
+		if err != nil {
+			var none P
+			return none, err
+		}
+		return newProver(sk, s.Total())
+	}
+}
+
+// noTotal adapts the constructor of a tree kind without a threshold to
+// treeProver.
+func noTotal[P any](newProver func(*hashtree.Skeleton) (P, error)) func(*hashtree.Skeleton, int64) (P, error) {
+	return func(sk *hashtree.Skeleton, _ int64) (P, error) { return newProver(sk) }
+}
+
 // scalarQuery is a session whose query is one scalar.
 type scalarQuery[A any] interface{ SetQuery(A) error }
 
@@ -263,7 +278,7 @@ type scalarQuery[A any] interface{ SetQuery(A) error }
 type scalarProto[V, P any] interface {
 	SetWorkers(int)
 	Adopt(core.Summary) V
-	NewProverFromCounts(sumcheck.Counts) (P, error)
+	NewProverFromSkeleton(*hashtree.Skeleton) (P, error)
 }
 
 // scalarRow is their one row constructor: newProto is the wrapper's
@@ -284,7 +299,7 @@ func scalarRow[A any, V interface {
 		proto.SetWorkers(workers)
 		a := arg(p)
 		return sessions(proto.Adopt,
-			func(s *Snapshot) (P, error) { return proto.NewProverFromCounts(s.countChunks()) },
+			treeProver(noTotal(proto.NewProverFromSkeleton)),
 			func(v V) error { return v.SetQuery(a) },
 			func(pr P) error { return pr.SetQuery(a) }), nil
 	}, families: core.FamilyTree, answer: reads(read)}

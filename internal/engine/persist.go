@@ -102,8 +102,8 @@ func fileForName(name string) string { return store.DatasetFile(name) }
 func nameFromFile(file string) (string, error) { return store.DatasetName(file) }
 
 // SetBudget caps the aggregate bytes of resident dataset tables (counts
-// plus the live-pair memos a proved version keeps: 11 bytes per padded
-// universe entry per dataset, see TableCost).
+// plus the live-pair and tree-skeleton memos a proved version keeps:
+// about 22 bytes per padded universe entry per dataset, see TableCost).
 // Zero or negative removes the cap. The budget is enforced at admission
 // time — Open of a new dataset and rehydration of an evicted one — by
 // evicting least-recently-used datasets to the data dir; without a data
@@ -128,15 +128,16 @@ func (e *Engine) ResidentBytes() int64 {
 
 // TableCost returns the resident byte cost of a dataset over a universe
 // of size ≥ u: 8 bytes of counts per entry of the padded (power-of-two)
-// table, plus the live-pair memos' bound from 128 entries up, 1 byte per
-// entry of lists and 2 of the opening's packed pair values — what opening
-// it charges against the engine budget.
+// table, plus the memos' bound from 128 entries up: 1 byte per entry of
+// live-pair lists, 2 of the opening's packed pair values and under 11 of
+// tree skeleton, 22 bytes per entry less 16 in all — what opening it
+// charges against the engine budget.
 func TableCost(u uint64) (int64, error) {
 	params, err := lde.ParamsForUniverse(u, 2)
 	if err != nil {
 		return 0, err
 	}
-	return tableBytes(params.U), nil
+	return tableCost(params.U, true), nil
 }
 
 // Resident reports whether the dataset's tables are usable from memory
@@ -257,7 +258,7 @@ func (e *Engine) beginEvictLocked(d *Dataset) {
 	st.sealed = true // outstanding snapshots may still share these tables
 	d.res = resEvicting
 	d.mu.Unlock()
-	e.resident -= tableBytes(d.params.U)
+	e.resident -= d.tableBytes()
 	e.transitions++
 	go e.finishEvict(d, st, e.dataDir)
 }
@@ -275,7 +276,7 @@ func (e *Engine) finishEvict(d *Dataset, st *tableState, dir string) {
 	d.mu.Lock()
 	if err != nil {
 		d.res = resResident
-		e.resident += tableBytes(d.params.U)
+		e.resident += d.tableBytes()
 		e.recordBgErrLocked(fmt.Errorf("engine: evicting %q: %w", d.name, err))
 	} else {
 		d.head = nil
@@ -314,7 +315,7 @@ func (e *Engine) rehydrate(d *Dataset) error {
 	// wait) holds no dataset lock.
 	d.res = resRehydrating
 	d.mu.Unlock()
-	need := tableBytes(d.params.U)
+	need := d.tableBytes()
 	if err := e.admitLocked(need, d); err != nil {
 		d.mu.Lock()
 		d.res = resEvicted
@@ -572,7 +573,7 @@ func (e *Engine) registerCheckpointLocked(name, file string) (uint64, error) {
 	if err := ds.checkCheckpoint(ckpt); err != nil {
 		return 0, err
 	}
-	size := tableBytes(ds.params.U)
+	size := ds.tableBytes()
 	if e.budget <= 0 || e.resident+size <= e.budget {
 		st, err := ds.stateFromCheckpoint(ckpt)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/field"
+	"repro/internal/hashtree"
 	"repro/internal/parallel"
 	"repro/internal/store"
 	"repro/internal/sumcheck"
@@ -193,6 +194,13 @@ var gens atomic.Uint64
 // pair, 1/32 of the table bytes of a sparse version. Its opening, which
 // the version's first sparse proof builds, adds the live pairs' values,
 // 16 bytes per live pair, and a first message per Fk combiner.
+//
+// A sealed state memoizes its tree skeleton too (treeSkeleton), on the
+// first tree query of its version, when it has at most as many leaves as
+// a sparse version has live pairs; tableBytes charges the most such a
+// skeleton holds. The memo lives and dies with the state: the next
+// ingest's clone starts without one, and a version no query reaches
+// again is collected with it.
 type tableState struct {
 	shift   uint
 	chunks  []*chunk
@@ -205,6 +213,9 @@ type tableState struct {
 
 	liveOnce sync.Once
 	live     sumcheck.LivePairs // the live-pair scan of the elements, once liveOnce has run
+
+	skelOnce sync.Once
+	skel     *hashtree.Skeleton // the tree skeleton of the counts, once skelOnce has run, if kept
 }
 
 // newTableState returns an all-zero state of u entries (u a power of
@@ -380,6 +391,50 @@ func column(st *tableState, col func(*chunk) []int64) sumcheck.Counts {
 		}
 	}
 	return out
+}
+
+// countChunks returns the state's counts chunk by chunk, borrowed:
+// CIRCUIT reads them in place, and the hash-tree kinds, F0 and Fmax
+// read the tree skeleton built from them (treeSkeleton).
+func (st *tableState) countChunks() sumcheck.Counts {
+	return column(st, func(ch *chunk) []int64 { return ch.counts })
+}
+
+// treeSkeleton returns the tree skeleton of the sealed state's counts,
+// shaped for a universe of u. The state's first call builds it,
+// single-flight, and keeps it when it has at most
+// sumcheck.MaxSparseLive(2, entries) leaves, the bound tableBytes
+// charges for; every later call shares a kept skeleton, or builds its
+// own, kept by no one, when the first was too dense to keep. builds
+// counts the skeletons built.
+func (st *tableState) treeSkeleton(f field.Field, u uint64, builds *atomic.Uint64) (*hashtree.Skeleton, error) {
+	build := func() (*hashtree.Skeleton, error) {
+		params, err := hashtree.ParamsForUniverse(u)
+		if err != nil {
+			return nil, err
+		}
+		builds.Add(1)
+		return hashtree.NewSkeleton(f, params, st.countChunks())
+	}
+	var sk *hashtree.Skeleton
+	var err error
+	first := false
+	st.skelOnce.Do(func() {
+		first = true
+		if sk, err = build(); err != nil {
+			return
+		}
+		if leaves, _ := sk.Leaves(); len(leaves) <= sumcheck.MaxSparseLive(2, len(st.chunks)<<st.shift) {
+			st.skel = sk
+		}
+	})
+	switch {
+	case first:
+		return sk, err
+	case st.skel != nil:
+		return st.skel, nil
+	}
+	return build()
 }
 
 // scanLive memoizes the sealed state's live-pair scan: it runs, across

@@ -15,6 +15,13 @@
 // of the whole vector; crucially it is linear in a, so the verifier can
 // maintain it over the stream in O(log u) words (Eq. 8) while the prover
 // materializes the (sparse) tree.
+//
+// The prover's tree is split in two. A Skeleton holds what does not
+// depend on the randomness — per level, the nonzero subtrees' indices and
+// counts, and the leaf values: O(min(u, n log(u/n))) words (Theorem 5),
+// built once per count table and shared read-only. An IncrementalTree is
+// one conversation's hash state over it: the hashes of one level at a
+// time, O(n) words per conversation.
 package hashtree
 
 import (

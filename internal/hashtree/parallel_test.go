@@ -36,7 +36,7 @@ func TestIncrementalExtendWorkersIdentical(t *testing.T) {
 		if err := par.Extend(rs[j], qs[j]); err != nil {
 			t.Fatal(err)
 		}
-		want, got := serial.levels[j+1], par.levels[j+1]
+		want, got := heldNodes(serial), heldNodes(par)
 		if len(got) != len(want) {
 			t.Fatalf("level %d: %d nodes, want %d", j+1, len(got), len(want))
 		}

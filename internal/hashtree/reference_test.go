@@ -6,10 +6,11 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/stream"
+	"repro/internal/sumcheck"
 )
 
-// The tests' reference trees. A prover builds an IncrementalTree from
-// maintained counts (NewIncrementalFromCounts) and hashes it one level
+// The tests' reference trees. A prover builds a Skeleton from maintained
+// counts (NewSkeleton) and hashes an IncrementalTree over it one level
 // per revealed round; the tests check it against Tree, hashed whole with
 // all the randomness known, and derive both trees' leaves by aggregating
 // a raw update stream (Build, NewIncremental).
@@ -52,14 +53,40 @@ func Build(h *Hasher, updates []stream.Update) (*Tree, error) {
 	return BuildFromLeaves(h, leaves)
 }
 
-// NewIncremental aggregates the updates into sorted nonzero leaves and
-// builds the count skeleton of every level.
+// NewIncremental aggregates the updates into a flat count table and
+// builds a serial tree over its skeleton, as a prover does from
+// maintained counts.
 func NewIncremental(f field.Field, params Params, updates []stream.Update) (*IncrementalTree, error) {
-	leaves, err := leavesOf(f, params.U, updates)
+	counts, err := stream.Apply(updates, params.U)
 	if err != nil {
 		return nil, err
 	}
-	return newFromLeaves(f, params, leaves), nil
+	sk, err := NewSkeleton(f, params, sumcheck.Flat(counts))
+	if err != nil {
+		return nil, err
+	}
+	return sk.NewTree(0), nil
+}
+
+// heldNodes returns the level t holds as nodes, sorted by index.
+func heldNodes(t *IncrementalTree) []Node {
+	idx, counts := t.sk.level(t.level)
+	out := make([]Node, len(idx))
+	for k := range idx {
+		out[k] = Node{Index: idx[k], Hash: t.hashes[k], Count: counts[k]}
+	}
+	return out
+}
+
+// countAt returns the subtree count of the node at (level, index), 0 for
+// an absent node.
+func (s *Skeleton) countAt(level int, index uint64) int64 {
+	idx, counts := s.level(level)
+	k := sort.Search(len(idx), func(i int) bool { return idx[i] >= index })
+	if k < len(idx) && idx[k] == index {
+		return counts[k]
+	}
+	return 0
 }
 
 // Tree is the whole tree at once, every level hashed with all the

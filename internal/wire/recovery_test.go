@@ -12,11 +12,12 @@ import (
 	"repro/internal/stream"
 )
 
-// recU pads to 512 entries; one dataset's resident tables cost 512*16
-// bytes (the budget unit used below).
+// recU pads to 512 entries; one dataset's resident tables cost 512*22-16
+// bytes (engine.TableCost), so the budget unit used below holds one
+// dataset and not two.
 const (
 	recU          = 500
-	recOneDataset = 512 * 16
+	recOneDataset = 512 * 32
 )
 
 // ingestNamed attaches to a named dataset and uploads the stream,

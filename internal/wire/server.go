@@ -44,7 +44,7 @@ type Server struct {
 	// Zero means no deadline.
 	IdleTimeout time.Duration
 	// MaxUniverse caps the universe size a client may announce with
-	// open — a dataset is charged 11 bytes per universe entry up front
+	// open — a dataset is charged about 22 bytes per universe entry up front
 	// (engine.TableCost), so without a cap one cheap frame could
 	// exhaust server memory. Zero selects DefaultMaxUniverse.
 	MaxUniverse uint64

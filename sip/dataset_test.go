@@ -106,14 +106,14 @@ func TestEngineNamedDatasets(t *testing.T) {
 // the same dir recovers everything.
 func TestEngineDurableBudgeted(t *testing.T) {
 	f := sip.Mersenne()
-	const u = 1 << 9 // pads to itself: one dataset = 512*11 resident bytes
+	const u = 1 << 9 // pads to itself: one dataset = 512*22-16 resident bytes
 	dir := t.TempDir()
 
 	eng := sip.NewEngine(f, 0)
 	if err := eng.SetDataDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	eng.SetBudget(512 * 11)
+	eng.SetBudget(512 * 22)
 
 	rng := sip.NewSeededRNG(7)
 	var ups []sip.Update
@@ -152,7 +152,7 @@ func TestEngineDurableBudgeted(t *testing.T) {
 	// (no data dir) it would fail — exercise the typed error via a
 	// second, memory-only engine.
 	mem := sip.NewEngine(f, 0)
-	mem.SetBudget(512 * 11)
+	mem.SetBudget(512 * 22)
 	if _, err := mem.Open("one", u); err != nil {
 		t.Fatal(err)
 	}

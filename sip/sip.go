@@ -85,14 +85,15 @@
 //
 //	eng := sip.NewEngine(sip.Mersenne(), -1)
 //	eng.SetDataDir("/var/lib/sip")      // enables checkpoints + eviction
-//	eng.SetBudget(1 << 30)              // Σ resident table bytes across datasets: 11 per padded entry each
+//	eng.SetBudget(1 << 30)              // Σ resident table bytes across datasets: about 22 per padded entry each
 //	eng.StartCheckpointer(30 * time.Second)
 //	defer eng.Close()                   // stop + final flush: loss-free shutdown
 //	n, _ := eng.Recover()               // after a restart: reload every dataset
 //
-// A dataset's resident tables cost 11 bytes per padded universe entry: 8
-// of counts, 1 of a proved version's live-pair lists and 2 of the packed
-// live-pair values its sparse proofs open with (engine.TableCost). The
+// A dataset's resident tables cost about 22 bytes per padded universe
+// entry: 8 of counts, 1 of a proved version's live-pair lists, 2 of the
+// packed live-pair values its sparse proofs open with, and 11 of the tree
+// skeleton its hash-tree queries share (engine.TableCost). The
 // counts are every prover's one input, and no field image of them is
 // held. Admission control at Open (and at rehydration) keeps resident
 // tables under the budget by evicting least-recently-used datasets: each
