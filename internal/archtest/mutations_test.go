@@ -479,6 +479,55 @@ type fixed struct{}
 func (fixed) Challenges() []core.Msg { return nil }
 `}, want: []string{"fixed.Challenges is a second challenge schedule"}},
 
+	// fan-out-sites
+	{rule: "fan-out-sites", name: "circuit evaluation fans out again", files: map[string]string{"internal/circuit/eval.go": `package circuit
+
+import "repro/internal/parallel"
+
+var evalWorkers = parallel.Workers(-1)
+`}, want: []string{"imports internal/parallel outside"}},
+	{rule: "fan-out-sites", name: "test imports the pool, aliased", files: map[string]string{"internal/lde/pool_test.go": `package lde
+
+import pool "repro/internal/parallel"
+
+var chunks = pool.Chunks(2, 1<<12)
+`}, want: []string{"imports internal/parallel outside"}},
+	{rule: "fan-out-sites", name: "protocol description carries a count", files: map[string]string{"internal/core/knob.go": `package core
+
+// Knob is a protocol description with a worker count.
+type Knob struct {
+	Workers int
+}
+`}, want: []string{"internal/core.Knob has Workers"}},
+	{rule: "fan-out-sites", name: "SetWorkers on a gkr type", files: map[string]string{"internal/gkr/knob.go": `package gkr
+
+type knob struct{ n int }
+
+// SetWorkers sets the fan-out.
+func (k *knob) SetWorkers(n int) { k.n = n }
+`}, want: []string{"internal/gkr.knob has SetWorkers"}},
+	{rule: "fan-out-sites", name: "promoted Workers field", files: map[string]string{"internal/ccm/tree.go": `package ccm
+
+import "repro/internal/hashtree"
+
+type treeProver struct {
+	*hashtree.IncrementalTree
+}
+`}, want: []string{"internal/ccm.treeProver has Workers"}},
+	{rule: "fan-out-sites", name: "a prover holds its count", clean: true, files: map[string]string{"internal/core/held.go": `package core
+
+type heldProver struct {
+	workers int
+}
+
+func newHeld(workers int) *heldProver { return &heldProver{workers: workers} }
+`, "internal/engine/pool.go": `package engine
+
+import "repro/internal/parallel"
+
+var poolSize = parallel.Workers(2)
+`}},
+
 	// no-field-image
 	{rule: "no-field-image", name: "field-image column (9a69e44^)", restore: map[string]string{
 		"internal/engine/table.go": "9a69e44-engine-table.go",

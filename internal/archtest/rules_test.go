@@ -17,6 +17,7 @@ const (
 	fieldPath    = modulePath + "/internal/field"
 	framesPath   = modulePath + "/internal/wire/frames"
 	gkrPath      = modulePath + "/internal/gkr"
+	parallelPath = modulePath + "/internal/parallel"
 	sumcheckPath = modulePath + "/internal/sumcheck"
 	wirePath     = modulePath + "/internal/wire"
 )
@@ -42,6 +43,7 @@ var rules = []rule{
 	{"sumcheck-shape", sumcheckShape},
 	{"one-schedule", oneSchedule},
 	{"no-field-image", noFieldImage},
+	{"fan-out-sites", fanOutSites},
 	{"test-only-export", testOnlyExport},
 }
 
@@ -705,7 +707,7 @@ func noArgNewProver(n ast.Node) *ast.SelectorExpr {
 var gkrAPI = []string{
 	"New", "NewProtocolFor",
 	"Protocol", "Protocol.C", "Protocol.F", "Protocol.InputFromCounts", "Protocol.NewProverSession",
-	"Protocol.NewVerifierSession", "Protocol.Wiring", "Protocol.Workers",
+	"Protocol.NewVerifierSession", "Protocol.Wiring",
 	"ProverSession", "ProverSession.Open", "ProverSession.Step",
 	"VerifierSession", "VerifierSession.Begin", "VerifierSession.Observe",
 	"VerifierSession.Outputs", "VerifierSession.SpaceWords", "VerifierSession.Step",
@@ -1042,6 +1044,45 @@ func noFieldImage(t *testing.T, m *module) []string {
 	return fs.sorted()
 }
 
+// fanOutDirs are the packages whose provers fan out over
+// internal/parallel: the sites where two workers pay (DESIGN's "Parallel
+// prover engine" lists each with its ratio).
+var fanOutDirs = []string{"internal/sumcheck", "internal/hashtree", "internal/gkr", "internal/ccm", "internal/engine"}
+
+// fanOutSites: only the fanOutDirs import internal/parallel, in test
+// files or not, and the worker count is a prover argument: no type of
+// internal/core, internal/gkr or internal/ccm has a Workers field or a
+// SetWorkers method, declared or promoted, so no protocol description
+// the verifiers share carries one.
+func fanOutSites(t *testing.T, m *module) []string {
+	fs := &findings{m: m}
+	for _, p := range m.order {
+		if p.path == parallelPath || slices.ContainsFunc(fanOutDirs, func(d string) bool { return within(p.dir, d) }) {
+			continue
+		}
+		for _, f := range slices.Concat(p.files, p.tests) {
+			for _, imp := range f.Imports {
+				if importPath(imp) == parallelPath {
+					fs.add(imp.Pos(), "imports internal/parallel outside %s; a fan-out that two workers do not speed up goes", strings.Join(fanOutDirs, ", "))
+				}
+			}
+		}
+	}
+	for _, p := range m.order {
+		if !within(p.dir, "internal/core") && !within(p.dir, "internal/gkr") && !within(p.dir, "internal/ccm") {
+			continue
+		}
+		for _, tn := range typeNames(p) {
+			for _, name := range []string{"Workers", "SetWorkers"} {
+				if obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), true, tn.Pkg(), name); obj != nil {
+					fs.add(tn.Pos(), "%s.%s has %s; pass the worker count to the prover constructor instead", p.dir, tn.Name(), name)
+				}
+			}
+		}
+	}
+	return fs.sorted()
+}
+
 // fieldOf returns the name of the package-level struct type that declares
 // the field id, or "".
 func fieldOf(p *pkg, id *ast.Ident) string {
@@ -1065,7 +1106,7 @@ func fieldOf(p *pkg, id *ast.Ident) string {
 var testOnly = map[string]string{
 	"internal/core.NewInnerProduct":        "the paper's §3.2 two-stream protocol: library-only, as a dataset is one stream (DESIGN.md)",
 	"internal/core.NewInverseDistribution": "the paper's §6.2 protocol beside F0 and Fmax: library-only, no query kind serves it",
-	"internal/lde.EvalDenseWorkers":        "the dense-table oracle the lde and sumcheck tests check streaming evaluation and provers against",
+	"internal/lde.EvalDense":               "the dense-table oracle the lde and sumcheck tests check streaming evaluation and provers against",
 	"internal/stream.DistinctKV":           "a key-value workload generator the tests of several packages share",
 	"internal/stream.KVUpdates":            "turns DistinctKV's pairs into updates for the tests of several packages",
 	"internal/stream.SumDeltas":            "the Σδ oracle the tests of several packages check provers' thresholds with",
@@ -1076,7 +1117,6 @@ var testOnly = map[string]string{
 // non-test code uses, by package directory, receiver type and name, each
 // with the reason it stays exported.
 var testOnlyMethods = map[string]string{
-	"internal/circuit.Circuit.Evaluate":              "the plain evaluation the GKR and circuit tests check the protocol's outputs against",
 	"internal/core.InnerProduct.NewProverFromTables": "the paper's §3.2 two-stream protocol: library-only, no query kind serves it (testOnly's NewInnerProduct)",
 	"internal/core.InnerProduct.NewVerifier":         "the §3.2 protocol's verifier: two streams, so no summary family or kind row draws it",
 	"internal/core.InnerProductProver.Open":          "the §3.2 prover's session opening: core.Run calls it in the protocol's tests",

@@ -37,13 +37,6 @@ type Protocol struct {
 	F   field.Field
 	Ell int    // ℓ = √u
 	U   uint64 // ℓ²
-
-	// Workers sets the prover's parallel fan-out over the 2ℓ-1 independent
-	// evaluation points of Prove (0 serial, n < 0 runtime.NumCPU()). The
-	// proof is bit-identical for every value. This matters more here than
-	// anywhere else: the one-round prover is the Θ(u^{3/2}) bottleneck of
-	// Figure 2(b).
-	Workers int
 }
 
 // New returns the protocol for a universe of size ≥ u, rounding ℓ up.
@@ -168,10 +161,12 @@ func (pr *Prover) Observe(i uint64, delta int64) error {
 const proveTile = 8
 
 // Prove produces the single-message proof: the evaluations
-// g(0..2ℓ-2) with g(c) = Σ_{x₂} f_a(c, x₂)². Θ(u^{3/2}) field operations;
-// the evaluation points are independent, so tiles of them fan out across
-// Protocol.Workers goroutines (each tile is O(u·proveTile) work, grain 1).
-func (pr *Prover) Prove() []field.Elem {
+// g(0..2ℓ-2) with g(c) = Σ_{x₂} f_a(c, x₂)². Θ(u^{3/2}) field operations,
+// the bottleneck of Figure 2(b); the evaluation points are independent,
+// so tiles of them fan out across workers goroutines (0 serial, n < 0
+// runtime.NumCPU(); each tile is O(u·proveTile) work, grain 1). The proof
+// is bit-identical for every value.
+func (pr *Prover) Prove(workers int) []field.Elem {
 	f := pr.proto.F
 	ell := pr.proto.Ell
 	w := lde.BasisWeights(f, ell)
@@ -195,7 +190,7 @@ func (pr *Prover) Prove() []field.Elem {
 	}
 	npts := ell - 1
 	ntiles := (npts + proveTile - 1) / proveTile
-	parallel.ForGrain(parallel.Workers(pr.proto.Workers), ntiles, 1, func(_, lo, hi int) {
+	parallel.ForGrain(parallel.Workers(workers), ntiles, 1, func(_, lo, hi int) {
 		for tb := lo; tb < hi; tb++ {
 			i0 := tb * proveTile
 			i1 := i0 + proveTile

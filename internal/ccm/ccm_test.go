@@ -66,7 +66,7 @@ func TestCompleteness(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		proof := p.Prove()
+		proof := p.Prove(0)
 		got, err := v.Verify(proof)
 		if err != nil {
 			t.Fatalf("u=%d: honest proof rejected: %v", u, err)
@@ -104,7 +104,7 @@ func TestSoundnessTamper(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	proof := p.Prove()
+	proof := p.Prove(0)
 	for pos := 0; pos < len(proof); pos += 5 {
 		bad := append([]field.Elem(nil), proof...)
 		bad[pos] = f61.Add(bad[pos], 1)
@@ -142,7 +142,7 @@ func TestSoundnessWrongStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := v.Verify(p.Prove()); !errors.Is(err, ErrRejected) {
+	if _, err := v.Verify(p.Prove(0)); !errors.Is(err, ErrRejected) {
 		t.Fatalf("wrong-stream proof accepted: %v", err)
 	}
 }
@@ -171,38 +171,25 @@ func TestProveWorkersIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ups := stream.UniformDeltas(proto.U, 100, field.NewSplitMix64(71))
-	serial := proto.NewProver()
+	p := proto.NewProver()
+	v := proto.NewVerifier(field.NewSplitMix64(72))
 	for _, up := range ups {
-		if err := serial.Observe(up.Index, up.Delta); err != nil {
+		if err := p.Observe(up.Index, up.Delta); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Observe(up.Index, up.Delta); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := serial.Prove()
+	want := p.Prove(0)
 	for _, workers := range []int{1, 3, -1} {
-		par, err := New(f, 1<<10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par.Workers = workers
-		p := par.NewProver()
-		for _, up := range ups {
-			if err := p.Observe(up.Index, up.Delta); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got := p.Prove()
+		got := p.Prove(workers)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: proof has %d words, want %d", workers, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: proof word %d = %d, serial = %d", workers, i, got[i], want[i])
-			}
-		}
-		v := par.NewVerifier(field.NewSplitMix64(72))
-		for _, up := range ups {
-			if err := v.Observe(up.Index, up.Delta); err != nil {
-				t.Fatal(err)
 			}
 		}
 		if _, err := v.Verify(got); err != nil {

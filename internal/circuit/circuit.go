@@ -24,13 +24,7 @@ import (
 	"math/bits"
 
 	"repro/internal/field"
-	"repro/internal/parallel"
 )
-
-// evalGrain is the minimum per-goroutine chunk for the gate loops: one
-// gate is ~2 field operations, so a smaller floor than parallel.MinGrain
-// would be swamped by fork–join overhead.
-const evalGrain = 1 << 11
 
 // GateType distinguishes addition and multiplication gates.
 type GateType uint8
@@ -97,17 +91,9 @@ func (c *Circuit) VarCount(layer int) int {
 // Evaluate runs the circuit on the input and returns every layer's value
 // vector: values[i] for gate layers 0..L-1 and values[L] = input.
 func (c *Circuit) Evaluate(f field.Field, input []field.Elem) ([][]field.Elem, error) {
-	return c.EvaluateWorkers(f, input, 0)
-}
-
-// EvaluateWorkers is Evaluate with the per-layer gate loop split across
-// workers (parallel.Workers semantics). Gates write disjoint outputs, so
-// the result is identical for every worker count.
-func (c *Circuit) EvaluateWorkers(f field.Field, input []field.Elem, workers int) ([][]field.Elem, error) {
 	if len(input) != c.InputSize {
 		return nil, fmt.Errorf("circuit: input has %d values, want %d", len(input), c.InputSize)
 	}
-	nw := parallel.Workers(workers)
 	l := len(c.Layers)
 	values := make([][]field.Elem, l+1)
 	values[l] = append([]field.Elem(nil), input...)
@@ -115,17 +101,14 @@ func (c *Circuit) EvaluateWorkers(f field.Field, input []field.Elem, workers int
 		below := values[i+1]
 		gates := c.Layers[i].Gates
 		out := make([]field.Elem, len(gates))
-		parallel.ForGrain(nw, len(gates), evalGrain, func(_, lo, hi int) {
-			for g := lo; g < hi; g++ {
-				gate := gates[g]
-				a, b := below[gate.In1], below[gate.In2]
-				if gate.Type == Add {
-					out[g] = f.Add(a, b)
-				} else {
-					out[g] = f.Mul(a, b)
-				}
+		for g, gate := range gates {
+			a, b := below[gate.In1], below[gate.In2]
+			if gate.Type == Add {
+				out[g] = f.Add(a, b)
+			} else {
+				out[g] = f.Mul(a, b)
 			}
-		})
+		}
 		values[i] = out
 	}
 	return values, nil

@@ -161,32 +161,3 @@ func checkWiringAgrees(t *testing.T, f field.Field, c *Circuit, w Wiring) {
 		}
 	}
 }
-
-// TestEvaluateWorkers pins the determinism invariant on the circuit
-// evaluator itself: identical values for every worker count.
-func TestEvaluateWorkers(t *testing.T) {
-	f := testField(t)
-	c, _, err := BuildSpec(Spec{Name: FamilyMatMul, Arg: 8}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := field.NewSplitMix64(3)
-	input := f.RandVec(rng, c.InputSize)
-	base, err := c.EvaluateWorkers(f, input, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 3, -1} {
-		got, err := c.EvaluateWorkers(f, input, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for layer := range base {
-			for i := range base[layer] {
-				if got[layer][i] != base[layer][i] {
-					t.Fatalf("workers=%d: layer %d index %d differs", workers, layer, i)
-				}
-			}
-		}
-	}
-}

@@ -18,13 +18,6 @@ type Fk struct {
 	F      field.Field
 	Params lde.Params
 	K      int
-
-	// Workers sets the prover's parallel fan-out (sumcheck.Config.Workers
-	// semantics: 0 serial, n > 0 that many goroutines, n < 0
-	// runtime.NumCPU()). Set it before the prover opens the conversation.
-	// Transcripts are bit-identical for every value; the verifier is
-	// unaffected.
-	Workers int
 }
 
 // NewFk returns the Fk protocol over a universe of size ≥ u with the
@@ -51,7 +44,7 @@ func NewFkWithParams(f field.Field, params lde.Params, k int) (*Fk, error) {
 }
 
 func (p *Fk) scConfig() sumcheck.Config {
-	return sumcheck.Config{Field: p.F, Params: p.Params, Combiner: sumcheck.Power{K: p.K}, Workers: p.Workers}
+	return sumcheck.Config{Field: p.F, Params: p.Params, Combiner: sumcheck.Power{K: p.K}}
 }
 
 // ---------------------------------------------------------------------
@@ -114,12 +107,14 @@ type FkProver struct {
 // scan: a memo shared by every prover of one table version, whose
 // opening (the live pairs' values and the first message) the version's
 // first sparse prover builds and every later one borrows. nil scans the
-// table when the prover opens, for that prover alone.
-func (p *Fk) NewProverFromTable(table sumcheck.Counts, live func() sumcheck.LivePairs) (*FkProver, error) {
+// table when the prover opens, for that prover alone. workers is the
+// prover's parallel fan-out (0 serial, n > 0 that many goroutines, n < 0
+// runtime.NumCPU()); transcripts are bit-identical for every value.
+func (p *Fk) NewProverFromTable(table sumcheck.Counts, live func() sumcheck.LivePairs, workers int) (*FkProver, error) {
 	if uint64(table.Len()) != p.Params.U {
 		return nil, fmt.Errorf("core: table has %d entries, want %d", table.Len(), p.Params.U)
 	}
-	return &FkProver{scProver: scProver{live: live}, proto: p, table: table}, nil
+	return &FkProver{scProver: scProver{live: live, workers: workers}, proto: p, table: table}, nil
 }
 
 // Open computes the claimed moment and the unprompted round-1 polynomial.
@@ -136,9 +131,6 @@ func (pr *FkProver) Open() (Msg, error) {
 type InnerProduct struct {
 	F      field.Field
 	Params lde.Params
-
-	// Workers is the prover's parallel fan-out; see Fk.Workers.
-	Workers int
 }
 
 // NewInnerProduct returns the protocol for universes of size ≥ u (ℓ=2).
@@ -151,7 +143,7 @@ func NewInnerProduct(f field.Field, u uint64) (*InnerProduct, error) {
 }
 
 func (p *InnerProduct) scConfig() sumcheck.Config {
-	return sumcheck.Config{Field: p.F, Params: p.Params, Combiner: sumcheck.Product{}, Workers: p.Workers}
+	return sumcheck.Config{Field: p.F, Params: p.Params, Combiner: sumcheck.Product{}}
 }
 
 // InnerProductVerifier evaluates both LDEs at the same secret point.
@@ -193,11 +185,11 @@ type InnerProductProver struct {
 // NewProverFromTables returns a prover over the aggregated tables of
 // streams A and B (field images, length Params.U each), borrowed
 // read-only; see Fk.NewProverFromTable.
-func (p *InnerProduct) NewProverFromTables(a, b []field.Elem) (*InnerProductProver, error) {
+func (p *InnerProduct) NewProverFromTables(a, b []field.Elem, workers int) (*InnerProductProver, error) {
 	if err := checkTables(p.Params.U, a, b); err != nil {
 		return nil, err
 	}
-	return &InnerProductProver{proto: p, tables: [2][]field.Elem{a, b}}, nil
+	return &InnerProductProver{scProver: scProver{workers: workers}, proto: p, tables: [2][]field.Elem{a, b}}, nil
 }
 
 // Open computes the claimed inner product and round-1 polynomial.
@@ -215,9 +207,6 @@ func (pr *InnerProductProver) Open() (Msg, error) {
 type RangeSum struct {
 	F      field.Field
 	Params lde.Params
-
-	// Workers is the prover's parallel fan-out; see Fk.Workers.
-	Workers int
 }
 
 // NewRangeSum returns the protocol for universes of size ≥ u. The
@@ -231,7 +220,7 @@ func NewRangeSum(f field.Field, u uint64) (*RangeSum, error) {
 }
 
 func (p *RangeSum) scConfig() sumcheck.Config {
-	return sumcheck.Config{Field: p.F, Params: p.Params, Combiner: sumcheck.Product{}, Workers: p.Workers}
+	return sumcheck.Config{Field: p.F, Params: p.Params, Combiner: sumcheck.Product{}}
 }
 
 // RangeSumVerifier streams f_a(r); the query is set after the stream.
@@ -301,11 +290,11 @@ type RangeSumProver struct {
 // NewProverFromTable returns a prover over the aggregated key–value
 // table, its counts held in chunks and borrowed read-only; see
 // Fk.NewProverFromTable.
-func (p *RangeSum) NewProverFromTable(table sumcheck.Counts) (*RangeSumProver, error) {
+func (p *RangeSum) NewProverFromTable(table sumcheck.Counts, workers int) (*RangeSumProver, error) {
 	if uint64(table.Len()) != p.Params.U {
 		return nil, fmt.Errorf("core: table has %d entries, want %d", table.Len(), p.Params.U)
 	}
-	return &RangeSumProver{proto: p, table: table}, nil
+	return &RangeSumProver{scProver: scProver{workers: workers}, proto: p, table: table}, nil
 }
 
 // SetQuery fixes the queried range.

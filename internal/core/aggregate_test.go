@@ -96,7 +96,7 @@ func TestSelfJoinSizeEndToEnd(t *testing.T) {
 	rng := field.NewSplitMix64(101)
 	ups := stream.UniformDeltas(u, 1000, rng)
 	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
-	p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil))
+	p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil, 0))
 	observeAll(t, v, ups)
 	stats, err := Run(p, v)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestFkEndToEndOrders(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
-		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil))
+		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil, 0))
 		observeAll(t, v, ups)
 		if _, err := Run(p, v); err != nil {
 			t.Fatalf("F%d rejected: %v", k, err)
@@ -159,7 +159,7 @@ func TestFkTinyUniverse(t *testing.T) {
 	rng := field.NewSplitMix64(103)
 	ups := []stream.Update{{Index: 0, Delta: 3}, {Index: 1, Delta: 4}, {Index: 0, Delta: 2}}
 	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
-	p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil))
+	p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil, 0))
 	observeAll(t, v, ups)
 	if _, err := Run(p, v); err != nil {
 		t.Fatalf("d=1 F2 rejected: %v", err)
@@ -190,7 +190,7 @@ func TestInnerProductEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := must(proto.NewProverFromTables(elemsOf(t, upsA, proto.Params.U), elemsOf(t, upsB, proto.Params.U)))
+	p := must(proto.NewProverFromTables(elemsOf(t, upsA, proto.Params.U), elemsOf(t, upsB, proto.Params.U), 0))
 	if _, err := Run(p, v); err != nil {
 		t.Fatalf("inner product rejected: %v", err)
 	}
@@ -223,7 +223,7 @@ func TestRangeSumEndToEnd(t *testing.T) {
 	ups := stream.KVUpdates(pairs)
 	for _, q := range []struct{ lo, hi uint64 }{{0, u - 1}, {100, 200}, {0, 0}, {u - 1, u - 1}, {u / 2, u/2 + 999}} {
 		v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
-		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U)))
+		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), 0))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(q.lo, q.hi); err != nil {
 			t.Fatal(err)
@@ -259,7 +259,7 @@ func TestRangeSumNegativeValues(t *testing.T) {
 	rng := field.NewSplitMix64(106)
 	ups := []stream.Update{{Index: 3, Delta: -50}, {Index: 9, Delta: 20}, {Index: 40, Delta: 7}}
 	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
-	p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U)))
+	p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), 0))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(0, 20); err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestRangeSumQueryValidation(t *testing.T) {
 	if _, _, err := v.Begin(Msg{}); err == nil {
 		t.Error("Begin without query accepted")
 	}
-	p := must(proto.NewProverFromTable(countsOf(t, nil, proto.Params.U)))
+	p := must(proto.NewProverFromTable(countsOf(t, nil, proto.Params.U), 0))
 	if _, err := p.Open(); err == nil {
 		t.Error("prover Open without query accepted")
 	}
@@ -312,7 +312,7 @@ func TestAggregateTamperMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
-		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil))
+		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil, 0))
 		observeAll(t, v, ups)
 		return p, v
 	}
@@ -353,7 +353,7 @@ func TestAggregateWrongStreamProver(t *testing.T) {
 	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, rng))
 	observeAll(t, v, ups)
 	// Prover never sees the last 3 updates.
-	p := must(proto.NewProverFromTable(countsOf(t, ups[:len(ups)-3], proto.Params.U), nil))
+	p := must(proto.NewProverFromTable(countsOf(t, ups[:len(ups)-3], proto.Params.U), nil, 0))
 	if _, err := Run(p, v); !errors.Is(err, ErrRejected) {
 		t.Fatalf("prover with missing data not rejected: %v", err)
 	}
@@ -375,7 +375,7 @@ func TestVerifierSessionMisuse(t *testing.T) {
 	if _, _, err := v.Begin(Msg{Elems: make([]field.Elem, 2)}); err == nil {
 		t.Error("malformed opening accepted")
 	}
-	p := must(proto.NewProverFromTable(countsOf(t, nil, proto.Params.U), nil))
+	p := must(proto.NewProverFromTable(countsOf(t, nil, proto.Params.U), nil, 0))
 	if _, err := p.Step(Msg{Elems: []field.Elem{1}}); err == nil {
 		t.Error("prover step before open accepted")
 	}

@@ -27,7 +27,7 @@ func TestPolarizationIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, field.NewSplitMix64(seed)))
-		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil))
+		p := must(proto.NewProverFromTable(countsOf(t, ups, proto.Params.U), nil, 0))
 		observeAll(t, v, ups)
 		if _, err := Run(p, v); err != nil {
 			t.Fatalf("F2 rejected: %v", err)
@@ -58,7 +58,7 @@ func TestPolarizationIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := must(ipProto.NewProverFromTables(elemsOf(t, upsA, u), elemsOf(t, upsB, u)))
+	p := must(ipProto.NewProverFromTables(elemsOf(t, upsA, u), elemsOf(t, upsB, u), 0))
 	if _, err := Run(p, v); err != nil {
 		t.Fatalf("inner product rejected: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestRangeSumEqualsInnerProduct(t *testing.T) {
 		t.Fatal(err)
 	}
 	rsV := rsProto.Adopt(DrawSummary(rsProto.F, rsProto.Params.D, FamilyPoint, field.NewSplitMix64(707)))
-	rsP := must(rsProto.NewProverFromTable(countsOf(t, ups, u)))
+	rsP := must(rsProto.NewProverFromTable(countsOf(t, ups, u), 0))
 	observeAll(t, rsV, ups)
 	if err := rsV.SetQuery(qL, qR); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestRangeSumEqualsInnerProduct(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ipP := must(ipProto.NewProverFromTables(elemsOf(t, ups, u), elemsOf(t, indicator, u)))
+	ipP := must(ipProto.NewProverFromTables(elemsOf(t, ups, u), elemsOf(t, indicator, u), 0))
 	if _, err := Run(ipP, ipV); err != nil {
 		t.Fatalf("inner product rejected: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestF2PaddedUniverseMixedStream(t *testing.T) {
 	}
 	f2V := f2.Adopt(DrawSummary(f2.F, f2.Params.D, FamilyPoint, field.NewSplitMix64(710)))
 	observeAll(t, f2V, ups)
-	if _, err := Run(must(f2.NewProverFromTable(countsOf(t, ups, f2.Params.U), nil)), f2V); err != nil {
+	if _, err := Run(must(f2.NewProverFromTable(countsOf(t, ups, f2.Params.U), nil, 0)), f2V); err != nil {
 		t.Fatalf("F2 rejected: %v", err)
 	}
 	f2Result, err := f2V.Result()

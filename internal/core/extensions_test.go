@@ -32,7 +32,7 @@ func runHeavyHitters(t *testing.T, u uint64, ups []stream.Update, phi float64, s
 	}
 	rng := field.NewSplitMix64(seed)
 	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyAug, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params), stream.SumDeltas(ups)))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params), stream.SumDeltas(ups), 0))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(phi); err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestHeavyHittersOmissionCaught(t *testing.T) {
 	}
 	rng := field.NewSplitMix64(308)
 	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyAug, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params), stream.SumDeltas(ups)))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params), stream.SumDeltas(ups), 0))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(0.3); err != nil { // threshold = 282
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestHeavyHittersInflationCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyAug, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params), stream.SumDeltas(ups)))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params), stream.SumDeltas(ups), 0))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(0.05); err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func runF0(t *testing.T, u uint64, ups []stream.Update, phi float64, seed uint64
 	}
 	rng := field.NewSplitMix64(seed)
 	v := proto.Adopt(DrawSummary(proto.F, proto.TreeParams.D, FamilyPoint|FamilyAug, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.TreeParams), stream.SumDeltas(ups)))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.TreeParams), stream.SumDeltas(ups), 0))
 	observeAll(t, v, ups)
 	stats, err := Run(p, v)
 	if err != nil {
@@ -309,7 +309,7 @@ func TestInverseDistributionEndToEnd(t *testing.T) {
 		}
 		rng2 := field.NewSplitMix64(315)
 		v := proto.Adopt(DrawSummary(proto.F, proto.TreeParams.D, FamilyPoint|FamilyAug, rng2))
-		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.TreeParams), stream.SumDeltas(ups)))
+		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.TreeParams), stream.SumDeltas(ups), 0))
 		observeAll(t, v, ups)
 		if _, err := Run(p, v); err != nil {
 			t.Fatalf("inverse-dist k=%d rejected: %v", k, err)
@@ -349,7 +349,7 @@ func TestFrequencyBasedTamper(t *testing.T) {
 		}
 		rng2 := field.NewSplitMix64(317)
 		v := proto.Adopt(DrawSummary(proto.F, proto.TreeParams.D, FamilyPoint|FamilyAug, rng2))
-		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.TreeParams), stream.SumDeltas(ups)))
+		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.TreeParams), stream.SumDeltas(ups), 0))
 		observeAll(t, v, ups)
 		hit := false
 		tp := &TamperedProver{P: p, T: func(r int, m Msg) Msg {
@@ -383,7 +383,7 @@ func TestFrequencyBasedWrongStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := proto.Adopt(DrawSummary(proto.F, proto.TreeParams.D, FamilyPoint|FamilyAug, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups[:len(ups)-1], proto.TreeParams), stream.SumDeltas(ups[:len(ups)-1])))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups[:len(ups)-1], proto.TreeParams), stream.SumDeltas(ups[:len(ups)-1]), 0))
 	observeAll(t, v, ups)
 	if _, err := Run(p, v); !errors.Is(err, ErrRejected) {
 		t.Fatalf("not rejected: %v", err)
@@ -405,7 +405,7 @@ func TestFmaxEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree|FamilyPoint|FamilyAug, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params), stream.SumDeltas(ups)))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params), stream.SumDeltas(ups), 0))
 	observeAll(t, v, ups)
 	if _, err := Run(p, v); err != nil {
 		t.Fatalf("Fmax rejected: %v", err)
@@ -439,7 +439,7 @@ func TestFmaxFlatStream(t *testing.T) {
 	}
 	rng := field.NewSplitMix64(320)
 	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree|FamilyPoint|FamilyAug, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params), stream.SumDeltas(ups)))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params), stream.SumDeltas(ups), 0))
 	observeAll(t, v, ups)
 	if _, err := Run(p, v); err != nil {
 		t.Fatalf("rejected: %v", err)
@@ -465,7 +465,7 @@ func TestFmaxUnderclaimCaught(t *testing.T) {
 	// The dishonest prover pretends the stream topped out at 5: it
 	// proves from a doctored stream where item 7 has count 5.
 	doctored := []stream.Update{{Index: 7, Delta: 5}, {Index: 12, Delta: 5}, {Index: 30, Delta: 1}}
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, doctored, proto.Params), stream.SumDeltas(doctored)))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, doctored, proto.Params), stream.SumDeltas(doctored), 0))
 	if _, err := Run(p, v); !errors.Is(err, ErrRejected) {
 		t.Fatalf("underclaimed Fmax not rejected: %v", err)
 	}
@@ -476,7 +476,7 @@ func TestFmaxEmptyStreamProverErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, nil, proto.Params), 0))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, nil, proto.Params), 0, 0))
 	if _, err := p.Open(); err == nil {
 		t.Error("empty-stream Fmax accepted by prover")
 	}

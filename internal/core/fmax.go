@@ -185,13 +185,14 @@ type FmaxProver struct {
 
 // NewProverFromSkeleton returns a prover over the tree skeleton of a
 // count table with the given stream total Σδ (dataset-engine state); both
-// composed sub-provers borrow the same skeleton read-only.
-func (p *Fmax) NewProverFromSkeleton(sk *hashtree.Skeleton, total int64) (*FmaxProver, error) {
-	sv, err := p.SV.NewProverFromSkeleton(sk)
+// composed sub-provers borrow the same skeleton read-only, and both fan
+// out across workers (see FrequencyBased.NewProverFromSkeleton).
+func (p *Fmax) NewProverFromSkeleton(sk *hashtree.Skeleton, total int64, workers int) (*FmaxProver, error) {
+	sv, err := p.SV.NewProverFromSkeleton(sk, workers)
 	if err != nil {
 		return nil, err
 	}
-	fb, err := p.FB.NewProverFromSkeleton(sk, total)
+	fb, err := p.FB.NewProverFromSkeleton(sk, total, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -241,11 +242,4 @@ func (pr *FmaxProver) Step(challenge Msg) (Msg, error) {
 		return pr.fb.Open()
 	}
 	return pr.fb.Step(challenge)
-}
-
-// SetWorkers sets the prover's parallel fan-out of both composed
-// sub-protocols; see Fk.Workers. Call before NewProverFromSkeleton.
-func (p *Fmax) SetWorkers(n int) {
-	p.SV.Workers = n
-	p.FB.Workers = n
 }

@@ -34,10 +34,6 @@ type FrequencyBased struct {
 	LdeParams  lde.Params
 	Phi        float64
 	H          func(count int64) field.Elem
-
-	// Workers is the prover's parallel fan-out, applied to both phases
-	// (hash-tree levels and the residual sum-check); see Fk.Workers.
-	Workers int
 }
 
 // maxInterpolationDegree caps the threshold-derived degree of h̃ so a
@@ -243,14 +239,16 @@ type FrequencyBasedProver struct {
 
 // NewProverFromSkeleton returns a prover over the tree skeleton of a
 // count table, borrowed read-only, with the given stream total Σδ
-// (dataset-engine state).
-func (p *FrequencyBased) NewProverFromSkeleton(sk *hashtree.Skeleton, total int64) (*FrequencyBasedProver, error) {
-	hhProto := &HeavyHitters{F: p.F, Params: p.TreeParams, Workers: p.Workers}
-	hh, err := hhProto.NewProverFromSkeleton(sk, total)
+// (dataset-engine state). workers is the prover's fan-out, applied to
+// both phases (hash-tree levels and the residual sum-check); see
+// Fk.NewProverFromTable.
+func (p *FrequencyBased) NewProverFromSkeleton(sk *hashtree.Skeleton, total int64, workers int) (*FrequencyBasedProver, error) {
+	hhProto := &HeavyHitters{F: p.F, Params: p.TreeParams}
+	hh, err := hhProto.NewProverFromSkeleton(sk, total, workers)
 	if err != nil {
 		return nil, err
 	}
-	return &FrequencyBasedProver{proto: p, hh: hh}, nil
+	return &FrequencyBasedProver{proto: p, hh: hh, res: scProver{workers: workers}}, nil
 }
 
 // SetH replaces the statistic (see FrequencyBasedVerifier.SetH).
@@ -321,7 +319,6 @@ func (pr *FrequencyBasedProver) openSumcheck() (Msg, error) {
 		Field:    f,
 		Params:   pr.proto.LdeParams,
 		Combiner: sumcheck.PolyFn{H: htilde, MinDegree: int(threshold) - 1},
-		Workers:  pr.proto.Workers,
 	}
 	return openTables(&pr.res, cfg, sumcheck.Flat(table))
 }

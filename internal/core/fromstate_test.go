@@ -25,58 +25,58 @@ func TestFromStateLengthValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fk.NewProverFromTable(shortCounts, nil); err == nil {
+	if _, err := fk.NewProverFromTable(shortCounts, nil, 0); err == nil {
 		t.Error("Fk accepted a short table")
 	}
 	// A table in chunks is refused at construction too, with its scan
 	// supplied: 64 entries for the whole 128, 32 for the slice [64, 128).
 	live := func() sumcheck.LivePairs { return sumcheck.LivePairs{} }
-	if _, err := fk.NewProverFromTable(sumcheck.Counts{Width: 32, Chunks: make([][]int64, 2)}, live); err == nil {
+	if _, err := fk.NewProverFromTable(sumcheck.Counts{Width: 32, Chunks: make([][]int64, 2)}, live, 0); err == nil {
 		t.Error("Fk accepted a short table in chunks")
 	}
-	if _, err := fk.NewPartialProverFromTable(sumcheck.Counts{Width: 16, Chunks: make([][]int64, 2)}, live, 64, 128, 1, 0); err == nil {
+	if _, err := fk.NewPartialProverFromTable(sumcheck.Counts{Width: 16, Chunks: make([][]int64, 2)}, live, 64, 128, 1, 0, 0); err == nil {
 		t.Error("Fk accepted a short slice table in chunks")
 	}
 	rs, err := NewRangeSum(f, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.NewProverFromTable(shortCounts); err == nil {
+	if _, err := rs.NewProverFromTable(shortCounts, 0); err == nil {
 		t.Error("RangeSum accepted a short table")
 	}
 	sv, err := NewSubVector(f, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sv.NewProverFromSkeleton(shortTree); err == nil {
+	if _, err := sv.NewProverFromSkeleton(shortTree, 0); err == nil {
 		t.Error("SubVector accepted a short tree skeleton")
 	}
 	hh, err := NewHeavyHitters(f, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hh.NewProverFromSkeleton(shortTree, 0); err == nil {
+	if _, err := hh.NewProverFromSkeleton(shortTree, 0, 0); err == nil {
 		t.Error("HeavyHitters accepted a short tree skeleton")
 	}
 	fb, err := NewF0(f, u, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fb.NewProverFromSkeleton(shortTree, 0); err == nil {
+	if _, err := fb.NewProverFromSkeleton(shortTree, 0, 0); err == nil {
 		t.Error("FrequencyBased accepted a short tree skeleton")
 	}
 	fm, err := NewFmax(f, u, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fm.NewProverFromSkeleton(shortTree, 0); err == nil {
+	if _, err := fm.NewProverFromSkeleton(shortTree, 0, 0); err == nil {
 		t.Error("Fmax accepted a short tree skeleton")
 	}
 	ip, err := NewInnerProduct(f, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ip.NewProverFromTables(make([]field.Elem, u), short); err == nil {
+	if _, err := ip.NewProverFromTables(make([]field.Elem, u), short, 0); err == nil {
 		t.Error("InnerProduct accepted a short table")
 	}
 }

@@ -105,6 +105,10 @@ type scProver struct {
 	// prover opens over: a memo shared by every prover of one table
 	// version, with the opening it carries. nil scans them at open.
 	live func() sumcheck.LivePairs
+	// workers is the sum-check prover's parallel fan-out, which
+	// openTables sets in its Config (sumcheck.Config.Workers); a
+	// PartialProver's own Config carries it instead.
+	workers int
 }
 
 // livePairs returns pr's live-pair scan of tables under cfg.
@@ -116,8 +120,10 @@ func livePairs[T field.Entry](pr *scProver, cfg sumcheck.Config, tables []sumche
 }
 
 // openTables builds pr's sum-check prover over tables, of field elements
-// or of counts, which it borrows read-only, and emits [claim, g_1].
+// or of counts, which it borrows read-only, with pr's fan-out, and emits
+// [claim, g_1].
 func openTables[T field.Entry](pr *scProver, cfg sumcheck.Config, tables ...sumcheck.Table[T]) (Msg, error) {
+	cfg.Workers = pr.workers
 	sc, err := sumcheck.NewProver(cfg, livePairs(pr, cfg, tables), tables...)
 	if err != nil {
 		return Msg{}, err

@@ -71,7 +71,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 			build: func() (ProverSession, VerifierSession) {
 				v := fk.Adopt(DrawSummary(fk.F, fk.Params.D, FamilyPoint, field.NewSplitMix64(1)))
 				observeAll(t, v, a)
-				return must(fk.NewProverFromTable(sumcheck.Flat(ca), nil)), v
+				return must(fk.NewProverFromTable(sumcheck.Flat(ca), nil, 0)), v
 			},
 			answer: result, want: refFk(t, a, u, 3),
 		},
@@ -89,7 +89,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				return must(ip.NewProverFromTables(ta, tb)), v
+				return must(ip.NewProverFromTables(ta, tb, 0)), v
 			},
 			answer: result, want: ipWant,
 		},
@@ -98,7 +98,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 			build: func() (ProverSession, VerifierSession) {
 				v := rs.Adopt(DrawSummary(rs.F, rs.Params.D, FamilyPoint, field.NewSplitMix64(3)))
 				observeAll(t, v, b)
-				p := must(rs.NewProverFromTable(sumcheck.Flat(cb)))
+				p := must(rs.NewProverFromTable(sumcheck.Flat(cb), 0))
 				if err := errors.Join(v.SetQuery(qL, qR), p.SetQuery(qL, qR)); err != nil {
 					t.Fatal(err)
 				}
@@ -111,7 +111,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 			build: func() (ProverSession, VerifierSession) {
 				v := f0.Adopt(DrawSummary(f0.F, f0.TreeParams.D, FamilyPoint|FamilyAug, field.NewSplitMix64(5)))
 				observeAll(t, v, a)
-				return must(f0.NewProverFromSkeleton(flatSkeleton(t, f0.F, f0.TreeParams, ca), int64(len(a)))), v
+				return must(f0.NewProverFromSkeleton(flatSkeleton(t, f0.F, f0.TreeParams, ca), int64(len(a)), 0)), v
 			},
 			answer: result, want: f0Want,
 			// d−1 heavy-hitter reveals, then the empty message that asks
@@ -123,7 +123,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 			build: func() (ProverSession, VerifierSession) {
 				v := f2.Adopt(DrawSummary(f2.F, f2.Params.D, FamilyPoint, field.NewSplitMix64(6)))
 				observeAll(t, v, a)
-				return newSplitFk(t, u, 2, 2, 0, ca, 1), v
+				return newSplitFk(t, u, 2, 2, ca, 1), v
 			},
 			answer: result, want: refFk(t, a, u, 2),
 		},
@@ -223,7 +223,7 @@ func TestAnchorHalvesContract(t *testing.T) {
 		{
 			name: "Predecessor",
 			build: func() (ProverSession, VerifierSession) {
-				v, p := pred.Adopt(DrawSummary(pred.sv.F, pred.sv.Params.D, FamilyTree, field.NewSplitMix64(1))), must(pred.NewProverFromSkeleton(flatSkeleton(t, pred.sv.F, pred.sv.Params, counts)))
+				v, p := pred.Adopt(DrawSummary(pred.sv.F, pred.sv.Params.D, FamilyTree, field.NewSplitMix64(1))), must(pred.NewProverFromSkeleton(flatSkeleton(t, pred.sv.F, pred.sv.Params, counts), 0))
 				observeAll(t, v, ups)
 				if err := errors.Join(v.SetQuery(q), p.SetQuery(q)); err != nil {
 					t.Fatal(err)
@@ -239,7 +239,7 @@ func TestAnchorHalvesContract(t *testing.T) {
 		{
 			name: "Successor",
 			build: func() (ProverSession, VerifierSession) {
-				v, p := succ.Adopt(DrawSummary(succ.sv.F, succ.sv.Params.D, FamilyTree, field.NewSplitMix64(2))), must(succ.NewProverFromSkeleton(flatSkeleton(t, succ.sv.F, succ.sv.Params, counts)))
+				v, p := succ.Adopt(DrawSummary(succ.sv.F, succ.sv.Params.D, FamilyTree, field.NewSplitMix64(2))), must(succ.NewProverFromSkeleton(flatSkeleton(t, succ.sv.F, succ.sv.Params, counts), 0))
 				observeAll(t, v, ups)
 				if err := errors.Join(v.SetQuery(q), p.SetQuery(q)); err != nil {
 					t.Fatal(err)
@@ -255,7 +255,7 @@ func TestAnchorHalvesContract(t *testing.T) {
 		{
 			name: "KLargest",
 			build: func() (ProverSession, VerifierSession) {
-				v, p := kl.Adopt(DrawSummary(kl.sv.F, kl.sv.Params.D, FamilyTree, field.NewSplitMix64(3))), must(kl.NewProverFromSkeleton(flatSkeleton(t, kl.sv.F, kl.sv.Params, counts)))
+				v, p := kl.Adopt(DrawSummary(kl.sv.F, kl.sv.Params.D, FamilyTree, field.NewSplitMix64(3))), must(kl.NewProverFromSkeleton(flatSkeleton(t, kl.sv.F, kl.sv.Params, counts), 0))
 				observeAll(t, v, ups)
 				if err := errors.Join(v.SetQuery(k), p.SetQuery(k)); err != nil {
 					t.Fatal(err)

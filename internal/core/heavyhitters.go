@@ -24,10 +24,6 @@ import (
 type HeavyHitters struct {
 	F      field.Field
 	Params hashtree.Params
-
-	// Workers is the prover's parallel fan-out for building each hash-tree
-	// level; see SubVector.Workers.
-	Workers int
 }
 
 // NewHeavyHitters returns the protocol for universes of size ≥ u.
@@ -277,6 +273,7 @@ type HeavyHittersProver struct {
 	sk       *hashtree.Skeleton // borrowed read-only
 	total    int64
 	tree     *hashtree.IncrementalTree
+	workers  int // the tree's fan-out (hashtree.IncrementalTree.Workers)
 	phi      float64
 	hasQuery bool
 
@@ -285,12 +282,13 @@ type HeavyHittersProver struct {
 
 // NewProverFromSkeleton returns a prover over the skeleton of a count
 // table (Params.U entries), borrowed read-only, with the given stream
-// total Σδ — the maintained state of a dataset engine.
-func (p *HeavyHitters) NewProverFromSkeleton(sk *hashtree.Skeleton, total int64) (*HeavyHittersProver, error) {
+// total Σδ — the maintained state of a dataset engine. workers is the
+// prover's fan-out; see SubVector.NewProverFromSkeleton.
+func (p *HeavyHitters) NewProverFromSkeleton(sk *hashtree.Skeleton, total int64, workers int) (*HeavyHittersProver, error) {
 	if err := checkSkeleton(sk, p.Params); err != nil {
 		return nil, err
 	}
-	return &HeavyHittersProver{proto: p, sk: sk, total: total}, nil
+	return &HeavyHittersProver{proto: p, sk: sk, total: total, workers: workers}, nil
 }
 
 // SetQuery fixes the heaviness fraction φ.
@@ -308,7 +306,7 @@ func (pr *HeavyHittersProver) Open() (Msg, error) {
 	if !pr.hasQuery {
 		return Msg{}, fmt.Errorf("core: heavy-hitters query not set")
 	}
-	pr.tree = pr.sk.NewTree(pr.proto.Workers)
+	pr.tree = pr.sk.NewTree(pr.workers)
 	pr.threshold = Threshold(pr.phi, pr.total)
 	return pr.levelMsg(0)
 }

@@ -47,8 +47,8 @@ func sameTranscript(t *testing.T, name string, a, b []Msg) {
 	}
 }
 
-// TestParallelProversBitIdenticalTranscripts: for every protocol that
-// threads a Workers option, the parallel prover must emit the exact
+// TestParallelProversBitIdenticalTranscripts: for every prover
+// constructor that takes a worker count, the parallel prover must emit the exact
 // transcript of the serial prover and still be accepted.
 func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 	f := field.Mersenne()
@@ -87,14 +87,13 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 			if err != nil {
 				return nil, nil, err
 			}
-			proto.Workers = workers
 			v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, field.NewSplitMix64(63)))
 			for _, up := range ups {
 				if err := v.Observe(up); err != nil {
 					return nil, nil, err
 				}
 			}
-			p, err := proto.NewProverFromTable(counts, nil)
+			p, err := proto.NewProverFromTable(counts, nil, workers)
 			return p, v, err
 		}},
 		{"RangeSum", func(workers int) (ProverSession, VerifierSession, error) {
@@ -102,7 +101,6 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 			if err != nil {
 				return nil, nil, err
 			}
-			proto.Workers = workers
 			v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyPoint, field.NewSplitMix64(64)))
 			for _, up := range ups {
 				if err := v.Observe(up); err != nil {
@@ -112,46 +110,24 @@ func TestParallelProversBitIdenticalTranscripts(t *testing.T) {
 			if err := v.SetQuery(10, u/2); err != nil {
 				return nil, nil, err
 			}
-			p, err := proto.NewProverFromTable(counts)
+			p, err := proto.NewProverFromTable(counts, workers)
 			if err != nil {
 				return nil, nil, err
 			}
 			return p, v, p.SetQuery(10, u/2)
-		}},
-		{"SubVector", func(workers int) (ProverSession, VerifierSession, error) {
-			proto, err := NewSubVector(f, u)
-			if err != nil {
-				return nil, nil, err
-			}
-			proto.Workers = workers
-			v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree, field.NewSplitMix64(65)))
-			for _, up := range ups {
-				if err := v.Observe(up); err != nil {
-					return nil, nil, err
-				}
-			}
-			if err := v.SetQuery(100, 1100); err != nil {
-				return nil, nil, err
-			}
-			p, err := proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params))
-			if err != nil {
-				return nil, nil, err
-			}
-			return p, v, p.SetQuery(100, 1100)
 		}},
 		{"F0", func(workers int) (ProverSession, VerifierSession, error) {
 			proto, err := NewF0(f, 1<<8, 0)
 			if err != nil {
 				return nil, nil, err
 			}
-			proto.Workers = workers
 			v := proto.Adopt(DrawSummary(proto.F, proto.TreeParams.D, FamilyPoint|FamilyAug, field.NewSplitMix64(66)))
 			for _, up := range zipf {
 				if err := v.Observe(up); err != nil {
 					return nil, nil, err
 				}
 			}
-			p, err := proto.NewProverFromSkeleton(skeletonOf(t, proto.F, zipf, proto.TreeParams), stream.SumDeltas(zipf))
+			p, err := proto.NewProverFromSkeleton(skeletonOf(t, proto.F, zipf, proto.TreeParams), stream.SumDeltas(zipf), workers)
 			return p, v, err
 		}},
 	}

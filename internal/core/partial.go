@@ -59,7 +59,7 @@ var ErrSplitVersion = errors.New("core: split slices disagree on dataset version
 // emits its leaves instead of a round message.
 type PartialProver struct {
 	scProver
-	cfg      sumcheck.Config // global configuration; Params span the full universe
+	cfg      sumcheck.Config // global configuration with the prover's fan-out; Params span the full universe
 	lo, hi   uint64
 	tables   []sumcheck.Counts // slice subtables, borrowed read-only
 	version  uint64
@@ -67,7 +67,7 @@ type PartialProver struct {
 	maxWords int // the most ints and elements an opening that ships pairs may hold
 }
 
-func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, hi, version uint64, maxWords int, tables ...sumcheck.Counts) (*PartialProver, error) {
+func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, hi, version uint64, maxWords, workers int, tables ...sumcheck.Counts) (*PartialProver, error) {
 	sp, err := sumcheck.SliceParams(cfg.Params, lo, hi)
 	if err != nil {
 		return nil, err
@@ -77,6 +77,7 @@ func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, h
 			return nil, fmt.Errorf("core: slice table %d has %d entries, want %d", t, tab.Len(), sp.U)
 		}
 	}
+	cfg.Workers = workers
 	return &PartialProver{scProver: scProver{live: live}, cfg: cfg, lo: lo, hi: hi, tables: tables, version: version, headD: sp.D, maxWords: maxWords}, nil
 }
 
@@ -90,9 +91,10 @@ func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, h
 // ships and its first message are the memo's after the version's first
 // sparse prover; nil scans table when the prover opens. maxWords bounds
 // an opening that ships the slice's live pairs, in ints and elements: a
-// sparse slice whose opening would hold more ships none.
-func (p *Fk) NewPartialProverFromTable(table sumcheck.Counts, live func() sumcheck.LivePairs, lo, hi, version uint64, maxWords int) (*PartialProver, error) {
-	return newPartialProver(p.scConfig(), live, lo, hi, version, maxWords, table)
+// sparse slice whose opening would hold more ships none. workers is the
+// prover's fan-out, as NewProverFromTable takes it.
+func (p *Fk) NewPartialProverFromTable(table sumcheck.Counts, live func() sumcheck.LivePairs, lo, hi, version uint64, maxWords, workers int) (*PartialProver, error) {
+	return newPartialProver(p.scConfig(), live, lo, hi, version, maxWords, workers, table)
 }
 
 // NewPartialProverFromTable returns the slice-owner session for a
@@ -100,12 +102,12 @@ func (p *Fk) NewPartialProverFromTable(table sumcheck.Counts, live func() sumche
 // full universe). table holds the slice's counts as Fk's takes them. The
 // slice builds its part of the indicator itself — the intersection of
 // the query range with [lo, hi), in table's chunks — so no second table
-// travels. maxWords is as Fk's takes it.
-func (p *RangeSum) NewPartialProverFromTable(table sumcheck.Counts, lo, hi, version, qL, qR uint64, maxWords int) (*PartialProver, error) {
+// travels. maxWords and workers are as Fk's takes them.
+func (p *RangeSum) NewPartialProverFromTable(table sumcheck.Counts, lo, hi, version, qL, qR uint64, maxWords, workers int) (*PartialProver, error) {
 	if err := checkRange(qL, qR, p.Params.U); err != nil {
 		return nil, err
 	}
-	return newPartialProver(p.scConfig(), nil, lo, hi, version, maxWords, table, rangeIndicator(table, lo, qL, qR))
+	return newPartialProver(p.scConfig(), nil, lo, hi, version, maxWords, workers, table, rangeIndicator(table, lo, qL, qR))
 }
 
 // Open computes this slice's partial claim and round-1 partial,
@@ -222,14 +224,13 @@ type SplitProver struct {
 // order: S equal aligned slices, S a power of two and each slice of
 // width ≥ 2. It calls open once, synchronously — the caller's place in
 // its frame order is when the owners snapshot — and Open calls it again
-// only to reopen after a version skew. workers bounds the tail prover's
-// fan-out (its tables have S entries, so it rarely matters).
-func NewSplitProver(f field.Field, u uint64, comb sumcheck.Combiner, workers int, open func() ([]SplitOwner, error)) (*SplitProver, error) {
+// only to reopen after a version skew. The tail prover is serial.
+func NewSplitProver(f field.Field, u uint64, comb sumcheck.Combiner, open func() ([]SplitOwner, error)) (*SplitProver, error) {
 	params, err := lde.ParamsForUniverse(u, 2)
 	if err != nil {
 		return nil, err
 	}
-	cfg := sumcheck.Config{Field: f, Params: params, Combiner: comb, Workers: workers}
+	cfg := sumcheck.Config{Field: f, Params: params, Combiner: comb}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -62,7 +62,7 @@ func (s *fkSlices) open() ([]SplitOwner, error) {
 	owners := make([]SplitOwner, s.slices)
 	for k := range owners {
 		lo, hi := uint64(k)*width, uint64(k+1)*width
-		p, err := s.proto.NewPartialProverFromTable(sumcheck.Flat(s.table[lo:hi]), nil, lo, hi, s.version(s.opens, k), s.maxWords)
+		p, err := s.proto.NewPartialProverFromTable(sumcheck.Flat(s.table[lo:hi]), nil, lo, hi, s.version(s.opens, k), s.maxWords, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -83,24 +83,23 @@ func allFinished(t *testing.T, s *fkSlices) {
 	}
 }
 
-// newFk returns the Fk protocol over u with the given worker count.
-func newFk(t *testing.T, u uint64, k, workers int) *Fk {
+// newFk returns the Fk protocol over u.
+func newFk(t *testing.T, u uint64, k int) *Fk {
 	t.Helper()
 	proto, err := NewFk(f61, u, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proto.Workers = workers
 	return proto
 }
 
 // newSplitFk returns the split session of an Fk query over table, its
 // slices owners all at version.
-func newSplitFk(t *testing.T, u uint64, k, slices, workers int, table []int64, version uint64) *SplitProver {
+func newSplitFk(t *testing.T, u uint64, k, slices int, table []int64, version uint64) *SplitProver {
 	t.Helper()
-	s := &fkSlices{proto: newFk(t, u, k, workers), table: table, slices: slices,
+	s := &fkSlices{proto: newFk(t, u, k), table: table, slices: slices,
 		version: func(int, int) uint64 { return version }}
-	sp, err := NewSplitProver(f61, u, sumcheck.Power{K: k}, workers, s.open)
+	sp, err := NewSplitProver(f61, u, sumcheck.Power{K: k}, s.open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +123,7 @@ func runFk(t *testing.T, proto *Fk, p ProverSession, ups []stream.Update, seed u
 // fkReference is the single-table Fk prover's accepted transcript.
 func fkReference(t *testing.T, proto *Fk, table []int64, ups []stream.Update, seed uint64) ([]Msg, field.Elem) {
 	t.Helper()
-	p, err := proto.NewProverFromTable(sumcheck.Flat(table), nil)
+	p, err := proto.NewProverFromTable(sumcheck.Flat(table), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,24 +143,22 @@ func TestSplitFkBitIdentical(t *testing.T) {
 	ups := stream.UniformDeltas(u, 500, rng)
 	table := applied(t, ups, u)
 	for _, k := range []int{2, 3} {
-		for _, workers := range []int{0, 4} {
-			proto := newFk(t, u, k, workers)
-			ref, refResult := fkReference(t, proto, table, ups, 77)
-			for _, slices := range []int{1, 2, 4} {
-				name := fmt.Sprintf("k=%d w=%d S=%d", k, workers, slices)
-				split := newSplitFk(t, u, k, slices, workers, table, 9)
-				msgs, got, err := runFk(t, proto, split, ups, 77)
-				if err != nil {
-					t.Fatalf("%s: split run rejected: %v", name, err)
-				}
-				if got != refResult {
-					t.Fatalf("%s: result %d ≠ %d", name, got, refResult)
-				}
-				if split.Version() != 9 {
-					t.Fatalf("%s: pinned version %d, want 9", name, split.Version())
-				}
-				sameTranscript(t, name, msgs, ref)
+		proto := newFk(t, u, k)
+		ref, refResult := fkReference(t, proto, table, ups, 77)
+		for _, slices := range []int{1, 2, 4} {
+			name := fmt.Sprintf("k=%d S=%d", k, slices)
+			split := newSplitFk(t, u, k, slices, table, 9)
+			msgs, got, err := runFk(t, proto, split, ups, 77)
+			if err != nil {
+				t.Fatalf("%s: split run rejected: %v", name, err)
 			}
+			if got != refResult {
+				t.Fatalf("%s: result %d ≠ %d", name, got, refResult)
+			}
+			if split.Version() != 9 {
+				t.Fatalf("%s: pinned version %d, want 9", name, split.Version())
+			}
+			sameTranscript(t, name, msgs, ref)
 		}
 	}
 }
@@ -189,7 +186,7 @@ func TestSplitRangeSumBitIdentical(t *testing.T) {
 		_, err := Run(rec, v)
 		return rec.msgs, err
 	}
-	refP, err := proto.NewProverFromTable(sumcheck.Flat(table))
+	refP, err := proto.NewProverFromTable(sumcheck.Flat(table), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +199,11 @@ func TestSplitRangeSumBitIdentical(t *testing.T) {
 	}
 	for _, slices := range []int{1, 2, 4, 8} {
 		width := proto.Params.U / uint64(slices)
-		split, err := NewSplitProver(f61, u, sumcheck.Product{}, 0, func() ([]SplitOwner, error) {
+		split, err := NewSplitProver(f61, u, sumcheck.Product{}, func() ([]SplitOwner, error) {
 			owners := make([]SplitOwner, slices)
 			for s := range owners {
 				lo, hi := uint64(s)*width, uint64(s+1)*width
-				p, err := proto.NewPartialProverFromTable(sumcheck.Flat(table[lo:hi]), lo, hi, 4, qL, qR, 0)
+				p, err := proto.NewPartialProverFromTable(sumcheck.Flat(table[lo:hi]), lo, hi, 4, qL, qR, 0, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -233,7 +230,7 @@ func TestSplitProverVersionSkew(t *testing.T) {
 	const u = 1 << 5
 	ups := stream.UniformDeltas(u, 60, field.NewSplitMix64(8))
 	table := applied(t, ups, u)
-	proto := newFk(t, u, 2, 0)
+	proto := newFk(t, u, 2)
 	ref, _ := fkReference(t, proto, table, ups, 21)
 
 	t.Run("reopen", func(t *testing.T) {
@@ -243,7 +240,7 @@ func TestSplitProverVersionSkew(t *testing.T) {
 			}
 			return 5
 		}}
-		sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, 0, s.open)
+		sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, s.open)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +258,7 @@ func TestSplitProverVersionSkew(t *testing.T) {
 	t.Run("always skewed", func(t *testing.T) {
 		s := &fkSlices{proto: proto, table: table, slices: 2,
 			version: func(n, k int) uint64 { return uint64(3 + k) }}
-		sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, 0, s.open)
+		sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, s.open)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +288,7 @@ func TestSplitProverValidation(t *testing.T) {
 			}
 			return out, nil
 		}
-		if _, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, 0, open); err == nil {
+		if _, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, open); err == nil {
 			t.Fatalf("%d slices of %d accepted", slices, u)
 		}
 		for k, o := range owners {
@@ -303,10 +300,10 @@ func TestSplitProverValidation(t *testing.T) {
 
 	const big = 1000 // pads to 1024: d = 10, and 4 slices serve 8 head rounds
 	ups := stream.UniformDeltas(big, 100, field.NewSplitMix64(9))
-	proto := newFk(t, big, 2, 0)
+	proto := newFk(t, big, 2)
 	s := &fkSlices{proto: proto, table: applied(t, ups, proto.Params.U), slices: 4,
 		version: func(int, int) uint64 { return 1 }}
-	sp, err := NewSplitProver(f61, big, sumcheck.Power{K: 2}, 0, s.open)
+	sp, err := NewSplitProver(f61, big, sumcheck.Power{K: 2}, s.open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,11 +347,11 @@ func TestSplitProverPipelinedBroadcast(t *testing.T) {
 	const u, slices = 1 << 6, 4
 	ups := stream.UniformDeltas(u, 100, field.NewSplitMix64(10))
 	table := applied(t, ups, u)
-	proto := newFk(t, u, 2, 0)
+	proto := newFk(t, u, 2)
 	ref, _ := fkReference(t, proto, table, ups, 5)
 	s := &fkSlices{proto: proto, table: table, slices: slices, version: func(int, int) uint64 { return 2 }}
 	var sent atomic.Int64
-	sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, 0, func() ([]SplitOwner, error) {
+	sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, func() ([]SplitOwner, error) {
 		owners, err := s.open()
 		for k := range owners {
 			owners[k] = &pipelinedOwner{localOwner: owners[k].(*localOwner), sent: &sent, slices: slices}
@@ -396,7 +393,7 @@ func TestSplitProverRefusesOwnerLies(t *testing.T) {
 	const u, slices = 1 << 6, 2 // d = 6; the owners' 6th message is their leaves
 	ups := stream.UniformDeltas(u, 100, field.NewSplitMix64(11))
 	table := applied(t, ups, u)
-	proto := newFk(t, u, 2, 0)
+	proto := newFk(t, u, 2)
 	for _, c := range []struct {
 		name string
 		n    int
@@ -410,7 +407,7 @@ func TestSplitProverRefusesOwnerLies(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := &fkSlices{proto: proto, table: table, slices: slices, version: func(int, int) uint64 { return 1 }}
-			sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, 0, func() ([]SplitOwner, error) {
+			sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, func() ([]SplitOwner, error) {
 				owners, err := s.open()
 				owners[1] = &lyingOwner{localOwner: owners[1].(*localOwner), n: c.n, lie: c.lie}
 				return owners, err
@@ -437,7 +434,7 @@ func TestSplitProverRefusesOwnerLies(t *testing.T) {
 // finishes the owners after the openings, challenges none, and proves
 // every later round from the union of their pairs — and the transcript
 // is still the single prover's, bit for bit, for every slice count
-// (slice 1 of 2 holding no live pair included) and worker count. An
+// (slice 1 of 2 holding no live pair included). An
 // opening bound too small for the pairs, or one dense slice, keeps the
 // head rounds, also bit-identical.
 func TestSplitCollapseBitIdentical(t *testing.T) {
@@ -459,26 +456,24 @@ func TestSplitCollapseBitIdentical(t *testing.T) {
 		{"one dense slice", oneDense, 4, 1 << 20, false},
 	} {
 		for _, k := range []int{2, 3} {
-			for _, workers := range []int{0, 3} {
-				name := fmt.Sprintf("%s k=%d w=%d", c.name, k, workers)
-				proto := newFk(t, u, k, workers)
-				table := applied(t, c.ups, u)
-				ref, refResult := fkReference(t, proto, table, c.ups, 21)
-				s := &fkSlices{proto: proto, table: table, slices: c.slices, maxWords: c.maxWords,
-					version: func(int, int) uint64 { return 3 }}
-				sp, err := NewSplitProver(f61, u, sumcheck.Power{K: k}, workers, s.open)
-				if err != nil {
-					t.Fatal(err)
-				}
-				msgs, got, err := runFk(t, proto, sp, c.ups, 21)
-				if err != nil || got != refResult {
-					t.Fatalf("%s: result %d, %v; want %d", name, got, err, refResult)
-				}
-				sameTranscript(t, name, msgs, ref)
-				allFinished(t, s)
-				if challenged := s.opened[0].challenges > 0; challenged == c.collapse {
-					t.Fatalf("%s: owners challenged %d times, collapse %v", name, s.opened[0].challenges, c.collapse)
-				}
+			name := fmt.Sprintf("%s k=%d", c.name, k)
+			proto := newFk(t, u, k)
+			table := applied(t, c.ups, u)
+			ref, refResult := fkReference(t, proto, table, c.ups, 21)
+			s := &fkSlices{proto: proto, table: table, slices: c.slices, maxWords: c.maxWords,
+				version: func(int, int) uint64 { return 3 }}
+			sp, err := NewSplitProver(f61, u, sumcheck.Power{K: k}, s.open)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgs, got, err := runFk(t, proto, sp, c.ups, 21)
+			if err != nil || got != refResult {
+				t.Fatalf("%s: result %d, %v; want %d", name, got, err, refResult)
+			}
+			sameTranscript(t, name, msgs, ref)
+			allFinished(t, s)
+			if challenged := s.opened[0].challenges > 0; challenged == c.collapse {
+				t.Fatalf("%s: owners challenged %d times, collapse %v", name, s.opened[0].challenges, c.collapse)
 			}
 		}
 	}
@@ -492,7 +487,7 @@ func TestSplitProverRefusesMalformedPairs(t *testing.T) {
 	const u, slices = 1 << 9, 2 // slice 1 owns pairs [128, 256)
 	ups := stream.UnitIncrements(u, 20, field.NewSplitMix64(15))
 	table := applied(t, ups, u)
-	proto := newFk(t, u, 2, 0)
+	proto := newFk(t, u, 2)
 	for _, c := range []struct {
 		name string
 		lie  func(Msg) Msg
@@ -508,7 +503,7 @@ func TestSplitProverRefusesMalformedPairs(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			s := &fkSlices{proto: proto, table: table, slices: slices, maxWords: 1 << 20,
 				version: func(int, int) uint64 { return 1 }}
-			sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, 0, func() ([]SplitOwner, error) {
+			sp, err := NewSplitProver(f61, u, sumcheck.Power{K: 2}, func() ([]SplitOwner, error) {
 				owners, err := s.open()
 				owners[1] = &lyingOwner{localOwner: owners[1].(*localOwner), lie: c.lie}
 				return owners, err

@@ -403,12 +403,12 @@ func (pr *KLargestProver) Open() (Msg, error) {
 // Provers
 //
 // Each specialization's prover borrows the tree skeleton of a count table
-// (a dataset-engine version's) read-only; see
-// SubVector.NewProverFromSkeleton.
+// (a dataset-engine version's) read-only and hashes its levels across
+// workers goroutines; see SubVector.NewProverFromSkeleton.
 
 // NewProverFromSkeleton returns an INDEX prover over a borrowed tree skeleton.
-func (p *Index) NewProverFromSkeleton(sk *hashtree.Skeleton) (*IndexProver, error) {
-	sv, err := p.sv.NewProverFromSkeleton(sk)
+func (p *Index) NewProverFromSkeleton(sk *hashtree.Skeleton, workers int) (*IndexProver, error) {
+	sv, err := p.sv.NewProverFromSkeleton(sk, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -416,8 +416,8 @@ func (p *Index) NewProverFromSkeleton(sk *hashtree.Skeleton) (*IndexProver, erro
 }
 
 // NewProverFromSkeleton returns a DICTIONARY prover over a borrowed tree skeleton.
-func (p *Dictionary) NewProverFromSkeleton(sk *hashtree.Skeleton) (*DictionaryProver, error) {
-	sv, err := p.sv.NewProverFromSkeleton(sk)
+func (p *Dictionary) NewProverFromSkeleton(sk *hashtree.Skeleton, workers int) (*DictionaryProver, error) {
+	sv, err := p.sv.NewProverFromSkeleton(sk, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -425,8 +425,8 @@ func (p *Dictionary) NewProverFromSkeleton(sk *hashtree.Skeleton) (*DictionaryPr
 }
 
 // NewProverFromSkeleton returns a PREDECESSOR prover over a borrowed tree skeleton.
-func (p *Predecessor) NewProverFromSkeleton(sk *hashtree.Skeleton) (*PredecessorProver, error) {
-	sv, err := p.sv.NewProverFromSkeleton(sk)
+func (p *Predecessor) NewProverFromSkeleton(sk *hashtree.Skeleton, workers int) (*PredecessorProver, error) {
+	sv, err := p.sv.NewProverFromSkeleton(sk, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -434,8 +434,8 @@ func (p *Predecessor) NewProverFromSkeleton(sk *hashtree.Skeleton) (*Predecessor
 }
 
 // NewProverFromSkeleton returns a SUCCESSOR prover over a borrowed tree skeleton.
-func (p *Successor) NewProverFromSkeleton(sk *hashtree.Skeleton) (*SuccessorProver, error) {
-	sv, err := p.sv.NewProverFromSkeleton(sk)
+func (p *Successor) NewProverFromSkeleton(sk *hashtree.Skeleton, workers int) (*SuccessorProver, error) {
+	sv, err := p.sv.NewProverFromSkeleton(sk, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -443,29 +443,10 @@ func (p *Successor) NewProverFromSkeleton(sk *hashtree.Skeleton) (*SuccessorProv
 }
 
 // NewProverFromSkeleton returns a k-LARGEST prover over a borrowed tree skeleton.
-func (p *KLargest) NewProverFromSkeleton(sk *hashtree.Skeleton) (*KLargestProver, error) {
-	sv, err := p.sv.NewProverFromSkeleton(sk)
+func (p *KLargest) NewProverFromSkeleton(sk *hashtree.Skeleton, workers int) (*KLargestProver, error) {
+	sv, err := p.sv.NewProverFromSkeleton(sk, workers)
 	if err != nil {
 		return nil, err
 	}
 	return &KLargestProver{anchorProver: anchorProver{sv: sv}}, nil
 }
-
-// ---------------------------------------------------------------------
-// Parallel proving
-
-// SetWorkers sets the prover's parallel fan-out of the underlying
-// SUB-VECTOR protocol; see SubVector.Workers.
-func (p *Index) SetWorkers(n int) { p.sv.Workers = n }
-
-// SetWorkers sets the prover's parallel fan-out; see SubVector.Workers.
-func (p *Dictionary) SetWorkers(n int) { p.sv.Workers = n }
-
-// SetWorkers sets the prover's parallel fan-out; see SubVector.Workers.
-func (p *Predecessor) SetWorkers(n int) { p.sv.Workers = n }
-
-// SetWorkers sets the prover's parallel fan-out; see SubVector.Workers.
-func (p *Successor) SetWorkers(n int) { p.sv.Workers = n }
-
-// SetWorkers sets the prover's parallel fan-out; see SubVector.Workers.
-func (p *KLargest) SetWorkers(n int) { p.sv.Workers = n }

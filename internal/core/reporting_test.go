@@ -18,7 +18,7 @@ func runSubVector(t *testing.T, u uint64, ups []stream.Update, qL, qR uint64) ([
 	}
 	rng := field.NewSplitMix64(200 + qL + qR)
 	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params)))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params), 0))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(qL, qR); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestSubVectorTamperMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree, rng))
-		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params)))
+		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params), 0))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(qL, qR); err != nil {
 			t.Fatal(err)
@@ -206,7 +206,7 @@ func TestSubVectorWrongStreamProver(t *testing.T) {
 	rng := field.NewSplitMix64(204)
 	ups := stream.UniformDeltas(u, 50, rng)
 	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups[:len(ups)-1], proto.Params)))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups[:len(ups)-1], proto.Params), 0))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(0, 255); err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestIndexEndToEnd(t *testing.T) {
 	a, _ := stream.Apply(ups, u)
 	for _, q := range []uint64{0, 1, 100, 255} {
 		v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
-		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params)))
+		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params), 0))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(q); err != nil {
 			t.Fatal(err)
@@ -284,7 +284,7 @@ func TestDictionaryEndToEnd(t *testing.T) {
 	}
 	for _, q := range queries {
 		v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
-		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params)))
+		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params), 0))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(q); err != nil {
 			t.Fatal(err)
@@ -344,7 +344,7 @@ func TestPredecessorEndToEnd(t *testing.T) {
 	}
 	for _, c := range cases {
 		v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
-		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params)))
+		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params), 0))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(c.q); err != nil {
 			t.Fatal(err)
@@ -374,7 +374,7 @@ func TestPredecessorNone(t *testing.T) {
 	rng := field.NewSplitMix64(208)
 	ups := []stream.Update{{Index: 200, Delta: 1}}
 	v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params)))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params), 0))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(100); err != nil {
 		t.Fatal(err)
@@ -403,7 +403,7 @@ func TestPredecessorLyingProver(t *testing.T) {
 	rng := field.NewSplitMix64(209)
 	ups := []stream.Update{{Index: 10, Delta: 1}, {Index: 50, Delta: 1}}
 	v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params)))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params), 0))
 	observeAll(t, v, ups)
 	if err := v.SetQuery(60); err != nil {
 		t.Fatal(err)
@@ -448,7 +448,7 @@ func TestSuccessorEndToEnd(t *testing.T) {
 	}
 	for _, c := range cases {
 		v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
-		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params)))
+		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params), 0))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(c.q); err != nil {
 			t.Fatal(err)
@@ -484,7 +484,7 @@ func TestKLargestEndToEnd(t *testing.T) {
 	}
 	for k := 1; k <= 5; k++ {
 		v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
-		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params)))
+		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params), 0))
 		observeAll(t, v, ups)
 		if err := v.SetQuery(k); err != nil {
 			t.Fatal(err)
@@ -504,7 +504,7 @@ func TestKLargestEndToEnd(t *testing.T) {
 		}
 	}
 	// k exceeding the number of distinct elements: honest prover errors.
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params)))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params), 0))
 	if err := p.SetQuery(6); err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,7 @@ func TestKLargestLyingProver(t *testing.T) {
 	rng := field.NewSplitMix64(212)
 	ups := []stream.Update{{Index: 10, Delta: 1}, {Index: 50, Delta: 1}, {Index: 90, Delta: 1}}
 	v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params)))
+	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params), 0))
 	observeAll(t, v, ups)
 	// Honest 2nd largest is 50. Tamper the claim to 90 (pretending 90 is
 	// the 2nd largest by inventing an entry above it is impossible, so the

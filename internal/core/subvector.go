@@ -19,11 +19,6 @@ import (
 type SubVector struct {
 	F      field.Field
 	Params hashtree.Params
-
-	// Workers is the prover's parallel fan-out: each hash-tree level built
-	// during the conversation is hashed by that many goroutines (0 serial,
-	// n < 0 runtime.NumCPU()). Hashes are bit-identical for every value.
-	Workers int
 }
 
 // NewSubVector returns the protocol for universes of size ≥ u.
@@ -271,18 +266,22 @@ type SubVectorProver struct {
 	proto    *SubVector
 	sk       *hashtree.Skeleton // borrowed read-only
 	tree     *hashtree.IncrementalTree
+	workers  int // the tree's fan-out (hashtree.IncrementalTree.Workers)
 	qL, qR   uint64
 	hasQuery bool
 }
 
 // NewProverFromSkeleton returns a prover over the skeleton of the count
 // vector (hashtree.NewSkeleton over Params.U counts), borrowed read-only.
-// Construction is O(1).
-func (p *SubVector) NewProverFromSkeleton(sk *hashtree.Skeleton) (*SubVectorProver, error) {
+// Construction is O(1). workers is the prover's parallel fan-out: each
+// hash-tree level built during the conversation is hashed by that many
+// goroutines (0 serial, n < 0 runtime.NumCPU()). Hashes are bit-identical
+// for every value.
+func (p *SubVector) NewProverFromSkeleton(sk *hashtree.Skeleton, workers int) (*SubVectorProver, error) {
 	if err := checkSkeleton(sk, p.Params); err != nil {
 		return nil, err
 	}
-	return &SubVectorProver{proto: p, sk: sk}, nil
+	return &SubVectorProver{proto: p, sk: sk, workers: workers}, nil
 }
 
 // checkSkeleton refuses a skeleton of another tree shape than params.
@@ -308,7 +307,7 @@ func (pr *SubVectorProver) Open() (Msg, error) {
 	if !pr.hasQuery {
 		return Msg{}, fmt.Errorf("core: sub-vector query not set")
 	}
-	pr.tree = pr.sk.NewTree(pr.proto.Workers)
+	pr.tree = pr.sk.NewTree(pr.workers)
 	idx, vals := pr.sk.LeavesInRange(pr.qL, pr.qR)
 	var msg Msg
 	msg.Ints = append(msg.Ints, idx...)

@@ -22,10 +22,9 @@ import (
 
 // kindRow is one query kind.
 type kindRow struct {
-	// open instantiates the kind's core/gkr protocol once for
-	// (f, u, p, workers). The protocol constructor's error is the
-	// parameter validation.
-	open func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error)
+	// open instantiates the kind's core/gkr protocol once for (f, u, p).
+	// The protocol constructor's error is the parameter validation.
+	open func(f field.Field, u uint64, p QueryParams) (*instance, error)
 	// combiner is what a core.SplitProver folds the kind's
 	// partials under; nil for a kind outside the seam (ErrNotSplittable),
 	// which is thereby refused without instantiating anything.
@@ -44,7 +43,8 @@ type instance struct {
 	// verifier adopts s, drawn for the row's families, and sets the
 	// query; CIRCUIT's, with no families, draws from rng instead.
 	verifier func(s core.Summary, rng field.RNG) (StreamVerifier, error)
-	// prover borrows a snapshot's maintained tables read-only.
+	// prover borrows a snapshot's maintained tables read-only and fans
+	// out across its dataset's workers.
 	prover func(s *Snapshot) (core.ProverSession, error)
 	// partial is the slice owner's session over [lo, hi), whose opening
 	// ships live pairs only within maxWords words; nil exactly when the
@@ -110,18 +110,19 @@ var kinds = [...]kindRow{
 	QuerySelfJoinSize: fkRow(func(QueryParams) int { return 2 }),
 	QueryFk:           fkRow(paramK),
 	QueryRangeSum: {
-		open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
+		open: func(f field.Field, u uint64, p QueryParams) (*instance, error) {
 			proto, err := core.NewRangeSum(f, u)
 			if err != nil {
 				return nil, err
 			}
-			proto.Workers = workers
 			in := sessions(proto.Adopt,
-				func(s *Snapshot) (*core.RangeSumProver, error) { return proto.NewProverFromTable(s.provedChunks()) },
+				func(s *Snapshot) (*core.RangeSumProver, error) {
+					return proto.NewProverFromTable(s.provedChunks(), s.ds.workers)
+				},
 				func(v *core.RangeSumVerifier) error { return v.SetQuery(p.A, p.B) },
 				func(pr *core.RangeSumProver) error { return pr.SetQuery(p.A, p.B) })
 			in.partial = func(s *Snapshot, lo, hi uint64, maxWords int) (core.ProverSession, error) {
-				return proto.NewPartialProverFromTable(s.provedChunks(), lo, hi, s.Version(), p.A, p.B, maxWords)
+				return proto.NewPartialProverFromTable(s.provedChunks(), lo, hi, s.Version(), p.A, p.B, maxWords, s.ds.workers)
 			}
 			return in, nil
 		},
@@ -132,12 +133,11 @@ var kinds = [...]kindRow{
 			return err
 		}),
 	},
-	QueryRangeQuery: {open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
+	QueryRangeQuery: {open: func(f field.Field, u uint64, p QueryParams) (*instance, error) {
 		proto, err := core.NewRangeQuery(f, u)
 		if err != nil {
 			return nil, err
 		}
-		proto.Workers = workers
 		return sessions(proto.Adopt,
 			treeProver(noTotal(proto.NewProverFromSkeleton)),
 			func(v *core.SubVectorVerifier) error { return v.SetQuery(p.A, p.B) },
@@ -161,12 +161,11 @@ var kinds = [...]kindRow{
 		a.Found = err == nil
 		return err
 	}),
-	QueryHeavyHitters: {open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
+	QueryHeavyHitters: {open: func(f field.Field, u uint64, p QueryParams) (*instance, error) {
 		proto, err := core.NewHeavyHitters(f, u)
 		if err != nil {
 			return nil, err
 		}
-		proto.Workers = workers
 		return sessions(proto.Adopt,
 			treeProver(proto.NewProverFromSkeleton),
 			func(v *core.HeavyHittersVerifier) error { return v.SetQuery(p.Phi) },
@@ -175,24 +174,22 @@ var kinds = [...]kindRow{
 		a.Hitters, a.Int, err = v.Result()
 		return err
 	})},
-	QueryF0: {open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
+	QueryF0: {open: func(f field.Field, u uint64, p QueryParams) (*instance, error) {
 		proto, err := core.NewF0(f, u, p.Phi)
 		if err != nil {
 			return nil, err
 		}
-		proto.Workers = workers
 		return sessions(proto.Adopt,
 			treeProver(proto.NewProverFromSkeleton), nil, nil), nil
 	}, families: core.FamilyPoint | core.FamilyAug, answer: reads(func(v *core.FrequencyBasedVerifier, a *Answer) (err error) {
 		a.Elem, err = v.Result()
 		return err
 	})},
-	QueryFmax: {open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
+	QueryFmax: {open: func(f field.Field, u uint64, p QueryParams) (*instance, error) {
 		proto, err := core.NewFmax(f, u, p.Phi)
 		if err != nil {
 			return nil, err
 		}
-		proto.SetWorkers(workers)
 		return sessions(proto.Adopt,
 			treeProver(proto.NewProverFromSkeleton), nil, nil), nil
 	}, families: core.FamilyTree | core.FamilyPoint | core.FamilyAug, answer: reads(func(v *core.FmaxVerifier, a *Answer) (err error) {
@@ -203,15 +200,15 @@ var kinds = [...]kindRow{
 	// p.A. The circuit reads the field images of the first InputSize
 	// counts (zero-padded if the family's input outgrows the padded
 	// universe).
-	QueryCircuit: {open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
-		proto, err := gkr.NewProtocolFor(f, circuit.Spec{Name: p.Circuit, Arg: p.A}, u, workers)
+	QueryCircuit: {open: func(f field.Field, u uint64, p QueryParams) (*instance, error) {
+		proto, err := gkr.NewProtocolFor(f, circuit.Spec{Name: p.Circuit, Arg: p.A}, u)
 		if err != nil {
 			return nil, err
 		}
 		return &instance{
 			verifier: func(_ core.Summary, rng field.RNG) (StreamVerifier, error) { return proto.NewVerifierSession(rng) },
 			prover: func(s *Snapshot) (core.ProverSession, error) {
-				return proto.NewProverSession(proto.InputFromCounts(s.st.countChunks()))
+				return proto.NewProverSession(proto.InputFromCounts(s.st.countChunks()), s.ds.workers)
 			},
 		}, nil
 	}, answer: reads(func(v *gkr.VerifierSession, a *Answer) (err error) {
@@ -226,18 +223,17 @@ var kinds = [...]kindRow{
 // instead of scanning them.
 func fkRow(k func(QueryParams) int) kindRow {
 	return kindRow{
-		open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
+		open: func(f field.Field, u uint64, p QueryParams) (*instance, error) {
 			proto, err := core.NewFk(f, u, k(p))
 			if err != nil {
 				return nil, err
 			}
-			proto.Workers = workers
 			in := sessions(proto.Adopt,
 				func(s *Snapshot) (*core.FkProver, error) {
-					return proto.NewProverFromTable(s.provedChunks(), s.livePairs)
+					return proto.NewProverFromTable(s.provedChunks(), s.livePairs, s.ds.workers)
 				}, nil, nil)
 			in.partial = func(s *Snapshot, lo, hi uint64, maxWords int) (core.ProverSession, error) {
-				return proto.NewPartialProverFromTable(s.provedChunks(), s.livePairs, lo, hi, s.Version(), maxWords)
+				return proto.NewPartialProverFromTable(s.provedChunks(), s.livePairs, lo, hi, s.Version(), maxWords, s.ds.workers)
 			}
 			return in, nil
 		},
@@ -252,22 +248,23 @@ func fkRow(k func(QueryParams) int) kindRow {
 
 // treeProver is the prover constructor of a hash-tree kind (the
 // SUB-VECTOR family, HEAVY HITTERS, F0 and Fmax): newProver over the
-// snapshot's tree skeleton (Snapshot.skeleton) and its Σδ.
-func treeProver[P any](newProver func(sk *hashtree.Skeleton, total int64) (P, error)) func(*Snapshot) (P, error) {
+// snapshot's tree skeleton (Snapshot.skeleton), its Σδ and its dataset's
+// workers.
+func treeProver[P any](newProver func(sk *hashtree.Skeleton, total int64, workers int) (P, error)) func(*Snapshot) (P, error) {
 	return func(s *Snapshot) (P, error) {
 		sk, err := s.skeleton()
 		if err != nil {
 			var none P
 			return none, err
 		}
-		return newProver(sk, s.Total())
+		return newProver(sk, s.Total(), s.ds.workers)
 	}
 }
 
 // noTotal adapts the constructor of a tree kind without a threshold to
 // treeProver.
-func noTotal[P any](newProver func(*hashtree.Skeleton) (P, error)) func(*hashtree.Skeleton, int64) (P, error) {
-	return func(sk *hashtree.Skeleton, _ int64) (P, error) { return newProver(sk) }
+func noTotal[P any](newProver func(*hashtree.Skeleton, int) (P, error)) func(*hashtree.Skeleton, int64, int) (P, error) {
+	return func(sk *hashtree.Skeleton, _ int64, workers int) (P, error) { return newProver(sk, workers) }
 }
 
 // scalarQuery is a session whose query is one scalar.
@@ -276,9 +273,8 @@ type scalarQuery[A any] interface{ SetQuery(A) error }
 // scalarProto is the shape the five SUB-VECTOR wrappers with a scalar
 // argument share (INDEX, DICTIONARY, PREDECESSOR, SUCCESSOR, k-LARGEST).
 type scalarProto[V, P any] interface {
-	SetWorkers(int)
 	Adopt(core.Summary) V
-	NewProverFromSkeleton(*hashtree.Skeleton) (P, error)
+	NewProverFromSkeleton(*hashtree.Skeleton, int) (P, error)
 }
 
 // scalarRow is their one row constructor: newProto is the wrapper's
@@ -291,12 +287,11 @@ func scalarRow[A any, V interface {
 	core.ProverSession
 	scalarQuery[A]
 }, S scalarProto[V, P]](newProto func(field.Field, uint64) (S, error), arg func(QueryParams) A, read func(V, *Answer) error) kindRow {
-	return kindRow{open: func(f field.Field, u uint64, p QueryParams, workers int) (*instance, error) {
+	return kindRow{open: func(f field.Field, u uint64, p QueryParams) (*instance, error) {
 		proto, err := newProto(f, u)
 		if err != nil {
 			return nil, err
 		}
-		proto.SetWorkers(workers)
 		a := arg(p)
 		return sessions(proto.Adopt,
 			treeProver(noTotal(proto.NewProverFromSkeleton)),
@@ -314,12 +309,12 @@ func lookup(kind QueryKind) (kindRow, error) {
 }
 
 // openKind is lookup plus the row's one instantiation.
-func openKind(f field.Field, u uint64, kind QueryKind, p QueryParams, workers int) (*instance, error) {
+func openKind(f field.Field, u uint64, kind QueryKind, p QueryParams) (*instance, error) {
 	row, err := lookup(kind)
 	if err != nil {
 		return nil, err
 	}
-	return row.open(f, u, p, workers)
+	return row.open(f, u, p)
 }
 
 // seamRow is lookup for the split-universe seam: a known kind outside
@@ -366,7 +361,7 @@ func SplitCombiner(f field.Field, u uint64, kind QueryKind, params QueryParams) 
 	if err != nil {
 		return nil, err
 	}
-	if _, err := row.open(f, u, params, 0); err != nil {
+	if _, err := row.open(f, u, params); err != nil {
 		return nil, err
 	}
 	return row.combiner(params), nil

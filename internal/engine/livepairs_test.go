@@ -599,8 +599,9 @@ func BenchmarkIngestBatch(b *testing.B) {
 
 // BenchmarkF2Conversation prices the prover's side of one SELF-JOIN SIZE
 // conversation at the f2_large shape (u = 2^20, 2^15 unit updates,
-// Workers 2), driven by an unobserved verifier's challenge schedule.
-// hit proves one snapshot over and over, so every conversation finds the
+// Workers 2), driven by an unobserved verifier's challenge schedule; hit
+// and dense also run at Workers 1, so a row's two counts price the
+// sum-check prover's fan-out. hit proves one snapshot over and over, so every conversation finds the
 // version's live-pair index memoized; cold does the same, but each
 // conversation follows a fresh verifier's pass over the 2^15 updates,
 // off the clock, as every f2_large operation does; miss first ingests
@@ -632,22 +633,39 @@ func BenchmarkF2Conversation(b *testing.B) {
 			}
 		}
 	}
-	ds, err := engine.NewDataset(f61, u, 2)
-	if err != nil {
-		b.Fatal(err)
+	// datasets returns one dataset per worker count, 1 and 2, each fed
+	// by ingest.
+	datasets := func(ingest func(*engine.Dataset) error) map[int]*engine.Dataset {
+		out := map[int]*engine.Dataset{}
+		for _, workers := range []int{1, 2} {
+			ds, err := engine.NewDataset(f61, u, workers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := ingest(ds); err != nil {
+				b.Fatal(err)
+			}
+			out[workers] = ds
+		}
+		return out
+	}
+	// snapshotRows proves one snapshot of each dataset over and over.
+	snapshotRows := func(name string, dss map[int]*engine.Dataset) {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
+				snap := dss[workers].Snapshot()
+				converse(snap)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					converse(snap)
+				}
+			})
+		}
 	}
 	ups := stream.UnitIncrements(u, n, field.NewSplitMix64(3301))
-	if err := ds.Ingest(ups); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("hit", func(b *testing.B) {
-		snap := ds.Snapshot()
-		converse(snap)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			converse(snap)
-		}
-	})
+	sparse := datasets(func(ds *engine.Dataset) error { return ds.Ingest(ups) })
+	ds := sparse[2]
+	snapshotRows("hit", sparse)
 	b.Run("cold", func(b *testing.B) {
 		snap := ds.Snapshot()
 		converse(snap)
@@ -679,26 +697,14 @@ func BenchmarkF2Conversation(b *testing.B) {
 			converse(snap)
 		}
 	})
-	dense, err := engine.NewDataset(f61, u, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
 	rng := field.NewSplitMix64(3303)
 	idx, deltas := make([]uint64, u), make([]int64, u)
 	for i := range idx {
 		idx[i], deltas[i] = uint64(i), 1+int64(rng.Uint64()%1000)
 	}
-	if err := dense.IngestColumns(idx, deltas); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("dense", func(b *testing.B) {
-		snap := dense.Snapshot()
-		converse(snap)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			converse(snap)
-		}
-	})
+	denses := datasets(func(ds *engine.Dataset) error { return ds.IngestColumns(idx, deltas) })
+	dense := denses[2]
+	snapshotRows("dense", denses)
 	b.Run("dense-miss", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()

@@ -59,7 +59,7 @@ func (s *Snapshot) NewProver(kind QueryKind, params QueryParams) (core.ProverSes
 		return nil, fmt.Errorf("engine: dataset %q is the slice [%d,%d) of universe %d; whole-transcript provers need the full table",
 			s.ds.name, s.ds.sliceLo, s.ds.sliceHi, s.ds.origU)
 	}
-	in, err := openKind(s.ds.f, s.ds.origU, kind, params, s.ds.workers)
+	in, err := openKind(s.ds.f, s.ds.origU, kind, params)
 	if err != nil {
 		return nil, err
 	}

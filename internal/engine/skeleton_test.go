@@ -127,66 +127,84 @@ func TestSkeletonOncePerVersion(t *testing.T) {
 
 // BenchmarkTreeConversation prices one hash-tree conversation's prover
 // side on an unchanged version, at mixed_small_routed's size: u = 2^14
-// with 1024 light entries of 1–8 and three heavy ones. The challenges
-// are fixed field elements of each round's shape, so the bytes and
-// allocations per op are the prover's alone.
+// with 1024 light entries of 1–8 and three heavy ones. The u=2^20 rows
+// repeat it with 2^15 light entries at Workers 1 and 2: the smallest
+// shape whose level 1 holds enough nodes (2 × parallel.MinGrain) for
+// Extend to fan out. The challenges are fixed field elements of each
+// round's shape, so the bytes and allocations per op are the prover's
+// alone.
 func BenchmarkTreeConversation(b *testing.B) {
-	const u, light = 1 << 14, 1024
-	const bucket = u / light
-	rng := field.NewSplitMix64(3501)
-	var ups []stream.Update
-	for i := range uint64(light) {
-		ups = append(ups, stream.Update{Index: i*bucket + rng.Uint64()%bucket, Delta: 1 + int64(rng.Uint64()%8)})
-	}
-	for i, heavy := range []int64{6 * light, 7 * light, 8 * light} {
-		ups = append(ups, stream.Update{Index: uint64(2*i+1)*bucket + 3, Delta: heavy})
-	}
-	ds, err := engine.NewDataset(f61, u, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := ds.Ingest(ups); err != nil {
-		b.Fatal(err)
-	}
-	snap := ds.Snapshot()
-	const d = 14
-	for _, q := range []struct {
-		name   string
-		kind   engine.QueryKind
-		params engine.QueryParams
-		elems  int // field elements per challenge
+	for _, shape := range []struct {
+		prefix  string
+		d       int
+		light   uint64
+		workers []int
 	}{
-		{"index", engine.QueryIndex, engine.QueryParams{A: 5 * bucket}, 1},
-		{"rangequery", engine.QueryRangeQuery, engine.QueryParams{A: u / 4, B: u/4 + 8*bucket - 1}, 1},
-		{"predecessor", engine.QueryPredecessor, engine.QueryParams{A: u/3 + 1}, 1},
-		{"klargest", engine.QueryKLargest, engine.QueryParams{K: 5}, 1},
-		{"heavyhitters", engine.QueryHeavyHitters, engine.QueryParams{Phi: 0.2}, 2},
+		{"", 14, 1024, []int{0}},
+		{"u=2^20/", 20, 1 << 15, []int{1, 2}},
 	} {
-		challenges := make([]core.Msg, d-1)
-		for j := range challenges {
-			challenges[j] = core.Msg{Elems: f61.RandVec(rng, q.elems)}
+		u := uint64(1) << shape.d
+		bucket := u / shape.light
+		rng := field.NewSplitMix64(3501)
+		var ups []stream.Update
+		for i := range shape.light {
+			ups = append(ups, stream.Update{Index: i*bucket + rng.Uint64()%bucket, Delta: 1 + int64(rng.Uint64()%8)})
 		}
-		converse := func() {
-			p, err := snap.NewProver(q.kind, q.params)
-			if err != nil {
-				b.Fatal(err)
+		for i, heavy := range []uint64{6, 7, 8} {
+			ups = append(ups, stream.Update{Index: uint64(2*i+1)*bucket + 3, Delta: int64(heavy * shape.light)})
+		}
+		for _, q := range []struct {
+			name   string
+			kind   engine.QueryKind
+			params engine.QueryParams
+			elems  int // field elements per challenge
+		}{
+			{"index", engine.QueryIndex, engine.QueryParams{A: 5 * bucket}, 1},
+			{"rangequery", engine.QueryRangeQuery, engine.QueryParams{A: u / 4, B: u/4 + 8*bucket - 1}, 1},
+			{"predecessor", engine.QueryPredecessor, engine.QueryParams{A: u/3 + 1}, 1},
+			{"klargest", engine.QueryKLargest, engine.QueryParams{K: 5}, 1},
+			{"heavyhitters", engine.QueryHeavyHitters, engine.QueryParams{Phi: 0.2}, 2},
+		} {
+			challenges := make([]core.Msg, shape.d-1)
+			for j := range challenges {
+				challenges[j] = core.Msg{Elems: f61.RandVec(rng, q.elems)}
 			}
-			if _, err := p.Open(); err != nil {
-				b.Fatal(err)
-			}
-			for _, ch := range challenges {
-				if _, err := p.Step(ch); err != nil {
+			for _, workers := range shape.workers {
+				ds, err := engine.NewDataset(f61, u, workers)
+				if err != nil {
 					b.Fatal(err)
 				}
+				if err := ds.Ingest(ups); err != nil {
+					b.Fatal(err)
+				}
+				snap := ds.Snapshot()
+				converse := func() {
+					p, err := snap.NewProver(q.kind, q.params)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := p.Open(); err != nil {
+						b.Fatal(err)
+					}
+					for _, ch := range challenges {
+						if _, err := p.Step(ch); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				name := shape.prefix + q.name
+				if len(shape.workers) > 1 {
+					name += fmt.Sprintf("/workers=%d", workers)
+				}
+				b.Run(name, func(b *testing.B) {
+					converse()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for range b.N {
+						converse()
+					}
+				})
 			}
 		}
-		b.Run(q.name, func(b *testing.B) {
-			converse()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for range b.N {
-				converse()
-			}
-		})
 	}
 }

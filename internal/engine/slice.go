@@ -88,7 +88,7 @@ func (s *Snapshot) NewPartialProver(kind QueryKind, params QueryParams, maxWords
 	if err != nil {
 		return nil, err
 	}
-	in, err := row.open(d.f, d.origU, params, d.workers)
+	in, err := row.open(d.f, d.origU, params)
 	if err != nil {
 		return nil, err
 	}

@@ -77,7 +77,7 @@ func (t *Ticket) Spend(kind QueryKind, params QueryParams) (StreamVerifier, erro
 	if row.families&^t.fams != 0 {
 		return nil, fmt.Errorf("%w (kind %d)", ErrTicketFamily, kind)
 	}
-	in, err := row.open(t.f, t.u, params, 0)
+	in, err := row.open(t.f, t.u, params)
 	if err != nil {
 		return nil, err
 	}

@@ -49,7 +49,7 @@ type StreamVerifier interface {
 func NewStreamVerifier(f field.Field, u uint64, kind QueryKind, params QueryParams, rng field.RNG) (StreamVerifier, error) {
 	t, err := NewTicket(f, u, []QueryKind{kind}, rng)
 	if errors.Is(err, ErrTicketCircuit) {
-		in, err := openKind(f, u, kind, params, 0)
+		in, err := openKind(f, u, kind, params)
 		if err != nil {
 			return nil, err
 		}

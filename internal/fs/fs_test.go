@@ -36,7 +36,7 @@ func proveF2(t *testing.T, b fs.Binding, f field.Field, u uint64) (*fs.Proof, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := proto.NewProverFromTable(sumcheck.Flat(counts), nil)
+	p, err := proto.NewProverFromTable(sumcheck.Flat(counts), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func BenchmarkGKRConversation(b *testing.B) {
 	for _, spec := range []circuit.Spec{{Name: circuit.FamilyF2}, {Name: circuit.FamilyMatMul, Arg: 32}} {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", spec.Name, workers), func(b *testing.B) {
-				proto, err := NewProtocolFor(f61, spec, u, workers)
+				proto, err := NewProtocolFor(f61, spec, u)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -38,7 +38,7 @@ func BenchmarkGKRConversation(b *testing.B) {
 						}
 					}
 					b.StartTimer()
-					ps, err := proto.NewProverSession(input)
+					ps, err := proto.NewProverSession(input, workers)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -69,11 +69,6 @@ type Protocol struct {
 	F      field.Field
 	C      *circuit.Circuit
 	Wiring circuit.Wiring
-
-	// Workers sets the prover-side fork–join width (parallel.Workers
-	// semantics: 0 serial, <0 NumCPU). Transcripts are bit-identical for
-	// every value — the same invariant the fixed query kinds enforce.
-	Workers int
 }
 
 // New validates the circuit and returns the protocol. A nil wiring
@@ -97,21 +92,15 @@ func New(f field.Field, c *circuit.Circuit, w circuit.Wiring) (*Protocol, error)
 }
 
 // NewProtocolFor builds the protocol for a named circuit family over a
-// dataset universe of size u with the given prover worker count. The
-// family's input convention follows the engine's padding: the dense
-// element table padded to a power of two, of which the circuit reads the
-// first InputSize entries.
-func NewProtocolFor(f field.Field, spec circuit.Spec, u uint64, workers int) (*Protocol, error) {
+// dataset universe of size u. The family's input convention follows the
+// engine's padding: the dense element table padded to a power of two, of
+// which the circuit reads the first InputSize entries.
+func NewProtocolFor(f field.Field, spec circuit.Spec, u uint64) (*Protocol, error) {
 	c, w, err := circuit.BuildSpec(spec, u)
 	if err != nil {
 		return nil, err
 	}
-	p, err := New(f, c, w)
-	if err != nil {
-		return nil, err
-	}
-	p.Workers = workers
-	return p, nil
+	return New(f, c, w)
 }
 
 // InputFromCounts derives the circuit input from a frequency table held
@@ -156,13 +145,12 @@ func linePoint(f field.Field, dst, x, y []field.Elem, t field.Elem) []field.Elem
 }
 
 // foldAt evaluates the multilinear extension of table at point, binding
-// one variable per pass with the FoldPairs kernel split across workers.
+// one variable per pass with the FoldPairs kernel split across nw workers.
 // src and dst are ping-pong scratch of at least len(table) and
 // len(table)/2 elements: each pass reads one and writes the other, so
 // the chunked FoldPairs calls never overlap, and a caller evaluating
 // many points reuses the same two buffers.
-func foldAt(f field.Field, workers int, table, point, src, dst []field.Elem) field.Elem {
-	nw := parallel.Workers(workers)
+func foldAt(f field.Field, nw int, table, point, src, dst []field.Elem) field.Elem {
 	cur := src[:len(table)]
 	copy(cur, table)
 	for _, r := range point {

@@ -36,7 +36,7 @@ func runF2(t *testing.T, k int, ups []stream.Update, wiring circuit.Wiring, seed
 		}
 		input[up.Index] = f61.Add(input[up.Index], f61.FromInt64(up.Delta))
 	}
-	p, err := proto.NewProverSession(input)
+	p, err := proto.NewProverSession(input, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestGKRWrongStreamRejected(t *testing.T) {
 		input[up.Index] = f61.Add(input[up.Index], f61.FromInt64(up.Delta))
 	}
 	input[3] = f61.Add(input[3], 1) // prover's data differs in one cell
-	p, err := proto.NewProverSession(input)
+	p, err := proto.NewProverSession(input, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestGKRValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := proto.NewProverSession(make([]field.Elem, 3)); err == nil {
+	if _, err := proto.NewProverSession(make([]field.Elem, 3), 0); err == nil {
 		t.Error("short input accepted")
 	}
 	v, err := proto.NewVerifierSession(field.NewSplitMix64(14))
@@ -205,7 +205,7 @@ func TestGKRValidation(t *testing.T) {
 	if _, err := v.Outputs(); err == nil {
 		t.Error("outputs available before acceptance")
 	}
-	p, err := proto.NewProverSession(make([]field.Elem, c.InputSize))
+	p, err := proto.NewProverSession(make([]field.Elem, c.InputSize), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

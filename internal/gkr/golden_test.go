@@ -80,7 +80,7 @@ func TestGKRSpaceWords(t *testing.T) {
 		{circuit.Spec{Name: circuit.FamilyF2}, 36},
 		{circuit.Spec{Name: circuit.FamilyCount}, 27},
 	} {
-		p, err := NewProtocolFor(f61, c.spec, 16, 0)
+		p, err := NewProtocolFor(f61, c.spec, 16)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,9 +27,10 @@ const (
 // from which it evaluates the line restriction and derives each next
 // layer's point without extra messages.
 type ProverSession struct {
-	proto  *Protocol
-	values [][]field.Elem
-	phase  proverPhase
+	proto   *Protocol
+	workers int // the per-gate loops' fan-out, resolved by parallel.Workers
+	values  [][]field.Elem
+	phase   proverPhase
 
 	// Per-layer sum-check state. xs and ys are the bound challenges, x
 	// half then y half; their lengths are the round count. pX starts as
@@ -47,13 +48,15 @@ type ProverSession struct {
 }
 
 // NewProverSession evaluates the circuit on the input and returns the
-// conversation-ready prover.
-func (p *Protocol) NewProverSession(input []field.Elem) (*ProverSession, error) {
-	values, err := p.C.EvaluateWorkers(p.F, input, p.Workers)
+// conversation-ready prover, whose per-gate sum-check loops fan out
+// across workers goroutines (0 serial, n < 0 runtime.NumCPU()).
+// Transcripts are bit-identical for every value.
+func (p *Protocol) NewProverSession(input []field.Elem, workers int) (*ProverSession, error) {
+	values, err := p.C.Evaluate(p.F, input)
 	if err != nil {
 		return nil, err
 	}
-	return &ProverSession{proto: p, values: values}, nil
+	return &ProverSession{proto: p, workers: parallel.Workers(workers), values: values}, nil
 }
 
 // Open produces the opening message: the claimed output vector.
@@ -104,7 +107,7 @@ func (s *ProverSession) startLayer(z []field.Elem) (core.Msg, error) {
 	// The χ̃ table has exactly 2^len(z) = len(gates) entries; it seeds the
 	// per-gate x weights directly (field multiplication is associative and
 	// exact, so folding it in here leaves every message value unchanged).
-	s.pX = expandEq(s.proto.F, z, s.proto.Workers)
+	s.pX = expandEq(s.proto.F, z, s.workers)
 	s.pY = nil
 	s.bX = append([]field.Elem(nil), s.values[s.layer+1]...)
 	s.bY = nil
@@ -114,11 +117,10 @@ func (s *ProverSession) startLayer(z []field.Elem) (core.Msg, error) {
 }
 
 // expandEq builds the table χ̃_o(z) for all o ∈ {0,1}^len(z),
-// least-significant variable first. Each doubling writes two disjoint
-// slots per source entry, so the rounds parallelize without reordering
-// any arithmetic.
-func expandEq(f field.Field, z []field.Elem, workers int) []field.Elem {
-	nw := parallel.Workers(workers)
+// least-significant variable first, across nw workers. Each doubling
+// writes two disjoint slots per source entry, so the rounds parallelize
+// without reordering any arithmetic.
+func expandEq(f field.Field, z []field.Elem, nw int) []field.Elem {
 	table := []field.Elem{1}
 	for t, zt := range z {
 		half := len(table)
@@ -155,9 +157,8 @@ func (s *ProverSession) sumcheckMsg() []field.Elem {
 	// and g(2) (χ(2) = 2) — and the c = 2 table value is 2b − a, so each
 	// gate costs two combiner evaluations and two weight multiplies
 	// instead of three of each plus the per-point χ products.
-	nw := parallel.Workers(s.proto.Workers)
-	partials := make([][3]field.Elem, parallel.ChunksGrain(nw, len(gates), gkrGrain))
-	parallel.ForGrain(nw, len(gates), gkrGrain, func(chunk, lo, hi int) {
+	partials := make([][3]field.Elem, parallel.ChunksGrain(s.workers, len(gates), gkrGrain))
+	parallel.ForGrain(s.workers, len(gates), gkrGrain, func(chunk, lo, hi int) {
 		var acc [3]field.Elem
 		for g := lo; g < hi; g++ {
 			gate := gates[g]
@@ -225,9 +226,8 @@ func (s *ProverSession) bind(r field.Elem) {
 	if !inX {
 		t, weights = len(s.ys), s.pY
 	}
-	nw := parallel.Workers(s.proto.Workers)
 	oneMinusR := f.Sub(1, r)
-	parallel.ForGrain(nw, len(gates), gkrGrain, func(_, lo, hi int) {
+	parallel.ForGrain(s.workers, len(gates), gkrGrain, func(_, lo, hi int) {
 		for g := lo; g < hi; g++ {
 			wire := gates[g].In2
 			if inX {
@@ -260,9 +260,8 @@ func (s *ProverSession) bind(r field.Elem) {
 // kernel; chunks write disjoint destination ranges.
 func (s *ProverSession) foldOnce(table []field.Elem, r field.Elem) []field.Elem {
 	f := s.proto.F
-	nw := parallel.Workers(s.proto.Workers)
 	next := make([]field.Elem, len(table)/2)
-	parallel.ForGrain(nw, len(next), gkrGrain, func(_, lo, hi int) {
+	parallel.ForGrain(s.workers, len(next), gkrGrain, func(_, lo, hi int) {
 		f.FoldPairs(next[lo:hi], table[2*lo:2*hi], r)
 	})
 	return next
@@ -282,7 +281,7 @@ func (s *ProverSession) linePoly() []field.Elem {
 	dst := make([]field.Elem, len(table)/2)
 	for ti := range out {
 		linePoint(f, point, s.xs, s.ys, f.Reduce(uint64(ti)))
-		out[ti] = foldAt(f, s.proto.Workers, table, point, src, dst)
+		out[ti] = foldAt(f, s.workers, table, point, src, dst)
 	}
 	return out
 }

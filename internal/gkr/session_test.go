@@ -88,7 +88,7 @@ func (w vRecorder) Step(m core.Msg) (core.Msg, bool, error)   { return w.r.vStep
 // recorded transcript and the verifier session.
 func runSession(t *testing.T, spec circuit.Spec, u uint64, ups []stream.Update, workers int, seed uint64) (*recorder, *VerifierSession, error) {
 	t.Helper()
-	proto, err := NewProtocolFor(f61, spec, u, workers)
+	proto, err := NewProtocolFor(f61, spec, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func runSession(t *testing.T, spec circuit.Spec, u uint64, ups []stream.Update, 
 			t.Fatal(err)
 		}
 	}
-	ps, err := proto.NewProverSession(sessionInput(t, proto, ups, u))
+	ps, err := proto.NewProverSession(sessionInput(t, proto, ups, u), workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSessionTamperRejected(t *testing.T) {
 	const u = 64
 	ups := sessionUps(u, 100, 11)
 	for _, spec := range sessionSpecs {
-		proto, err := NewProtocolFor(f61, spec, u, 0)
+		proto, err := NewProtocolFor(f61, spec, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestSessionTamperRejected(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ps, err := proto.NewProverSession(sessionInput(t, proto, ups, u))
+			ps, err := proto.NewProverSession(sessionInput(t, proto, ups, u), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +269,7 @@ func TestSessionInputMismatchRejected(t *testing.T) {
 	const u = 128
 	ups := sessionUps(u, 80, 21)
 	for _, spec := range sessionSpecs {
-		proto, err := NewProtocolFor(f61, spec, u, 0)
+		proto, err := NewProtocolFor(f61, spec, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestSessionInputMismatchRejected(t *testing.T) {
 		if err := vs.Observe(stream.Update{Index: 5, Delta: 1}); err != nil {
 			t.Fatal(err)
 		}
-		ps, err := proto.NewProverSession(sessionInput(t, proto, ups, u))
+		ps, err := proto.NewProverSession(sessionInput(t, proto, ups, u), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -98,7 +98,7 @@ func (v *VerifierSession) Begin(opening core.Msg) (core.Msg, bool, error) {
 		return core.Msg{}, false, err
 	}
 	v.outs = append([]field.Elem(nil), outs...)
-	v.claim = foldAt(v.proto.F, 0, outs, v.zs[0], make([]field.Elem, len(outs)), make([]field.Elem, len(outs)/2))
+	v.claim = foldAt(v.proto.F, 1, outs, v.zs[0], make([]field.Elem, len(outs)), make([]field.Elem, len(outs)/2))
 	return core.Msg{Elems: append([]field.Elem(nil), v.zs[0]...)}, false, nil
 }
 

@@ -144,7 +144,6 @@ func F2OneRound(f field.Field, u uint64, maxDelta int64, seed uint64, workers in
 	if err != nil {
 		return F2Row{}, err
 	}
-	proto.Workers = workers
 	gen := field.NewSplitMix64(seed)
 	ups := stream.UniformDeltas(proto.U, maxDelta, gen)
 	v := proto.NewVerifier(field.NewSplitMix64(seed + 1))
@@ -164,7 +163,7 @@ func F2OneRound(f field.Field, u uint64, maxDelta int64, seed uint64, workers in
 	}
 
 	t1 := time.Now()
-	proof := p.Prove()
+	proof := p.Prove(workers)
 	proveTime := time.Since(t1)
 	t2 := time.Now()
 	_, err = v.Verify(proof)
@@ -466,7 +465,7 @@ func BranchingSweep(f field.Field, u uint64, ells []int, seed uint64) ([]Branchi
 		if err != nil {
 			return nil, err
 		}
-		p, err := proto.NewProverFromTable(sumcheck.Flat(counts), nil)
+		p, err := proto.NewProverFromTable(sumcheck.Flat(counts), nil, 0)
 		if err != nil {
 			return nil, err
 		}

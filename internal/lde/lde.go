@@ -20,7 +20,6 @@ import (
 	"math/bits"
 
 	"repro/internal/field"
-	"repro/internal/parallel"
 )
 
 // Params fixes the (ℓ, d) decomposition of a universe: u = ℓ^d.
@@ -286,24 +285,19 @@ func (e *Evaluator) Point() *Point { return e.pt }
 // the paper's units: the d coordinates of r plus the running value.
 func (e *Evaluator) SpaceWords() int { return e.pt.Params.D + 1 }
 
-// EvalDenseWorkers evaluates f_a(r) from an explicit table of all u
-// entries by folding one dimension at a time: O(u) field operations
-// total, the prover-side (and test oracle) counterpart of the streaming
-// evaluator. The fold of each dimension fans out across a worker pool
-// (workers ≤ 0 follows the parallel.Workers convention; 1 is serial).
-// Each worker folds a contiguous block of the output table,
-// so the result is bit-identical to the serial evaluation for every worker
-// count — field arithmetic is exact and blocks are disjoint.
-func EvalDenseWorkers(pt *Point, table []field.Elem, workers int) (field.Elem, error) {
+// EvalDense evaluates f_a(r) from an explicit table of all u entries by
+// folding one dimension at a time: O(u) field operations total, the
+// dense-table oracle the streaming evaluator and the provers are checked
+// against.
+func EvalDense(pt *Point, table []field.Elem) (field.Elem, error) {
 	params := pt.Params
 	if uint64(len(table)) != params.U {
 		return 0, fmt.Errorf("lde: table has %d entries, want %d", len(table), params.U)
 	}
-	nw := parallel.Workers(workers)
 	ell := params.Ell
 	f := pt.F
 	if ell == 2 {
-		return evalDenseBlocked(pt, table, nw), nil
+		return evalDenseBlocked(pt, table), nil
 	}
 	cur := append([]field.Elem(nil), table...)
 	scratch := make([]field.Elem, len(cur)/ell)
@@ -311,17 +305,9 @@ func EvalDenseWorkers(pt *Point, table []field.Elem, workers int) (field.Elem, e
 		size := len(cur) / ell
 		next := scratch[:size]
 		chi := pt.tab[j*ell : (j+1)*ell]
-		// Each index costs ℓ field ops; scale the grain so large-ℓ
-		// decompositions with few indices still fan out.
-		grain := parallel.MinGrain / ell
-		if grain < 1 {
-			grain = 1
+		for w := range next {
+			next[w] = f.DotSlices(chi, cur[w*ell:(w+1)*ell])
 		}
-		parallel.ForGrain(nw, size, grain, func(_, lo, hi int) {
-			for w := lo; w < hi; w++ {
-				next[w] = f.DotSlices(chi, cur[w*ell:(w+1)*ell])
-			}
-		})
 		// Ping-pong the buffers; cur always has capacity ≥ size/ell.
 		cur, scratch = next, cur
 	}
@@ -340,8 +326,8 @@ const evalDenseLg = 12
 // memory only ⌈d/b⌉ times. Every output element is the same expression
 // the one-dimension-at-a-time fold computes (FoldPairs over the same
 // pairs with the same challenges, merely scheduled block-first), so the
-// result is bit-identical for every worker count and block size.
-func evalDenseBlocked(pt *Point, table []field.Elem, nw int) field.Elem {
+// result is bit-identical for every block size.
+func evalDenseBlocked(pt *Point, table []field.Elem) field.Elem {
 	f := pt.F
 	cur := table // read-only view; first pass writes to a fresh slice
 	j := 0
@@ -353,27 +339,19 @@ func evalDenseBlocked(pt *Point, table []field.Elem, nw int) field.Elem {
 		size := len(cur) >> uint(b)
 		next := make([]field.Elem, size)
 		rs := pt.R[j : j+b]
-		// One output element costs 2^b fold ops; scale the grain down so
-		// the pass still fans out when few blocks remain.
-		grain := parallel.MinGrain >> uint(b)
-		if grain < 1 {
-			grain = 1
-		}
-		parallel.ForGrain(nw, size, grain, func(_, lo, hi int) {
-			buf := make([]field.Elem, 1<<uint(b-1))
-			for g := lo; g < hi; g++ {
-				blk := cur[g<<uint(b) : (g+1)<<uint(b)]
-				half := len(blk) / 2
-				f.FoldPairs(buf[:half], blk, rs[0])
-				for _, r := range rs[1:] {
-					half /= 2
-					// In-place: dst aliases the front half of src, which
-					// FoldPairs supports.
-					f.FoldPairs(buf[:half], buf[:2*half], r)
-				}
-				next[g] = buf[0]
+		buf := make([]field.Elem, 1<<uint(b-1))
+		for g := range next {
+			blk := cur[g<<uint(b) : (g+1)<<uint(b)]
+			half := len(blk) / 2
+			f.FoldPairs(buf[:half], blk, rs[0])
+			for _, r := range rs[1:] {
+				half /= 2
+				// In-place: dst aliases the front half of src, which
+				// FoldPairs supports.
+				f.FoldPairs(buf[:half], buf[:2*half], r)
 			}
-		})
+			next[g] = buf[0]
+		}
 		cur = next
 		j += b
 	}

@@ -126,7 +126,7 @@ func TestLDEAgreesOnHypercube(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := EvalDenseWorkers(pt, table, 1)
+			got, err := EvalDense(pt, table)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func TestStreamingMatchesDense(t *testing.T) {
 		for i, v := range a {
 			table[i] = f61.FromInt64(v)
 		}
-		want, err := EvalDenseWorkers(pt, table, 1)
+		want, err := EvalDense(pt, table)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func checkRangeIndicator(t *testing.T, pt *Point, qL, qR uint64) {
 	for i := qL; i <= qR; i++ {
 		table[i] = 1
 	}
-	want, err := EvalDenseWorkers(pt, table, 1)
+	want, err := EvalDense(pt, table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestChiOfIndexMatchesDense(t *testing.T) {
 				}
 				table := make([]field.Elem, params.U)
 				table[i] = s
-				want, err := EvalDenseWorkers(pt, table, 1)
+				want, err := EvalDense(pt, table)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -369,7 +369,7 @@ func TestNewPointValidation(t *testing.T) {
 	if _, err := NewPoint(f61, params, make([]field.Elem, 3)); err == nil {
 		t.Error("wrong-length point accepted")
 	}
-	if _, err := EvalDenseWorkers(RandomPoint(f61, params, field.NewSplitMix64(1)), make([]field.Elem, 5), 1); err == nil {
+	if _, err := EvalDense(RandomPoint(f61, params, field.NewSplitMix64(1)), make([]field.Elem, 5)); err == nil {
 		t.Error("wrong-length table accepted")
 	}
 }
@@ -399,6 +399,36 @@ func BenchmarkRangeIndicatorD30(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := EvalRangeIndicator(pt, 12345, params.U-999); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestChiTablesMatchesAllChi: the batched builder must agree with the
+// one-point builder at nodes and non-nodes alike.
+func TestChiTablesMatchesAllChi(t *testing.T) {
+	f := field.Mersenne()
+	for _, ell := range []int{2, 3, 5, 16} {
+		w := BasisWeights(f, ell)
+		xs := []field.Elem{0, 1, field.Elem(ell - 1), field.Elem(ell), 12345, f.Reduce(^uint64(0))}
+		tables := ChiTables(f, w, xs)
+		if len(tables) != len(xs) {
+			t.Fatalf("ell=%d: %d tables for %d points", ell, len(tables), len(xs))
+		}
+		for i, x := range xs {
+			want := AllChi(f, w, x)
+			for k := range want {
+				if tables[i][k] != want[k] {
+					t.Fatalf("ell=%d x=%d: ChiTables[%d][%d] = %d, want %d", ell, x, i, k, tables[i][k], want[k])
+				}
+			}
+		}
+		// Rows must be independent storage: writing one must not leak.
+		if len(tables) >= 2 {
+			tables[0][0] = 99
+			want := AllChi(f, w, xs[1])
+			if tables[1][0] != want[0] {
+				t.Fatalf("ell=%d: ChiTables rows alias each other", ell)
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package parallel provides the deterministic fork–join primitives behind
-// the prover-side hot paths. The prover work in every protocol of
-// Cormode–Thaler–Yi — dense LDE evaluation, per-round sum-check messages,
-// table folding, hash-tree levels — is a reduction over a large contiguous
+// the prover-side hot paths. The prover work in the protocols of
+// Cormode–Thaler–Yi — per-round sum-check messages, table folding,
+// hash-tree levels, GKR gate loops — is a reduction over a large contiguous
 // table, which makes it embarrassingly parallel: the table is split into
 // contiguous chunks, each chunk is processed by one goroutine, and the
 // per-chunk partial results are combined in chunk order. Because all field
@@ -23,8 +23,7 @@ const MinGrain = 1 << 11
 
 // Workers resolves a worker-count option shared by every prover in this
 // repository: n > 0 is used as given, n == 0 selects the serial path (one
-// worker, the default — existing callers keep their exact behavior), and
-// n < 0 selects runtime.NumCPU().
+// worker, the default), and n < 0 selects runtime.NumCPU().
 func Workers(n int) int {
 	switch {
 	case n > 0:

@@ -349,7 +349,7 @@ func (p *proxyConn) splitChannel(typ byte, id uint32, body []byte) error {
 	// snapshots the batches this connection had acknowledged when the
 	// query arrived (see openConvs).
 	open := func() (*core.SplitProver, error) {
-		return core.NewSplitProver(field.Mersenne(), a.u, comb, 0, func() ([]core.SplitOwner, error) {
+		return core.NewSplitProver(field.Mersenne(), a.u, comb, func() ([]core.SplitOwner, error) {
 			return a.openConvs(kind, params)
 		})
 	}

@@ -91,7 +91,7 @@ func TestParallelProverAccepted(t *testing.T) {
 	for _, workers := range []int{0, 4, -1} {
 		cfg := Config{Field: f, Params: params, Combiner: Power{K: 2}, Workers: workers}
 		pt := lde.RandomPoint(f, params, rng)
-		val, err := lde.EvalDenseWorkers(pt, table, workers)
+		val, err := lde.EvalDense(pt, table)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -210,7 +210,7 @@ func TestPartialVerifierAccepts(t *testing.T) {
 	table := buildTable(t, f61, ups, params.U)
 	cfg := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
 	pt := lde.RandomPoint(f61, params, field.NewSplitMix64(23))
-	ev, err := lde.EvalDenseWorkers(pt, table, 1)
+	ev, err := lde.EvalDense(pt, table)
 	if err != nil {
 		t.Fatal(err)
 	}

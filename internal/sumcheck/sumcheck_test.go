@@ -128,7 +128,7 @@ func runProtocol(t *testing.T, cfg Config, rng field.RNG, tables ...[]field.Elem
 	pt := lde.RandomPoint(cfg.Field, cfg.Params, rng)
 	vals := make([]field.Elem, len(tables))
 	for i, tab := range tables {
-		v, err := lde.EvalDenseWorkers(pt, tab, 1)
+		v, err := lde.EvalDense(pt, tab)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestSoundnessLyingClaim(t *testing.T) {
 	table := buildTable(t, f61, ups, params.U)
 	cfg := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
 	pt := lde.RandomPoint(f61, params, rng)
-	val, err := lde.EvalDenseWorkers(pt, table, 1)
+	val, err := lde.EvalDense(pt, table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestSoundnessTamperedMessages(t *testing.T) {
 			ups := stream.UniformDeltas(params.U, 100, rng)
 			table := buildTable(t, f61, ups, params.U)
 			pt := lde.RandomPoint(f61, params, rng)
-			val, err := lde.EvalDenseWorkers(pt, table, 1)
+			val, err := lde.EvalDense(pt, table)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,7 +368,7 @@ func TestSoundnessModifiedStream(t *testing.T) {
 	modified := buildTable(t, f61, ups[:len(ups)-1], params.U)
 	cfg := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
 	pt := lde.RandomPoint(f61, params, rng)
-	val, err := lde.EvalDenseWorkers(pt, table, 1)
+	val, err := lde.EvalDense(pt, table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestSoundnessRateSmallField(t *testing.T) {
 			table[i] = small.FromInt64(v)
 		}
 		pt := lde.RandomPoint(small, params, rng)
-		val, err := lde.EvalDenseWorkers(pt, table, 1)
+		val, err := lde.EvalDense(pt, table)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -695,7 +695,7 @@ func BenchmarkProverF2(b *testing.B) {
 			}
 			cfg := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
 			pt := lde.RandomPoint(f61, params, rng)
-			val, err := lde.EvalDenseWorkers(pt, table, 1)
+			val, err := lde.EvalDense(pt, table)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -95,7 +95,7 @@ func TestWireSplitPartialConversations(t *testing.T) {
 		refMsgs := conformance.Converse(t, refProver, verifier())
 
 		convs := make([]*PartialConv, s)
-		split, err := core.NewSplitProver(f61, u, comb, 0, func() ([]core.SplitOwner, error) {
+		split, err := core.NewSplitProver(f61, u, comb, func() ([]core.SplitOwner, error) {
 			owners := make([]core.SplitOwner, s)
 			for k, c := range clients {
 				conv, err := c.PartialQuery(tc.Kind, tc.Params)

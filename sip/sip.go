@@ -62,8 +62,12 @@
 //
 // The prover is the expensive party (Θ(u log u)-ish field work), and
 // its table scans are embarrassingly parallel. A dataset's workers
-// argument sets the fan-out: 0 proves serially, n > 0 fans each scan out
-// across n goroutines, and -1 selects runtime.NumCPU(). Because all
+// argument sets the fan-out of every prover it builds: 0 proves
+// serially, n > 0 fans each scan out across n goroutines, and -1
+// selects runtime.NumCPU(). The scans that fan out are the sum-check
+// prover's rounds, the hash tree's levels, the GKR prover's per-gate
+// loops and the dataset's live-pair scan; circuit evaluation is serial.
+// Because all
 // arithmetic is exact field arithmetic combined in deterministic chunk
 // order, the transcript — every message, every claim — is bit-identical
 // for every worker count; only wall-clock time changes. The verifier's
