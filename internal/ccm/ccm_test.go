@@ -2,6 +2,7 @@ package ccm
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/field"
@@ -195,5 +196,28 @@ func TestProveWorkersIdentical(t *testing.T) {
 		if _, err := v.Verify(got); err != nil {
 			t.Fatalf("workers=%d: parallel proof rejected: %v", workers, err)
 		}
+	}
+}
+
+// BenchmarkProve prices the one-round prover at u = 2^16 (ℓ = 256) with
+// Workers 1 and 2, so the two rows price its fan-out over tiles of
+// evaluation points.
+func BenchmarkProve(b *testing.B) {
+	proto, err := New(f61, 1<<16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := proto.NewProver()
+	for _, up := range stream.UniformDeltas(proto.U, 1<<12, field.NewSplitMix64(73)) {
+		if err := p.Observe(up.Index, up.Delta); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p.Prove(workers)
+			}
+		})
 	}
 }

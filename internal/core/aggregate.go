@@ -184,12 +184,12 @@ type InnerProductProver struct {
 
 // NewProverFromTables returns a prover over the aggregated tables of
 // streams A and B (field images, length Params.U each), borrowed
-// read-only; see Fk.NewProverFromTable.
-func (p *InnerProduct) NewProverFromTables(a, b []field.Elem, workers int) (*InnerProductProver, error) {
+// read-only; see Fk.NewProverFromTable. The prover is serial.
+func (p *InnerProduct) NewProverFromTables(a, b []field.Elem) (*InnerProductProver, error) {
 	if err := checkTables(p.Params.U, a, b); err != nil {
 		return nil, err
 	}
-	return &InnerProductProver{scProver: scProver{workers: workers}, proto: p, tables: [2][]field.Elem{a, b}}, nil
+	return &InnerProductProver{proto: p, tables: [2][]field.Elem{a, b}}, nil
 }
 
 // Open computes the claimed inner product and round-1 polynomial.

@@ -190,7 +190,7 @@ func TestInnerProductEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := must(proto.NewProverFromTables(elemsOf(t, upsA, proto.Params.U), elemsOf(t, upsB, proto.Params.U), 0))
+	p := must(proto.NewProverFromTables(elemsOf(t, upsA, proto.Params.U), elemsOf(t, upsB, proto.Params.U)))
 	if _, err := Run(p, v); err != nil {
 		t.Fatalf("inner product rejected: %v", err)
 	}

@@ -58,7 +58,7 @@ func TestPolarizationIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := must(ipProto.NewProverFromTables(elemsOf(t, upsA, u), elemsOf(t, upsB, u), 0))
+	p := must(ipProto.NewProverFromTables(elemsOf(t, upsA, u), elemsOf(t, upsB, u)))
 	if _, err := Run(p, v); err != nil {
 		t.Fatalf("inner product rejected: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestRangeSumEqualsInnerProduct(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ipP := must(ipProto.NewProverFromTables(elemsOf(t, ups, u), elemsOf(t, indicator, u), 0))
+	ipP := must(ipProto.NewProverFromTables(elemsOf(t, ups, u), elemsOf(t, indicator, u)))
 	if _, err := Run(ipP, ipV); err != nil {
 		t.Fatalf("inner product rejected: %v", err)
 	}

@@ -76,7 +76,7 @@ func TestFromStateLengthValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ip.NewProverFromTables(make([]field.Elem, u), short, 0); err == nil {
+	if _, err := ip.NewProverFromTables(make([]field.Elem, u), short); err == nil {
 		t.Error("InnerProduct accepted a short table")
 	}
 }

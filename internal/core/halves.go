@@ -105,9 +105,8 @@ type scProver struct {
 	// prover opens over: a memo shared by every prover of one table
 	// version, with the opening it carries. nil scans them at open.
 	live func() sumcheck.LivePairs
-	// workers is the sum-check prover's parallel fan-out, which
-	// openTables sets in its Config (sumcheck.Config.Workers); a
-	// PartialProver's own Config carries it instead.
+	// workers is the sum-check prover's parallel fan-out, which the
+	// prover sets in its Config (sumcheck.Config.Workers) when it opens.
 	workers int
 }
 

@@ -89,7 +89,7 @@ func TestSumcheckHalvesContract(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				return must(ip.NewProverFromTables(ta, tb, 0)), v
+				return must(ip.NewProverFromTables(ta, tb)), v
 			},
 			answer: result, want: ipWant,
 		},

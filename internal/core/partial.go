@@ -59,7 +59,7 @@ var ErrSplitVersion = errors.New("core: split slices disagree on dataset version
 // emits its leaves instead of a round message.
 type PartialProver struct {
 	scProver
-	cfg      sumcheck.Config // global configuration with the prover's fan-out; Params span the full universe
+	cfg      sumcheck.Config // global configuration; Params span the full universe
 	lo, hi   uint64
 	tables   []sumcheck.Counts // slice subtables, borrowed read-only
 	version  uint64
@@ -77,8 +77,7 @@ func newPartialProver(cfg sumcheck.Config, live func() sumcheck.LivePairs, lo, h
 			return nil, fmt.Errorf("core: slice table %d has %d entries, want %d", t, tab.Len(), sp.U)
 		}
 	}
-	cfg.Workers = workers
-	return &PartialProver{scProver: scProver{live: live}, cfg: cfg, lo: lo, hi: hi, tables: tables, version: version, headD: sp.D, maxWords: maxWords}, nil
+	return &PartialProver{scProver: scProver{live: live, workers: workers}, cfg: cfg, lo: lo, hi: hi, tables: tables, version: version, headD: sp.D, maxWords: maxWords}, nil
 }
 
 // NewPartialProverFromTable returns the slice-owner session for the
@@ -117,11 +116,13 @@ func (p *RangeSum) NewPartialProverFromTable(table sumcheck.Counts, lo, hi, vers
 // scan's opening, copied into the message, within maxWords (see the
 // message shapes above).
 func (pr *PartialProver) Open() (Msg, error) {
-	sc, err := sumcheck.NewPartialProver(pr.cfg, pr.lo, pr.hi, livePairs(&pr.scProver, pr.cfg, pr.tables), pr.tables...)
+	cfg := pr.cfg
+	cfg.Workers = pr.workers
+	sc, err := sumcheck.NewPartialProver(cfg, pr.lo, pr.hi, livePairs(&pr.scProver, cfg, pr.tables), pr.tables...)
 	if err != nil {
 		return Msg{}, err
 	}
-	m, err := pr.start(pr.cfg, sc)
+	m, err := pr.start(cfg, sc)
 	if err != nil {
 		return Msg{}, err
 	}

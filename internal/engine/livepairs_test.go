@@ -565,6 +565,33 @@ func BenchmarkVersion(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveScan prices the live-pair index of a version whose every
+// chunk is new, at Workers 1 and 2: each op adds the same 2^15-update
+// batch at u = 2^20, off the clock, which copies all 256 chunks and
+// keeps the live entries as they were, and then builds the new
+// version's index, whose chunk memos fan out.
+func BenchmarkLiveScan(b *testing.B) {
+	const u, n = 1 << 20, 1 << 15
+	idx, deltas := columns(stream.UnitIncrements(u, n, field.NewSplitMix64(3502)))
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			ds, err := engine.NewDataset(f61, u, workers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := ds.IngestColumns(idx, deltas); err != nil {
+					b.Fatal(err)
+				}
+				snap := ds.Snapshot()
+				b.StartTimer()
+				engine.LivePairsOf(snap)
+			}
+		})
+	}
+}
+
 // BenchmarkIngestBatch prices the write side at the ingest_evict shape:
 // one 2^15-update batch at u = 2^18 through IngestColumns onto a sealed
 // head, so each op copies the 64 chunks the batch writes and applies it
@@ -599,9 +626,10 @@ func BenchmarkIngestBatch(b *testing.B) {
 
 // BenchmarkF2Conversation prices the prover's side of one SELF-JOIN SIZE
 // conversation at the f2_large shape (u = 2^20, 2^15 unit updates,
-// Workers 2), driven by an unobserved verifier's challenge schedule; hit
-// and dense also run at Workers 1, so a row's two counts price the
-// sum-check prover's fan-out. hit proves one snapshot over and over, so every conversation finds the
+// Workers 2), driven by an unobserved verifier's challenge schedule;
+// every row but cold also runs at Workers 1, so hit's and dense's two
+// counts price the sum-check prover's fan-out, and miss's that plus the
+// live-pair index's. hit proves one snapshot over and over, so every conversation finds the
 // version's live-pair index memoized; cold does the same, but each
 // conversation follows a fresh verifier's pass over the 2^15 updates,
 // off the clock, as every f2_large operation does; miss first ingests
@@ -662,6 +690,25 @@ func BenchmarkF2Conversation(b *testing.B) {
 			})
 		}
 	}
+	// missRows first ingests one update into each dataset, off the
+	// clock, so that every conversation is the first on a new version.
+	missRows := func(name string, dss map[int]*engine.Dataset) {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
+				ds := dss[workers]
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					// +1 and −1 in turn: a new version each time, the data periodic.
+					if err := ds.Ingest([]stream.Update{{Index: 0, Delta: 1 - 2*int64(i%2)}}); err != nil {
+						b.Fatal(err)
+					}
+					snap := ds.Snapshot()
+					b.StartTimer()
+					converse(snap)
+				}
+			})
+		}
+	}
 	ups := stream.UnitIncrements(u, n, field.NewSplitMix64(3301))
 	sparse := datasets(func(ds *engine.Dataset) error { return ds.Ingest(ups) })
 	ds := sparse[2]
@@ -685,35 +732,13 @@ func BenchmarkF2Conversation(b *testing.B) {
 			converse(snap)
 		}
 	})
-	b.Run("miss", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			// +1 and −1 in turn: a new version each time, the data periodic.
-			if err := ds.Ingest([]stream.Update{{Index: 0, Delta: 1 - 2*int64(i%2)}}); err != nil {
-				b.Fatal(err)
-			}
-			snap := ds.Snapshot()
-			b.StartTimer()
-			converse(snap)
-		}
-	})
+	missRows("miss", sparse)
 	rng := field.NewSplitMix64(3303)
 	idx, deltas := make([]uint64, u), make([]int64, u)
 	for i := range idx {
 		idx[i], deltas[i] = uint64(i), 1+int64(rng.Uint64()%1000)
 	}
 	denses := datasets(func(ds *engine.Dataset) error { return ds.IngestColumns(idx, deltas) })
-	dense := denses[2]
 	snapshotRows("dense", denses)
-	b.Run("dense-miss", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			if err := dense.Ingest([]stream.Update{{Index: 0, Delta: 1 - 2*int64(i%2)}}); err != nil {
-				b.Fatal(err)
-			}
-			snap := dense.Snapshot()
-			b.StartTimer()
-			converse(snap)
-		}
-	})
+	missRows("dense-miss", denses)
 }

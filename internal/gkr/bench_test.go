@@ -12,13 +12,22 @@ import (
 // BenchmarkGKRConversation times one CIRCUIT conversation at u = 2^14:
 // the prover's circuit evaluation and every layer's sum-check and line,
 // against a verifier that has already streamed the input (its pass is
-// outside the timer).
+// outside the timer). F2 also runs at u = 2^16, where each layer holds
+// four times the gates; MATMUL-32's circuit does not grow with u.
 func BenchmarkGKRConversation(b *testing.B) {
-	const u = 1 << 14
-	ups := sessionUps(u, u, 99)
-	for _, spec := range []circuit.Spec{{Name: circuit.FamilyF2}, {Name: circuit.FamilyMatMul, Arg: 32}} {
+	for _, shape := range []struct {
+		name string
+		spec circuit.Spec
+		u    uint64
+	}{
+		{"F2", circuit.Spec{Name: circuit.FamilyF2}, 1 << 14},
+		{"MATMUL", circuit.Spec{Name: circuit.FamilyMatMul, Arg: 32}, 1 << 14},
+		{"F2/u=2^16", circuit.Spec{Name: circuit.FamilyF2}, 1 << 16},
+	} {
+		spec, u := shape.spec, shape.u
+		ups := sessionUps(u, int(u), 99)
 		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/workers=%d", spec.Name, workers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/workers=%d", shape.name, workers), func(b *testing.B) {
 				proto, err := NewProtocolFor(f61, spec, u)
 				if err != nil {
 					b.Fatal(err)

@@ -67,11 +67,11 @@
 // selects runtime.NumCPU(). The scans that fan out are the sum-check
 // prover's rounds, the hash tree's levels, the GKR prover's per-gate
 // loops and the dataset's live-pair scan; circuit evaluation is serial.
-// Because all
-// arithmetic is exact field arithmetic combined in deterministic chunk
-// order, the transcript — every message, every claim — is bit-identical
-// for every worker count; only wall-clock time changes. The verifier's
-// costs are already logarithmic and are unaffected.
+// Because all arithmetic is exact field arithmetic combined in
+// deterministic chunk order, the transcript — every message, every
+// claim — is bit-identical for every worker count; only wall-clock time
+// changes. The verifier's costs are already logarithmic and are
+// unaffected.
 //
 // Over the wire, conversations are multiplexed: each query runs on its
 // own channel of the connection in its own server goroutine against its
