@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/field"
@@ -48,71 +50,52 @@ func runHeavyHitters(t *testing.T, u uint64, ups []stream.Update, phi float64, s
 	return hh, thr, stats, err
 }
 
+// TestHeavyHittersEndToEnd: the verified heavy hitters are the items
+// whose count reaches the threshold, on a skewed stream at three φ, a
+// flat stream with none, one dominating item and an empty stream.
 func TestHeavyHittersEndToEnd(t *testing.T) {
-	const u = 1 << 10
-	rng := field.NewSplitMix64(301)
-	ups, err := stream.Zipf(u, 20000, 1.1, rng)
+	zipf, err := stream.Zipf(1<<10, 20000, 1.1, field.NewSplitMix64(301))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, phi := range []float64{0.01, 0.05, 0.2} {
-		hh, thr, _, err := runHeavyHitters(t, u, ups, phi, 302)
-		if err != nil {
-			t.Fatalf("φ=%v rejected: %v", phi, err)
-		}
-		want := refHeavyHitters(t, ups, u, thr)
-		if len(hh) != len(want) {
-			t.Fatalf("φ=%v: %d heavy hitters, want %d", phi, len(hh), len(want))
-		}
-		for i := range want {
-			if hh[i] != want[i] {
-				t.Fatalf("φ=%v hitter %d: %+v, want %+v", phi, i, hh[i], want[i])
-			}
-		}
+	var flat []stream.Update // every item once, none reaching φn
+	for i := uint64(0); i < 256; i++ {
+		flat = append(flat, stream.Update{Index: i, Delta: 1})
 	}
-}
-
-func TestHeavyHittersNoHeavyItems(t *testing.T) {
-	const u = 256
-	// Perfectly flat stream: every item occurs once, none reaches φn.
-	var ups []stream.Update
-	for i := uint64(0); i < u; i++ {
-		ups = append(ups, stream.Update{Index: i, Delta: 1})
-	}
-	hh, thr, _, err := runHeavyHitters(t, u, ups, 0.05, 303)
-	if err != nil {
-		t.Fatalf("rejected: %v", err)
-	}
-	if thr != 13 { // ceil(0.05·256)
-		t.Fatalf("threshold = %d, want 13", thr)
-	}
-	if len(hh) != 0 {
-		t.Fatalf("expected no heavy hitters, got %+v", hh)
-	}
-}
-
-func TestHeavyHittersSingleDominator(t *testing.T) {
-	const u = 128
-	ups := []stream.Update{{Index: 77, Delta: 1000}}
+	dominator := []stream.Update{{Index: 77, Delta: 1000}}
 	for i := uint64(0); i < 50; i++ {
-		ups = append(ups, stream.Update{Index: i, Delta: 1})
+		dominator = append(dominator, stream.Update{Index: i, Delta: 1})
 	}
-	hh, _, _, err := runHeavyHitters(t, u, ups, 0.5, 304)
-	if err != nil {
-		t.Fatalf("rejected: %v", err)
+	cases := []struct {
+		name string
+		u    uint64
+		ups  []stream.Update
+		phi  float64
+		want int // heavy hitters
+	}{
+		{"zipf/0.01", 1 << 10, zipf, 0.01, -1},
+		{"zipf/0.05", 1 << 10, zipf, 0.05, -1},
+		{"zipf/0.2", 1 << 10, zipf, 0.2, -1},
+		{"flat", 256, flat, 0.05, 0},
+		{"dominator", 128, dominator, 0.5, 1},
+		{"empty", 64, nil, 0.1, 0},
 	}
-	if len(hh) != 1 || hh[0].Index != 77 || hh[0].Count != 1000 {
-		t.Fatalf("heavy hitters = %+v", hh)
-	}
-}
-
-func TestHeavyHittersEmptyStream(t *testing.T) {
-	hh, _, _, err := runHeavyHitters(t, 64, nil, 0.1, 305)
-	if err != nil {
-		t.Fatalf("empty stream rejected: %v", err)
-	}
-	if len(hh) != 0 {
-		t.Fatalf("heavy hitters = %+v", hh)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			hh, thr, _, err := runHeavyHitters(t, tc.u, tc.ups, tc.phi, 302)
+			if err != nil {
+				t.Fatalf("%s rejected: %v", tc.name, err)
+			}
+			want := refHeavyHitters(t, tc.ups, tc.u, thr)
+			if len(hh) != len(want) || tc.want >= 0 && len(want) != tc.want {
+				t.Fatalf("%s: %d heavy hitters, reference %d, want %d", tc.name, len(hh), len(want), tc.want)
+			}
+			for i := range want {
+				if hh[i] != want[i] {
+					t.Fatalf("%s hitter %d: %+v, want %+v", tc.name, i, hh[i], want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -242,55 +225,39 @@ func runF0(t *testing.T, u uint64, ups []stream.Update, phi float64, seed uint64
 	return res, stats, err
 }
 
+// TestF0EndToEnd: the verified F0 is the number of nonzero counts, on a
+// skewed stream, a stream of distinct items, and one giant item beside
+// singletons (the heavy removal and the residual sum-check both run).
 func TestF0EndToEnd(t *testing.T) {
-	const u = 256
-	rng := field.NewSplitMix64(310)
-	ups, err := stream.Zipf(u, 1000, 1.2, rng)
+	zipf, err := stream.Zipf(256, 1000, 1.2, field.NewSplitMix64(310))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := runF0(t, u, ups, 0, 311) // default φ = u^{-1/2}
-	if err != nil {
-		t.Fatalf("F0 rejected: %v", err)
+	var distinct []stream.Update
+	for i := uint64(0); i < 128; i += 2 {
+		distinct = append(distinct, stream.Update{Index: i, Delta: 1})
 	}
-	a, _ := stream.Apply(ups, u)
-	var want field.Elem
-	for _, c := range a {
-		if c != 0 {
-			want++
-		}
-	}
-	if got != want {
-		t.Fatalf("F0 = %d, want %d", got, want)
-	}
-}
-
-func TestF0AllDistinct(t *testing.T) {
-	const u = 128
-	var ups []stream.Update
-	for i := uint64(0); i < u; i += 2 {
-		ups = append(ups, stream.Update{Index: i, Delta: 1})
-	}
-	got, _, err := runF0(t, u, ups, 0, 312)
-	if err != nil {
-		t.Fatalf("rejected: %v", err)
-	}
-	if got != 64 {
-		t.Fatalf("F0 = %d, want 64", got)
-	}
-}
-
-func TestF0WithHeavySkew(t *testing.T) {
-	// One giant item plus a few singletons: exercises both the heavy
-	// removal (F' path) and the residual sum-check.
-	const u = 64
-	ups := []stream.Update{{Index: 5, Delta: 300}, {Index: 9, Delta: 1}, {Index: 60, Delta: 2}}
-	got, _, err := runF0(t, u, ups, 0, 313)
-	if err != nil {
-		t.Fatalf("rejected: %v", err)
-	}
-	if got != 3 {
-		t.Fatalf("F0 = %d, want 3", got)
+	skew := []stream.Update{{Index: 5, Delta: 300}, {Index: 9, Delta: 1}, {Index: 60, Delta: 2}}
+	for _, tc := range []struct {
+		u   uint64
+		ups []stream.Update
+	}{{256, zipf}, {128, distinct}, {64, skew}} {
+		t.Run(fmt.Sprintf("u=%d", tc.u), func(t *testing.T) {
+			got, _, err := runF0(t, tc.u, tc.ups, 0, 311) // default φ = u^{-1/2}
+			if err != nil {
+				t.Fatalf("u=%d: F0 rejected: %v", tc.u, err)
+			}
+			a, _ := stream.Apply(tc.ups, tc.u)
+			var want field.Elem
+			for _, c := range a {
+				if c != 0 {
+					want++
+				}
+			}
+			if got != want {
+				t.Fatalf("u=%d: F0 = %d, want %d", tc.u, got, want)
+			}
+		})
 	}
 }
 
@@ -333,141 +300,42 @@ func TestInverseDistributionEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFrequencyBasedTamper: tampering either phase (heavy-hitter counts
-// or sum-check evaluations) is caught.
-func TestFrequencyBasedTamper(t *testing.T) {
-	const u = 128
-	rng := field.NewSplitMix64(316)
-	ups, err := stream.Zipf(u, 1000, 1.4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, round := range []int{0, 3, 9, 12} {
-		proto, err := NewF0(f61, u, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng2 := field.NewSplitMix64(317)
-		v := proto.Adopt(DrawSummary(proto.F, proto.TreeParams.D, FamilyPoint|FamilyAug, rng2))
-		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.TreeParams), stream.SumDeltas(ups), 0))
-		observeAll(t, v, ups)
-		hit := false
-		tp := &TamperedProver{P: p, T: func(r int, m Msg) Msg {
-			if r == round && len(m.Elems) > 0 {
-				m.Elems[0] = f61.Add(m.Elems[0], 1)
-				hit = true
-			}
-			return m
-		}}
-		_, err = Run(tp, v)
-		if hit && !errors.Is(err, ErrRejected) {
-			t.Fatalf("tamper at round %d not rejected: %v", round, err)
-		}
-		if !hit && err != nil {
-			t.Fatalf("untouched round %d rejected: %v", round, err)
-		}
-	}
-}
-
-// TestFrequencyBasedWrongStream: prover missing one update is caught by
-// one of the two phases.
-func TestFrequencyBasedWrongStream(t *testing.T) {
-	const u = 128
-	rng := field.NewSplitMix64(318)
-	ups, err := stream.Zipf(u, 500, 1.2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proto, err := NewF0(f61, u, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := proto.Adopt(DrawSummary(proto.F, proto.TreeParams.D, FamilyPoint|FamilyAug, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups[:len(ups)-1], proto.TreeParams), stream.SumDeltas(ups[:len(ups)-1]), 0))
-	observeAll(t, v, ups)
-	if _, err := Run(p, v); !errors.Is(err, ErrRejected) {
-		t.Fatalf("not rejected: %v", err)
-	}
-}
-
 // ---------------------------------------------------------------------
 // Fmax
 
+// TestFmaxEndToEnd: the verified Fmax is the largest count, on a skewed
+// stream and on a stream of distinct items (lb = 1, and the residual
+// check must pass).
 func TestFmaxEndToEnd(t *testing.T) {
-	const u = 256
-	rng := field.NewSplitMix64(319)
-	ups, err := stream.Zipf(u, 3000, 1.5, rng)
+	zipf, err := stream.Zipf(256, 3000, 1.5, field.NewSplitMix64(319))
 	if err != nil {
 		t.Fatal(err)
 	}
-	proto, err := NewFmax(f61, u, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree|FamilyPoint|FamilyAug, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params), stream.SumDeltas(ups), 0))
-	observeAll(t, v, ups)
-	if _, err := Run(p, v); err != nil {
-		t.Fatalf("Fmax rejected: %v", err)
-	}
-	a, _ := stream.Apply(ups, u)
-	var want int64
-	for _, c := range a {
-		if c > want {
-			want = c
-		}
-	}
-	got, err := v.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("Fmax = %d, want %d", got, want)
-	}
-}
-
-func TestFmaxFlatStream(t *testing.T) {
-	// Maximum is 1 (all distinct): lb=1 and the residual check must pass.
-	const u = 64
-	var ups []stream.Update
+	var distinct []stream.Update
 	for i := uint64(0); i < 40; i++ {
-		ups = append(ups, stream.Update{Index: i, Delta: 1})
+		distinct = append(distinct, stream.Update{Index: i, Delta: 1})
 	}
-	proto, err := NewFmax(f61, u, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := field.NewSplitMix64(320)
-	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree|FamilyPoint|FamilyAug, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups, proto.Params), stream.SumDeltas(ups), 0))
-	observeAll(t, v, ups)
-	if _, err := Run(p, v); err != nil {
-		t.Fatalf("rejected: %v", err)
-	}
-	got, err := v.Result()
-	if err != nil || got != 1 {
-		t.Fatalf("Fmax = %d, %v; want 1", got, err)
-	}
-}
-
-// TestFmaxUnderclaimCaught: claiming a smaller maximum leaves an item
-// above the bound, which the h-check counts.
-func TestFmaxUnderclaimCaught(t *testing.T) {
-	const u = 64
-	ups := []stream.Update{{Index: 7, Delta: 9}, {Index: 12, Delta: 5}, {Index: 30, Delta: 1}}
-	proto, err := NewFmax(f61, u, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := field.NewSplitMix64(321)
-	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree|FamilyPoint|FamilyAug, rng))
-	observeAll(t, v, ups)
-	// The dishonest prover pretends the stream topped out at 5: it
-	// proves from a doctored stream where item 7 has count 5.
-	doctored := []stream.Update{{Index: 7, Delta: 5}, {Index: 12, Delta: 5}, {Index: 30, Delta: 1}}
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, doctored, proto.Params), stream.SumDeltas(doctored), 0))
-	if _, err := Run(p, v); !errors.Is(err, ErrRejected) {
-		t.Fatalf("underclaimed Fmax not rejected: %v", err)
+	for _, tc := range []struct {
+		u   uint64
+		ups []stream.Update
+	}{{256, zipf}, {64, distinct}} {
+		t.Run(fmt.Sprintf("u=%d", tc.u), func(t *testing.T) {
+			proto, err := NewFmax(f61, tc.u, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree|FamilyPoint|FamilyAug, field.NewSplitMix64(320)))
+			p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, tc.ups, proto.Params), stream.SumDeltas(tc.ups), 0))
+			observeAll(t, v, tc.ups)
+			if _, err := Run(p, v); err != nil {
+				t.Fatalf("u=%d: Fmax rejected: %v", tc.u, err)
+			}
+			a, _ := stream.Apply(tc.ups, tc.u)
+			want := slices.Max(a)
+			if got, err := v.Result(); err != nil || got != want {
+				t.Fatalf("u=%d: Fmax = %d, %v; want %d", tc.u, got, err, want)
+			}
+		})
 	}
 }
 

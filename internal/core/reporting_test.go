@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/field"
@@ -49,60 +50,46 @@ func refEntries(t *testing.T, ups []stream.Update, u uint64, qL, qR uint64) []En
 	return out
 }
 
+// TestSubVectorEndToEnd: the verified entries of [lo, hi] are the
+// nonzero counts there, on a dense stream with a negative count, a
+// stream entirely outside the range, an empty stream, and at u = 2,
+// where the conversation finishes at Begin.
 func TestSubVectorEndToEnd(t *testing.T) {
 	const u = 1 << 10
-	rng := field.NewSplitMix64(201)
-	ups := stream.UnitIncrements(u, 3000, rng)
-	ups = append(ups, stream.Update{Index: 17, Delta: -2})
-	for _, q := range []struct{ lo, hi uint64 }{
-		{0, u - 1}, {0, 0}, {u - 1, u - 1}, {1, 2}, {100, 400}, {511, 512}, {3, 3},
+	dense := append(stream.UnitIncrements(u, 3000, field.NewSplitMix64(201)), stream.Update{Index: 17, Delta: -2})
+	outside := []stream.Update{{Index: 200, Delta: 5}, {Index: 201, Delta: 1}}
+	tiny := []stream.Update{{Index: 0, Delta: 7}, {Index: 1, Delta: 9}}
+	for _, tc := range []struct {
+		u      uint64
+		ups    []stream.Update
+		ranges [][2]uint64
+		rounds int // 0 = not checked
+	}{
+		{u, dense, [][2]uint64{{0, u - 1}, {0, 0}, {u - 1, u - 1}, {1, 2}, {100, 400}, {511, 512}, {3, 3}}, 0},
+		{256, outside, [][2]uint64{{10, 50}}, 0},
+		{256, nil, [][2]uint64{{0, 255}}, 0},
+		{2, tiny, [][2]uint64{{0, 1}}, 1},
 	} {
-		entries, _, err := runSubVector(t, u, ups, q.lo, q.hi)
-		if err != nil {
-			t.Fatalf("range [%d,%d] rejected: %v", q.lo, q.hi, err)
+		for _, q := range tc.ranges {
+			t.Run(fmt.Sprintf("u=%d/%d-%d", tc.u, q[0], q[1]), func(t *testing.T) {
+				entries, stats, err := runSubVector(t, tc.u, tc.ups, q[0], q[1])
+				if err != nil {
+					t.Fatalf("u=%d range %v rejected: %v", tc.u, q, err)
+				}
+				want := refEntries(t, tc.ups, tc.u, q[0], q[1])
+				if len(entries) != len(want) {
+					t.Fatalf("u=%d range %v: %d entries, want %d", tc.u, q, len(entries), len(want))
+				}
+				for i := range want {
+					if entries[i] != want[i] {
+						t.Fatalf("u=%d range %v entry %d: %+v, want %+v", tc.u, q, i, entries[i], want[i])
+					}
+				}
+				if tc.rounds != 0 && stats.Rounds != tc.rounds {
+					t.Fatalf("u=%d: rounds = %d, want %d", tc.u, stats.Rounds, tc.rounds)
+				}
+			})
 		}
-		want := refEntries(t, ups, u, q.lo, q.hi)
-		if len(entries) != len(want) {
-			t.Fatalf("range [%d,%d]: %d entries, want %d", q.lo, q.hi, len(entries), len(want))
-		}
-		for i := range want {
-			if entries[i] != want[i] {
-				t.Fatalf("range [%d,%d] entry %d: %+v, want %+v", q.lo, q.hi, i, entries[i], want[i])
-			}
-		}
-	}
-}
-
-func TestSubVectorEmptyRangeAndEmptyStream(t *testing.T) {
-	const u = 256
-	// Stream entirely outside the queried range.
-	ups := []stream.Update{{Index: 200, Delta: 5}, {Index: 201, Delta: 1}}
-	entries, _, err := runSubVector(t, u, ups, 10, 50)
-	if err != nil {
-		t.Fatalf("rejected: %v", err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("expected empty answer, got %+v", entries)
-	}
-	// Fully empty stream.
-	entries, _, err = runSubVector(t, u, nil, 0, 255)
-	if err != nil || len(entries) != 0 {
-		t.Fatalf("empty stream: %+v, %v", entries, err)
-	}
-}
-
-func TestSubVectorTinyUniverse(t *testing.T) {
-	// u = 2 means d = 1: the conversation finishes at Begin.
-	ups := []stream.Update{{Index: 0, Delta: 7}, {Index: 1, Delta: 9}}
-	entries, stats, err := runSubVector(t, 2, ups, 0, 1)
-	if err != nil {
-		t.Fatalf("rejected: %v", err)
-	}
-	if len(entries) != 2 || entries[0].Value != 7 || entries[1].Value != 9 {
-		t.Fatalf("entries = %+v", entries)
-	}
-	if stats.Rounds != 1 {
-		t.Fatalf("rounds = %d, want 1", stats.Rounds)
 	}
 }
 
@@ -194,28 +181,6 @@ func TestSubVectorTamperMatrix(t *testing.T) {
 		if _, err := Run(&TamperedProver{P: p, T: tamper}, v); !errors.Is(err, ErrRejected) {
 			t.Errorf("%s: not rejected (%v)", name, err)
 		}
-	}
-}
-
-func TestSubVectorWrongStreamProver(t *testing.T) {
-	const u = 256
-	proto, err := NewSubVector(f61, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := field.NewSplitMix64(204)
-	ups := stream.UniformDeltas(u, 50, rng)
-	v := proto.Adopt(DrawSummary(proto.F, proto.Params.D, FamilyTree, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.F, ups[:len(ups)-1], proto.Params), 0))
-	observeAll(t, v, ups)
-	if err := v.SetQuery(0, 255); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetQuery(0, 255); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(p, v); !errors.Is(err, ErrRejected) {
-		t.Fatalf("not rejected: %v", err)
 	}
 }
 
@@ -322,72 +287,78 @@ func TestDictionaryValidation(t *testing.T) {
 	}
 }
 
-func TestPredecessorEndToEnd(t *testing.T) {
-	const u = 1 << 9
-	proto, err := NewPredecessor(f61, u)
-	if err != nil {
-		t.Fatal(err)
-	}
+// neighbourVerifier and neighbourProver are the halves of PREDECESSOR
+// and SUCCESSOR.
+type neighbourVerifier interface {
+	VerifierSession
+	observer
+	SetQuery(q uint64) error
+	Result() (uint64, bool, error)
+}
+
+type neighbourProver interface {
+	ProverSession
+	SetQuery(q uint64) error
+}
+
+// TestNeighboursEndToEnd: the verified predecessor and successor of each
+// query point are the nearest present items at or below (above) it, or
+// none.
+func TestNeighboursEndToEnd(t *testing.T) {
 	rng := field.NewSplitMix64(207)
-	present := []uint64{0, 17, 100, 101, 300, 511}
-	var ups []stream.Update
-	for _, i := range present {
-		ups = append(ups, stream.Update{Index: i, Delta: 1})
-	}
-	cases := []struct {
+	type query struct {
 		q     uint64
 		want  uint64
 		found bool
+	}
+	for _, tc := range []struct {
+		succ    bool
+		u       uint64
+		present []uint64
+		queries []query
 	}{
-		{0, 0, true}, {5, 0, true}, {17, 17, true}, {18, 17, true},
-		{99, 17, true}, {100, 100, true}, {200, 101, true}, {511, 511, true},
-	}
-	for _, c := range cases {
-		v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
-		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params), 0))
-		observeAll(t, v, ups)
-		if err := v.SetQuery(c.q); err != nil {
-			t.Fatal(err)
+		{false, 1 << 9, []uint64{0, 17, 100, 101, 300, 511}, []query{
+			{0, 0, true}, {5, 0, true}, {17, 17, true}, {18, 17, true},
+			{99, 17, true}, {100, 100, true}, {200, 101, true}, {511, 511, true}}},
+		{false, 256, []uint64{200}, []query{{100, 0, false}}},
+		{true, 1 << 9, []uint64{3, 17, 100, 500}, []query{
+			{0, 3, true}, {3, 3, true}, {4, 17, true}, {101, 500, true}, {500, 500, true}, {501, 0, false}}},
+	} {
+		var ups []stream.Update
+		for _, i := range tc.present {
+			ups = append(ups, stream.Update{Index: i, Delta: 1})
 		}
-		if err := p.SetQuery(c.q); err != nil {
-			t.Fatal(err)
+		for _, c := range tc.queries {
+			t.Run(fmt.Sprintf("succ=%v/q=%d", tc.succ, c.q), func(t *testing.T) {
+				var (
+					v neighbourVerifier
+					p neighbourProver
+				)
+				if tc.succ {
+					proto := must(NewSuccessor(f61, tc.u))
+					v = proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
+					p = must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params), 0))
+				} else {
+					proto := must(NewPredecessor(f61, tc.u))
+					v = proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
+					p = must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params), 0))
+				}
+				observeAll(t, v, ups)
+				if err := v.SetQuery(c.q); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.SetQuery(c.q); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Run(p, v); err != nil {
+					t.Fatalf("succ=%v q=%d rejected: %v", tc.succ, c.q, err)
+				}
+				got, found, err := v.Result()
+				if err != nil || got != c.want || found != c.found {
+					t.Fatalf("succ=%v q=%d = (%d,%v), %v; want (%d,%v)", tc.succ, c.q, got, found, err, c.want, c.found)
+				}
+			})
 		}
-		if _, err := Run(p, v); err != nil {
-			t.Fatalf("PRED(%d) rejected: %v", c.q, err)
-		}
-		got, found, err := v.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want || found != c.found {
-			t.Fatalf("PRED(%d) = (%d,%v), want (%d,%v)", c.q, got, found, c.want, c.found)
-		}
-	}
-}
-
-func TestPredecessorNone(t *testing.T) {
-	const u = 256
-	proto, err := NewPredecessor(f61, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := field.NewSplitMix64(208)
-	ups := []stream.Update{{Index: 200, Delta: 1}}
-	v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
-	p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params), 0))
-	observeAll(t, v, ups)
-	if err := v.SetQuery(100); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetQuery(100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(p, v); err != nil {
-		t.Fatalf("rejected: %v", err)
-	}
-	_, found, err := v.Result()
-	if err != nil || found {
-		t.Fatalf("PRED none = found=%v, %v; want not found", found, err)
 	}
 }
 
@@ -424,48 +395,6 @@ func TestPredecessorLyingProver(t *testing.T) {
 	}}
 	if _, err := Run(tp, v); !errors.Is(err, ErrRejected) {
 		t.Fatalf("lying predecessor not rejected: %v", err)
-	}
-}
-
-func TestSuccessorEndToEnd(t *testing.T) {
-	const u = 1 << 9
-	proto, err := NewSuccessor(f61, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := field.NewSplitMix64(210)
-	present := []uint64{3, 17, 100, 500}
-	var ups []stream.Update
-	for _, i := range present {
-		ups = append(ups, stream.Update{Index: i, Delta: 1})
-	}
-	cases := []struct {
-		q     uint64
-		want  uint64
-		found bool
-	}{
-		{0, 3, true}, {3, 3, true}, {4, 17, true}, {101, 500, true}, {500, 500, true}, {501, 0, false},
-	}
-	for _, c := range cases {
-		v := proto.Adopt(DrawSummary(proto.sv.F, proto.sv.Params.D, FamilyTree, rng))
-		p := must(proto.NewProverFromSkeleton(skeletonOf(t, proto.sv.F, ups, proto.sv.Params), 0))
-		observeAll(t, v, ups)
-		if err := v.SetQuery(c.q); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.SetQuery(c.q); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(p, v); err != nil {
-			t.Fatalf("SUCC(%d) rejected: %v", c.q, err)
-		}
-		got, found, err := v.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want || found != c.found {
-			t.Fatalf("SUCC(%d) = (%d,%v), want (%d,%v)", c.q, got, found, c.want, c.found)
-		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/conformance"
 	"repro/internal/core"
@@ -122,6 +123,59 @@ func TestEngineOpenAttach(t *testing.T) {
 	}
 }
 
+// TestConcurrentOpenSameName: racing Opens of one name must converge on
+// a single dataset (admission can release the engine lock while waiting
+// out transitions, so Open re-checks the registry afterwards) with the
+// budget charged exactly once.
+func TestConcurrentOpenSameName(t *testing.T) {
+	const racers = 8
+	e := engine.New(f61, 0)
+	if err := e.SetDataDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	e.SetBudget(2 * oneDataset)
+	// A resident decoy keeps admission busy evicting while the racers run.
+	if _, err := e.Open("decoy", evictU); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*engine.Dataset, racers)
+	var wg sync.WaitGroup
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ds, err := e.Open("same", evictU)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = ds
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < racers; i++ {
+		if got[i] != got[0] {
+			t.Fatalf("racer %d got a different dataset for the same name", i)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var want int64
+		for _, name := range []string{"decoy", "same"} {
+			if ds, ok := e.Get(name); ok && ds.Resident() {
+				want += oneDataset
+			}
+		}
+		if e.ResidentBytes() == want {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("budget drifted after racing opens: ResidentBytes=%d, Σ resident=%d", e.ResidentBytes(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestDatasetNameBound: a name longer than a posted proof's one-byte
 // length field can carry is refused wherever a name enters the engine
 // (it used to be accepted and yield a proof DecodeProof rejects), and
@@ -161,31 +215,13 @@ func TestDatasetNameBound(t *testing.T) {
 	}
 }
 
-// TestIngestValidation: a batch with any out-of-range index is rejected
-// atomically.
-func TestIngestValidation(t *testing.T) {
-	ds, err := engine.NewDataset(f61, 64, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = ds.Ingest([]stream.Update{{Index: 1, Delta: 5}, {Index: 1 << 40, Delta: 1}})
-	if err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
-	if ds.Updates() != 0 || ds.Snapshot().Counts()[1] != 0 {
-		t.Fatal("rejected batch partially applied")
-	}
-	if err := ds.IngestColumns([]uint64{1, 2}, []int64{1}); err == nil {
-		t.Fatal("ragged columns accepted")
-	}
-}
-
 // TestIngestRejectsPaddedIndices: the bounds check runs against the
 // *requested* universe, not the power of two it pads to. At u = 500
 // (padded to 512) an index in [500, 512) would land in padding that no
 // protocol parameterized by 500 accounts for — it must be rejected,
 // atomically, and the error must name the real universe. The replay
-// reference refuses it in the same words.
+// reference refuses it in the same words. So is an index far past the
+// table, and ragged columns.
 func TestIngestRejectsPaddedIndices(t *testing.T) {
 	const u = 500 // deliberately not a power of two
 	ds, err := engine.NewDataset(f61, u, 0)
@@ -195,7 +231,7 @@ func TestIngestRejectsPaddedIndices(t *testing.T) {
 	if err := ds.Ingest([]stream.Update{{Index: u - 1, Delta: 1}}); err != nil {
 		t.Fatalf("last in-range index rejected: %v", err)
 	}
-	for _, bad := range []uint64{u, 511} { // both inside the padded table
+	for _, bad := range []uint64{u, 511, 1 << 40} { // the first two inside the padded table
 		batch := []stream.Update{{Index: 3, Delta: 2}, {Index: bad, Delta: 1}}
 		err := ds.Ingest(batch)
 		if err == nil {
@@ -214,6 +250,9 @@ func TestIngestRejectsPaddedIndices(t *testing.T) {
 	}
 	if got := ds.Snapshot().Counts()[3]; got != 0 {
 		t.Fatalf("rejected batch leaked a delta: counts[3] = %d", got)
+	}
+	if err := ds.IngestColumns([]uint64{1, 2}, []int64{1}); err == nil {
+		t.Fatal("ragged columns accepted")
 	}
 }
 

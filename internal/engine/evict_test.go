@@ -455,8 +455,11 @@ func TestRecoverSkipsDamage(t *testing.T) {
 // TestConcurrentEvictRehydrate hammers a budgeted durable engine from
 // many goroutines — two datasets ping-ponging through a one-dataset
 // budget while writers ingest, readers snapshot, and the background
-// checkpointer runs. Meaningful mostly under -race; the final recovery
-// proves no acknowledged batch was lost in any transition.
+// checkpointer runs. Meaningful mostly under -race. Once the transitions
+// in flight settle, the budget's accounting is Σ of the resident tables
+// and every case's transcript, at Workers 2, is the replay reference's;
+// the final recovery proves no acknowledged batch was lost in any
+// transition.
 func TestConcurrentEvictRehydrate(t *testing.T) {
 	const (
 		writers    = 2
@@ -512,6 +515,44 @@ func TestConcurrentEvictRehydrate(t *testing.T) {
 		}(ds)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// The transitions complete on background goroutines: poll briefly.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		var want int64
+		for _, ds := range dss {
+			if ds.Resident() {
+				want += oneDataset
+			}
+		}
+		if got := e.ResidentBytes(); got == want && got <= oneDataset {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("budget accounting drifted: ResidentBytes=%d, Σ resident tables=%d, budget %d", got, want, oneDataset)
+		}
+	}
+	for di, ds := range dss {
+		var ups []stream.Update
+		for w := 0; w < writers; w++ {
+			ups = append(ups, stream.UnitIncrements(evictU, iterations*batch, field.NewSplitMix64(uint64(1000+10*di+w)))...)
+		}
+		snap, err := ds.SnapshotErr()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := di; k < len(conformance.Cases); k += len(dss) {
+			c, seed := conformance.Cases[k], uint64(12_000+k)
+			p, err := snap.NewProver(c.Kind, c.Params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := conformance.Converse(t, p, conformance.Verifier(t, evictU, c, field.NewSplitMix64(seed), ups))
+			if err := conformance.Same(conformance.Reference(t, evictU, c, seed, ups), got); err != nil {
+				t.Errorf("dataset %d %v: contended transcript differs: %v", di, c, err)
+			}
+		}
+	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}

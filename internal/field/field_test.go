@@ -45,42 +45,6 @@ func TestMersenneModulus(t *testing.T) {
 	}
 }
 
-// TestMulAgainstBigInt cross-checks both the Mersenne fast path and the
-// generic path against math/big on random operands.
-func TestMulAgainstBigInt(t *testing.T) {
-	for _, f := range testFields(t) {
-		rng := NewSplitMix64(1)
-		p := new(big.Int).SetUint64(f.Modulus())
-		for i := 0; i < 2000; i++ {
-			a, b := f.Rand(rng), f.Rand(rng)
-			got := f.Mul(a, b)
-			want := new(big.Int).Mul(new(big.Int).SetUint64(uint64(a)), new(big.Int).SetUint64(uint64(b)))
-			want.Mod(want, p)
-			if uint64(got) != want.Uint64() {
-				t.Fatalf("p=%d: Mul(%d,%d) = %d, want %s", f.Modulus(), a, b, got, want)
-			}
-		}
-	}
-}
-
-// TestMul61EdgeCases exercises the boundary operands of the Mersenne
-// reduction, where folding bugs hide.
-func TestMul61EdgeCases(t *testing.T) {
-	f := Mersenne()
-	p := new(big.Int).SetUint64(Mersenne61)
-	edge := []Elem{0, 1, 2, Mersenne61 - 1, Mersenne61 - 2, 1 << 60, (1 << 60) + 1, (1 << 31) - 1, 1 << 31}
-	for _, a := range edge {
-		for _, b := range edge {
-			got := f.Mul(a, b)
-			want := new(big.Int).Mul(new(big.Int).SetUint64(uint64(a)), new(big.Int).SetUint64(uint64(b)))
-			want.Mod(want, p)
-			if uint64(got) != want.Uint64() {
-				t.Fatalf("Mul(%d,%d) = %d, want %s", a, b, got, want)
-			}
-		}
-	}
-}
-
 func TestFieldAxiomsQuick(t *testing.T) {
 	for _, f := range testFields(t) {
 		f := f
@@ -177,35 +141,6 @@ func TestInvSlice(t *testing.T) {
 		}
 	}
 	f.InvSlice(nil) // must not panic
-}
-
-func TestFromInt64(t *testing.T) {
-	f := Mersenne()
-	cases := []struct {
-		in   int64
-		want Elem
-	}{
-		{0, 0},
-		{1, 1},
-		{-1, Mersenne61 - 1},
-		{1000, 1000},
-		{-1000, Mersenne61 - 1000},
-		{Mersenne61, 0},
-		{-Mersenne61, 0},
-		{Mersenne61 + 5, 5},
-	}
-	for _, c := range cases {
-		if got := f.FromInt64(c.in); got != c.want {
-			t.Errorf("FromInt64(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-	// MinInt64 must not overflow.
-	const minI64 = -9223372036854775808
-	got := f.FromInt64(minI64)
-	want := f.Neg(f.Reduce(9223372036854775808 % Mersenne61))
-	if got != want {
-		t.Errorf("FromInt64(MinInt64) = %d, want %d", got, want)
-	}
 }
 
 func TestCenteredRoundTrip(t *testing.T) {

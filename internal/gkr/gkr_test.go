@@ -123,41 +123,6 @@ func TestGKRWrongOutputRejected(t *testing.T) {
 	}
 }
 
-// TestGKRWrongStreamRejected: the prover evaluates the circuit on a
-// different input; the final streamed-input check catches it.
-func TestGKRWrongStreamRejected(t *testing.T) {
-	k := 5
-	u := uint64(1) << k
-	ups := stream.UniformDeltas(u, 50, field.NewSplitMix64(10))
-	c, err := circuit.NewF2Circuit(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proto, err := New(f61, c, circuit.F2Wiring{K: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := proto.NewVerifierSession(field.NewSplitMix64(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := make([]field.Elem, u)
-	for _, up := range ups {
-		if err := v.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-		input[up.Index] = f61.Add(input[up.Index], f61.FromInt64(up.Delta))
-	}
-	input[3] = f61.Add(input[3], 1) // prover's data differs in one cell
-	p, err := proto.NewProverSession(input, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.Run(p, v); !errors.Is(err, core.ErrRejected) {
-		t.Fatalf("wrong-stream prover not rejected: %v", err)
-	}
-}
-
 // TestGKRTamperedSumcheckRejected: flipping g(2) of the second
 // sum-check message leaves that round's g(0) + g(1) check intact, so the
 // flip must be caught by a later round or the line check.

@@ -175,50 +175,6 @@ func TestSessionCompleteness(t *testing.T) {
 	}
 }
 
-// TestSessionTranscriptWorkers pins the determinism invariant: the full
-// two-way transcript is bit-identical for every worker count.
-func TestSessionTranscriptWorkers(t *testing.T) {
-	const u = 300
-	ups := sessionUps(u, 200, 9)
-	for _, spec := range sessionSpecs {
-		base, _, err := runSession(t, spec, u, ups, 1, 5)
-		if err != nil {
-			t.Fatalf("%s serial: %v", spec.Name, err)
-		}
-		for _, workers := range []int{0, 2, 3, -1} {
-			got, _, err := runSession(t, spec, u, ups, workers, 5)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", spec.Name, workers, err)
-			}
-			if !sameSessionMsgs(base.proverMsgs, got.proverMsgs) || !sameSessionMsgs(base.challenges, got.challenges) {
-				t.Fatalf("%s workers=%d: transcript differs from serial", spec.Name, workers)
-			}
-		}
-	}
-}
-
-func sameSessionMsgs(a, b []core.Msg) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i].Ints) != len(b[i].Ints) || len(a[i].Elems) != len(b[i].Elems) {
-			return false
-		}
-		for j := range a[i].Ints {
-			if a[i].Ints[j] != b[i].Ints[j] {
-				return false
-			}
-		}
-		for j := range a[i].Elems {
-			if a[i].Elems[j] != b[i].Elems[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // TestSessionTamperRejected corrupts each outgoing prover message in
 // turn; every corruption must surface as core.ErrRejected.
 func TestSessionTamperRejected(t *testing.T) {

@@ -12,66 +12,32 @@ import (
 
 var f61 = field.Mersenne()
 
-func TestF2MultiRoundRow(t *testing.T) {
-	row, err := F2MultiRound(f61, 1<<10, 1000, 42, 0)
-	if err != nil {
-		t.Fatalf("row errored: %v", err)
-	}
-	if !row.Accepted {
-		t.Fatal("honest run not accepted")
-	}
-	if row.U != 1<<10 || row.N != 1<<10 {
-		t.Errorf("u=%d n=%d, want 1024", row.U, row.N)
-	}
-	if row.UpdatesPerSec <= 0 {
-		t.Error("no throughput measured")
-	}
-	// Theorem 4: comm = (3d+1) + (d-1) words = 8·(4d) bytes.
-	if row.CommBytes != 8*(4*10) {
-		t.Errorf("comm = %d bytes, want %d", row.CommBytes, 8*40)
-	}
-	if row.SpaceBytes > 8*64 {
-		t.Errorf("verifier space %d bytes not O(log u)", row.SpaceBytes)
-	}
-}
-
-func TestF2OneRoundRow(t *testing.T) {
-	row, err := F2OneRound(f61, 1<<10, 1000, 43, 0)
-	if err != nil {
-		t.Fatalf("row errored: %v", err)
-	}
-	if !row.Accepted {
-		t.Fatal("honest run not accepted")
-	}
-	// Θ(√u): ℓ=32 → proof 2ℓ-1 = 63 words, space 2ℓ+1 = 65 words.
-	if row.CommBytes != 8*63 {
-		t.Errorf("comm = %d bytes, want %d", row.CommBytes, 8*63)
-	}
-	if row.SpaceBytes != 8*65 {
-		t.Errorf("space = %d bytes, want %d", row.SpaceBytes, 8*65)
-	}
-}
-
-// TestFig2Shapes checks the qualitative claims of Figure 2 at small scale:
-// the one-round prover grows strictly faster than linear while the
-// multi-round prover stays near-linear, and the one-round verifier keeps
-// √u space while the multi-round verifier keeps O(log u).
+// TestFig2Shapes checks the rows of Figure 2 at small scale: both
+// provers are accepted, at u = 2^10 the multi-round protocol sends
+// Theorem 4's 4d words and the one-round protocol Θ(√u) (ℓ = 32: a proof
+// of 2ℓ−1 words, a verifier of 2ℓ+1), and from 2^10 to 2^14 the
+// one-round verifier's space and communication grow like √u while the
+// multi-round verifier's stay O(log u).
 func TestFig2Shapes(t *testing.T) {
-	mr1, err := F2MultiRound(f61, 1<<10, 1000, 44, 0)
-	if err != nil {
-		t.Fatal(err)
+	var mr, or [2]F2Row
+	for i, u := range []uint64{1 << 10, 1 << 14} {
+		var err error
+		if mr[i], err = F2MultiRound(f61, u, 1000, 44, 0); err != nil || !mr[i].Accepted {
+			t.Fatalf("multi-round u=%d: accepted=%v, %v", u, mr[i].Accepted, err)
+		}
+		if or[i], err = F2OneRound(f61, u, 1000, 44, 0); err != nil || !or[i].Accepted {
+			t.Fatalf("one-round u=%d: accepted=%v, %v", u, or[i].Accepted, err)
+		}
 	}
-	mr2, err := F2MultiRound(f61, 1<<14, 1000, 44, 0)
-	if err != nil {
-		t.Fatal(err)
+	mr1, mr2, or1, or2 := mr[0], mr[1], or[0], or[1]
+	if mr1.U != 1<<10 || mr1.N != 1<<10 || mr1.UpdatesPerSec <= 0 {
+		t.Errorf("multi-round row u=%d n=%d at %v updates/s", mr1.U, mr1.N, mr1.UpdatesPerSec)
 	}
-	or1, err := F2OneRound(f61, 1<<10, 1000, 44, 0)
-	if err != nil {
-		t.Fatal(err)
+	if mr1.CommBytes != 8*(4*10) || mr1.SpaceBytes > 8*64 {
+		t.Errorf("multi-round comm %d bytes (want %d), space %d bytes", mr1.CommBytes, 8*40, mr1.SpaceBytes)
 	}
-	or2, err := F2OneRound(f61, 1<<14, 1000, 44, 0)
-	if err != nil {
-		t.Fatal(err)
+	if or1.CommBytes != 8*63 || or1.SpaceBytes != 8*65 {
+		t.Errorf("one-round comm %d, space %d bytes; want %d, %d", or1.CommBytes, or1.SpaceBytes, 8*63, 8*65)
 	}
 	// Space: multi-round grows additively (O(log u)), one-round by ~4×
 	// (√16 = 4).

@@ -10,21 +10,30 @@ import (
 )
 
 // TestIncrementalMatchesBatch: revealing the randomness level by level
-// produces exactly the tree that Build produces with full knowledge.
+// produces exactly the tree that Build produces with full knowledge, plain
+// and augmented, and at Workers 2 on a dense 2^14-leaf table, whose wide
+// levels Extend splits into blocks.
 func TestIncrementalMatchesBatch(t *testing.T) {
-	params, err := NewParams(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, augmented := range []bool{false, true} {
+	for _, tc := range []struct {
+		d         int
+		augmented bool
+		workers   int
+	}{{7, false, 0}, {7, true, 0}, {14, true, 2}} {
+		params, err := NewParams(tc.d)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rng := field.NewSplitMix64(81)
 		var h *Hasher
-		if augmented {
+		if tc.augmented {
 			h = NewAugmentedHasher(f61, params, rng)
 		} else {
 			h = NewHasher(f61, params, rng)
 		}
 		ups := stream.UnitIncrements(params.U, 400, rng)
+		if tc.workers > 0 {
+			ups = stream.UniformDeltas(params.U, 100, rng)
+		}
 		batch, err := Build(h, ups)
 		if err != nil {
 			t.Fatal(err)
@@ -33,12 +42,13 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		inc.Workers = tc.workers
 		if inc.BuiltLevels() != 0 {
 			t.Fatalf("fresh incremental tree has %d levels", inc.BuiltLevels())
 		}
 		for j := 1; j <= params.D; j++ {
 			var q field.Elem
-			if augmented {
+			if tc.augmented {
 				q = h.Q[j-1]
 			}
 			if err := inc.Extend(h.R[j-1], q); err != nil {
@@ -47,11 +57,11 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			lv := heldNodes(inc)
 			want := batch.Level(j)
 			if len(lv) != len(want) {
-				t.Fatalf("aug=%v level %d: %d nodes, want %d", augmented, j, len(lv), len(want))
+				t.Fatalf("%+v level %d: %d nodes, want %d", tc, j, len(lv), len(want))
 			}
 			for i := range lv {
 				if lv[i] != want[i] {
-					t.Fatalf("aug=%v level %d node %d: %+v, want %+v", augmented, j, i, lv[i], want[i])
+					t.Fatalf("%+v level %d node %d: %+v, want %+v", tc, j, i, lv[i], want[i])
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package lde
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -54,55 +55,38 @@ func TestParamsForUniverse(t *testing.T) {
 	}
 }
 
-func TestAllChiIndicatorAtNodes(t *testing.T) {
-	for _, ell := range []int{2, 3, 5, 8} {
-		w := BasisWeights(f61, ell)
-		for x := 0; x < ell; x++ {
-			chi := AllChi(f61, w, f61.Reduce(uint64(x)))
-			for k := 0; k < ell; k++ {
-				want := field.Elem(0)
-				if k == x {
-					want = 1
-				}
-				if chi[k] != want {
-					t.Fatalf("ℓ=%d: χ_%d(%d) = %d, want %d", ell, k, x, chi[k], want)
-				}
-			}
-		}
-	}
-}
-
-// TestAllChiPartitionOfUnity: Σ_k χ_k(x) interpolates the constant 1, so
-// it equals 1 everywhere.
-func TestAllChiPartitionOfUnity(t *testing.T) {
+// TestAllChi: at the nodes the basis χ is the indicator; everywhere
+// Σ_k χ_k(x) = 1, since it interpolates the constant 1; and at ℓ = 2 it
+// is the closed form χ_0 = 1-x, χ_1 = x used throughout the paper
+// (App. B.1).
+func TestAllChi(t *testing.T) {
 	rng := field.NewSplitMix64(22)
-	for _, ell := range []int{2, 3, 7} {
-		w := BasisWeights(f61, ell)
-		for trial := 0; trial < 50; trial++ {
-			x := f61.Rand(rng)
-			chi := AllChi(f61, w, x)
-			var sum field.Elem
-			for _, c := range chi {
-				sum = f61.Add(sum, c)
+	for _, ell := range []int{2, 3, 5, 7, 8} {
+		t.Run(fmt.Sprintf("ell=%d", ell), func(t *testing.T) {
+			w := BasisWeights(f61, ell)
+			for x := 0; x < ell; x++ {
+				for k, c := range AllChi(f61, w, f61.Reduce(uint64(x))) {
+					want := field.Elem(0)
+					if k == x {
+						want = 1
+					}
+					if c != want {
+						t.Fatalf("ℓ=%d: χ_%d(%d) = %d, want %d", ell, k, x, c, want)
+					}
+				}
 			}
-			if sum != 1 {
-				t.Fatalf("ℓ=%d: Σχ(%d) = %d, want 1", ell, x, sum)
+			for trial := 0; trial < 50; trial++ {
+				x := f61.Rand(rng)
+				chi := AllChi(f61, w, x)
+				var sum field.Elem
+				for _, c := range chi {
+					sum = f61.Add(sum, c)
+				}
+				if sum != 1 || ell == 2 && (chi[0] != f61.Sub(1, x) || chi[1] != x) {
+					t.Fatalf("ℓ=%d: χ(%d) = %v sums to %d, want 1 (and [1-x, x] at ℓ=2)", ell, x, chi, sum)
+				}
 			}
-		}
-	}
-}
-
-// TestAllChiMatchesMultilinear checks the ℓ=2 closed form χ_0 = 1-x,
-// χ_1 = x used throughout the paper (App. B.1).
-func TestAllChiMatchesMultilinear(t *testing.T) {
-	rng := field.NewSplitMix64(23)
-	w := BasisWeights(f61, 2)
-	for trial := 0; trial < 100; trial++ {
-		x := f61.Rand(rng)
-		chi := AllChi(f61, w, x)
-		if chi[0] != f61.Sub(1, x) || chi[1] != x {
-			t.Fatalf("χ(%d) = %v, want [1-x, x]", x, chi)
-		}
+		})
 	}
 }
 

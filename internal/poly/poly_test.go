@@ -1,6 +1,7 @@
 package poly
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -126,9 +127,13 @@ func TestInterpolateErrors(t *testing.T) {
 	}
 }
 
+// TestConsecutiveEvaluator: the barycentric evaluator and the O(1)-space
+// oracle evaluation both return the interpolant of values at 0, 1, …,
+// n−1, at the nodes and at random points, against explicit
+// interpolation.
 func TestConsecutiveEvaluator(t *testing.T) {
 	rng := field.NewSplitMix64(14)
-	for _, n := range []int{1, 2, 3, 5, 9, 33} {
+	for _, n := range []int{1, 2, 3, 5, 8, 9, 33, 100} {
 		ev, err := NewConsecutiveEvaluator(f61, n)
 		if err != nil {
 			t.Fatal(err)
@@ -136,27 +141,21 @@ func TestConsecutiveEvaluator(t *testing.T) {
 		if len(ev.w) != n {
 			t.Fatalf("%d interpolation points, want %d", len(ev.w), n)
 		}
-		p := Poly(f61.RandVec(rng, n))
-		ys := make([]field.Elem, n)
-		for i := range ys {
-			ys[i] = p.Eval(f61, f61.Reduce(uint64(i)))
+		ys := f61.RandVec(rng, n)
+		xs := make([]field.Elem, n)
+		for i := range xs {
+			xs[i] = f61.Reduce(uint64(i))
 		}
-		// At the nodes.
-		for i := 0; i < n; i++ {
-			got, err := ev.Eval(ys, f61.Reduce(uint64(i)))
-			if err != nil || got != ys[i] {
-				t.Fatalf("n=%d: Eval at node %d = %d, %v; want %d", n, i, got, err, ys[i])
-			}
+		ref, err := Interpolate(f61, xs, ys)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// At random points.
-		for k := 0; k < 20; k++ {
-			r := f61.Rand(rng)
-			got, err := ev.Eval(ys, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != p.Eval(f61, r) {
-				t.Fatalf("n=%d: Eval(%d) = %d, want %d", n, r, got, p.Eval(f61, r))
+		points := append(slices.Clone(xs), f61.RandVec(rng, 20)...)
+		for _, x := range points {
+			got, err := ev.Eval(ys, x)
+			oracle, oerr := EvalOracleInterpolant(f61, n, func(i uint64) field.Elem { return ys[i] }, x)
+			if want := ref.Eval(f61, x); err != nil || oerr != nil || got != want || oracle != want {
+				t.Fatalf("n=%d at %d: barycentric %d (%v), oracle %d (%v); want %d", n, x, got, err, oracle, oerr, want)
 			}
 		}
 	}
@@ -172,6 +171,12 @@ func TestConsecutiveEvaluatorErrors(t *testing.T) {
 	}
 	if _, err := NewConsecutiveEvaluator(small, 18); err == nil {
 		t.Error("n > p accepted")
+	}
+	if _, err := EvalOracleInterpolant(f61, 0, nil, 5); err == nil {
+		t.Error("oracle n=0 accepted")
+	}
+	if _, err := EvalOracleInterpolant(small, 18, func(uint64) field.Elem { return 1 }, 3); err == nil {
+		t.Error("oracle n > p accepted")
 	}
 	ev, err := NewConsecutiveEvaluator(f61, 3)
 	if err != nil {

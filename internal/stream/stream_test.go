@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/field"
@@ -111,37 +112,30 @@ func max64(a, b int64) int64 {
 	return b
 }
 
+// TestDistinctKV: n pairs with distinct keys below u, sorted by key,
+// values at most maxValue, the same for the same seed — up to n = u,
+// where every key appears once — and n > u is refused.
 func TestDistinctKV(t *testing.T) {
-	rng := field.NewSplitMix64(4)
-	pairs, err := DistinctKV(1000, 200, 99, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 200 {
-		t.Fatalf("len = %d", len(pairs))
-	}
-	seen := map[uint64]bool{}
-	for i, p := range pairs {
-		if seen[p.Key] {
-			t.Fatalf("duplicate key %d", p.Key)
+	for _, tc := range []struct{ u, n, maxValue uint64 }{{1000, 200, 99}, {64, 64, 3}} {
+		pairs, err := DistinctKV(tc.u, int(tc.n), tc.maxValue, field.NewSplitMix64(4))
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[p.Key] = true
-		if p.Value > 99 {
-			t.Fatalf("value %d out of range", p.Value)
+		again, err := DistinctKV(tc.u, int(tc.n), tc.maxValue, field.NewSplitMix64(4))
+		if err != nil || !slices.Equal(pairs, again) {
+			t.Fatalf("%+v: a second draw on the seed differs (%v)", tc, err)
 		}
-		if i > 0 && pairs[i-1].Key >= p.Key {
-			t.Fatal("pairs not sorted by key")
+		if uint64(len(pairs)) != tc.n {
+			t.Fatalf("%+v: len = %d", tc, len(pairs))
+		}
+		for i, p := range pairs {
+			if p.Key >= tc.u || p.Value > tc.maxValue || i > 0 && pairs[i-1].Key >= p.Key {
+				t.Fatalf("%+v: pair %d = %+v out of range or order", tc, i, p)
+			}
 		}
 	}
-	if _, err := DistinctKV(10, 11, 5, rng); err == nil {
+	if _, err := DistinctKV(10, 11, 5, field.NewSplitMix64(5)); err == nil {
 		t.Error("n > u accepted")
-	}
-	ups := KVUpdates(pairs)
-	if len(ups) != len(pairs) {
-		t.Fatal("KVUpdates length mismatch")
-	}
-	if ups[0].Index != pairs[0].Key || ups[0].Delta != int64(pairs[0].Value) {
-		t.Fatal("KVUpdates content mismatch")
 	}
 }
 
@@ -159,31 +153,5 @@ func TestKVUpdates(t *testing.T) {
 	}
 	if got := KVUpdates(nil); len(got) != 0 {
 		t.Errorf("KVUpdates(nil) has %d updates", len(got))
-	}
-}
-
-func TestDistinctKVFullUniverse(t *testing.T) {
-	// n = u is the largest draw allowed: every key appears exactly once.
-	const u = 64
-	pairs, err := DistinctKV(u, u, 3, field.NewSplitMix64(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != u {
-		t.Fatalf("len = %d, want %d", len(pairs), u)
-	}
-	for i, p := range pairs {
-		if p.Key != uint64(i) {
-			t.Fatalf("pair %d has key %d", i, p.Key)
-		}
-	}
-	again, err := DistinctKV(u, u, 3, field.NewSplitMix64(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pairs {
-		if pairs[i] != again[i] {
-			t.Fatal("not deterministic")
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package sumcheck
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/field"
@@ -36,6 +35,9 @@ func transcriptFor(t *testing.T, cfg Config, tables [][]field.Elem, challenges [
 // TestParallelProverBitIdentical: for every combiner shape and branching
 // factor, the parallel prover's full transcript must match the serial
 // (Workers=0) transcript bit for bit, and workers=1 must equal serial.
+// The sparse row holds 6 000 live pairs of 2^15, under MaxSparseLive's
+// 8 192, so its rounds gather and fold the live pairs alone, in chunks
+// of at least MinGrain pairs: two at Workers 2.
 func TestParallelProverBitIdentical(t *testing.T) {
 	f := field.Mersenne()
 	rng := field.NewSplitMix64(31)
@@ -43,12 +45,14 @@ func TestParallelProverBitIdentical(t *testing.T) {
 		name     string
 		ell, d   int
 		combiner Combiner
+		live     int // live pairs, spread evenly; 0 = every entry random
 	}{
-		{"F2/ell=2", 2, 13, Power{K: 2}},
-		{"F5/ell=2", 2, 12, Power{K: 5}},
-		{"F2/ell=4", 4, 7, Power{K: 2}},
-		{"product/ell=2", 2, 13, Product{}},
-		{"product/ell=3", 3, 8, Product{}},
+		{"F2/ell=2", 2, 13, Power{K: 2}, 0},
+		{"F5/ell=2", 2, 12, Power{K: 5}, 0},
+		{"F2/ell=4", 4, 7, Power{K: 2}, 0},
+		{"product/ell=2", 2, 13, Product{}, 0},
+		{"product/ell=3", 3, 8, Product{}, 0},
+		{"F2/ell=2/sparse", 2, 16, Power{K: 2}, 6000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,7 +62,17 @@ func TestParallelProverBitIdentical(t *testing.T) {
 			}
 			tables := make([][]field.Elem, tc.combiner.Arity())
 			for i := range tables {
-				tables[i] = f.RandVec(rng, int(params.U))
+				if tc.live == 0 {
+					tables[i] = f.RandVec(rng, int(params.U))
+					continue
+				}
+				tables[i] = make([]field.Elem, params.U)
+				for k, stride := 0, int(params.U)/2/tc.live; k < tc.live; k++ {
+					tables[i][2*k*stride+k%2] = f.Rand(rng)
+				}
+				if live := ScanLivePairs(tc.ell, 2, flats(tables[i:i+1])...); !live.Sparse() {
+					t.Fatalf("%d live pairs of %d held dense", tc.live, params.U/2)
+				}
 			}
 			challenges := f.RandVec(rng, params.D)
 			serial := transcriptFor(t, Config{Field: f, Params: params, Combiner: tc.combiner}, tables, challenges)
@@ -75,77 +89,5 @@ func TestParallelProverBitIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestParallelProverAccepted: a parallel prover must convince a standard
-// verifier end to end.
-func TestParallelProverAccepted(t *testing.T) {
-	f := field.Mersenne()
-	rng := field.NewSplitMix64(32)
-	params, err := lde.NewParams(2, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := f.RandVec(rng, int(params.U))
-	for _, workers := range []int{0, 4, -1} {
-		cfg := Config{Field: f, Params: params, Combiner: Power{K: 2}, Workers: workers}
-		pt := lde.RandomPoint(f, params, rng)
-		val, err := lde.EvalDense(pt, table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := newScanned(cfg, table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := NewVerifier(cfg, pt.R, refTotal(cfg, table), f.Mul(val, val))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(p, v, nil); err != nil {
-			t.Fatalf("workers=%d: honest parallel prover rejected: %v", workers, err)
-		}
-		if !accepted(v) {
-			t.Fatalf("workers=%d: verifier did not accept", workers)
-		}
-	}
-}
-
-// TestParallelProverLargeRound smoke-checks a round big enough that the
-// pool actually forks (size beyond the parallel grain) for several arities.
-func TestParallelProverLargeRound(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large table")
-	}
-	f := field.Mersenne()
-	rng := field.NewSplitMix64(33)
-	params, err := lde.NewParams(2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := f.RandVec(rng, int(params.U))
-	b := f.RandVec(rng, int(params.U))
-	serialCfg := Config{Field: f, Params: params, Combiner: Product{}}
-	parCfg := serialCfg
-	parCfg.Workers = -1
-	ps, err := newScanned(serialCfg, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := newScanned(parCfg, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := ps.RoundMessage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, err := pp.RoundMessage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(ms) != fmt.Sprint(mp) {
-		t.Fatalf("round 1 differs: serial %v parallel %v", ms, mp)
 	}
 }

@@ -79,15 +79,6 @@ func buildTable(t *testing.T, f field.Field, ups []stream.Update, u uint64) []fi
 	return out
 }
 
-// refPowerSum computes Σ a_i^k over the integers, reduced into the field.
-func refPowerSum(f field.Field, a []int64, k int) field.Elem {
-	var total field.Elem
-	for _, v := range a {
-		total = f.Add(total, f.Pow(f.FromInt64(v), uint64(k)))
-	}
-	return total
-}
-
 // refTotal is the claim computed the long way: Σ_x C(f_1(x), …, f_T(x))
 // over the tables' entries.
 func refTotal(cfg Config, tables ...[]field.Elem) field.Elem {
@@ -101,21 +92,6 @@ func refTotal(cfg Config, tables ...[]field.Elem) field.Elem {
 		total = f.Add(total, cfg.Combiner.Apply(f, vals))
 	}
 	return total
-}
-
-// claimOf is the claim a session opens with: Σ_{c<ℓ} g_1(c) over the
-// prover's first message.
-func claimOf(t *testing.T, p *Prover) field.Elem {
-	t.Helper()
-	g1, err := p.RoundMessage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	claim, err := poly.SumPrefix(p.cfg.Field, g1, p.cfg.Params.Ell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return claim
 }
 
 // accepted reports whether v finished every round without rejecting.
@@ -147,241 +123,105 @@ func runProtocol(t *testing.T, cfg Config, rng field.RNG, tables ...[]field.Elem
 	return tr, v, err
 }
 
-func TestF2Completeness(t *testing.T) {
-	for _, pr := range []struct{ ell, d int }{{2, 8}, {2, 1}, {3, 4}, {4, 3}} {
-		params, err := lde.NewParams(pr.ell, pr.d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := field.NewSplitMix64(41)
-		ups := stream.UniformDeltas(params.U, 100, rng)
-		table := buildTable(t, f61, ups, params.U)
-		cfg := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
-		tr, v, err := runProtocol(t, cfg, rng, table)
-		if err != nil {
-			t.Fatalf("(ℓ=%d,d=%d): honest run rejected: %v", pr.ell, pr.d, err)
-		}
-		if !accepted(v) {
-			t.Fatalf("(ℓ=%d,d=%d): verifier not in accepted state", pr.ell, pr.d)
-		}
-		if len(tr.Messages) != params.D {
-			t.Fatalf("got %d messages, want %d", len(tr.Messages), params.D)
-		}
-		// Communication: d messages of deg+1 words + d-1 challenges.
-		wantWords := params.D*cfg.MessageLen() + params.D - 1
-		if tr.CommWords() != wantWords {
-			t.Fatalf("CommWords = %d, want %d", tr.CommWords(), wantWords)
-		}
+// TestCompleteness: an honest prover is accepted for every combiner shape
+// and branching factor — the verifier's claim is the tables' total
+// computed the long way — in d messages of deg+1 words and d−1
+// challenges; F_k at ℓ = 2 has degree k. The F2 rows at u = 4096 are
+// footnote 1's trade-off: a larger ℓ, fewer rounds of more words.
+func TestCompleteness(t *testing.T) {
+	type row struct {
+		ell, d int
+		comb   Combiner
 	}
-}
-
-// TestClaimedTotalMatchesReference: the prover's claimed answer is the
-// true frequency moment.
-func TestClaimedTotalMatchesReference(t *testing.T) {
-	params, err := lde.NewParams(2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := field.NewSplitMix64(42)
-	ups := stream.UniformDeltas(params.U, 1000, rng)
-	a, err := stream.Apply(ups, params.U)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := buildTable(t, f61, ups, params.U)
-	for k := 1; k <= 5; k++ {
-		cfg := Config{Field: f61, Params: params, Combiner: Power{K: k}}
-		p, err := newScanned(cfg, table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := claimOf(t, p), refPowerSum(f61, a, k); got != want {
-			t.Errorf("F%d: claim = %d, want %d", k, got, want)
-		}
-	}
-}
-
-func TestFkCompleteness(t *testing.T) {
-	params, err := lde.NewParams(2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := []row{{2, 8, Power{K: 2}}, {2, 1, Power{K: 2}}, {3, 4, Power{K: 2}}, {4, 3, Power{K: 2}},
+		{2, 12, Power{K: 2}}, {4, 6, Power{K: 2}}, {16, 3, Power{K: 2}},
+		{2, 8, Product{}}, {2, 6, PolyFn{H: poly.Poly{1, 3, 0, 2}}}}
 	for k := 1; k <= 6; k++ {
-		rng := field.NewSplitMix64(uint64(43 + k))
-		ups := stream.UniformDeltas(params.U, 50, rng)
-		table := buildTable(t, f61, ups, params.U)
-		cfg := Config{Field: f61, Params: params, Combiner: Power{K: k}}
-		if cfg.MessageLen() != k+1 {
-			t.Fatalf("F%d message length %d, want %d (paper: degree k for ℓ=2)", k, cfg.MessageLen(), k+1)
-		}
-		if _, v, err := runProtocol(t, cfg, rng, table); err != nil || !accepted(v) {
-			t.Fatalf("F%d honest run rejected: %v", k, err)
-		}
+		rows = append(rows, row{2, 7, Power{K: k}})
+	}
+	for _, r := range rows {
+		t.Run(fmt.Sprintf("%#v/ell=%d/d=%d", r.comb, r.ell, r.d), func(t *testing.T) {
+			params, err := lde.NewParams(r.ell, r.d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := field.NewSplitMix64(41)
+			tables := make([][]field.Elem, r.comb.Arity())
+			for i := range tables {
+				tables[i] = buildTable(t, f61, stream.UniformDeltas(params.U, 100, rng), params.U)
+			}
+			cfg := Config{Field: f61, Params: params, Combiner: r.comb}
+			tr, v, err := runProtocol(t, cfg, rng, tables...)
+			if err != nil || !accepted(v) {
+				t.Fatalf("honest run rejected: %v", err)
+			}
+			if want := params.D*cfg.MessageLen() + params.D - 1; len(tr.Messages) != params.D || tr.CommWords() != want {
+				t.Fatalf("%d messages, %d words; want %d, %d", len(tr.Messages), tr.CommWords(), params.D, want)
+			}
+			if pw, ok := r.comb.(Power); ok && r.ell == 2 && cfg.MessageLen() != pw.K+1 {
+				t.Fatalf("message length %d, want %d (paper: degree k for ℓ=2)", cfg.MessageLen(), pw.K+1)
+			}
+		})
 	}
 }
 
-func TestInnerProductCompleteness(t *testing.T) {
-	params, err := lde.NewParams(2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := field.NewSplitMix64(44)
-	upsA := stream.UniformDeltas(params.U, 30, rng)
-	upsB := stream.UniformDeltas(params.U, 30, rng)
-	ta := buildTable(t, f61, upsA, params.U)
-	tb := buildTable(t, f61, upsB, params.U)
-	cfg := Config{Field: f61, Params: params, Combiner: Product{}}
-	_, v, err := runProtocol(t, cfg, rng, ta, tb)
-	if err != nil || !accepted(v) {
-		t.Fatalf("inner product honest run rejected: %v", err)
-	}
-	// Claimed total must equal the reference inner product.
-	a, _ := stream.Apply(upsA, params.U)
-	b, _ := stream.Apply(upsB, params.U)
-	var want field.Elem
-	for i := range a {
-		want = f61.Add(want, f61.Mul(f61.FromInt64(a[i]), f61.FromInt64(b[i])))
-	}
-	p, err := newScanned(cfg, ta, tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := claimOf(t, p); got != want {
-		t.Fatalf("inner product claim = %d, want %d", got, want)
-	}
-}
-
-func TestPolyCombinerCompleteness(t *testing.T) {
-	params, err := lde.NewParams(2, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := field.NewSplitMix64(45)
-	// h(x) = 1 + 3x + 2x³ applied to small frequencies.
-	h := poly.Poly{1, 3, 0, 2}
-	ups := stream.UnitIncrements(params.U, 200, rng)
-	table := buildTable(t, f61, ups, params.U)
-	cfg := Config{Field: f61, Params: params, Combiner: PolyFn{H: h}}
-	_, v, err := runProtocol(t, cfg, rng, table)
-	if err != nil || !accepted(v) {
-		t.Fatalf("poly combiner honest run rejected: %v", err)
-	}
-	a, _ := stream.Apply(ups, params.U)
-	var want field.Elem
-	for _, cnt := range a {
-		want = f61.Add(want, h.Eval(f61, f61.FromInt64(cnt)))
-	}
-	p, _ := newScanned(cfg, table)
-	if got := claimOf(t, p); got != want {
-		t.Fatalf("PolyFn claim = %d, want %d", got, want)
-	}
-}
-
-// TestSoundnessLyingClaim: a prover that announces a wrong total is always
-// rejected (the round-1 sum check fails immediately, no probability
-// involved).
-func TestSoundnessLyingClaim(t *testing.T) {
-	params, err := lde.NewParams(2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := field.NewSplitMix64(46)
-	ups := stream.UniformDeltas(params.U, 100, rng)
-	table := buildTable(t, f61, ups, params.U)
-	cfg := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
-	pt := lde.RandomPoint(f61, params, rng)
-	val, err := lde.EvalDense(pt, table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expected := f61.Mul(val, val)
-	p, err := newScanned(cfg, table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrongClaim := f61.Add(refTotal(cfg, table), 1)
-	v, err := NewVerifier(cfg, pt.R, wrongClaim, expected)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(p, v, nil)
-	if !errors.Is(err, ErrReject) {
-		t.Fatalf("lying claim not rejected: %v", err)
-	}
-}
-
-// TestSoundnessTamperedMessages: flipping any single coefficient of any
-// round message must be caught. With p = 2^61-1 the failure probability is
-// ~2^-56 per round, so rejection is deterministic in practice.
-func TestSoundnessTamperedMessages(t *testing.T) {
+// TestSoundness: the verifier rejects a claim one more than the truth (at
+// the round-1 sum check, no probability involved), a prover that proves
+// over the stream less its last update (the paper's second tampering
+// experiment: the final LDE check), and any single coefficient of any
+// round message moved by one.
+func TestSoundness(t *testing.T) {
 	params, err := lde.NewParams(2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
+	type lie struct {
+		name      string
+		claim     field.Elem // added to the true total
+		dropLast  bool       // the prover misses the last update
+		round, at int        // the coefficient moved by one; round 0 = none
+	}
+	lies := []lie{{name: "claim", claim: 1}, {name: "stream", dropLast: true}}
 	for round := 1; round <= params.D; round++ {
-		for pos := 0; pos < cfg.MessageLen(); pos++ {
-			rng := field.NewSplitMix64(uint64(100*round + pos))
+		for at := 0; at < cfg.MessageLen(); at++ {
+			lies = append(lies, lie{name: fmt.Sprintf("round %d pos %d", round, at), round: round, at: at})
+		}
+	}
+	for k, l := range lies {
+		t.Run(l.name, func(t *testing.T) {
+			rng := field.NewSplitMix64(uint64(100 + k))
 			ups := stream.UniformDeltas(params.U, 100, rng)
 			table := buildTable(t, f61, ups, params.U)
+			proved := table
+			if l.dropLast {
+				proved = buildTable(t, f61, ups[:len(ups)-1], params.U)
+			}
 			pt := lde.RandomPoint(f61, params, rng)
 			val, err := lde.EvalDense(pt, table)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := newScanned(cfg, table)
+			p, err := newScanned(cfg, proved)
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, err := NewVerifier(cfg, pt.R, refTotal(cfg, table), f61.Mul(val, val))
+			v, err := NewVerifier(cfg, pt.R, f61.Add(refTotal(cfg, proved), l.claim), f61.Mul(val, val))
 			if err != nil {
 				t.Fatal(err)
 			}
 			tamper := func(r int, evals []field.Elem) []field.Elem {
-				if r == round {
-					out := append([]field.Elem(nil), evals...)
-					out[pos] = f61.Add(out[pos], 1)
-					return out
+				if r != l.round {
+					return evals
 				}
-				return evals
+				out := append([]field.Elem(nil), evals...)
+				out[l.at] = f61.Add(out[l.at], 1)
+				return out
 			}
 			if _, err := Run(p, v, tamper); !errors.Is(err, ErrReject) {
-				t.Fatalf("tamper round %d pos %d not rejected: %v", round, pos, err)
+				t.Fatalf("not rejected: %v", err)
 			}
-		}
-	}
-}
-
-// TestSoundnessModifiedStream: the prover computes its proof over a
-// slightly different stream (the paper's second tampering experiment).
-// The claimed total is then correct for the *wrong* data and the final
-// LDE check catches it.
-func TestSoundnessModifiedStream(t *testing.T) {
-	params, err := lde.NewParams(2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := field.NewSplitMix64(47)
-	ups := stream.UniformDeltas(params.U, 100, rng)
-	table := buildTable(t, f61, ups, params.U)
-	// The prover drops the last update — "missed out some data".
-	modified := buildTable(t, f61, ups[:len(ups)-1], params.U)
-	cfg := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
-	pt := lde.RandomPoint(f61, params, rng)
-	val, err := lde.EvalDense(pt, table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := newScanned(cfg, modified)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := NewVerifier(cfg, pt.R, refTotal(cfg, modified), f61.Mul(val, val))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(p, v, nil); !errors.Is(err, ErrReject) {
-		t.Fatalf("modified-stream proof not rejected: %v", err)
+		})
 	}
 }
 
@@ -591,35 +431,6 @@ func TestProverStateMachine(t *testing.T) {
 	}
 	if _, err := p.RoundMessage(); err == nil {
 		t.Error("message past final round accepted")
-	}
-}
-
-// TestBranchingFactorTradeoff verifies the footnote-1 trade-off: larger ℓ
-// means fewer rounds but more words per message, with total communication
-// deg+1 per round.
-func TestBranchingFactorTradeoff(t *testing.T) {
-	for _, pr := range []struct {
-		ell, d int
-	}{{2, 12}, {4, 6}, {16, 3}} {
-		params, err := lde.NewParams(pr.ell, pr.d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if params.U != 4096 {
-			t.Fatalf("params (%d,%d) universe %d, want 4096", pr.ell, pr.d, params.U)
-		}
-		rng := field.NewSplitMix64(uint64(50 + pr.ell))
-		ups := stream.UniformDeltas(params.U, 10, rng)
-		table := buildTable(t, f61, ups, params.U)
-		cfg := Config{Field: f61, Params: params, Combiner: Power{K: 2}}
-		tr, v, err := runProtocol(t, cfg, rng, table)
-		if err != nil || !accepted(v) {
-			t.Fatalf("(ℓ=%d,d=%d) rejected: %v", pr.ell, pr.d, err)
-		}
-		wantWords := pr.d*(2*(pr.ell-1)+1) + pr.d - 1
-		if tr.CommWords() != wantWords {
-			t.Errorf("(ℓ=%d,d=%d) CommWords = %d, want %d", pr.ell, pr.d, tr.CommWords(), wantWords)
-		}
 	}
 }
 

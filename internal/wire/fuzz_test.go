@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,36 +154,28 @@ func FuzzDecodeOpen(f *testing.F) {
 }
 
 // TestMsgPropertyRoundTrip drives the message codec with generated
-// shapes, including empty and large sections.
+// shapes, including empty and large sections, and refuses a short
+// header and a trailing byte.
 func TestMsgPropertyRoundTrip(t *testing.T) {
 	rng := field.NewSplitMix64(123)
 	for trial := 0; trial < 200; trial++ {
-		nInts := int(rng.Uint64() % 17)
-		nElems := int(rng.Uint64() % 17)
 		var m core.Msg
-		for i := 0; i < nInts; i++ {
+		for i := rng.Uint64() % 17; i > 0; i-- {
 			m.Ints = append(m.Ints, rng.Uint64())
 		}
-		for i := 0; i < nElems; i++ {
+		for i := rng.Uint64() % 17; i > 0; i-- {
 			m.Elems = append(m.Elems, field.Elem(rng.Uint64()))
 		}
 		got, err := frames.DecodeMsg(frames.EncodeMsg(m))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		if err != nil || !slices.Equal(got.Ints, m.Ints) || !slices.Equal(got.Elems, m.Elems) {
+			t.Fatalf("trial %d: %+v round-trips to %+v, %v", trial, m, got, err)
 		}
-		if len(got.Ints) != nInts || len(got.Elems) != nElems {
-			t.Fatalf("trial %d: shape mismatch", trial)
-		}
-		for i := range m.Ints {
-			if got.Ints[i] != m.Ints[i] {
-				t.Fatalf("trial %d: int %d", trial, i)
-			}
-		}
-		for i := range m.Elems {
-			if got.Elems[i] != m.Elems[i] {
-				t.Fatalf("trial %d: elem %d", trial, i)
-			}
-		}
+	}
+	if _, err := frames.DecodeMsg([]byte{1, 2, 3}); err == nil {
+		t.Error("short message accepted")
+	}
+	if _, err := frames.DecodeMsg(append(frames.EncodeMsg(core.Msg{Ints: []uint64{1}}), 0)); err == nil {
+		t.Error("oversized message accepted")
 	}
 }
 
@@ -221,6 +214,9 @@ func TestQueryPropertyRoundTrip(t *testing.T) {
 	}
 	if _, _, err := frames.DecodeQuery(append(frames.EncodeQuery(QueryIndex, QueryParams{A: 4}), 'Z')); err == nil {
 		t.Error("trailing bytes on a fixed-kind query decoded")
+	}
+	if _, _, err := frames.DecodeQuery([]byte{1}); err == nil {
+		t.Error("short query accepted")
 	}
 }
 

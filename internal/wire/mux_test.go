@@ -15,63 +15,6 @@ import (
 	"repro/internal/wire/frames"
 )
 
-// TestMuxIngestionFlowsBetweenConversations: updates sent while
-// conversations are in flight are folded (and acked) without waiting
-// for the conversations, and the conversations still prove against the
-// state they were issued at — frame order on the wire fixes each
-// snapshot.
-func TestMuxIngestionFlowsBetweenConversations(t *testing.T) {
-	const u = 1 << 10
-	addr, stop := startServerOpts(t, &Server{F: f61})
-	defer stop()
-
-	ups1 := stream.UniformDeltas(u, 50, field.NewSplitMix64(1200))
-	ups2 := stream.UnitIncrements(u, 300, field.NewSplitMix64(1201))
-
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.OpenDataset("flow", u); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Ingest(ups1); err != nil {
-		t.Fatal(err)
-	}
-
-	// Launch conversations over the ups1 state…
-	const k = 4
-	handles := make([]*QueryHandle, k)
-	for i := 0; i < k; i++ {
-		v := conformance.Verifier(t, u, conformance.Cases[0], field.NewSplitMix64(uint64(1300+i)), ups1)
-		h, err := cl.QueryAsync(QuerySelfJoinSize, QueryParams{}, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles[i] = h
-	}
-	// …then ingest more while they are (potentially) mid-flight. The
-	// ingest acks must come back without waiting for any conversation.
-	count, err := cl.Ingest(ups2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(count) != len(ups1)+len(ups2) {
-		t.Fatalf("count after interleaved ingest = %d, want %d", count, len(ups1)+len(ups2))
-	}
-	for i, h := range handles {
-		if _, err := h.Wait(); err != nil {
-			t.Fatalf("conversation %d (issued before the ingest) rejected: %v", i, err)
-		}
-	}
-	// A conversation issued after the ingest sees the union.
-	v := conformance.Verifier(t, u, conformance.Cases[0], field.NewSplitMix64(1400), append(append([]stream.Update(nil), ups1...), ups2...))
-	if _, err := cl.Query(QuerySelfJoinSize, QueryParams{}, v); err != nil {
-		t.Fatalf("post-ingest conversation rejected: %v", err)
-	}
-}
-
 // TestMuxChannelBudget: channel opens past MaxConcurrentQueries get the
 // budget-frame treatment — the refused channel fails typed, the
 // connection and the in-flight conversation survive, and finishing a
@@ -134,7 +77,7 @@ func TestMuxChannelBudget(t *testing.T) {
 // evictions and rehydrations while other channels are mid-conversation.
 // Every transcript must be bit-identical to the replay reference
 // (conformance.Reference). Meaningful mostly under -race (the wire-layer extension of
-// the engine's TestCrossDatasetContention).
+// the engine's TestConcurrentEvictRehydrate).
 func TestMuxCrossDatasetResidency(t *testing.T) {
 	const (
 		u         = 500
@@ -370,92 +313,58 @@ func TestIngestSurfacesIngestError(t *testing.T) {
 	}
 }
 
-// TestIngestIsOneBatch: one Ingest call is one engine batch. An honest
-// 10 000-update Ingest moves the dataset's version by exactly one, and
-// one whose last index is outside the universe applies nothing — the
-// count and the version stay where they were.
-func TestIngestIsOneBatch(t *testing.T) {
-	const u, n = 1 << 12, 10000
-	eng := engine.New(f61, 0)
-	addr, stop := startServerOpts(t, &Server{F: f61, Engine: eng})
-	defer stop()
-	dial := func() *Client {
-		cl, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		return cl
-	}
-	honest := dial()
-	name := openFresh(t, honest, u, nil)
-	ds, ok := eng.Get(name)
-	if !ok {
-		t.Fatal("the opened dataset is not registered")
-	}
-	v0 := ds.Version()
-	if count, err := honest.Ingest(stream.UnitIncrements(u, n, field.NewSplitMix64(1901))); err != nil || count != n {
-		t.Fatalf("honest Ingest: count %d, %v", count, err)
-	}
-	if got := ds.Version(); got != v0+1 {
-		t.Fatalf("a %d-update Ingest moved the version %d → %d, want one step", n, v0, got)
-	}
-
-	bad := dial()
-	if _, err := bad.OpenDataset(name, u); err != nil {
-		t.Fatal(err)
-	}
-	ups := stream.UnitIncrements(u, n, field.NewSplitMix64(1902))
-	ups[n-1].Index = u
-	if _, err := bad.Ingest(ups); err == nil || !strings.Contains(err.Error(), "outside universe") {
-		t.Fatalf("Ingest ending outside the universe = %v, want the bounds refusal", err)
-	}
-	if ds.Updates() != n || ds.Version() != v0+1 {
-		t.Fatalf("the refused Ingest left %d updates at version %d, want %d at %d", ds.Updates(), ds.Version(), n, v0+1)
-	}
-}
-
-// TestIngestFrameCut: a batch past the per-frame cap is cut into frames,
-// each its own engine batch. At a cap of 3, seven updates are three
-// frames, three versions and a count of seven; a refused index in the
-// second frame leaves the first frame applied and sends no third.
+// TestIngestFrameCut: one frame of updates is one engine batch, and a
+// batch past the per-frame cap is cut into frames, each its own batch.
+// An honest 10 000-update Ingest moves the dataset's version by exactly
+// one, and one whose last index is outside the universe applies
+// nothing. At a cap of 3, seven updates are three frames, three versions
+// and a count of seven; a refused index in the second frame leaves the
+// first frame applied and sends no third.
 func TestIngestFrameCut(t *testing.T) {
-	const u = 1 << 10
-	eng := engine.New(f61, 0)
-	addr, stop := startServerOpts(t, &Server{F: f61, Engine: eng})
-	defer stop()
-	dial := func() *Client {
-		cl, err := Dial(addr)
-		if err != nil {
+	for _, tc := range []struct {
+		u                uint64
+		n, perFrame, bad int
+		frames, kept     int // the honest batch's frames; the updates the refused one applies
+	}{
+		{1 << 12, 10000, maxFrameUpdates, 10000 - 1, 1, 0},
+		{1 << 10, 7, 3, 4, 3, 3},
+	} {
+		eng := engine.New(f61, 0)
+		addr, stop := startServerOpts(t, &Server{F: f61, Engine: eng})
+		defer stop()
+		dial := func() *Client {
+			cl, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { cl.Close() })
+			return cl
+		}
+		honest := dial()
+		name := openFresh(t, honest, tc.u, nil)
+		ds, ok := eng.Get(name)
+		if !ok {
+			t.Fatal("the opened dataset is not registered")
+		}
+		v0 := ds.Version()
+		if count, err := honest.ingest(frames.Updates, stream.UnitIncrements(tc.u, tc.n, field.NewSplitMix64(1903)), tc.perFrame); err != nil || count != uint64(tc.n) {
+			t.Fatalf("%+v: honest ingest: count %d, %v", tc, count, err)
+		}
+		if got := ds.Version(); got != v0+uint64(tc.frames) {
+			t.Fatalf("%+v: the honest batch moved the version %d → %d", tc, v0, got)
+		}
+		bad := dial()
+		if _, err := bad.OpenDataset(name, tc.u); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { cl.Close() })
-		return cl
-	}
-	honest := dial()
-	name := openFresh(t, honest, u, nil)
-	ds, ok := eng.Get(name)
-	if !ok {
-		t.Fatal("the opened dataset is not registered")
-	}
-	v0 := ds.Version()
-	if count, err := honest.ingest(frames.Updates, stream.UnitIncrements(u, 7, field.NewSplitMix64(1903)), 3); err != nil || count != 7 {
-		t.Fatalf("7 updates at 3 a frame: count %d, %v", count, err)
-	}
-	if got := ds.Version(); got != v0+3 {
-		t.Fatalf("7 updates at 3 a frame moved the version %d → %d, want three steps", v0, got)
-	}
-
-	bad := dial()
-	if _, err := bad.OpenDataset(name, u); err != nil {
-		t.Fatal(err)
-	}
-	ups := stream.UnitIncrements(u, 7, field.NewSplitMix64(1904))
-	ups[4].Index = u
-	if _, err := bad.ingest(frames.Updates, ups, 3); err == nil || !strings.Contains(err.Error(), "outside universe") {
-		t.Fatalf("a refused index in the second frame = %v, want the bounds refusal", err)
-	}
-	if ds.Updates() != 7+3 || ds.Version() != v0+4 {
-		t.Fatalf("the refused second frame left %d updates at version %d, want %d at %d", ds.Updates(), ds.Version(), 7+3, v0+4)
+		ups := stream.UnitIncrements(tc.u, tc.n, field.NewSplitMix64(1904))
+		ups[tc.bad].Index = tc.u
+		if _, err := bad.ingest(frames.Updates, ups, tc.perFrame); err == nil || !strings.Contains(err.Error(), "outside universe") {
+			t.Fatalf("%+v: a refused index = %v, want the bounds refusal", tc, err)
+		}
+		wantV := v0 + uint64(tc.frames+tc.kept/tc.perFrame)
+		if ds.Updates() != uint64(tc.n+tc.kept) || ds.Version() != wantV {
+			t.Fatalf("%+v: the refused batch left %d updates at version %d, want %d at %d", tc, ds.Updates(), ds.Version(), tc.n+tc.kept, wantV)
+		}
 	}
 }

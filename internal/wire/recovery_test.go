@@ -157,32 +157,3 @@ func TestBudgetErrorOverWire(t *testing.T) {
 		t.Fatalf("over-budget open = %v, want wire.ErrBudget", err)
 	}
 }
-
-// TestWireEvictionTransparent: with a one-dataset budget and a data dir,
-// two datasets ping-pong through memory while both keep answering
-// verified queries — eviction and rehydration are invisible to clients.
-func TestWireEvictionTransparent(t *testing.T) {
-	eng := engine.New(f61, 0)
-	addr, stop := startServerOpts(t, &Server{
-		F:         f61,
-		Engine:    eng,
-		MemBudget: recOneDataset,
-		DataDir:   t.TempDir(),
-	})
-	defer stop()
-
-	upsA := stream.UniformDeltas(recU, 30, field.NewSplitMix64(410))
-	upsB := stream.UnitIncrements(recU, 600, field.NewSplitMix64(411))
-	ingestNamed(t, addr, "alpha", upsA)
-	ingestNamed(t, addr, "beta", upsB) // evicts alpha
-
-	if ds, ok := eng.Get("alpha"); !ok || ds.Resident() {
-		t.Fatalf("alpha should be evicted under a one-dataset budget (ok=%v)", ok)
-	}
-	verifyF2Named(t, addr, "alpha", upsA, 412) // rehydrates alpha, evicts beta
-	if ds, ok := eng.Get("beta"); !ok || ds.Resident() {
-		t.Fatalf("beta should be evicted after alpha rehydrated (ok=%v)", ok)
-	}
-	verifyF2Named(t, addr, "beta", upsB, 413)
-	verifyF2Named(t, addr, "alpha", upsA, 414)
-}

@@ -126,3 +126,49 @@ func TestCloseDrainsHandlersBeforeFinalPersist(t *testing.T) {
 		t.Fatalf("recovered %d updates but %d were acknowledged — the final persist ran before the handler drained", got, last)
 	}
 }
+
+// TestServeReturnsErrServerClosed: an intentional Close must surface as
+// ErrServerClosed from Serve, not as the listener's "use of closed network
+// connection" error.
+func TestServeReturnsErrServerClosed(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &Server{F: f61}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	// Let Serve reach Accept, then shut down.
+	time.Sleep(10 * time.Millisecond)
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrServerClosed) {
+			t.Fatalf("Serve after Close = %v, want ErrServerClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after Close")
+	}
+	// Close before Serve: a later Serve must refuse immediately and leave
+	// the caller's listener untouched (net/http semantics).
+	ln2, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln2.Close()
+	if err := srv.Serve(ln2); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Serve on closed server = %v, want ErrServerClosed", err)
+	}
+	// A refused Serve must not have registered ln2 either: a second Close
+	// (Close is idempotent) must leave it accepting.
+	if err := srv.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if conn, err := net.Dial("tcp", ln2.Addr().String()); err != nil {
+		t.Fatalf("refused Serve let Close reach the caller's listener: %v", err)
+	} else {
+		conn.Close()
+	}
+}

@@ -27,103 +27,6 @@ func startServerOpts(t *testing.T, srv *Server) (string, func()) {
 	return ln.Addr().String(), func() { _ = srv.Close() }
 }
 
-// TestSharedDatasetAcrossConnections: two connections ingest halves of a
-// stream into one named dataset; a third attaches and verifies queries
-// over the union — no connection ever re-uploads what another sent.
-func TestSharedDatasetAcrossConnections(t *testing.T) {
-	addr, stop := startServerOpts(t, &Server{F: f61})
-	defer stop()
-
-	const u = 1 << 10
-	ups := stream.UniformDeltas(u, 100, field.NewSplitMix64(70))
-	half := len(ups) / 2
-
-	for i, part := range [][]stream.Update{ups[:half], ups[half:]} {
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		count, err := c.OpenDataset("metrics", u)
-		if err != nil {
-			t.Fatalf("uploader %d: open: %v", i, err)
-		}
-		if int(count) != i*half {
-			t.Fatalf("uploader %d saw %d prior updates, want %d", i, count, i*half)
-		}
-		after, err := c.Ingest(part)
-		if err != nil {
-			t.Fatalf("uploader %d: ingest: %v", i, err)
-		}
-		if int(after) != (i+1)*half {
-			t.Fatalf("uploader %d: count after ingest = %d", i, after)
-		}
-		c.Close()
-	}
-
-	// The querier observed the full stream locally (the single verifier
-	// pass) and attaches to the same dataset by name.
-	q, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	count, err := q.OpenDataset("metrics", u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(count) != len(ups) {
-		t.Fatalf("querier saw %d updates, want %d", count, len(ups))
-	}
-
-	f2v, err := engine.NewStreamVerifier(f61, u, QuerySelfJoinSize, QueryParams{}, field.NewSplitMix64(71))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rq := QueryParams{A: 0, B: 99}
-	rqv, err := engine.NewStreamVerifier(f61, u, QueryRangeQuery, rq, field.NewSplitMix64(72))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, up := range ups {
-		if err := f2v.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-		if err := rqv.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := q.Query(QuerySelfJoinSize, QueryParams{}, f2v); err != nil {
-		t.Fatalf("F2 over shared dataset rejected: %v", err)
-	}
-	got, err := engine.AnswerOf(QuerySelfJoinSize, f2v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := stream.Apply(ups, u)
-	var want field.Elem
-	for _, v := range a {
-		e := f61.FromInt64(v)
-		want = f61.Add(want, f61.Mul(e, e))
-	}
-	if got.Elem != want {
-		t.Fatalf("F2 = %d, want %d", got.Elem, want)
-	}
-
-	// Ingestion continues between queries on the same connection.
-	extra := stream.UnitIncrements(u, 500, field.NewSplitMix64(73))
-	if _, err := q.Ingest(extra); err != nil {
-		t.Fatal(err)
-	}
-	for _, up := range extra {
-		if err := rqv.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := q.Query(QueryRangeQuery, rq, rqv); err != nil {
-		t.Fatalf("range query after further ingestion rejected: %v", err)
-	}
-}
-
 // TestConcurrentSharedDataset runs ≥4 clients ingesting disjoint shards
 // of one stream into a single named dataset concurrently, then querying
 // it concurrently — the multi-tenant serving path under -race.

@@ -5,10 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/stream"
-	"repro/internal/wire/frames"
 )
 
 var f61 = field.Mersenne()
@@ -30,51 +28,4 @@ func openFresh(t testing.TB, c *Client, u uint64, ups []stream.Update) string {
 		}
 	}
 	return name
-}
-
-func TestMsgRoundTrip(t *testing.T) {
-	cases := []core.Msg{
-		{},
-		{Ints: []uint64{1, 2, 3}},
-		{Elems: []field.Elem{7, 8}},
-		{Ints: []uint64{9}, Elems: []field.Elem{10, 11, 12}},
-	}
-	for _, m := range cases {
-		got, err := frames.DecodeMsg(frames.EncodeMsg(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Ints) != len(m.Ints) || len(got.Elems) != len(m.Elems) {
-			t.Fatalf("roundtrip shape mismatch: %+v vs %+v", got, m)
-		}
-		for i := range m.Ints {
-			if got.Ints[i] != m.Ints[i] {
-				t.Fatalf("ints differ at %d", i)
-			}
-		}
-		for i := range m.Elems {
-			if got.Elems[i] != m.Elems[i] {
-				t.Fatalf("elems differ at %d", i)
-			}
-		}
-	}
-	if _, err := frames.DecodeMsg([]byte{1, 2, 3}); err == nil {
-		t.Error("short message accepted")
-	}
-	if _, err := frames.DecodeMsg(append(frames.EncodeMsg(core.Msg{Ints: []uint64{1}}), 0)); err == nil {
-		t.Error("oversized message accepted")
-	}
-}
-
-func TestQueryRoundTrip(t *testing.T) {
-	kind, params, err := frames.DecodeQuery(frames.EncodeQuery(QueryHeavyHitters, QueryParams{A: 5, B: 9, K: -2, Phi: 0.125}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != QueryHeavyHitters || params.A != 5 || params.B != 9 || params.K != -2 || params.Phi != 0.125 {
-		t.Fatalf("roundtrip = %v %+v", kind, params)
-	}
-	if _, _, err := frames.DecodeQuery([]byte{1}); err == nil {
-		t.Error("short query accepted")
-	}
 }

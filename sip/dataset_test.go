@@ -7,98 +7,6 @@ import (
 	"repro/sip"
 )
 
-// TestDatasetIngestOnceProveMany is the package-level amortization
-// contract: one dataset serves many verified queries of different kinds,
-// ingestion continues between queries, and nothing is re-streamed into
-// the prover.
-func TestDatasetIngestOnceProveMany(t *testing.T) {
-	f := sip.Mersenne()
-	const u = 1 << 10
-	rng := sip.NewSeededRNG(2024)
-	var ups []sip.Update
-	for i := 0; i < 4096; i++ {
-		ups = append(ups, sip.Update{Index: rng.Uint64() % u, Delta: 1})
-	}
-
-	ds, err := sip.NewDataset(f, u, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Ingest(ups); err != nil {
-		t.Fatal(err)
-	}
-	snap := ds.Snapshot()
-
-	// Several queries of different kinds against the same snapshot.
-	f2v := observedVerifier(t, f, u, sip.QuerySelfJoinSize, sip.NewSeededRNG(1), ups)
-	hht, err := sip.NewTicket(f, u, []sip.QueryKind{sip.QueryHeavyHitters}, sip.NewSeededRNG(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, up := range ups {
-		if err := hht.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p, err := snap.NewProver(sip.QuerySelfJoinSize, sip.QueryParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sip.Run(p, f2v); err != nil {
-		t.Fatalf("F2 rejected: %v", err)
-	}
-	hhq := sip.QueryParams{Phi: 0.01}
-	hhv, err := hht.Spend(sip.QueryHeavyHitters, hhq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp, err := snap.NewProver(sip.QueryHeavyHitters, hhq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sip.Run(hp, hhv); err != nil {
-		t.Fatalf("heavy hitters rejected: %v", err)
-	}
-
-	// Ingest more, snapshot again, and verify against the grown stream;
-	// the old snapshot's conversation above was unaffected.
-	extra := []sip.Update{{Index: 7, Delta: 3}, {Index: 9, Delta: 1}}
-	if err := ds.Ingest(extra); err != nil {
-		t.Fatal(err)
-	}
-	all := append(append([]sip.Update(nil), ups...), extra...)
-	v2 := observedVerifier(t, f, u, sip.QuerySelfJoinSize, sip.NewSeededRNG(3), all)
-	p2, err := ds.Snapshot().NewProver(sip.QuerySelfJoinSize, sip.QueryParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sip.Run(p2, v2); err != nil {
-		t.Fatalf("F2 after further ingestion rejected: %v", err)
-	}
-}
-
-// TestEngineNamedDatasets: the registry is create-or-attach.
-func TestEngineNamedDatasets(t *testing.T) {
-	eng := sip.NewEngine(sip.Mersenne(), 0)
-	a, err := eng.Open("clickstream", 1<<12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Ingest([]sip.Update{{Index: 1, Delta: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := eng.Open("clickstream", 1<<12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Updates() != 1 {
-		t.Fatalf("attached dataset has %d updates, want 1", b.Updates())
-	}
-	if _, err := eng.Open("clickstream", 1<<13); err == nil {
-		t.Fatal("universe mismatch accepted")
-	}
-}
-
 // TestEngineDurableBudgeted drives the public durability surface: a
 // budget below the working set forces LRU eviction to the data dir,
 // queries against evicted datasets still verify, admission past the
@@ -120,7 +28,7 @@ func TestEngineDurableBudgeted(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		ups = append(ups, sip.Update{Index: rng.Uint64() % u, Delta: 1})
 	}
-	v := observedVerifier(t, f, u, sip.QuerySelfJoinSize, sip.NewSeededRNG(8), ups)
+	v := observedVerifier(t, f, u, sip.QuerySelfJoinSize, sip.QueryParams{}, sip.NewSeededRNG(8), ups)
 
 	a, err := eng.Open("a", u)
 	if err != nil {

@@ -2,6 +2,7 @@ package sip_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/stream"
@@ -27,10 +28,10 @@ func datasetProver(t *testing.T, f sip.Field, u uint64, workers int, ups []sip.U
 }
 
 // observedVerifier is the data owner's side: kind's verifier over
-// [0, u), with no query parameters, fed the stream once.
-func observedVerifier(t *testing.T, f sip.Field, u uint64, kind sip.QueryKind, rng sip.RNG, ups []sip.Update) sip.StreamVerifier {
+// [0, u) for params, fed the stream once.
+func observedVerifier(t *testing.T, f sip.Field, u uint64, kind sip.QueryKind, params sip.QueryParams, rng sip.RNG, ups []sip.Update) sip.StreamVerifier {
 	t.Helper()
-	v, err := sip.NewQueryVerifier(f, u, kind, sip.QueryParams{}, rng)
+	v, err := sip.NewQueryVerifier(f, u, kind, params, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,87 +43,131 @@ func observedVerifier(t *testing.T, f sip.Field, u uint64, kind sip.QueryKind, r
 	return v
 }
 
-func TestVerifySelfJoinSize(t *testing.T) {
-	const u = 1 << 10
-	rng := sip.NewSeededRNG(1)
-	ups := stream.UniformDeltas(u, 100, sip.NewSeededRNG(2))
-	got, stats, err := sip.VerifySelfJoinSize(sip.Mersenne(), u, ups, rng)
-	if err != nil {
-		t.Fatalf("rejected: %v", err)
-	}
-	a, _ := stream.Apply(ups, u)
-	var want uint64
-	for _, v := range a {
-		want += uint64(v) * uint64(v)
-	}
-	if uint64(got) != want {
-		t.Fatalf("F2 = %d, want %d", got, want)
-	}
-	if stats.CommBytes() > 1024 {
-		t.Errorf("F2 communication %d bytes exceeds the paper's <1KB claim", stats.CommBytes())
-	}
-}
-
-func TestVerifyRangeSum(t *testing.T) {
-	const u = 1 << 12
-	pairs, err := stream.DistinctKV(u, 300, 1000, sip.NewSeededRNG(3))
+// TestFacade runs each of the public one-call wrappers once against a
+// plain computation of its answer: the Verify* conversations, the field
+// and RNG constructors, and a posted proof round-tripped through
+// DecodeProof and checked by VerifyProof, then refused once doctored.
+func TestFacade(t *testing.T) {
+	f := sip.Mersenne()
+	zipf, err := stream.Zipf(1<<9, 5000, 1.3, sip.NewSeededRNG(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ups := stream.KVUpdates(pairs)
-	got, _, err := sip.VerifyRangeSum(sip.Mersenne(), u, ups, 1000, 3000, sip.NewSeededRNG(4))
-	if err != nil {
-		t.Fatalf("rejected: %v", err)
-	}
-	var want int64
-	for _, p := range pairs {
-		if p.Key >= 1000 && p.Key <= 3000 {
-			want += int64(p.Value)
-		}
-	}
-	if got != want {
-		t.Fatalf("range sum = %d, want %d", got, want)
-	}
-}
-
-func TestVerifyRangeQuery(t *testing.T) {
-	const u = 1 << 8
-	ups := []sip.Update{{Index: 10, Delta: 2}, {Index: 20, Delta: 1}, {Index: 200, Delta: 5}}
-	entries, _, err := sip.VerifyRangeQuery(sip.Mersenne(), u, ups, 5, 100, sip.NewSeededRNG(5))
-	if err != nil {
-		t.Fatalf("rejected: %v", err)
-	}
-	if len(entries) != 2 || entries[0] != (sip.Entry{Index: 10, Value: 2}) || entries[1] != (sip.Entry{Index: 20, Value: 1}) {
-		t.Fatalf("entries = %+v", entries)
-	}
-}
-
-func TestVerifyHeavyHittersAndF0(t *testing.T) {
-	const u = 1 << 9
-	ups, err := stream.Zipf(u, 5000, 1.3, sip.NewSeededRNG(6))
+	pairs, err := stream.DistinctKV(1<<12, 300, 1000, sip.NewSeededRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hh, _, err := sip.VerifyHeavyHitters(sip.Mersenne(), u, ups, 0.05, sip.NewSeededRNG(7))
-	if err != nil {
-		t.Fatalf("HH rejected: %v", err)
+	uniform := stream.UniformDeltas(1<<10, 100, sip.NewSeededRNG(2))
+	counts := func(ups []sip.Update, u uint64) []int64 { a, _ := stream.Apply(ups, u); return a }
+	var matrix []sip.Update // a 4×4 matrix A, row-major
+	for i, rng := 0, sip.NewSeededRNG(77); i < 16; i++ {
+		matrix = append(matrix, sip.Update{Index: uint64(i), Delta: int64(rng.Uint64()%7) - 3})
 	}
-	if len(hh) == 0 {
-		t.Fatal("zipf(1.3) produced no heavy hitters at φ=0.05")
+	rows := []struct {
+		name string
+		run  func(t *testing.T) (got, want any, err error)
+	}{
+		{"VerifySelfJoinSize", func(t *testing.T) (any, any, error) {
+			got, stats, err := sip.VerifySelfJoinSize(f, 1<<10, uniform, sip.NewSeededRNG(1))
+			var want sip.Elem
+			for _, c := range counts(uniform, 1<<10) {
+				want += sip.Elem(c * c)
+			}
+			if stats.CommBytes() > 1024 {
+				t.Errorf("F2 communication %d bytes exceeds the paper's <1KB claim", stats.CommBytes())
+			}
+			return got, want, err
+		}},
+		{"VerifyRangeSum", func(t *testing.T) (any, any, error) {
+			got, _, err := sip.VerifyRangeSum(f, 1<<12, stream.KVUpdates(pairs), 1000, 3000, sip.NewSeededRNG(4))
+			var want int64
+			for _, p := range pairs {
+				if p.Key >= 1000 && p.Key <= 3000 {
+					want += int64(p.Value)
+				}
+			}
+			return got, want, err
+		}},
+		{"VerifyRangeQuery", func(t *testing.T) (any, any, error) {
+			ups := []sip.Update{{Index: 10, Delta: 2}, {Index: 20, Delta: 1}, {Index: 200, Delta: 5}}
+			got, _, err := sip.VerifyRangeQuery(f, 1<<8, ups, 5, 100, sip.NewSeededRNG(5))
+			return got, []sip.Entry{{Index: 10, Value: 2}, {Index: 20, Value: 1}}, err
+		}},
+		{"VerifyHeavyHitters", func(t *testing.T) (any, any, error) {
+			got, _, err := sip.VerifyHeavyHitters(f, 1<<9, zipf, 0.05, sip.NewSeededRNG(7))
+			var want []sip.HeavyHitter
+			for i, c := range counts(zipf, 1<<9) {
+				if c >= 250 { // ⌈0.05 · 5000⌉
+					want = append(want, sip.HeavyHitter{Index: uint64(i), Count: c})
+				}
+			}
+			return got, want, err
+		}},
+		{"VerifyF0", func(t *testing.T) (any, any, error) {
+			got, _, err := sip.VerifyF0(f, 1<<9, zipf, sip.NewSeededRNG(8))
+			var want sip.Elem
+			for _, c := range counts(zipf, 1<<9) {
+				if c != 0 {
+					want++
+				}
+			}
+			return got, want, err
+		}},
+		{"VerifyCircuit", func(t *testing.T) (any, any, error) {
+			got, _, err := sip.VerifyCircuit(f, 16, matrix, sip.CircuitSpec{Name: sip.CircuitMatMul, Arg: 4}, sip.NewSeededRNG(78))
+			want := make([]sip.Elem, 16)
+			for i := range want {
+				for k := 0; k < 4; k++ {
+					want[i] = f.Add(want[i], f.Mul(f.FromInt64(matrix[i/4*4+k].Delta), f.FromInt64(matrix[k*4+i%4].Delta)))
+				}
+			}
+			return got, want, err
+		}},
+		{"VerifyCircuit/unknown", func(t *testing.T) (any, any, error) {
+			_, _, err := sip.VerifyCircuit(f, 16, nil, sip.CircuitSpec{Name: "NOPE"}, sip.NewSeededRNG(1))
+			return errors.Is(err, sip.ErrUnknownCircuit), true, nil
+		}},
+		{"fields and RNGs", func(t *testing.T) (any, any, error) {
+			g, err := sip.FieldForUniverse(1000)
+			_, composite := sip.NewField(15)
+			sip.NewCryptoRNG().Uint64()
+			return [3]bool{g.Modulus() >= 1000 && g.Modulus() <= 2000, composite != nil, f.Modulus() == 1<<61-1}, [3]bool{true, true, true}, err
+		}},
+		{"VerifyProof", func(t *testing.T) (any, any, error) {
+			const u = 1 << 9
+			ups := stream.UniformDeltas(u, 80, sip.NewSeededRNG(21))
+			ds, err := sip.NewDataset(f, u, 0)
+			if err != nil {
+				return nil, nil, err
+			}
+			if err := ds.Ingest(ups); err != nil {
+				return nil, nil, err
+			}
+			pf, err := ds.Snapshot().GenerateProof(sip.QuerySelfJoinSize, sip.QueryParams{})
+			if err != nil {
+				return nil, nil, err
+			}
+			if pf, err = sip.DecodeProof(pf.Encode()); err != nil {
+				return nil, nil, err
+			}
+			verify := func() error {
+				return sip.VerifyProof(pf, observedVerifier(t, f, u, sip.QuerySelfJoinSize, sip.QueryParams{}, pf.Binding.RNG(), ups))
+			}
+			honest := verify()
+			pf.Messages[0].Elems[0]++
+			return [2]bool{honest == nil, verify() != nil}, [2]bool{true, true}, nil
+		}},
 	}
-	f0, _, err := sip.VerifyF0(sip.Mersenne(), u, ups, sip.NewSeededRNG(8))
-	if err != nil {
-		t.Fatalf("F0 rejected: %v", err)
-	}
-	a, _ := stream.Apply(ups, u)
-	var want sip.Elem
-	for _, c := range a {
-		if c != 0 {
-			want++
-		}
-	}
-	if f0 != want {
-		t.Fatalf("F0 = %d, want %d", f0, want)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			got, want, err := r.run(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("got %v, want %v", got, want)
+			}
+		})
 	}
 }
 
@@ -171,90 +216,24 @@ func TestDictionaryWorkflow(t *testing.T) {
 }
 
 // TestTamperThroughFacade: the robustness experiment is reachable through
-// the public API.
+// the public API, for a sum-check kind and for CIRCUIT.
 func TestTamperThroughFacade(t *testing.T) {
+	f := sip.Mersenne()
 	const u = 256
 	ups := stream.UniformDeltas(u, 10, sip.NewSeededRNG(10))
-	v := observedVerifier(t, sip.Mersenne(), u, sip.QuerySelfJoinSize, sip.NewSeededRNG(11), ups)
-	p := datasetProver(t, sip.Mersenne(), u, 0, ups, sip.QuerySelfJoinSize, sip.QueryParams{})
-	tp := &sip.TamperedProver{P: p, T: func(r int, m sip.Msg) sip.Msg {
-		if r == 1 && len(m.Elems) > 0 {
-			m.Elems[0]++
+	for _, q := range []struct {
+		kind   sip.QueryKind
+		params sip.QueryParams
+	}{{sip.QuerySelfJoinSize, sip.QueryParams{}}, {sip.QueryCircuit, sip.QueryParams{Circuit: sip.CircuitF2}}} {
+		v := observedVerifier(t, f, u, q.kind, q.params, sip.NewSeededRNG(11), ups)
+		tp := &sip.TamperedProver{P: datasetProver(t, f, u, 0, ups, q.kind, q.params), T: func(r int, m sip.Msg) sip.Msg {
+			if r == 1 && len(m.Elems) > 0 {
+				m.Elems[0] = f.Add(m.Elems[0], 1)
+			}
+			return m
+		}}
+		if _, err := sip.Run(tp, v); !errors.Is(err, sip.ErrRejected) {
+			t.Fatalf("%v: tampered run not rejected: %v", q.kind, err)
 		}
-		return m
-	}}
-	if _, err := sip.Run(tp, v); !errors.Is(err, sip.ErrRejected) {
-		t.Fatalf("tampered run not rejected: %v", err)
-	}
-}
-
-func TestFieldHelpers(t *testing.T) {
-	f, err := sip.FieldForUniverse(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Modulus() < 1000 || f.Modulus() > 2000 {
-		t.Errorf("FieldForUniverse(1000) modulus %d outside [1000,2000]", f.Modulus())
-	}
-	if _, err := sip.NewField(15); err == nil {
-		t.Error("composite modulus accepted")
-	}
-	if sip.Mersenne().Modulus() != (1<<61)-1 {
-		t.Error("Mersenne modulus wrong")
-	}
-	// Both RNG kinds satisfy the interface and produce values.
-	var rngs []sip.RNG = []sip.RNG{sip.NewSeededRNG(1), sip.NewCryptoRNG()}
-	for _, r := range rngs {
-		_ = r.Uint64()
-	}
-}
-
-// TestVerifyProofFacade: generate a proof through the engine facade,
-// round-trip it through the codec, and verify it offline with a
-// verifier built from the binding's deterministic challenge stream.
-func TestVerifyProofFacade(t *testing.T) {
-	const u = 1 << 9
-	f := sip.Mersenne()
-	ups := stream.UniformDeltas(u, 80, sip.NewSeededRNG(21))
-	ds, err := sip.NewDataset(f, u, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Ingest(ups); err != nil {
-		t.Fatal(err)
-	}
-	pf, err := ds.Snapshot().GenerateProof(sip.QuerySelfJoinSize, sip.QueryParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err = sip.DecodeProof(pf.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := sip.NewQueryVerifier(f, u, sip.QuerySelfJoinSize, sip.QueryParams{}, pf.Binding.RNG())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, up := range ups {
-		if err := v.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sip.VerifyProof(pf, v); err != nil {
-		t.Fatalf("offline verification rejected: %v", err)
-	}
-	// Tampering with a recorded message must fail.
-	pf.Messages[0].Elems[0]++
-	v2, err := sip.NewQueryVerifier(f, u, sip.QuerySelfJoinSize, sip.QueryParams{}, pf.Binding.RNG())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, up := range ups {
-		if err := v2.Observe(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sip.VerifyProof(pf, v2); err == nil {
-		t.Fatal("tampered proof accepted")
 	}
 }
